@@ -22,6 +22,7 @@ package dragonfly
 import (
 	"testing"
 
+	"dragonfly/internal/refmodel"
 	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
@@ -245,29 +246,28 @@ func workerName(w int) string {
 	return "workers" + string([]byte{'0' + byte(w)})
 }
 
-// Router step cost in isolation (per-cycle hot path).
+// The oracle's router step cost in isolation (the dense per-cycle path the
+// core is measured against).
 func BenchmarkRouterStep(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	cfg.Load = 0.4
 	cfg.Mechanism = "In-Trns-MM"
 	cfg.Pattern = "ADVc"
-	net, err := sim.NewNetwork(&cfg, nil)
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.Workers = 0, 2000, 1
+	net, err := refmodel.NewNetwork(&cfg, nil, refmodel.Rings)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm the network into steady state.
-	if err := sim.RunNetwork(net, &sim.Config{
-		Topology: cfg.Topology, Mechanism: cfg.Mechanism, Pattern: cfg.Pattern,
-		Load: cfg.Load, WarmupCycles: 0, MeasureCycles: 2000, Seed: 1, Workers: 1,
-		Router: cfg.Router, Routing: cfg.Routing,
-	}); err != nil {
+	if err := refmodel.Run(net, &cfg); err != nil {
 		b.Fatal(err)
 	}
+	routers := refmodel.Of(net).Routers
 	b.ResetTimer()
 	now := int64(2000)
 	for i := 0; i < b.N; i++ {
-		net.Routers[i%len(net.Routers)].Step(now)
-		if i%len(net.Routers) == len(net.Routers)-1 {
+		routers[i%len(routers)].Step(now)
+		if i%len(routers) == len(routers)-1 {
 			now++
 		}
 	}
@@ -283,7 +283,15 @@ func BenchmarkNextHop(b *testing.B) {
 	cfg.LocalVCs, cfg.GlobalVCs = lvc, gvc
 	envCopy := *env
 	envCopy.Cfg.LocalVCs, envCopy.Cfg.GlobalVCs = lvc, gvc
-	r := router.New(0, topo, &cfg, mech, &envCopy, rngSource(), nil)
+	core, err := router.NewCore(router.Wiring{
+		Topo: topo, Cfg: &cfg, Mech: mech, Rng: rngSource(),
+		Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
+		Binding: router.Binding{Env: &envCopy},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &core.Views()[0]
 	p := newBenchPacket(topo)
 	rnd := rngSource()
 	b.ResetTimer()

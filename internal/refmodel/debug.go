@@ -1,4 +1,4 @@
-package router
+package refmodel
 
 import (
 	"dragonfly/internal/packet"

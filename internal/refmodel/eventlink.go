@@ -1,4 +1,4 @@
-package router
+package refmodel
 
 import (
 	"fmt"
@@ -100,12 +100,6 @@ func (l *EventLink) Latency() int { return l.latency }
 // PushPacket implements Link. It panics on a full ring (the spacing
 // promise of NewEventLink was broken) or on non-increasing arrival cycles.
 func (l *EventLink) PushPacket(at int64, p *packet.Packet) {
-	if l.pkts == nil {
-		// Cloned links with no in-flight packets defer the ring to first
-		// use (see Clone); the receiver cannot race this write, because it
-		// only touches the ring after observing tail > head below.
-		l.pkts = make([]pktEvent, l.pmask+1)
-	}
 	tail := l.pktTail.Load() // sender-owned
 	if tail-l.pktHead.Load() > l.pmask {
 		panic(fmt.Sprintf("router: event link packet ring full at cycle %d (spacing promise broken)", at))
@@ -147,12 +141,8 @@ func (l *EventLink) EarliestPacket() int64 {
 	return l.pkts[head&l.pmask].at
 }
 
-// PushCredit implements Link. Panic conditions mirror PushPacket,
-// including the deferred ring of an empty clone.
+// PushCredit implements Link. Panic conditions mirror PushPacket.
 func (l *EventLink) PushCredit(at int64, vc, phits int) {
-	if l.crds == nil {
-		l.crds = make([]crdEvent, l.cmask+1)
-	}
 	tail := l.crdTail.Load() // sender-owned
 	if tail-l.crdHead.Load() > l.cmask {
 		panic(fmt.Sprintf("router: event link credit ring full at cycle %d (spacing promise broken)", at))
@@ -194,39 +184,4 @@ func (l *EventLink) EarliestCredit() int64 {
 // InFlight implements Link; O(1), unlike the ring scan.
 func (l *EventLink) InFlight() int {
 	return int(l.pktTail.Load() - l.pktHead.Load())
-}
-
-// Clone implements Link. A channel with nothing in flight — every channel
-// of a construction snapshot — gets no ring at all: the masks carry the
-// capacity and the first push allocates. That keeps cloning a quiescent
-// link down to the struct itself.
-func (l *EventLink) Clone(rebase int64) Link {
-	c := &EventLink{latency: l.latency, pmask: l.pmask, cmask: l.cmask}
-	if l.pktTail.Load() > l.pktHead.Load() {
-		c.pkts = make([]pktEvent, l.pmask+1)
-	}
-	if l.crdTail.Load() > l.crdHead.Load() {
-		c.crds = make([]crdEvent, l.cmask+1)
-	}
-	l.cloneInto(c, rebase)
-	return c
-}
-
-// cloneInto copies l's in-flight events into c (whose rings are already
-// sized like l's), rebased and compacted to head 0. Shared by Clone and
-// the slab-allocating CloneLinks.
-func (l *EventLink) cloneInto(c *EventLink, rebase int64) {
-	head, tail := l.pktHead.Load(), l.pktTail.Load()
-	for i := head; i < tail; i++ {
-		ev := l.pkts[i&l.pmask]
-		c.pkts[(i-head)&c.pmask] = pktEvent{at: ev.at - rebase, p: clonePacket(ev.p, rebase)}
-	}
-	c.pktTail.Store(tail - head)
-	head, tail = l.crdHead.Load(), l.crdTail.Load()
-	for i := head; i < tail; i++ {
-		ev := l.crds[i&l.cmask]
-		ev.at -= rebase
-		c.crds[(i-head)&c.cmask] = ev
-	}
-	c.crdTail.Store(tail - head)
 }

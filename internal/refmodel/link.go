@@ -1,4 +1,4 @@
-package router
+package refmodel
 
 import (
 	"fmt"
@@ -54,123 +54,6 @@ type Link interface {
 	// InFlight counts packets currently travelling on the link. Intended
 	// for conservation checks in tests.
 	InFlight() int
-	// Clone returns an independent deep copy with every in-flight event —
-	// packets included, deep-copied — shifted rebase cycles into the past,
-	// so state captured at cycle rebase of one run is valid at cycle 0 of
-	// another. Only valid between cycles (sender and receiver quiescent).
-	// Prefer CloneLinks for whole networks: it batches the backing-array
-	// allocations.
-	Clone(rebase int64) Link
-}
-
-// CloneLinks deep-copies a network's whole link set with event times
-// shifted rebase cycles into the past, returning the clones in input order
-// plus the original→clone mapping used to rewire cloned routers. Callers
-// that rewire by port-to-link indices instead of by identity (see
-// CloneSpec.PortLinks) should use CloneLinkSlice and skip the map.
-func CloneLinks(links []Link, rebase int64) ([]Link, map[Link]Link) {
-	clones := CloneLinkSlice(links, rebase)
-	remap := make(map[Link]Link, len(links))
-	for i, l := range links {
-		remap[l] = clones[i]
-	}
-	return clones, remap
-}
-
-// CloneLinkSlice deep-copies a link set, returning the clones in input
-// order. Ring slabs are allocated in bulk across all links of a kind — a
-// handful of large allocations instead of several per link — and, like
-// EventLink.Clone, channels with nothing in flight get no ring at all:
-// cloning the all-quiescent link set of a construction snapshot allocates
-// the link structs and nothing else, which is what makes restoring a
-// snapshot cheap next to rebuilding the network.
-func CloneLinkSlice(links []Link, rebase int64) []Link {
-	clones := make([]Link, len(links))
-	// Bulk slabs for the event links (the default wiring).
-	var nEvent, pktSlots, crdSlots int
-	for _, l := range links {
-		if e, ok := l.(*EventLink); ok {
-			nEvent++
-			if e.pktTail.Load() > e.pktHead.Load() {
-				pktSlots += int(e.pmask) + 1
-			}
-			if e.crdTail.Load() > e.crdHead.Load() {
-				crdSlots += int(e.cmask) + 1
-			}
-		}
-	}
-	eventSlab := make([]EventLink, nEvent)
-	pktSlab := make([]pktEvent, pktSlots)
-	crdSlab := make([]crdEvent, crdSlots)
-	nEvent, pktSlots, crdSlots = 0, 0, 0
-	for i, l := range links {
-		if e, ok := l.(*EventLink); ok {
-			c := &eventSlab[nEvent]
-			nEvent++
-			c.latency, c.pmask, c.cmask = e.latency, e.pmask, e.cmask
-			if e.pktTail.Load() > e.pktHead.Load() {
-				n := int(e.pmask) + 1
-				c.pkts = pktSlab[pktSlots : pktSlots+n : pktSlots+n]
-				pktSlots += n
-			}
-			if e.crdTail.Load() > e.crdHead.Load() {
-				n := int(e.cmask) + 1
-				c.crds = crdSlab[crdSlots : crdSlots+n : crdSlots+n]
-				crdSlots += n
-			}
-			e.cloneInto(c, rebase)
-			clones[i] = c
-		} else {
-			clones[i] = l.Clone(rebase)
-		}
-	}
-	return clones
-}
-
-// CloneLinkSliceInto re-clones src's links over dst, a clone set
-// previously produced from the same src (see CloneLinkSlice): event links
-// are reset and refilled in place — rings kept, the previous run's
-// unpopped packet references dropped — so a quiescent re-clone allocates
-// nothing. Links of other implementations, or slots whose types diverged,
-// fall back to a fresh Clone. Both link sets must be between cycles.
-func CloneLinkSliceInto(src, dst []Link, rebase int64) {
-	for i, l := range src {
-		e, ok := l.(*EventLink)
-		if !ok {
-			dst[i] = l.Clone(rebase)
-			continue
-		}
-		c, ok := dst[i].(*EventLink)
-		if !ok || c == nil {
-			dst[i] = l.Clone(rebase)
-			continue
-		}
-		// Drop references to the previous run's in-flight packets before
-		// the counters are reset.
-		head, tail := c.pktHead.Load(), c.pktTail.Load()
-		for j := head; j < tail; j++ {
-			c.pkts[j&c.pmask].p = nil
-		}
-		c.latency, c.pmask, c.cmask = e.latency, e.pmask, e.cmask
-		c.pktHead.Store(0)
-		c.crdHead.Store(0)
-		// cloneInto assumes zero heads and stores the tails; a live source
-		// channel needs a ring where the template left the clone's nil.
-		if e.pktTail.Load() > e.pktHead.Load() && c.pkts == nil {
-			c.pkts = make([]pktEvent, e.pmask+1)
-		}
-		if e.crdTail.Load() > e.crdHead.Load() && c.crds == nil {
-			c.crds = make([]crdEvent, e.cmask+1)
-		}
-		e.cloneInto(c, rebase)
-	}
-}
-
-// clonePacket deep-copies a queued packet with its clocks rebased.
-func clonePacket(p *packet.Packet, rebase int64) *packet.Packet {
-	c := *p
-	c.Rebase(rebase)
-	return &c
 }
 
 // RingLink is the seed's Link implementation: both channels are
@@ -327,32 +210,4 @@ func (l *RingLink) InFlight() int {
 		}
 	}
 	return n
-}
-
-// Clone implements Link. Slots are re-placed at their rebased cycles
-// ((at-rebase)&mask), keeping the slot-addressing invariant of the rings.
-func (l *RingLink) Clone(rebase int64) Link {
-	c := &RingLink{
-		latency: l.latency,
-		mask:    l.mask,
-		pkts:    make([]*packet.Packet, len(l.pkts)),
-		credits: make([]creditEvent, len(l.credits)),
-		pktT:    make([]int64, len(l.pktT)),
-		crdT:    make([]int64, len(l.crdT)),
-	}
-	head, tail := l.pktHead.Load(), l.pktTail.Load()
-	for i := head; i < tail; i++ {
-		at := l.pktT[i&l.mask]
-		c.pkts[(at-rebase)&l.mask] = clonePacket(l.pkts[at&l.mask], rebase)
-		c.pktT[(i-head)&c.mask] = at - rebase
-	}
-	c.pktTail.Store(tail - head)
-	head, tail = l.crdHead.Load(), l.crdTail.Load()
-	for i := head; i < tail; i++ {
-		at := l.crdT[i&l.mask]
-		c.credits[(at-rebase)&l.mask] = l.credits[at&l.mask]
-		c.crdT[(i-head)&c.mask] = at - rebase
-	}
-	c.crdTail.Store(tail - head)
-	return c
 }

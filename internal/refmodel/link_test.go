@@ -1,4 +1,4 @@
-package router
+package refmodel
 
 import (
 	"math/rand"
@@ -341,64 +341,5 @@ func TestEventLinkMatchesRingLinkRandomized(t *testing.T) {
 					trial, latency, i, ringCrds[i], eventCrds[i])
 			}
 		}
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	mutations := []func(*Config){
-		func(c *Config) { c.PacketSize = 0 },
-		func(c *Config) { c.PipelineCycles = -1 },
-		func(c *Config) { c.Speedup = 0 },
-		func(c *Config) { c.OutputBufferPhits = 4 },
-		func(c *Config) { c.LocalVCPhits = 4 },
-		func(c *Config) { c.GlobalVCPhits = 4 },
-		func(c *Config) { c.LocalVCs = 0 },
-		func(c *Config) { c.GlobalVCs = 0 },
-		func(c *Config) { c.LocalLatency = 0 },
-		func(c *Config) { c.GlobalLatency = 0 },
-		func(c *Config) { c.InjectionQueuePackets = 0 },
-		func(c *Config) { c.AllocIterations = 0 },
-		func(c *Config) { c.CongestionThreshold = 0 },
-		func(c *Config) { c.CongestionThreshold = 1 },
-	}
-	for i, mut := range mutations {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-}
-
-func TestConfigDerivedCycles(t *testing.T) {
-	c := DefaultConfig()
-	if got := c.CrossbarCycles(); got != 4 {
-		t.Errorf("CrossbarCycles() = %d, want 4 (8 phits at 2x)", got)
-	}
-	if got := c.SerialCycles(); got != 8 {
-		t.Errorf("SerialCycles() = %d, want 8", got)
-	}
-	c.Speedup = 3
-	if got := c.CrossbarCycles(); got != 3 {
-		t.Errorf("CrossbarCycles() at 3x = %d, want ceil(8/3)=3", got)
-	}
-}
-
-func TestArbitrationString(t *testing.T) {
-	for a, want := range map[Arbitration]string{
-		RoundRobin:           "round-robin",
-		TransitOverInjection: "transit-priority",
-		AgeBased:             "age",
-	} {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", a, a.String(), want)
-		}
-	}
-	if Arbitration(9).String() == "" {
-		t.Error("unknown arbitration String() empty")
 	}
 }

@@ -1,19 +1,11 @@
-// Package router implements the FOGSim-style router model of Section IV-A:
-// input- and output-buffered high-radix routers with per-VC input FIFOs,
-// credit-based virtual cut-through flow control, a 5-cycle pipeline, a 2×
-// crossbar speedup and an iterative separable allocator with configurable
-// arbitration (round-robin, transit-over-injection priority, or age-based).
-//
-// The model is packet-atomic: packets move between buffers as units but
-// charge exact serialisation and crossbar occupancy, and buffers are
-// accounted in phits (see DESIGN.md for the fidelity argument).
-package router
+package refmodel
 
 import (
 	"fmt"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/rng"
+	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
@@ -230,7 +222,7 @@ type candRef struct {
 type Router struct {
 	id   int
 	topo *topology.Topology
-	cfg  *Config
+	cfg  *router.Config
 	mech routing.Mechanism
 	env  *routing.Env
 	rnd  *rng.Source
@@ -284,7 +276,7 @@ type Router struct {
 	// is recycled. Used by tests and the engine's sampling machinery.
 	deliverHook func(*packet.Packet)
 	// trace, when set, observes grants, link sends and deliveries.
-	trace TraceFn
+	trace router.TraceFn
 
 	// scratch buffers reused across cycles. cands[p] and granted[p] are
 	// only meaningful for p ∈ candIn (the inputs that proposed candidates
@@ -300,7 +292,7 @@ type Router struct {
 
 // New constructs a router. Links must be attached with ConnectIn/ConnectOut
 // before the first Step.
-func New(id int, topo *topology.Topology, cfg *Config, mech routing.Mechanism, env *routing.Env, rnd *rng.Source, recycle func(*packet.Packet)) *Router {
+func New(id int, topo *topology.Topology, cfg *router.Config, mech routing.Mechanism, env *routing.Env, rnd *rng.Source, recycle func(*packet.Packet)) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -850,7 +842,7 @@ func (r *Router) allocate(now int64) {
 		return
 	}
 
-	transitFirst := r.cfg.Arbitration == TransitOverInjection
+	transitFirst := r.cfg.Arbitration == router.TransitOverInjection
 	transitSubmitted := false
 	for iter := 0; iter < r.cfg.AllocIterations; iter++ {
 		// Submit: each free input proposes its first feasible candidate.
@@ -917,7 +909,7 @@ func (r *Router) allocate(now int64) {
 // according to the configured arbitration policy.
 func (r *Router) arbitrate(o *outputPort, reqs []candRef) candRef {
 	switch r.cfg.Arbitration {
-	case TransitOverInjection:
+	case router.TransitOverInjection:
 		// Transit first; round-robin within the preferred class.
 		best := candRef{in: -1}
 		for _, ref := range reqs {
@@ -931,7 +923,7 @@ func (r *Router) arbitrate(o *outputPort, reqs []candRef) candRef {
 			return best
 		}
 		return r.roundRobinPick(o, reqs)
-	case AgeBased:
+	case router.AgeBased:
 		best := reqs[0]
 		bestAge := r.headGen(best)
 		for _, ref := range reqs[1:] {
@@ -1011,7 +1003,7 @@ func (r *Router) grant(now int64, ref candRef) {
 	r.cands[inPort] = r.cands[inPort][:0]
 	r.stats.LastActivity = now
 	if r.trace != nil {
-		r.trace(now, TraceGrant, pkt, r.id, outPort, cand.req.VC)
+		r.trace(now, router.TraceGrant, pkt, r.id, outPort, cand.req.VC)
 	}
 }
 
@@ -1070,7 +1062,7 @@ func (r *Router) linkStage(now int64) {
 		r.relDue.insert(o.releaseAt, int32(p))
 		r.consider(o.releaseAt) // buffer release; also frees the serializer
 		if r.trace != nil {
-			r.trace(now, TraceLinkSend, pkt, r.id, p, pkt.VC)
+			r.trace(now, router.TraceLinkSend, pkt, r.id, p, pkt.VC)
 		}
 		if o.link != nil {
 			at := now + serial + int64(o.link.Latency())
@@ -1131,7 +1123,7 @@ func (r *Router) deliver(at int64, pkt *packet.Packet) {
 		s.WaitGlobalSum += pkt.WaitGlobal
 	}
 	if r.trace != nil {
-		r.trace(at, TraceDeliver, pkt, r.id, r.topo.NodePort(pkt.Dst), 0)
+		r.trace(at, router.TraceDeliver, pkt, r.id, r.topo.NodePort(pkt.Dst), 0)
 	}
 	if r.deliverHook != nil {
 		r.deliverHook(pkt)

@@ -1,10 +1,11 @@
-package router
+package refmodel
 
 import (
 	"testing"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/rng"
+	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
 )
@@ -14,15 +15,15 @@ import (
 // engine.
 type testNet struct {
 	topo    *topology.Topology
-	cfg     Config
+	cfg     router.Config
 	routers []*Router
 	env     routing.Env
 }
 
-func buildNet(t *testing.T, params topology.Params, mech routing.Mechanism, arb Arbitration) *testNet {
+func buildNet(t *testing.T, params topology.Params, mech routing.Mechanism, arb router.Arbitration) *testNet {
 	t.Helper()
 	topo := topology.New(params)
-	cfg := DefaultConfig()
+	cfg := router.DefaultConfig()
 	cfg.Arbitration = arb
 	lvc, gvc := mech.VCNeeds()
 	cfg.LocalVCs, cfg.GlobalVCs = lvc, gvc
@@ -114,7 +115,7 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 	}
 	for i, c := range cases {
 		// A fresh network per case: the engine clock always starts at 0.
-		n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), RoundRobin)
+		n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
 		delivered := collectDeliveries(n)
 		cfg := n.cfg
 		perRouter := int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles())
@@ -143,7 +144,7 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 // The latency identity: total = base + misroute + all waits, exactly, for
 // every delivered packet — even under heavy congestion and misrouting.
 func TestLatencyIdentity(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewInTransit(routing.MM), TransitOverInjection)
+	n := buildNet(t, topology.Balanced(2), routing.NewInTransit(routing.MM), router.TransitOverInjection)
 	delivered := collectDeliveries(n)
 	cfg := n.cfg
 	perRouter := int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles())
@@ -184,7 +185,7 @@ func TestLatencyIdentity(t *testing.T) {
 
 // Packet conservation: generated = delivered + in flight, at any cycle.
 func TestPacketConservation(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewOblivious(routing.RRG), RoundRobin)
+	n := buildNet(t, topology.Balanced(2), routing.NewOblivious(routing.RRG), router.RoundRobin)
 	deliveredCount := 0
 	for _, rt := range n.routers {
 		rt.SetDeliverHook(func(*packet.Packet) { deliveredCount++ })
@@ -234,7 +235,7 @@ func TestPacketConservation(t *testing.T) {
 // After a full drain every credit must be back at its initial value —
 // otherwise the credit protocol leaks.
 func TestCreditRestoration(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), RoundRobin)
+	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
 	r := rng.New(7)
 	var id uint64
 	for now := int64(0); now < 800; now++ {
@@ -268,7 +269,7 @@ func TestCreditRestoration(t *testing.T) {
 
 // Injection backlog accounting and the source-queue bound.
 func TestInjectionBacklog(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), RoundRobin)
+	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
 	rt := n.routers[0]
 	if got := rt.InjectionBacklog(0); got != 0 {
 		t.Fatalf("fresh backlog = %d", got)
@@ -285,7 +286,7 @@ func TestInjectionBacklog(t *testing.T) {
 }
 
 func TestBackloggedStat(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), RoundRobin)
+	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
 	rt := n.routers[0]
 	rt.NoteBacklogged(0)
 	rt.NoteBacklogged(0)
@@ -304,11 +305,11 @@ func TestBackloggedStat(t *testing.T) {
 // not.
 func TestTransitPriorityStarvesInjection(t *testing.T) {
 	for _, tc := range []struct {
-		arb    Arbitration
+		arb    router.Arbitration
 		starve bool
 	}{
-		{TransitOverInjection, true},
-		{RoundRobin, false},
+		{router.TransitOverInjection, true},
+		{router.RoundRobin, false},
 	} {
 		n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), tc.arb)
 		topo := n.topo
@@ -350,7 +351,7 @@ func TestTransitPriorityStarvesInjection(t *testing.T) {
 // Age-based arbitration must also protect the bottleneck injection: old
 // packets win over young transit.
 func TestAgeArbitrationProtectsInjection(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), AgeBased)
+	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.AgeBased)
 	topo := n.topo
 	exitIdx, _ := topo.GlobalRouterFor(0, 1)
 	exit := topo.RouterID(0, exitIdx)
@@ -382,7 +383,7 @@ func TestAgeArbitrationProtectsInjection(t *testing.T) {
 
 // Stats gating: nothing is recorded while measuring is off.
 func TestMeasurementGating(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), RoundRobin)
+	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
 	for _, rt := range n.routers {
 		rt.SetMeasuring(false)
 	}
@@ -407,7 +408,7 @@ func TestRandomizedStress(t *testing.T) {
 		routing.NewInTransit(routing.RRG),
 	}
 	for _, mech := range mechs {
-		for _, arb := range []Arbitration{RoundRobin, TransitOverInjection, AgeBased} {
+		for _, arb := range []router.Arbitration{router.RoundRobin, router.TransitOverInjection, router.AgeBased} {
 			n := buildNet(t, topology.Balanced(2), mech, arb)
 			r := rng.New(8)
 			var id uint64

@@ -1,21 +1,20 @@
-// The structure-of-arrays router core. Core flattens the hot state of
-// every router of a network — credits, queue occupancies, VC round-robin
-// pointers, allocator scratch, due-queue calendars — into per-network
-// arrays indexed by (router, port[, vc]), so the scheduler engines step
-// saturated networks as batched loops over contiguous memory instead of
-// chasing per-router pointer graphs. See DESIGN.md ("Structure-of-arrays
-// router core") for the indexing scheme and the bit-identity argument.
+// Package router implements the FOGSim-style router model of Section IV-A:
+// input- and output-buffered high-radix routers with per-VC input FIFOs,
+// credit-based virtual cut-through flow control, a 5-cycle pipeline, a 2×
+// crossbar speedup and an iterative separable allocator with configurable
+// arbitration (round-robin, transit-over-injection priority, or age-based).
 //
-// The Core is a run-scoped view: the engines build it from the wired
-// []*Router at run start (importing any state already buffered there),
-// step it instead of the routers, and write the hot state back when the
-// run ends — so everything outside the run (construction, debug
-// snapshots, the dense reference engines, manual steppers) keeps seeing
-// the classic per-router representation. Measurement accumulators are
-// not copied at all: the Core aliases each router's stats.Router,
-// per-job slices and RNG stream, so result collection, the deadlock
-// watchdog and the dynamic scheduler's live counters read the same
-// memory whichever representation is live.
+// The model is packet-atomic: packets move between buffers as units but
+// charge exact serialisation and crossbar occupancy, and buffers are
+// accounted in phits (see DESIGN.md for the fidelity argument).
+//
+// Core is the network: the state of every router lives in per-network
+// arrays indexed by (router, port[, vc]), built and wired once by NewCore
+// and stepped in place by the engines for as long as the network lives.
+// Links are not objects: a packet or credit in flight is an entry in the
+// receiving port's event ring. See DESIGN.md ("Structure-of-arrays router
+// core") for the indexing scheme; internal/refmodel holds the dense
+// per-router model the Core is proven bit-identical against.
 package router
 
 import (
@@ -29,10 +28,66 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// pendRec is the flat mirror of pendingTransfer (the completion cycle
-// lives in inBusy). Multi-field records read and written together stay
-// packed in one array element instead of five parallel ones: the point
-// of the flat layout is cache-line economy, not arrays for their own sake.
+// LinkEvent is one future link arrival created during a step: a packet
+// reaching an input port of the destination router, or a credit returning
+// to an output port of the upstream router. The payload rides the event
+// (Pkt for arrivals, Phits/PVC for credits): the engine hands it to
+// PushDue, which parks it in the destination port's ring, and uses At to
+// wake a sleeping destination router on time.
+type LinkEvent struct {
+	Router int            // destination router id
+	Port   int            // destination router's port the event lands on
+	At     int64          // arrival cycle
+	Credit bool           // credit return rather than packet arrival
+	Pkt    *packet.Packet // the arriving packet (nil for credits)
+	Phits  int32          // credit phits
+	PVC    int32          // credit VC
+}
+
+// portDue is one entry of a router-local calendar: an event falling due at
+// a port.
+type portDue struct {
+	at   int64
+	port int32
+}
+
+// dueQueue is a time-sorted FIFO of pending port events with head
+// compaction.
+type dueQueue struct {
+	q    []portDue
+	head int
+}
+
+// insert places an event keeping the queue sorted by time; events are
+// near-future, so bubbling from the tail is effectively O(1).
+func (d *dueQueue) insert(at int64, port int32) {
+	d.q = append(d.q, portDue{at: at, port: port})
+	for i := len(d.q) - 1; i > d.head && d.q[i-1].at > at; i-- {
+		d.q[i], d.q[i-1] = d.q[i-1], d.q[i]
+	}
+}
+
+// pop removes and returns the head entry. The consumed prefix is
+// compacted away once it dominates the slice, so a queue that never
+// fully drains stays O(pending) instead of growing with simulated cycles.
+func (d *dueQueue) pop() portDue {
+	e := d.q[d.head]
+	d.head++
+	if d.head == len(d.q) {
+		d.q = d.q[:0]
+		d.head = 0
+	} else if d.head > 64 && d.head*2 > len(d.q) {
+		n := copy(d.q, d.q[d.head:])
+		d.q = d.q[:n]
+		d.head = 0
+	}
+	return e
+}
+
+// pendRec is the crossbar transfer in progress at an input port (its
+// completion cycle lives in inPort.busy). Multi-field records read and
+// written together stay packed in one array element: the point of the flat
+// layout is cache-line economy, not arrays for their own sake.
 type pendRec struct {
 	vc      int32
 	outPort int32
@@ -58,15 +113,14 @@ type outCandRec struct{ in, idx int32 }
 
 // inPort packs one input port's mutable hot state: everything the
 // allocator, grant and transfer-completion stages read or write per
-// port sits in one array element (one or two cache lines) instead of
-// six parallel arrays.
+// port sits in one array element.
 type inPort struct {
 	busy    int64   // crossbar transfer completes at
 	pend    pendRec // pending crossbar transfer (completion cycle in busy)
 	rrVC    int32   // VC round-robin pointer
 	qTotal  int32   // packets across the port's VC queues
-	candN   int32   // allocator: candidates gathered this cycle
-	granted bool    // allocator: input granted this cycle
+	candN   int32   // allocator scratch: candidates gathered this cycle
+	granted bool    // allocator scratch: input granted this cycle
 }
 
 // outPort packs one output port's mutable hot state (see inPort).
@@ -83,13 +137,11 @@ type outPort struct {
 	rrVC     int32 // link VC arbitration pointer
 }
 
-// portWire is one port's read-only wiring: the link (plus its
-// devirtualized EventLink form), cached latency and far-side address.
+// portWire is one port's read-only wiring: the latency of the link behind
+// it and the far-side address (peer -1: injection/ejection, or unplugged).
 type portWire struct {
-	link     Link       // nil for injection (input) / ejection (output) ports
-	el       *EventLink // devirtualized link (nil when not an EventLink)
-	lat      int32      // cached Link.Latency (0 without a link)
-	peer     int32      // far-side router id (-1 unknown)
+	lat      int32
+	peer     int32
 	peerPort int32
 }
 
@@ -102,30 +154,71 @@ type inQState struct{ off, qcap, head, qlen, occ int32 }
 // ejection) — everything the link stage reads per VC, on one cache line.
 type outQState struct{ off, qcap, head, qlen, occVC, credits int32 }
 
-// evRing is the packed bookkeeping of one in-core link-event ring.
+// evRing is the packed bookkeeping of one link-event ring.
 type evRing struct{ off, qcap, head, qlen int32 }
 
-// Core holds the flattened hot state of every router of one network.
-// Array indices: pi = router*NP + port for per-port state and
-// vi = pi*maxVC + vc for per-VC state, with NP the router radix and
-// maxVC the widest VC count of any port class. Per-port-class constants
-// (capacities, VC counts, thresholds) are identical across routers and
-// stored once, indexed by port only. Packet queues are fixed-capacity
-// rings carved out of two shared arenas (capacities are hard occupancy
-// bounds under the credit protocol), so steady-state cycles never
-// allocate — the zero-allocation gate in internal/sim relies on this.
-//
-// Concurrency contract (mirrors Router): StepRouter touches only state
-// of the stepped router's index range, links excepted, so disjoint
-// routers may be stepped concurrently; everything else (PushDue,
-// SetSink, WriteBack, phase flips) must happen between cycles.
-type Core struct {
-	routers []*Router
-	topo    *topology.Topology
-	cfg     *Config
-	mech    routing.Mechanism
-	env     *routing.Env
-	recycle func(*packet.Packet)
+// put claims the ring's tail slot and returns its arena index, or -1 when
+// the ring is full.
+func (q *evRing) put() int32 {
+	if q.qlen == q.qcap {
+		return -1
+	}
+	i := q.head + q.qlen
+	if i >= q.qcap {
+		i -= q.qcap
+	}
+	q.qlen++
+	return q.off + i
+}
+
+type pktEvent struct {
+	at int64
+	p  *packet.Packet
+}
+
+type crdEvent struct {
+	at    int64
+	phits int32
+	vc    int32
+}
+
+// Wiring is everything NewCore needs to build and wire the routers of one
+// network.
+type Wiring struct {
+	Topo *topology.Topology
+	Cfg  *Config // VC counts already harmonised with Mech
+	Mech routing.Mechanism
+	// Rng is split once per router, in ascending id order.
+	Rng *rng.Source
+	// Latency assigns every link its propagation latency.
+	Latency topology.LatencyModel
+	Binding
+	// NumJobs sizes the per-job accumulators (0: no job attribution).
+	NumJobs int
+}
+
+// Binding carries the per-network hooks a Core reports to. A clone keeps
+// the source's structure and state but is re-bound to its own network.
+type Binding struct {
+	// Env is the network's routing environment.
+	Env *routing.Env
+	// Recycle returns delivered packets to the network's pool.
+	Recycle func(*packet.Packet)
+	// Trace yields router r's trace hook (nil: tracing off).
+	Trace func(r int) TraceFn
+	// NodeJob is the network's live node→job map (nil without job
+	// attribution); read-only here.
+	NodeJob []int32
+}
+
+// shape is a Core's immutable structure: dimensions, hoisted constants,
+// per-port-class tables and the wiring. Written by NewCore (and Unplug)
+// only, and shared — backing arrays included — between a Core and its
+// clones.
+type shape struct {
+	topo *topology.Topology
+	cfg  *Config
+	mech routing.Mechanism
 
 	nr    int // routers
 	np    int // ports per router
@@ -140,6 +233,8 @@ type Core struct {
 	capVC     int32 // output buffer capacity per VC (uniform)
 	allocIter int
 	arb       Arbitration
+	maxLat    int64 // longest wired link
+	maskWords int   // bitmask words per router
 
 	// Per-port-class constants, indexed by port (identical across routers).
 	class     []topology.PortClass
@@ -150,114 +245,107 @@ type Core struct {
 	downTotal []int32 // total downstream capacity
 	threshVC  []int32 // congestion threshold per VC, phits
 
-	// Port-occupancy bitmasks, maskWords words per router: bit p set iff
-	// the port has packets buffered (inQTotal/outQTotal > 0). The
-	// allocator and link stages iterate set bits instead of scanning all
-	// ports — ascending bit order preserves the ascending-port iteration
-	// the bit-identity argument rests on.
-	maskWords  int
-	inOccMask  []uint64
-	outOccMask []uint64
-
-	// Per-port state, indexed by pi: the mutable hot fields of each port
-	// are packed into one record (inPort / outPort) so a stage touches one
-	// cache line of port state, not one line per parallel array; the
-	// read-only wiring (link, peer, latency) lives in a companion record.
-	inP  []inPort
+	// Wiring, indexed by pi.
 	inW  []portWire
-	outP []outPort
 	outW []portWire
+}
+
+// Core holds the state of every router of one network.
+// Array indices: pi = router*NP + port for per-port state and
+// vi = pi*maxVC + vc for per-VC state, with NP the router radix and
+// maxVC the widest VC count of any port class. Packet queues and
+// link-event rings are fixed-capacity rings carved out of shared arenas
+// (capacities are hard occupancy bounds under the credit protocol), so
+// steady-state cycles never allocate — the zero-allocation gate in
+// internal/sim relies on this.
+//
+// Concurrency contract: StepRouter touches only state of the stepped
+// router's index range, so disjoint routers may be stepped concurrently;
+// everything else (PushDue, SetSink, phase flips, Clone) must happen
+// between cycles.
+type Core struct {
+	shape
+
+	// Per-network bindings (see Binding) and per-router engine hooks.
+	env     *routing.Env
+	recycle func(*packet.Packet)
+	nodeJob []int32
+	trace   []TraceFn
+	notify  []func(LinkEvent)
+	views   []View
+
+	// Port bitmasks, maskWords words per router. inOcc/outOcc: bit p set iff
+	// the port has packets buffered; arrPend/crdPend: bit p set iff the
+	// port's event ring is non-empty. The stages iterate set bits instead
+	// of scanning all ports — ascending bit order preserves the
+	// ascending-port iteration the bit-identity argument rests on.
+	inOccMask   []uint64
+	outOccMask  []uint64
+	arrPendMask []uint64
+	crdPendMask []uint64
+
+	// Per-port state, indexed by pi.
+	inP  []inPort
+	outP []outPort
 
 	// Per-VC packet rings, indexed by vi: fixed-capacity windows into the
-	// two arenas, FIFO via head/len. Each queue's bookkeeping lives in one
-	// packed record so a queue operation touches one cache line of
-	// metadata, not one line per parallel array.
-	inQData  []*packet.Packet // input-queue arena
+	// two arenas, FIFO via head/len.
+	inQData  []*packet.Packet
 	inQ      []inQState
 	outQData []*packet.Packet
 	outQ     []outQState
 
-	// In-core link transport: per-port event rings fed by PushDue. Payloads
-	// of events between two core-stepped routers ride the LinkEvent into
-	// these rings (see LinkEvent); the EventLinks stay empty while the core
-	// runs and are refilled by WriteBack. Packet-arrival rings are per input
-	// port, credit rings per output port, both indexed by pi; the pend masks
-	// (bit p set iff the port's ring is non-empty) drive the pop scans and
-	// EarliestExternal. Only ports wired to an EventLink get a ring;
-	// everything else keeps classic Link transport and the sorted due-queues.
-	arrData     []pktEvent
-	arrQ        []evRing
-	crdData     []crdEvent
-	crdQ        []evRing
-	arrPendMask []uint64
-	crdPendMask []uint64
+	// Link transport: per-port event rings fed by PushDue. Packet-arrival
+	// rings are per input port, credit rings per output port, both indexed
+	// by pi. Events on one port arrive in increasing-cycle order (the
+	// sender serialises them), so a plain FIFO keeps them sorted.
+	arrData []pktEvent
+	arrQ    []evRing
+	crdData []crdEvent
+	crdQ    []evRing
+	// lost counts packets serialised onto unplugged ports (see Unplug).
+	lost int
 
 	// Cached EarliestExternal per router: pushes fold into extMin, pops
-	// mark it dirty, the next query recomputes (each event causes at most
-	// one recompute, each query at most one scan).
+	// mark it dirty, the next query recomputes.
 	extMin   []int64
 	extDirty []bool
 
-	// Per-router aliases into the classic representation and calendars.
-	rnd      []*rng.Source
-	stats    []*stats.Router // aliases Router.stats: single writer per entry
-	jobStats [][]stats.Job   // aliases Router.jobStats backing arrays
+	// Per-router state: arbitration RNG streams, accumulators, and the
+	// router-local calendars of buffer releases and transfer completions.
+	rnd      []rng.Source
+	stats    []stats.Router
+	jobStats [][]stats.Job // nil entries without job attribution
 	jobLive  [][]int64
-	hook     []func(*packet.Packet) // deliver hooks
-	trace    []TraceFn
-	notify   []func(LinkEvent)
-	arrDue   []dueQueue
-	crdDue   []dueQueue
 	relDue   []dueQueue
 	xferDue  []dueQueue
-	views    []coreView
 
-	nodeJob   []int32
 	measuring bool
 	batch     int
 
-	// Allocator scratch. Candidates are per (input port, slot) at stride
-	// maxVC (at most one candidate per VC); submissions per (output port,
-	// slot) at stride np (at most one submission per input). candIn and
-	// outTouched are per-router regions at stride np with counts in
-	// candInN / local counters, so only ports with work are ever reset.
+	// Allocator scratch — not state: every entry is written before it is
+	// read within one StepRouter call (outCandN is left all-zero by it).
+	// Candidates are per (input port, slot) at stride maxVC; submissions
+	// per (output port, slot) at stride np; candIn and outTouched are
+	// per-router regions at stride np.
 	cand       []candRec
-	candIn     []int32 // per router region: inputs with candidates
-	candInN    []int32 // per router
+	candIn     []int32
+	candInN    []int32
 	outCand    []outCandRec
-	outCandN   []int32 // per pi
-	outTouched []int32 // per router region: outputs with submissions
+	outCandN   []int32
+	outTouched []int32
 }
 
-// coreView adapts one router's slice of the Core to routing.RouterView.
-type coreView struct {
-	c *Core
-	r int32
-}
-
-// NewCore flattens the wired routers into a fresh Core, importing any
-// state already buffered in them (normally empty right after wiring;
-// tests may pre-inject packets or rewire ports, and a previous run's
-// write-back is re-imported the same way).
-func NewCore(routers []*Router) *Core {
-	r0 := routers[0]
-	topo, cfg := r0.topo, r0.cfg
-	nr, np := len(routers), topo.NumPorts()
-	maxVC := cfg.LocalVCs
-	if cfg.GlobalVCs > maxVC {
-		maxVC = cfg.GlobalVCs
+// NewCore builds and wires the routers of one network: ports, peers and
+// per-link latencies go straight into the flat arrays.
+func NewCore(w Wiring) (*Core, error) {
+	topo, cfg := w.Topo, w.Cfg
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if maxVC < 1 {
-		maxVC = 1
-	}
-	c := &Core{
-		routers: routers,
-		topo:    topo,
-		cfg:     cfg,
-		mech:    r0.mech,
-		env:     r0.env,
-		recycle: r0.recycle,
-		nr:      nr, np: np, maxVC: maxVC,
+	c := &Core{shape: shape{
+		topo: topo, cfg: cfg, mech: w.Mech,
+		nr: topo.NumRouters(), np: topo.NumPorts(), maxVC: max(cfg.LocalVCs, cfg.GlobalVCs),
 
 		size:      cfg.PacketSize,
 		pipeline:  int64(cfg.PipelineCycles),
@@ -267,17 +355,27 @@ func NewCore(routers []*Router) *Core {
 		capVC:     int32(cfg.OutputBufferPhits),
 		allocIter: cfg.AllocIterations,
 		arb:       cfg.Arbitration,
-
-		nodeJob:   r0.nodeJob,
-		measuring: r0.measuring,
-		batch:     r0.batch,
-	}
+	}}
+	c.maskWords = (c.np + 63) >> 6
 	c.initPortClasses()
-	c.allocArrays(routers)
-	for r, rt := range routers {
-		c.importRouter(r, rt)
+	if err := c.wire(w.Latency); err != nil {
+		return nil, err
 	}
-	return c
+	c.allocState(w.NumJobs)
+	c.layoutRings()
+	c.bind(w.Binding)
+	for r := range c.rnd {
+		c.rnd[r] = *w.Rng.Split()
+		c.extMin[r] = -1
+	}
+	for pi := range c.outP {
+		p := pi % c.np
+		c.outP[pi].free = c.downTotal[p]
+		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
+			c.outQ[pi*c.maxVC+vc].credits = c.downCapVC[p]
+		}
+	}
+	return c, nil
 }
 
 // initPortClasses fills the per-port-class constant tables.
@@ -315,381 +413,329 @@ func (c *Core) initPortClasses() {
 	}
 }
 
-// allocArrays sizes every flat array and carves the packet rings and
-// due-queue buffers out of shared arenas. Ring capacities are the hard
-// occupancy bounds of the credit protocol, widened to any state already
-// imported (tests may pre-inject beyond the steady-state bound).
-func (c *Core) allocArrays(routers []*Router) {
-	nr, np, maxVC := c.nr, c.np, c.maxVC
-	npp := nr * np
-	nvv := npp * maxVC
+// wire records, for both ends of every link, the far-side address and the
+// link's latency under the model.
+func (c *Core) wire(model topology.LatencyModel) error {
+	topo, np := c.topo, c.np
+	c.inW = make([]portWire, c.nr*np)
+	c.outW = make([]portWire, c.nr*np)
+	for pi := range c.inW {
+		c.inW[pi].peer, c.outW[pi].peer = -1, -1
+	}
+	connect := func(src, port, dst, inPort, lat int) error {
+		if lat <= 0 {
+			return fmt.Errorf("router: latency model %q assigns non-positive latency %d to link %d->%d",
+				model.Name(), lat, src, dst)
+		}
+		c.maxLat = max(c.maxLat, int64(lat))
+		c.outW[src*np+port] = portWire{lat: int32(lat), peer: int32(dst), peerPort: int32(inPort)}
+		c.inW[dst*np+inPort] = portWire{lat: int32(lat), peer: int32(src), peerPort: int32(port)}
+		return nil
+	}
+	p := topo.Params()
+	for r := 0; r < c.nr; r++ {
+		for l := 0; l < p.A-1; l++ {
+			nb := topo.LocalNeighbor(r, l)
+			inPort := topo.LocalPortTo(nb, topo.RouterLocalIndex(r))
+			if err := connect(r, l, nb, inPort, model.LocalLatency(topo, r, nb)); err != nil {
+				return err
+			}
+		}
+		for gp := p.A - 1; gp < p.A-1+p.H; gp++ {
+			nb, inPort := topo.GlobalNeighbor(r, gp)
+			if err := connect(r, gp, nb, inPort, model.GlobalLatency(topo, r, nb)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
-	c.maskWords = (np + 63) >> 6
+// allocState sizes every mutable array except the four ring arenas, whose
+// sizes follow from the geometry (layoutRings) or the clone source.
+func (c *Core) allocState(numJobs int) {
+	nr, np := c.nr, c.np
+	npp := nr * np
 	c.inOccMask = make([]uint64, nr*c.maskWords)
 	c.outOccMask = make([]uint64, nr*c.maskWords)
 	c.arrPendMask = make([]uint64, nr*c.maskWords)
 	c.crdPendMask = make([]uint64, nr*c.maskWords)
+	c.inP = make([]inPort, npp)
+	c.outP = make([]outPort, npp)
+	c.inQ = make([]inQState, npp*c.maxVC)
+	c.outQ = make([]outQState, npp*c.maxVC)
+	c.arrQ = make([]evRing, npp)
+	c.crdQ = make([]evRing, npp)
 	c.extMin = make([]int64, nr)
 	c.extDirty = make([]bool, nr)
-
-	c.inP = make([]inPort, npp)
-	c.inW = make([]portWire, npp)
-	c.outP = make([]outPort, npp)
-	c.outW = make([]portWire, npp)
-
-	c.inQ = make([]inQState, nvv)
-	c.outQ = make([]outQState, nvv)
-
-	c.rnd = make([]*rng.Source, nr)
-	c.stats = make([]*stats.Router, nr)
+	c.rnd = make([]rng.Source, nr)
+	c.stats = make([]stats.Router, nr)
 	c.jobStats = make([][]stats.Job, nr)
 	c.jobLive = make([][]int64, nr)
-	c.hook = make([]func(*packet.Packet), nr)
-	c.trace = make([]TraceFn, nr)
-	c.notify = make([]func(LinkEvent), nr)
-	c.arrDue = make([]dueQueue, nr)
-	c.crdDue = make([]dueQueue, nr)
+	if numJobs > 0 {
+		js := make([]stats.Job, nr*numJobs)
+		jl := make([]int64, nr*numJobs)
+		for r := 0; r < nr; r++ {
+			c.jobStats[r] = js[r*numJobs : (r+1)*numJobs : (r+1)*numJobs]
+			c.jobLive[r] = jl[r*numJobs : (r+1)*numJobs : (r+1)*numJobs]
+		}
+	}
+	// Calendar buffers from one arena, capacity-capped sub-slices: a queue
+	// that outgrows its window reallocates privately via append.
 	c.relDue = make([]dueQueue, nr)
 	c.xferDue = make([]dueQueue, nr)
-	c.views = make([]coreView, nr)
-	for r := range c.views {
-		c.views[r] = coreView{c: c, r: int32(r)}
+	arena := make([]portDue, 2*npp)
+	for r := 0; r < nr; r++ {
+		pos := 2 * r * np
+		c.relDue[r].q = arena[pos : pos : pos+np]
+		c.xferDue[r].q = arena[pos+np : pos+np : pos+2*np]
 	}
-
-	c.cand = make([]candRec, nvv)
+	c.trace = make([]TraceFn, nr)
+	c.notify = make([]func(LinkEvent), nr)
+	c.views = make([]View, nr)
+	for r := range c.views {
+		c.views[r] = View{c: c, r: int32(r)}
+	}
+	c.cand = make([]candRec, npp*c.maxVC)
 	c.candIn = make([]int32, npp)
 	c.candInN = make([]int32, nr)
 	c.outCand = make([]outCandRec, npp*np)
 	c.outCandN = make([]int32, npp)
 	c.outTouched = make([]int32, npp)
+}
 
-	c.arrQ = make([]evRing, npp)
-	c.crdQ = make([]evRing, npp)
-
-	// Ring geometry: one offset/capacity pair per VC queue, data in two
-	// shared arenas (all of a router's queue heads end up on a handful of
-	// cache lines instead of one allocation each). Link-event ring
-	// capacities follow the EventLink in-flight bound (latency/spacing plus
-	// slack), widened to any events already buffered in the link.
+// layoutRings carves the ring geometry — one offset/capacity pair per VC
+// queue and per link-event ring — and allocates the arenas behind it.
+// Queue capacities are the credit protocol's occupancy bounds. A link
+// event lives in its ring from the push until it is popped at its arrival
+// cycle, at most latency+spacing cycles, and successive pushes on one
+// channel are at least `spacing` cycles apart (packets: the serialisation
+// time; credits: the crossbar occupancy), so latency/spacing + 4 bounds
+// the ring with slack.
+func (c *Core) layoutRings() {
+	np, maxVC := c.np, c.maxVC
 	size := int32(c.size)
-	outCapPkts := c.capVC / size
-	pktSpacing, crdSpacing := c.serial, c.xbar
-	if pktSpacing < 1 {
-		pktSpacing = 1
-	}
-	if crdSpacing < 1 {
-		crdSpacing = 1
-	}
+	pktSpacing, crdSpacing := int32(max(c.serial, 1)), int32(max(c.xbar, 1))
 	var inTot, outTot, arrTot, crdTot int32
-	for r := 0; r < nr; r++ {
-		rt := routers[r]
-		for p := 0; p < np; p++ {
-			pi := r*np + p
-			if el, ok := rt.inputs[p].link.(*EventLink); ok {
-				cp := int32(int64(el.latency)/pktSpacing) + 4
-				if n := int32(el.pktTail.Load()-el.pktHead.Load()) + 4; n > cp {
-					cp = n
-				}
-				c.arrQ[pi] = evRing{off: arrTot, qcap: cp}
-				arrTot += cp
-			}
-			if el, ok := rt.outputs[p].link.(*EventLink); ok {
-				cp := int32(int64(el.latency)/crdSpacing) + 4
-				if n := int32(el.crdTail.Load()-el.crdHead.Load()) + 4; n > cp {
-					cp = n
-				}
-				c.crdQ[pi] = evRing{off: crdTot, qcap: cp}
-				crdTot += cp
-			}
-			inCapPkts := c.inCapVC[p] / size
-			in := &rt.inputs[p]
-			for vc := 0; vc < int(c.nInVC[p]); vc++ {
-				vi := pi*maxVC + vc
-				cp := inCapPkts
-				q := &in.vcs[vc]
-				if n := int32(len(q.pkts) - q.head); n > cp {
-					cp = n
-				}
-				c.inQ[vi].off = inTot
-				c.inQ[vi].qcap = cp
-				inTot += cp
-			}
-			out := &rt.outputs[p]
-			for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-				vi := pi*maxVC + vc
-				cp := outCapPkts
-				if n := int32(len(out.queues[vc]) - out.qheads[vc]); n > cp {
-					cp = n
-				}
-				c.outQ[vi].off = outTot
-				c.outQ[vi].qcap = cp
-				outTot += cp
-			}
+	for pi := range c.arrQ {
+		p := pi % np
+		if c.inW[pi].peer >= 0 {
+			c.arrQ[pi] = evRing{off: arrTot, qcap: c.inW[pi].lat/pktSpacing + 4}
+			arrTot += c.arrQ[pi].qcap
+		}
+		if c.outW[pi].peer >= 0 {
+			c.crdQ[pi] = evRing{off: crdTot, qcap: c.outW[pi].lat/crdSpacing + 4}
+			crdTot += c.crdQ[pi].qcap
+		}
+		for vc := 0; vc < int(c.nInVC[p]); vc++ {
+			c.inQ[pi*maxVC+vc] = inQState{off: inTot, qcap: c.inCapVC[p] / size}
+			inTot += c.inCapVC[p] / size
+		}
+		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
+			c.outQ[pi*maxVC+vc] = outQState{off: outTot, qcap: c.capVC / size}
+			outTot += c.capVC / size
 		}
 	}
 	c.inQData = make([]*packet.Packet, inTot)
 	c.outQData = make([]*packet.Packet, outTot)
 	c.arrData = make([]pktEvent, arrTot)
 	c.crdData = make([]crdEvent, crdTot)
+}
 
-	// Due-queue buffers from one arena, capacity-capped sub-slices: a
-	// queue that outgrows its window reallocates privately via append.
-	arena := make([]portDue, nr*(16+16+np+np))
-	pos := 0
-	for r := 0; r < nr; r++ {
-		c.arrDue[r].q = arena[pos : pos : pos+16]
-		pos += 16
-		c.crdDue[r].q = arena[pos : pos : pos+16]
-		pos += 16
-		c.relDue[r].q = arena[pos : pos : pos+np]
-		pos += np
-		c.xferDue[r].q = arena[pos : pos : pos+np]
-		pos += np
+// bind attaches the Core to its network's hooks and clears the engine's.
+func (c *Core) bind(b Binding) {
+	c.env = b.Env
+	c.recycle = b.Recycle
+	c.nodeJob = b.NodeJob
+	for r := range c.trace {
+		c.trace[r] = nil
+		if b.Trace != nil {
+			c.trace[r] = b.Trace(r)
+		}
+		c.notify[r] = nil
 	}
 }
 
-// importRouter copies router rt's hot state into the flat arrays and
-// aliases its accumulators.
-func (c *Core) importRouter(r int, rt *Router) {
-	np, maxVC := c.np, c.maxVC
-	base := r * np
-	c.rnd[r] = rt.rnd
-	c.stats[r] = &rt.stats
-	c.jobStats[r] = rt.jobStats
-	c.jobLive[r] = rt.jobLive
-	c.hook[r] = rt.deliverHook
-	c.trace[r] = rt.trace
-	c.extDirty[r] = true
-	importDue(&c.relDue[r], &rt.relDue)
-	importDue(&c.xferDue[r], &rt.xferDue)
-	for p := 0; p < np; p++ {
-		pi := base + p
-		in := &rt.inputs[p]
-		c.inP[pi].busy = in.busyUntil
-		c.inP[pi].rrVC = int32(in.rrVC)
-		c.inP[pi].qTotal = int32(in.qTotal)
-		c.inW[pi].link = in.link
-		if in.link != nil {
-			c.inW[pi].lat = int32(in.link.Latency())
-			c.inW[pi].el, _ = in.link.(*EventLink)
-		}
-		// In-flight packets move from the EventLink into the core's arrival
-		// ring (their routed due entries are dropped below — the ring is the
-		// calendar); the link stays empty until WriteBack refills it.
-		if el := c.inW[pi].el; el != nil {
-			head, tail := el.pktHead.Load(), el.pktTail.Load()
-			q := &c.arrQ[pi]
-			for i := head; i < tail; i++ {
-				ev := &el.pkts[i&el.pmask]
-				c.arrData[q.off+q.qlen] = *ev
-				q.qlen++
-				ev.p = nil
-			}
-			if q.qlen > 0 {
-				c.arrPendMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-			}
-			el.pktHead.Store(tail)
-		}
-		c.inW[pi].peer = int32(rt.peerIn[p])
-		c.inW[pi].peerPort = int32(rt.peerInPort[p])
-		c.inP[pi].pend = pendRec{
-			active:  in.pending.active,
-			vc:      int32(in.pending.vcIdx),
-			outPort: int32(in.pending.outPort),
-			outVC:   int32(in.pending.outVC),
-			kind:    in.pending.action.Kind,
-			group:   int32(in.pending.action.Group),
-		}
-		if c.inP[pi].qTotal > 0 {
-			c.inOccMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-		}
-		for vc := range in.vcs {
-			q := &in.vcs[vc]
-			s := &c.inQ[pi*maxVC+vc]
-			n := copy(c.inQData[s.off:s.off+s.qcap], q.pkts[q.head:])
-			s.head = 0
-			s.qlen = int32(n)
-			s.occ = int32(q.occ)
-		}
+// numJobs returns the size of the per-job accumulators.
+func (c *Core) numJobs() int { return len(c.jobStats[0]) }
 
-		out := &rt.outputs[p]
-		c.outP[pi].linkBusy = out.linkBusyUntil
-		c.outP[pi].xbarBusy = out.crossbarBusyUntil
-		c.outP[pi].relAt = out.releaseAt
-		c.outP[pi].relPhits = int32(out.releasePhits)
-		c.outP[pi].relVC = int32(out.releaseVC)
-		c.outP[pi].occ = int32(out.occ)
-		c.outP[pi].qTotal = int32(out.qTotal)
-		c.outP[pi].free = int32(out.creditsFree)
-		c.outP[pi].rr = int32(out.rr)
-		c.outP[pi].rrVC = int32(out.rrVC)
-		c.outW[pi].link = out.link
-		if out.link != nil {
-			c.outW[pi].lat = int32(out.link.Latency())
-			c.outW[pi].el, _ = out.link.(*EventLink)
-		}
-		c.outW[pi].peer = int32(rt.peerOut[p])
-		c.outW[pi].peerPort = int32(rt.peerOutPort[p])
-		if c.outP[pi].qTotal > 0 {
-			c.outOccMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-		}
-		// Returning credits move from the EventLink into the credit ring.
-		if el := c.outW[pi].el; el != nil {
-			head, tail := el.crdHead.Load(), el.crdTail.Load()
-			q := &c.crdQ[pi]
-			for i := head; i < tail; i++ {
-				c.crdData[q.off+q.qlen] = el.crds[i&el.cmask]
-				q.qlen++
+// Clone copies c's state into a Core bound to another network, every
+// buffered or in-flight packet deep-copied. The immutable shape is shared;
+// allocator scratch is not state and is not copied. into, when it is a
+// retired Core of the same dimensions (always, when it was cloned from the
+// same source), is overwritten in place and returned, so recycling
+// allocates nothing beyond the live packets; otherwise a fresh Core is
+// allocated. Both Cores must be between cycles.
+func (c *Core) Clone(into *Core, b Binding) *Core {
+	d := into
+	if d != nil && d.nr == c.nr && d.np == c.np && d.maxVC == c.maxVC && d.numJobs() == c.numJobs() &&
+		len(d.inQData) == len(c.inQData) && len(d.outQData) == len(c.outQData) &&
+		len(d.arrData) == len(c.arrData) && len(d.crdData) == len(c.crdData) {
+		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { *slot = nil })
+		clear(d.outCandN) // a run that died mid-allocation may leave submissions behind
+		d.shape = c.shape
+	} else {
+		d = &Core{shape: c.shape}
+		d.allocState(c.numJobs())
+		d.inQData = make([]*packet.Packet, len(c.inQData))
+		d.outQData = make([]*packet.Packet, len(c.outQData))
+		d.arrData = make([]pktEvent, len(c.arrData))
+		d.crdData = make([]crdEvent, len(c.crdData))
+	}
+	d.bind(b)
+	d.measuring, d.batch, d.lost = c.measuring, c.batch, 0
+
+	copy(d.inOccMask, c.inOccMask)
+	copy(d.outOccMask, c.outOccMask)
+	copy(d.arrPendMask, c.arrPendMask)
+	copy(d.crdPendMask, c.crdPendMask)
+	copy(d.inP, c.inP)
+	copy(d.outP, c.outP)
+	copy(d.inQ, c.inQ)
+	copy(d.outQ, c.outQ)
+	copy(d.arrQ, c.arrQ)
+	copy(d.crdQ, c.crdQ)
+	copy(d.rnd, c.rnd)
+	copy(d.stats, c.stats)
+	copy(d.extMin, c.extMin)
+	copy(d.extDirty, c.extDirty)
+	for r := 0; r < c.nr; r++ {
+		copy(d.jobStats[r], c.jobStats[r])
+		copy(d.jobLive[r], c.jobLive[r])
+		d.relDue[r].q = append(d.relDue[r].q[:0], c.relDue[r].q[c.relDue[r].head:]...)
+		d.xferDue[r].q = append(d.xferDue[r].q[:0], c.xferDue[r].q[c.xferDue[r].head:]...)
+		d.relDue[r].head, d.xferDue[r].head = 0, 0
+	}
+	// The ring records were copied, so every live event and packet sits at
+	// the same arena position in both Cores; dead slots need no copy.
+	c.eachMasked(c.crdPendMask, func(pi, _ int) {
+		q := &c.crdQ[pi]
+		for k, h := int32(0), q.head; k < q.qlen; k++ {
+			d.crdData[q.off+h] = c.crdData[q.off+h]
+			if h++; h == q.qcap {
+				h = 0
 			}
-			if q.qlen > 0 {
-				c.crdPendMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-			}
-			el.crdHead.Store(tail)
 		}
-		for vc := range out.queues {
-			s := &c.outQ[pi*maxVC+vc]
-			n := copy(c.outQData[s.off:s.off+s.qcap], out.queues[vc][out.qheads[vc]:])
-			s.head = 0
-			s.qlen = int32(n)
-			s.occVC = int32(out.occVC[vc])
-			if out.credits != nil {
-				s.credits = int32(out.credits[vc])
-			}
+	})
+	c.eachPacket(func(slot **packet.Packet, arena int, i int32) {
+		if arena == 2 {
+			d.arrData[i].at = c.arrData[i].at
+		}
+		cp := **slot
+		*d.slot(arena, i) = &cp
+	})
+	return d
+}
+
+// Rebase shifts every absolute cycle held in the state — busy times,
+// calendars, in-flight events, packet clocks, last-activity stamps — delta
+// cycles into the past, so state reached at cycle delta of one run is
+// valid at cycle 0 of the next. Differences between cycles, which is all
+// the pipeline ever computes, are preserved exactly. Must be called
+// between cycles.
+func (c *Core) Rebase(delta int64) {
+	for i := range c.inP {
+		c.inP[i].busy -= delta
+	}
+	for i := range c.outP {
+		o := &c.outP[i]
+		o.linkBusy -= delta
+		o.xbarBusy -= delta
+		o.relAt -= delta
+	}
+	for i := range c.arrData {
+		c.arrData[i].at -= delta // dead slots included: harmless, and branch-free
+	}
+	for i := range c.crdData {
+		c.crdData[i].at -= delta
+	}
+	shift := func(d *dueQueue) {
+		for i := d.head; i < len(d.q); i++ {
+			d.q[i].at -= delta
 		}
 	}
-	// Classic-transport ports keep their routed due entries; entries for
-	// event-link ports are subsumed by the rings drained above (the ring
-	// heads are the calendar). Filtering a sorted queue keeps it sorted.
-	for i := rt.arrDue.head; i < len(rt.arrDue.q); i++ {
-		e := rt.arrDue.q[i]
-		if c.inW[base+int(e.port)].el == nil {
-			c.arrDue[r].q = append(c.arrDue[r].q, e)
-		}
+	for r := 0; r < c.nr; r++ {
+		c.stats[r].LastActivity -= delta
+		c.extDirty[r] = true
+		shift(&c.relDue[r])
+		shift(&c.xferDue[r])
 	}
-	for i := rt.crdDue.head; i < len(rt.crdDue.q); i++ {
-		e := rt.crdDue.q[i]
-		if c.outW[base+int(e.port)].el == nil {
-			c.crdDue[r].q = append(c.crdDue[r].q, e)
-		}
+	c.eachPacket(func(slot **packet.Packet, _ int, _ int32) { (*slot).Rebase(delta) })
+}
+
+// slot addresses entry i of one of the three packet-holding arenas: the
+// input queues (0), the output queues (1), the arrival rings (2).
+func (c *Core) slot(arena int, i int32) **packet.Packet {
+	switch arena {
+	case 0:
+		return &c.inQData[i]
+	case 1:
+		return &c.outQData[i]
+	default:
+		return &c.arrData[i].p
 	}
 }
 
-// importDue copies the logical content of a due-queue.
-func importDue(dst, src *dueQueue) {
-	dst.q = append(dst.q[:0], src.q[src.head:]...)
-	dst.head = 0
+// eachPacket calls fn with the slot (and its arena address, see slot) of
+// every packet the Core holds: queued at an input or output VC, or in
+// flight in an arrival ring. The port bitmasks name the non-empty rings,
+// so the walk costs O(live), not O(network).
+func (c *Core) eachPacket(fn func(slot **packet.Packet, arena int, i int32)) {
+	ring := func(arena int, off, qcap, head, qlen int32) {
+		for k, h := int32(0), head; k < qlen; k++ {
+			fn(c.slot(arena, off+h), arena, off+h)
+			if h++; h == qcap {
+				h = 0
+			}
+		}
+	}
+	c.eachMasked(c.inOccMask, func(pi, p int) {
+		for vc := 0; vc < int(c.nInVC[p]); vc++ {
+			q := &c.inQ[pi*c.maxVC+vc]
+			ring(0, q.off, q.qcap, q.head, q.qlen)
+		}
+	})
+	c.eachMasked(c.outOccMask, func(pi, p int) {
+		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
+			q := &c.outQ[pi*c.maxVC+vc]
+			ring(1, q.off, q.qcap, q.head, q.qlen)
+		}
+	})
+	c.eachMasked(c.arrPendMask, func(pi, _ int) {
+		q := &c.arrQ[pi]
+		ring(2, q.off, q.qcap, q.head, q.qlen)
+	})
 }
 
-// WriteBack copies the hot state back into the classic per-router
-// representation, so post-run introspection (debug snapshots, InFlight,
-// a follow-up reference run or manual stepping) sees exactly what the
-// core computed. Aliased accumulators (stats, job counters) were never
-// copied and need no write-back.
-func (c *Core) WriteBack() {
-	np, maxVC := c.np, c.maxVC
-	for r, rt := range c.routers {
-		base := r * np
-		// Classic-transport due entries first; ring events re-insert their
-		// routed entries (and refill the EventLinks) in the port loop below.
-		exportDue(&rt.arrDue, &c.arrDue[r])
-		exportDue(&rt.crdDue, &c.crdDue[r])
-		exportDue(&rt.relDue, &c.relDue[r])
-		exportDue(&rt.xferDue, &c.xferDue[r])
-		rt.measuring = c.measuring
-		rt.batch = c.batch
-		for p := 0; p < np; p++ {
-			pi := base + p
-			if el := c.inW[pi].el; el != nil {
-				q := &c.arrQ[pi]
-				h := q.head
-				for k := int32(0); k < q.qlen; k++ {
-					ev := c.arrData[q.off+h]
-					el.PushPacket(ev.at, ev.p)
-					rt.arrDue.insert(ev.at, int32(p))
-					if h++; h == q.qcap {
-						h = 0
-					}
-				}
-			}
-			if el := c.outW[pi].el; el != nil {
-				q := &c.crdQ[pi]
-				h := q.head
-				for k := int32(0); k < q.qlen; k++ {
-					ev := c.crdData[q.off+h]
-					el.PushCredit(ev.at, int(ev.vc), int(ev.phits))
-					rt.crdDue.insert(ev.at, int32(p))
-					if h++; h == q.qcap {
-						h = 0
-					}
-				}
-			}
-			in := &rt.inputs[p]
-			in.busyUntil = c.inP[pi].busy
-			in.rrVC = int(c.inP[pi].rrVC)
-			in.qTotal = int(c.inP[pi].qTotal)
-			pd := c.inP[pi].pend
-			in.pending = pendingTransfer{
-				active:  pd.active,
-				done:    c.inP[pi].busy,
-				vcIdx:   int(pd.vc),
-				outPort: int(pd.outPort),
-				outVC:   int(pd.outVC),
-				action:  packet.Action{Kind: pd.kind, Group: int(pd.group)},
-			}
-			for vc := range in.vcs {
-				q := &in.vcs[vc]
-				s := &c.inQ[pi*maxVC+vc]
-				q.pkts = q.pkts[:0]
-				h := s.head
-				for k := int32(0); k < s.qlen; k++ {
-					q.pkts = append(q.pkts, c.inQData[s.off+h])
-					if h++; h == s.qcap {
-						h = 0
-					}
-				}
-				q.head = 0
-				q.occ = int(s.occ)
-			}
-
-			out := &rt.outputs[p]
-			out.linkBusyUntil = c.outP[pi].linkBusy
-			out.crossbarBusyUntil = c.outP[pi].xbarBusy
-			out.releaseAt = c.outP[pi].relAt
-			out.releasePhits = int(c.outP[pi].relPhits)
-			out.releaseVC = int(c.outP[pi].relVC)
-			out.occ = int(c.outP[pi].occ)
-			out.qTotal = int(c.outP[pi].qTotal)
-			out.creditsFree = int(c.outP[pi].free)
-			out.rr = int(c.outP[pi].rr)
-			out.rrVC = int(c.outP[pi].rrVC)
-			for vc := range out.queues {
-				s := &c.outQ[pi*maxVC+vc]
-				out.queues[vc] = out.queues[vc][:0]
-				h := s.head
-				for k := int32(0); k < s.qlen; k++ {
-					out.queues[vc] = append(out.queues[vc], c.outQData[s.off+h])
-					if h++; h == s.qcap {
-						h = 0
-					}
-				}
-				out.qheads[vc] = 0
-				out.occVC[vc] = int(s.occVC)
-				if out.credits != nil {
-					out.credits[vc] = int(s.credits)
-				}
-			}
+// eachMasked calls fn(pi, port) for every set bit of a per-router port
+// bitmask.
+func (c *Core) eachMasked(mask []uint64, fn func(pi, p int)) {
+	for i, m := range mask {
+		r, pb := i/c.maskWords, (i%c.maskWords)<<6
+		for ; m != 0; m &= m - 1 {
+			p := pb + bits.TrailingZeros64(m)
+			fn(r*c.np+p, p)
 		}
 	}
 }
 
-// exportDue writes the logical content of a due-queue back.
-func exportDue(dst, src *dueQueue) {
-	dst.q = append(dst.q[:0], src.q[src.head:]...)
-	dst.head = 0
-}
+// Views returns the per-router views, indexed by router id.
+func (c *Core) Views() []View { return c.views }
 
-// SetSink installs the engine event sink of one router (see
-// Router.SetEventSink for the contract).
+// MaxLinkLatency returns the longest link latency wired into the network.
+func (c *Core) MaxLinkLatency() int64 { return c.maxLat }
+
+// Unplug detaches router r's output port from its peer: packets sent
+// there serialise onto a dead cable and never arrive, though InFlight
+// keeps counting them. It exists for the deadlock-watchdog tests (valid
+// configurations cannot deadlock). The wiring is shared with clones, so
+// only ever unplug a freshly built network that will not be snapshotted.
+func (c *Core) Unplug(r, port int) { c.outW[r*c.np+port].peer = -1 }
+
+// SetSink installs the engine event sink of one router: it is handed a
+// LinkEvent, always with a strictly future cycle, for every packet the
+// router sends to a neighbour and every credit it returns upstream. The
+// engines install sinks before the first step of a run.
 func (c *Core) SetSink(r int, fn func(LinkEvent)) { c.notify[r] = fn }
 
 // SetAllSinks installs (or clears, with nil) every router's event sink.
@@ -703,51 +749,27 @@ func (c *Core) SetAllSinks(fn func(LinkEvent)) {
 func (c *Core) SetMeasuring(on bool) { c.measuring = on }
 
 // SetBatch selects the batch-means span deliveries are attributed to.
-func (c *Core) SetBatch(i int) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= stats.Batches {
-		i = stats.Batches - 1
-	}
-	c.batch = i
-}
+func (c *Core) SetBatch(i int) { c.batch = min(max(i, 0), stats.Batches-1) }
 
-// PushDue routes a link event to router r: payload-carrying events (the
-// in-core transport, see LinkEvent) into the per-port rings, classic
-// notifications into the sorted due-queues (see Router.PushDue). Events
-// on one port arrive in increasing-cycle order (the sender serialises
-// them), so a plain FIFO ring keeps them sorted for free.
+// PushDue parks a link event in the destination port's ring of router r.
+// The engine must call it — between router r's steps — for every LinkEvent
+// whose Router field names r; the pop stages panic on an event that was
+// slept through.
 func (c *Core) PushDue(r int, ev LinkEvent) {
-	if ev.Pkt != nil {
-		q := &c.arrQ[r*c.np+ev.Port]
-		if q.qlen == q.qcap {
-			panic(fmt.Sprintf("router %d: arrival event ring full on port %d (spacing promise broken)", r, ev.Port))
-		}
-		i := q.head + q.qlen
-		if i >= q.qcap {
-			i -= q.qcap
-		}
-		c.arrData[q.off+i] = pktEvent{at: ev.At, p: ev.Pkt}
-		q.qlen++
-		c.arrPendMask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
-	} else if ev.Credit && ev.Phits > 0 {
-		q := &c.crdQ[r*c.np+ev.Port]
-		if q.qlen == q.qcap {
-			panic(fmt.Sprintf("router %d: credit event ring full on port %d (spacing promise broken)", r, ev.Port))
-		}
-		i := q.head + q.qlen
-		if i >= q.qcap {
-			i -= q.qcap
-		}
-		c.crdData[q.off+i] = crdEvent{at: ev.At, phits: ev.Phits, vc: ev.PVC}
-		q.qlen++
-		c.crdPendMask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
-	} else if ev.Credit {
-		c.crdDue[r].insert(ev.At, int32(ev.Port))
-	} else {
-		c.arrDue[r].insert(ev.At, int32(ev.Port))
+	rings, mask := c.arrQ, c.arrPendMask
+	if ev.Credit {
+		rings, mask = c.crdQ, c.crdPendMask
 	}
+	i := rings[r*c.np+ev.Port].put()
+	if i < 0 {
+		panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; spacing promise broken)", r, ev.Port, ev.Credit))
+	}
+	if ev.Credit {
+		c.crdData[i] = crdEvent{at: ev.At, phits: ev.Phits, vc: ev.PVC}
+	} else {
+		c.arrData[i] = pktEvent{at: ev.At, p: ev.Pkt}
+	}
+	mask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
 	if !c.extDirty[r] {
 		if m := c.extMin[r]; m < 0 || ev.At < m {
 			c.extMin[r] = ev.At
@@ -755,10 +777,14 @@ func (c *Core) PushDue(r int, ev LinkEvent) {
 	}
 }
 
-// EarliestExternal returns the earliest routed-but-pending link event of
-// router r, or -1 (see Router.EarliestExternal). The value is cached:
-// pushes fold into it directly, pops invalidate it, and a query after a
-// pop rescans the ring heads and due-queue heads.
+// EarliestExternal returns the earliest cycle at which an event already
+// routed to router r falls due — a packet arriving on an input link or a
+// credit returning on an output link — or -1 if none is pending. The
+// scheduler consults it when putting the router to sleep, because
+// in-flight events are invisible to the router's own state (StepRouter's
+// return value covers internal events only). The value is cached: pushes
+// fold into it directly, pops invalidate it, and a query after a pop
+// rescans the ring heads.
 func (c *Core) EarliestExternal(r int) int64 {
 	if !c.extDirty[r] {
 		return c.extMin[r]
@@ -777,30 +803,22 @@ func (c *Core) EarliestExternal(r int) int64 {
 			consider(&ev, c.crdData[q.off+q.head].at)
 		}
 	}
-	if d := &c.arrDue[r]; !d.empty() {
-		consider(&ev, d.q[d.head].at)
-	}
-	if d := &c.crdDue[r]; !d.empty() {
-		consider(&ev, d.q[d.head].at)
-	}
 	c.extMin[r] = ev
 	c.extDirty[r] = false
 	return ev
 }
 
 // OutputUsed estimates the phits queued at an output port, including
-// downstream phits whose credits have not returned (Router.LinkLoad).
+// downstream phits whose credits have not returned.
 func (c *Core) OutputUsed(r, port int) int {
 	pi := r*c.np + port
 	return int(c.outP[pi].occ + c.downTotal[port] - c.outP[pi].free)
 }
 
-// InFlight counts packets held in buffers and crossbars across all
-// routers, plus packets travelling in the in-core arrival rings — those
-// left their EventLinks at import, so the network-wide link sum no longer
-// sees them (the network-wide sum Router.InFlight contributes to).
+// InFlight counts the packets inside the network: held in buffers and
+// crossbars, travelling on links, or lost on unplugged ports.
 func (c *Core) InFlight() int {
-	n := 0
+	n := c.lost
 	for i := range c.inQ {
 		n += int(c.inQ[i].qlen)
 	}
@@ -821,8 +839,8 @@ func (c *Core) InjectionBacklog(r, nodeIdx int) int {
 	return int(c.inQ[(r*c.np+port)*c.maxVC].qlen)
 }
 
-// NoteBacklogged records a refused generation attempt at router r by
-// node src (see Router.NoteBacklogged).
+// NoteBacklogged records a generation attempt by node src refused by the
+// full source queue at router r.
 func (c *Core) NoteBacklogged(r, src int) {
 	if !c.measuring {
 		return
@@ -836,7 +854,8 @@ func (c *Core) NoteBacklogged(r, src int) {
 }
 
 // EnqueueInjection places a freshly generated packet into its node's
-// injection queue at router r (see Router.EnqueueInjection).
+// injection queue at router r. The caller must have checked
+// InjectionBacklog against the source-queue bound.
 func (c *Core) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	routing.OnArrive(c.env, r, p, false)
 	p.ReadyAt = now + c.pipeline
@@ -864,37 +883,20 @@ func (c *Core) jobByID(r int, j int32) *stats.Job {
 	return &c.jobStats[r][j]
 }
 
-// RouterID implements routing.RouterView.
-func (v *coreView) RouterID() int { return int(v.r) }
+// Stats returns router r's accumulator.
+func (c *Core) Stats(r int) *stats.Router { return &c.stats[r] }
 
-// OutputCongested implements routing.RouterView.
-func (v *coreView) OutputCongested(port, vc int) bool {
-	c := v.c
-	s := &c.outQ[(int(v.r)*c.np+port)*c.maxVC+vc]
-	used := s.occVC
-	if cap := c.downCapVC[port]; cap > 0 {
-		used += cap - s.credits
+// JobStats returns router r's per-job accumulators (nil when no job
+// attribution is installed).
+func (c *Core) JobStats(r int) []stats.Job { return c.jobStats[r] }
+
+// LiveJobDelivered returns the packets of job j delivered at router r
+// since the start of the run, warm-up included and independent of the
+// measurement window — the counter the dynamic scheduler polls for
+// packet-target job completions.
+func (c *Core) LiveJobDelivered(r, j int) int64 {
+	if c.jobLive[r] == nil {
+		return 0
 	}
-	return used > c.threshVC[port]
-}
-
-// LinkLoad implements routing.RouterView.
-func (v *coreView) LinkLoad(port int) int { return v.c.OutputUsed(int(v.r), port) }
-
-// OutputLinkLatency implements routing.RouterView.
-func (v *coreView) OutputLinkLatency(port int) int {
-	return int(v.c.outW[int(v.r)*v.c.np+port].lat)
-}
-
-// CanAbsorb implements routing.RouterView.
-func (v *coreView) CanAbsorb(port, vc int) bool {
-	c := v.c
-	s := &c.outQ[(int(v.r)*c.np+port)*c.maxVC+vc]
-	if s.occVC+int32(c.size) > c.capVC {
-		return false
-	}
-	if c.downCapVC[port] == 0 {
-		return true
-	}
-	return s.credits >= int32(c.size)
+	return c.jobLive[r][j]
 }

@@ -1,25 +1,23 @@
-// The Core's per-cycle hot loop: a stage-for-stage transcription of
-// Router.Step onto the flat arrays. Iteration orders — ascending port
-// scans (bitmask iteration yields set bits in ascending order), VC
-// round-robin starts, the two-pass transit-priority submit loop,
-// arbitration tie-breaks — and every RNG consumption point match
-// Router.Step exactly, which is what keeps the scheduler engines
-// bit-identical to the dense reference engines stepping classic Routers
-// (the cross-engine equivalence tests enforce this).
+// The Core's per-cycle hot loop. Iteration orders — ascending port scans
+// (bitmask iteration yields set bits in ascending order), VC round-robin
+// starts, the two-pass transit-priority submit loop, arbitration
+// tie-breaks — and every RNG consumption point match refmodel.Router.Step
+// exactly, which is what keeps the engines bit-identical to the dense
+// oracle (the cross-engine equivalence tests enforce this).
 //
-// Two scans of Router.Step are replaced by provably equivalent
+// Two per-port scans of the oracle are replaced by provably equivalent
 // calendar-head reads:
 //
 //   - the allocator's per-port consider(input.busyUntil) for busy inputs
 //     becomes one consider of the transfer calendar head: after
 //     completeTransfers(now) drained everything due, xferDue holds
-//     exactly one entry per input with busyUntil > now, at that cycle —
-//     grant inserts the entry when it sets busyUntil, and nothing else
-//     writes either. The min over busy inputs is the calendar head.
+//     exactly one entry per input with busy > now, at that cycle — grant
+//     inserts the entry when it sets busy, and nothing else writes
+//     either. The min over busy inputs is the calendar head.
 //   - the link stage's per-port consider(output.releaseAt) for
 //     transmitting outputs becomes one consider of the release calendar
 //     head, by the same argument against popCreditsAndReleases(now)
-//     (releaseAt and linkBusyUntil are set together at each send).
+//     (relAt and linkBusy are set together at each send).
 //
 // Both replace a min over per-port values with the head of a calendar
 // containing exactly those values, so the returned next-event horizon is
@@ -42,9 +40,27 @@ func consider(nev *int64, t int64) {
 	}
 }
 
-// StepRouter advances router r by one cycle and returns its internal
-// next-event horizon (see Router.Step for the full contract). Disjoint
-// routers may be stepped concurrently.
+// StepRouter advances router r by one cycle and returns the earliest
+// future cycle at which it has internal work to do again, or -1 if it is
+// quiescent: stepping it before that cycle would be a no-op (no buffer
+// movement, no allocation attempt, no RNG consumption), so the engine may
+// skip it until then — provided it is also woken for external events (link
+// arrivals, see EarliestExternal and SetSink; and injection, which the
+// engine's generation calendar knows in advance).
+//
+// The returned horizon is assembled by the stages from exactly the
+// conditions they act on:
+//   - a crossbar transfer completing, freeing its input (busy);
+//   - an input VC head becoming allocatable once its pipeline delay
+//     elapses (ReadyAt) — and an already-allocatable head is retried
+//     every cycle, because the allocator re-requests (and the routing
+//     mechanism re-decides, consuming RNG) until it is granted;
+//   - an output buffer release falling due (relAt), which also coincides
+//     with the link serializer freeing (linkBusy), after which the next
+//     queued packet can be sent.
+//
+// The engine guarantees strictly increasing now values and at most one
+// call per cycle. Disjoint routers may be stepped concurrently.
 func (c *Core) StepRouter(r int, now int64) int64 {
 	nev := int64(-1)
 	base := r * c.np
@@ -54,7 +70,7 @@ func (c *Core) StepRouter(r int, now int64) int64 {
 	c.allocate(r, base, now, &nev)
 	// Candidates left ungranted by the allocator (arbitration losses,
 	// busy or full outputs) are re-requested next cycle; granted inputs
-	// are accounted for inside grant() via inBusy.
+	// are accounted for inside grant() via busy.
 	for k := 0; k < int(c.candInN[r]); k++ {
 		p := int(c.candIn[base+k])
 		if c.inP[base+p].candN > 0 {
@@ -78,10 +94,8 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			c.outP[pi].relPhits = 0
 		}
 	}
-	// Credits: the core always runs event-driven (the scheduler engines
-	// install sinks before the first step), so only outputs with a credit
-	// arriving this cycle are touched. In-core transport first: the credit
-	// rings carry (cycle, vc, phits) directly, no link indirection.
+	// Credits: only outputs with a credit arriving this cycle are touched;
+	// the rings carry (cycle, vc, phits) directly.
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -113,43 +127,13 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			}
 		}
 	}
-	// Classic transport (ports without an event link): routed due entries
-	// paired with Link.PopCredit.
-	d = &c.crdDue[r]
-	for d.head < len(d.q) {
-		at := d.q[d.head].at
-		if at > now {
-			break
-		}
-		if at < now {
-			panic(fmt.Sprintf("router %d: credit event missed at cycle %d (now %d): scheduler failed to wake", r, at, now))
-		}
-		p := int(d.pop().port)
-		c.extDirty[r] = true
-		pi := base + p
-		var vc, phits int
-		if el := c.outW[pi].el; el != nil {
-			vc, phits = el.PopCredit(now)
-		} else {
-			vc, phits = c.outW[pi].link.PopCredit(now)
-		}
-		if phits > 0 {
-			s := &c.outQ[pi*c.maxVC+vc]
-			s.credits += int32(phits)
-			c.outP[pi].free += int32(phits)
-			if s.credits > c.downCapVC[p] {
-				panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, vc))
-			}
-		}
-	}
 }
 
 func (c *Core) popArrivals(r, base int, now int64) {
-	// In-core transport: due arrivals sit at the heads of the per-port
-	// rings. Ports are visited in ascending order rather than the
-	// due-queue's time order, which is equivalent: an arrival only touches
-	// its own port's state and consumes no randomness, so same-cycle
-	// arrivals at different ports commute.
+	// Due arrivals sit at the heads of the per-port rings. Ports are visited
+	// in ascending order; same-cycle arrivals at different ports commute
+	// (an arrival only touches its own port's state and consumes no
+	// randomness).
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -188,41 +172,6 @@ func (c *Core) popArrivals(r, base int, now int64) {
 			}
 		}
 	}
-	// Classic transport: routed due entries paired with Link.PopPacket.
-	d := &c.arrDue[r]
-	for d.head < len(d.q) {
-		at := d.q[d.head].at
-		if at > now {
-			break
-		}
-		if at < now {
-			panic(fmt.Sprintf("router %d: packet event missed at cycle %d (now %d): scheduler failed to wake", r, at, now))
-		}
-		p := int(d.pop().port)
-		c.extDirty[r] = true
-		pi := base + p
-		var pkt *packet.Packet
-		if el := c.inW[pi].el; el != nil {
-			pkt = el.PopPacket(now)
-		} else {
-			pkt = c.inW[pi].link.PopPacket(now)
-		}
-		if pkt == nil {
-			continue
-		}
-		routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
-		pkt.ReadyAt = now + c.pipeline
-		pkt.EnqueuedAt = now
-		vi := pi*c.maxVC + pkt.VC
-		s := &c.inQ[vi]
-		if s.occ+int32(pkt.Size) > c.inCapVC[p] {
-			panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
-		}
-		c.inQPush(vi, pkt)
-		s.occ += int32(pkt.Size)
-		c.inP[pi].qTotal++
-		c.inOccMask[r*c.maskWords+p>>6] |= 1 << (uint(p) & 63)
-	}
 }
 
 func (c *Core) completeTransfers(r, base int, now int64) {
@@ -240,26 +189,13 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		if c.inP[pi].qTotal--; c.inP[pi].qTotal == 0 {
 			c.inOccMask[r*c.maskWords+p>>6] &^= 1 << (uint(p) & 63)
 		}
-		// Return the credit for the buffer space just freed. Between two
-		// core-stepped routers the credit rides the wake event itself (see
-		// LinkEvent); otherwise it travels through the link classically.
-		if l := c.inW[pi].link; l != nil {
-			at := now + int64(c.inW[pi].lat)
-			if el := c.inW[pi].el; el != nil && c.notify[r] != nil && c.inW[pi].peer >= 0 {
-				c.notify[r](LinkEvent{
-					Router: int(c.inW[pi].peer), Port: int(c.inW[pi].peerPort), At: at,
-					Credit: true, Phits: int32(c.size), PVC: int32(vcIdx),
-				})
-			} else {
-				if el := c.inW[pi].el; el != nil {
-					el.PushCredit(at, vcIdx, c.size)
-				} else {
-					l.PushCredit(at, vcIdx, c.size)
-				}
-				if c.notify[r] != nil && c.inW[pi].peer >= 0 {
-					c.notify[r](LinkEvent{Router: int(c.inW[pi].peer), Port: int(c.inW[pi].peerPort), At: at, Credit: true})
-				}
-			}
+		// Return the credit for the buffer space just freed: it rides the
+		// wake event to the upstream output's credit ring.
+		if w := &c.inW[pi]; w.peer >= 0 {
+			c.notify[r](LinkEvent{
+				Router: int(w.peer), Port: int(w.peerPort), At: now + int64(w.lat),
+				Credit: true, Phits: int32(c.size), PVC: int32(vcIdx),
+			})
 		}
 		if c.class[p] == topology.InjectionPort {
 			pkt.InjectTime = now
@@ -299,7 +235,7 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 	maxVC := c.maxVC
 	mw := c.maskWords
 	view := &c.views[r]
-	rnd := c.rnd[r]
+	rnd := &c.rnd[r]
 	inP := c.inP
 	cand := c.cand
 	// Gather per-input candidate requests: one NextHop per ready VC head,
@@ -364,8 +300,11 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 	outCand := c.outCand
 	outCandN := c.outCandN
 	for iter := 0; iter < c.allocIter; iter++ {
-		// Submit: each free input proposes its first feasible candidate
-		// (see Router.allocate for the transit-over-injection pass rule).
+		// Submit: each free input proposes its first feasible candidate.
+		// Under transit-over-injection priority the batch allocator
+		// admits injection requests only into cycles where no transit
+		// request could be submitted at all — the Blue Gene style
+		// priority whose fairness cost Section V quantifies.
 		submitted := false
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
@@ -428,7 +367,7 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 }
 
 // arbitrate picks the winning request among the n requesters submitted
-// to output opi, mirroring Router.arbitrate.
+// to output opi, according to the configured arbitration policy.
 func (c *Core) arbitrate(base, opi, n int) (inP, ciIdx int32) {
 	reqs := opi * c.np
 	switch c.arb {
@@ -461,6 +400,14 @@ func (c *Core) arbitrate(base, opi, n int) (inP, ciIdx int32) {
 	default:
 		return c.roundRobinPick(opi, n)
 	}
+}
+
+// rrBefore reports whether input a precedes input b in round-robin order
+// starting at pointer ptr.
+func rrBefore(a, b, ptr, n int) bool {
+	da := (a - ptr + n) % n
+	db := (b - ptr + n) % n
+	return da < db
 }
 
 // headGen returns the generation time of the packet a request proposes.
@@ -559,7 +506,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			// Link VC arbitration: round-robin over VCs whose head packet
 			// has a full packet of downstream credit.
 			nvc := int(c.nOutVC[p])
-			link := c.outW[pi].link
+			transit := c.downCapVC[p] > 0 // false: ejection, the node consumes unconditionally
 			vbase := pi * maxVC
 			sendVC := -1
 			vc := int(c.outP[pi].rrVC)
@@ -572,7 +519,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				if pkt == nil {
 					continue
 				}
-				if link != nil && outQ[vbase+pkt.VC].credits < size {
+				if transit && outQ[vbase+pkt.VC].credits < size {
 					continue // VCT: wait for a full packet of credit
 				}
 				sendVC = v
@@ -590,7 +537,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				rv = 0
 			}
 			c.outP[pi].rrVC = int32(rv)
-			if link != nil {
+			if transit {
 				outQ[vbase+pkt.VC].credits -= size
 				c.outP[pi].free -= size
 			}
@@ -611,22 +558,14 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			if c.trace[r] != nil {
 				c.trace[r](now, TraceLinkSend, pkt, r, p, pkt.VC)
 			}
-			if link != nil {
-				lat := int64(c.outW[pi].lat)
-				at := now + c.serial + lat
-				pkt.LinkLat += lat
-				if el := c.outW[pi].el; el != nil && c.notify[r] != nil && c.outW[pi].peer >= 0 {
-					// In-core transport: the packet rides the wake event.
-					c.notify[r](LinkEvent{Router: int(c.outW[pi].peer), Port: int(c.outW[pi].peerPort), At: at, Pkt: pkt})
+			if transit {
+				w := &c.outW[pi]
+				pkt.LinkLat += int64(w.lat)
+				if w.peer >= 0 {
+					// The packet rides the wake event to the far input's ring.
+					c.notify[r](LinkEvent{Router: int(w.peer), Port: int(w.peerPort), At: now + c.serial + int64(w.lat), Pkt: pkt})
 				} else {
-					if el := c.outW[pi].el; el != nil {
-						el.PushPacket(at, pkt)
-					} else {
-						link.PushPacket(at, pkt)
-					}
-					if c.notify[r] != nil && c.outW[pi].peer >= 0 {
-						c.notify[r](LinkEvent{Router: int(c.outW[pi].peer), Port: int(c.outW[pi].peerPort), At: at})
-					}
+					c.lost++ // unplugged (see Unplug)
 				}
 			} else {
 				c.deliver(r, now+c.serial, pkt)
@@ -642,7 +581,7 @@ func (c *Core) deliver(r int, at int64, pkt *packet.Packet) {
 		c.jobLive[r][pkt.Job]++
 	}
 	if c.measuring {
-		s := c.stats[r]
+		s := &c.stats[r]
 		s.Delivered++
 		s.DeliveredPhits += int64(pkt.Size)
 		s.BatchPhits[c.batch] += int64(pkt.Size)
@@ -671,13 +610,13 @@ func (c *Core) deliver(r int, at int64, pkt *packet.Packet) {
 	if c.trace[r] != nil {
 		c.trace[r](at, TraceDeliver, pkt, r, c.topo.NodePort(pkt.Dst), 0)
 	}
-	if c.hook[r] != nil {
-		c.hook[r](pkt)
-	}
 	c.recycle(pkt)
 }
 
-// pathCost mirrors Router.pathCost over the hoisted per-router constant.
+// pathCost is the zero-load latency of a path with the given hop shape and
+// summed link propagation latency: every router contributes
+// pipeline+crossbar+serialisation, and linkLat prices the links actually
+// (or, for the minimal-path base cost, hypothetically) traversed.
 func (c *Core) pathCost(local, global int, linkLat int64) int64 {
 	return int64(local+global+1)*c.perRouter + linkLat
 }

@@ -2,13 +2,12 @@ package router
 
 import "dragonfly/internal/topology"
 
-// Read-only probe accessors for the telemetry layer, defined on BOTH hot
-// representations — the flat Core the scheduler engines step and the
-// classic per-Router structs the reference engines step — over the same
-// definitions, so a probe sample is identical whichever representation is
-// live (the state itself is identical at every cycle boundary; see the
-// cross-engine StateVector equivalence test). Probes mutate nothing and
-// are meant to run between cycles, with all engine workers quiescent.
+// Read-only probe accessors for the telemetry layer. internal/refmodel
+// defines the same accessors over the oracle's per-router structs, so a
+// probe sample is identical whichever implementation produced it (the
+// state itself is identical at every cycle boundary; see the cross-engine
+// StateVector equivalence test). Probes mutate nothing and are meant to
+// run between cycles, with all engine workers quiescent.
 
 // LinkProbe is one router's instantaneous link-level observation: transit
 // ports currently serialising a packet (by port class) and transit ports
@@ -32,19 +31,6 @@ func (c *Core) ProbeQueues(r int) (inPhits, outPhits int64) {
 			inPhits += int64(c.inQ[vbase+v].occ)
 		}
 		outPhits += int64(c.outP[base+p].occ)
-	}
-	return inPhits, outPhits
-}
-
-// ProbeQueues is the classic-representation counterpart of Core.ProbeQueues.
-func (r *Router) ProbeQueues() (inPhits, outPhits int64) {
-	for p := range r.inputs {
-		for v := range r.inputs[p].vcs {
-			inPhits += int64(r.inputs[p].vcs[v].occ)
-		}
-	}
-	for p := range r.outputs {
-		outPhits += int64(r.outputs[p].occ)
 	}
 	return inPhits, outPhits
 }
@@ -83,44 +69,6 @@ func (c *Core) ProbeLinks(r int, now int64) LinkProbe {
 				continue
 			}
 			if c.outQ[vbase+pkt.VC].credits >= size {
-				stalled = false
-				break
-			}
-		}
-		if stalled {
-			lp.CreditStalled++
-		}
-	}
-	return lp
-}
-
-// ProbeLinks is the classic-representation counterpart of Core.ProbeLinks.
-func (r *Router) ProbeLinks(now int64) LinkProbe {
-	var lp LinkProbe
-	size := r.cfg.PacketSize
-	for p := range r.outputs {
-		o := &r.outputs[p]
-		if o.class != topology.LocalPort && o.class != topology.GlobalPort {
-			continue
-		}
-		if o.linkBusyUntil > now {
-			if o.class == topology.GlobalPort {
-				lp.GlobalBusy++
-			} else {
-				lp.LocalBusy++
-			}
-			continue
-		}
-		if o.qTotal == 0 {
-			continue
-		}
-		stalled := true
-		for vc := range o.queues {
-			pkt := o.queueFront(vc)
-			if pkt == nil {
-				continue
-			}
-			if o.credits[pkt.VC] >= size {
 				stalled = false
 				break
 			}

@@ -36,6 +36,3 @@ func (k TraceKind) String() string {
 // router always come from one goroutine, but different routers may trace
 // concurrently).
 type TraceFn func(now int64, kind TraceKind, p *packet.Packet, routerID, port, vc int)
-
-// SetTrace installs (or clears, with nil) the router's trace hook.
-func (r *Router) SetTrace(fn TraceFn) { r.trace = fn }

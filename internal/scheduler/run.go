@@ -7,6 +7,7 @@ import (
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/traffic"
 )
 
 // JobResult is one job's scheduler lifecycle. Cycles are absolute
@@ -98,12 +99,21 @@ func (r *Result) MeanSlowdown() float64 {
 // it are reported censored (Completion -1). Deterministic in cfg.Seed and
 // bit-identical for any cfg.Workers.
 func Run(cfg sim.Config, tr Trace) (*Result, error) {
-	return run(cfg, tr, sim.RunNetworkWithController)
+	return run(cfg, tr, coreImpl)
 }
 
-// run is Run with an explicit engine driver, so the equivalence tests can
-// replay one trace on the scheduler and dense reference engines alike.
-func run(cfg sim.Config, tr Trace, drive func(*sim.Network, *sim.Config, sim.Controller) error) (*Result, error) {
+// simImpl is how a replay builds and drives its network. Production is
+// coreImpl; the equivalence tests substitute the dense oracle's pair.
+type simImpl struct {
+	build func(*sim.Config, traffic.Pattern) (*sim.Network, error)
+	drive func(*sim.Network, *sim.Config, sim.Controller) error
+}
+
+var coreImpl = simImpl{sim.NewNetwork, sim.RunNetworkWithController}
+
+// run is Run on an explicit implementation, so the equivalence tests can
+// replay one trace on the core and on the dense oracle alike.
+func run(cfg sim.Config, tr Trace, im simImpl) (*Result, error) {
 	norm, err := tr.normalized()
 	if err != nil {
 		return nil, err
@@ -112,12 +122,12 @@ func run(cfg sim.Config, tr Trace, drive func(*sim.Network, *sim.Config, sim.Con
 	if err != nil {
 		return nil, err
 	}
-	net, err := sim.NewNetwork(&cfg, wl)
+	net, err := im.build(&cfg, wl)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := drive(net, &cfg, ctrl); err != nil {
+	if err := im.drive(net, &cfg, ctrl); err != nil {
 		return nil, err
 	}
 	simRes := sim.NewResultFrom(net, &cfg, time.Since(start))

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"testing"
 
+	"dragonfly/internal/refmodel"
 	"dragonfly/internal/rng"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -21,23 +23,31 @@ func schedCfg() sim.Config {
 	return cfg
 }
 
-// engineMatrix runs the trace on every engine × worker combination the
-// acceptance criteria name: scheduler and dense reference engines at
-// Workers 1, 2 and NumCPU.
+// engineMatrix runs the trace on every implementation × worker combination
+// the acceptance criteria name: the core's scheduler engines and the dense
+// oracle at Workers 1, 2 and NumCPU.
 type engineCase struct {
 	name    string
 	workers int
-	drive   func(*sim.Network, *sim.Config, sim.Controller) error
+	im      simImpl
+}
+
+// oracleImpl is internal/refmodel's (build, drive) pair on ring links.
+var oracleImpl = simImpl{
+	build: func(cfg *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
+		return refmodel.NewNetwork(cfg, pat, refmodel.Rings)
+	},
+	drive: refmodel.RunWithController,
 }
 
 func engineMatrix() []engineCase {
 	cases := []engineCase{
-		{"sched-w1", 1, sim.RunNetworkWithController},
-		{"sched-w2", 2, sim.RunNetworkWithController},
-		{"sched-wN", runtime.NumCPU(), sim.RunNetworkWithController},
-		{"ref-w1", 1, sim.RunNetworkReferenceWithController},
-		{"ref-w2", 2, sim.RunNetworkReferenceWithController},
-		{"ref-wN", runtime.NumCPU(), sim.RunNetworkReferenceWithController},
+		{"sched-w1", 1, coreImpl},
+		{"sched-w2", 2, coreImpl},
+		{"sched-wN", runtime.NumCPU(), coreImpl},
+		{"ref-w1", 1, oracleImpl},
+		{"ref-w2", 2, oracleImpl},
+		{"ref-wN", runtime.NumCPU(), oracleImpl},
 	}
 	return cases
 }
@@ -81,7 +91,7 @@ func TestScheduleDegenerateMatchesRunWorkload(t *testing.T) {
 	for _, ec := range engineMatrix() {
 		c := cfg
 		c.Workers = ec.workers
-		res, err := run(c, tr, ec.drive)
+		res, err := run(c, tr, ec.im)
 		if err != nil {
 			t.Fatalf("%s: %v", ec.name, err)
 		}
@@ -110,7 +120,7 @@ func TestScheduleDegenerateMatchesRunWorkload(t *testing.T) {
 	for _, ec := range engineMatrix() {
 		c := cfg
 		c.Workers = ec.workers
-		res, err := run(c, dyn, ec.drive)
+		res, err := run(c, dyn, ec.im)
 		if err != nil {
 			t.Fatalf("%s: %v", ec.name, err)
 		}
@@ -218,7 +228,7 @@ func TestRandomTracesPartitionAndBitIdentical(t *testing.T) {
 		for _, ec := range engineMatrix() {
 			c := cfgSeed
 			c.Workers = ec.workers
-			res, err := run(c, tr, ec.drive)
+			res, err := run(c, tr, ec.im)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, ec.name, err)
 			}

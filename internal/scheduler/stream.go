@@ -278,12 +278,12 @@ func RunGenerated(cfg sim.Config, gt *GenTrace, disc string) (*StreamResult, err
 
 // RunGeneratedOpts is RunGenerated with explicit options.
 func RunGeneratedOpts(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions) (*StreamResult, error) {
-	return runGenerated(cfg, gt, disc, opts, sim.RunNetworkWithController)
+	return runGenerated(cfg, gt, disc, opts, coreImpl)
 }
 
-// runGenerated is RunGenerated with an explicit engine driver, so the
+// runGenerated is RunGenerated on an explicit implementation, so the
 // equivalence tests can run one trace on every engine.
-func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions, drive func(*sim.Network, *sim.Config, sim.Controller) error) (*StreamResult, error) {
+func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions, im simImpl) (*StreamResult, error) {
 	disc = strings.ToLower(strings.TrimSpace(disc))
 	if disc == "" {
 		disc = DisciplineFCFS
@@ -337,12 +337,12 @@ func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions,
 	if streamTestHook != nil {
 		streamTestHook(c)
 	}
-	net, err := sim.NewNetwork(&cfg, wl)
+	net, err := im.build(&cfg, wl)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := drive(net, &cfg, c); err != nil {
+	if err := im.drive(net, &cfg, c); err != nil {
 		return nil, err
 	}
 	simRes := sim.NewResultFrom(net, &cfg, time.Since(start))

@@ -191,7 +191,7 @@ func TestStreamEngineIdentity(t *testing.T) {
 		cfg := schedCfg()
 		cfg.Workers = ec.workers
 		cfg.MeasureCycles = 1 << 20
-		res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, ec.drive)
+		res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, ec.im)
 		if err != nil {
 			t.Fatalf("%s: %v", ec.name, err)
 		}

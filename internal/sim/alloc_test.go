@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"dragonfly/internal/topology"
 )
 
-// The flat-core hot loop must not allocate once the network reaches steady
+// The core's hot loop must not allocate once the network reaches steady
 // state: every queue is a fixed-capacity ring carved out of arenas sized at
-// import, the event calendars and scratch buffers reach their high-water
+// construction, the event calendars and scratch buffers reach their high-water
 // capacity during warm-up, and delivered packets recycle through the pool.
 // This is the runtime companion of the construction-bytes gate in
 // cmd/dfbench (both run in CI): that one locks in the build-time memory
@@ -32,12 +33,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newSeqRun(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, nil)
+	run := newDriver(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, nil, newSeqEngine(net))
 	defer run.finish()
 
 	now := int64(0)
 	step := func() {
-		if err := run.cycle(now); err != nil {
+		if _, err := run.cycle(now); err != nil {
 			t.Fatal(err)
 		}
 		now++
@@ -52,5 +53,60 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if net.InFlight() == 0 {
 		t.Fatal("network drained during the gate — load 0.6 should keep it saturated")
+	}
+}
+
+// The sweep steady state — restore over a retired network, run, extract
+// the result — must not rebuild what the network already owns. The core
+// lives as long as its network, so a recycled point allocates scheduler
+// scratch, the result and little else: well under the bytes of one build.
+// (The parent of this layout rebuilt a whole core per RunNetwork and fails
+// this by an order of magnitude.)
+func TestSweepPointAllocatesFarLessThanABuild(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	cfg := DefaultConfig()
+	cfg.Topology = topology.Balanced(3)
+	cfg.Mechanism = "In-Trns-MM"
+	cfg.Pattern = "UN"
+	cfg.Load = 0.3
+	cfg.WarmupCycles = 15
+	cfg.MeasureCycles = 30 // the h=6 screening regime: points this short
+	cfg.Workers = 1
+
+	allocated := func(fn func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	var snap *Snapshot
+	build := allocated(func() {
+		var err error
+		if snap, err = NewSnapshot(cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}) / 2 // NewSnapshot = one build + one template copy of it
+	net, err := RestoreNetwork(snap, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func() {
+		var err error
+		if net, err = RestoreNetworkInto(snap, &cfg, net); err != nil {
+			t.Fatal(err)
+		}
+		if err := RunNetwork(net, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if NewResultFrom(net, &cfg, 0).Delivered() == 0 {
+			t.Fatal("point delivered nothing")
+		}
+	}
+	point() // first point on this network: calendars and pool reach capacity
+	if got := allocated(point); got > build/4 {
+		t.Fatalf("recycled sweep point allocates %d B; one build is %d B — the point is rebuilding state", got, build)
 	}
 }

@@ -42,13 +42,6 @@ type Config struct {
 	// Router.LocalLatency/GlobalLatency (the seed behaviour, bit-for-bit).
 	LatencyModel topology.LatencyModel
 
-	// RingLinks wires the network with the seed's time-indexed ring links
-	// instead of the event-queue links. The two are bit-identical (an
-	// equivalence the tests and the dfbench harness enforce); the rings
-	// remain as the executable specification behind the
-	// RunNetworkReference baseline and cost O(latency) memory per link.
-	RingLinks bool
-
 	// Router and Routing carry the microarchitectural and routing
 	// parameters (defaults are Table I). The virtual channel counts are
 	// overridden by the mechanism's requirements at build time.

@@ -1,0 +1,46 @@
+package sim
+
+import "dragonfly/internal/traffic"
+
+// impl is one implementation of the simulator as the cross-implementation
+// tests see it: how to build a network and how to drive it. Tests pick a
+// pair instead of driving one network through either engine — production
+// and oracle networks are different objects now.
+type impl struct {
+	name  string
+	build func(cfg *Config, pat traffic.Pattern) (*Network, error)
+	drive func(net *Network, cfg *Config, ctrl Controller) error
+}
+
+// core is production: router.Core stepped by the scheduler engines
+// (sequential or barrier-parallel by cfg.Workers).
+var core = impl{"core", NewNetwork, RunNetworkWithController}
+
+// OracleBuild and OracleDrive are internal/refmodel's constructor and dense
+// engines. refmodel imports this package, so the in-package tests cannot
+// import it back: refmodel_test.go (package sim_test, same test binary)
+// fills these in from its init.
+var (
+	OracleBuild func(cfg *Config, pat traffic.Pattern, eventLinks bool) (*Network, error)
+	OracleDrive func(net *Network, cfg *Config, ctrl Controller) error
+)
+
+// oracle is the dense seed model on ring links (the seed configuration);
+// oracleEvents the same on event-queue links.
+var (
+	oracle = impl{"oracle",
+		func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat, false) },
+		func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
+	oracleEvents = impl{"oracle-events",
+		func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat, true) },
+		func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
+)
+
+// stateOf flattens every router's microarchitectural state.
+func stateOf(net *Network) [][]int64 {
+	state := make([][]int64, net.Topo.NumRouters())
+	for r := range state {
+		state[r] = net.fab.StateVector(r, nil)
+	}
+	return state
+}

@@ -38,11 +38,11 @@ func applyLatency(t *testing.T, cfg *Config, local, global int, model string) {
 	cfg.LatencyModel = m
 }
 
-// The tentpole guarantee of the link refactor: event-queue links driven by
-// the scheduler engines are bit-identical to the seed ring links driven by
-// the dense reference engines, across worker counts and latency settings
-// (defaults, non-default uniform, heterogeneous).
-func TestEventLinksMatchRingLinkReference(t *testing.T) {
+// The core's in-ring link transport driven by the scheduler engines is
+// bit-identical to the seed ring links driven by the dense oracle, across
+// worker counts and latency settings (defaults, non-default uniform,
+// heterogeneous).
+func TestCoreLinksMatchRingLinkReference(t *testing.T) {
 	mechs := []string{"MIN", "In-Trns-MM"}
 	loads := []float64{0.05, 0.4}
 	workerCounts := []int{1, 2, 4}
@@ -56,9 +56,7 @@ func TestEventLinksMatchRingLinkReference(t *testing.T) {
 				cfg := equivCfg(mech, "UN", load)
 				applyLatency(t, &cfg, ls.local, ls.global, ls.model)
 
-				refCfg := cfg
-				refCfg.RingLinks = true
-				ref := runRef(t, refCfg)
+				ref := runRef(t, cfg)
 
 				for _, workers := range workerCounts {
 					res, _ := runSched(t, cfg, workers)
@@ -69,16 +67,14 @@ func TestEventLinksMatchRingLinkReference(t *testing.T) {
 	}
 }
 
-// The reference engines must themselves be link-implementation agnostic:
-// rings vs event queues under the same dense engine give identical
-// results (isolates link behaviour from scheduler behaviour).
+// The oracle must itself be link-implementation agnostic: rings vs event
+// queues under the same dense engine give identical results (isolates link
+// behaviour from scheduler behaviour).
 func TestReferenceEngineLinkImplAgnostic(t *testing.T) {
 	cfg := equivCfg("Src-CRG", "ADVc", 0.3)
 	applyLatency(t, &cfg, 4, 29, "groupskew")
-	ring := cfg
-	ring.RingLinks = true
-	want := runRef(t, ring)
-	got := runRef(t, cfg)
+	want := runOn(t, oracle, cfg)
+	got := runOn(t, oracleEvents, cfg)
 	requireIdentical(t, "ref ring-vs-event", want, got)
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"dragonfly/internal/rng"
 	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
@@ -17,7 +17,7 @@ import (
 
 // nodeState is the per-node traffic source.
 type nodeState struct {
-	rnd          *rng.Source
+	rnd          rng.Source
 	nextGen      int64
 	seq          uint64
 	q            float64 // generation probability per cycle (per-node for workloads)
@@ -25,11 +25,50 @@ type nodeState struct {
 	active       bool
 }
 
+// Fabric is the one seam through which the shared simulation code —
+// generation, PiggyBack refresh, phase flips, probes, the watchdog, job
+// polling and result collection — reaches router state. *router.Core is
+// the production implementation (and the only one the engines in this
+// package step); internal/refmodel implements it over the dense
+// per-router oracle, so the same shared code drives both sides of every
+// bit-identity test.
+type Fabric interface {
+	// Generation side (see router.Core for the contracts).
+	InjectionBacklog(r, nodeIdx int) int
+	NoteBacklogged(r, src int)
+	EnqueueInjection(r int, now int64, p *packet.Packet)
+	// OutputUsed is the PiggyBack refresh input.
+	OutputUsed(r, port int) int
+	// Phase flips, applied between cycles.
+	SetMeasuring(on bool)
+	SetBatch(i int)
+	// Read side: watchdog, probes, job polling, results, state comparison.
+	// MaxLinkLatency is the longest wired link: the watchdog widens its
+	// no-progress horizon by it, because with long cables a healthy network
+	// may show no router activity for a full flight time.
+	MaxLinkLatency() int64
+	InFlight() int
+	Stats(r int) *stats.Router
+	JobStats(r int) []stats.Job
+	LiveJobDelivered(r, job int) int64
+	ProbeQueues(r int) (inPhits, outPhits int64)
+	ProbeLinks(r int, now int64) router.LinkProbe
+	StateVector(r int, v []int64) []int64
+}
+
 // Network is a fully wired simulator instance.
 type Network struct {
-	Topo    *topology.Topology
-	Routers []*router.Router
-	Links   []router.Link
+	Topo *topology.Topology
+	// Routers are the per-router views over the core, indexed by router id
+	// (nil on a network built over another Fabric).
+	Routers []router.View
+
+	// fab is the router state behind the seam; core is the same object when
+	// the network was built by NewNetwork or restored from a snapshot — the
+	// state the engines of this package step in place, run after run — and
+	// nil on an oracle network.
+	fab  Fabric
+	core *router.Core
 
 	cfg     *Config
 	mech    routing.Mechanism
@@ -42,7 +81,7 @@ type Network struct {
 	pool    sync.Pool
 	genProb float64 // packet generation probability per node per cycle
 
-	// nodeJob is the live node→job map shared read-only with every router
+	// nodeJob is the live node→job map shared read-only with the fabric
 	// (nil without job attribution). Packets are stamped with it at
 	// generation; a Controller may rewrite entries between cycles through
 	// Reconfig.SetNodeJob when jobs arrive, depart, or nodes are recycled.
@@ -54,11 +93,6 @@ type Network struct {
 	latency topology.LatencyModel
 	uniform *topology.UniformLatency // non-nil when latency is uniform
 
-	// maxLinkLat is the largest link latency wired into the network. The
-	// watchdog widens its no-progress horizon by it: with long cables a
-	// healthy network may show no router activity for a full flight time.
-	maxLinkLat int64
-
 	// genWake caches, per router, the earliest future arrival among its
 	// nodes' generation processes (-1: none). generate keeps it current;
 	// the scheduler reads it in O(1) when deciding how long a router may
@@ -69,7 +103,7 @@ type Network struct {
 	// PiggyBack dirty-marking (a divide per stepped router otherwise).
 	groupOf []int32
 
-	// engineSteps is the number of router-steps the last RunNetwork[Reference]
+	// engineSteps is the number of router-steps the last engine run
 	// executed; the scheduler tests and cmd/dfbench read it to quantify how
 	// many quiescent router-cycles were skipped.
 	engineSteps int64
@@ -83,8 +117,10 @@ type Network struct {
 	nodeRnd0 []rng.Source
 
 	// ranCycles counts the cycles the engines have driven this network
-	// through since construction (or restore). Snapshot uses it as the
-	// rebase delta that shifts captured state back to cycle 0.
+	// through since construction (or restore). Every run restarts its
+	// cycle counter at 0, so a run on a network that has already run first
+	// shifts the state ranCycles into the past (see rebase); Snapshot
+	// therefore always captures state valid at cycle 0.
 	ranCycles int64
 
 	// stoppedAt is the cycle count the last engine run actually executed
@@ -93,32 +129,33 @@ type Network struct {
 	// per-cycle metrics by measured — not configured — cycles.
 	stoppedAt int64
 
-	// core is the structure-of-arrays router state the scheduler engines
-	// step (see router.Core). It is run-scoped: built from the wired
-	// routers when a scheduler engine starts — so it captures any
-	// post-construction rewiring or hand-injected state — and written
-	// back when the engine returns. coreLive is true only while a
-	// scheduler engine is between those two points; the dispatch helpers
-	// below (injection, link loads, in-flight counts, external-event
-	// horizons) read through the core exactly then, and through the
-	// classic routers otherwise (reference engines, pre/post-run).
-	core     *router.Core
-	coreLive bool
-
 	// telemetry is the probe summary of the most recent engine run (nil
 	// without probes); newResult attaches it to the Result.
 	telemetry *telemetry.Summary
-
-	// snapOwner is the snapshot this network was restored from (nil for
-	// built networks). RestoreNetworkInto overwrites a retired network in
-	// place only when it came from the same snapshot — the provenance
-	// guarantee that every slice already has exactly the needed shape.
-	snapOwner *Snapshot
 }
 
 // NewNetwork builds and wires a network from the configuration. The traffic
 // pattern may be overridden by pat (pass nil to build it from cfg.Pattern).
 func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
+	var core *router.Core
+	net, err := NewNetworkOn(cfg, pat, func(w router.Wiring) (f Fabric, err error) {
+		core, err = router.NewCore(w)
+		return core, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	net.core, net.Routers = core, core.Views()
+	return net, nil
+}
+
+// NewNetworkOn is NewNetwork over a caller-built Fabric: everything around
+// the routers — pattern, routing environment, PiggyBack state, traffic
+// sources, job attribution — is set up here, and build is handed the
+// wiring to construct the routers from. It exists for internal/refmodel;
+// networks built this way are driven through Drive with the builder's own
+// Engine, not RunNetwork.
+func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (Fabric, error)) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -159,27 +196,20 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 		net.env.Group = net.pb.view
 	}
 
-	// Routers.
-	recycle := func(p *packet.Packet) { net.pool.Put(p) }
-	net.Routers = make([]*router.Router, topo.NumRouters())
-	routerRng := root.Split()
-	for r := range net.Routers {
-		net.Routers[r] = router.New(r, topo, &rcfg, mech, &net.env, routerRng.Split(), recycle)
-		if cfg.Tracer != nil {
-			// Each router gets its own shard hook; the engines (and the
-			// core import) keep the per-router single-goroutine delivery
-			// the tracer's lock-free buffers rely on.
-			net.Routers[r].SetTrace(cfg.Tracer.Hook(r))
+	// Per-job attribution: when the pattern maps nodes to jobs, every
+	// router accumulates per-job counters attributed by packet source.
+	numJobs := 0
+	if jm, ok := pat.(traffic.JobMapper); ok && jm.NumJobs() > 0 {
+		net.jobs = jm
+		numJobs = jm.NumJobs()
+		net.nodeJob = make([]int32, topo.NumNodes())
+		for n := range net.nodeJob {
+			net.nodeJob[n] = int32(jm.NodeJob(n))
 		}
 	}
 
-	// Links: one per direction, created from the sender side. Both ends
-	// record the far-side router id so the engines can wake receivers at
-	// packet- and credit-arrival cycles (schedule.go). Latencies come from
-	// the run's latency model, per link; the link implementation is the
-	// compact event queue unless cfg.RingLinks asks for the seed rings.
-	// Event horizons: packets on one link are spaced by the serialisation
-	// time, credits by the crossbar occupancy of the far input port.
+	// Routers and links. Latencies come from the run's latency model, per
+	// link.
 	net.latency = cfg.LatencyModel
 	if net.latency == nil {
 		net.latency = topology.UniformLatency{Local: rcfg.LocalLatency, Global: rcfg.GlobalLatency}
@@ -187,43 +217,12 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 	if u, ok := net.latency.(topology.UniformLatency); ok {
 		net.uniform = &u
 	}
-	horizon := rcfg.SerialCycles()
-	newLink := func(lat, src, dst int) (router.Link, error) {
-		if lat <= 0 {
-			return nil, fmt.Errorf("sim: latency model %q assigns non-positive latency %d to link %d->%d",
-				net.latency.Name(), lat, src, dst)
-		}
-		if int64(lat) > net.maxLinkLat {
-			net.maxLinkLat = int64(lat)
-		}
-		if cfg.RingLinks {
-			return router.NewLink(lat, horizon), nil
-		}
-		return router.NewEventLink(lat, rcfg.SerialCycles(), rcfg.CrossbarCycles()), nil
-	}
-	p := topo.Params()
-	for r := 0; r < topo.NumRouters(); r++ {
-		for l := 0; l < p.A-1; l++ {
-			nb := topo.LocalNeighbor(r, l)
-			link, err := newLink(net.latency.LocalLatency(topo, r, nb), r, nb)
-			if err != nil {
-				return nil, err
-			}
-			inPort := topo.LocalPortTo(nb, topo.RouterLocalIndex(r))
-			net.Routers[r].ConnectOutTo(l, link, nb, inPort)
-			net.Routers[nb].ConnectInFrom(inPort, link, r, l)
-			net.Links = append(net.Links, link)
-		}
-		for gp := p.A - 1; gp < p.A-1+p.H; gp++ {
-			nb, inPort := topo.GlobalNeighbor(r, gp)
-			link, err := newLink(net.latency.GlobalLatency(topo, r, nb), r, nb)
-			if err != nil {
-				return nil, err
-			}
-			net.Routers[r].ConnectOutTo(gp, link, nb, inPort)
-			net.Routers[nb].ConnectInFrom(inPort, link, r, gp)
-			net.Links = append(net.Links, link)
-		}
+	net.fab, err = build(router.Wiring{
+		Topo: topo, Cfg: &rcfg, Mech: mech, Rng: root.Split(), Latency: net.latency,
+		Binding: net.binding(), NumJobs: numJobs,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Traffic sources. Patterns may silence nodes (Memberer), override
@@ -231,49 +230,14 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 	// (Timed) — all optional interfaces that leave the plain paths
 	// bit-identical to the seed.
 	net.timed, _ = pat.(traffic.Timed)
-	member, _ := pat.(traffic.Memberer)
-	loads, _ := pat.(traffic.NodeLoads)
 	net.nodes = make([]nodeState, topo.NumNodes())
 	net.nodeRnd0 = make([]rng.Source, topo.NumNodes())
 	nodeRng := root.Split()
 	for n := range net.nodes {
-		ns := &net.nodes[n]
-		ns.rnd = nodeRng.Split()
-		net.nodeRnd0[n] = *ns.rnd // pre-draw position, for load retargeting
-		ns.q = net.genProb
-		if loads != nil {
-			if l := loads.NodeLoad(n); l > 0 {
-				ns.q = l / float64(rcfg.PacketSize)
-			}
-		}
-		ns.active = ns.q > 0
-		if member != nil && !member.Member(n) {
-			ns.active = false
-		}
-		if ns.active && ns.q < 1 {
-			ns.logOneMinusQ = math.Log(1 - ns.q)
-		}
-		if ns.active {
-			ns.nextGen = ns.nextArrival(-1, ns.q)
-		}
-	}
-
-	// Per-job attribution: when the pattern maps nodes to jobs, every
-	// router accumulates per-job counters attributed by packet source.
-	if jm, ok := pat.(traffic.JobMapper); ok && jm.NumJobs() > 0 {
-		net.jobs = jm
-		net.nodeJob = make([]int32, topo.NumNodes())
-		for n := range net.nodeJob {
-			net.nodeJob[n] = int32(jm.NodeJob(n))
-		}
-		for _, r := range net.Routers {
-			r.SetJobAttribution(net.nodeJob, jm.NumJobs())
-		}
+		net.nodeRnd0[n] = *nodeRng.Split() // pre-draw position, for load retargeting
 	}
 	net.genWake = make([]int64, topo.NumRouters())
-	for r := range net.genWake {
-		net.refreshGenWake(r)
-	}
+	net.aimSources(true)
 	net.groupOf = make([]int32, topo.NumRouters())
 	for r := range net.groupOf {
 		net.groupOf[r] = int32(topo.RouterGroup(r))
@@ -281,39 +245,62 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 	return net, nil
 }
 
-// beginCore flattens the routers into the SoA core for a scheduler
-// engine run and returns it; endCore writes the hot state back so
-// everything outside the run keeps seeing the classic representation.
-// The core is rebuilt from the routers at every run start: construction
-// stays out of NewNetwork (the construction-bytes gate measures wiring
-// only) and state injected or rewired between runs is always honoured.
-func (net *Network) beginCore() *router.Core {
-	net.core = router.NewCore(net.Routers)
-	net.coreLive = true
-	return net.core
-}
-
-func (net *Network) endCore() {
-	net.core.WriteBack()
-	net.coreLive = false
-}
-
-// earliestExternal dispatches Router.EarliestExternal to the live
-// representation (the scheduler's settle runs only during core runs,
-// but the helper keeps the invariant in one place).
-func (net *Network) earliestExternal(r int) int64 {
-	if net.coreLive {
-		return net.core.EarliestExternal(r)
+// binding returns the hooks the network's fabric reports to.
+func (net *Network) binding() router.Binding {
+	b := router.Binding{
+		Env:     &net.env,
+		Recycle: func(p *packet.Packet) { net.pool.Put(p) },
+		NodeJob: net.nodeJob,
 	}
-	return net.Routers[r].EarliestExternal()
+	if t := net.cfg.Tracer; t != nil {
+		// Each router gets its own shard hook; the engines keep the
+		// per-router single-goroutine delivery the tracer's lock-free
+		// buffers rely on.
+		b.Trace = t.Hook
+	}
+	return b
 }
 
-// linkLoad dispatches Router.LinkLoad (the PiggyBack refresh input).
-func (net *Network) linkLoad(r, port int) int {
-	if net.coreLive {
-		return net.core.OutputUsed(r, port)
+// aimSources (re)aims every node's generation process at the network's
+// current configuration: rate, membership and the next arrival are
+// recomputed from the pattern and the configured load. With rewind, every
+// node stream first returns to its pre-draw position (nodeRnd0) and the
+// packet sequence restarts, which reproduces the node-source set-up of a
+// cold build bit for bit — construction and construction-snapshot restores.
+// Without it the arrivals are redrawn from the streams' CURRENT positions
+// and sequence numbers keep counting, so packet IDs never collide with
+// packets already in the network — warm-snapshot restores at a new load.
+func (net *Network) aimSources(rewind bool) {
+	loads, _ := net.pattern.(traffic.NodeLoads)
+	member, _ := net.pattern.(traffic.Memberer)
+	packetSize := float64(net.cfg.Router.PacketSize)
+	for n := range net.nodes {
+		ns := &net.nodes[n]
+		if rewind {
+			ns.rnd = net.nodeRnd0[n]
+			ns.seq = 0
+		}
+		ns.q = net.genProb
+		if loads != nil {
+			if l := loads.NodeLoad(n); l > 0 {
+				ns.q = l / packetSize
+			}
+		}
+		ns.active = ns.q > 0
+		if member != nil && !member.Member(n) {
+			ns.active = false
+		}
+		ns.logOneMinusQ, ns.nextGen = 0, 0
+		if ns.active {
+			if ns.q < 1 {
+				ns.logOneMinusQ = math.Log(1 - ns.q)
+			}
+			ns.nextGen = ns.nextArrival(-1, ns.q)
+		}
 	}
-	return net.Routers[r].LinkLoad(port)
+	for r := range net.genWake {
+		net.refreshGenWake(r)
+	}
 }
 
 // nextArrival samples the next Bernoulli(q) success strictly after cycle t.
@@ -346,15 +333,15 @@ func (net *Network) refreshGenWake(r int) {
 	net.genWake[r] = wake
 }
 
-// generate creates the packets due at cycle now for the nodes of router r.
-func (net *Network) generate(r int, now int64) {
+// Generate creates the packets due at cycle now for the nodes of router r.
+// Engines call it for every router they step, just before the step.
+func (net *Network) Generate(r int, now int64) {
 	if w := net.genWake[r]; w < 0 || w > now {
 		return // no node of r has an arrival due
 	}
 	p := net.Topo.Params()
-	rtr := net.Routers[r]
-	core := net.core
-	useCore := net.coreLive
+	fab := net.fab
+	backlogLimit := net.cfg.Router.InjectionQueuePackets
 	base := r * p.P
 	for i := 0; i < p.P; i++ {
 		ns := &net.nodes[base+i]
@@ -371,20 +358,20 @@ func (net *Network) generate(r int, now int64) {
 				// before the backlog count. (The plain path below keeps
 				// the seed's order — backlog check first, no dest draw —
 				// bit-for-bit.)
-				dst = net.timed.DestAt(src, now, ns.rnd)
+				dst = net.timed.DestAt(src, now, &ns.rnd)
 				if dst < 0 {
 					continue
 				}
-				if net.injectionBacklog(core, useCore, rtr, r, i) >= net.cfg.Router.InjectionQueuePackets {
-					net.noteBacklogged(core, useCore, rtr, r, src)
+				if fab.InjectionBacklog(r, i) >= backlogLimit {
+					fab.NoteBacklogged(r, src)
 					continue
 				}
 			} else {
-				if net.injectionBacklog(core, useCore, rtr, r, i) >= net.cfg.Router.InjectionQueuePackets {
-					net.noteBacklogged(core, useCore, rtr, r, src)
+				if fab.InjectionBacklog(r, i) >= backlogLimit {
+					fab.NoteBacklogged(r, src)
 					continue
 				}
-				dst = net.pattern.Dest(src, ns.rnd)
+				dst = net.pattern.Dest(src, &ns.rnd)
 				if dst < 0 {
 					continue
 				}
@@ -403,32 +390,11 @@ func (net *Network) generate(r int, now int64) {
 			min := net.Topo.MinimalPathLength(src, dst)
 			pkt.MinLocal, pkt.MinGlobal = min.Local, min.Global
 			pkt.MinLinkLat = net.minPathLinkLat(src, dst, min)
-			net.mech.OnGenerate(&net.env, pkt, ns.rnd)
-			if useCore {
-				core.EnqueueInjection(r, now, pkt)
-			} else {
-				rtr.EnqueueInjection(now, pkt)
-			}
+			net.mech.OnGenerate(&net.env, pkt, &ns.rnd)
+			fab.EnqueueInjection(r, now, pkt)
 		}
 	}
 	net.refreshGenWake(r)
-}
-
-// injectionBacklog and noteBacklogged dispatch the generation-side
-// router calls of generate to the live representation.
-func (net *Network) injectionBacklog(core *router.Core, useCore bool, rtr *router.Router, r, nodeIdx int) int {
-	if useCore {
-		return core.InjectionBacklog(r, nodeIdx)
-	}
-	return rtr.InjectionBacklog(nodeIdx)
-}
-
-func (net *Network) noteBacklogged(core *router.Core, useCore bool, rtr *router.Router, r, src int) {
-	if useCore {
-		core.NoteBacklogged(r, src)
-	} else {
-		rtr.NoteBacklogged(src)
-	}
 }
 
 // minPathLinkLat prices the links of the unique minimal path from src to
@@ -452,35 +418,25 @@ func (net *Network) minPathLinkLat(src, dst int, min topology.PathLength) int64 
 func (net *Network) LiveJobDelivered(job int, routers []int) int64 {
 	var sum int64
 	if routers == nil {
-		for _, r := range net.Routers {
-			sum += r.LiveJobDelivered(job)
+		for r := range net.genWake {
+			sum += net.fab.LiveJobDelivered(r, job)
 		}
 		return sum
 	}
 	for _, r := range routers {
-		sum += net.Routers[r].LiveJobDelivered(job)
+		sum += net.fab.LiveJobDelivered(r, job)
 	}
 	return sum
 }
 
-// EngineSteps returns the number of router-steps the last
-// RunNetwork/RunNetworkReference call executed — the denominator of the
-// scheduler's skip ratio (cmd/dfbench records it per release).
+// EngineSteps returns the number of router-steps the last engine run
+// executed — the denominator of the scheduler's skip ratio (cmd/dfbench
+// records it per release).
 func (net *Network) EngineSteps() int64 { return net.engineSteps }
+
+// Fabric returns the router state behind the network.
+func (net *Network) Fabric() Fabric { return net.fab }
 
 // InFlight counts packets currently inside the network (buffers and links).
 // O(network); intended for conservation checks and the deadlock watchdog.
-func (net *Network) InFlight() int {
-	n := 0
-	if net.coreLive {
-		n = net.core.InFlight()
-	} else {
-		for _, r := range net.Routers {
-			n += r.InFlight()
-		}
-	}
-	for _, l := range net.Links {
-		n += l.InFlight()
-	}
-	return n
-}
+func (net *Network) InFlight() int { return net.fab.InFlight() }

@@ -21,7 +21,12 @@ import (
 type pbState struct {
 	topo *topology.Topology
 	net  *Network
-	bits [][]bool // per group: a*h saturation bits
+	bits []bool // per group: a*h saturation bits, groups back to back
+	per  int    // a*h
+	// loads is updateGroup's scratch, one a*h region per group like bits
+	// (groups refresh concurrently under the parallel engine): every link
+	// load is read through the Fabric seam once, not once per pass.
+	loads []int
 	// marginPhits is the T-packet margin over the router mean.
 	marginPhits float64
 	// updates counts updateGroup calls per group (one writer per group even
@@ -42,13 +47,25 @@ func (s *pbState) totalUpdates() int64 {
 func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
 	t := net.Topo
 	p := t.Params()
-	s := &pbState{topo: t, net: net, marginPhits: thresholdPkts * float64(packetSize)}
-	s.bits = make([][]bool, t.NumGroups())
-	for g := range s.bits {
-		s.bits[g] = make([]bool, p.A*p.H)
+	return &pbState{
+		topo: t, net: net, marginPhits: thresholdPkts * float64(packetSize),
+		bits: make([]bool, t.NumGroups()*p.A*p.H), per: p.A * p.H,
+		loads:   make([]int, t.NumGroups()*p.A*p.H),
+		updates: make([]int64, t.NumGroups()),
 	}
-	s.updates = make([]int64, t.NumGroups())
-	return s
+}
+
+// allDirty returns a per-group refresh-needed vector with every group
+// marked, or nil when the network has no PiggyBack state.
+func (s *pbState) allDirty() []bool {
+	if s == nil {
+		return nil
+	}
+	dirty := make([]bool, len(s.updates))
+	for g := range dirty {
+		dirty[g] = true
+	}
+	return dirty
 }
 
 // updateGroup recomputes the bits of one group. A group's bits depend only
@@ -59,18 +76,19 @@ func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
 func (s *pbState) updateGroup(g int) {
 	s.updates[g]++
 	p := s.topo.Params()
-	bits := s.bits[g]
+	bits := s.bits[g*s.per : (g+1)*s.per]
+	loads := s.loads[g*s.per : (g+1)*s.per]
+	fab := s.net.fab
 	for i := 0; i < p.A; i++ {
 		r := s.topo.RouterID(g, i)
 		total := 0
-		base := p.A - 1
 		for k := 0; k < p.H; k++ {
-			total += s.net.linkLoad(r, base+k)
+			loads[i*p.H+k] = fab.OutputUsed(r, p.A-1+k)
+			total += loads[i*p.H+k]
 		}
 		mean := float64(total) / float64(p.H)
 		for k := 0; k < p.H; k++ {
-			load := float64(s.net.linkLoad(r, base+k))
-			bits[i*p.H+k] = load > mean+s.marginPhits
+			bits[i*p.H+k] = float64(loads[i*p.H+k]) > mean+s.marginPhits
 		}
 	}
 }
@@ -83,8 +101,21 @@ type groupView struct {
 
 // GlobalSaturated implements routing.GroupView.
 func (v groupView) GlobalSaturated(localIdx, k int) bool {
-	return v.s.bits[v.g][localIdx*v.s.topo.Params().H+k]
+	return v.s.bits[v.g*v.s.per+localIdx*v.s.topo.Params().H+k]
 }
 
 // view returns the routing.GroupView for a group.
 func (s *pbState) view(g int) routing.GroupView { return groupView{s: s, g: g} }
+
+// PBGroups returns the number of groups with PiggyBack state to refresh:
+// the network's group count under a Src-* mechanism, 0 otherwise.
+func (net *Network) PBGroups() int {
+	if net.pb == nil {
+		return 0
+	}
+	return len(net.pb.updates)
+}
+
+// RefreshPB recomputes group g's PiggyBack bits from its routers' current
+// link loads. Engines call it between cycles, before any router steps.
+func (net *Network) RefreshPB(g int) { net.pb.updateGroup(g) }

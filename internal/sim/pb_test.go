@@ -128,26 +128,26 @@ func TestPBRefreshSchedulerBitIdentical(t *testing.T) {
 		cfg.WarmupCycles = 500
 		cfg.MeasureCycles = 1500
 
-		run := func(workers int, drive func(*Network, *Config) error) (*Result, int64) {
+		run := func(workers int, im impl) (*Result, int64) {
 			c := cfg
 			c.Workers = workers
-			net, err := NewNetwork(&c, nil)
+			net, err := im.build(&c, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := drive(net, &c); err != nil {
+			if err := im.drive(net, &c, nil); err != nil {
 				t.Fatal(err)
 			}
 			return NewResultFrom(net, &c, 0), net.pb.totalUpdates()
 		}
 
-		ref, refUpdates := run(1, RunNetworkReference)
+		ref, refUpdates := run(1, oracle)
 		dense := int64(cfg.Topology.Groups()) * (cfg.WarmupCycles + cfg.MeasureCycles)
 		if refUpdates != dense {
 			t.Fatalf("%s: reference engine refreshed %d group-cycles, want dense %d", pattern, refUpdates, dense)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			sched, schedUpdates := run(workers, RunNetwork)
+			sched, schedUpdates := run(workers, core)
 			for i := range ref.PerRouter {
 				if ref.PerRouter[i] != sched.PerRouter[i] {
 					t.Fatalf("%s workers=%d: router %d stats diverge under lazy PB refresh", pattern, workers, i)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"dragonfly/internal/router"
-	"dragonfly/internal/telemetry"
-)
+import "dragonfly/internal/telemetry"
 
 // The telemetry cadence hook. Like the reconfiguration Controller
 // (reconfig.go), probes run at the top of a cycle, on the coordinator,
@@ -16,10 +13,8 @@ import (
 // *probeRun is inert: a run without probes pays one nil check per cycle
 // and allocates nothing.
 
-// probeSource adapts the Network to telemetry.Source, dispatching to the
-// flat core during scheduler-engine runs and to the classic routers
-// otherwise — both expose the same probe accessors (router/probe.go) over
-// state that is identical at cycle boundaries.
+// probeSource adapts the Network to telemetry.Source, reading router state
+// through the Fabric seam.
 type probeSource struct {
 	net    *Network
 	warmup int64
@@ -56,19 +51,17 @@ func (ps *probeSource) Collect(now int64, s *telemetry.Snapshot) {
 	for g := range s.Groups {
 		s.Groups[g] = telemetry.GroupCounters{}
 	}
-	for r := range net.Routers {
-		g := int(net.groupOf[r])
-		lp := net.probeLinks(r, now)
+	fab := net.fab
+	for r, g := range net.groupOf {
+		lp := fab.ProbeLinks(r, now)
 		s.LocalBusy += lp.LocalBusy
 		s.GlobalBusy += lp.GlobalBusy
 		s.CreditStalls += lp.CreditStalled
-		inQ, outQ := net.probeQueues(r)
+		inQ, outQ := fab.ProbeQueues(r)
 		gc := &s.Groups[g]
 		gc.InQPhits += inQ
 		gc.OutQPhits += outQ
-		// Stats accumulators are aliased by the core, so reading them
-		// through the classic structs is correct during core runs too.
-		st := net.Routers[r].Stats()
+		st := fab.Stats(r)
 		gc.Injected += st.Injected
 		gc.DeliveredPhits += st.DeliveredPhits
 	}
@@ -79,10 +72,9 @@ func (ps *probeSource) Collect(now int64, s *telemetry.Snapshot) {
 		s.PB, s.PBSet = nil, 0
 		return
 	}
-	// Pack the PiggyBack bits (per group: a*h bools) into one flat word
-	// vector for cheap flip counting in the recorder.
-	perGroup := len(net.pb.bits[0])
-	words := (len(net.pb.bits)*perGroup + 63) / 64
+	// Pack the PiggyBack bits into one flat word vector for cheap flip
+	// counting in the recorder.
+	words := (len(net.pb.bits) + 63) / 64
 	if len(s.PB) != words {
 		s.PB = make([]uint64, words)
 	}
@@ -90,32 +82,12 @@ func (ps *probeSource) Collect(now int64, s *telemetry.Snapshot) {
 		s.PB[i] = 0
 	}
 	s.PBSet = 0
-	idx := 0
-	for _, bits := range net.pb.bits {
-		for _, b := range bits {
-			if b {
-				s.PB[idx>>6] |= 1 << (uint(idx) & 63)
-				s.PBSet++
-			}
-			idx++
+	for idx, b := range net.pb.bits {
+		if b {
+			s.PB[idx>>6] |= 1 << (uint(idx) & 63)
+			s.PBSet++
 		}
 	}
-}
-
-// probeLinks and probeQueues dispatch the router probe accessors to the
-// live representation.
-func (net *Network) probeLinks(r int, now int64) router.LinkProbe {
-	if net.coreLive {
-		return net.core.ProbeLinks(r, now)
-	}
-	return net.Routers[r].ProbeLinks(now)
-}
-
-func (net *Network) probeQueues(r int) (int64, int64) {
-	if net.coreLive {
-		return net.core.ProbeQueues(r)
-	}
-	return net.Routers[r].ProbeQueues()
 }
 
 // probeRun drives a run's telemetry probes. A nil *probeRun is inert, so

@@ -25,30 +25,18 @@ func probedCfg() Config {
 
 // runProbed runs one simulation with a fresh probe recorder and returns
 // the result, the JSONL stream, and the summary. reference selects the
-// dense seed engines instead of the scheduler ones.
+// dense oracle instead of the core.
 func runProbed(t *testing.T, cfg Config, every int64, reference bool) (*Result, string, *telemetry.Summary) {
 	t.Helper()
 	var buf bytes.Buffer
 	if every > 0 {
 		cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: every, Out: &buf})
 	}
-	var res *Result
+	im := core
 	if reference {
-		net, err := NewNetwork(&cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RunNetworkReference(net, &cfg); err != nil {
-			t.Fatal(err)
-		}
-		res = NewResultFrom(net, &cfg, 0)
-	} else {
-		var err error
-		res, err = Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		im = oracle
 	}
+	res := runOn(t, im, cfg)
 	return res, buf.String(), res.Telemetry
 }
 

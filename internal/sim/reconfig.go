@@ -129,9 +129,8 @@ func (rc *Reconfig) LiveJobDelivered(job int, routers []int) int64 {
 // reconfigRun is the per-engine controller driver: it asks the controller
 // for its event cycles and runs Apply between cycles, then refreshes the
 // generation calendars of touched routers and reports them to the engine's
-// wake callback (nil for the dense engines, which visit every router every
-// cycle anyway). A nil *reconfigRun is inert, so engines call step
-// unconditionally.
+// wake callback (Engine.Wake). A nil *reconfigRun is inert, so the driver
+// calls step unconditionally.
 type reconfigRun struct {
 	ctrl Controller
 	rc   Reconfig
@@ -144,7 +143,7 @@ func newReconfigRun(net *Network, ctrl Controller) *reconfigRun {
 	}
 	return &reconfigRun{
 		ctrl: ctrl,
-		rc:   Reconfig{net: net, touched: make([]bool, len(net.Routers))},
+		rc:   Reconfig{net: net, touched: make([]bool, net.Topo.NumRouters())},
 		next: ctrl.NextEvent(-1),
 	}
 }
@@ -164,9 +163,7 @@ func (r *reconfigRun) step(now int64, wake func(router int)) {
 	}
 	for _, router := range r.rc.list {
 		r.rc.net.refreshGenWake(router)
-		if wake != nil {
-			wake(router)
-		}
+		wake(router)
 		r.rc.touched[router] = false
 	}
 	r.rc.list = r.rc.list[:0]

@@ -55,14 +55,14 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 		OfferedLoad:     cfg.Load,
 		Nodes:           net.Topo.NumNodes(),
 		MeasuredCycles:  measured,
-		PerRouter:       make([]stats.Router, len(net.Routers)),
+		PerRouter:       make([]stats.Router, net.Topo.NumRouters()),
 		RoutersPerGroup: cfg.Topology.A,
 		Wall:            wall,
 		Seed:            cfg.Seed,
 		Telemetry:       net.telemetry,
 	}
-	for i, r := range net.Routers {
-		res.PerRouter[i] = *r.Stats()
+	for i := range res.PerRouter {
+		res.PerRouter[i] = *net.fab.Stats(i)
 	}
 	if jm := net.jobs; jm != nil {
 		nj := jm.NumJobs()
@@ -73,7 +73,7 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 		res.JobNodes = make([]int, nj)
 		res.JobRouters = make([][]int, nj)
 		p := net.Topo.Params()
-		for r := range net.Routers {
+		for r := range res.PerRouter {
 			hosted := make([]bool, nj)
 			for i := 0; i < p.P; i++ {
 				if j := jm.NodeJob(r*p.P + i); j >= 0 {
@@ -87,17 +87,17 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 				}
 			}
 		}
-		res.PerRouterJobs = make([][]stats.Job, len(net.Routers))
-		for i, r := range net.Routers {
-			res.PerRouterJobs[i] = append([]stats.Job(nil), r.JobStats()...)
+		res.PerRouterJobs = make([][]stats.Job, len(res.PerRouter))
+		for i := range res.PerRouterJobs {
+			res.PerRouterJobs[i] = append([]stats.Job(nil), net.fab.JobStats(i)...)
 		}
 	}
 	return res
 }
 
 // NewResultFrom builds a Result from an externally driven network run —
-// the entry point for tools (cmd/dfbench) that call RunNetwork or
-// RunNetworkReference directly and time them.
+// the entry point for tools that call RunNetwork (or an oracle engine)
+// directly and time it.
 func NewResultFrom(net *Network, cfg *Config, wall time.Duration) *Result {
 	return newResult(net, cfg, wall)
 }

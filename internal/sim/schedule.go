@@ -7,24 +7,25 @@ import "math"
 // asleep. Correctness rests on one invariant: a sleeping router is always
 // woken no later than its next event. Events come from three sources:
 //
-//   - internal work: Step returns the earliest future cycle with internal
-//     work (pipeline delays elapsing, crossbar transfers completing,
-//     buffer releases / serializer slots freeing, allocator retries);
+//   - internal work: StepRouter returns the earliest future cycle with
+//     internal work (pipeline delays elapsing, crossbar transfers
+//     completing, buffer releases / serializer slots freeing, allocator
+//     retries);
 //   - in-flight link events: packets and credits already travelling
 //     towards the router. They are invisible in its own buffers, so the
-//     engine routes every event to the destination's due-queues
-//     (Router.PushDue) and sleep consults their heads through
-//     Router.EarliestExternal;
+//     engine parks every event in the destination port's ring
+//     (Core.PushDue) and sleep consults the ring heads through
+//     Core.EarliestExternal;
 //   - generation: the engine knows every node's next Bernoulli arrival in
 //     advance (Network.genWake).
 //
 // A router sleeps with the min of the three, so everything pending at
 // sleep time is covered. Events created *after* a router fell asleep are
-// caught by the wake sink (Router.SetEventSink): the sender reports the
+// caught by the wake sink (Core.SetSink): the sender reports the
 // destination and arrival cycle of everything it pushes onto a link, and
 // notify() advances the sleeper's wake-up if the new event is earlier.
 // For active routers notify is a no-op — whenever they later sleep, the
-// event has already been routed to their due-queues.
+// event has already been routed to their rings.
 //
 // Results stay bit-identical to the dense engines that step every router
 // every cycle: a sleeping router would only have executed provable
@@ -92,7 +93,7 @@ func (s *scheduler) sleep(r int, at int64) {
 
 // notify reports a link event arriving at router r at cycle at. Sleeping
 // routers that would otherwise sleep through it are woken earlier; active
-// routers see the event in their due-queues when they next sleep.
+// routers see the event in their rings when they next sleep.
 func (s *scheduler) notify(r int, at int64) {
 	if s.active[r] || s.sleepUntil[r] <= at {
 		return
@@ -140,7 +141,7 @@ func (s *scheduler) rebuild() {
 }
 
 // settle applies router r's post-step sleep decision for cycle now, where
-// nev is the internal event horizon Step returned and the generation
+// nev is the internal event horizon StepRouter returned and the generation
 // calendar has already been refreshed. Routers with work next cycle stay
 // active; everything else sleeps until its earliest pending event.
 func (s *scheduler) settle(net *Network, r int, now, nev int64) {
@@ -151,7 +152,7 @@ func (s *scheduler) settle(net *Network, r int, now, nev int64) {
 	if wake == now+1 {
 		return // work due next cycle: stay active
 	}
-	if ext := net.earliestExternal(r); ext >= 0 && (wake < 0 || ext < wake) {
+	if ext := net.core.EarliestExternal(r); ext >= 0 && (wake < 0 || ext < wake) {
 		wake = ext
 		if wake == now+1 {
 			return

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dragonfly/internal/packet"
-	"dragonfly/internal/router"
 )
 
 // equivCfg is the cross-engine equivalence configuration: long enough for
@@ -21,18 +20,21 @@ func equivCfg(mech, pattern string, load float64) Config {
 	return cfg
 }
 
-// runRef runs the dense reference engine on a fresh network.
-func runRef(t *testing.T, cfg Config) *Result {
+// runOn builds a fresh network with im and drives it with im's engine.
+func runOn(t *testing.T, im impl, cfg Config) *Result {
 	t.Helper()
-	net, err := NewNetwork(&cfg, nil)
+	net, err := im.build(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunNetworkReference(net, &cfg); err != nil {
+	if err := im.drive(net, &cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	return newResult(net, &cfg, 0)
 }
+
+// runRef runs the dense oracle (ring links, the seed configuration).
+func runRef(t *testing.T, cfg Config) *Result { return runOn(t, oracle, cfg) }
 
 // runSched runs the active-router scheduler engine, bypassing the NumCPU
 // clamp so the parallel path is exercised even on small CI machines. It
@@ -43,13 +45,7 @@ func runSched(t *testing.T, cfg Config, workers int) (*Result, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	if workers > 1 {
-		err = runParallel(net, cfg.WarmupCycles, total, workers, nil)
-	} else {
-		err = runSequential(net, cfg.WarmupCycles, total, nil)
-	}
-	if err != nil {
+	if err := run(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, workers, nil); err != nil {
 		t.Fatal(err)
 	}
 	return newResult(net, &cfg, 0), net.engineSteps
@@ -105,7 +101,7 @@ func TestSchedulerMatchesReferenceEngine(t *testing.T) {
 // tracks), without giving up bit-identity (checked above).
 func TestSchedulerSkipsQuiescentRouters(t *testing.T) {
 	cfg := equivCfg("In-Trns-MM", "UN", 0.1)
-	dense := int64(len(newSchedulerProbe(t, cfg).Routers)) * (cfg.WarmupCycles + cfg.MeasureCycles)
+	dense := int64(cfg.Topology.Routers()) * (cfg.WarmupCycles + cfg.MeasureCycles)
 	for _, workers := range []int{1, 2} {
 		_, steps := runSched(t, cfg, workers)
 		if steps <= 0 || steps >= dense/2 {
@@ -117,24 +113,15 @@ func TestSchedulerSkipsQuiescentRouters(t *testing.T) {
 	zero := cfg
 	zero.Load = 0
 	_, steps := runSched(t, zero, 1)
-	if n := int64(len(newSchedulerProbe(t, zero).Routers)); steps != n {
+	if n := int64(zero.Topology.Routers()); steps != n {
 		t.Errorf("zero load executed %d router-steps, want exactly one settling step per router (%d)", steps, n)
 	}
 }
 
-func newSchedulerProbe(t *testing.T, cfg Config) *Network {
-	t.Helper()
-	net, err := NewNetwork(&cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
 // The deadlock watchdog must keep firing when the scheduler has put every
-// router to sleep. A packet is marooned on a link whose receiving end was
-// detached, after which the whole network is quiescent forever — exactly
-// the state where a naive active-set engine would idle past the stall.
+// router to sleep. A packet is marooned on an unplugged link, after which
+// the whole network is quiescent forever — exactly the state where a naive
+// active-set engine would idle past the stall.
 func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mechanism = "MIN"
@@ -147,10 +134,8 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Detach router 0's local port 0 from its receiver: packets sent
-		// there serialize onto the void link and never arrive anywhere.
-		void := router.NewLink(cfg.Router.LocalLatency, cfg.Router.SerialCycles())
-		net.Routers[0].ConnectOutTo(0, void, -1, -1)
-		net.Links = append(net.Links, void)
+		// there serialize onto a dead cable and never arrive anywhere.
+		net.core.Unplug(0, 0)
 
 		// Hand-inject one packet whose minimal route uses that port.
 		src := net.Topo.NodeID(0, 0)
@@ -161,15 +146,10 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		pkt.Size = cfg.Router.PacketSize
 		min := net.Topo.MinimalPathLength(src, dst)
 		pkt.MinLocal, pkt.MinGlobal = min.Local, min.Global
-		net.mech.OnGenerate(&net.env, pkt, net.nodes[src].rnd)
-		net.Routers[0].EnqueueInjection(0, pkt)
+		net.mech.OnGenerate(&net.env, pkt, &net.nodes[src].rnd)
+		net.core.EnqueueInjection(0, 0, pkt)
 
-		total := cfg.WarmupCycles + cfg.MeasureCycles
-		if workers > 1 {
-			err = runParallel(net, cfg.WarmupCycles, total, workers, nil)
-		} else {
-			err = runSequential(net, cfg.WarmupCycles, total, nil)
-		}
+		err = run(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, workers, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: marooned packet went undetected", workers)
 		}

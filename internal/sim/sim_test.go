@@ -161,9 +161,6 @@ func TestPacketConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range net.Routers {
-		r.SetMeasuring(true)
-	}
 	if err := RunNetwork(net, &cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,20 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"dragonfly/internal/packet"
-	"dragonfly/internal/rng"
-	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 )
 
-// Snapshot is a frozen, cloneable image of a wired network. Capturing one
-// costs a deep clone; restoring one costs another deep clone — a few dozen
-// slab allocations plus memcpys — instead of the hundreds of thousands of
-// small allocations NewNetwork performs to re-wire the same topology. Two
-// capture points are supported:
+// Snapshot is a frozen image of a network: a copy of the core's state
+// arrays with every queued and in-flight packet deep-copied, plus the
+// traffic sources and PiggyBack bits. Capturing one costs that copy;
+// restoring one costs another — a few dozen memcpys — instead of
+// re-wiring the topology. Allocator scratch, engine hooks and probe or
+// tracer attachments are not state and are not captured. Two capture
+// points are supported:
 //
 //   - Construction snapshots (taken before any engine run) are reusable for
 //     ANY load: every node RNG is rewound to its position from just before
@@ -24,10 +23,10 @@ import (
 //     bit-identical to a cold NewNetwork at that load.
 //
 //   - Warm snapshots (taken after WarmupNetwork) additionally carry the
-//     warmed-up queue and credit state, rebased to cycle 0. Restoring at the
-//     snapshot's own load is bit-identical to resuming the original run:
-//     all state the engines read is captured (router ports, calendars,
-//     links, node clocks, PB bits), packets in flight included, and a
+//     warmed-up queue and credit state, rebased to cycle 0 (see
+//     Network.rebase). Restoring at the snapshot's own load is
+//     bit-identical to resuming the original run: all state the engines
+//     read is captured, packets and credits in flight included, and a
 //     restored run starting with every router active only adds provable
 //     no-op steps (see schedule.go). Restoring at a different load is an
 //     approximation: the node processes are re-aimed at the new rate and
@@ -40,27 +39,22 @@ type Snapshot struct {
 	cfg  Config // build configuration, Probes/Tracer stripped
 	warm int64  // warm-up cycles baked into the captured state (0: construction)
 	tmpl *Network
-	// portLinks is the template's port→link-index table, computed once at
-	// capture so every restore rewires ports by index instead of through
-	// an interface-keyed map (see router.PortLinkIndex).
-	portLinks []int32
 }
 
-// Snapshot captures the network's current state into a frozen template.
-// The network must be between engine runs (it errors while a scheduler
-// engine holds the state in its SoA core). The capture is rebased to cycle
-// 0 using the cycles the network has run so far, so restores always start
-// at cycle 0 regardless of how the template was prepared.
+// Snapshot captures the network's current state into a frozen template. It
+// may be taken on any core-built network between engine runs and leaves
+// the network untouched. The capture is rebased to cycle 0, so restores
+// always start at cycle 0 regardless of how the template was prepared.
 func (net *Network) Snapshot() (*Snapshot, error) {
-	if net.coreLive {
-		return nil, fmt.Errorf("sim: cannot snapshot while an engine run is live")
+	if net.core == nil {
+		return nil, errors.New("sim: only core-built networks can be snapshotted")
 	}
 	cfg := *net.cfg
 	cfg.Probes = nil
 	cfg.Tracer = nil
 	snap := &Snapshot{cfg: cfg, warm: net.ranCycles}
-	snap.tmpl = cloneNetwork(net, &snap.cfg, net.ranCycles, nil, nil)
-	snap.portLinks = router.PortLinkIndex(snap.tmpl.Routers, snap.tmpl.Links)
+	snap.tmpl = cloneNetwork(net, &snap.cfg, nil)
+	snap.tmpl.rebase()
 	return snap, nil
 }
 
@@ -109,7 +103,7 @@ func latName(c *Config) string {
 // CompatibleWith reports whether cfg may be restored from this snapshot.
 // Everything that shapes the wired structure or the random streams must
 // match the capture configuration: topology, mechanism, pattern, seed,
-// router and routing parameters, link implementation and latency model.
+// router and routing parameters and the latency model.
 // Load, cycle counts, worker count, probes and tracer are free — load
 // freely for construction snapshots, within the warm-reuse contract
 // documented on Snapshot for warm ones.
@@ -128,8 +122,6 @@ func (s *Snapshot) CompatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: snapshot router config does not match")
 	case cfg.Routing != b.Routing:
 		return fmt.Errorf("sim: snapshot routing config does not match")
-	case cfg.RingLinks != b.RingLinks:
-		return fmt.Errorf("sim: snapshot link implementation does not match (ring %v vs %v)", b.RingLinks, cfg.RingLinks)
 	case latName(cfg) != latName(b):
 		return fmt.Errorf("sim: snapshot latency model %q does not match %q", latName(b), latName(cfg))
 	}
@@ -150,227 +142,64 @@ func RestoreNetwork(snap *Snapshot, cfg *Config) (*Network, error) {
 	return RestoreNetworkInto(snap, cfg, nil)
 }
 
-// RestoreNetworkInto is RestoreNetwork recycling a retired network: when
-// old was itself restored from snap (and is between engine runs), its
-// slabs — which have exactly the shapes a restore needs — are overwritten
-// in place, so the steady state of a sweep that restores, runs and
-// restores again allocates almost nothing per point. old may be nil, from
-// a different snapshot, or mid-run; those cases silently fall back to a
-// fresh restore. The caller must have finished with old entirely (results
-// are safe: a Result aliases no network state), and the returned network
-// may or may not be old — use the return value, never old, afterwards.
+// RestoreNetworkInto is RestoreNetwork recycling a retired network: old's
+// arrays are overwritten in place wherever their sizes fit — always, when
+// old was itself restored from snap — so the steady state of a sweep that
+// restores, runs and restores again allocates almost nothing per point.
+// old may be nil or of any shape; what does not fit is reallocated. The
+// caller must have finished with old entirely (results are safe: a Result
+// aliases no network state); the returned network is old whenever old is
+// non-nil.
 func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, error) {
 	if err := snap.CompatibleWith(cfg); err != nil {
 		return nil, err
 	}
-	var into *Network
-	if old != nil && old.snapOwner == snap && !old.coreLive {
-		into = old
-	}
-	net := cloneNetwork(snap.tmpl, cfg, 0, snap.portLinks, into)
-	net.snapOwner = snap
+	net := cloneNetwork(snap.tmpl, cfg, old)
 	if snap.warm == 0 {
-		net.retargetFromStart()
+		net.aimSources(true)
 	} else if cfg.Load != snap.cfg.Load {
-		net.retargetWarm()
+		net.aimSources(false)
 	}
 	return net, nil
 }
 
-// cloneNetwork deep-copies src into an independent network bound to cfg,
-// with every absolute cycle in the captured state shifted rebase cycles
-// into the past. Immutable structure — topology, mechanism, pattern,
-// latency model, group map, the pre-draw node RNG bank — is shared;
-// everything the engines mutate is copied, with router, link and node
-// state allocated in bulk slabs (see router.CloneRouters/CloneLinkSlice).
-// portLinks, when non-nil, is src's precomputed port→link-index table;
-// without it the ports are rewired through an original→clone link map.
-//
-// into, when non-nil, must be a network previously produced by
-// cloneNetwork from this same src (the RestoreNetworkInto provenance
-// check): its routers, links, nodes and per-network slices are then
-// overwritten in place instead of reallocated, and any state left over
-// from its runs (run counters, telemetry, stale references inside the
-// reused structures) is reset. The reuse path requires portLinks.
-func cloneNetwork(src *Network, cfg *Config, rebase int64, portLinks []int32, into *Network) *Network {
+// cloneNetwork copies src into an independent network bound to cfg.
+// Immutable structure — topology, mechanism, pattern, latency model, group
+// map, the pre-draw node RNG bank, and the core's shape — is shared;
+// everything the engines mutate is copied. into, when non-nil, is a retired
+// network that is overwritten and returned instead of allocating.
+func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone := into
-	reuse := into != nil
-	if !reuse {
+	if clone == nil {
 		clone = &Network{}
 		clone.pool.New = func() any { return new(packet.Packet) }
 	}
-	clone.Topo = src.Topo
-	clone.cfg = cfg
-	clone.mech = src.mech
-	clone.pattern = src.pattern
+	clone.Topo, clone.cfg, clone.mech = src.Topo, cfg, src.mech
+	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
 	clone.genProb = cfg.Load / float64(cfg.Router.PacketSize)
-	clone.latency = src.latency
-	clone.maxLinkLat = src.maxLinkLat
-	clone.groupOf = src.groupOf
-	clone.nodeRnd0 = src.nodeRnd0
-	clone.timed, _ = src.pattern.(traffic.Timed)
-	clone.ranCycles = 0
-	clone.engineSteps = 0
-	clone.telemetry = nil
-	clone.core = nil
-	clone.coreLive = false
-	if u := src.uniform; u != nil {
-		if reuse && clone.uniform != nil {
-			*clone.uniform = *u
-		} else {
-			v := *u
-			clone.uniform = &v
-		}
-	} else {
-		clone.uniform = nil
-	}
+	clone.latency, clone.uniform = src.latency, src.uniform
+	clone.groupOf, clone.nodeRnd0 = src.groupOf, src.nodeRnd0
+	clone.ranCycles = src.ranCycles
+	clone.engineSteps, clone.stoppedAt, clone.telemetry = 0, 0, nil
 	clone.env = src.env
-	if src.pb != nil {
-		if !reuse || clone.pb == nil {
+	if src.pb == nil {
+		clone.pb = nil
+	} else {
+		if clone.pb == nil || len(clone.pb.bits) != len(src.pb.bits) {
 			clone.pb = newPBState(clone, src.env.Cfg.PBGlobalRel, src.env.Cfg.PacketSize)
 		}
-		for g := range clone.pb.bits {
-			copy(clone.pb.bits[g], src.pb.bits[g])
-		}
+		copy(clone.pb.bits, src.pb.bits)
 		copy(clone.pb.updates, src.pb.updates)
 		clone.env.Group = clone.pb.view
-	} else {
-		clone.pb = nil
 	}
-	spec := router.CloneSpec{
-		Env:       &clone.env,
-		NodeJob:   nil,
-		PortLinks: portLinks,
-		Rebase:    rebase,
-	}
-	switch {
-	case reuse && len(clone.Links) == len(src.Links):
-		router.CloneLinkSliceInto(src.Links, clone.Links, rebase)
-		spec.Cloned = clone.Links
-	case portLinks != nil:
-		clone.Links = router.CloneLinkSlice(src.Links, rebase)
-		spec.Cloned = clone.Links
-	default:
-		clone.Links, spec.Links = router.CloneLinks(src.Links, rebase)
-	}
-	clone.jobs = src.jobs
 	if src.nodeJob == nil {
 		clone.nodeJob = nil
-	} else if reuse && len(clone.nodeJob) == len(src.nodeJob) {
-		copy(clone.nodeJob, src.nodeJob)
 	} else {
-		clone.nodeJob = append([]int32(nil), src.nodeJob...)
+		clone.nodeJob = append(clone.nodeJob[:0], src.nodeJob...)
 	}
-	spec.NodeJob = clone.nodeJob
-	spec.Recycle = func(p *packet.Packet) { clone.pool.Put(p) }
-	if reuse && len(clone.Routers) == len(src.Routers) {
-		router.CloneRoutersInto(src.Routers, clone.Routers, spec)
-	} else {
-		clone.Routers = router.CloneRouters(src.Routers, spec)
-	}
-	if cfg.Tracer != nil {
-		for r, rt := range clone.Routers {
-			rt.SetTrace(cfg.Tracer.Hook(r))
-		}
-	}
-	if reuse && len(clone.nodes) == len(src.nodes) {
-		for n := range src.nodes {
-			sn, dn := &src.nodes[n], &clone.nodes[n]
-			r := dn.rnd
-			*dn = *sn
-			*r = *sn.rnd
-			dn.rnd = r
-			dn.nextGen -= rebase
-		}
-	} else {
-		clone.nodes = make([]nodeState, len(src.nodes))
-		rnds := make([]rng.Source, len(src.nodes))
-		for n := range src.nodes {
-			sn, dn := &src.nodes[n], &clone.nodes[n]
-			*dn = *sn
-			rnds[n] = *sn.rnd
-			dn.rnd = &rnds[n]
-			dn.nextGen -= rebase
-		}
-	}
-	if !reuse || len(clone.genWake) != len(src.genWake) {
-		clone.genWake = make([]int64, len(src.genWake))
-	}
-	for r := range clone.genWake {
-		clone.refreshGenWake(r)
-	}
+	clone.core = src.core.Clone(clone.core, clone.binding())
+	clone.fab, clone.Routers = clone.core, clone.core.Views()
+	clone.nodes = append(clone.nodes[:0], src.nodes...)
+	clone.genWake = append(clone.genWake[:0], src.genWake...)
 	return clone
-}
-
-// retargetFromStart re-runs the node-source setup of NewNetwork against the
-// network's current configuration: every node stream is rewound to its
-// pre-draw position and the first inter-arrival is redrawn at the (possibly
-// new) load. After it, the network is bit-identical to a cold build.
-func (net *Network) retargetFromStart() {
-	loads, _ := net.pattern.(traffic.NodeLoads)
-	member, _ := net.pattern.(traffic.Memberer)
-	packetSize := float64(net.cfg.Router.PacketSize)
-	for n := range net.nodes {
-		ns := &net.nodes[n]
-		*ns.rnd = net.nodeRnd0[n]
-		ns.seq = 0
-		ns.nextGen = 0
-		ns.q = net.genProb
-		if loads != nil {
-			if l := loads.NodeLoad(n); l > 0 {
-				ns.q = l / packetSize
-			}
-		}
-		ns.active = ns.q > 0
-		if member != nil && !member.Member(n) {
-			ns.active = false
-		}
-		ns.logOneMinusQ = 0
-		if ns.active && ns.q < 1 {
-			ns.logOneMinusQ = math.Log(1 - ns.q)
-		}
-		if ns.active {
-			ns.nextGen = ns.nextArrival(-1, ns.q)
-		}
-	}
-	for r := range net.genWake {
-		net.refreshGenWake(r)
-	}
-}
-
-// retargetWarm re-aims the node generation processes at the network's
-// current load without disturbing the warmed-up network state: rates and
-// membership are recomputed and the next arrivals redrawn from the streams'
-// CURRENT positions (sequence numbers keep counting, so packet IDs never
-// collide with in-flight warm packets). Queue depths re-converge over the
-// caller's re-warm tail.
-func (net *Network) retargetWarm() {
-	loads, _ := net.pattern.(traffic.NodeLoads)
-	member, _ := net.pattern.(traffic.Memberer)
-	packetSize := float64(net.cfg.Router.PacketSize)
-	for n := range net.nodes {
-		ns := &net.nodes[n]
-		ns.q = net.genProb
-		if loads != nil {
-			if l := loads.NodeLoad(n); l > 0 {
-				ns.q = l / packetSize
-			}
-		}
-		ns.active = ns.q > 0
-		if member != nil && !member.Member(n) {
-			ns.active = false
-		}
-		ns.logOneMinusQ = 0
-		if ns.active && ns.q < 1 {
-			ns.logOneMinusQ = math.Log(1 - ns.q)
-		}
-		if ns.active {
-			ns.nextGen = ns.nextArrival(-1, ns.q)
-		} else {
-			ns.nextGen = 0
-		}
-	}
-	for r := range net.genWake {
-		net.refreshGenWake(r)
-	}
 }

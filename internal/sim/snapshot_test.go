@@ -12,18 +12,19 @@ import (
 )
 
 // Randomized snapshot/restore equivalence. A run restored from a
-// construction snapshot must be bit-identical to a cold NewNetwork run of
-// the same configuration — full microarchitectural state (see
-// Router.StateVector) and per-router statistics, after every prefix of the
-// run, across the scheduler and reference engines and several worker
-// counts, with the snapshot deliberately captured at a different load than
-// the restore target (construction snapshots are load-agnostic).
+// construction snapshot must be bit-identical to a cold run of the same
+// configuration on the dense oracle — full microarchitectural state (see
+// Core.StateVector) and per-router statistics, after every prefix of the
+// run, across several worker counts, with the snapshot deliberately
+// captured at a different load than the restore target (construction
+// snapshots are load-agnostic).
 
 // snapTrial is one randomized snapshot scenario.
 type snapTrial struct {
 	cfg      Config
 	snapLoad float64 // capture load, usually != cfg.Load
 	probes   bool
+	oracle   impl // the cold baseline: the oracle on ring or event links
 }
 
 func randomSnapTrial(rnd *rand.Rand, seed uint64) snapTrial {
@@ -38,7 +39,10 @@ func randomSnapTrial(rnd *rand.Rand, seed uint64) snapTrial {
 	cfg.WarmupCycles = 5
 	cfg.MeasureCycles = int64(35 + rnd.Intn(41))
 	cfg.Seed = seed
-	cfg.RingLinks = rnd.Intn(2) == 0
+	baseline := oracle
+	if rnd.Intn(2) == 0 {
+		baseline = oracleEvents
+	}
 	if rnd.Intn(2) == 0 {
 		cfg.LatencyModel = topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
 	}
@@ -46,6 +50,7 @@ func randomSnapTrial(rnd *rand.Rand, seed uint64) snapTrial {
 		cfg:      cfg,
 		snapLoad: loads[rnd.Intn(len(loads))],
 		probes:   rnd.Intn(2) == 0,
+		oracle:   baseline,
 	}
 }
 
@@ -61,19 +66,14 @@ func (tr snapTrial) prefixConfig(k int64) Config {
 	return cfg
 }
 
-// captureState runs the network and returns per-router state vectors plus
-// per-router stats.
-func captureState(t *testing.T, net *Network, cfg *Config,
-	run func(*Network, *Config) error) [][]int64 {
+// captureState runs the network on im's engine and returns the per-router
+// state vectors.
+func captureState(t *testing.T, net *Network, cfg *Config, im impl) [][]int64 {
 	t.Helper()
-	if err := run(net, cfg); err != nil {
+	if err := im.drive(net, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	state := make([][]int64, len(net.Routers))
-	for i, r := range net.Routers {
-		state[i] = r.StateVector(nil)
-	}
-	return state
+	return stateOf(net)
 }
 
 func diffState(t *testing.T, label string, got, want [][]int64) {
@@ -100,9 +100,9 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 
 	for trial := 0; trial < trials; trial++ {
 		tr := randomSnapTrial(rnd, uint64(7+trial))
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) ring=%v lat=%q probes=%v, %d cycles",
+		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) vs %s lat=%q probes=%v, %d cycles",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			tr.cfg.RingLinks, latName(&tr.cfg), tr.probes,
+			tr.oracle.name, latName(&tr.cfg), tr.probes,
 			tr.cfg.WarmupCycles+tr.cfg.MeasureCycles)
 
 		snapCfg := tr.cfg
@@ -114,45 +114,34 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 
 		total := tr.cfg.WarmupCycles + tr.cfg.MeasureCycles
 		for k := tr.cfg.WarmupCycles + 1; k <= total; k += int64(stride) {
-			// Cold baseline: dense reference engine on a fresh build.
+			// Cold baseline: the dense oracle on a fresh build.
 			coldCfg := tr.prefixConfig(k)
-			coldNet, err := NewNetwork(&coldCfg, nil)
+			coldNet, err := tr.oracle.build(&coldCfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldState := captureState(t, coldNet, &coldCfg, RunNetworkReference)
+			coldState := captureState(t, coldNet, &coldCfg, tr.oracle)
 			coldRes := newResult(coldNet, &coldCfg, 0)
 
-			// Restored runs: reference engine plus the scheduler engine at
-			// several worker counts, all from the same snapshot.
-			type variant struct {
-				name    string
-				workers int
-				run     func(*Network, *Config) error
-			}
-			variants := []variant{{"ref", 1, RunNetworkReference}}
+			// Restored runs at several worker counts, all from the same
+			// snapshot.
 			for _, w := range workerCounts {
-				variants = append(variants, variant{"sched", w, RunNetwork})
-			}
-			for _, v := range variants {
 				cfg := tr.prefixConfig(k)
-				cfg.Workers = v.workers
+				cfg.Workers = w
 				net, err := RestoreNetwork(snap, &cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				state := captureState(t, net, &cfg, v.run)
-				diffState(t, v.name, state, coldState)
+				state := captureState(t, net, &cfg, core)
+				diffState(t, "restored", state, coldState)
 				res := newResult(net, &cfg, 0)
 				for r := range coldRes.PerRouter {
 					if res.PerRouter[r] != coldRes.PerRouter[r] {
-						t.Fatalf("trial %d cycle %d %s/w%d: router %d stats diverge",
-							trial, k, v.name, v.workers, r)
+						t.Fatalf("trial %d cycle %d w%d: router %d stats diverge", trial, k, w, r)
 					}
 				}
 				if got, want := net.InFlight(), coldNet.InFlight(); got != want {
-					t.Fatalf("trial %d cycle %d %s/w%d: in-flight %d, want %d",
-						trial, k, v.name, v.workers, got, want)
+					t.Fatalf("trial %d cycle %d w%d: in-flight %d, want %d", trial, k, w, got, want)
 				}
 			}
 		}
@@ -163,8 +152,8 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 // retired network (RestoreNetworkInto) must produce runs bit-identical to
 // cold builds — across generations at different loads, where any state
 // leaking from the recycled network's previous run (queue contents, link
-// ring events, grant flags, calendars, counters) would surface as a state
-// or statistics divergence.
+// ring events, calendars, counters, allocator scratch) would surface as a
+// state or statistics divergence.
 func TestRestoreIntoRecycled(t *testing.T) {
 	trials := 3
 	if testing.Short() {
@@ -173,10 +162,9 @@ func TestRestoreIntoRecycled(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < trials; trial++ {
 		tr := randomSnapTrial(rnd, uint64(31+trial))
-		tr.cfg.RingLinks = trial%2 == 1 // both link kinds: ring links recycle via the fallback
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) ring=%v lat=%q probes=%v",
+		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			tr.cfg.RingLinks, latName(&tr.cfg), tr.probes)
+			latName(&tr.cfg), tr.probes)
 		snapCfg := tr.cfg
 		snapCfg.Load = tr.snapLoad
 		snap, err := NewSnapshot(snapCfg, 0)
@@ -195,7 +183,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldState := captureState(t, coldNet, &coldCfg, RunNetwork)
+			coldState := captureState(t, coldNet, &coldCfg, core)
 			coldRes := newResult(coldNet, &coldCfg, 0)
 
 			old := recycled
@@ -207,7 +195,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 				t.Fatalf("trial %d gen %d: retired network was not recycled in place", trial, gen)
 			}
 			label := fmt.Sprintf("trial %d gen %d load %.2f", trial, gen, load)
-			state := captureState(t, net, &cfg, RunNetwork)
+			state := captureState(t, net, &cfg, core)
 			diffState(t, label, state, coldState)
 			res := newResult(net, &cfg, 0)
 			for r := range coldRes.PerRouter {
@@ -218,19 +206,35 @@ func TestRestoreIntoRecycled(t *testing.T) {
 			recycled = net
 		}
 
-		// A network retired from a different snapshot must not be
-		// overwritten — provenance falls back to a fresh restore.
-		other, err := NewSnapshot(snapCfg, 0)
+		// A retired network of a different shape is still recycled: what
+		// does not fit is reallocated, and the run is the cold run.
+		cfg := tr.prefixConfig(total)
+		cfg.Topology = topology.Balanced(1)
+		other, err := NewSnapshot(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := tr.prefixConfig(total)
+		coldRes, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = tr.prefixConfig(total)
+		cfg.Topology = topology.Balanced(1)
 		net, err := RestoreNetworkInto(other, &cfg, recycled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if net == recycled {
-			t.Fatalf("trial %d: network owned by another snapshot was recycled", trial)
+		if net != recycled {
+			t.Fatalf("trial %d: retired network of another shape was not handed back", trial)
+		}
+		if err := RunNetwork(net, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		res := newResult(net, &cfg, 0)
+		for r := range coldRes.PerRouter {
+			if res.PerRouter[r] != coldRes.PerRouter[r] {
+				t.Fatalf("trial %d: reshaped restore: router %d stats diverge from cold run", trial, r)
+			}
 		}
 	}
 }

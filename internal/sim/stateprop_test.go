@@ -8,18 +8,17 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// Randomized cross-engine state equivalence. The scheduler engines run the
-// flat router core (SoA arrays, event links, in-core payload transport);
-// the dense reference engines run the seed's per-router structs and ring
-// links. The per-router *results* being identical at the end of a run is a
-// weak check — two engines could diverge mid-run and reconverge. This test
-// compares the full microarchitectural state (credits, occupancy, queue
-// contents packet by packet, allocator and arbitration pointers — see
-// Router.StateVector) after every prefix of a run, under mid-run job churn
-// applied through the Reconfig point, for Workers 1, 2 and NumCPU. A
-// checkpoint at cycle k runs fresh networks for k cycles on each engine and
-// compares after WriteBack, so every checkpoint also round-trips the
-// import/export path between the flat core and the per-router structs.
+// Randomized cross-implementation state equivalence. The scheduler engines
+// run the router core (flat arrays, in-ring link transport); the oracle
+// (internal/refmodel) runs the seed's per-router structs and ring links on
+// the dense engines. The per-router *results* being identical at the end
+// of a run is a weak check — two implementations could diverge mid-run and
+// reconverge. This test compares the full microarchitectural state
+// (credits, occupancy, queue contents packet by packet, allocator and
+// arbitration pointers — see Core.StateVector) after every prefix of a
+// run, under mid-run job churn applied through the Reconfig point, for
+// Workers 1, 2 and NumCPU. A checkpoint at cycle k runs fresh networks for
+// k cycles on each side and compares.
 //
 // The CI race job runs this with -race, which turns the Workers>1
 // checkpoints into a data-race probe of the shard partitioning.
@@ -114,24 +113,19 @@ func (tr statePropTrial) config(measure int64) Config {
 }
 
 // runPrefix runs a fresh network for warmup+measure cycles on the given
-// engine and returns the per-router state vectors plus the result.
-func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int,
-	run func(*Network, *Config, Controller) error) ([][]int64, *Result) {
+// implementation and returns the per-router state vectors plus the result.
+func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im impl) ([][]int64, *Result) {
 	t.Helper()
 	cfg := tr.config(measure)
 	cfg.Workers = workers
-	net, err := NewNetwork(&cfg, nil)
+	net, err := im.build(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(net, &cfg, &churnController{events: tr.script}); err != nil {
+	if err := im.drive(net, &cfg, &churnController{events: tr.script}); err != nil {
 		t.Fatal(err)
 	}
-	state := make([][]int64, len(net.Routers))
-	for i, r := range net.Routers {
-		state[i] = r.StateVector(nil)
-	}
-	return state, newResult(net, &cfg, 0)
+	return stateOf(net), newResult(net, &cfg, 0)
 }
 
 func TestStateEquivalenceUnderChurn(t *testing.T) {
@@ -149,9 +143,9 @@ func TestStateEquivalenceUnderChurn(t *testing.T) {
 			trial, tr.mech, tr.pat, tr.load, tr.total, len(tr.script))
 		for k := tr.warmup + 1; k <= tr.total; k += int64(stride) {
 			measure := k - tr.warmup
-			refState, refRes := tr.runPrefix(t, measure, 1, RunNetworkReferenceWithController)
+			refState, refRes := tr.runPrefix(t, measure, 1, oracle)
 			for _, w := range workerCounts {
-				state, res := tr.runPrefix(t, measure, w, RunNetworkWithController)
+				state, res := tr.runPrefix(t, measure, w, core)
 				for r := range refState {
 					if len(state[r]) != len(refState[r]) {
 						t.Fatalf("trial %d cycle %d workers %d: router %d state length %d, reference %d",

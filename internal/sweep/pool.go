@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -266,11 +267,11 @@ func (p *Pool) finishLocked(b *Batch) bool {
 		return false
 	}
 	b.finSent = true
-	for i, ob := range p.batches {
-		if ob == b {
-			p.batches = append(p.batches[:i], p.batches[i+1:]...)
-			break
-		}
+	// slices.Delete zeroes the vacated tail slot: a plain shift would keep
+	// the last *Batch — and whatever its task closure captured, a whole
+	// snapshot cache in a figure pipeline — reachable in spare capacity.
+	if i := slices.Index(p.batches, b); i >= 0 {
+		p.batches = slices.Delete(p.batches, i, i+1)
 	}
 	return true
 }

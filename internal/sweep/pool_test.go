@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,6 +230,45 @@ func TestPoolCoversAllIndices(t *testing.T) {
 		}
 	}
 	if err := p.Run(0, RunOpts{}, func(int) { t.Fatal("fn called for empty batch") }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A finished batch must become collectable while the pool lives on: the
+// open-batch list may not keep it (or what its task closure captured — in
+// a figure pipeline, a whole snapshot cache) reachable in spare slice
+// capacity.
+func TestPoolReleasesFinishedBatch(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+
+	// An earlier, still-open batch pins the slice so the finished one is
+	// removed from the middle/tail rather than the list emptying outright.
+	gate := make(chan struct{})
+	open := p.Submit(1, RunOpts{}, func(int) { <-gate })
+
+	collected := make(chan struct{})
+	func() {
+		payload := new([1 << 16]byte) // what the closure captures
+		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(collected) })
+		if err := p.Run(4, RunOpts{}, func(int) { payload[0]++ }); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("finished batch still reachable from the live pool")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	close(gate)
+	if err := open.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 }

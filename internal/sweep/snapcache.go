@@ -112,9 +112,9 @@ func (e *cacheEntry) putFree(net *sim.Network) {
 // (the load axis excluded), plus — for warm templates — the capture load
 // and warm-up length.
 func (c *SnapshotCache) cacheKey(cfg *sim.Config, templateLoad float64) string {
-	key := fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|ring=%v|lat=%v",
+	key := fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|lat=%v",
 		cfg.Mechanism, cfg.Pattern, cfg.Seed, cfg.Topology, cfg.Router, cfg.Routing,
-		cfg.RingLinks, cfg.LatencyModel)
+		cfg.LatencyModel)
 	if c.Mode == ReuseWarm {
 		key += fmt.Sprintf("|warm=%d@%.9g", cfg.WarmupCycles, templateLoad)
 	}

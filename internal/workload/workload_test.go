@@ -3,6 +3,7 @@ package workload_test
 import (
 	"testing"
 
+	"dragonfly/internal/refmodel"
 	"dragonfly/internal/rng"
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
@@ -267,7 +268,7 @@ func twoJobSpec() workload.Spec {
 }
 
 // The workload path must stay deterministic across engines and worker
-// counts: the scheduler engines and the dense reference engine, at Workers
+// counts: the scheduler engines and the dense oracle, at Workers
 // 1/2/4, all produce bit-identical per-router AND per-job statistics.
 func TestWorkloadBitIdenticalAcrossEngines(t *testing.T) {
 	cfg := runCfg()
@@ -279,15 +280,16 @@ func TestWorkloadBitIdenticalAcrossEngines(t *testing.T) {
 	run := func(workers int, ref bool) *sim.Result {
 		c := cfg
 		c.Workers = workers
-		net, err := sim.NewNetwork(&c, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive := sim.RunNetwork
+		var net *sim.Network
+		var err error
 		if ref {
-			drive = sim.RunNetworkReference
+			if net, err = refmodel.NewNetwork(&c, wl, refmodel.Rings); err == nil {
+				err = refmodel.Run(net, &c)
+			}
+		} else if net, err = sim.NewNetwork(&c, wl); err == nil {
+			err = sim.RunNetwork(net, &c)
 		}
-		if err := drive(net, &c); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		return sim.NewResultFrom(net, &c, 0)
