@@ -78,6 +78,11 @@ type construction struct {
 	Ratio       float64 `json:"oracle_to_core_ratio"`
 }
 
+// maxTemplateShare bounds a construction template's bytes as a share of
+// one network build: a template carries no ring arenas and no allocator
+// scratch, which are three quarters of a network.
+const maxTemplateShare = 0.5
+
 // snapshotPoint prices warm-state reuse: cold NewNetwork construction vs
 // restoring a construction snapshot of the same configuration. RestoreNs
 // is the sweep steady state — RestoreNetworkInto overwriting the previous
@@ -85,10 +90,14 @@ type construction struct {
 // first restore of a fresh worker. The steady-state speedup is gated
 // in-process against MinSpeedup (restore must beat a cold build
 // comfortably, or snapshot reuse is pointless), and the allocation
-// footprints are gated against the baseline like construction bytes. The
-// restored networks — fresh and recycled alike — must run bit-identically
-// to the cold one: a fast restore that computes something else is a bug,
-// not a win.
+// footprints are gated against the baseline like construction bytes.
+// TemplateBytes is what sim.NewSnapshot(cfg, 0) allocates — the arena-free
+// construction template a sweep keeps per (mechanism, pattern, seed) —
+// beside BuildBytes, one sim.NewNetwork, and SnapshotBytes, the full-size
+// capture of a live network; it is gated in-process at maxTemplateShare of
+// a build and against the baseline. The restored networks — fresh and
+// recycled alike — must run bit-identically to the cold one: a fast
+// restore that computes something else is a bug, not a win.
 type snapshotPoint struct {
 	Name           string  `json:"name"`
 	H              int     `json:"balanced_h"`
@@ -97,6 +106,8 @@ type snapshotPoint struct {
 	FirstRestoreNs int64   `json:"first_restore_ns"`
 	Speedup        float64 `json:"build_to_restore_ratio"`
 	MinSpeedup     float64 `json:"min_speedup"`
+	BuildBytes     int64   `json:"build_bytes"`
+	TemplateBytes  int64   `json:"template_bytes"`
 	SnapshotBytes  int64   `json:"snapshot_bytes"`
 	RestoreBytes   int64   `json:"restore_bytes"`
 	Identical      bool    `json:"bit_identical"`
@@ -186,15 +197,20 @@ func measure(cfg sim.Config, reps int, im impl) (time.Duration, int64, *sim.Resu
 // TotalAlloc deltas are near-deterministic (they count allocation sizes,
 // not runtime timings), which is what lets the baseline gate them.
 func buildBytes(cfg sim.Config, im impl) (int64, error) {
+	return allocBytes(func() (any, error) { return im.build(&cfg) })
+}
+
+// allocBytes measures the heap bytes fn allocates while building its result.
+func allocBytes(fn func() (any, error)) (int64, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	net, err := im.build(&cfg)
+	v, err := fn()
 	if err != nil {
 		return 0, err
 	}
 	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(net)
+	runtime.KeepAlive(v)
 	return int64(m1.TotalAlloc - m0.TotalAlloc), nil
 }
 
@@ -241,6 +257,18 @@ func measureSnapshot(name string, h int, reps int, minSpeedup float64) (snapshot
 		if sp.BuildNs == 0 || build < sp.BuildNs {
 			sp.BuildNs = build
 		}
+	}
+
+	var err error
+	if sp.BuildBytes, err = buildBytes(cfg, core); err != nil {
+		return sp, err
+	}
+	if sp.TemplateBytes, err = allocBytes(func() (any, error) { return sim.NewSnapshot(cfg, 0) }); err != nil {
+		return sp, err
+	}
+	if share := float64(sp.TemplateBytes) / float64(sp.BuildBytes); share > maxTemplateShare {
+		return sp, fmt.Errorf("%s: construction template is %.0f%% of a build (%d vs %d B), bound %.0f%%",
+			name, 100*share, sp.TemplateBytes, sp.BuildBytes, 100*maxTemplateShare)
 	}
 
 	// One more cold build supplies the snapshot and the identity baseline.
@@ -470,10 +498,11 @@ func main() {
 			fatal(err)
 		}
 		result.Snapshots = append(result.Snapshots, point)
-		fmt.Printf("%-30s build %7.2fms  restore %6.2fms (first %6.2fms)  speedup %.1fx  snap %6.2fMB  identical %v\n",
+		fmt.Printf("%-30s build %7.2fms  restore %6.2fms (first %6.2fms)  speedup %.1fx  snap %6.2fMB  template %5.2fMB of %6.2fMB  identical %v\n",
 			point.Name, float64(point.BuildNs)/1e6, float64(point.RestoreNs)/1e6,
 			float64(point.FirstRestoreNs)/1e6,
-			point.Speedup, float64(point.SnapshotBytes)/1e6, point.Identical)
+			point.Speedup, float64(point.SnapshotBytes)/1e6,
+			float64(point.TemplateBytes)/1e6, float64(point.BuildBytes)/1e6, point.Identical)
 	}
 
 	if *maxProbe > 0 {
@@ -605,6 +634,16 @@ func compareBaseline(path string, fresh output, maxRegress float64) error {
 		if ratio > 1+maxRegress {
 			return fmt.Errorf("%s: snapshot restore bytes grew >%.0f%% vs %s (%d vs %d B)",
 				s.Name, maxRegress*100, path, s.RestoreBytes, b.RestoreBytes)
+		}
+		if b.TemplateBytes == 0 {
+			continue // baseline predates the figure
+		}
+		ratio = float64(s.TemplateBytes) / float64(b.TemplateBytes)
+		fmt.Printf("baseline: %-30s template %.2fMB vs %.2fMB (ratio %.2f)\n",
+			s.Name, float64(s.TemplateBytes)/1e6, float64(b.TemplateBytes)/1e6, ratio)
+		if ratio > 1+maxRegress {
+			return fmt.Errorf("%s: construction template bytes grew >%.0f%% vs %s (%d vs %d B)",
+				s.Name, maxRegress*100, path, s.TemplateBytes, b.TemplateBytes)
 		}
 	}
 	return nil

@@ -211,7 +211,12 @@ func main() {
 		fatal(runErr)
 	}
 	printSlowest(live.Timings(), *slowest)
-	fmt.Printf("\ndfexperiments: completed in %v\n", time.Since(start).Round(time.Second))
+	summary := fmt.Sprintf("\ndfexperiments: completed in %v", time.Since(start).Round(time.Second))
+	if len(pipe.Tasks) > 0 && pipe.Tasks[0].Grid.Snapshots != nil {
+		// Build installs one cache across every task.
+		summary += fmt.Sprintf(" (snapshot cache: %v)", pipe.Tasks[0].Grid.Snapshots.Stats())
+	}
+	fmt.Println(summary)
 }
 
 // printSlowest renders the per-task cost table, slowest first. Restored

@@ -85,6 +85,9 @@ func main() {
 			fmt.Sprintf("%.4f", s.Throughput))
 	}
 	fmt.Print(t.String())
+	if grid.Snapshots != nil {
+		fmt.Fprintf(os.Stderr, "dfsweep: snapshot cache: %v\n", grid.Snapshots.Stats())
+	}
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

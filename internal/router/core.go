@@ -212,9 +212,9 @@ type Binding struct {
 }
 
 // shape is a Core's immutable structure: dimensions, hoisted constants,
-// per-port-class tables and the wiring. Written by NewCore (and Unplug)
-// only, and shared — backing arrays included — between a Core and its
-// clones.
+// per-port-class tables and the wiring. Written by NewTemplate (and
+// Unplug) only, and shared — backing arrays included — between a Core and
+// its clones.
 type shape struct {
 	topo *topology.Topology
 	cfg  *Config
@@ -248,6 +248,13 @@ type shape struct {
 	// Wiring, indexed by pi.
 	inW  []portWire
 	outW []portWire
+
+	// Slots behind the four ring arenas (see layoutRings) and the size of
+	// the per-job accumulators: what a Core needs beyond its shape to be
+	// sized, so Clone can build a destination from a template that owns no
+	// arenas.
+	inTot, outTot, arrTot, crdTot int
+	nJobs                         int
 }
 
 // Core holds the state of every router of one network.
@@ -315,8 +322,10 @@ type Core struct {
 	// router-local calendars of buffer releases and transfer completions.
 	rnd      []rng.Source
 	stats    []stats.Router
-	jobStats [][]stats.Job // nil entries without job attribution
-	jobLive  [][]int64
+	jobStats [][]stats.Job // per-router windows into jobData; nil entries without job attribution
+	jobLive  [][]int64     // per-router windows into liveData
+	jobData  []stats.Job
+	liveData []int64
 	relDue   []dueQueue
 	xferDue  []dueQueue
 
@@ -339,6 +348,19 @@ type Core struct {
 // NewCore builds and wires the routers of one network: ports, peers and
 // per-link latencies go straight into the flat arrays.
 func NewCore(w Wiring) (*Core, error) {
+	c, err := NewTemplate(w)
+	if err != nil {
+		return nil, err
+	}
+	c.sizeArenas()
+	return c, nil
+}
+
+// NewTemplate is NewCore without the ring arenas and the allocator scratch
+// — most of a Core's bytes. The result holds the complete state of a
+// freshly built, empty network and can only be cloned from: Clone never
+// reads a dead ring slot or scratch, and an empty network has no live one.
+func NewTemplate(w Wiring) (*Core, error) {
 	topo, cfg := w.Topo, w.Cfg
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -355,13 +377,14 @@ func NewCore(w Wiring) (*Core, error) {
 		capVC:     int32(cfg.OutputBufferPhits),
 		allocIter: cfg.AllocIterations,
 		arb:       cfg.Arbitration,
+		nJobs:     w.NumJobs,
 	}}
 	c.maskWords = (c.np + 63) >> 6
 	c.initPortClasses()
 	if err := c.wire(w.Latency); err != nil {
 		return nil, err
 	}
-	c.allocState(w.NumJobs)
+	c.sizeState()
 	c.layoutRings()
 	c.bind(w.Binding)
 	for r := range c.rnd {
@@ -451,61 +474,93 @@ func (c *Core) wire(model topology.LatencyModel) error {
 	return nil
 }
 
-// allocState sizes every mutable array except the four ring arenas, whose
-// sizes follow from the geometry (layoutRings) or the clone source.
-func (c *Core) allocState(numJobs int) {
-	nr, np := c.nr, c.np
+// fit returns s resliced to n elements when its capacity allows — contents
+// stale — and a fresh zeroed slice otherwise.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// sizeState sizes every state array to the shape, reusing whatever capacity
+// the Core already owns: on a fresh Core everything is allocated zeroed, on
+// a retired one (see Clone) the arrays that fit are resliced and hold stale
+// values until the caller overwrites them.
+func (c *Core) sizeState() {
+	nr, np, nj := c.nr, c.np, c.nJobs
 	npp := nr * np
-	c.inOccMask = make([]uint64, nr*c.maskWords)
-	c.outOccMask = make([]uint64, nr*c.maskWords)
-	c.arrPendMask = make([]uint64, nr*c.maskWords)
-	c.crdPendMask = make([]uint64, nr*c.maskWords)
-	c.inP = make([]inPort, npp)
-	c.outP = make([]outPort, npp)
-	c.inQ = make([]inQState, npp*c.maxVC)
-	c.outQ = make([]outQState, npp*c.maxVC)
-	c.arrQ = make([]evRing, npp)
-	c.crdQ = make([]evRing, npp)
-	c.extMin = make([]int64, nr)
-	c.extDirty = make([]bool, nr)
-	c.rnd = make([]rng.Source, nr)
-	c.stats = make([]stats.Router, nr)
-	c.jobStats = make([][]stats.Job, nr)
-	c.jobLive = make([][]int64, nr)
-	if numJobs > 0 {
-		js := make([]stats.Job, nr*numJobs)
-		jl := make([]int64, nr*numJobs)
-		for r := 0; r < nr; r++ {
-			c.jobStats[r] = js[r*numJobs : (r+1)*numJobs : (r+1)*numJobs]
-			c.jobLive[r] = jl[r*numJobs : (r+1)*numJobs : (r+1)*numJobs]
+	c.inOccMask = fit(c.inOccMask, nr*c.maskWords)
+	c.outOccMask = fit(c.outOccMask, nr*c.maskWords)
+	c.arrPendMask = fit(c.arrPendMask, nr*c.maskWords)
+	c.crdPendMask = fit(c.crdPendMask, nr*c.maskWords)
+	c.inP = fit(c.inP, npp)
+	c.outP = fit(c.outP, npp)
+	c.inQ = fit(c.inQ, npp*c.maxVC)
+	c.outQ = fit(c.outQ, npp*c.maxVC)
+	c.arrQ = fit(c.arrQ, npp)
+	c.crdQ = fit(c.crdQ, npp)
+	c.extMin = fit(c.extMin, nr)
+	c.extDirty = fit(c.extDirty, nr)
+	c.rnd = fit(c.rnd, nr)
+	c.stats = fit(c.stats, nr)
+	c.jobStats = fit(c.jobStats, nr)
+	c.jobLive = fit(c.jobLive, nr)
+	c.jobData = fit(c.jobData, nr*nj)
+	c.liveData = fit(c.liveData, nr*nj)
+	for r := 0; r < nr; r++ {
+		c.jobStats[r], c.jobLive[r] = nil, nil
+		if nj > 0 {
+			c.jobStats[r] = c.jobData[r*nj : (r+1)*nj : (r+1)*nj]
+			c.jobLive[r] = c.liveData[r*nj : (r+1)*nj : (r+1)*nj]
 		}
 	}
-	// Calendar buffers from one arena, capacity-capped sub-slices: a queue
-	// that outgrows its window reallocates privately via append.
-	c.relDue = make([]dueQueue, nr)
-	c.xferDue = make([]dueQueue, nr)
-	arena := make([]portDue, 2*npp)
-	for r := 0; r < nr; r++ {
-		pos := 2 * r * np
-		c.relDue[r].q = arena[pos : pos : pos+np]
-		c.xferDue[r].q = arena[pos+np : pos+np : pos+2*np]
+	if cap(c.relDue) >= nr {
+		// Retired calendars keep their (possibly privately grown) buffers.
+		c.relDue, c.xferDue = c.relDue[:nr], c.xferDue[:nr]
+	} else {
+		// Calendar buffers from one arena, capacity-capped sub-slices: a
+		// queue that outgrows its window reallocates privately via append.
+		c.relDue = make([]dueQueue, nr)
+		c.xferDue = make([]dueQueue, nr)
+		arena := make([]portDue, 2*npp)
+		for r := 0; r < nr; r++ {
+			pos := 2 * r * np
+			c.relDue[r].q = arena[pos : pos : pos+np]
+			c.xferDue[r].q = arena[pos+np : pos+np : pos+2*np]
+		}
 	}
-	c.trace = make([]TraceFn, nr)
-	c.notify = make([]func(LinkEvent), nr)
-	c.views = make([]View, nr)
+	c.trace = fit(c.trace, nr)
+	c.notify = fit(c.notify, nr)
+	c.views = fit(c.views, nr)
 	for r := range c.views {
 		c.views[r] = View{c: c, r: int32(r)}
 	}
-	c.cand = make([]candRec, npp*c.maxVC)
-	c.candIn = make([]int32, npp)
-	c.candInN = make([]int32, nr)
-	c.outCand = make([]outCandRec, npp*np)
-	c.outCandN = make([]int32, npp)
-	c.outTouched = make([]int32, npp)
 }
 
-// layoutRings carves the ring geometry — one offset/capacity pair per VC
-// queue and per link-event ring — and allocates the arenas behind it.
+// sizeArenas gives the Core what stepping needs beyond its state: the four
+// ring arenas behind the geometry of layoutRings, and the allocator scratch.
+// Capacity is reused as in sizeState; neither a dead ring slot nor scratch
+// is ever read before it is written, so stale contents are harmless — with
+// the one exception of outCandN, which StepRouter expects all-zero (and a
+// run that died mid-allocation may have left submissions behind).
+func (c *Core) sizeArenas() {
+	npp := c.nr * c.np
+	c.inQData = fit(c.inQData, c.inTot)
+	c.outQData = fit(c.outQData, c.outTot)
+	c.arrData = fit(c.arrData, c.arrTot)
+	c.crdData = fit(c.crdData, c.crdTot)
+	c.cand = fit(c.cand, npp*c.maxVC)
+	c.candIn = fit(c.candIn, npp)
+	c.candInN = fit(c.candInN, c.nr)
+	c.outCand = fit(c.outCand, npp*c.np)
+	c.outCandN = fit(c.outCandN, npp)
+	clear(c.outCandN)
+	c.outTouched = fit(c.outTouched, npp)
+}
+
+// layoutRings carves the ring geometry: one offset/capacity pair per VC
+// queue and per link-event ring, and the arena totals behind them.
 // Queue capacities are the credit protocol's occupancy bounds. A link
 // event lives in its ring from the push until it is popped at its arrival
 // cycle, at most latency+spacing cycles, and successive pushes on one
@@ -536,10 +591,7 @@ func (c *Core) layoutRings() {
 			outTot += c.capVC / size
 		}
 	}
-	c.inQData = make([]*packet.Packet, inTot)
-	c.outQData = make([]*packet.Packet, outTot)
-	c.arrData = make([]pktEvent, arrTot)
-	c.crdData = make([]crdEvent, crdTot)
+	c.inTot, c.outTot, c.arrTot, c.crdTot = int(inTot), int(outTot), int(arrTot), int(crdTot)
 }
 
 // bind attaches the Core to its network's hooks and clears the engine's.
@@ -556,32 +608,26 @@ func (c *Core) bind(b Binding) {
 	}
 }
 
-// numJobs returns the size of the per-job accumulators.
-func (c *Core) numJobs() int { return len(c.jobStats[0]) }
-
 // Clone copies c's state into a Core bound to another network, every
 // buffered or in-flight packet deep-copied. The immutable shape is shared;
-// allocator scratch is not state and is not copied. into, when it is a
-// retired Core of the same dimensions (always, when it was cloned from the
-// same source), is overwritten in place and returned, so recycling
-// allocates nothing beyond the live packets; otherwise a fresh Core is
-// allocated. Both Cores must be between cycles.
+// allocator scratch is not state and is not copied. into, when non-nil, is
+// a retired Core of any shape: it is overwritten and returned, each of its
+// arrays resliced where its capacity covers c's shape and reallocated where
+// not — so a Core retired from one mechanism's network serves a restore of
+// another's, and recycling within one shape allocates nothing beyond the
+// live packets. c may be a template (see NewTemplate); the destination
+// always gets arenas and scratch. Both Cores must be between cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
-	if d != nil && d.nr == c.nr && d.np == c.np && d.maxVC == c.maxVC && d.numJobs() == c.numJobs() &&
-		len(d.inQData) == len(c.inQData) && len(d.outQData) == len(c.outQData) &&
-		len(d.arrData) == len(c.arrData) && len(d.crdData) == len(c.crdData) {
-		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { *slot = nil })
-		clear(d.outCandN) // a run that died mid-allocation may leave submissions behind
-		d.shape = c.shape
+	if d == nil {
+		d = &Core{}
 	} else {
-		d = &Core{shape: c.shape}
-		d.allocState(c.numJobs())
-		d.inQData = make([]*packet.Packet, len(c.inQData))
-		d.outQData = make([]*packet.Packet, len(c.outQData))
-		d.arrData = make([]pktEvent, len(c.arrData))
-		d.crdData = make([]crdEvent, len(c.crdData))
+		// Drop the retired run's packets while d's old geometry still finds them.
+		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { *slot = nil })
 	}
+	d.shape = c.shape
+	d.sizeState()
+	d.sizeArenas()
 	d.bind(b)
 	d.measuring, d.batch, d.lost = c.measuring, c.batch, 0
 
@@ -599,9 +645,9 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 	copy(d.stats, c.stats)
 	copy(d.extMin, c.extMin)
 	copy(d.extDirty, c.extDirty)
+	copy(d.jobData, c.jobData)
+	copy(d.liveData, c.liveData)
 	for r := 0; r < c.nr; r++ {
-		copy(d.jobStats[r], c.jobStats[r])
-		copy(d.jobLive[r], c.jobLive[r])
 		d.relDue[r].q = append(d.relDue[r].q[:0], c.relDue[r].q[c.relDue[r].head:]...)
 		d.xferDue[r].q = append(d.xferDue[r].q[:0], c.xferDue[r].q[c.xferDue[r].head:]...)
 		d.relDue[r].head, d.xferDue[r].head = 0, 0

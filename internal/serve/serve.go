@@ -314,6 +314,10 @@ func (m *Manager) runLocal() {
 			}
 			continue
 		}
+		// The kick channel holds one token, so a submission wakes one
+		// runner; each runner that wins a lease passes the token on, and
+		// the idle ones cascade awake instead of sleeping out their poll.
+		m.kickRunners()
 		job := m.store.Job(info.JobID)
 		grid := job.Grid()
 

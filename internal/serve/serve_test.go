@@ -495,3 +495,39 @@ func TestServeLiveStandalone(t *testing.T) {
 		}
 	}
 }
+
+// A submission puts one token in the kick channel, which wakes one runner;
+// the runner that wins a lease must pass the token on, or its siblings
+// sleep out their 250 ms poll while it works through the job alone. The
+// job here is far shorter than that poll, so two leases are only ever
+// outstanding together if the second runner was woken by the first.
+func TestLocalRunnersCascadeAwake(t *testing.T) {
+	m, err := NewManager(Options{LocalRunners: 2, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close() //nolint:errcheck
+	const spec = `{"h":1,"warmup":100,"measure":400,"mechanisms":["MIN"],` +
+		`"load_spec":"0.05:0.5:0.05","seed_base":1,"seed_count":5}`
+	res, err := m.Submit(json.RawMessage(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Job.Total != 50 {
+		t.Fatalf("job total = %d, want 50", res.Job.Total)
+	}
+	together := 0
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(200 * time.Microsecond) {
+		st := m.Store().Stats()
+		together = max(together, st.ActiveLeases)
+		if st.PointsDone == res.Job.Total {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish in time")
+		}
+	}
+	if together < 2 {
+		t.Fatalf("at most %d lease outstanding at a time: one runner ran the whole job while the other slept", together)
+	}
+}

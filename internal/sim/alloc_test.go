@@ -82,13 +82,15 @@ func TestSweepPointAllocatesFarLessThanABuild(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	var snap *Snapshot
 	build := allocated(func() {
-		var err error
-		if snap, err = NewSnapshot(cfg, 0); err != nil {
+		if _, err := NewNetwork(&cfg, nil); err != nil {
 			t.Fatal(err)
 		}
-	}) / 2 // NewSnapshot = one build + one template copy of it
+	})
+	snap, err := NewSnapshot(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net, err := RestoreNetwork(snap, &cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -137,9 +137,15 @@ type Network struct {
 // NewNetwork builds and wires a network from the configuration. The traffic
 // pattern may be overridden by pat (pass nil to build it from cfg.Pattern).
 func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
+	return newCoreNetwork(cfg, pat, router.NewCore)
+}
+
+// newCoreNetwork is NewNetwork over either constructor of the core: the
+// full one, or the arena-free template NewSnapshot freezes.
+func newCoreNetwork(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (*router.Core, error)) (*Network, error) {
 	var core *router.Core
 	net, err := NewNetworkOn(cfg, pat, func(w router.Wiring) (f Fabric, err error) {
-		core, err = router.NewCore(w)
+		core, err = build(w)
 		return core, err
 	})
 	if err != nil {

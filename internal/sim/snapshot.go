@@ -5,16 +5,18 @@ import (
 	"fmt"
 
 	"dragonfly/internal/packet"
+	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
 )
 
-// Snapshot is a frozen image of a network: a copy of the core's state
-// arrays with every queued and in-flight packet deep-copied, plus the
-// traffic sources and PiggyBack bits. Capturing one costs that copy;
-// restoring one costs another — a few dozen memcpys — instead of
-// re-wiring the topology. Allocator scratch, engine hooks and probe or
-// tracer attachments are not state and are not captured. Two capture
-// points are supported:
+// Snapshot is a frozen image of a network: the core's state arrays with
+// every queued and in-flight packet, plus the traffic sources and
+// PiggyBack bits. Nothing ever steps the image; restoring it is a few dozen
+// memcpys and a deep copy of the live packets instead of re-wiring the
+// topology. NewSnapshot freezes the network it builds; Network.Snapshot
+// copies a live one. Allocator scratch, engine hooks and probe or tracer
+// attachments are not state and are not captured. Two capture points are
+// supported:
 //
 //   - Construction snapshots (taken before any engine run) are reusable for
 //     ANY load: every node RNG is rewound to its position from just before
@@ -59,24 +61,36 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 }
 
 // NewSnapshot builds a network from cfg, optionally warms it for warmCycles
-// (without ever enabling measurement), and captures it. Probes and tracers
-// never apply to template preparation. The pattern is built from
-// cfg.Pattern; networks built around an explicit pattern instance must
-// capture through Network.Snapshot directly, and the caller then owns the
-// compatibility of restore configurations with that pattern.
+// (without ever enabling measurement), and freezes it: the built network is
+// the template, not a copy of it. A construction template (warmCycles 0) is
+// arena-free — it is built over router.NewTemplate, a fraction of a
+// network's bytes — since an empty network has nothing in its rings for a
+// restore to copy. Probes and tracers never apply to template preparation.
+// The pattern is built from cfg.Pattern; networks built around an explicit
+// pattern instance must capture through Network.Snapshot directly, and the
+// caller then owns the compatibility of restore configurations with that
+// pattern.
 func NewSnapshot(cfg Config, warmCycles int64) (*Snapshot, error) {
 	cfg.Probes = nil
 	cfg.Tracer = nil
-	net, err := NewNetwork(&cfg, nil)
+	snap := &Snapshot{cfg: cfg}
+	build := router.NewTemplate
+	if warmCycles > 0 {
+		build = router.NewCore
+	}
+	net, err := newCoreNetwork(&snap.cfg, nil, build)
 	if err != nil {
 		return nil, err
 	}
 	if warmCycles > 0 {
-		if err := WarmupNetwork(net, &cfg, warmCycles); err != nil {
+		if err := WarmupNetwork(net, &snap.cfg, warmCycles); err != nil {
 			return nil, err
 		}
 	}
-	return net.Snapshot()
+	snap.warm = net.ranCycles
+	net.rebase()
+	snap.tmpl = net
+	return snap, nil
 }
 
 // Warm returns the warm-up cycles baked into the captured state (0 for a
@@ -143,13 +157,13 @@ func RestoreNetwork(snap *Snapshot, cfg *Config) (*Network, error) {
 }
 
 // RestoreNetworkInto is RestoreNetwork recycling a retired network: old's
-// arrays are overwritten in place wherever their sizes fit — always, when
-// old was itself restored from snap — so the steady state of a sweep that
-// restores, runs and restores again allocates almost nothing per point.
-// old may be nil or of any shape; what does not fit is reallocated. The
-// caller must have finished with old entirely (results are safe: a Result
-// aliases no network state); the returned network is old whenever old is
-// non-nil.
+// arrays are overwritten in place wherever their capacity covers snap's
+// shape — whatever snapshot old was restored from — so the steady state of
+// a sweep that restores, runs and restores again allocates almost nothing
+// per point, across templates. old may be nil or of any shape; what does
+// not fit is reallocated. The caller must have finished with old entirely
+// (results are safe: a Result aliases no network state); the returned
+// network is old whenever old is non-nil.
 func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, error) {
 	if err := snap.CompatibleWith(cfg); err != nil {
 		return nil, err

@@ -239,6 +239,88 @@ func TestRestoreIntoRecycled(t *testing.T) {
 	}
 }
 
+// TestRestoreAcrossTemplates proves recycling by capacity: a network retired
+// from one template serves the restore of another whose mechanism — and so
+// its VC counts, VC stride and arena sizes — differs, in both directions
+// (growing into MIN's smaller network and out of it), from a retired
+// network that is clean (restored, never run) and one that is dirty
+// (retired at saturation, packets queued and in flight). The restored run
+// must be the cold run: state vectors and per-router statistics identical.
+func TestRestoreAcrossTemplates(t *testing.T) {
+	base := DefaultConfig()
+	base.Topology = topology.Balanced(2)
+	base.Pattern = "ADVc"
+	base.Load = 0.85
+	base.WarmupCycles = 5
+	base.MeasureCycles = 60
+	base.Seed = 41
+
+	mechs := []string{"MIN", "In-Trns-MM"}
+	snaps := make([]*Snapshot, len(mechs))
+	colds := make([]struct {
+		state [][]int64
+		res   *Result
+	}, len(mechs))
+	for i, mech := range mechs {
+		cfg := base
+		cfg.Mechanism = mech
+		var err error
+		if snaps[i], err = NewSnapshot(cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewNetwork(&cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		colds[i].state = captureState(t, net, &cfg, core)
+		colds[i].res = newResult(net, &cfg, 0)
+	}
+	if a, b := len(colds[0].state[0]), len(colds[1].state[0]); a == b {
+		t.Fatalf("%s and %s networks have the same state size (%d words): the test needs differing VC counts", mechs[0], mechs[1], a)
+	}
+
+	for from := range mechs {
+		to := 1 - from
+		for _, dirty := range []bool{false, true} {
+			label := fmt.Sprintf("%s -> %s (dirty %v)", mechs[from], mechs[to], dirty)
+			fromCfg := base
+			fromCfg.Mechanism = mechs[from]
+			old, err := RestoreNetwork(snaps[from], &fromCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dirty {
+				if err := RunNetwork(old, &fromCfg); err != nil {
+					t.Fatal(err)
+				}
+				if old.InFlight() == 0 {
+					t.Fatalf("%s: retired network drained — load %.2f should leave packets in flight", label, fromCfg.Load)
+				}
+			}
+			// There and back: the return hop reslices arrays up into capacity
+			// the first hop's run left stale.
+			for _, m := range []int{to, from} {
+				cfg := base
+				cfg.Mechanism = mechs[m]
+				net, err := RestoreNetworkInto(snaps[m], &cfg, old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if net != old {
+					t.Fatalf("%s: retired network was not recycled in place", label)
+				}
+				diffState(t, label+" as "+mechs[m], captureState(t, net, &cfg, core), colds[m].state)
+				res := newResult(net, &cfg, 0)
+				for r := range colds[m].res.PerRouter {
+					if res.PerRouter[r] != colds[m].res.PerRouter[r] {
+						t.Fatalf("%s as %s: router %d stats diverge from cold run", label, mechs[m], r)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWarmSnapshotSameLoadExact proves the strong half of the warm-reuse
 // contract: a run restored from a warm snapshot at the capture load, with a
 // zero warm-up, produces exactly the statistics of a cold run that warmed

@@ -73,39 +73,68 @@ type SnapshotCache struct {
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	// free holds the networks whose runs have finished, whatever template
+	// they were restored from: the next restore — of any entry — overwrites
+	// one in place (see sim.RestoreNetworkInto) instead of allocating a
+	// fresh network. At most one network per concurrent worker ever
+	// accumulates.
+	free  []*sim.Network
+	stats CacheStats
+}
+
+// CacheStats counts what a SnapshotCache did. Templates and the sum of the
+// restores follow from the grid alone; fresh restores never exceed the
+// concurrent workers.
+type CacheStats struct {
+	Templates        int // snapshot templates built
+	FreshRestores    int // restores that allocated a new network
+	RecycledRestores int // restores that overwrote a retired network
+}
+
+// String renders the counters for a tool's closing summary line.
+func (s CacheStats) String() string {
+	return fmt.Sprintf("%d templates built, %d fresh + %d recycled restores",
+		s.Templates, s.FreshRestores, s.RecycledRestores)
+}
+
+// Stats returns the cache's counters so far (zero for a nil cache).
+func (c *SnapshotCache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 type cacheEntry struct {
 	once sync.Once
 	snap *sim.Snapshot
 	err  error
-
-	// free holds networks restored from snap whose runs have finished;
-	// the next restore of this entry overwrites one in place (see
-	// sim.RestoreNetworkInto) instead of allocating a fresh clone. At
-	// most one network per concurrent worker ever accumulates.
-	mu   sync.Mutex
-	free []*sim.Network
 }
 
-// takeFree pops a retired network, or nil.
-func (e *cacheEntry) takeFree() *sim.Network {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.free); n > 0 {
-		net := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return net
+// takeFree pops a retired network (nil when there is none) and counts the
+// restore it is about to serve.
+func (c *SnapshotCache) takeFree() *sim.Network {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		c.stats.FreshRestores++
+		return nil
 	}
-	return nil
+	c.stats.RecycledRestores++
+	net := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	return net
 }
 
 // putFree parks a retired network for the next restore.
-func (e *cacheEntry) putFree(net *sim.Network) {
-	e.mu.Lock()
-	e.free = append(e.free, net)
-	e.mu.Unlock()
+func (c *SnapshotCache) putFree(net *sim.Network) {
+	c.mu.Lock()
+	c.free = append(c.free, net)
+	c.mu.Unlock()
 }
 
 // cacheKey identifies a snapshot template: everything CompatibleWith pins
@@ -133,6 +162,7 @@ func (c *SnapshotCache) snapshotFor(cfg *sim.Config, templateLoad float64) (*cac
 	if e == nil {
 		e = &cacheEntry{}
 		c.entries[key] = e
+		c.stats.Templates++
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
@@ -183,7 +213,7 @@ func (c *SnapshotCache) Run(cfg sim.Config, templateLoad float64) (*sim.Result, 
 			tag = "rewarm"
 		}
 	}
-	net, err := sim.RestoreNetworkInto(e.snap, &runCfg, e.takeFree())
+	net, err := sim.RestoreNetworkInto(e.snap, &runCfg, c.takeFree())
 	if err != nil {
 		return nil, "", err
 	}
@@ -191,6 +221,6 @@ func (c *SnapshotCache) Run(cfg sim.Config, templateLoad float64) (*sim.Result, 
 		return nil, tag, err
 	}
 	res := sim.NewResultFrom(net, &runCfg, time.Since(start))
-	e.putFree(net) // the result aliases nothing in net; recycle it
+	c.putFree(net) // the result aliases nothing in net; recycle it
 	return res, tag, nil
 }
