@@ -59,6 +59,12 @@ type scenario struct {
 	RefSteps   int64   `json:"ref_router_steps"`
 	SchedSteps int64   `json:"sched_router_steps"`
 	StepShare  float64 `json:"sched_step_share"`
+	// Windows is how many time windows the scheduler engine's run was cut
+	// into, MeanWindow the cycles per window: the engine's lookahead (the
+	// shortest global link) at best, 1 when something makes the driver look
+	// at the whole network after every cycle.
+	Windows    int64   `json:"windows"`
+	MeanWindow float64 `json:"mean_window_cycles"`
 	Identical  bool    `json:"bit_identical"`
 }
 
@@ -169,28 +175,27 @@ var (
 )
 
 // measure runs im on a fresh network reps times and returns the best wall
-// time, the last run's router-step count, and the last run's result.
-func measure(cfg sim.Config, reps int, im impl) (time.Duration, int64, *sim.Result, error) {
+// time, the last run's network (for its work counters), and its result.
+func measure(cfg sim.Config, reps int, im impl) (time.Duration, *sim.Network, *sim.Result, error) {
 	best := time.Duration(0)
-	var steps int64
+	var net *sim.Network
 	var res *sim.Result
 	for i := 0; i < reps; i++ {
-		net, err := im.build(&cfg)
-		if err != nil {
-			return 0, 0, nil, err
+		var err error
+		if net, err = im.build(&cfg); err != nil {
+			return 0, nil, nil, err
 		}
 		start := time.Now()
 		if err := im.drive(net, &cfg); err != nil {
-			return 0, 0, nil, err
+			return 0, nil, nil, err
 		}
 		wall := time.Since(start)
 		if best == 0 || wall < best {
 			best = wall
 		}
-		steps = net.EngineSteps()
 		res = sim.NewResultFrom(net, &cfg, wall)
 	}
-	return best, steps, res, nil
+	return best, net, res, nil
 }
 
 // buildBytes measures the heap bytes allocated by one network build.
@@ -452,24 +457,26 @@ func main() {
 		// The reference is the oracle end to end; the bit-identity check
 		// below therefore proves the core's pipeline, layout and link
 		// transport equivalent to the seed's in one go.
-		refWall, refSteps, refRes, err := measure(cfg, *reps, oracle)
+		refWall, refNet, refRes, err := measure(cfg, *reps, oracle)
 		if err != nil {
 			fatal(err)
 		}
-		schedWall, schedSteps, schedRes, err := measure(cfg, *reps, core)
+		schedWall, schedNet, schedRes, err := measure(cfg, *reps, core)
 		if err != nil {
 			fatal(err)
 		}
 		p.RefNs = refWall.Nanoseconds()
 		p.SchedNs = schedWall.Nanoseconds()
 		p.Speedup = float64(refWall) / float64(schedWall)
-		p.RefSteps = refSteps
-		p.SchedSteps = schedSteps
-		p.StepShare = float64(schedSteps) / float64(refSteps)
+		p.RefSteps = refNet.EngineSteps()
+		p.SchedSteps = schedNet.EngineSteps()
+		p.StepShare = float64(p.SchedSteps) / float64(p.RefSteps)
+		p.Windows = schedNet.EngineWindows()
+		p.MeanWindow = float64(p.Cycles) / float64(p.Windows)
 		p.Identical = identical(refRes, schedRes)
 		result.Scenarios = append(result.Scenarios, p)
-		fmt.Printf("%-30s ref %8.2fms  sched %8.2fms  speedup %.2fx  steps %5.1f%%  identical %v\n",
-			p.Name, float64(p.RefNs)/1e6, float64(p.SchedNs)/1e6, p.Speedup, 100*p.StepShare, p.Identical)
+		fmt.Printf("%-30s ref %8.2fms  sched %8.2fms  speedup %.2fx  steps %5.1f%%  windows %4d x %5.1f  identical %v\n",
+			p.Name, float64(p.RefNs)/1e6, float64(p.SchedNs)/1e6, p.Speedup, 100*p.StepShare, p.Windows, p.MeanWindow, p.Identical)
 		if !p.Identical {
 			fatal(fmt.Errorf("%s: engines diverged — do not trust the timings", p.Name))
 		}

@@ -169,6 +169,12 @@ func runDebug(cfg sim.Config, group int) {
 	if err := sim.RunNetwork(net, &cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "dfsim: %v (dumping state anyway)\n", err)
 	}
+	// The engine's work counters: a run whose windows collapse to one cycle
+	// (a per-cycle probe cadence, a 1-cycle global link) says so here.
+	cycles := cfg.WarmupCycles + cfg.MeasureCycles
+	steps, windows := net.EngineSteps(), net.EngineWindows()
+	fmt.Printf("engine: %d router-steps (%.1f%% of dense), %d windows, mean %.1f cycles\n",
+		steps, 100*float64(steps)/float64(int64(len(net.Routers))*cycles), windows, float64(cycles)/float64(max(windows, 1)))
 	a := cfg.Topology.A
 	for i := 0; i < a; i++ {
 		r := net.Routers[group*a+i]

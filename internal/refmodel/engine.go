@@ -32,11 +32,18 @@ type denseSeq struct {
 	cycles  int64
 }
 
-func (e *denseSeq) Wake(int)     {}
-func (e *denseSeq) Close()       {}
-func (e *denseSeq) Steps() int64 { return int64(len(e.routers)) * e.cycles }
+func (e *denseSeq) Wake(int)         {}
+func (e *denseSeq) Close()           {}
+func (e *denseSeq) Steps() int64     { return int64(len(e.routers)) * e.cycles }
+func (e *denseSeq) Lookahead() int64 { return 1 }
 
-func (e *denseSeq) Cycle(now int64) {
+func (e *denseSeq) Advance(from, to int64) {
+	for now := from; now < to; now++ {
+		e.cycle(now)
+	}
+}
+
+func (e *denseSeq) cycle(now int64) {
 	for g := 0; g < e.net.PBGroups(); g++ {
 		e.net.RefreshPB(g)
 	}
@@ -94,7 +101,13 @@ func (e *densePar) Close() {
 	}
 }
 
-func (e *densePar) Cycle(now int64) {
+func (e *densePar) Advance(from, to int64) {
+	for now := from; now < to; now++ {
+		e.cycle(now)
+	}
+}
+
+func (e *densePar) cycle(now int64) {
 	phases := 1
 	if e.net.PBGroups() > 0 {
 		phases = 2

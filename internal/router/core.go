@@ -234,6 +234,7 @@ type shape struct {
 	allocIter int
 	arb       Arbitration
 	maxLat    int64 // longest wired link
+	lookahead int64 // shortest wired inter-group link (see Lookahead)
 	maskWords int   // bitmask words per router
 
 	// Per-port-class constants, indexed by port (identical across routers).
@@ -267,9 +268,12 @@ type shape struct {
 // internal/sim relies on this.
 //
 // Concurrency contract: StepRouter touches only state of the stepped
-// router's index range, so disjoint routers may be stepped concurrently;
-// everything else (PushDue, SetSink, phase flips, Clone) must happen
-// between cycles.
+// router's index range, so disjoint routers may be stepped concurrently.
+// PushDue touches the destination router's rings: it may run while other
+// routers step (a sender's sink parks its events at once), but never
+// concurrently with a step or another PushDue of the destination.
+// Everything else (SetSink, phase flips, Clone, Rebase) must happen with no
+// step in flight.
 type Core struct {
 	shape
 
@@ -451,6 +455,9 @@ func (c *Core) wire(model topology.LatencyModel) error {
 				model.Name(), lat, src, dst)
 		}
 		c.maxLat = max(c.maxLat, int64(lat))
+		if topo.RouterGroup(src) != topo.RouterGroup(dst) && (c.lookahead == 0 || int64(lat) < c.lookahead) {
+			c.lookahead = int64(lat)
+		}
 		c.outW[src*np+port] = portWire{lat: int32(lat), peer: int32(dst), peerPort: int32(inPort)}
 		c.inW[dst*np+inPort] = portWire{lat: int32(lat), peer: int32(src), peerPort: int32(port)}
 		return nil
@@ -563,23 +570,35 @@ func (c *Core) sizeArenas() {
 // queue and per link-event ring, and the arena totals behind them.
 // Queue capacities are the credit protocol's occupancy bounds. A link
 // event lives in its ring from the push until it is popped at its arrival
-// cycle, at most latency+spacing cycles, and successive pushes on one
-// channel are at least `spacing` cycles apart (packets: the serialisation
-// time; credits: the crossbar occupancy), so latency/spacing + 4 bounds
-// the ring with slack.
+// cycle, and successive pushes on one channel are at least `spacing` cycles
+// apart (packets: the serialisation time; credits: the crossbar occupancy).
+// Both ends of a local link belong to one group and advance in lockstep, so
+// its events live at most latency+spacing cycles and latency/spacing + 4
+// bounds the ring with slack. The ends of a global link belong to different
+// groups, and inside a time window (see Lookahead) the sender may run up to
+// a lookahead ahead of the receiver: its events wait that much longer for
+// their pop, and the ring is (latency+lookahead)/spacing + 4.
 func (c *Core) layoutRings() {
 	np, maxVC := c.np, c.maxVC
 	size := int32(c.size)
 	pktSpacing, crdSpacing := int32(max(c.serial, 1)), int32(max(c.xbar, 1))
 	var inTot, outTot, arrTot, crdTot int32
+	// flight is how long an event may sit in the ring behind wire w of a
+	// port of router r.
+	flight := func(r int, w portWire) int32 {
+		if c.topo.RouterGroup(r) != c.topo.RouterGroup(int(w.peer)) {
+			return w.lat + int32(c.lookahead)
+		}
+		return w.lat
+	}
 	for pi := range c.arrQ {
 		p := pi % np
-		if c.inW[pi].peer >= 0 {
-			c.arrQ[pi] = evRing{off: arrTot, qcap: c.inW[pi].lat/pktSpacing + 4}
+		if w := c.inW[pi]; w.peer >= 0 {
+			c.arrQ[pi] = evRing{off: arrTot, qcap: flight(pi/np, w)/pktSpacing + 4}
 			arrTot += c.arrQ[pi].qcap
 		}
-		if c.outW[pi].peer >= 0 {
-			c.crdQ[pi] = evRing{off: crdTot, qcap: c.outW[pi].lat/crdSpacing + 4}
+		if w := c.outW[pi]; w.peer >= 0 {
+			c.crdQ[pi] = evRing{off: crdTot, qcap: flight(pi/np, w)/crdSpacing + 4}
 			crdTot += c.crdQ[pi].qcap
 		}
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
@@ -770,6 +789,14 @@ func (c *Core) Views() []View { return c.views }
 
 // MaxLinkLatency returns the longest link latency wired into the network.
 func (c *Core) MaxLinkLatency() int64 { return c.maxLat }
+
+// Lookahead returns the shortest latency of any wired link between two
+// groups: nothing a router does at cycle t can reach another group before
+// t + Lookahead, so the engines may step one group through that many
+// consecutive cycles before they touch the next (DESIGN.md, "Time
+// windows"). Every local link joins two routers of one group and every
+// global link two groups, so this is the shortest global link.
+func (c *Core) Lookahead() int64 { return c.lookahead }
 
 // Unplug detaches router r's output port from its peer: packets sent
 // there serialise onto a dead cable and never arrive, though InFlight

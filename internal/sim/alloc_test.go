@@ -13,9 +13,10 @@ import (
 // capacity during warm-up, and delivered packets recycle through the pool.
 // This is the runtime companion of the construction-bytes gate in
 // cmd/dfbench (both run in CI): that one locks in the build-time memory
-// win, this one locks the steady state at zero allocations per cycle — any
+// win, this one locks the steady state at zero allocations per window — any
 // regression (a queue falling back to append, a scratch slice growing per
-// cycle) fails the test rather than showing up as GC time in a profile.
+// cycle, a per-window event buffer on the single-worker path) fails the
+// test rather than showing up as GC time in a profile.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector write barriers allocate; the gate runs in the non-race CI job")
@@ -33,23 +34,27 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newDriver(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, nil, newSeqEngine(net))
+	run := newDriver(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, nil, newEngine(net, 1))
 	defer run.finish()
 
 	now := int64(0)
 	step := func() {
-		if _, err := run.cycle(now); err != nil {
+		to, _, err := run.window(now)
+		if err != nil {
 			t.Fatal(err)
 		}
-		now++
+		now = to
 	}
 	// Warm up past the measurement boundary so queues, calendars and the
 	// packet pool reach their steady-state capacities.
-	for now < 600 {
+	for now < 4000 {
 		step()
 	}
-	if avg := testing.AllocsPerRun(300, step); avg != 0 {
-		t.Fatalf("steady-state cycle allocates %.2f objects/cycle, want 0", avg)
+	if avg := testing.AllocsPerRun(30, step); avg != 0 {
+		t.Fatalf("steady-state window allocates %.2f objects/window, want 0", avg)
+	}
+	if mean := float64(now) / float64(run.windows); mean < 50 {
+		t.Fatalf("gate metered windows of %.1f cycles on average, want the 100-cycle lookahead", mean)
 	}
 	if net.InFlight() == 0 {
 		t.Fatal("network drained during the gate — load 0.6 should keep it saturated")

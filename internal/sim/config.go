@@ -1,8 +1,8 @@
 // Package sim assembles the full simulator: it wires a Dragonfly topology
 // into routers and links, drives packet generation, runs the warm-up and
-// measurement phases of Section IV-A (sequentially or with a barrier-
-// synchronised parallel engine), and collects the paper's performance and
-// fairness metrics.
+// measurement phases of Section IV-A (one group at a time through windows
+// of a global-link latency, on one worker or several), and collects the
+// paper's performance and fairness metrics.
 package sim
 
 import (
@@ -33,8 +33,8 @@ type Config struct {
 	MeasureCycles int64
 	// Seed drives every random stream of the run.
 	Seed uint64
-	// Workers selects the parallel engine when > 1. Results are
-	// bit-identical to the sequential engine.
+	// Workers is how many workers share the groups of the network (clamped
+	// to the group and CPU counts). Results are bit-identical for any value.
 	Workers int
 
 	// LatencyModel assigns per-link propagation latencies at network build

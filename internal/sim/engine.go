@@ -12,12 +12,12 @@ import (
 	"dragonfly/internal/traffic"
 )
 
-// watchdogInterval is how often the engine checks for global inactivity.
+// watchdogInterval is how often the driver checks for global inactivity.
 const watchdogInterval = 1024
 
 // Run executes one simulation and returns its measurements. Results are
-// bit-identical for any Workers value (the parallel engine only exchanges
-// state through link events routed between barriers).
+// bit-identical for any Workers value (workers only exchange state through
+// link events routed at the barrier between two windows).
 func Run(cfg Config) (*Result, error) {
 	return RunWithPattern(cfg, nil)
 }
@@ -46,17 +46,7 @@ func RunWithAppPattern(cfg Config, first, groups int) (*Result, error) {
 
 // clampWorkers resolves cfg.Workers against the network and machine size.
 func clampWorkers(net *Network, cfg *Config) int {
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if n := net.Topo.NumRouters(); workers > n {
-		workers = n
-	}
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
-	}
-	return workers
+	return min(max(cfg.Workers, 1), net.Topo.NumGroups(), runtime.NumCPU())
 }
 
 // RunNetwork drives an already-built network through the configured warm-up
@@ -70,7 +60,7 @@ func RunNetwork(net *Network, cfg *Config) error {
 }
 
 // RunNetworkWithController is RunNetwork with a reconfiguration Controller
-// invoked between cycles (nil: none). Every engine calls the controller at
+// invoked between windows (nil: none). Every engine calls the controller at
 // the same cycles with the same pre-cycle state, so reconfigured runs stay
 // bit-identical across engines and worker counts.
 func RunNetworkWithController(net *Network, cfg *Config, ctrl Controller) error {
@@ -88,31 +78,33 @@ func WarmupNetwork(net *Network, cfg *Config, cycles int64) error {
 	return run(net, cycles, cycles, clampWorkers(net, cfg), nil)
 }
 
-// run drives net's core with the sequential or the barrier-parallel
-// scheduler engine.
+// run drives net's core with the group-major engine on `workers` workers.
 func run(net *Network, warmup, total int64, workers int, ctrl Controller) error {
 	if net.core == nil {
 		return errors.New("sim: this network's routers were built outside the core; drive it with its builder's engine")
 	}
-	if workers > 1 {
-		return Drive(net, warmup, total, ctrl, newParEngine(net, workers))
-	}
-	return Drive(net, warmup, total, ctrl, newSeqEngine(net))
+	return Drive(net, warmup, total, ctrl, newEngine(net, workers))
 }
 
-// Engine is the router side of a cycle loop: Drive owns everything the
+// Engine is the router side of the time loop: Drive owns everything the
 // engines share — controller, probes, phase flips, watchdog, early stop,
-// run counters — and hands each cycle to the Engine to generate for and
-// step the routers. The two scheduler engines of this package implement it
-// over the core; internal/refmodel implements the dense seed loops over
-// its own routers.
+// run counters — and cuts the run into windows in which none of that
+// happens; the Engine generates for and steps the routers through one
+// window at a time. The engine of this package implements it over the
+// core; internal/refmodel implements the dense seed loops over its own
+// routers.
 type Engine interface {
-	// Wake forces router r into the next Cycle's step set (a Controller
-	// touched its nodes). Engines that step every router ignore it.
+	// Wake forces router r into the step set of the next window's first
+	// cycle (a Controller touched its nodes). Engines that step every
+	// router ignore it.
 	Wake(r int)
-	// Cycle refreshes PiggyBack state, then generates for and steps the
-	// routers that have work at cycle now.
-	Cycle(now int64)
+	// Lookahead is the longest window the engine can be handed: how many
+	// cycles it may advance one part of the network without looking at the
+	// rest. Engines that step cycle by cycle return 1.
+	Lookahead() int64
+	// Advance refreshes PiggyBack state, generates for and steps the routers
+	// that have work through cycles [from, to), to-from <= Lookahead.
+	Advance(from, to int64)
 	// Steps returns the router-steps executed so far.
 	Steps() int64
 	// Close releases the engine's workers and hooks; called once.
@@ -127,9 +119,9 @@ func batchIndex(now, warmup, measure int64) int {
 	return int((now - warmup) * stats.Batches / measure)
 }
 
-// driver is one run in progress. The per-cycle body lives in cycle() so the
-// steady-state allocation gate (alloc_test.go) can drive — and meter —
-// single cycles of exactly the production loop.
+// driver is one run in progress. The per-window body lives in window() so
+// the steady-state allocation gate (alloc_test.go) can drive — and meter —
+// single windows of exactly the production loop.
 type driver struct {
 	net      *Network
 	e        Engine
@@ -138,70 +130,98 @@ type driver struct {
 	probes   *probeRun
 	fin      Finisher
 	warmup   int64
-	measure  int64
+	total    int64
 	batch    int
+	windows  int64
 	lastSeen int64 // most recent activity observed by the watchdog
 }
 
 func newDriver(net *Network, warmup, total int64, ctrl Controller, e Engine) *driver {
 	net.rebase()
-	net.stoppedAt, net.engineSteps = 0, 0
+	net.stoppedAt, net.engineSteps, net.engineWindows = 0, 0, 0
 	d := &driver{
-		net:     net,
-		e:       e,
-		wake:    e.Wake,
-		reconf:  newReconfigRun(net, ctrl),
-		probes:  newProbeRun(net, warmup),
-		warmup:  warmup,
-		measure: total - warmup,
-		batch:   -1,
+		net:    net,
+		e:      e,
+		wake:   e.Wake,
+		reconf: newReconfigRun(net, ctrl),
+		probes: newProbeRun(net, warmup),
+		warmup: warmup,
+		total:  total,
+		batch:  -1,
 	}
 	d.fin, _ = ctrl.(Finisher)
 	return d
 }
 
-// cycle advances the simulation by one cycle and reports whether a
-// Finisher controller declared the workload complete.
-func (d *driver) cycle(now int64) (bool, error) {
+// horizon returns the end of the window that starts at cycle from: the
+// engine's lookahead, cut at every cycle at which the driver itself has to
+// look at — or change — the whole network. DESIGN.md ("Time windows") lists
+// the cuts and why each exists.
+func (d *driver) horizon(from int64) int64 {
+	if d.fin != nil {
+		return from + 1 // Finished is asked after every cycle
+	}
+	to := min(from+d.e.Lookahead(), d.total, (from/watchdogInterval+1)*watchdogInterval)
+	if d.reconf != nil && d.reconf.next > from {
+		to = min(to, d.reconf.next)
+	}
+	if d.probes != nil {
+		to = min(to, (from/d.probes.every+1)*d.probes.every)
+	}
+	if from < d.warmup {
+		return min(to, d.warmup)
+	}
+	// The first cycle of the next batch-means span: the smallest cycle whose
+	// batchIndex exceeds the current one.
+	measure := d.total - d.warmup
+	return min(to, d.warmup+(int64(d.batch+1)*measure+stats.Batches-1)/stats.Batches)
+}
+
+// window advances the simulation by one window starting at cycle from. It
+// returns the cycle the window ended at and whether a Finisher controller
+// declared the workload complete.
+func (d *driver) window(from int64) (to int64, done bool, err error) {
 	// Reconfiguration first: membership changes must be visible to this
 	// cycle's generation, and a force-woken router at worst executes a
-	// provable no-op step. Workers are quiescent between cycles, so the
-	// controller and the probes see stable state.
-	d.reconf.step(now, d.wake)
-	d.probes.step(now)
+	// provable no-op step. Workers are quiescent between windows and every
+	// group stands at cycle from, so the controller and the probes see
+	// stable state.
+	d.reconf.step(from, d.wake)
+	d.probes.step(from)
 	// The warm-up→measurement transition and batch-means bookkeeping touch
 	// the flags of every router (sleeping ones included — they must be
 	// current whenever a router next steps), but only on the handful of
 	// boundary cycles.
-	if now == d.warmup {
+	if from == d.warmup {
 		d.net.fab.SetMeasuring(true)
 	}
-	if now >= d.warmup {
-		if b := batchIndex(now, d.warmup, d.measure); b != d.batch {
+	if from >= d.warmup {
+		if b := batchIndex(from, d.warmup, d.total-d.warmup); b != d.batch {
 			d.batch = b
 			d.net.fab.SetBatch(b)
 		}
 	}
-	d.e.Cycle(now)
-	if now%watchdogInterval == watchdogInterval-1 {
-		var err error
-		if d.lastSeen, err = watchdog(d.net, now, d.lastSeen); err != nil {
-			return false, err
+	to = d.horizon(from)
+	d.e.Advance(from, to)
+	d.windows++
+	if to%watchdogInterval == 0 {
+		if d.lastSeen, err = watchdog(d.net, to-1, d.lastSeen); err != nil {
+			return to, false, err
 		}
 	}
-	return d.fin != nil && d.fin.Finished(now), nil
+	return to, d.fin != nil && d.fin.Finished(to-1), nil
 }
 
-// finish tears the run down and publishes the step count.
+// finish tears the run down and publishes the work counters.
 func (d *driver) finish() {
-	d.net.engineSteps = d.e.Steps()
+	d.net.engineSteps, d.net.engineWindows = d.e.Steps(), d.windows
 	d.e.Close()
 	d.probes.finish()
 }
 
 // Drive runs net for cycles [0, total) on engine e, enabling measurement
-// at cycle warmup. It is the one cycle loop of the repository: RunNetwork
-// and WarmupNetwork call it with the scheduler engines, internal/refmodel
+// at cycle warmup. It is the one time loop of the repository: RunNetwork
+// and WarmupNetwork call it with the group-major engine, internal/refmodel
 // with the dense ones.
 func Drive(net *Network, warmup, total int64, ctrl Controller, e Engine) error {
 	if net.ranCycles > 0 && net.core == nil {
@@ -210,19 +230,19 @@ func Drive(net *Network, warmup, total int64, ctrl Controller, e Engine) error {
 	}
 	d := newDriver(net, warmup, total, ctrl, e)
 	defer d.finish()
-	ran := total
-	for now := int64(0); now < total; now++ {
-		done, err := d.cycle(now)
+	now := int64(0)
+	for now < total {
+		to, done, err := d.window(now)
 		if err != nil {
 			return err
 		}
+		now = to
 		if done {
-			ran = now + 1
-			net.stoppedAt = ran
+			net.stoppedAt = now
 			break
 		}
 	}
-	net.ranCycles += ran
+	net.ranCycles += now
 	return nil
 }
 
@@ -271,253 +291,201 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 	return lastSeen, nil
 }
 
-// seqEngine is the sequential scheduler engine.
-type seqEngine struct {
-	net     *Network
-	core    *router.Core
-	sched   *scheduler
-	wbuf    []router.LinkEvent
-	pbDirty []bool
-}
-
-func newSeqEngine(net *Network) *seqEngine {
-	s := &seqEngine{net: net, core: net.core, sched: newScheduler(net.Topo.NumRouters())}
-	s.core.SetAllSinks(func(ev router.LinkEvent) {
-		// Park the event in the destination port's ring immediately (its
-		// pop stages look no earlier than the arrival cycle) and remember
-		// it for the post-settle wake pass.
-		s.core.PushDue(ev.Router, ev)
-		s.wbuf = append(s.wbuf, ev)
-	})
-	s.pbDirty = net.pb.allDirty()
-	return s
-}
-
-// Wake implements Engine.
-func (s *seqEngine) Wake(r int) { s.sched.active[r] = true }
-
-// Steps implements Engine.
-func (s *seqEngine) Steps() int64 { return s.sched.steps }
-
-// Close implements Engine.
-func (s *seqEngine) Close() { s.core.SetAllSinks(nil) }
-
-// Cycle implements Engine.
-func (s *seqEngine) Cycle(now int64) {
-	net, sched, core := s.net, s.sched, s.core
-	// Scheduler-aware PiggyBack refresh: a group's PB bits depend only on
-	// its own routers' link loads, which change only when one of those
-	// routers steps — so only groups dirtied by the previous cycle's step
-	// list need a refresh (all groups start dirty).
-	for g, d := range s.pbDirty {
-		if d {
-			net.pb.updateGroup(g)
-			s.pbDirty[g] = false
-		}
-	}
-	sched.wakeDue(now)
-	sched.rebuild()
-	for _, r := range sched.list {
-		net.Generate(r, now)
-		nev := core.StepRouter(r, now)
-		sched.settle(net, r, now, nev)
-	}
-	sched.steps += int64(len(sched.list))
-	if s.pbDirty != nil {
-		for _, r := range sched.list {
-			s.pbDirty[net.groupOf[r]] = true
-		}
-	}
-	// Events created this cycle towards already-sleeping routers
-	// advance their wake-ups (settle saw everything earlier).
-	for _, e := range s.wbuf {
-		sched.notify(e.Router, e.At)
-	}
-	s.wbuf = s.wbuf[:0]
-}
-
-// parEngine steps disjoint router shards on persistent workers with a
-// barrier per phase, each worker visiting only the active routers of its
-// shard. Cross-router state only flows through link events routed between
-// barriers, and all scheduler mutation (wake draining, sleeps, calendar
-// pops) happens on the coordinator between barriers, so the result is
-// identical to the sequential engine.
+// engine is the group-major scheduler engine. Time advances in windows no
+// longer than the shortest inter-group link (Core.Lookahead): nothing a
+// group does inside a window can reach another group before the window
+// ends, so each group is stepped through the whole window on its own —
+// ascending router order, cycle by cycle, exactly the per-cycle body of a
+// cycle-major loop — while its state is still in cache, and an idle group
+// costs three array reads per window. Link events are parked in the
+// destination ring the moment they are created (the global rings are sized
+// for a sender one window ahead of its receiver, see Core.layoutRings);
+// DESIGN.md ("Time windows") has the causality argument.
 //
-// Shards are re-partitioned by recent router activity every
-// rebalanceInterval cycles (see partition.go): under adversarial patterns
-// the active routers cluster, and a static id split would leave most
-// workers idle while one steps the hot group. Re-partitioning happens on
-// the coordinator between cycles and keeps spans contiguous and ascending,
-// so results stay bit-identical to the sequential engine for any worker
-// count.
-type parEngine struct {
-	net     *Network
-	core    *router.Core
-	sched   *scheduler
-	workers int
-	weight  []int64 // router-steps, halved at each re-partition
-	shards  []span
-	spare   []span  // second buffer; swaps with shards
-	gShards []span  // static group shards for the PB refresh phase
-	lists   [][]int // per-shard active routers this cycle
-	// Workers may not touch the shared calendar or another shard's
-	// routers, so each router's event sink appends to its shard's buffer
-	// and the per-router internal event horizon goes into wakeAt; the
-	// coordinator routes and drains both between barriers. Sinks follow
-	// the shard map: assignSinks reruns after every re-partition, between
-	// cycles, so each buffer keeps a single writer per phase.
-	wbuf    [][]router.LinkEvent
-	sinkFns []func(router.LinkEvent)
-	wakeAt  []int64
-	// pbDirty: the coordinator marks the groups of stepped routers dirty
-	// between barriers; each worker refreshes — and clears — only the dirty
-	// groups of its own group shard, so every flag keeps a single writer
-	// per phase.
-	pbDirty []bool
-	// Each worker has a dedicated start channel so a fast worker can never
-	// steal another worker's phase signal; done is the converging barrier.
-	starts []chan int64
+// With more than one worker, each owns a contiguous span of groups and
+// runs the same body over it; there is one barrier per window, at which
+// the events that crossed a worker boundary are routed. Spans are re-cut
+// by recent group activity every rebalanceInterval cycles (partition.go).
+// A group's routers, calendar and PiggyBack bits are only ever touched by
+// its owner, and events reach their rings in the sender's order whatever
+// the partition, so results are identical for any worker count.
+type engine struct {
+	net   *Network
+	core  *router.Core
+	sched *scheduler
+	per   int // routers per group
+
+	groups  []groupRun
+	weight  []int64 // per group: router-steps, halved at each re-partition
+	pbDirty []bool  // per group: a router stepped since the last PiggyBack refresh
+	spans   []span  // per worker: the groups it owns
+	// Worker 0 is the caller of Advance; every other worker has a dedicated
+	// start channel so a fast worker can never steal another's window, and
+	// done is the converging barrier.
+	starts []chan [2]int64
 	done   chan struct{}
 }
 
-func newParEngine(net *Network, workers int) *parEngine {
-	n := net.Topo.NumRouters()
+// groupRun is the engine's per-group state.
+type groupRun struct {
+	own   span  // the owning worker's groups
+	steps int64 // router-steps executed
+	// out holds the link events bound for groups of other workers until the
+	// window's barrier; nil forever on a single worker.
+	out []router.LinkEvent
+}
+
+func newEngine(net *Network, workers int) *engine {
 	groups := net.Topo.NumGroups()
-	e := &parEngine{
-		net: net, core: net.core, sched: newScheduler(n), workers: workers,
-		weight:  make([]int64, n),
-		spare:   make([]span, 0, workers),
-		gShards: make([]span, workers),
-		lists:   make([][]int, workers),
-		wbuf:    make([][]router.LinkEvent, workers),
-		sinkFns: make([]func(router.LinkEvent), workers),
-		wakeAt:  make([]int64, n),
+	workers = min(max(workers, 1), groups)
+	e := &engine{
+		net: net, core: net.core, sched: newScheduler(net.groupOf, groups),
+		per:     net.Topo.NumRouters() / groups,
+		groups:  make([]groupRun, groups),
+		weight:  make([]int64, groups),
 		pbDirty: net.pb.allDirty(),
-		starts:  make([]chan int64, workers),
-		done:    make(chan struct{}, workers),
+		done:    make(chan struct{}, workers-1),
 	}
-	e.shards = balancedSpans(e.weight, workers, make([]span, 0, workers))
-	for w := 0; w < workers; w++ {
-		e.gShards[w] = span{lo: w * groups / workers, hi: (w + 1) * groups / workers}
-		e.lists[w] = make([]int, 0, e.shards[w].hi-e.shards[w].lo)
-		buf := &e.wbuf[w]
-		e.sinkFns[w] = func(ev router.LinkEvent) { *buf = append(*buf, ev) }
-		e.starts[w] = make(chan int64)
-		go e.worker(w)
+	e.partition(workers)
+	for r, g := range net.groupOf {
+		e.core.SetSink(r, e.sinkOf(int(g)))
 	}
-	e.assignSinks()
+	for w := 1; w < workers; w++ {
+		start := make(chan [2]int64)
+		e.starts = append(e.starts, start)
+		go func(w int) {
+			for win := range start {
+				e.advanceSpan(e.spans[w], win[0], win[1])
+				e.done <- struct{}{}
+			}
+		}(w)
+	}
 	return e
 }
 
-func (e *parEngine) assignSinks() {
-	for w, s := range e.shards {
-		for r := s.lo; r < s.hi; r++ {
-			e.core.SetSink(r, e.sinkFns[w])
+// sinkOf returns the event sink of group g's routers: an event for a group
+// of the same worker is parked in the destination port's ring at once (its
+// pop stages look no earlier than the arrival cycle) and advances the
+// destination's wake-up if it sleeps; an event that crosses a worker
+// boundary waits for the barrier.
+func (e *engine) sinkOf(g int) func(router.LinkEvent) {
+	gr := &e.groups[g]
+	return func(ev router.LinkEvent) {
+		if dst := int(e.net.groupOf[ev.Router]); dst < gr.own.lo || dst >= gr.own.hi {
+			gr.out = append(gr.out, ev)
+			return
 		}
+		e.core.PushDue(ev.Router, ev)
+		e.sched.notify(ev.Router, ev.At)
 	}
 }
 
-func (e *parEngine) worker(w int) {
-	net := e.net
-	for now := range e.starts[w] {
-		if e.pbDirty != nil {
-			// Phase 1: refresh the dirty PB groups of this worker's shard.
-			for g := e.gShards[w].lo; g < e.gShards[w].hi; g++ {
-				if e.pbDirty[g] {
-					net.pb.updateGroup(g)
-					e.pbDirty[g] = false
-				}
-			}
-			e.done <- struct{}{}
-			// Phase 2 signal from the coordinator.
-			if _, ok := <-e.starts[w]; !ok {
-				return
-			}
+// partition cuts the groups into one span per worker by recent activity
+// and tells every group its owner's span.
+func (e *engine) partition(workers int) {
+	e.spans = balancedSpans(e.weight, workers, e.spans)
+	for _, s := range e.spans {
+		for g := s.lo; g < s.hi; g++ {
+			e.groups[g].own = s
 		}
-		for _, r := range e.lists[w] {
-			net.Generate(r, now)
-			e.wakeAt[r] = e.core.StepRouter(r, now)
-		}
-		e.done <- struct{}{}
+	}
+	// Halve rather than reset: load shifts are tracked with a little
+	// hysteresis instead of re-cutting on one quiet interval.
+	for g := range e.weight {
+		e.weight[g] >>= 1
 	}
 }
 
 // Wake implements Engine.
-func (e *parEngine) Wake(r int) { e.sched.active[r] = true }
+func (e *engine) Wake(r int) { e.sched.wake(r) }
+
+// Lookahead implements Engine.
+func (e *engine) Lookahead() int64 { return e.core.Lookahead() }
 
 // Steps implements Engine.
-func (e *parEngine) Steps() int64 { return e.sched.steps }
+func (e *engine) Steps() int64 {
+	var n int64
+	for g := range e.groups {
+		n += e.groups[g].steps
+	}
+	return n
+}
 
 // Close implements Engine.
-func (e *parEngine) Close() {
+func (e *engine) Close() {
 	for _, ch := range e.starts {
 		close(ch)
 	}
 	e.core.SetAllSinks(nil)
 }
 
-// Cycle implements Engine. It runs on the coordinator; workers are
-// quiescent on entry and on return.
-func (e *parEngine) Cycle(now int64) {
-	sched, workers := e.sched, e.workers
-	if now > 0 && now%rebalanceInterval == 0 {
-		if fresh := balancedSpans(e.weight, workers, e.spare); !spansEqual(fresh, e.shards) {
-			e.shards, e.spare = fresh, e.shards[:0]
-			e.assignSinks()
-		} else {
-			e.spare = fresh[:0]
-		}
-		// Halve rather than reset: load shifts are tracked with a
-		// little hysteresis instead of re-cutting on one quiet window.
-		for r := range e.weight {
-			e.weight[r] >>= 1
-		}
+// Advance implements Engine. Workers are quiescent on entry and on return.
+func (e *engine) Advance(from, to int64) {
+	for _, ch := range e.starts {
+		ch <- [2]int64{from, to}
 	}
-	sched.wakeDue(now)
-	next := 0
-	for w := range e.lists {
-		e.lists[w] = e.lists[w][:0]
+	e.advanceSpan(e.spans[0], from, to)
+	if len(e.starts) == 0 {
+		return
 	}
-	for r, a := range sched.active {
-		if !a {
-			continue
-		}
-		for r >= e.shards[next].hi {
-			next++
-		}
-		e.lists[next] = append(e.lists[next], r)
+	for range e.starts {
+		<-e.done
 	}
-	phases := 1
-	if e.pbDirty != nil {
-		phases = 2
-	}
-	for ph := 0; ph < phases; ph++ {
-		for w := 0; w < workers; w++ {
-			e.starts[w] <- now
+	// Route what crossed a worker boundary, in ascending sender order. Every
+	// such event travels a global link, so it falls due in a later window.
+	for g := range e.groups {
+		gr := &e.groups[g]
+		for _, ev := range gr.out {
+			e.core.PushDue(ev.Router, ev)
+			e.sched.notify(ev.Router, ev.At)
 		}
-		for w := 0; w < workers; w++ {
-			<-e.done
-		}
+		clear(gr.out) // drop the packet references
+		gr.out = gr.out[:0]
 	}
-	// Sleep decisions first, then event routing: a sleep that missed
-	// an event created this same cycle is corrected by notify, and a
-	// router woken before its events' arrival re-settles against the
-	// by-then routed rings.
-	for w := 0; w < workers; w++ {
-		for _, r := range e.lists[w] {
-			sched.settle(e.net, r, now, e.wakeAt[r])
-			e.weight[r]++
+	if to/rebalanceInterval != from/rebalanceInterval {
+		e.partition(len(e.spans))
+	}
+}
+
+// advanceSpan steps the groups of one worker through cycles [from, to),
+// one group at a time.
+func (e *engine) advanceSpan(own span, from, to int64) {
+	net, core, sched := e.net, e.core, e.sched
+	for g := own.lo; g < own.hi; g++ {
+		lo, hi := g*e.per, (g+1)*e.per
+		var steps int64
+		for now := from; now < to; now++ {
+			// Scheduler-aware PiggyBack refresh: a group's bits depend only on
+			// its own routers' link loads, which change only when one of them
+			// steps — so they are refreshed at the top of the cycle after a
+			// step (all groups start dirty), idle or not: a probe at the end
+			// of the window must find them one cycle behind, as in the dense
+			// engines.
+			if e.pbDirty != nil && e.pbDirty[g] {
+				net.pb.updateGroup(g)
+				e.pbDirty[g] = false
+			}
+			if sched.nextWake[g] <= now {
+				sched.wakeDue(g, now)
+			} else if sched.nActive[g] == 0 {
+				// Idle: jump to the group's next wake-up.
+				now = min(sched.nextWake[g], to) - 1
+				continue
+			}
+			for r := lo; r < hi; r++ {
+				if sched.active[r] {
+					net.Generate(r, now)
+					sched.settle(net, r, now, core.StepRouter(r, now))
+					steps++
+				}
+			}
 			if e.pbDirty != nil {
-				e.pbDirty[e.net.groupOf[r]] = true
+				e.pbDirty[g] = true // woken or active: at least one router stepped
 			}
 		}
-		sched.steps += int64(len(e.lists[w]))
-	}
-	for w := 0; w < workers; w++ {
-		for _, ev := range e.wbuf[w] {
-			e.core.PushDue(ev.Router, ev)
-			sched.notify(ev.Router, ev.At)
+		if steps > 0 {
+			e.groups[g].steps += steps
+			e.weight[g] += steps
 		}
-		e.wbuf[w] = e.wbuf[w][:0]
 	}
 }

@@ -154,3 +154,37 @@ func TestBadLatencyModelRejected(t *testing.T) {
 		t.Fatal("non-positive link latency accepted")
 	}
 }
+
+// Inside a window a group runs up to a lookahead ahead of the groups behind
+// it, so a saturated global link piles that many extra cycles of packets —
+// and the link back that many credits — into the receiver's event ring
+// before the receiver pops anything (Core.layoutRings sizes global rings for
+// it). ADVc far past saturation keeps the bottleneck group's global links
+// busy every cycle of every window; if the rings were a slot short the
+// "link event ring full" panic would fire inside the first window. No
+// sizing switch: this is the production geometry, run hard.
+func TestGlobalRingsHoldAWindowOfLookahead(t *testing.T) {
+	for _, mech := range []string{"MIN", "In-Trns-MM"} {
+		for _, ls := range latencySettings() {
+			cfg := DefaultConfig()
+			cfg.Topology = topology.Balanced(3)
+			cfg.Mechanism, cfg.Pattern, cfg.Load = mech, "ADVc", 1.0
+			cfg.WarmupCycles, cfg.MeasureCycles = 100, 700
+			applyLatency(t, &cfg, ls.local, ls.global, ls.model)
+			net, err := NewNetwork(&cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := RunNetwork(net, &cfg); err != nil {
+				t.Fatal(err)
+			}
+			look := net.core.Lookahead()
+			if windows := net.EngineWindows(); windows < 5 || windows > 2*(800/look+9) {
+				t.Errorf("%s/%s: %d windows over 800 cycles at lookahead %d", mech, ls.name, windows, look)
+			}
+			if thr := newResult(net, &cfg, 0).Throughput(); thr <= 0 || thr > cfg.Load/2 {
+				t.Errorf("%s/%s: accepted %.3f of an offered %.1f — not past saturation", mech, ls.name, thr, cfg.Load)
+			}
+		}
+	}
+}

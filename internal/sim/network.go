@@ -99,14 +99,16 @@ type Network struct {
 	// sleep. Each entry is only touched by the worker owning the router.
 	genWake []int64
 
-	// groupOf caches Topology.RouterGroup for the engines' per-step
-	// PiggyBack dirty-marking (a divide per stepped router otherwise).
+	// groupOf caches Topology.RouterGroup for the per-group scheduler and the
+	// probes (a divide per link event otherwise).
 	groupOf []int32
 
 	// engineSteps is the number of router-steps the last engine run
-	// executed; the scheduler tests and cmd/dfbench read it to quantify how
-	// many quiescent router-cycles were skipped.
-	engineSteps int64
+	// executed, engineWindows the number of time windows it was cut into;
+	// the scheduler tests and cmd/dfbench read them to quantify how many
+	// quiescent router-cycles were skipped and how long the engine ran
+	// between looks at the whole network.
+	engineSteps, engineWindows int64
 
 	// nodeRnd0 holds every node RNG's stream position from just before its
 	// first inter-arrival draw in NewNetwork — the only build-time draw
@@ -439,6 +441,12 @@ func (net *Network) LiveJobDelivered(job int, routers []int) int64 {
 // executed — the denominator of the scheduler's skip ratio (cmd/dfbench
 // records it per release).
 func (net *Network) EngineSteps() int64 { return net.engineSteps }
+
+// EngineWindows returns the number of time windows the last engine run
+// executed (see Drive). Cycles run over windows is the mean window length:
+// the engine's lookahead at best, 1 when a Finisher or a per-cycle probe
+// cadence makes the driver look at the network after every cycle.
+func (net *Network) EngineWindows() int64 { return net.engineWindows }
 
 // Fabric returns the router state behind the network.
 func (net *Network) Fabric() Fabric { return net.fab }

@@ -1,27 +1,25 @@
 package sim
 
-// Activity-balanced shard partitioning for the parallel engine. The
-// parallel engines split routers into one contiguous id-span per worker;
-// splitting by id count alone skews shard loads under adversarial
-// patterns, where the active routers cluster (the bottleneck group and its
-// Valiant intermediaries), leaving some workers stepping almost nothing
-// while one does most of the cycle. balancedSpans instead cuts the id line
-// so every span carries a near-equal share of observed router activity.
+// Activity-balanced partitioning for the engine's workers. Each worker owns
+// one contiguous span of groups; splitting by group count alone skews the
+// loads under adversarial patterns, where the active routers cluster (the
+// bottleneck group and its Valiant intermediaries), leaving some workers
+// stepping almost nothing while one does most of the window. balancedSpans
+// instead cuts the group line so every span carries a near-equal share of
+// observed router-steps.
 //
-// Spans stay contiguous and ascending on purpose: the engine's event
-// routing drains worker buffers in worker order and each worker steps its
-// routers in ascending id, so with contiguous ascending spans the global
-// event order is ascending sender id — exactly the sequential engine's
-// order — for any partition. Re-partitioning therefore cannot perturb
-// results; the bit-identity across Workers 1/2/N is preserved by
-// construction (and enforced by the cross-engine tests).
+// The partition cannot perturb results: a group's state is only ever
+// touched by its owner, the events on one link reach their ring in the
+// sender's order whether they are pushed at once or at the barrier, and a
+// span only changes between windows. Bit-identity across Workers 1/2/N is
+// preserved by construction (and enforced by the cross-engine tests).
 
-// span is one worker's contiguous router-id range [lo, hi).
+// span is one worker's contiguous group range [lo, hi).
 type span struct{ lo, hi int }
 
 // rebalanceInterval is how many cycles of activity are observed between
-// shard re-partitions. Long enough to amortize the sink reassignment,
-// short enough to chase a bottleneck group that wakes mid-run.
+// re-partitions: short enough to chase a bottleneck group that wakes
+// mid-run.
 const rebalanceInterval = 256
 
 // balancedSpans cuts [0,len(weight)) into `workers` contiguous spans whose
@@ -53,17 +51,4 @@ func balancedSpans(weight []int64, workers int, buf []span) []span {
 		buf = append(buf, span{lo: n, hi: n})
 	}
 	return buf
-}
-
-// spansEqual reports whether two partitions are identical.
-func spansEqual(a, b []span) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -114,25 +114,11 @@ func TestBalancedSpansMoreWorkersThanRouters(t *testing.T) {
 	}
 }
 
-func TestSpansEqual(t *testing.T) {
-	a := []span{{0, 3}, {3, 7}}
-	b := []span{{0, 3}, {3, 7}}
-	if !spansEqual(a, b) {
-		t.Fatal("equal partitions reported different")
-	}
-	b[1].hi = 8
-	if spansEqual(a, b) {
-		t.Fatal("different partitions reported equal")
-	}
-	if spansEqual(a, a[:1]) {
-		t.Fatal("length mismatch reported equal")
-	}
-}
-
-// The re-partitioning engine must remain bit-identical to the sequential
-// scheduler engine under the pattern that skews shard loads the most —
-// ADVc concentrates activity in the bottleneck group — across enough
-// cycles for several re-partitions to fire.
+// The re-partitioning engine must remain bit-identical to the single-worker
+// one under the pattern that skews the workers' loads the most — ADVc
+// concentrates activity in the bottleneck group — across enough cycles for
+// several re-partitions to fire. runSched bypasses the NumCPU clamp, so the
+// three- and four-worker partitions run on any machine.
 func TestRebalancedParallelBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mechanism = "In-Trns-MM"
@@ -140,17 +126,9 @@ func TestRebalancedParallelBitIdentical(t *testing.T) {
 	cfg.Load = 0.3
 	cfg.WarmupCycles = 2 * rebalanceInterval
 	cfg.MeasureCycles = 3 * rebalanceInterval
-	cfg.Workers = 1
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := runSched(t, cfg, 1)
 	for _, workers := range []int{2, 3, 4} {
-		cfg.Workers = workers
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := runSched(t, cfg, workers)
 		for r := range ref.PerRouter {
 			if got.PerRouter[r] != ref.PerRouter[r] {
 				t.Fatalf("workers=%d: router %d stats diverge after re-partitioning", workers, r)

@@ -6,10 +6,11 @@ import (
 )
 
 // pbState maintains the PiggyBack group-broadcast of global-link saturation
-// bits. It is refreshed once per cycle, before any router steps, from the
-// routers' end-of-previous-cycle state — giving the one-cycle notification
-// delay of a real in-group broadcast while staying race-free under the
-// parallel engine (phase barrier between refresh and stepping).
+// bits. A group's bits are refreshed at the top of each of its cycles,
+// before any of its routers steps, from their end-of-previous-cycle state
+// — giving the one-cycle notification delay of a real in-group broadcast.
+// A group's bits are read and written by its own routers' steps only, so
+// they belong to whichever worker owns the group.
 //
 // The saturation rule follows the paper (Section II-C, Table I): a global
 // link is saturated when its credit count exceeds a threshold of T=3
@@ -24,14 +25,14 @@ type pbState struct {
 	bits []bool // per group: a*h saturation bits, groups back to back
 	per  int    // a*h
 	// loads is updateGroup's scratch, one a*h region per group like bits
-	// (groups refresh concurrently under the parallel engine): every link
-	// load is read through the Fabric seam once, not once per pass.
+	// (groups refresh concurrently on several workers): every link load is
+	// read through the Fabric seam once, not once per pass.
 	loads []int
 	// marginPhits is the T-packet margin over the router mean.
 	marginPhits float64
-	// updates counts updateGroup calls per group (one writer per group even
-	// under the parallel engine), so tests can verify the scheduler engines
-	// actually skip refreshes of quiescent groups.
+	// updates counts updateGroup calls per group (one writer per group at
+	// any worker count), so tests can verify the scheduler engine actually
+	// skips refreshes of quiescent groups.
 	updates []int64
 }
 
@@ -70,7 +71,7 @@ func (s *pbState) allDirty() []bool {
 
 // updateGroup recomputes the bits of one group. A group's bits depend only
 // on its own routers' output-link loads, which change exclusively when one
-// of those routers steps — so the scheduler engines refresh only groups
+// of those routers steps — so the scheduler engine refreshes only groups
 // with a router stepped in the previous cycle (bit-identical to the dense
 // refresh, which recomputes unchanged bits to the same values).
 func (s *pbState) updateGroup(g int) {
@@ -117,5 +118,5 @@ func (net *Network) PBGroups() int {
 }
 
 // RefreshPB recomputes group g's PiggyBack bits from its routers' current
-// link loads. Engines call it between cycles, before any router steps.
+// link loads. Engines call it before any router of g steps in a cycle.
 func (net *Network) RefreshPB(g int) { net.pb.updateGroup(g) }

@@ -3,14 +3,15 @@ package sim
 import "dragonfly/internal/telemetry"
 
 // The telemetry cadence hook. Like the reconfiguration Controller
-// (reconfig.go), probes run at the top of a cycle, on the coordinator,
-// with every engine worker quiescent — the one point where the network
-// state is both stable and proven bit-identical across engines and worker
-// counts at every cycle boundary. A probe is a pure read of that state
+// (reconfig.go), probes run at the top of a time window, on the
+// coordinator, with every engine worker quiescent and every group at the
+// same cycle (the driver cuts its windows at the cadence) — the one point
+// where the network state is both stable and proven bit-identical across
+// engines and worker counts. A probe is a pure read of that state
 // (per-router stats accumulators, queue occupancies, link serializer
 // deadlines, PB bits), so enabling it cannot change results, and the
 // sampled series themselves are engine- and worker-invariant. A nil
-// *probeRun is inert: a run without probes pays one nil check per cycle
+// *probeRun is inert: a run without probes pays one nil check per window
 // and allocates nothing.
 
 // probeSource adapts the Network to telemetry.Source, reading router state
@@ -113,8 +114,8 @@ func newProbeRun(net *Network, warmup int64) *probeRun {
 }
 
 // step samples the network when cycle now falls on the cadence. Must run
-// at the top of the cycle, with workers quiescent, at the same point in
-// every engine.
+// at the top of a window, with workers quiescent; the driver ends every
+// window no later than the next multiple of the cadence.
 func (p *probeRun) step(now int64) {
 	if p == nil || now%p.every != 0 {
 		return

@@ -8,13 +8,14 @@ import "math"
 // allocations are recycled mid-run.
 //
 // Correctness rests on *when* the controller runs, not on what it changes:
-// Apply executes only between cycles, on the coordinator, with every engine
-// worker quiescent (the same window in which the engines already mutate
-// scheduler state). All engines — sequential and parallel, scheduler and
-// dense reference — call the controller at exactly the same cycles with
-// exactly the same pre-cycle network state, so a run with mid-run
-// reconfiguration stays bit-identical across engines and worker counts for
-// the same reason a static run does. Activating a node consumes only that
+// Apply executes only between time windows, on the coordinator, with every
+// engine worker quiescent and every group standing at the same cycle — the
+// driver cuts the window at the controller's next event, so an event never
+// falls inside one. All engines — one worker or many, scheduler and dense
+// reference — call the controller at exactly the same cycles with exactly
+// the same pre-cycle network state, so a run with mid-run reconfiguration
+// stays bit-identical across engines and worker counts for the same reason
+// a static run does. Activating a node consumes only that
 // node's own RNG stream (its first Bernoulli arrival draw), exactly the
 // draw network construction would have consumed had the node been active
 // from the start — which is why a trace whose jobs all arrive at cycle 0
@@ -33,7 +34,10 @@ import "math"
 type Controller interface {
 	// NextEvent returns the next cycle strictly greater than now at which
 	// Apply must run, or -1 for never again. It is called once with -1
-	// before the first cycle and after every Apply.
+	// before the first cycle and after every Apply. The answer is binding:
+	// the engine runs the cycles up to it without consulting the controller
+	// (they are the time window it advances group by group), so a
+	// controller that has to poll returns now+1.
 	NextEvent(now int64) int64
 	// Apply runs at the start of cycle now, before generation and routing,
 	// with all engine workers quiescent. It mutates membership only through
@@ -43,14 +47,17 @@ type Controller interface {
 
 // Finisher is an optional Controller extension for runs whose length is a
 // property of the workload rather than the Config: when the controller also
-// implements Finisher, every engine checks Finished at the end of each
-// cycle and stops the run after the first cycle for which it reports true.
-// The check runs at the same point of every engine's loop — after the full
-// cycle body, with workers quiescent — and Finished must be a deterministic
+// implements Finisher, the driver checks Finished at the end of each cycle
+// and stops the run after the first cycle for which it reports true. The
+// check runs at the same point for every engine — after the full cycle
+// body, with workers quiescent — and Finished must be a deterministic
 // function of cycle-boundary state, so early-stopped runs remain
-// bit-identical across engines and worker counts. The Result of an
-// early-stopped run reports the cycles actually measured (see
-// Result.MeasuredCycles), not the configured horizon.
+// bit-identical across engines and worker counts. The contract is per
+// cycle, so a Finisher forces one-cycle windows: the engine gives up
+// stepping a group through a global-link latency at a time (Network.
+// EngineWindows shows it). The Result of an early-stopped run reports the
+// cycles actually measured (see Result.MeasuredCycles), not the configured
+// horizon.
 type Finisher interface {
 	// Finished reports whether the workload is complete as of the end of
 	// cycle now. Once true it must stay true for every later cycle.
@@ -126,8 +133,8 @@ func (rc *Reconfig) LiveJobDelivered(job int, routers []int) int64 {
 	return rc.net.LiveJobDelivered(job, routers)
 }
 
-// reconfigRun is the per-engine controller driver: it asks the controller
-// for its event cycles and runs Apply between cycles, then refreshes the
+// reconfigRun is the per-run controller driver: it asks the controller for
+// its event cycles and runs Apply between windows, then refreshes the
 // generation calendars of touched routers and reports them to the engine's
 // wake callback (Engine.Wake). A nil *reconfigRun is inert, so the driver
 // calls step unconditionally.
@@ -149,8 +156,8 @@ func newReconfigRun(net *Network, ctrl Controller) *reconfigRun {
 }
 
 // step runs the controller if an event is due at cycle now. It must be
-// called at the top of every engine cycle, before generation, with workers
-// quiescent.
+// called at the top of every window, before generation, with workers
+// quiescent; the driver ends the window no later than r.next.
 func (r *reconfigRun) step(now int64, wake func(router int)) {
 	if r == nil || r.next < 0 || r.next > now {
 		return

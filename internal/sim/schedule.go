@@ -2,10 +2,10 @@ package sim
 
 import "math"
 
-// The active-router scheduler. The cycle engines step only routers that
-// have (or may have) work to do in the current cycle; everything else is
-// asleep. Correctness rests on one invariant: a sleeping router is always
-// woken no later than its next event. Events come from three sources:
+// The active-router scheduler. The engine steps only routers that have (or
+// may have) work to do in the current cycle; everything else is asleep.
+// Correctness rests on one invariant: a sleeping router is always woken no
+// later than its next event. Events come from three sources:
 //
 //   - internal work: StepRouter returns the earliest future cycle with
 //     internal work (pipeline delays elapsing, crossbar transfers
@@ -30,59 +30,89 @@ import "math"
 // Results stay bit-identical to the dense engines that step every router
 // every cycle: a sleeping router would only have executed provable
 // no-op steps (no state change, no RNG consumption). Spurious wakes (heap
-// entries that a later, earlier wake made redundant) cost a no-op step
-// and nothing else.
+// entries whose event a Controller cancelled) cost a no-op step and
+// nothing else.
 //
-// All scheduler state is mutated between cycles only (on the coordinator,
-// under the parallel engine), so the engines stay race-free.
+// The engine advances time one group at a time (engine.go), so the
+// calendar is per group: every group has its own wake heap and two dense
+// summaries, the number of active routers and the earliest wake-up, which
+// is all it takes to skip an idle group or to jump it to its next event.
+// A group's scheduler state is written only by the worker that owns the
+// group, so the engine stays race-free at any worker count.
 type scheduler struct {
 	active []bool
 	// sleepUntil is the earliest scheduled wake-up of a sleeping router
 	// (math.MaxInt64: sleeping with none); meaningless while active.
 	sleepUntil []int64
-	list       []int    // routers to step this cycle, ascending id
-	heap       []uint64 // packed (cycle<<routerBits | router) min-heap
-	steps      int64    // router-steps executed, for tests and benchmarks
+	groupOf    []int32 // router → group
+	// heaps are the per-group packed (cycle<<routerBits | router) min-heaps,
+	// capacity-capped windows of one backing array: a heap that outgrows its
+	// window (entries a later, earlier wake made redundant stay until they
+	// fall due) reallocates privately via append.
+	heaps    [][]uint64
+	nActive  []int32 // per group: routers awake
+	nextWake []int64 // per group: cycle of the heap minimum (math.MaxInt64: empty)
 }
 
 // routerBits sizes the router-id field of a packed calendar entry; 2^20
 // routers is three orders of magnitude above the paper-scale network.
 const routerBits = 20
 
-func newScheduler(n int) *scheduler {
+func newScheduler(groupOf []int32, groups int) *scheduler {
+	n := len(groupOf)
 	s := &scheduler{
 		active:     make([]bool, n),
 		sleepUntil: make([]int64, n),
-		list:       make([]int, 0, n),
-		heap:       make([]uint64, 0, n),
+		groupOf:    groupOf,
+		heaps:      make([][]uint64, groups),
+		nActive:    make([]int32, groups),
+		nextWake:   make([]int64, groups),
 	}
 	// Every router starts active: cycle 0 of an empty network settles each
 	// router into its first sleep with the correct wake-up.
+	arena := make([]uint64, n)
+	per := n / groups
+	for g := range s.heaps {
+		s.heaps[g] = arena[g*per : g*per : (g+1)*per]
+		s.nActive[g] = int32(per)
+		s.nextWake[g] = math.MaxInt64
+	}
 	for r := range s.active {
 		s.active[r] = true
 	}
 	return s
 }
 
+// wake puts router r into its group's step set.
+func (s *scheduler) wake(r int) {
+	if !s.active[r] {
+		s.active[r] = true
+		s.nActive[s.groupOf[r]]++
+	}
+}
+
 // push enters a calendar entry for router r at cycle at.
 func (s *scheduler) push(r int, at int64) {
-	e := uint64(at)<<routerBits | uint64(r)
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
+	g := s.groupOf[r]
+	h := append(s.heaps[g], uint64(at)<<routerBits|uint64(r))
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.heap[parent] <= s.heap[i] {
+		if h[parent] <= h[i] {
 			break
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
+		h[parent], h[i] = h[i], h[parent]
 		i = parent
 	}
+	s.heaps[g] = h
+	s.nextWake[g] = int64(h[0] >> routerBits)
 }
 
 // sleep removes r from the active set with a wake-up at cycle at (pass
 // at < 0 for none: r then sleeps until an external event advances it).
 func (s *scheduler) sleep(r int, at int64) {
 	s.active[r] = false
+	s.nActive[s.groupOf[r]]--
 	if at < 0 {
 		s.sleepUntil[r] = math.MaxInt64
 		return
@@ -102,41 +132,38 @@ func (s *scheduler) notify(r int, at int64) {
 	s.push(r, at)
 }
 
-// wakeDue re-activates every router with a calendar entry at or before now.
-func (s *scheduler) wakeDue(now int64) {
+// wakeDue re-activates every router of group g with a calendar entry at or
+// before now.
+func (s *scheduler) wakeDue(g int, now int64) {
+	h := s.heaps[g]
 	limit := uint64(now+1) << routerBits
-	for len(s.heap) > 0 && s.heap[0] < limit {
-		s.active[s.heap[0]&(1<<routerBits-1)] = true
+	for len(h) > 0 && h[0] < limit {
+		s.wake(int(h[0] & (1<<routerBits - 1)))
 		// Pop the min.
-		n := len(s.heap) - 1
-		s.heap[0] = s.heap[n]
-		s.heap = s.heap[:n]
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
 		i := 0
 		for {
 			l, r := 2*i+1, 2*i+2
 			min := i
-			if l < n && s.heap[l] < s.heap[min] {
+			if l < n && h[l] < h[min] {
 				min = l
 			}
-			if r < n && s.heap[r] < s.heap[min] {
+			if r < n && h[r] < h[min] {
 				min = r
 			}
 			if min == i {
 				break
 			}
-			s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
+			h[i], h[min] = h[min], h[i]
 			i = min
 		}
 	}
-}
-
-// rebuild refreshes the step list from the active set.
-func (s *scheduler) rebuild() {
-	s.list = s.list[:0]
-	for r, a := range s.active {
-		if a {
-			s.list = append(s.list, r)
-		}
+	s.heaps[g] = h
+	s.nextWake[g] = math.MaxInt64
+	if len(h) > 0 {
+		s.nextWake[g] = int64(h[0] >> routerBits)
 	}
 }
 

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"dragonfly/internal/packet"
+	"dragonfly/internal/router"
+	"dragonfly/internal/topology"
 )
 
 // equivCfg is the cross-engine equivalence configuration: long enough for
@@ -155,6 +158,88 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "deadlock") {
 			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
+		}
+	}
+}
+
+// jobTrace scripts a small job trace for churnController: every job
+// {arrival, departure, first node, nodes} switches a block of consecutive
+// nodes on at its arrival and off at its departure.
+func jobTrace(jobs [][4]int64) *churnController {
+	c := &churnController{}
+	for _, j := range jobs {
+		for k := 0; k < int(j[3]); k++ {
+			c.events = append(c.events,
+				churnEvent{cycle: j[0], node: int(j[2]) + k, on: true, load: 0.3},
+				churnEvent{cycle: j[1], node: int(j[2]) + k})
+		}
+	}
+	sort.SliceStable(c.events, func(a, b int) bool { return c.events[a].cycle < c.events[b].cycle })
+	return c
+}
+
+// Which router-steps execute is a contract, not an implementation detail:
+// the step count is the work counter every perf record of the repository is
+// normalised by (router.steps, ns/step), so an engine change that moves it
+// — filtering stale calendar entries, waking differently — must show up
+// here, not as an unexplained shift in a benchmark. The numbers were
+// recorded on the cycle-major engine this one replaced, at h=3: saturation,
+// a mostly sleeping PiggyBack network, a controller switching jobs on and
+// off mid-run (its wakes and its cancelled generation events included), and
+// a heterogeneous latency model. They hold at Workers=1; the barrier moves
+// when cross-worker events are announced, so for Workers=2 only the results
+// are compared.
+func TestEngineStepsPinned(t *testing.T) {
+	h3 := func(mech, pat string, load float64) Config {
+		cfg := equivCfg(mech, pat, load)
+		cfg.Topology = topology.Balanced(3)
+		cfg.Seed = 7
+		return cfg
+	}
+	sat := h3("In-Trns-MM", "ADVc", 0.4)
+	sat.Router.Arbitration = router.TransitOverInjection
+	skew := h3("In-Trns-MM", "UN", 0.2)
+	applyLatency(t, &skew, 10, 100, "groupskew")
+	cases := []struct {
+		name  string
+		cfg   Config
+		trace [][4]int64
+		steps int64
+	}{
+		{"In-Trns-MM/ADVc@0.4/transit-priority", sat, nil, 210941},
+		{"Src-CRG/UN@0.05", h3("Src-CRG", "UN", 0.05), nil, 58707},
+		{"job trace", h3("In-Trns-MM", "UN", 0), [][4]int64{
+			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {100, 1101, 200, 36},
+			{350, 1999, 48, 40}, {777, 1300, 240, 72}, {1200, 1700, 160, 40}, {1301, 1302, 0, 12},
+		}, 102960},
+		{"groupskew", skew, nil, 157104},
+	}
+	for _, tc := range cases {
+		var ref *Result
+		for _, workers := range []int{1, 2} {
+			net, err := NewNetwork(&tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctrl Controller
+			if tc.trace != nil {
+				ctrl = jobTrace(tc.trace)
+			}
+			if err := run(net, tc.cfg.WarmupCycles, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles, workers, ctrl); err != nil {
+				t.Fatal(err)
+			}
+			res := newResult(net, &tc.cfg, 0)
+			if workers == 1 {
+				ref = res
+				if res.Delivered() == 0 {
+					t.Fatalf("%s: nothing delivered", tc.name)
+				}
+				if got := net.EngineSteps(); got != tc.steps {
+					t.Errorf("%s: %d router-steps, pinned %d", tc.name, got, tc.steps)
+				}
+				continue
+			}
+			requireIdentical(t, tc.name, ref, res)
 		}
 	}
 }

@@ -34,14 +34,13 @@ func TestSplitRunMatchesUnsplit(t *testing.T) {
 		{"In-Trns-MM", "ADVc", 0.15, []int64{420}},
 		{"Src-CRG", "UN", 0.3, []int64{1, 200, 219}},
 		{"Obl-CRG", "ADV+1", 0.2, []int64{137, 283}},
+		// Segments one cycle short of and one cycle past the 100-cycle
+		// window: every run's last window is cut by its own end.
+		{"In-Trns-MM", "UN", 0.4, []int64{99, 101, 220}},
 	}
 	nodes := topology.New(topology.Balanced(2)).NumNodes()
 	silenceAt := func(cycle int64) *churnController {
-		c := &churnController{}
-		for n := 0; n < nodes; n++ {
-			c.events = append(c.events, churnEvent{cycle: cycle, node: n})
-		}
-		return c
+		return &churnController{events: silenceAll(cycle, nodes)}
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {

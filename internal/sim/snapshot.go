@@ -194,7 +194,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone.latency, clone.uniform = src.latency, src.uniform
 	clone.groupOf, clone.nodeRnd0 = src.groupOf, src.nodeRnd0
 	clone.ranCycles = src.ranCycles
-	clone.engineSteps, clone.stoppedAt, clone.telemetry = 0, 0, nil
+	clone.engineSteps, clone.engineWindows, clone.stoppedAt, clone.telemetry = 0, 0, 0, nil
 	clone.env = src.env
 	if src.pb == nil {
 		clone.pb = nil

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
 )
 
@@ -58,6 +60,16 @@ func (c *churnController) Apply(rc *Reconfig, now int64) {
 			rc.SetNodeSilent(e.node)
 		}
 	}
+}
+
+// silenceAll scripts every one of the first `nodes` nodes falling silent at
+// the given cycle.
+func silenceAll(cycle int64, nodes int) []churnEvent {
+	script := make([]churnEvent, nodes)
+	for n := range script {
+		script[n] = churnEvent{cycle: cycle, node: n}
+	}
+	return script
 }
 
 // statePropTrial is one randomized scenario: a mechanism/pattern/load draw
@@ -164,6 +176,129 @@ func TestStateEquivalenceUnderChurn(t *testing.T) {
 							trial, k, w, r)
 					}
 				}
+			}
+		}
+	}
+}
+
+// finishingChurn is a churnController that also ends the run: a Finisher,
+// which makes the driver look at the network after every cycle.
+type finishingChurn struct {
+	churnController
+	at int64
+}
+
+func (f *finishingChurn) Finished(now int64) bool { return now >= f.at }
+
+// oneShortLink is the Table I latency model with a single 1-cycle cable,
+// between groups 0 and 1. The engine's lookahead is the shortest global
+// link, so one such cable collapses every window to a single cycle.
+type oneShortLink struct{ topology.UniformLatency }
+
+func (oneShortLink) Name() string { return "one-short-link" }
+
+func (m oneShortLink) GlobalLatency(t *topology.Topology, src, dst int) int {
+	if t.RouterGroup(src)+t.RouterGroup(dst) == 1 {
+		return 1
+	}
+	return m.Global
+}
+
+// The engine advances in windows of up to one global-link latency, cut
+// wherever the driver touches the whole network. This test puts something
+// on every kind of edge — controller events in the middle of a window, on
+// its first and on its last cycle; a probe cadence coprime with the
+// lookahead; the warm-up and batch flips; a Finisher; a wiring whose
+// lookahead is one cycle — and requires the state vectors, the statistics
+// and the probe stream of the core, on one and two workers, to equal the
+// dense oracle's, which knows nothing of windows.
+func TestWindowEdgesMatchOracle(t *testing.T) {
+	const warmup, total = 150, 600
+	nodes := topology.New(topology.Balanced(2)).NumNodes()
+	// Toggle a block of nodes at each of the given cycles.
+	flipsAt := func(cycles ...int64) []churnEvent {
+		var script []churnEvent
+		for i, c := range cycles {
+			for k := 0; k < 6; k++ {
+				script = append(script, churnEvent{cycle: c, node: (i*11 + k*5) % nodes, on: (i+k)%2 == 0, load: 0.3})
+			}
+		}
+		return script
+	}
+	cases := []struct {
+		name       string
+		mech, pat  string
+		load       float64
+		latency    topology.LatencyModel
+		probeEvery int64
+		script     []churnEvent
+		finishAt   int64 // > 0: the controller is a Finisher
+		// windows bounds what the core may report: [lo, hi].
+		windowsLo, windowsHi int64
+	}{
+		// The uncut shape: 100-cycle windows, warm-up and eight batch flips.
+		{name: "plain", mech: "In-Trns-MM", pat: "ADVc", load: 0.45, windowsLo: 6, windowsHi: 20},
+		// Events mid-window, one short of a boundary, on it, one past it, on
+		// the warm-up flip, and on the last cycle of the run.
+		{name: "events on window edges", mech: "Src-CRG", pat: "UN", load: 0.3,
+			script: flipsAt(37, 99, 100, 101, warmup, 299, 300, total-1), windowsLo: 10, windowsHi: 30},
+		// 7 and 100 are coprime: the probe cut falls on every offset of a window.
+		{name: "probe cadence coprime with the lookahead", mech: "Src-CRG", pat: "ADVc", load: 0.45,
+			probeEvery: 7, script: flipsAt(50, 200), windowsLo: total / 7, windowsHi: total/7 + 30},
+		// Every source falls silent and the network drains: groups go idle one
+		// by one, each right after the step that cleared its last PiggyBack
+		// bits, and the probes must still find those bits one cycle behind.
+		{name: "drain under probes", mech: "Src-CRG", pat: "ADVc", load: 0.9,
+			probeEvery: 3, script: silenceAll(300, nodes), windowsLo: total / 3, windowsHi: total/3 + 30},
+		{name: "probe every cycle", mech: "Src-CRG", pat: "ADVc", load: 0.3,
+			probeEvery: 1, windowsLo: total, windowsHi: total},
+		{name: "finisher", mech: "In-Trns-MM", pat: "UN", load: 0.45,
+			script: flipsAt(10, 211), finishAt: 333, windowsLo: 334, windowsHi: 334},
+		{name: "one 1-cycle global link", mech: "Src-CRG", pat: "ADVc", load: 0.45,
+			latency:    oneShortLink{topology.UniformLatency{Local: 10, Global: 100}},
+			probeEvery: 64, script: flipsAt(37, 100), windowsLo: total, windowsHi: total},
+	}
+	for _, tc := range cases {
+		run := func(im impl, workers int) ([][]int64, *Result, string, int64) {
+			cfg := DefaultConfig()
+			cfg.Topology = topology.Balanced(2)
+			cfg.Mechanism, cfg.Pattern, cfg.Load = tc.mech, tc.pat, tc.load
+			cfg.WarmupCycles, cfg.MeasureCycles = warmup, total-warmup
+			cfg.Seed, cfg.Workers = 31, workers
+			cfg.LatencyModel = tc.latency
+			var stream bytes.Buffer
+			if tc.probeEvery > 0 {
+				cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: tc.probeEvery, Out: &stream})
+			}
+			var ctrl Controller = &churnController{events: tc.script}
+			if tc.finishAt > 0 {
+				ctrl = &finishingChurn{churnController{events: tc.script}, tc.finishAt}
+			}
+			net, err := im.build(&cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := im.drive(net, &cfg, ctrl); err != nil {
+				t.Fatal(err)
+			}
+			return stateOf(net), newResult(net, &cfg, 0), stream.String(), net.EngineWindows()
+		}
+		wantState, wantRes, wantStream, _ := run(oracle, 1)
+		if wantRes.Delivered() == 0 {
+			t.Fatalf("%s: nothing delivered", tc.name)
+		}
+		for _, workers := range []int{1, 2} {
+			state, res, stream, windows := run(core, workers)
+			diffState(t, tc.name, state, wantState)
+			requireIdentical(t, tc.name, wantRes, res)
+			if res.MeasuredCycles != wantRes.MeasuredCycles {
+				t.Fatalf("%s: measured %d cycles, oracle %d", tc.name, res.MeasuredCycles, wantRes.MeasuredCycles)
+			}
+			if stream != wantStream {
+				t.Fatalf("%s workers=%d: probe stream differs from the oracle's", tc.name, workers)
+			}
+			if windows < tc.windowsLo || windows > tc.windowsHi {
+				t.Errorf("%s workers=%d: %d windows, want %d..%d", tc.name, workers, windows, tc.windowsLo, tc.windowsHi)
 			}
 		}
 	}
