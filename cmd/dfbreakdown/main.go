@@ -21,7 +21,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dfbreakdown", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	mech := fs.String("mechanism", "In-Trns-MM", "routing mechanism")
 	pattern := fs.String("pattern", "ADVc", "traffic pattern")
 	loads := fs.String("loads", "0.05:1.0:0.05", "loads: comma list or from:to:step")
@@ -31,11 +31,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := build()
+	cfg, err := build([]string{*mech}, []string{*pattern})
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, []string{*mech}, []string{*pattern}); err != nil {
 		fatal(err)
 	}
 	loadList, err := cli.ParseLoads(*loads)

@@ -55,7 +55,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dfexperiments", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	out := fs.String("out", "", "directory for CSV outputs (empty: text only)")
 	seeds := fs.Int("seeds", 3, "seed replicas per point (paper: 3)")
 	loads := fs.String("loads", "0.05:0.6:0.05", "load range for the figure sweeps")
@@ -90,16 +90,13 @@ func main() {
 		}
 	}()
 
-	base, err := build()
+	mechList := cli.SplitList(*mechs)
+	base, err := build(mechList, []string{"UN", "ADV+1", "ADVc"})
 	if err != nil {
 		fatal(err)
 	}
 	reuseMode, err := sweep.ParseReuse(*reuse)
 	if err != nil {
-		fatal(err)
-	}
-	mechList := cli.SplitList(*mechs)
-	if err := cli.ValidateNames(base.Topology, mechList, []string{"UN", "ADV+1", "ADVc"}); err != nil {
 		fatal(err)
 	}
 	loadList, err := cli.ParseLoads(*loads)

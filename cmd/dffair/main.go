@@ -21,7 +21,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dffair", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	pattern := fs.String("pattern", "ADVc", "traffic pattern")
 	mechs := fs.String("mechanisms", "Obl-RRG,Obl-CRG,Src-RRG,Src-CRG,In-Trns-RRG,In-Trns-CRG,In-Trns-MM",
 		"comma-separated mechanisms")
@@ -33,11 +33,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := build()
+	cfg, err := build(cli.SplitList(*mechs), []string{*pattern})
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, cli.SplitList(*mechs), []string{*pattern}); err != nil {
 		fatal(err)
 	}
 	grid := sweep.Grid{

@@ -61,7 +61,7 @@ func (j *jobFlags) Set(s string) error {
 
 func main() {
 	fs := flag.NewFlagSet("dfsched", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	mech := fs.String("mechanism", "In-Trns-MM", "routing mechanism: "+strings.Join(routing.Names(), ", "))
 	load := fs.Float64("load", 0.3, "default offered load for jobs without their own (phits/node/cycle)")
 	disc := fs.String("discipline", scheduler.DisciplineFCFS,
@@ -72,7 +72,8 @@ func main() {
 	seeds := fs.Int("seeds", 1, "replicate the trace over this many seeds (base -seed upward) on the sweep pool")
 	seedJobs := fs.Int("seed-jobs", 0, "concurrent per-seed simulations when -seeds > 1 (0 = NumCPU)")
 	asJSON := fs.Bool("json", false, "emit the result(s) as JSON")
-	buildStudy := studyFlags(fs)
+	var st study
+	st.flags(fs)
 	attachProbes := cli.ProbeFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -87,11 +88,8 @@ func main() {
 		}
 	})
 
-	cfg, err := build()
+	cfg, err := build([]string{*mech}, nil)
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, []string{*mech}, nil); err != nil {
 		fatal(err)
 	}
 	if *seeds < 1 {
@@ -100,7 +98,7 @@ func main() {
 	cfg.Mechanism = *mech
 	cfg.Load = *load
 
-	if st := buildStudy(cfg); st != nil {
+	if st.spec.Jobs > 0 {
 		if *tracePath != "" || len(jobs) > 0 {
 			fatal(fmt.Errorf("-generate synthesizes its own trace; drop -trace/-job"))
 		}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,64 +27,33 @@ import (
 // summaries are deterministic the final output is byte-identical whether
 // the study was interrupted zero or ten times.
 
-// studyFlags registers the -generate flags and returns a builder for the
-// study parameters (nil when -generate is off).
-func studyFlags(fs *flag.FlagSet) func(cfg sim.Config) *study {
-	var (
-		jobs      = fs.Int("generate", 0, "synthesize a seeded trace with this many jobs instead of replaying -trace/-job")
-		arrival   = fs.Float64("gen-arrival", 30, "generated mean inter-arrival time in cycles")
-		nodesMed  = fs.Float64("gen-nodes-median", 8, "generated median job size in nodes")
-		nodesSig  = fs.Float64("gen-nodes-sigma", 0.7, "generated job size lognormal sigma")
-		cap       = fs.Int("gen-cap", 0, "generated job size cap in nodes (0 = the machine)")
-		durMed    = fs.Float64("gen-dur-median", 300, "generated median job duration in cycles")
-		durSig    = fs.Float64("gen-dur-sigma", 0.7, "generated job duration lognormal sigma")
-		discs     = fs.String("disciplines", "", "comma-separated disciplines to compare (default: all)")
-		allocs    = fs.String("allocs", "consecutive", "comma-separated allocation policies to compare")
-		ckpt      = fs.String("checkpoint", "", "checkpoint completed study points to this JSONL file and resume from it")
-		out       = fs.String("out", "", "write the study summaries as JSON to this file")
-		memProbe  = fs.Bool("gen-mem", false, "measure retained memory at each run's last departure (costs a GC per run)")
-		genCycles = fs.Int64("gen-max-cycles", 0, "cycle cap per generated run (0 = 2^40; the run normally ends at the last departure)")
-	)
-	return func(cfg sim.Config) *study {
-		if *jobs <= 0 {
-			return nil
-		}
-		maxNodes := *cap
-		if maxNodes == 0 {
-			maxNodes = topology.New(cfg.Topology).NumNodes()
-		}
-		discList := cli.SplitList(*discs)
-		if len(discList) == 0 {
-			discList = scheduler.KnownDisciplines()
-		}
-		return &study{
-			spec: scheduler.GenSpec{
-				Jobs:         *jobs,
-				InterArrival: *arrival,
-				NodesMedian:  *nodesMed,
-				NodesSigma:   *nodesSig,
-				MaxNodes:     maxNodes,
-				DurMedian:    *durMed,
-				DurSigma:     *durSig,
-			},
-			discs:     discList,
-			allocs:    cli.SplitList(*allocs),
-			ckptPath:  *ckpt,
-			outPath:   *out,
-			memProbe:  *memProbe,
-			maxCycles: *genCycles,
-		}
-	}
-}
-
+// study is the -generate study's description; flags fills it.
 type study struct {
 	spec      scheduler.GenSpec
-	discs     []string
-	allocs    []string
+	discs     string // comma-separated; empty: every discipline
+	allocs    string // comma-separated
 	ckptPath  string
 	outPath   string
 	memProbe  bool
 	maxCycles int64
+}
+
+// flags registers the -generate flags onto the study's own fields. The
+// study runs when spec.Jobs > 0.
+func (st *study) flags(fs *flag.FlagSet) {
+	fs.IntVar(&st.spec.Jobs, "generate", 0, "synthesize a seeded trace with this many jobs instead of replaying -trace/-job")
+	fs.Float64Var(&st.spec.InterArrival, "gen-arrival", 30, "generated mean inter-arrival time in cycles")
+	fs.Float64Var(&st.spec.NodesMedian, "gen-nodes-median", 8, "generated median job size in nodes")
+	fs.Float64Var(&st.spec.NodesSigma, "gen-nodes-sigma", 0.7, "generated job size lognormal sigma")
+	fs.IntVar(&st.spec.MaxNodes, "gen-cap", 0, "generated job size cap in nodes (0 = the machine)")
+	fs.Float64Var(&st.spec.DurMedian, "gen-dur-median", 300, "generated median job duration in cycles")
+	fs.Float64Var(&st.spec.DurSigma, "gen-dur-sigma", 0.7, "generated job duration lognormal sigma")
+	fs.StringVar(&st.discs, "disciplines", "", "comma-separated disciplines to compare (default: all)")
+	fs.StringVar(&st.allocs, "allocs", "consecutive", "comma-separated allocation policies to compare")
+	fs.StringVar(&st.ckptPath, "checkpoint", "", "checkpoint completed study points to this JSONL file and resume from it")
+	fs.StringVar(&st.outPath, "out", "", "write the study summaries as JSON to this file")
+	fs.BoolVar(&st.memProbe, "gen-mem", false, "measure retained memory at each run's last departure (costs a GC per run)")
+	fs.Int64Var(&st.maxCycles, "gen-max-cycles", 0, "cycle cap per generated run (0 = 2^40; the run normally ends at the last departure)")
 }
 
 // meta fingerprints the study configuration for the checkpoint: resuming
@@ -96,12 +67,19 @@ func (st *study) meta(cfg sim.Config) string {
 // run executes the study. Returns the process exit code: 130 when
 // interrupted (the checkpoint holds every completed point), 0 on success.
 func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
-	for _, d := range st.discs {
+	if st.spec.MaxNodes == 0 {
+		st.spec.MaxNodes = topology.New(cfg.Topology).NumNodes()
+	}
+	discs, allocs := cli.SplitList(st.discs), cli.SplitList(st.allocs)
+	if len(discs) == 0 {
+		discs = scheduler.KnownDisciplines()
+	}
+	for _, d := range discs {
 		if err := scheduler.ValidateDiscipline(d); err != nil {
 			fatal(err)
 		}
 	}
-	if len(st.allocs) == 0 {
+	if len(allocs) == 0 {
 		fatal(fmt.Errorf("-allocs lists no allocation policy"))
 	}
 	// The generated run ends at its last departure; the configured cycle
@@ -123,59 +101,64 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
 
 	// First Ctrl-C stops the study between points (the checkpoint stays
 	// consistent and a rerun resumes); a second kills the process.
-	interrupted := make(chan os.Signal, 1)
-	signal.Notify(interrupted, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(interrupted)
-	stopped := func() bool {
-		select {
-		case <-interrupted:
-			signal.Stop(interrupted)
-			return true
-		default:
-			return false
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
+
+	var slots []sweep.Slot
+	for _, disc := range discs {
+		for _, alloc := range allocs {
+			for s := 0; s < seeds; s++ {
+				slots = append(slots, sweep.Slot{Task: "sched",
+					Point: sweep.Point{Mechanism: disc, Pattern: alloc, Load: cfg.Load, Seed: cfg.Seed + uint64(s)}})
+			}
 		}
 	}
-
-	summaries := make([]scheduler.StreamSummary, 0, len(st.discs)*len(st.allocs)*seeds)
 	restored := 0
 	start := time.Now()
-	for _, disc := range st.discs {
-		for _, alloc := range st.allocs {
-			for s := 0; s < seeds; s++ {
-				if stopped() {
-					fmt.Fprintf(os.Stderr, "dfsched: interrupted after %d/%d points (%v) — rerun with the same flags to resume\n",
-						len(summaries), len(st.discs)*len(st.allocs)*seeds, time.Since(start).Round(time.Second))
-					return 130
-				}
-				seed := cfg.Seed + uint64(s)
-				pt := sweep.Point{Mechanism: disc, Pattern: alloc, Load: cfg.Load, Seed: seed}
-				if rec, ok := ck.Lookup("sched", pt); ok && rec.Err == "" {
-					var sum scheduler.StreamSummary
-					if err := json.Unmarshal(rec.Extra, &sum); err != nil {
-						fatal(fmt.Errorf("checkpoint point %s/%s seed %d: %w", disc, alloc, seed, err))
-					}
-					summaries = append(summaries, sum)
-					restored++
-					continue
-				}
-				sum, err := st.runPoint(cfg, disc, alloc, seed)
-				if err != nil {
-					fatal(err)
-				}
-				extra, err := json.Marshal(sum)
-				if err != nil {
-					fatal(err)
-				}
-				if err := ck.Put(sweep.Record{
-					Task: "sched", Point: pt,
-					Mechanism: disc, Pattern: alloc,
-					Throughput: sum.Utilization, AvgLatency: sum.WaitMean,
-					Extra: extra,
-				}); err != nil {
-					fatal(err)
-				}
-				summaries = append(summaries, sum)
+	// One point at a time: -gen-mem measures the process heap.
+	recs, filled, err := sweep.RestoreOrRun(ctx, ck, slots, 1, func(i int) sweep.Record {
+		pt := slots[i].Point
+		sum, err := st.runPoint(cfg, pt.Mechanism, pt.Pattern, pt.Seed)
+		if err != nil {
+			fatal(err)
+		}
+		extra, err := json.Marshal(sum)
+		if err != nil {
+			fatal(err)
+		}
+		return sweep.Record{
+			Task: "sched", Point: pt,
+			Mechanism: pt.Mechanism, Pattern: pt.Pattern,
+			Throughput: sum.Utilization, AvgLatency: sum.WaitMean,
+			Extra: extra,
+		}
+	}, func(_ int, _ *sweep.Record, wasRestored bool) {
+		if wasRestored { // restored slots are noted before any point runs: no race
+			restored++
+		}
+	})
+	if errors.Is(err, context.Canceled) {
+		n := 0
+		for _, ok := range filled {
+			if ok {
+				n++
 			}
+		}
+		fmt.Fprintf(os.Stderr, "dfsched: interrupted after %d/%d points (%v) — rerun with the same flags to resume\n",
+			n, len(slots), time.Since(start).Round(time.Second))
+		return 130
+	}
+	if err != nil {
+		fatal(err)
+	}
+	// Fresh and restored points alike are read back from their records, so
+	// the output cannot depend on where a run was interrupted.
+	summaries := make([]scheduler.StreamSummary, len(recs))
+	for i, rec := range recs {
+		if err := json.Unmarshal(rec.Extra, &summaries[i]); err != nil {
+			pt := rec.Point
+			fatal(fmt.Errorf("checkpoint point %s/%s seed %d: %w", pt.Mechanism, pt.Pattern, pt.Seed, err))
 		}
 	}
 

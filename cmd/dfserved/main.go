@@ -89,7 +89,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: mgr.Handler()}
+	// Bound what a client can hold open by going quiet: the request line and
+	// headers, the (size-capped) body, an idle keep-alive connection. There is
+	// no WriteTimeout: /watch streams for as long as its job runs.
+	srv := &http.Server{
+		Handler:           mgr.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	fmt.Printf("dfserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(*store))
 	go func() {
 		<-ctx.Done()

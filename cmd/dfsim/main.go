@@ -23,7 +23,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dfsim", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	mech := fs.String("mechanism", "In-Trns-MM", "routing mechanism: "+strings.Join(routing.Names(), ", "))
 	pattern := fs.String("pattern", "UN", "traffic pattern: UN, ADV+i, ADVc, ADVc<k>, PERM")
 	load := fs.Float64("load", 0.4, "offered load in phits/(node*cycle)")
@@ -39,11 +39,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := build()
+	cfg, err := build([]string{*mech}, []string{*pattern})
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, []string{*mech}, []string{*pattern}); err != nil {
 		fatal(err)
 	}
 	if *group < 0 || *group >= cfg.Topology.Groups() {

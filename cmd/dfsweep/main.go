@@ -22,7 +22,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dfsweep", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	pattern := fs.String("pattern", "UN", "traffic pattern: UN, ADV+i, ADVc")
 	mechs := fs.String("mechanisms", "MIN,Obl-RRG,Obl-CRG,Src-RRG,Src-CRG,In-Trns-RRG,In-Trns-CRG,In-Trns-MM",
 		"comma-separated mechanisms ("+strings.Join(routing.Names(), ", ")+")")
@@ -42,11 +42,8 @@ func main() {
 		fatal(err)
 	}
 
-	cfg, err := build()
+	cfg, err := build(cli.SplitList(*mechs), []string{*pattern})
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, cli.SplitList(*mechs), []string{*pattern}); err != nil {
 		fatal(err)
 	}
 	loadList, err := cli.ParseLoads(*loads)

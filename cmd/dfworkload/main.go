@@ -50,7 +50,7 @@ func (j *jobFlags) Set(s string) error {
 
 func main() {
 	fs := flag.NewFlagSet("dfworkload", flag.ExitOnError)
-	build := cli.CommonFlags(fs)
+	build := new(cli.Base).Flags(fs)
 	mech := fs.String("mechanism", "In-Trns-MM", "routing mechanism: "+strings.Join(routing.Names(), ", "))
 	load := fs.Float64("load", 0.3, "default offered load for jobs without their own (phits/node/cycle)")
 	specPath := fs.String("spec", "", "read the workload spec from this JSON file")
@@ -68,11 +68,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := build()
+	cfg, err := build([]string{*mech}, nil)
 	if err != nil {
-		fatal(err)
-	}
-	if err := cli.ValidateNames(cfg.Topology, []string{*mech}, nil); err != nil {
 		fatal(err)
 	}
 	if *group < 0 || *group >= cfg.Topology.Groups() {

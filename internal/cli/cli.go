@@ -1,7 +1,8 @@
-// Package cli holds the flag plumbing shared by the df* executables: the
-// common simulation flags (topology, cycles, arbitration, link latencies)
-// assembled into a sim.Config, plus list/range parsers for loads and
-// seeds.
+// Package cli holds what the df* executables and dfserved share about
+// describing a run: Base (base.go), the one description of a run's fixed
+// part — filled from the common simulation flags or from spec JSON, and the
+// only code that assembles a sim.Config from either — plus the probe flags
+// and the list/range parsers for loads and seeds.
 //
 // Invariant: user input is validated at flag time, not deep inside the
 // first simulation — mechanism and pattern names are checked against
@@ -25,83 +26,6 @@ import (
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
 )
-
-// CommonFlags registers the simulation flags shared by every tool on fs and
-// returns a builder that assembles the sim.Config after flag parsing.
-func CommonFlags(fs *flag.FlagSet) func() (sim.Config, error) {
-	var (
-		h        = fs.Int("h", 3, "global links per router (balanced dragonfly: a=2h, p=h)")
-		p        = fs.Int("p", 0, "nodes per router (0 = balanced: p=h)")
-		a        = fs.Int("a", 0, "routers per group (0 = balanced: a=2h)")
-		full     = fs.Bool("full", false, "use the paper's full-size network (h=6, 5256 nodes) and cycle counts")
-		arr      = fs.String("arrangement", "palmtree", "global link arrangement: palmtree or consecutive")
-		warmup   = fs.Int64("warmup", 3000, "warm-up cycles before measurement")
-		measure  = fs.Int64("measure", 6000, "measured cycles")
-		seed     = fs.Uint64("seed", 1, "base random seed")
-		workers  = fs.Int("workers", 1, "parallel engine workers per simulation (1 = sequential)")
-		priority = fs.Bool("priority", true, "prioritize transit over injection at the allocator")
-		age      = fs.Bool("age", false, "use age-based arbitration (overrides -priority)")
-		queue    = fs.Int("inj-queue", 256, "injection source queue depth in packets")
-		thresh   = fs.Float64("threshold", 0.43, "in-transit congestion threshold (fraction)")
-		olm      = fs.Bool("olm", true, "enable opportunistic (OLM-style) local misrouting")
-		localLat = fs.Int("local-lat", 10, "local link latency in cycles (Table I: 10)")
-		globLat  = fs.Int("global-lat", 100, "global link latency in cycles (Table I: 100)")
-		latModel = fs.String("latency-model", "uniform",
-			"per-link latency model preset: "+strings.Join(topology.KnownLatencyModels(), ", ")+
-				" (groupskew grows global latency with group distance)")
-	)
-	return func() (sim.Config, error) {
-		cfg := sim.DefaultConfig()
-		if *full {
-			cfg = sim.PaperConfig()
-		} else {
-			cfg.Topology = topology.Balanced(*h)
-			if *p > 0 {
-				cfg.Topology.P = *p
-			}
-			if *a > 0 {
-				cfg.Topology.A = *a
-			}
-			cfg.WarmupCycles = *warmup
-			cfg.MeasureCycles = *measure
-		}
-		switch strings.ToLower(*arr) {
-		case "palmtree":
-			cfg.Topology.Arrangement = topology.Palmtree
-		case "consecutive":
-			cfg.Topology.Arrangement = topology.Consecutive
-		default:
-			return cfg, fmt.Errorf("unknown arrangement %q", *arr)
-		}
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		switch {
-		case *age:
-			cfg.Router.Arbitration = router.AgeBased
-		case *priority:
-			cfg.Router.Arbitration = router.TransitOverInjection
-		default:
-			cfg.Router.Arbitration = router.RoundRobin
-		}
-		cfg.Router.InjectionQueuePackets = *queue
-		cfg.Router.CongestionThreshold = *thresh
-		cfg.Routing.CongestionThreshold = *thresh
-		cfg.Routing.LocalMisroute = *olm
-		// Link latencies are runtime parameters: validated here, at flag
-		// time, like mechanism and pattern names.
-		if *localLat <= 0 || *globLat <= 0 {
-			return cfg, fmt.Errorf("link latencies must be positive (got -local-lat %d, -global-lat %d)", *localLat, *globLat)
-		}
-		cfg.Router.LocalLatency = *localLat
-		cfg.Router.GlobalLatency = *globLat
-		model, err := topology.LatencyModelByName(*latModel, *localLat, *globLat)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.LatencyModel = model
-		return cfg, nil
-	}
-}
 
 // ProbeFlags registers the telemetry probe flags shared by the df* tools
 // and returns an attacher that, after flag parsing, wires a probe recorder
@@ -131,15 +55,9 @@ func ProbeFlags(fs *flag.FlagSet) func(cfg *sim.Config) (func() error, error) {
 	}
 }
 
-// KnownArbitrations lists the arbitration policy names accepted by
-// ArbitrationByName, in router.Arbitration order.
-func KnownArbitrations() []string {
-	return []string{"round-robin", "transit-priority", "age"}
-}
-
 // ArbitrationByName resolves an output-arbiter policy by the name its
-// String method prints — the spec-file counterpart of the -priority/-age
-// flags, shared by the serve submission path.
+// String method prints (Base.Arbitration; the -priority/-age flags fold into
+// the same names).
 func ArbitrationByName(name string) (router.Arbitration, error) {
 	switch strings.ToLower(name) {
 	case "round-robin", "rr":
@@ -149,7 +67,7 @@ func ArbitrationByName(name string) (router.Arbitration, error) {
 	case "age":
 		return router.AgeBased, nil
 	default:
-		return 0, fmt.Errorf("unknown arbitration %q (known: %s)", name, strings.Join(KnownArbitrations(), ", "))
+		return 0, fmt.Errorf("unknown arbitration %q (known: round-robin, transit-priority, age)", name)
 	}
 }
 

@@ -1,12 +1,15 @@
 package cli
 
 import (
+	"encoding/json"
 	"flag"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dragonfly/internal/router"
+	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
 
@@ -61,13 +64,13 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsDefaults(t *testing.T) {
+func TestBaseFlagsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := build()
+	cfg, err := build(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +82,13 @@ func TestCommonFlagsDefaults(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsFull(t *testing.T) {
+func TestBaseFlagsFull(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse([]string{"-full", "-priority=false"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := build()
+	cfg, err := build(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +103,14 @@ func TestCommonFlagsFull(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsOverrides(t *testing.T) {
+func TestBaseFlagsOverrides(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse([]string{"-h", "2", "-p", "4", "-a", "5", "-age",
 		"-arrangement", "consecutive", "-threshold", "0.5", "-olm=false"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := build()
+	cfg, err := build(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +164,13 @@ func TestValidateNamesRejectsTyposWithKnownList(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsLatency(t *testing.T) {
+func TestBaseFlagsLatency(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse([]string{"-local-lat", "7", "-global-lat", "210", "-latency-model", "groupskew"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := build()
+	cfg, err := build(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +186,13 @@ func TestCommonFlagsLatency(t *testing.T) {
 	}
 }
 
-func TestCommonFlagsLatencyDefaultsUniform(t *testing.T) {
+func TestBaseFlagsLatencyDefaultsUniform(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := build()
+	cfg, err := build(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,38 +203,150 @@ func TestCommonFlagsLatencyDefaultsUniform(t *testing.T) {
 
 // Latency mistakes are rejected at flag time, like mechanism and pattern
 // typos, with the known model names listed.
-func TestCommonFlagsLatencyErrors(t *testing.T) {
+func TestBaseFlagsLatencyErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-local-lat", "0"},
 		{"-global-lat", "-5"},
 		{"-latency-model", "spiral"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		build := CommonFlags(fs)
+		build := new(Base).Flags(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := build(); err == nil {
+		if _, err := build(nil, nil); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse([]string{"-latency-model", "nope"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := build(); err == nil || !strings.Contains(err.Error(), "groupskew") {
+	if _, err := build(nil, nil); err == nil || !strings.Contains(err.Error(), "groupskew") {
 		t.Errorf("latency model error does not list known models: %v", err)
 	}
 }
 
-func TestCommonFlagsBadArrangement(t *testing.T) {
+func TestBaseFlagsBadArrangement(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	build := CommonFlags(fs)
+	build := new(Base).Flags(fs)
 	if err := fs.Parse([]string{"-arrangement", "spiral"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := build(); err == nil {
+	if _, err := build(nil, nil); err == nil {
 		t.Error("bad arrangement accepted")
+	}
+}
+
+// flagConfig parses args through Base.Flags and builds the config.
+func flagConfig(t *testing.T, args ...string) (sim.Config, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	build := new(Base).Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return build(nil, nil)
+}
+
+// The switches without a field of their own fold into the description the
+// way the tools always resolved them.
+func TestBaseFlagsFolding(t *testing.T) {
+	// An explicit zero is a value, not "use the default": that rule belongs
+	// to descriptions read from JSON only.
+	cfg, err := flagConfig(t, "-warmup", "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.WarmupCycles != 0 || cfg.MeasureCycles != 6000 {
+		t.Errorf("-warmup 0 gave warmup %d, measure %d; want 0, 6000", cfg.WarmupCycles, cfg.MeasureCycles)
+	}
+
+	cfg, err = flagConfig(t, "-full", "-h", "2", "-p", "1", "-warmup", "7", "-measure", "9", "-seed", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := sim.PaperConfig()
+	if cfg.Topology != paper.Topology || cfg.WarmupCycles != paper.WarmupCycles || cfg.MeasureCycles != paper.MeasureCycles {
+		t.Errorf("-full did not override -h/-p/-warmup/-measure: %v, %d+%d cycles", cfg.Topology, cfg.WarmupCycles, cfg.MeasureCycles)
+	}
+	if cfg.Seed != 5 {
+		t.Errorf("-seed 5 gave seed %d", cfg.Seed)
+	}
+
+	cfg, err = flagConfig(t, "-age", "-priority=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Router.Arbitration != router.AgeBased {
+		t.Errorf("-age -priority=false gave %v, want age", cfg.Router.Arbitration)
+	}
+}
+
+// Flags and the equivalent JSON are two spellings of one description: they
+// must assemble the same config, field for field.
+func TestBaseFlagsMatchJSON(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		json string
+	}{
+		{nil, `{}`},
+		{[]string{"-h", "2", "-p", "3", "-a", "5", "-arrangement", "consecutive", "-warmup", "150", "-measure", "450",
+			"-workers", "2", "-age", "-inj-queue", "64", "-threshold", "0.35", "-olm=false",
+			"-local-lat", "5", "-global-lat", "40", "-latency-model", "groupskew"},
+			`{"h":2,"p":3,"a":5,"arrangement":"consecutive","warmup":150,"measure":450,"sim_workers":2,
+			  "arbitration":"age","inj_queue":64,"threshold":0.35,"olm":false,"local_lat":5,"global_lat":40,
+			  "latency_model":"groupskew"}`},
+		{[]string{"-priority=false", "-h", "4"}, `{"arbitration":"round-robin","h":4}`},
+	} {
+		fromFlags, err := flagConfig(t, c.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b Base
+		if err := json.Unmarshal([]byte(c.json), &b); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Normalize(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		fromJSON, err := b.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The latency models are plain values, so DeepEqual covers them.
+		if !reflect.DeepEqual(fromFlags, fromJSON) {
+			t.Errorf("args %v: config differs from its JSON spelling:\nflags: %+v\njson:  %+v", c.args, fromFlags, fromJSON)
+		}
+	}
+}
+
+// A network the engine cannot index is refused from the parameters alone —
+// nothing is built first (building either of these would not finish) — and
+// flags and JSON say so in the same words.
+func TestBaseRejectsOversizedTopology(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		json string
+	}{
+		{[]string{"-h", "64"}, `{"h":64}`},
+		{[]string{"-h", "1", "-a", "2000000"}, `{"h":1,"a":2000000}`},
+	} {
+		_, flagErr := flagConfig(t, c.args...)
+		var b Base
+		if err := json.Unmarshal([]byte(c.json), &b); err != nil {
+			t.Fatal(err)
+		}
+		jsonErr := b.Normalize(nil, nil)
+		if flagErr == nil || jsonErr == nil {
+			t.Fatalf("%s accepted (flags: %v, JSON: %v)", c.json, flagErr, jsonErr)
+		}
+		if flagErr.Error() != jsonErr.Error() || !strings.Contains(flagErr.Error(), "routers") {
+			t.Errorf("%s: flags say %q, JSON says %q", c.json, flagErr, jsonErr)
+		}
+	}
+	if err := topology.Balanced(63).Validate(); err != nil {
+		t.Errorf("h=63 (1,000,314 routers) refused: %v", err)
 	}
 }

@@ -3,14 +3,14 @@
 // sweep worker pool — with live progress and checkpoint/resume.
 //
 // Each figure is a Task: a named sweep grid plus a render kind (curves,
-// breakdown, or fairness tables). Run expands every task into its
-// simulation points, skips the points a Checkpoint already holds, and
-// submits one pool batch per task, higher-priority batches first, with no
-// barrier between figures: the pool drains fig2a into fig2b into fig3 at
-// whole-simulation granularity, which is what keeps every core busy for
-// the full pipeline instead of per figure. Completed points are persisted
-// to the checkpoint as they finish, so an interrupted pipeline (SIGINT,
-// crash, job timeout) restarts where it left off.
+// breakdown, or fairness tables). Run lays every task's simulation points
+// end to end in paper order and hands them to sweep.RestoreOrRun as one
+// batch: points a Checkpoint already holds are skipped, the rest run front
+// to back with no barrier between figures — the pool drains fig2a into
+// fig2b into fig5a at whole-simulation granularity, which is what keeps
+// every core busy for the full pipeline instead of per figure. Completed
+// points are persisted to the checkpoint as they finish, so an interrupted
+// pipeline (SIGINT, crash, job timeout) restarts where it left off.
 //
 // Invariants:
 //
@@ -26,10 +26,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
-	"dragonfly/internal/prof"
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/sweep"
@@ -65,10 +64,6 @@ type Task struct {
 	Title string
 	Kind  Kind
 	Grid  sweep.Grid
-	// Priority orders tasks on the pool: the pipeline assigns descending
-	// priorities in paper order, so figures complete front to back while
-	// the pool stays saturated across figure boundaries.
-	Priority int
 	// CSV is the output file name ("fig2a.csv"; empty: no CSV).
 	CSV string
 
@@ -126,7 +121,8 @@ type Options struct {
 	ReWarm int64
 }
 
-// Pipeline is the built task graph.
+// Pipeline is the built task graph. Tasks are in paper order, which is the
+// order Run works through their points.
 type Pipeline struct {
 	Tasks   []*Task
 	base    sim.Config
@@ -165,12 +161,6 @@ func Build(base sim.Config, opt Options) *Pipeline {
 			}
 		}
 		p.buildModelTasks(mbase, suffix, opt, mechs, fairMechs)
-	}
-
-	// Paper order front to back: earlier figures complete first while the
-	// pool keeps pulling from later ones whenever a worker would idle.
-	for i, t := range p.Tasks {
-		t.Priority = len(p.Tasks) - i
 	}
 
 	// One snapshot cache spans every task: the cache keys on everything
@@ -380,130 +370,70 @@ type TaskResult struct {
 // completions are persisted to ck as they finish. progress (nil ok) is
 // invoked after every restored or completed point. On cancellation Run
 // drains running simulations, leaves the checkpoint consistent, and
-// returns ctx.Err(); already-finished tasks keep their results.
+// returns ctx.Err(); tasks whose points all finished keep their results.
 func (p *Pipeline) Run(ctx context.Context, ck *sweep.Checkpoint, progress func(Progress)) ([]TaskResult, error) {
-	total := p.TotalPoints()
+	// Every owned point, in paper order; task ti's are slots[first[ti]:first[ti+1]].
+	var slots []sweep.Slot
+	var owner []*Task
+	first := make([]int, len(p.Tasks)+1)
+	for ti, t := range p.Tasks {
+		if t.deriveFrom == nil {
+			for _, pt := range t.Points() {
+				slots = append(slots, sweep.Slot{Task: t.Name, Point: pt})
+				owner = append(owner, t)
+			}
+		}
+		first[ti+1] = len(slots)
+	}
+
 	var done, restored atomic.Int64
-	note := func(task string, rec *sweep.Record, wasRestored bool) {
-		if progress != nil {
-			progress(Progress{
-				Task:          task,
-				Done:          int(done.Load()),
-				Total:         total,
-				Restored:      int(restored.Load()),
-				Record:        rec,
-				PointRestored: wasRestored,
-			})
-		}
-	}
-
-	results := make([]TaskResult, len(p.Tasks))
-	limit := sweep.NewLimit(p.workers)
-	type taskRun struct {
-		batch *sweep.Batch
-		recs  []sweep.Record
-	}
-	runs := make(map[string]*taskRun, len(p.Tasks))
-	var (
-		ckMu  sync.Mutex
-		ckErr error // first checkpoint-storage failure, if any
-	)
-	var wg sync.WaitGroup
-	for idx, t := range p.Tasks {
-		if src := t.deriveFrom; src != nil {
-			// Derived task: wait for the source's simulations, then
-			// render this task's point subset from the source's records.
-			// Build adds sources before their derivations, so the source
-			// run always exists by now.
-			sr := runs[src.Name]
-			if sr == nil {
-				results[idx] = TaskResult{Task: t, Err: fmt.Errorf("experiments: task %s derives from %s, which was not scheduled", t.Name, src.Name)}
-				continue
-			}
-			wg.Add(1)
-			go func(idx int, t *Task, sr *taskRun) {
-				defer wg.Done()
-				if err := sr.batch.Wait(ctx); err != nil {
-					results[idx] = TaskResult{Task: t, Err: err}
-					return
-				}
-				byPt := make(map[sweep.Point]sweep.Record, len(sr.recs))
-				for _, rec := range sr.recs {
-					byPt[rec.Point] = rec
-				}
-				recs := make([]sweep.Record, 0, len(t.Points()))
-				for _, pt := range t.Points() {
-					if rec, ok := byPt[pt]; ok {
-						recs = append(recs, rec)
-					}
-				}
-				series, err := sweep.AggregateRecords(recs)
-				results[idx] = TaskResult{Task: t, Series: series, Err: err}
-			}(idx, t, sr)
-			continue
-		}
-
-		pts := t.Points()
-		recs := make([]sweep.Record, len(pts))
-		pending := make([]int, 0, len(pts))
-		for i, pt := range pts {
-			if rec, ok := ck.Lookup(t.Name, pt); ok {
-				recs[i] = rec
-				done.Add(1)
+	recs, filled, runErr := sweep.RestoreOrRun(ctx, ck, slots, p.workers,
+		func(i int) sweep.Record { return owner[i].Grid.RunRecord(slots[i].Task, slots[i].Point) },
+		func(i int, rec *sweep.Record, wasRestored bool) {
+			d := done.Add(1)
+			if wasRestored {
 				restored.Add(1)
-				note(t.Name, &recs[i], true)
-				continue
 			}
-			pending = append(pending, i)
-		}
-
-		// One non-blocking batch per task: all tasks queue now, the pool
-		// works them in priority order with no inter-figure barrier. The
-		// shared Limit makes Options.Workers a pipeline-wide bound, not a
-		// per-figure one.
-		batch := sweep.Shared().Submit(len(pending), sweep.RunOpts{
-			Priority: t.Priority,
-			Limit:    limit,
-			Context:  ctx,
-		}, func(k int) {
-			i := pending[k]
-			cpu0 := prof.CPUSeconds()
-			rec := sweep.RecordOf(t.Name, t.Grid.RunPoint(pts[i]))
-			rec.CPUSeconds = prof.CPUSeconds() - cpu0
-			recs[i] = rec
-			if err := ck.Put(rec); err != nil {
-				// Storage trouble must not kill the sweep — the run
-				// completes, only resumability degrades — but it is
-				// surfaced once in Run's error.
-				ckMu.Lock()
-				if ckErr == nil {
-					ckErr = err
-				}
-				ckMu.Unlock()
+			if progress != nil {
+				progress(Progress{
+					Task:          slots[i].Task,
+					Done:          int(d),
+					Total:         len(slots),
+					Restored:      int(restored.Load()),
+					Record:        rec,
+					PointRestored: wasRestored,
+				})
 			}
-			done.Add(1)
-			note(t.Name, &recs[i], false)
 		})
 
-		runs[t.Name] = &taskRun{batch: batch, recs: recs}
-		wg.Add(1)
-		go func(idx int, t *Task, batch *sweep.Batch) {
-			defer wg.Done()
-			if err := batch.Wait(ctx); err != nil {
-				results[idx] = TaskResult{Task: t, Err: err}
-				return
+	results := make([]TaskResult, len(p.Tasks))
+	for ti, t := range p.Tasks {
+		src := ti
+		if t.deriveFrom != nil {
+			// A derived task is rendered from its point subset of the
+			// source's records. Build adds sources before their derivations.
+			src = slices.Index(p.Tasks, t.deriveFrom)
+		}
+		lo, hi := first[src], first[src+1]
+		if slices.Contains(filled[lo:hi], false) {
+			results[ti] = TaskResult{Task: t, Err: runErr} // interrupted before it completed
+			continue
+		}
+		taskRecs := recs[lo:hi]
+		if t.deriveFrom != nil {
+			byPt := make(map[sweep.Point]sweep.Record, len(taskRecs))
+			for _, rec := range taskRecs {
+				byPt[rec.Point] = rec
 			}
-			series, err := sweep.AggregateRecords(recs)
-			results[idx] = TaskResult{Task: t, Series: series, Err: err}
-		}(idx, t, batch)
+			taskRecs = make([]sweep.Record, 0, len(t.Points()))
+			for _, pt := range t.Points() {
+				if rec, ok := byPt[pt]; ok {
+					taskRecs = append(taskRecs, rec)
+				}
+			}
+		}
+		series, err := sweep.AggregateRecords(taskRecs)
+		results[ti] = TaskResult{Task: t, Series: series, Err: err}
 	}
-
-	wg.Wait()
-	if ctx != nil && ctx.Err() != nil {
-		return results, ctx.Err()
-	}
-	if ckErr != nil {
-		return results, fmt.Errorf("pipeline completed but checkpointing failed: %w", ckErr)
-	}
-	return results, nil
+	return results, runErr
 }

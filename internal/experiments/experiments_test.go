@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/sweep"
@@ -57,12 +59,6 @@ func TestPipelineBuild(t *testing.T) {
 	want := []string{"fig2a", "fig2b", "fig2c", "fig5a", "fig5b", "fig5c", "fig3", "fig4", "fig6", "ext-age"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("tasks %v, want %v", names, want)
-	}
-	for i := 1; i < len(p.Tasks); i++ {
-		if p.Tasks[i].Priority >= p.Tasks[i-1].Priority {
-			t.Fatalf("priorities not strictly descending: %s=%d, %s=%d",
-				p.Tasks[i-1].Name, p.Tasks[i-1].Priority, p.Tasks[i].Name, p.Tasks[i].Priority)
-		}
 	}
 	// MIN must be excluded from the fairness tasks, as in the paper.
 	for _, task := range p.Tasks {
@@ -149,7 +145,8 @@ func TestPipelineCheckpointResumeAndWorkers(t *testing.T) {
 		}
 	}
 
-	// Interrupted run: cancel after a handful of completions. Bound the
+	// Interrupted run: cancel after seven completions — points are claimed
+	// in order, so fig2a's six are then all claimed and will finish. Bound the
 	// in-flight count so cancellation always leaves unclaimed points —
 	// on a many-core machine an unbounded run could claim (and thus
 	// complete) every point before the cancel lands.
@@ -162,8 +159,8 @@ func TestPipelineCheckpointResumeAndWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, runErr := interrupted.Run(ctx, ck, func(p Progress) {
-		if p.Done >= 5 {
+	partResults, runErr := interrupted.Run(ctx, ck, func(p Progress) {
+		if p.Done >= 7 {
 			cancel()
 		}
 	})
@@ -171,12 +168,34 @@ func TestPipelineCheckpointResumeAndWorkers(t *testing.T) {
 	if runErr != context.Canceled {
 		t.Fatalf("interrupted Run returned %v, want context.Canceled", runErr)
 	}
+	// A task keeps its series exactly when every one of its points made it
+	// into the checkpoint; the others report the cancellation.
+	kept := 0
+	for _, r := range partResults {
+		complete := true
+		for _, pt := range r.Task.Points() {
+			if _, ok := ck.Lookup(r.Task.ckptTask(), pt); !ok {
+				complete = false
+			}
+		}
+		switch {
+		case complete && !reflect.DeepEqual(r.Series, want[r.Task.Name]):
+			t.Errorf("task %s finished before the interrupt but its series differ from the reference", r.Task.Name)
+		case !complete && (r.Series != nil || r.Err != context.Canceled):
+			t.Errorf("task %s was cut short but reports series %v, err %v", r.Task.Name, r.Series != nil, r.Err)
+		case complete:
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Error("no task kept its series, though all of fig2a's points were claimed before the interrupt")
+	}
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
 	partial := countRecords(t, ckPath)
-	if partial < 5 || partial >= interrupted.TotalPoints() {
-		t.Fatalf("checkpoint holds %d records after interrupt, want a strict subset ≥ 5 of %d",
+	if partial < 7 || partial >= interrupted.TotalPoints() {
+		t.Fatalf("checkpoint holds %d records after interrupt, want a strict subset ≥ 7 of %d",
 			partial, interrupted.TotalPoints())
 	}
 
@@ -192,17 +211,18 @@ func TestPipelineCheckpointResumeAndWorkers(t *testing.T) {
 	if ck2.Len() != partial {
 		t.Fatalf("reloaded %d records, want %d", ck2.Len(), partial)
 	}
-	var sawRestored atomic.Bool
+	// The second run restores exactly the points the first one stored.
+	var restoredPts atomic.Int64
 	results, err := resumed.Run(context.Background(), ck2, func(p Progress) {
-		if p.Restored > 0 {
-			sawRestored.Store(true)
+		if p.PointRestored {
+			restoredPts.Add(1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sawRestored.Load() {
-		t.Fatal("resume did not restore any checkpointed point")
+	if int(restoredPts.Load()) != partial {
+		t.Fatalf("resume restored %d points, the checkpoint held %d", restoredPts.Load(), partial)
 	}
 	if got := seriesOf(t, results); !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed results differ from the uninterrupted reference")
@@ -248,11 +268,6 @@ func TestLatencyModelAxis(t *testing.T) {
 	}
 	if fig3 := byName["fig3@groupskew"]; fig3 == nil || fig3.deriveFrom == nil || fig3.deriveFrom.Name != "fig2c@groupskew" {
 		t.Fatal("fig3@groupskew is not derived from fig2c@groupskew")
-	}
-	for i := 1; i < len(p.Tasks); i++ {
-		if p.Tasks[i].Priority >= p.Tasks[i-1].Priority {
-			t.Fatal("priorities not strictly descending across the axis")
-		}
 	}
 
 	// Checkpoint composition: run the fairness-only pipeline without the
@@ -324,4 +339,128 @@ func countRecords(t *testing.T, path string) int {
 		}
 	}
 	return n - 1 // meta line
+}
+
+// With one simulation at a time the pipeline works through its points in
+// exact paper order, task after task — the order the checkpoint fills in.
+func TestPipelineRunsInPaperOrder(t *testing.T) {
+	base, opt := testOptions()
+	opt.Workers = 1
+	p := Build(base, opt)
+	var want, got []sweep.Slot
+	for _, task := range p.Tasks {
+		if task.deriveFrom != nil {
+			continue
+		}
+		for _, pt := range task.Points() {
+			want = append(want, sweep.Slot{Task: task.Name, Point: pt})
+		}
+	}
+	if _, err := p.Run(context.Background(), nil, func(pr Progress) {
+		got = append(got, sweep.Slot{Task: pr.Task, Point: pr.Record.Point}) // one at a time: no race
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("points completed in the order\n%v\nwant paper order\n%v", got, want)
+	}
+}
+
+// buildSpy is a latency model that tells a flightLog when a simulation of
+// its task wires its network — the first thing a cold point does.
+type buildSpy struct {
+	topology.UniformLatency
+	task string
+	log  *flightLog
+}
+
+func (s buildSpy) LocalLatency(t *topology.Topology, src, dst int) int {
+	s.log.saw(s.task, t)
+	return s.UniformLatency.LocalLatency(t, src, dst)
+}
+
+// flightLog counts simulations in flight: started by buildSpy, finished by
+// the pipeline's progress callback (which runs before the pool hands the
+// worker its next point, so the count never overstates).
+type flightLog struct {
+	mu sync.Mutex
+	// Every cold point builds its own topology; holding them here also keeps
+	// their addresses from being reused.
+	seen     map[*topology.Topology]bool
+	inFlight int
+	peak     int
+	starts   map[string]int
+	// The holdTask simulation that starts holdAt-th blocks until a point of
+	// another task starts: proof that tasks drain into each other.
+	holdTask string
+	holdAt   int
+	overlap  chan struct{}
+}
+
+func (l *flightLog) saw(task string, topo *topology.Topology) {
+	l.mu.Lock()
+	if l.seen[topo] {
+		l.mu.Unlock()
+		return
+	}
+	l.seen[topo] = true
+	l.inFlight++
+	l.peak = max(l.peak, l.inFlight)
+	l.starts[task]++
+	hold := task == l.holdTask && l.starts[task] == l.holdAt
+	if task != l.holdTask && l.starts[task] == 1 && l.starts[l.holdTask] > 0 {
+		select {
+		case <-l.overlap:
+		default:
+			close(l.overlap)
+		}
+	}
+	l.mu.Unlock()
+	if hold {
+		select {
+		case <-l.overlap:
+		case <-time.After(30 * time.Second): // the test fails on the missing overlap
+		}
+	}
+}
+
+func (l *flightLog) finished() {
+	l.mu.Lock()
+	l.inFlight--
+	l.mu.Unlock()
+}
+
+// Options.Workers bounds the whole pipeline, not each figure: with two
+// workers there are never more than two simulations in flight, and fig2b
+// starts while fig2a's last point is still running.
+func TestPipelineWorkersBoundAcrossTasks(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs two pool workers")
+	}
+	base, opt := testOptions()
+	opt.Workers = 2
+	p := Build(base, opt)
+	log := &flightLog{seen: map[*topology.Topology]bool{}, starts: map[string]int{}, holdTask: "fig2a", holdAt: len(p.Tasks[0].Points()), overlap: make(chan struct{})}
+	for _, task := range p.Tasks {
+		u := topology.UniformLatency{Local: base.Router.LocalLatency, Global: base.Router.GlobalLatency}
+		task.Grid.Base.LatencyModel = buildSpy{u, task.Name, log}
+	}
+	if _, err := p.Run(context.Background(), nil, func(Progress) { log.finished() }); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range log.starts {
+		total += n
+	}
+	if total != p.TotalPoints() {
+		t.Fatalf("saw %d simulations start, the pipeline has %d points", total, p.TotalPoints())
+	}
+	if log.peak != 2 {
+		t.Fatalf("peak of %d simulations in flight, Workers was 2", log.peak)
+	}
+	select {
+	case <-log.overlap:
+	default:
+		t.Fatal("no point of a later task started while fig2a's last point ran: a barrier between figures")
+	}
 }

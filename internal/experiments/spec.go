@@ -9,17 +9,15 @@ import (
 	"strings"
 
 	"dragonfly/internal/cli"
-	"dragonfly/internal/sim"
 	"dragonfly/internal/sweep"
-	"dragonfly/internal/topology"
 )
 
 // Spec is the portable JSON description of one sweep submission — the
 // wire form a dfserved client POSTs and a worker rebuilds its grid from.
-// It mirrors the dfsweep flag surface: topology, cycle counts, router
-// knobs, and the mechanism × pattern × load × seed axes. Zero fields
-// take the dfsweep defaults, so a minimal submission is just
-// mechanisms + loads.
+// It mirrors the dfsweep flag surface: the run description every tool
+// shares (cli.Base, embedded, so the wire format is flat) plus the
+// mechanism × pattern × load × seed axes. Zero fields take the dfsweep
+// defaults, so a minimal submission is just mechanisms + loads.
 //
 // Normalize resolves every default and alternative encoding (load_spec
 // strings, seed_base/seed_count) into explicit fields, so two spellings
@@ -30,26 +28,9 @@ type Spec struct {
 	// kind served today (experiment/schedule specs are future work).
 	Kind string `json:"kind,omitempty"`
 
-	// Topology: balanced dragonfly of H (default 3), with optional P/A
-	// overrides and the global-link arrangement.
-	H           int    `json:"h,omitempty"`
-	P           int    `json:"p,omitempty"`
-	A           int    `json:"a,omitempty"`
-	Arrangement string `json:"arrangement,omitempty"`
-
-	Warmup  int64 `json:"warmup,omitempty"`
-	Measure int64 `json:"measure,omitempty"`
-	// SimWorkers is the per-simulation engine worker count. Results are
-	// bit-identical across it, so it is excluded from BaseFingerprint.
-	SimWorkers int `json:"sim_workers,omitempty"`
-
-	Arbitration   string  `json:"arbitration,omitempty"` // see cli.KnownArbitrations
-	InjQueue      int     `json:"inj_queue,omitempty"`
-	Threshold     float64 `json:"threshold,omitempty"`
-	LocalMisroute *bool   `json:"olm,omitempty"`
-	LocalLat      int     `json:"local_lat,omitempty"`
-	GlobalLat     int     `json:"global_lat,omitempty"`
-	LatencyModel  string  `json:"latency_model,omitempty"`
+	// Base is everything that shapes one point's result, plus SimWorkers,
+	// which BaseFingerprint excludes.
+	cli.Base
 
 	// The sweep axes. Loads may instead be given as LoadSpec
 	// ("0.05:0.6:0.05", the dfsweep -loads syntax); Seeds may instead be
@@ -72,7 +53,7 @@ type Spec struct {
 // Normalize fills defaults, folds alternative encodings into canonical
 // fields, and validates everything a submission endpoint must reject
 // early: unknown mechanism/pattern/arbitration/latency-model names,
-// illegal topologies, empty grids.
+// illegal or oversized topologies (before any is built), empty grids.
 func (s *Spec) Normalize() error {
 	if s.Kind == "" {
 		s.Kind = "sweep"
@@ -80,78 +61,13 @@ func (s *Spec) Normalize() error {
 	if s.Kind != "sweep" {
 		return fmt.Errorf("spec: unsupported kind %q (only \"sweep\" is served)", s.Kind)
 	}
-	if s.H == 0 && s.P == 0 && s.A == 0 {
-		s.H = 3
-	}
-	if s.H <= 0 {
-		return fmt.Errorf("spec: h must be positive, got %d", s.H)
-	}
-	topo := topology.Balanced(s.H)
-	if s.P > 0 {
-		topo.P = s.P
-	}
-	if s.A > 0 {
-		topo.A = s.A
-	}
-	s.P, s.A = topo.P, topo.A
-	switch s.Arrangement {
-	case "":
-		s.Arrangement = "palmtree"
-	case "palmtree", "consecutive":
-	default:
-		return fmt.Errorf("spec: unknown arrangement %q", s.Arrangement)
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 3000
-	}
-	if s.Measure == 0 {
-		s.Measure = 6000
-	}
-	if s.Warmup < 0 || s.Measure <= 0 {
-		return fmt.Errorf("spec: cycles must be positive (warmup %d, measure %d)", s.Warmup, s.Measure)
-	}
-	if s.SimWorkers == 0 {
-		s.SimWorkers = 1
-	}
-	if s.Arbitration == "" {
-		s.Arbitration = "transit-priority"
-	}
-	if _, err := cli.ArbitrationByName(s.Arbitration); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if s.InjQueue == 0 {
-		s.InjQueue = 256
-	}
-	if s.Threshold == 0 {
-		s.Threshold = 0.43
-	}
-	if s.LocalMisroute == nil {
-		olm := true
-		s.LocalMisroute = &olm
-	}
-	if s.LocalLat == 0 {
-		s.LocalLat = 10
-	}
-	if s.GlobalLat == 0 {
-		s.GlobalLat = 100
-	}
-	if s.LocalLat <= 0 || s.GlobalLat <= 0 {
-		return fmt.Errorf("spec: link latencies must be positive (local %d, global %d)", s.LocalLat, s.GlobalLat)
-	}
-	if s.LatencyModel == "" {
-		s.LatencyModel = "uniform"
-	}
-	if _, err := topology.LatencyModelByName(s.LatencyModel, s.LocalLat, s.GlobalLat); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-
 	if len(s.Mechanisms) == 0 {
 		return fmt.Errorf("spec: mechanisms must be non-empty")
 	}
 	if len(s.Patterns) == 0 {
 		s.Patterns = []string{"UN"}
 	}
-	if err := cli.ValidateNames(topo, s.Mechanisms, s.Patterns); err != nil {
+	if err := s.Base.Normalize(s.Mechanisms, s.Patterns); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
 	if s.LoadSpec != "" {
@@ -219,38 +135,6 @@ func canonLoad(l float64) float64 {
 	return v
 }
 
-// Config assembles the normalized spec's base sim.Config (the grid
-// substitutes mechanism/pattern/load/seed per point).
-func (s *Spec) Config() (sim.Config, error) {
-	cfg := sim.DefaultConfig()
-	topo := topology.Balanced(s.H)
-	topo.P, topo.A = s.P, s.A
-	if s.Arrangement == "consecutive" {
-		topo.Arrangement = topology.Consecutive
-	}
-	cfg.Topology = topo
-	cfg.WarmupCycles = s.Warmup
-	cfg.MeasureCycles = s.Measure
-	cfg.Workers = s.SimWorkers
-	arb, err := cli.ArbitrationByName(s.Arbitration)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Router.Arbitration = arb
-	cfg.Router.InjectionQueuePackets = s.InjQueue
-	cfg.Router.CongestionThreshold = s.Threshold
-	cfg.Routing.CongestionThreshold = s.Threshold
-	cfg.Routing.LocalMisroute = *s.LocalMisroute
-	cfg.Router.LocalLatency = s.LocalLat
-	cfg.Router.GlobalLatency = s.GlobalLat
-	model, err := topology.LatencyModelByName(s.LatencyModel, s.LocalLat, s.GlobalLat)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.LatencyModel = model
-	return cfg, nil
-}
-
 // Grid expands the normalized spec into its sweep grid. Each call builds
 // a fresh snapshot cache (when reuse is on), so concurrent runners never
 // share mutable state through the spec.
@@ -282,13 +166,19 @@ func specHash(s Spec) (string, error) {
 	return hex.EncodeToString(sum[:16]), nil
 }
 
+// normalized returns the spec's normal form, leaving the receiver as it is.
+func (s Spec) normalized() (Spec, error) {
+	err := s.Normalize()
+	return s, err
+}
+
 // Fingerprint is the job identity: the digest of the whole normalized
 // spec. Two submissions that normalize identically — whatever their
 // spelling — get the same fingerprint, which is the serve store's
 // job-level dedup key.
 func (s Spec) Fingerprint() (string, error) {
-	ns := s
-	if err := ns.Normalize(); err != nil {
+	ns, err := s.normalized()
+	if err != nil {
 		return "", err
 	}
 	return specHash(ns)
@@ -300,8 +190,8 @@ func (s Spec) Fingerprint() (string, error) {
 // sharing it share a checkpoint namespace, so partially-overlapping
 // grids restore their common points instead of re-running them.
 func (s Spec) BaseFingerprint() (string, error) {
-	ns := s
-	if err := ns.Normalize(); err != nil {
+	ns, err := s.normalized()
+	if err != nil {
 		return "", err
 	}
 	ns.Mechanisms, ns.Patterns, ns.Loads, ns.Seeds = nil, nil, nil, nil
@@ -313,8 +203,8 @@ func (s Spec) BaseFingerprint() (string, error) {
 // CanonicalJSON returns the normalized spec marshaled canonically — the
 // form the store journals and serves to workers.
 func (s Spec) CanonicalJSON() (json.RawMessage, error) {
-	ns := s
-	if err := ns.Normalize(); err != nil {
+	ns, err := s.normalized()
+	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(ns)

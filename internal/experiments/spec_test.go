@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"dragonfly/internal/cli"
 )
 
 // Two spellings of the same sweep must normalize to the same spec and
@@ -33,13 +36,12 @@ func TestSpecFingerprintConvergesSpellings(t *testing.T) {
 	// Defaults spelled out explicitly, and names in a different case,
 	// converge too.
 	verbose := Spec{
-		Kind:        "sweep",
-		H:           3,
-		Mechanisms:  []string{"min"},
-		Patterns:    []string{"un"},
-		Loads:       []float64{0.1, 0.2, 0.3},
-		Seeds:       []uint64{1, 2, 3},
-		Arbitration: "transit-priority",
+		Kind:       "sweep",
+		Base:       cli.Base{H: 3, Arbitration: "transit-priority"},
+		Mechanisms: []string{"min"},
+		Patterns:   []string{"un"},
+		Loads:      []float64{0.1, 0.2, 0.3},
+		Seeds:      []uint64{1, 2, 3},
 	}
 	fp3, err := verbose.Fingerprint()
 	if err != nil {
@@ -79,7 +81,7 @@ func TestSpecBaseFingerprint(t *testing.T) {
 
 	same := []Spec{
 		{Mechanisms: []string{"Obl-RRG", "MIN"}, Loads: []float64{0.3, 0.4}, Seeds: []uint64{7}},
-		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, SimWorkers: 4},
+		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{SimWorkers: 4}},
 		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Reuse: "off"},
 	}
 	for i, s := range same {
@@ -93,10 +95,10 @@ func TestSpecBaseFingerprint(t *testing.T) {
 	}
 
 	different := []Spec{
-		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, H: 4},
-		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Warmup: 500},
-		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Arbitration: "round-robin"},
-		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Threshold: 0.5},
+		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{H: 4}},
+		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Warmup: 500}},
+		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Arbitration: "round-robin"}},
+		{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Threshold: 0.5}},
 	}
 	for i, s := range different {
 		got, err := s.BaseFingerprint()
@@ -120,11 +122,11 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"unknown mechanism", Spec{Mechanisms: []string{"teleport"}, Loads: []float64{0.1}}, "teleport"},
 		{"unknown pattern", Spec{Mechanisms: []string{"MIN"}, Patterns: []string{"XX"}, Loads: []float64{0.1}}, "XX"},
 		{"unknown kind", Spec{Kind: "schedule", Mechanisms: []string{"MIN"}, Loads: []float64{0.1}}, "kind"},
-		{"unknown arbitration", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Arbitration: "coin-flip"}, "arbitration"},
+		{"unknown arbitration", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Arbitration: "coin-flip"}}, "arbitration"},
 		{"warm reuse", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Reuse: "warm"}, "reuse"},
 		{"both load spellings", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, LoadSpec: "0.1:0.2:0.1"}, "not both"},
 		{"negative load", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{-0.1}}, "negative"},
-		{"bad arrangement", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Arrangement: "spiral"}, "arrangement"},
+		{"bad arrangement", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Arrangement: "spiral"}}, "arrangement"},
 	}
 	for _, tc := range cases {
 		s := tc.spec
@@ -146,8 +148,7 @@ func TestSpecGrid(t *testing.T) {
 		Mechanisms: []string{"MIN", "Obl-RRG"},
 		LoadSpec:   "0.1:0.2:0.1",
 		SeedCount:  2,
-		Warmup:     100,
-		Measure:    200,
+		Base:       cli.Base{Warmup: 100, Measure: 200},
 	}
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
@@ -196,5 +197,43 @@ func TestSpecNormalizeIdempotent(t *testing.T) {
 	}
 	if fp1 != fp2 {
 		t.Fatal("normalization is not idempotent")
+	}
+}
+
+// The identities the serve store keys jobs and checkpoints by, and the JSON
+// it journals and hands to workers, are an on-disk and on-the-wire format:
+// a store written by an earlier build must still dedup and restore. These
+// literals were recorded before Spec was split into cli.Base + axes.
+func TestSpecIdentitiesPinned(t *testing.T) {
+	for _, c := range []struct{ name, raw, fp, baseFP, canonical string }{
+		{"minimal", `{"mechanisms":["MIN"],"loads":[0.1]}`,
+			"dddd1b10845898ac1724efb7c35d3c47", "ef196acff51de83e5707ff506323fbbb",
+			`{"kind":"sweep","h":3,"p":3,"a":6,"arrangement":"palmtree","warmup":3000,"measure":6000,"sim_workers":1,"arbitration":"transit-priority","inj_queue":256,"threshold":0.43,"olm":true,"local_lat":10,"global_lat":100,"latency_model":"uniform","mechanisms":["min"],"patterns":["UN"],"loads":[0.1],"seeds":[1],"reuse":"construct"}`},
+		{"every field", `{"kind":"sweep","h":2,"p":3,"a":5,"arrangement":"consecutive","warmup":150,"measure":450,"sim_workers":2,"arbitration":"age","inj_queue":64,"threshold":0.35,"olm":false,"local_lat":5,"global_lat":40,"latency_model":"groupskew","mechanisms":["Src-CRG","In-Trns-MM"],"patterns":["ADV+1","UN"],"loads":[0.2,0.45],"seeds":[3,9],"reuse":"off"}`,
+			"fd7dadc871f22bebd4c418940a1cf39c", "9634a017b0bc51038d1e013dfc16944a",
+			`{"kind":"sweep","h":2,"p":3,"a":5,"arrangement":"consecutive","warmup":150,"measure":450,"sim_workers":2,"arbitration":"age","inj_queue":64,"threshold":0.35,"olm":false,"local_lat":5,"global_lat":40,"latency_model":"groupskew","mechanisms":["src-crg","in-trns-mm"],"patterns":["ADV+1","UN"],"loads":[0.2,0.45],"seeds":[3,9],"reuse":"off"}`},
+		{"load_spec + seed_base", `{"h":1,"warmup":100,"measure":200,"mechanisms":["min"],"load_spec":"0.1:0.2:0.1","seed_base":1,"seed_count":2}`,
+			"3727aded5fe3c3b291707b1fbb3bce95", "9072012aad206342a972a4f08ba22f35",
+			`{"kind":"sweep","h":1,"p":1,"a":2,"arrangement":"palmtree","warmup":100,"measure":200,"sim_workers":1,"arbitration":"transit-priority","inj_queue":256,"threshold":0.43,"olm":true,"local_lat":10,"global_lat":100,"latency_model":"uniform","mechanisms":["min"],"patterns":["UN"],"loads":[0.1,0.2],"seeds":[1,2],"reuse":"construct"}`},
+	} {
+		var s Spec
+		if err := json.Unmarshal([]byte(c.raw), &s); err != nil {
+			t.Fatal(err)
+		}
+		fp, err1 := s.Fingerprint()
+		baseFP, err2 := s.BaseFingerprint()
+		canonical, err3 := s.CanonicalJSON()
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("%s: %v, %v, %v", c.name, err1, err2, err3)
+		}
+		if fp != c.fp {
+			t.Errorf("%s: fingerprint %s, pinned %s", c.name, fp, c.fp)
+		}
+		if baseFP != c.baseFP {
+			t.Errorf("%s: base fingerprint %s, pinned %s", c.name, baseFP, c.baseFP)
+		}
+		if string(canonical) != c.canonical {
+			t.Errorf("%s: canonical JSON\n%s\npinned\n%s", c.name, canonical, c.canonical)
+		}
 	}
 }

@@ -294,11 +294,7 @@ func (h leaseHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	ttl := time.Duration(req.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		ttl = h.m.ttl
-	}
-	info, ok := h.m.Store().Lease(req.Worker, req.MaxPoints, ttl)
+	info, ok, _ := h.m.lease(r.Context(), req.Worker, req.MaxPoints, time.Duration(req.TTLSeconds*float64(time.Second)))
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -321,11 +317,7 @@ func (h renewHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	ttl := time.Duration(req.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
-		ttl = h.m.ttl
-	}
-	if err := h.m.Store().Renew(req.LeaseID, ttl); err != nil {
+	if err := h.m.renew(r.Context(), req.LeaseID, time.Duration(req.TTLSeconds*float64(time.Second))); err != nil {
 		writeError(w, http.StatusGone, err)
 		return
 	}
@@ -349,20 +341,10 @@ func (h completeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	applied, err := h.m.Store().Complete(req.JobID, req.LeaseID, req.Records)
+	applied, err := h.m.complete(r.Context(), req.JobID, req.LeaseID, req.Records)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	name := req.JobID
-	if j := h.m.Store().Job(req.JobID); j != nil {
-		name = j.Name()
-	}
-	for i, rec := range req.Records {
-		if i == applied {
-			break
-		}
-		h.m.Live().NotePoint(name, rec.WallSeconds, rec.CPUSeconds, false)
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"applied": applied})
 }

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"dragonfly/internal/experiments"
-	"dragonfly/internal/prof"
 	"dragonfly/internal/sweep"
 	"dragonfly/internal/telemetry"
 )
@@ -127,8 +126,12 @@ func NewManager(opts Options) (*Manager, error) {
 		runners = runtime.NumCPU()
 	}
 	for i := 0; i < runners; i++ {
+		r := &runner{src: m, name: "local", batch: 1, ttl: ttl, jobs: 1, poll: 250 * time.Millisecond, wake: m.kick, logf: logf}
 		m.wg.Add(1)
-		go m.runLocal()
+		go func() {
+			defer m.wg.Done()
+			r.run(ctx)
+		}()
 	}
 	return m, nil
 }
@@ -291,74 +294,51 @@ func (m *Manager) kickRunners() {
 	}
 }
 
-// runLocal is one in-process point runner: it pulls single-point leases
-// through the same lease surface remote workers use (so every executed
-// simulation is accounted by the store's lease counter), runs them, and
-// completes the lease. A renewal goroutine keeps the lease alive while
-// the simulation outlives the TTL.
-func (m *Manager) runLocal() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		default:
-		}
-		info, ok := m.store.Lease("local", 1, m.ttl)
-		if !ok {
-			select {
-			case <-m.ctx.Done():
-				return
-			case <-m.kick:
-			case <-time.After(250 * time.Millisecond):
-			}
-			continue
-		}
+// The lease protocol (leases), as the in-process runners call it directly
+// and the HTTP handlers on behalf of remote workers — so every executed
+// simulation is accounted by the store's lease counter.
+
+func (m *Manager) lease(_ context.Context, worker string, max int, ttl time.Duration) (sweep.LeaseInfo, bool, error) {
+	if ttl <= 0 {
+		ttl = m.ttl
+	}
+	info, ok := m.store.Lease(worker, max, ttl)
+	if ok {
 		// The kick channel holds one token, so a submission wakes one
-		// runner; each runner that wins a lease passes the token on, and
-		// the idle ones cascade awake instead of sleeping out their poll.
+		// runner; each lease won passes the token on, and the idle runners
+		// cascade awake instead of sleeping out their poll.
 		m.kickRunners()
-		job := m.store.Job(info.JobID)
-		grid := job.Grid()
+	}
+	return info, ok, nil
+}
 
-		stopRenew := make(chan struct{})
-		var renewWG sync.WaitGroup
-		renewWG.Add(1)
-		go func() {
-			defer renewWG.Done()
-			t := time.NewTicker(m.ttl / 3)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopRenew:
-					return
-				case <-t.C:
-					if err := m.store.Renew(info.LeaseID, m.ttl); err != nil {
-						return // expired under us; the run completes anyway
-					}
-				}
-			}
-		}()
+func (m *Manager) renew(_ context.Context, leaseID string, ttl time.Duration) error {
+	if ttl <= 0 {
+		ttl = m.ttl
+	}
+	return m.store.Renew(leaseID, ttl)
+}
 
-		recs := make([]sweep.Record, len(info.Points))
-		for i, pt := range info.Points {
-			cpu0 := prof.CPUSeconds()
-			recs[i] = sweep.RecordOf("", grid.RunPoint(pt))
-			recs[i].CPUSeconds = prof.CPUSeconds() - cpu0
+// complete merges a lease's records into the store and notes the applied
+// ones as progress.
+func (m *Manager) complete(_ context.Context, jobID, leaseID string, recs []sweep.Record) (int, error) {
+	applied, err := m.store.Complete(jobID, leaseID, recs)
+	if j := m.store.Job(jobID); j != nil && applied > 0 {
+		for _, rec := range recs[:applied] { // the timings of that many points; which ones does not matter
+			m.live.NotePoint(j.Name(), rec.WallSeconds, rec.CPUSeconds, false)
 		}
-		close(stopRenew)
-		renewWG.Wait()
-		if _, err := m.store.Complete(info.JobID, info.LeaseID, recs); err != nil {
-			m.logf("serve: local complete: %v", err)
-		}
-		for _, rec := range recs {
-			m.live.NotePoint(info.JobName, rec.WallSeconds, rec.CPUSeconds, false)
-		}
-		if snap := job.Snapshot(false); snap.Status == sweep.JobDone {
+		if snap := j.Snapshot(false); snap.Status == sweep.JobDone {
 			m.logf("serve: job %s done (%d points, %d restored, %d failed)",
 				snap.Name, snap.Total, snap.Restored, snap.Failed)
 		}
 	}
+	return applied, err
+}
+
+// grid shares the job's own grid — and with it one snapshot cache — between
+// all local runners.
+func (m *Manager) grid(info sweep.LeaseInfo) (sweep.Grid, error) {
+	return m.store.Job(info.JobID).Grid(), nil
 }
 
 // Uptime reports how long the manager has been serving.

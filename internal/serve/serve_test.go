@@ -414,6 +414,10 @@ func TestServeRejections(t *testing.T) {
 		`{"mechanisms":["teleport"],"loads":[0.1]}`,           // unknown mechanism
 		`{"mechanisms":["MIN"]}`,                              // no loads
 		`{"mechanisms":["MIN"],"loads":[0.1],"bogus_knob":1}`, // unknown field
+		// More routers than the engine can index; refused from the numbers
+		// alone (building either topology first would not finish).
+		`{"h":64,"mechanisms":["MIN"],"loads":[0.1]}`,
+		`{"h":1,"a":2000000,"mechanisms":["MIN"],"loads":[0.1]}`,
 	} {
 		status, body := postJSON(t, srv.URL+"/api/jobs", spec)
 		if status != http.StatusBadRequest {
@@ -529,5 +533,31 @@ func TestLocalRunnersCascadeAwake(t *testing.T) {
 	}
 	if together < 2 {
 		t.Fatalf("at most %d lease outstanding at a time: one runner ran the whole job while the other slept", together)
+	}
+}
+
+// A remote runner keeps the grid of the job it is serving — and with it the
+// snapshot templates — from one lease to the next. Seeds are the innermost
+// grid axis, so each two-point lease here is both seeds of one load: a
+// runner that rebuilt its grid per lease would build both templates twice.
+func TestWorkerKeepsTemplatesAcrossLeases(t *testing.T) {
+	_, srv := newTestServer(t, Options{LocalRunners: -1, LeaseTTL: time.Minute})
+	res := submitJob(t, srv, testSpec)
+
+	w := &Worker{Server: srv.URL, Name: "w", Batch: 2, TTL: time.Minute}
+	r := w.runner()
+	ctx := context.Background()
+	for n := 0; n < 2; n++ {
+		info, ok, err := w.lease(ctx, r.name, r.batch, r.ttl)
+		if err != nil || !ok {
+			t.Fatalf("lease %d: ok=%v, err=%v", n, ok, err)
+		}
+		if err := r.serve(ctx, info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDone(t, srv, res.Job.ID)
+	if st := r.grid.Snapshots.Stats(); st.Templates != 2 { // (MIN, UN) × seeds 1, 2
+		t.Fatalf("two leases of one job built %d templates, want one per seed: %+v", st.Templates, st)
 	}
 }

@@ -10,18 +10,13 @@ import (
 	"time"
 
 	"dragonfly/internal/experiments"
-	"dragonfly/internal/prof"
 	"dragonfly/internal/sweep"
 )
 
 // Worker is the pull side of the dispatch protocol: dfserved -worker
-// runs one. It polls the server for point leases, rebuilds each lease's
-// grid from the spec that rides in the lease, runs the points on the
-// shared sweep pool, and pushes the records back. A renewal loop keeps
-// the lease alive while simulations outlive the TTL; if the worker dies
-// instead, the server expires the lease and re-leases its points — and
-// if a slow worker completes after expiry, the server drops the
-// duplicates, so crash recovery never skews results.
+// runs one. It is the daemon's lease runner (runner.go) over HTTP: it polls
+// the server for point leases, rebuilds a job's grid from the spec that
+// rides in its leases, and pushes the records back.
 type Worker struct {
 	// Server is the dfserved base URL ("http://host:8080").
 	Server string
@@ -83,112 +78,60 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, err
 	return resp.StatusCode, nil
 }
 
-// Run processes leases until ctx is cancelled. Transient server errors
-// (restarts, network blips) are retried at the poll cadence — a worker
-// is a daemon, not a batch job.
+// Run processes leases until ctx is cancelled.
 func (w *Worker) Run(ctx context.Context) error {
-	batch := w.Batch
-	if batch <= 0 {
-		batch = 4
-	}
-	ttl := w.TTL
-	if ttl <= 0 {
-		ttl = time.Minute
-	}
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
-	for {
-		var lease sweep.LeaseInfo
-		status, err := w.post(ctx, "/api/worker/lease", leaseRequest{
-			Worker:     w.Name,
-			MaxPoints:  batch,
-			TTLSeconds: ttl.Seconds(),
-		}, &lease)
-		switch {
-		case ctx.Err() != nil:
-			return nil
-		case err != nil:
-			w.logf("worker: lease: %v", err)
-			fallthrough
-		case status == http.StatusNoContent:
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(poll):
-			}
-			continue
-		}
-		if err := w.process(ctx, lease, ttl); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			w.logf("worker: lease %s: %v", lease.LeaseID, err)
-		}
-	}
+	w.runner().run(ctx)
+	return nil
 }
 
-// process runs one lease's points and pushes the records back.
-func (w *Worker) process(ctx context.Context, lease sweep.LeaseInfo, ttl time.Duration) error {
-	var spec experiments.Spec
-	if err := json.Unmarshal(lease.Spec, &spec); err != nil {
-		return fmt.Errorf("bad spec in lease: %w", err)
+// runner resolves the worker's defaults into its lease runner.
+func (w *Worker) runner() *runner {
+	r := &runner{src: w, name: w.Name, batch: w.Batch, ttl: w.TTL, jobs: w.Jobs, poll: w.Poll, logf: w.logf}
+	if r.batch <= 0 {
+		r.batch = 4
 	}
-	if err := spec.Normalize(); err != nil {
-		return err
+	if r.ttl <= 0 {
+		r.ttl = time.Minute
 	}
-	grid, err := spec.Grid()
-	if err != nil {
-		return err
+	if r.poll <= 0 {
+		r.poll = 500 * time.Millisecond
 	}
+	return r
+}
 
-	// Keep the lease alive while the batch runs; a failed renewal means
-	// the server already re-leased the points, so the batch finishes and
-	// the late completion is deduplicated server-side.
-	renewCtx, stopRenew := context.WithCancel(ctx)
-	defer stopRenew()
-	go func() {
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-renewCtx.Done():
-				return
-			case <-t.C:
-				if _, err := w.post(renewCtx, "/api/worker/renew", renewRequest{
-					LeaseID: lease.LeaseID, TTLSeconds: ttl.Seconds(),
-				}, nil); err != nil {
-					return
-				}
-			}
-		}
-	}()
+// The lease protocol (leases) over the daemon's worker API.
 
-	start := time.Now()
-	recs := make([]sweep.Record, len(lease.Points))
-	runErr := sweep.Shared().Run(len(lease.Points), sweep.RunOpts{
-		MaxParallel: w.Jobs,
-		Context:     ctx,
-	}, func(i int) {
-		cpu0 := prof.CPUSeconds()
-		recs[i] = sweep.RecordOf("", grid.RunPoint(lease.Points[i]))
-		recs[i].CPUSeconds = prof.CPUSeconds() - cpu0
-	})
-	stopRenew()
-	if runErr != nil {
-		return runErr // cancelled mid-batch: report nothing, let the lease lapse
-	}
+func (w *Worker) lease(ctx context.Context, worker string, max int, ttl time.Duration) (sweep.LeaseInfo, bool, error) {
+	var info sweep.LeaseInfo
+	status, err := w.post(ctx, "/api/worker/lease",
+		leaseRequest{Worker: worker, MaxPoints: max, TTLSeconds: ttl.Seconds()}, &info)
+	return info, err == nil && status != http.StatusNoContent, err
+}
 
+func (w *Worker) renew(ctx context.Context, leaseID string, ttl time.Duration) error {
+	_, err := w.post(ctx, "/api/worker/renew", renewRequest{LeaseID: leaseID, TTLSeconds: ttl.Seconds()}, nil)
+	return err
+}
+
+func (w *Worker) complete(ctx context.Context, jobID, leaseID string, recs []sweep.Record) (int, error) {
 	var res struct {
 		Applied int `json:"applied"`
 	}
-	if _, err := w.post(ctx, "/api/worker/complete", completeRequest{
-		JobID: lease.JobID, LeaseID: lease.LeaseID, Records: recs,
-	}, &res); err != nil {
-		return err
+	_, err := w.post(ctx, "/api/worker/complete", completeRequest{JobID: jobID, LeaseID: leaseID, Records: recs}, &res)
+	if err == nil {
+		w.logf("worker: %s: %d points (%d applied)", leaseID, len(recs), res.Applied)
 	}
-	w.logf("worker: %s: %d points in %v (%d applied)",
-		lease.JobName, len(recs), time.Since(start).Round(time.Millisecond), res.Applied)
-	return nil
+	return res.Applied, err
+}
+
+// grid rebuilds the job's grid from the spec that rides in the lease.
+func (w *Worker) grid(info sweep.LeaseInfo) (sweep.Grid, error) {
+	var spec experiments.Spec
+	if err := json.Unmarshal(info.Spec, &spec); err != nil {
+		return sweep.Grid{}, fmt.Errorf("bad spec in lease: %w", err)
+	}
+	if err := spec.Normalize(); err != nil {
+		return sweep.Grid{}, err
+	}
+	return spec.Grid()
 }

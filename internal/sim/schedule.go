@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"dragonfly/internal/topology"
+)
 
 // The active-router scheduler. The engine steps only routers that have (or
 // may have) work to do in the current cycle; everything else is asleep.
@@ -54,9 +58,9 @@ type scheduler struct {
 	nextWake []int64 // per group: cycle of the heap minimum (math.MaxInt64: empty)
 }
 
-// routerBits sizes the router-id field of a packed calendar entry; 2^20
-// routers is three orders of magnitude above the paper-scale network.
-const routerBits = 20
+// routerBits sizes the router-id field of a packed calendar entry;
+// topology.Params.Validate rejects networks whose ids would not fit.
+const routerBits = topology.MaxRouterBits
 
 func newScheduler(groupOf []int32, groups int) *scheduler {
 	n := len(groupOf)

@@ -234,7 +234,7 @@ func TestCheckpointForeignFileRefused(t *testing.T) {
 	}
 }
 
-// Aggregating samples with never-run slots (a cancelled RunCtx sweep)
+// Aggregating samples with never-run slots (a sweep slot that was never run)
 // must report the gap, not panic on the nil Result.
 func TestAggregateCancelledSlots(t *testing.T) {
 	g := testGrid()

@@ -9,27 +9,24 @@ import (
 
 // The sweep worker pool. One persistent, process-wide pool executes every
 // multi-run entry point of the simulator — load sweeps (Grid.Run), seed
-// replicas, solo/paired interference runs and the dfexperiments figure
-// pipeline all submit whole simulation runs here, so the machine is never
-// oversubscribed by independent sweeps racing each other, and a
-// higher-priority batch (an interactive sweep) overtakes bulk work (a
-// paper-scale figure regeneration) at the next task boundary.
+// replicas, solo/paired interference runs, the dfexperiments figure
+// pipeline and the points of a dfserved lease all submit whole simulation
+// runs here, so the machine is never oversubscribed by independent sweeps
+// racing each other.
 //
 // Invariants:
 //
 //   - Tasks of one batch are handed out strictly in index order, so any
 //     caller that writes task i's outcome into slot i of a pre-sized slice
-//     gets deterministic, worker-count-independent results.
-//   - Between batches, the pool picks the highest Priority first (ties:
-//     submission order), at task granularity — a running task is never
-//     preempted.
+//     gets deterministic, worker-count-independent results — and a caller
+//     that wants its work done front to back (a figure pipeline in paper
+//     order) submits it as ONE batch in that order.
+//   - Between batches, the earliest submitted goes first, at task
+//     granularity — a running task is never preempted.
 //   - Run executes tasks on the submitting goroutine too (it "helps" its
 //     own batch), so a nested Run issued from inside a pool task always
 //     makes progress even when every pool worker is busy: the pool cannot
 //     deadlock on nesting, and a MaxParallel=1 batch is truly serial.
-//     One exception: a nested Run must not share a Limit with an ancestor
-//     batch — the ancestor's task holds a limit slot while it waits, so a
-//     saturated shared Limit can never clear (see Limit).
 //
 // Cancellation is cooperative at task granularity: cancelling a batch
 // stops handing out its remaining tasks, while already-running tasks
@@ -42,72 +39,33 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	batches []*Batch // open batches; pick scans for the best claimable
-	seq     uint64
+	batches []*Batch // open batches in submission order
 	workers int
 	closed  bool
 }
 
 // Batch is a submitted group of tasks. It is created by Pool.Submit and
-// observed through Wait/Cancel/Done.
+// observed through Wait/CancelBatch.
 type Batch struct {
 	fn       func(int)
-	total    int    // original task count (for progress reporting)
-	bound    int    // claim bound: == total, shrunk to next by Cancel
-	next     int    // next index to hand out
-	inflight int    // claimed and currently executing
-	done     int    // completed
-	max      int    // max concurrently executing tasks of this batch
-	limit    *Limit // optional cross-batch concurrency bound
-	pri      int
-	seq      uint64
+	total    int // original task count (for progress reporting)
+	bound    int // claim bound: == total, shrunk to next by Cancel
+	next     int // next index to hand out
+	inflight int // claimed and currently executing
+	done     int // completed
+	max      int // max concurrently executing tasks of this batch
 	progress func(done, total int)
 	finished chan struct{}
 	finSent  bool
 }
 
-// Limit bounds concurrently executing tasks across several batches of one
-// pool — the cross-batch counterpart of RunOpts.MaxParallel. A pipeline
-// that submits many batches shares one Limit so a user-facing "-jobs N"
-// bound holds over the whole pipeline, not per batch. Construct with
-// NewLimit. Two rules: a Limit must only be used with batches of a single
-// pool (its counter is guarded by that pool's lock), and only with
-// batches at the same nesting level — work submitted from inside a task
-// that already holds a slot of the same Limit would wait for a slot its
-// ancestor cannot release, deadlocking both batches.
-type Limit struct {
-	cap      int
-	inflight int
-}
-
-// NewLimit returns a Limit allowing at most cap concurrently executing
-// tasks among the batches it is attached to (cap <= 0: unlimited, nil is
-// equivalent).
-func NewLimit(cap int) *Limit {
-	if cap <= 0 {
-		return nil
-	}
-	return &Limit{cap: cap}
-}
-
-// ok reports whether another task may start under the limit. Must hold
-// the owning pool's lock.
-func (l *Limit) ok() bool { return l == nil || l.inflight < l.cap }
-
 // RunOpts configures one batch submission.
 type RunOpts struct {
-	// Priority orders batches competing for workers: higher runs first.
-	// Ties are broken by submission order. The default 0 is the bulk
-	// tier; interactive tools may submit above it.
-	Priority int
 	// MaxParallel bounds how many tasks of this batch execute
 	// concurrently (<= 0: no batch-level bound — the pool width is the
 	// only limit). Sweeps over large networks use it to bound resident
 	// Network instances.
 	MaxParallel int
-	// Limit, when non-nil, additionally bounds concurrency across every
-	// batch sharing it (see Limit).
-	Limit *Limit
 	// Progress, when non-nil, is called after every completed task with
 	// (done, total). It may be called concurrently from several workers
 	// and must not submit to the pool.
@@ -138,8 +96,8 @@ var (
 )
 
 // Shared returns the process-wide pool (NumCPU workers). Every multi-run
-// entry point of the module — Grid.Run, RunTasks and with them the
-// interference APIs and the dfexperiments pipeline — schedules through it,
+// entry point of the module — Grid.Run, RestoreOrRun, the lease runners and
+// the interference APIs — schedules through it,
 // so concurrent sweeps share one machine-wide scheduler instead of each
 // spawning its own goroutine army.
 func Shared() *Pool {
@@ -170,8 +128,6 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		total:    n,
 		bound:    n,
 		max:      opts.MaxParallel,
-		limit:    opts.Limit,
-		pri:      opts.Priority,
 		progress: opts.Progress,
 		finished: make(chan struct{}),
 	}
@@ -179,8 +135,6 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		b.max = n
 	}
 	p.mu.Lock()
-	b.seq = p.seq
-	p.seq++
 	if n == 0 {
 		b.finSent = true
 		p.mu.Unlock()
@@ -202,10 +156,10 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 	return b
 }
 
-// Run executes fn(i) for every i in [0,n) on the pool at the options'
-// priority and blocks until the batch completes or opts.Context is
-// cancelled (returning ctx.Err() if any task was dropped). The calling
-// goroutine participates in executing its own batch.
+// Run executes fn(i) for every i in [0,n) on the pool and blocks until the
+// batch completes or opts.Context is cancelled (returning ctx.Err() if any
+// task was dropped). The calling goroutine participates in executing its
+// own batch.
 func (p *Pool) Run(n int, opts RunOpts, fn func(i int)) error {
 	b := p.Submit(n, opts, fn)
 	p.help(b)
@@ -228,35 +182,17 @@ func (b *Batch) Wait(ctx context.Context) error {
 	return nil
 }
 
-// Done reports how many tasks of the batch have completed.
-func (b *Batch) Done() int {
-	select {
-	case <-b.finished:
-		return b.done
-	default:
-	}
-	return -1 // still running; exact count is owned by the pool lock
-}
-
 // CancelBatch stops handing out the batch's remaining tasks. Running tasks
 // complete; Wait then returns.
 func (p *Pool) CancelBatch(b *Batch) {
 	p.mu.Lock()
-	fin := p.cancelLocked(b)
+	b.bound = min(b.bound, b.next) // nothing beyond what is already claimed
+	fin := p.finishLocked(b)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if fin {
 		close(b.finished)
 	}
-}
-
-// cancelLocked shrinks the batch's claim bound to what is already claimed
-// and reports whether the caller must close b.finished.
-func (p *Pool) cancelLocked(b *Batch) bool {
-	if b.bound > b.next {
-		b.bound = b.next
-	}
-	return p.finishLocked(b)
 }
 
 // finishLocked detects batch completion (all claimable tasks claimed and
@@ -276,19 +212,15 @@ func (p *Pool) finishLocked(b *Batch) bool {
 	return true
 }
 
-// pick returns the best claimable batch — highest priority, then earliest
-// submitted — or nil. Must hold p.mu.
+// pick returns the earliest submitted batch with a claimable task, or nil.
+// Must hold p.mu.
 func (p *Pool) pick() *Batch {
-	var best *Batch
 	for _, b := range p.batches {
-		if b.next >= b.bound || b.inflight >= b.max || !b.limit.ok() {
-			continue
-		}
-		if best == nil || b.pri > best.pri || (b.pri == best.pri && b.seq < best.seq) {
-			best = b
+		if b.next < b.bound && b.inflight < b.max {
+			return b
 		}
 	}
-	return best
+	return nil
 }
 
 // worker is the loop of one pool goroutine.
@@ -318,22 +250,19 @@ func (p *Pool) claim(b *Batch) int {
 	i := b.next
 	b.next++
 	b.inflight++
-	if b.limit != nil {
-		b.limit.inflight++
-	}
 	return i
 }
 
 // help lets the submitting goroutine execute tasks of its own batch until
 // none remain claimable, waiting out phases where the batch is saturated
-// at MaxParallel or its cross-batch Limit.
+// at MaxParallel.
 func (p *Pool) help(b *Batch) {
 	p.mu.Lock()
 	for {
 		if b.next >= b.bound {
 			break
 		}
-		if b.inflight >= b.max || !b.limit.ok() {
+		if b.inflight >= b.max {
 			p.cond.Wait()
 			continue
 		}
@@ -350,9 +279,6 @@ func (p *Pool) help(b *Batch) {
 func (p *Pool) taskDone(b *Batch) {
 	p.mu.Lock()
 	b.inflight--
-	if b.limit != nil {
-		b.limit.inflight--
-	}
 	b.done++
 	d := b.done
 	fin := p.finishLocked(b)
@@ -370,9 +296,9 @@ func (p *Pool) taskDone(b *Batch) {
 // most `workers` tasks in flight (0 or negative: no batch-level bound) and
 // blocks until all calls return. Tasks are handed out dynamically in index
 // order, so uneven task costs (saturated simulations next to idle ones)
-// keep every worker busy. It is the compatibility wrapper over
-// Shared().Run for callers without priorities or cancellation: load
-// sweeps, seed replicas and the interference matrix all ride on it.
+// keep every worker busy. It is the wrapper over Shared().Run for callers
+// without progress or cancellation: seed replicas and the interference
+// matrix ride on it.
 func RunTasks(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// A single-worker pool must drain a higher-priority batch before touching
-// a lower-priority one submitted earlier.
-func TestPoolPriorityOrder(t *testing.T) {
+// A single-worker pool drains batches in submission order.
+func TestPoolSubmissionOrder(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 
@@ -27,7 +26,7 @@ func TestPoolPriorityOrder(t *testing.T) {
 
 	// Stall the worker so both batches are queued before any task runs.
 	gate := make(chan struct{})
-	stall := p.Submit(1, RunOpts{Priority: 100}, func(int) { <-gate })
+	stall := p.Submit(1, RunOpts{}, func(int) { <-gate })
 	// Wait until the worker has claimed the stall task, or the batches
 	// below could be picked first.
 	for {
@@ -40,20 +39,16 @@ func TestPoolPriorityOrder(t *testing.T) {
 		}
 	}
 
-	low := p.Submit(3, RunOpts{Priority: 1}, record("low"))
-	high := p.Submit(3, RunOpts{Priority: 2}, record("high"))
+	first := p.Submit(3, RunOpts{}, record("first"))
+	second := p.Submit(3, RunOpts{}, record("second"))
 	close(gate)
-	if err := stall.Wait(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := low.Wait(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := high.Wait(nil); err != nil {
-		t.Fatal(err)
+	for _, b := range []*Batch{stall, first, second} {
+		if err := b.Wait(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	want := []string{"high", "high", "high", "low", "low", "low"}
+	want := []string{"first", "first", "first", "second", "second", "second"}
 	for i, tag := range want {
 		if order[i] != tag {
 			t.Fatalf("execution order %v, want %v", order, want)
@@ -149,46 +144,6 @@ func TestPoolMaxParallel(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(&max); got > 2 {
 		t.Fatalf("observed %d concurrent tasks, MaxParallel was 2", got)
-	}
-}
-
-// A shared Limit bounds concurrency across batches: many batches on a
-// wide pool must never exceed it in total, and every task still runs.
-func TestPoolLimitAcrossBatches(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-
-	lim := NewLimit(2)
-	var cur, max, count int64
-	body := func(int) {
-		c := atomic.AddInt64(&cur, 1)
-		for {
-			m := atomic.LoadInt64(&max)
-			if c <= m || atomic.CompareAndSwapInt64(&max, m, c) {
-				break
-			}
-		}
-		atomic.AddInt64(&count, 1)
-		time.Sleep(200 * time.Microsecond)
-		atomic.AddInt64(&cur, -1)
-	}
-	batches := make([]*Batch, 5)
-	for i := range batches {
-		batches[i] = p.Submit(10, RunOpts{Priority: i, Limit: lim}, body)
-	}
-	for _, b := range batches {
-		if err := b.Wait(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if count != 50 {
-		t.Fatalf("%d tasks ran, want 50", count)
-	}
-	if got := atomic.LoadInt64(&max); got > 2 {
-		t.Fatalf("observed %d concurrent tasks across batches, Limit was 2", got)
-	}
-	if NewLimit(0) != nil || NewLimit(-3) != nil {
-		t.Fatal("non-positive caps must yield the nil (unlimited) Limit")
 	}
 }
 

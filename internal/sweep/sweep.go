@@ -1,16 +1,22 @@
 // Package sweep schedules families of simulations and aggregates their
-// results. It has three layers:
+// results. Its layers:
 //
 //   - Pool (pool.go): the persistent, process-wide worker pool every
-//     multi-run entry point shares — whole simulation runs as tasks, with
-//     batch priorities, per-batch parallelism bounds, progress callbacks
-//     and cooperative cancellation.
+//     multi-run entry point shares — whole simulation runs as tasks of
+//     index-ordered batches, with per-batch parallelism bounds, progress
+//     callbacks and cooperative cancellation.
 //   - Grid: load sweeps over mechanism × pattern × load × seed grids,
 //     aggregated into seed-averaged Series the way the paper does
 //     ("curves present the average of 3 different simulations",
-//     Section IV-A).
+//     Section IV-A). Grid.RunRecord is the one body of a point that
+//     leaves a Record.
 //   - Record/Checkpoint (checkpoint.go): portable per-run outcomes
-//     persisted as append-only JSONL so interrupted sweeps resume.
+//     persisted as append-only JSONL, and RestoreOrRun (resume.go), the
+//     one loop that restores the points a checkpoint holds and runs and
+//     persists the rest as a single batch — what makes the figure
+//     pipeline and the scheduler study resumable.
+//   - Store (store.go): the dfserved job store, which hands points out as
+//     expiring leases.
 //
 // Invariant: results never depend on scheduling. Tasks are handed out in
 // index order into index-addressed slots and aggregation folds those slots
@@ -19,8 +25,7 @@
 package sweep
 
 import (
-	"context"
-
+	"dragonfly/internal/prof"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
 )
@@ -95,8 +100,6 @@ func (g *Grid) Points() []Point {
 
 // RunPoint executes one simulation point of the grid synchronously: the
 // base config with the point's mechanism/pattern/load/seed substituted.
-// Callers that schedule points themselves (the checkpoint/resume pipeline)
-// use it as the per-task body.
 func (g *Grid) RunPoint(pt Point) Sample {
 	cfg := g.Base
 	cfg.Mechanism = pt.Mechanism
@@ -121,31 +124,29 @@ func (g *Grid) templateLoad(pt Point) float64 {
 	return pt.Load
 }
 
+// RunRecord is the body of every point that is kept as a Record — the
+// figure pipeline's and a dfserved lease's alike: run the point, condense
+// the sample under the given checkpoint task namespace, and stamp the
+// process CPU time that passed meanwhile.
+func (g *Grid) RunRecord(task string, pt Point) Record {
+	cpu0 := prof.CPUSeconds()
+	rec := RecordOf(task, g.RunPoint(pt))
+	rec.CPUSeconds = prof.CPUSeconds() - cpu0
+	return rec
+}
+
 // Run executes every point of the grid on the shared sweep pool and
 // returns the samples in the same deterministic order as Points. A
 // per-point error (e.g. a routing deadlock detected by the watchdog) is
 // recorded in the sample, not fatal to the sweep. The optional progress
 // callback is invoked after each completed simulation with (done, total).
 func (g *Grid) Run(progress func(done, total int)) []Sample {
-	samples, _ := g.RunCtx(nil, 0, progress)
-	return samples
-}
-
-// RunCtx is Run with a cancellation context and a pool priority. On
-// cancellation it returns ctx.Err() along with the samples completed so
-// far (unfinished slots carry a zero Sample).
-func (g *Grid) RunCtx(ctx context.Context, priority int, progress func(done, total int)) ([]Sample, error) {
 	pts := g.Points()
 	out := make([]Sample, len(pts))
-	err := Shared().Run(len(pts), RunOpts{
-		Priority:    priority,
-		MaxParallel: g.Workers,
-		Progress:    progress,
-		Context:     ctx,
-	}, func(i int) {
+	Shared().Run(len(pts), RunOpts{MaxParallel: g.Workers, Progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
 		out[i] = g.RunPoint(pts[i])
 	})
-	return out, err
+	return out
 }
 
 // Aggregate folds samples into seed-averaged series, sorted by

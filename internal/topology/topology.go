@@ -67,8 +67,19 @@ func Balanced(h int) Params {
 	return Params{P: h, A: 2 * h, H: h, Arrangement: Palmtree}
 }
 
+// MaxRouterBits bounds the size of a network: router ids must fit in this
+// many bits, because the engine's wake calendar packs one into the low bits
+// of every entry (sim/schedule.go). 2^20 routers is three orders of
+// magnitude above the paper-scale network.
+const (
+	MaxRouterBits = 20
+	MaxRouters    = 1 << MaxRouterBits
+)
+
 // Validate reports whether the parameters describe a legal canonical
-// Dragonfly that this package can represent.
+// Dragonfly that this package can represent. It only does arithmetic, so it
+// is safe on parameters from outside the program: callers validate before
+// they build anything.
 func (p Params) Validate() error {
 	switch {
 	case p.P <= 0:
@@ -79,6 +90,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("topology: h must be positive, got %d", p.H)
 	case p.Arrangement != Palmtree && p.Arrangement != Consecutive:
 		return fmt.Errorf("topology: unknown arrangement %v", p.Arrangement)
+	// a and h are bounded first so the product below cannot overflow.
+	case p.A > MaxRouters || p.H > MaxRouters || p.Routers() > MaxRouters:
+		return fmt.Errorf("topology: a=%d, h=%d needs more than the supported %d (2^%d) routers",
+			p.A, p.H, MaxRouters, MaxRouterBits)
 	}
 	return nil
 }
