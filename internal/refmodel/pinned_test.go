@@ -1,0 +1,126 @@
+package refmodel_test
+
+import (
+	"hash/fnv"
+	"testing"
+
+	"dragonfly/internal/refmodel"
+	"dragonfly/internal/router"
+	"dragonfly/internal/sim"
+	"dragonfly/internal/topology"
+	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
+)
+
+// The oracle is held to itself. Every other cross-implementation test
+// compares the oracle with router.Core, so the two could drift together
+// unnoticed; these digests were recorded once, on the seed model, and a
+// change of any of them means a statement a dense run executes was edited
+// — which the freeze rule (see the package comment) forbids. Never
+// re-record them to make a refmodel change pass.
+
+// pinnedCfg is an h=2 run short enough for -short and long enough to fill
+// buffers, misroute and return credits on every link class.
+func pinnedCfg(mech, pattern string, load float64) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Topology = topology.Balanced(2)
+	cfg.Mechanism = mech
+	cfg.Pattern = pattern
+	cfg.Load = load
+	cfg.WarmupCycles = 300
+	cfg.MeasureCycles = 900
+	cfg.Seed = 17
+	return cfg
+}
+
+// pinnedDigest runs cfg on the oracle and folds every router's StateVector
+// and the Result counters into one FNV-1a hash.
+func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
+	t.Helper()
+	net, err := refmodel.NewNetwork(&cfg, pat, refmodel.Rings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refmodel.Run(net, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	word := func(x int64) {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(uint64(x) >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	var v []int64
+	for _, r := range refmodel.Of(net).Routers {
+		v = r.StateVector(v[:0])
+		word(int64(len(v)))
+		for _, x := range v {
+			word(x)
+		}
+	}
+	res := sim.NewResultFrom(net, &cfg, 0)
+	if res.Delivered() == 0 {
+		t.Fatal("pinned run delivered nothing")
+	}
+	var injected, latencySum int64
+	for i := range res.PerRouter {
+		injected += res.PerRouter[i].Injected
+		latencySum += res.PerRouter[i].LatencySum
+	}
+	word(res.Delivered())
+	word(injected)
+	word(res.Backlogged())
+	word(latencySum)
+	for _, n := range res.Injections() {
+		word(n)
+	}
+	for j := 0; j < res.NumJobs(); j++ {
+		jt := res.JobTotal(j)
+		word(jt.Delivered)
+		word(jt.LatencySum)
+	}
+	return h.Sum64()
+}
+
+func TestOraclePinned(t *testing.T) {
+	transit := pinnedCfg("In-Trns-MM", "ADVc", 0.4)
+	transit.Router.Arbitration = router.TransitOverInjection
+
+	// Past saturation with a short source queue, so NoteBacklogged runs.
+	skewPB := pinnedCfg("Src-CRG", "ADV+1", 0.8)
+	skewPB.Router.InjectionQueuePackets = 8
+	skewPB.LatencyModel = topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
+
+	// Two jobs at Workers=2: per-job attribution, and densePar wherever
+	// the host has a second CPU (densePar is bit-identical to denseSeq, so
+	// the literal holds on one CPU too).
+	jobs := pinnedCfg("In-Trns-MM", "UN", 0.3)
+	jobs.Workers = 2
+	wl, err := workload.Compile(topology.New(jobs.Topology), workload.Spec{Jobs: []workload.JobSpec{
+		{Name: "cons", Nodes: 24, Alloc: workload.AllocConsecutive, Pattern: "UN",
+			Phase: workload.PhaseSpec{Kind: "bursty", Period: 200, Duty: 0.5}},
+		{Name: "spread", Nodes: 24, Alloc: workload.AllocSpread, FirstGroup: 4, Load: 0.2,
+			Phase: workload.PhaseSpec{Kind: "switch", Period: 150, Patterns: []string{"UN", "PERM"}}},
+	}}, jobs.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		pat  traffic.Pattern
+		want uint64
+	}{
+		{"MIN/UN@0.2", pinnedCfg("MIN", "UN", 0.2), nil, 0xbd52818e405cb530},
+		{"In-Trns-MM/ADVc@0.4/transit", transit, nil, 0x8a3ae7bd378231fd},
+		{"Src-CRG/ADV+1/groupskew", skewPB, nil, 0xdbcc132f5a2ddf83},
+		{"two-jobs/workers=2", jobs, wl, 0xd56f409a44985640},
+	} {
+		if got := pinnedDigest(t, tc.cfg, tc.pat); got != tc.want {
+			t.Errorf("%s: oracle digest %#016x, pinned %#016x", tc.name, got, tc.want)
+		}
+	}
+}
