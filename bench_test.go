@@ -254,7 +254,7 @@ func BenchmarkRouterStep(b *testing.B) {
 	cfg.Mechanism = "In-Trns-MM"
 	cfg.Pattern = "ADVc"
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.Workers = 0, 2000, 1
-	net, err := refmodel.NewNetwork(&cfg, nil, refmodel.Rings)
+	net, err := refmodel.NewNetwork(&cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Occupancy is a diagnostic snapshot of a router's buffer state, used by
-// tests and the dfsim -debug flag to localise congestion or stalls.
+// tests to localise congestion or stalls (dfsim -debug reads the Core's).
 type Occupancy struct {
 	// InputPhits per port class: phits held in input VC buffers.
 	InputLocal, InputGlobal, InputInjection int
@@ -60,13 +60,12 @@ func (r *Router) Snapshot() Occupancy {
 // it: per-port busy times and round-robin pointers, the pending crossbar
 // transfer, per-VC occupancies and downstream credits, and the identity and
 // routing state of every queued packet. Two routers that simulated the same
-// history flatten to equal vectors, which is what the cross-engine
-// state-equivalence property test (internal/sim) compares. The scheduler
-// engines run on the flat Core and write back into this representation, so
-// equality here also proves the Core import/write-back round-trip lossless.
-// Link contents and the routed-event due-queues are deliberately excluded:
-// packets in flight on a link live in layer-specific structures (ring slots
-// vs event queues) and are compared after arrival instead.
+// history flatten to equal vectors; router.Core.StateVector emits the same
+// words in the same order, which is what the cross-implementation
+// state-equivalence tests (internal/sim) compare and pinned_test.go hashes.
+// Link contents are deliberately excluded: packets in flight on a link live
+// in layer-specific structures (the oracle's ring slots, the Core's event
+// rings) and are compared after arrival instead.
 func (r *Router) StateVector(v []int64) []int64 {
 	b2i := func(b bool) int64 {
 		if b {

@@ -7,64 +7,22 @@ import (
 	"dragonfly/internal/packet"
 )
 
-// Link is a unidirectional channel between an output port and the input
-// port of a neighbouring router, together with the reverse credit channel.
-// Two implementations exist:
+// RingLink is a unidirectional channel between an output port and the
+// input port of a neighbouring router, together with the reverse credit
+// channel — the seed's link, and the oracle's only transport. Both
+// channels are time-indexed ring buffers sized by latency+horizon: the
+// sender writes events at future cycles, the receiver consumes the slot of
+// the current cycle.
 //
-//   - RingLink, the seed's time-indexed ring buffers, kept as the executable
-//     specification behind the RunNetworkReference path;
-//   - EventLink, compact event queues sized by the actual in-flight event
-//     capacity instead of the latency window — the default, and the form
-//     that makes latency a cheap per-link runtime parameter.
-//
-// Both obey the same contract. The serialisation and latency rules
-// guarantee at most one event per cycle per channel and strictly
-// increasing arrival cycles per channel, and sender and receiver always
-// touch state at least one cycle apart, so a Link may be shared by two
-// routers stepped concurrently without locks. Every event MUST be popped
-// at exactly the cycle it was scheduled for — a receiver that sleeps
-// through an arrival corrupts the channel (both implementations panic
-// loudly). The active-router scheduler upholds this by waking the
-// receiving router at every PushPacket/PushCredit arrival cycle (see
-// Router.SetEventSink); engines that step every router every cycle satisfy
-// it trivially.
-type Link interface {
-	// Latency returns the propagation latency in cycles.
-	Latency() int
-	// PushPacket schedules p to arrive at cycle at. Pushes on one link
-	// must use strictly increasing arrival cycles — automatic for a
-	// serializing sender. Implementations panic when the invariant is
-	// violated.
-	PushPacket(at int64, p *packet.Packet)
-	// PopPacket returns the packet arriving at cycle at, or nil.
-	PopPacket(at int64) *packet.Packet
-	// PushCredit schedules a credit of phits for vc to arrive upstream at
-	// cycle at. Like PushPacket, arrival cycles must be strictly
-	// increasing per link.
-	PushCredit(at int64, vc, phits int)
-	// PopCredit returns the credit arriving at cycle at, or (0,0).
-	PopCredit(at int64) (vc, phits int)
-	// EarliestPacket returns the arrival cycle of the earliest packet in
-	// flight, or -1. Only valid between cycles (see the scheduler
-	// contract).
-	EarliestPacket() int64
-	// EarliestCredit returns the arrival cycle of the earliest credit in
-	// flight, or -1. Only valid between cycles.
-	EarliestCredit() int64
-	// InFlight counts packets currently travelling on the link. Intended
-	// for conservation checks in tests.
-	InFlight() int
-}
-
-// RingLink is the seed's Link implementation: both channels are
-// time-indexed ring buffers sized by latency+horizon. The sender writes
-// events at future cycles, the receiver consumes the slot of the current
-// cycle.
-//
-// Slots are addressed modulo the ring size, so every event MUST be popped
-// at exactly the cycle it was scheduled for — a receiver that sleeps
-// through an arrival would later read a stale slot or make the sender panic
-// on a slot collision.
+// The serialisation and latency rules guarantee at most one event per
+// cycle per channel and strictly increasing arrival cycles per channel, and
+// sender and receiver always touch state at least one cycle apart, so a
+// link may be shared by two routers stepped concurrently without locks
+// (densePar does). Slots are addressed modulo the ring size, so every
+// event MUST be popped at exactly the cycle it was scheduled for — a
+// receiver that skipped an arrival would later read a stale slot or make
+// the sender panic on a slot collision. The dense engines step every
+// router every cycle and satisfy this trivially.
 type RingLink struct {
 	latency int
 	mask    int64 // ring size - 1 (power of two, so slot = cycle & mask)
@@ -72,13 +30,12 @@ type RingLink struct {
 	pkts    []*packet.Packet
 	credits []creditEvent
 
-	// Pending-event time queues for the active-router scheduler: arrival
-	// cycles in push order (senders emit in strictly increasing time, so
-	// each queue is sorted and its head is the earliest in-flight event).
-	// The tails are sender-owned, the heads receiver-owned; the opposite
-	// side only reads them for emptiness checks, where a one-cycle-stale
-	// value is harmless (same-cycle pushes are never same-cycle due), so
-	// atomic counters suffice — no locks.
+	// Pending-event time queues: arrival cycles in push order (senders
+	// emit in strictly increasing time, which PushPacket/PushCredit check
+	// against the newest entry). The tails are sender-owned, the heads
+	// receiver-owned; the opposite side only reads them for emptiness
+	// checks, where a one-cycle-stale value is harmless (same-cycle pushes
+	// are never same-cycle due), so atomic counters suffice — no locks.
 	pktT    []int64
 	pktHead atomic.Int64
 	pktTail atomic.Int64
@@ -112,12 +69,13 @@ func NewLink(latency, horizon int) *RingLink {
 	}
 }
 
-// Latency implements Link.
+// Latency returns the propagation latency in cycles.
 func (l *RingLink) Latency() int { return l.latency }
 
-// PushPacket implements Link. It panics if the slot is occupied or time
-// order is violated: either would mean the sender broke the serialisation
-// rule.
+// PushPacket schedules p to arrive at cycle at. Pushes on one link must use
+// strictly increasing arrival cycles — automatic for a serializing sender.
+// It panics if the slot is occupied or time order is violated: either
+// would mean the sender broke the serialisation rule.
 func (l *RingLink) PushPacket(at int64, p *packet.Packet) {
 	idx := at & l.mask
 	if l.pkts[idx] != nil {
@@ -132,9 +90,9 @@ func (l *RingLink) PushPacket(at int64, p *packet.Packet) {
 	l.pktTail.Store(tail + 1)
 }
 
-// PopPacket implements Link. An idle link answers from the header alone
-// (the pending count shares the mask's cache line), without touching the
-// slot ring.
+// PopPacket returns the packet arriving at cycle at, or nil. An idle link
+// answers from the header alone (the pending count shares the mask's cache
+// line), without touching the slot ring.
 func (l *RingLink) PopPacket(at int64) *packet.Packet {
 	head := l.pktHead.Load() // receiver-owned
 	if head == l.pktTail.Load() {
@@ -150,17 +108,9 @@ func (l *RingLink) PopPacket(at int64) *packet.Packet {
 	return p
 }
 
-// EarliestPacket implements Link.
-func (l *RingLink) EarliestPacket() int64 {
-	head := l.pktHead.Load()
-	if head == l.pktTail.Load() {
-		return -1
-	}
-	return l.pktT[head&l.mask]
-}
-
-// PushCredit implements Link. It panics on slot collision or time-order
-// violation.
+// PushCredit schedules a credit of phits for vc to arrive upstream at cycle
+// at. Like PushPacket, arrival cycles must be strictly increasing per
+// link; it panics on slot collision or time-order violation.
 func (l *RingLink) PushCredit(at int64, vc, phits int) {
 	idx := at & l.mask
 	if l.credits[idx].phits != 0 {
@@ -175,8 +125,8 @@ func (l *RingLink) PushCredit(at int64, vc, phits int) {
 	l.crdTail.Store(tail + 1)
 }
 
-// PopCredit implements Link. Like PopPacket, an idle link answers from the
-// header alone.
+// PopCredit returns the credit arriving at cycle at, or (0,0). Like
+// PopPacket, an idle link answers from the header alone.
 func (l *RingLink) PopCredit(at int64) (vc, phits int) {
 	head := l.crdHead.Load() // receiver-owned
 	if head == l.crdTail.Load() {
@@ -192,16 +142,8 @@ func (l *RingLink) PopCredit(at int64) (vc, phits int) {
 	return int(ev.vc), int(ev.phits)
 }
 
-// EarliestCredit implements Link.
-func (l *RingLink) EarliestCredit() int64 {
-	head := l.crdHead.Load()
-	if head == l.crdTail.Load() {
-		return -1
-	}
-	return l.crdT[head&l.mask]
-}
-
-// InFlight implements Link; O(size).
+// InFlight counts packets currently travelling on the link, for
+// conservation checks in tests; O(size).
 func (l *RingLink) InFlight() int {
 	n := 0
 	for _, p := range l.pkts {

@@ -1,6 +1,7 @@
 package refmodel_test
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"testing"
 
@@ -37,7 +38,7 @@ func pinnedCfg(mech, pattern string, load float64) sim.Config {
 // and the Result counters into one FNV-1a hash.
 func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
 	t.Helper()
-	net, err := refmodel.NewNetwork(&cfg, pat, refmodel.Rings)
+	net, err := refmodel.NewNetwork(&cfg, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,20 +46,13 @@ func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	word := func(x int64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(uint64(x) >> (8 * i))
-		}
-		h.Write(b[:])
+	put := func(xs ...int64) {
+		_ = binary.Write(h, binary.LittleEndian, xs) // a hash.Hash never fails a Write
 	}
-	var v []int64
 	for _, r := range refmodel.Of(net).Routers {
-		v = r.StateVector(v[:0])
-		word(int64(len(v)))
-		for _, x := range v {
-			word(x)
-		}
+		v := r.StateVector(nil)
+		put(int64(len(v)))
+		put(v...)
 	}
 	res := sim.NewResultFrom(net, &cfg, 0)
 	if res.Delivered() == 0 {
@@ -69,17 +63,11 @@ func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
 		injected += res.PerRouter[i].Injected
 		latencySum += res.PerRouter[i].LatencySum
 	}
-	word(res.Delivered())
-	word(injected)
-	word(res.Backlogged())
-	word(latencySum)
-	for _, n := range res.Injections() {
-		word(n)
-	}
+	put(res.Delivered(), injected, res.Backlogged(), latencySum)
+	put(res.Injections()...)
 	for j := 0; j < res.NumJobs(); j++ {
 		jt := res.JobTotal(j)
-		word(jt.Delivered)
-		word(jt.LatencySum)
+		put(jt.Delivered, jt.LatencySum)
 	}
 	return h.Sum64()
 }

@@ -1,16 +1,19 @@
 // Package refmodel is the oracle: the seed's dense router model — one
-// Router struct per router stepped every cycle, Link objects between them
-// (time-indexed RingLinks or compact EventLinks), and the dense sequential
-// and barrier-parallel cycle loops — kept as the executable specification
-// the production core (internal/router.Core and the scheduler engines of
-// internal/sim) is proven bit-identical against.
+// Router struct per router stepped every cycle, time-indexed RingLinks
+// between them, and the dense sequential and barrier-parallel cycle loops —
+// kept as the executable specification the production core
+// (internal/router.Core and the group-major engine of internal/sim) is
+// proven bit-identical against.
 //
-// The package is FROZEN. It is imported only by _test.go files and
-// cmd/dfbench (CI's layout step enforces that no shipped tool depends on
-// it), and it changes only when the simulated behaviour itself is meant to
-// change: never optimise it, never import it from production code, never
-// "improve" it in step with the core — an oracle that drifts with the
-// implementation proves nothing.
+// The package is FROZEN, and the only edit it accepts is deletion: code no
+// dense run executes may be removed, but a statement a dense run executes
+// is never changed — never optimise it, never "improve" it in step with
+// the core; an oracle that drifts with the implementation proves nothing.
+// pinned_test.go holds the oracle to digests recorded on the seed model,
+// and CI's layout step caps the package's line count at its current size
+// (it may only shrink) and checks that only _test.go files and cmd/dfbench
+// import it, so no shipped tool depends on it. The one exception to "never
+// changed" is a PR that means to change the simulated behaviour itself.
 //
 // It shares everything around the routers with production through
 // sim.NewNetworkOn and sim.Drive: pattern, traffic sources, PiggyBack
@@ -29,37 +32,25 @@ import (
 	"dragonfly/internal/traffic"
 )
 
-// LinkKind selects the oracle's link implementation. The two are
-// bit-identical (link_test.go and internal/sim's tests enforce it); Rings
-// is the seed configuration and the default of every comparison.
-type LinkKind int
-
-const (
-	// Rings wires the seed's time-indexed ring links.
-	Rings LinkKind = iota
-	// Events wires the event-queue links.
-	Events
-)
-
 // Fabric is the oracle's router state behind sim's seam: the dense routers
 // and the links between them.
 type Fabric struct {
 	Routers []*Router
-	Links   []Link
+	Links   []*RingLink
 	maxLat  int64
 }
 
 // NewNetwork builds a network whose routers and links are the oracle's.
 // Drive it with Run or RunWithController.
-func NewNetwork(cfg *sim.Config, pat traffic.Pattern, links LinkKind) (*sim.Network, error) {
+func NewNetwork(cfg *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
 	return sim.NewNetworkOn(cfg, pat, func(w router.Wiring) (sim.Fabric, error) {
-		return newFabric(w, links)
+		return newFabric(w)
 	})
 }
 
 // newFabric builds and wires the routers: one link per direction, created
-// from the sender side, both ends recording the far-side address.
-func newFabric(w router.Wiring, kind LinkKind) (*Fabric, error) {
+// from the sender side.
+func newFabric(w router.Wiring) (*Fabric, error) {
 	topo, rcfg := w.Topo, w.Cfg
 	f := &Fabric{Routers: make([]*Router, topo.NumRouters())}
 	for r := range f.Routers {
@@ -77,14 +68,9 @@ func newFabric(w router.Wiring, kind LinkKind) (*Fabric, error) {
 				w.Latency.Name(), lat, src, dst)
 		}
 		f.maxLat = max(f.maxLat, int64(lat))
-		var link Link
-		if kind == Rings {
-			link = NewLink(lat, rcfg.SerialCycles())
-		} else {
-			link = NewEventLink(lat, rcfg.SerialCycles(), rcfg.CrossbarCycles())
-		}
-		f.Routers[src].ConnectOutTo(port, link, dst, inPort)
-		f.Routers[dst].ConnectInFrom(inPort, link, src, port)
+		link := NewLink(lat, rcfg.SerialCycles())
+		f.Routers[src].ConnectOut(port, link)
+		f.Routers[dst].ConnectIn(inPort, link)
 		f.Links = append(f.Links, link)
 		return nil
 	}

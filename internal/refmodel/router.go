@@ -71,7 +71,7 @@ type inputPort struct {
 	qTotal    int // packets across all VC queues; 0 lets stages skip the port
 	class     topology.PortClass
 	vcs       []vcQueue
-	link      Link // nil for injection ports
+	link      *RingLink // nil for injection ports
 	pending   pendingTransfer
 }
 
@@ -105,9 +105,9 @@ type outputPort struct {
 	downCapVC   int   // downstream capacity per VC (0 for ejection)
 	thresholdVC int   // per-VC congestion threshold in phits
 
-	link Link // nil for ejection ports
-	rr   int  // round-robin arbitration pointer (input port index)
-	rrVC int  // round-robin pointer of the link VC arbiter
+	link *RingLink // nil for ejection ports
+	rr   int       // round-robin arbitration pointer (input port index)
+	rrVC int       // round-robin pointer of the link VC arbiter
 }
 
 // used estimates the phits queued at this output: local buffer plus
@@ -139,29 +139,6 @@ func (o *outputPort) queuePop(vc int) *packet.Packet {
 	return p
 }
 
-// LinkEvent describes one future link arrival created during a Step: a
-// packet reaching an input port of the destination router, or a credit
-// returning to an output port of the upstream router. The engine routes
-// each event into the destination router's due-queue (PushDue) and uses it
-// to wake sleeping routers at the right cycle.
-//
-// When both endpoints of a link are stepped by the same Core, the payload
-// travels on the event itself (Pkt for packet arrivals, Phits/PVC for
-// credit returns) and lands in a per-port ring inside the Core: one queue
-// hand-off instead of an EventLink push plus a routed due-queue insert,
-// and no atomics. Classic transport (the per-Router path, and core ports
-// wired to non-event links) leaves the payload fields zero and keeps
-// carrying data through the Link.
-type LinkEvent struct {
-	Router int            // destination router id
-	Port   int            // destination router's port the event lands on
-	At     int64          // arrival cycle
-	Credit bool           // credit return rather than packet arrival
-	Pkt    *packet.Packet // in-core transport: the arriving packet (else nil)
-	Phits  int32          // in-core transport: credit phits (else 0)
-	PVC    int32          // in-core transport: credit VC
-}
-
 // portDue is one entry of a due-queue: an event falling due at a port.
 type portDue struct {
 	at   int64
@@ -169,7 +146,7 @@ type portDue struct {
 }
 
 // dueQueue is a time-sorted FIFO of pending port events with head
-// compaction (pushes carry non-decreasing or engine-sorted times).
+// compaction.
 type dueQueue struct {
 	q    []portDue
 	head int
@@ -248,26 +225,8 @@ type Router struct {
 	jobStats []stats.Job
 	jobLive  []int64
 
-	// Activity signaling for the engine's active-router scheduler. peerIn
-	// and peerOut hold the router id (and peerInPort/peerOutPort the far
-	// port index) on the far side of each port's link (-1 when unknown or
-	// unconnected); notify, when set, is told about every future link
-	// event this router creates, so the engine can route it to the
-	// destination router's due-queues and wake it exactly on time.
-	peerIn      []int
-	peerInPort  []int
-	peerOut     []int
-	peerOutPort []int
-	notify      func(LinkEvent)
-	nev         int64 // earliest future internal event found by the running Step
-
-	// Due-queues of routed link events (filled by the engine through
-	// PushDue; drained by the pop stages, which then touch only ports
-	// with work instead of scanning every link every cycle), plus the
-	// router-local calendars of output buffer releases and crossbar
-	// transfer completions.
-	arrDue  dueQueue
-	crdDue  dueQueue
+	// Router-local calendars of output buffer releases and crossbar
+	// transfer completions, so the stages touch only the ports that are due.
 	relDue  dueQueue
 	xferDue dueQueue
 
@@ -305,19 +264,9 @@ func New(id int, topo *topology.Topology, cfg *router.Config, mech routing.Mecha
 		cands:   make([][]candidate, n),
 		outCand: make([][]candRef, n),
 		granted: make([]bool, n),
-		peerIn:  make([]int, n),
-		peerOut: make([]int, n),
 
-		peerInPort:  make([]int, n),
-		peerOutPort: make([]int, n),
-		candIn:      make([]int, 0, n),
-		outTouched:  make([]int, 0, n),
-	}
-	for p := 0; p < n; p++ {
-		r.peerIn[p] = -1
-		r.peerOut[p] = -1
-		r.peerInPort[p] = -1
-		r.peerOutPort[p] = -1
+		candIn:     make([]int, 0, n),
+		outTouched: make([]int, 0, n),
 	}
 	if r.recycle == nil {
 		r.recycle = func(*packet.Packet) {}
@@ -448,50 +397,10 @@ func (r *Router) jobByID(j int32) *stats.Job {
 }
 
 // ConnectOut attaches the outgoing link of an output port.
-func (r *Router) ConnectOut(port int, l Link) { r.ConnectOutTo(port, l, -1, -1) }
+func (r *Router) ConnectOut(port int, l *RingLink) { r.outputs[port].link = l }
 
 // ConnectIn attaches the incoming link of an input port.
-func (r *Router) ConnectIn(port int, l Link) { r.ConnectInFrom(port, l, -1, -1) }
-
-// ConnectOutTo attaches the outgoing link of an output port and records
-// which router — and which of its input ports — sits on the far side,
-// enabling arrival events (pass -1,-1 when no scheduler is used).
-func (r *Router) ConnectOutTo(port int, l Link, peer, peerPort int) {
-	r.outputs[port].link = l
-	r.peerOut[port] = peer
-	r.peerOutPort[port] = peerPort
-}
-
-// ConnectInFrom attaches the incoming link of an input port and records
-// which router — and which of its output ports — sits on the far side,
-// enabling credit events (pass -1,-1 when no scheduler is used).
-func (r *Router) ConnectInFrom(port int, l Link, peer, peerPort int) {
-	r.inputs[port].link = l
-	r.peerIn[port] = peer
-	r.peerInPort[port] = peerPort
-}
-
-// SetEventSink installs the engine callback that receives a LinkEvent for
-// every future link arrival this router schedules: packets sent to a
-// neighbour and credits returned upstream. The sink is invoked during
-// Step, always with a strictly future cycle, and only for ports wired
-// with ConnectOutTo/ConnectInFrom. While a sink is set, the pop stages
-// run event-driven from the due-queues (see PushDue) instead of scanning
-// every link. Pass nil to disable (manual steppers and the dense
-// reference engines scan every port every cycle and need no events).
-func (r *Router) SetEventSink(fn func(LinkEvent)) { r.notify = fn }
-
-// PushDue routes a link event to this router's due-queues. The engine
-// must call it — between this router's steps — for every LinkEvent whose
-// Router field names this router, or event-driven pop stages will miss
-// the arrival (the links panic loudly on the resulting slot reuse).
-func (r *Router) PushDue(ev LinkEvent) {
-	if ev.Credit {
-		r.crdDue.insert(ev.At, int32(ev.Port))
-	} else {
-		r.arrDue.insert(ev.At, int32(ev.Port))
-	}
-}
+func (r *Router) ConnectIn(port int, l *RingLink) { r.inputs[port].link = l }
 
 // RouterID implements routing.RouterView.
 func (r *Router) RouterID() int { return r.id }
@@ -586,81 +495,23 @@ func (r *Router) InFlight() int {
 	return n
 }
 
-// consider folds a future internal event cycle into the current Step's
-// next-event horizon.
-func (r *Router) consider(t int64) {
-	if r.nev < 0 || t < r.nev {
-		r.nev = t
-	}
-}
-
-// EarliestExternal returns the earliest cycle at which an event already
-// routed to this router falls due — a packet arriving on an input link or
-// a credit returning on an output link — or -1 if none is pending. The
-// scheduler consults it when putting the router to sleep, because
-// in-flight events are invisible to the router's own state (Step's return
-// value covers internal events only). Events created after the router's
-// sleep decision are the engine's responsibility (its wake-notification
-// pass runs after all sleep decisions of a cycle).
-func (r *Router) EarliestExternal() int64 {
-	ev := int64(-1)
-	if !r.arrDue.empty() {
-		ev = r.arrDue.q[r.arrDue.head].at
-	}
-	if !r.crdDue.empty() {
-		if t := r.crdDue.q[r.crdDue.head].at; ev < 0 || t < ev {
-			ev = t
-		}
-	}
-	return ev
-}
-
-// Step advances the router by one cycle and returns the earliest future
-// cycle at which it has internal work to do again, or -1 if it is
-// quiescent: stepping it before that cycle would be a no-op (no buffer
-// movement, no allocation attempt, no RNG consumption), so the engine may
-// skip it until then — provided it is also woken for external events
-// (link arrivals, see EarliestExternal and SetEventSink; and injection,
-// which the engine's generation calendar knows in advance).
-//
-// The returned horizon is assembled by the stages from exactly the
-// conditions they act on:
-//   - a crossbar transfer completing, freeing its input (busyUntil);
-//   - an input VC head becoming allocatable once its pipeline delay
-//     elapses (ReadyAt) — and an already-allocatable head is retried
-//     every cycle, because the allocator re-requests (and the routing
-//     mechanism re-decides, consuming RNG) until it is granted;
-//   - an output buffer release falling due (releaseAt), which also
-//     coincides with the link serializer freeing (linkBusyUntil), after
-//     which the next queued packet can be sent.
-//
-// The engine guarantees strictly increasing now values and at most one
-// call per cycle.
-func (r *Router) Step(now int64) int64 {
-	r.nev = -1
+// Step advances the router by one cycle: credits and buffer releases,
+// packet arrivals, crossbar transfer completions, switch allocation, link
+// transmission. The engine guarantees strictly increasing now values and
+// at most one call per cycle.
+func (r *Router) Step(now int64) {
 	r.popCreditsAndReleases(now)
 	r.popArrivals(now)
 	r.completeTransfers(now)
 	r.allocate(now)
-	// Candidates left ungranted by the allocator (arbitration losses,
-	// busy or full outputs) are re-requested next cycle; granted inputs
-	// are accounted for inside grant() via busyUntil.
-	for _, p := range r.candIn {
-		if len(r.cands[p]) > 0 {
-			r.consider(now + 1)
-			break
-		}
-	}
 	r.linkStage(now)
-	return r.nev
 }
 
 func (r *Router) popCreditsAndReleases(now int64) {
 	// Buffer releases: the router-local calendar knows exactly when each
 	// output frees the space of a sent packet, so only due outputs are
 	// touched. (Late entries can only exist for manual steppers that skip
-	// cycles; the dense engines visit every cycle and the scheduler wakes
-	// the router at releaseAt.)
+	// cycles; the dense engines visit every cycle.)
 	for !r.relDue.empty() && r.relDue.q[r.relDue.head].at <= now {
 		e := r.relDue.pop()
 		o := &r.outputs[e.port]
@@ -669,20 +520,6 @@ func (r *Router) popCreditsAndReleases(now int64) {
 			o.occVC[o.releaseVC] -= o.releasePhits
 			o.releasePhits = 0
 		}
-	}
-	if r.notify != nil {
-		// Event-driven: only outputs with a credit arriving this cycle.
-		for !r.crdDue.empty() {
-			at := r.crdDue.q[r.crdDue.head].at
-			if at > now {
-				break
-			}
-			if at < now {
-				panic(fmt.Sprintf("router %d: credit event missed at cycle %d (now %d): scheduler failed to wake", r.id, at, now))
-			}
-			r.popCredit(now, int(r.crdDue.pop().port))
-		}
-		return
 	}
 	for p := range r.outputs {
 		if r.outputs[p].link != nil {
@@ -714,20 +551,6 @@ func (r *Router) downCapOf(o *outputPort, vc int) int {
 }
 
 func (r *Router) popArrivals(now int64) {
-	if r.notify != nil {
-		// Event-driven: only inputs with a packet arriving this cycle.
-		for !r.arrDue.empty() {
-			at := r.arrDue.q[r.arrDue.head].at
-			if at > now {
-				break
-			}
-			if at < now {
-				panic(fmt.Sprintf("router %d: packet event missed at cycle %d (now %d): scheduler failed to wake", r.id, at, now))
-			}
-			r.popArrival(now, int(r.arrDue.pop().port))
-		}
-		return
-	}
 	for p := range r.inputs {
 		if r.inputs[p].link != nil {
 			r.popArrival(now, p)
@@ -771,9 +594,6 @@ func (r *Router) completeTransfers(now int64) {
 		if in.link != nil {
 			at := now + int64(in.link.Latency())
 			in.link.PushCredit(at, tr.vcIdx, size)
-			if r.notify != nil && r.peerIn[p] >= 0 {
-				r.notify(LinkEvent{Router: r.peerIn[p], Port: r.peerInPort[p], At: at, Credit: true})
-			}
 		}
 		if in.class == topology.InjectionPort {
 			pkt.InjectTime = now
@@ -810,7 +630,6 @@ func (r *Router) allocate(now int64) {
 		in := &r.inputs[p]
 		if in.busyUntil > now {
 			// The input frees when its crossbar transfer completes.
-			r.consider(in.busyUntil)
 			continue
 		}
 		if in.qTotal == 0 {
@@ -825,7 +644,6 @@ func (r *Router) allocate(now int64) {
 				continue
 			}
 			if pkt.ReadyAt > now {
-				r.consider(pkt.ReadyAt)
 				continue
 			}
 			if !fresh {
@@ -984,7 +802,6 @@ func (r *Router) grant(now int64, ref candRef) {
 	}
 
 	in.busyUntil = now + xbar
-	r.consider(in.busyUntil) // transfer completes, freeing the input
 	r.xferDue.insert(in.busyUntil, int32(inPort))
 	in.pending = pendingTransfer{
 		active:  true,
@@ -1013,10 +830,6 @@ func (r *Router) linkStage(now int64) {
 	for p := range r.outputs {
 		o := &r.outputs[p]
 		if o.linkBusyUntil > now {
-			// A transmitting output always has a pending buffer release
-			// at the cycle its serializer frees (releaseAt equals
-			// linkBusyUntil); that step also retries any queued heads.
-			r.consider(o.releaseAt)
 			continue
 		}
 		if o.qTotal == 0 {
@@ -1060,7 +873,6 @@ func (r *Router) linkStage(now int64) {
 		o.releasePhits += size
 		o.releaseVC = sendVC
 		r.relDue.insert(o.releaseAt, int32(p))
-		r.consider(o.releaseAt) // buffer release; also frees the serializer
 		if r.trace != nil {
 			r.trace(now, router.TraceLinkSend, pkt, r.id, p, pkt.VC)
 		}
@@ -1068,9 +880,6 @@ func (r *Router) linkStage(now int64) {
 			at := now + serial + int64(o.link.Latency())
 			pkt.LinkLat += int64(o.link.Latency())
 			o.link.PushPacket(at, pkt)
-			if r.notify != nil && r.peerOut[p] >= 0 {
-				r.notify(LinkEvent{Router: r.peerOut[p], Port: r.peerOutPort[p], At: at})
-			}
 		} else {
 			r.deliver(now+serial, pkt)
 		}

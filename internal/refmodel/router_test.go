@@ -37,18 +37,16 @@ func buildNet(t *testing.T, params topology.Params, mech routing.Mechanism, arb 
 		n.routers[r] = New(r, topo, &n.cfg, mech, &n.env, root.Split(), nil)
 		n.routers[r].SetMeasuring(true)
 	}
-	// Event links by default: the router unit tests double as coverage of
-	// the event-queue implementation (the sim tests cross-check rings).
 	p := params
 	for r := 0; r < topo.NumRouters(); r++ {
 		for l := 0; l < p.A-1; l++ {
-			link := NewEventLink(cfg.LocalLatency, cfg.SerialCycles(), cfg.CrossbarCycles())
+			link := NewLink(cfg.LocalLatency, cfg.SerialCycles())
 			nb := topo.LocalNeighbor(r, l)
 			n.routers[r].ConnectOut(l, link)
 			n.routers[nb].ConnectIn(topo.LocalPortTo(nb, topo.RouterLocalIndex(r)), link)
 		}
 		for gp := p.A - 1; gp < p.A-1+p.H; gp++ {
-			link := NewEventLink(cfg.GlobalLatency, cfg.SerialCycles(), cfg.CrossbarCycles())
+			link := NewLink(cfg.GlobalLatency, cfg.SerialCycles())
 			nb, inPort := topo.GlobalNeighbor(r, gp)
 			n.routers[r].ConnectOut(gp, link)
 			n.routers[nb].ConnectIn(inPort, link)

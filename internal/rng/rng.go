@@ -62,13 +62,6 @@ func (s *Source) State() State { return State{s.s0, s.s1, s.s2, s.s3} }
 // SetState rewinds (or fast-forwards) s to a previously captured position.
 func (s *Source) SetState(st State) { s.s0, s.s1, s.s2, s.s3 = st[0], st[1], st[2], st[3] }
 
-// FromState builds a Source positioned at a previously captured state.
-func FromState(st State) *Source {
-	s := &Source{}
-	s.SetState(st)
-	return s
-}
-
 // Clone returns an independent copy of s at the same stream position:
 // both sources produce the identical remaining stream.
 func (s *Source) Clone() *Source {

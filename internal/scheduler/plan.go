@@ -10,7 +10,7 @@ import "sort"
 // share one implementation.
 //
 // Resource model: allocation policies take any free routers (fragmentation
-// never blocks them — workload.Fits is exactly a free-count check), so the
+// never blocks them — workload.Place refuses only on the free count), so the
 // whole machine state a discipline needs is one integer. That is also why
 // the EASY reservation is *exact* for cycle-duration jobs: the shadow time
 // computed from running jobs' remaining budgets is precisely when the head

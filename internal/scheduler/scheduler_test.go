@@ -35,7 +35,7 @@ type engineCase struct {
 // oracleImpl is internal/refmodel's (build, drive) pair on ring links.
 var oracleImpl = simImpl{
 	build: func(cfg *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
-		return refmodel.NewNetwork(cfg, pat, refmodel.Rings)
+		return refmodel.NewNetwork(cfg, pat)
 	},
 	drive: refmodel.RunWithController,
 }

@@ -21,20 +21,15 @@ var core = impl{"core", NewNetwork, RunNetworkWithController}
 // import it back: refmodel_test.go (package sim_test, same test binary)
 // fills these in from its init.
 var (
-	OracleBuild func(cfg *Config, pat traffic.Pattern, eventLinks bool) (*Network, error)
+	OracleBuild func(cfg *Config, pat traffic.Pattern) (*Network, error)
 	OracleDrive func(net *Network, cfg *Config, ctrl Controller) error
 )
 
-// oracle is the dense seed model on ring links (the seed configuration);
-// oracleEvents the same on event-queue links.
-var (
-	oracle = impl{"oracle",
-		func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat, false) },
-		func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
-	oracleEvents = impl{"oracle-events",
-		func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat, true) },
-		func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
-)
+// oracle is the dense seed model (closures, because refmodel_test.go's init
+// fills the two variables in after this initializer has run).
+var oracle = impl{"oracle",
+	func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat) },
+	func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
 
 // stateOf flattens every router's microarchitectural state.
 func stateOf(net *Network) [][]int64 {

@@ -67,17 +67,6 @@ func TestCoreLinksMatchRingLinkReference(t *testing.T) {
 	}
 }
 
-// The oracle must itself be link-implementation agnostic: rings vs event
-// queues under the same dense engine give identical results (isolates link
-// behaviour from scheduler behaviour).
-func TestReferenceEngineLinkImplAgnostic(t *testing.T) {
-	cfg := equivCfg("Src-CRG", "ADVc", 0.3)
-	applyLatency(t, &cfg, 4, 29, "groupskew")
-	want := runOn(t, oracle, cfg)
-	got := runOn(t, oracleEvents, cfg)
-	requireIdentical(t, "ref ring-vs-event", want, got)
-}
-
 // At very low load under non-default uniform latencies, measured latency
 // must match the closed-form zero-load model — the pathCost layers all
 // price the runtime latencies, not the Table I constants.

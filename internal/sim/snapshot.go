@@ -97,10 +97,6 @@ func NewSnapshot(cfg Config, warmCycles int64) (*Snapshot, error) {
 // construction snapshot).
 func (s *Snapshot) Warm() int64 { return s.warm }
 
-// BaseConfig returns the configuration the snapshot was captured under
-// (Probes/Tracer stripped).
-func (s *Snapshot) BaseConfig() Config { return s.cfg }
-
 // latName resolves the latency-model identity of a configuration: the
 // registry name plus the model value's parameters (both provided models are
 // plain parameter structs), so two uniform models with different constants

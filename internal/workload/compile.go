@@ -44,8 +44,6 @@ type Workload struct {
 	// job's compiled state. This is what keeps retained memory flat in
 	// trace length for 100k+-job scheduler runs.
 	anon bool
-	// retired counts jobs whose state Retire has reclaimed.
-	retired int
 }
 
 // job is the compiled form of a JobSpec.
@@ -329,9 +327,6 @@ func (w *Workload) JobSpecOf(j int) JobSpec { return w.jobs[j].spec }
 func (w *Workload) JobRouters(j int) []int {
 	return append([]int(nil), w.jobs[j].routers...)
 }
-
-// JobNodeCount returns the node count of job j.
-func (w *Workload) JobNodeCount(j int) int { return len(w.jobs[j].nodes) }
 
 // JobDesc returns a one-line human description of job j's placement and
 // behaviour for reports.

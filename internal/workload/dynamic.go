@@ -110,17 +110,6 @@ func (w *Workload) RoutersFor(j int) int {
 // FreeRouters returns the routers currently unallocated.
 func (w *Workload) FreeRouters() int { return w.freeRouters }
 
-// Fits reports whether job j can be placed right now. Allocation policies
-// take any free routers (fragmentation never blocks them), so fitting is
-// exactly a free-count check.
-func (w *Workload) Fits(j int) bool { return w.RoutersFor(j) <= w.freeRouters }
-
-// Placed reports whether job j currently holds an allocation.
-func (w *Workload) Placed(j int) bool {
-	jb := w.jobs[j]
-	return jb.routers != nil && !jb.released
-}
-
 // Place allocates routers for admitted job j under its allocation policy,
 // fills the node→job/rank maps, and compiles its rank patterns — consuming
 // the placement RNG in the same order Compile does. It returns an error
@@ -233,8 +222,4 @@ func (w *Workload) Retire(j int) {
 		panic(fmt.Sprintf("workload: Retire(%d) of a still-placed job", j))
 	}
 	w.jobs[j] = nil
-	w.retired++
 }
-
-// Retired returns the number of jobs whose state Retire has reclaimed.
-func (w *Workload) Retired() int { return w.retired }

@@ -283,7 +283,7 @@ func TestWorkloadBitIdenticalAcrossEngines(t *testing.T) {
 		var net *sim.Network
 		var err error
 		if ref {
-			if net, err = refmodel.NewNetwork(&c, wl, refmodel.Rings); err == nil {
+			if net, err = refmodel.NewNetwork(&c, wl); err == nil {
 				err = refmodel.Run(net, &c)
 			}
 		} else if net, err = sim.NewNetwork(&c, wl); err == nil {
