@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -382,6 +383,46 @@ func TestParseTraceJob(t *testing.T) {
 	if _, err := ParseTraceJob("nodes=8,bogus=1"); err == nil {
 		t.Error("unknown key accepted")
 	}
+}
+
+// FuzzParseTraceJob holds the -job grammar to what a command line may do to
+// it: ParseTraceJob never panics, parses deterministically, and whatever it
+// accepts Trace.Validate judges — with an error, never a panic, and never
+// passing a job larger than the machine. Seeds are the examples of
+// cmd/dfsched's usage comment and workload.ParseJob's tests, plus the one
+// input that got through: a job size whose router count wrapped negative,
+// validated, and panicked in Run (makeslice).
+func FuzzParseTraceJob(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"nodes=72,alloc=consecutive,load=0.4,arrival=0",
+		"nodes=18,arrival=1500,duration=1000,dkind=packets",
+		"name=a,nodes=72,alloc=spread,load=0.3,arrival=1000,duration=5000",
+		"name=a, nodes=72,alloc=SPREAD,first=3,pattern=PERM,load=0.25,phase=bursty,period=600,duty=0.5",
+		"nodes=8,phase=switch,period=500,patterns=UN/SHIFT+1",
+		"nodes", "nodes=x", "bogus=1", "load=abc", "nodes=8,arrival=oops",
+		"nodes=9223372036854775807",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tj, err := ParseTraceJob(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseTraceJob(s)
+		if err != nil {
+			t.Fatalf("second parse of %q failed: %v", s, err)
+		}
+		// Compared as printed: load=NaN parses, and NaN != NaN.
+		if a, b := fmt.Sprintf("%#v", tj), fmt.Sprintf("%#v", again); a != b {
+			t.Fatalf("%q parsed to %s, then to %s", s, a, b)
+		}
+		machine := topology.Balanced(2)
+		if err := (Trace{Jobs: []TraceJob{tj}}).Validate(machine); err == nil && tj.Nodes > machine.Nodes() {
+			t.Fatalf("%q: a %d-node job validated on a %d-node machine", s, tj.Nodes, machine.Nodes())
+		}
+	})
 }
 
 // Placing a job twice or releasing an unplaced job is a scheduler bug and

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -50,11 +51,10 @@ func clampWorkers(net *Network, cfg *Config) int {
 }
 
 // RunNetwork drives an already-built network through the configured warm-up
-// and measurement phases using the active-router scheduler: quiescent
-// routers are skipped and woken by the calendar (see schedule.go). The
-// network's core is stepped in place, so RunNetwork and WarmupNetwork may
-// be called any number of times on one network; every call counts its
-// cycles from 0 (see Network.rebase).
+// and measurement phases, skipping quiescent routers until their next event
+// (see engine). The network's core is stepped in place, so RunNetwork and
+// WarmupNetwork may be called any number of times on one network; every
+// call counts its cycles from 0 (see Network.rebase).
 func RunNetwork(net *Network, cfg *Config) error {
 	return RunNetworkWithController(net, cfg, nil)
 }
@@ -291,29 +291,66 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 	return lastSeen, nil
 }
 
-// engine is the group-major scheduler engine. Time advances in windows no
-// longer than the shortest inter-group link (Core.Lookahead): nothing a
-// group does inside a window can reach another group before the window
-// ends, so each group is stepped through the whole window on its own —
-// ascending router order, cycle by cycle, exactly the per-cycle body of a
-// cycle-major loop — while its state is still in cache, and an idle group
-// costs three array reads per window. Link events are parked in the
+// engine is the group-major engine. Time advances in windows no longer than
+// the shortest inter-group link (Core.Lookahead): nothing a group does
+// inside a window can reach another group before the window ends, so each
+// group is stepped through the whole window on its own — ascending router
+// order, cycle by cycle, exactly the per-cycle body of a cycle-major loop —
+// while its state is still in cache. Link events are parked in the
 // destination ring the moment they are created (the global rings are sized
 // for a sender one window ahead of its receiver, see Core.layoutRings);
 // DESIGN.md ("Time windows") has the causality argument.
+//
+// Only routers that have (or may have) work in the current cycle are
+// stepped; everything else sleeps. Correctness rests on one invariant: a
+// sleeping router's wakeAt is never later than its next event. Events come
+// from three sources:
+//
+//   - internal work: StepRouter returns the earliest future cycle with
+//     internal work (pipeline delays elapsing, crossbar transfers
+//     completing, buffer releases / serializer slots freeing, allocator
+//     retries);
+//   - in-flight link events: packets and credits already travelling towards
+//     the router. They are invisible in its own buffers, so every event is
+//     parked in the destination port's ring (Core.PushDue), whose heads
+//     Core.EarliestExternal reads;
+//   - generation: every node's next Bernoulli arrival is known in advance
+//     (Network.genWake).
+//
+// After a step a router's wakeAt is the min of the three (settle), so
+// everything pending at that moment is covered. Events created afterwards
+// reach it through the event sink (Core.SetSink): the sender reports the
+// destination and arrival cycle of everything it pushes onto a link, and
+// wake lowers the sleeper's wakeAt if the new event is earlier. For a router
+// that is awake this changes nothing — its next settle finds the event in
+// its rings. A skipped step is a provable no-op (no state change, no RNG
+// consumption), so results are bit-identical to the dense engines that step
+// every router every cycle; a forced wake (Wake) that finds no work executes
+// that same no-op.
 //
 // With more than one worker, each owns a contiguous span of groups and
 // runs the same body over it; there is one barrier per window, at which
 // the events that crossed a worker boundary are routed. Spans are re-cut
 // by recent group activity every rebalanceInterval cycles (partition.go).
-// A group's routers, calendar and PiggyBack bits are only ever touched by
+// A group's routers, wake-ups and PiggyBack bits are only ever touched by
 // its owner, and events reach their rings in the sender's order whatever
 // the partition, so results are identical for any worker count.
 type engine struct {
-	net   *Network
-	core  *router.Core
-	sched *scheduler
-	per   int // routers per group
+	net  *Network
+	core *router.Core
+	per  int // routers per group
+
+	// wakeAt is, per router, the cycle it next steps at: at or before its
+	// group's current cycle while it has work every cycle, its earliest
+	// pending event while it sleeps, math.MaxInt64 when nothing is pending.
+	// Every router starts at 0: cycle 0 of an empty network settles each
+	// into its first sleep.
+	wakeAt []int64
+	// nextWake is, per group, the minimum of its routers' wakeAt: two array
+	// reads (this and pbDirty) skip an idle group or jump it to its next
+	// event. It is exact, not a lower bound — a pass that stepped nobody
+	// would still mark the group PiggyBack-dirty and buy a refresh.
+	nextWake []int64
 
 	groups  []groupRun
 	weight  []int64 // per group: router-steps, halved at each re-partition
@@ -339,12 +376,14 @@ func newEngine(net *Network, workers int) *engine {
 	groups := net.Topo.NumGroups()
 	workers = min(max(workers, 1), groups)
 	e := &engine{
-		net: net, core: net.core, sched: newScheduler(net.groupOf, groups),
-		per:     net.Topo.NumRouters() / groups,
-		groups:  make([]groupRun, groups),
-		weight:  make([]int64, groups),
-		pbDirty: net.pb.allDirty(),
-		done:    make(chan struct{}, workers-1),
+		net: net, core: net.core,
+		per:      net.Topo.NumRouters() / groups,
+		wakeAt:   make([]int64, net.Topo.NumRouters()),
+		nextWake: make([]int64, groups),
+		groups:   make([]groupRun, groups),
+		weight:   make([]int64, groups),
+		pbDirty:  net.pb.allDirty(),
+		done:     make(chan struct{}, workers-1),
 	}
 	e.partition(workers)
 	for r, g := range net.groupOf {
@@ -365,9 +404,9 @@ func newEngine(net *Network, workers int) *engine {
 
 // sinkOf returns the event sink of group g's routers: an event for a group
 // of the same worker is parked in the destination port's ring at once (its
-// pop stages look no earlier than the arrival cycle) and advances the
-// destination's wake-up if it sleeps; an event that crosses a worker
-// boundary waits for the barrier.
+// pop stages look no earlier than the arrival cycle) and lowers the
+// destination's wake-up; an event that crosses a worker boundary waits for
+// the barrier.
 func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 	gr := &e.groups[g]
 	return func(ev router.LinkEvent) {
@@ -376,7 +415,7 @@ func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 			return
 		}
 		e.core.PushDue(ev.Router, ev)
-		e.sched.notify(ev.Router, ev.At)
+		e.wake(ev.Router, ev.At)
 	}
 }
 
@@ -397,7 +436,38 @@ func (e *engine) partition(workers int) {
 }
 
 // Wake implements Engine.
-func (e *engine) Wake(r int) { e.sched.wake(r) }
+func (e *engine) Wake(r int) { e.wake(r, 0) }
+
+// wake lowers router r's wake-up to cycle at, if it is not due earlier
+// already. Only the owner of r's group may call it while a window runs.
+func (e *engine) wake(r int, at int64) {
+	if at < e.wakeAt[r] {
+		e.wakeAt[r] = at
+		g := e.net.groupOf[r]
+		e.nextWake[g] = min(e.nextWake[g], at)
+	}
+}
+
+// settle returns the cycle router r next steps at, after its step of cycle
+// now: the min of the internal event horizon nev that StepRouter returned,
+// the generation calendar (already refreshed by Generate) and the earliest
+// event in its rings. now+1 keeps it awake.
+func (e *engine) settle(r int, now, nev int64) int64 {
+	at := int64(math.MaxInt64)
+	if nev >= 0 {
+		at = nev
+	}
+	if gen := e.net.genWake[r]; gen >= 0 && gen < at {
+		at = gen
+	}
+	if at == now+1 {
+		return at // work due next cycle: no need to look at the rings
+	}
+	if ext := e.core.EarliestExternal(r); ext >= 0 && ext < at {
+		at = ext
+	}
+	return at
+}
 
 // Lookahead implements Engine.
 func (e *engine) Lookahead() int64 { return e.core.Lookahead() }
@@ -437,7 +507,7 @@ func (e *engine) Advance(from, to int64) {
 		gr := &e.groups[g]
 		for _, ev := range gr.out {
 			e.core.PushDue(ev.Router, ev)
-			e.sched.notify(ev.Router, ev.At)
+			e.wake(ev.Router, ev.At)
 		}
 		clear(gr.out) // drop the packet references
 		gr.out = gr.out[:0]
@@ -450,9 +520,10 @@ func (e *engine) Advance(from, to int64) {
 // advanceSpan steps the groups of one worker through cycles [from, to),
 // one group at a time.
 func (e *engine) advanceSpan(own span, from, to int64) {
-	net, core, sched := e.net, e.core, e.sched
+	net, core := e.net, e.core
 	for g := own.lo; g < own.hi; g++ {
-		lo, hi := g*e.per, (g+1)*e.per
+		lo := g * e.per
+		wakeAt := e.wakeAt[lo : lo+e.per]
 		var steps int64
 		for now := from; now < to; now++ {
 			// Scheduler-aware PiggyBack refresh: a group's bits depend only on
@@ -465,22 +536,27 @@ func (e *engine) advanceSpan(own span, from, to int64) {
 				net.pb.updateGroup(g)
 				e.pbDirty[g] = false
 			}
-			if sched.nextWake[g] <= now {
-				sched.wakeDue(g, now)
-			} else if sched.nActive[g] == 0 {
+			if next := e.nextWake[g]; next > now {
 				// Idle: jump to the group's next wake-up.
-				now = min(sched.nextWake[g], to) - 1
+				now = min(next, to) - 1
 				continue
 			}
-			for r := lo; r < hi; r++ {
-				if sched.active[r] {
-					net.Generate(r, now)
-					sched.settle(net, r, now, core.StepRouter(r, now))
+			for i, at := range wakeAt {
+				if at <= now {
+					net.Generate(lo+i, now)
+					wakeAt[i] = e.settle(lo+i, now, core.StepRouter(lo+i, now))
 					steps++
 				}
 			}
+			// Recomputed after the pass, not folded into it: a later router of
+			// the group may have lowered an earlier one's wake-up.
+			next := int64(math.MaxInt64)
+			for _, at := range wakeAt {
+				next = min(next, at)
+			}
+			e.nextWake[g] = next
 			if e.pbDirty != nil {
-				e.pbDirty[g] = true // woken or active: at least one router stepped
+				e.pbDirty[g] = true // nextWake was due: at least one router stepped
 			}
 		}
 		if steps > 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -162,10 +163,21 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 	}
 }
 
+// h3Cfg is equivCfg on the balanced h=3 network (114 routers, 342 nodes).
+func h3Cfg(mech, pat string, load float64) Config {
+	cfg := equivCfg(mech, pat, load)
+	cfg.Topology = topology.Balanced(3)
+	cfg.Seed = 7
+	return cfg
+}
+
 // jobTrace scripts a small job trace for churnController: every job
 // {arrival, departure, first node, nodes} switches a block of consecutive
-// nodes on at its arrival and off at its departure.
-func jobTrace(jobs [][4]int64) *churnController {
+// nodes on at its arrival and off at its departure. No jobs, no controller.
+func jobTrace(jobs [][4]int64) Controller {
+	if jobs == nil {
+		return nil
+	}
 	c := &churnController{}
 	for _, j := range jobs {
 		for k := 0; k < int(j[3]); k++ {
@@ -181,24 +193,23 @@ func jobTrace(jobs [][4]int64) *churnController {
 // Which router-steps execute is a contract, not an implementation detail:
 // the step count is the work counter every perf record of the repository is
 // normalised by (router.steps, ns/step), so an engine change that moves it
-// — filtering stale calendar entries, waking differently — must show up
-// here, not as an unexplained shift in a benchmark. The numbers were
-// recorded on the cycle-major engine this one replaced, at h=3: saturation,
-// a mostly sleeping PiggyBack network, a controller switching jobs on and
-// off mid-run (its wakes and its cancelled generation events included), and
-// a heterogeneous latency model. They hold at Workers=1; the barrier moves
-// when cross-worker events are announced, so for Workers=2 only the results
-// are compared.
+// — waking differently, stepping a router that has nothing to do — must show
+// up here, not as an unexplained shift in a benchmark. The first four
+// numbers were recorded on the cycle-major heap-calendar engine, at h=3:
+// saturation, a mostly sleeping PiggyBack network, a controller switching
+// jobs on and off mid-run, and a heterogeneous latency model. The fifth is
+// the one place the wake array steps less than that engine did: one-node
+// jobs whose router sleeps on nothing but the node's next arrival when the
+// job departs. The heap kept the entry of the cancelled arrival and paid a
+// no-op step when it fell due — 3285 steps, 4 more than pinned here; a
+// wake-up that is lowered in place leaves nothing behind. The numbers hold
+// at Workers=1; the barrier moves when cross-worker events are announced,
+// so for Workers=2 only the results are compared — and both with the
+// oracle's.
 func TestEngineStepsPinned(t *testing.T) {
-	h3 := func(mech, pat string, load float64) Config {
-		cfg := equivCfg(mech, pat, load)
-		cfg.Topology = topology.Balanced(3)
-		cfg.Seed = 7
-		return cfg
-	}
-	sat := h3("In-Trns-MM", "ADVc", 0.4)
+	sat := h3Cfg("In-Trns-MM", "ADVc", 0.4)
 	sat.Router.Arbitration = router.TransitOverInjection
-	skew := h3("In-Trns-MM", "UN", 0.2)
+	skew := h3Cfg("In-Trns-MM", "UN", 0.2)
 	applyLatency(t, &skew, 10, 100, "groupskew")
 	cases := []struct {
 		name  string
@@ -207,39 +218,92 @@ func TestEngineStepsPinned(t *testing.T) {
 		steps int64
 	}{
 		{"In-Trns-MM/ADVc@0.4/transit-priority", sat, nil, 210941},
-		{"Src-CRG/UN@0.05", h3("Src-CRG", "UN", 0.05), nil, 58707},
-		{"job trace", h3("In-Trns-MM", "UN", 0), [][4]int64{
+		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil, 58707},
+		{"job trace", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
 			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {100, 1101, 200, 36},
 			{350, 1999, 48, 40}, {777, 1300, 240, 72}, {1200, 1700, 160, 40}, {1301, 1302, 0, 12},
 		}, 102960},
 		{"groupskew", skew, nil, 157104},
+		{"cancelled generation", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
+			{0, 300, 0, 1}, {0, 450, 30, 1}, {0, 610, 60, 1}, {0, 777, 90, 1},
+			{100, 900, 120, 1}, {200, 1000, 150, 1}, {300, 1200, 180, 1}, {400, 1500, 210, 1},
+		}, 3281},
 	}
 	for _, tc := range cases {
-		var ref *Result
+		ref, err := oracle.build(&tc.cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.drive(ref, &tc.cfg, jobTrace(tc.trace)); err != nil {
+			t.Fatal(err)
+		}
+		want := newResult(ref, &tc.cfg, 0)
+		if want.Delivered() == 0 {
+			t.Fatalf("%s: nothing delivered", tc.name)
+		}
 		for _, workers := range []int{1, 2} {
 			net, err := NewNetwork(&tc.cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ctrl Controller
-			if tc.trace != nil {
-				ctrl = jobTrace(tc.trace)
-			}
-			if err := run(net, tc.cfg.WarmupCycles, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles, workers, ctrl); err != nil {
+			if err := run(net, tc.cfg.WarmupCycles, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles, workers, jobTrace(tc.trace)); err != nil {
 				t.Fatal(err)
 			}
-			res := newResult(net, &tc.cfg, 0)
-			if workers == 1 {
-				ref = res
-				if res.Delivered() == 0 {
-					t.Fatalf("%s: nothing delivered", tc.name)
-				}
-				if got := net.EngineSteps(); got != tc.steps {
-					t.Errorf("%s: %d router-steps, pinned %d", tc.name, got, tc.steps)
-				}
-				continue
+			requireIdentical(t, tc.name, want, newResult(net, &tc.cfg, 0))
+			if got := net.EngineSteps(); workers == 1 && got != tc.steps {
+				t.Errorf("%s: %d router-steps, pinned %d", tc.name, got, tc.steps)
 			}
-			requireIdentical(t, tc.name, ref, res)
+		}
+	}
+}
+
+// The invariant the engine's skipping rests on, checked directly rather than
+// through the pop stages' missed-arrival panic: between two windows no
+// router's wake-up is later than its next arrival or the earliest event
+// parked in its rings, and every group's nextWake is exactly the minimum of
+// its routers' wake-ups.
+func TestWakeCoversPendingEvents(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		trace [][4]int64
+	}{
+		{"In-Trns-MM/ADVc@0.4", h3Cfg("In-Trns-MM", "ADVc", 0.4), nil},
+		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil},
+		{"job trace", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
+			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {0, 450, 300, 1}, {350, 1999, 48, 40},
+		}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			net, err := NewNetwork(&tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newEngine(net, workers)
+			total := tc.cfg.WarmupCycles + tc.cfg.MeasureCycles
+			d := newDriver(net, tc.cfg.WarmupCycles, total, jobTrace(tc.trace), e)
+			for now := int64(0); now < total; {
+				to, _, err := d.window(now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now = to
+				for r, at := range e.wakeAt {
+					if gen := net.genWake[r]; gen >= 0 && at > gen {
+						t.Fatalf("%s workers=%d cycle %d: router %d wakes at %d, its next arrival is at %d", tc.name, workers, now, r, at, gen)
+					}
+					if ext := net.core.EarliestExternal(r); ext >= 0 && at > ext {
+						t.Fatalf("%s workers=%d cycle %d: router %d wakes at %d, a link event arrives at %d", tc.name, workers, now, r, at, ext)
+					}
+				}
+				for g, next := range e.nextWake {
+					if lowest := slices.Min(e.wakeAt[g*e.per : (g+1)*e.per]); next != lowest {
+						t.Fatalf("%s workers=%d cycle %d: group %d nextWake %d, its routers' minimum is %d", tc.name, workers, now, g, next, lowest)
+					}
+				}
+			}
+			d.finish()
 		}
 	}
 }

@@ -95,12 +95,12 @@ type Network struct {
 
 	// genWake caches, per router, the earliest future arrival among its
 	// nodes' generation processes (-1: none). generate keeps it current;
-	// the scheduler reads it in O(1) when deciding how long a router may
+	// the engine reads it in O(1) when deciding how long a router may
 	// sleep. Each entry is only touched by the worker owning the router.
 	genWake []int64
 
-	// groupOf caches Topology.RouterGroup for the per-group scheduler and the
-	// probes (a divide per link event otherwise).
+	// groupOf caches Topology.RouterGroup for the engine's event routing and
+	// the probes (a divide per link event otherwise).
 	groupOf []int32
 
 	// engineSteps is the number of router-steps the last engine run

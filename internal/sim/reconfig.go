@@ -22,10 +22,10 @@ import "math"
 // and never depart reproduces the static workload run bit for bit.
 //
 // After Apply, the engines refresh the generation calendar of every router
-// the controller touched and force-wake it under the active-router
-// scheduler. A wake that turns out to be unnecessary (a node fell silent)
-// costs a provable no-op step and nothing else — the same argument that
-// makes spurious calendar wakes safe.
+// the controller touched and the production engine force-wakes it. A wake
+// that turns out to be unnecessary (a node fell silent) costs a provable
+// no-op step and nothing else — the same argument that makes skipping a
+// sleeping router safe.
 
 // Controller drives mid-run traffic reconfiguration. Implementations must
 // be deterministic functions of the network state observable at cycle

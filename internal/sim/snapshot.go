@@ -30,7 +30,7 @@ import (
 //     bit-identical to resuming the original run: all state the engines
 //     read is captured, packets and credits in flight included, and a
 //     restored run starting with every router active only adds provable
-//     no-op steps (see schedule.go). Restoring at a different load is an
+//     no-op steps (see engine). Restoring at a different load is an
 //     approximation: the node processes are re-aimed at the new rate and
 //     the caller re-runs a configurable warm-up tail (cfg.WarmupCycles of
 //     the restored run) to let queue depths re-converge.

@@ -68,9 +68,10 @@ func Balanced(h int) Params {
 }
 
 // MaxRouterBits bounds the size of a network: router ids must fit in this
-// many bits, because the engine's wake calendar packs one into the low bits
-// of every entry (sim/schedule.go). 2^20 routers is three orders of
-// magnitude above the paper-scale network.
+// many bits. It is the admission bound against hostile specs — Validate
+// runs before anything is sized from parameters that arrive from outside
+// the program — and 2^20 routers is three orders of magnitude above the
+// paper-scale network.
 const (
 	MaxRouterBits = 20
 	MaxRouters    = 1 << MaxRouterBits

@@ -101,10 +101,11 @@ func patternNames(js *JobSpec) []string {
 	return []string{js.Pattern}
 }
 
-// RoutersFor returns the number of routers job j occupies when placed.
+// RoutersFor returns the number of routers job j occupies when placed:
+// ⌈Nodes/p⌉, written so that a job size near MaxInt (it is outside input,
+// and Admit only bounds it from below) cannot wrap into a small answer.
 func (w *Workload) RoutersFor(j int) int {
-	p := w.topo.Params().P
-	return (w.jobs[j].spec.Nodes + p - 1) / p
+	return (w.jobs[j].spec.Nodes-1)/w.topo.Params().P + 1
 }
 
 // FreeRouters returns the routers currently unallocated.
