@@ -44,6 +44,7 @@ func (e *denseSeq) Advance(from, to int64) {
 }
 
 func (e *denseSeq) cycle(now int64) {
+	Of(e.net).phase(now)
 	for g := 0; g < e.net.PBGroups(); g++ {
 		e.net.RefreshPB(g)
 	}
@@ -108,6 +109,7 @@ func (e *densePar) Advance(from, to int64) {
 }
 
 func (e *densePar) cycle(now int64) {
+	Of(e.net).phase(now)
 	phases := 1
 	if e.net.PBGroups() > 0 {
 		phases = 2

@@ -35,9 +35,10 @@ import (
 // Fabric is the oracle's router state behind sim's seam: the dense routers
 // and the links between them.
 type Fabric struct {
-	Routers []*Router
-	Links   []*RingLink
-	maxLat  int64
+	Routers       []*Router
+	Links         []*RingLink
+	maxLat        int64
+	warmup, total int64 // cycles [warmup, total) are measured, see phase
 }
 
 // NewNetwork builds a network whose routers and links are the oracle's.
@@ -101,11 +102,12 @@ func (r *Router) SetTrace(fn router.TraceFn) { r.trace = fn }
 
 // The methods below implement sim.Fabric by delegation to the routers.
 
-func (f *Fabric) InjectionBacklog(r, nodeIdx int) int { return f.Routers[r].InjectionBacklog(nodeIdx) }
-func (f *Fabric) NoteBacklogged(r, src int)           { f.Routers[r].NoteBacklogged(src) }
+func (f *Fabric) InjectionBacklog(r, nodeIdx int) int    { return f.Routers[r].InjectionBacklog(nodeIdx) }
+func (f *Fabric) NoteBacklogged(r int, _ int64, src int) { f.Routers[r].NoteBacklogged(src) }
 func (f *Fabric) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	f.Routers[r].EnqueueInjection(now, p)
 }
+func (f *Fabric) SetPhases(warmup, total int64)        { f.warmup, f.total = warmup, total }
 func (f *Fabric) OutputUsed(r, port int) int           { return f.Routers[r].LinkLoad(port) }
 func (f *Fabric) MaxLinkLatency() int64                { return f.maxLat }
 func (f *Fabric) Stats(r int) *stats.Router            { return f.Routers[r].Stats() }
@@ -117,15 +119,11 @@ func (f *Fabric) ProbeLinks(r int, now int64) router.LinkProbe {
 	return f.Routers[r].ProbeLinks(now)
 }
 
-func (f *Fabric) SetMeasuring(on bool) {
+// phase gives every router the flags of cycle now; the dense engines call it cycle by cycle.
+func (f *Fabric) phase(now int64) {
 	for _, r := range f.Routers {
-		r.SetMeasuring(on)
-	}
-}
-
-func (f *Fabric) SetBatch(i int) {
-	for _, r := range f.Routers {
-		r.SetBatch(i)
+		r.SetMeasuring(now >= f.warmup)
+		r.SetBatch(stats.BatchIndex(now, f.warmup, f.total))
 	}
 }
 

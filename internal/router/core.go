@@ -272,7 +272,7 @@ type shape struct {
 // PushDue touches the destination router's rings: it may run while other
 // routers step (a sender's sink parks its events at once), but never
 // concurrently with a step or another PushDue of the destination.
-// Everything else (SetSink, phase flips, Clone, Rebase) must happen with no
+// Everything else (SetSink, SetPhases, Clone, Rebase) must happen with no
 // step in flight.
 type Core struct {
 	shape
@@ -333,8 +333,10 @@ type Core struct {
 	relDue   []dueQueue
 	xferDue  []dueQueue
 
-	measuring bool
-	batch     int
+	// The run's phases (see SetPhases): cycles [warmup, total) are measured.
+	// Read-only while a run steps, so every router derives its phase from the
+	// cycle it is stepped at, wherever its group stands inside a window.
+	warmup, total int64
 
 	// Allocator scratch — not state: every entry is written before it is
 	// read within one StepRouter call (outCandN is left all-zero by it).
@@ -634,21 +636,24 @@ func (c *Core) bind(b Binding) {
 // arrays resliced where its capacity covers c's shape and reallocated where
 // not — so a Core retired from one mechanism's network serves a restore of
 // another's, and recycling within one shape allocates nothing beyond the
-// live packets. c may be a template (see NewTemplate); the destination
-// always gets arenas and scratch. Both Cores must be between cycles.
+// live packets; the packets the retired run left behind go back through
+// into's own Recycle hook. c may be a template (see NewTemplate); the
+// destination always gets arenas and scratch. Both Cores must be between
+// cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
 	if d == nil {
 		d = &Core{}
 	} else {
-		// Drop the retired run's packets while d's old geometry still finds them.
-		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { *slot = nil })
+		// Hand the retired run's packets back to its network's pool — the one
+		// the clone will generate from — while d's old geometry still finds them.
+		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { d.recycle(*slot); *slot = nil })
 	}
 	d.shape = c.shape
 	d.sizeState()
 	d.sizeArenas()
 	d.bind(b)
-	d.measuring, d.batch, d.lost = c.measuring, c.batch, 0
+	d.lost = 0
 
 	copy(d.inOccMask, c.inOccMask)
 	copy(d.outOccMask, c.outOccMask)
@@ -818,11 +823,15 @@ func (c *Core) SetAllSinks(fn func(LinkEvent)) {
 	}
 }
 
-// SetMeasuring switches statistics collection on or off.
-func (c *Core) SetMeasuring(on bool) { c.measuring = on }
+// SetPhases tells the Core the phases of the run about to start: statistics
+// are collected at cycles [warmup, total) — a router stepped (or generated
+// for) at cycle now measures iff now >= warmup, see measuring — and
+// deliveries are attributed to the batch-means span stats.BatchIndex(now,
+// warmup, total).
+func (c *Core) SetPhases(warmup, total int64) { c.warmup, c.total = warmup, total }
 
-// SetBatch selects the batch-means span deliveries are attributed to.
-func (c *Core) SetBatch(i int) { c.batch = min(max(i, 0), stats.Batches-1) }
+// measuring reports whether statistics are collected at cycle now.
+func (c *Core) measuring(now int64) bool { return now >= c.warmup }
 
 // PushDue parks a link event in the destination port's ring of router r.
 // The engine must call it — between router r's steps — for every LinkEvent
@@ -912,10 +921,10 @@ func (c *Core) InjectionBacklog(r, nodeIdx int) int {
 	return int(c.inQ[(r*c.np+port)*c.maxVC].qlen)
 }
 
-// NoteBacklogged records a generation attempt by node src refused by the
-// full source queue at router r.
-func (c *Core) NoteBacklogged(r, src int) {
-	if !c.measuring {
+// NoteBacklogged records a generation attempt of cycle now by node src,
+// refused by the full source queue at router r.
+func (c *Core) NoteBacklogged(r int, now int64, src int) {
+	if !c.measuring(now) {
 		return
 	}
 	c.stats[r].Backlogged++
@@ -940,7 +949,7 @@ func (c *Core) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	c.inQ[vi].occ += int32(p.Size)
 	c.inP[pi].qTotal++
 	c.inOccMask[r*c.maskWords+port>>6] |= 1 << (uint(port) & 63)
-	if c.measuring {
+	if c.measuring(now) {
 		c.stats[r].Generated++
 		if j := c.jobByID(r, p.Job); j != nil {
 			j.Generated++

@@ -30,6 +30,7 @@ import (
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/routing"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 )
 
@@ -199,7 +200,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		}
 		if c.class[p] == topology.InjectionPort {
 			pkt.InjectTime = now
-			if c.measuring {
+			if c.measuring(now) {
 				c.stats[r].Injected++
 				if j := c.jobByID(r, pkt.Job); j != nil {
 					j.Injected++
@@ -568,23 +569,27 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 					c.lost++ // unplugged (see Unplug)
 				}
 			} else {
-				c.deliver(r, now+c.serial, pkt)
+				c.deliver(r, now, pkt)
 			}
 			c.stats[r].LastActivity = now
 		}
 	}
 }
 
-func (c *Core) deliver(r int, at int64, pkt *packet.Packet) {
+// deliver consumes a packet whose serialisation onto the ejection link
+// starts at cycle now: the step's cycle decides the phase, the last phit's
+// arrival is the delivery time.
+func (c *Core) deliver(r int, now int64, pkt *packet.Packet) {
+	at := now + c.serial
 	pkt.DeliverTime = at
 	if c.jobLive[r] != nil && pkt.Job >= 0 {
 		c.jobLive[r][pkt.Job]++
 	}
-	if c.measuring {
+	if c.measuring(now) {
 		s := &c.stats[r]
 		s.Delivered++
 		s.DeliveredPhits += int64(pkt.Size)
-		s.BatchPhits[c.batch] += int64(pkt.Size)
+		s.BatchPhits[stats.BatchIndex(now, c.warmup, c.total)] += int64(pkt.Size)
 		lat := pkt.TotalLatency()
 		s.LatencySum += lat
 		if lat > s.MaxLatency {

@@ -99,7 +99,8 @@ func (c *genController) NextEvent(now int64) int64 {
 }
 
 // Finished implements sim.Finisher: the trace is done when every job has
-// arrived, started and departed.
+// arrived, started and departed. All three change only inside Apply, so it
+// can first turn true only at a NextEvent cycle, as the contract requires.
 func (c *genController) Finished(now int64) bool {
 	return c.nextArr >= c.gt.Len() && len(c.queue) == 0 && len(c.running) == 0
 }

@@ -11,6 +11,7 @@ import (
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
+	"dragonfly/internal/traffic"
 )
 
 // genSpecSmall is the shared trace shape the streaming tests draw from: a
@@ -174,6 +175,49 @@ func TestStreamMatchesDetailed(t *testing.T) {
 					disc, i, det.Jobs[i].Start, det.Jobs[i].Completion, starts[i], comps[i])
 			}
 		}
+	}
+}
+
+// A Finisher costs no window: genController can only finish inside Apply,
+// so between its events (arrivals, departures) the engine advances up to a
+// global-link latency at a time, and the run still stops right after the
+// last departure. Every window starts at an event, a lookahead boundary or
+// a watchdog cut, which bounds their number; with one-cycle windows it was
+// RanCycles.
+func TestStreamAdvancesInWindows(t *testing.T) {
+	gt, err := Generate(genSpecSmall(60), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := schedCfg()
+	cfg.MeasureCycles = 1 << 20
+	events := map[int64]bool{}
+	streamTestHook = func(c *genController) {
+		c.onComplete = func(_ int, now int64) { events[now] = true }
+	}
+	defer func() { streamTestHook = nil }()
+	for _, at := range gt.Arrival {
+		events[at] = true
+	}
+	var net *sim.Network
+	im := coreImpl
+	im.build = func(c *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
+		n, err := coreImpl.build(c, pat)
+		net = n
+		return n, err
+	}
+	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != gt.Len() || res.RanCycles != res.LastDeparture+1 {
+		t.Fatalf("completed %d/%d jobs, ran %d cycles, last departure at %d", res.Completed, gt.Len(), res.RanCycles, res.LastDeparture)
+	}
+	lookahead := int64(cfg.Router.GlobalLatency)
+	windows, most := net.EngineWindows(), int64(len(events))+res.RanCycles/lookahead+res.RanCycles/1024+1
+	if windows > most || windows*4 > res.RanCycles {
+		t.Errorf("%d windows for %d cycles with %d event cycles (at most %d expected, and far fewer than cycles)",
+			windows, res.RanCycles, len(events), most)
 	}
 }
 

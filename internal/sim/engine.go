@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dragonfly/internal/router"
-	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
 )
@@ -68,9 +67,9 @@ func RunNetworkWithController(net *Network, cfg *Config, ctrl Controller) error 
 }
 
 // WarmupNetwork drives the network through exactly `cycles` warm-up cycles
-// without ever enabling measurement: the phase flips at now == warmup,
-// which a warmup == total run never reaches. Used to prepare warm-state
-// snapshots (see Network.Snapshot).
+// without ever measuring: cycles from warmup on are measured, and a
+// warmup == total run has none. Used to prepare warm-state snapshots (see
+// Network.Snapshot).
 func WarmupNetwork(net *Network, cfg *Config, cycles int64) error {
 	if cycles <= 0 {
 		return nil
@@ -87,12 +86,11 @@ func run(net *Network, warmup, total int64, workers int, ctrl Controller) error 
 }
 
 // Engine is the router side of the time loop: Drive owns everything the
-// engines share — controller, probes, phase flips, watchdog, early stop,
-// run counters — and cuts the run into windows in which none of that
-// happens; the Engine generates for and steps the routers through one
-// window at a time. The engine of this package implements it over the
-// core; internal/refmodel implements the dense seed loops over its own
-// routers.
+// engines share — controller, probes, watchdog, early stop, run counters —
+// and cuts the run into windows in which none of that happens; the Engine
+// generates for and steps the routers through one window at a time. The
+// engine of this package implements it over the core; internal/refmodel
+// implements the dense seed loops over its own routers.
 type Engine interface {
 	// Wake forces router r into the step set of the next window's first
 	// cycle (a Controller touched its nodes). Engines that step every
@@ -111,14 +109,6 @@ type Engine interface {
 	Close()
 }
 
-// batchIndex maps a measurement cycle to its batch-means span.
-func batchIndex(now, warmup, measure int64) int {
-	if measure <= 0 {
-		return 0
-	}
-	return int((now - warmup) * stats.Batches / measure)
-}
-
 // driver is one run in progress. The per-window body lives in window() so
 // the steady-state allocation gate (alloc_test.go) can drive — and meter —
 // single windows of exactly the production loop.
@@ -129,9 +119,7 @@ type driver struct {
 	reconf   *reconfigRun
 	probes   *probeRun
 	fin      Finisher
-	warmup   int64
 	total    int64
-	batch    int
 	windows  int64
 	lastSeen int64 // most recent activity observed by the watchdog
 }
@@ -139,15 +127,14 @@ type driver struct {
 func newDriver(net *Network, warmup, total int64, ctrl Controller, e Engine) *driver {
 	net.rebase()
 	net.stoppedAt, net.engineSteps, net.engineWindows = 0, 0, 0
+	net.fab.SetPhases(warmup, total)
 	d := &driver{
 		net:    net,
 		e:      e,
 		wake:   e.Wake,
 		reconf: newReconfigRun(net, ctrl),
 		probes: newProbeRun(net, warmup),
-		warmup: warmup,
 		total:  total,
-		batch:  -1,
 	}
 	d.fin, _ = ctrl.(Finisher)
 	return d
@@ -156,11 +143,9 @@ func newDriver(net *Network, warmup, total int64, ctrl Controller, e Engine) *dr
 // horizon returns the end of the window that starts at cycle from: the
 // engine's lookahead, cut at every cycle at which the driver itself has to
 // look at — or change — the whole network. DESIGN.md ("Time windows") lists
-// the cuts and why each exists.
+// the cuts and why each exists. The phases are not among them: the fabric
+// derives them from the cycle number (Fabric.SetPhases).
 func (d *driver) horizon(from int64) int64 {
-	if d.fin != nil {
-		return from + 1 // Finished is asked after every cycle
-	}
 	to := min(from+d.e.Lookahead(), d.total, (from/watchdogInterval+1)*watchdogInterval)
 	if d.reconf != nil && d.reconf.next > from {
 		to = min(to, d.reconf.next)
@@ -168,13 +153,7 @@ func (d *driver) horizon(from int64) int64 {
 	if d.probes != nil {
 		to = min(to, (from/d.probes.every+1)*d.probes.every)
 	}
-	if from < d.warmup {
-		return min(to, d.warmup)
-	}
-	// The first cycle of the next batch-means span: the smallest cycle whose
-	// batchIndex exceeds the current one.
-	measure := d.total - d.warmup
-	return min(to, d.warmup+(int64(d.batch+1)*measure+stats.Batches-1)/stats.Batches)
+	return to
 }
 
 // window advances the simulation by one window starting at cycle from. It
@@ -186,22 +165,14 @@ func (d *driver) window(from int64) (to int64, done bool, err error) {
 	// provable no-op step. Workers are quiescent between windows and every
 	// group stands at cycle from, so the controller and the probes see
 	// stable state.
-	d.reconf.step(from, d.wake)
+	applied := d.reconf.step(from, d.wake)
 	d.probes.step(from)
-	// The warm-up→measurement transition and batch-means bookkeeping touch
-	// the flags of every router (sleeping ones included — they must be
-	// current whenever a router next steps), but only on the handful of
-	// boundary cycles.
-	if from == d.warmup {
-		d.net.fab.SetMeasuring(true)
-	}
-	if from >= d.warmup {
-		if b := batchIndex(from, d.warmup, d.total-d.warmup); b != d.batch {
-			d.batch = b
-			d.net.fab.SetBatch(b)
-		}
-	}
 	to = d.horizon(from)
+	// A Finisher may only finish at one of its own events, so it is asked
+	// right after Apply, and a finished run is cut after this one cycle.
+	if applied && d.fin != nil && d.fin.Finished(from) {
+		to, done = from+1, true
+	}
 	d.e.Advance(from, to)
 	d.windows++
 	if to%watchdogInterval == 0 {
@@ -209,7 +180,7 @@ func (d *driver) window(from int64) (to int64, done bool, err error) {
 			return to, false, err
 		}
 	}
-	return to, d.fin != nil && d.fin.Finished(to-1), nil
+	return to, done, nil
 }
 
 // finish tears the run down and publishes the work counters.
@@ -219,10 +190,10 @@ func (d *driver) finish() {
 	d.probes.finish()
 }
 
-// Drive runs net for cycles [0, total) on engine e, enabling measurement
-// at cycle warmup. It is the one time loop of the repository: RunNetwork
-// and WarmupNetwork call it with the group-major engine, internal/refmodel
-// with the dense ones.
+// Drive runs net for cycles [0, total) on engine e, measuring from cycle
+// warmup on (the fabric is told both once, see Fabric.SetPhases). It is the
+// one time loop of the repository: RunNetwork and WarmupNetwork call it with
+// the group-major engine, internal/refmodel with the dense ones.
 func Drive(net *Network, warmup, total int64, ctrl Controller, e Engine) error {
 	if net.ranCycles > 0 && net.core == nil {
 		e.Close()

@@ -26,22 +26,23 @@ type nodeState struct {
 }
 
 // Fabric is the one seam through which the shared simulation code —
-// generation, PiggyBack refresh, phase flips, probes, the watchdog, job
-// polling and result collection — reaches router state. *router.Core is
-// the production implementation (and the only one the engines in this
-// package step); internal/refmodel implements it over the dense
-// per-router oracle, so the same shared code drives both sides of every
-// bit-identity test.
+// generation, PiggyBack refresh, probes, the watchdog, job polling and
+// result collection — reaches router state. *router.Core is the production
+// implementation (and the only one the engines in this package step);
+// internal/refmodel implements it over the dense per-router oracle, so the
+// same shared code drives both sides of every bit-identity test.
 type Fabric interface {
 	// Generation side (see router.Core for the contracts).
 	InjectionBacklog(r, nodeIdx int) int
-	NoteBacklogged(r, src int)
+	NoteBacklogged(r int, now int64, src int)
 	EnqueueInjection(r int, now int64, p *packet.Packet)
 	// OutputUsed is the PiggyBack refresh input.
 	OutputUsed(r, port int) int
-	// Phase flips, applied between cycles.
-	SetMeasuring(on bool)
-	SetBatch(i int)
+	// SetPhases announces, once per run and before its first cycle, that
+	// cycles [warmup, total) are measured. The fabric derives "measuring" and
+	// the batch-means span from the cycle numbers it is handed; nothing is
+	// flipped between cycles.
+	SetPhases(warmup, total int64)
 	// Read side: watchdog, probes, job polling, results, state comparison.
 	// MaxLinkLatency is the longest wired link: the watchdog widens its
 	// no-progress horizon by it, because with long cables a healthy network
@@ -371,12 +372,12 @@ func (net *Network) Generate(r int, now int64) {
 					continue
 				}
 				if fab.InjectionBacklog(r, i) >= backlogLimit {
-					fab.NoteBacklogged(r, src)
+					fab.NoteBacklogged(r, now, src)
 					continue
 				}
 			} else {
 				if fab.InjectionBacklog(r, i) >= backlogLimit {
-					fab.NoteBacklogged(r, src)
+					fab.NoteBacklogged(r, now, src)
 					continue
 				}
 				dst = net.pattern.Dest(src, &ns.rnd)
@@ -444,7 +445,8 @@ func (net *Network) EngineSteps() int64 { return net.engineSteps }
 
 // EngineWindows returns the number of time windows the last engine run
 // executed (see Drive). Cycles run over windows is the mean window length:
-// the engine's lookahead at best, 1 when a Finisher or a per-cycle probe
+// the engine's lookahead at best — a run shorter than that is one window —
+// less when controller events or probe samples cut it, 1 when the probe
 // cadence makes the driver look at the network after every cycle.
 func (net *Network) EngineWindows() int64 { return net.engineWindows }
 

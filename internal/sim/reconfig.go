@@ -36,8 +36,9 @@ type Controller interface {
 	// Apply must run, or -1 for never again. It is called once with -1
 	// before the first cycle and after every Apply. The answer is binding:
 	// the engine runs the cycles up to it without consulting the controller
-	// (they are the time window it advances group by group), so a
-	// controller that has to poll returns now+1.
+	// — Finished included, see Finisher — (they are the time window it
+	// advances group by group), so a controller that has to poll returns
+	// now+1.
 	NextEvent(now int64) int64
 	// Apply runs at the start of cycle now, before generation and routing,
 	// with all engine workers quiescent. It mutates membership only through
@@ -46,21 +47,25 @@ type Controller interface {
 }
 
 // Finisher is an optional Controller extension for runs whose length is a
-// property of the workload rather than the Config: when the controller also
-// implements Finisher, the driver checks Finished at the end of each cycle
-// and stops the run after the first cycle for which it reports true. The
-// check runs at the same point for every engine — after the full cycle
-// body, with workers quiescent — and Finished must be a deterministic
-// function of cycle-boundary state, so early-stopped runs remain
-// bit-identical across engines and worker counts. The contract is per
-// cycle, so a Finisher forces one-cycle windows: the engine gives up
-// stepping a group through a global-link latency at a time (Network.
-// EngineWindows shows it). The Result of an early-stopped run reports the
-// cycles actually measured (see Result.MeasuredCycles), not the configured
+// property of the workload rather than the Config: the run stops after the
+// first cycle for which Finished reports true. Finished may first turn true
+// only at a cycle the controller named through NextEvent: the driver asks
+// it right after Apply(now) — and at no other cycle — and a true answer
+// makes cycle now the run's last. A controller that finishes on anything
+// but its own events (a bare cycle number, a delivery count it does not
+// poll with NextEvent = now+1) is never asked at that cycle. In exchange a
+// Finisher costs no window: between its events the engine advances a
+// global-link latency at a time, as under any Controller (Network.
+// EngineWindows shows it). The question is put at the same point for every
+// engine — after Apply, workers quiescent — and the answer must be a
+// deterministic function of the controller's own state and cycle-boundary
+// network state, so early-stopped runs remain bit-identical across engines
+// and worker counts. The Result of an early-stopped run reports the cycles
+// actually measured (see Result.MeasuredCycles), not the configured
 // horizon.
 type Finisher interface {
-	// Finished reports whether the workload is complete as of the end of
-	// cycle now. Once true it must stay true for every later cycle.
+	// Finished reports, right after Apply(now), whether cycle now is the
+	// workload's last.
 	Finished(now int64) bool
 }
 
@@ -155,12 +160,13 @@ func newReconfigRun(net *Network, ctrl Controller) *reconfigRun {
 	}
 }
 
-// step runs the controller if an event is due at cycle now. It must be
-// called at the top of every window, before generation, with workers
-// quiescent; the driver ends the window no later than r.next.
-func (r *reconfigRun) step(now int64, wake func(router int)) {
+// step runs the controller if an event is due at cycle now and reports
+// whether it did. It must be called at the top of every window, before
+// generation, with workers quiescent; the driver ends the window no later
+// than r.next.
+func (r *reconfigRun) step(now int64, wake func(router int)) bool {
 	if r == nil || r.next < 0 || r.next > now {
-		return
+		return false
 	}
 	r.rc.now = now
 	r.ctrl.Apply(&r.rc, now)
@@ -174,4 +180,5 @@ func (r *reconfigRun) step(now int64, wake func(router int)) {
 		r.rc.touched[router] = false
 	}
 	r.rc.list = r.rc.list[:0]
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/router"
+	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
 )
 
@@ -365,5 +366,40 @@ func TestResultWallAndSeed(t *testing.T) {
 	}
 	if res.MeasuredCycles != cfg.MeasureCycles || res.Nodes != cfg.Topology.Nodes() {
 		t.Error("result dimensions wrong")
+	}
+}
+
+// RunNetwork may be called any number of times on one network, and every
+// call has its own warm-up: the accumulators carry over, but a later run
+// adds only what its measurement window saw. (With a broadcast "measuring"
+// flag that nothing ever switched off, the second run also counted its
+// 400 warm-up cycles: 1,572 generated packets after the first run's 578,
+// instead of 509.)
+func TestSecondRunWarmupIsNotMeasured(t *testing.T) {
+	cfg := small()
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "MIN", "UN", 0.3
+	cfg.WarmupCycles, cfg.MeasureCycles = 400, 200
+	net, err := NewNetwork(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after [2]stats.Router
+	for i := range after {
+		if err := RunNetwork(net, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		after[i] = newResult(net, &cfg, 0).total()
+	}
+	first, second := after[0].Generated, after[1].Generated-after[0].Generated
+	// Two 200-cycle windows of one stationary Bernoulli process.
+	if first == 0 || second < first*3/4 || second > first*5/4 {
+		t.Errorf("first run generated %d packets in its measurement window, the second %d: its warm-up was measured", first, second)
+	}
+	var batches int64
+	for _, b := range after[1].BatchPhits {
+		batches += b
+	}
+	if batches != after[1].DeliveredPhits {
+		t.Errorf("batch phits %d != delivered %d after two runs", batches, after[1].DeliveredPhits)
 	}
 }

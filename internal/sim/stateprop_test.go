@@ -181,11 +181,23 @@ func TestStateEquivalenceUnderChurn(t *testing.T) {
 	}
 }
 
-// finishingChurn is a churnController that also ends the run: a Finisher,
-// which makes the driver look at the network after every cycle.
+// finishingChurn is a churnController that also ends the run at cycle at.
+// A Finisher may first report true only at a cycle it named through
+// NextEvent — the driver asks Finished right after Apply and nowhere else —
+// so the finish cycle is an event of its own (with nothing to apply); a
+// controller that finished on a bare cycle number would simply never be
+// asked at that cycle.
 type finishingChurn struct {
 	churnController
 	at int64
+}
+
+func (f *finishingChurn) NextEvent(now int64) int64 {
+	next := f.churnController.NextEvent(now)
+	if f.at > now && (next < 0 || f.at < next) {
+		next = f.at
+	}
+	return next
 }
 
 func (f *finishingChurn) Finished(now int64) bool { return now >= f.at }
@@ -208,10 +220,13 @@ func (m oneShortLink) GlobalLatency(t *topology.Topology, src, dst int) int {
 // wherever the driver touches the whole network. This test puts something
 // on every kind of edge — controller events in the middle of a window, on
 // its first and on its last cycle; a probe cadence coprime with the
-// lookahead; the warm-up and batch flips; a Finisher; a wiring whose
-// lookahead is one cycle — and requires the state vectors, the statistics
-// and the probe stream of the core, on one and two workers, to equal the
-// dense oracle's, which knows nothing of windows.
+// lookahead; the warm-up and batch boundaries, which are no cuts (the
+// fabric derives the phase from the cycle number) and so fall inside
+// windows, in one case all nine inside a single one; a Finisher finishing
+// mid-lookahead and on a window's first cycle; a wiring whose lookahead is
+// one cycle — and requires the state vectors, the statistics (BatchPhits
+// included) and the probe stream of the core, on one and two workers, to
+// equal the dense oracle's, which knows nothing of windows.
 func TestWindowEdgesMatchOracle(t *testing.T) {
 	const warmup, total = 150, 600
 	nodes := topology.New(topology.Balanced(2)).NumNodes()
@@ -233,11 +248,24 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 		probeEvery int64
 		script     []churnEvent
 		finishAt   int64 // > 0: the controller is a Finisher
+		// warmup and total override the constants above when total > 0.
+		warmup, total int64
+		allBatches    bool // every batch-means span must see a delivery
 		// windows bounds what the core may report: [lo, hi].
 		windowsLo, windowsHi int64
 	}{
-		// The uncut shape: 100-cycle windows, warm-up and eight batch flips.
-		{name: "plain", mech: "In-Trns-MM", pat: "ADVc", load: 0.45, windowsLo: 6, windowsHi: 20},
+		// The uncut shape: six 100-cycle windows; the warm-up boundary (150)
+		// and the eight batch boundaries fall inside them.
+		{name: "plain", mech: "In-Trns-MM", pat: "ADVc", load: 0.45, windowsLo: 6, windowsHi: 6},
+		// A sweep point of the screening pipeline: 15 + 30 cycles, shorter than
+		// the lookahead, so warm-up, the flip and all eight batches are one window.
+		{name: "whole run in one window", mech: "MIN", pat: "UN", load: 0.9,
+			warmup: 15, total: 45, windowsLo: 1, windowsHi: 1},
+		// Exactly one lookahead long, with short local cables so that every one
+		// of the eight batches sees deliveries (allBatches checks it).
+		{name: "one full window, eight busy batches", mech: "MIN", pat: "UN", load: 0.9,
+			latency: topology.UniformLatency{Local: 2, Global: 100},
+			warmup:  60, total: 100, allBatches: true, windowsLo: 1, windowsHi: 1},
 		// Events mid-window, one short of a boundary, on it, one past it, on
 		// the warm-up flip, and on the last cycle of the run.
 		{name: "events on window edges", mech: "Src-CRG", pat: "UN", load: 0.3,
@@ -252,13 +280,22 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			probeEvery: 3, script: silenceAll(300, nodes), windowsLo: total / 3, windowsHi: total/3 + 30},
 		{name: "probe every cycle", mech: "Src-CRG", pat: "ADVc", load: 0.3,
 			probeEvery: 1, windowsLo: total, windowsHi: total},
-		{name: "finisher", mech: "In-Trns-MM", pat: "UN", load: 0.45,
-			script: flipsAt(10, 211), finishAt: 333, windowsLo: 334, windowsHi: 334},
+		// Windows [0,10) [10,110) [110,210) [210,211) [211,311), then the finish
+		// event cuts [311,411) at 333 and the run ends with [333,334).
+		{name: "finisher mid-lookahead", mech: "In-Trns-MM", pat: "UN", load: 0.45,
+			script: flipsAt(10, 211), finishAt: 333, windowsLo: 7, windowsHi: 7},
+		// The same, finishing exactly where a full window would have started.
+		{name: "finisher on a window's first cycle", mech: "In-Trns-MM", pat: "UN", load: 0.45,
+			script: flipsAt(10, 211), finishAt: 311, windowsLo: 6, windowsHi: 6},
 		{name: "one 1-cycle global link", mech: "Src-CRG", pat: "ADVc", load: 0.45,
 			latency:    oneShortLink{topology.UniformLatency{Local: 10, Global: 100}},
 			probeEvery: 64, script: flipsAt(37, 100), windowsLo: total, windowsHi: total},
 	}
 	for _, tc := range cases {
+		warmup, total := int64(warmup), int64(total)
+		if tc.total > 0 {
+			warmup, total = tc.warmup, tc.total
+		}
 		run := func(im impl, workers int) ([][]int64, *Result, string, int64) {
 			cfg := DefaultConfig()
 			cfg.Topology = topology.Balanced(2)
@@ -286,6 +323,16 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 		wantState, wantRes, wantStream, _ := run(oracle, 1)
 		if wantRes.Delivered() == 0 {
 			t.Fatalf("%s: nothing delivered", tc.name)
+		}
+		for b, phits := range wantRes.total().BatchPhits {
+			if tc.allBatches && phits == 0 {
+				t.Fatalf("%s: nothing delivered in batch %d", tc.name, b)
+			}
+		}
+		// Both sides share the driver, so the stop cycle is checked on its own:
+		// the run ends after the cycle the Finisher finished at.
+		if tc.finishAt > 0 && wantRes.MeasuredCycles != tc.finishAt+1-warmup {
+			t.Fatalf("%s: measured %d cycles, want %d", tc.name, wantRes.MeasuredCycles, tc.finishAt+1-warmup)
 		}
 		for _, workers := range []int{1, 2} {
 			state, res, stream, windows := run(core, workers)

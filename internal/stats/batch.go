@@ -8,6 +8,17 @@ import "math"
 // confidence interval.
 const Batches = 8
 
+// BatchIndex maps cycle now of a run that measures cycles [warmup, total)
+// to its batch-means span. Only meaningful for a cycle of that interval
+// (0 when the interval is empty).
+func BatchIndex(now, warmup, total int64) int {
+	measure := total - warmup
+	if measure <= 0 {
+		return 0
+	}
+	return int((now - warmup) * Batches / measure)
+}
+
 // tTable95 holds two-sided Student-t critical values at 95% confidence for
 // 1..30 degrees of freedom; larger dof fall back to the normal value.
 var tTable95 = []float64{
