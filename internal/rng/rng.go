@@ -30,8 +30,14 @@ func splitMix64(state *uint64) uint64 {
 // New returns a Source seeded from seed. Distinct seeds yield streams that
 // are statistically independent for simulation purposes.
 func New(seed uint64) *Source {
-	sm := seed
 	var s Source
+	s.seed(seed)
+	return &s
+}
+
+// seed sets s to the start of the stream New(seed) returns.
+func (s *Source) seed(seed uint64) {
+	sm := seed
 	s.s0 = splitMix64(&sm)
 	s.s1 = splitMix64(&sm)
 	s.s2 = splitMix64(&sm)
@@ -41,13 +47,21 @@ func New(seed uint64) *Source {
 	if s.s0|s.s1|s.s2|s.s3 == 0 {
 		s.s0 = 1
 	}
-	return &s
 }
 
 // Split derives a new independent Source from s, advancing s. It is the
 // supported way to hand sub-streams to per-node and per-router consumers.
 func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xd1b54a32d192ed03)
+	var d Source
+	s.SplitTo(&d)
+	return &d
+}
+
+// SplitTo is Split into caller-owned storage: dst becomes the very stream
+// Split would have returned, s advances the same way, nothing is allocated.
+// dst must not be s.
+func (s *Source) SplitTo(dst *Source) {
+	dst.seed(s.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 // State is the exported xoshiro256** state: a point in the stream that a

@@ -49,6 +49,28 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// SplitTo is Split without the allocation: same child stream, same advance
+// of the parent.
+func TestSplitToMatchesSplit(t *testing.T) {
+	a, b := New(7), New(7)
+	var child Source
+	for round := 0; round < 3; round++ {
+		want := a.Split()
+		b.SplitTo(&child)
+		for i := 0; i < 100; i++ {
+			if want.Uint64() != child.Uint64() {
+				t.Fatalf("round %d: SplitTo's stream differs from Split's at step %d", round, i)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("round %d: parents diverge after SplitTo", round)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { b.SplitTo(&child) }); n != 0 {
+		t.Fatalf("SplitTo allocates %v objects", n)
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	s := New(3)
 	f := func(n uint16) bool {

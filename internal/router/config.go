@@ -117,6 +117,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: input VC buffer smaller than one packet")
 	case c.LocalVCs <= 0 || c.GlobalVCs <= 0:
 		return fmt.Errorf("router: VC counts must be positive")
+	case c.LocalVCs > 256 || c.GlobalVCs > 256:
+		return fmt.Errorf("router: at most 256 VCs per port (a credit in flight carries its VC in one byte)")
 	case c.LocalLatency <= 0 || c.GlobalLatency <= 0:
 		return fmt.Errorf("router: link latencies must be positive")
 	case c.InjectionQueuePackets <= 0:

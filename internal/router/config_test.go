@@ -15,6 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LocalVCPhits = 4 },
 		func(c *Config) { c.GlobalVCPhits = 4 },
 		func(c *Config) { c.LocalVCs = 0 },
+		func(c *Config) { c.GlobalVCs = 257 },
 		func(c *Config) { c.GlobalVCs = 0 },
 		func(c *Config) { c.LocalLatency = 0 },
 		func(c *Config) { c.GlobalLatency = 0 },

@@ -19,6 +19,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dragonfly/internal/packet"
@@ -31,16 +32,16 @@ import (
 // LinkEvent is one future link arrival created during a step: a packet
 // reaching an input port of the destination router, or a credit returning
 // to an output port of the upstream router. The payload rides the event
-// (Pkt for arrivals, Phits/PVC for credits): the engine hands it to
-// PushDue, which parks it in the destination port's ring, and uses At to
-// wake a sleeping destination router on time.
+// (Pkt for arrivals, PVC for credits — a credit always returns one packet's
+// worth of phits, virtual cut-through moves whole packets): the engine hands it to
+// PushDue, which parks it in the destination port's ring and answers with
+// the cycle — if any — at which the destination has to step because of it.
 type LinkEvent struct {
 	Router int            // destination router id
 	Port   int            // destination router's port the event lands on
 	At     int64          // arrival cycle
 	Credit bool           // credit return rather than packet arrival
 	Pkt    *packet.Packet // the arriving packet (nil for credits)
-	Phits  int32          // credit phits
 	PVC    int32          // credit VC
 }
 
@@ -176,11 +177,18 @@ type pktEvent struct {
 	p  *packet.Packet
 }
 
-type crdEvent struct {
-	at    int64
-	phits int32
-	vc    int32
-}
+// crdEvent is a credit in flight, one word: the arrival cycle above the VC
+// (cycle<<8 | vc). Credit rings are sized by what a port can be owed, not by
+// how long a credit flies (see layoutRings), so they hold four times the
+// entries the arrival rings do; the packing keeps them at half the bytes. A
+// multiple of 256 added to the word shifts the cycle and leaves the VC alone
+// (Rebase).
+type crdEvent int64
+
+func newCrdEvent(at int64, vc int32) crdEvent { return crdEvent(at<<8 | int64(vc)) }
+
+func (e crdEvent) at() int64 { return int64(e) >> 8 }
+func (e crdEvent) vc() int   { return int(e & 0xff) }
 
 // Wiring is everything NewCore needs to build and wire the routers of one
 // network.
@@ -267,13 +275,13 @@ type shape struct {
 // steady-state cycles never allocate — the zero-allocation gate in
 // internal/sim relies on this.
 //
-// Concurrency contract: StepRouter touches only state of the stepped
-// router's index range, so disjoint routers may be stepped concurrently.
-// PushDue touches the destination router's rings: it may run while other
-// routers step (a sender's sink parks its events at once), but never
-// concurrently with a step or another PushDue of the destination.
-// Everything else (SetSink, SetPhases, Clone, Rebase) must happen with no
-// step in flight.
+// Concurrency contract: StepRouter and Settle touch only state of the
+// router's index range, so disjoint routers may be stepped (or settled)
+// concurrently. PushDue touches the destination router's rings: it may run
+// while other routers step (a sender's sink parks its events at once), but
+// never concurrently with a step, a Settle or another PushDue of the
+// destination. Everything else (SetSink, SetPhases, Clone, Rebase) must
+// happen with no step in flight.
 type Core struct {
 	shape
 
@@ -287,13 +295,17 @@ type Core struct {
 
 	// Port bitmasks, maskWords words per router. inOcc/outOcc: bit p set iff
 	// the port has packets buffered; arrPend/crdPend: bit p set iff the
-	// port's event ring is non-empty. The stages iterate set bits instead
-	// of scanning all ports — ascending bit order preserves the
-	// ascending-port iteration the bit-identity argument rests on.
+	// port's event ring is non-empty; starved: bit p set iff the router's
+	// last link stage found output p idle with packets queued and no head
+	// holding a packet of credit — the one state in which a returning
+	// credit makes the router act (see PushDue). The stages iterate set
+	// bits instead of scanning all ports — ascending bit order preserves
+	// the ascending-port iteration the bit-identity argument rests on.
 	inOccMask   []uint64
 	outOccMask  []uint64
 	arrPendMask []uint64
 	crdPendMask []uint64
+	starved     []uint64
 
 	// Per-port state, indexed by pi.
 	inP  []inPort
@@ -317,10 +329,14 @@ type Core struct {
 	// lost counts packets serialised onto unplugged ports (see Unplug).
 	lost int
 
-	// Cached EarliestExternal per router: pushes fold into extMin, pops
-	// mark it dirty, the next query recomputes.
-	extMin   []int64
-	extDirty []bool
+	// Per router, the due cycle of its earliest unapplied state-only event
+	// (buffer release, credit, packet arrival: bookAt — the gate of Settle)
+	// and of its earliest unapplied arrival alone (arrAt, see
+	// EarliestExternal); math.MaxInt64 when there is none. Both are exact:
+	// PushDue and the release insert fold into them, the pop loops of
+	// settle recompute them from the ring heads they stop at.
+	bookAt []int64
+	arrAt  []int64
 
 	// Per-router state: arbitration RNG streams, accumulators, and the
 	// router-local calendars of buffer releases and transfer completions.
@@ -395,7 +411,7 @@ func NewTemplate(w Wiring) (*Core, error) {
 	c.bind(w.Binding)
 	for r := range c.rnd {
 		c.rnd[r] = *w.Rng.Split()
-		c.extMin[r] = -1
+		c.bookAt[r], c.arrAt[r] = math.MaxInt64, math.MaxInt64
 	}
 	for pi := range c.outP {
 		p := pi % c.np
@@ -503,14 +519,15 @@ func (c *Core) sizeState() {
 	c.outOccMask = fit(c.outOccMask, nr*c.maskWords)
 	c.arrPendMask = fit(c.arrPendMask, nr*c.maskWords)
 	c.crdPendMask = fit(c.crdPendMask, nr*c.maskWords)
+	c.starved = fit(c.starved, nr*c.maskWords)
 	c.inP = fit(c.inP, npp)
 	c.outP = fit(c.outP, npp)
 	c.inQ = fit(c.inQ, npp*c.maxVC)
 	c.outQ = fit(c.outQ, npp*c.maxVC)
 	c.arrQ = fit(c.arrQ, npp)
 	c.crdQ = fit(c.crdQ, npp)
-	c.extMin = fit(c.extMin, nr)
-	c.extDirty = fit(c.extDirty, nr)
+	c.bookAt = fit(c.bookAt, nr)
+	c.arrAt = fit(c.arrAt, nr)
 	c.rnd = fit(c.rnd, nr)
 	c.stats = fit(c.stats, nr)
 	c.jobStats = fit(c.jobStats, nr)
@@ -570,37 +587,38 @@ func (c *Core) sizeArenas() {
 
 // layoutRings carves the ring geometry: one offset/capacity pair per VC
 // queue and per link-event ring, and the arena totals behind them.
-// Queue capacities are the credit protocol's occupancy bounds. A link
-// event lives in its ring from the push until it is popped at its arrival
-// cycle, and successive pushes on one channel are at least `spacing` cycles
-// apart (packets: the serialisation time; credits: the crossbar occupancy).
-// Both ends of a local link belong to one group and advance in lockstep, so
-// its events live at most latency+spacing cycles and latency/spacing + 4
-// bounds the ring with slack. The ends of a global link belong to different
-// groups, and inside a time window (see Lookahead) the sender may run up to
-// a lookahead ahead of the receiver: its events wait that much longer for
-// their pop, and the ring is (latency+lookahead)/spacing + 4.
+// Queue capacities are the credit protocol's occupancy bounds, and so are
+// the credit rings': an entry is the credit for one packet the port has
+// sent and not been credited for, the port cannot have more of those than
+// the downstream buffer holds packets, and with credits settled lazily
+// nothing else bounds how long one waits in its ring (a sleeping router with
+// nothing queued at the port is never woken for it). A packet, by contrast,
+// lives in its arrival ring from the push until the receiver's first step at
+// or after the cycle it becomes allocatable — arrival plus the input
+// pipeline, the engine wakes it for that — and successive packets on one
+// link are at least the serialisation time apart. Both ends of a local link
+// belong to one group and advance in lockstep, so (latency+pipeline)/spacing
+// + 4 bounds the ring with slack. The ends of a global link belong to
+// different groups, and inside a time window (see Lookahead) the sender may
+// run up to a lookahead ahead of the receiver: its packets wait that much
+// longer, and the ring is (latency+lookahead+pipeline)/spacing + 4.
 func (c *Core) layoutRings() {
 	np, maxVC := c.np, c.maxVC
 	size := int32(c.size)
-	pktSpacing, crdSpacing := int32(max(c.serial, 1)), int32(max(c.xbar, 1))
+	pktSpacing := int32(max(c.serial, 1))
 	var inTot, outTot, arrTot, crdTot int32
-	// flight is how long an event may sit in the ring behind wire w of a
-	// port of router r.
-	flight := func(r int, w portWire) int32 {
-		if c.topo.RouterGroup(r) != c.topo.RouterGroup(int(w.peer)) {
-			return w.lat + int32(c.lookahead)
-		}
-		return w.lat
-	}
 	for pi := range c.arrQ {
 		p := pi % np
 		if w := c.inW[pi]; w.peer >= 0 {
-			c.arrQ[pi] = evRing{off: arrTot, qcap: flight(pi/np, w)/pktSpacing + 4}
+			flight := w.lat + int32(c.pipeline)
+			if c.topo.RouterGroup(pi/np) != c.topo.RouterGroup(int(w.peer)) {
+				flight += int32(c.lookahead)
+			}
+			c.arrQ[pi] = evRing{off: arrTot, qcap: flight/pktSpacing + 4}
 			arrTot += c.arrQ[pi].qcap
 		}
-		if w := c.outW[pi]; w.peer >= 0 {
-			c.crdQ[pi] = evRing{off: crdTot, qcap: flight(pi/np, w)/crdSpacing + 4}
+		if c.outW[pi].peer >= 0 {
+			c.crdQ[pi] = evRing{off: crdTot, qcap: c.downTotal[p] / size}
 			crdTot += c.crdQ[pi].qcap
 		}
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
@@ -659,6 +677,7 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 	copy(d.outOccMask, c.outOccMask)
 	copy(d.arrPendMask, c.arrPendMask)
 	copy(d.crdPendMask, c.crdPendMask)
+	copy(d.starved, c.starved)
 	copy(d.inP, c.inP)
 	copy(d.outP, c.outP)
 	copy(d.inQ, c.inQ)
@@ -667,8 +686,8 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 	copy(d.crdQ, c.crdQ)
 	copy(d.rnd, c.rnd)
 	copy(d.stats, c.stats)
-	copy(d.extMin, c.extMin)
-	copy(d.extDirty, c.extDirty)
+	copy(d.bookAt, c.bookAt)
+	copy(d.arrAt, c.arrAt)
 	copy(d.jobData, c.jobData)
 	copy(d.liveData, c.liveData)
 	for r := 0; r < c.nr; r++ {
@@ -717,7 +736,7 @@ func (c *Core) Rebase(delta int64) {
 		c.arrData[i].at -= delta // dead slots included: harmless, and branch-free
 	}
 	for i := range c.crdData {
-		c.crdData[i].at -= delta
+		c.crdData[i] -= crdEvent(delta << 8)
 	}
 	shift := func(d *dueQueue) {
 		for i := d.head; i < len(d.q); i++ {
@@ -726,7 +745,12 @@ func (c *Core) Rebase(delta int64) {
 	}
 	for r := 0; r < c.nr; r++ {
 		c.stats[r].LastActivity -= delta
-		c.extDirty[r] = true
+		if c.bookAt[r] != math.MaxInt64 {
+			c.bookAt[r] -= delta
+		}
+		if c.arrAt[r] != math.MaxInt64 {
+			c.arrAt[r] -= delta
+		}
 		shift(&c.relDue[r])
 		shift(&c.xferDue[r])
 	}
@@ -812,8 +836,9 @@ func (c *Core) Unplug(r, port int) { c.outW[r*c.np+port].peer = -1 }
 
 // SetSink installs the engine event sink of one router: it is handed a
 // LinkEvent, always with a strictly future cycle, for every packet the
-// router sends to a neighbour and every credit it returns upstream. The
-// engines install sinks before the first step of a run.
+// router sends to a neighbour and every credit it returns upstream, and
+// has to get it to PushDue of the destination. The engines install sinks
+// before the first step of a run.
 func (c *Core) SetSink(r int, fn func(LinkEvent)) { c.notify[r] = fn }
 
 // SetAllSinks installs (or clears, with nil) every router's event sink.
@@ -833,61 +858,56 @@ func (c *Core) SetPhases(warmup, total int64) { c.warmup, c.total = warmup, tota
 // measuring reports whether statistics are collected at cycle now.
 func (c *Core) measuring(now int64) bool { return now >= c.warmup }
 
-// PushDue parks a link event in the destination port's ring of router r.
-// The engine must call it — between router r's steps — for every LinkEvent
-// whose Router field names r; the pop stages panic on an event that was
+// PushDue parks a link event in the destination port's ring of router r and
+// returns the cycle at which r has to step because of it, or -1 when the
+// event cannot make r act: a packet can be allocated once it has crossed the
+// input pipeline (ev.At + pipeline); a credit lets a starved output send
+// (ev.At), and on any other output it only moves a counter. The event itself
+// is applied by Settle — at r's next step or the next time anyone reads r's
+// state, whichever comes first. The engine must call PushDue — between router
+// r's steps — for every LinkEvent whose Router field names r and wake r no
+// later than the cycle returned; settle panics on an event whose step was
 // slept through.
-func (c *Core) PushDue(r int, ev LinkEvent) {
+func (c *Core) PushDue(r int, ev LinkEvent) int64 {
 	rings, mask := c.arrQ, c.arrPendMask
 	if ev.Credit {
 		rings, mask = c.crdQ, c.crdPendMask
 	}
 	i := rings[r*c.np+ev.Port].put()
 	if i < 0 {
-		panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; spacing promise broken)", r, ev.Port, ev.Credit))
+		panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the spacing promise or the credit protocol)", r, ev.Port, ev.Credit))
+	}
+	word, bit := r*c.maskWords+ev.Port>>6, uint64(1)<<(uint(ev.Port)&63)
+	mask[word] |= bit
+	if ev.At < c.bookAt[r] {
+		c.bookAt[r] = ev.At
 	}
 	if ev.Credit {
-		c.crdData[i] = crdEvent{at: ev.At, phits: ev.Phits, vc: ev.PVC}
-	} else {
-		c.arrData[i] = pktEvent{at: ev.At, p: ev.Pkt}
-	}
-	mask[r*c.maskWords+ev.Port>>6] |= 1 << (uint(ev.Port) & 63)
-	if !c.extDirty[r] {
-		if m := c.extMin[r]; m < 0 || ev.At < m {
-			c.extMin[r] = ev.At
+		c.crdData[i] = newCrdEvent(ev.At, ev.PVC)
+		if c.starved[word]&bit != 0 {
+			return ev.At
 		}
+		return -1
 	}
+	c.arrData[i] = pktEvent{at: ev.At, p: ev.Pkt}
+	if ev.At < c.arrAt[r] {
+		c.arrAt[r] = ev.At
+	}
+	return ev.At + c.pipeline
 }
 
-// EarliestExternal returns the earliest cycle at which an event already
-// routed to router r falls due — a packet arriving on an input link or a
-// credit returning on an output link — or -1 if none is pending. The
-// scheduler consults it when putting the router to sleep, because
-// in-flight events are invisible to the router's own state (StepRouter's
-// return value covers internal events only). The value is cached: pushes
-// fold into it directly, pops invalidate it, and a query after a pop
-// rescans the ring heads.
+// EarliestExternal returns the earliest cycle at which a packet already
+// routed to router r can be allocated — its arrival plus the input pipeline
+// — or -1 if none is in flight. The scheduler consults it when putting the
+// router to sleep, because in-flight packets are invisible to the router's
+// own state (StepRouter's return value covers internal events only; the
+// credits a starved output waits for are part of it). Credits and buffer
+// releases that only move counters wake nobody: Settle applies them.
 func (c *Core) EarliestExternal(r int) int64 {
-	if !c.extDirty[r] {
-		return c.extMin[r]
+	if at := c.arrAt[r]; at != math.MaxInt64 {
+		return at + c.pipeline
 	}
-	ev := int64(-1)
-	mw := c.maskWords
-	base := r * c.np
-	for w := 0; w < mw; w++ {
-		pb := w << 6
-		for m := c.arrPendMask[r*mw+w]; m != 0; m &= m - 1 {
-			q := &c.arrQ[base+pb+bits.TrailingZeros64(m)]
-			consider(&ev, c.arrData[q.off+q.head].at)
-		}
-		for m := c.crdPendMask[r*mw+w]; m != 0; m &= m - 1 {
-			q := &c.crdQ[base+pb+bits.TrailingZeros64(m)]
-			consider(&ev, c.crdData[q.off+q.head].at)
-		}
-	}
-	c.extMin[r] = ev
-	c.extDirty[r] = false
-	return ev
+	return -1
 }
 
 // OutputUsed estimates the phits queued at an output port, including

@@ -5,27 +5,26 @@
 // exactly, which is what keeps the engines bit-identical to the dense
 // oracle (the cross-engine equivalence tests enforce this).
 //
-// Two per-port scans of the oracle are replaced by provably equivalent
-// calendar-head reads:
+// One per-port scan of the oracle is replaced by a provably equivalent
+// calendar-head read: the allocator's per-port consider(input.busyUntil)
+// for busy inputs becomes one consider of the transfer calendar head. After
+// completeTransfers(now) drained everything due, xferDue holds exactly one
+// entry per input with busy > now, at that cycle — grant inserts the entry
+// when it sets busy, and nothing else writes either — so the min over busy
+// inputs is the calendar head, bit for bit.
 //
-//   - the allocator's per-port consider(input.busyUntil) for busy inputs
-//     becomes one consider of the transfer calendar head: after
-//     completeTransfers(now) drained everything due, xferDue holds
-//     exactly one entry per input with busy > now, at that cycle — grant
-//     inserts the entry when it sets busy, and nothing else writes
-//     either. The min over busy inputs is the calendar head.
-//   - the link stage's per-port consider(output.releaseAt) for
-//     transmitting outputs becomes one consider of the release calendar
-//     head, by the same argument against popCreditsAndReleases(now)
-//     (relAt and linkBusy are set together at each send).
-//
-// Both replace a min over per-port values with the head of a calendar
-// containing exactly those values, so the returned next-event horizon is
-// bit-identical, not merely conservative.
+// What the oracle does at the top of every step — pop the buffer releases,
+// credits and packet arrivals that fell due — is split off into Settle:
+// those three change what the router *holds*, not what it *does*, so they
+// are applied the next time anyone looks (the router's own next step, or an
+// observer), with the event's own cycle for every timestamp they leave
+// behind. The horizon StepRouter returns covers only the cycles at which the
+// router can grant, send, transfer or deliver.
 package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dragonfly/internal/packet"
@@ -43,11 +42,14 @@ func consider(nev *int64, t int64) {
 
 // StepRouter advances router r by one cycle and returns the earliest
 // future cycle at which it has internal work to do again, or -1 if it is
-// quiescent: stepping it before that cycle would be a no-op (no buffer
-// movement, no allocation attempt, no RNG consumption), so the engine may
-// skip it until then — provided it is also woken for external events (link
-// arrivals, see EarliestExternal and SetSink; and injection, which the
-// engine's generation calendar knows in advance).
+// quiescent: a step before that cycle would grant, send, transfer and
+// deliver nothing and consume no randomness, so the engine may skip it until
+// then — provided it is also woken for what reaches it from outside (link
+// events: the cycle PushDue returns, and EarliestExternal for those already
+// parked; injection, which the engine's generation calendar knows in
+// advance). A skipped step is not a no-op: releases, credits and arrivals
+// fall due while the router sleeps. They are settled first thing here, so
+// the stages below see exactly the state the dense oracle would have.
 //
 // The returned horizon is assembled by the stages from exactly the
 // conditions they act on:
@@ -56,17 +58,20 @@ func consider(nev *int64, t int64) {
 //     elapses (ReadyAt) — and an already-allocatable head is retried
 //     every cycle, because the allocator re-requests (and the routing
 //     mechanism re-decides, consuming RNG) until it is granted;
-//   - an output buffer release falling due (relAt), which also coincides
-//     with the link serializer freeing (linkBusy), after which the next
-//     queued packet can be sent.
+//   - the serializer of an output with packets queued freeing (linkBusy),
+//     after which the next one can be sent — the oracle's per-port rule;
+//     an output that is transmitting its last packet has nothing to do
+//     when the link frees, and its buffer release is Settle's business;
+//   - a credit already in flight towards a starved output.
 //
 // The engine guarantees strictly increasing now values and at most one
 // call per cycle. Disjoint routers may be stepped concurrently.
 func (c *Core) StepRouter(r int, now int64) int64 {
 	nev := int64(-1)
 	base := r * c.np
-	c.popCreditsAndReleases(r, base, now)
-	c.popArrivals(r, base, now)
+	if c.bookAt[r] <= now {
+		c.settle(r, base, now, now-1)
+	}
 	c.completeTransfers(r, base, now)
 	c.allocate(r, base, now, &nev)
 	// Candidates left ungranted by the allocator (arbitration losses,
@@ -83,11 +88,34 @@ func (c *Core) StepRouter(r int, now int64) int64 {
 	return nev
 }
 
-func (c *Core) popCreditsAndReleases(r, base int, now int64) {
+// Settle applies every buffer release, credit and packet arrival of router
+// r that fell due by the end of cycle upTo, each with its own due cycle, and
+// reports whether there was any. It is for whoever reads r's state without
+// stepping it — an observer between windows, PiggyBack's group refresh —
+// after every step of cycle upTo has run: the result is the state the dense
+// oracle holds at that point. (StepRouter settles for itself.) Calling it
+// again, or later, changes nothing: an event is applied once, and when it is
+// applied leaves no trace.
+func (c *Core) Settle(r int, upTo int64) bool {
+	if c.bookAt[r] > upTo {
+		return false
+	}
+	c.settle(r, r*c.np, upTo, upTo)
+	return true
+}
+
+// settle is the one pop path of the three state-only event kinds: everything
+// due by cycle upTo is applied. stepped is the last cycle whose steps have
+// all run (upTo for an observer, upTo-1 inside StepRouter(upTo)): an event
+// that called for a step at or before it was slept through, and settle
+// panics rather than let the run diverge — a packet is allocatable from
+// at + pipeline, a credit on a starved output (see linkStage) at once.
+func (c *Core) settle(r, base int, upTo, stepped int64) {
+	book := int64(math.MaxInt64)
 	// Buffer releases: the router-local calendar knows exactly when each
 	// output frees the space of a sent packet.
 	d := &c.relDue[r]
-	for d.head < len(d.q) && d.q[d.head].at <= now {
+	for d.head < len(d.q) && d.q[d.head].at <= upTo {
 		pi := base + int(d.pop().port)
 		if c.outP[pi].relPhits > 0 {
 			c.outP[pi].occ -= c.outP[pi].relPhits
@@ -95,8 +123,11 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			c.outP[pi].relPhits = 0
 		}
 	}
-	// Credits: only outputs with a credit arriving this cycle are touched;
-	// the rings carry (cycle, vc, phits) directly.
+	if d.head < len(d.q) {
+		book = d.q[d.head].at
+	}
+	// Credits: only outputs with a credit in flight are touched; the rings
+	// carry (cycle, vc, phits) directly.
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -106,11 +137,12 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 			q := &c.crdQ[pi]
 			for q.qlen > 0 {
 				ev := c.crdData[q.off+q.head]
-				if ev.at > now {
+				if ev.at() > upTo {
+					book = min(book, ev.at())
 					break
 				}
-				if ev.at < now {
-					panic(fmt.Sprintf("router %d: credit event missed at cycle %d (now %d): scheduler failed to wake", r, ev.at, now))
+				if ev.at() <= stepped && c.starved[r*mw+w]&(1<<(uint(p)&63)) != 0 {
+					panic(fmt.Sprintf("router %d: credit due at cycle %d on starved port %d still unapplied after cycle %d: scheduler failed to wake", r, ev.at(), p, stepped))
 				}
 				if q.head++; q.head == q.qcap {
 					q.head = 0
@@ -118,24 +150,20 @@ func (c *Core) popCreditsAndReleases(r, base int, now int64) {
 				if q.qlen--; q.qlen == 0 {
 					c.crdPendMask[r*mw+w] &^= 1 << (uint(p) & 63)
 				}
-				c.extDirty[r] = true
-				s := &c.outQ[pi*c.maxVC+int(ev.vc)]
-				s.credits += ev.phits
-				c.outP[pi].free += ev.phits
+				s := &c.outQ[pi*c.maxVC+ev.vc()]
+				s.credits += int32(c.size)
+				c.outP[pi].free += int32(c.size)
 				if s.credits > c.downCapVC[p] {
-					panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, ev.vc))
+					panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, ev.vc()))
 				}
 			}
 		}
 	}
-}
-
-func (c *Core) popArrivals(r, base int, now int64) {
-	// Due arrivals sit at the heads of the per-port rings. Ports are visited
-	// in ascending order; same-cycle arrivals at different ports commute
-	// (an arrival only touches its own port's state and consumes no
-	// randomness).
-	mw := c.maskWords
+	// Arrivals sit at the heads of the per-port rings. Ports are visited in
+	// ascending order; arrivals at different ports commute (an arrival only
+	// touches its own port's state and consumes no randomness), and one
+	// port's arrive in ring order.
+	arr := int64(math.MaxInt64)
 	for w := 0; w < mw; w++ {
 		pb := w << 6
 		for m := c.arrPendMask[r*mw+w]; m != 0; m &= m - 1 {
@@ -144,11 +172,12 @@ func (c *Core) popArrivals(r, base int, now int64) {
 			q := &c.arrQ[pi]
 			for q.qlen > 0 {
 				ev := &c.arrData[q.off+q.head]
-				if ev.at > now {
+				if ev.at > upTo {
+					arr = min(arr, ev.at)
 					break
 				}
-				if ev.at < now {
-					panic(fmt.Sprintf("router %d: packet arrival at cycle %d popped at cycle %d (receiver slept through it)", r, ev.at, now))
+				if ev.at+c.pipeline <= stepped {
+					panic(fmt.Sprintf("router %d: packet arrived at cycle %d, allocatable from %d, still unapplied after cycle %d (receiver slept through it)", r, ev.at, ev.at+c.pipeline, stepped))
 				}
 				pkt := ev.p
 				ev.p = nil
@@ -158,10 +187,9 @@ func (c *Core) popArrivals(r, base int, now int64) {
 				if q.qlen--; q.qlen == 0 {
 					c.arrPendMask[r*mw+w] &^= 1 << (uint(p) & 63)
 				}
-				c.extDirty[r] = true
 				routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
-				pkt.ReadyAt = now + c.pipeline
-				pkt.EnqueuedAt = now
+				pkt.ReadyAt = ev.at + c.pipeline
+				pkt.EnqueuedAt = ev.at
 				s := &c.inQ[pi*c.maxVC+pkt.VC]
 				if s.occ+int32(pkt.Size) > c.inCapVC[p] {
 					panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
@@ -173,6 +201,8 @@ func (c *Core) popArrivals(r, base int, now int64) {
 			}
 		}
 	}
+	c.arrAt[r] = arr
+	c.bookAt[r] = min(book, arr)
 }
 
 func (c *Core) completeTransfers(r, base int, now int64) {
@@ -195,7 +225,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		if w := &c.inW[pi]; w.peer >= 0 {
 			c.notify[r](LinkEvent{
 				Router: int(w.peer), Port: int(w.peerPort), At: now + int64(w.lat),
-				Credit: true, Phits: int32(c.size), PVC: int32(vcIdx),
+				Credit: true, PVC: int32(vcIdx),
 			})
 		}
 		if c.class[p] == topology.InjectionPort {
@@ -485,11 +515,6 @@ func (c *Core) grant(r, base int, now int64, inP, ciIdx int32, nev *int64) {
 }
 
 func (c *Core) linkStage(r, base int, now int64, nev *int64) {
-	// Transmitting outputs, folded in one read: the release calendar
-	// head (see the package comment for the equivalence argument).
-	if d := &c.relDue[r]; d.head < len(d.q) {
-		consider(nev, d.q[d.head].at)
-	}
 	size := int32(c.size)
 	maxVC := c.maxVC
 	mw := c.maskWords
@@ -497,12 +522,17 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 	for w := 0; w < mw; w++ {
 		m := c.outOccMask[r*mw+w]
 		pb := w << 6
+		// Outputs left starved by this pass: idle, packets queued, no head
+		// with a packet of credit. Only a credit gets such a port moving, so
+		// only there does one wake the router (PushDue reads the mask).
+		var starved uint64
 		for m != 0 {
 			p := pb + bits.TrailingZeros64(m)
 			m &= m - 1
 			pi := base + p
 			if c.outP[pi].linkBusy > now {
-				continue // release fires later (calendar head above)
+				consider(nev, c.outP[pi].linkBusy) // the next queued packet goes when the serializer frees
+				continue
 			}
 			// Link VC arbitration: round-robin over VCs whose head packet
 			// has a full packet of downstream credit.
@@ -527,6 +557,10 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				break
 			}
 			if sendVC < 0 {
+				starved |= 1 << (uint(p) & 63)
+				if q := &c.crdQ[pi]; q.qlen > 0 {
+					consider(nev, c.crdData[q.off+q.head].at()) // a credit already on its way
+				}
 				continue
 			}
 			pkt := c.outQPop(vbase + sendVC)
@@ -555,7 +589,10 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			c.outP[pi].relPhits += size
 			c.outP[pi].relVC = int32(sendVC)
 			c.relDue[r].insert(c.outP[pi].relAt, int32(p))
-			consider(nev, c.outP[pi].relAt) // buffer release; also frees the serializer
+			c.bookAt[r] = min(c.bookAt[r], c.outP[pi].relAt) // the release is Settle's
+			if c.outP[pi].qTotal > 0 {
+				consider(nev, c.outP[pi].linkBusy)
+			}
 			if c.trace[r] != nil {
 				c.trace[r](now, TraceLinkSend, pkt, r, p, pkt.VC)
 			}
@@ -573,6 +610,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			}
 			c.stats[r].LastActivity = now
 		}
+		c.starved[r*mw+w] = starved
 	}
 }
 

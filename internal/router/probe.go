@@ -1,6 +1,10 @@
 package router
 
-import "dragonfly/internal/topology"
+import (
+	"fmt"
+
+	"dragonfly/internal/topology"
+)
 
 // Read-only probe accessors for the telemetry layer. internal/refmodel
 // defines the same accessors over the oracle's per-router structs, so a
@@ -78,4 +82,53 @@ func (c *Core) ProbeLinks(r int, now int64) LinkProbe {
 		}
 	}
 	return lp
+}
+
+// CheckSleep verifies that router r, due to step next at cycle wakeAt, sleeps
+// through nothing — read off the rings and calendars themselves, not the
+// cached minima the engine and Settle go by: wakeAt is no later than the
+// cycle any packet in flight towards r becomes allocatable (its arrival plus
+// the input pipeline), nor than any credit in flight towards a starved
+// output; and the Settle gate is no later than any unapplied release, credit
+// or arrival. It returns the first violation. Between cycles only.
+func (c *Core) CheckSleep(r int, wakeAt int64) error {
+	base := r * c.np
+	book := c.bookAt[r]
+	d := &c.relDue[r]
+	for _, e := range d.q[d.head:] {
+		if e.at < book {
+			return fmt.Errorf("router %d: release of port %d due at %d, settle gate at %d", r, e.port, e.at, book)
+		}
+	}
+	for p := 0; p < c.np; p++ {
+		pi := base + p
+		q := &c.arrQ[pi]
+		for k, h := int32(0), q.head; k < q.qlen; k++ {
+			at := c.arrData[q.off+h].at
+			switch {
+			case at < book || at < c.arrAt[r]:
+				return fmt.Errorf("router %d: arrival on port %d due at %d, settle gate at %d, earliest arrival cached as %d", r, p, at, book, c.arrAt[r])
+			case wakeAt > at+c.pipeline:
+				return fmt.Errorf("router %d wakes at %d: a packet arriving on port %d at %d is allocatable from %d", r, wakeAt, p, at, at+c.pipeline)
+			}
+			if h++; h == q.qcap {
+				h = 0
+			}
+		}
+		starved := c.starved[r*c.maskWords+p>>6]&(1<<(uint(p)&63)) != 0
+		q = &c.crdQ[pi]
+		for k, h := int32(0), q.head; k < q.qlen; k++ {
+			at := c.crdData[q.off+h].at()
+			switch {
+			case at < book:
+				return fmt.Errorf("router %d: credit on port %d due at %d, settle gate at %d", r, p, at, book)
+			case starved && wakeAt > at:
+				return fmt.Errorf("router %d wakes at %d: starved port %d gets a credit at %d", r, wakeAt, p, at)
+			}
+			if h++; h == q.qcap {
+				h = 0
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package scheduler
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // The scheduling decision core. planStarts is a pure function from queue
 // state to start decisions: no workload, no network, no RNG — which is what
@@ -54,7 +57,21 @@ type rJob struct {
 //     (S = -1) and any fitting job may start — aggressive backfill is the
 //     only sound fallback when no bound on the head's start exists.
 func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) []int {
-	var picks []int
+	return new(planScratch).planStarts(disc, now, free, queue, running)
+}
+
+// planScratch is the working storage of planStarts and shadowTime. The
+// functions above and below are pure and allocate theirs per call; a
+// controller that decides at every event of a long trace keeps one scratch
+// and calls the methods, whose results alias it until the next call.
+type planScratch struct {
+	picks []int
+	run   []rJob // EASY: the running view, started heads included
+	known []rJob // shadowTime: running jobs with known ends, by end
+}
+
+func (s *planScratch) planStarts(disc string, now int64, free int, queue []qJob, running []rJob) []int {
+	picks := s.picks[:0]
 	switch disc {
 	case DisciplineBackfill:
 		for i, q := range queue {
@@ -66,7 +83,7 @@ func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) 
 	case DisciplineEASY:
 		// Head-of-queue jobs start as under FCFS; started jobs join the
 		// running view so the next head's shadow sees their departures.
-		run := append([]rJob(nil), running...)
+		run := append(s.run[:0], running...)
 		i := 0
 		for ; i < len(queue); i++ {
 			q := queue[i]
@@ -81,10 +98,11 @@ func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) 
 			run = append(run, rJob{need: q.need, end: end})
 			picks = append(picks, i)
 		}
+		s.run = run
 		if i >= len(queue) {
 			break
 		}
-		shadow, extra := shadowTime(queue[i].need, free, run)
+		shadow, extra := s.shadowTime(queue[i].need, free, run)
 		for k := i + 1; k < len(queue); k++ {
 			q := queue[k]
 			if q.need > free {
@@ -112,6 +130,7 @@ func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) 
 			picks = append(picks, i)
 		}
 	}
+	s.picks = picks
 	return picks
 }
 
@@ -121,18 +140,25 @@ func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) 
 // (-1, 0) when the known departures never accumulate to need (the head's
 // start cannot be bounded). Only running jobs with known ends participate.
 func shadowTime(need, free int, running []rJob) (shadow int64, extra int) {
+	return new(planScratch).shadowTime(need, free, running)
+}
+
+func (s *planScratch) shadowTime(need, free int, running []rJob) (shadow int64, extra int) {
 	if need <= free {
 		// The head fits now; callers only ask for blocked heads, but a
 		// zero-length answer is well-defined and the oracle exercises it.
 		return 0, free - need
 	}
-	known := make([]rJob, 0, len(running))
+	known := s.known[:0]
 	for _, r := range running {
 		if r.end >= 0 {
 			known = append(known, r)
 		}
 	}
-	sort.Slice(known, func(a, b int) bool { return known[a].end < known[b].end })
+	s.known = known
+	// Jobs ending at one cycle are interchangeable below: all of them are
+	// counted the moment the first is, so any order among them will do.
+	slices.SortFunc(known, func(a, b rJob) int { return cmp.Compare(a.end, b.end) })
 	acc := free
 	for i, r := range known {
 		acc += r.need

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -389,9 +388,11 @@ func TestParseTraceJob(t *testing.T) {
 // it: ParseTraceJob never panics, parses deterministically, and whatever it
 // accepts Trace.Validate judges — with an error, never a panic, and never
 // passing a job larger than the machine. Seeds are the examples of
-// cmd/dfsched's usage comment and workload.ParseJob's tests, plus the one
-// input that got through: a job size whose router count wrapped negative,
-// validated, and panicked in Run (makeslice).
+// cmd/dfsched's usage comment and workload.ParseJob's tests, plus the
+// inputs that got through: a job size whose router count wrapped negative,
+// validated, and panicked in Run (makeslice); and the non-finite and absurd
+// loads and duties ParseFloat accepts, which no range check downstream
+// could see (NaN compares false with everything).
 func FuzzParseTraceJob(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -402,6 +403,8 @@ func FuzzParseTraceJob(f *testing.F) {
 		"nodes=8,phase=switch,period=500,patterns=UN/SHIFT+1",
 		"nodes", "nodes=x", "bogus=1", "load=abc", "nodes=8,arrival=oops",
 		"nodes=9223372036854775807",
+		"nodes=8,load=NaN", "nodes=8,load=Inf", "nodes=8,load=1e308",
+		"nodes=8,phase=bursty,period=600,duty=NaN",
 	} {
 		f.Add(seed)
 	}
@@ -414,9 +417,11 @@ func FuzzParseTraceJob(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second parse of %q failed: %v", s, err)
 		}
-		// Compared as printed: load=NaN parses, and NaN != NaN.
-		if a, b := fmt.Sprintf("%#v", tj), fmt.Sprintf("%#v", again); a != b {
-			t.Fatalf("%q parsed to %s, then to %s", s, a, b)
+		if !reflect.DeepEqual(tj, again) {
+			t.Fatalf("%q parsed to %#v, then to %#v", s, tj, again)
+		}
+		if !(tj.Load >= 0 && tj.Load <= 1 && tj.Phase.Duty >= 0 && tj.Phase.Duty <= 1) {
+			t.Fatalf("%q parsed to load %v, duty %v", s, tj.Load, tj.Phase.Duty)
 		}
 		machine := topology.Balanced(2)
 		if err := (Trace{Jobs: []TraceJob{tj}}).Validate(machine); err == nil && tj.Nodes > machine.Nodes() {

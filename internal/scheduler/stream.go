@@ -36,7 +36,7 @@ type streamJob struct {
 	need  int32 // routers occupied
 	start int64
 	end   int64 // start + duration
-	nodes []int // activated node ids
+	nodes []int // activated node ids: the workload's own slice, lent until Retire
 }
 
 // genController is the sim.Controller + sim.Finisher that schedules a
@@ -65,6 +65,7 @@ type genController struct {
 	// planStarts scratch, reused across events.
 	qScratch []qJob
 	rScratch []rJob
+	plan     planScratch
 
 	// Test hooks: called at placement and departure when non-nil.
 	onPlace    func(idx int, now int64)
@@ -136,7 +137,7 @@ func (c *genController) Apply(rc *sim.Reconfig, now int64) {
 	for i := range c.running {
 		c.rScratch = append(c.rScratch, rJob{need: int(c.running[i].need), end: c.running[i].end})
 	}
-	picks := planStarts(c.disc, now, c.wl.FreeRouters(), c.qScratch, c.rScratch)
+	picks := c.plan.planStarts(c.disc, now, c.wl.FreeRouters(), c.qScratch, c.rScratch)
 	if len(picks) == 0 {
 		return
 	}
@@ -175,7 +176,7 @@ func (c *genController) place(rc *sim.Reconfig, idx int, now int64) {
 	if err := c.wl.Place(j); err != nil {
 		panic(fmt.Sprintf("scheduler: placing job that planStarts fit: %v", err))
 	}
-	nodes := c.wl.JobNodeIDs(j)
+	nodes := c.wl.JobNodes(j)
 	for _, n := range nodes {
 		rc.SetNodeActive(n, c.load)
 	}

@@ -336,3 +336,57 @@ func TestStreamMemoryFlat(t *testing.T) {
 		t.Fatalf("retained memory grows %.1f B/job, budget %d B/job — per-job state is being retained", perJob, budget)
 	}
 }
+
+// A streamed job costs no allocation once the run has seen its like: Admit
+// recycles the records Retire reclaimed, the allocators fill the job's own
+// slices, the pattern sub-stream is split into the workload's storage, the
+// controller borrows the node list and planStarts works in the controller's
+// scratch. What remains per job is the workload's 8-byte index slot, grown
+// by doubling (~30 B/job amortised). Everything else the drive allocates —
+// the engine, the packet pool, calendars reaching their capacity — does not
+// scale with the trace, and on the near-idle network of a cluster-lifetime
+// study 2,000 jobs are enough to drown it: before the free list a job cost
+// ~770 B here.
+func TestStreamJobsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	const jobs = 2000
+	gt, err := Generate(GenSpec{
+		Jobs:         jobs,
+		InterArrival: 3,
+		NodesMedian:  8,
+		NodesSigma:   0.5,
+		MaxNodes:     72,
+		DurMedian:    15,
+		DurSigma:     0.5,
+		Load:         0.05,
+	}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocated uint64
+	metered := simImpl{coreImpl.build, func(net *sim.Network, cfg *sim.Config, ctrl sim.Controller) error {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := coreImpl.drive(net, cfg, ctrl)
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+		return err
+	}}
+	cfg := schedCfg()
+	cfg.Workers = 1
+	cfg.MeasureCycles = 1 << 22
+	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, metered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != jobs {
+		t.Fatalf("completed %d/%d jobs", res.Completed, jobs)
+	}
+	perJob := float64(allocated) / jobs
+	t.Logf("%d B allocated after the network build, %.1f B/job", allocated, perJob)
+	if perJob > 64 {
+		t.Fatalf("the run allocates %.1f B per job after the network build, budget 64", perJob)
+	}
+}

@@ -92,9 +92,10 @@ func run(net *Network, warmup, total int64, workers int, ctrl Controller) error 
 // engine of this package implements it over the core; internal/refmodel
 // implements the dense seed loops over its own routers.
 type Engine interface {
-	// Wake forces router r into the step set of the next window's first
-	// cycle (a Controller touched its nodes). Engines that step every
-	// router ignore it.
+	// Wake tells the engine that router r's generation calendar changed (a
+	// Controller touched its nodes, Network.genWake is already refreshed):
+	// an engine that lets routers sleep makes sure r is stepped at its next
+	// arrival. Engines that step every router ignore it.
 	Wake(r int)
 	// Lookahead is the longest window the engine can be handed: how many
 	// cycles it may advance one part of the network without looking at the
@@ -109,6 +110,20 @@ type Engine interface {
 	Close()
 }
 
+// Settler is an optional Engine extension for engines that apply state-only
+// events lazily (router.Core.Settle): the routers they skip hold releases,
+// credits and arrivals that have fallen due but changed nothing the engine
+// acts on. Settle(upTo) applies everything due by the end of cycle upTo, on
+// every router, so that whoever reads router state next — a probe sample,
+// the caller of Drive — finds what an engine that steps every router every
+// cycle leaves behind. The driver calls it between windows, with every
+// group standing at cycle upTo+1: before a probe sample and when the run
+// ends. Engines that step every router have nothing to settle and do not
+// implement it.
+type Settler interface {
+	Settle(upTo int64)
+}
+
 // driver is one run in progress. The per-window body lives in window() so
 // the steady-state allocation gate (alloc_test.go) can drive — and meter —
 // single windows of exactly the production loop.
@@ -119,7 +134,9 @@ type driver struct {
 	reconf   *reconfigRun
 	probes   *probeRun
 	fin      Finisher
+	settler  Settler
 	total    int64
+	now      int64 // the cycle the next window starts at
 	windows  int64
 	lastSeen int64 // most recent activity observed by the watchdog
 }
@@ -137,6 +154,10 @@ func newDriver(net *Network, warmup, total int64, ctrl Controller, e Engine) *dr
 		total:  total,
 	}
 	d.fin, _ = ctrl.(Finisher)
+	d.settler, _ = e.(Settler)
+	if d.probes != nil {
+		d.probes.settler = d.settler
+	}
 	return d
 }
 
@@ -161,10 +182,9 @@ func (d *driver) horizon(from int64) int64 {
 // declared the workload complete.
 func (d *driver) window(from int64) (to int64, done bool, err error) {
 	// Reconfiguration first: membership changes must be visible to this
-	// cycle's generation, and a force-woken router at worst executes a
-	// provable no-op step. Workers are quiescent between windows and every
+	// cycle's generation. Workers are quiescent between windows and every
 	// group stands at cycle from, so the controller and the probes see
-	// stable state.
+	// stable state (the probes after settling it, see Settler).
 	applied := d.reconf.step(from, d.wake)
 	d.probes.step(from)
 	to = d.horizon(from)
@@ -174,6 +194,7 @@ func (d *driver) window(from int64) (to int64, done bool, err error) {
 		to, done = from+1, true
 	}
 	d.e.Advance(from, to)
+	d.now = to
 	d.windows++
 	if to%watchdogInterval == 0 {
 		if d.lastSeen, err = watchdog(d.net, to-1, d.lastSeen); err != nil {
@@ -183,8 +204,13 @@ func (d *driver) window(from int64) (to int64, done bool, err error) {
 	return to, done, nil
 }
 
-// finish tears the run down and publishes the work counters.
+// finish settles the state the run leaves behind — results, state vectors,
+// snapshots and the next run on this network all read it —, tears the run
+// down and publishes the work counters.
 func (d *driver) finish() {
+	if d.settler != nil {
+		d.settler.Settle(d.now - 1)
+	}
 	d.net.engineSteps, d.net.engineWindows = d.e.Steps(), d.windows
 	d.e.Close()
 	d.probes.finish()
@@ -272,32 +298,48 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // for a sender one window ahead of its receiver, see Core.layoutRings);
 // DESIGN.md ("Time windows") has the causality argument.
 //
-// Only routers that have (or may have) work in the current cycle are
-// stepped; everything else sleeps. Correctness rests on one invariant: a
-// sleeping router's wakeAt is never later than its next event. Events come
-// from three sources:
+// Only routers that can do something in the current cycle are stepped;
+// everything else sleeps. A router steps when the step can grant, send,
+// transfer, deliver or generate. Events that only change what it holds —
+// a buffer release, a credit for an output that is not waiting for one, a
+// packet still crossing the input pipeline — wake nobody: they are parked
+// in the router's calendars and rings and applied by router.Core.Settle the
+// next time anyone looks. Correctness rests on one invariant: a skipped
+// step leaves nothing a stepped router or an observer can read before
+// Settle. It has two halves.
+//
+// A sleeping router's wakeAt is never later than the next cycle at which it
+// can act. That cycle comes from three sources:
 //
 //   - internal work: StepRouter returns the earliest future cycle with
 //     internal work (pipeline delays elapsing, crossbar transfers
-//     completing, buffer releases / serializer slots freeing, allocator
-//     retries);
-//   - in-flight link events: packets and credits already travelling towards
-//     the router. They are invisible in its own buffers, so every event is
-//     parked in the destination port's ring (Core.PushDue), whose heads
-//     Core.EarliestExternal reads;
+//     completing, the serializer of a loaded output freeing, allocator
+//     retries, a credit in flight towards a starved output);
+//   - in-flight link events: every event is parked in the destination
+//     port's ring the moment it is created (Core.PushDue), which answers
+//     with the cycle the destination has to step at because of it — the
+//     arrival plus the input pipeline for a packet, the arrival for a credit
+//     to a starved output, never for any other credit. Core.EarliestExternal
+//     repeats the answer for the packets already parked;
 //   - generation: every node's next Bernoulli arrival is known in advance
 //     (Network.genWake).
 //
 // After a step a router's wakeAt is the min of the three (settle), so
 // everything pending at that moment is covered. Events created afterwards
-// reach it through the event sink (Core.SetSink): the sender reports the
-// destination and arrival cycle of everything it pushes onto a link, and
-// wake lowers the sleeper's wakeAt if the new event is earlier. For a router
-// that is awake this changes nothing — its next settle finds the event in
-// its rings. A skipped step is a provable no-op (no state change, no RNG
-// consumption), so results are bit-identical to the dense engines that step
-// every router every cycle; a forced wake (Wake) that finds no work executes
-// that same no-op.
+// reach it through the event sink (Core.SetSink → deliver), which lowers the
+// sleeper's wakeAt to PushDue's answer. For a router that is awake this
+// changes nothing — its next settle finds the event in its rings. A step
+// that is skipped under this rule would have popped what fell due and done
+// nothing else (no grant, no send, no RNG consumption).
+//
+// And everyone who reads a router's state settles it first. There are three
+// settle points: StepRouter, before its stages run (the router reading
+// itself); refreshPB, before a group's PiggyBack bits are recomputed (the
+// one reader of *other* routers' state inside a window); and Settle, which
+// the driver calls before a probe sample and when the run ends (Settler).
+// Settling applies each event with its own due cycle, so when it happens
+// leaves no trace, and results, probe streams and state vectors are
+// bit-identical to the dense engines that step every router every cycle.
 //
 // With more than one worker, each owns a contiguous span of groups and
 // runs the same body over it; there is one barrier per window, at which
@@ -317,16 +359,15 @@ type engine struct {
 	// Every router starts at 0: cycle 0 of an empty network settles each
 	// into its first sleep.
 	wakeAt []int64
-	// nextWake is, per group, the minimum of its routers' wakeAt: two array
-	// reads (this and pbDirty) skip an idle group or jump it to its next
-	// event. It is exact, not a lower bound — a pass that stepped nobody
-	// would still mark the group PiggyBack-dirty and buy a refresh.
+	// nextWake is, per group, the minimum of its routers' wakeAt: one array
+	// read skips an idle group or jumps it to its next event. It is exact,
+	// not a lower bound — a pass that stepped nobody would still settle the
+	// group for a PiggyBack refresh nobody reads.
 	nextWake []int64
 
-	groups  []groupRun
-	weight  []int64 // per group: router-steps, halved at each re-partition
-	pbDirty []bool  // per group: a router stepped since the last PiggyBack refresh
-	spans   []span  // per worker: the groups it owns
+	groups []groupRun
+	weight []int64 // per group: router-steps, halved at each re-partition
+	spans  []span  // per worker: the groups it owns
 	// Worker 0 is the caller of Advance; every other worker has a dedicated
 	// start channel so a fast worker can never steal another's window, and
 	// done is the converging barrier.
@@ -353,12 +394,12 @@ func newEngine(net *Network, workers int) *engine {
 		nextWake: make([]int64, groups),
 		groups:   make([]groupRun, groups),
 		weight:   make([]int64, groups),
-		pbDirty:  net.pb.allDirty(),
 		done:     make(chan struct{}, workers-1),
 	}
+	net.pb.allStale()
 	e.partition(workers)
-	for r, g := range net.groupOf {
-		e.core.SetSink(r, e.sinkOf(int(g)))
+	for r := range e.wakeAt {
+		e.core.SetSink(r, e.sinkOf(net.Topo.RouterGroup(r)))
 	}
 	for w := 1; w < workers; w++ {
 		start := make(chan [2]int64)
@@ -374,19 +415,25 @@ func newEngine(net *Network, workers int) *engine {
 }
 
 // sinkOf returns the event sink of group g's routers: an event for a group
-// of the same worker is parked in the destination port's ring at once (its
-// pop stages look no earlier than the arrival cycle) and lowers the
-// destination's wake-up; an event that crosses a worker boundary waits for
-// the barrier.
+// of the same worker is delivered at once (Settle looks no earlier than the
+// arrival cycle); an event that crosses a worker boundary waits for the
+// barrier.
 func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 	gr := &e.groups[g]
 	return func(ev router.LinkEvent) {
-		if dst := int(e.net.groupOf[ev.Router]); dst < gr.own.lo || dst >= gr.own.hi {
+		if dst := e.net.Topo.RouterGroup(ev.Router); dst < gr.own.lo || dst >= gr.own.hi {
 			gr.out = append(gr.out, ev)
 			return
 		}
-		e.core.PushDue(ev.Router, ev)
-		e.wake(ev.Router, ev.At)
+		e.deliver(ev)
+	}
+}
+
+// deliver parks a link event in its destination port's ring and, if the
+// event can make the destination act, lowers its wake-up to the cycle it can.
+func (e *engine) deliver(ev router.LinkEvent) {
+	if at := e.core.PushDue(ev.Router, ev); at >= 0 {
+		e.wake(ev.Router, at)
 	}
 }
 
@@ -406,15 +453,30 @@ func (e *engine) partition(workers int) {
 	}
 }
 
-// Wake implements Engine.
-func (e *engine) Wake(r int) { e.wake(r, 0) }
+// Wake implements Engine: r's nodes were switched on or off, so its wake-up
+// may be later than its next arrival. A calendar that only moved away costs
+// at worst one step that finds nothing to do.
+func (e *engine) Wake(r int) {
+	if gen := e.net.genWake[r]; gen >= 0 {
+		e.wake(r, gen)
+	}
+}
+
+// Settle implements Settler.
+func (e *engine) Settle(upTo int64) {
+	for r := range e.wakeAt {
+		if e.core.Settle(r, upTo) {
+			e.net.pb.markStale(r)
+		}
+	}
+}
 
 // wake lowers router r's wake-up to cycle at, if it is not due earlier
 // already. Only the owner of r's group may call it while a window runs.
 func (e *engine) wake(r int, at int64) {
 	if at < e.wakeAt[r] {
 		e.wakeAt[r] = at
-		g := e.net.groupOf[r]
+		g := e.net.Topo.RouterGroup(r)
 		e.nextWake[g] = min(e.nextWake[g], at)
 	}
 }
@@ -422,7 +484,7 @@ func (e *engine) wake(r int, at int64) {
 // settle returns the cycle router r next steps at, after its step of cycle
 // now: the min of the internal event horizon nev that StepRouter returned,
 // the generation calendar (already refreshed by Generate) and the earliest
-// event in its rings. now+1 keeps it awake.
+// cycle a packet in its rings can be allocated at. now+1 keeps it awake.
 func (e *engine) settle(r int, now, nev int64) int64 {
 	at := int64(math.MaxInt64)
 	if nev >= 0 {
@@ -477,14 +539,42 @@ func (e *engine) Advance(from, to int64) {
 	for g := range e.groups {
 		gr := &e.groups[g]
 		for _, ev := range gr.out {
-			e.core.PushDue(ev.Router, ev)
-			e.wake(ev.Router, ev.At)
+			e.deliver(ev)
 		}
 		clear(gr.out) // drop the packet references
 		gr.out = gr.out[:0]
 	}
 	if to/rebalanceInterval != from/rebalanceInterval {
 		e.partition(len(e.spans))
+	}
+}
+
+// refreshPB brings group g's PiggyBack bits to the end of cycle now-1, at the
+// top of cycle now: every router of the group is settled that far — the bits
+// are a function of *other* routers' link loads, which releases and credits
+// move while their router sleeps — and the rows of those whose loads moved
+// since their last refresh are recomputed: routers that settled something,
+// here or under the driver's Settle, and routers that stepped. It runs at
+// the top of every cycle in which the group steps, so a stepping router
+// reads what the dense engines' every-cycle refresh would show it, and at
+// the top of each window's last cycle, so a probe between windows finds the
+// bits one cycle behind the state, exactly as the dense engines leave them.
+func (e *engine) refreshPB(g int, now int64) {
+	pb := e.net.pb
+	if pb == nil {
+		return
+	}
+	refreshed := false
+	for r := g * e.per; r < (g+1)*e.per; r++ {
+		if e.core.Settle(r, now-1) || pb.stale[r] {
+			pb.updateRow(r)
+			refreshed = true
+		}
+		// A router that steps in this cycle moves its loads after this look.
+		pb.stale[r] = e.wakeAt[r] <= now
+	}
+	if refreshed {
+		pb.updates[g]++
 	}
 }
 
@@ -497,20 +587,15 @@ func (e *engine) advanceSpan(own span, from, to int64) {
 		wakeAt := e.wakeAt[lo : lo+e.per]
 		var steps int64
 		for now := from; now < to; now++ {
-			// Scheduler-aware PiggyBack refresh: a group's bits depend only on
-			// its own routers' link loads, which change only when one of them
-			// steps — so they are refreshed at the top of the cycle after a
-			// step (all groups start dirty), idle or not: a probe at the end
-			// of the window must find them one cycle behind, as in the dense
-			// engines.
-			if e.pbDirty != nil && e.pbDirty[g] {
-				net.pb.updateGroup(g)
-				e.pbDirty[g] = false
+			next := e.nextWake[g]
+			if next > now {
+				// Idle: jump to the group's next wake-up, or to the window's
+				// last cycle when that comes first.
+				now = min(next, to-1)
 			}
-			if next := e.nextWake[g]; next > now {
-				// Idle: jump to the group's next wake-up.
-				now = min(next, to) - 1
-				continue
+			e.refreshPB(g, now)
+			if next > now {
+				break // the window's last cycle, and nothing due in it
 			}
 			for i, at := range wakeAt {
 				if at <= now {
@@ -521,14 +606,11 @@ func (e *engine) advanceSpan(own span, from, to int64) {
 			}
 			// Recomputed after the pass, not folded into it: a later router of
 			// the group may have lowered an earlier one's wake-up.
-			next := int64(math.MaxInt64)
+			next = math.MaxInt64
 			for _, at := range wakeAt {
 				next = min(next, at)
 			}
 			e.nextWake[g] = next
-			if e.pbDirty != nil {
-				e.pbDirty[g] = true // nextWake was due: at least one router stepped
-			}
 		}
 		if steps > 0 {
 			e.groups[g].steps += steps

@@ -100,10 +100,6 @@ type Network struct {
 	// sleep. Each entry is only touched by the worker owning the router.
 	genWake []int64
 
-	// groupOf caches Topology.RouterGroup for the engine's event routing and
-	// the probes (a divide per link event otherwise).
-	groupOf []int32
-
 	// engineSteps is the number of router-steps the last engine run
 	// executed, engineWindows the number of time windows it was cut into;
 	// the scheduler tests and cmd/dfbench read them to quantify how many
@@ -247,10 +243,6 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 	}
 	net.genWake = make([]int64, topo.NumRouters())
 	net.aimSources(true)
-	net.groupOf = make([]int32, topo.NumRouters())
-	for r := range net.groupOf {
-		net.groupOf[r] = int32(topo.RouterGroup(r))
-	}
 	return net, nil
 }
 

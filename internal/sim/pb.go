@@ -9,8 +9,11 @@ import (
 // bits. A group's bits are refreshed at the top of each of its cycles,
 // before any of its routers steps, from their end-of-previous-cycle state
 // — giving the one-cycle notification delay of a real in-group broadcast.
-// A group's bits are read and written by its own routers' steps only, so
-// they belong to whichever worker owns the group.
+// The dense engines do exactly that (RefreshPB); the group-major engine
+// recomputes a router's row only when its loads moved and somebody is about
+// to read the bits (engine.refreshPB). A group's bits are read and written
+// by its own routers' steps only, so they belong to whichever worker owns
+// the group.
 //
 // The saturation rule follows the paper (Section II-C, Table I): a global
 // link is saturated when its credit count exceeds a threshold of T=3
@@ -30,10 +33,13 @@ type pbState struct {
 	loads []int
 	// marginPhits is the T-packet margin over the router mean.
 	marginPhits float64
-	// updates counts updateGroup calls per group (one writer per group at
-	// any worker count), so tests can verify the scheduler engine actually
-	// skips refreshes of quiescent groups.
+	// updates counts, per group, the refreshes that recomputed anything (one
+	// writer per group at any worker count), so tests can verify the
+	// scheduler engine actually skips refreshes of quiescent groups.
 	updates []int64
+	// stale marks, per router, a row whose link loads moved since it was last
+	// recomputed. Only engine.refreshPB reads it.
+	stale []bool
 }
 
 // totalUpdates sums the per-group refresh counters.
@@ -53,44 +59,54 @@ func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
 		bits: make([]bool, t.NumGroups()*p.A*p.H), per: p.A * p.H,
 		loads:   make([]int, t.NumGroups()*p.A*p.H),
 		updates: make([]int64, t.NumGroups()),
+		stale:   make([]bool, t.NumRouters()),
 	}
 }
 
-// allDirty returns a per-group refresh-needed vector with every group
-// marked, or nil when the network has no PiggyBack state.
-func (s *pbState) allDirty() []bool {
+// allStale marks every row for recomputation: a run starts from bits it
+// knows nothing about. Inert without PiggyBack state, like markStale.
+func (s *pbState) allStale() {
 	if s == nil {
-		return nil
+		return
 	}
-	dirty := make([]bool, len(s.updates))
-	for g := range dirty {
-		dirty[g] = true
+	for r := range s.stale {
+		s.stale[r] = true
 	}
-	return dirty
 }
 
-// updateGroup recomputes the bits of one group. A group's bits depend only
-// on its own routers' output-link loads, which change exclusively when one
-// of those routers steps — so the scheduler engine refreshes only groups
-// with a router stepped in the previous cycle (bit-identical to the dense
-// refresh, which recomputes unchanged bits to the same values).
+// markStale records that router r's link loads moved.
+func (s *pbState) markStale(r int) {
+	if s != nil {
+		s.stale[r] = true
+	}
+}
+
+// updateGroup recomputes the bits of one group, for the engines that refresh
+// every group every cycle.
 func (s *pbState) updateGroup(g int) {
 	s.updates[g]++
+	a := s.topo.Params().A
+	for r := g * a; r < (g+1)*a; r++ {
+		s.updateRow(r)
+	}
+}
+
+// updateRow recomputes the h bits of router r — its row of its group's a*h.
+// They depend on r's own global-link loads only (the rule is relative to the
+// router's mean), so a row whose router's loads have not moved is current.
+func (s *pbState) updateRow(r int) {
 	p := s.topo.Params()
-	bits := s.bits[g*s.per : (g+1)*s.per]
-	loads := s.loads[g*s.per : (g+1)*s.per]
+	bits := s.bits[r*p.H : (r+1)*p.H]
+	loads := s.loads[r*p.H : (r+1)*p.H]
 	fab := s.net.fab
-	for i := 0; i < p.A; i++ {
-		r := s.topo.RouterID(g, i)
-		total := 0
-		for k := 0; k < p.H; k++ {
-			loads[i*p.H+k] = fab.OutputUsed(r, p.A-1+k)
-			total += loads[i*p.H+k]
-		}
-		mean := float64(total) / float64(p.H)
-		for k := 0; k < p.H; k++ {
-			bits[i*p.H+k] = float64(loads[i*p.H+k]) > mean+s.marginPhits
-		}
+	total := 0
+	for k := range loads {
+		loads[k] = fab.OutputUsed(r, p.A-1+k)
+		total += loads[k]
+	}
+	mean := float64(total) / float64(p.H)
+	for k := range bits {
+		bits[k] = float64(loads[k]) > mean+s.marginPhits
 	}
 }
 

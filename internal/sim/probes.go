@@ -53,13 +53,13 @@ func (ps *probeSource) Collect(now int64, s *telemetry.Snapshot) {
 		s.Groups[g] = telemetry.GroupCounters{}
 	}
 	fab := net.fab
-	for r, g := range net.groupOf {
+	for r := range net.genWake {
 		lp := fab.ProbeLinks(r, now)
 		s.LocalBusy += lp.LocalBusy
 		s.GlobalBusy += lp.GlobalBusy
 		s.CreditStalls += lp.CreditStalled
 		inQ, outQ := fab.ProbeQueues(r)
-		gc := &s.Groups[g]
+		gc := &s.Groups[net.Topo.RouterGroup(r)]
 		gc.InQPhits += inQ
 		gc.OutQPhits += outQ
 		st := fab.Stats(r)
@@ -97,6 +97,9 @@ type probeRun struct {
 	probes *telemetry.Probes
 	src    probeSource
 	every  int64
+	// settler, when the engine applies state-only events lazily, brings every
+	// router's state to the end of the previous cycle before a sample.
+	settler Settler
 }
 
 // newProbeRun wires cfg.Probes to the network for one engine run, or
@@ -119,6 +122,9 @@ func newProbeRun(net *Network, warmup int64) *probeRun {
 func (p *probeRun) step(now int64) {
 	if p == nil || now%p.every != 0 {
 		return
+	}
+	if p.settler != nil {
+		p.settler.Settle(now - 1)
 	}
 	p.probes.Observe(now, &p.src)
 }

@@ -21,11 +21,14 @@ import "math"
 // from the start — which is why a trace whose jobs all arrive at cycle 0
 // and never depart reproduces the static workload run bit for bit.
 //
-// After Apply, the engines refresh the generation calendar of every router
-// the controller touched and the production engine force-wakes it. A wake
-// that turns out to be unnecessary (a node fell silent) costs a provable
-// no-op step and nothing else — the same argument that makes skipping a
-// sleeping router safe.
+// After Apply, the driver refreshes the generation calendar of every router
+// the controller touched and tells the engine that it changed (Engine.Wake).
+// That is all an event means to a router: when it generates next. The
+// production engine lowers the router's wake-up to its next arrival and does
+// not step it at the event cycle; a node that fell silent leaves its router
+// with a wake-up that is merely too early, which costs one step that finds
+// nothing to do — the same argument that makes skipping a sleeping router
+// safe.
 
 // Controller drives mid-run traffic reconfiguration. Implementations must
 // be deterministic functions of the network state observable at cycle
@@ -42,7 +45,9 @@ type Controller interface {
 	NextEvent(now int64) int64
 	// Apply runs at the start of cycle now, before generation and routing,
 	// with all engine workers quiescent. It mutates membership only through
-	// the Reconfig handle.
+	// the Reconfig handle, and what it may read of the network is what the
+	// handle offers (LiveJobDelivered): router state proper is not settled
+	// at this point (see Settler).
 	Apply(rc *Reconfig, now int64)
 }
 
@@ -70,8 +75,8 @@ type Finisher interface {
 }
 
 // Reconfig is the mutation handle a Controller receives. It records which
-// routers were touched so the engine can refresh their generation calendars
-// and wake them.
+// routers were touched so the driver can refresh their generation calendars
+// and report them to the engine.
 type Reconfig struct {
 	net     *Network
 	now     int64

@@ -188,7 +188,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
 	clone.genProb = cfg.Load / float64(cfg.Router.PacketSize)
 	clone.latency, clone.uniform = src.latency, src.uniform
-	clone.groupOf, clone.nodeRnd0 = src.groupOf, src.nodeRnd0
+	clone.nodeRnd0 = src.nodeRnd0
 	clone.ranCycles = src.ranCycles
 	clone.engineSteps, clone.engineWindows, clone.stoppedAt, clone.telemetry = 0, 0, 0, nil
 	clone.env = src.env

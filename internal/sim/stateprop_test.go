@@ -227,6 +227,30 @@ func (m oneShortLink) GlobalLatency(t *topology.Topology, src, dst int) int {
 // one cycle — and requires the state vectors, the statistics (BatchPhits
 // included) and the probe stream of the core, on one and two workers, to
 // equal the dense oracle's, which knows nothing of windows.
+// releaseSpy is the production engine with a Settle that does the same in
+// two steps — up to the cycle before, then the cycle itself — to count the
+// routers whose output occupancy falls in the second: a buffer release due on
+// exactly the window's last cycle, at a router that did not step in it (its
+// own step would have applied the release, and Settle would find nothing).
+type releaseSpy struct {
+	*engine
+	found int
+}
+
+func (s *releaseSpy) Settle(upTo int64) {
+	s.engine.Settle(upTo - 1)
+	before := make([]int64, len(s.wakeAt))
+	for r := range before {
+		_, before[r] = s.core.ProbeQueues(r)
+	}
+	s.engine.Settle(upTo)
+	for r := range before {
+		if _, after := s.core.ProbeQueues(r); after < before[r] {
+			s.found++
+		}
+	}
+}
+
 func TestWindowEdgesMatchOracle(t *testing.T) {
 	const warmup, total = 150, 600
 	nodes := topology.New(topology.Balanced(2)).NumNodes()
@@ -251,6 +275,9 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 		// warmup and total override the constants above when total > 0.
 		warmup, total int64
 		allBatches    bool // every batch-means span must see a delivery
+		// sleepers: a buffer release of a router that sleeps through a window's
+		// last cycle must fall due on that very cycle (releaseSpy counts them).
+		sleepers bool
 		// windows bounds what the core may report: [lo, hi].
 		windowsLo, windowsHi int64
 	}{
@@ -280,6 +307,14 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			probeEvery: 3, script: silenceAll(300, nodes), windowsLo: total / 3, windowsHi: total/3 + 30},
 		{name: "probe every cycle", mech: "Src-CRG", pat: "ADVc", load: 0.3,
 			probeEvery: 1, windowsLo: total, windowsHi: total},
+		// A mostly sleeping PiggyBack network: nobody steps for a release any
+		// more, so at a window's end the probe reads queue occupancies that the
+		// driver's Settle moved on the window's last cycle, and PiggyBack bits
+		// that must not know yet. Every cycle is a window's last at cadence 1.
+		{name: "sleepers' releases under probes, every cycle", mech: "Src-CRG", pat: "UN", load: 0.05,
+			probeEvery: 1, sleepers: true, windowsLo: total, windowsHi: total},
+		{name: "sleepers' releases under probes, every seventh cycle", mech: "Src-CRG", pat: "UN", load: 0.05,
+			probeEvery: 7, sleepers: true, windowsLo: total / 7, windowsHi: total/7 + 7},
 		// Windows [0,10) [10,110) [110,210) [210,211) [211,311), then the finish
 		// event cuts [311,411) at 333 and the run ends with [333,334).
 		{name: "finisher mid-lookahead", mech: "In-Trns-MM", pat: "UN", load: 0.45,
@@ -296,6 +331,7 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 		if tc.total > 0 {
 			warmup, total = tc.warmup, tc.total
 		}
+		var spy *releaseSpy
 		run := func(im impl, workers int) ([][]int64, *Result, string, int64) {
 			cfg := DefaultConfig()
 			cfg.Topology = topology.Balanced(2)
@@ -315,7 +351,13 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := im.drive(net, &cfg, ctrl); err != nil {
+			if spy != nil {
+				spy.engine = newEngine(net, workers)
+				err = Drive(net, warmup, total, ctrl, spy)
+			} else {
+				err = im.drive(net, &cfg, ctrl)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			return stateOf(net), newResult(net, &cfg, 0), stream.String(), net.EngineWindows()
@@ -334,8 +376,14 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 		if tc.finishAt > 0 && wantRes.MeasuredCycles != tc.finishAt+1-warmup {
 			t.Fatalf("%s: measured %d cycles, want %d", tc.name, wantRes.MeasuredCycles, tc.finishAt+1-warmup)
 		}
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, runtime.NumCPU()} {
+			if tc.sleepers {
+				spy = new(releaseSpy)
+			}
 			state, res, stream, windows := run(core, workers)
+			if spy != nil && spy.found == 0 {
+				t.Fatalf("%s workers=%d: no sleeping router had a release fall due on a window's last cycle", tc.name, workers)
+			}
 			diffState(t, tc.name, state, wantState)
 			requireIdentical(t, tc.name, wantRes, res)
 			if res.MeasuredCycles != wantRes.MeasuredCycles {

@@ -160,6 +160,13 @@ type Topology struct {
 	// portOffset[i*h+k] is the group offset reached by router i, global
 	// port k (the inverse of the tables above).
 	portOffset []int
+
+	// routerGroup[r], routerIndex[r] and nodeRouter[n] are r/a, r%a and n/p,
+	// tabulated: a routing decision asks for them a dozen times, and a
+	// division by a run-time constant costs more than the (cached) load.
+	routerGroup []int32
+	routerIndex []int32
+	nodeRouter  []int32
 }
 
 // New builds a Topology from params. It panics if params are invalid;
@@ -193,7 +200,26 @@ func New(params Params) *Topology {
 		t.offsetPort[d-1] = j % params.H
 		t.portOffset[j] = d
 	}
+	t.routerGroup = make([]int32, t.routers)
+	t.routerIndex = make([]int32, t.routers)
+	for r := range t.routerGroup {
+		t.routerGroup[r] = int32(r / params.A)
+		t.routerIndex[r] = int32(r % params.A)
+	}
+	t.nodeRouter = make([]int32, t.nodes)
+	for n := range t.nodeRouter {
+		t.nodeRouter[n] = int32(n / params.P)
+	}
 	return t
+}
+
+// wrap reduces a group number in [0, 2G) modulo the group count: every sum
+// of a group id and a group offset, without the division.
+func (t *Topology) wrap(g int) int {
+	if g >= t.groups {
+		g -= t.groups
+	}
+	return g
 }
 
 // Params returns the parameters this topology was built from.
@@ -209,17 +235,17 @@ func (t *Topology) NumRouters() int { return t.routers }
 func (t *Topology) NumNodes() int { return t.nodes }
 
 // RouterGroup returns the group a router belongs to.
-func (t *Topology) RouterGroup(r int) int { return r / t.params.A }
+func (t *Topology) RouterGroup(r int) int { return int(t.routerGroup[r]) }
 
 // RouterLocalIndex returns a router's index within its group (0..a-1).
-func (t *Topology) RouterLocalIndex(r int) int { return r % t.params.A }
+func (t *Topology) RouterLocalIndex(r int) int { return int(t.routerIndex[r]) }
 
 // RouterID returns the global router identifier for a (group, local index)
 // pair.
 func (t *Topology) RouterID(group, localIdx int) int { return group*t.params.A + localIdx }
 
 // NodeRouter returns the router a node is attached to.
-func (t *Topology) NodeRouter(n int) int { return n / t.params.P }
+func (t *Topology) NodeRouter(n int) int { return int(t.nodeRouter[n]) }
 
 // NodeGroup returns the group a node belongs to.
 func (t *Topology) NodeGroup(n int) int { return t.RouterGroup(t.NodeRouter(n)) }
@@ -229,7 +255,7 @@ func (t *Topology) NodeID(router, idx int) int { return router*t.params.P + idx 
 
 // NodePort returns the injection/ejection port a node uses at its router.
 func (t *Topology) NodePort(n int) int {
-	return t.params.A - 1 + t.params.H + n%t.params.P
+	return t.params.A - 1 + t.params.H + n - int(t.nodeRouter[n])*t.params.P
 }
 
 // PortClass classifies a port number of any router.
@@ -280,7 +306,7 @@ func (t *Topology) GlobalNeighbor(r, gp int) (router, port int) {
 	i := t.RouterLocalIndex(r)
 	g := t.RouterGroup(r)
 	d := t.portOffset[i*t.params.H+k]
-	dstGroup := (g + d) % t.groups
+	dstGroup := t.wrap(g + d)
 	// The reciprocal link sits at the entry for offset G-d in the
 	// destination group's tables.
 	back := t.groups - d
@@ -289,9 +315,14 @@ func (t *Topology) GlobalNeighbor(r, gp int) (router, port int) {
 	return t.RouterID(dstGroup, dstIdx), dstPort
 }
 
-// GroupOffset returns the offset (1..G-1) of group dst relative to group src.
+// GroupOffset returns the offset (0..G-1) of group dst relative to group
+// src: (dst-src) mod G, for two group ids.
 func (t *Topology) GroupOffset(src, dst int) int {
-	return ((dst-src)%t.groups + t.groups) % t.groups
+	d := dst - src
+	if d < 0 {
+		d += t.groups
+	}
+	return d
 }
 
 // GlobalRouterFor returns the local index of the router in group src that
@@ -325,7 +356,7 @@ func (t *Topology) GlobalPortTo(r, dst int) int {
 func (t *Topology) DirectGroup(r, k int) int {
 	g := t.RouterGroup(r)
 	i := t.RouterLocalIndex(r)
-	return (g + t.portOffset[i*t.params.H+k]) % t.groups
+	return t.wrap(g + t.portOffset[i*t.params.H+k])
 }
 
 // DirectGroups appends to dst the h groups directly connected to router r,
@@ -335,7 +366,7 @@ func (t *Topology) DirectGroups(dst []int, r int) []int {
 	i := t.RouterLocalIndex(r)
 	for k := 0; k < t.params.H; k++ {
 		d := t.portOffset[i*t.params.H+k]
-		dst = append(dst, (g+d)%t.groups)
+		dst = append(dst, t.wrap(g+d))
 	}
 	return dst
 }

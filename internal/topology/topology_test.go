@@ -329,6 +329,53 @@ func TestGroupOffsetProperty(t *testing.T) {
 	}
 }
 
+// The tabulated and division-free forms equal their arithmetic definitions
+// everywhere: every router, every node, every pair of groups, every global
+// port, for h ∈ {2, 3, 6} under both arrangements.
+func TestTablesMatchArithmetic(t *testing.T) {
+	for _, h := range []int{2, 3, 6} {
+		for _, arr := range []Arrangement{Palmtree, Consecutive} {
+			params := Balanced(h)
+			params.Arrangement = arr
+			tp := New(params)
+			a, p, g := params.A, params.P, tp.NumGroups()
+			for r := 0; r < tp.NumRouters(); r++ {
+				if got, want := tp.RouterGroup(r), r/a; got != want {
+					t.Fatalf("%v: RouterGroup(%d) = %d, want %d", params, r, got, want)
+				}
+				if got, want := tp.RouterLocalIndex(r), r%a; got != want {
+					t.Fatalf("%v: RouterLocalIndex(%d) = %d, want %d", params, r, got, want)
+				}
+				direct := tp.DirectGroups(nil, r)
+				for k := 0; k < h; k++ {
+					want := (r/a + tp.portOffset[(r%a)*h+k]) % g
+					if got := tp.DirectGroup(r, k); got != want || direct[k] != want {
+						t.Fatalf("%v: DirectGroup(%d, %d) = %d, DirectGroups[%d] = %d, want %d", params, r, k, got, k, direct[k], want)
+					}
+					if nb, _ := tp.GlobalNeighbor(r, a-1+k); nb/a != want {
+						t.Fatalf("%v: GlobalNeighbor(%d, %d) lands in group %d, want %d", params, r, a-1+k, nb/a, want)
+					}
+				}
+			}
+			for n := 0; n < tp.NumNodes(); n++ {
+				if got, want := tp.NodeRouter(n), n/p; got != want {
+					t.Fatalf("%v: NodeRouter(%d) = %d, want %d", params, n, got, want)
+				}
+				if got, want := tp.NodePort(n), a-1+h+n%p; got != want {
+					t.Fatalf("%v: NodePort(%d) = %d, want %d", params, n, got, want)
+				}
+			}
+			for src := 0; src < g; src++ {
+				for dst := 0; dst < g; dst++ {
+					if got, want := tp.GroupOffset(src, dst), ((dst-src)%g+g)%g; got != want {
+						t.Fatalf("%v: GroupOffset(%d, %d) = %d, want %d", params, src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDirectGroups(t *testing.T) {
 	for _, tp := range testTopologies() {
 		p := tp.Params()

@@ -44,13 +44,20 @@ type Workload struct {
 	// job's compiled state. This is what keeps retained memory flat in
 	// trace length for 100k+-job scheduler runs.
 	anon bool
+	// retired holds the job records Retire reclaimed; Admit hands them out
+	// again with their nodes/routers/patterns capacity, so a streaming
+	// workload in steady state places a job without allocating. split is the
+	// storage of the per-pattern sub-stream Place splits off root.
+	retired []*job
+	split   rng.Source
 }
 
 // job is the compiled form of a JobSpec.
 type job struct {
 	spec     JobSpec
 	nodes    []int // node ids in rank order
-	routers  []int // hosting routers in allocation order (nil: not placed)
+	routers  []int // hosting routers in allocation order
+	placed   bool  // true after Place
 	released bool  // true after Release: placement history only
 	patterns []rankPattern
 	period   int64 // bursty/switch phase length; 0 = steady
@@ -183,10 +190,12 @@ func Compile(t *topology.Topology, spec Spec, seed uint64) (*Workload, error) {
 	return w, nil
 }
 
+// The allocators append the routers they take to out (empty, any capacity)
+// and return it.
+
 // allocConsecutive takes the first free routers scanning from router start
 // (wrapping), the first-fit policy of a consecutive-group scheduler.
-func allocConsecutive(t *topology.Topology, free []bool, start, need int) []int {
-	out := make([]int, 0, need)
+func allocConsecutive(t *topology.Topology, free []bool, start, need int, out []int) []int {
 	n := t.NumRouters()
 	for i := 0; i < n && len(out) < need; i++ {
 		r := (start + i) % n
@@ -199,14 +208,13 @@ func allocConsecutive(t *topology.Topology, free []bool, start, need int) []int 
 }
 
 // allocRandom picks need uniform random free routers.
-func allocRandom(free []bool, need int, rnd *rng.Source) []int {
+func allocRandom(free []bool, need int, rnd *rng.Source, out []int) []int {
 	pool := make([]int, 0, len(free))
 	for r, f := range free {
 		if f {
 			pool = append(pool, r)
 		}
 	}
-	out := make([]int, 0, need)
 	for len(out) < need && len(pool) > 0 {
 		i := rnd.Intn(len(pool))
 		r := pool[i]
@@ -221,8 +229,7 @@ func allocRandom(free []bool, need int, rnd *rng.Source) []int {
 // allocSpread round-robins over groups starting at firstGroup, taking the
 // lowest free router of each group per pass — the group-spread placement
 // that avoids the consecutive bottleneck.
-func allocSpread(t *topology.Topology, free []bool, firstGroup, need int) []int {
-	out := make([]int, 0, need)
+func allocSpread(t *topology.Topology, free []bool, firstGroup, need int, out []int) []int {
 	a := t.Params().A
 	groups := t.NumGroups()
 	for len(out) < need {

@@ -53,9 +53,10 @@ func NewDynamic(t *topology.Topology, seed uint64) *Workload {
 // NewDynamicStream returns a dynamic workload in streaming mode for
 // cluster-lifetime traces: jobs are identified by index only, the network
 // builds no per-job attribution arrays (NumJobs reports 0), and Retire
-// reclaims a released job's compiled state — so retained memory is bounded
-// by the jobs concurrently admitted, not by trace length. Placement and
-// RNG semantics are identical to NewDynamic.
+// reclaims a released job's compiled state for the next Admit — so retained
+// memory is bounded by the jobs concurrently admitted, not by trace length,
+// and a job costs no allocation once the run has seen its like. Placement
+// and RNG semantics are identical to NewDynamic.
 func NewDynamicStream(t *topology.Topology, seed uint64) *Workload {
 	w := NewDynamic(t, seed)
 	w.anon = true
@@ -88,7 +89,14 @@ func (w *Workload) Admit(js JobSpec) (int, error) {
 	if !w.anon {
 		w.names[js.Name] = true
 	}
-	w.jobs = append(w.jobs, &job{spec: js})
+	var jb *job
+	if n := len(w.retired); n > 0 {
+		jb, w.retired = w.retired[n-1], w.retired[:n-1]
+	} else {
+		jb = new(job)
+	}
+	jb.spec = js
+	w.jobs = append(w.jobs, jb)
 	return idx, nil
 }
 
@@ -118,7 +126,7 @@ func (w *Workload) FreeRouters() int { return w.freeRouters }
 // admitted and can be placed later).
 func (w *Workload) Place(j int) error {
 	jb := w.jobs[j]
-	if jb.routers != nil {
+	if jb.placed {
 		return fmt.Errorf("workload: job %q placed twice", jb.spec.Name)
 	}
 	js := &jb.spec
@@ -130,20 +138,20 @@ func (w *Workload) Place(j int) error {
 			ErrNoCapacity, js.Name, need, w.freeRouters, t.NumRouters())
 	}
 	firstGroup := ((js.FirstGroup % t.NumGroups()) + t.NumGroups()) % t.NumGroups()
-	var routers []int
+	routers := jb.routers[:0]
 	switch js.Alloc {
 	case AllocConsecutive:
-		routers = allocConsecutive(t, w.free, firstGroup*p.A, need)
+		routers = allocConsecutive(t, w.free, firstGroup*p.A, need, routers)
 	case AllocRandom:
-		routers = allocRandom(w.free, need, w.root)
+		routers = allocRandom(w.free, need, w.root, routers)
 	case AllocSpread:
-		routers = allocSpread(t, w.free, firstGroup, need)
+		routers = allocSpread(t, w.free, firstGroup, need, routers)
 	}
 	if len(routers) != need {
 		return fmt.Errorf("workload: job %q: allocation produced %d of %d routers", js.Name, len(routers), need)
 	}
 	w.freeRouters -= need
-	jb.routers = routers
+	jb.routers, jb.placed = routers, true
 	for _, r := range routers {
 		for i := 0; i < p.P && len(jb.nodes) < js.Nodes; i++ {
 			node := t.NodeID(r, i)
@@ -153,7 +161,8 @@ func (w *Workload) Place(j int) error {
 		}
 	}
 	for _, pn := range patternNames(js) {
-		rp, err := rankPatternByName(pn, len(jb.nodes), w.root.Split())
+		w.root.SplitTo(&w.split)
+		rp, err := rankPatternByName(pn, len(jb.nodes), &w.split)
 		if err != nil {
 			// Admit validated the names; reaching here is a bug.
 			return fmt.Errorf("workload: job %q: %w", js.Name, err)
@@ -183,7 +192,7 @@ func (w *Workload) Place(j int) error {
 // the lifecycle and a double free is a bug, not a state.
 func (w *Workload) Release(j int) {
 	jb := w.jobs[j]
-	if jb.routers == nil || jb.released {
+	if !jb.placed || jb.released {
 		panic(fmt.Sprintf("workload: Release(%d) of unplaced job %q", j, jb.spec.Name))
 	}
 	jb.released = true
@@ -201,16 +210,22 @@ func (w *Workload) Release(j int) {
 // JobNodeIDs returns the node ids of job j in rank order (its placement at
 // Place time; empty before placement).
 func (w *Workload) JobNodeIDs(j int) []int {
-	return append([]int(nil), w.jobs[j].nodes...)
+	return append([]int(nil), w.JobNodes(j)...)
 }
+
+// JobNodes is JobNodeIDs without the copy: the workload's own slice, lent
+// read-only. In a streaming workload it is valid until Retire(j), after
+// which the storage belongs to a later job.
+func (w *Workload) JobNodes(j int) []int { return w.jobs[j].nodes }
 
 // Retire reclaims the compiled state (nodes, routers, patterns, spec) of a
 // released job in a streaming workload: after Retire the index is dead and
 // any further access to job j panics on a nil dereference — deliberately,
-// since touching a retired job is a lifecycle bug. Only streaming
-// workloads may retire (static workloads keep placement history for
-// reporting); the job must have been released first, so no node→job entry
-// can still point at it.
+// since touching a retired job is a lifecycle bug — and the record, emptied
+// but for the capacity of its slices, waits for the next Admit. Only
+// streaming workloads may retire (static workloads keep placement history
+// for reporting); the job must have been released first, so no node→job
+// entry can still point at it.
 func (w *Workload) Retire(j int) {
 	if !w.anon {
 		panic("workload: Retire on a non-streaming workload")
@@ -219,8 +234,11 @@ func (w *Workload) Retire(j int) {
 	if jb == nil {
 		panic(fmt.Sprintf("workload: Retire(%d) twice", j))
 	}
-	if jb.routers != nil && !jb.released {
+	if jb.placed && !jb.released {
 		panic(fmt.Sprintf("workload: Retire(%d) of a still-placed job", j))
 	}
 	w.jobs[j] = nil
+	clear(jb.patterns) // a PERM pattern pins a permutation
+	*jb = job{nodes: jb.nodes[:0], routers: jb.routers[:0], patterns: jb.patterns[:0]}
+	w.retired = append(w.retired, jb)
 }

@@ -192,13 +192,13 @@ func ParseJob(s string) (JobSpec, error) {
 		case "pattern":
 			js.Pattern = val
 		case "load":
-			js.Load, err = strconv.ParseFloat(val, 64)
+			js.Load, err = parseUnit(val)
 		case "phase":
 			js.Phase.Kind = strings.ToLower(val)
 		case "period":
 			js.Phase.Period, err = strconv.ParseInt(val, 10, 64)
 		case "duty":
-			js.Phase.Duty, err = strconv.ParseFloat(val, 64)
+			js.Phase.Duty, err = parseUnit(val)
 		case "patterns":
 			js.Phase.Patterns = strings.Split(val, "/")
 		default:
@@ -209,4 +209,19 @@ func ParseJob(s string) (JobSpec, error) {
 		}
 	}
 	return js, nil
+}
+
+// parseUnit parses a load or a duty: a finite number in [0, 1] — a node
+// injects at most one phit per cycle, a burst is on for at most its whole
+// period. ParseFloat alone lets NaN, Inf and 1e308 through, and NaN then
+// slips past every range check downstream (no comparison with it is true).
+func parseUnit(val string) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(v >= 0 && v <= 1) {
+		return 0, fmt.Errorf("%v is not in [0, 1]", v)
+	}
+	return v, nil
 }

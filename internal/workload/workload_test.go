@@ -34,7 +34,9 @@ func TestParseJob(t *testing.T) {
 		t.Errorf("switch patterns %v", js.Phase.Patterns)
 	}
 
-	for _, bad := range []string{"nodes", "nodes=x", "bogus=1", "load=abc"} {
+	for _, bad := range []string{"nodes", "nodes=x", "bogus=1", "load=abc",
+		"load=NaN", "load=Inf", "load=-Inf", "load=1e308", "load=-0.1", "load=1.5",
+		"duty=NaN", "duty=+Inf", "duty=2"} {
 		if _, err := workload.ParseJob(bad); err == nil {
 			t.Errorf("ParseJob(%q) accepted", bad)
 		}
