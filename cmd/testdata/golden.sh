@@ -25,9 +25,28 @@ for f in "$tmp"/exp/*.csv; do
 done > "$tmp/dfexperiments.csvs"
 "$tmp/bin/dfsched" -h 2 -warmup 200 -generate 300 -gen-arrival 25 -gen-dur-median 200 \
   -disciplines fcfs,backfill,easy -seeds 2 -out "$tmp/dfsched.json" > /dev/null
+# The replay path (-job/-trace, and the built-in demo trace). Its -json form
+# carries wall-clock; the text form does not. The -job trace uses all three
+# duration kinds and allocation policies and a bursty phase; under EASY,
+# "head" blocks behind "big", "bf" backfills at once and "q" has to queue
+# until "sp" reaches its packet target.
+replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
+{
+  "$tmp/bin/dfsched" $replay -discipline easy \
+    -job name=big,nodes=40,alloc=consecutive,load=0.3,arrival=0,duration=1500 \
+    -job name=sp,nodes=24,alloc=spread,first=4,load=0.2,arrival=50,duration=400,dkind=packets \
+    -job name=head,nodes=36,alloc=random,arrival=100,duration=600 \
+    -job name=bf,nodes=8,alloc=random,arrival=150,duration=300 \
+    -job name=q,nodes=16,arrival=200,duration=2000 \
+    -job name=burst,nodes=8,load=0.5,phase=bursty,period=600,duty=0.5,arrival=300 \
+    -job name=late,nodes=12,alloc=spread,arrival=1600,duration=150,dkind=packets \
+    -job name=tail,nodes=8,alloc=random,arrival=1700,duration=5000
+  echo "== demo trace, fcfs"
+  "$tmp/bin/dfsched" $replay -discipline fcfs
+} > "$tmp/dfsched-replay.txt"
 
 status=0
-for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json; do
+for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json dfsched-replay.txt; do
   if [ "${1:-}" = -update ]; then
     cp "$tmp/$f" "$golden/$f.golden"
   elif ! cmp "$tmp/$f" "$golden/$f.golden"; then
