@@ -46,6 +46,33 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
 } > "$tmp/dfsched-replay.txt"
 
 status=0
+# Input the scheduler must refuse, and say why on stderr: a cycle budget
+# that would wrap the departure cycle, and generator parameters no clamp can
+# repair. Input it must survive: a size median far past the cap (every job
+# is the cap, so the machine holds one job at a time), and a trace that
+# drains inside the warm-up (its length is the last departure + 1).
+refused() {
+  want=$1; shift
+  if "$tmp/bin/dfsched" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -q "$want" "$tmp/stderr"; then
+    echo "dfsched $*: want a non-zero exit and \"$want\" on stderr, got:"; cat "$tmp/stderr"; status=1
+  fi
+}
+if [ "${1:-}" != -update ]; then
+  refused 'job 0: cycle budget' -h 2 -warmup 100 -measure 400 \
+    -job nodes=8,arrival=5,duration=9223372036854775807 -job nodes=8,arrival=10,duration=100
+  refused 'InterArrival must be > 0 and finite' -h 2 -warmup 100 -generate 50 -gen-arrival +Inf -disciplines fcfs
+  refused 'sigmas must be ≥ 0 and finite' -h 2 -warmup 100 -generate 50 -gen-dur-sigma NaN -disciplines fcfs
+  "$tmp/bin/dfsched" -h 2 -warmup 100 -generate 50 -gen-arrival 25 -gen-dur-median 200 -gen-nodes-median 1e11 \
+    -disciplines fcfs -json > "$tmp/cap.json"
+  if ! grep -q '"peak_running": 1,' "$tmp/cap.json"; then
+    echo "dfsched -gen-nodes-median 1e11: jobs are not capped at the machine:"; cat "$tmp/cap.json"; status=1
+  fi
+  "$tmp/bin/dfsched" -h 2 -generate 3 -gen-arrival 5 -gen-dur-median 10 -gen-dur-sigma 0 -disciplines fcfs -json \
+    > "$tmp/drain.json"
+  if ! grep -q '"ran_cycles": 25,' "$tmp/drain.json"; then
+    echo "dfsched: a trace that drains at cycle 24 does not report 25 cycles run:"; cat "$tmp/drain.json"; status=1
+  fi
+fi
 for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json dfsched-replay.txt; do
   if [ "${1:-}" = -update ]; then
     cp "$tmp/$f" "$golden/$f.golden"

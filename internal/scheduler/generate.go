@@ -12,8 +12,7 @@ import (
 // and duration, the standard parametric model for open-system cluster
 // workloads. A GenTrace is a structure-of-arrays trace — ~20 bytes per job,
 // no per-job spec structs or names — so a million-job trace costs ~20 MB
-// and the streaming scheduler core (stream.go) can run it without the
-// detailed controller's per-job state.
+// and RunGenerated (stream.go) can schedule it without per-job state.
 
 // genSalt decorrelates the generator's random stream from the simulation
 // and compile streams derived from the same seed.
@@ -22,7 +21,7 @@ const genSalt = 0x3c79ac492ba7b653
 // GenSpec parameterises a synthetic trace. All jobs share the placement
 // policy, intra-job pattern and per-node load; arrivals are a Poisson
 // process (exponential inter-arrival times) and node counts and durations
-// are lognormal, clamped to [2, MaxNodes] and [1, ∞) respectively.
+// are lognormal, clamped to [2, MaxNodes] and [1, 2^61] respectively.
 type GenSpec struct {
 	// Jobs is the trace length.
 	Jobs int `json:"jobs"`
@@ -51,19 +50,21 @@ type GenSpec struct {
 
 // validate rejects parameter combinations the generator cannot honour.
 func (sp *GenSpec) validate() error {
+	// finite is false for +Inf and, like every comparison below, for NaN.
+	finite := func(v float64) bool { return v <= math.MaxFloat64 }
 	switch {
 	case sp.Jobs < 1:
 		return fmt.Errorf("scheduler: GenSpec.Jobs must be ≥ 1, got %d", sp.Jobs)
-	case !(sp.InterArrival > 0):
-		return fmt.Errorf("scheduler: GenSpec.InterArrival must be > 0, got %v", sp.InterArrival)
-	case !(sp.NodesMedian >= 1):
-		return fmt.Errorf("scheduler: GenSpec.NodesMedian must be ≥ 1, got %v", sp.NodesMedian)
-	case sp.NodesSigma < 0 || sp.DurSigma < 0:
-		return fmt.Errorf("scheduler: GenSpec sigmas must be ≥ 0, got nodes %v dur %v", sp.NodesSigma, sp.DurSigma)
-	case sp.MaxNodes < 2:
-		return fmt.Errorf("scheduler: GenSpec.MaxNodes must be ≥ 2, got %d", sp.MaxNodes)
-	case !(sp.DurMedian >= 1):
-		return fmt.Errorf("scheduler: GenSpec.DurMedian must be ≥ 1, got %v", sp.DurMedian)
+	case !(sp.InterArrival > 0 && finite(sp.InterArrival)):
+		return fmt.Errorf("scheduler: GenSpec.InterArrival must be > 0 and finite, got %v", sp.InterArrival)
+	case !(sp.NodesMedian >= 1 && finite(sp.NodesMedian)):
+		return fmt.Errorf("scheduler: GenSpec.NodesMedian must be ≥ 1 and finite, got %v", sp.NodesMedian)
+	case !(sp.NodesSigma >= 0 && finite(sp.NodesSigma) && sp.DurSigma >= 0 && finite(sp.DurSigma)):
+		return fmt.Errorf("scheduler: GenSpec sigmas must be ≥ 0 and finite, got nodes %v dur %v", sp.NodesSigma, sp.DurSigma)
+	case sp.MaxNodes < 2 || sp.MaxNodes > math.MaxInt32:
+		return fmt.Errorf("scheduler: GenSpec.MaxNodes must be in [2, 2^31), got %d", sp.MaxNodes)
+	case !(sp.DurMedian >= 1 && finite(sp.DurMedian)):
+		return fmt.Errorf("scheduler: GenSpec.DurMedian must be ≥ 1 and finite, got %v", sp.DurMedian)
 	}
 	return nil
 }
@@ -106,22 +107,15 @@ func Generate(spec GenSpec, seed uint64) (*GenTrace, error) {
 	}
 	rnd := rng.New(seed ^ genSalt)
 	t := 0.0
+	// Draws are clamped as float64, before the conversion: an out-of-range
+	// float-to-integer conversion wraps (or worse) instead of saturating.
 	for i := 0; i < spec.Jobs; i++ {
 		t += expDraw(rnd, spec.InterArrival)
-		gt.Arrival[i] = int64(t)
-		n := int32(math.Round(spec.NodesMedian * math.Exp(spec.NodesSigma*normDraw(rnd))))
-		if n < 2 {
-			n = 2
-		}
-		if n > int32(spec.MaxNodes) {
-			n = int32(spec.MaxNodes)
-		}
-		gt.Nodes[i] = n
-		d := int64(math.Round(spec.DurMedian * math.Exp(spec.DurSigma*normDraw(rnd))))
-		if d < 1 {
-			d = 1
-		}
-		gt.Duration[i] = d
+		gt.Arrival[i] = int64(min(t, maxCycle))
+		n := math.Round(spec.NodesMedian * math.Exp(spec.NodesSigma*normDraw(rnd)))
+		gt.Nodes[i] = int32(min(max(n, 2), float64(spec.MaxNodes)))
+		d := math.Round(spec.DurMedian * math.Exp(spec.DurSigma*normDraw(rnd)))
+		gt.Duration[i] = int64(min(max(d, 1), maxCycle))
 	}
 	return gt, nil
 }
@@ -156,10 +150,10 @@ func (gt *GenTrace) jobSpec(i int) workload.JobSpec {
 	}
 }
 
-// Trace expands the generated trace to the detailed per-job form the replay
-// controller runs. Intended for small traces (cross-checks, JSON export);
-// it materialises every job spec, which is exactly what the streaming core
-// exists to avoid.
+// Trace expands the generated trace to the detailed per-job form Run
+// replays. Intended for small traces (cross-checks, JSON export); it
+// materialises every job spec, which is exactly what streaming mode exists
+// to avoid.
 func (gt *GenTrace) Trace(disc string) Trace {
 	tr := Trace{Discipline: disc, Jobs: make([]TraceJob, gt.Len())}
 	for i := range tr.Jobs {

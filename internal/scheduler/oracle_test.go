@@ -166,19 +166,32 @@ func (fakeReconfig) SetNodeSilent(int)                 {}
 func (fakeReconfig) SetNodeJob(int, int)               {}
 func (fakeReconfig) LiveJobDelivered(int, []int) int64 { return 0 }
 
-// dryRunController replays the trace through the production controller with
-// a fake reconfigurator: the same newController, NextEvent and apply code a
-// simulation drives, minus the network. Returns per-trace-position starts.
-func dryRunController(t *testing.T, topo *topology.Topology, tr Trace, seed uint64) []int64 {
+// startLog is the dry run's sink: each job's start cycle under the index
+// the test knows it by — the workload index (trace position) for an eager
+// source, the arrival-order index for a lazy one.
+type startLog struct {
+	starts []int64
+	lazy   bool
+}
+
+func (l *startLog) started(i, j int, now int64) {
+	if l.lazy {
+		j = i
+	}
+	l.starts[j] = now
+}
+func (l *startLog) departed(int, int, int64, int64) {}
+
+// dryRun drives the source through the production controller with a fake
+// reconfigurator: the same NextEvent and apply code a simulation drives,
+// minus the network. Returns the jobs' start cycles (see startLog).
+func dryRun(t *testing.T, wl *workload.Workload, src source, disc string, lazy bool) []int64 {
 	t.Helper()
-	norm, err := tr.normalized()
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
+	log := &startLog{starts: make([]int64, src.Len()), lazy: lazy}
+	for i := range log.starts {
+		log.starts[i] = -1
 	}
-	ctrl, _, err := newController(topo, norm, seed)
-	if err != nil {
-		t.Fatalf("newController: %v", err)
-	}
+	ctrl := &controller{wl: wl, src: src, out: log, disc: disc, lazy: lazy}
 	var fake fakeReconfig
 	guard := 0
 	for now := ctrl.NextEvent(-1); now >= 0; now = ctrl.NextEvent(now) {
@@ -187,9 +200,41 @@ func dryRunController(t *testing.T, topo *topology.Topology, tr Trace, seed uint
 			t.Fatal("controller event loop did not terminate")
 		}
 	}
-	starts := make([]int64, len(ctrl.jobs))
-	for j := range ctrl.jobs {
-		starts[j] = ctrl.jobs[j].start
+	return log.starts
+}
+
+// dryRunTrace dry-runs the trace's eager source; starts are per trace
+// position.
+func dryRunTrace(t *testing.T, topo *topology.Topology, tr Trace, seed uint64) []int64 {
+	t.Helper()
+	src, err := newReplay(topo, tr, seed)
+	if err != nil {
+		t.Fatalf("newReplay: %v", err)
+	}
+	return dryRun(t, src.wl, src, src.trace.Discipline, false)
+}
+
+// dryRunGenerated dry-runs the equivalent generated trace — the same jobs
+// in (arrival, trace position) order, the order a GenTrace stores — through
+// the lazy source, and maps the starts back to trace positions.
+func dryRunGenerated(t *testing.T, topo *topology.Topology, jobs []oracleJob, disc string, seed uint64) []int64 {
+	t.Helper()
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].arrival < jobs[order[b]].arrival })
+	gt := &GenTrace{}
+	for _, j := range order {
+		gt.Arrival = append(gt.Arrival, jobs[j].arrival)
+		gt.Nodes = append(gt.Nodes, int32(jobs[j].nodes))
+		gt.Duration = append(gt.Duration, jobs[j].dur)
+	}
+	wl := workload.NewDynamicStream(topo, seed)
+	byArrival := dryRun(t, wl, &genSource{gt, wl, topo.Params().P}, disc, true)
+	starts := make([]int64, len(jobs))
+	for i, j := range order {
+		starts[j] = byArrival[i]
 	}
 	return starts
 }
@@ -210,7 +255,8 @@ func randomOracleTrace(rnd *rng.Source, machineNodes int) []oracleJob {
 }
 
 // TestEASYOracle checks the production controller against the brute-force
-// oracle on randomized traces — the acceptance criterion demands exact
+// oracle on randomized traces, fed through the eager (Trace) and the lazy
+// (GenTrace) source alike — the acceptance criterion demands exact
 // start-cycle agreement on ≥1000 EASY traces; FCFS and aggressive backfill
 // ride along on the same harness. It also asserts the EASY reservation
 // invariant: no head job ever starts later than the tightest shadow time
@@ -242,16 +288,23 @@ func TestEASYOracle(t *testing.T) {
 					DurationKind: DurationCycles,
 				}
 			}
-			starts := dryRunController(t, topo, tr, uint64(trace))
-			for i := range jobs {
-				if starts[i] != jobs[i].start {
-					t.Fatalf("%s trace %d: job %d (arr %d, need %d, dur %d): production start %d, oracle start %d\n%s",
-						disc, trace, i, jobs[i].arrival, jobs[i].need, jobs[i].dur,
-						starts[i], jobs[i].start, describeOracleTrace(jobs))
-				}
-				if disc == DisciplineEASY && jobs[i].shadowCap >= 0 && starts[i] > jobs[i].shadowCap {
-					t.Fatalf("%s trace %d: job %d started at %d, past its shadow-time bound %d\n%s",
-						disc, trace, i, starts[i], jobs[i].shadowCap, describeOracleTrace(jobs))
+			for _, side := range []struct {
+				source string
+				starts []int64
+			}{
+				{"Trace", dryRunTrace(t, topo, tr, uint64(trace))},
+				{"GenTrace", dryRunGenerated(t, topo, jobs, disc, uint64(trace))},
+			} {
+				for i := range jobs {
+					if side.starts[i] != jobs[i].start {
+						t.Fatalf("%s trace %d from a %s: job %d (arr %d, need %d, dur %d): production start %d, oracle start %d\n%s",
+							disc, trace, side.source, i, jobs[i].arrival, jobs[i].need, jobs[i].dur,
+							side.starts[i], jobs[i].start, describeOracleTrace(jobs))
+					}
+					if disc == DisciplineEASY && jobs[i].shadowCap >= 0 && side.starts[i] > jobs[i].shadowCap {
+						t.Fatalf("%s trace %d from a %s: job %d started at %d, past its shadow-time bound %d\n%s",
+							disc, trace, side.source, i, side.starts[i], jobs[i].shadowCap, describeOracleTrace(jobs))
+					}
 				}
 			}
 		}
@@ -284,7 +337,7 @@ func TestShadowTime(t *testing.T) {
 		{"unknown-skipped", 5, 1, []rJob{{need: 9, end: -1}, {need: 4, end: 70}}, 70, 0},
 	}
 	for _, tc := range cases {
-		s, e := shadowTime(tc.need, tc.free, tc.running)
+		s, e := new(planScratch).shadowTime(tc.need, tc.free, tc.running)
 		if s != tc.wantS || e != tc.wantE {
 			t.Errorf("%s: shadowTime(%d, %d, %v) = (%d, %d), want (%d, %d)",
 				tc.name, tc.need, tc.free, tc.running, s, e, tc.wantS, tc.wantE)
@@ -310,6 +363,7 @@ func TestPlanStartsEASY(t *testing.T) {
 		{need: 1, dur: 100},
 	}
 	running := []rJob{{need: 3, end: 100}}
+	planStarts := new(planScratch).planStarts
 	if got, want := planStarts(DisciplineEASY, 0, 7, queue, running), []int{2, 3, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("planStarts easy = %v, want %v", got, want)
 	}

@@ -8,9 +8,7 @@ import (
 // The scheduling decision core. planStarts is a pure function from queue
 // state to start decisions: no workload, no network, no RNG — which is what
 // lets the EASY oracle test drive the exact production decision code over
-// thousands of randomized traces without building a simulation, and what
-// lets the detailed (replay) and streaming (generated-trace) controllers
-// share one implementation.
+// thousands of randomized traces without building a simulation.
 //
 // Resource model: allocation policies take any free routers (fragmentation
 // never blocks them — workload.Place refuses only on the free count), so the
@@ -20,10 +18,14 @@ import (
 // fits, not a fragmentation-optimistic bound.
 
 // qJob is a queued job as the disciplines see it: its router demand and its
-// cycle budget (dur < 0: unknown — a "none" or packet-target duration).
+// cycle budget (dur < 0: unknown — a "none" or packet-target duration). idx
+// and packets are the controller's — its handle on the job and the job's
+// packet target, if any; the disciplines do not read them.
 type qJob struct {
-	need int
-	dur  int64
+	need    int
+	dur     int64
+	idx     int
+	packets int64
 }
 
 // rJob is a running job as the disciplines see it: its router occupancy and
@@ -33,10 +35,19 @@ type rJob struct {
 	end  int64
 }
 
+// planScratch is the working storage of planStarts and shadowTime: a
+// controller that decides at every event of a long trace keeps one, and the
+// results alias it until the next call. The zero value is ready to use.
+type planScratch struct {
+	picks []int
+	run   []rJob // EASY: the running view, started heads included
+	known []rJob // shadowTime: running jobs with known ends, by end
+}
+
 // planStarts decides which queued jobs start at cycle now, given free
 // routers and the running set, under the discipline. It returns queue
 // positions in ascending order — the order the caller must place them in,
-// so the placement RNG stream is identical whichever controller drives it.
+// so the placement RNG stream is a function of the decisions alone.
 //
 //   - fcfs: start jobs strictly in queue order; the first that does not fit
 //     blocks everything behind it.
@@ -56,20 +67,6 @@ type rJob struct {
 //     from known departures at all there is no reservation to protect
 //     (S = -1) and any fitting job may start — aggressive backfill is the
 //     only sound fallback when no bound on the head's start exists.
-func planStarts(disc string, now int64, free int, queue []qJob, running []rJob) []int {
-	return new(planScratch).planStarts(disc, now, free, queue, running)
-}
-
-// planScratch is the working storage of planStarts and shadowTime. The
-// functions above and below are pure and allocate theirs per call; a
-// controller that decides at every event of a long trace keeps one scratch
-// and calls the methods, whose results alias it until the next call.
-type planScratch struct {
-	picks []int
-	run   []rJob // EASY: the running view, started heads included
-	known []rJob // shadowTime: running jobs with known ends, by end
-}
-
 func (s *planScratch) planStarts(disc string, now int64, free int, queue []qJob, running []rJob) []int {
 	picks := s.picks[:0]
 	switch disc {
@@ -139,10 +136,6 @@ func (s *planScratch) planStarts(disc string, now int64, free int, queue []qJob,
 // need, and the spare count E beyond need available at S. It returns
 // (-1, 0) when the known departures never accumulate to need (the head's
 // start cannot be bounded). Only running jobs with known ends participate.
-func shadowTime(need, free int, running []rJob) (shadow int64, extra int) {
-	return new(planScratch).shadowTime(need, free, running)
-}
-
 func (s *planScratch) shadowTime(need, free int, running []rJob) (shadow int64, extra int) {
 	if need <= free {
 		// The head fits now; callers only ask for blocked heads, but a

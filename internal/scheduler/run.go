@@ -1,13 +1,13 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
 )
 
 // JobResult is one job's scheduler lifecycle. Cycles are absolute
@@ -102,69 +102,103 @@ func Run(cfg sim.Config, tr Trace) (*Result, error) {
 	return run(cfg, tr, coreImpl)
 }
 
-// simImpl is how a replay builds and drives its network. Production is
-// coreImpl; the equivalence tests substitute the dense oracle's pair.
-type simImpl struct {
-	build func(*sim.Config, traffic.Pattern) (*sim.Network, error)
-	drive func(*sim.Network, *sim.Config, sim.Controller) error
+// replay is the eager source: a Trace whose every job is admitted into a
+// named workload up front, so job indices (trace positions) and per-job
+// network accounting are fixed for the run.
+type replay struct {
+	wl    *workload.Workload
+	trace Trace // normalized
+	order []int // trace positions sorted by (arrival, trace position)
 }
 
-var coreImpl = simImpl{sim.NewNetwork, sim.RunNetworkWithController}
-
-// run is Run on an explicit implementation, so the equivalence tests can
-// replay one trace on the core and on the dense oracle alike.
-func run(cfg sim.Config, tr Trace, im simImpl) (*Result, error) {
+// newReplay normalizes the trace, admits every job, in trace order, into a
+// fresh dynamic workload over t — which validates the job specs — and
+// builds the arrival order.
+func newReplay(t *topology.Topology, tr Trace, seed uint64) (*replay, error) {
 	norm, err := tr.normalized()
 	if err != nil {
 		return nil, err
 	}
-	ctrl, wl, err := newController(topology.New(cfg.Topology), norm, cfg.Seed)
-	if err != nil {
-		return nil, err
+	s := &replay{wl: workload.NewDynamic(t, seed), trace: norm, order: make([]int, len(norm.Jobs))}
+	for i := range norm.Jobs {
+		j, err := s.wl.Admit(norm.Jobs[i].JobSpec)
+		if err != nil {
+			return nil, err
+		}
+		if need := s.wl.RoutersFor(j); need > t.NumRouters() {
+			return nil, fmt.Errorf("scheduler: job %q needs %d routers but the machine has %d: it can never start",
+				s.wl.JobName(j), need, t.NumRouters())
+		}
+		s.order[i] = j
 	}
-	net, err := im.build(&cfg, wl)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if err := im.drive(net, &cfg, ctrl); err != nil {
-		return nil, err
-	}
-	simRes := sim.NewResultFrom(net, &cfg, time.Since(start))
+	sort.SliceStable(s.order, func(a, b int) bool {
+		return norm.Jobs[s.order[a]].Arrival < norm.Jobs[s.order[b]].Arrival
+	})
+	return s, nil
+}
 
+func (s *replay) Len() int            { return len(s.order) }
+func (s *replay) arrival(i int) int64 { return s.trace.Jobs[s.order[i]].Arrival }
+func (s *replay) admit(i int) int     { return s.order[i] }
+
+func (s *replay) demand(i int) (need int, cycles, packets int64) {
+	j := s.order[i]
+	need, cycles = s.wl.RoutersFor(j), -1
+	switch tj := &s.trace.Jobs[j]; tj.DurationKind {
+	case DurationCycles:
+		cycles = tj.Duration
+	case DurationPackets:
+		packets = tj.Duration
+	}
+	return need, cycles, packets
+}
+
+// records is Run's sink: it keeps every job's start and completion cycle,
+// in the per-job records the Result reports.
+type records []JobResult
+
+func (l records) started(_, j int, now int64)     { l[j].Start = now }
+func (l records) departed(_, j int, _, now int64) { l[j].Completion = now }
+
+// run is Run on an explicit implementation, so the equivalence tests can
+// replay one trace on the core and on the dense oracle alike.
+func run(cfg sim.Config, tr Trace, im simImpl) (*Result, error) {
+	src, err := newReplay(topology.New(cfg.Topology), tr, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	wl, jobs := src.wl, src.trace.Jobs
 	res := &Result{
-		Sim:         simRes,
-		Discipline:  norm.Discipline,
-		Jobs:        make([]JobResult, len(ctrl.jobs)),
+		Discipline:  src.trace.Discipline,
+		Jobs:        make([]JobResult, len(jobs)),
 		Makespan:    -1,
 		TotalCycles: cfg.WarmupCycles + cfg.MeasureCycles,
 	}
-	for j := range ctrl.jobs {
-		st := &ctrl.jobs[j]
-		jr := JobResult{
-			Name:       wl.JobName(j),
-			Nodes:      wl.JobSpecOf(j).Nodes,
-			Alloc:      wl.JobSpecOf(j).Alloc,
-			Arrival:    st.arrival,
-			Start:      st.start,
-			Completion: st.completion,
-			Wait:       -1,
-			Run:        -1,
-			Delivered:  net.LiveJobDelivered(j, nil),
-			Routers:    st.routers,
+	for j := range res.Jobs {
+		res.Jobs[j] = JobResult{Arrival: jobs[j].Arrival, Start: -1, Completion: -1, Wait: -1, Run: -1}
+	}
+	c := &controller{wl: wl, src: src, out: records(res.Jobs), disc: res.Discipline}
+	net, simRes, err := c.simulate(&cfg, im)
+	if err != nil {
+		return nil, err
+	}
+	res.Sim = simRes
+	for j := range res.Jobs {
+		jr := &res.Jobs[j]
+		jr.Name = wl.JobName(j)
+		jr.Nodes = wl.JobSpecOf(j).Nodes
+		jr.Alloc = wl.JobSpecOf(j).Alloc
+		jr.Delivered = net.LiveJobDelivered(j, nil)
+		jr.Routers = wl.JobRouters(j)
+		if jr.Start >= 0 {
+			jr.Wait = jr.Start - jr.Arrival
 		}
-		if st.start >= 0 {
-			jr.Wait = st.start - st.arrival
-		}
-		if st.completion >= 0 {
-			jr.Run = st.completion - st.start
+		if jr.Completion >= 0 {
+			jr.Run = jr.Completion - jr.Start
 			jr.Slowdown = float64(jr.Wait+jr.Run) / float64(jr.Run)
 			res.Completed++
-			if st.completion > res.Makespan {
-				res.Makespan = st.completion
-			}
+			res.Makespan = max(res.Makespan, jr.Completion)
 		}
-		res.Jobs[j] = jr
 	}
 	return res, nil
 }

@@ -5,18 +5,26 @@
 // traffic description — under a queueing discipline (FCFS, aggressive
 // backfill, or EASY reservation-based backfill: see planStarts for the
 // decision core shared by all three). Arriving jobs are placed with the
-// existing allocation policies
-// (consecutive/random/spread), departing jobs free their routers for
-// recycling, and each job's wait, run and slowdown are recorded next to the
-// usual network metrics.
+// existing allocation policies (consecutive/random/spread) and departing
+// jobs free their routers for recycling.
 //
-// The scheduler is a sim.Controller: it runs only between cycles, on the
-// engine coordinator, so traces replay bit-identically across the
-// sequential, scheduler and parallel engines at any worker count. A
-// degenerate trace — every job arrives at cycle 0, none departs — executes
-// the exact static-workload run (workload.Compile + sim.RunWithPattern)
-// down to the RNG streams; the equivalence is enforced by
-// TestScheduleDegenerateMatchesRunWorkload.
+// There is one event loop (loop.go): a sim.Controller that runs only
+// between cycles, on the engine coordinator, so a trace is scheduled
+// bit-identically across the sequential, scheduler and parallel engines at
+// any worker count. It is fed by a trace source and reports to a sink, and
+// the two run functions differ only in what they plug in. Run replays a
+// Trace: every job is admitted up front into a named workload (fixed job
+// indices, per-job network attribution, packet targets) and each job's
+// wait, run and slowdown are recorded next to the usual network metrics.
+// RunGenerated streams a GenTrace of 100k–1M jobs: jobs are admitted at
+// placement and retired at departure, outcomes fold into fixed-memory
+// accumulators, and the run ends at the last departure, so memory is
+// bounded by the jobs concurrently in the system.
+//
+// A degenerate trace — every job arrives at cycle 0, none departs —
+// executes the exact static-workload run (workload.Compile +
+// sim.RunWithPattern) down to the RNG streams; the equivalence is enforced
+// by TestScheduleDegenerateMatchesRunWorkload.
 package scheduler
 
 import (
@@ -59,6 +67,11 @@ const (
 	DurationPackets = "packets"
 )
 
+// maxCycle bounds every cycle count that comes from outside — a trace's
+// arrivals and cycle budgets, a generated trace's draws — so that start +
+// duration, and now + duration for any reachable now, cannot wrap.
+const maxCycle = 1 << 61
+
 // KnownDisciplines lists the queueing discipline names, for flag usage
 // strings and error messages.
 func KnownDisciplines() []string {
@@ -78,6 +91,15 @@ func ValidateDiscipline(name string) error {
 	}
 	return fmt.Errorf("scheduler: unknown discipline %q (known: %s)",
 		name, strings.Join(KnownDisciplines(), ", "))
+}
+
+// normDiscipline canonicalises a discipline name ("" is FCFS) and checks it.
+func normDiscipline(name string) (string, error) {
+	name = strings.ToLower(strings.TrimSpace(name))
+	if name == "" {
+		name = DisciplineFCFS
+	}
+	return name, ValidateDiscipline(name)
 }
 
 // TraceJob is one job of a trace: a workload job spec (size, allocation
@@ -107,11 +129,8 @@ type Trace struct {
 // workload.Admit when the jobs are registered).
 func (tr Trace) normalized() (Trace, error) {
 	out := tr
-	out.Discipline = strings.ToLower(strings.TrimSpace(tr.Discipline))
-	if out.Discipline == "" {
-		out.Discipline = DisciplineFCFS
-	}
-	if err := ValidateDiscipline(out.Discipline); err != nil {
+	var err error
+	if out.Discipline, err = normDiscipline(tr.Discipline); err != nil {
 		return out, err
 	}
 	if len(tr.Jobs) == 0 {
@@ -120,8 +139,8 @@ func (tr Trace) normalized() (Trace, error) {
 	out.Jobs = append([]TraceJob(nil), tr.Jobs...)
 	for i := range out.Jobs {
 		tj := &out.Jobs[i]
-		if tj.Arrival < 0 {
-			return out, fmt.Errorf("scheduler: job %d: negative arrival cycle %d", i, tj.Arrival)
+		if tj.Arrival < 0 || tj.Arrival > maxCycle {
+			return out, fmt.Errorf("scheduler: job %d: arrival cycle %d outside [0, 2^61]", i, tj.Arrival)
 		}
 		kind := strings.ToLower(strings.TrimSpace(tj.DurationKind))
 		if kind == "" {
@@ -138,6 +157,9 @@ func (tr Trace) normalized() (Trace, error) {
 		case DurationCycles, DurationPackets:
 			if tj.Duration < 1 {
 				return out, fmt.Errorf("scheduler: job %d: duration kind %q needs duration ≥ 1, got %d", i, kind, tj.Duration)
+			}
+			if kind == DurationCycles && tj.Duration > maxCycle {
+				return out, fmt.Errorf("scheduler: job %d: cycle budget %d exceeds 2^61", i, tj.Duration)
 			}
 		default:
 			return out, fmt.Errorf("scheduler: job %d: unknown duration kind %q (known: %s)",
@@ -158,23 +180,8 @@ func (tr Trace) Validate(p topology.Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	norm, err := tr.normalized()
-	if err != nil {
-		return err
-	}
-	t := topology.New(p)
-	wl := workload.NewDynamic(t, 1)
-	for i := range norm.Jobs {
-		j, err := wl.Admit(norm.Jobs[i].JobSpec)
-		if err != nil {
-			return err
-		}
-		if need := wl.RoutersFor(j); need > t.NumRouters() {
-			return fmt.Errorf("scheduler: job %q needs %d routers but the machine has %d: it can never start",
-				norm.Jobs[i].Name, need, t.NumRouters())
-		}
-	}
-	return nil
+	_, err := newReplay(topology.New(p), tr, 1)
+	return err
 }
 
 // ParseTraceJob parses the compact one-line trace-job form used by

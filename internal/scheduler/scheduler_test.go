@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -351,6 +352,13 @@ func TestTraceValidation(t *testing.T) {
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8, Alloc: "hilbert"}}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Name: "x", Nodes: 8}}, {JobSpec: workload.JobSpec{Name: "x", Nodes: 8}}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 10000}}}}, // can never fit
+		// start + budget would wrap negative and the job "depart" at once
+		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Arrival: 5, Duration: math.MaxInt64}}},
+		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Arrival: maxCycle + 1}}},
+	}
+	edge := Trace{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Arrival: maxCycle, Duration: maxCycle}}}
+	if err := edge.Validate(p); err != nil {
+		t.Errorf("trace at the 2^61 bounds rejected: %v", err)
 	}
 	for i, tr := range bad {
 		if err := tr.Validate(p); err == nil {
@@ -392,7 +400,8 @@ func TestParseTraceJob(t *testing.T) {
 // inputs that got through: a job size whose router count wrapped negative,
 // validated, and panicked in Run (makeslice); and the non-finite and absurd
 // loads and duties ParseFloat accepts, which no range check downstream
-// could see (NaN compares false with everything).
+// could see (NaN compares false with everything); and a cycle budget near
+// MaxInt64, whose departure cycle wrapped negative.
 func FuzzParseTraceJob(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -405,6 +414,7 @@ func FuzzParseTraceJob(f *testing.F) {
 		"nodes=9223372036854775807",
 		"nodes=8,load=NaN", "nodes=8,load=Inf", "nodes=8,load=1e308",
 		"nodes=8,phase=bursty,period=600,duty=NaN",
+		"nodes=8,arrival=5,duration=9223372036854775807",
 	} {
 		f.Add(seed)
 	}
@@ -424,8 +434,15 @@ func FuzzParseTraceJob(f *testing.F) {
 			t.Fatalf("%q parsed to load %v, duty %v", s, tj.Load, tj.Phase.Duty)
 		}
 		machine := topology.Balanced(2)
-		if err := (Trace{Jobs: []TraceJob{tj}}).Validate(machine); err == nil && tj.Nodes > machine.Nodes() {
+		if err := (Trace{Jobs: []TraceJob{tj}}).Validate(machine); err != nil {
+			return
+		}
+		if tj.Nodes > machine.Nodes() {
 			t.Fatalf("%q: a %d-node job validated on a %d-node machine", s, tj.Nodes, machine.Nodes())
+		}
+		norm, _ := (Trace{Jobs: []TraceJob{tj}}).normalized()
+		if j := norm.Jobs[0]; j.DurationKind == DurationCycles && j.Arrival+j.Duration < 0 {
+			t.Fatalf("%q: validated, but arrival %d + budget %d wraps to a negative departure cycle", s, j.Arrival, j.Duration)
 		}
 	})
 }

@@ -3,8 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"runtime"
-	"strings"
-	"time"
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
@@ -12,214 +10,86 @@ import (
 	"dragonfly/internal/workload"
 )
 
-// The streaming scheduler core: runs a GenTrace of 100k–1M jobs with
+// Generated traces run in streaming mode: a GenTrace of 100k–1M jobs with
 // retained memory bounded by the jobs concurrently in the system, not by
 // trace length. Three things make that true:
 //
 //   - the trace itself is structure-of-arrays (~20 B/job, see generate.go);
-//   - jobs are admitted into a workload.NewDynamicStream lazily, right
-//     before placement, and retired (state reclaimed) right after release —
-//     and a streaming workload reports NumJobs() == 0, so the network never
-//     builds its O(jobs × routers) per-job attribution arrays;
-//   - per-job outcomes fold into fixed-memory accumulators at departure
-//     (stats.Sketch quantiles + scalar sums) instead of a per-job slice.
+//   - the source admits a job into a workload.NewDynamicStream lazily, right
+//     before placement, and the loop retires it (state reclaimed) right
+//     after release — and a streaming workload reports NumJobs() == 0, so
+//     the network never builds its O(jobs × routers) per-job attribution
+//     arrays;
+//   - the sink folds per-job outcomes into fixed-memory accumulators at
+//     departure (stats.Sketch quantiles + scalar sums) instead of a per-job
+//     slice.
 //
-// The controller implements sim.Finisher, so the run ends at the last
-// departure rather than a fixed measure window: the horizon in the Config
-// is a cap, not the run length.
+// Under a lazy source the controller is a sim.Finisher, so the run ends at
+// the last departure rather than a fixed measure window: the horizon in the
+// Config is a cap, not the run length.
 
-// streamJob is one running job's state — the only per-job state retained
-// while a job is in the system, dropped at departure.
-type streamJob struct {
-	idx   int32 // trace index
-	wlJob int32 // workload job index, for Release/Retire
-	need  int32 // routers occupied
-	start int64
-	end   int64 // start + duration
-	nodes []int // activated node ids: the workload's own slice, lent until Retire
+// genSource is the lazy source: the trace's arrays are already in arrival
+// order, every duration is a cycle budget (so the loop never polls), and a
+// job exists in the workload only from placement to departure.
+type genSource struct {
+	*GenTrace
+	wl   *workload.Workload
+	perR int // nodes per router (topology P), for router demand
 }
 
-// genController is the sim.Controller + sim.Finisher that schedules a
-// generated trace under a discipline. Its decisions go through the same
-// planStarts core as the replay controller, so the two agree start-cycle
-// for start-cycle on any trace both can run (enforced by
-// TestStreamMatchesDetailed).
-type genController struct {
-	wl      *workload.Workload
-	gt      *GenTrace
-	disc    string
-	load    float64
-	perR    int         // nodes per router (topology P), for router demand
-	nextArr int         // next trace index not yet arrived
-	queue   []int32     // arrived, waiting; trace indices in arrival order
-	running []streamJob // placed, not departed; in placement order
+func (s *genSource) arrival(i int) int64 { return s.Arrival[i] }
 
-	// Fixed-memory outcome accumulators (see StreamResult).
-	wait, run, slow          stats.Sketch
-	waitSum, runSum, slowSum float64
-	busy                     int64 // completed jobs' node-cycles
-	started, completed       int
-	lastDeparture            int64
-	peakRunning, peakQueue   int
-
-	// planStarts scratch, reused across events.
-	qScratch []qJob
-	rScratch []rJob
-	plan     planScratch
-
-	// Test hooks: called at placement and departure when non-nil.
-	onPlace    func(idx int, now int64)
-	onComplete func(idx int, now int64)
+func (s *genSource) demand(i int) (need int, cycles, packets int64) {
+	return workload.RoutersNeeded(int(s.Nodes[i]), s.perR), s.Duration[i], 0
 }
 
-// streamTestHook, when set by an in-package test, sees each run's
-// controller before the network is built — the seam the stream-vs-detailed
-// equivalence and memory-flatness tests install their probes through.
-var streamTestHook func(*genController)
-
-// NextEvent implements sim.Controller: the next arrival or the earliest
-// running job's departure. Every generated duration is a cycle budget, so
-// there is never a per-cycle polling fallback.
-func (c *genController) NextEvent(now int64) int64 {
-	next := int64(-1)
-	add := func(t int64) {
-		if t <= now {
-			t = now + 1
-		}
-		if next < 0 || t < next {
-			next = t
-		}
-	}
-	if c.nextArr < c.gt.Len() {
-		add(c.gt.Arrival[c.nextArr])
-	}
-	for i := range c.running {
-		add(c.running[i].end)
-	}
-	return next
-}
-
-// Finished implements sim.Finisher: the trace is done when every job has
-// arrived, started and departed. All three change only inside Apply, so it
-// can first turn true only at a NextEvent cycle, as the contract requires.
-func (c *genController) Finished(now int64) bool {
-	return c.nextArr >= c.gt.Len() && len(c.queue) == 0 && len(c.running) == 0
-}
-
-// Apply implements sim.Controller: departures (fold outcome, release,
-// retire), then arrivals, then placement via planStarts — the same event
-// order as the replay controller, so a same-cycle arrival can recycle a
-// freed allocation.
-func (c *genController) Apply(rc *sim.Reconfig, now int64) {
-	for i := 0; i < len(c.running); {
-		if now < c.running[i].end {
-			i++
-			continue
-		}
-		c.depart(rc, i, now)
-		c.running = append(c.running[:i], c.running[i+1:]...)
-	}
-	for c.nextArr < c.gt.Len() && c.gt.Arrival[c.nextArr] <= now {
-		c.queue = append(c.queue, int32(c.nextArr))
-		c.nextArr++
-	}
-	if len(c.queue) > c.peakQueue {
-		c.peakQueue = len(c.queue)
-	}
-	if len(c.queue) == 0 {
-		return
-	}
-	c.qScratch = c.qScratch[:0]
-	for _, idx := range c.queue {
-		c.qScratch = append(c.qScratch, qJob{need: c.needOf(int(idx)), dur: c.gt.Duration[idx]})
-	}
-	c.rScratch = c.rScratch[:0]
-	for i := range c.running {
-		c.rScratch = append(c.rScratch, rJob{need: int(c.running[i].need), end: c.running[i].end})
-	}
-	picks := c.plan.planStarts(c.disc, now, c.wl.FreeRouters(), c.qScratch, c.rScratch)
-	if len(picks) == 0 {
-		return
-	}
-	for _, k := range picks {
-		c.place(rc, int(c.queue[k]), now)
-	}
-	kept := c.queue[:0]
-	pi := 0
-	for i, idx := range c.queue {
-		if pi < len(picks) && picks[pi] == i {
-			pi++
-			continue
-		}
-		kept = append(kept, idx)
-	}
-	c.queue = kept
-	if len(c.running) > c.peakRunning {
-		c.peakRunning = len(c.running)
-	}
-}
-
-// needOf returns the router demand of trace job idx.
-func (c *genController) needOf(idx int) int {
-	return (int(c.gt.Nodes[idx]) + c.perR - 1) / c.perR
-}
-
-// place admits, allocates and activates trace job idx at cycle now.
-func (c *genController) place(rc *sim.Reconfig, idx int, now int64) {
-	spec := c.gt.jobSpec(idx)
+func (s *genSource) admit(i int) int {
+	spec := s.jobSpec(i)
 	spec.Name = "j" // anonymous: names are not identity in streaming mode
-	j, err := c.wl.Admit(spec)
+	j, err := s.wl.Admit(spec)
 	if err != nil {
 		// runGenerated pre-validated every (pattern, size) pair.
 		panic(fmt.Sprintf("scheduler: admitting pre-validated job: %v", err))
 	}
-	if err := c.wl.Place(j); err != nil {
-		panic(fmt.Sprintf("scheduler: placing job that planStarts fit: %v", err))
-	}
-	nodes := c.wl.JobNodes(j)
-	for _, n := range nodes {
-		rc.SetNodeActive(n, c.load)
-	}
-	c.running = append(c.running, streamJob{
-		idx:   int32(idx),
-		wlJob: int32(j),
-		need:  int32(c.wl.RoutersFor(j)),
-		start: now,
-		end:   now + c.gt.Duration[idx],
-		nodes: nodes,
-	})
-	c.started++
-	wait := float64(now - c.gt.Arrival[idx])
-	c.wait.Observe(wait)
-	c.waitSum += wait
-	if c.onPlace != nil {
-		c.onPlace(idx, now)
-	}
+	return j
 }
 
-// depart folds running job i's outcome into the accumulators, silences its
-// nodes, and releases and retires its workload state.
-func (c *genController) depart(rc *sim.Reconfig, i int, now int64) {
-	sj := &c.running[i]
-	run := float64(sj.end - sj.start)
-	c.run.Observe(run)
-	c.runSum += run
-	wait := float64(sj.start - c.gt.Arrival[sj.idx])
-	sd := (wait + run) / run
-	c.slow.Observe(sd)
-	c.slowSum += sd
-	c.busy += int64(c.gt.Nodes[sj.idx]) * (sj.end - sj.start)
-	c.completed++
-	if now > c.lastDeparture {
-		c.lastDeparture = now
-	}
-	for _, n := range sj.nodes {
-		rc.SetNodeSilent(n)
-	}
-	c.wl.Release(int(sj.wlJob))
-	c.wl.Retire(int(sj.wlJob))
-	if c.onComplete != nil {
-		c.onComplete(int(sj.idx), now)
+// foldSink is RunGenerated's sink: it folds each job's outcome into the
+// StreamResult's fixed-memory accumulators instead of keeping a record.
+type foldSink struct {
+	gt                       *GenTrace
+	res                      *StreamResult
+	waitSum, runSum, slowSum float64
+	busy                     int64 // completed jobs' node-cycles
+	measureRetained          bool
+}
+
+func (f *foldSink) started(i, _ int, now int64) {
+	f.res.Started++
+	wait := float64(now - f.gt.Arrival[i])
+	f.res.Wait.Observe(wait)
+	f.waitSum += wait
+}
+
+func (f *foldSink) departed(i, _ int, start, now int64) {
+	run := float64(now - start)
+	f.res.RunTime.Observe(run)
+	f.runSum += run
+	sd := (float64(start-f.gt.Arrival[i]) + run) / run
+	f.res.Slowdown.Observe(sd)
+	f.slowSum += sd
+	f.busy += int64(f.gt.Nodes[i]) * (now - start)
+	f.res.Completed++
+	f.res.LastDeparture = max(f.res.LastDeparture, now)
+	if f.measureRetained && f.res.Completed == f.gt.Len() {
+		// Two collections: the first only moves sync.Pool contents
+		// (engine scratch from earlier runs in this process) to the
+		// victim cache; the second reclaims them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		f.res.RetainedBytes = ms.HeapAlloc
 	}
 }
 
@@ -286,11 +156,8 @@ func RunGeneratedOpts(cfg sim.Config, gt *GenTrace, disc string, opts StreamOpti
 // runGenerated is RunGenerated on an explicit implementation, so the
 // equivalence tests can run one trace on every engine.
 func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions, im simImpl) (*StreamResult, error) {
-	disc = strings.ToLower(strings.TrimSpace(disc))
-	if disc == "" {
-		disc = DisciplineFCFS
-	}
-	if err := ValidateDiscipline(disc); err != nil {
+	disc, err := normDiscipline(disc)
+	if err != nil {
 		return nil, err
 	}
 	if gt.Len() == 0 {
@@ -304,7 +171,7 @@ func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions,
 	}
 	for i := 0; i < gt.Len(); i++ {
 		n := int(gt.Nodes[i])
-		if need := (n + p.P - 1) / p.P; need > t.NumRouters() {
+		if need := workload.RoutersNeeded(n, p.P); need > t.NumRouters() {
 			return nil, fmt.Errorf("scheduler: generated job %d needs %d routers but the machine has %d: it can never start",
 				i, need, t.NumRouters())
 		}
@@ -313,73 +180,32 @@ func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions,
 		}
 	}
 	wl := workload.NewDynamicStream(t, cfg.Seed)
-	c := &genController{
-		wl:            wl,
-		gt:            gt,
-		disc:          disc,
-		load:          gt.Spec.Load,
-		perR:          p.P,
-		lastDeparture: -1,
-	}
-	var retained uint64
-	if opts.MeasureRetained {
-		c.onComplete = func(idx int, now int64) {
-			if c.completed == c.gt.Len() {
-				// Two collections: the first only moves sync.Pool contents
-				// (engine scratch from earlier runs in this process) to the
-				// victim cache; the second reclaims them.
-				runtime.GC()
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				retained = ms.HeapAlloc
-			}
-		}
-	}
-	if streamTestHook != nil {
-		streamTestHook(c)
-	}
-	net, err := im.build(&cfg, wl)
-	if err != nil {
+	res := &StreamResult{Discipline: disc, Jobs: gt.Len(), LastDeparture: -1}
+	f := &foldSink{gt: gt, res: res, measureRetained: opts.MeasureRetained}
+	c := &controller{wl: wl, src: &genSource{gt, wl, p.P}, out: f, disc: disc, lazy: true}
+	if _, res.Sim, err = c.simulate(&cfg, im); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if err := im.drive(net, &cfg, c); err != nil {
-		return nil, err
+	res.PeakRunning, res.PeakQueue = c.peakRunning, c.peakQueue
+	// The cycles the run executed: a drained trace stopped it right after
+	// the last departure; anything else ran to the horizon.
+	res.RanCycles = cfg.WarmupCycles + cfg.MeasureCycles
+	if c.drained() {
+		res.RanCycles = res.LastDeparture + 1
 	}
-	simRes := sim.NewResultFrom(net, &cfg, time.Since(start))
-	ran := cfg.WarmupCycles + simRes.MeasuredCycles
-
-	res := &StreamResult{
-		Sim:           simRes,
-		Discipline:    disc,
-		Jobs:          gt.Len(),
-		Started:       c.started,
-		Completed:     c.completed,
-		LastDeparture: c.lastDeparture,
-		RanCycles:     ran,
-		Wait:          c.wait,
-		RunTime:       c.run,
-		Slowdown:      c.slow,
-		PeakRunning:   c.peakRunning,
-		PeakQueue:     c.peakQueue,
-		RetainedBytes: retained,
+	if res.Started > 0 {
+		res.WaitMean = f.waitSum / float64(res.Started)
 	}
-	if c.started > 0 {
-		res.WaitMean = c.waitSum / float64(c.started)
-	}
-	if c.completed > 0 {
-		res.RunMean = c.runSum / float64(c.completed)
-		res.SlowdownMean = c.slowSum / float64(c.completed)
+	if res.Completed > 0 {
+		res.RunMean = f.runSum / float64(res.Completed)
+		res.SlowdownMean = f.slowSum / float64(res.Completed)
 	}
 	// Censored jobs (still running at the horizon) contribute their partial
 	// node-cycles to utilization.
-	busy := c.busy
+	busy := f.busy
 	for i := range c.running {
-		busy += int64(c.gt.Nodes[c.running[i].idx]) * (ran - c.running[i].start)
+		busy += int64(gt.Nodes[c.running[i].idx]) * (res.RanCycles - c.running[i].start)
 	}
-	if ran > 0 {
-		res.Utilization = float64(busy) / (float64(t.NumNodes()) * float64(ran))
-	}
+	res.Utilization = float64(busy) / (float64(t.NumNodes()) * float64(res.RanCycles))
 	return res, nil
 }

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -11,7 +12,9 @@ import (
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
+	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
 )
 
 // genSpecSmall is the shared trace shape the streaming tests draw from: a
@@ -117,7 +120,115 @@ func TestGenerateDistribution(t *testing.T) {
 	}
 }
 
-// lifecycles drives RunGenerated with hooks installed and returns each
+// tap is a sink that forwards to the run's own and tells the test too.
+type tap struct {
+	sink
+	onStart, onDepart func(i int, now int64)
+}
+
+func (t tap) started(i, j int, now int64) {
+	t.sink.started(i, j, now)
+	if t.onStart != nil {
+		t.onStart(i, now)
+	}
+}
+
+func (t tap) departed(i, j int, start, now int64) {
+	t.sink.departed(i, j, start, now)
+	if t.onDepart != nil {
+		t.onDepart(i, now)
+	}
+}
+
+// tapped is coreImpl with a drive that splices the hooks into the run's
+// controller before driving it — the seam the stream-vs-detailed
+// equivalence, window and memory-flatness tests observe a run through.
+func tapped(onStart, onDepart func(i int, now int64)) simImpl {
+	im := coreImpl
+	im.drive = func(net *sim.Network, cfg *sim.Config, ctrl sim.Controller) error {
+		c := ctrl.(*controller)
+		c.out = tap{c.out, onStart, onDepart}
+		return coreImpl.drive(net, cfg, ctrl)
+	}
+	return im
+}
+
+// Draws the spec's distributions put out of range must saturate at the
+// clamps, not wrap in the float-to-integer conversion: a 1e11-node median
+// once came out as fifty 2-node jobs. Parameters no clamp can repair are
+// refused.
+func TestGenerateClampsOutOfRangeDraws(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*GenSpec)
+	}{
+		{"huge size median", func(sp *GenSpec) { sp.NodesMedian = 1e11 }},
+		{"huge duration sigma", func(sp *GenSpec) { sp.DurSigma = 1e3 }},
+		{"huge inter-arrival", func(sp *GenSpec) { sp.InterArrival = 1e300 }},
+	} {
+		spec := genSpecSmall(50)
+		tc.edit(&spec)
+		gt, err := Generate(spec, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		saturated := 0
+		for i := 0; i < gt.Len(); i++ {
+			if gt.Nodes[i] < 2 || int(gt.Nodes[i]) > spec.MaxNodes || gt.Duration[i] < 1 || gt.Duration[i] > maxCycle ||
+				gt.Arrival[i] < 0 || gt.Arrival[i] > maxCycle || (i > 0 && gt.Arrival[i] < gt.Arrival[i-1]) {
+				t.Fatalf("%s: job %d out of range: arrival %d, %d nodes, duration %d",
+					tc.name, i, gt.Arrival[i], gt.Nodes[i], gt.Duration[i])
+			}
+			if int(gt.Nodes[i]) == spec.MaxNodes || gt.Duration[i] == maxCycle || gt.Arrival[i] == maxCycle {
+				saturated++
+			}
+		}
+		if saturated < gt.Len()/4 {
+			t.Errorf("%s: only %d of %d jobs reached a clamp — the case tests nothing", tc.name, saturated, gt.Len())
+		}
+	}
+	for _, edit := range []func(*GenSpec){
+		func(sp *GenSpec) { sp.InterArrival = math.Inf(1) },
+		func(sp *GenSpec) { sp.NodesMedian = math.NaN() },
+		func(sp *GenSpec) { sp.NodesSigma = math.Inf(1) },
+		func(sp *GenSpec) { sp.DurMedian = math.Inf(1) },
+		func(sp *GenSpec) { sp.DurSigma = math.NaN() },
+		func(sp *GenSpec) { sp.MaxNodes = math.MaxInt32 + 1 },
+	} {
+		spec := genSpecSmall(50)
+		edit(&spec)
+		if _, err := Generate(spec, 1); err == nil {
+			t.Errorf("Generate accepted %+v", spec)
+		}
+	}
+}
+
+// RanCycles is the cycles the run executed — last departure + 1 for a
+// drained trace, wherever that falls relative to the warm-up, and the
+// horizon for a trace cut off — and utilisation is taken over it.
+func TestStreamRanCycles(t *testing.T) {
+	cfg := schedCfg() // warm-up 500
+	const nodes = 8
+	for _, dur := range []int64{40, 499, 500, 900, 5000} {
+		gt := &GenTrace{Arrival: []int64{0}, Nodes: []int32{nodes}, Duration: []int64{dur}}
+		res, err := RunGenerated(cfg, gt, DisciplineFCFS)
+		if err != nil {
+			t.Fatalf("duration %d: %v", dur, err)
+		}
+		ran, busy := dur+1, dur // departs at cycle dur
+		if horizon := cfg.WarmupCycles + cfg.MeasureCycles; dur >= horizon {
+			ran, busy = horizon, horizon
+		}
+		if res.RanCycles != ran {
+			t.Errorf("duration %d: RanCycles %d, want %d (last departure %d)", dur, res.RanCycles, ran, res.LastDeparture)
+		}
+		if want := float64(nodes*busy) / float64(72*ran); res.Utilization != want {
+			t.Errorf("duration %d: utilization %v, want %v", dur, res.Utilization, want)
+		}
+	}
+}
+
+// lifecycles runs a generated trace with hooks installed and returns each
 // trace job's start and completion cycles plus the run's StreamResult.
 func lifecycles(t *testing.T, cfg sim.Config, gt *GenTrace, disc string) (starts, comps []int64, res *StreamResult) {
 	t.Helper()
@@ -126,23 +237,22 @@ func lifecycles(t *testing.T, cfg sim.Config, gt *GenTrace, disc string) (starts
 	for i := range starts {
 		starts[i], comps[i] = -1, -1
 	}
-	streamTestHook = func(c *genController) {
-		c.onPlace = func(idx int, now int64) { starts[idx] = now }
-		c.onComplete = func(idx int, now int64) { comps[idx] = now }
-	}
-	defer func() { streamTestHook = nil }()
-	res, err := RunGenerated(cfg, gt, disc)
+	im := tapped(
+		func(idx int, now int64) { starts[idx] = now },
+		func(idx int, now int64) { comps[idx] = now })
+	res, err := runGenerated(cfg, gt, disc, StreamOptions{}, im)
 	if err != nil {
 		t.Fatalf("RunGenerated(%s): %v", disc, err)
 	}
 	return starts, comps, res
 }
 
-// The streaming core and the detailed replay controller must agree job for
-// job — same start cycle, same completion cycle — on any trace both can
-// run, for every discipline. They share planStarts, so a disagreement means
-// the surrounding event plumbing (arrival batching, departure order,
-// queue compaction) has diverged.
+// The two admission modes must agree job for job — same start cycle, same
+// completion cycle — on any trace both sources can carry, for every
+// discipline, and the two networks must have generated the same packets:
+// lazy admission into a streaming workload may change what a run keeps,
+// never what it simulates. (Delivered legitimately differs: the replay
+// runs a 100-cycle tail past the last departure.)
 func TestStreamMatchesDetailed(t *testing.T) {
 	jobs := 150
 	if testing.Short() {
@@ -175,10 +285,13 @@ func TestStreamMatchesDetailed(t *testing.T) {
 					disc, i, det.Jobs[i].Start, det.Jobs[i].Completion, starts[i], comps[i])
 			}
 		}
+		if det.Sim.Generated() != res.Sim.Generated() {
+			t.Fatalf("%s: detailed run generated %d packets, streaming run %d", disc, det.Sim.Generated(), res.Sim.Generated())
+		}
 	}
 }
 
-// A Finisher costs no window: genController can only finish inside Apply,
+// A Finisher costs no window: the controller can only finish inside Apply,
 // so between its events (arrivals, departures) the engine advances up to a
 // global-link latency at a time, and the run still stops right after the
 // last departure. Every window starts at an event, a lookahead boundary or
@@ -192,15 +305,11 @@ func TestStreamAdvancesInWindows(t *testing.T) {
 	cfg := schedCfg()
 	cfg.MeasureCycles = 1 << 20
 	events := map[int64]bool{}
-	streamTestHook = func(c *genController) {
-		c.onComplete = func(_ int, now int64) { events[now] = true }
-	}
-	defer func() { streamTestHook = nil }()
 	for _, at := range gt.Arrival {
 		events[at] = true
 	}
 	var net *sim.Network
-	im := coreImpl
+	im := tapped(nil, func(_ int, now int64) { events[now] = true })
 	im.build = func(c *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
 		n, err := coreImpl.build(c, pat)
 		net = n
@@ -291,17 +400,15 @@ func retainedAtDrain(t *testing.T, jobs int, seed uint64) uint64 {
 		t.Fatal(err)
 	}
 	var live uint64
-	streamTestHook = func(c *genController) {
-		c.onComplete = func(idx int, now int64) {
-			if c.completed == c.gt.Len() {
-				live = liveHeap()
-			}
+	completed := 0
+	im := tapped(nil, func(int, int64) {
+		if completed++; completed == gt.Len() {
+			live = liveHeap()
 		}
-	}
-	defer func() { streamTestHook = nil }()
+	})
 	cfg := schedCfg()
 	cfg.MeasureCycles = 1 << 22
-	res, err := RunGenerated(cfg, gt, DisciplineEASY)
+	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,5 +495,51 @@ func TestStreamJobsAllocateNothing(t *testing.T) {
 	t.Logf("%d B allocated after the network build, %.1f B/job", allocated, perJob)
 	if perJob > 64 {
 		t.Fatalf("the run allocates %.1f B per job after the network build, budget 64", perJob)
+	}
+}
+
+// The replay source runs the same loop, so an event that places nothing
+// costs it no allocation either once the scratch has seen the queue: here a
+// packet-target job that never reaches its target makes the loop poll, and
+// decide, every cycle, with a blocked head and candidates EASY has to work
+// out a shadow time for. (A placement does allocate under an eager source —
+// the workload compiles a fresh job record — which is what lazy admission
+// is for.) Before the loops were one, this path built a planScratch per
+// event.
+func TestReplayApplyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	spec := func(nodes int) workload.JobSpec { return workload.JobSpec{Nodes: nodes} }
+	tr := Trace{Discipline: DisciplineEASY, Jobs: []TraceJob{
+		{JobSpec: spec(36), Duration: 1 << 40, DurationKind: DurationPackets},
+		{JobSpec: spec(30), Duration: 1 << 40},
+		{JobSpec: spec(30), Arrival: 1, Duration: 500},
+		{JobSpec: spec(20), Arrival: 2, Duration: 1 << 41},
+		{JobSpec: spec(10), Arrival: 3},
+		{JobSpec: spec(8), Arrival: 4, Duration: 1 << 41},
+	}}
+	src, err := newReplay(topology.New(schedCfg().Topology), tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &controller{wl: src.wl, src: src, out: make(records, len(tr.Jobs)), disc: tr.Discipline}
+	var fake fakeReconfig
+	now := ctrl.NextEvent(-1)
+	for ; now < 10; now = ctrl.NextEvent(now) {
+		ctrl.apply(fake, now)
+	}
+	if len(ctrl.running) != 2 || len(ctrl.queue) != 4 {
+		t.Fatalf("%d running, %d queued after the arrivals; want 2 and 4", len(ctrl.running), len(ctrl.queue))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		ctrl.apply(fake, now)
+		if next := ctrl.NextEvent(now); next != now+1 {
+			t.Fatalf("next event after cycle %d at %d: the loop is not polling", now, next)
+		}
+		now++
+	})
+	if allocs != 0 {
+		t.Fatalf("an event that places nothing allocates %v times", allocs)
 	}
 }

@@ -109,11 +109,15 @@ func patternNames(js *JobSpec) []string {
 	return []string{js.Pattern}
 }
 
-// RoutersFor returns the number of routers job j occupies when placed:
-// ⌈Nodes/p⌉, written so that a job size near MaxInt (it is outside input,
-// and Admit only bounds it from below) cannot wrap into a small answer.
+// RoutersNeeded returns the routers a job of nodes ≥ 1 nodes occupies at p
+// nodes per router: ⌈nodes/p⌉, written so that a job size near MaxInt (it
+// is outside input, and Admit only bounds it from below) cannot wrap into a
+// small answer.
+func RoutersNeeded(nodes, p int) int { return (nodes-1)/p + 1 }
+
+// RoutersFor returns the number of routers job j occupies when placed.
 func (w *Workload) RoutersFor(j int) int {
-	return (w.jobs[j].spec.Nodes-1)/w.topo.Params().P + 1
+	return RoutersNeeded(w.jobs[j].spec.Nodes, w.topo.Params().P)
 }
 
 // FreeRouters returns the routers currently unallocated.

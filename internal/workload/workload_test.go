@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"math"
 	"testing"
 
 	"dragonfly/internal/refmodel"
@@ -39,6 +40,35 @@ func TestParseJob(t *testing.T) {
 		"duty=NaN", "duty=+Inf", "duty=2"} {
 		if _, err := workload.ParseJob(bad); err == nil {
 			t.Errorf("ParseJob(%q) accepted", bad)
+		}
+	}
+}
+
+// RoutersNeeded is the one ⌈nodes/p⌉ of the module (Place, the scheduler's
+// queue and its flag-time checks all go through it): hold it to the
+// definition — the least r with r·p ≥ nodes — over every job size a test
+// machine can meet and beyond, and at the size where the textbook
+// (nodes+p-1)/p wraps.
+func TestRoutersNeededIsCeilDiv(t *testing.T) {
+	for _, h := range []int{2, 3} {
+		params := topology.Balanced(h)
+		for p := 1; p <= 2*params.P; p++ {
+			r := 1
+			for n := 1; n <= 4*params.Nodes(); n++ {
+				if r*p < n {
+					r++
+				}
+				if got := workload.RoutersNeeded(n, p); got != r {
+					t.Fatalf("RoutersNeeded(%d, %d) = %d, want %d", n, p, got, r)
+				}
+			}
+			want := math.MaxInt / p
+			if math.MaxInt%p != 0 {
+				want++
+			}
+			if got := workload.RoutersNeeded(math.MaxInt, p); got != want {
+				t.Fatalf("RoutersNeeded(MaxInt, %d) = %d, want %d", p, got, want)
+			}
 		}
 	}
 }
