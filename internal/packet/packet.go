@@ -47,6 +47,11 @@ func (p Phase) String() string {
 // injection machinery, owned by exactly one buffer at a time, and recycled
 // after delivery.
 type Packet struct {
+	// next links the packet into the one Queue that holds it. It is the only
+	// pointer in the struct and comes first, so the collector scans one word
+	// of a packet, not all of it.
+	next *Packet
+
 	ID   uint64
 	Src  int // source node
 	Dst  int // destination node
@@ -103,8 +108,67 @@ type Packet struct {
 	// current input buffer and may request the switch.
 	ReadyAt int64
 	// EnqueuedAt is the cycle the packet entered its current queue
-	// (input VC or output buffer); used to attribute waiting time.
+	// (input VC or output buffer); used to attribute waiting time. While
+	// the packet crosses a link it is the cycle it arrives at the far end.
 	EnqueuedAt int64
+}
+
+// Queue is a FIFO of packets linked through the packets themselves: a
+// packet sits in at most one queue at a time, so a queue costs two words
+// however long it gets, and holding a packet costs nothing beyond it. The
+// zero Queue is empty.
+type Queue struct{ head, tail *Packet }
+
+// Front returns the oldest packet, or nil when the queue is empty.
+func (q *Queue) Front() *Packet { return q.head }
+
+// Push appends p, which must not sit in any queue.
+func (q *Queue) Push(p *Packet) {
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+// Pop removes and returns the oldest packet; the queue must not be empty.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.next = nil
+	return p
+}
+
+// Unchain cuts p off the packets linked after it — the rest of a queue that
+// was handed over whole, from its head — and returns the first of them, or
+// nil.
+func (p *Packet) Unchain() *Packet {
+	rest := p.next
+	p.next = nil
+	return rest
+}
+
+// Each calls fn for every packet, oldest first; fn must leave the queue
+// alone.
+func (q *Queue) Each(fn func(*Packet)) {
+	for p := q.head; p != nil; p = p.next {
+		fn(p)
+	}
+}
+
+// Clone returns a queue of deep copies of q's packets, in q's order.
+func (q *Queue) Clone() Queue {
+	var d Queue
+	for p := q.head; p != nil; p = p.next {
+		cp := *p
+		d.Push(&cp)
+	}
+	return d
 }
 
 // Reset clears a recycled packet for reuse.

@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestReset(t *testing.T) {
@@ -107,5 +109,67 @@ func TestActionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A packet stays in the 192-byte size class: the queue link rides in the
+// bytes the allocator hands out for a packet anyway.
+func TestPacketFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 192 {
+		t.Fatalf("Packet is %d bytes, want at most 192", size)
+	}
+}
+
+// A Queue is FIFO, survives draining to empty and refilling, its Clone
+// holds copies in the same order, linked among themselves only, and a queue
+// handed over by its head comes apart packet by packet.
+func TestQueueFIFO(t *testing.T) {
+	var q Queue
+	if q.Front() != nil {
+		t.Fatal("zero Queue not empty")
+	}
+	ids := func(q *Queue) (got []uint64) {
+		q.Each(func(p *Packet) { got = append(got, p.ID) })
+		return got
+	}
+	for round := 0; round < 2; round++ {
+		for id := uint64(1); id <= 3; id++ {
+			q.Push(&Packet{ID: id})
+		}
+		c := q.Clone()
+		if got := ids(&c); !slices.Equal(got, []uint64{1, 2, 3}) {
+			t.Fatalf("round %d: clone holds %v", round, got)
+		}
+		if c.Front() == q.Front() {
+			t.Fatal("Clone shares packets with its source")
+		}
+		c.Pop()
+		if got := ids(&q); !slices.Equal(got, []uint64{1, 2, 3}) {
+			t.Fatalf("round %d: popping the clone changed the source to %v", round, got)
+		}
+		for id := uint64(1); id <= 3; id++ {
+			if p := q.Pop(); p.ID != id || p.next != nil {
+				t.Fatalf("round %d: popped %d (linked: %v), want %d", round, p.ID, p.next != nil, id)
+			}
+		}
+		if q.Front() != nil || q.tail != nil {
+			t.Fatalf("round %d: drained queue not empty", round)
+		}
+	}
+	// A queue handed over whole is taken apart from its head.
+	for id := uint64(1); id <= 3; id++ {
+		q.Push(&Packet{ID: id})
+	}
+	var got []uint64
+	for p := q.Front(); p != nil; {
+		got = append(got, p.ID)
+		rest := p.Unchain()
+		if p.next != nil {
+			t.Fatal("Unchain left the packet linked")
+		}
+		p = rest
+	}
+	if !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("unchaining from the head yields %v", got)
 	}
 }

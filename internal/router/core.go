@@ -11,9 +11,9 @@
 // Core is the network: the state of every router lives in per-network
 // arrays indexed by (router, port[, vc]), built and wired once by NewCore
 // and stepped in place by the engines for as long as the network lives.
-// Links are not objects: a packet or credit in flight is an entry in the
-// receiving port's event ring. See DESIGN.md ("Structure-of-arrays router
-// core") for the indexing scheme; internal/refmodel holds the dense
+// Links are not objects: a packet in flight waits in the receiving port's
+// arrival queue, a credit in its ring. See DESIGN.md ("Structure-of-arrays
+// router core") for the indexing scheme; internal/refmodel holds the dense
 // per-router model the Core is proven bit-identical against.
 package router
 
@@ -34,8 +34,8 @@ import (
 // to an output port of the upstream router. The payload rides the event
 // (Pkt for arrivals, PVC for credits — a credit always returns one packet's
 // worth of phits, virtual cut-through moves whole packets): the engine hands it to
-// PushDue, which parks it in the destination port's ring and answers with
-// the cycle — if any — at which the destination has to step because of it.
+// PushDue, which parks it at the destination port and answers with the
+// cycle — if any — at which the destination has to step because of it.
 type LinkEvent struct {
 	Router int            // destination router id
 	Port   int            // destination router's port the event lands on
@@ -52,34 +52,37 @@ type portDue struct {
 	port int32
 }
 
-// dueQueue is a time-sorted FIFO of pending port events with head
-// compaction.
+// dueQueue is a time-sorted FIFO of pending port events in a fixed window
+// of np entries (see sizeState): a router has at most one pending release
+// per output and one transfer per input, so np bounds what is live at once.
 type dueQueue struct {
 	q    []portDue
 	head int
 }
 
 // insert places an event keeping the queue sorted by time; events are
-// near-future, so bubbling from the tail is effectively O(1).
-func (d *dueQueue) insert(at int64, port int32) {
+// near-future, so bubbling from the tail is effectively O(1). A full window
+// is compacted in place; one that is full of live entries breaks the bound
+// above, and name says which calendar did.
+func (d *dueQueue) insert(at int64, port int32, name string) {
+	if len(d.q) == cap(d.q) {
+		if d.head == 0 {
+			panic(fmt.Sprintf("router: %s calendar overflow: %d events pending, at most one per port", name, len(d.q)))
+		}
+		d.q = d.q[:copy(d.q, d.q[d.head:])]
+		d.head = 0
+	}
 	d.q = append(d.q, portDue{at: at, port: port})
 	for i := len(d.q) - 1; i > d.head && d.q[i-1].at > at; i-- {
 		d.q[i], d.q[i-1] = d.q[i-1], d.q[i]
 	}
 }
 
-// pop removes and returns the head entry. The consumed prefix is
-// compacted away once it dominates the slice, so a queue that never
-// fully drains stays O(pending) instead of growing with simulated cycles.
+// pop removes and returns the head entry.
 func (d *dueQueue) pop() portDue {
 	e := d.q[d.head]
-	d.head++
-	if d.head == len(d.q) {
+	if d.head++; d.head == len(d.q) {
 		d.q = d.q[:0]
-		d.head = 0
-	} else if d.head > 64 && d.head*2 > len(d.q) {
-		n := copy(d.q, d.q[d.head:])
-		d.q = d.q[:n]
 		d.head = 0
 	}
 	return e
@@ -111,6 +114,19 @@ type candRec struct {
 // outCandRec is one submission at an output: the proposing input port
 // and the index of its candidate.
 type outCandRec struct{ in, idx int32 }
+
+// allocScratch is the allocator's working memory for one router step, not
+// state: every entry is written before it is read within one StepRouter
+// call, and outCandN is left all-zero by it. The routers of a group step
+// one at a time, so a group needs one.
+type allocScratch struct {
+	cand       []candRec    // per (input port, slot), stride maxVC
+	candIn     []int32      // the inputs that gathered candidates, ascending
+	candInN    int32        // their number
+	outCand    []outCandRec // per (output port, slot), stride np
+	outCandN   []int32      // submissions per output port
+	outTouched []int32      // the outputs with submissions, in submission order
+}
 
 // inPort packs one input port's mutable hot state: everything the
 // allocator, grant and transfer-completion stages read or write per
@@ -146,16 +162,29 @@ type portWire struct {
 	peerPort int32
 }
 
-// inQState is the packed bookkeeping of one input VC ring: its window
-// into the arena (off/qcap), FIFO position (head/qlen) and buffered phits.
-type inQState struct{ off, qcap, head, qlen, occ int32 }
+// inQState is one input VC: its packet FIFO, the FIFO's length and the
+// buffered phits.
+type inQState struct {
+	q         packet.Queue
+	qlen, occ int32
+}
 
-// outQState is the packed bookkeeping of one output VC ring, plus the
-// VC's reserved phits and downstream credit balance (meaningless for
+// outQState is one output VC: its packet FIFO and the FIFO's length, plus
+// the VC's reserved phits and downstream credit balance (meaningless for
 // ejection) — everything the link stage reads per VC, on one cache line.
-type outQState struct{ off, qcap, head, qlen, occVC, credits int32 }
+type outQState struct {
+	q                    packet.Queue
+	qlen, occVC, credits int32
+}
 
-// evRing is the packed bookkeeping of one link-event ring.
+// arrQueue is the packets in flight towards one input port, in arrival
+// order; each carries its arrival cycle in EnqueuedAt.
+type arrQueue struct {
+	q packet.Queue
+	n int32
+}
+
+// evRing is the packed bookkeeping of one credit ring.
 type evRing struct{ off, qcap, head, qlen int32 }
 
 // put claims the ring's tail slot and returns its arena index, or -1 when
@@ -172,17 +201,11 @@ func (q *evRing) put() int32 {
 	return q.off + i
 }
 
-type pktEvent struct {
-	at int64
-	p  *packet.Packet
-}
-
 // crdEvent is a credit in flight, one word: the arrival cycle above the VC
 // (cycle<<8 | vc). Credit rings are sized by what a port can be owed, not by
-// how long a credit flies (see layoutRings), so they hold four times the
-// entries the arrival rings do; the packing keeps them at half the bytes. A
-// multiple of 256 added to the word shifts the cycle and leaves the VC alone
-// (Rebase).
+// how long a credit flies (see layoutCredits), and the packing keeps them at
+// one word per entry. A multiple of 256 added to the word shifts the cycle
+// and leaves the VC alone (Rebase).
 type crdEvent int64
 
 func newCrdEvent(at int64, vc int32) crdEvent { return crdEvent(at<<8 | int64(vc)) }
@@ -210,7 +233,10 @@ type Wiring struct {
 type Binding struct {
 	// Env is the network's routing environment.
 	Env *routing.Env
-	// Recycle returns delivered packets to the network's pool.
+	// Recycle returns packets to the network's pool: a delivered packet,
+	// or, when Clone overwrites a retired Core, the head of one of its
+	// queues with the rest of the queue still linked behind it (see
+	// packet.Packet.Unchain).
 	Recycle func(*packet.Packet)
 	// Trace yields router r's trace hook (nil: tracing off).
 	Trace func(r int) TraceFn
@@ -239,6 +265,7 @@ type shape struct {
 	serial    int64 // link serialisation per packet
 	perRouter int64 // pathCost per-router term
 	capVC     int32 // output buffer capacity per VC (uniform)
+	outQCap   int32 // packets an output VC holds (capVC / size)
 	allocIter int
 	arb       Arbitration
 	maxLat    int64 // longest wired link
@@ -253,35 +280,45 @@ type shape struct {
 	downCapVC []int32 // downstream capacity per VC (0 for ejection)
 	downTotal []int32 // total downstream capacity
 	threshVC  []int32 // congestion threshold per VC, phits
+	// Packet-count bounds the credit protocol guarantees: an input VC holds
+	// inCapVC/size packets, and the packets in flight towards an input port
+	// are at most what its VCs hold — a sender only sends into credited space.
+	inQCap []int32
+	arrCap []int32
 
 	// Wiring, indexed by pi.
 	inW  []portWire
 	outW []portWire
 
-	// Slots behind the four ring arenas (see layoutRings) and the size of
+	// Slots behind the credit-ring arena (see layoutCredits) and the size of
 	// the per-job accumulators: what a Core needs beyond its shape to be
 	// sized, so Clone can build a destination from a template that owns no
-	// arenas.
-	inTot, outTot, arrTot, crdTot int
-	nJobs                         int
+	// arena.
+	crdTot int
+	nJobs  int
 }
 
 // Core holds the state of every router of one network.
 // Array indices: pi = router*NP + port for per-port state and
 // vi = pi*maxVC + vc for per-VC state, with NP the router radix and
-// maxVC the widest VC count of any port class. Packet queues and
-// link-event rings are fixed-capacity rings carved out of shared arenas
-// (capacities are hard occupancy bounds under the credit protocol), so
-// steady-state cycles never allocate — the zero-allocation gate in
-// internal/sim relies on this.
+// maxVC the widest VC count of any port class. Packet queues — the VC
+// buffers and the packets in flight towards an input port — are intrusive
+// FIFOs (packet.Queue): a queue is two words, and a packet carries its own
+// link, so the Core's bytes do not grow with buffer depth. Each queue's
+// length is held to the occupancy bound of the credit protocol (inQCap,
+// outQCap, arrCap). Credits in flight sit in fixed-capacity rings carved out
+// of one arena, the event calendars in fixed windows, and delivered packets
+// go back to the network's pool, so steady-state cycles never allocate —
+// the zero-allocation gate in internal/sim relies on this.
 //
 // Concurrency contract: StepRouter and Settle touch only state of the
-// router's index range, so disjoint routers may be stepped (or settled)
-// concurrently. PushDue touches the destination router's rings: it may run
-// while other routers step (a sender's sink parks its events at once), but
-// never concurrently with a step, a Settle or another PushDue of the
-// destination. Everything else (SetSink, SetPhases, Clone, Rebase) must
-// happen with no step in flight.
+// router's index range and the allocator scratch of its group, so routers
+// of distinct groups may be stepped (or settled) concurrently. PushDue
+// touches the destination router's queues and rings: it may run while other
+// routers step (a sender's sink parks its events at once), but never
+// concurrently with a step, a Settle or another PushDue of the destination.
+// Everything else (SetSink, SetPhases, Clone, Rebase) must happen with no
+// step in flight.
 type Core struct {
 	shape
 
@@ -295,12 +332,13 @@ type Core struct {
 
 	// Port bitmasks, maskWords words per router. inOcc/outOcc: bit p set iff
 	// the port has packets buffered; arrPend/crdPend: bit p set iff the
-	// port's event ring is non-empty; starved: bit p set iff the router's
-	// last link stage found output p idle with packets queued and no head
-	// holding a packet of credit — the one state in which a returning
-	// credit makes the router act (see PushDue). The stages iterate set
-	// bits instead of scanning all ports — ascending bit order preserves
-	// the ascending-port iteration the bit-identity argument rests on.
+	// port's arrival queue or credit ring is non-empty; starved: bit p set
+	// iff the router's last link stage found output p idle with packets
+	// queued and no head holding a packet of credit — the one state in
+	// which a returning credit makes the router act (see PushDue). The
+	// stages iterate set bits instead of scanning all ports — ascending bit
+	// order preserves the ascending-port iteration the bit-identity
+	// argument rests on.
 	inOccMask   []uint64
 	outOccMask  []uint64
 	arrPendMask []uint64
@@ -311,19 +349,15 @@ type Core struct {
 	inP  []inPort
 	outP []outPort
 
-	// Per-VC packet rings, indexed by vi: fixed-capacity windows into the
-	// two arenas, FIFO via head/len.
-	inQData  []*packet.Packet
-	inQ      []inQState
-	outQData []*packet.Packet
-	outQ     []outQState
+	// Per-VC packet FIFOs, indexed by vi.
+	inQ  []inQState
+	outQ []outQState
 
-	// Link transport: per-port event rings fed by PushDue. Packet-arrival
-	// rings are per input port, credit rings per output port, both indexed
-	// by pi. Events on one port arrive in increasing-cycle order (the
-	// sender serialises them), so a plain FIFO keeps them sorted.
-	arrData []pktEvent
-	arrQ    []evRing
+	// Link transport, fed by PushDue: per input port an arrival queue, per
+	// output port a credit ring, both indexed by pi. Events on one port
+	// arrive in increasing-cycle order (the sender serialises them), so a
+	// plain FIFO keeps them sorted.
+	arrQ    []arrQueue
 	crdData []crdEvent
 	crdQ    []evRing
 	// lost counts packets serialised onto unplugged ports (see Unplug).
@@ -334,12 +368,13 @@ type Core struct {
 	// and of its earliest unapplied arrival alone (arrAt, see
 	// EarliestExternal); math.MaxInt64 when there is none. Both are exact:
 	// PushDue and the release insert fold into them, the pop loops of
-	// settle recompute them from the ring heads they stop at.
+	// settle recompute them from the queue and ring heads they stop at.
 	bookAt []int64
 	arrAt  []int64
 
 	// Per-router state: arbitration RNG streams, accumulators, and the
-	// router-local calendars of buffer releases and transfer completions.
+	// router-local calendars of buffer releases and transfer completions
+	// (windows of np entries into dueData).
 	rnd      []rng.Source
 	stats    []stats.Router
 	jobStats [][]stats.Job // per-router windows into jobData; nil entries without job attribution
@@ -348,23 +383,15 @@ type Core struct {
 	liveData []int64
 	relDue   []dueQueue
 	xferDue  []dueQueue
+	dueData  []portDue
 
 	// The run's phases (see SetPhases): cycles [warmup, total) are measured.
 	// Read-only while a run steps, so every router derives its phase from the
 	// cycle it is stepped at, wherever its group stands inside a window.
 	warmup, total int64
 
-	// Allocator scratch — not state: every entry is written before it is
-	// read within one StepRouter call (outCandN is left all-zero by it).
-	// Candidates are per (input port, slot) at stride maxVC; submissions
-	// per (output port, slot) at stride np; candIn and outTouched are
-	// per-router regions at stride np.
-	cand       []candRec
-	candIn     []int32
-	candInN    []int32
-	outCand    []outCandRec
-	outCandN   []int32
-	outTouched []int32
+	// Allocator scratch, one per group (see allocScratch).
+	scratch []allocScratch
 }
 
 // NewCore builds and wires the routers of one network: ports, peers and
@@ -378,10 +405,10 @@ func NewCore(w Wiring) (*Core, error) {
 	return c, nil
 }
 
-// NewTemplate is NewCore without the ring arenas and the allocator scratch
-// — most of a Core's bytes. The result holds the complete state of a
-// freshly built, empty network and can only be cloned from: Clone never
-// reads a dead ring slot or scratch, and an empty network has no live one.
+// NewTemplate is NewCore without the credit-ring arena and the allocator
+// scratch. The result holds the complete state of a freshly built, empty
+// network and can only be cloned from: Clone never reads a dead credit slot
+// or scratch, and an empty network has no live one.
 func NewTemplate(w Wiring) (*Core, error) {
 	topo, cfg := w.Topo, w.Cfg
 	if err := cfg.Validate(); err != nil {
@@ -397,6 +424,7 @@ func NewTemplate(w Wiring) (*Core, error) {
 		serial:    int64(cfg.SerialCycles()),
 		perRouter: int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles()),
 		capVC:     int32(cfg.OutputBufferPhits),
+		outQCap:   int32(cfg.OutputBufferPhits / cfg.PacketSize),
 		allocIter: cfg.AllocIterations,
 		arb:       cfg.Arbitration,
 		nJobs:     w.NumJobs,
@@ -407,7 +435,7 @@ func NewTemplate(w Wiring) (*Core, error) {
 		return nil, err
 	}
 	c.sizeState()
-	c.layoutRings()
+	c.layoutCredits()
 	c.bind(w.Binding)
 	for r := range c.rnd {
 		c.rnd[r] = *w.Rng.Split()
@@ -434,6 +462,8 @@ func (c *Core) initPortClasses() {
 	c.downCapVC = make([]int32, np)
 	c.downTotal = make([]int32, np)
 	c.threshVC = make([]int32, np)
+	c.inQCap = make([]int32, np)
+	c.arrCap = make([]int32, np)
 	for p := 0; p < np; p++ {
 		cls := c.topo.PortClass(p)
 		c.class[p] = cls
@@ -455,6 +485,8 @@ func (c *Core) initPortClasses() {
 		}
 		c.downTotal[p] = c.nOutVC[p] * c.downCapVC[p]
 		c.threshVC[p] = int32(cfg.CongestionThreshold * float64(int32(cfg.OutputBufferPhits)+c.downCapVC[p]))
+		c.inQCap[p] = c.inCapVC[p] / int32(cfg.PacketSize)
+		c.arrCap[p] = c.nInVC[p] * c.inQCap[p]
 	}
 }
 
@@ -541,20 +573,14 @@ func (c *Core) sizeState() {
 			c.jobLive[r] = c.liveData[r*nj : (r+1)*nj : (r+1)*nj]
 		}
 	}
-	if cap(c.relDue) >= nr {
-		// Retired calendars keep their (possibly privately grown) buffers.
-		c.relDue, c.xferDue = c.relDue[:nr], c.xferDue[:nr]
-	} else {
-		// Calendar buffers from one arena, capacity-capped sub-slices: a
-		// queue that outgrows its window reallocates privately via append.
-		c.relDue = make([]dueQueue, nr)
-		c.xferDue = make([]dueQueue, nr)
-		arena := make([]portDue, 2*npp)
-		for r := 0; r < nr; r++ {
-			pos := 2 * r * np
-			c.relDue[r].q = arena[pos : pos : pos+np]
-			c.xferDue[r].q = arena[pos+np : pos+np : pos+2*np]
-		}
+	// Calendars: empty, each in its own np-entry window of one arena.
+	c.relDue = fit(c.relDue, nr)
+	c.xferDue = fit(c.xferDue, nr)
+	c.dueData = fit(c.dueData, 2*npp)
+	for r := 0; r < nr; r++ {
+		pos := 2 * r * np
+		c.relDue[r] = dueQueue{q: c.dueData[pos : pos : pos+np]}
+		c.xferDue[r] = dueQueue{q: c.dueData[pos+np : pos+np : pos+2*np]}
 	}
 	c.trace = fit(c.trace, nr)
 	c.notify = fit(c.notify, nr)
@@ -564,73 +590,44 @@ func (c *Core) sizeState() {
 	}
 }
 
-// sizeArenas gives the Core what stepping needs beyond its state: the four
-// ring arenas behind the geometry of layoutRings, and the allocator scratch.
-// Capacity is reused as in sizeState; neither a dead ring slot nor scratch
-// is ever read before it is written, so stale contents are harmless — with
-// the one exception of outCandN, which StepRouter expects all-zero (and a
-// run that died mid-allocation may have left submissions behind).
+// sizeArenas gives the Core what stepping needs beyond its state: the
+// credit-ring arena behind layoutCredits, and one allocator scratch per
+// group. Capacity is reused as in sizeState; neither a dead ring slot nor
+// scratch is ever read before it is written, so stale contents are harmless
+// — with the one exception of outCandN, which StepRouter expects all-zero
+// (and a run that died mid-allocation may have left submissions behind).
 func (c *Core) sizeArenas() {
-	npp := c.nr * c.np
-	c.inQData = fit(c.inQData, c.inTot)
-	c.outQData = fit(c.outQData, c.outTot)
-	c.arrData = fit(c.arrData, c.arrTot)
+	np := c.np
 	c.crdData = fit(c.crdData, c.crdTot)
-	c.cand = fit(c.cand, npp*c.maxVC)
-	c.candIn = fit(c.candIn, npp)
-	c.candInN = fit(c.candInN, c.nr)
-	c.outCand = fit(c.outCand, npp*c.np)
-	c.outCandN = fit(c.outCandN, npp)
-	clear(c.outCandN)
-	c.outTouched = fit(c.outTouched, npp)
+	c.scratch = fit(c.scratch, c.topo.NumGroups())
+	for g := range c.scratch {
+		s := &c.scratch[g]
+		s.cand = fit(s.cand, np*c.maxVC)
+		s.candIn = fit(s.candIn, np)
+		s.outCand = fit(s.outCand, np*np)
+		s.outCandN = fit(s.outCandN, np)
+		clear(s.outCandN)
+		s.outTouched = fit(s.outTouched, np)
+	}
 }
 
-// layoutRings carves the ring geometry: one offset/capacity pair per VC
-// queue and per link-event ring, and the arena totals behind them.
-// Queue capacities are the credit protocol's occupancy bounds, and so are
-// the credit rings': an entry is the credit for one packet the port has
-// sent and not been credited for, the port cannot have more of those than
-// the downstream buffer holds packets, and with credits settled lazily
-// nothing else bounds how long one waits in its ring (a sleeping router with
-// nothing queued at the port is never woken for it). A packet, by contrast,
-// lives in its arrival ring from the push until the receiver's first step at
-// or after the cycle it becomes allocatable — arrival plus the input
-// pipeline, the engine wakes it for that — and successive packets on one
-// link are at least the serialisation time apart. Both ends of a local link
-// belong to one group and advance in lockstep, so (latency+pipeline)/spacing
-// + 4 bounds the ring with slack. The ends of a global link belong to
-// different groups, and inside a time window (see Lookahead) the sender may
-// run up to a lookahead ahead of the receiver: its packets wait that much
-// longer, and the ring is (latency+lookahead+pipeline)/spacing + 4.
-func (c *Core) layoutRings() {
-	np, maxVC := c.np, c.maxVC
+// layoutCredits carves the credit rings out of their arena: one ring per
+// wired output, with room for every credit the port can be owed. An entry is
+// the credit for one packet the port has sent and not been credited for, the
+// port cannot have more of those than the downstream buffer holds packets,
+// and with credits settled lazily nothing else bounds how long one waits in
+// its ring (a sleeping router with nothing queued at the port is never woken
+// for it).
+func (c *Core) layoutCredits() {
 	size := int32(c.size)
-	pktSpacing := int32(max(c.serial, 1))
-	var inTot, outTot, arrTot, crdTot int32
-	for pi := range c.arrQ {
-		p := pi % np
-		if w := c.inW[pi]; w.peer >= 0 {
-			flight := w.lat + int32(c.pipeline)
-			if c.topo.RouterGroup(pi/np) != c.topo.RouterGroup(int(w.peer)) {
-				flight += int32(c.lookahead)
-			}
-			c.arrQ[pi] = evRing{off: arrTot, qcap: flight/pktSpacing + 4}
-			arrTot += c.arrQ[pi].qcap
-		}
+	var tot int32
+	for pi := range c.crdQ {
 		if c.outW[pi].peer >= 0 {
-			c.crdQ[pi] = evRing{off: crdTot, qcap: c.downTotal[p] / size}
-			crdTot += c.crdQ[pi].qcap
-		}
-		for vc := 0; vc < int(c.nInVC[p]); vc++ {
-			c.inQ[pi*maxVC+vc] = inQState{off: inTot, qcap: c.inCapVC[p] / size}
-			inTot += c.inCapVC[p] / size
-		}
-		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-			c.outQ[pi*maxVC+vc] = outQState{off: outTot, qcap: c.capVC / size}
-			outTot += c.capVC / size
+			c.crdQ[pi] = evRing{off: tot, qcap: c.downTotal[pi%c.np] / size}
+			tot += c.crdQ[pi].qcap
 		}
 	}
-	c.inTot, c.outTot, c.arrTot, c.crdTot = int(inTot), int(outTot), int(arrTot), int(crdTot)
+	c.crdTot = int(tot)
 }
 
 // bind attaches the Core to its network's hooks and clears the engine's.
@@ -655,17 +652,21 @@ func (c *Core) bind(b Binding) {
 // not — so a Core retired from one mechanism's network serves a restore of
 // another's, and recycling within one shape allocates nothing beyond the
 // live packets; the packets the retired run left behind go back through
-// into's own Recycle hook. c may be a template (see NewTemplate); the
-// destination always gets arenas and scratch. Both Cores must be between
-// cycles.
+// into's own Recycle hook, a queue at a time. c may be a template (see NewTemplate); the
+// destination always gets the credit arena and scratch. Both Cores must be
+// between cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
 	if d == nil {
 		d = &Core{}
 	} else {
 		// Hand the retired run's packets back to its network's pool — the one
-		// the clone will generate from — while d's old geometry still finds them.
-		d.eachPacket(func(slot **packet.Packet, _ int, _ int32) { d.recycle(*slot); *slot = nil })
+		// the clone will generate from — while d's old shape still finds them:
+		// a queue at a time, still linked, so no packet is touched here.
+		d.eachQueue(func(_, _ int, q *packet.Queue) {
+			d.recycle(q.Front())
+			*q = packet.Queue{}
+		})
 	}
 	d.shape = c.shape
 	d.sizeState()
@@ -695,8 +696,8 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 		d.xferDue[r].q = append(d.xferDue[r].q[:0], c.xferDue[r].q[c.xferDue[r].head:]...)
 		d.relDue[r].head, d.xferDue[r].head = 0, 0
 	}
-	// The ring records were copied, so every live event and packet sits at
-	// the same arena position in both Cores; dead slots need no copy.
+	// The ring records were copied, so every live credit sits at the same
+	// arena position in both Cores; dead slots need no copy.
 	c.eachMasked(c.crdPendMask, func(pi, _ int) {
 		q := &c.crdQ[pi]
 		for k, h := int32(0), q.head; k < q.qlen; k++ {
@@ -706,13 +707,9 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 			}
 		}
 	})
-	c.eachPacket(func(slot **packet.Packet, arena int, i int32) {
-		if arena == 2 {
-			d.arrData[i].at = c.arrData[i].at
-		}
-		cp := **slot
-		*d.slot(arena, i) = &cp
-	})
+	// The queue records were copied too, and still point at c's packets:
+	// every non-empty one gets copies of its own.
+	c.eachQueue(func(kind, i int, q *packet.Queue) { *d.queue(kind, i) = q.Clone() })
 	return d
 }
 
@@ -731,9 +728,6 @@ func (c *Core) Rebase(delta int64) {
 		o.linkBusy -= delta
 		o.xbarBusy -= delta
 		o.relAt -= delta
-	}
-	for i := range c.arrData {
-		c.arrData[i].at -= delta // dead slots included: harmless, and branch-free
 	}
 	for i := range c.crdData {
 		c.crdData[i] -= crdEvent(delta << 8)
@@ -754,51 +748,46 @@ func (c *Core) Rebase(delta int64) {
 		shift(&c.relDue[r])
 		shift(&c.xferDue[r])
 	}
-	c.eachPacket(func(slot **packet.Packet, _ int, _ int32) { (*slot).Rebase(delta) })
+	// In-flight packets carry their arrival cycle, so this shifts it too.
+	c.eachQueue(func(_, _ int, q *packet.Queue) { q.Each(func(p *packet.Packet) { p.Rebase(delta) }) })
 }
 
-// slot addresses entry i of one of the three packet-holding arenas: the
-// input queues (0), the output queues (1), the arrival rings (2).
-func (c *Core) slot(arena int, i int32) **packet.Packet {
-	switch arena {
-	case 0:
-		return &c.inQData[i]
-	case 1:
-		return &c.outQData[i]
+// Kinds of packet queue, as eachQueue and queue name them.
+const (
+	kindIn  = iota // an input VC, indexed by vi
+	kindOut        // an output VC, indexed by vi
+	kindArr        // the packets in flight towards an input port, indexed by pi
+)
+
+// queue addresses queue i of the given kind.
+func (c *Core) queue(kind, i int) *packet.Queue {
+	switch kind {
+	case kindIn:
+		return &c.inQ[i].q
+	case kindOut:
+		return &c.outQ[i].q
 	default:
-		return &c.arrData[i].p
+		return &c.arrQ[i].q
 	}
 }
 
-// eachPacket calls fn with the slot (and its arena address, see slot) of
-// every packet the Core holds: queued at an input or output VC, or in
-// flight in an arrival ring. The port bitmasks name the non-empty rings,
+// eachQueue calls fn with every non-empty packet queue of the Core, its kind
+// and its index (see queue): input and output VCs, and the packets in flight
+// towards each input port. The port bitmasks name the ports with packets,
 // so the walk costs O(live), not O(network).
-func (c *Core) eachPacket(fn func(slot **packet.Packet, arena int, i int32)) {
-	ring := func(arena int, off, qcap, head, qlen int32) {
-		for k, h := int32(0), head; k < qlen; k++ {
-			fn(c.slot(arena, off+h), arena, off+h)
-			if h++; h == qcap {
-				h = 0
+func (c *Core) eachQueue(fn func(kind, i int, q *packet.Queue)) {
+	vcs := func(kind int, nVC []int32) func(pi, p int) {
+		return func(pi, p int) {
+			for vi := pi * c.maxVC; vi < pi*c.maxVC+int(nVC[p]); vi++ {
+				if q := c.queue(kind, vi); q.Front() != nil {
+					fn(kind, vi, q)
+				}
 			}
 		}
 	}
-	c.eachMasked(c.inOccMask, func(pi, p int) {
-		for vc := 0; vc < int(c.nInVC[p]); vc++ {
-			q := &c.inQ[pi*c.maxVC+vc]
-			ring(0, q.off, q.qcap, q.head, q.qlen)
-		}
-	})
-	c.eachMasked(c.outOccMask, func(pi, p int) {
-		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-			q := &c.outQ[pi*c.maxVC+vc]
-			ring(1, q.off, q.qcap, q.head, q.qlen)
-		}
-	})
-	c.eachMasked(c.arrPendMask, func(pi, _ int) {
-		q := &c.arrQ[pi]
-		ring(2, q.off, q.qcap, q.head, q.qlen)
-	})
+	c.eachMasked(c.inOccMask, vcs(kindIn, c.nInVC))
+	c.eachMasked(c.outOccMask, vcs(kindOut, c.nOutVC))
+	c.eachMasked(c.arrPendMask, func(pi, _ int) { fn(kindArr, pi, &c.arrQ[pi].q) })
 }
 
 // eachMasked calls fn(pi, port) for every set bit of a per-router port
@@ -858,42 +847,53 @@ func (c *Core) SetPhases(warmup, total int64) { c.warmup, c.total = warmup, tota
 // measuring reports whether statistics are collected at cycle now.
 func (c *Core) measuring(now int64) bool { return now >= c.warmup }
 
-// PushDue parks a link event in the destination port's ring of router r and
-// returns the cycle at which r has to step because of it, or -1 when the
-// event cannot make r act: a packet can be allocated once it has crossed the
-// input pipeline (ev.At + pipeline); a credit lets a starved output send
-// (ev.At), and on any other output it only moves a counter. The event itself
+// PushDue parks a link event at the destination port of router r — a packet
+// in its arrival queue, a credit in its ring — and returns the cycle at
+// which r has to step because of it, or -1 when the event cannot make r act:
+// a packet can be allocated once it has crossed the input pipeline (ev.At +
+// pipeline); a credit lets a starved output send (ev.At), and on any other
+// output it only moves a counter. The event itself
 // is applied by Settle — at r's next step or the next time anyone reads r's
 // state, whichever comes first. The engine must call PushDue — between router
 // r's steps — for every LinkEvent whose Router field names r and wake r no
 // later than the cycle returned; settle panics on an event whose step was
 // slept through.
 func (c *Core) PushDue(r int, ev LinkEvent) int64 {
-	rings, mask := c.arrQ, c.arrPendMask
-	if ev.Credit {
-		rings, mask = c.crdQ, c.crdPendMask
-	}
-	i := rings[r*c.np+ev.Port].put()
-	if i < 0 {
-		panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the spacing promise or the credit protocol)", r, ev.Port, ev.Credit))
-	}
+	pi := r*c.np + ev.Port
 	word, bit := r*c.maskWords+ev.Port>>6, uint64(1)<<(uint(ev.Port)&63)
-	mask[word] |= bit
 	if ev.At < c.bookAt[r] {
 		c.bookAt[r] = ev.At
 	}
 	if ev.Credit {
+		i := c.crdQ[pi].put()
+		if i < 0 {
+			c.linkEventRingFull(r, ev)
+		}
 		c.crdData[i] = newCrdEvent(ev.At, ev.PVC)
+		c.crdPendMask[word] |= bit
 		if c.starved[word]&bit != 0 {
 			return ev.At
 		}
 		return -1
 	}
-	c.arrData[i] = pktEvent{at: ev.At, p: ev.Pkt}
+	q := &c.arrQ[pi]
+	if q.n == c.arrCap[ev.Port] {
+		c.linkEventRingFull(r, ev)
+	}
+	ev.Pkt.EnqueuedAt = ev.At
+	q.q.Push(ev.Pkt)
+	q.n++
+	c.arrPendMask[word] |= bit
 	if ev.At < c.arrAt[r] {
 		c.arrAt[r] = ev.At
 	}
 	return ev.At + c.pipeline
+}
+
+// linkEventRingFull reports an event its port has no room for: more packets
+// or credits in flight towards it than the credit protocol allows.
+func (c *Core) linkEventRingFull(r int, ev LinkEvent) {
+	panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the credit protocol)", r, ev.Port, ev.Credit))
 }
 
 // EarliestExternal returns the earliest cycle at which a packet already
@@ -928,7 +928,7 @@ func (c *Core) InFlight() int {
 		n += int(c.outQ[i].qlen)
 	}
 	for i := range c.arrQ {
-		n += int(c.arrQ[i].qlen)
+		n += int(c.arrQ[i].n)
 	}
 	return n
 }
@@ -965,7 +965,7 @@ func (c *Core) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	port := c.topo.NodePort(p.Src)
 	pi := r*c.np + port
 	vi := pi * c.maxVC
-	c.inQPush(vi, p)
+	c.inQPush(vi, port, p)
 	c.inQ[vi].occ += int32(p.Size)
 	c.inP[pi].qTotal++
 	c.inOccMask[r*c.maskWords+port>>6] |= 1 << (uint(port) & 63)

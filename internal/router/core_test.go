@@ -1,8 +1,10 @@
 package router
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"dragonfly/internal/packet"
@@ -16,8 +18,14 @@ import (
 // to a node of the next group — leaving it mid-flight. It returns the Core
 // and the wiring it was built from, re-bindable to another Recycle hook.
 func denseRun(t *testing.T, cycles int64, recycle func(*packet.Packet)) (*Core, func(func(*packet.Packet)) Wiring) {
+	return denseRunAt(t, 2, cycles, recycle, func(src, perGroup, nodes int, _ int64) int { return (src + perGroup + 1) % nodes })
+}
+
+// denseRunAt is denseRun on a balanced network of any h, with the
+// destination of the packet src generates at cycle now picked by dst.
+func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet), dst func(src, perGroup, nodes int, now int64) int) (*Core, func(func(*packet.Packet)) Wiring) {
 	t.Helper()
-	topo := topology.New(topology.Balanced(2))
+	topo := topology.New(topology.Balanced(h))
 	mech, err := routing.ByName("MIN")
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +48,8 @@ func denseRun(t *testing.T, cycles int64, recycle func(*packet.Packet)) (*Core, 
 	}
 	c.SetAllSinks(func(ev LinkEvent) { c.PushDue(ev.Router, ev) })
 	p := topo.Params()
-	perGroup := topo.NumNodes() / topo.NumGroups()
+	nodes := topo.NumNodes()
+	perGroup := nodes / topo.NumGroups()
 	for now := int64(0); now < cycles; now++ {
 		for r := 0; r < topo.NumRouters(); r++ {
 			for i := 0; i < p.P && now%int64(cfg.SerialCycles()) == 0; i++ {
@@ -50,7 +59,7 @@ func denseRun(t *testing.T, cycles int64, recycle func(*packet.Packet)) (*Core, 
 				src := r*p.P + i
 				pkt := new(packet.Packet)
 				pkt.Reset()
-				pkt.ID, pkt.Src, pkt.Dst = uint64(src)<<32|uint64(now), src, (src+perGroup+1)%topo.NumNodes()
+				pkt.ID, pkt.Src, pkt.Dst = uint64(src)<<32|uint64(now), src, dst(src, perGroup, nodes, now)
 				pkt.Size, pkt.GenTime = cfg.PacketSize, now
 				c.EnqueueInjection(r, now, pkt)
 			}
@@ -65,25 +74,31 @@ func denseRun(t *testing.T, cycles int64, recycle func(*packet.Packet)) (*Core, 
 // binding's Recycle before it drops them: that network and its pool are the
 // ones the restored run generates from. Pinned by counting, not by
 // allocation metering (a sync.Pool gives no guarantees to meter): every
-// packet the retired Core holds, in each of the three packet arenas, is
-// recycled exactly once, and the new binding sees none of them.
+// packet the retired Core holds, in each of the three kinds of packet queue,
+// is recycled exactly once, and the new binding sees none of them.
 func TestCloneRecyclesRetiredPackets(t *testing.T) {
 	recycled := map[*packet.Packet]int{}
 	// A dense sequential run at full load, abandoned mid-flight.
-	retired, wiring := denseRun(t, 60, func(p *packet.Packet) { recycled[p]++ })
+	retired, wiring := denseRun(t, 60, func(p *packet.Packet) {
+		for ; p != nil; p = p.Unchain() {
+			recycled[p]++
+		}
+	})
 	env := wiring(nil).Env
 	held := map[*packet.Packet]bool{}
-	var perArena [3]int
-	retired.eachPacket(func(slot **packet.Packet, arena int, _ int32) {
-		if held[*slot] {
-			t.Fatalf("packet %v sits in two slots", *slot)
-		}
-		held[*slot] = true
-		perArena[arena]++
+	var perKind [3]int
+	retired.eachQueue(func(kind, _ int, q *packet.Queue) {
+		q.Each(func(p *packet.Packet) {
+			if held[p] {
+				t.Fatalf("packet %v sits in two queues", p)
+			}
+			held[p] = true
+			perKind[kind]++
+		})
 	})
-	for arena, n := range perArena {
+	for kind, n := range perKind {
 		if n == 0 {
-			t.Fatalf("the abandoned run holds no packet in arena %d (input queues, output queues, arrival rings): %v", arena, perArena)
+			t.Fatalf("the abandoned run holds no packet in queues of kind %d (input VCs, output VCs, arrivals): %v", kind, perKind)
 		}
 	}
 	clear(recycled) // deliveries of the abandoned run itself
@@ -99,7 +114,7 @@ func TestCloneRecyclesRetiredPackets(t *testing.T) {
 		t.Fatal("Clone did not reuse the retired Core")
 	}
 	if len(recycled) != len(held) {
-		t.Fatalf("%d packets recycled, the retired Core held %d (%v per arena)", len(recycled), len(held), perArena)
+		t.Fatalf("%d packets recycled, the retired Core held %d (%v per kind)", len(recycled), len(held), perKind)
 	}
 	for pkt, n := range recycled {
 		if !held[pkt] || n != 1 {
@@ -137,7 +152,7 @@ func TestSettleIsIdempotentInTime(t *testing.T) {
 	}
 	for pi := range src.arrQ {
 		kinds[1] += int(src.crdQ[pi].qlen)
-		kinds[2] += int(src.arrQ[pi].qlen)
+		kinds[2] += int(src.arrQ[pi].n)
 	}
 	for k, n := range kinds {
 		if n == 0 {
@@ -218,4 +233,98 @@ func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	if got := c.outP[pi].free; got != c.downTotal[p] {
 		t.Fatalf("port holds %d phits of credit after all came back, want %d", got, c.downTotal[p])
 	}
+}
+
+// The event calendars never leave their windows: at most one release per
+// output and one transfer per input are pending at once, so np entries hold
+// them, and a window that fills up is compacted in place instead of growing
+// a private buffer. After a saturated h=3 run — uniform traffic at full
+// load, which keeps most outputs sending back to back, so most calendars
+// fill their window and compact many times over — every calendar still sits
+// in its own np-entry window of the one arena.
+func TestCalendarsStayInTheirWindows(t *testing.T) {
+	uniform := func(src, _, nodes int, now int64) int {
+		return int((uint64(src)*2654435761 + uint64(now)*40503 + 1) % uint64(nodes))
+	}
+	c, _ := denseRunAt(t, 3, 600, func(*packet.Packet) {}, uniform)
+	for r := 0; r < c.nr; r++ {
+		for k, d := range []*dueQueue{&c.relDue[r], &c.xferDue[r]} {
+			pos := (2*r + k) * c.np
+			if cap(d.q) != c.np || &d.q[:1][0] != &c.dueData[pos] {
+				t.Fatalf("router %d calendar %d left its window (capacity %d, want %d)", r, k, cap(d.q), c.np)
+			}
+		}
+	}
+}
+
+// mustPanic runs fn and requires it to panic with a message containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	fn()
+}
+
+// Every queue is held to a capacity — an input VC to the packets its buffer
+// holds, an output VC to the output buffer's, the packets and credits in
+// flight towards a port to what the credit protocol lets a sender owe — and
+// overrunning one panics with the message it had as a ring. Each case
+// breaks the contract of its caller: a source that ignores the backlog
+// bound, a grant that ignores the output's occupancy, a sender that ignores
+// its credits.
+func TestQueueBoundsStillHold(t *testing.T) {
+	fresh := func() *Core {
+		c, _ := denseRun(t, 0, func(*packet.Packet) {})
+		return c
+	}
+	pkt := func(c *Core) *packet.Packet {
+		p := new(packet.Packet)
+		p.Reset()
+		p.Size = c.size
+		return p
+	}
+	t.Run("input", func(t *testing.T) {
+		c := fresh()
+		mustPanic(t, "input ring overflow", func() {
+			for k := 0; k <= c.cfg.InjectionQueuePackets; k++ {
+				c.EnqueueInjection(0, 0, pkt(c))
+			}
+		})
+		if got := c.InjectionBacklog(0, 0); got != c.cfg.InjectionQueuePackets {
+			t.Fatalf("source queue holds %d packets, want its bound %d", got, c.cfg.InjectionQueuePackets)
+		}
+	})
+	t.Run("output", func(t *testing.T) {
+		c := fresh()
+		mustPanic(t, "output ring overflow", func() {
+			for k := int32(0); k <= c.outQCap; k++ {
+				c.outQPush(0, pkt(c))
+			}
+		})
+	})
+	const r, p = 3, 0 // a local input (arrivals) and output (credits)
+	t.Run("arrivals", func(t *testing.T) {
+		c := fresh()
+		mustPanic(t, "link event ring full", func() {
+			for k := int32(0); k <= c.arrCap[p]; k++ {
+				c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + int64(k), Pkt: pkt(c)})
+			}
+		})
+		if got := c.arrQ[r*c.np+p].n; got != c.arrCap[p] {
+			t.Fatalf("%d packets in flight towards the port, want its bound %d", got, c.arrCap[p])
+		}
+	})
+	t.Run("credits", func(t *testing.T) {
+		c := fresh()
+		mustPanic(t, "link event ring full", func() {
+			for k := 0; k <= int(c.downTotal[p])/c.size; k++ {
+				c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + int64(k), Credit: true})
+			}
+		})
+	})
 }

@@ -65,7 +65,8 @@ func consider(nev *int64, t int64) {
 //   - a credit already in flight towards a starved output.
 //
 // The engine guarantees strictly increasing now values and at most one
-// call per cycle. Disjoint routers may be stepped concurrently.
+// call per cycle. Routers of distinct groups may be stepped concurrently
+// (the allocator scratch is per group).
 func (c *Core) StepRouter(r int, now int64) int64 {
 	nev := int64(-1)
 	base := r * c.np
@@ -73,13 +74,13 @@ func (c *Core) StepRouter(r int, now int64) int64 {
 		c.settle(r, base, now, now-1)
 	}
 	c.completeTransfers(r, base, now)
-	c.allocate(r, base, now, &nev)
+	sc := &c.scratch[c.topo.RouterGroup(r)]
+	c.allocate(r, base, now, &nev, sc)
 	// Candidates left ungranted by the allocator (arbitration losses,
 	// busy or full outputs) are re-requested next cycle; granted inputs
 	// are accounted for inside grant() via busy.
-	for k := 0; k < int(c.candInN[r]); k++ {
-		p := int(c.candIn[base+k])
-		if c.inP[base+p].candN > 0 {
+	for _, p := range sc.candIn[:sc.candInN] {
+		if c.inP[base+int(p)].candN > 0 {
 			consider(&nev, now+1)
 			break
 		}
@@ -159,10 +160,10 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 			}
 		}
 	}
-	// Arrivals sit at the heads of the per-port rings. Ports are visited in
+	// Arrivals sit at the heads of the per-port queues. Ports are visited in
 	// ascending order; arrivals at different ports commute (an arrival only
 	// touches its own port's state and consumes no randomness), and one
-	// port's arrive in ring order.
+	// port's arrive in queue order.
 	arr := int64(math.MaxInt64)
 	for w := 0; w < mw; w++ {
 		pb := w << 6
@@ -170,31 +171,27 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 			p := pb + bits.TrailingZeros64(m)
 			pi := base + p
 			q := &c.arrQ[pi]
-			for q.qlen > 0 {
-				ev := &c.arrData[q.off+q.head]
-				if ev.at > upTo {
-					arr = min(arr, ev.at)
+			for q.n > 0 {
+				pkt := q.q.Front()
+				at := pkt.EnqueuedAt // the arrival cycle, while in flight
+				if at > upTo {
+					arr = min(arr, at)
 					break
 				}
-				if ev.at+c.pipeline <= stepped {
-					panic(fmt.Sprintf("router %d: packet arrived at cycle %d, allocatable from %d, still unapplied after cycle %d (receiver slept through it)", r, ev.at, ev.at+c.pipeline, stepped))
+				if at+c.pipeline <= stepped {
+					panic(fmt.Sprintf("router %d: packet arrived at cycle %d, allocatable from %d, still unapplied after cycle %d (receiver slept through it)", r, at, at+c.pipeline, stepped))
 				}
-				pkt := ev.p
-				ev.p = nil
-				if q.head++; q.head == q.qcap {
-					q.head = 0
-				}
-				if q.qlen--; q.qlen == 0 {
+				q.q.Pop()
+				if q.n--; q.n == 0 {
 					c.arrPendMask[r*mw+w] &^= 1 << (uint(p) & 63)
 				}
 				routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
-				pkt.ReadyAt = ev.at + c.pipeline
-				pkt.EnqueuedAt = ev.at
+				pkt.ReadyAt = at + c.pipeline
 				s := &c.inQ[pi*c.maxVC+pkt.VC]
 				if s.occ+int32(pkt.Size) > c.inCapVC[p] {
 					panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
 				}
-				c.inQPush(pi*c.maxVC+pkt.VC, pkt)
+				c.inQPush(pi*c.maxVC+pkt.VC, p, pkt)
 				s.occ += int32(pkt.Size)
 				c.inP[pi].qTotal++
 				c.inOccMask[r*mw+p>>6] |= 1 << (uint(p) & 63)
@@ -255,7 +252,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 	}
 }
 
-func (c *Core) allocate(r, base int, now int64, nev *int64) {
+func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 	// Busy inputs, folded in one read: the transfer calendar head (see
 	// the package comment for the equivalence argument).
 	if d := &c.xferDue[r]; d.head < len(d.q) {
@@ -268,10 +265,10 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 	view := &c.views[r]
 	rnd := &c.rnd[r]
 	inP := c.inP
-	cand := c.cand
+	cand := sc.cand
 	// Gather per-input candidate requests: one NextHop per ready VC head,
 	// in round-robin VC order, ascending port order over occupied ports.
-	cin := c.candIn[base : base+np]
+	cin := sc.candIn
 	cinN := 0
 	for w := 0; w < mw; w++ {
 		m := c.inOccMask[r*mw+w]
@@ -308,7 +305,7 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 					cinN++
 				}
 				req := c.mech.NextHop(c.env, view, pkt, c.class[p], rnd)
-				cand[vbase+int(inP[pi].candN)] = candRec{
+				cand[p*maxVC+int(inP[pi].candN)] = candRec{
 					vc:    int32(v),
 					port:  int32(req.Port),
 					outVC: int32(req.VC),
@@ -319,17 +316,17 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 			}
 		}
 	}
-	c.candInN[r] = int32(cinN)
+	sc.candInN = int32(cinN)
 	if cinN == 0 {
 		return
 	}
 
 	transitFirst := c.arb == TransitOverInjection
 	transitSubmitted := false
-	touched := c.outTouched[base : base+np]
+	touched := sc.outTouched
 	touchedN := 0
-	outCand := c.outCand
-	outCandN := c.outCandN
+	outCand := sc.outCand
+	outCandN := sc.outCandN
 	for iter := 0; iter < c.allocIter; iter++ {
 		// Submit: each free input proposes its first feasible candidate.
 		// Under transit-over-injection priority the batch allocator
@@ -357,20 +354,19 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 				if c.inP[pi].granted || inP[pi].busy > now || inP[pi].candN == 0 {
 					continue
 				}
-				vbase := pi * maxVC
 				for ciIdx := 0; ciIdx < int(inP[pi].candN); ciIdx++ {
-					cd := &cand[vbase+ciIdx]
+					cd := &cand[p*maxVC+ciIdx]
 					outPort := int(cd.port)
 					opi := base + outPort
 					if c.outP[opi].xbarBusy > now || c.outQ[opi*maxVC+int(cd.outVC)].occVC+size > c.capVC {
 						continue
 					}
-					if outCandN[opi] == 0 {
+					if outCandN[outPort] == 0 {
 						touched[touchedN] = int32(outPort)
 						touchedN++
 					}
-					outCand[opi*np+int(outCandN[opi])] = outCandRec{in: int32(p), idx: int32(ciIdx)}
-					outCandN[opi]++
+					outCand[outPort*np+int(outCandN[outPort])] = outCandRec{in: int32(p), idx: int32(ciIdx)}
+					outCandN[outPort]++
 					submitted = true
 					if pass == 0 && transitFirst {
 						transitSubmitted = true
@@ -384,52 +380,49 @@ func (c *Core) allocate(r, base int, now int64, nev *int64) {
 		}
 		// Grant: each output arbitrates among its requesters, in the
 		// submission (ascending-port) order of outTouched.
-		for k := 0; k < touchedN; k++ {
-			outPort := int(touched[k])
-			opi := base + outPort
-			if n := int(outCandN[opi]); n > 0 {
-				inP, ciIdx := c.arbitrate(base, opi, n)
-				c.grant(r, base, now, inP, ciIdx, nev)
+		for _, outPort := range touched[:touchedN] {
+			if n := int(outCandN[outPort]); n > 0 {
+				inP, ciIdx := c.arbitrate(sc, base, int(outPort), n)
+				c.grant(r, base, now, sc, inP, ciIdx, nev)
 			}
-			outCandN[opi] = 0
+			outCandN[outPort] = 0
 		}
 		touchedN = 0
 	}
 }
 
 // arbitrate picks the winning request among the n requesters submitted
-// to output opi, according to the configured arbitration policy.
-func (c *Core) arbitrate(base, opi, n int) (inP, ciIdx int32) {
-	reqs := opi * c.np
+// to output port outPort, according to the configured arbitration policy.
+func (c *Core) arbitrate(sc *allocScratch, base, outPort, n int) (inP, ciIdx int32) {
+	reqs := sc.outCand[outPort*c.np : outPort*c.np+n]
+	rr := int(c.outP[base+outPort].rr)
 	switch c.arb {
 	case TransitOverInjection:
 		// Transit first; round-robin within the preferred class.
 		best := int32(-1)
 		bestCi := int32(0)
-		for k := 0; k < n; k++ {
-			in := c.outCand[reqs+k].in
-			if c.class[in] != topology.InjectionPort {
-				if best == -1 || rrBefore(int(in), int(best), int(c.outP[opi].rr), c.np) {
-					best, bestCi = in, c.outCand[reqs+k].idx
+		for _, req := range reqs {
+			if c.class[req.in] != topology.InjectionPort {
+				if best == -1 || rrBefore(int(req.in), int(best), rr, c.np) {
+					best, bestCi = req.in, req.idx
 				}
 			}
 		}
 		if best >= 0 {
 			return best, bestCi
 		}
-		return c.roundRobinPick(opi, n)
+		return c.roundRobinPick(reqs, rr)
 	case AgeBased:
-		best, bestCi := c.outCand[reqs].in, c.outCand[reqs].idx
-		bestAge := c.headGen(base, best, bestCi)
-		for k := 1; k < n; k++ {
-			in, ci := c.outCand[reqs+k].in, c.outCand[reqs+k].idx
-			if age := c.headGen(base, in, ci); age < bestAge || (age == bestAge && in < best) {
-				best, bestCi, bestAge = in, ci, age
+		best, bestCi := reqs[0].in, reqs[0].idx
+		bestAge := c.headGen(sc, base, best, bestCi)
+		for _, req := range reqs[1:] {
+			if age := c.headGen(sc, base, req.in, req.idx); age < bestAge || (age == bestAge && req.in < best) {
+				best, bestCi, bestAge = req.in, req.idx, age
 			}
 		}
 		return best, bestCi
 	default:
-		return c.roundRobinPick(opi, n)
+		return c.roundRobinPick(reqs, rr)
 	}
 }
 
@@ -442,28 +435,28 @@ func rrBefore(a, b, ptr, n int) bool {
 }
 
 // headGen returns the generation time of the packet a request proposes.
-func (c *Core) headGen(base int, inP, ciIdx int32) int64 {
-	pi := base + int(inP)
-	vc := int(c.cand[pi*c.maxVC+int(ciIdx)].vc)
-	return c.inQFront(pi*c.maxVC + vc).GenTime
+func (c *Core) headGen(sc *allocScratch, base int, inP, ciIdx int32) int64 {
+	vc := int(sc.cand[int(inP)*c.maxVC+int(ciIdx)].vc)
+	return c.inQFront((base+int(inP))*c.maxVC + vc).GenTime
 }
 
-func (c *Core) roundRobinPick(opi, n int) (inP, ciIdx int32) {
-	reqs := opi * c.np
-	best, bestCi := c.outCand[reqs].in, c.outCand[reqs].idx
-	for k := 1; k < n; k++ {
-		if in := c.outCand[reqs+k].in; rrBefore(int(in), int(best), int(c.outP[opi].rr), c.np) {
-			best, bestCi = in, c.outCand[reqs+k].idx
+// roundRobinPick picks the request whose input comes first from the
+// round-robin pointer rr on.
+func (c *Core) roundRobinPick(reqs []outCandRec, rr int) (inP, ciIdx int32) {
+	best, bestCi := reqs[0].in, reqs[0].idx
+	for _, req := range reqs[1:] {
+		if rrBefore(int(req.in), int(best), rr, c.np) {
+			best, bestCi = req.in, req.idx
 		}
 	}
 	return best, bestCi
 }
 
 // grant commits the allocation of input inP's candidate ciIdx at router r.
-func (c *Core) grant(r, base int, now int64, inP, ciIdx int32, nev *int64) {
+func (c *Core) grant(r, base int, now int64, sc *allocScratch, inP, ciIdx int32, nev *int64) {
 	p := int(inP)
 	pi := base + p
-	cd := c.cand[pi*c.maxVC+int(ciIdx)]
+	cd := sc.cand[p*c.maxVC+int(ciIdx)]
 	vcIdx := int(cd.vc)
 	outPort := int(cd.port)
 	outVC := int(cd.outVC)
@@ -484,7 +477,7 @@ func (c *Core) grant(r, base int, now int64, inP, ciIdx int32, nev *int64) {
 
 	c.inP[pi].busy = now + c.xbar
 	consider(nev, c.inP[pi].busy) // transfer completes, freeing the input
-	c.xferDue[r].insert(c.inP[pi].busy, int32(p))
+	c.xferDue[r].insert(c.inP[pi].busy, int32(p), "transfer")
 	c.inP[pi].pend = pendRec{
 		active:  true,
 		vc:      cd.vc,
@@ -588,7 +581,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			c.outP[pi].relAt = now + c.serial
 			c.outP[pi].relPhits += size
 			c.outP[pi].relVC = int32(sendVC)
-			c.relDue[r].insert(c.outP[pi].relAt, int32(p))
+			c.relDue[r].insert(c.outP[pi].relAt, int32(p), "release")
 			c.bookAt[r] = min(c.bookAt[r], c.outP[pi].relAt) // the release is Settle's
 			if c.outP[pi].qTotal > 0 {
 				consider(nev, c.outP[pi].linkBusy)
@@ -600,7 +593,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				w := &c.outW[pi]
 				pkt.LinkLat += int64(w.lat)
 				if w.peer >= 0 {
-					// The packet rides the wake event to the far input's ring.
+					// The packet rides the wake event to the far input's arrival queue.
 					c.notify[r](LinkEvent{Router: int(w.peer), Port: int(w.peerPort), At: now + c.serial + int64(w.lat), Pkt: pkt})
 				} else {
 					c.lost++ // unplugged (see Unplug)
@@ -664,75 +657,46 @@ func (c *Core) pathCost(local, global int, linkLat int64) int64 {
 	return int64(local+global+1)*c.perRouter + linkLat
 }
 
-// inQFront returns the head packet of input VC ring vi, or nil.
-func (c *Core) inQFront(vi int) *packet.Packet {
-	s := &c.inQ[vi]
-	if s.qlen == 0 {
-		return nil
-	}
-	return c.inQData[s.off+s.head]
-}
+// inQFront returns the head packet of input VC vi, or nil.
+func (c *Core) inQFront(vi int) *packet.Packet { return c.inQ[vi].q.Front() }
 
-// inQPush appends a packet to input VC ring vi.
-func (c *Core) inQPush(vi int, p *packet.Packet) {
+// inQPush appends a packet to input VC vi of port p, holding the queue to
+// the packets the VC's buffer has room for.
+func (c *Core) inQPush(vi, p int, pkt *packet.Packet) {
 	s := &c.inQ[vi]
-	if s.qlen == s.qcap {
+	if s.qlen == c.inQCap[p] {
 		panic("router: input ring overflow")
 	}
-	i := s.head + s.qlen
-	if i >= s.qcap {
-		i -= s.qcap
-	}
-	c.inQData[s.off+i] = p
+	s.q.Push(pkt)
 	s.qlen++
 }
 
-// inQPop removes and returns the head packet of input VC ring vi.
+// inQPop removes and returns the head packet of input VC vi.
 func (c *Core) inQPop(vi int) *packet.Packet {
 	s := &c.inQ[vi]
-	idx := s.off + s.head
-	p := c.inQData[idx]
-	c.inQData[idx] = nil
-	if s.head++; s.head == s.qcap {
-		s.head = 0
-	}
+	pkt := s.q.Pop()
 	s.qlen--
-	s.occ -= int32(p.Size)
-	return p
+	s.occ -= int32(pkt.Size)
+	return pkt
 }
 
-// outQFront returns the head packet of output VC ring vi, or nil.
-func (c *Core) outQFront(vi int) *packet.Packet {
-	s := &c.outQ[vi]
-	if s.qlen == 0 {
-		return nil
-	}
-	return c.outQData[s.off+s.head]
-}
+// outQFront returns the head packet of output VC vi, or nil.
+func (c *Core) outQFront(vi int) *packet.Packet { return c.outQ[vi].q.Front() }
 
-// outQPush appends a packet to output VC ring vi.
-func (c *Core) outQPush(vi int, p *packet.Packet) {
+// outQPush appends a packet to output VC vi, holding the queue to the
+// packets an output buffer has room for.
+func (c *Core) outQPush(vi int, pkt *packet.Packet) {
 	s := &c.outQ[vi]
-	if s.qlen == s.qcap {
+	if s.qlen == c.outQCap {
 		panic("router: output ring overflow")
 	}
-	i := s.head + s.qlen
-	if i >= s.qcap {
-		i -= s.qcap
-	}
-	c.outQData[s.off+i] = p
+	s.q.Push(pkt)
 	s.qlen++
 }
 
-// outQPop removes and returns the head packet of output VC ring vi.
+// outQPop removes and returns the head packet of output VC vi.
 func (c *Core) outQPop(vi int) *packet.Packet {
 	s := &c.outQ[vi]
-	idx := s.off + s.head
-	p := c.outQData[idx]
-	c.outQData[idx] = nil
-	if s.head++; s.head == s.qcap {
-		s.head = 0
-	}
 	s.qlen--
-	return p
+	return s.q.Pop()
 }

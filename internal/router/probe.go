@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 
+	"dragonfly/internal/packet"
 	"dragonfly/internal/topology"
 )
 
@@ -85,8 +86,8 @@ func (c *Core) ProbeLinks(r int, now int64) LinkProbe {
 }
 
 // CheckSleep verifies that router r, due to step next at cycle wakeAt, sleeps
-// through nothing — read off the rings and calendars themselves, not the
-// cached minima the engine and Settle go by: wakeAt is no later than the
+// through nothing — read off the queues, rings and calendars themselves, not
+// the cached minima the engine and Settle go by: wakeAt is no later than the
 // cycle any packet in flight towards r becomes allocatable (its arrival plus
 // the input pipeline), nor than any credit in flight towards a starved
 // output; and the Settle gate is no later than any unapplied release, credit
@@ -102,21 +103,21 @@ func (c *Core) CheckSleep(r int, wakeAt int64) error {
 	}
 	for p := 0; p < c.np; p++ {
 		pi := base + p
-		q := &c.arrQ[pi]
-		for k, h := int32(0), q.head; k < q.qlen; k++ {
-			at := c.arrData[q.off+h].at
-			switch {
+		var err error
+		c.arrQ[pi].q.Each(func(pkt *packet.Packet) {
+			switch at := pkt.EnqueuedAt; {
+			case err != nil:
 			case at < book || at < c.arrAt[r]:
-				return fmt.Errorf("router %d: arrival on port %d due at %d, settle gate at %d, earliest arrival cached as %d", r, p, at, book, c.arrAt[r])
+				err = fmt.Errorf("router %d: arrival on port %d due at %d, settle gate at %d, earliest arrival cached as %d", r, p, at, book, c.arrAt[r])
 			case wakeAt > at+c.pipeline:
-				return fmt.Errorf("router %d wakes at %d: a packet arriving on port %d at %d is allocatable from %d", r, wakeAt, p, at, at+c.pipeline)
+				err = fmt.Errorf("router %d wakes at %d: a packet arriving on port %d at %d is allocatable from %d", r, wakeAt, p, at, at+c.pipeline)
 			}
-			if h++; h == q.qcap {
-				h = 0
-			}
+		})
+		if err != nil {
+			return err
 		}
 		starved := c.starved[r*c.maskWords+p>>6]&(1<<(uint(p)&63)) != 0
-		q = &c.crdQ[pi]
+		q := &c.crdQ[pi]
 		for k, h := int32(0), q.head; k < q.qlen; k++ {
 			at := c.crdData[q.off+h].at()
 			switch {

@@ -113,19 +113,15 @@ func (c *Core) StateVector(r int, v []int64) []int64 {
 		}
 		return 0
 	}
-	ring := func(data []*packet.Packet, off, qcap, head, qlen int32) {
-		for k, h := int32(0), head; k < qlen; k++ {
-			p := data[off+h]
+	queue := func(q *packet.Queue) {
+		q.Each(func(p *packet.Packet) {
 			v = append(v, int64(p.ID), int64(p.Src), int64(p.Dst), int64(p.VC),
 				int64(p.Phase), int64(p.IntNode), int64(p.IntGroup),
 				b2i(p.Misrouted), b2i(p.LocalMisrouted), b2i(p.SrcDecided),
 				int64(p.LocalHops), int64(p.GlobalHops),
 				p.ReadyAt, p.EnqueuedAt, p.GenTime, p.InjectTime,
 				p.LinkLat, p.WaitInj, p.WaitLocal, p.WaitGlobal)
-			if h++; h == qcap {
-				h = 0
-			}
-		}
+		})
 	}
 	base := r * c.np
 	for p := 0; p < c.np; p++ {
@@ -137,7 +133,7 @@ func (c *Core) StateVector(r int, v []int64) []int64 {
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
 			q := &c.inQ[(base+p)*c.maxVC+vc]
 			v = append(v, int64(q.occ), int64(q.qlen))
-			ring(c.inQData, q.off, q.qcap, q.head, q.qlen)
+			queue(&q.q)
 		}
 	}
 	for p := 0; p < c.np; p++ {
@@ -151,7 +147,7 @@ func (c *Core) StateVector(r int, v []int64) []int64 {
 			if c.downCapVC[p] > 0 {
 				v = append(v, int64(q.credits))
 			}
-			ring(c.outQData, q.off, q.qcap, q.head, q.qlen)
+			queue(&q.q)
 		}
 	}
 	return v

@@ -293,20 +293,21 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // inside a window can reach another group before the window ends, so each
 // group is stepped through the whole window on its own — ascending router
 // order, cycle by cycle, exactly the per-cycle body of a cycle-major loop —
-// while its state is still in cache. Link events are parked in the
-// destination ring the moment they are created (the global rings are sized
-// for a sender one window ahead of its receiver, see Core.layoutRings);
-// DESIGN.md ("Time windows") has the causality argument.
+// while its state is still in cache. Link events are parked at the
+// destination port the moment they are created (how far the sender runs
+// ahead of its receiver does not matter: what a port can hold is bounded by
+// the credit protocol, see Core.PushDue); DESIGN.md ("Time windows") has
+// the causality argument.
 //
 // Only routers that can do something in the current cycle are stepped;
 // everything else sleeps. A router steps when the step can grant, send,
 // transfer, deliver or generate. Events that only change what it holds —
 // a buffer release, a credit for an output that is not waiting for one, a
 // packet still crossing the input pipeline — wake nobody: they are parked
-// in the router's calendars and rings and applied by router.Core.Settle the
-// next time anyone looks. Correctness rests on one invariant: a skipped
-// step leaves nothing a stepped router or an observer can read before
-// Settle. It has two halves.
+// in the router's calendars, queues and rings and applied by
+// router.Core.Settle the next time anyone looks. Correctness rests on one
+// invariant: a skipped step leaves nothing a stepped router or an observer
+// can read before Settle. It has two halves.
 //
 // A sleeping router's wakeAt is never later than the next cycle at which it
 // can act. That cycle comes from three sources:
@@ -315,11 +316,11 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 //     internal work (pipeline delays elapsing, crossbar transfers
 //     completing, the serializer of a loaded output freeing, allocator
 //     retries, a credit in flight towards a starved output);
-//   - in-flight link events: every event is parked in the destination
-//     port's ring the moment it is created (Core.PushDue), which answers
-//     with the cycle the destination has to step at because of it — the
-//     arrival plus the input pipeline for a packet, the arrival for a credit
-//     to a starved output, never for any other credit. Core.EarliestExternal
+//   - in-flight link events: every event is parked at the destination
+//     port the moment it is created (Core.PushDue), which answers with the
+//     cycle the destination has to step at because of it — the arrival
+//     plus the input pipeline for a packet, the arrival for a credit to a
+//     starved output, never for any other credit. Core.EarliestExternal
 //     repeats the answer for the packets already parked;
 //   - generation: every node's next Bernoulli arrival is known in advance
 //     (Network.genWake).
@@ -328,7 +329,7 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // everything pending at that moment is covered. Events created afterwards
 // reach it through the event sink (Core.SetSink → deliver), which lowers the
 // sleeper's wakeAt to PushDue's answer. For a router that is awake this
-// changes nothing — its next settle finds the event in its rings. A step
+// changes nothing — its next settle finds the event at its port. A step
 // that is skipped under this rule would have popped what fell due and done
 // nothing else (no grant, no send, no RNG consumption).
 //
@@ -345,9 +346,10 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // runs the same body over it; there is one barrier per window, at which
 // the events that crossed a worker boundary are routed. Spans are re-cut
 // by recent group activity every rebalanceInterval cycles (partition.go).
-// A group's routers, wake-ups and PiggyBack bits are only ever touched by
-// its owner, and events reach their rings in the sender's order whatever
-// the partition, so results are identical for any worker count.
+// A group's routers, allocator scratch, wake-ups and PiggyBack bits are
+// only ever touched by its owner, and events reach their ports in the
+// sender's order whatever the partition, so results are identical for any
+// worker count.
 type engine struct {
 	net  *Network
 	core *router.Core
@@ -429,7 +431,7 @@ func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 	}
 }
 
-// deliver parks a link event in its destination port's ring and, if the
+// deliver parks a link event at its destination port and, if the
 // event can make the destination act, lowers its wake-up to the cycle it can.
 func (e *engine) deliver(ev router.LinkEvent) {
 	if at := e.core.PushDue(ev.Router, ev); at >= 0 {
@@ -484,7 +486,7 @@ func (e *engine) wake(r int, at int64) {
 // settle returns the cycle router r next steps at, after its step of cycle
 // now: the min of the internal event horizon nev that StepRouter returned,
 // the generation calendar (already refreshed by Generate) and the earliest
-// cycle a packet in its rings can be allocated at. now+1 keeps it awake.
+// cycle a packet in its arrival queues can be allocated at. now+1 keeps it awake.
 func (e *engine) settle(r int, now, nev int64) int64 {
 	at := int64(math.MaxInt64)
 	if nev >= 0 {
@@ -494,7 +496,7 @@ func (e *engine) settle(r int, now, nev int64) int64 {
 		at = gen
 	}
 	if at == now+1 {
-		return at // work due next cycle: no need to look at the rings
+		return at // work due next cycle: no need to look at the arrivals
 	}
 	if ext := e.core.EarliestExternal(r); ext >= 0 && ext < at {
 		at = ext

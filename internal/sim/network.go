@@ -378,6 +378,9 @@ func (net *Network) Generate(r int, now int64) {
 				}
 			}
 			pkt := net.pool.Get().(*packet.Packet)
+			if rest := pkt.Unchain(); rest != nil {
+				net.pool.Put(rest) // the rest of a queue a restore handed back whole
+			}
 			pkt.Reset()
 			ns.seq++
 			pkt.ID = uint64(src)<<32 | ns.seq

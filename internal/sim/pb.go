@@ -40,6 +40,9 @@ type pbState struct {
 	// stale marks, per router, a row whose link loads moved since it was last
 	// recomputed. Only engine.refreshPB reads it.
 	stale []bool
+	// views are the groups' routing.GroupView faces, built once so that a
+	// source decision looks its group up without boxing a view.
+	views []groupView
 }
 
 // totalUpdates sums the per-group refresh counters.
@@ -54,13 +57,18 @@ func (s *pbState) totalUpdates() int64 {
 func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
 	t := net.Topo
 	p := t.Params()
-	return &pbState{
+	s := &pbState{
 		topo: t, net: net, marginPhits: thresholdPkts * float64(packetSize),
 		bits: make([]bool, t.NumGroups()*p.A*p.H), per: p.A * p.H,
 		loads:   make([]int, t.NumGroups()*p.A*p.H),
 		updates: make([]int64, t.NumGroups()),
 		stale:   make([]bool, t.NumRouters()),
+		views:   make([]groupView, t.NumGroups()),
 	}
+	for g := range s.views {
+		s.views[g] = groupView{s: s, g: g}
+	}
+	return s
 }
 
 // allStale marks every row for recomputation: a run starts from bits it
@@ -117,12 +125,12 @@ type groupView struct {
 }
 
 // GlobalSaturated implements routing.GroupView.
-func (v groupView) GlobalSaturated(localIdx, k int) bool {
+func (v *groupView) GlobalSaturated(localIdx, k int) bool {
 	return v.s.bits[v.g*v.s.per+localIdx*v.s.topo.Params().H+k]
 }
 
 // view returns the routing.GroupView for a group.
-func (s *pbState) view(g int) routing.GroupView { return groupView{s: s, g: g} }
+func (s *pbState) view(g int) routing.GroupView { return &s.views[g] }
 
 // PBGroups returns the number of groups with PiggyBack state to refresh:
 // the network's group count under a Src-* mechanism, 0 otherwise.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -397,4 +398,51 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A packet queues on itself, so nothing reserves queue depth up front and
+// only the credit protocol and the Table I source-queue bound limit it. This
+// drives source queues to that 256-packet bound — MIN routing under ADVc at
+// full offered load, far past saturation, so generation is refused
+// (Backlogged) — and requires the core's state vectors, which list every
+// queued packet in order, and its statistics to equal the oracle's, on one
+// and two workers.
+func TestDeepBacklogMatchesOracle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "MIN", "ADVc", 1.0
+	cfg.WarmupCycles, cfg.MeasureCycles = 2000, 1000
+	run := func(im impl, workers int) (*Network, *Result) {
+		cfg := cfg
+		cfg.Workers = workers
+		net, err := im.build(&cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := im.drive(net, &cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		return net, newResult(net, &cfg, 0)
+	}
+	ref, refRes := run(oracle, 1)
+	if refRes.Backlogged() == 0 {
+		t.Fatal("no generation attempt was refused: the source queues never filled")
+	}
+	full, per := 0, ref.Topo.Params().P
+	for r := 0; r < ref.Topo.NumRouters(); r++ {
+		for i := 0; i < per; i++ {
+			if ref.fab.InjectionBacklog(r, i) == cfg.Router.InjectionQueuePackets {
+				full++
+			}
+		}
+	}
+	if full == 0 {
+		t.Fatalf("no source queue holds its %d-packet bound at the end", cfg.Router.InjectionQueuePackets)
+	}
+	want := stateOf(ref)
+	for _, workers := range []int{1, 2} {
+		net, res := run(core, workers)
+		diffState(t, fmt.Sprintf("workers=%d", workers), stateOf(net), want)
+		requireIdentical(t, fmt.Sprintf("workers=%d", workers), refRes, res)
+	}
+	t.Logf("%d of %d source queues full, %d attempts refused", full, ref.Topo.NumNodes(), refRes.Backlogged())
 }
