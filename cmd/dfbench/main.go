@@ -93,8 +93,8 @@ type construction struct {
 // misses the floor now and then with nothing wrong. The allocation
 // footprints are gated against the baseline like construction bytes.
 // TemplateBytes is what sim.NewSnapshot(cfg, 0) allocates — the
-// construction template a sweep keeps per (mechanism, pattern, seed), built
-// without credit rings and scratch — beside BuildBytes, one sim.NewNetwork,
+// construction template a sweep keeps per (mechanism, pattern, seed): the
+// wiring and RNG streams, no state array — beside BuildBytes, one sim.NewNetwork,
 // and SnapshotBytes, the full-size capture of a live network; it is gated
 // against the baseline. The restored networks — fresh and
 // recycled alike — must run bit-identically to the cold one: a fast

@@ -89,15 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Bound what a client can hold open by going quiet: the request line and
-	// headers, the (size-capped) body, an idle keep-alive connection. There is
-	// no WriteTimeout: /watch streams for as long as its job runs.
-	srv := &http.Server{
-		Handler:           mgr.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := serve.NewServer(mgr.Handler())
 	fmt.Printf("dfserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(*store))
 	go func() {
 		<-ctx.Done()

@@ -281,10 +281,13 @@ type shape struct {
 	downTotal []int32 // total downstream capacity
 	threshVC  []int32 // congestion threshold per VC, phits
 	// Packet-count bounds the credit protocol guarantees: an input VC holds
-	// inCapVC/size packets, and the packets in flight towards an input port
-	// are at most what its VCs hold — a sender only sends into credited space.
+	// inCapVC/size packets, the packets in flight towards an input port
+	// are at most what its VCs hold — a sender only sends into credited space
+	// — and the credits an output is owed at most what the downstream buffer
+	// holds (downTotal/size, its credit ring's capacity; see layoutCredits).
 	inQCap []int32
 	arrCap []int32
+	crdCap []int32
 
 	// Wiring, indexed by pi.
 	inW  []portWire
@@ -293,7 +296,7 @@ type shape struct {
 	// Slots behind the credit-ring arena (see layoutCredits) and the size of
 	// the per-job accumulators: what a Core needs beyond its shape to be
 	// sized, so Clone can build a destination from a template that owns no
-	// arena.
+	// state.
 	crdTot int
 	nJobs  int
 }
@@ -395,20 +398,26 @@ type Core struct {
 }
 
 // NewCore builds and wires the routers of one network: ports, peers and
-// per-link latencies go straight into the flat arrays.
+// per-link latencies go straight into the flat arrays. The state arrays are
+// freshly allocated, so they already hold the zeros of an empty network and
+// only initEmpty's words are written.
 func NewCore(w Wiring) (*Core, error) {
 	c, err := NewTemplate(w)
 	if err != nil {
 		return nil, err
 	}
+	c.sizeState(false)
+	c.initEmpty() // while the state arrays are still in cache
 	c.sizeArenas()
+	c.bind(w.Binding)
 	return c, nil
 }
 
-// NewTemplate is NewCore without the credit-ring arena and the allocator
-// scratch. The result holds the complete state of a freshly built, empty
-// network and can only be cloned from: Clone never reads a dead credit slot
-// or scratch, and an empty network has no live one.
+// NewTemplate is the part of NewCore an empty network cannot compute: the
+// shape (wiring, port-class tables, arena sizes) and the per-router
+// arbitration RNG streams. It allocates no state array. The result can only
+// be cloned from, and Clone makes the destination the empty network — the
+// state NewCore starts from — by zeroing it and running initEmpty.
 func NewTemplate(w Wiring) (*Core, error) {
 	topo, cfg := w.Topo, w.Cfg
 	if err := cfg.Validate(); err != nil {
@@ -434,21 +443,34 @@ func NewTemplate(w Wiring) (*Core, error) {
 	if err := c.wire(w.Latency); err != nil {
 		return nil, err
 	}
-	c.sizeState()
-	c.layoutCredits()
-	c.bind(w.Binding)
+	c.crdTot = c.layoutCredits(nil)
+	c.rnd = make([]rng.Source, c.nr)
 	for r := range c.rnd {
 		c.rnd[r] = *w.Rng.Split()
-		c.bookAt[r], c.arrAt[r] = math.MaxInt64, math.MaxInt64
-	}
-	for pi := range c.outP {
-		p := pi % c.np
-		c.outP[pi].free = c.downTotal[p]
-		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-			c.outQ[pi*c.maxVC+vc].credits = c.downCapVC[p]
-		}
 	}
 	return c, nil
+}
+
+// initEmpty writes the words of the empty network that are not zero, bar
+// the RNG streams, into state arrays that hold zeros (freshly allocated, or
+// cleared by sizeState): the credit-ring layout, no pending event (bookAt,
+// arrAt), and every downstream credit home (free, credits). This is the one
+// definition of an empty network, for a build and for a restore from a
+// template alike.
+func (c *Core) initEmpty() {
+	c.layoutCredits(c.crdQ)
+	for r := range c.bookAt {
+		c.bookAt[r], c.arrAt[r] = math.MaxInt64, math.MaxInt64
+	}
+	for base := 0; base < len(c.outP); base += c.np {
+		for p, total := range c.downTotal {
+			c.outP[base+p].free = total
+			vi := (base + p) * c.maxVC
+			for vc := range c.nOutVC[p] {
+				c.outQ[vi+int(vc)].credits = c.downCapVC[p]
+			}
+		}
+	}
 }
 
 // initPortClasses fills the per-port-class constant tables.
@@ -464,6 +486,7 @@ func (c *Core) initPortClasses() {
 	c.threshVC = make([]int32, np)
 	c.inQCap = make([]int32, np)
 	c.arrCap = make([]int32, np)
+	c.crdCap = make([]int32, np)
 	for p := 0; p < np; p++ {
 		cls := c.topo.PortClass(p)
 		c.class[p] = cls
@@ -487,6 +510,7 @@ func (c *Core) initPortClasses() {
 		c.threshVC[p] = int32(cfg.CongestionThreshold * float64(int32(cfg.OutputBufferPhits)+c.downCapVC[p]))
 		c.inQCap[p] = c.inCapVC[p] / int32(cfg.PacketSize)
 		c.arrCap[p] = c.nInVC[p] * c.inQCap[p]
+		c.crdCap[p] = c.downTotal[p] / int32(cfg.PacketSize)
 	}
 }
 
@@ -531,41 +555,47 @@ func (c *Core) wire(model topology.LatencyModel) error {
 	return nil
 }
 
-// fit returns s resliced to n elements when its capacity allows — contents
-// stale — and a fresh zeroed slice otherwise.
-func fit[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
+// fit returns s resliced to n elements when its capacity allows — cleared
+// if zero is set, stale otherwise — and a fresh zeroed slice when not.
+func fit[T any](s []T, n int, zero bool) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return make([]T, n)
+	s = s[:n]
+	if zero {
+		clear(s)
+	}
+	return s
 }
 
 // sizeState sizes every state array to the shape, reusing whatever capacity
 // the Core already owns: on a fresh Core everything is allocated zeroed, on
-// a retired one (see Clone) the arrays that fit are resliced and hold stale
-// values until the caller overwrites them.
-func (c *Core) sizeState() {
+// a retired one (see Clone) the arrays that fit are resliced and — unless
+// zero asks for the zeros of an empty network — hold stale values until the
+// caller overwrites them. Arrays that every caller overwrites in full
+// (bookAt, arrAt, rnd) and the per-router windows are never cleared.
+func (c *Core) sizeState(zero bool) {
 	nr, np, nj := c.nr, c.np, c.nJobs
 	npp := nr * np
-	c.inOccMask = fit(c.inOccMask, nr*c.maskWords)
-	c.outOccMask = fit(c.outOccMask, nr*c.maskWords)
-	c.arrPendMask = fit(c.arrPendMask, nr*c.maskWords)
-	c.crdPendMask = fit(c.crdPendMask, nr*c.maskWords)
-	c.starved = fit(c.starved, nr*c.maskWords)
-	c.inP = fit(c.inP, npp)
-	c.outP = fit(c.outP, npp)
-	c.inQ = fit(c.inQ, npp*c.maxVC)
-	c.outQ = fit(c.outQ, npp*c.maxVC)
-	c.arrQ = fit(c.arrQ, npp)
-	c.crdQ = fit(c.crdQ, npp)
-	c.bookAt = fit(c.bookAt, nr)
-	c.arrAt = fit(c.arrAt, nr)
-	c.rnd = fit(c.rnd, nr)
-	c.stats = fit(c.stats, nr)
-	c.jobStats = fit(c.jobStats, nr)
-	c.jobLive = fit(c.jobLive, nr)
-	c.jobData = fit(c.jobData, nr*nj)
-	c.liveData = fit(c.liveData, nr*nj)
+	c.inOccMask = fit(c.inOccMask, nr*c.maskWords, zero)
+	c.outOccMask = fit(c.outOccMask, nr*c.maskWords, zero)
+	c.arrPendMask = fit(c.arrPendMask, nr*c.maskWords, zero)
+	c.crdPendMask = fit(c.crdPendMask, nr*c.maskWords, zero)
+	c.starved = fit(c.starved, nr*c.maskWords, zero)
+	c.inP = fit(c.inP, npp, zero)
+	c.outP = fit(c.outP, npp, zero)
+	c.inQ = fit(c.inQ, npp*c.maxVC, zero)
+	c.outQ = fit(c.outQ, npp*c.maxVC, zero)
+	c.arrQ = fit(c.arrQ, npp, zero)
+	c.crdQ = fit(c.crdQ, npp, zero)
+	c.bookAt = fit(c.bookAt, nr, false)
+	c.arrAt = fit(c.arrAt, nr, false)
+	c.rnd = fit(c.rnd, nr, false)
+	c.stats = fit(c.stats, nr, zero)
+	c.jobStats = fit(c.jobStats, nr, false)
+	c.jobLive = fit(c.jobLive, nr, false)
+	c.jobData = fit(c.jobData, nr*nj, zero)
+	c.liveData = fit(c.liveData, nr*nj, zero)
 	for r := 0; r < nr; r++ {
 		c.jobStats[r], c.jobLive[r] = nil, nil
 		if nj > 0 {
@@ -574,17 +604,17 @@ func (c *Core) sizeState() {
 		}
 	}
 	// Calendars: empty, each in its own np-entry window of one arena.
-	c.relDue = fit(c.relDue, nr)
-	c.xferDue = fit(c.xferDue, nr)
-	c.dueData = fit(c.dueData, 2*npp)
+	c.relDue = fit(c.relDue, nr, false)
+	c.xferDue = fit(c.xferDue, nr, false)
+	c.dueData = fit(c.dueData, 2*npp, false)
 	for r := 0; r < nr; r++ {
 		pos := 2 * r * np
 		c.relDue[r] = dueQueue{q: c.dueData[pos : pos : pos+np]}
 		c.xferDue[r] = dueQueue{q: c.dueData[pos+np : pos+np : pos+2*np]}
 	}
-	c.trace = fit(c.trace, nr)
-	c.notify = fit(c.notify, nr)
-	c.views = fit(c.views, nr)
+	c.trace = fit(c.trace, nr, false)
+	c.notify = fit(c.notify, nr, false)
+	c.views = fit(c.views, nr, false)
 	for r := range c.views {
 		c.views[r] = View{c: c, r: int32(r)}
 	}
@@ -598,36 +628,42 @@ func (c *Core) sizeState() {
 // (and a run that died mid-allocation may have left submissions behind).
 func (c *Core) sizeArenas() {
 	np := c.np
-	c.crdData = fit(c.crdData, c.crdTot)
-	c.scratch = fit(c.scratch, c.topo.NumGroups())
+	c.crdData = fit(c.crdData, c.crdTot, false)
+	c.scratch = fit(c.scratch, c.topo.NumGroups(), false)
 	for g := range c.scratch {
 		s := &c.scratch[g]
-		s.cand = fit(s.cand, np*c.maxVC)
-		s.candIn = fit(s.candIn, np)
-		s.outCand = fit(s.outCand, np*np)
-		s.outCandN = fit(s.outCandN, np)
-		clear(s.outCandN)
-		s.outTouched = fit(s.outTouched, np)
+		s.cand = fit(s.cand, np*c.maxVC, false)
+		s.candIn = fit(s.candIn, np, false)
+		s.outCand = fit(s.outCand, np*np, false)
+		s.outCandN = fit(s.outCandN, np, true)
+		s.outTouched = fit(s.outTouched, np, false)
 	}
 }
 
 // layoutCredits carves the credit rings out of their arena: one ring per
-// wired output, with room for every credit the port can be owed. An entry is
-// the credit for one packet the port has sent and not been credited for, the
-// port cannot have more of those than the downstream buffer holds packets,
-// and with credits settled lazily nothing else bounds how long one waits in
-// its ring (a sleeping router with nothing queued at the port is never woken
-// for it).
-func (c *Core) layoutCredits() {
-	size := int32(c.size)
-	var tot int32
-	for pi := range c.crdQ {
-		if c.outW[pi].peer >= 0 {
-			c.crdQ[pi] = evRing{off: tot, qcap: c.downTotal[pi%c.np] / size}
-			tot += c.crdQ[pi].qcap
+// wired output, with room for every credit the port can be owed (crdCap).
+// An entry is the credit for one packet the port has sent and not been
+// credited for, the port cannot have more of those than the downstream
+// buffer holds packets, and with credits settled lazily nothing else bounds
+// how long one waits in its ring (a sleeping router with nothing queued at
+// the port is never woken for it). With rings it writes each ring's place,
+// not its contents — an empty ring is the zero head and length the record
+// already holds; without, it only counts the arena's slots. It returns
+// their number.
+func (c *Core) layoutCredits(rings []evRing) int {
+	var off int32
+	for base := 0; base < len(c.outW); base += c.np {
+		for p, n := range c.crdCap {
+			if c.outW[base+p].peer < 0 {
+				continue
+			}
+			if rings != nil {
+				rings[base+p].off, rings[base+p].qcap = off, n
+			}
+			off += n
 		}
 	}
-	c.crdTot = int(tot)
+	return int(off)
 }
 
 // bind attaches the Core to its network's hooks and clears the engine's.
@@ -652,9 +688,11 @@ func (c *Core) bind(b Binding) {
 // not — so a Core retired from one mechanism's network serves a restore of
 // another's, and recycling within one shape allocates nothing beyond the
 // live packets; the packets the retired run left behind go back through
-// into's own Recycle hook, a queue at a time. c may be a template (see NewTemplate); the
-// destination always gets the credit arena and scratch. Both Cores must be
-// between cycles.
+// into's own Recycle hook, a queue at a time. The destination always gets
+// the credit arena and scratch. When c is a template (see NewTemplate)
+// there is no state to copy: the destination is reset to the empty network
+// instead — its reused state arrays cleared, fresh ones left as allocated,
+// then initEmpty and c's RNG streams. Both Cores must be between cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
 	if d == nil {
@@ -669,10 +707,18 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 		})
 	}
 	d.shape = c.shape
-	d.sizeState()
+	d.lost = 0
+	if c.inP == nil { // a template: no state to copy
+		d.sizeState(true)
+		d.initEmpty()
+		copy(d.rnd, c.rnd)
+		d.sizeArenas()
+		d.bind(b)
+		return d
+	}
+	d.sizeState(false)
 	d.sizeArenas()
 	d.bind(b)
-	d.lost = 0
 
 	copy(d.inOccMask, c.inOccMask)
 	copy(d.outOccMask, c.outOccMask)

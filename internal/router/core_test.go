@@ -126,6 +126,106 @@ func TestCloneRecyclesRetiredPackets(t *testing.T) {
 	}
 }
 
+// stateDiff names the first state array in which two Cores differ, or
+// returns "" — every array a run reads or writes, the ones StateVector
+// leaves out (masks, rings, settle gates, RNG streams, accumulators)
+// included.
+func stateDiff(a, b *Core) string {
+	for _, d := range []struct {
+		name string
+		same bool
+	}{
+		{"inOccMask", slices.Equal(a.inOccMask, b.inOccMask)},
+		{"outOccMask", slices.Equal(a.outOccMask, b.outOccMask)},
+		{"arrPendMask", slices.Equal(a.arrPendMask, b.arrPendMask)},
+		{"crdPendMask", slices.Equal(a.crdPendMask, b.crdPendMask)},
+		{"starved", slices.Equal(a.starved, b.starved)},
+		{"inP", slices.Equal(a.inP, b.inP)},
+		{"outP", slices.Equal(a.outP, b.outP)},
+		{"inQ", slices.Equal(a.inQ, b.inQ)},
+		{"outQ", slices.Equal(a.outQ, b.outQ)},
+		{"arrQ", slices.Equal(a.arrQ, b.arrQ)},
+		{"crdQ", slices.Equal(a.crdQ, b.crdQ)},
+		{"bookAt", slices.Equal(a.bookAt, b.bookAt)},
+		{"arrAt", slices.Equal(a.arrAt, b.arrAt)},
+		{"rnd", slices.Equal(a.rnd, b.rnd)},
+		{"stats", slices.Equal(a.stats, b.stats)},
+		{"jobData", slices.Equal(a.jobData, b.jobData)},
+		{"liveData", slices.Equal(a.liveData, b.liveData)},
+		{"crdData length", len(a.crdData) == len(b.crdData)},
+		{"lost", a.lost == b.lost},
+	} {
+		if !d.same {
+			return d.name
+		}
+	}
+	for r := 0; r < a.nr; r++ {
+		for k, q := range []*dueQueue{&a.relDue[r], &a.xferDue[r], &b.relDue[r], &b.xferDue[r]} {
+			if len(q.q) != q.head {
+				return fmt.Sprintf("router %d calendar %d", r, k)
+			}
+		}
+		if !slices.Equal(a.StateVector(r, nil), b.StateVector(r, nil)) {
+			return fmt.Sprintf("router %d StateVector", r)
+		}
+	}
+	return ""
+}
+
+// A template holds what an empty network cannot compute — wiring and RNG
+// streams — and no state array. Cloning from it resets the destination to
+// the empty network NewCore builds, array for array, whatever it is cloned
+// into: nothing, a clean Core, one retired mid-flight, or one of another
+// shape retired mid-flight (h=3 at full load, whose arrays the h=2 restore
+// reslices down over stale contents).
+func TestTemplateCloneIsNewCore(t *testing.T) {
+	drop := func(*packet.Packet) {}
+	_, wiring := denseRun(t, 0, drop)
+	tmpl, err := NewTemplate(wiring(drop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []struct {
+		name string
+		n    int
+	}{
+		{"masks", len(tmpl.inOccMask) + len(tmpl.outOccMask) + len(tmpl.arrPendMask) + len(tmpl.crdPendMask) + len(tmpl.starved)},
+		{"ports", len(tmpl.inP) + len(tmpl.outP)},
+		{"queues", len(tmpl.inQ) + len(tmpl.outQ) + len(tmpl.arrQ)},
+		{"credit rings", len(tmpl.crdQ) + len(tmpl.crdData)},
+		{"settle gates", len(tmpl.bookAt) + len(tmpl.arrAt)},
+		{"calendars", len(tmpl.relDue) + len(tmpl.xferDue) + len(tmpl.dueData)},
+		{"accumulators", len(tmpl.stats) + len(tmpl.jobData) + len(tmpl.liveData)},
+		{"scratch", len(tmpl.scratch)},
+	} {
+		if a.n != 0 {
+			t.Errorf("the template holds %d entries of %s", a.n, a.name)
+		}
+	}
+	want, err := NewCore(wiring(drop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := func(src, _, nodes int, now int64) int {
+		return int((uint64(src)*2654435761 + uint64(now)*40503 + 1) % uint64(nodes))
+	}
+	clean, _ := denseRun(t, 0, drop)
+	dirty, _ := denseRun(t, 60, drop)
+	other, _ := denseRunAt(t, 3, 200, drop, uniform)
+	if dirty.InFlight() == 0 || other.InFlight() == 0 {
+		t.Fatal("a retired run holds no packet: the test resets nothing")
+	}
+	for _, into := range []struct {
+		name string
+		c    *Core
+	}{{"nothing", nil}, {"a clean Core", clean}, {"a dirty Core", dirty}, {"a dirty h=3 Core", other}} {
+		got := tmpl.Clone(into.c, wiring(drop).Binding)
+		if d := stateDiff(got, want); d != "" {
+			t.Errorf("cloned from the template into %s: %s differs from NewCore's", into.name, d)
+		}
+	}
+}
+
 // When a state-only event is applied leaves no trace: settling a sleeping
 // router cycle by cycle (what the dense oracle does), in one go at the end,
 // or at any cycles in between yields the same state, word for word — every

@@ -60,6 +60,20 @@ func jobOf(m *Manager, r *http.Request) *sweep.Job {
 	return nil
 }
 
+// NewServer returns the http.Server every HTTP surface of this package runs
+// under — the daemon (Manager.Handler) and the live endpoint (ServeLive):
+// it bounds what a client can hold open by going quiet, in the request line
+// and headers, the (size-capped) body and an idle keep-alive connection.
+// There is no WriteTimeout: /watch streams for as long as its job runs.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // Handler assembles the daemon's full route table.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -57,13 +57,18 @@ func ServeLive(l *telemetry.Live, addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	go liveServer(l).Serve(ln) //nolint:errcheck // runs until process exit
+	return ln.Addr(), nil
+}
+
+// liveServer is the server ServeLive runs: the live routes alone, under
+// NewServer's bounds.
+func liveServer(l *telemetry.Live) *http.Server {
 	publishExpvar(l)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "dragonfly live endpoint\n\n/api/progress\n/api/tasks\n/api/probes\n/debug/vars\n")
 	})
 	LiveRoutes(mux, l)
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln) //nolint:errcheck // runs until process exit
-	return ln.Addr(), nil
+	return NewServer(mux)
 }

@@ -500,6 +500,17 @@ func TestServeLiveStandalone(t *testing.T) {
 	}
 }
 
+// The live endpoint runs under the daemon's bounds: a client that goes
+// quiet is dropped, and nothing cuts a long response short.
+func TestServeLiveHasTimeouts(t *testing.T) {
+	srv := liveServer(newLiveForTest())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != time.Minute ||
+		srv.IdleTimeout != 2*time.Minute || srv.WriteTimeout != 0 {
+		t.Fatalf("live server timeouts: read header %v, read %v, idle %v, write %v; want 10s, 1m, 2m, none",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+}
+
 // A submission puts one token in the kick channel, which wakes one runner;
 // the runner that wins a lease must pass the token on, or its siblings
 // sleep out their 250 ms poll while it works through the job alone. The

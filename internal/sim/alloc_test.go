@@ -111,6 +111,30 @@ func TestBuildFootprint(t *testing.T) {
 	}
 }
 
+// A construction template is what an empty network cannot compute, not an
+// empty network: the wiring and the RNG streams, no state array (a restore
+// writes the empty state itself). At h=6 that is at most 1.5 MiB, against
+// TestBuildFootprint's 15 MiB build.
+func TestTemplateFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	const limit = 3 << 19
+	for _, mech := range []string{"In-Trns-MM", "Src-CRG"} {
+		cfg := PaperConfig()
+		cfg.Mechanism = mech
+		got := allocated(func() {
+			if _, err := NewSnapshot(cfg, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: h=6 construction template %.2f MiB", mech, float64(got)/(1<<20))
+		if got > limit {
+			t.Errorf("%s: an h=6 construction template allocates %.2f MiB, want at most 1.5 MiB", mech, float64(got)/(1<<20))
+		}
+	}
+}
+
 // The sweep steady state — restore over a retired network, run, extract
 // the result — must not rebuild what the network already owns. The core
 // lives as long as its network, so a recycled point allocates scheduler

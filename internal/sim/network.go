@@ -140,7 +140,7 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 }
 
 // newCoreNetwork is NewNetwork over either constructor of the core: the
-// full one, or the arena-free template NewSnapshot freezes.
+// full one, or the stateless template NewSnapshot freezes.
 func newCoreNetwork(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (*router.Core, error)) (*Network, error) {
 	var core *router.Core
 	net, err := NewNetworkOn(cfg, pat, func(w router.Wiring) (f Fabric, err error) {

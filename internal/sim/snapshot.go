@@ -9,14 +9,16 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// Snapshot is a frozen image of a network: the core's state arrays with
-// every queued and in-flight packet, plus the traffic sources and
-// PiggyBack bits. Nothing ever steps the image; restoring it is a few dozen
-// memcpys and a deep copy of the live packets instead of re-wiring the
-// topology. NewSnapshot freezes the network it builds; Network.Snapshot
-// copies a live one. Allocator scratch, engine hooks and probe or tracer
-// attachments are not state and are not captured. Two capture points are
-// supported:
+// Snapshot is a frozen image of a network: the traffic sources and
+// PiggyBack bits, and the core — its state arrays with every queued and
+// in-flight packet, or, for a construction snapshot, only what an empty
+// network cannot compute (the wiring and the arbitration RNG streams).
+// Nothing ever steps the image, and restoring it never re-wires the
+// topology: a captured state is a few dozen memcpys and a deep copy of the
+// live packets, a construction snapshot a reset that writes the empty state.
+// NewSnapshot freezes the network it builds; Network.Snapshot copies a live
+// one. Allocator scratch, engine hooks and probe or tracer attachments are
+// not state and are not captured. Two capture points are supported:
 //
 //   - Construction snapshots (taken before any engine run) are reusable for
 //     ANY load: every node RNG is rewound to its position from just before
@@ -63,9 +65,10 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 // NewSnapshot builds a network from cfg, optionally warms it for warmCycles
 // (without ever enabling measurement), and freezes it: the built network is
 // the template, not a copy of it. A construction template (warmCycles 0) is
-// arena-free — it is built over router.NewTemplate, a fraction of a
-// network's bytes — since an empty network has nothing in its rings for a
-// restore to copy. Probes and tracers never apply to template preparation.
+// built over router.NewTemplate: the core's shape and RNG streams, no state
+// array — under a tenth of a network's bytes at h=6 — since every restore
+// writes the empty state itself. Probes and tracers never apply to template
+// preparation.
 // The pattern is built from cfg.Pattern; networks built around an explicit
 // pattern instance must capture through Network.Snapshot directly, and the
 // caller then owns the compatibility of restore configurations with that
@@ -195,9 +198,13 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	if src.pb == nil {
 		clone.pb = nil
 	} else {
-		if clone.pb == nil || len(clone.pb.bits) != len(src.pb.bits) {
+		// The arrays are sized by the topology's dimensions; the margin and the
+		// topology itself are set on every clone, since a retired network may
+		// come from a template of another routing configuration.
+		if clone.pb == nil || clone.pb.topo.Params() != src.pb.topo.Params() {
 			clone.pb = newPBState(clone, src.env.Cfg.PBGlobalRel, src.env.Cfg.PacketSize)
 		}
+		clone.pb.topo, clone.pb.marginPhits = src.pb.topo, src.pb.marginPhits
 		copy(clone.pb.bits, src.pb.bits)
 		copy(clone.pb.updates, src.pb.updates)
 		clone.env.Group = clone.pb.view

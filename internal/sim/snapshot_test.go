@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"dragonfly/internal/router"
 	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/workload"
 )
 
 // Randomized snapshot/restore equivalence. A run restored from a
@@ -243,6 +246,8 @@ func TestRestoreIntoRecycled(t *testing.T) {
 // network that is clean (restored, never run) and one that is dirty
 // (retired at saturation, packets queued and in flight). The restored run
 // must be the cold run: state vectors and per-router statistics identical.
+// Templates that differ in a routing parameter only — PiggyBack's
+// saturation threshold — must not leak it into each other either.
 func TestRestoreAcrossTemplates(t *testing.T) {
 	base := DefaultConfig()
 	base.Topology = topology.Balanced(2)
@@ -316,6 +321,129 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 			}
 		}
 	}
+
+	// The PiggyBack margin is configuration, not shape: a network retired
+	// from a template with a 0.25-packet threshold, restored from one with
+	// the default 3 packets, must flag links by 3.
+	pbCfg := func(rel float64) Config {
+		cfg := base
+		cfg.Mechanism, cfg.Pattern, cfg.Load = "Src-CRG", "ADV+1", 0.6
+		cfg.Routing.PBGlobalRel = rel
+		return cfg
+	}
+	loose, strict := pbCfg(0.25), pbCfg(3)
+	looseSnap, err := NewSnapshot(loose, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strictSnap, err := NewSnapshot(strict, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := RestoreNetwork(looseSnap, &loose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunNetwork(old, &loose); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewNetwork(&strict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldState := captureState(t, cold, &strict, core)
+	coldRes := newResult(cold, &strict, 0)
+	net, err := RestoreNetworkInto(strictSnap, &strict, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffState(t, "PBGlobalRel 0.25 -> 3", captureState(t, net, &strict, core), coldState)
+	res := newResult(net, &strict, 0)
+	for r := range coldRes.PerRouter {
+		if res.PerRouter[r] != coldRes.PerRouter[r] {
+			t.Fatalf("PBGlobalRel 0.25 -> 3: router %d stats diverge from cold run", r)
+		}
+	}
+}
+
+// A restore from a construction template is a reset, not a copy: the
+// template holds no state for it to copy, so everything the retired run left
+// behind has to be cleared. Restored over a network retired mid-flight — at
+// saturation, with job attribution over three jobs where the template has
+// two — the network is a cold build of the template's configuration: state
+// vectors, per-router and per-job accumulators, live job counters and the
+// packet count equal, right after the restore and after a run.
+func TestTemplateRestoreResetsRetiredNetwork(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology = topology.Balanced(2)
+	cfg.Mechanism = "In-Trns-MM"
+	cfg.Load = 0.9
+	cfg.WarmupCycles = 5
+	cfg.MeasureCycles = 80
+	cfg.Seed = 23
+	jobs := func(n int) *workload.Workload {
+		var spec workload.Spec
+		for j := 0; j < n; j++ {
+			spec.Jobs = append(spec.Jobs, workload.JobSpec{Nodes: 24, Alloc: workload.AllocSpread})
+		}
+		wl, err := workload.Compile(topology.New(cfg.Topology), spec, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	retired, err := NewNetwork(&cfg, jobs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunNetwork(retired, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if retired.InFlight() == 0 || retired.LiveJobDelivered(2, nil) == 0 {
+		t.Fatal("the retired run left no packet in flight or delivered nothing for its third job")
+	}
+	tmpl, err := newCoreNetwork(&cfg, jobs(2), router.NewTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := RestoreNetworkInto(&Snapshot{cfg: cfg, tmpl: tmpl}, &cfg, retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewNetwork(&cfg, jobs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare := func(when string) {
+		t.Helper()
+		diffState(t, when, stateOf(net), stateOf(cold))
+		for r := range cold.Topo.NumRouters() {
+			if *net.fab.Stats(r) != *cold.fab.Stats(r) {
+				t.Fatalf("%s: router %d stats diverge from the cold build", when, r)
+			}
+			if !slices.Equal(net.fab.JobStats(r), cold.fab.JobStats(r)) {
+				t.Fatalf("%s: router %d job stats diverge from the cold build", when, r)
+			}
+			for j := range 2 {
+				if got, want := net.fab.LiveJobDelivered(r, j), cold.fab.LiveJobDelivered(r, j); got != want {
+					t.Fatalf("%s: router %d delivered %d packets of job %d, the cold build %d", when, r, got, j, want)
+				}
+			}
+		}
+		if got, want := net.InFlight(), cold.InFlight(); got != want {
+			t.Fatalf("%s: %d packets in flight, the cold build %d", when, got, want)
+		}
+	}
+	compare("restored")
+	for _, n := range []*Network{net, cold} {
+		if err := RunNetwork(n, &cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cold.LiveJobDelivered(1, nil) == 0 {
+		t.Fatal("the run delivered nothing for the second job")
+	}
+	compare("after a run")
 }
 
 // TestWarmSnapshotSameLoadExact proves the strong half of the warm-reuse
