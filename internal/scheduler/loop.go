@@ -25,7 +25,6 @@ import (
 type reconfigurator interface {
 	SetNodeActive(node int, load float64)
 	SetNodeSilent(node int)
-	SetNodeJob(node, job int)
 	LiveJobDelivered(job int, routers []int) int64
 }
 
@@ -76,12 +75,11 @@ type controller struct {
 	disc string
 	// lazy is the admission mode, which goes with the workload's kind. An
 	// eager source registered every job with a named workload before the
-	// run: the network attributes traffic per job, so the loop mirrors
-	// tenancy through SetNodeJob, job state stays readable for reports and
-	// the run lasts its configured window. A lazy source admits at
-	// placement, into a streaming workload: there is no attribution to
-	// mirror, a departed job is retired, and the run ends when the trace
-	// has drained.
+	// run: the network attributes traffic per job (it reads the workload's
+	// own node→job map, which Place and Release write), job state stays
+	// readable for reports and the run lasts its configured window. A lazy
+	// source admits at placement, into a streaming workload: a departed job
+	// is retired, and the run ends when the trace has drained.
 	lazy bool
 
 	nextArr int      // next source index not yet arrived
@@ -207,9 +205,6 @@ func (c *controller) place(rc reconfigurator, q qJob, now int64) {
 	}
 	load := c.wl.JobSpecOf(j).Load
 	for _, n := range r.nodes {
-		if !c.lazy {
-			rc.SetNodeJob(n, j)
-		}
 		rc.SetNodeActive(n, load)
 	}
 	c.running = append(c.running, r)
@@ -221,9 +216,6 @@ func (c *controller) place(rc reconfigurator, q qJob, now int64) {
 func (c *controller) depart(rc reconfigurator, r *runJob, now int64) {
 	for _, n := range r.nodes {
 		rc.SetNodeSilent(n)
-		if !c.lazy {
-			rc.SetNodeJob(n, -1)
-		}
 	}
 	c.wl.Release(r.wlJob)
 	if c.lazy {

@@ -163,7 +163,6 @@ type fakeReconfig struct{}
 
 func (fakeReconfig) SetNodeActive(int, float64)        {}
 func (fakeReconfig) SetNodeSilent(int)                 {}
-func (fakeReconfig) SetNodeJob(int, int)               {}
 func (fakeReconfig) LiveJobDelivered(int, []int) int64 { return 0 }
 
 // startLog is the dry run's sink: each job's start cycle under the index

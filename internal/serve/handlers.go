@@ -64,7 +64,8 @@ func jobOf(m *Manager, r *http.Request) *sweep.Job {
 // under — the daemon (Manager.Handler) and the live endpoint (ServeLive):
 // it bounds what a client can hold open by going quiet, in the request line
 // and headers, the (size-capped) body and an idle keep-alive connection.
-// There is no WriteTimeout: /watch streams for as long as its job runs.
+// There is no WriteTimeout: /watch streams for as long as its job runs, so
+// it bounds each line by watchWriteTimeout instead.
 func NewServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -243,6 +244,11 @@ func (h csvHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	report.CurveCSV(w, series) //nolint:errcheck // client went away
 }
 
+// watchWriteTimeout bounds the write of one /watch line: a client that
+// stops reading is dropped once the TCP buffers fill, instead of pinning the
+// handler's goroutine in Encode for good.
+const watchWriteTimeout = 30 * time.Second
+
 // watchHandler streams one JSONL status line per state change until the
 // job finishes or the client disconnects (GET /api/jobs/{id}/watch).
 type watchHandler struct{ m *Manager }
@@ -253,17 +259,20 @@ func (h watchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "application/jsonl")
 	enc := json.NewEncoder(w)
 	for {
 		ch := j.Changed() // grab before snapshotting: no lost wakeups
 		snap := j.Snapshot(false)
+		if err := rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout)); err != nil {
+			return
+		}
 		if err := enc.Encode(snap); err != nil {
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if err := rc.Flush(); err != nil {
+			return
 		}
 		if snap.Status == sweep.JobDone || snap.Status == sweep.JobCancelled {
 			return

@@ -465,6 +465,46 @@ func TestServeWatch(t *testing.T) {
 	}
 }
 
+// deadlineWriter is a ResponseWriter that records, for every line written,
+// whether a future write deadline was set since the previous line.
+type deadlineWriter struct {
+	header   http.Header
+	armed    bool // a future deadline was set since the last Write
+	lines    int
+	unbonded int // lines written without a fresh future deadline
+}
+
+func (d *deadlineWriter) Header() http.Header { return d.header }
+func (d *deadlineWriter) WriteHeader(int)     {}
+func (d *deadlineWriter) Flush()              {}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	if !d.armed {
+		d.unbonded++
+	}
+	d.armed = false
+	d.lines++
+	return len(p), nil
+}
+
+func (d *deadlineWriter) SetWriteDeadline(t time.Time) error {
+	d.armed = t.After(time.Now())
+	return nil
+}
+
+// Every /watch line is written under a fresh future write deadline, so a
+// client that stops reading cannot hold the handler forever.
+func TestServeWatchSetsWriteDeadline(t *testing.T) {
+	m, srv := newTestServer(t, Options{LocalRunners: 2, LeaseTTL: time.Minute})
+	res := submitJob(t, srv, testSpec)
+
+	w := &deadlineWriter{header: http.Header{}}
+	m.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/jobs/"+res.Job.ID+"/watch", nil))
+	if w.lines == 0 || w.unbonded != 0 {
+		t.Fatalf("watch wrote %d lines, %d without a future write deadline", w.lines, w.unbonded)
+	}
+}
+
 // ServeLive binds an ephemeral port and serves the shared live routes —
 // the dfexperiments -listen path.
 func TestServeLiveStandalone(t *testing.T) {

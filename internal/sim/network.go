@@ -82,10 +82,11 @@ type Network struct {
 	pool    sync.Pool
 	genProb float64 // packet generation probability per node per cycle
 
-	// nodeJob is the live node→job map shared read-only with the fabric
-	// (nil without job attribution). Packets are stamped with it at
-	// generation; a Controller may rewrite entries between cycles through
-	// Reconfig.SetNodeJob when jobs arrive, depart, or nodes are recycled.
+	// nodeJob is the pattern's live node→job map (JobMapper.NodeJobs),
+	// borrowed read-only and shared with the fabric (nil without job
+	// attribution). Packets are stamped with it at generation, so a
+	// scheduled workload's Place/Release between cycles retargets
+	// attribution directly.
 	nodeJob []int32
 
 	// latency is the resolved per-link latency model; uniform caches the
@@ -207,10 +208,7 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 	if jm, ok := pat.(traffic.JobMapper); ok && jm.NumJobs() > 0 {
 		net.jobs = jm
 		numJobs = jm.NumJobs()
-		net.nodeJob = make([]int32, topo.NumNodes())
-		for n := range net.nodeJob {
-			net.nodeJob[n] = int32(jm.NodeJob(n))
-		}
+		net.nodeJob = jm.NodeJobs()
 	}
 
 	// Routers and links. Latencies come from the run's latency model, per

@@ -3,9 +3,14 @@ package sim
 import "math"
 
 // The safe reconfiguration point. A Controller changes which nodes generate
-// traffic — and which job they belong to — while a simulation runs, which is
-// what a dynamic job scheduler needs: jobs arrive, depart, and freed
-// allocations are recycled mid-run.
+// traffic while a simulation runs, which is what a dynamic job scheduler
+// needs: jobs arrive, depart, and freed allocations are recycled mid-run.
+// Which job a node belongs to is not the controller's to set here: the
+// network borrows the pattern's node→job map (traffic.JobMapper.NodeJobs),
+// so a workload that places or releases a job during Apply has already
+// retargeted attribution. Only packets generated after the change carry the
+// new job — in-flight packets keep the job stamped at their generation, so a
+// recycled node never miscounts the previous tenant's traffic.
 //
 // Correctness rests on *when* the controller runs, not on what it changes:
 // Apply executes only between time windows, on the coordinator, with every
@@ -124,17 +129,6 @@ func (rc *Reconfig) SetNodeSilent(node int) {
 	net := rc.net
 	net.nodes[node].active = false
 	rc.touch(net.Topo.NodeRouter(node))
-}
-
-// SetNodeJob rewrites the live node→job attribution of one node (-1:
-// unallocated). Only packets generated from this cycle on carry the new
-// index — in-flight packets keep the job stamped at their generation, so a
-// recycled node never miscounts the previous tenant's traffic.
-func (rc *Reconfig) SetNodeJob(node, job int) {
-	if rc.net.nodeJob == nil {
-		panic("sim: SetNodeJob without job attribution (pattern has no jobs)")
-	}
-	rc.net.nodeJob[node] = int32(job)
 }
 
 // LiveJobDelivered exposes Network.LiveJobDelivered to the controller: job

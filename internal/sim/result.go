@@ -76,7 +76,7 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 		for r := range res.PerRouter {
 			hosted := make([]bool, nj)
 			for i := 0; i < p.P; i++ {
-				if j := jm.NodeJob(r*p.P + i); j >= 0 {
+				if j := net.nodeJob[r*p.P+i]; j >= 0 {
 					res.JobNodes[j]++
 					hosted[j] = true
 				}

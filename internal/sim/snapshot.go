@@ -209,11 +209,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 		copy(clone.pb.updates, src.pb.updates)
 		clone.env.Group = clone.pb.view
 	}
-	if src.nodeJob == nil {
-		clone.nodeJob = nil
-	} else {
-		clone.nodeJob = append(clone.nodeJob[:0], src.nodeJob...)
-	}
+	clone.nodeJob = src.nodeJob // the shared pattern's map
 	clone.core = src.core.Clone(clone.core, clone.binding())
 	clone.fab, clone.Routers = clone.core, clone.core.Views()
 	clone.nodes = append(clone.nodes[:0], src.nodes...)

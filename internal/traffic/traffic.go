@@ -57,8 +57,11 @@ type NodeLoads interface {
 type JobMapper interface {
 	NumJobs() int
 	JobName(j int) string
-	// NodeJob returns the job index of a node, or -1 for unallocated nodes.
-	NodeJob(node int) int
+	// NodeJobs returns the live node→job map (-1: unallocated), lent
+	// read-only: the simulator stamps packets from it at generation, so a
+	// pattern whose tenancy changes mid-run (a scheduled workload's
+	// Place/Release) is followed without any copy to keep in step.
+	NodeJobs() []int32
 }
 
 // Uniform is the UN pattern: every packet targets a uniform random node of

@@ -324,8 +324,9 @@ func (w *Workload) NumJobs() int {
 // JobName implements traffic.JobMapper.
 func (w *Workload) JobName(j int) string { return w.jobs[j].spec.Name }
 
-// NodeJob implements traffic.JobMapper.
-func (w *Workload) NodeJob(node int) int { return int(w.nodeJob[node]) }
+// NodeJobs implements traffic.JobMapper: the workload's own node→job map,
+// lent read-only. Place and Release write it in place.
+func (w *Workload) NodeJobs() []int32 { return w.nodeJob }
 
 // JobSpecOf returns the normalised spec of job j.
 func (w *Workload) JobSpecOf(j int) JobSpec { return w.jobs[j].spec }

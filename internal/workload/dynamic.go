@@ -21,8 +21,10 @@ import (
 //   - A job places at most once; its index, name and spec never change.
 //   - nodeJob/nodeRank always describe the *current* tenancy: Release
 //     clears a job's entries, Place overwrites them for the new tenant.
-//     In-flight packets of a released job are unaffected — the simulator
-//     attributes packets by the job index stamped at generation.
+//     The network borrows nodeJob (NodeJobs), so these are the only
+//     tenancy writes a run sees. In-flight packets of a released job are
+//     unaffected — the simulator attributes packets by the job index
+//     stamped at generation.
 //   - The placement RNG (allocation draws, PERM pairings) is consumed only
 //     by Place, in call order, so a trace's placements are a deterministic
 //     function of the seed and the placement sequence.
@@ -191,7 +193,7 @@ func (w *Workload) Place(j int) error {
 
 // Release returns job j's routers to the free pool and clears its nodes
 // from the node→job map, so the next Place may recycle them. The job's
-// placement history (JobRouters, JobNodeIDs) stays readable for reporting.
+// placement history (JobRouters, JobNodes) stays readable for reporting.
 // Releasing an unplaced or already-released job panics: the scheduler owns
 // the lifecycle and a double free is a bug, not a state.
 func (w *Workload) Release(j int) {
@@ -211,13 +213,8 @@ func (w *Workload) Release(j int) {
 	w.freeRouters += len(jb.routers)
 }
 
-// JobNodeIDs returns the node ids of job j in rank order (its placement at
-// Place time; empty before placement).
-func (w *Workload) JobNodeIDs(j int) []int {
-	return append([]int(nil), w.JobNodes(j)...)
-}
-
-// JobNodes is JobNodeIDs without the copy: the workload's own slice, lent
+// JobNodes returns the node ids of job j in rank order (its placement at
+// Place time; empty before placement): the workload's own slice, lent
 // read-only. In a streaming workload it is valid until Retire(j), after
 // which the storage belongs to a later job.
 func (w *Workload) JobNodes(j int) []int { return w.jobs[j].nodes }

@@ -155,7 +155,7 @@ func TestAllocationPolicies(t *testing.T) {
 		}
 	}
 	for n := 0; n < topo.NumNodes(); n++ {
-		if j := wl.NodeJob(n); j >= 0 {
+		if j := int(wl.NodeJobs()[n]); j >= 0 {
 			if o := owner[topo.NodeRouter(n)]; o != j {
 				t.Errorf("node %d: job %d but router owned by %d", n, j, o)
 			}
@@ -230,14 +230,14 @@ func TestSoloKeepsPlacementAndIndices(t *testing.T) {
 	}
 	rnd := rng.New(9)
 	for n := 0; n < topo.NumNodes(); n++ {
-		switch wl.NodeJob(n) {
+		switch int(wl.NodeJobs()[n]) {
 		case 1:
-			if !solo.Member(n) || solo.NodeJob(n) != 1 {
+			if !solo.Member(n) || int(solo.NodeJobs()[n]) != 1 {
 				t.Fatalf("solo dropped node %d of the kept job", n)
 			}
 		default:
 			if solo.Member(n) {
-				t.Fatalf("solo kept node %d of job %d", n, wl.NodeJob(n))
+				t.Fatalf("solo kept node %d of job %d", n, int(wl.NodeJobs()[n]))
 			}
 			if solo.DestAt(n, 0, rnd) != -1 {
 				t.Fatalf("silenced node %d still draws destinations", n)
@@ -259,14 +259,14 @@ func TestSubsetKeepsSelectedJobsOnly(t *testing.T) {
 		t.Fatal("subset workload lost job indices")
 	}
 	for n := 0; n < topo.NumNodes(); n++ {
-		switch wl.NodeJob(n) {
+		switch int(wl.NodeJobs()[n]) {
 		case 0, 2:
-			if pair.NodeJob(n) != wl.NodeJob(n) || !pair.Member(n) {
-				t.Fatalf("subset dropped node %d of kept job %d", n, wl.NodeJob(n))
+			if int(pair.NodeJobs()[n]) != int(wl.NodeJobs()[n]) || !pair.Member(n) {
+				t.Fatalf("subset dropped node %d of kept job %d", n, int(wl.NodeJobs()[n]))
 			}
 		default:
 			if pair.Member(n) {
-				t.Fatalf("subset kept node %d of job %d", n, wl.NodeJob(n))
+				t.Fatalf("subset kept node %d of job %d", n, int(wl.NodeJobs()[n]))
 			}
 		}
 	}
