@@ -68,7 +68,7 @@ func main() {
 			"); overrides -latency-model, non-uniform tasks are suffixed @<model> and compose with -checkpoint resume")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 	reuse := fs.String("reuse", "construct",
-		"network-state reuse across runs: off (cold build per run), construct (share wiring; bit-identical), warm (share warm-up too; approximate off the first load, changes the checkpoint fingerprint)")
+		"network-state reuse across runs: construct (share wiring; bit-identical to a cold build), warm (share warm-up too; approximate off the first load, changes the checkpoint fingerprint)")
 	rewarm := fs.Int64("rewarm", -1, "re-warm cycles for warm reuse at non-template loads (-1: warmup/4)")
 	ckPath := fs.String("checkpoint", "",
 		"checkpoint file for interrupt/resume (default <out>/checkpoint.jsonl when -out is set; \"off\" disables)")
@@ -208,12 +208,13 @@ func main() {
 		fatal(runErr)
 	}
 	printSlowest(live.Timings(), *slowest)
-	summary := fmt.Sprintf("\ndfexperiments: completed in %v", time.Since(start).Round(time.Second))
-	if len(pipe.Tasks) > 0 && pipe.Tasks[0].Grid.Snapshots != nil {
-		// Build installs one cache across every task.
-		summary += fmt.Sprintf(" (snapshot cache: %v)", pipe.Tasks[0].Grid.Snapshots.Stats())
+	// Build installs one cache across every task.
+	var cache *sweep.SnapshotCache
+	if len(pipe.Tasks) > 0 {
+		cache = pipe.Tasks[0].Grid.Snapshots
 	}
-	fmt.Println(summary)
+	fmt.Printf("\ndfexperiments: completed in %v (snapshot cache: %v)\n",
+		time.Since(start).Round(time.Second), cache.Stats())
 }
 
 // printSlowest renders the per-task cost table, slowest first. Restored

@@ -32,7 +32,7 @@ func main() {
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 	reuse := fs.String("reuse", "construct",
-		"network-state reuse across sweep points: off (cold build per point), construct (share wiring; bit-identical), warm (share warm-up too; approximate off the first load)")
+		"network-state reuse across sweep points: construct (share wiring; bit-identical to a cold build), warm (share warm-up too; approximate off the first load)")
 	rewarm := fs.Int64("rewarm", -1, "re-warm cycles for warm reuse at non-template loads (-1: warmup/4)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -57,9 +57,7 @@ func main() {
 		Loads:      loadList,
 		Seeds:      cli.ParseSeeds(cfg.Seed, *seeds),
 		Workers:    *jobs,
-	}
-	if reuseMode != sweep.ReuseOff {
-		grid.Snapshots = &sweep.SnapshotCache{Mode: reuseMode, ReWarm: *rewarm}
+		Snapshots:  &sweep.SnapshotCache{Mode: reuseMode, ReWarm: *rewarm},
 	}
 	progress := func(done, total int) {
 		if !*quiet {
@@ -82,9 +80,7 @@ func main() {
 			fmt.Sprintf("%.4f", s.Throughput))
 	}
 	fmt.Print(t.String())
-	if grid.Snapshots != nil {
-		fmt.Fprintf(os.Stderr, "dfsweep: snapshot cache: %v\n", grid.Snapshots.Stats())
-	}
+	fmt.Fprintf(os.Stderr, "dfsweep: snapshot cache: %v\n", grid.Snapshots.Stats())
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

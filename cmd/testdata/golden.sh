@@ -2,7 +2,8 @@
 # cli-golden: the multi-run tools' deterministic outputs at h=2, compared
 # byte for byte with the *.golden files beside this script (recorded before
 # the tools were moved onto one run description, one batch and one lease
-# runner). Run from anywhere; -update rewrites the golden files.
+# runner), plus input the tools must refuse. Run from anywhere; -update
+# rewrites the golden files.
 set -eu
 cd "$(dirname "$0")/../.."
 golden=cmd/testdata
@@ -46,22 +47,28 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
 } > "$tmp/dfsched-replay.txt"
 
 status=0
-# Input the scheduler must refuse, and say why on stderr: a cycle budget
-# that would wrap the departure cycle, and generator parameters no clamp can
-# repair. Input it must survive: a size median far past the cap (every job
-# is the cap, so the machine holds one job at a time), and a trace that
+# Input a tool must refuse, and say why on stderr. The scheduler: a cycle
+# budget that would wrap the departure cycle, and generator parameters no
+# clamp can repair. dfsweep: the deleted cold-build reuse mode, and run
+# descriptions no point can run (checked once, by sim.Config.Validate).
+# Input the scheduler must survive: a size median far past the cap (every
+# job is the cap, so the machine holds one job at a time), and a trace that
 # drains inside the warm-up (its length is the last departure + 1).
 refused() {
-  want=$1; shift
-  if "$tmp/bin/dfsched" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -q "$want" "$tmp/stderr"; then
-    echo "dfsched $*: want a non-zero exit and \"$want\" on stderr, got:"; cat "$tmp/stderr"; status=1
+  tool=$1; want=$2; shift 2
+  if "$tmp/bin/$tool" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -q "$want" "$tmp/stderr"; then
+    echo "$tool $*: want a non-zero exit and \"$want\" on stderr, got:"; cat "$tmp/stderr"; status=1
   fi
 }
 if [ "${1:-}" != -update ]; then
-  refused 'job 0: cycle budget' -h 2 -warmup 100 -measure 400 \
+  refused dfsched 'job 0: cycle budget' -h 2 -warmup 100 -measure 400 \
     -job nodes=8,arrival=5,duration=9223372036854775807 -job nodes=8,arrival=10,duration=100
-  refused 'InterArrival must be > 0 and finite' -h 2 -warmup 100 -generate 50 -gen-arrival +Inf -disciplines fcfs
-  refused 'sigmas must be ≥ 0 and finite' -h 2 -warmup 100 -generate 50 -gen-dur-sigma NaN -disciplines fcfs
+  refused dfsched 'InterArrival must be > 0 and finite' -h 2 -warmup 100 -generate 50 -gen-arrival +Inf -disciplines fcfs
+  refused dfsched 'sigmas must be ≥ 0 and finite' -h 2 -warmup 100 -generate 50 -gen-dur-sigma NaN -disciplines fcfs
+  point="-mechanisms MIN -loads 0.1 -seeds 1 -quiet"
+  refused dfsweep 'bit-identical to a cold build' $net $point -reuse off
+  refused dfsweep 'congestion threshold' $net $point -threshold 1.5
+  refused dfsweep 'overflows the cycle counter' -h 2 -warmup 9223372036854775807 -measure 1 $point
   "$tmp/bin/dfsched" -h 2 -warmup 100 -generate 50 -gen-arrival 25 -gen-dur-median 200 -gen-nodes-median 1e11 \
     -disciplines fcfs -json > "$tmp/cap.json"
   if ! grep -q '"peak_running": 1,' "$tmp/cap.json"; then

@@ -141,10 +141,11 @@ func (b *Base) Normalize(mechanisms, patterns []string) error {
 	return ValidateNames(cfg.Topology, mechanisms, patterns)
 }
 
-// Config validates the description and assembles its sim.Config; the
-// caller substitutes mechanism, pattern, load and seed. The topology
-// parameters are checked — size included — before anything is built from
-// them, so a description from outside the program costs arithmetic only.
+// Config assembles the description's sim.Config and validates it
+// (sim.Config.Validate), so flags and specs are refused in one place; the
+// caller substitutes mechanism, pattern, load and seed. Nothing is built:
+// the topology — size included — is checked by arithmetic only, so a
+// description from outside the program costs no more than that.
 func (b *Base) Config() (sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	if b.H <= 0 {
@@ -163,12 +164,6 @@ func (b *Base) Config() (sim.Config, error) {
 	if b.Arrangement == "consecutive" {
 		cfg.Topology.Arrangement = topology.Consecutive
 	}
-	if err := cfg.Topology.Validate(); err != nil {
-		return cfg, err
-	}
-	if b.Warmup < 0 || b.Measure <= 0 {
-		return cfg, fmt.Errorf("cycles must be positive (warmup %d, measure %d)", b.Warmup, b.Measure)
-	}
 	cfg.WarmupCycles = b.Warmup
 	cfg.MeasureCycles = b.Measure
 	cfg.Workers = b.SimWorkers
@@ -181,9 +176,6 @@ func (b *Base) Config() (sim.Config, error) {
 	cfg.Router.CongestionThreshold = b.Threshold
 	cfg.Routing.CongestionThreshold = b.Threshold
 	cfg.Routing.LocalMisroute = b.LocalMisroute == nil || *b.LocalMisroute
-	if b.LocalLat <= 0 || b.GlobalLat <= 0 {
-		return cfg, fmt.Errorf("link latencies must be positive (local %d, global %d)", b.LocalLat, b.GlobalLat)
-	}
 	cfg.Router.LocalLatency = b.LocalLat
 	cfg.Router.GlobalLatency = b.GlobalLat
 	model, err := topology.LatencyModelByName(b.LatencyModel, b.LocalLat, b.GlobalLat)
@@ -191,5 +183,5 @@ func (b *Base) Config() (sim.Config, error) {
 		return cfg, err
 	}
 	cfg.LatencyModel = model
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

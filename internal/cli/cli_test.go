@@ -350,3 +350,31 @@ func TestBaseRejectsOversizedTopology(t *testing.T) {
 		t.Errorf("h=63 (1,000,314 routers) refused: %v", err)
 	}
 }
+
+// A description no point can run is refused where it is read — flags and
+// JSON in the same words (sim.Config.Validate) — instead of every point of
+// the sweep failing or recording zeros.
+func TestBaseRejectsUnrunnableConfig(t *testing.T) {
+	for _, c := range []struct {
+		args       []string
+		json, want string
+	}{
+		{[]string{"-h", "1", "-threshold", "1.5"}, `{"h":1,"threshold":1.5}`, "threshold"},
+		{[]string{"-inj-queue", "-3"}, `{"inj_queue":-3}`, "injection queue"},
+		{[]string{"-global-lat", "-5"}, `{"global_lat":-5}`, "latencies"},
+		{[]string{"-warmup", "9223372036854775807", "-measure", "1"}, `{"warmup":9223372036854775807,"measure":1}`, "overflow"},
+	} {
+		_, flagErr := flagConfig(t, c.args...)
+		var b Base
+		if err := json.Unmarshal([]byte(c.json), &b); err != nil {
+			t.Fatal(err)
+		}
+		jsonErr := b.Normalize(nil, nil)
+		if flagErr == nil || jsonErr == nil {
+			t.Fatalf("%s accepted (flags: %v, JSON: %v)", c.json, flagErr, jsonErr)
+		}
+		if flagErr.Error() != jsonErr.Error() || !strings.Contains(flagErr.Error(), c.want) {
+			t.Errorf("%s: flags say %q, JSON says %q, want %q", c.json, flagErr, jsonErr, c.want)
+		}
+	}
+}

@@ -109,11 +109,11 @@ type Options struct {
 	// task names are the checkpoint namespace, so an axis-less checkpoint
 	// composes with a later widened run (only the new models simulate).
 	LatencyModels []topology.LatencyModel
-	// Reuse shares prepared network state between the pipeline's points
-	// through one snapshot cache spanning every task (see sweep.ReuseMode).
-	// ReuseConstruct leaves all results bit-identical to cold runs;
-	// ReuseWarm is an approximation off the template load and therefore
-	// changes the checkpoint fingerprint.
+	// Reuse is the mode of the one snapshot cache that spans every task
+	// (see sweep.ReuseMode). ReuseConstruct, the zero value, leaves all
+	// results bit-identical to cold builds; ReuseWarm is an approximation
+	// off the template load and therefore changes the checkpoint
+	// fingerprint.
 	Reuse sweep.ReuseMode
 	// ReWarm is the warm-up tail of cross-load warm restores, in cycles
 	// (negative: a quarter of the configured warm-up). Only meaningful with
@@ -168,11 +168,9 @@ func Build(base sim.Config, opt Options) *Pipeline {
 	// config), so figures sharing a mechanism/pattern/seed combination
 	// share one template while fig2 (transit-priority) and fig5
 	// (round-robin) keep theirs apart.
-	if opt.Reuse != sweep.ReuseOff {
-		cache := &sweep.SnapshotCache{Mode: opt.Reuse, ReWarm: opt.ReWarm}
-		for _, t := range p.Tasks {
-			t.Grid.Snapshots = cache
-		}
+	cache := &sweep.SnapshotCache{Mode: opt.Reuse, ReWarm: opt.ReWarm}
+	for _, t := range p.Tasks {
+		t.Grid.Snapshots = cache
 	}
 	return p
 }
@@ -324,8 +322,8 @@ func (p *Pipeline) Fingerprint() string {
 	}
 	fp := fmt.Sprintf("topo=%+v router=%+v routing=%+v warm=%d meas=%d lat=%s",
 		b.Topology, b.Router, b.Routing, b.WarmupCycles, b.MeasureCycles, lat)
-	// Construction reuse (and off) produce bit-identical results, so both
-	// share the bare fingerprint and their checkpoints compose. Warm reuse
+	// Construction reuse is bit-identical to a cold build, so it keeps the
+	// bare fingerprint every earlier checkpoint carries. Warm reuse
 	// approximates off-template loads; its records must not mix with exact
 	// ones, so the mode and re-warm tail join the fingerprint.
 	if p.reuse == sweep.ReuseWarm {

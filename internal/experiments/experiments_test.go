@@ -367,7 +367,8 @@ func TestPipelineRunsInPaperOrder(t *testing.T) {
 }
 
 // buildSpy is a latency model that tells a flightLog when a simulation of
-// its task wires its network — the first thing a cold point does.
+// its task wires its network — the first thing a point of a grid without a
+// shared snapshot cache does, building its own template.
 type buildSpy struct {
 	topology.UniformLatency
 	task string
@@ -384,8 +385,8 @@ func (s buildSpy) LocalLatency(t *topology.Topology, src, dst int) int {
 // worker its next point, so the count never overstates).
 type flightLog struct {
 	mu sync.Mutex
-	// Every cold point builds its own topology; holding them here also keeps
-	// their addresses from being reused.
+	// Every such point builds its own topology; holding them here also
+	// keeps their addresses from being reused.
 	seen     map[*topology.Topology]bool
 	inFlight int
 	peak     int
@@ -444,6 +445,7 @@ func TestPipelineWorkersBoundAcrossTasks(t *testing.T) {
 	for _, task := range p.Tasks {
 		u := topology.UniformLatency{Local: base.Router.LocalLatency, Global: base.Router.GlobalLatency}
 		task.Grid.Base.LatencyModel = buildSpy{u, task.Name, log}
+		task.Grid.Snapshots = nil // no shared templates: the spy sees every point start
 	}
 	if _, err := p.Run(context.Background(), nil, func(Progress) { log.finished() }); err != nil {
 		t.Fatal(err)

@@ -44,9 +44,12 @@ type Spec struct {
 	SeedBase   uint64    `json:"seed_base,omitempty"`
 	SeedCount  int       `json:"seed_count,omitempty"`
 
-	// Reuse is the network-snapshot mode for runners: "off" or
-	// "construct" (the default; bit-identical to off). The approximate
-	// "warm" mode is CLI-only — served results must be exact.
+	// Reuse is kept on the wire for the job identities that carry it:
+	// "construct" (the default) or "off". It selects nothing — every
+	// runner restores points from construction templates, which is
+	// bit-identical to a cold build — but it is part of the Fingerprint,
+	// so journals and job IDs stay stable. The approximate "warm" mode is
+	// CLI-only: served results must be exact.
 	Reuse string `json:"reuse,omitempty"`
 }
 
@@ -136,24 +139,21 @@ func canonLoad(l float64) float64 {
 }
 
 // Grid expands the normalized spec into its sweep grid. Each call builds
-// a fresh snapshot cache (when reuse is on), so concurrent runners never
-// share mutable state through the spec.
+// a fresh snapshot cache, so concurrent runners never share mutable state
+// through the spec.
 func (s *Spec) Grid() (sweep.Grid, error) {
 	cfg, err := s.Config()
 	if err != nil {
 		return sweep.Grid{}, err
 	}
-	g := sweep.Grid{
+	return sweep.Grid{
 		Base:       cfg,
 		Mechanisms: s.Mechanisms,
 		Patterns:   s.Patterns,
 		Loads:      s.Loads,
 		Seeds:      s.Seeds,
-	}
-	if s.Reuse == "construct" {
-		g.Snapshots = &sweep.SnapshotCache{Mode: sweep.ReuseConstruct}
-	}
-	return g, nil
+		Snapshots:  &sweep.SnapshotCache{},
+	}, nil
 }
 
 // specHash is the canonical digest of a normalized spec.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -127,6 +128,9 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"both load spellings", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, LoadSpec: "0.1:0.2:0.1"}, "not both"},
 		{"negative load", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{-0.1}}, "negative"},
 		{"bad arrangement", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Arrangement: "spiral"}}, "arrangement"},
+		{"threshold past 1", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{H: 1, Threshold: 1.5}}, "threshold"},
+		{"negative injection queue", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{InjQueue: -3}}, "injection queue"},
+		{"cycle count overflows", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Warmup: math.MaxInt64, Measure: 1}}, "overflow"},
 	}
 	for _, tc := range cases {
 		s := tc.spec

@@ -115,7 +115,6 @@ POST /api/worker/complete      push completed records
 GET  /api/stats                store counters (leases, dedup hits)
 GET  /api/progress             live progress (shared with dfexperiments)
 GET  /api/tasks                per-job timings
-GET  /api/probes               latest probe sample
 GET  /debug/vars               expvar dump
 `)
 }

@@ -16,23 +16,14 @@ import (
 // (ServeLive). telemetry.Live stays transport-free; these routes are the
 // only place its snapshots meet HTTP.
 
-// LiveRoutes mounts /api/progress, /api/tasks, /api/probes and
-// /debug/vars on mux, all reading from l.
+// LiveRoutes mounts /api/progress, /api/tasks and /debug/vars on mux, all
+// reading from l.
 func LiveRoutes(mux *http.ServeMux, l *telemetry.Live) {
 	mux.HandleFunc("GET /api/progress", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, l.Progress())
 	})
 	mux.HandleFunc("GET /api/tasks", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, l.Timings())
-	})
-	mux.HandleFunc("GET /api/probes", func(w http.ResponseWriter, _ *http.Request) {
-		data := l.ProbeSample()
-		if len(data) == 0 {
-			http.Error(w, `{"error":"no probe sample yet"}`, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data) //nolint:errcheck
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 }
@@ -67,7 +58,7 @@ func liveServer(l *telemetry.Live) *http.Server {
 	publishExpvar(l)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "dragonfly live endpoint\n\n/api/progress\n/api/tasks\n/api/probes\n/debug/vars\n")
+		fmt.Fprint(w, "dragonfly live endpoint\n\n/api/progress\n/api/tasks\n/debug/vars\n")
 	})
 	LiveRoutes(mux, l)
 	return NewServer(mux)

@@ -13,9 +13,9 @@
 // The HTTP layer follows the manager + per-route-handler pattern: one
 // handler struct per route (handlers.go), each a thin translation layer
 // over the Manager, which owns every piece of state. The live
-// introspection endpoints (/api/progress, /api/tasks, /api/probes,
-// /debug/vars) are defined once here (LiveRoutes) and mounted on the
-// same mux, shared with dfexperiments -listen.
+// introspection endpoints (/api/progress, /api/tasks, /debug/vars) are
+// defined once here (LiveRoutes) and mounted on the same mux, shared with
+// dfexperiments -listen.
 //
 // The daemon is deliberately auth-free and meant for localhost or a
 // trusted cluster network — the CI smoke test drives it with curl on

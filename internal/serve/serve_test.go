@@ -201,9 +201,6 @@ func TestServeEndToEndLocal(t *testing.T) {
 	if prog.Done != testSpecPoints || prog.Total != testSpecPoints {
 		t.Fatalf("progress = %+v", prog)
 	}
-	if status, _ := getBody(t, srv.URL+"/api/probes"); status != http.StatusNotFound {
-		t.Fatalf("probes with no sample: status %d, want 404", status)
-	}
 
 	// Job lookup works by display name too.
 	if status, _ := getBody(t, srv.URL+"/api/jobs/"+res.Job.Name); status != http.StatusOK {

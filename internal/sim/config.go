@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
@@ -104,6 +105,10 @@ func (c *Config) Validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("sim: cycles must be positive (warmup %d, measure %d)",
+			c.WarmupCycles, c.MeasureCycles)
+	}
+	if c.WarmupCycles > math.MaxInt64-c.MeasureCycles {
+		return fmt.Errorf("sim: warmup %d + measure %d cycles overflows the cycle counter",
 			c.WarmupCycles, c.MeasureCycles)
 	}
 	if c.Workers < 0 {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dragonfly/internal/router"
-	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
 )
 
@@ -34,14 +33,6 @@ func RunWithPattern(cfg Config, pat traffic.Pattern) (*Result, error) {
 		return nil, err
 	}
 	return newResult(net, &cfg, time.Since(start)), nil
-}
-
-// RunWithAppPattern runs a simulation with application-uniform traffic over
-// the allocation of `groups` consecutive groups starting at `first`
-// (Section III's job-scheduler use case).
-func RunWithAppPattern(cfg Config, first, groups int) (*Result, error) {
-	topo := topology.New(cfg.Topology)
-	return RunWithPattern(cfg, traffic.NewAppUniform(topo, first, groups))
 }
 
 // clampWorkers resolves cfg.Workers against the network and machine size.

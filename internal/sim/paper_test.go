@@ -5,6 +5,7 @@ import (
 
 	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
+	"dragonfly/internal/workload"
 )
 
 // These tests assert the paper's qualitative results — the shapes of
@@ -308,7 +309,11 @@ func TestPriorityBenignUnderUN(t *testing.T) {
 func TestAppAllocationCreatesADVc(t *testing.T) {
 	cfg := fairCfg("In-Trns-MM", router.TransitOverInjection)
 	apps := cfg.Topology.H + 1
-	res, err := RunWithAppPattern(cfg, 0, apps)
+	wl, err := workload.Compile(topology.New(cfg.Topology), workload.AppSpec(cfg.Topology, 0, apps), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunWithPattern(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

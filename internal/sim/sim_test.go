@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"dragonfly/internal/router"
@@ -29,6 +30,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Workers = -2 },
 		func(c *Config) { c.Mechanism = "bogus" },
 		func(c *Config) { c.Router.PacketSize = 0 },
+		// The run ends at cycle warmup+measure, which must be an int64.
+		func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 },
+		func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 },
 	}
 	for i, mut := range bad {
 		c := small()

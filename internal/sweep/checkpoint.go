@@ -54,8 +54,9 @@ type Record struct {
 	// CPUSeconds is the process CPU consumed while this point ran (filled
 	// by the experiment pipeline; an upper bound under concurrent workers).
 	CPUSeconds float64 `json:"cpu_seconds,omitempty"`
-	// Reuse records how the point ran when snapshot reuse was on:
-	// "construct", "warm" or "rewarm" (empty: cold run).
+	// Reuse is the Sample's tag: how the snapshot cache served a grid
+	// point (empty for records no grid point wrote, e.g. a scheduler
+	// study's).
 	Reuse string `json:"reuse,omitempty"`
 
 	// Err records a failed simulation (e.g. a watchdog-detected routing

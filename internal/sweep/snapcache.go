@@ -9,51 +9,44 @@ import (
 	"dragonfly/internal/sim"
 )
 
-// ReuseMode selects how the points of a sweep share prepared network state
-// through snapshots (see sim.Snapshot) instead of each re-building — and
-// possibly re-warming — the same topology from scratch.
+// ReuseMode selects what the points of a sweep share through snapshots (see
+// sim.Snapshot): every point restores its network from a template instead
+// of re-building the same topology from scratch.
 type ReuseMode int
 
 const (
-	// ReuseOff runs every point cold: NewNetwork + full warm-up, the
-	// historical behaviour.
-	ReuseOff ReuseMode = iota
 	// ReuseConstruct builds one construction snapshot per distinct
 	// (mechanism, pattern, seed, topology, …) combination and restores it
-	// for every load. Restored runs are bit-identical to cold runs — the
+	// for every load. Restored runs are bit-identical to cold builds — the
 	// sweep output cannot change, only the wiring cost is saved.
-	ReuseConstruct
+	ReuseConstruct ReuseMode = iota
 	// ReuseWarm additionally bakes the warm-up into the snapshot, captured
 	// at the sweep's first load. Points at that load skip warm-up exactly
-	// (bit-identical to cold); points at other loads re-aim the sources and
-	// re-run a short re-warm tail — an approximation, so warm sweeps are
-	// fingerprinted separately from cold ones.
+	// (bit-identical to construct); points at other loads re-aim the
+	// sources and re-run a short re-warm tail — an approximation, so warm
+	// sweeps are fingerprinted separately from exact ones.
 	ReuseWarm
 )
 
 // String returns the flag spelling of the mode.
 func (m ReuseMode) String() string {
-	switch m {
-	case ReuseConstruct:
-		return "construct"
-	case ReuseWarm:
+	if m == ReuseWarm {
 		return "warm"
-	default:
-		return "off"
 	}
+	return "construct"
 }
 
 // ParseReuse parses a -reuse flag value.
 func ParseReuse(s string) (ReuseMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "off", "none":
-		return ReuseOff, nil
-	case "construct", "construction", "cold":
+	case "", "construct", "construction", "cold":
 		return ReuseConstruct, nil
 	case "warm":
 		return ReuseWarm, nil
+	case "off", "none":
+		return ReuseConstruct, fmt.Errorf("sweep: reuse mode %q is no longer offered: construct, the default, is bit-identical to a cold build", s)
 	default:
-		return ReuseOff, fmt.Errorf("sweep: unknown reuse mode %q (off, construct, warm)", s)
+		return ReuseConstruct, fmt.Errorf("sweep: unknown reuse mode %q (construct, warm)", s)
 	}
 }
 
@@ -64,7 +57,7 @@ func ParseReuse(s string) (ReuseMode, error) {
 // cache is safe for concurrent use and unbounded — a sweep has a small,
 // finite set of (mechanism, pattern, seed) combinations.
 type SnapshotCache struct {
-	// Mode selects the reuse policy; a nil cache or ReuseOff runs cold.
+	// Mode selects the reuse policy (zero: ReuseConstruct).
 	Mode ReuseMode
 	// ReWarm is the warm-up tail, in cycles, of a ReuseWarm restore at a
 	// load other than the template's. Negative means the default of a
@@ -193,10 +186,6 @@ func (c *SnapshotCache) rewarmTail(warmup int64) int64 {
 // same-load warm skip, "rewarm" for a cross-load tail) and travels into
 // the Sample and its checkpoint Record.
 func (c *SnapshotCache) Run(cfg sim.Config, templateLoad float64) (*sim.Result, string, error) {
-	if c == nil || c.Mode == ReuseOff {
-		res, err := sim.Run(cfg)
-		return res, "", err
-	}
 	start := time.Now()
 	e, err := c.snapshotFor(&cfg, templateLoad)
 	if err != nil {

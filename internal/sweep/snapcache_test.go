@@ -1,11 +1,75 @@
 package sweep
 
 import (
+	"reflect"
 	"testing"
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
+
+// A grid point has one body — restore from the construction template, run,
+// condense — and it is the cold run: a grid without a cache, a grid sharing
+// one and sim.Run per point give the same Records, apart from the reuse tag
+// and the wall time, at any worker count, under a per-link latency model and
+// past saturation.
+func TestGridRunMatchesColdRuns(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.Topology = topology.Balanced(2)
+	base.WarmupCycles, base.MeasureCycles = 200, 400
+	base.Router.LocalLatency, base.Router.GlobalLatency = 5, 25
+	lat, err := topology.LatencyModelByName("groupskew", 5, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.LatencyModel = lat
+	g := Grid{Base: base, Mechanisms: []string{"MIN", "Src-CRG", "In-Trns-MM"}, Patterns: []string{"UN", "ADVc"},
+		Loads: []float64{0.1, 0.4, 0.9}, Seeds: []uint64{1, 2}}
+
+	// exact drops what two runs of one point may differ in.
+	exact := func(s Sample) Record {
+		rec := RecordOf("", s)
+		rec.Reuse, rec.WallSeconds = "", 0
+		return rec
+	}
+	pts := g.Points()
+	want := make([]Record, len(pts))
+	saturated := false
+	for i, pt := range pts {
+		cfg := g.Base
+		cfg.Mechanism, cfg.Pattern, cfg.Load, cfg.Seed = pt.Mechanism, pt.Pattern, pt.Load, pt.Seed
+		res, err := sim.Run(cfg)
+		want[i] = exact(Sample{Point: pt, Result: res, Err: err})
+		if want[i].Err != "" {
+			t.Fatalf("%+v: %s", pt, want[i].Err)
+		}
+		saturated = saturated || want[i].Throughput < 0.5*pt.Load
+	}
+	if !saturated {
+		t.Fatal("no point accepts less than half its offered load: the grid never saturates")
+	}
+
+	for _, workers := range []int{1, 2} {
+		g.Workers = workers
+		cacheless := g.Run(nil)
+		if g.Snapshots != nil {
+			t.Fatal("Grid.Run wrote its cache into the caller's grid")
+		}
+		shared := g
+		shared.Snapshots = &SnapshotCache{}
+		for name, samples := range map[string][]Sample{"cache-less": cacheless, "shared cache": shared.Run(nil)} {
+			for i, s := range samples {
+				if s.Reuse != "construct" {
+					t.Fatalf("workers %d, %s: sample %d ran with reuse %q", workers, name, i, s.Reuse)
+				}
+				if got := exact(s); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("workers %d, %s: %+v differs from sim.Run:\n got %+v\nwant %+v",
+						workers, name, s.Point, got, want[i])
+				}
+			}
+		}
+	}
+}
 
 // The cache keeps one free list, not one per template: however many
 // templates a sweep touches, a worker keeps restoring over the one network

@@ -42,8 +42,9 @@ type Point struct {
 type Sample struct {
 	Point  Point
 	Result *sim.Result
-	// Reuse records how the point ran when a snapshot cache served it:
-	// "construct", "warm" or "rewarm" (empty: cold run).
+	// Reuse records how the snapshot cache served the point: "construct",
+	// "warm" or "rewarm" (empty: it failed before its network was
+	// restored, or never ran).
 	Reuse string
 	Err   error
 }
@@ -73,12 +74,12 @@ type Grid struct {
 	// Workers bounds concurrent simulations (default: NumCPU).
 	Workers int
 
-	// Snapshots, when non-nil with a mode other than ReuseOff, shares
-	// prepared network state between the grid's points: one construction
-	// (or warm) snapshot per mechanism/pattern/seed combination, restored
-	// per point instead of re-building the topology from scratch. Warm
-	// templates are captured at the grid's first load. Several grids may
-	// share one cache; keys keep their templates apart.
+	// Snapshots shares prepared network state between the grid's points:
+	// one construction (or warm) snapshot per mechanism/pattern/seed
+	// combination, restored per point instead of re-building the topology
+	// from scratch. Warm templates are captured at the grid's first load.
+	// Several grids may share one cache; keys keep their templates apart.
+	// Nil gives every Run call a construct cache of its own.
 	Snapshots *SnapshotCache
 }
 
@@ -99,19 +100,21 @@ func (g *Grid) Points() []Point {
 }
 
 // RunPoint executes one simulation point of the grid synchronously: the
-// base config with the point's mechanism/pattern/load/seed substituted.
+// base config with the point's mechanism/pattern/load/seed substituted,
+// restored from the grid's snapshot template (a grid without a cache builds
+// a template for this point alone).
 func (g *Grid) RunPoint(pt Point) Sample {
 	cfg := g.Base
 	cfg.Mechanism = pt.Mechanism
 	cfg.Pattern = pt.Pattern
 	cfg.Load = pt.Load
 	cfg.Seed = pt.Seed
-	if g.Snapshots != nil && g.Snapshots.Mode != ReuseOff {
-		res, tag, err := g.Snapshots.Run(cfg, g.templateLoad(pt))
-		return Sample{Point: pt, Result: res, Reuse: tag, Err: err}
+	c := g.Snapshots
+	if c == nil {
+		c = &SnapshotCache{}
 	}
-	res, err := sim.Run(cfg)
-	return Sample{Point: pt, Result: res, Err: err}
+	res, tag, err := c.Run(cfg, g.templateLoad(pt))
+	return Sample{Point: pt, Result: res, Reuse: tag, Err: err}
 }
 
 // templateLoad is the deterministic load warm snapshot templates are
@@ -140,11 +143,16 @@ func (g *Grid) RunRecord(task string, pt Point) Record {
 // per-point error (e.g. a routing deadlock detected by the watchdog) is
 // recorded in the sample, not fatal to the sweep. The optional progress
 // callback is invoked after each completed simulation with (done, total).
+// A grid without a cache shares one across the call, leaving g as it is.
 func (g *Grid) Run(progress func(done, total int)) []Sample {
-	pts := g.Points()
+	run := *g
+	if run.Snapshots == nil {
+		run.Snapshots = &SnapshotCache{}
+	}
+	pts := run.Points()
 	out := make([]Sample, len(pts))
-	Shared().Run(len(pts), RunOpts{MaxParallel: g.Workers, Progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
-		out[i] = g.RunPoint(pts[i])
+	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers, Progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
+		out[i] = run.RunPoint(pts[i])
 	})
 	return out
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Live is the shared accumulator behind the live-introspection endpoints
-// (/api/progress, /api/tasks, /api/probes). It aggregates whatever its
-// host process feeds it — pipeline progress, per-task timings, probe
-// samples — and hands out JSON-ready snapshots through exported
-// accessors. The HTTP surface itself is defined once, in internal/serve
+// (/api/progress, /api/tasks). It aggregates whatever its host process
+// feeds it — pipeline progress and per-task timings — and hands out
+// JSON-ready snapshots through exported accessors. The HTTP surface
+// itself is defined once, in internal/serve
 // (serve.LiveRoutes), and shared by dfserved and dfexperiments -listen;
 // this type stays transport-free so the telemetry layer never grows a
 // second copy of the endpoints.
@@ -25,7 +25,6 @@ type Live struct {
 	total    int
 	restored int
 	tasks    map[string]*TaskTiming
-	probe    []byte // latest probe sample JSONL line
 }
 
 // TaskTiming aggregates the completed points of one task.
@@ -77,24 +76,6 @@ func (l *Live) NotePoint(task string, wall, cpu float64, restored bool) {
 		l.restored++
 		t.Restored++
 	}
-}
-
-// setProbe stores the latest probe sample line (called by Probes).
-func (l *Live) setProbe(data []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.probe = append(l.probe[:0], data...)
-}
-
-// ProbeSample returns a copy of the most recent probe sample line (nil
-// when no probe has fed the accumulator yet).
-func (l *Live) ProbeSample() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.probe) == 0 {
-		return nil
-	}
-	return append([]byte(nil), l.probe...)
 }
 
 // ProgressSnapshot is the /api/progress document.

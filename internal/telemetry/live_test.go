@@ -30,21 +30,3 @@ func TestLiveAccumulates(t *testing.T) {
 		t.Fatalf("fig2a timing = %+v", tasks[0])
 	}
 }
-
-func TestLiveProbeSample(t *testing.T) {
-	l := NewLive()
-	if got := l.ProbeSample(); got != nil {
-		t.Fatalf("sample before any probe = %q, want nil", got)
-	}
-	p := NewProbes(ProbeConfig{Every: 50, Live: l})
-	p.Observe(0, newFakeSource())
-	sample := l.ProbeSample()
-	if len(sample) == 0 {
-		t.Fatal("no sample after Observe")
-	}
-	// The copy must be detached from the accumulator's buffer.
-	sample[0] = 'X'
-	if s2 := l.ProbeSample(); s2[0] == 'X' {
-		t.Fatal("ProbeSample returned an aliased buffer")
-	}
-}

@@ -18,9 +18,6 @@ type ProbeConfig struct {
 	// buffered in memory beyond one line — so a full-length time-series
 	// costs O(1) memory however long the run.
 	Out io.Writer
-	// Live, when non-nil, receives every sample for the HTTP live
-	// endpoint's /api/probes snapshot.
-	Live *Live
 }
 
 // Probes samples a Source at a fixed cadence and reduces the samples into
@@ -204,16 +201,13 @@ func (p *Probes) Observe(now int64, src Source) {
 	}
 	p.prevAt = now
 
-	if p.w != nil || p.cfg.Live != nil {
+	if p.w != nil {
 		data, err := json.Marshal(&p.line)
-		if err == nil && p.w != nil {
+		if err == nil {
 			_, err = p.w.Write(append(data, '\n'))
 		}
 		if err != nil && p.err == nil {
 			p.err = err
-		}
-		if p.cfg.Live != nil && data != nil {
-			p.cfg.Live.setProbe(data)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package traffic provides the synthetic traffic patterns of the paper's
 // evaluation (Section IV-A): uniform random (UN), adversarial (ADV+i) and
-// the new adversarial-consecutive (ADVc) pattern of Section III, plus two
-// generalisations used by the examples — a consecutive pattern with an
-// arbitrary group count and the "application-uniform" pattern that models
-// the job-scheduler use case motivating ADVc.
+// the new adversarial-consecutive (ADVc) pattern of Section III, plus a
+// generalisation used by the examples — a consecutive pattern with an
+// arbitrary group count — and the interfaces a pattern may add. The
+// job-scheduler use case motivating ADVc is a workload
+// (workload.AppSpec), not a pattern of this package.
 //
 // A Pattern maps a source node to a destination node, one draw per packet.
 // Patterns never return the source itself.
@@ -148,52 +149,6 @@ func (c *Consecutive) Name() string {
 func (c *Consecutive) Dest(src int, rnd *rng.Source) int {
 	g := (c.topo.NodeGroup(src) + 1 + rnd.Intn(c.k)) % c.topo.NumGroups()
 	return randomNode(c.topo, g, rnd)
-}
-
-// AppUniform models the use case of Section III: an application allocated
-// on a set of consecutive groups whose processes communicate uniformly.
-// Sources outside the allocation stay silent (Dest returns -1), and inside
-// it traffic is uniform over the allocation — which the topology turns into
-// ADVc-like traffic at the member groups.
-type AppUniform struct {
-	topo   *topology.Topology
-	first  int
-	groups int
-}
-
-// NewAppUniform returns uniform traffic over the allocation
-// [first, first+groups) (group numbers wrap around).
-func NewAppUniform(t *topology.Topology, first, groups int) *AppUniform {
-	if groups <= 0 || groups > t.NumGroups() {
-		panic(fmt.Sprintf("traffic: allocation of %d groups out of range [1,%d]", groups, t.NumGroups()))
-	}
-	return &AppUniform{topo: t, first: ((first % t.NumGroups()) + t.NumGroups()) % t.NumGroups(), groups: groups}
-}
-
-// Name implements Pattern.
-func (a *AppUniform) Name() string {
-	return fmt.Sprintf("APP[%d+%d]", a.first, a.groups)
-}
-
-// Member reports whether a node belongs to the allocation.
-func (a *AppUniform) Member(node int) bool {
-	g := a.topo.NodeGroup(node)
-	d := ((g - a.first) + a.topo.NumGroups()) % a.topo.NumGroups()
-	return d < a.groups
-}
-
-// Dest implements Pattern. It returns -1 for non-member sources.
-func (a *AppUniform) Dest(src int, rnd *rng.Source) int {
-	if !a.Member(src) {
-		return -1
-	}
-	for {
-		g := (a.first + rnd.Intn(a.groups)) % a.topo.NumGroups()
-		d := randomNode(a.topo, g, rnd)
-		if d != src {
-			return d
-		}
-	}
 }
 
 // Permutation is a fixed random node permutation: every source always sends

@@ -128,53 +128,6 @@ func TestConsecutiveNames(t *testing.T) {
 	}
 }
 
-func TestAppUniformMembership(t *testing.T) {
-	tp := newTopo()
-	app := NewAppUniform(tp, 2, 3) // groups 2,3,4
-	r := rng.New(6)
-	nodesPerGroup := tp.Params().A * tp.Params().P
-	inside := 2 * nodesPerGroup
-	outside := 6 * nodesPerGroup
-	if !app.Member(inside) {
-		t.Error("node in group 2 should be a member")
-	}
-	if app.Member(outside) {
-		t.Error("node in group 6 should not be a member")
-	}
-	if d := app.Dest(outside, r); d != -1 {
-		t.Errorf("outside source got destination %d, want -1", d)
-	}
-	for i := 0; i < 2000; i++ {
-		d := app.Dest(inside, r)
-		if d == inside {
-			t.Fatal("AppUniform returned the source")
-		}
-		g := tp.NodeGroup(d)
-		if g < 2 || g > 4 {
-			t.Fatalf("destination group %d outside allocation", g)
-		}
-	}
-}
-
-func TestAppUniformWraparound(t *testing.T) {
-	tp := newTopo()                // 9 groups
-	app := NewAppUniform(tp, 8, 2) // groups 8 and 0
-	r := rng.New(7)
-	nodesPerGroup := tp.Params().A * tp.Params().P
-	if !app.Member(8*nodesPerGroup) || !app.Member(0) {
-		t.Error("wraparound membership wrong")
-	}
-	if app.Member(1 * nodesPerGroup) {
-		t.Error("group 1 should be outside")
-	}
-	for i := 0; i < 500; i++ {
-		g := tp.NodeGroup(app.Dest(0, r))
-		if g != 8 && g != 0 {
-			t.Fatalf("destination group %d outside wrapped allocation", g)
-		}
-	}
-}
-
 func TestPermutationFixedAndTotal(t *testing.T) {
 	tp := newTopo()
 	p := NewPermutation(tp, rng.New(8))
@@ -240,20 +193,6 @@ func TestConsecutivePanicsOnBadK(t *testing.T) {
 				}
 			}()
 			NewConsecutive(tp, k)
-		}()
-	}
-}
-
-func TestAppUniformPanicsOnBadGroups(t *testing.T) {
-	tp := newTopo()
-	for _, g := range []int{0, tp.NumGroups() + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AppUniform groups=%d did not panic", g)
-				}
-			}()
-			NewAppUniform(tp, 0, g)
 		}()
 	}
 }

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dragonfly/internal/refmodel"
@@ -172,6 +173,33 @@ func TestAllocationPolicies(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("job %d allocation differs across identical compiles", j)
+			}
+		}
+	}
+
+	// A consecutive allocation wraps past the last group: the Section III
+	// application on groups 8 and 0 of 9 owns exactly their routers, and
+	// its traffic stays inside them.
+	app, err := workload.Compile(topo, workload.AppSpec(topo.Params(), 8, 2), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := app.JobRouters(0), []int{32, 33, 34, 35, 0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("wrapped allocation routers %v, want %v", got, want)
+	}
+	r := rng.New(7)
+	for n := 0; n < topo.NumNodes(); n++ {
+		g := topo.NodeGroup(n)
+		if member := g == 8 || g == 0; app.Member(n) != member {
+			t.Fatalf("node %d of group %d: member %v", n, g, app.Member(n))
+		}
+		if !app.Member(n) {
+			continue
+		}
+		for i := 0; i < 20; i++ {
+			d := app.Dest(n, r)
+			if dg := topo.NodeGroup(d); d == n || (dg != 8 && dg != 0) {
+				t.Fatalf("node %d sent to node %d of group %d, outside the wrapped allocation", n, d, dg)
 			}
 		}
 	}
