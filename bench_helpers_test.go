@@ -17,9 +17,9 @@ func newBenchPacket(topo *topology.Topology) *packet.Packet {
 	dst := topo.NodeID(topo.RouterID(1, 0), 0)
 	p := &packet.Packet{}
 	p.Reset()
-	p.Src, p.Dst = src, dst
+	p.Src, p.Dst = int32(src), int32(dst)
 	p.Size = 8
 	min := topo.MinimalPathLength(src, dst)
-	p.MinLocal, p.MinGlobal = min.Local, min.Global
+	p.MinLocal, p.MinGlobal = uint8(min.Local), uint8(min.Global)
 	return p
 }

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/../.."
 golden=cmd/testdata
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/bin/" ./cmd/dfsweep ./cmd/dffair ./cmd/dfbreakdown ./cmd/dfexperiments ./cmd/dfsched
+go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dffair ./cmd/dfbreakdown ./cmd/dfexperiments ./cmd/dfsched
 net="-h 2 -warmup 200 -measure 600"
 
 "$tmp/bin/dfsweep" $net -pattern ADVc -mechanisms MIN,In-Trns-MM -loads 0.1,0.4 -seeds 2 \
@@ -50,7 +50,8 @@ status=0
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
 # budget that would wrap the departure cycle, and generator parameters no
 # clamp can repair. dfsweep: the deleted cold-build reuse mode, and run
-# descriptions no point can run (checked once, by sim.Config.Validate).
+# descriptions no point can run (checked once, by sim.Config.Validate) —
+# with dfsim, values the core would truncate to 32 bits.
 # Input the scheduler must survive: a size median far past the cap (every
 # job is the cap, so the machine holds one job at a time), and a trace that
 # drains inside the warm-up (its length is the last departure + 1).
@@ -69,6 +70,9 @@ if [ "${1:-}" != -update ]; then
   refused dfsweep 'bit-identical to a cold build' $net $point -reuse off
   refused dfsweep 'congestion threshold' $net $point -threshold 1.5
   refused dfsweep 'overflows the cycle counter' -h 2 -warmup 9223372036854775807 -measure 1 $point
+  refused dfsim 'link latencies must be at most 2147483647 cycles' -h 2 -warmup 100 -measure 200 -global-lat 2147483648
+  refused dfsweep 'link latencies must be at most 2147483647 cycles' $net $point -local-lat 2147483648
+  refused dfsweep 'injection queue of 2147483648 packets exceeds 2147483647 phits' $net $point -inj-queue 2147483648
   "$tmp/bin/dfsched" -h 2 -warmup 100 -generate 50 -gen-arrival 25 -gen-dur-median 200 -gen-nodes-median 1e11 \
     -disciplines fcfs -json > "$tmp/cap.json"
   if ! grep -q '"peak_running": 1,' "$tmp/cap.json"; then

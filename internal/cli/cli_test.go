@@ -363,6 +363,11 @@ func TestBaseRejectsUnrunnableConfig(t *testing.T) {
 		{[]string{"-inj-queue", "-3"}, `{"inj_queue":-3}`, "injection queue"},
 		{[]string{"-global-lat", "-5"}, `{"global_lat":-5}`, "latencies"},
 		{[]string{"-warmup", "9223372036854775807", "-measure", "1"}, `{"warmup":9223372036854775807,"measure":1}`, "overflow"},
+		// Values the core stores in 32 bits, or a packet's node ids could not hold.
+		{[]string{"-global-lat", "2147483648"}, `{"global_lat":2147483648}`, "at most 2147483647 cycles"},
+		{[]string{"-local-lat", "2147483648"}, `{"local_lat":2147483648}`, "at most 2147483647 cycles"},
+		{[]string{"-inj-queue", "2147483648"}, `{"inj_queue":2147483648}`, "injection queue of 2147483648 packets exceeds 2147483647 phits"},
+		{[]string{"-h", "2", "-p", "1073741824"}, `{"h":2,"p":1073741824}`, "supported 2147483647 nodes"},
 	} {
 		_, flagErr := flagConfig(t, c.args...)
 		var b Base

@@ -131,6 +131,9 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"threshold past 1", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{H: 1, Threshold: 1.5}}, "threshold"},
 		{"negative injection queue", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{InjQueue: -3}}, "injection queue"},
 		{"cycle count overflows", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Warmup: math.MaxInt64, Measure: 1}}, "overflow"},
+		{"global latency past 32 bits", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{GlobalLat: 1 << 31}}, "at most 2147483647 cycles"},
+		{"local latency past 32 bits", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{LocalLat: 1 << 31}}, "at most 2147483647 cycles"},
+		{"injection queue past 32 bits", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{InjQueue: 1 << 31}}, "exceeds 2147483647 phits"},
 	}
 	for _, tc := range cases {
 		s := tc.spec

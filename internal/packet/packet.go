@@ -46,63 +46,22 @@ func (p Phase) String() string {
 // Packet is one simulated network packet. Packets are created by the
 // injection machinery, owned by exactly one buffer at a time, and recycled
 // after delivery.
+//
+// A packet is 128 bytes, two 64-byte cache lines (the allocator's 128-byte
+// size class keeps it line-aligned). The first line holds what every hop
+// reads or writes: the queue link, the cycle stamps, the per-hop latency
+// sums, the ids the VC ladder and minimal routing read, and the hop state.
+// The second holds what generation, injection and delivery use, plus the
+// intermediates, which only misrouted packets read, and GenTime, which age
+// arbitration also reads at every hop. Ids are 32-bit (a topology has at
+// most 2^31-1 nodes), Size 16-bit and the hop counters, VC index and
+// minimal-path shape 8-bit (at most 256 VCs per port);
+// router.Config.Validate refuses a packet size that does not fit.
 type Packet struct {
 	// next links the packet into the one Queue that holds it. It is the only
 	// pointer in the struct and comes first, so the collector scans one word
 	// of a packet, not all of it.
 	next *Packet
-
-	ID   uint64
-	Src  int // source node
-	Dst  int // destination node
-	Size int // phits
-
-	// Job is the job index the packet belongs to, stamped at generation
-	// time (-1 outside multi-job runs). Attribution must travel with the
-	// packet rather than be re-derived from its source node at delivery:
-	// under a dynamic scheduler the source node may have been freed and
-	// recycled to another job while the packet was in flight.
-	Job int32
-
-	// Routing state.
-	Phase          Phase
-	IntNode        int  // Valiant intermediate node; -1 when unset
-	IntGroup       int  // in-transit intermediate group; -1 when unset
-	Misrouted      bool // a global misroute has been committed
-	LocalMisrouted bool // a local misroute was taken in the current group
-	SrcDecided     bool // source-adaptive decision already taken
-
-	// Hop counters; they double as the next VC index per port class,
-	// which makes the increasing-VC deadlock-avoidance scheme explicit.
-	LocalHops  int
-	GlobalHops int
-
-	// VC the packet travels on over the link it is currently queued for
-	// (assigned at switch allocation, consumed at the downstream input).
-	VC int
-
-	// Timing (cycles).
-	GenTime     int64 // creation at the source node
-	InjectTime  int64 // won injection allocation at the source router
-	DeliverTime int64 // handed to the destination node
-
-	// Minimal-path shape, captured at creation for the latency breakdown.
-	MinLocal  int
-	MinGlobal int
-	// MinLinkLat is the summed propagation latency of the links on the
-	// unique minimal path, captured at creation. With uniform link
-	// latencies it equals MinLocal*local + MinGlobal*global; with a
-	// heterogeneous latency model it prices the actual cables.
-	MinLinkLat int64
-	// LinkLat accumulates the propagation latency of every link the packet
-	// actually traverses, so the misroute component of the latency
-	// breakdown charges real per-hop costs rather than class constants.
-	LinkLat int64
-
-	// Accumulated queueing delays, split the way Figure 3 splits them.
-	WaitInj    int64 // waiting in the injection queue
-	WaitLocal  int64 // waiting in/for local transit queues
-	WaitGlobal int64 // waiting in/for global transit queues
 
 	// ReadyAt is the cycle the packet finishes the router pipeline at its
 	// current input buffer and may request the switch.
@@ -111,6 +70,64 @@ type Packet struct {
 	// (input VC or output buffer); used to attribute waiting time. While
 	// the packet crosses a link it is the cycle it arrives at the far end.
 	EnqueuedAt int64
+	// LinkLat accumulates the propagation latency of every link the packet
+	// actually traverses, so the misroute component of the latency
+	// breakdown charges real per-hop costs rather than class constants.
+	LinkLat int64
+
+	// Accumulated queueing delays, split the way Figure 3 splits them.
+	WaitLocal  int64 // waiting in/for local transit queues
+	WaitGlobal int64 // waiting in/for global transit queues
+
+	Src  int32 // source node
+	Dst  int32 // destination node
+	Size int16 // phits
+
+	// Routing state.
+	Phase          Phase
+	Misrouted      bool // a global misroute has been committed
+	LocalMisrouted bool // a local misroute was taken in the current group
+
+	// Hop counters; they double as the next VC index per port class,
+	// which makes the increasing-VC deadlock-avoidance scheme explicit.
+	LocalHops  uint8
+	GlobalHops uint8
+
+	// VC the packet travels on over the link it is currently queued for
+	// (assigned at switch allocation, consumed at the downstream input).
+	VC uint8
+
+	// Second line: generation, injection and delivery.
+	ID uint64
+
+	// Timing (cycles).
+	GenTime     int64 // creation at the source node
+	InjectTime  int64 // won injection allocation at the source router
+	DeliverTime int64 // handed to the destination node
+
+	// MinLinkLat is the summed propagation latency of the links on the
+	// unique minimal path, captured at creation. With uniform link
+	// latencies it equals MinLocal*local + MinGlobal*global; with a
+	// heterogeneous latency model it prices the actual cables.
+	MinLinkLat int64
+
+	WaitInj int64 // waiting in the injection queue
+
+	// Job is the job index the packet belongs to, stamped at generation
+	// time (-1 outside multi-job runs). Attribution must travel with the
+	// packet rather than be re-derived from its source node at delivery:
+	// under a dynamic scheduler the source node may have been freed and
+	// recycled to another job while the packet was in flight.
+	Job int32
+
+	IntNode  int32 // Valiant intermediate node; -1 when unset
+	IntGroup int32 // in-transit intermediate group; -1 when unset
+
+	// Minimal-path shape, captured at creation for the latency breakdown.
+	MinLocal  uint8
+	MinGlobal uint8
+
+	SrcDecided bool // source-adaptive decision already taken
 }
 
 // Queue is a FIFO of packets linked through the packets themselves: a
@@ -227,7 +244,7 @@ func (a Action) Apply(p *Packet) {
 	case ActionNone:
 	case ActionMisrouteToGroup:
 		p.Phase = PhaseToGroup
-		p.IntGroup = a.Group
+		p.IntGroup = int32(a.Group)
 		p.Misrouted = true
 	case ActionLocalMisroute:
 		p.LocalMisrouted = true

@@ -105,18 +105,48 @@ func TestActionProperty(t *testing.T) {
 	f := func(group uint8, pre bool) bool {
 		p := &Packet{Misrouted: pre, IntGroup: -1}
 		Action{Kind: ActionMisrouteToGroup, Group: int(group)}.Apply(p)
-		return p.Misrouted && p.IntGroup == int(group) && p.Phase == PhaseToGroup
+		return p.Misrouted && p.IntGroup == int32(group) && p.Phase == PhaseToGroup
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// A packet stays in the 192-byte size class: the queue link rides in the
-// bytes the allocator hands out for a packet anyway.
+// A packet is two cache lines: it stays in the allocator's 128-byte size
+// class (whose objects are 128-byte aligned), with the queue link first.
 func TestPacketFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size > 192 {
-		t.Fatalf("Packet is %d bytes, want at most 192", size)
+	var p Packet
+	if size := unsafe.Sizeof(p); size > 128 {
+		t.Fatalf("Packet is %d bytes, want at most 128", size)
+	}
+	if off := unsafe.Offsetof(p.next); off != 0 {
+		t.Fatalf("next sits at byte %d, want 0", off)
+	}
+	// Every field a hop reads or writes — queueing, allocation, the link
+	// stage, the VC ladder, minimal routing — is in the first line.
+	hot := []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"ReadyAt", unsafe.Offsetof(p.ReadyAt), unsafe.Sizeof(p.ReadyAt)},
+		{"EnqueuedAt", unsafe.Offsetof(p.EnqueuedAt), unsafe.Sizeof(p.EnqueuedAt)},
+		{"LinkLat", unsafe.Offsetof(p.LinkLat), unsafe.Sizeof(p.LinkLat)},
+		{"WaitLocal", unsafe.Offsetof(p.WaitLocal), unsafe.Sizeof(p.WaitLocal)},
+		{"WaitGlobal", unsafe.Offsetof(p.WaitGlobal), unsafe.Sizeof(p.WaitGlobal)},
+		{"Src", unsafe.Offsetof(p.Src), unsafe.Sizeof(p.Src)},
+		{"Dst", unsafe.Offsetof(p.Dst), unsafe.Sizeof(p.Dst)},
+		{"Size", unsafe.Offsetof(p.Size), unsafe.Sizeof(p.Size)},
+		{"Phase", unsafe.Offsetof(p.Phase), unsafe.Sizeof(p.Phase)},
+		{"Misrouted", unsafe.Offsetof(p.Misrouted), unsafe.Sizeof(p.Misrouted)},
+		{"LocalMisrouted", unsafe.Offsetof(p.LocalMisrouted), unsafe.Sizeof(p.LocalMisrouted)},
+		{"LocalHops", unsafe.Offsetof(p.LocalHops), unsafe.Sizeof(p.LocalHops)},
+		{"GlobalHops", unsafe.Offsetof(p.GlobalHops), unsafe.Sizeof(p.GlobalHops)},
+		{"VC", unsafe.Offsetof(p.VC), unsafe.Sizeof(p.VC)},
+	}
+	for _, f := range hot {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("per-hop field %s ends at byte %d, past the first cache line", f.name, end)
+		}
 	}
 }
 

@@ -30,14 +30,14 @@ func (q *vcQueue) front() *packet.Packet {
 
 func (q *vcQueue) push(p *packet.Packet) {
 	q.pkts = append(q.pkts, p)
-	q.occ += p.Size
+	q.occ += int(p.Size)
 }
 
 func (q *vcQueue) pop() *packet.Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
-	q.occ -= p.Size
+	q.occ -= int(p.Size)
 	if q.head == len(q.pkts) {
 		q.pkts = q.pkts[:0]
 		q.head = 0
@@ -455,7 +455,7 @@ func (r *Router) EnqueueInjection(now int64, p *packet.Packet) {
 	routing.OnArrive(r.env, r.id, p, false)
 	p.ReadyAt = now + int64(r.cfg.PipelineCycles)
 	p.EnqueuedAt = now
-	port := r.topo.NodePort(p.Src)
+	port := r.topo.NodePort(int(p.Src))
 	r.inputs[port].vcs[0].push(p)
 	r.inputs[port].qTotal++
 	if r.measuring {
@@ -568,7 +568,7 @@ func (r *Router) popArrival(now int64, p int) {
 	pkt.ReadyAt = now + int64(r.cfg.PipelineCycles)
 	pkt.EnqueuedAt = now
 	q := &in.vcs[pkt.VC]
-	if q.occ+pkt.Size > q.cap {
+	if q.occ+int(pkt.Size) > q.cap {
 		panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r.id, p, pkt.VC))
 	}
 	q.push(pkt)
@@ -606,7 +606,7 @@ func (r *Router) completeTransfers(now int64) {
 		}
 		// Commit the routing decision and the hop.
 		tr.action.Apply(pkt)
-		pkt.VC = tr.outVC
+		pkt.VC = uint8(tr.outVC)
 		out := &r.outputs[tr.outPort]
 		switch out.class {
 		case topology.LocalPort:
@@ -813,8 +813,8 @@ func (r *Router) grant(now int64, ref candRef) {
 	}
 	in.rrVC = (cand.vcIdx + 1) % len(in.vcs)
 	o.crossbarBusyUntil = now + xbar
-	o.occ += pkt.Size // reserve output buffer space now (VCT)
-	o.occVC[cand.req.VC] += pkt.Size
+	o.occ += int(pkt.Size) // reserve output buffer space now (VCT)
+	o.occVC[cand.req.VC] += int(pkt.Size)
 	o.rr = (inPort + 1) % len(r.inputs)
 	r.granted[inPort] = true
 	r.cands[inPort] = r.cands[inPort][:0]
@@ -874,7 +874,7 @@ func (r *Router) linkStage(now int64) {
 		o.releaseVC = sendVC
 		r.relDue.insert(o.releaseAt, int32(p))
 		if r.trace != nil {
-			r.trace(now, router.TraceLinkSend, pkt, r.id, p, pkt.VC)
+			r.trace(now, router.TraceLinkSend, pkt, r.id, p, int(pkt.VC))
 		}
 		if o.link != nil {
 			at := now + serial + int64(o.link.Latency())
@@ -924,15 +924,15 @@ func (r *Router) deliver(at int64, pkt *packet.Packet) {
 			j.Latencies.Observe(lat)
 		}
 		s.Latencies.Observe(lat)
-		base := r.pathCost(pkt.MinLocal, pkt.MinGlobal, pkt.MinLinkLat)
+		base := r.pathCost(int(pkt.MinLocal), int(pkt.MinGlobal), pkt.MinLinkLat)
 		s.BaseSum += base
-		s.MisrouteSum += r.pathCost(pkt.LocalHops, pkt.GlobalHops, pkt.LinkLat) - base
+		s.MisrouteSum += r.pathCost(int(pkt.LocalHops), int(pkt.GlobalHops), pkt.LinkLat) - base
 		s.WaitInjSum += pkt.WaitInj
 		s.WaitLocalSum += pkt.WaitLocal
 		s.WaitGlobalSum += pkt.WaitGlobal
 	}
 	if r.trace != nil {
-		r.trace(at, router.TraceDeliver, pkt, r.id, r.topo.NodePort(pkt.Dst), 0)
+		r.trace(at, router.TraceDeliver, pkt, r.id, r.topo.NodePort(int(pkt.Dst)), 0)
 	}
 	if r.deliverHook != nil {
 		r.deliverHook(pkt)

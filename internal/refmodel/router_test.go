@@ -67,11 +67,11 @@ func (n *testNet) inject(now int64, id uint64, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
 	p.Reset()
 	p.ID = id
-	p.Src, p.Dst = src, dst
-	p.Size = n.cfg.PacketSize
+	p.Src, p.Dst = int32(src), int32(dst)
+	p.Size = int16(n.cfg.PacketSize)
 	p.GenTime = now
 	min := n.topo.MinimalPathLength(src, dst)
-	p.MinLocal, p.MinGlobal = min.Local, min.Global
+	p.MinLocal, p.MinGlobal = uint8(min.Local), uint8(min.Global)
 	p.MinLinkLat = int64(min.Local)*int64(n.cfg.LocalLatency) + int64(min.Global)*int64(n.cfg.GlobalLatency)
 	n.routers[n.topo.NodeRouter(src)].EnqueueInjection(now, p)
 	return p
@@ -171,8 +171,8 @@ func TestLatencyIdentity(t *testing.T) {
 		t.Fatalf("only %d deliveries; test needs congestion", len(*delivered))
 	}
 	for _, p := range *delivered {
-		base := cost(p.MinLocal, p.MinGlobal)
-		misroute := cost(p.LocalHops, p.GlobalHops) - base
+		base := cost(int(p.MinLocal), int(p.MinGlobal))
+		misroute := cost(int(p.LocalHops), int(p.GlobalHops)) - base
 		sum := base + misroute + p.WaitInj + p.WaitLocal + p.WaitGlobal
 		if sum != p.TotalLatency() {
 			t.Fatalf("identity broken for %v: base %d + misroute %d + waits %d/%d/%d = %d != total %d",

@@ -1,6 +1,9 @@
 package router
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Arbitration selects how an output port chooses among competing input
 // requests each cycle.
@@ -102,11 +105,16 @@ func (c Config) CrossbarCycles() int {
 // SerialCycles returns how long a packet occupies a link (1 phit/cycle).
 func (c Config) SerialCycles() int { return c.PacketSize }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including every value that does
+// not fit where it is stored: a packet records its size in 16 bits, and the
+// core keeps link latencies and a port's buffer and source-queue phits in
+// 32 bits.
 func (c Config) Validate() error {
 	switch {
 	case c.PacketSize <= 0:
 		return fmt.Errorf("router: packet size must be positive")
+	case c.PacketSize > math.MaxInt16:
+		return fmt.Errorf("router: packet size %d exceeds the %d phits a packet can record", c.PacketSize, math.MaxInt16)
 	case c.PipelineCycles < 0:
 		return fmt.Errorf("router: negative pipeline latency")
 	case c.Speedup <= 0:
@@ -119,14 +127,28 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: VC counts must be positive")
 	case c.LocalVCs > 256 || c.GlobalVCs > 256:
 		return fmt.Errorf("router: at most 256 VCs per port (a credit in flight carries its VC in one byte)")
+	case !portFits(c.OutputBufferPhits, c.LocalVCs, c.LocalVCPhits) ||
+		!portFits(c.OutputBufferPhits, c.GlobalVCs, c.GlobalVCPhits):
+		return fmt.Errorf("router: a port's buffers (output buffer plus VCs × VC buffer) exceed %d phits", math.MaxInt32)
 	case c.LocalLatency <= 0 || c.GlobalLatency <= 0:
 		return fmt.Errorf("router: link latencies must be positive")
+	case c.LocalLatency > math.MaxInt32 || c.GlobalLatency > math.MaxInt32:
+		return fmt.Errorf("router: link latencies must be at most %d cycles", math.MaxInt32)
 	case c.InjectionQueuePackets <= 0:
 		return fmt.Errorf("router: injection queue must hold at least one packet")
+	case c.InjectionQueuePackets > math.MaxInt32/c.PacketSize:
+		return fmt.Errorf("router: injection queue of %d packets exceeds %d phits", c.InjectionQueuePackets, math.MaxInt32)
 	case c.AllocIterations <= 0:
 		return fmt.Errorf("router: allocator iterations must be positive")
 	case c.CongestionThreshold <= 0 || c.CongestionThreshold >= 1:
 		return fmt.Errorf("router: congestion threshold must be in (0,1)")
 	}
 	return nil
+}
+
+// portFits reports whether a port's buffer space — an output buffer of out
+// phits plus vcs (≤ 256) input VCs of vcPhits each — fits in 32 bits.
+func portFits(out, vcs, vcPhits int) bool {
+	return out <= math.MaxInt32 && vcPhits <= math.MaxInt32 &&
+		int64(out)+int64(vcs)*int64(vcPhits) <= math.MaxInt32
 }

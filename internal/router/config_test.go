@@ -1,6 +1,9 @@
 package router
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
@@ -23,12 +26,37 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.AllocIterations = 0 },
 		func(c *Config) { c.CongestionThreshold = 0 },
 		func(c *Config) { c.CongestionThreshold = 1 },
+		// Values past what a packet or the core stores them in.
+		func(c *Config) { c.PacketSize = 1 << 15 },
+		func(c *Config) { c.OutputBufferPhits = 1 << 31 },
+		func(c *Config) { c.GlobalVCPhits = 1 << 31 },
+		func(c *Config) { c.LocalVCPhits = 1 << 30 }, // 3 VCs of it
+		func(c *Config) { c.LocalLatency = 1 << 31 },
+		func(c *Config) { c.GlobalLatency = 1 << 31 },
+		func(c *Config) { c.InjectionQueuePackets = 1 << 31 },
+		func(c *Config) { c.InjectionQueuePackets = 1 << 28 }, // × 8 phits
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+	// The largest values that do fit are accepted.
+	edges := []func(*Config){
+		func(c *Config) {
+			c.PacketSize, c.OutputBufferPhits, c.LocalVCPhits, c.GlobalVCPhits = math.MaxInt16, 1<<16, 1<<16, 1<<16
+		},
+		func(c *Config) { c.LocalLatency, c.GlobalLatency = math.MaxInt32, math.MaxInt32 },
+		func(c *Config) { c.InjectionQueuePackets = math.MaxInt32 / c.PacketSize },
+		func(c *Config) { c.GlobalVCPhits = (math.MaxInt32 - c.OutputBufferPhits) / c.GlobalVCs },
+	}
+	for i, edge := range edges {
+		c := DefaultConfig()
+		edge(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("edge %d refused: %v", i, err)
 		}
 	}
 }

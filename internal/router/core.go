@@ -524,9 +524,9 @@ func (c *Core) wire(model topology.LatencyModel) error {
 		c.inW[pi].peer, c.outW[pi].peer = -1, -1
 	}
 	connect := func(src, port, dst, inPort, lat int) error {
-		if lat <= 0 {
-			return fmt.Errorf("router: latency model %q assigns non-positive latency %d to link %d->%d",
-				model.Name(), lat, src, dst)
+		if lat <= 0 || lat > math.MaxInt32 {
+			return fmt.Errorf("router: latency model %q assigns latency %d, outside [1, %d] cycles, to link %d->%d",
+				model.Name(), lat, math.MaxInt32, src, dst)
 		}
 		c.maxLat = max(c.maxLat, int64(lat))
 		if topo.RouterGroup(src) != topo.RouterGroup(dst) && (c.lookahead == 0 || int64(lat) < c.lookahead) {
@@ -1008,7 +1008,7 @@ func (c *Core) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	routing.OnArrive(c.env, r, p, false)
 	p.ReadyAt = now + c.pipeline
 	p.EnqueuedAt = now
-	port := c.topo.NodePort(p.Src)
+	port := c.topo.NodePort(int(p.Src))
 	pi := r*c.np + port
 	vi := pi * c.maxVC
 	c.inQPush(vi, port, p)

@@ -59,8 +59,8 @@ func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet),
 				src := r*p.P + i
 				pkt := new(packet.Packet)
 				pkt.Reset()
-				pkt.ID, pkt.Src, pkt.Dst = uint64(src)<<32|uint64(now), src, dst(src, perGroup, nodes, now)
-				pkt.Size, pkt.GenTime = cfg.PacketSize, now
+				pkt.ID, pkt.Src, pkt.Dst = uint64(src)<<32|uint64(now), int32(src), int32(dst(src, perGroup, nodes, now))
+				pkt.Size, pkt.GenTime = int16(cfg.PacketSize), now
 				c.EnqueueInjection(r, now, pkt)
 			}
 			c.StepRouter(r, now)
@@ -385,7 +385,7 @@ func TestQueueBoundsStillHold(t *testing.T) {
 	pkt := func(c *Core) *packet.Packet {
 		p := new(packet.Packet)
 		p.Reset()
-		p.Size = c.size
+		p.Size = int16(c.size)
 		return p
 	}
 	t.Run("input", func(t *testing.T) {

@@ -187,11 +187,11 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 				}
 				routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
 				pkt.ReadyAt = at + c.pipeline
-				s := &c.inQ[pi*c.maxVC+pkt.VC]
+				s := &c.inQ[pi*c.maxVC+int(pkt.VC)]
 				if s.occ+int32(pkt.Size) > c.inCapVC[p] {
 					panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
 				}
-				c.inQPush(pi*c.maxVC+pkt.VC, p, pkt)
+				c.inQPush(pi*c.maxVC+int(pkt.VC), p, pkt)
 				s.occ += int32(pkt.Size)
 				c.inP[pi].qTotal++
 				c.inOccMask[r*mw+p>>6] |= 1 << (uint(p) & 63)
@@ -237,7 +237,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		// Commit the routing decision and the hop.
 		outPort := int(pd.outPort)
 		packet.Action{Kind: pd.kind, Group: int(pd.group)}.Apply(pkt)
-		pkt.VC = int(pd.outVC)
+		pkt.VC = uint8(pd.outVC)
 		switch c.class[outPort] {
 		case topology.LocalPort:
 			pkt.LocalHops++
@@ -246,7 +246,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		}
 		pkt.EnqueuedAt = now
 		opi := base + outPort
-		c.outQPush(opi*c.maxVC+pkt.VC, pkt)
+		c.outQPush(opi*c.maxVC+int(pkt.VC), pkt)
 		c.outP[opi].qTotal++
 		c.outOccMask[r*c.maskWords+outPort>>6] |= 1 << (uint(outPort) & 63)
 	}
@@ -543,7 +543,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				if pkt == nil {
 					continue
 				}
-				if transit && outQ[vbase+pkt.VC].credits < size {
+				if transit && outQ[vbase+int(pkt.VC)].credits < size {
 					continue // VCT: wait for a full packet of credit
 				}
 				sendVC = v
@@ -566,7 +566,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			}
 			c.outP[pi].rrVC = int32(rv)
 			if transit {
-				outQ[vbase+pkt.VC].credits -= size
+				outQ[vbase+int(pkt.VC)].credits -= size
 				c.outP[pi].free -= size
 			}
 			// Output-queue wait accounting by link class.
@@ -587,7 +587,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				consider(nev, c.outP[pi].linkBusy)
 			}
 			if c.trace[r] != nil {
-				c.trace[r](now, TraceLinkSend, pkt, r, p, pkt.VC)
+				c.trace[r](now, TraceLinkSend, pkt, r, p, int(pkt.VC))
 			}
 			if transit {
 				w := &c.outW[pi]
@@ -636,15 +636,15 @@ func (c *Core) deliver(r int, now int64, pkt *packet.Packet) {
 			j.Latencies.Observe(lat)
 		}
 		s.Latencies.Observe(lat)
-		base := c.pathCost(pkt.MinLocal, pkt.MinGlobal, pkt.MinLinkLat)
+		base := c.pathCost(int(pkt.MinLocal), int(pkt.MinGlobal), pkt.MinLinkLat)
 		s.BaseSum += base
-		s.MisrouteSum += c.pathCost(pkt.LocalHops, pkt.GlobalHops, pkt.LinkLat) - base
+		s.MisrouteSum += c.pathCost(int(pkt.LocalHops), int(pkt.GlobalHops), pkt.LinkLat) - base
 		s.WaitInjSum += pkt.WaitInj
 		s.WaitLocalSum += pkt.WaitLocal
 		s.WaitGlobalSum += pkt.WaitGlobal
 	}
 	if c.trace[r] != nil {
-		c.trace[r](at, TraceDeliver, pkt, r, c.topo.NodePort(pkt.Dst), 0)
+		c.trace[r](at, TraceDeliver, pkt, r, c.topo.NodePort(int(pkt.Dst)), 0)
 	}
 	c.recycle(pkt)
 }

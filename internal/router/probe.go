@@ -73,7 +73,7 @@ func (c *Core) ProbeLinks(r int, now int64) LinkProbe {
 			if pkt == nil {
 				continue
 			}
-			if c.outQ[vbase+pkt.VC].credits >= size {
+			if c.outQ[vbase+int(pkt.VC)].credits >= size {
 				stalled = false
 				break
 			}

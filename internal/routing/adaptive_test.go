@@ -45,7 +45,7 @@ func TestPiggyBackValiantWhenMinimalSaturated(t *testing.T) {
 	if p.Phase != packet.PhaseToNode || !p.Misrouted {
 		t.Errorf("saturated minimal link: packet should take Valiant, got %v", p.Phase)
 	}
-	if g := topo.NodeGroup(p.IntNode); g == 0 || g == dstGroup {
+	if g := topo.NodeGroup(int(p.IntNode)); g == 0 || g == dstGroup {
 		t.Errorf("Valiant intermediate group %d collides with src/dst", g)
 	}
 }
@@ -433,8 +433,8 @@ func TestInTransitWalksReachDestination(t *testing.T) {
 				req := m.NextHop(env, v, p, inClass, rnd)
 				class := topo.PortClass(req.Port)
 				if class == topology.InjectionPort {
-					if r != topo.NodeRouter(p.Dst) {
-						t.Fatalf("%v: ejected at %d, want %d", policy, r, topo.NodeRouter(p.Dst))
+					if r != topo.NodeRouter(int(p.Dst)) {
+						t.Fatalf("%v: ejected at %d, want %d", policy, r, topo.NodeRouter(int(p.Dst)))
 					}
 					break
 				}
@@ -501,7 +501,7 @@ func TestOnArrivePhaseFlips(t *testing.T) {
 	// ToNode flips at the intermediate node's router.
 	p2 := mkPacket(0, topo.NumNodes()-1)
 	p2.Phase = packet.PhaseToNode
-	p2.IntNode = topo.NodeID(topo.RouterID(2, 1), 0)
+	p2.IntNode = int32(topo.NodeID(topo.RouterID(2, 1), 0))
 	OnArrive(env, topo.RouterID(2, 1), p2, true)
 	if p2.Phase != packet.PhaseMinimal {
 		t.Error("ToNode did not flip at the intermediate router")

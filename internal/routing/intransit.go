@@ -58,8 +58,8 @@ func (it *InTransit) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass 
 	}
 
 	// Global misrouting: only in the source group, only once.
-	srcGroup := t.NodeGroup(p.Src)
-	dstGroup := t.NodeGroup(p.Dst)
+	srcGroup := t.NodeGroup(int(p.Src))
+	dstGroup := t.NodeGroup(int(p.Dst))
 	if g := t.RouterGroup(r); g == srcGroup && !p.Misrouted && dstGroup != srcGroup {
 		policy := it.policy
 		if policy == MM {

@@ -45,7 +45,7 @@ func (o *Oblivious) OnGenerate(env *Env, p *packet.Packet, rnd *rng.Source) {
 // Shared with the source-adaptive mechanism.
 func chooseValiantNode(env *Env, p *packet.Packet, policy GlobalPolicy, rnd *rng.Source) {
 	t := env.Topo
-	srcRouter := t.NodeRouter(p.Src)
+	srcRouter := t.NodeRouter(int(p.Src))
 	srcGroup := t.RouterGroup(srcRouter)
 	var g int
 	switch policy {

@@ -62,7 +62,7 @@ func (pb *PiggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.
 	t := env.Topo
 	r := rv.RouterID()
 	srcGroup := t.RouterGroup(r)
-	dstGroup := t.NodeGroup(p.Dst)
+	dstGroup := t.NodeGroup(int(p.Dst))
 	if dstGroup == srcGroup {
 		return // intra-group traffic goes minimal
 	}

@@ -196,9 +196,9 @@ func OnArrive(env *Env, routerID int, p *packet.Packet, enteredGroup bool) {
 	t := env.Topo
 	for {
 		switch {
-		case p.Phase == packet.PhaseToNode && t.NodeRouter(p.IntNode) == routerID:
+		case p.Phase == packet.PhaseToNode && t.NodeRouter(int(p.IntNode)) == routerID:
 			p.Phase = packet.PhaseMinimal
-		case p.Phase == packet.PhaseToGroup && t.RouterGroup(routerID) == p.IntGroup:
+		case p.Phase == packet.PhaseToGroup && t.RouterGroup(routerID) == int(p.IntGroup):
 			p.Phase = packet.PhaseMinimal
 		default:
 			return
@@ -209,9 +209,9 @@ func OnArrive(env *Env, routerID int, p *packet.Packet, enteredGroup bool) {
 // targetNode returns the node the packet currently steers towards.
 func targetNode(p *packet.Packet) int {
 	if p.Phase == packet.PhaseToNode {
-		return p.IntNode
+		return int(p.IntNode)
 	}
-	return p.Dst
+	return int(p.Dst)
 }
 
 // minimalPort returns the unique next output port of the packet's current
@@ -224,17 +224,17 @@ func minimalPort(env *Env, r int, p *packet.Packet) int {
 	if p.Phase == packet.PhaseToGroup {
 		// Head for the intermediate group; OnArrive flips the phase
 		// once the packet gets there, so g != IntGroup here.
-		if port := t.GlobalPortTo(r, p.IntGroup); port >= 0 {
+		if port := t.GlobalPortTo(r, int(p.IntGroup)); port >= 0 {
 			return port
 		}
-		idx, _ := t.GlobalRouterFor(g, p.IntGroup)
+		idx, _ := t.GlobalRouterFor(g, int(p.IntGroup))
 		return t.LocalPortTo(r, idx)
 	}
 	dst := targetNode(p)
 	dr := t.NodeRouter(dst)
 	if dr == r {
 		// OnArrive guarantees the packet only terminates at Dst.
-		return t.NodePort(p.Dst)
+		return t.NodePort(int(p.Dst))
 	}
 	dg := t.RouterGroup(dr)
 	if dg == g {
@@ -261,10 +261,10 @@ func valiantVC(env *Env, r, port int, p *packet.Packet) int {
 	t := env.Topo
 	switch t.PortClass(port) {
 	case topology.GlobalPort:
-		return p.GlobalHops
+		return int(p.GlobalHops)
 	case topology.LocalPort:
 		g := t.RouterGroup(r)
-		if g == t.NodeGroup(p.Src) && p.GlobalHops == 0 {
+		if g == t.NodeGroup(int(p.Src)) && p.GlobalHops == 0 {
 			// Fresh source-group hop. A packet whose destination is
 			// its own source group returns with GlobalHops == 2 and
 			// must use the destination VC below, not reopen VC 0.
@@ -273,7 +273,7 @@ func valiantVC(env *Env, r, port int, p *packet.Packet) int {
 		if p.Phase == packet.PhaseToNode {
 			return 1 // entering the intermediate group
 		}
-		if p.IntNode >= 0 && g == t.NodeGroup(p.IntNode) && g != t.NodeGroup(p.Dst) {
+		if p.IntNode >= 0 && g == t.NodeGroup(int(p.IntNode)) && g != t.NodeGroup(int(p.Dst)) {
 			return 2 // leaving the intermediate group
 		}
 		vc := 3
@@ -295,13 +295,13 @@ func segmentVC(env *Env, r, port int, p *packet.Packet) int {
 	t := env.Topo
 	switch t.PortClass(port) {
 	case topology.GlobalPort:
-		return p.GlobalHops
+		return int(p.GlobalHops)
 	case topology.LocalPort:
 		g := t.RouterGroup(r)
 		switch {
-		case g == t.NodeGroup(p.Src):
+		case g == t.NodeGroup(int(p.Src)):
 			return 0
-		case g == t.NodeGroup(p.Dst):
+		case g == t.NodeGroup(int(p.Dst)):
 			vc := 2
 			if vc > env.Cfg.LocalVCs-1 {
 				vc = env.Cfg.LocalVCs - 1
@@ -315,11 +315,12 @@ func segmentVC(env *Env, r, port int, p *packet.Packet) int {
 	}
 }
 
-// randomNodeInGroup draws a uniform node of group g.
-func randomNodeInGroup(t *topology.Topology, g int, rnd *rng.Source) int {
+// randomNodeInGroup draws a uniform node of group g, as a packet's
+// intermediate node.
+func randomNodeInGroup(t *topology.Topology, g int, rnd *rng.Source) int32 {
 	p := t.Params()
 	perGroup := p.A * p.P
-	return g*perGroup + rnd.Intn(perGroup)
+	return int32(g*perGroup + rnd.Intn(perGroup))
 }
 
 // randomOtherGroup draws a uniform group different from the excluded ones.

@@ -49,7 +49,7 @@ func view(id int) *fakeView {
 }
 
 func mkPacket(src, dst int) *packet.Packet {
-	p := &packet.Packet{Src: src, Dst: dst, Size: 8, IntNode: -1, IntGroup: -1}
+	p := &packet.Packet{Src: int32(src), Dst: int32(dst), Size: 8, IntNode: -1, IntGroup: -1}
 	return p
 }
 
@@ -140,7 +140,7 @@ func TestMinimalLocalTowardExit(t *testing.T) {
 func walk(t *testing.T, env *Env, m Mechanism, p *packet.Packet, maxHops int) []int {
 	t.Helper()
 	topo := env.Topo
-	r := topo.NodeRouter(p.Src)
+	r := topo.NodeRouter(int(p.Src))
 	OnArrive(env, r, p, false)
 	rnd := rng.New(42)
 	var ports []int
@@ -152,8 +152,8 @@ func walk(t *testing.T, env *Env, m Mechanism, p *packet.Packet, maxHops int) []
 		ports = append(ports, req.Port)
 		class := topo.PortClass(req.Port)
 		if class == topology.InjectionPort {
-			if r != topo.NodeRouter(p.Dst) {
-				t.Fatalf("ejected at router %d, want %d", r, topo.NodeRouter(p.Dst))
+			if r != topo.NodeRouter(int(p.Dst)) {
+				t.Fatalf("ejected at router %d, want %d", r, topo.NodeRouter(int(p.Dst)))
 			}
 			return ports
 		}
@@ -233,7 +233,7 @@ func TestObliviousCRGRestriction(t *testing.T) {
 		if p.Phase != packet.PhaseToNode {
 			continue // minimal short-circuit (intermediate == source group)
 		}
-		if g := topo.NodeGroup(p.IntNode); !direct[g] {
+		if g := topo.NodeGroup(int(p.IntNode)); !direct[g] {
 			t.Fatalf("CRG picked intermediate group %d not directly connected", g)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"dragonfly/internal/router"
+	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
 )
 
@@ -108,6 +110,41 @@ func TestBuildFootprint(t *testing.T) {
 			t.Errorf("%s: a 256-packet source queue builds %d B, a 16-packet one %d B (%.1f%% apart): the build reserves queue depth",
 				mech, deep, shallow, 100*diff)
 		}
+	}
+}
+
+// Past the build, what a run allocates is its live packets, at the 128 bytes
+// of a packet.Packet each: a saturated run's heap bytes, divided by the most
+// packets it held at once (source queues included), stay within a few bytes
+// of 128. The rest — pool refills after a collection empties the free list,
+// the probe summary — is noise on tens of thousands of packets.
+func TestRunAllocatesItsLivePackets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	cfg := DefaultConfig()
+	cfg.Topology = topology.Balanced(3)
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "In-Trns-MM", "ADVc", 1.0
+	cfg.Router.Arbitration = router.TransitOverInjection
+	cfg.WarmupCycles, cfg.MeasureCycles = 500, 1500
+	cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: 25})
+	net, err := NewNetwork(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := allocated(func() {
+		if err := RunNetwork(net, &cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	peak := net.telemetry.PeakInFlight
+	perPacket := float64(bytes) / float64(peak)
+	t.Logf("h=3 saturated run: %d B allocated, peak %d live packets: %.1f B per live packet", bytes, peak, perPacket)
+	if peak < 10000 {
+		t.Fatalf("peak of %d live packets: the run is not saturated enough to meter packets", peak)
+	}
+	if perPacket > 128+8 {
+		t.Errorf("a run allocates %.1f B per live packet, want at most 136 (a packet is 128)", perPacket)
 	}
 }
 

@@ -146,10 +146,10 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		dst := net.Topo.NodeID(net.Topo.LocalNeighbor(0, 0), 0)
 		pkt := &packet.Packet{}
 		pkt.Reset()
-		pkt.Src, pkt.Dst = src, dst
-		pkt.Size = cfg.Router.PacketSize
+		pkt.Src, pkt.Dst = int32(src), int32(dst)
+		pkt.Size = int16(cfg.Router.PacketSize)
 		min := net.Topo.MinimalPathLength(src, dst)
-		pkt.MinLocal, pkt.MinGlobal = min.Local, min.Global
+		pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)
 		net.mech.OnGenerate(&net.env, pkt, &net.nodes[src].rnd)
 		net.core.EnqueueInjection(0, 0, pkt)
 

@@ -128,19 +128,21 @@ func TestZeroLoadLatencyHeterogeneous(t *testing.T) {
 	}
 }
 
-// A latency model returning a non-positive latency must be rejected at
-// build time, not crash mid-run.
-type badModel struct{}
+// A latency model returning a non-positive latency, or one past the 32 bits
+// the core stores it in, must be rejected at build time, not crash mid-run.
+type badModel struct{ global int }
 
-func (badModel) Name() string                                   { return "bad" }
-func (badModel) LocalLatency(*topology.Topology, int, int) int  { return 10 }
-func (badModel) GlobalLatency(*topology.Topology, int, int) int { return 0 }
+func (badModel) Name() string                                     { return "bad" }
+func (badModel) LocalLatency(*topology.Topology, int, int) int    { return 10 }
+func (m badModel) GlobalLatency(*topology.Topology, int, int) int { return m.global }
 
 func TestBadLatencyModelRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LatencyModel = badModel{}
-	if _, err := NewNetwork(&cfg, nil); err == nil {
-		t.Fatal("non-positive link latency accepted")
+	for _, global := range []int{0, 1 << 31} {
+		cfg := DefaultConfig()
+		cfg.LatencyModel = badModel{global}
+		if _, err := NewNetwork(&cfg, nil); err == nil {
+			t.Errorf("link latency %d accepted", global)
+		}
 	}
 }
 

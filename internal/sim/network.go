@@ -382,15 +382,15 @@ func (net *Network) Generate(r int, now int64) {
 			pkt.Reset()
 			ns.seq++
 			pkt.ID = uint64(src)<<32 | ns.seq
-			pkt.Src = src
+			pkt.Src = int32(src)
 			if net.nodeJob != nil {
 				pkt.Job = net.nodeJob[src]
 			}
-			pkt.Dst = dst
-			pkt.Size = net.cfg.Router.PacketSize
+			pkt.Dst = int32(dst)
+			pkt.Size = int16(net.cfg.Router.PacketSize)
 			pkt.GenTime = now
 			min := net.Topo.MinimalPathLength(src, dst)
-			pkt.MinLocal, pkt.MinGlobal = min.Local, min.Global
+			pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)
 			pkt.MinLinkLat = net.minPathLinkLat(src, dst, min)
 			net.mech.OnGenerate(&net.env, pkt, &ns.rnd)
 			fab.EnqueueInjection(r, now, pkt)

@@ -33,6 +33,12 @@ func TestConfigValidate(t *testing.T) {
 		// The run ends at cycle warmup+measure, which must be an int64.
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 },
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 },
+		// Values the core or a packet would truncate.
+		func(c *Config) { c.Router.GlobalLatency = 1 << 31 },
+		func(c *Config) { c.Router.LocalLatency = 1 << 31 },
+		func(c *Config) { c.Router.InjectionQueuePackets = 1 << 31 },
+		func(c *Config) { c.Router.GlobalVCPhits = 1 << 31 },
+		func(c *Config) { c.Topology.P = 1 << 30 },
 	}
 	for i, mut := range bad {
 		c := small()

@@ -14,7 +14,7 @@ import (
 
 // emit pushes one event through a tracer hook.
 func emit(fn router.TraceFn, now int64, kind router.TraceKind, id uint64, rid, port, vc int) {
-	p := &packet.Packet{ID: id, Src: int(id >> 32), Dst: 7, LocalHops: 1, GlobalHops: 1}
+	p := &packet.Packet{ID: id, Src: int32(id >> 32), Dst: 7, LocalHops: 1, GlobalHops: 1}
 	fn(now, kind, p, rid, port, vc)
 }
 

@@ -80,8 +80,8 @@ func (t *Tracer) Hook(r int) router.TraceFn {
 			Router:     int32(routerID),
 			Port:       int16(port),
 			VC:         int16(vc),
-			Src:        int32(p.Src),
-			Dst:        int32(p.Dst),
+			Src:        p.Src,
+			Dst:        p.Dst,
 			LocalHops:  int8(p.LocalHops),
 			GlobalHops: int8(p.GlobalHops),
 			Phase:      p.Phase,

@@ -19,6 +19,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 )
 
 // Arrangement selects how the a*h global links of a group are distributed
@@ -95,6 +96,10 @@ func (p Params) Validate() error {
 	case p.A > MaxRouters || p.H > MaxRouters || p.Routers() > MaxRouters:
 		return fmt.Errorf("topology: a=%d, h=%d needs more than the supported %d (2^%d) routers",
 			p.A, p.H, MaxRouters, MaxRouterBits)
+	// Node ids are 32-bit in a packet; the router count is bounded above.
+	case p.P > math.MaxInt32/p.Routers():
+		return fmt.Errorf("topology: p=%d on %d routers needs more than the supported %d nodes",
+			p.P, p.Routers(), math.MaxInt32)
 	}
 	return nil
 }

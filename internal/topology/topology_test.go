@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,9 @@ func TestValidate(t *testing.T) {
 		{"one router per group", Params{P: 2, A: 1, H: 2}, false},
 		{"zero h", Params{P: 2, A: 4, H: 0}, false},
 		{"bad arrangement", Params{P: 2, A: 4, H: 2, Arrangement: Arrangement(9)}, false},
+		// 36 routers: node ids must fit 32 bits.
+		{"most nodes", Params{P: math.MaxInt32 / 36, A: 4, H: 2}, true},
+		{"too many nodes", Params{P: math.MaxInt32/36 + 1, A: 4, H: 2}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
