@@ -33,6 +33,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -382,16 +383,14 @@ func measureProbeOverhead(reps int, every int64) (probeOverhead, error) {
 	return po, nil
 }
 
+// identical reports whether two results measured the same run: every field
+// but the host time and the probe summary — the network totals, the
+// per-router counts and, for workload runs, the per-job ones.
 func identical(a, b *sim.Result) bool {
-	if len(a.PerRouter) != len(b.PerRouter) {
-		return false
-	}
-	for i := range a.PerRouter {
-		if a.PerRouter[i] != b.PerRouter[i] {
-			return false
-		}
-	}
-	return true
+	x, y := *a, *b
+	x.Wall, y.Wall = 0, 0
+	x.Telemetry, y.Telemetry = nil, nil
+	return reflect.DeepEqual(x, y)
 }
 
 func main() {

@@ -1,11 +1,11 @@
 package dragonfly
 
 import (
+	"reflect"
 	"runtime"
+	"testing"
 
 	"dragonfly/internal/topology"
-
-	"testing"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -219,15 +219,10 @@ func TestInterferenceMatrixUnderGroupSkew(t *testing.T) {
 			}
 			continue
 		}
-		for i := range want.PerRouter {
-			if want.PerRouter[i] != res.PerRouter[i] {
-				t.Fatalf("workers=%d: router %d stats diverge under groupskew", workers, i)
-			}
-			for j := range want.PerRouterJobs[i] {
-				if want.PerRouterJobs[i][j] != res.PerRouterJobs[i][j] {
-					t.Fatalf("workers=%d: router %d job %d stats diverge under groupskew", workers, i, j)
-				}
-			}
+		w, r := *want, *res
+		w.Wall, r.Wall = 0, 0
+		if !reflect.DeepEqual(w, r) {
+			t.Fatalf("workers=%d: result diverges under groupskew", workers)
 		}
 	}
 

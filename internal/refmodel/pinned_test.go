@@ -58,12 +58,7 @@ func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
 	if res.Delivered() == 0 {
 		t.Fatal("pinned run delivered nothing")
 	}
-	var injected, latencySum int64
-	for i := range res.PerRouter {
-		injected += res.PerRouter[i].Injected
-		latencySum += res.PerRouter[i].LatencySum
-	}
-	put(res.Delivered(), injected, res.Backlogged(), latencySum)
+	put(res.Delivered(), res.Total.Injected, res.Backlogged(), res.Total.LatencySum)
 	put(res.Injections()...)
 	for j := 0; j < res.NumJobs(); j++ {
 		jt := res.JobTotal(j)

@@ -16,7 +16,7 @@ type ResultJSON struct {
 	Pattern        string    `json:"pattern"`
 	OfferedLoad    float64   `json:"offered_load"`
 	AcceptedLoad   float64   `json:"accepted_load"`
-	AcceptedCI95   float64   `json:"accepted_load_ci95"`
+	AcceptedCI95   float64   `json:"accepted_load_ci95"` // -1: no interval (sim.Result.ThroughputCI)
 	AvgLatency     float64   `json:"avg_latency_cycles"`
 	P50Latency     int64     `json:"p50_latency_cycles"`
 	P99Latency     int64     `json:"p99_latency_cycles"`
@@ -89,7 +89,7 @@ func NewWorkloadJSON(res *sim.Result, interference []float64) ResultJSON {
 		Pattern:        res.Pattern,
 		OfferedLoad:    res.OfferedLoad,
 		AcceptedLoad:   res.Throughput(),
-		AcceptedCI95:   res.ThroughputCI().HalfCI95,
+		AcceptedCI95:   sanitize(res.ThroughputCI().HalfCI95),
 		AvgLatency:     res.AvgLatency(),
 		P50Latency:     res.LatencyQuantile(0.50),
 		P99Latency:     res.LatencyQuantile(0.99),
@@ -149,7 +149,8 @@ func newFairnessJSON(f stats.Fairness) fairness {
 	return fairness{MinInj: f.MinInj, MaxInj: f.MaxInj, MaxMin: sanitize(f.MaxMin), CoV: f.CoV, Jain: f.Jain}
 }
 
-// sanitize maps +Inf (a fully starved router) to -1, which JSON can carry.
+// sanitize maps +Inf (a fully starved router, a run with no confidence
+// interval) to -1, which JSON can carry.
 func sanitize(v float64) float64 {
 	if v > 1e300 {
 		return -1

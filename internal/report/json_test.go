@@ -44,7 +44,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if back.AvgLatency != res.AvgLatency() {
 		t.Error("latency mismatch")
 	}
-	if len(back.Injections) != len(res.PerRouter) {
+	if len(back.Injections) != len(res.RouterInjected) {
 		t.Errorf("injection vector length %d", len(back.Injections))
 	}
 	if back.P99Latency < back.P50Latency {
@@ -111,5 +111,46 @@ func TestWorkloadJSONJobs(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("job table lacks %q:\n%s", want, tbl)
 		}
+	}
+}
+
+// stopAt is a Finisher that ends the run after cycle at.
+type stopAt int64
+
+func (s stopAt) NextEvent(now int64) int64 {
+	if now < int64(s) {
+		return int64(s)
+	}
+	return -1
+}
+func (stopAt) Apply(*sim.Reconfig, int64) {}
+func (s stopAt) Finished(now int64) bool  { return now >= int64(s) }
+
+// A run stopped inside its first batch-means span has no confidence
+// interval; the JSON carries that as -1, not as a half-width, and still
+// encodes.
+func TestStoppedRunJSONHasNoInterval(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Topology = topology.Balanced(2)
+	cfg.Load = 0.3
+	cfg.WarmupCycles, cfg.MeasureCycles = 100, 1<<40
+	net, err := sim.NewNetwork(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunNetworkWithController(net, &cfg, stopAt(699)); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteResultJSON(&sb, sim.NewResultFrom(net, &cfg, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var back ResultJSON
+	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.MeasuredCycles != 600 || back.AcceptedLoad <= 0 || back.AcceptedCI95 != -1 {
+		t.Errorf("stopped run: %d cycles, accepted %v ± %v; want 600 cycles, a load and no interval (-1)",
+			back.MeasuredCycles, back.AcceptedLoad, back.AcceptedCI95)
 	}
 }

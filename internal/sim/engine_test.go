@@ -25,7 +25,7 @@ func equivCfg(mech, pattern string, load float64) Config {
 }
 
 // runOn builds a fresh network with im and drives it with im's engine.
-func runOn(t *testing.T, im impl, cfg Config) *Result {
+func runOn(t *testing.T, im impl, cfg Config) outcome {
 	t.Helper()
 	net, err := im.build(&cfg, nil)
 	if err != nil {
@@ -34,16 +34,16 @@ func runOn(t *testing.T, im impl, cfg Config) *Result {
 	if err := im.drive(net, &cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	return newResult(net, &cfg, 0)
+	return outcomeOf(net, &cfg)
 }
 
 // runRef runs the dense oracle (ring links, the seed configuration).
-func runRef(t *testing.T, cfg Config) *Result { return runOn(t, oracle, cfg) }
+func runRef(t *testing.T, cfg Config) outcome { return runOn(t, oracle, cfg) }
 
 // runSched runs the active-router scheduler engine, bypassing the NumCPU
 // clamp so the parallel path is exercised even on small CI machines. It
-// returns the result and the number of router-steps executed.
-func runSched(t *testing.T, cfg Config, workers int) (*Result, int64) {
+// returns the outcome and the number of router-steps executed.
+func runSched(t *testing.T, cfg Config, workers int) (outcome, int64) {
 	t.Helper()
 	net, err := NewNetwork(&cfg, nil)
 	if err != nil {
@@ -52,25 +52,7 @@ func runSched(t *testing.T, cfg Config, workers int) (*Result, int64) {
 	if err := run(net, cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, workers, nil); err != nil {
 		t.Fatal(err)
 	}
-	return newResult(net, &cfg, 0), net.engineSteps
-}
-
-// requireIdentical fails unless every per-router accumulator — and hence
-// every derived metric (throughput, latency, fairness CoV, batches,
-// breakdowns) — is bit-identical.
-func requireIdentical(t *testing.T, label string, want, got *Result) {
-	t.Helper()
-	for i := range want.PerRouter {
-		if want.PerRouter[i] != got.PerRouter[i] {
-			t.Fatalf("%s: router %d stats diverge from the reference engine:\nref    %+v\nsched  %+v",
-				label, i, want.PerRouter[i], got.PerRouter[i])
-		}
-	}
-	if want.Throughput() != got.Throughput() ||
-		want.AvgLatency() != got.AvgLatency() ||
-		want.Fairness().CoV != got.Fairness().CoV {
-		t.Fatalf("%s: derived metrics diverge", label)
-	}
+	return outcomeOf(net, &cfg), net.engineSteps
 }
 
 // The tentpole guarantee: the active-router scheduler produces bit-identical
@@ -238,7 +220,7 @@ func TestEngineStepsPinned(t *testing.T) {
 		if err := oracle.drive(ref, &tc.cfg, jobTrace(tc.trace)); err != nil {
 			t.Fatal(err)
 		}
-		want := newResult(ref, &tc.cfg, 0)
+		want := outcomeOf(ref, &tc.cfg)
 		if want.Delivered() == 0 {
 			t.Fatalf("%s: nothing delivered", tc.name)
 		}
@@ -250,7 +232,7 @@ func TestEngineStepsPinned(t *testing.T) {
 			if err := run(net, tc.cfg.WarmupCycles, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles, workers, jobTrace(tc.trace)); err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, tc.name, want, newResult(net, &tc.cfg, 0))
+			requireIdentical(t, tc.name, want, outcomeOf(net, &tc.cfg))
 			if got := net.EngineSteps(); got != tc.steps {
 				t.Errorf("%s workers=%d: %d router-steps, pinned %d", tc.name, workers, got, tc.steps)
 			}

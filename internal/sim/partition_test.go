@@ -129,10 +129,8 @@ func TestRebalancedParallelBitIdentical(t *testing.T) {
 	ref, _ := runSched(t, cfg, 1)
 	for _, workers := range []int{2, 3, 4} {
 		got, _ := runSched(t, cfg, workers)
-		for r := range ref.PerRouter {
-			if got.PerRouter[r] != ref.PerRouter[r] {
-				t.Fatalf("workers=%d: router %d stats diverge after re-partitioning", workers, r)
-			}
+		if d := got.acc.diff(ref.acc); d != "" {
+			t.Fatalf("workers=%d: after re-partitioning: %s", workers, d)
 		}
 	}
 }

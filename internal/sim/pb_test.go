@@ -128,7 +128,7 @@ func TestPBRefreshSchedulerBitIdentical(t *testing.T) {
 		cfg.WarmupCycles = 500
 		cfg.MeasureCycles = 1500
 
-		run := func(workers int, im impl) (*Result, int64) {
+		run := func(workers int, im impl) (accumulators, int64) {
 			c := cfg
 			c.Workers = workers
 			net, err := im.build(&c, nil)
@@ -138,7 +138,7 @@ func TestPBRefreshSchedulerBitIdentical(t *testing.T) {
 			if err := im.drive(net, &c, nil); err != nil {
 				t.Fatal(err)
 			}
-			return NewResultFrom(net, &c, 0), net.pb.totalUpdates()
+			return accumulatorsOf(net), net.pb.totalUpdates()
 		}
 
 		ref, refUpdates := run(1, oracle)
@@ -148,10 +148,8 @@ func TestPBRefreshSchedulerBitIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			sched, schedUpdates := run(workers, core)
-			for i := range ref.PerRouter {
-				if ref.PerRouter[i] != sched.PerRouter[i] {
-					t.Fatalf("%s workers=%d: router %d stats diverge under lazy PB refresh", pattern, workers, i)
-				}
+			if d := sched.diff(ref); d != "" {
+				t.Fatalf("%s workers=%d: under lazy PB refresh: %s", pattern, workers, d)
 			}
 			if schedUpdates >= refUpdates {
 				t.Errorf("%s workers=%d: scheduler refreshed %d group-cycles, reference %d — nothing skipped",

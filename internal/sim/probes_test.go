@@ -24,9 +24,9 @@ func probedCfg() Config {
 }
 
 // runProbed runs one simulation with a fresh probe recorder and returns
-// the result, the JSONL stream, and the summary. reference selects the
+// the outcome, the JSONL stream, and the summary. reference selects the
 // dense oracle instead of the core.
-func runProbed(t *testing.T, cfg Config, every int64, reference bool) (*Result, string, *telemetry.Summary) {
+func runProbed(t *testing.T, cfg Config, every int64, reference bool) (outcome, string, *telemetry.Summary) {
 	t.Helper()
 	var buf bytes.Buffer
 	if every > 0 {
@@ -50,11 +50,8 @@ func TestProbeCadenceInvariance(t *testing.T) {
 	}
 	for _, every := range []int64{64, 193} {
 		res, stream, tm := runProbed(t, cfg, every, false)
-		for i := range base.PerRouter {
-			if base.PerRouter[i] != res.PerRouter[i] {
-				t.Fatalf("every=%d: router %d stats differ with probes on:\noff %+v\non  %+v",
-					every, i, base.PerRouter[i], res.PerRouter[i])
-			}
+		if d := res.acc.diff(base.acc); d != "" {
+			t.Fatalf("every=%d: probes on: %s", every, d)
 		}
 		if tm == nil || tm.Samples == 0 {
 			t.Fatalf("every=%d: no telemetry summary", every)

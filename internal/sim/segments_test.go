@@ -58,7 +58,7 @@ func TestSplitRunMatchesUnsplit(t *testing.T) {
 			if err := run(whole, W, W+M, workers, silenceAt(W+M-quiet)); err != nil {
 				t.Fatal(err)
 			}
-			want := newResult(whole, &cfg, 0)
+			want := accumulatorsOf(whole)
 
 			split, err := NewNetwork(&cfg, nil)
 			if err != nil {
@@ -72,22 +72,18 @@ func TestSplitRunMatchesUnsplit(t *testing.T) {
 			if err := run(split, 0, M, workers, silenceAt(M-quiet)); err != nil {
 				t.Fatal(err)
 			}
-			tail := cfg
-			tail.WarmupCycles = 0
-			got := newResult(split, &tail, 0)
+			got := accumulatorsOf(split)
 
-			for r := range want.PerRouter {
-				w := want.PerRouter[r]
-				w.LastActivity -= W
-				if got.PerRouter[r] != w {
-					t.Fatalf("%s: router %d stats diverge from the unsplit run\n got %+v\nwant %+v",
-						name, r, got.PerRouter[r], w)
-				}
+			for r := range want.routers {
+				want.routers[r].LastActivity -= W
 				for i := 0; i < cfg.Topology.P; i++ {
 					if whole.core.InjectionBacklog(r, i) != 0 {
 						t.Fatalf("%s: injection queue (%d,%d) did not drain in the quiet tail", name, r, i)
 					}
 				}
+			}
+			if d := got.diff(want); d != "" {
+				t.Fatalf("%s: against the unsplit run: %s", name, d)
 			}
 			if g, w := split.InFlight(), whole.InFlight(); g != w || w == 0 {
 				t.Fatalf("%s: in-flight %d, unsplit %d (want equal and non-zero)", name, g, w)
@@ -134,10 +130,7 @@ func TestSnapshotBetweenRunsLeavesNetworkRunning(t *testing.T) {
 	if err := RunNetwork(restored, &c); err != nil {
 		t.Fatal(err)
 	}
-	want, got := newResult(net, &cfg, 0), newResult(restored, &c, 0)
-	for r := range want.PerRouter {
-		if got.PerRouter[r] != want.PerRouter[r] {
-			t.Fatalf("router %d: restored run diverges from the network the snapshot was taken on", r)
-		}
+	if d := accumulatorsOf(restored).diff(accumulatorsOf(net)); d != "" {
+		t.Fatalf("restored run diverges from the network the snapshot was taken on: %s", d)
 	}
 }

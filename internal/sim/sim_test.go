@@ -86,19 +86,9 @@ func TestDeterminism(t *testing.T) {
 	cfg.Mechanism = "In-Trns-MM"
 	cfg.Pattern = "ADVc"
 	cfg.Load = 0.35
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.PerRouter {
-		if a.PerRouter[i] != b.PerRouter[i] {
-			t.Fatalf("router %d stats differ across identical runs:\n%+v\n%+v",
-				i, a.PerRouter[i], b.PerRouter[i])
-		}
+	a, b := runOn(t, core, cfg), runOn(t, core, cfg)
+	if d := b.acc.diff(a.acc); d != "" {
+		t.Fatalf("identical runs differ: %s", d)
 	}
 }
 
@@ -109,7 +99,7 @@ func TestSeedsDiffer(t *testing.T) {
 	a, _ := Run(cfg)
 	cfg.Seed = 2
 	b, _ := Run(cfg)
-	if a.Delivered() == b.Delivered() && a.total().LatencySum == b.total().LatencySum {
+	if a.Delivered() == b.Delivered() && a.Total.LatencySum == b.Total.LatencySum {
 		t.Error("different seeds produced identical results (suspicious)")
 	}
 }
@@ -124,20 +114,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			cfg.Pattern = pat
 			cfg.Load = 0.35
 			cfg.Workers = 1
-			seq, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s seq: %v", mech, pat, err)
-			}
+			seq := runOn(t, core, cfg)
 			cfg.Workers = 4
-			par, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s par: %v", mech, pat, err)
-			}
-			for i := range seq.PerRouter {
-				if seq.PerRouter[i] != par.PerRouter[i] {
-					t.Fatalf("%s/%s: router %d stats differ between engines:\nseq %+v\npar %+v",
-						mech, pat, i, seq.PerRouter[i], par.PerRouter[i])
-				}
+			par := runOn(t, core, cfg)
+			if d := par.acc.diff(seq.acc); d != "" {
+				t.Fatalf("%s/%s: the engines differ: %s", mech, pat, d)
 			}
 		}
 	}
@@ -175,8 +156,7 @@ func TestPacketConservation(t *testing.T) {
 	if err := RunNetwork(net, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	res := newResult(net, &cfg, 0)
-	total := res.total()
+	total := newResult(net, &cfg, 0).Total
 	if got := total.Generated - total.Delivered - int64(net.InFlight()); got != 0 {
 		t.Errorf("conservation violated: generated %d, delivered %d, in flight %d (diff %d)",
 			total.Generated, total.Delivered, net.InFlight(), got)
@@ -240,10 +220,7 @@ func TestZeroLoad(t *testing.T) {
 func TestGroupInjections(t *testing.T) {
 	cfg := small()
 	cfg.Load = 0.2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOn(t, core, cfg)
 	a := cfg.Topology.A
 	for g := 0; g < cfg.Topology.Groups(); g++ {
 		inj := res.GroupInjections(g)
@@ -251,7 +228,7 @@ func TestGroupInjections(t *testing.T) {
 			t.Fatalf("group %d has %d routers, want %d", g, len(inj), a)
 		}
 		for i, v := range inj {
-			if v != res.PerRouter[g*a+i].Injected {
+			if v != res.acc.routers[g*a+i].Injected {
 				t.Fatalf("group slice mismatch at g%d r%d", g, i)
 			}
 		}
@@ -324,11 +301,11 @@ func TestThroughputBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum int64
-	for _, b := range res.total().BatchPhits {
+	for _, b := range res.Total.BatchPhits {
 		sum += b
 	}
-	if sum != res.total().DeliveredPhits {
-		t.Fatalf("batch phits %d != delivered %d", sum, res.total().DeliveredPhits)
+	if sum != res.Total.DeliveredPhits {
+		t.Fatalf("batch phits %d != delivered %d", sum, res.Total.DeliveredPhits)
 	}
 	ci := res.ThroughputCI()
 	thr := res.Throughput()
@@ -398,7 +375,7 @@ func TestSecondRunWarmupIsNotMeasured(t *testing.T) {
 		if err := RunNetwork(net, &cfg); err != nil {
 			t.Fatal(err)
 		}
-		after[i] = newResult(net, &cfg, 0).total()
+		after[i] = newResult(net, &cfg, 0).Total
 	}
 	first, second := after[0].Generated, after[1].Generated-after[0].Generated
 	// Two 200-cycle windows of one stationary Bernoulli process.

@@ -121,7 +121,7 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			coldState := captureState(t, coldNet, &coldCfg, oracle)
-			coldRes := newResult(coldNet, &coldCfg, 0)
+			coldAcc := accumulatorsOf(coldNet)
 
 			// Restored runs at several worker counts, all from the same
 			// snapshot.
@@ -134,11 +134,8 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 				}
 				state := captureState(t, net, &cfg, core)
 				diffState(t, "restored", state, coldState)
-				res := newResult(net, &cfg, 0)
-				for r := range coldRes.PerRouter {
-					if res.PerRouter[r] != coldRes.PerRouter[r] {
-						t.Fatalf("trial %d cycle %d w%d: router %d stats diverge", trial, k, w, r)
-					}
+				if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+					t.Fatalf("trial %d cycle %d w%d: %s", trial, k, w, d)
 				}
 				if got, want := net.InFlight(), coldNet.InFlight(); got != want {
 					t.Fatalf("trial %d cycle %d w%d: in-flight %d, want %d", trial, k, w, got, want)
@@ -184,7 +181,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 				t.Fatal(err)
 			}
 			coldState := captureState(t, coldNet, &coldCfg, core)
-			coldRes := newResult(coldNet, &coldCfg, 0)
+			coldAcc := accumulatorsOf(coldNet)
 
 			old := recycled
 			net, err := RestoreNetworkInto(snap, &cfg, old)
@@ -197,11 +194,8 @@ func TestRestoreIntoRecycled(t *testing.T) {
 			label := fmt.Sprintf("trial %d gen %d load %.2f", trial, gen, load)
 			state := captureState(t, net, &cfg, core)
 			diffState(t, label, state, coldState)
-			res := newResult(net, &cfg, 0)
-			for r := range coldRes.PerRouter {
-				if res.PerRouter[r] != coldRes.PerRouter[r] {
-					t.Fatalf("%s: router %d stats diverge from cold run", label, r)
-				}
+			if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+				t.Fatalf("%s: against the cold run: %s", label, d)
 			}
 			recycled = net
 		}
@@ -214,10 +208,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldRes, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold := runOn(t, core, cfg)
 		cfg = tr.prefixConfig(total)
 		cfg.Topology = topology.Balanced(1)
 		net, err := RestoreNetworkInto(other, &cfg, recycled)
@@ -230,11 +221,8 @@ func TestRestoreIntoRecycled(t *testing.T) {
 		if err := RunNetwork(net, &cfg); err != nil {
 			t.Fatal(err)
 		}
-		res := newResult(net, &cfg, 0)
-		for r := range coldRes.PerRouter {
-			if res.PerRouter[r] != coldRes.PerRouter[r] {
-				t.Fatalf("trial %d: reshaped restore: router %d stats diverge from cold run", trial, r)
-			}
+		if d := accumulatorsOf(net).diff(cold.acc); d != "" {
+			t.Fatalf("trial %d: reshaped restore against the cold run: %s", trial, d)
 		}
 	}
 }
@@ -261,7 +249,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 	snaps := make([]*Snapshot, len(mechs))
 	colds := make([]struct {
 		state [][]int64
-		res   *Result
+		acc   accumulators
 	}, len(mechs))
 	for i, mech := range mechs {
 		cfg := base
@@ -275,7 +263,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 			t.Fatal(err)
 		}
 		colds[i].state = captureState(t, net, &cfg, core)
-		colds[i].res = newResult(net, &cfg, 0)
+		colds[i].acc = accumulatorsOf(net)
 	}
 	if a, b := len(colds[0].state[0]), len(colds[1].state[0]); a == b {
 		t.Fatalf("%s and %s networks have the same state size (%d words): the test needs differing VC counts", mechs[0], mechs[1], a)
@@ -312,11 +300,8 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 					t.Fatalf("%s: retired network was not recycled in place", label)
 				}
 				diffState(t, label+" as "+mechs[m], captureState(t, net, &cfg, core), colds[m].state)
-				res := newResult(net, &cfg, 0)
-				for r := range colds[m].res.PerRouter {
-					if res.PerRouter[r] != colds[m].res.PerRouter[r] {
-						t.Fatalf("%s as %s: router %d stats diverge from cold run", label, mechs[m], r)
-					}
+				if d := accumulatorsOf(net).diff(colds[m].acc); d != "" {
+					t.Fatalf("%s as %s: against the cold run: %s", label, mechs[m], d)
 				}
 			}
 		}
@@ -352,17 +337,14 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldState := captureState(t, cold, &strict, core)
-	coldRes := newResult(cold, &strict, 0)
+	coldAcc := accumulatorsOf(cold)
 	net, err := RestoreNetworkInto(strictSnap, &strict, old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffState(t, "PBGlobalRel 0.25 -> 3", captureState(t, net, &strict, core), coldState)
-	res := newResult(net, &strict, 0)
-	for r := range coldRes.PerRouter {
-		if res.PerRouter[r] != coldRes.PerRouter[r] {
-			t.Fatalf("PBGlobalRel 0.25 -> 3: router %d stats diverge from cold run", r)
-		}
+	if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+		t.Fatalf("PBGlobalRel 0.25 -> 3: against the cold run: %s", d)
 	}
 }
 
@@ -470,7 +452,10 @@ func TestWarmSnapshotSameLoadExact(t *testing.T) {
 	if err := RunNetwork(coldNet, &coldCfg); err != nil {
 		t.Fatal(err)
 	}
-	coldRes := newResult(coldNet, &coldCfg, 0)
+	want := accumulatorsOf(coldNet)
+	for r := range want.routers {
+		want.routers[r].LastActivity -= W
+	}
 
 	snap, err := NewSnapshot(cfg, W)
 	if err != nil {
@@ -490,15 +475,8 @@ func TestWarmSnapshotSameLoadExact(t *testing.T) {
 		if err := RunNetwork(net, &warmCfg); err != nil {
 			t.Fatal(err)
 		}
-		res := newResult(net, &warmCfg, 0)
-		for r := range coldRes.PerRouter {
-			want := coldRes.PerRouter[r]
-			got := res.PerRouter[r]
-			want.LastActivity -= W
-			if got != want {
-				t.Fatalf("workers %d: router %d stats diverge from cold run\n got %+v\nwant %+v",
-					workers, r, got, want)
-			}
+		if d := accumulatorsOf(net).diff(want); d != "" {
+			t.Fatalf("workers %d: against the cold run: %s", workers, d)
 		}
 	}
 }
@@ -579,7 +557,7 @@ func TestSnapshotConcurrentRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	results := make([]*Result, n)
+	results := make([]accumulators, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -595,18 +573,16 @@ func TestSnapshotConcurrentRestores(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			results[i] = newResult(net, &c, 0)
+			results[i] = accumulatorsOf(net)
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if results[i] == nil || results[0] == nil {
+		if results[i].routers == nil || results[0].routers == nil {
 			t.Fatal("missing result")
 		}
-		for r := range results[0].PerRouter {
-			if results[i].PerRouter[r] != results[0].PerRouter[r] {
-				t.Fatalf("concurrent restore %d: router %d stats diverge", i, r)
-			}
+		if d := results[i].diff(results[0]); d != "" {
+			t.Fatalf("concurrent restore %d: %s", i, d)
 		}
 	}
 }

@@ -126,8 +126,8 @@ func (tr statePropTrial) config(measure int64) Config {
 }
 
 // runPrefix runs a fresh network for warmup+measure cycles on the given
-// implementation and returns the per-router state vectors plus the result.
-func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im impl) ([][]int64, *Result) {
+// implementation and returns the per-router state vectors plus the outcome.
+func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im impl) ([][]int64, outcome) {
 	t.Helper()
 	cfg := tr.config(measure)
 	cfg.Workers = workers
@@ -138,7 +138,7 @@ func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im 
 	if err := im.drive(net, &cfg, &churnController{events: tr.script}); err != nil {
 		t.Fatal(err)
 	}
-	return stateOf(net), newResult(net, &cfg, 0)
+	return stateOf(net), outcomeOf(net, &cfg)
 }
 
 func TestStateEquivalenceUnderChurn(t *testing.T) {
@@ -171,11 +171,8 @@ func TestStateEquivalenceUnderChurn(t *testing.T) {
 						}
 					}
 				}
-				for r := range refRes.PerRouter {
-					if res.PerRouter[r] != refRes.PerRouter[r] {
-						t.Fatalf("trial %d cycle %d workers %d: router %d stats diverge",
-							trial, k, w, r)
-					}
+				if d := res.acc.diff(refRes.acc); d != "" {
+					t.Fatalf("trial %d cycle %d workers %d: %s", trial, k, w, d)
 				}
 			}
 		}
@@ -333,7 +330,7 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			warmup, total = tc.warmup, tc.total
 		}
 		var spy *releaseSpy
-		run := func(im impl, workers int) ([][]int64, *Result, string, int64) {
+		run := func(im impl, workers int) ([][]int64, outcome, string, int64) {
 			cfg := DefaultConfig()
 			cfg.Topology = topology.Balanced(2)
 			cfg.Mechanism, cfg.Pattern, cfg.Load = tc.mech, tc.pat, tc.load
@@ -361,13 +358,13 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return stateOf(net), newResult(net, &cfg, 0), stream.String(), net.EngineWindows()
+			return stateOf(net), outcomeOf(net, &cfg), stream.String(), net.EngineWindows()
 		}
 		wantState, wantRes, wantStream, _ := run(oracle, 1)
 		if wantRes.Delivered() == 0 {
 			t.Fatalf("%s: nothing delivered", tc.name)
 		}
-		for b, phits := range wantRes.total().BatchPhits {
+		for b, phits := range wantRes.Total.BatchPhits {
 			if tc.allBatches && phits == 0 {
 				t.Fatalf("%s: nothing delivered in batch %d", tc.name, b)
 			}
@@ -411,7 +408,7 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mechanism, cfg.Pattern, cfg.Load = "MIN", "ADVc", 1.0
 	cfg.WarmupCycles, cfg.MeasureCycles = 2000, 1000
-	run := func(im impl, workers int) (*Network, *Result) {
+	run := func(im impl, workers int) (*Network, outcome) {
 		cfg := cfg
 		cfg.Workers = workers
 		net, err := im.build(&cfg, nil)
@@ -421,7 +418,7 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 		if err := im.drive(net, &cfg, nil); err != nil {
 			t.Fatal(err)
 		}
-		return net, newResult(net, &cfg, 0)
+		return net, outcomeOf(net, &cfg)
 	}
 	ref, refRes := run(oracle, 1)
 	if refRes.Backlogged() == 0 {

@@ -93,9 +93,8 @@ func RecordOf(task string, s Sample) Record {
 	rec.AvgLatency = s.Result.AvgLatency()
 	rec.Breakdown = s.Result.Breakdown()
 	rec.WallSeconds = s.Result.Wall.Seconds()
-	inj := s.Result.Injections()
-	rec.Injections = make([]float64, len(inj))
-	for i, v := range inj {
+	rec.Injections = make([]float64, len(s.Result.RouterInjected))
+	for i, v := range s.Result.RouterInjected {
 		rec.Injections[i] = float64(v)
 	}
 	return rec

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -361,16 +362,8 @@ func TestWorkloadBitIdenticalAcrossEngines(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, ref := range []bool{false, true} {
-			got := run(workers, ref)
-			for i := range want.PerRouter {
-				if want.PerRouter[i] != got.PerRouter[i] {
-					t.Fatalf("workers=%d ref=%v: router %d stats diverge", workers, ref, i)
-				}
-				for j := range want.PerRouterJobs[i] {
-					if want.PerRouterJobs[i][j] != got.PerRouterJobs[i][j] {
-						t.Fatalf("workers=%d ref=%v: router %d job %d stats diverge", workers, ref, i, j)
-					}
-				}
+			if got := run(workers, ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d ref=%v: result diverges", workers, ref)
 			}
 		}
 	}
