@@ -18,6 +18,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -226,6 +227,11 @@ type Wiring struct {
 	Binding
 	// NumJobs sizes the per-job accumulators (0: no job attribution).
 	NumJobs int
+	// Family, when non-nil, is a template built over the same Topo from the
+	// same latency model and RNG stream: NewTemplate borrows its wiring and
+	// arbitration streams instead of computing them, and leaves Rng and
+	// Latency unread. NewCore refuses it — a live Core steps its own streams.
+	Family *Core
 }
 
 // Binding carries the per-network hooks a Core reports to. A clone keeps
@@ -248,7 +254,8 @@ type Binding struct {
 // shape is a Core's immutable structure: dimensions, hoisted constants,
 // per-port-class tables and the wiring. Written by NewTemplate (and
 // Unplug) only, and shared — backing arrays included — between a Core and
-// its clones.
+// its clones; the wiring also between the templates of one family (see
+// Wiring.Family).
 type shape struct {
 	topo *topology.Topology
 	cfg  *Config
@@ -402,6 +409,9 @@ type Core struct {
 // freshly allocated, so they already hold the zeros of an empty network and
 // only initEmpty's words are written.
 func NewCore(w Wiring) (*Core, error) {
+	if w.Family != nil {
+		return nil, errors.New("router: NewCore wires its own network; only a template borrows a family's")
+	}
 	c, err := NewTemplate(w)
 	if err != nil {
 		return nil, err
@@ -417,11 +427,17 @@ func NewCore(w Wiring) (*Core, error) {
 // shape (wiring, port-class tables, arena sizes) and the per-router
 // arbitration RNG streams. It allocates no state array. The result can only
 // be cloned from, and Clone makes the destination the empty network — the
-// state NewCore starts from — by zeroing it and running initEmpty.
+// state NewCore starts from — by zeroing it and running initEmpty. With a
+// Family the wiring and the streams are the family's, shared, and what is
+// left to build is what the configuration decides: the port-class tables
+// and the credit arena's size.
 func NewTemplate(w Wiring) (*Core, error) {
-	topo, cfg := w.Topo, w.Cfg
+	topo, cfg, f := w.Topo, w.Cfg, w.Family
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if f != nil && (f.topo != topo || f.inP != nil) {
+		return nil, errors.New("router: a template's family must be a template over the same topology")
 	}
 	c := &Core{shape: shape{
 		topo: topo, cfg: cfg, mech: w.Mech,
@@ -440,14 +456,19 @@ func NewTemplate(w Wiring) (*Core, error) {
 	}}
 	c.maskWords = (c.np + 63) >> 6
 	c.initPortClasses()
-	if err := c.wire(w.Latency); err != nil {
-		return nil, err
+	if f != nil {
+		c.inW, c.outW, c.maxLat, c.lookahead = f.inW, f.outW, f.maxLat, f.lookahead
+		c.rnd = f.rnd
+	} else {
+		if err := c.wire(w.Latency); err != nil {
+			return nil, err
+		}
+		c.rnd = make([]rng.Source, c.nr)
+		for r := range c.rnd {
+			c.rnd[r] = *w.Rng.Split()
+		}
 	}
 	c.crdTot = c.layoutCredits(nil)
-	c.rnd = make([]rng.Source, c.nr)
-	for r := range c.rnd {
-		c.rnd[r] = *w.Rng.Split()
-	}
 	return c, nil
 }
 
@@ -865,8 +886,10 @@ func (c *Core) Lookahead() int64 { return c.lookahead }
 // Unplug detaches router r's output port from its peer: packets sent
 // there serialise onto a dead cable and never arrive, though InFlight
 // keeps counting them. It exists for the deadlock-watchdog tests (valid
-// configurations cannot deadlock). The wiring is shared with clones, so
-// only ever unplug a freshly built network that will not be snapshotted.
+// configurations cannot deadlock). The wiring is shared with clones, and a
+// template's with every template of its family (Wiring.Family), so only
+// ever unplug a network NewCore built — it owns its wiring — and that will
+// not be snapshotted.
 func (c *Core) Unplug(r, port int) { c.outW[r*c.np+port].peer = -1 }
 
 // SetSink installs the engine event sink of one router: it is handed a

@@ -423,7 +423,8 @@ func retainedAtDrain(t *testing.T, jobs int, seed uint64) uint64 {
 
 // The memory-flatness regression: retained state at end of run must not
 // scale with trace length beyond the trace's own ~20 B/job structure-of-
-// arrays footprint plus the workload's per-admission slot. A long trace and
+// arrays footprint (the workload's job index spans the jobs admitted since
+// the oldest live one, not the trace). A long trace and
 // a short one therefore differ by a small constant per job — if someone
 // reintroduces a per-job result slice, per-job names, or O(jobs) network
 // attribution, the per-job delta jumps by an order of magnitude and this
@@ -438,7 +439,7 @@ func TestStreamMemoryFlat(t *testing.T) {
 	perJob := (float64(liveLarge) - float64(liveSmall)) / float64(large-small)
 	t.Logf("live heap at drain: %d jobs → %d B, %d jobs → %d B (%.1f B/job marginal)",
 		small, liveSmall, large, liveLarge, perJob)
-	const budget = 96 // ~20 B/job trace + 8 B/job workload slot + slack
+	const budget = 96 // ~20 B/job trace + slack
 	if perJob > budget {
 		t.Fatalf("retained memory grows %.1f B/job, budget %d B/job — per-job state is being retained", perJob, budget)
 	}
@@ -447,13 +448,13 @@ func TestStreamMemoryFlat(t *testing.T) {
 // A streamed job costs no allocation once the run has seen its like: Admit
 // recycles the records Retire reclaimed, the allocators fill the job's own
 // slices, the pattern sub-stream is split into the workload's storage, the
-// controller borrows the node list and planStarts works in the controller's
-// scratch. What remains per job is the workload's 8-byte index slot, grown
-// by doubling (~30 B/job amortised). Everything else the drive allocates —
-// the engine, the packet pool, calendars reaching their capacity — does not
-// scale with the trace, and on the near-idle network of a cluster-lifetime
-// study 2,000 jobs are enough to drown it: before the free list a job cost
-// ~770 B here.
+// controller borrows the node list, planStarts works in the controller's
+// scratch and the workload's job index is compacted in place instead of
+// growing with the trace (it cost ~24 B/job before). What the drive still
+// allocates — the engine, the packet pool, calendars reaching their
+// capacity: 31 KB here, 41 KB for 8,000 jobs — barely scales with the
+// trace, and on the near-idle network of a cluster-lifetime study 2,000
+// jobs are enough to drown it: before the free list a job cost ~770 B here.
 func TestStreamJobsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -493,8 +494,8 @@ func TestStreamJobsAllocateNothing(t *testing.T) {
 	}
 	perJob := float64(allocated) / jobs
 	t.Logf("%d B allocated after the network build, %.1f B/job", allocated, perJob)
-	if perJob > 64 {
-		t.Fatalf("the run allocates %.1f B per job after the network build, budget 64", perJob)
+	if perJob > 20 {
+		t.Fatalf("the run allocates %.1f B per job after the network build, budget 20", perJob)
 	}
 }
 

@@ -172,6 +172,43 @@ func TestTemplateFootprint(t *testing.T) {
 	}
 }
 
+// The templates of one family (FamilyOf: topology, latency model, seed)
+// share what depends on nothing else: the first one is the wiring and the
+// RNG streams, at most 0.75 MiB at h=6, and every further one — another
+// mechanism or pattern, a Sibling — only what its own configuration
+// decides: port-class tables, pattern, PiggyBack state, at most 96 KiB.
+func TestTemplateFamilyFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	const firstLimit, siblingLimit = 3 << 18, 96 << 10
+	cfg := PaperConfig()
+	cfg.Mechanism = "In-Trns-MM"
+	var first *Snapshot
+	var err error
+	got := allocated(func() { first, err = NewSnapshot(cfg, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("h=6 first template of a family (%s/%s): %.3f MiB", cfg.Mechanism, cfg.Pattern, float64(got)/(1<<20))
+	if got > firstLimit {
+		t.Errorf("the first h=6 template of a family allocates %.3f MiB, want at most 0.75 MiB", float64(got)/(1<<20))
+	}
+	for _, mech := range []string{"In-Trns-MM", "MIN", "Src-CRG"} {
+		c := cfg
+		c.Mechanism, c.Pattern = mech, "ADVc"
+		got := allocated(func() {
+			if _, err := first.Sibling(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("h=6 further template of the family (%s/%s): %.1f KiB", c.Mechanism, c.Pattern, float64(got)/(1<<10))
+		if got > siblingLimit {
+			t.Errorf("%s: a further h=6 template of a family allocates %.1f KiB, want at most 96 KiB", mech, float64(got)/(1<<10))
+		}
+	}
+}
+
 // The sweep steady state — restore over a retired network, run, extract
 // the result — must not rebuild what the network already owns. The core
 // lives as long as its network, so a recycled point allocates scheduler

@@ -391,8 +391,11 @@ func newEngine(net *Network, workers int) *engine {
 	}
 	net.pb.allStale()
 	e.partition(workers)
-	for r := range e.wakeAt {
-		e.core.SetSink(r, e.sinkOf(net.Topo.RouterGroup(r)))
+	for g := range e.groups {
+		sink := e.sinkOf(g)
+		for r := g * e.per; r < (g+1)*e.per; r++ {
+			e.core.SetSink(r, sink)
+		}
 	}
 	for w := 1; w < workers; w++ {
 		start := make(chan [2]int64)
@@ -407,10 +410,10 @@ func newEngine(net *Network, workers int) *engine {
 	return e
 }
 
-// sinkOf returns the event sink of group g's routers: an event for a group
-// of the same worker is delivered at once (Settle looks no earlier than the
-// arrival cycle); an event that crosses a worker boundary waits for the
-// barrier.
+// sinkOf returns the event sink that all of group g's routers share: an
+// event for a group of the same worker is delivered at once (Settle looks no
+// earlier than the arrival cycle); an event that crosses a worker boundary
+// waits for the barrier.
 func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 	gr := &e.groups[g]
 	return func(ev router.LinkEvent) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -99,6 +100,7 @@ type Network struct {
 	// nodes' generation processes (-1: none). generate keeps it current;
 	// the engine reads it in O(1) when deciding how long a router may
 	// sleep. Each entry is only touched by the worker owning the router.
+	// Like nodes, it is nil on a construction template (see newNetworkOn).
 	genWake []int64
 
 	// engineSteps is the number of router-steps the last engine run
@@ -113,7 +115,8 @@ type Network struct {
 	// that depends on the offered load. Construction snapshots rewind node
 	// streams to these positions so a restore can retarget the load and
 	// redraw, reproducing a cold build at the new load bit-for-bit.
-	// Immutable after construction and shared by snapshots and clones.
+	// Immutable after construction and shared by snapshots, clones and the
+	// construction templates of one family.
 	nodeRnd0 []rng.Source
 
 	// ranCycles counts the cycles the engines have driven this network
@@ -143,16 +146,7 @@ func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
 // newCoreNetwork is NewNetwork over either constructor of the core: the
 // full one, or the stateless template NewSnapshot freezes.
 func newCoreNetwork(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (*router.Core, error)) (*Network, error) {
-	var core *router.Core
-	net, err := NewNetworkOn(cfg, pat, func(w router.Wiring) (f Fabric, err error) {
-		core, err = build(w)
-		return core, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	net.core, net.Routers = core, core.Views()
-	return net, nil
+	return NewNetworkOn(cfg, pat, func(w router.Wiring) (Fabric, error) { return build(w) })
 }
 
 // NewNetworkOn is NewNetwork over a caller-built Fabric: everything around
@@ -162,6 +156,23 @@ func newCoreNetwork(cfg *Config, pat traffic.Pattern, build func(router.Wiring) 
 // networks built this way are driven through Drive with the builder's own
 // Engine, not RunNetwork.
 func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (Fabric, error)) (*Network, error) {
+	net, err := newNetworkOn(cfg, pat, nil, build)
+	if err != nil {
+		return nil, err
+	}
+	net.sizeSources()
+	net.aimSources(true)
+	return net, nil
+}
+
+// newNetworkOn is NewNetworkOn without the traffic sources' state — the
+// per-node generation processes and the genWake calendar — which is all a
+// construction template leaves out: a restore sizes and aims them itself.
+// fam, when non-nil, is a construction template of the same family (see
+// FamilyOf): the network borrows its topology and the node streams'
+// pre-draw positions, and build its core's wiring and arbitration streams
+// (router.Wiring.Family), instead of computing them again.
+func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(router.Wiring) (Fabric, error)) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,7 +180,12 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 	if err != nil {
 		return nil, err
 	}
-	topo := topology.New(cfg.Topology)
+	var topo *topology.Topology
+	if fam != nil {
+		topo = fam.Topo
+	} else {
+		topo = topology.New(cfg.Topology)
+	}
 
 	// Harmonise VC counts with the mechanism's path requirements.
 	rcfg := cfg.Router
@@ -220,12 +236,18 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 	if u, ok := net.latency.(topology.UniformLatency); ok {
 		net.uniform = &u
 	}
-	net.fab, err = build(router.Wiring{
+	w := router.Wiring{
 		Topo: topo, Cfg: &rcfg, Mech: mech, Rng: root.Split(), Latency: net.latency,
 		Binding: net.binding(), NumJobs: numJobs,
-	})
-	if err != nil {
+	}
+	if fam != nil {
+		w.Family = fam.core
+	}
+	if net.fab, err = build(w); err != nil {
 		return nil, err
+	}
+	if core, ok := net.fab.(*router.Core); ok {
+		net.core, net.Routers = core, core.Views()
 	}
 
 	// Traffic sources. Patterns may silence nodes (Memberer), override
@@ -233,15 +255,24 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 	// (Timed) — all optional interfaces that leave the plain paths
 	// bit-identical to the seed.
 	net.timed, _ = pat.(traffic.Timed)
-	net.nodes = make([]nodeState, topo.NumNodes())
+	if fam != nil {
+		net.nodeRnd0 = fam.nodeRnd0
+		return net, nil
+	}
 	net.nodeRnd0 = make([]rng.Source, topo.NumNodes())
 	nodeRng := root.Split()
-	for n := range net.nodes {
+	for n := range net.nodeRnd0 {
 		net.nodeRnd0[n] = *nodeRng.Split() // pre-draw position, for load retargeting
 	}
-	net.genWake = make([]int64, topo.NumRouters())
-	net.aimSources(true)
 	return net, nil
+}
+
+// sizeSources sizes the per-node generation processes and the genWake
+// calendar to the topology, reusing the capacity the network already owns;
+// the contents are stale until aimSources(true) writes every field.
+func (net *Network) sizeSources() {
+	net.nodes = slices.Grow(net.nodes[:0], net.Topo.NumNodes())[:net.Topo.NumNodes()]
+	net.genWake = slices.Grow(net.genWake[:0], net.Topo.NumRouters())[:net.Topo.NumRouters()]
 }
 
 // binding returns the hooks the network's fabric reports to.

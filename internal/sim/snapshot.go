@@ -12,7 +12,10 @@ import (
 // Snapshot is a frozen image of a network: the traffic sources and
 // PiggyBack bits, and the core — its state arrays with every queued and
 // in-flight packet, or, for a construction snapshot, only what an empty
-// network cannot compute (the wiring and the arbitration RNG streams).
+// network cannot compute (the wiring, the arbitration RNG streams and the
+// node streams' pre-draw positions; no source state, which every restore
+// aims afresh). The construction snapshots of one family (FamilyOf) share
+// those three through Sibling.
 // Nothing ever steps the image, and restoring it never re-wires the
 // topology: a captured state is a few dozen memcpys and a deep copy of the
 // live packets, a construction snapshot a reset that writes the empty state.
@@ -66,29 +69,67 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 // (without ever enabling measurement), and freezes it: the built network is
 // the template, not a copy of it. A construction template (warmCycles 0) is
 // built over router.NewTemplate: the core's shape and RNG streams, no state
-// array — under a tenth of a network's bytes at h=6 — since every restore
-// writes the empty state itself. Probes and tracers never apply to template
-// preparation.
+// array and no per-node source state — a seventeenth of a network's bytes
+// at h=6 — since every restore writes the empty state and aims the sources
+// itself. Probes and tracers never apply to template preparation.
 // The pattern is built from cfg.Pattern; networks built around an explicit
 // pattern instance must capture through Network.Snapshot directly, and the
 // caller then owns the compatibility of restore configurations with that
 // pattern.
 func NewSnapshot(cfg Config, warmCycles int64) (*Snapshot, error) {
+	return newSnapshot(cfg, warmCycles, nil)
+}
+
+// FamilyOf names the construction-snapshot family of cfg: its topology, its
+// latency model as CompatibleWith compares it, and its seed. The wiring,
+// the arbitration streams and the node streams' pre-draw positions are a
+// function of these alone, so every construction snapshot of one family
+// may share them (Sibling), whatever its mechanism, pattern or router and
+// routing parameters.
+func FamilyOf(cfg *Config) string {
+	return fmt.Sprintf("%+v|%s|%d", cfg.Topology, latName(cfg), cfg.Seed)
+}
+
+// Sibling is NewSnapshot(cfg, 0) for a cfg of s's family, borrowing what
+// the family shares from s instead of computing it again: the topology,
+// the wiring, the per-router arbitration streams and the node streams'
+// pre-draw positions. What is left to build is what cfg alone decides —
+// the port-class tables and credit-arena size of its VC counts, its
+// pattern and its PiggyBack state — a few KiB at h=6 where s is 0.7 MiB.
+// Restores from the sibling are bit-identical to restores from
+// NewSnapshot(cfg, 0). s must be a construction snapshot that NewSnapshot
+// or Sibling built.
+func (s *Snapshot) Sibling(cfg Config) (*Snapshot, error) {
+	if s.warm != 0 {
+		return nil, errors.New("sim: only a construction snapshot has siblings")
+	}
+	if a, b := FamilyOf(&s.cfg), FamilyOf(&cfg); a != b {
+		return nil, fmt.Errorf("sim: snapshot family %s does not match %s", a, b)
+	}
+	return newSnapshot(cfg, 0, s)
+}
+
+// newSnapshot is NewSnapshot building a construction template over fam's
+// family part when fam is non-nil (see Sibling).
+func newSnapshot(cfg Config, warmCycles int64, fam *Snapshot) (*Snapshot, error) {
 	cfg.Probes = nil
 	cfg.Tracer = nil
 	snap := &Snapshot{cfg: cfg}
-	build := router.NewTemplate
+	var net *Network
+	var err error
 	if warmCycles > 0 {
-		build = router.NewCore
+		if net, err = NewNetwork(&snap.cfg, nil); err == nil {
+			err = WarmupNetwork(net, &snap.cfg, warmCycles)
+		}
+	} else {
+		var src *Network
+		if fam != nil {
+			src = fam.tmpl
+		}
+		net, err = newNetworkOn(&snap.cfg, nil, src, func(w router.Wiring) (Fabric, error) { return router.NewTemplate(w) })
 	}
-	net, err := newCoreNetwork(&snap.cfg, nil, build)
 	if err != nil {
 		return nil, err
-	}
-	if warmCycles > 0 {
-		if err := WarmupNetwork(net, &snap.cfg, warmCycles); err != nil {
-			return nil, err
-		}
 	}
 	snap.warm = net.ranCycles
 	net.rebase()
@@ -179,8 +220,10 @@ func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, er
 // cloneNetwork copies src into an independent network bound to cfg.
 // Immutable structure — topology, mechanism, pattern, latency model, group
 // map, the pre-draw node RNG bank, and the core's shape — is shared;
-// everything the engines mutate is copied. into, when non-nil, is a retired
-// network that is overwritten and returned instead of allocating.
+// everything the engines mutate is copied, but for the source state a
+// construction template does not hold: the clone's is only sized, for
+// RestoreNetworkInto to aim. into, when non-nil, is a retired network that
+// is overwritten and returned instead of allocating.
 func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone := into
 	if clone == nil {
@@ -212,7 +255,11 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone.nodeJob = src.nodeJob // the shared pattern's map
 	clone.core = src.core.Clone(clone.core, clone.binding())
 	clone.fab, clone.Routers = clone.core, clone.core.Views()
-	clone.nodes = append(clone.nodes[:0], src.nodes...)
-	clone.genWake = append(clone.genWake[:0], src.genWake...)
+	if src.nodes == nil {
+		clone.sizeSources()
+	} else {
+		clone.nodes = append(clone.nodes[:0], src.nodes...)
+		clone.genWake = append(clone.genWake[:0], src.genWake...)
+	}
 	return clone
 }

@@ -428,6 +428,77 @@ func TestTemplateRestoreResetsRetiredNetwork(t *testing.T) {
 	compare("after a run")
 }
 
+// A Sibling borrows streams and wiring, so it is refused wherever they
+// would differ: another seed, latency model or topology, and any snapshot
+// that is not a construction template — a warm one, whose streams have
+// run, or a capture of a live network. Within the family it restores
+// exactly what NewSnapshot's template restores.
+func TestSiblingStaysInItsFamily(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "In-Trns-MM", "ADVc", 0.7
+	cfg.WarmupCycles, cfg.MeasureCycles = 10, 60
+	first, err := NewSnapshot(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*Config){
+		"seed":     func(c *Config) { c.Seed++ },
+		"latency":  func(c *Config) { c.LatencyModel = topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2} },
+		"topology": func(c *Config) { c.Topology = topology.Balanced(1) },
+	} {
+		c := cfg
+		edit(&c)
+		if _, err := first.Sibling(c); err == nil {
+			t.Errorf("a sibling of another %s was not refused", name)
+		}
+	}
+	warm, err := NewSnapshot(cfg, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewNetwork(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Snapshot{"warm snapshot": warm, "capture": capture} {
+		if _, err := s.Sibling(cfg); err == nil {
+			t.Errorf("a %s gave a sibling", name)
+		}
+	}
+
+	sib := cfg
+	sib.Mechanism = "Src-CRG"
+	borrowed, err := first.Sibling(sib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := NewSnapshot(sib, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]int64
+	var wantAcc accumulators
+	for i, s := range []*Snapshot{alone, borrowed} {
+		net, err := RestoreNetwork(s, &sib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := captureState(t, net, &sib, core)
+		if i == 0 {
+			want, wantAcc = state, accumulatorsOf(net)
+			continue
+		}
+		diffState(t, "restored from a sibling", state, want)
+		if d := accumulatorsOf(net).diff(wantAcc); d != "" {
+			t.Fatalf("restored from a sibling: %s", d)
+		}
+	}
+}
+
 // TestWarmSnapshotSameLoadExact proves the strong half of the warm-reuse
 // contract: a run restored from a warm snapshot at the capture load, with a
 // zero warm-up, produces exactly the statistics of a cold run that warmed

@@ -53,9 +53,13 @@ func ParseReuse(s string) (ReuseMode, error) {
 // SnapshotCache shares snapshots between the points of one or more sweeps.
 // Template construction is single-flight per key: under pool concurrency
 // the first point of a combination builds the snapshot while its siblings
-// block on it, then every point restores its own independent network. The
-// cache is safe for concurrent use and unbounded — a sweep has a small,
-// finite set of (mechanism, pattern, seed) combinations.
+// block on it, then every point restores its own independent network.
+// Construction templates are grouped further by family (sim.FamilyOf:
+// topology, latency model, seed): the first template of a family is built
+// in full, and every other one of that family is its sim.Snapshot.Sibling,
+// borrowing the wiring and RNG streams. The cache is safe for concurrent
+// use and unbounded — a sweep has a small, finite set of (mechanism,
+// pattern, seed) combinations.
 type SnapshotCache struct {
 	// Mode selects the reuse policy (zero: ReuseConstruct).
 	Mode ReuseMode
@@ -66,6 +70,9 @@ type SnapshotCache struct {
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	// families maps a family to the entry of its first construction
+	// template, the one the others borrow from.
+	families map[string]*cacheEntry
 	// free holds the networks whose runs have finished, whatever template
 	// they were restored from: the next restore — of any entry — overwrites
 	// one in place (see sim.RestoreNetworkInto) instead of allocating a
@@ -100,10 +107,34 @@ func (c *SnapshotCache) Stats() CacheStats {
 	return c.stats
 }
 
+// cacheEntry is one template: built once, from cfg, on first use.
 type cacheEntry struct {
+	cfg  sim.Config // Probes and Tracer stripped, Load the template load
+	warm int64      // warm-up cycles to bake in (0: a construction template)
+	// family is the first construction template of cfg's family when that
+	// is another entry (nil: this entry is built in full).
+	family *cacheEntry
+
 	once sync.Once
 	snap *sim.Snapshot
 	err  error
+}
+
+// get returns the entry's snapshot, building it on first use. A family
+// member that cannot borrow — its family's first template failed to build,
+// for a reason of its own mechanism, say — builds in full, so that it
+// fails, or not, exactly as alone.
+func (e *cacheEntry) get() (*sim.Snapshot, error) {
+	e.once.Do(func() {
+		if e.family != nil {
+			if fam, err := e.family.get(); err == nil {
+				e.snap, e.err = fam.Sibling(e.cfg)
+				return
+			}
+		}
+		e.snap, e.err = sim.NewSnapshot(e.cfg, e.warm)
+	})
+	return e.snap, e.err
 }
 
 // takeFree pops a retired network (nil when there is none) and counts the
@@ -150,26 +181,25 @@ func (c *SnapshotCache) snapshotFor(cfg *sim.Config, templateLoad float64) (*cac
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
+		c.families = make(map[string]*cacheEntry)
 	}
 	e := c.entries[key]
 	if e == nil {
-		e = &cacheEntry{}
+		e = &cacheEntry{cfg: *cfg}
+		e.cfg.Probes, e.cfg.Tracer, e.cfg.Load = nil, nil, templateLoad
+		if c.Mode == ReuseWarm {
+			e.warm = cfg.WarmupCycles
+		} else if fam := sim.FamilyOf(cfg); c.families[fam] == nil {
+			c.families[fam] = e
+		} else {
+			e.family = c.families[fam]
+		}
 		c.entries[key] = e
 		c.stats.Templates++
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		bcfg := *cfg
-		bcfg.Probes = nil
-		bcfg.Tracer = nil
-		bcfg.Load = templateLoad
-		var warm int64
-		if c.Mode == ReuseWarm {
-			warm = bcfg.WarmupCycles
-		}
-		e.snap, e.err = sim.NewSnapshot(bcfg, warm)
-	})
-	return e, e.err
+	_, err := e.get()
+	return e, err
 }
 
 // rewarmTail resolves the re-warm length against the configured warm-up.

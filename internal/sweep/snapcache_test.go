@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dragonfly/internal/sim"
@@ -69,6 +71,95 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The construction templates of one family (topology, latency model, seed)
+// share its wiring and RNG streams, and borrowing them changes nothing: in
+// one cache holding three mechanisms × two patterns × two seeds × two
+// latency models, each family's first template is built in full, every
+// other template borrows from the first of its own family only — never
+// across seeds or latency models — and every restore, recycled over a
+// network of another template and aimed at a load other than its
+// template's, runs exactly as a cold NewNetwork: full state vectors, every
+// router's accumulators and the packets in flight.
+func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.Topology = topology.Balanced(2)
+	base.WarmupCycles, base.MeasureCycles = 10, 70
+	skew, err := topology.LatencyModelByName("groupskew", 5, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const templateLoad = 0.3
+	cache := &SnapshotCache{Mode: ReuseConstruct}
+	var old *sim.Network
+	restores := 0
+	for _, lat := range []topology.LatencyModel{nil, skew} {
+		for _, mech := range []string{"MIN", "In-Trns-MM", "Src-CRG"} {
+			for _, pat := range []string{"UN", "ADVc"} {
+				for _, seed := range []uint64{1, 2} {
+					cfg := base
+					cfg.LatencyModel, cfg.Mechanism, cfg.Pattern, cfg.Seed, cfg.Load = lat, mech, pat, seed, 0.8
+					label := fmt.Sprintf("%s/%s seed %d lat %s", mech, pat, seed, sim.FamilyOf(&cfg))
+					e, err := cache.snapshotFor(&cfg, templateLoad)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if e.family != nil && sim.FamilyOf(&e.family.cfg) != sim.FamilyOf(&cfg) {
+						t.Fatalf("%s borrows from the family %s", label, sim.FamilyOf(&e.family.cfg))
+					}
+					net, err := sim.RestoreNetworkInto(e.snap, &cfg, old)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := sim.NewNetwork(&cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, n := range []*sim.Network{net, cold} {
+						if err := sim.RunNetwork(n, &cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if d := fabricDiff(net.Fabric(), cold.Fabric(), cold.Topo.NumRouters()); d != "" {
+						t.Fatalf("%s: the restore diverges from the cold build: %s", label, d)
+					}
+					if net.InFlight() == 0 {
+						t.Fatalf("%s: nothing in flight at the end: the run exercises too little", label)
+					}
+					old = net
+					restores++
+				}
+			}
+		}
+	}
+	heads := 0
+	for _, e := range cache.entries {
+		if e.family == nil {
+			heads++
+		}
+	}
+	if st := cache.Stats(); st.Templates != restores || heads != 4 {
+		t.Fatalf("%d templates for %d restores, %d of them built in full; want one per restore and one per family (4)",
+			st.Templates, restores, heads)
+	}
+}
+
+// fabricDiff names the first router whose state vector or accumulators
+// differ between two fabrics, or returns "".
+func fabricDiff(a, b sim.Fabric, routers int) string {
+	if a.InFlight() != b.InFlight() {
+		return fmt.Sprintf("%d packets in flight, want %d", a.InFlight(), b.InFlight())
+	}
+	for r := range routers {
+		if !slices.Equal(a.StateVector(r, nil), b.StateVector(r, nil)) {
+			return fmt.Sprintf("router %d state vector", r)
+		}
+		if *a.Stats(r) != *b.Stats(r) {
+			return fmt.Sprintf("router %d accumulators", r)
+		}
+	}
+	return ""
 }
 
 // The cache keeps one free list, not one per template: however many

@@ -21,8 +21,13 @@ const compileSalt = 0x5e6d4f3a7b909a1c
 // straight into sim.RunWithPattern and the simulator reports per-job
 // metrics.
 type Workload struct {
-	topo     *topology.Topology
+	topo *topology.Topology
+	// jobs holds the jobs from index base on, by index − base (see job).
+	// base is 0 but in a streaming workload, where it advances past the
+	// retired prefix (dropRetiredPrefix) so that jobs spans the jobs
+	// admitted since the oldest one not yet retired, not the trace.
 	jobs     []*job
+	base     int
 	nodeJob  []int32 // node → job index, -1 unallocated (or silenced by Solo)
 	nodeRank []int32 // node → rank within its job
 	name     string
@@ -51,6 +56,9 @@ type Workload struct {
 	retired []*job
 	split   rng.Source
 }
+
+// job returns the record of job index j.
+func (w *Workload) job(j int) *job { return w.jobs[j-w.base] }
 
 // job is the compiled form of a JobSpec.
 type job struct {
@@ -184,7 +192,7 @@ func Compile(t *topology.Topology, spec Spec, seed uint64) (*Workload, error) {
 		if err := w.Place(j); err != nil {
 			return nil, err
 		}
-		labels = append(labels, w.jobs[j].spec.Name)
+		labels = append(labels, w.job(j).spec.Name)
 	}
 	w.name = "WL(" + strings.Join(labels, "+") + ")"
 	return w, nil
@@ -281,7 +289,7 @@ func (w *Workload) DestAt(src int, now int64, rnd *rng.Source) int {
 	if ji < 0 {
 		return -1
 	}
-	jb := w.jobs[ji]
+	jb := w.job(int(ji))
 	if jb.onCycles > 0 && now%jb.period >= jb.onCycles {
 		return -1 // bursty off phase
 	}
@@ -304,7 +312,7 @@ func (w *Workload) Member(node int) bool { return w.nodeJob[node] >= 0 }
 // inherit the run default.
 func (w *Workload) NodeLoad(node int) float64 {
 	if j := w.nodeJob[node]; j >= 0 {
-		return w.jobs[j].spec.Load
+		return w.job(int(j)).spec.Load
 	}
 	return 0
 }
@@ -322,24 +330,24 @@ func (w *Workload) NumJobs() int {
 }
 
 // JobName implements traffic.JobMapper.
-func (w *Workload) JobName(j int) string { return w.jobs[j].spec.Name }
+func (w *Workload) JobName(j int) string { return w.job(j).spec.Name }
 
 // NodeJobs implements traffic.JobMapper: the workload's own node→job map,
 // lent read-only. Place and Release write it in place.
 func (w *Workload) NodeJobs() []int32 { return w.nodeJob }
 
 // JobSpecOf returns the normalised spec of job j.
-func (w *Workload) JobSpecOf(j int) JobSpec { return w.jobs[j].spec }
+func (w *Workload) JobSpecOf(j int) JobSpec { return w.job(j).spec }
 
 // JobRouters returns the routers hosting job j, in allocation order.
 func (w *Workload) JobRouters(j int) []int {
-	return append([]int(nil), w.jobs[j].routers...)
+	return append([]int(nil), w.job(j).routers...)
 }
 
 // JobDesc returns a one-line human description of job j's placement and
 // behaviour for reports.
 func (w *Workload) JobDesc(j int) string {
-	jb := w.jobs[j]
+	jb := w.job(j)
 	var phase string
 	switch {
 	case jb.onCycles > 0:
@@ -361,26 +369,27 @@ func (w *Workload) JobDesc(j int) string {
 // the pairwise matrix both select sub-workloads of one compiled
 // placement, so the placements under comparison are literally the same).
 func (w *Workload) Subset(keep ...int) *Workload {
-	sel := make([]bool, len(w.jobs))
+	sel := make([]bool, len(w.jobs)) // by index − base
 	labels := make([]string, 0, len(keep))
 	for _, j := range keep {
-		if j < 0 || j >= len(w.jobs) {
-			panic(fmt.Sprintf("workload: Subset(%d) out of range [0,%d)", j, len(w.jobs)))
+		if j < w.base || j >= w.base+len(w.jobs) {
+			panic(fmt.Sprintf("workload: Subset(%d) out of range [%d,%d)", j, w.base, w.base+len(w.jobs)))
 		}
-		if !sel[j] {
-			labels = append(labels, w.jobs[j].spec.Name)
+		if !sel[j-w.base] {
+			labels = append(labels, w.job(j).spec.Name)
 		}
-		sel[j] = true
+		sel[j-w.base] = true
 	}
 	s := &Workload{
 		topo:     w.topo,
 		jobs:     w.jobs,
+		base:     w.base,
 		nodeJob:  make([]int32, len(w.nodeJob)),
 		nodeRank: w.nodeRank,
 		name:     w.Name() + "/subset:" + strings.Join(labels, "+"),
 	}
 	for n, ji := range w.nodeJob {
-		if ji >= 0 && sel[ji] {
+		if ji >= 0 && sel[int(ji)-w.base] {
 			s.nodeJob[n] = ji
 		} else {
 			s.nodeJob[n] = -1
@@ -395,6 +404,6 @@ func (w *Workload) Subset(keep ...int) *Workload {
 // same placement running alone).
 func (w *Workload) Solo(j int) *Workload {
 	s := w.Subset(j)
-	s.name = w.Name() + "/solo:" + w.jobs[j].spec.Name
+	s.name = w.Name() + "/solo:" + w.job(j).spec.Name
 	return s
 }

@@ -54,11 +54,13 @@ func NewDynamic(t *topology.Topology, seed uint64) *Workload {
 
 // NewDynamicStream returns a dynamic workload in streaming mode for
 // cluster-lifetime traces: jobs are identified by index only, the network
-// builds no per-job attribution arrays (NumJobs reports 0), and Retire
-// reclaims a released job's compiled state for the next Admit — so retained
-// memory is bounded by the jobs concurrently admitted, not by trace length,
-// and a job costs no allocation once the run has seen its like. Placement
-// and RNG semantics are identical to NewDynamic.
+// builds no per-job attribution arrays (NumJobs reports 0), Retire reclaims
+// a released job's compiled state for the next Admit, and the job index
+// keeps only the jobs admitted since the oldest one not yet retired (job
+// indices themselves keep counting) — so retained memory is bounded by the
+// jobs concurrently admitted, not by trace length, and a job costs no
+// allocation once the run has seen its like. Placement and RNG semantics
+// are identical to NewDynamic.
 func NewDynamicStream(t *topology.Topology, seed uint64) *Workload {
 	w := NewDynamic(t, seed)
 	w.anon = true
@@ -71,7 +73,7 @@ func NewDynamicStream(t *topology.Topology, seed uint64) *Workload {
 // fields), the job index is reserved, and per-job accounting is sized. It
 // consumes no placement RNG, so admission order only fixes job indices.
 func (w *Workload) Admit(js JobSpec) (int, error) {
-	idx := len(w.jobs)
+	idx := w.base + len(w.jobs)
 	if err := js.normalize(idx); err != nil {
 		return -1, err
 	}
@@ -98,8 +100,31 @@ func (w *Workload) Admit(js JobSpec) (int, error) {
 		jb = new(job)
 	}
 	jb.spec = js
+	if len(w.jobs) == cap(w.jobs) {
+		w.dropRetiredPrefix()
+	}
 	w.jobs = append(w.jobs, jb)
 	return idx, nil
+}
+
+// dropRetiredPrefix moves the index window past the jobs retired before
+// the oldest one still admitted, in place, when they are at least half of
+// it: a streaming workload's index then spans the jobs admitted since the
+// oldest live one, not the trace, and Admit grows it only when that span
+// does — amortised O(1) per job, with no allocation in steady state.
+// Workloads that never Retire have no retired prefix.
+func (w *Workload) dropRetiredPrefix() {
+	k := 0
+	for k < len(w.jobs) && w.jobs[k] == nil {
+		k++
+	}
+	if k == 0 || 2*k < len(w.jobs) {
+		return
+	}
+	n := copy(w.jobs, w.jobs[k:])
+	clear(w.jobs[n:])
+	w.jobs = w.jobs[:n]
+	w.base += k
 }
 
 // patternNames returns the pattern names a job compiles (the switch-phase
@@ -119,7 +144,7 @@ func RoutersNeeded(nodes, p int) int { return (nodes-1)/p + 1 }
 
 // RoutersFor returns the number of routers job j occupies when placed.
 func (w *Workload) RoutersFor(j int) int {
-	return RoutersNeeded(w.jobs[j].spec.Nodes, w.topo.Params().P)
+	return RoutersNeeded(w.job(j).spec.Nodes, w.topo.Params().P)
 }
 
 // FreeRouters returns the routers currently unallocated.
@@ -131,7 +156,7 @@ func (w *Workload) FreeRouters() int { return w.freeRouters }
 // wrapping ErrNoCapacity when too few routers are free (the job stays
 // admitted and can be placed later).
 func (w *Workload) Place(j int) error {
-	jb := w.jobs[j]
+	jb := w.job(j)
 	if jb.placed {
 		return fmt.Errorf("workload: job %q placed twice", jb.spec.Name)
 	}
@@ -197,7 +222,7 @@ func (w *Workload) Place(j int) error {
 // Releasing an unplaced or already-released job panics: the scheduler owns
 // the lifecycle and a double free is a bug, not a state.
 func (w *Workload) Release(j int) {
-	jb := w.jobs[j]
+	jb := w.job(j)
 	if !jb.placed || jb.released {
 		panic(fmt.Sprintf("workload: Release(%d) of unplaced job %q", j, jb.spec.Name))
 	}
@@ -217,28 +242,29 @@ func (w *Workload) Release(j int) {
 // Place time; empty before placement): the workload's own slice, lent
 // read-only. In a streaming workload it is valid until Retire(j), after
 // which the storage belongs to a later job.
-func (w *Workload) JobNodes(j int) []int { return w.jobs[j].nodes }
+func (w *Workload) JobNodes(j int) []int { return w.job(j).nodes }
 
 // Retire reclaims the compiled state (nodes, routers, patterns, spec) of a
 // released job in a streaming workload: after Retire the index is dead and
-// any further access to job j panics on a nil dereference — deliberately,
-// since touching a retired job is a lifecycle bug — and the record, emptied
-// but for the capacity of its slices, waits for the next Admit. Only
-// streaming workloads may retire (static workloads keep placement history
-// for reporting); the job must have been released first, so no node→job
-// entry can still point at it.
+// any further access to job j panics — on a nil dereference, or out of
+// range once Admit has dropped the index from the window it keeps (see
+// dropRetiredPrefix); deliberately, since touching a retired job is a
+// lifecycle bug — and the record, emptied but for the capacity of its
+// slices, waits for the next Admit. Only streaming workloads may retire
+// (static workloads keep placement history for reporting); the job must
+// have been released first, so no node→job entry can still point at it.
 func (w *Workload) Retire(j int) {
 	if !w.anon {
 		panic("workload: Retire on a non-streaming workload")
 	}
-	jb := w.jobs[j]
-	if jb == nil {
+	if j < w.base || w.job(j) == nil {
 		panic(fmt.Sprintf("workload: Retire(%d) twice", j))
 	}
+	jb := w.job(j)
 	if jb.placed && !jb.released {
 		panic(fmt.Sprintf("workload: Retire(%d) of a still-placed job", j))
 	}
-	w.jobs[j] = nil
+	w.jobs[j-w.base] = nil
 	clear(jb.patterns) // a PERM pattern pins a permutation
 	*jb = job{nodes: jb.nodes[:0], routers: jb.routers[:0], patterns: jb.patterns[:0]}
 	w.retired = append(w.retired, jb)
