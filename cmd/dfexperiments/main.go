@@ -103,6 +103,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	seedList, err := cli.ParseSeeds(base.Seed, *seeds)
+	if err != nil {
+		fatal(err)
+	}
 	// The latency axis is resolved — and typos rejected — at flag time,
 	// from the same class latencies the single -latency-model flag uses.
 	var models []topology.LatencyModel
@@ -121,7 +125,7 @@ func main() {
 
 	pipe := experiments.Build(base, experiments.Options{
 		Loads:         loadList,
-		Seeds:         cli.ParseSeeds(base.Seed, *seeds),
+		Seeds:         seedList,
 		FairLoad:      *fairLoad,
 		SkipSweeps:    *skipSweeps,
 		Mechanisms:    mechList,
@@ -238,42 +242,20 @@ func printSlowest(timings []telemetry.TaskTiming, max int) {
 	fmt.Print(t.String())
 }
 
-// render prints one task's tables and writes its CSV.
+// render prints one task's heading and tables (group 0's routers for the
+// fairness tasks) and writes its CSV into outDir, if set.
 func render(r experiments.TaskResult, outDir string, routersPerGroup int) {
-	switch r.Task.Kind {
-	case experiments.Curves:
-		fmt.Printf("\n== %s ==\n\n", r.Task.Title)
-		t := report.NewTable("Mechanism", "Load", "Latency(cyc)", "Throughput")
-		for _, s := range r.Series {
-			t.AddRow(s.Mechanism,
-				fmt.Sprintf("%.3f", s.Load),
-				fmt.Sprintf("%.1f", s.AvgLatency),
-				fmt.Sprintf("%.4f", s.Throughput))
+	fmt.Printf("\n== %s ==\n\n", r.Task.Title)
+	var csv io.Writer
+	if outDir != "" && r.Task.CSV != "" {
+		f, err := os.Create(filepath.Join(outDir, r.Task.CSV))
+		if err != nil {
+			fatal(err)
 		}
-		fmt.Print(t.String())
-		writeCSV(outDir, r.Task.CSV, r.Series, report.CurveCSV)
-	case experiments.Breakdown:
-		fmt.Printf("\n== %s ==\n\n", r.Task.Title)
-		fmt.Print(report.BreakdownTable(r.Series).String())
-		writeCSV(outDir, r.Task.CSV, r.Series, report.BreakdownCSV)
-	case experiments.FairnessTables:
-		fmt.Printf("\n== %s ==\n\n", r.Task.Title)
-		fmt.Print(report.InjectionTable(r.Series, 0, routersPerGroup).String())
-		fmt.Println()
-		fmt.Print(report.FairnessTable(r.Series).String())
+		defer f.Close()
+		csv = f
 	}
-}
-
-func writeCSV(dir, name string, series []sweep.Series, write func(w io.Writer, s []sweep.Series) error) {
-	if dir == "" || name == "" {
-		return
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := write(f, series); err != nil {
+	if err := experiments.Render(os.Stdout, csv, r.Task.Kind, r.Series, 0, routersPerGroup); err != nil {
 		fatal(err)
 	}
 }

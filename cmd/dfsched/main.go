@@ -92,8 +92,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *seeds < 1 {
-		fatal(fmt.Errorf("-seeds must be ≥ 1, got %d", *seeds))
+	if _, err := cli.ParseSeeds(cfg.Seed, *seeds); err != nil {
+		fatal(err)
 	}
 	cfg.Mechanism = *mech
 	cfg.Load = *load

@@ -9,14 +9,17 @@ cd "$(dirname "$0")/../.."
 golden=cmd/testdata
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dffair ./cmd/dfbreakdown ./cmd/dfexperiments ./cmd/dfsched
+go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dfexperiments ./cmd/dfsched
 net="-h 2 -warmup 200 -measure 600"
 
 "$tmp/bin/dfsweep" $net -pattern ADVc -mechanisms MIN,In-Trns-MM -loads 0.1,0.4 -seeds 2 \
   -quiet -csv "$tmp/dfsweep.csv" > "$tmp/dfsweep.txt" 2> /dev/null
-"$tmp/bin/dffair" $net -mechanisms Obl-RRG,In-Trns-MM -seeds 2 -priority=false > "$tmp/dffair.txt"
-"$tmp/bin/dfbreakdown" $net -loads 0.1,0.4 -seeds 1 -csv "$tmp/dfbreakdown.csv" \
-  > "$tmp/dfbreakdown.txt" 2> /dev/null
+# The fairness and breakdown reports keep the file names of the two tools
+# they replaced (dffair, dfbreakdown), so their golden files are unchanged.
+"$tmp/bin/dfsweep" -report fair $net -pattern ADVc -mechanisms Obl-RRG,In-Trns-MM -loads 0.4 -seeds 2 \
+  -priority=false -quiet > "$tmp/dffair.txt" 2> /dev/null
+"$tmp/bin/dfsweep" -report breakdown $net -pattern ADVc -mechanisms In-Trns-MM -loads 0.1,0.4 -seeds 1 \
+  -quiet -csv "$tmp/dfbreakdown.csv" > "$tmp/dfbreakdown.txt" 2> /dev/null
 # dfexperiments' stdout carries wall-clock; its CSVs do not.
 "$tmp/bin/dfexperiments" $net -mechanisms MIN,In-Trns-MM -loads 0.1,0.4 -seeds 1 \
   -quiet -slowest 0 -out "$tmp/exp" > /dev/null
@@ -49,15 +52,17 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
 status=0
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
 # budget that would wrap the departure cycle, and generator parameters no
-# clamp can repair. dfsweep: the deleted cold-build reuse mode, and run
+# clamp can repair. dfsweep: the deleted cold-build reuse mode, run
 # descriptions no point can run (checked once, by sim.Config.Validate) —
-# with dfsim, values the core would truncate to 32 bits.
+# with dfsim, values the core would truncate to 32 bits — load and seed
+# axes that would never finish expanding or that run nothing, and reports
+# over a grid their tables have no column for.
 # Input the scheduler must survive: a size median far past the cap (every
 # job is the cap, so the machine holds one job at a time), and a trace that
 # drains inside the warm-up (its length is the last departure + 1).
 refused() {
   tool=$1; want=$2; shift 2
-  if "$tmp/bin/$tool" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -q "$want" "$tmp/stderr"; then
+  if "$tmp/bin/$tool" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -qF -e "$want" "$tmp/stderr"; then
     echo "$tool $*: want a non-zero exit and \"$want\" on stderr, got:"; cat "$tmp/stderr"; status=1
   fi
 }
@@ -73,6 +78,18 @@ if [ "${1:-}" != -update ]; then
   refused dfsim 'link latencies must be at most 2147483647 cycles' -h 2 -warmup 100 -measure 200 -global-lat 2147483648
   refused dfsweep 'link latencies must be at most 2147483647 cycles' $net $point -local-lat 2147483648
   refused dfsweep 'injection queue of 2147483648 packets exceeds 2147483647 phits' $net $point -inj-queue 2147483648
+  point="-mechanisms MIN -quiet"
+  refused dfsweep 'bad range spec "0:inf:0.1"' $net $point -loads 0:inf:0.1
+  refused dfsweep 'seed count -1 outside' $net $point -loads 0.1 -seeds -1
+  refused dfsweep 'seed count 0 outside' $net $point -loads 0.1 -seeds 0
+  refused dfsweep 'unknown report "histogram"' $net $point -loads 0.1 -report histogram
+  refused dfsweep 'one pattern at one load, got 1 patterns and 2 loads' $net $point -loads 0.1,0.4 -report fair
+  refused dfsweep 'one pattern at one load, got 2 patterns and 1 loads' $net $point -pattern UN,ADVc -loads 0.4 -report fair
+  refused dfsweep '-report fair has no CSV' $net $point -loads 0.4 -report fair -csv "$tmp/fair.csv"
+  refused dfsweep 'one mechanism under one pattern, got 2 mechanisms' $net -mechanisms MIN,In-Trns-MM -quiet -loads 0.4 -report breakdown
+  refused dfsweep 'one mechanism under one pattern, got 1 mechanisms and 2 patterns' $net $point -pattern UN,ADVc -loads 0.4 -report breakdown
+  refused dfsweep '-group 9 outside [0, 9)' $net $point -loads 0.4 -report fair -group 9
+  refused dfsweep '-group -1 outside' $net $point -loads 0.4 -report fair -group -1
   "$tmp/bin/dfsched" -h 2 -warmup 100 -generate 50 -gen-arrival 25 -gen-dur-median 200 -gen-nodes-median 1e11 \
     -disciplines fcfs -json > "$tmp/cap.json"
   if ! grep -q '"peak_running": 1,' "$tmp/cap.json"; then

@@ -28,8 +28,8 @@
 // process-wide sweep worker pool (internal/sweep), so concurrent studies
 // share a single machine-level scheduler; cmd/dfexperiments runs the
 // paper's whole evaluation section on it as a checkpointed, resumable
-// pipeline. The executables in cmd/ (dfsim, dfsweep, dffair, dfbreakdown,
-// dfworkload, dfexperiments, dfbench) wrap these APIs. See README.md for
+// pipeline. The executables in cmd/ (dfsim, dfsweep, dfworkload, dfsched,
+// dfexperiments, dfserved, dfbench) wrap these APIs. See README.md for
 // the repository map, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-vs-measured record.
 package dragonfly

@@ -46,6 +46,10 @@ func main() {
 		{"age-based arbitration (paper's future work)", dragonfly.AgeBased},
 	}
 
+	seedList, err := cli.ParseSeeds(1, seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, a := range arbitrations {
 		cfg := base
 		cfg.Router.Arbitration = a.arb
@@ -54,7 +58,7 @@ func main() {
 			Mechanisms: mechanisms,
 			Patterns:   []string{"ADVc"},
 			Loads:      []float64{0.4},
-			Seeds:      cli.ParseSeeds(1, seeds),
+			Seeds:      seedList,
 		}
 		series, err := sweep.Aggregate(grid.Run(nil))
 		if err != nil {

@@ -38,12 +38,16 @@ func main() {
 		seeds = 1
 	}
 
+	seedList, err := cli.ParseSeeds(1, seeds)
+	if err != nil {
+		log.Fatal(err)
+	}
 	grid := sweep.Grid{
 		Base:       base,
 		Mechanisms: mechanisms,
 		Patterns:   []string{"ADVc"},
 		Loads:      loads,
-		Seeds:      cli.ParseSeeds(1, seeds),
+		Seeds:      seedList,
 	}
 	fmt.Println("sweeping", len(grid.Points()), "simulations (ADVc, transit priority)...")
 	series, err := sweep.Aggregate(grid.Run(nil))

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -97,8 +98,17 @@ func ValidateNames(topo topology.Params, mechanisms, patterns []string) error {
 	return nil
 }
 
+// MaxLoads bounds the loads a range spec expands to (0:1:1e-20 would never
+// finish), MaxSeeds a seed count (10¹² would be one huge allocation).
+const (
+	MaxLoads = 1000
+	MaxSeeds = 1000
+)
+
 // ParseLoads parses a comma-separated list of loads ("0.1,0.2") or a range
-// spec ("0.05:1.0:0.05" = from:to:step).
+// spec ("0.05:1.0:0.05" = from:to:step, expanded by repeated addition, so
+// spec fingerprints keep their bits). Loads are finite and ≥ 0, and a range
+// is non-empty and at most MaxLoads long.
 func ParseLoads(s string) ([]float64, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
@@ -108,12 +118,18 @@ func ParseLoads(s string) ([]float64, error) {
 		from, err1 := strconv.ParseFloat(parts[0], 64)
 		to, err2 := strconv.ParseFloat(parts[1], 64)
 		step, err3 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil || step <= 0 {
-			return nil, fmt.Errorf("bad range spec %q", s)
+		if err1 != nil || err2 != nil || err3 != nil || !isLoad(from) || !isLoad(to) || !isLoad(step) || step == 0 {
+			return nil, fmt.Errorf("bad range spec %q (want finite values, from ≥ 0 and step > 0)", s)
 		}
 		var loads []float64
 		for l := from; l <= to+1e-9; l += step {
+			if len(loads) == MaxLoads {
+				return nil, fmt.Errorf("range spec %q expands to more than %d loads", s, MaxLoads)
+			}
 			loads = append(loads, l)
+		}
+		if len(loads) == 0 {
+			return nil, fmt.Errorf("range spec %q is empty", s)
 		}
 		return loads, nil
 	}
@@ -123,18 +139,28 @@ func ParseLoads(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad load %q: %w", f, err)
 		}
+		if !isLoad(v) {
+			return nil, fmt.Errorf("bad load %q: want a finite load ≥ 0", f)
+		}
 		loads = append(loads, v)
 	}
 	return loads, nil
 }
 
-// ParseSeeds expands a seed count into seeds base..base+n-1.
-func ParseSeeds(base uint64, n int) []uint64 {
+// isLoad reports whether v is finite and ≥ 0 (NaN is not).
+func isLoad(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// ParseSeeds expands a seed count into seeds base..base+n-1; the count must
+// lie in [1, MaxSeeds].
+func ParseSeeds(base uint64, n int) ([]uint64, error) {
+	if n < 1 || n > MaxSeeds {
+		return nil, fmt.Errorf("seed count %d outside [1, %d]", n, MaxSeeds)
+	}
 	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = base + uint64(i)
 	}
-	return seeds
+	return seeds, nil
 }
 
 // SplitList splits a comma-separated list, trimming whitespace.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
@@ -40,20 +41,56 @@ func TestParseLoadsRange(t *testing.T) {
 	if math.Abs(loads[4]-0.5) > 1e-9 {
 		t.Errorf("last load %v, want 0.5", loads[4])
 	}
-}
 
-func TestParseLoadsErrors(t *testing.T) {
-	for _, bad := range []string{"x", "0.1:0.5", "0.1:0.5:0", "0.1:0.5:-1", "a:b:c", "0.1,,x"} {
-		if _, err := ParseLoads(bad); err == nil {
-			t.Errorf("ParseLoads(%q) accepted", bad)
+	// The tools' default ranges and the served benchmark's 0.05:%g:0.05 are
+	// expanded by repeated addition; spec fingerprints and digests ride on
+	// these exact bits, so a bound on the expansion must not change them.
+	for spec, n := range map[string]int{"0.05:0.6:0.05": 12, "0.05:1.0:0.05": 20, "0.05:0.5:0.05": 10} {
+		loads, err := ParseLoads(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		var want []float64
+		for l := 0.05; len(want) < n; l += 0.05 {
+			want = append(want, l)
+		}
+		if !reflect.DeepEqual(loads, want) {
+			t.Errorf("%s = %v, want the accumulated %v", spec, loads, want)
 		}
 	}
 }
 
+func TestParseLoadsErrors(t *testing.T) {
+	for _, bad := range []string{
+		"x", "0.1:0.5", "0.1:0.5:0", "0.1:0.5:-1", "a:b:c", "0.1,,x",
+		"0:Inf:0.1", "0:inf:0.1", "NaN:1:0.1", "0:1:NaN", "0:1:Inf", "-0.1:0.5:0.1", "0.5:0.1:0.1",
+		"1:2:1e-20", "0:1000:0.5", "NaN,0.1", "0.1,+Inf", "-0.1",
+	} {
+		done := make(chan error, 1)
+		go func() { _, err := ParseLoads(bad); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("ParseLoads(%q) accepted", bad)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ParseLoads(%q) did not return", bad)
+		}
+	}
+	if loads, err := ParseLoads("0:999.5:1"); err != nil || len(loads) != MaxLoads {
+		t.Errorf("a range of exactly MaxLoads loads: %d loads, %v", len(loads), err)
+	}
+}
+
 func TestParseSeeds(t *testing.T) {
-	seeds := ParseSeeds(10, 3)
-	if len(seeds) != 3 || seeds[0] != 10 || seeds[2] != 12 {
-		t.Errorf("seeds = %v", seeds)
+	seeds, err := ParseSeeds(10, 3)
+	if err != nil || len(seeds) != 3 || seeds[0] != 10 || seeds[2] != 12 {
+		t.Errorf("seeds = %v, %v", seeds, err)
+	}
+	for _, n := range []int{-1, 0, MaxSeeds + 1, 1e12} {
+		if seeds, err := ParseSeeds(1, n); err == nil {
+			t.Errorf("ParseSeeds(1, %d) accepted: %d seeds", n, len(seeds))
+		}
 	}
 }
 

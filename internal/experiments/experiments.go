@@ -26,9 +26,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"sync/atomic"
 
+	"dragonfly/internal/report"
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/sweep"
@@ -54,6 +56,37 @@ const (
 	// Table II/III fairness metrics.
 	FairnessTables
 )
+
+// ParseKind resolves a kind by its report name (dfsweep -report): curves,
+// breakdown or fair.
+func ParseKind(name string) (Kind, error) {
+	if k, ok := map[string]Kind{"curves": Curves, "breakdown": Breakdown, "fair": FairnessTables}[name]; ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown report %q (known: curves, breakdown, fair)", name)
+}
+
+// Render is the one renderer of a kind: it writes the kind's text tables
+// to w and, for Curves and Breakdown, its CSV to csv (nil: no CSV).
+// FairnessTables lists the routers of the given group, of routersPerGroup
+// each, then the network-wide fairness metrics; it has no CSV.
+func Render(w, csv io.Writer, k Kind, series []sweep.Series, group, routersPerGroup int) error {
+	var text string
+	var writeCSV func(io.Writer, []sweep.Series) error
+	switch k {
+	case Curves:
+		text, writeCSV = report.CurveTable(series).String(), report.CurveCSV
+	case Breakdown:
+		text, writeCSV = report.BreakdownTable(series).String(), report.BreakdownCSV
+	case FairnessTables:
+		text = report.InjectionTable(series, group, routersPerGroup).String() +
+			"\nNetwork-wide fairness metrics:\n\n" + report.FairnessTable(series).String()
+	}
+	if _, err := io.WriteString(w, text); err != nil || csv == nil || writeCSV == nil {
+		return err
+	}
+	return writeCSV(csv, series)
+}
 
 // Task is one node of the pipeline: a named sweep grid with a render kind.
 type Task struct {

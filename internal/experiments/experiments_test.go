@@ -466,3 +466,29 @@ func TestPipelineWorkersBoundAcrossTasks(t *testing.T) {
 		t.Fatal("no point of a later task started while fig2a's last point ran: a barrier between figures")
 	}
 }
+
+// Every kind renders through Render: its report name resolves back to it,
+// and Curves and Breakdown write their CSV beside the text; the fairness
+// tables have none.
+func TestRenderKinds(t *testing.T) {
+	series := []sweep.Series{{Mechanism: "MIN", Pattern: "UN", Load: 0.1, Injections: []float64{1, 2, 3, 4}}}
+	for name, want := range map[string]string{"curves": "Mechanism,Pattern,Load", "breakdown": "Load,Base,Misroute", "fair": "MIN,3,4,Network-wide,fairness,metrics:,Mechanism,Min"} {
+		k, err := ParseKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text, csv strings.Builder
+		if err := Render(&text, &csv, k, series, 1, 2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := strings.Join(strings.Fields(text.String()), ","); !strings.Contains(got, want) {
+			t.Errorf("%s: text lacks %q:\n%s", name, want, text.String())
+		}
+		if (csv.Len() > 0) != (k != FairnessTables) {
+			t.Errorf("%s: CSV %q", name, csv.String())
+		}
+	}
+	if _, err := ParseKind("histogram"); err == nil {
+		t.Error("ParseKind accepted an unknown report")
+	}
+}

@@ -112,10 +112,11 @@ func (s *Spec) Normalize() error {
 		if n == 0 {
 			n = 1
 		}
-		if n < 0 {
-			return fmt.Errorf("spec: negative seed_count %d", n)
+		seeds, err := cli.ParseSeeds(base, n)
+		if err != nil {
+			return fmt.Errorf("spec: seed_count: %w", err)
 		}
-		s.Seeds = cli.ParseSeeds(base, n)
+		s.Seeds = seeds
 	}
 	s.SeedBase, s.SeedCount = 0, 0
 	switch s.Reuse {

@@ -127,6 +127,10 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{"warm reuse", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Reuse: "warm"}, "reuse"},
 		{"both load spellings", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, LoadSpec: "0.1:0.2:0.1"}, "not both"},
 		{"negative load", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{-0.1}}, "negative"},
+		{"unbounded load range", Spec{Mechanisms: []string{"MIN"}, LoadSpec: "0:inf:0.1"}, "bad range spec"},
+		{"load range too fine", Spec{Mechanisms: []string{"MIN"}, LoadSpec: "1:2:1e-20"}, "more than 1000 loads"},
+		{"negative seed count", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, SeedCount: -1}, "seed_count"},
+		{"seed count past the cap", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, SeedCount: 1e12}, "seed_count"},
 		{"bad arrangement", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{Arrangement: "spiral"}}, "arrangement"},
 		{"threshold past 1", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{H: 1, Threshold: 1.5}}, "threshold"},
 		{"negative injection queue", Spec{Mechanisms: []string{"MIN"}, Loads: []float64{0.1}, Base: cli.Base{InjQueue: -3}}, "injection queue"},

@@ -111,6 +111,17 @@ func InjectionTable(series []sweep.Series, group, routersPerGroup int) *Table {
 	return t
 }
 
+// CurveTable renders the Figure 2/5 curves as text: one row per
+// (mechanism, pattern, load) with latency and throughput.
+func CurveTable(series []sweep.Series) *Table {
+	t := NewTable("Mechanism", "Pattern", "Load", "Latency(cyc)", "Throughput")
+	for _, s := range series {
+		t.AddRow(s.Mechanism, s.Pattern, fmt.Sprintf("%.3f", s.Load),
+			fmt.Sprintf("%.1f", s.AvgLatency), fmt.Sprintf("%.4f", s.Throughput))
+	}
+	return t
+}
+
 // CurveCSV writes Figure 2/5-style series as CSV: one block per
 // (mechanism, pattern) with load, latency and throughput columns.
 func CurveCSV(w io.Writer, series []sweep.Series) error {

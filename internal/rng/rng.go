@@ -64,25 +64,6 @@ func (s *Source) SplitTo(dst *Source) {
 	dst.seed(s.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-// State is the exported xoshiro256** state: a point in the stream that a
-// Source can later be rewound to. Snapshot/restore machinery captures
-// States so a restored simulation consumes exactly the same random stream
-// a cold run would.
-type State [4]uint64
-
-// State returns the current stream position without advancing it.
-func (s *Source) State() State { return State{s.s0, s.s1, s.s2, s.s3} }
-
-// SetState rewinds (or fast-forwards) s to a previously captured position.
-func (s *Source) SetState(st State) { s.s0, s.s1, s.s2, s.s3 = st[0], st[1], st[2], st[3] }
-
-// Clone returns an independent copy of s at the same stream position:
-// both sources produce the identical remaining stream.
-func (s *Source) Clone() *Source {
-	c := *s
-	return &c
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
 	result := bits.RotateLeft64(s.s1*5, 7) * 9

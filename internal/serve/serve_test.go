@@ -415,8 +415,17 @@ func TestServeRejections(t *testing.T) {
 		// alone (building either topology first would not finish).
 		`{"h":64,"mechanisms":["MIN"],"loads":[0.1]}`,
 		`{"h":1,"a":2000000,"mechanisms":["MIN"],"loads":[0.1]}`,
+		// Axes a handler would expand without end or allocate at any size.
+		`{"mechanisms":["MIN"],"load_spec":"0:inf:0.1"}`,
+		`{"mechanisms":["MIN"],"load_spec":"1:2:1e-20"}`,
+		`{"mechanisms":["MIN"],"loads":[0.1],"seed_count":-1}`,
+		`{"mechanisms":["MIN"],"loads":[0.1],"seed_count":1000000000000}`,
 	} {
+		start := time.Now()
 		status, body := postJSON(t, srv.URL+"/api/jobs", spec)
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("spec %s: refused after %v", spec, d)
+		}
 		if status != http.StatusBadRequest {
 			t.Errorf("spec %s: status %d, want 400 (%s)", spec, status, body)
 			continue

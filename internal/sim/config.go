@@ -100,8 +100,8 @@ func (c *Config) Validate() error {
 	if err := c.Router.Validate(); err != nil {
 		return err
 	}
-	if c.Load < 0 {
-		return fmt.Errorf("sim: negative load %v", c.Load)
+	if c.Load < 0 || math.IsNaN(c.Load) || math.IsInf(c.Load, 0) {
+		return fmt.Errorf("sim: load %v is not a finite load ≥ 0", c.Load)
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("sim: cycles must be positive (warmup %d, measure %d)",

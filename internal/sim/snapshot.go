@@ -137,10 +137,6 @@ func newSnapshot(cfg Config, warmCycles int64, fam *Snapshot) (*Snapshot, error)
 	return snap, nil
 }
 
-// Warm returns the warm-up cycles baked into the captured state (0 for a
-// construction snapshot).
-func (s *Snapshot) Warm() int64 { return s.warm }
-
 // latName resolves the latency-model identity of a configuration: the
 // registry name plus the model value's parameters (both provided models are
 // plain parameter structs), so two uniform models with different constants

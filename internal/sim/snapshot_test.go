@@ -532,8 +532,8 @@ func TestWarmSnapshotSameLoadExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Warm() != W {
-		t.Fatalf("snapshot warm = %d, want %d", snap.Warm(), W)
+	if snap.warm != W {
+		t.Fatalf("snapshot warm = %d, want %d", snap.warm, W)
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		warmCfg := cfg

@@ -40,7 +40,6 @@ type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	batches []*Batch // open batches in submission order
-	workers int
 	closed  bool
 }
 
@@ -82,7 +81,7 @@ func NewPool(workers int) *Pool {
 	if workers < 0 {
 		workers = runtime.NumCPU()
 	}
-	p := &Pool{workers: workers}
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		go p.worker()
@@ -104,9 +103,6 @@ func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = NewPool(runtime.NumCPU()) })
 	return sharedPool
 }
-
-// Workers returns the pool's worker goroutine count.
-func (p *Pool) Workers() int { return p.workers }
 
 // Close stops the worker goroutines once the queue drains. It is intended
 // for throwaway pools in tests; the shared pool is never closed. Batches

@@ -86,9 +86,6 @@ func (j *Job) Name() string { return j.name }
 // Grid returns the job's expanded sweep grid (for in-process runners).
 func (j *Job) Grid() Grid { return j.grid }
 
-// Spec returns the canonical spec JSON the job was submitted with.
-func (j *Job) Spec() json.RawMessage { return j.spec }
-
 // JobSnapshot is the wire status of a job.
 type JobSnapshot struct {
 	ID       string          `json:"id"`
