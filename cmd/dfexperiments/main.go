@@ -67,9 +67,6 @@ func main() {
 		"comma-separated latency models to sweep as an extra axis ("+strings.Join(topology.KnownLatencyModels(), ", ")+
 			"); overrides -latency-model, non-uniform tasks are suffixed @<model> and compose with -checkpoint resume")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
-	reuse := fs.String("reuse", "construct",
-		"network-state reuse across runs: construct (share wiring; bit-identical to a cold build), warm (share warm-up too; approximate off the first load, changes the checkpoint fingerprint)")
-	rewarm := fs.Int64("rewarm", -1, "re-warm cycles for warm reuse at non-template loads (-1: warmup/4)")
 	ckPath := fs.String("checkpoint", "",
 		"checkpoint file for interrupt/resume (default <out>/checkpoint.jsonl when -out is set; \"off\" disables)")
 	quiet := fs.Bool("quiet", false, "suppress the live progress line")
@@ -92,10 +89,6 @@ func main() {
 
 	mechList := cli.SplitList(*mechs)
 	base, err := build(mechList, []string{"UN", "ADV+1", "ADVc"})
-	if err != nil {
-		fatal(err)
-	}
-	reuseMode, err := sweep.ParseReuse(*reuse)
 	if err != nil {
 		fatal(err)
 	}
@@ -131,8 +124,6 @@ func main() {
 		Mechanisms:    mechList,
 		Workers:       *jobs,
 		LatencyModels: models,
-		Reuse:         reuseMode,
-		ReWarm:        *rewarm,
 	})
 
 	var ck *sweep.Checkpoint

@@ -56,12 +56,13 @@ func (st *study) flags(fs *flag.FlagSet) {
 	fs.Int64Var(&st.maxCycles, "gen-max-cycles", 0, "cycle cap per generated run (0 = 2^40; the run normally ends at the last departure)")
 }
 
-// meta fingerprints the study configuration for the checkpoint: resuming
-// under different parameters must fail loudly, not mix incompatible points.
+// meta fingerprints the study configuration for the checkpoint — the
+// network (sim.Config.Fingerprint, whose cycle cap is -gen-max-cycles),
+// the mechanism, the load and the trace generator: resuming under different
+// parameters must fail loudly, not mix incompatible points.
 func (st *study) meta(cfg sim.Config) string {
 	specJSON, _ := json.Marshal(st.spec)
-	return fmt.Sprintf("dfsched-gen|%v|%s|load=%.9g|warmup=%d|%s",
-		cfg.Topology, cfg.Mechanism, cfg.Load, cfg.WarmupCycles, specJSON)
+	return fmt.Sprintf("dfsched-gen|%s|%s|load=%.9g|%s", cfg.Fingerprint(), cfg.Mechanism, cfg.Load, specJSON)
 }
 
 // run executes the study. Returns the process exit code: 130 when

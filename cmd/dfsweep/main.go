@@ -39,17 +39,10 @@ func main() {
 	csvPath := fs.String("csv", "", "also write the curves or breakdown as CSV to this file")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
-	reuse := fs.String("reuse", "construct",
-		"network-state reuse across sweep points: construct (share wiring; bit-identical to a cold build), warm (share warm-up too; approximate off the first load)")
-	rewarm := fs.Int64("rewarm", -1, "re-warm cycles for warm reuse at non-template loads (-1: warmup/4)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	kind, err := experiments.ParseKind(*reportName)
-	if err != nil {
-		fatal(err)
-	}
-	reuseMode, err := sweep.ParseReuse(*reuse)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,7 +80,7 @@ func main() {
 		Loads:      loadList,
 		Seeds:      seedList,
 		Workers:    *jobs,
-		Snapshots:  &sweep.SnapshotCache{Mode: reuseMode, ReWarm: *rewarm},
+		Snapshots:  &sweep.SnapshotCache{},
 	}
 	progress := func(done, total int) {
 		if !*quiet {

@@ -51,8 +51,9 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
 
 status=0
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
-# budget that would wrap the departure cycle, and generator parameters no
-# clamp can repair. dfsweep: the deleted cold-build reuse mode, run
+# budget that would wrap the departure cycle, generator parameters no clamp
+# can repair, and a -generate checkpoint resumed under another network.
+# dfsweep and dfexperiments: the deleted reuse flags. dfsweep: run
 # descriptions no point can run (checked once, by sim.Config.Validate) —
 # with dfsim, values the core would truncate to 32 bits — load and seed
 # axes that would never finish expanding or that run nothing, and reports
@@ -71,8 +72,12 @@ if [ "${1:-}" != -update ]; then
     -job nodes=8,arrival=5,duration=9223372036854775807 -job nodes=8,arrival=10,duration=100
   refused dfsched 'InterArrival must be > 0 and finite' -h 2 -warmup 100 -generate 50 -gen-arrival +Inf -disciplines fcfs
   refused dfsched 'sigmas must be ≥ 0 and finite' -h 2 -warmup 100 -generate 50 -gen-dur-sigma NaN -disciplines fcfs
+  gen="-h 2 -warmup 100 -generate 20 -gen-arrival 25 -gen-dur-median 200 -disciplines fcfs -checkpoint $tmp/s.ckpt"
+  "$tmp/bin/dfsched" $gen > /dev/null
+  refused dfsched 'produced by a different configuration' $gen -global-lat 400
   point="-mechanisms MIN -loads 0.1 -seeds 1 -quiet"
-  refused dfsweep 'bit-identical to a cold build' $net $point -reuse off
+  refused dfsweep 'flag provided but not defined: -reuse' $net $point -reuse warm
+  refused dfexperiments 'flag provided but not defined: -rewarm' $net $point -rewarm 0
   refused dfsweep 'congestion threshold' $net $point -threshold 1.5
   refused dfsweep 'overflows the cycle counter' -h 2 -warmup 9223372036854775807 -measure 1 $point
   refused dfsim 'link latencies must be at most 2147483647 cycles' -h 2 -warmup 100 -measure 200 -global-lat 2147483648

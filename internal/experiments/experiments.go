@@ -142,16 +142,11 @@ type Options struct {
 	// task names are the checkpoint namespace, so an axis-less checkpoint
 	// composes with a later widened run (only the new models simulate).
 	LatencyModels []topology.LatencyModel
-	// Reuse is the mode of the one snapshot cache that spans every task
-	// (see sweep.ReuseMode). ReuseConstruct, the zero value, leaves all
-	// results bit-identical to cold builds; ReuseWarm is an approximation
-	// off the template load and therefore changes the checkpoint
-	// fingerprint.
+	// Reuse once chose the snapshot reuse of the pipeline's one cache.
+	//
+	// Deprecated: selects nothing. Every point restores from a construction
+	// template; the field stays only while benchmark/ names it.
 	Reuse sweep.ReuseMode
-	// ReWarm is the warm-up tail of cross-load warm restores, in cycles
-	// (negative: a quarter of the configured warm-up). Only meaningful with
-	// ReuseWarm.
-	ReWarm int64
 }
 
 // Pipeline is the built task graph. Tasks are in paper order, which is the
@@ -160,8 +155,6 @@ type Pipeline struct {
 	Tasks   []*Task
 	base    sim.Config
 	workers int // pipeline-wide concurrent-simulation bound (0: pool width)
-	reuse   sweep.ReuseMode
-	rewarm  int64
 }
 
 // Build assembles the figure/table tasks for a base configuration. The
@@ -179,7 +172,7 @@ func Build(base sim.Config, opt Options) *Pipeline {
 		}
 	}
 
-	p := &Pipeline{base: base, workers: opt.Workers, reuse: opt.Reuse, rewarm: opt.ReWarm}
+	p := &Pipeline{base: base, workers: opt.Workers}
 	models := opt.LatencyModels
 	if len(models) == 0 {
 		models = []topology.LatencyModel{nil} // nil: keep base.LatencyModel
@@ -201,7 +194,7 @@ func Build(base sim.Config, opt Options) *Pipeline {
 	// config), so figures sharing a mechanism/pattern/seed combination
 	// share one template while fig2 (transit-priority) and fig5
 	// (round-robin) keep theirs apart.
-	cache := &sweep.SnapshotCache{Mode: opt.Reuse, ReWarm: opt.ReWarm}
+	cache := &sweep.SnapshotCache{}
 	for _, t := range p.Tasks {
 		t.Grid.Snapshots = cache
 	}
@@ -339,35 +332,12 @@ func (p *Pipeline) Restorable(ck *sweep.Checkpoint) int {
 	return n
 }
 
-// Fingerprint identifies the configuration a checkpoint belongs to:
-// everything that changes simulation outcomes — topology, router and
-// routing parameters (including the uniform link latencies), cycle counts,
-// and the latency model's registry name (its parameters are the router
-// latencies, already covered). The LatencyModels sweep axis is deliberately
-// NOT part of the fingerprint: per-model results live under per-model task
+// Fingerprint identifies the configuration a checkpoint belongs to: the
+// base's sim.Config.Fingerprint. The LatencyModels sweep axis is
+// deliberately NOT part of it: per-model results live under per-model task
 // names, so widening the axis resumes an existing checkpoint and only the
 // new models simulate.
-func (p *Pipeline) Fingerprint() string {
-	b := p.base
-	lat := "default-uniform"
-	if b.LatencyModel != nil {
-		lat = b.LatencyModel.Name()
-	}
-	fp := fmt.Sprintf("topo=%+v router=%+v routing=%+v warm=%d meas=%d lat=%s",
-		b.Topology, b.Router, b.Routing, b.WarmupCycles, b.MeasureCycles, lat)
-	// Construction reuse is bit-identical to a cold build, so it keeps the
-	// bare fingerprint every earlier checkpoint carries. Warm reuse
-	// approximates off-template loads; its records must not mix with exact
-	// ones, so the mode and re-warm tail join the fingerprint.
-	if p.reuse == sweep.ReuseWarm {
-		rewarm := p.rewarm
-		if rewarm < 0 {
-			rewarm = b.WarmupCycles / 4
-		}
-		fp += fmt.Sprintf(" reuse=warm rewarm=%d", rewarm)
-	}
-	return fp
-}
+func (p *Pipeline) Fingerprint() string { return p.base.Fingerprint() }
 
 // Progress is one live-progress observation.
 type Progress struct {

@@ -326,6 +326,24 @@ func TestPipelineCheckpointConfigGuard(t *testing.T) {
 	}
 }
 
+// The checkpoint fingerprint of a default base is pinned byte for byte:
+// every existing checkpoint carries it on its meta line, so any change to
+// it would refuse them all.
+func TestPipelineFingerprintPinned(t *testing.T) {
+	base := sim.DefaultConfig()
+	got := Build(base, Options{Loads: []float64{0.1}, Seeds: []uint64{1}, FairLoad: 0.4}).Fingerprint()
+	const want = "topo=dragonfly(p=2,a=4,h=2,palmtree: 9 groups, 36 routers, 72 nodes) " +
+		"router={PacketSize:8 PipelineCycles:5 Speedup:2 OutputBufferPhits:32 LocalVCPhits:32 GlobalVCPhits:256 " +
+		"LocalVCs:3 GlobalVCs:2 LocalLatency:10 GlobalLatency:100 InjectionQueuePackets:256 Arbitration:round-robin " +
+		"AllocIterations:2 CongestionThreshold:0.43} " +
+		"routing={PacketSize:8 LocalVCs:3 GlobalVCs:2 CongestionThreshold:0.43 PBGlobalRel:3 PBLocalPkts:5 " +
+		"LocalMisroute:true MisrouteTries:4 MisrouteLatencyFactor:0} " +
+		"warm=2000 meas=5000 lat=default-uniform"
+	if got != want {
+		t.Fatalf("fingerprint of the default base changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 func countRecords(t *testing.T, path string) int {
 	t.Helper()
 	data, err := os.ReadFile(path)

@@ -48,8 +48,7 @@ type Spec struct {
 	// "construct" (the default) or "off". It selects nothing — every
 	// runner restores points from construction templates, which is
 	// bit-identical to a cold build — but it is part of the Fingerprint,
-	// so journals and job IDs stay stable. The approximate "warm" mode is
-	// CLI-only: served results must be exact.
+	// so journals and job IDs stay stable.
 	Reuse string `json:"reuse,omitempty"`
 }
 
@@ -124,7 +123,7 @@ func (s *Spec) Normalize() error {
 		s.Reuse = "construct"
 	case "off", "construct":
 	default:
-		return fmt.Errorf("spec: reuse must be off or construct (warm reuse is approximate and CLI-only), got %q", s.Reuse)
+		return fmt.Errorf("spec: reuse must be off or construct (warm reuse was removed), got %q", s.Reuse)
 	}
 	return nil
 }

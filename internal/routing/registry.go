@@ -6,18 +6,6 @@ import (
 	"strings"
 )
 
-// Register adds a custom mechanism constructor under name
-// (case-insensitive), making it usable from sim.Config.Mechanism and every
-// tool. It panics on duplicate registration — mechanism names are global
-// identifiers in reports.
-func Register(name string, factory func() Mechanism) {
-	key := strings.ToLower(name)
-	if _, dup := factories[key]; dup {
-		panic(fmt.Sprintf("routing: mechanism %q already registered", name))
-	}
-	factories[key] = factory
-}
-
 // factories maps lowercase mechanism names to constructors.
 var factories = map[string]func() Mechanism{
 	"min":         func() Mechanism { return NewMinimal() },
@@ -49,18 +37,4 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// PaperMechanisms returns the seven mechanism/policy combinations plotted
-// in Figures 2 and 5, in the paper's legend order.
-func PaperMechanisms() []Mechanism {
-	return []Mechanism{
-		NewOblivious(RRG), // "MIN/Obl-RRG" reference line (VAL)
-		NewOblivious(CRG),
-		NewPiggyBack(RRG),
-		NewPiggyBack(CRG),
-		NewInTransit(RRG),
-		NewInTransit(CRG),
-		NewInTransit(MM),
-	}
 }

@@ -81,9 +81,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown mechanism accepted")
 	}
-	if got := len(PaperMechanisms()); got != 7 {
-		t.Errorf("PaperMechanisms() has %d entries, want 7", got)
-	}
 }
 
 func TestMinimalEjectsAtDestination(t *testing.T) {

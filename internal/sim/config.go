@@ -92,6 +92,22 @@ func PaperConfig() Config {
 	return c
 }
 
+// Fingerprint names everything of the configuration that changes a run's
+// outcome, but the point coordinates a checkpoint keys its records by
+// (mechanism, pattern, load, seed) and the worker count results are
+// bit-identical across: the topology, the router and routing parameters
+// (the uniform link latencies included), the cycle counts and the latency
+// model's registry name (its parameters are the router latencies, already
+// covered). A checkpoint resumes only under an equal fingerprint.
+func (c *Config) Fingerprint() string {
+	lat := "default-uniform"
+	if c.LatencyModel != nil {
+		lat = c.LatencyModel.Name()
+	}
+	return fmt.Sprintf("topo=%+v router=%+v routing=%+v warm=%d meas=%d lat=%s",
+		c.Topology, c.Router, c.Routing, c.WarmupCycles, c.MeasureCycles, lat)
+}
+
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if err := c.Topology.Validate(); err != nil {

@@ -161,7 +161,7 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 		return nil, err
 	}
 	net.sizeSources()
-	net.aimSources(true)
+	net.aimSources()
 	return net, nil
 }
 
@@ -269,7 +269,7 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 
 // sizeSources sizes the per-node generation processes and the genWake
 // calendar to the topology, reusing the capacity the network already owns;
-// the contents are stale until aimSources(true) writes every field.
+// the contents are stale until aimSources writes every field.
 func (net *Network) sizeSources() {
 	net.nodes = slices.Grow(net.nodes[:0], net.Topo.NumNodes())[:net.Topo.NumNodes()]
 	net.genWake = slices.Grow(net.genWake[:0], net.Topo.NumRouters())[:net.Topo.NumRouters()]
@@ -291,25 +291,20 @@ func (net *Network) binding() router.Binding {
 	return b
 }
 
-// aimSources (re)aims every node's generation process at the network's
-// current configuration: rate, membership and the next arrival are
-// recomputed from the pattern and the configured load. With rewind, every
-// node stream first returns to its pre-draw position (nodeRnd0) and the
-// packet sequence restarts, which reproduces the node-source set-up of a
-// cold build bit for bit — construction and construction-snapshot restores.
-// Without it the arrivals are redrawn from the streams' CURRENT positions
-// and sequence numbers keep counting, so packet IDs never collide with
-// packets already in the network — warm-snapshot restores at a new load.
-func (net *Network) aimSources(rewind bool) {
+// aimSources aims every node's generation process at the network's
+// configuration: every node stream returns to its pre-draw position
+// (nodeRnd0), the packet sequence restarts, and rate, membership and the
+// next arrival are computed from the pattern and the configured load. That
+// reproduces the node-source set-up of a cold build bit for bit — for
+// construction and for construction-snapshot restores at any load.
+func (net *Network) aimSources() {
 	loads, _ := net.pattern.(traffic.NodeLoads)
 	member, _ := net.pattern.(traffic.Memberer)
 	packetSize := float64(net.cfg.Router.PacketSize)
 	for n := range net.nodes {
 		ns := &net.nodes[n]
-		if rewind {
-			ns.rnd = net.nodeRnd0[n]
-			ns.seq = 0
-		}
+		ns.rnd = net.nodeRnd0[n]
+		ns.seq = 0
 		ns.q = net.genProb
 		if loads != nil {
 			if l := loads.NodeLoad(n); l > 0 {

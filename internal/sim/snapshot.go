@@ -29,16 +29,13 @@ import (
 //     draw is redone at the target load, so a restored network is
 //     bit-identical to a cold NewNetwork at that load.
 //
-//   - Warm snapshots (taken after WarmupNetwork) additionally carry the
-//     warmed-up queue and credit state, rebased to cycle 0 (see
-//     Network.rebase). Restoring at the snapshot's own load is
-//     bit-identical to resuming the original run: all state the engines
-//     read is captured, packets and credits in flight included, and a
-//     restored run starting with every router active only adds provable
-//     no-op steps (see engine). Restoring at a different load is an
-//     approximation: the node processes are re-aimed at the new rate and
-//     the caller re-runs a configurable warm-up tail (cfg.WarmupCycles of
-//     the restored run) to let queue depths re-converge.
+//   - Warm snapshots (taken after cycles ran, e.g. after WarmupNetwork)
+//     additionally carry the warmed-up queue and credit state, rebased to
+//     cycle 0 (see Network.rebase). They restore only at the snapshot's own
+//     load, and the restore is bit-identical to resuming the original run:
+//     all state the engines read is captured, packets and credits in
+//     flight included, and a restored run starting with every router
+//     active only adds provable no-op steps (see engine).
 //
 // A Snapshot is immutable after capture and safe to restore from
 // concurrently; each restored network is fully independent.
@@ -153,10 +150,10 @@ func latName(c *Config) string {
 // CompatibleWith reports whether cfg may be restored from this snapshot.
 // Everything that shapes the wired structure or the random streams must
 // match the capture configuration: topology, mechanism, pattern, seed,
-// router and routing parameters and the latency model.
-// Load, cycle counts, worker count, probes and tracer are free — load
-// freely for construction snapshots, within the warm-reuse contract
-// documented on Snapshot for warm ones.
+// router and routing parameters and the latency model — and, for a warm
+// snapshot, the load it was captured at.
+// Cycle counts, worker count, probes and tracer are free, and so is the
+// load of a construction snapshot.
 func (s *Snapshot) CompatibleWith(cfg *Config) error {
 	b := &s.cfg
 	switch {
@@ -174,20 +171,20 @@ func (s *Snapshot) CompatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: snapshot routing config does not match")
 	case latName(cfg) != latName(b):
 		return fmt.Errorf("sim: snapshot latency model %q does not match %q", latName(b), latName(cfg))
+	case s.warm != 0 && cfg.Load != b.Load:
+		return fmt.Errorf("sim: a warm snapshot restores only at its capture load %v, not %v", b.Load, cfg.Load)
 	}
 	return nil
 }
 
 // RestoreNetwork materialises a fresh, fully independent network from the
 // snapshot, ready for RunNetwork under cfg — without re-running wiring (and,
-// for warm snapshots at the capture load, without re-running warm-up).
+// for warm snapshots, without re-running warm-up).
 // Restores from one snapshot are safe concurrently.
 //
 // Construction snapshots always re-aim the node generation processes from
 // their pre-draw RNG positions, reproducing a cold NewNetwork at cfg.Load
-// bit-for-bit. Warm snapshots restored at the capture load are pure clones;
-// restored at a different load they re-aim the node processes at the new
-// rate and rely on the caller's cfg.WarmupCycles as the re-warm tail.
+// bit-for-bit. Warm snapshots are pure clones.
 func RestoreNetwork(snap *Snapshot, cfg *Config) (*Network, error) {
 	return RestoreNetworkInto(snap, cfg, nil)
 }
@@ -206,9 +203,7 @@ func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, er
 	}
 	net := cloneNetwork(snap.tmpl, cfg, old)
 	if snap.warm == 0 {
-		net.aimSources(true)
-	} else if cfg.Load != snap.cfg.Load {
-		net.aimSources(false)
+		net.aimSources()
 	}
 	return net, nil
 }

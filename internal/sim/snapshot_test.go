@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -552,60 +553,55 @@ func TestWarmSnapshotSameLoadExact(t *testing.T) {
 	}
 }
 
-// TestWarmSnapshotCrossLoadReWarm exercises the weak half of the contract:
-// restoring a warm snapshot at a different load is an approximation whose
-// re-warm tail must bring the steady-state metrics back to the cold run's.
-func TestWarmSnapshotCrossLoadReWarm(t *testing.T) {
-	const W, M = 1500, 3000
+// TestWarmSnapshotRefusesOtherLoad: a warm snapshot carries the queues of
+// its capture load, so it restores only there. A restore at another load —
+// or with another mechanism or seed — is refused, and the load error names
+// both loads. A live capture taken after cycles ran is held to the same
+// rule.
+func TestWarmSnapshotRefusesOtherLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = topology.Balanced(2)
-	cfg.Mechanism = "MIN"
-	cfg.Pattern = "UN"
 	cfg.Load = 0.3
-	cfg.WarmupCycles = W
-	cfg.MeasureCycles = M
+	cfg.WarmupCycles, cfg.MeasureCycles = 100, 200
 	cfg.Seed = 5
 
-	snap, err := NewSnapshot(cfg, W)
+	snap, err := NewSnapshot(cfg, cfg.WarmupCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	target := cfg
-	target.Load = 0.55
-	coldRes, err := Run(target)
+	live, err := NewNetwork(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reCfg := target
-	reCfg.WarmupCycles = W / 4 // the re-warm tail
-	net, err := RestoreNetwork(snap, &reCfg)
+	if err := WarmupNetwork(live, &cfg, 50); err != nil {
+		t.Fatal(err)
+	}
+	capture, err := live.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunNetwork(net, &reCfg); err != nil {
-		t.Fatal(err)
-	}
-	res := newResult(net, &reCfg, 0)
-
-	if c, w := coldRes.Throughput(), res.Throughput(); w < 0.95*c || w > 1.05*c {
-		t.Fatalf("cross-load throughput %.4f outside 5%% of cold %.4f", w, c)
-	}
-	if c, w := coldRes.AvgLatency(), res.AvgLatency(); w < 0.8*c || w > 1.2*c {
-		t.Fatalf("cross-load avg latency %.2f outside 20%% of cold %.2f", w, c)
-	}
-
-	// Incompatible restores must be refused.
-	bad := target
-	bad.Mechanism = "In-Trns-MM"
-	if _, err := RestoreNetwork(snap, &bad); err == nil {
-		t.Fatal("restore with a different mechanism was not refused")
-	}
-	bad = target
-	bad.Seed = 99
-	if _, err := RestoreNetwork(snap, &bad); err == nil {
-		t.Fatal("restore with a different seed was not refused")
+	for name, s := range map[string]*Snapshot{"warm snapshot": snap, "live capture": capture} {
+		same := cfg
+		same.WarmupCycles = 0
+		if _, err := RestoreNetwork(s, &same); err != nil {
+			t.Fatalf("%s: restore at the capture load: %v", name, err)
+		}
+		other := same
+		other.Load = 0.55
+		_, err := RestoreNetwork(s, &other)
+		if err == nil || !strings.Contains(err.Error(), "0.3") || !strings.Contains(err.Error(), "0.55") {
+			t.Fatalf("%s: restore at another load: got %v, want a refusal naming 0.3 and 0.55", name, err)
+		}
+		bad := same
+		bad.Mechanism = "In-Trns-MM"
+		if _, err := RestoreNetwork(s, &bad); err == nil {
+			t.Fatalf("%s: restore with a different mechanism was not refused", name)
+		}
+		bad = same
+		bad.Seed = 99
+		if _, err := RestoreNetwork(s, &bad); err == nil {
+			t.Fatalf("%s: restore with a different seed was not refused", name)
+		}
 	}
 }
 

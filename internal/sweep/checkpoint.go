@@ -54,9 +54,8 @@ type Record struct {
 	// CPUSeconds is the process CPU consumed while this point ran (filled
 	// by the experiment pipeline; an upper bound under concurrent workers).
 	CPUSeconds float64 `json:"cpu_seconds,omitempty"`
-	// Reuse is the Sample's tag: how the snapshot cache served a grid
-	// point (empty for records no grid point wrote, e.g. a scheduler
-	// study's).
+	// Reuse is the Sample's tag: "construct" for a grid point (empty for
+	// records no grid point wrote, e.g. a scheduler study's).
 	Reuse string `json:"reuse,omitempty"`
 
 	// Err records a failed simulation (e.g. a watchdog-detected routing

@@ -2,72 +2,38 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"dragonfly/internal/sim"
 )
 
-// ReuseMode selects what the points of a sweep share through snapshots (see
-// sim.Snapshot): every point restores its network from a template instead
-// of re-building the same topology from scratch.
+// ReuseMode once chose between construction and warm snapshot reuse.
+//
+// Deprecated: selects nothing. Every point restores from a construction
+// template; the type stays only while benchmark/ names it.
 type ReuseMode int
 
-const (
-	// ReuseConstruct builds one construction snapshot per distinct
-	// (mechanism, pattern, seed, topology, …) combination and restores it
-	// for every load. Restored runs are bit-identical to cold builds — the
-	// sweep output cannot change, only the wiring cost is saved.
-	ReuseConstruct ReuseMode = iota
-	// ReuseWarm additionally bakes the warm-up into the snapshot, captured
-	// at the sweep's first load. Points at that load skip warm-up exactly
-	// (bit-identical to construct); points at other loads re-aim the
-	// sources and re-run a short re-warm tail — an approximation, so warm
-	// sweeps are fingerprinted separately from exact ones.
-	ReuseWarm
-)
+// ReuseConstruct is the one ReuseMode.
+//
+// Deprecated: selects nothing (see ReuseMode).
+const ReuseConstruct ReuseMode = 0
 
-// String returns the flag spelling of the mode.
-func (m ReuseMode) String() string {
-	if m == ReuseWarm {
-		return "warm"
-	}
-	return "construct"
-}
-
-// ParseReuse parses a -reuse flag value.
-func ParseReuse(s string) (ReuseMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "construct", "construction", "cold":
-		return ReuseConstruct, nil
-	case "warm":
-		return ReuseWarm, nil
-	case "off", "none":
-		return ReuseConstruct, fmt.Errorf("sweep: reuse mode %q is no longer offered: construct, the default, is bit-identical to a cold build", s)
-	default:
-		return ReuseConstruct, fmt.Errorf("sweep: unknown reuse mode %q (construct, warm)", s)
-	}
-}
-
-// SnapshotCache shares snapshots between the points of one or more sweeps.
-// Template construction is single-flight per key: under pool concurrency
-// the first point of a combination builds the snapshot while its siblings
-// block on it, then every point restores its own independent network.
-// Construction templates are grouped further by family (sim.FamilyOf:
-// topology, latency model, seed): the first template of a family is built
-// in full, and every other one of that family is its sim.Snapshot.Sibling,
-// borrowing the wiring and RNG streams. The cache is safe for concurrent
-// use and unbounded — a sweep has a small, finite set of (mechanism,
-// pattern, seed) combinations.
+// SnapshotCache shares construction templates between the points of one or
+// more sweeps: every point restores its network from the template of its
+// (mechanism, pattern, seed, topology, …) combination instead of re-building
+// the same topology, and a restore is bit-identical to a cold build at any
+// load (sim.Snapshot), so a template is built at the load of the first
+// point that asks for it. Template construction is single-flight per key:
+// under pool concurrency the first point of a combination builds the
+// snapshot while its siblings block on it, then every point restores its
+// own independent network. Templates are grouped further by family
+// (sim.FamilyOf: topology, latency model, seed): the first template of a
+// family is built in full, and every other one of that family is its
+// sim.Snapshot.Sibling, borrowing the wiring and RNG streams. The cache is
+// safe for concurrent use and unbounded — a sweep has a small, finite set
+// of (mechanism, pattern, seed) combinations.
 type SnapshotCache struct {
-	// Mode selects the reuse policy (zero: ReuseConstruct).
-	Mode ReuseMode
-	// ReWarm is the warm-up tail, in cycles, of a ReuseWarm restore at a
-	// load other than the template's. Negative means the default of a
-	// quarter of the configured warm-up.
-	ReWarm int64
-
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	// families maps a family to the entry of its first construction
@@ -109,8 +75,7 @@ func (c *SnapshotCache) Stats() CacheStats {
 
 // cacheEntry is one template: built once, from cfg, on first use.
 type cacheEntry struct {
-	cfg  sim.Config // Probes and Tracer stripped, Load the template load
-	warm int64      // warm-up cycles to bake in (0: a construction template)
+	cfg sim.Config // Probes and Tracer stripped
 	// family is the first construction template of cfg's family when that
 	// is another entry (nil: this entry is built in full).
 	family *cacheEntry
@@ -132,7 +97,7 @@ func (e *cacheEntry) get() (*sim.Snapshot, error) {
 				return
 			}
 		}
-		e.snap, e.err = sim.NewSnapshot(e.cfg, e.warm)
+		e.snap, e.err = sim.NewSnapshot(e.cfg, 0)
 	})
 	return e.snap, e.err
 }
@@ -161,23 +126,18 @@ func (c *SnapshotCache) putFree(net *sim.Network) {
 	c.mu.Unlock()
 }
 
-// cacheKey identifies a snapshot template: everything CompatibleWith pins
-// (the load axis excluded), plus — for warm templates — the capture load
-// and warm-up length.
-func (c *SnapshotCache) cacheKey(cfg *sim.Config, templateLoad float64) string {
-	key := fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|lat=%v",
+// cacheKey identifies a construction template: everything CompatibleWith
+// pins, the load axis excluded.
+func cacheKey(cfg *sim.Config) string {
+	return fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|lat=%v",
 		cfg.Mechanism, cfg.Pattern, cfg.Seed, cfg.Topology, cfg.Router, cfg.Routing,
 		cfg.LatencyModel)
-	if c.Mode == ReuseWarm {
-		key += fmt.Sprintf("|warm=%d@%.9g", cfg.WarmupCycles, templateLoad)
-	}
-	return key
 }
 
 // snapshotFor returns (building its template exactly once) the cache entry
 // for cfg.
-func (c *SnapshotCache) snapshotFor(cfg *sim.Config, templateLoad float64) (*cacheEntry, error) {
-	key := c.cacheKey(cfg, templateLoad)
+func (c *SnapshotCache) snapshotFor(cfg *sim.Config) (*cacheEntry, error) {
+	key := cacheKey(cfg)
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
@@ -186,10 +146,8 @@ func (c *SnapshotCache) snapshotFor(cfg *sim.Config, templateLoad float64) (*cac
 	e := c.entries[key]
 	if e == nil {
 		e = &cacheEntry{cfg: *cfg}
-		e.cfg.Probes, e.cfg.Tracer, e.cfg.Load = nil, nil, templateLoad
-		if c.Mode == ReuseWarm {
-			e.warm = cfg.WarmupCycles
-		} else if fam := sim.FamilyOf(cfg); c.families[fam] == nil {
+		e.cfg.Probes, e.cfg.Tracer = nil, nil
+		if fam := sim.FamilyOf(cfg); c.families[fam] == nil {
 			c.families[fam] = e
 		} else {
 			e.family = c.families[fam]
@@ -202,44 +160,22 @@ func (c *SnapshotCache) snapshotFor(cfg *sim.Config, templateLoad float64) (*cac
 	return e, err
 }
 
-// rewarmTail resolves the re-warm length against the configured warm-up.
-func (c *SnapshotCache) rewarmTail(warmup int64) int64 {
-	if c.ReWarm >= 0 {
-		return c.ReWarm
-	}
-	return warmup / 4
-}
-
 // Run executes one simulation through the cache: restore (building the
-// shared template on first use), run, package the result. The reuse tag
-// records how the point actually ran ("construct", "warm" for an exact
-// same-load warm skip, "rewarm" for a cross-load tail) and travels into
-// the Sample and its checkpoint Record.
-func (c *SnapshotCache) Run(cfg sim.Config, templateLoad float64) (*sim.Result, string, error) {
+// shared template on first use), run, package the result.
+func (c *SnapshotCache) Run(cfg sim.Config) (*sim.Result, error) {
 	start := time.Now()
-	e, err := c.snapshotFor(&cfg, templateLoad)
+	e, err := c.snapshotFor(&cfg)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	runCfg := cfg
-	tag := "construct"
-	if c.Mode == ReuseWarm {
-		if cfg.Load == templateLoad {
-			runCfg.WarmupCycles = 0
-			tag = "warm"
-		} else {
-			runCfg.WarmupCycles = c.rewarmTail(cfg.WarmupCycles)
-			tag = "rewarm"
-		}
-	}
-	net, err := sim.RestoreNetworkInto(e.snap, &runCfg, c.takeFree())
+	net, err := sim.RestoreNetworkInto(e.snap, &cfg, c.takeFree())
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if err := sim.RunNetwork(net, &runCfg); err != nil {
-		return nil, tag, err
+	if err := sim.RunNetwork(net, &cfg); err != nil {
+		return nil, err
 	}
-	res := sim.NewResultFrom(net, &runCfg, time.Since(start))
+	res := sim.NewResultFrom(net, &cfg, time.Since(start))
 	c.putFree(net) // the result aliases nothing in net; recycle it
-	return res, tag, nil
+	return res, nil
 }

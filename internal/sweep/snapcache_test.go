@@ -90,8 +90,7 @@ func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const templateLoad = 0.3
-	cache := &SnapshotCache{Mode: ReuseConstruct}
+	cache := &SnapshotCache{}
 	var old *sim.Network
 	restores := 0
 	for _, lat := range []topology.LatencyModel{nil, skew} {
@@ -101,7 +100,9 @@ func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
 					cfg := base
 					cfg.LatencyModel, cfg.Mechanism, cfg.Pattern, cfg.Seed, cfg.Load = lat, mech, pat, seed, 0.8
 					label := fmt.Sprintf("%s/%s seed %d lat %s", mech, pat, seed, sim.FamilyOf(&cfg))
-					e, err := cache.snapshotFor(&cfg, templateLoad)
+					tcfg := cfg
+					tcfg.Load = 0.3 // the template's load
+					e, err := cache.snapshotFor(&tcfg)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -180,7 +181,7 @@ func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 	}
 	const workers, templates = 2, 13
 
-	cache := &SnapshotCache{Mode: ReuseConstruct}
+	cache := &SnapshotCache{}
 	points := 0
 	for _, g := range grids {
 		cold := g

@@ -42,9 +42,8 @@ type Point struct {
 type Sample struct {
 	Point  Point
 	Result *sim.Result
-	// Reuse records how the snapshot cache served the point: "construct",
-	// "warm" or "rewarm" (empty: it failed before its network was
-	// restored, or never ran).
+	// Reuse is "construct" for every point a grid ran (empty: it never
+	// ran). It stays only while benchmark/ names it.
 	Reuse string
 	Err   error
 }
@@ -75,9 +74,8 @@ type Grid struct {
 	Workers int
 
 	// Snapshots shares prepared network state between the grid's points:
-	// one construction (or warm) snapshot per mechanism/pattern/seed
-	// combination, restored per point instead of re-building the topology
-	// from scratch. Warm templates are captured at the grid's first load.
+	// one construction snapshot per mechanism/pattern/seed combination,
+	// restored per point instead of re-building the topology from scratch.
 	// Several grids may share one cache; keys keep their templates apart.
 	// Nil gives every Run call a construct cache of its own.
 	Snapshots *SnapshotCache
@@ -113,18 +111,8 @@ func (g *Grid) RunPoint(pt Point) Sample {
 	if c == nil {
 		c = &SnapshotCache{}
 	}
-	res, tag, err := c.Run(cfg, g.templateLoad(pt))
-	return Sample{Point: pt, Result: res, Reuse: tag, Err: err}
-}
-
-// templateLoad is the deterministic load warm snapshot templates are
-// captured at: the grid's first load, independent of point scheduling
-// order, so concurrent sweeps stay reproducible.
-func (g *Grid) templateLoad(pt Point) float64 {
-	if len(g.Loads) > 0 {
-		return g.Loads[0]
-	}
-	return pt.Load
+	res, err := c.Run(cfg)
+	return Sample{Point: pt, Result: res, Reuse: "construct", Err: err}
 }
 
 // RunRecord is the body of every point that is kept as a Record — the

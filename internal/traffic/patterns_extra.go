@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dragonfly/internal/rng"
@@ -81,36 +80,4 @@ func (s *GroupShuffle) Dest(src int, rnd *rng.Source) int {
 			return d
 		}
 	}
-}
-
-// Hotspot sends a fraction of traffic to a single hot node and the rest
-// uniformly — the classic incast-style stress for ejection ports.
-type Hotspot struct {
-	topo     *topology.Topology
-	hot      int
-	fraction float64
-	uniform  *Uniform
-}
-
-// NewHotspot builds a hotspot pattern directing fraction of the packets at
-// node hot.
-func NewHotspot(t *topology.Topology, hot int, fraction float64) *Hotspot {
-	if hot < 0 || hot >= t.NumNodes() {
-		panic(fmt.Sprintf("traffic: hotspot node %d out of range", hot))
-	}
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("traffic: hotspot fraction %v out of [0,1]", fraction))
-	}
-	return &Hotspot{topo: t, hot: hot, fraction: fraction, uniform: NewUniform(t)}
-}
-
-// Name implements Pattern.
-func (h *Hotspot) Name() string { return fmt.Sprintf("HOT[%d@%.0f%%]", h.hot, h.fraction*100) }
-
-// Dest implements Pattern.
-func (h *Hotspot) Dest(src int, rnd *rng.Source) int {
-	if src != h.hot && rnd.Bernoulli(h.fraction) {
-		return h.hot
-	}
-	return h.uniform.Dest(src, rnd)
 }

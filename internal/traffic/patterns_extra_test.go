@@ -60,49 +60,6 @@ func TestGroupShuffle(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	tp := newTopo()
-	hot := 7
-	h := NewHotspot(tp, hot, 0.5)
-	r := rng.New(24)
-	hits := 0
-	const trials = 10000
-	for i := 0; i < trials; i++ {
-		d := h.Dest(0, r)
-		if d == 0 {
-			t.Fatal("hotspot returned source")
-		}
-		if d == hot {
-			hits++
-		}
-	}
-	// ~50% direct hits plus ~1/n of the uniform remainder.
-	if hits < trials*4/10 || hits > trials*6/10 {
-		t.Errorf("hot node hit %d/%d times, want ~half", hits, trials)
-	}
-	// The hot node itself sends uniformly.
-	if d := h.Dest(hot, r); d == hot {
-		t.Error("hot node sent to itself")
-	}
-}
-
-func TestHotspotPanics(t *testing.T) {
-	tp := newTopo()
-	for _, bad := range []struct {
-		node int
-		frac float64
-	}{{-1, 0.5}, {tp.NumNodes(), 0.5}, {0, -0.1}, {0, 1.1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("hotspot(%d,%v) accepted", bad.node, bad.frac)
-				}
-			}()
-			NewHotspot(tp, bad.node, bad.frac)
-		}()
-	}
-}
-
 func TestByNameExtraPatterns(t *testing.T) {
 	tp := newTopo()
 	r := rng.New(25)
