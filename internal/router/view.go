@@ -1,6 +1,9 @@
 package router
 
 import (
+	"fmt"
+	"strings"
+
 	"dragonfly/internal/packet"
 	"dragonfly/internal/topology"
 )
@@ -106,7 +109,35 @@ func (v *View) Snapshot() Occupancy {
 // state-equivalence tests in internal/sim compare them). Packets and
 // credits in flight on links are deliberately excluded: they live in
 // implementation-specific structures and are compared after arrival.
-func (c *Core) StateVector(r int, v []int64) []int64 {
+func (c *Core) StateVector(r int, v []int64) []int64 { return c.walkState(r, v, -1).v }
+
+// StateWord names word i of StateVector(r, nil), e.g. "out[5].vc[2].credits"
+// or "in[3].vc[0].pkt[1].ReadyAt", and is "end" past the vector. The length
+// depends on the queued packets, so a name holds only for the state it names.
+func (c *Core) StateWord(r, i int) string { return c.walkState(r, nil, i).name }
+
+// stateWalk is one pass over a router's state in StateVector's order: it
+// appends every word to v, or names the word at index at, from one walk.
+type stateWalk struct {
+	v                    []int64
+	name, side, where    string // where is the name prefix: atPort, atVC or atPkt
+	at, n, port, vc, pkt int    // n counts the words walked so far
+}
+
+const atPort, atVC, atPkt = "%[1]s[%[2]d].", "%[1]s[%[2]d].vc[%[3]d].", "%[1]s[%[2]d].vc[%[3]d].pkt[%[4]d]."
+
+// put walks xs, whose field names are the space-separated words of names.
+func (w *stateWalk) put(names string, xs ...int64) {
+	if i := w.at - w.n; i >= 0 && i < len(xs) {
+		w.name = fmt.Sprintf(w.where, w.side, w.port, w.vc, w.pkt) + strings.Fields(names)[i]
+	}
+	if w.n += len(xs); w.at < 0 {
+		w.v = append(w.v, xs...)
+	}
+}
+
+func (c *Core) walkState(r int, v []int64, at int) *stateWalk {
+	w := &stateWalk{v: v, name: "end", side: "in", at: at}
 	b2i := func(b bool) int64 {
 		if b {
 			return 1
@@ -114,41 +145,50 @@ func (c *Core) StateVector(r int, v []int64) []int64 {
 		return 0
 	}
 	queue := func(q *packet.Queue) {
+		w.where, w.pkt = atPkt, 0
 		q.Each(func(p *packet.Packet) {
-			v = append(v, int64(p.ID), int64(p.Src), int64(p.Dst), int64(p.VC),
+			w.put("ID Src Dst VC Phase IntNode IntGroup Misrouted LocalMisrouted SrcDecided LocalHops GlobalHops ReadyAt EnqueuedAt GenTime InjectTime LinkLat WaitInj WaitLocal WaitGlobal",
+				int64(p.ID), int64(p.Src), int64(p.Dst), int64(p.VC),
 				int64(p.Phase), int64(p.IntNode), int64(p.IntGroup),
 				b2i(p.Misrouted), b2i(p.LocalMisrouted), b2i(p.SrcDecided),
 				int64(p.LocalHops), int64(p.GlobalHops),
 				p.ReadyAt, p.EnqueuedAt, p.GenTime, p.InjectTime,
 				p.LinkLat, p.WaitInj, p.WaitLocal, p.WaitGlobal)
+			w.pkt++
 		})
 	}
 	base := r * c.np
 	for p := 0; p < c.np; p++ {
 		in := &c.inP[base+p]
-		pd := &in.pend
-		v = append(v, in.busy, int64(in.rrVC), int64(in.qTotal),
-			b2i(pd.active), in.busy, int64(pd.vc), int64(pd.outPort),
-			int64(pd.outVC), int64(pd.kind), int64(pd.group))
+		w.where, w.port = atPort, p
+		w.put("busy rrVC qTotal pend.active pend.done pend.vc pend.outPort pend.outVC pend.kind pend.group",
+			in.busy, int64(in.rrVC), int64(in.qTotal),
+			b2i(in.pend.active), in.busy, int64(in.pend.vc), int64(in.pend.outPort),
+			int64(in.pend.outVC), int64(in.pend.kind), int64(in.pend.group))
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
 			q := &c.inQ[(base+p)*c.maxVC+vc]
-			v = append(v, int64(q.occ), int64(q.qlen))
+			w.where, w.vc = atVC, vc
+			w.put("occ qlen", int64(q.occ), int64(q.qlen))
 			queue(&q.q)
 		}
 	}
+	w.side = "out"
 	for p := 0; p < c.np; p++ {
 		o := &c.outP[base+p]
-		v = append(v, o.linkBusy, o.xbarBusy, o.relAt,
+		w.where, w.port = atPort, p
+		w.put("linkBusy xbarBusy relAt relPhits relVC occ qTotal free rr rrVC",
+			o.linkBusy, o.xbarBusy, o.relAt,
 			int64(o.relPhits), int64(o.relVC), int64(o.occ),
 			int64(o.qTotal), int64(o.free), int64(o.rr), int64(o.rrVC))
 		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
 			q := &c.outQ[(base+p)*c.maxVC+vc]
-			v = append(v, int64(q.occVC))
+			w.where, w.vc = atVC, vc
+			w.put("occ", int64(q.occVC))
 			if c.downCapVC[p] > 0 {
-				v = append(v, int64(q.credits))
+				w.put("credits", int64(q.credits))
 			}
 			queue(&q.q)
 		}
 	}
-	return v
+	return w
 }

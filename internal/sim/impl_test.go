@@ -30,12 +30,3 @@ var (
 var oracle = impl{"oracle",
 	func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat) },
 	func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}
-
-// stateOf flattens every router's microarchitectural state.
-func stateOf(net *Network) [][]int64 {
-	state := make([][]int64, net.Topo.NumRouters())
-	for r := range state {
-		state[r] = net.fab.StateVector(r, nil)
-	}
-	return state
-}

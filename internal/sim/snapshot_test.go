@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,28 +66,14 @@ func (tr snapTrial) prefixConfig(k int64) Config {
 	return cfg
 }
 
-// captureState runs the network on im's engine and returns the per-router
-// state vectors.
-func captureState(t *testing.T, net *Network, cfg *Config, im impl) [][]int64 {
+// driven runs net through the run cfg describes on im's engine and returns
+// it.
+func driven(t *testing.T, net *Network, cfg *Config, im impl) *Network {
 	t.Helper()
 	if err := im.drive(net, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	return stateOf(net)
-}
-
-func diffState(t *testing.T, label string, got, want [][]int64) {
-	t.Helper()
-	for r := range want {
-		if len(got[r]) != len(want[r]) {
-			t.Fatalf("%s: router %d state length %d, want %d", label, r, len(got[r]), len(want[r]))
-		}
-		for j := range want[r] {
-			if got[r][j] != want[r][j] {
-				t.Fatalf("%s: router %d state word %d = %d, want %d", label, r, j, got[r][j], want[r][j])
-			}
-		}
-	}
+	return net
 }
 
 func TestConstructionSnapshotBitIdentical(t *testing.T) {
@@ -121,8 +106,7 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldState := captureState(t, coldNet, &coldCfg, oracle)
-			coldAcc := accumulatorsOf(coldNet)
+			driven(t, coldNet, &coldCfg, oracle)
 
 			// Restored runs at several worker counts, all from the same
 			// snapshot.
@@ -133,13 +117,8 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				state := captureState(t, net, &cfg, core)
-				diffState(t, "restored", state, coldState)
-				if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+				if d := fabricDiff(driven(t, net, &cfg, core), coldNet); d != "" {
 					t.Fatalf("trial %d cycle %d w%d: %s", trial, k, w, d)
-				}
-				if got, want := net.InFlight(), coldNet.InFlight(); got != want {
-					t.Fatalf("trial %d cycle %d w%d: in-flight %d, want %d", trial, k, w, got, want)
 				}
 			}
 		}
@@ -181,8 +160,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldState := captureState(t, coldNet, &coldCfg, core)
-			coldAcc := accumulatorsOf(coldNet)
+			driven(t, coldNet, &coldCfg, core)
 
 			old := recycled
 			net, err := RestoreNetworkInto(snap, &cfg, old)
@@ -193,9 +171,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 				t.Fatalf("trial %d gen %d: retired network was not recycled in place", trial, gen)
 			}
 			label := fmt.Sprintf("trial %d gen %d load %.2f", trial, gen, load)
-			state := captureState(t, net, &cfg, core)
-			diffState(t, label, state, coldState)
-			if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+			if d := fabricDiff(driven(t, net, &cfg, core), coldNet); d != "" {
 				t.Fatalf("%s: against the cold run: %s", label, d)
 			}
 			recycled = net
@@ -248,10 +224,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 
 	mechs := []string{"MIN", "In-Trns-MM"}
 	snaps := make([]*Snapshot, len(mechs))
-	colds := make([]struct {
-		state [][]int64
-		acc   accumulators
-	}, len(mechs))
+	colds := make([]*Network, len(mechs))
 	for i, mech := range mechs {
 		cfg := base
 		cfg.Mechanism = mech
@@ -263,11 +236,12 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		colds[i].state = captureState(t, net, &cfg, core)
-		colds[i].acc = accumulatorsOf(net)
+		colds[i] = driven(t, net, &cfg, core)
 	}
-	if a, b := len(colds[0].state[0]), len(colds[1].state[0]); a == b {
-		t.Fatalf("%s and %s networks have the same state size (%d words): the test needs differing VC counts", mechs[0], mechs[1], a)
+	l0, g0 := colds[0].mech.VCNeeds()
+	l1, g1 := colds[1].mech.VCNeeds()
+	if l0 == l1 && g0 == g1 {
+		t.Fatalf("%s and %s networks have the same VC counts: the test needs differing VC counts", mechs[0], mechs[1])
 	}
 
 	for from := range mechs {
@@ -300,8 +274,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 				if net != old {
 					t.Fatalf("%s: retired network was not recycled in place", label)
 				}
-				diffState(t, label+" as "+mechs[m], captureState(t, net, &cfg, core), colds[m].state)
-				if d := accumulatorsOf(net).diff(colds[m].acc); d != "" {
+				if d := fabricDiff(driven(t, net, &cfg, core), colds[m]); d != "" {
 					t.Fatalf("%s as %s: against the cold run: %s", label, mechs[m], d)
 				}
 			}
@@ -337,14 +310,12 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldState := captureState(t, cold, &strict, core)
-	coldAcc := accumulatorsOf(cold)
+	driven(t, cold, &strict, core)
 	net, err := RestoreNetworkInto(strictSnap, &strict, old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffState(t, "PBGlobalRel 0.25 -> 3", captureState(t, net, &strict, core), coldState)
-	if d := accumulatorsOf(net).diff(coldAcc); d != "" {
+	if d := fabricDiff(driven(t, net, &strict, core), cold); d != "" {
 		t.Fatalf("PBGlobalRel 0.25 -> 3: against the cold run: %s", d)
 	}
 }
@@ -399,22 +370,15 @@ func TestTemplateRestoreResetsRetiredNetwork(t *testing.T) {
 	}
 	compare := func(when string) {
 		t.Helper()
-		diffState(t, when, stateOf(net), stateOf(cold))
+		if d := fabricDiff(net, cold); d != "" {
+			t.Fatalf("%s: against the cold build: %s", when, d)
+		}
 		for r := range cold.Topo.NumRouters() {
-			if *net.fab.Stats(r) != *cold.fab.Stats(r) {
-				t.Fatalf("%s: router %d stats diverge from the cold build", when, r)
-			}
-			if !slices.Equal(net.fab.JobStats(r), cold.fab.JobStats(r)) {
-				t.Fatalf("%s: router %d job stats diverge from the cold build", when, r)
-			}
 			for j := range 2 {
 				if got, want := net.fab.LiveJobDelivered(r, j), cold.fab.LiveJobDelivered(r, j); got != want {
 					t.Fatalf("%s: router %d delivered %d packets of job %d, the cold build %d", when, r, got, j, want)
 				}
 			}
-		}
-		if got, want := net.InFlight(), cold.InFlight(); got != want {
-			t.Fatalf("%s: %d packets in flight, the cold build %d", when, got, want)
 		}
 	}
 	compare("restored")
@@ -481,22 +445,16 @@ func TestSiblingStaysInItsFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]int64
-	var wantAcc accumulators
+	var nets [2]*Network
 	for i, s := range []*Snapshot{alone, borrowed} {
 		net, err := RestoreNetwork(s, &sib)
 		if err != nil {
 			t.Fatal(err)
 		}
-		state := captureState(t, net, &sib, core)
-		if i == 0 {
-			want, wantAcc = state, accumulatorsOf(net)
-			continue
-		}
-		diffState(t, "restored from a sibling", state, want)
-		if d := accumulatorsOf(net).diff(wantAcc); d != "" {
-			t.Fatalf("restored from a sibling: %s", d)
-		}
+		nets[i] = driven(t, net, &sib, core)
+	}
+	if d := fabricDiff(nets[1], nets[0]); d != "" {
+		t.Fatalf("restored from a sibling: %s", d)
 	}
 }
 

@@ -18,10 +18,11 @@ import (
 // of a run is a weak check — two implementations could diverge mid-run and
 // reconverge. This test compares the full microarchitectural state
 // (credits, occupancy, queue contents packet by packet, allocator and
-// arbitration pointers — see Core.StateVector) after every prefix of a
-// run, under mid-run job churn applied through the Reconfig point, for
-// Workers 1, 2 and NumCPU. A checkpoint at cycle k runs fresh networks for
-// k cycles on each side and compares.
+// arbitration pointers — see Core.StateVector), the packets in flight and
+// the accumulators (fabricDiff) after every prefix of a run, under mid-run
+// job churn applied through the Reconfig point, for Workers 1, 2 and
+// NumCPU. A checkpoint at cycle k runs fresh networks for k cycles on each
+// side and compares.
 //
 // The CI race job runs this with -race, which turns the Workers>1
 // checkpoints into a data-race probe of the shard partitioning.
@@ -126,8 +127,8 @@ func (tr statePropTrial) config(measure int64) Config {
 }
 
 // runPrefix runs a fresh network for warmup+measure cycles on the given
-// implementation and returns the per-router state vectors plus the outcome.
-func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im impl) ([][]int64, outcome) {
+// implementation.
+func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im impl) *Network {
 	t.Helper()
 	cfg := tr.config(measure)
 	cfg.Workers = workers
@@ -138,7 +139,7 @@ func (tr statePropTrial) runPrefix(t *testing.T, measure int64, workers int, im 
 	if err := im.drive(net, &cfg, &churnController{events: tr.script}); err != nil {
 		t.Fatal(err)
 	}
-	return stateOf(net), outcomeOf(net, &cfg)
+	return net
 }
 
 func TestStateEquivalenceUnderChurn(t *testing.T) {
@@ -156,22 +157,9 @@ func TestStateEquivalenceUnderChurn(t *testing.T) {
 			trial, tr.mech, tr.pat, tr.load, tr.total, len(tr.script))
 		for k := tr.warmup + 1; k <= tr.total; k += int64(stride) {
 			measure := k - tr.warmup
-			refState, refRes := tr.runPrefix(t, measure, 1, oracle)
+			ref := tr.runPrefix(t, measure, 1, oracle)
 			for _, w := range workerCounts {
-				state, res := tr.runPrefix(t, measure, w, core)
-				for r := range refState {
-					if len(state[r]) != len(refState[r]) {
-						t.Fatalf("trial %d cycle %d workers %d: router %d state length %d, reference %d",
-							trial, k, w, r, len(state[r]), len(refState[r]))
-					}
-					for j := range refState[r] {
-						if state[r][j] != refState[r][j] {
-							t.Fatalf("trial %d cycle %d workers %d: router %d state word %d = %d, reference %d",
-								trial, k, w, r, j, state[r][j], refState[r][j])
-						}
-					}
-				}
-				if d := res.acc.diff(refRes.acc); d != "" {
+				if d := fabricDiff(tr.runPrefix(t, measure, w, core), ref); d != "" {
 					t.Fatalf("trial %d cycle %d workers %d: %s", trial, k, w, d)
 				}
 			}
@@ -222,9 +210,10 @@ func (m oneShortLink) GlobalLatency(t *topology.Topology, src, dst int) int {
 // fabric derives the phase from the cycle number) and so fall inside
 // windows, in one case all nine inside a single one; a Finisher finishing
 // mid-lookahead and on a window's first cycle; a wiring whose lookahead is
-// one cycle — and requires the state vectors, the statistics (BatchPhits
-// included) and the probe stream of the core, on one and two workers, to
-// equal the dense oracle's, which knows nothing of windows.
+// one cycle — and requires the state vectors, the packets in flight, the
+// statistics (BatchPhits included) and the probe stream of the core, on one
+// and two workers, to equal the dense oracle's, which knows nothing of
+// windows. A difference is bisected to the first cycle that shows it.
 // releaseSpy is the production engine with a Settle that does the same in
 // two steps — up to the cycle before, then the cycle itself — to count the
 // routers whose output occupancy falls in the second: a buffer release due on
@@ -330,11 +319,11 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			warmup, total = tc.warmup, tc.total
 		}
 		var spy *releaseSpy
-		run := func(im impl, workers int) ([][]int64, outcome, string, int64) {
+		run := func(im impl, workers int, cycles int64) (*Network, outcome, string, int64) {
 			cfg := DefaultConfig()
 			cfg.Topology = topology.Balanced(2)
 			cfg.Mechanism, cfg.Pattern, cfg.Load = tc.mech, tc.pat, tc.load
-			cfg.WarmupCycles, cfg.MeasureCycles = warmup, total-warmup
+			cfg.WarmupCycles, cfg.MeasureCycles = warmup, cycles-warmup
 			cfg.Seed, cfg.Workers = 31, workers
 			cfg.LatencyModel = tc.latency
 			var stream bytes.Buffer
@@ -349,18 +338,18 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if spy != nil {
+			if spy != nil && im.name == core.name {
 				spy.engine = newEngine(net, workers)
-				err = Drive(net, warmup, total, ctrl, spy)
+				err = Drive(net, warmup, cycles, ctrl, spy)
 			} else {
 				err = im.drive(net, &cfg, ctrl)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			return stateOf(net), outcomeOf(net, &cfg), stream.String(), net.EngineWindows()
+			return net, outcomeOf(net, &cfg), stream.String(), net.EngineWindows()
 		}
-		wantState, wantRes, wantStream, _ := run(oracle, 1)
+		want, wantRes, wantStream, _ := run(oracle, 1, total)
 		if wantRes.Delivered() == 0 {
 			t.Fatalf("%s: nothing delivered", tc.name)
 		}
@@ -378,11 +367,18 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			if tc.sleepers {
 				spy = new(releaseSpy)
 			}
-			state, res, stream, windows := run(core, workers)
+			net, res, stream, windows := run(core, workers, total)
 			if spy != nil && spy.found == 0 {
 				t.Fatalf("%s workers=%d: no sleeping router had a release fall due on a window's last cycle", tc.name, workers)
 			}
-			diffState(t, tc.name, state, wantState)
+			if d := fabricDiff(net, want); d != "" {
+				_, at := firstDivergence(warmup, total, d, func(k int64) (*Network, *Network) {
+					got, _, _, _ := run(core, workers, k)
+					ref, _, _, _ := run(oracle, 1, k)
+					return got, ref
+				})
+				t.Fatalf("%s workers=%d: %s", tc.name, workers, at)
+			}
 			requireIdentical(t, tc.name, wantRes, res)
 			if res.MeasuredCycles != wantRes.MeasuredCycles {
 				t.Fatalf("%s: measured %d cycles, oracle %d", tc.name, res.MeasuredCycles, wantRes.MeasuredCycles)
@@ -402,15 +398,17 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 // drives source queues to that 256-packet bound — MIN routing under ADVc at
 // full offered load, far past saturation, so generation is refused
 // (Backlogged) — and requires the core's state vectors, which list every
-// queued packet in order, and its statistics to equal the oracle's, on one
-// and two workers.
+// queued packet in order, its packets in flight and its statistics to equal
+// the oracle's, on one and two workers. A difference is bisected to the
+// first measured cycle that shows it.
 func TestDeepBacklogMatchesOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mechanism, cfg.Pattern, cfg.Load = "MIN", "ADVc", 1.0
 	cfg.WarmupCycles, cfg.MeasureCycles = 2000, 1000
-	run := func(im impl, workers int) (*Network, outcome) {
+	total := cfg.WarmupCycles + cfg.MeasureCycles
+	run := func(im impl, workers int, cycles int64) (*Network, outcome) {
 		cfg := cfg
-		cfg.Workers = workers
+		cfg.Workers, cfg.MeasureCycles = workers, cycles-cfg.WarmupCycles
 		net, err := im.build(&cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -420,7 +418,7 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 		}
 		return net, outcomeOf(net, &cfg)
 	}
-	ref, refRes := run(oracle, 1)
+	ref, refRes := run(oracle, 1, total)
 	if refRes.Backlogged() == 0 {
 		t.Fatal("no generation attempt was refused: the source queues never filled")
 	}
@@ -435,10 +433,16 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 	if full == 0 {
 		t.Fatalf("no source queue holds its %d-packet bound at the end", cfg.Router.InjectionQueuePackets)
 	}
-	want := stateOf(ref)
 	for _, workers := range []int{1, 2} {
-		net, res := run(core, workers)
-		diffState(t, fmt.Sprintf("workers=%d", workers), stateOf(net), want)
+		net, res := run(core, workers, total)
+		if d := fabricDiff(net, ref); d != "" {
+			_, at := firstDivergence(cfg.WarmupCycles, total, d, func(k int64) (*Network, *Network) {
+				got, _ := run(core, workers, k)
+				want, _ := run(oracle, 1, k)
+				return got, want
+			})
+			t.Fatalf("workers=%d: %s", workers, at)
+		}
 		requireIdentical(t, fmt.Sprintf("workers=%d", workers), refRes, res)
 	}
 	t.Logf("%d of %d source queues full, %d attempts refused", full, ref.Topo.NumNodes(), refRes.Backlogged())

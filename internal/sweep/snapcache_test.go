@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
 )
@@ -147,14 +148,19 @@ func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
 }
 
 // fabricDiff names the first router whose state vector or accumulators
-// differ between two fabrics, or returns "".
+// differ between two fabrics, or returns "". A state difference names the
+// first differing word, as the core a names it.
 func fabricDiff(a, b sim.Fabric, routers int) string {
 	if a.InFlight() != b.InFlight() {
 		return fmt.Sprintf("%d packets in flight, want %d", a.InFlight(), b.InFlight())
 	}
 	for r := range routers {
-		if !slices.Equal(a.StateVector(r, nil), b.StateVector(r, nil)) {
-			return fmt.Sprintf("router %d state vector", r)
+		if va, vb := a.StateVector(r, nil), b.StateVector(r, nil); !slices.Equal(va, vb) {
+			i := 0
+			for i < len(va) && i < len(vb) && va[i] == vb[i] {
+				i++
+			}
+			return fmt.Sprintf("router %d %s", r, a.(*router.Core).StateWord(r, i))
 		}
 		if *a.Stats(r) != *b.Stats(r) {
 			return fmt.Sprintf("router %d accumulators", r)
