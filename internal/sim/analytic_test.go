@@ -9,45 +9,8 @@ import (
 )
 
 // Cross-validation of the simulator against the closed-form bounds of the
-// analytic package: measured saturation throughput must sit at (or just
-// below) the theoretical ceiling, and zero-load latency must match exactly.
-
-func TestSimulatorMatchesAnalyticCeilings(t *testing.T) {
-	cases := []struct {
-		name  string
-		mech  string
-		pat   string
-		bound func(topology.Params) float64
-		lo    float64 // acceptable fraction of the bound
-	}{
-		{"MIN/ADV", "MIN", "ADV+1", analytic.MinThroughputADV, 0.85},
-		{"MIN/ADVc", "MIN", "ADVc", analytic.MinThroughputADVc, 0.70},
-		{"VAL/ADV", "Obl-RRG", "ADV+1", analytic.ValiantThroughputADV, 0.70},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Mechanism = c.mech
-			cfg.Pattern = c.pat
-			cfg.WarmupCycles = 2000
-			cfg.MeasureCycles = 4000
-			bound := c.bound(cfg.Topology)
-			cfg.Load = math.Min(1, bound*2) // drive well past saturation
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			thr := res.Throughput()
-			if thr < c.lo*bound {
-				t.Errorf("throughput %.4f below %.0f%% of the analytic ceiling %.4f",
-					thr, c.lo*100, bound)
-			}
-			if thr > 1.05*bound {
-				t.Errorf("throughput %.4f exceeds the analytic ceiling %.4f", thr, bound)
-			}
-		})
-	}
-}
+// analytic package: zero-load latency must match exactly. The saturation
+// ceilings are the ceiling/* rows of TestPaperClaims (paper_test.go).
 
 // At very low uniform load, the measured average latency must match the
 // analytic zero-load latency computed from the mean minimal hop counts.
