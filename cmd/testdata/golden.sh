@@ -1,15 +1,16 @@
 #!/bin/sh
-# cli-golden: the multi-run tools' deterministic outputs at h=2, compared
-# byte for byte with the *.golden files beside this script (recorded before
-# the tools were moved onto one run description, one batch and one lease
-# runner), plus input the tools must refuse. Run from anywhere; -update
-# rewrites the golden files.
+# cli-golden: the tools' deterministic outputs at h=2, compared byte for
+# byte with the *.golden files beside this script (the multi-run tools'
+# recorded before they were moved onto one run description, one batch and
+# one lease runner; dfsim's and dfworkload's as the two single-run tools
+# stand side by side), plus input the tools must refuse. Run from anywhere;
+# -update rewrites the golden files.
 set -eu
 cd "$(dirname "$0")/../.."
 golden=cmd/testdata
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dfexperiments ./cmd/dfsched
+go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dfexperiments ./cmd/dfsched ./cmd/dfworkload
 net="-h 2 -warmup 200 -measure 600"
 
 "$tmp/bin/dfsweep" $net -pattern ADVc -mechanisms MIN,In-Trns-MM -loads 0.1,0.4 -seeds 2 \
@@ -48,6 +49,26 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
   echo "== demo trace, fcfs"
   "$tmp/bin/dfsched" $replay -discipline fcfs
 } > "$tmp/dfsched-replay.txt"
+# The single-run tools: dfworkload's multi-job report in text and JSON (with
+# the solo and paired interference runs), the Section III app case spelt as
+# one -job, a -spec file, and dfsim's JSON for two patterns and its -debug
+# dump. The JSON forms carry wall-clock.
+jobs="-job name=a,nodes=24,alloc=consecutive -job name=b,nodes=16,alloc=spread,first=3,load=0.2
+  -job name=c,nodes=16,alloc=random,pattern=PERM,load=0.6,phase=bursty,period=300,duty=0.5"
+{
+  "$tmp/bin/dfworkload" $net -load 0.5 $jobs -interference -interference-matrix
+  echo "== Section III app case"
+  "$tmp/bin/dfworkload" $net -load 0.3 -job name=app,nodes=24,alloc=consecutive
+  echo "== -spec"
+  "$tmp/bin/dfworkload" $net -load 0.4 -spec $golden/workload.json -group 2
+} > "$tmp/dfworkload.txt"
+"$tmp/bin/dfworkload" $net -load 0.5 $jobs -interference -interference-matrix -json \
+  | grep -v wall_seconds > "$tmp/dfworkload.json"
+{
+  "$tmp/bin/dfsim" $net -mechanism MIN -pattern ADVc -load 0.3 -json
+  "$tmp/bin/dfsim" $net -mechanism Src-CRG -pattern UN -load 0.5 -priority=false -json
+} | grep -v wall_seconds > "$tmp/dfsim.json"
+"$tmp/bin/dfsim" $net -mechanism Src-CRG -pattern ADVc -load 0.3 -group 2 -debug > "$tmp/dfsim-debug.txt"
 
 status=0
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
@@ -106,7 +127,8 @@ if [ "${1:-}" != -update ]; then
     echo "dfsched: a trace that drains at cycle 24 does not report 25 cycles run:"; cat "$tmp/drain.json"; status=1
   fi
 fi
-for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json dfsched-replay.txt; do
+for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json dfsched-replay.txt \
+  dfworkload.txt dfworkload.json dfsim.json dfsim-debug.txt; do
   if [ "${1:-}" = -update ]; then
     cp "$tmp/$f" "$golden/$f.golden"
   elif ! cmp "$tmp/$f" "$golden/$f.golden"; then
