@@ -22,7 +22,7 @@
 //	dfsched -generate 100000 -disciplines fcfs,backfill,easy \
 //	        -checkpoint study.ckpt -out study.json
 //
-// The compact -job syntax is the dfworkload one plus arrival=<cycle>,
+// The compact -job syntax is dfsim's one plus arrival=<cycle>,
 // duration=<n>, dkind=cycles|packets|none. Trace files are the JSON form of
 // the same spec: {"discipline":"fcfs","jobs":[{"nodes":72,"arrival":0},...]}.
 package main

@@ -2,15 +2,15 @@
 # cli-golden: the tools' deterministic outputs at h=2, compared byte for
 # byte with the *.golden files beside this script (the multi-run tools'
 # recorded before they were moved onto one run description, one batch and
-# one lease runner; dfsim's and dfworkload's as the two single-run tools
-# stand side by side), plus input the tools must refuse. Run from anywhere;
-# -update rewrites the golden files.
+# one lease runner; dfsim's before the dfworkload tool was folded into it),
+# plus input the tools must refuse. Run from anywhere; -update rewrites the
+# golden files.
 set -eu
 cd "$(dirname "$0")/../.."
 golden=cmd/testdata
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dfexperiments ./cmd/dfsched ./cmd/dfworkload
+go build -o "$tmp/bin/" ./cmd/dfsim ./cmd/dfsweep ./cmd/dfexperiments ./cmd/dfsched
 net="-h 2 -warmup 200 -measure 600"
 
 "$tmp/bin/dfsweep" $net -pattern ADVc -mechanisms MIN,In-Trns-MM -loads 0.1,0.4 -seeds 2 \
@@ -49,28 +49,35 @@ replay="-h 2 -warmup 200 -measure 3000 -seeds 2"
   echo "== demo trace, fcfs"
   "$tmp/bin/dfsched" $replay -discipline fcfs
 } > "$tmp/dfsched-replay.txt"
-# The single-run tools: dfworkload's multi-job report in text and JSON (with
+# The single-run tool: a multi-job workload report in text and JSON (with
 # the solo and paired interference runs), the Section III app case spelt as
-# one -job, a -spec file, and dfsim's JSON for two patterns and its -debug
-# dump. The JSON forms carry wall-clock.
+# one -job, a -spec file, JSON for two patterns and the -debug dump. The
+# dfworkload.* files keep the name of the tool whose output they pinned.
+# The JSON forms carry wall-clock.
 jobs="-job name=a,nodes=24,alloc=consecutive -job name=b,nodes=16,alloc=spread,first=3,load=0.2
   -job name=c,nodes=16,alloc=random,pattern=PERM,load=0.6,phase=bursty,period=300,duty=0.5"
 {
-  "$tmp/bin/dfworkload" $net -load 0.5 $jobs -interference -interference-matrix
+  "$tmp/bin/dfsim" $net -load 0.5 $jobs -interference -interference-matrix
   echo "== Section III app case"
-  "$tmp/bin/dfworkload" $net -load 0.3 -job name=app,nodes=24,alloc=consecutive
+  "$tmp/bin/dfsim" $net -load 0.3 -job name=app,nodes=24,alloc=consecutive
   echo "== -spec"
-  "$tmp/bin/dfworkload" $net -load 0.4 -spec $golden/workload.json -group 2
+  "$tmp/bin/dfsim" $net -load 0.4 -spec $golden/workload.json -group 2
 } > "$tmp/dfworkload.txt"
-"$tmp/bin/dfworkload" $net -load 0.5 $jobs -interference -interference-matrix -json \
+"$tmp/bin/dfsim" $net -load 0.5 $jobs -interference -interference-matrix -json \
   | grep -v wall_seconds > "$tmp/dfworkload.json"
 {
   "$tmp/bin/dfsim" $net -mechanism MIN -pattern ADVc -load 0.3 -json
   "$tmp/bin/dfsim" $net -mechanism Src-CRG -pattern UN -load 0.5 -priority=false -json
 } | grep -v wall_seconds > "$tmp/dfsim.json"
-"$tmp/bin/dfsim" $net -mechanism Src-CRG -pattern ADVc -load 0.3 -group 2 -debug > "$tmp/dfsim-debug.txt"
+debug="$net -mechanism Src-CRG -pattern ADVc -load 0.3 -group 2"
+"$tmp/bin/dfsim" $debug -debug -trace-out "$tmp/debug-trace.json" > "$tmp/dfsim-debug.txt"
 
 status=0
+# -debug is the same run as without it: it writes the same packet trace.
+"$tmp/bin/dfsim" $debug -trace-out "$tmp/trace.json" > /dev/null
+if ! cmp "$tmp/debug-trace.json" "$tmp/trace.json"; then
+  echo "dfsim -debug -trace-out: the trace differs from the same run's without -debug"; status=1
+fi
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
 # budget that would wrap the departure cycle, generator parameters no clamp
 # can repair, and a -generate checkpoint resumed under another network.
@@ -78,7 +85,10 @@ status=0
 # descriptions no point can run (checked once, by sim.Config.Validate) —
 # with dfsim, values the core would truncate to 32 bits — load and seed
 # axes that would never finish expanding or that run nothing, and reports
-# over a grid their tables have no column for.
+# over a grid their tables have no column for. dfsim: a -trace node outside
+# the machine, and flags that contradict each other or would be ignored
+# (-spec with -job, -pattern with a workload, interference without one,
+# -debug with -json).
 # Input the scheduler must survive: a size median far past the cap (every
 # job is the cap, so the machine holds one job at a time), and a trace that
 # drains inside the warm-up (its length is the last departure + 1).
@@ -102,6 +112,12 @@ if [ "${1:-}" != -update ]; then
   refused dfsweep 'congestion threshold' $net $point -threshold 1.5
   refused dfsweep 'overflows the cycle counter' -h 2 -warmup 9223372036854775807 -measure 1 $point
   refused dfsim 'link latencies must be at most 2147483647 cycles' -h 2 -warmup 100 -measure 200 -global-lat 2147483648
+  refused dfsim '-trace 100000 out of range [0,72)' $net -trace 100000
+  refused dfsim 'use either -spec or -job, not both' $net -spec $golden/workload.json -job nodes=8
+  refused dfsim '-pattern does not apply to a -job/-spec workload' $net -pattern UN -job nodes=8
+  refused dfsim '-interference and -interference-matrix need a -job or -spec workload' $net -interference
+  refused dfsim '-interference and -interference-matrix need a -job or -spec workload' $net -pattern ADVc -interference-matrix
+  refused dfsim '-debug prints buffer snapshots, not JSON' $net -debug -json
   refused dfsweep 'link latencies must be at most 2147483647 cycles' $net $point -local-lat 2147483648
   refused dfsweep 'injection queue of 2147483648 packets exceeds 2147483647 phits' $net $point -inj-queue 2147483648
   point="-mechanisms MIN -quiet"

@@ -28,7 +28,7 @@
 // process-wide sweep worker pool (internal/sweep), so concurrent studies
 // share a single machine-level scheduler; cmd/dfexperiments runs the
 // paper's whole evaluation section on it as a checkpointed, resumable
-// pipeline. The executables in cmd/ (dfsim, dfsweep, dfworkload, dfsched,
+// pipeline. The executables in cmd/ (dfsim, dfsweep, dfsched,
 // dfexperiments, dfserved, dfbench) wrap these APIs. See README.md for
 // the repository map, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-vs-measured record.

@@ -34,7 +34,7 @@ type ResultJSON struct {
 	// Jobs is present for multi-job workload runs only.
 	Jobs []JobJSON `json:"jobs,omitempty"`
 	// InterferenceMatrix is the N×N solo-vs-paired latency-ratio matrix
-	// (dfworkload -interference-matrix); row = victim, column = paired
+	// (dfsim -interference-matrix); row = victim, column = paired
 	// job. Present only when the matrix was computed.
 	InterferenceMatrix [][]float64 `json:"interference_matrix,omitempty"`
 	// Telemetry is the probe-run summary, present only when the run

@@ -20,7 +20,7 @@ import (
 )
 
 // Spec describes a workload: the jobs a scheduler has placed on the
-// machine. It is the JSON form read by cmd/dfworkload -spec.
+// machine. It is the JSON form read by cmd/dfsim -spec.
 type Spec struct {
 	Jobs []JobSpec `json:"jobs"`
 }
@@ -160,7 +160,7 @@ func (js *JobSpec) normalize(idx int) error {
 	return nil
 }
 
-// ParseJob parses the compact one-line job form used by dfworkload -job:
+// ParseJob parses the compact one-line job form used by dfsim -job:
 //
 //	name=a,nodes=72,alloc=spread,first=0,pattern=UN,load=0.3,phase=bursty,period=600,duty=0.5
 //
