@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -616,5 +618,65 @@ func TestWorkerKeepsTemplatesAcrossLeases(t *testing.T) {
 	waitDone(t, srv, res.Job.ID)
 	if st := r.grid.Snapshots.Stats(); st.Templates != 2 { // (MIN, UN) × seeds 1, 2
 		t.Fatalf("two leases of one job built %d templates, want one per seed: %+v", st.Templates, st)
+	}
+}
+
+// A daemon's jobs restore into the networks its earlier jobs retired: one
+// Manager with two local runners serves four jobs of four mechanisms one
+// after another, and their caches together allocate at most one network per
+// runner — a cache of its own per job used to allocate one per runner each.
+// Recycling changes no record: each job's records are a fresh daemon's.
+func TestServedJobsRecycleEarlierJobsNetworks(t *testing.T) {
+	const runners = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runners, runtime.GOMAXPROCS(0))))
+	serveAll := func(specs []string) ([][]sweep.Record, int) {
+		m, err := NewManager(Options{LocalRunners: runners, LeaseTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close() //nolint:errcheck
+		out := make([][]sweep.Record, len(specs))
+		fresh := 0
+		for i, spec := range specs {
+			res, err := m.Submit(json.RawMessage(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := m.Store().Job(res.Job.ID)
+			for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+				recs, done := job.Records()
+				if done {
+					out[i] = recs
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job %d did not finish in time", i)
+				}
+			}
+			fresh += job.Grid().Snapshots.Stats().FreshRestores
+		}
+		return out, fresh
+	}
+
+	var specs []string
+	for _, mech := range []string{"MIN", "In-Trns-MM", "Src-CRG", "Obl-CRG"} {
+		specs = append(specs, fmt.Sprintf(`{"h":1,"warmup":100,"measure":200,"patterns":["UN","ADVc"],`+
+			`"mechanisms":[%q],"loads":[0.1,0.3],"seeds":[1,2]}`, mech))
+	}
+	got, fresh := serveAll(specs)
+	if fresh > runners {
+		t.Fatalf("%d jobs on %d runners made %d fresh restores, want at most %d", len(specs), runners, fresh, runners)
+	}
+	exact := func(recs []sweep.Record) []sweep.Record {
+		for i := range recs {
+			recs[i].WallSeconds, recs[i].CPUSeconds = 0, 0
+		}
+		return recs
+	}
+	for i, spec := range specs {
+		alone, _ := serveAll([]string{spec})
+		if want := exact(alone[0]); !reflect.DeepEqual(exact(got[i]), want) {
+			t.Fatalf("job %d: records differ from a fresh daemon's:\n got %+v\nwant %+v", i, got[i], want)
+		}
 	}
 }

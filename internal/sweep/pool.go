@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"dragonfly/internal/sim"
 )
 
 // The sweep worker pool. One persistent, process-wide pool executes every
@@ -102,6 +104,43 @@ var (
 func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = NewPool(runtime.NumCPU()) })
 	return sharedPool
+}
+
+// retired is the process's one free list of networks whose runs have
+// finished, whatever cache or template they were restored from: the next
+// restore of any SnapshotCache overwrites one in place (see
+// sim.RestoreNetworkInto) instead of allocating a fresh network, so the
+// jobs a daemon serves one after another restore into the networks earlier
+// jobs retired. It keeps at most GOMAXPROCS networks — one per simulation
+// that can run at once — and drops any surplus to the GC, so an idle
+// process retains at most that many, each of the largest shape it has run.
+var retired struct {
+	mu   sync.Mutex
+	nets []*sim.Network
+}
+
+// takeRetired pops a retired network, or returns nil when there is none.
+func takeRetired() *sim.Network {
+	retired.mu.Lock()
+	defer retired.mu.Unlock()
+	n := len(retired.nets)
+	if n == 0 {
+		return nil
+	}
+	net := retired.nets[n-1]
+	retired.nets[n-1] = nil
+	retired.nets = retired.nets[:n-1]
+	return net
+}
+
+// retire parks a finished network for the next restore, or leaves it to the
+// GC when the list is full.
+func retire(net *sim.Network) {
+	retired.mu.Lock()
+	if len(retired.nets) < runtime.GOMAXPROCS(0) {
+		retired.nets = append(retired.nets, net)
+	}
+	retired.mu.Unlock()
 }
 
 // Close stops the worker goroutines once the queue drains. It is intended

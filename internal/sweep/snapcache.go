@@ -30,27 +30,27 @@ const ReuseConstruct ReuseMode = 0
 // own independent network. Templates are grouped further by family
 // (sim.FamilyOf: topology, latency model, seed): the first template of a
 // family is built in full, and every other one of that family is its
-// sim.Snapshot.Sibling, borrowing the wiring and RNG streams. The cache is
-// safe for concurrent use and unbounded — a sweep has a small, finite set
-// of (mechanism, pattern, seed) combinations.
+// sim.Snapshot.Sibling, borrowing the wiring and RNG streams. The cache
+// holds templates only, and is safe for concurrent use and unbounded — a
+// sweep has a small, finite set of (mechanism, pattern, seed) combinations.
+// The networks a restore overwrites come from the process's one list of
+// retired networks, shared by every cache (see retire): a process holds at
+// most one network per concurrent worker, however many caches and
+// templates its runs touch.
 type SnapshotCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	// families maps a family to the entry of its first construction
 	// template, the one the others borrow from.
 	families map[string]*cacheEntry
-	// free holds the networks whose runs have finished, whatever template
-	// they were restored from: the next restore — of any entry — overwrites
-	// one in place (see sim.RestoreNetworkInto) instead of allocating a
-	// fresh network. At most one network per concurrent worker ever
-	// accumulates.
-	free  []*sim.Network
-	stats CacheStats
+	stats    CacheStats
 }
 
 // CacheStats counts what a SnapshotCache did. Templates and the sum of the
-// restores follow from the grid alone; fresh restores never exceed the
-// concurrent workers.
+// restores follow from the grid alone. Which restores are fresh depends on
+// the process: a cache recycles networks that other caches retired, so
+// only the fresh restores of all of a process's caches together are
+// bounded, by its concurrent workers.
 type CacheStats struct {
 	Templates        int // snapshot templates built
 	FreshRestores    int // restores that allocated a new network
@@ -102,28 +102,18 @@ func (e *cacheEntry) get() (*sim.Snapshot, error) {
 	return e.snap, e.err
 }
 
-// takeFree pops a retired network (nil when there is none) and counts the
-// restore it is about to serve.
+// takeFree pops a network from the process's retired list (nil when there
+// is none) and counts the restore it is about to serve in this cache.
 func (c *SnapshotCache) takeFree() *sim.Network {
+	net := takeRetired()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.free)
-	if n == 0 {
+	if net == nil {
 		c.stats.FreshRestores++
-		return nil
+	} else {
+		c.stats.RecycledRestores++
 	}
-	c.stats.RecycledRestores++
-	net := c.free[n-1]
-	c.free[n-1] = nil
-	c.free = c.free[:n-1]
-	return net
-}
-
-// putFree parks a retired network for the next restore.
-func (c *SnapshotCache) putFree(net *sim.Network) {
-	c.mu.Lock()
-	c.free = append(c.free, net)
 	c.mu.Unlock()
+	return net
 }
 
 // cacheKey identifies a construction template: everything CompatibleWith
@@ -176,6 +166,6 @@ func (c *SnapshotCache) Run(cfg sim.Config) (*sim.Result, error) {
 		return nil, err
 	}
 	res := sim.NewResultFrom(net, &cfg, time.Since(start))
-	c.putFree(net) // the result aliases nothing in net; recycle it
+	retire(net) // the result aliases nothing in net; recycle it
 	return res, nil
 }

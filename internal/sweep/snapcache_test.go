@@ -3,7 +3,10 @@ package sweep
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dragonfly/internal/router"
@@ -169,11 +172,13 @@ func fabricDiff(a, b sim.Fabric, routers int) string {
 	return ""
 }
 
-// The cache keeps one free list, not one per template: however many
-// templates a sweep touches, a worker keeps restoring over the one network
-// it retired last — across mechanisms whose networks differ in size — so a
-// 13-template sweep on 2 workers allocates at most 2 networks and retains
-// at most 2, and every sample is the cold run's, bit for bit.
+// A process keeps one list of retired networks, not one per cache or
+// template: however many caches and templates its sweeps touch, a worker
+// keeps restoring over the network it retired last — across mechanisms
+// whose networks differ in size — so two grids, each run cold on a cache of
+// its own and again on a cache of its own, allocate at most one network per
+// worker among them and retain exactly those. The second grid's caches
+// allocate none, and every sample is the cold run's, bit for bit.
 func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Topology = topology.Balanced(2)
@@ -185,45 +190,192 @@ func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 		{Base: base, Mechanisms: []string{"Obl-CRG"}, Patterns: []string{"UN"},
 			Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}},
 	}
-	const workers, templates = 2, 13
+	const workers = 2
+	templates := []int{12, 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, runtime.GOMAXPROCS(0))))
+	emptyRetired()
 
-	cache := &SnapshotCache{}
-	points := 0
-	for _, g := range grids {
+	fresh := 0
+	for gi, g := range grids {
 		cold := g
-		cold.Workers = workers
+		cold.Workers, cold.Snapshots = workers, &SnapshotCache{}
 		want := cold.Run(nil)
 
-		g.Workers, g.Snapshots = workers, cache
+		g.Workers, g.Snapshots = workers, &SnapshotCache{}
 		got := g.Run(nil)
-		points += len(got)
 		for i := range want {
 			if got[i].Err != nil || want[i].Err != nil {
-				t.Fatalf("sample %d: errors %v / %v", i, got[i].Err, want[i].Err)
+				t.Fatalf("grid %d, sample %d: errors %v / %v", gi, i, got[i].Err, want[i].Err)
 			}
 			if got[i].Reuse != "construct" {
-				t.Fatalf("sample %d ran with reuse %q", i, got[i].Reuse)
+				t.Fatalf("grid %d, sample %d ran with reuse %q", gi, i, got[i].Reuse)
 			}
 			if !sameResult(got[i].Result, want[i].Result) {
-				t.Fatalf("sample %d (%+v): result diverges from the cold run", i, got[i].Point)
+				t.Fatalf("grid %d, sample %d (%+v): result diverges from the cold run", gi, i, got[i].Point)
+			}
+		}
+		for _, c := range []*SnapshotCache{cold.Snapshots, g.Snapshots} {
+			st := c.Stats()
+			if st.Templates != templates[gi] {
+				t.Fatalf("grid %d: a cache built %d templates, want %d", gi, st.Templates, templates[gi])
+			}
+			if st.FreshRestores+st.RecycledRestores != len(got) {
+				t.Fatalf("grid %d: %d fresh + %d recycled restores for %d points", gi, st.FreshRestores, st.RecycledRestores, len(got))
+			}
+			fresh += st.FreshRestores
+			if gi == 1 && st.FreshRestores != 0 {
+				t.Fatalf("a cache of the second grid allocated %d networks; the first grid's retired ones were free", st.FreshRestores)
 			}
 		}
 	}
 
-	st := cache.Stats()
-	if st.Templates != templates {
-		t.Fatalf("built %d templates, want %d", st.Templates, templates)
+	if fresh < 1 || fresh > workers {
+		t.Fatalf("%d allocating restores on %d workers across four caches", fresh, workers)
 	}
-	if st.FreshRestores < 1 || st.FreshRestores > workers {
-		t.Fatalf("%d allocating restores on %d workers", st.FreshRestores, workers)
-	}
-	if st.FreshRestores+st.RecycledRestores != points {
-		t.Fatalf("%d fresh + %d recycled restores for %d points", st.FreshRestores, st.RecycledRestores, points)
-	}
-	if len(cache.free) != st.FreshRestores {
-		t.Fatalf("cache retains %d networks after %d allocating restores", len(cache.free), st.FreshRestores)
+	if n := retiredLen(); n != fresh {
+		t.Fatalf("the process retains %d networks after %d allocating restores", n, fresh)
 	}
 	if got := (*SnapshotCache)(nil).Stats(); got != (CacheStats{}) {
 		t.Fatalf("nil cache reports %+v", got)
 	}
+}
+
+// Networks retired by one cache serve the restores of another: after a
+// grid at h=3 on one cache, a grid of other mechanisms and patterns at h=2
+// on a second cache restores every point over a retired, larger network,
+// and every sample is the cold run's, bit for bit.
+func TestRetiredNetworksCrossCaches(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.WarmupCycles, base.MeasureCycles = 20, 60
+	first := Grid{Base: base, Mechanisms: []string{"MIN"}, Patterns: []string{"UN"},
+		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, Workers: 2, Snapshots: &SnapshotCache{}}
+	first.Base.Topology = topology.Balanced(3)
+	second := Grid{Base: base, Mechanisms: []string{"In-Trns-MM", "Src-CRG"}, Patterns: []string{"ADVc"},
+		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1, 2}, Workers: 1, Snapshots: &SnapshotCache{}}
+	second.Base.Topology = topology.Balanced(2)
+
+	emptyRetired()
+	for _, s := range first.Run(nil) {
+		if s.Err != nil {
+			t.Fatalf("h=3 %+v: %v", s.Point, s.Err)
+		}
+	}
+	if retiredLen() == 0 {
+		t.Fatal("the h=3 grid retired no network")
+	}
+	checkCold(t, second, second.Run(nil))
+	if st := second.Snapshots.Stats(); st.FreshRestores != 0 || st.RecycledRestores != 8 {
+		t.Fatalf("the second cache made %d fresh + %d recycled restores, want 0 + 8", st.FreshRestores, st.RecycledRestores)
+	}
+}
+
+// Four caches on four goroutines share the process's retired networks over
+// the shared pool, and the list never holds more than GOMAXPROCS of them,
+// though more runs than that are in flight at once.
+func TestRetiredNetworksCrossCachesConcurrent(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.Topology = topology.Balanced(2)
+	base.WarmupCycles, base.MeasureCycles = 100, 700 // long enough to be preempted mid-run
+	mechs := []string{"MIN", "In-Trns-MM", "Src-CRG", "Obl-CRG"}
+	limit := runtime.GOMAXPROCS(0)
+	var over atomic.Int64
+	watch := func(int, int) {
+		if n := retiredLen(); n > limit {
+			over.Store(int64(n))
+		}
+	}
+
+	emptyRetired()
+	grids := make([]Grid, len(mechs))
+	samples := make([][]Sample, len(mechs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, mech := range mechs {
+		grids[i] = Grid{Base: base, Mechanisms: []string{mech}, Patterns: []string{"UN", "ADVc"},
+			Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, Workers: 2, Snapshots: &SnapshotCache{}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			samples[i] = grids[i].Run(watch)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := over.Load(); n != 0 {
+		t.Fatalf("the retired list held %d networks, more than GOMAXPROCS (%d)", n, limit)
+	}
+	if n := retiredLen(); n > limit {
+		t.Fatalf("the process retains %d networks, more than GOMAXPROCS (%d)", n, limit)
+	}
+	for i, g := range grids {
+		checkCold(t, g, samples[i])
+	}
+}
+
+// checkCold fails unless every sample of the grid equals its point's cold
+// sim.Run.
+func checkCold(t *testing.T, g Grid, samples []Sample) {
+	t.Helper()
+	for i, pt := range g.Points() {
+		cfg := g.Base
+		cfg.Mechanism, cfg.Pattern, cfg.Load, cfg.Seed = pt.Mechanism, pt.Pattern, pt.Load, pt.Seed
+		want, err := sim.Run(cfg)
+		if err != nil || samples[i].Err != nil {
+			t.Fatalf("%+v: errors %v / %v", pt, samples[i].Err, err)
+		}
+		if !sameResult(samples[i].Result, want) {
+			t.Fatalf("%+v: the restore diverges from the cold run", pt)
+		}
+	}
+}
+
+// The allocation gate of the shared retired list: once one cache has
+// retired an h=3 network, a second cache's first Run allocates less than a
+// tenth of what NewNetwork does, because it restores over that network
+// instead of allocating its own. The second cache's template is built
+// before the metering starts; it is the same 55 KB either way.
+func TestRestoreAfterAnotherCacheAllocatesNoCore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Topology = topology.Balanced(3)
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "In-Trns-MM", "ADVc", 0.4
+	cfg.WarmupCycles, cfg.MeasureCycles = 20, 60
+
+	emptyRetired()
+	if _, err := (&SnapshotCache{}).Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	build := allocated(func() {
+		if _, err := sim.NewNetwork(&cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	second := &SnapshotCache{}
+	if _, err := second.snapshotFor(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	first := allocated(func() {
+		if _, err := second.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("h=3: NewNetwork %d B, a second cache's first Run %d B (%.1f %%)", build, first, 100*float64(first)/float64(build))
+	if st := second.Stats(); st.FreshRestores != 0 {
+		t.Fatalf("the second cache allocated %d networks", st.FreshRestores)
+	}
+	if first*10 >= build {
+		t.Fatalf("a second cache's first Run allocates %d B, want less than a tenth of NewNetwork's %d B", first, build)
+	}
+}
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
