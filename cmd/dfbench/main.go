@@ -70,11 +70,12 @@ type scenario struct {
 }
 
 // construction is one network-construction memory point: bytes allocated
-// by sim.NewNetwork (the core's state arrays, credit rings and allocator
-// scratch; packet queues are intrusive and reserve nothing) beside the
-// oracle's build of the same network (per-router structs, ring links). Only
-// the production figure is gated; the two are not the same quantity and the
-// oracle figure is context.
+// by sim.NewNetwork (the core's state arrays and credit rings; packet
+// queues are intrusive and reserve nothing, and the allocator scratch is
+// sized per worker when a run starts) beside the oracle's build of the
+// same network (per-router structs, ring links). Only the production
+// figure is gated; the two are not the same quantity and the oracle
+// figure is context.
 type construction struct {
 	Name        string  `json:"name"`
 	H           int     `json:"balanced_h"`

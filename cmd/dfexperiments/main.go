@@ -44,7 +44,6 @@ import (
 
 	"dragonfly/internal/cli"
 	"dragonfly/internal/experiments"
-	"dragonfly/internal/prof"
 	"dragonfly/internal/report"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/serve"
@@ -72,12 +71,11 @@ func main() {
 	quiet := fs.Bool("quiet", false, "suppress the live progress line")
 	listen := fs.String("listen", "", "serve a live introspection endpoint on this address (e.g. :8080)")
 	slowest := fs.Int("slowest", 10, "rows in the end-of-run slowest-tasks table (0 disables)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
+	startProf := cli.ProfileFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := startProf()
 	if err != nil {
 		fatal(err)
 	}

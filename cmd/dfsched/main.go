@@ -75,9 +75,20 @@ func main() {
 	var st study
 	st.flags(fs)
 	attachProbes := cli.ProbeFlags(fs)
+	startProf := cli.ProfileFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
+	stopProf, err := startProf()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfile := func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}
+	defer stopProfile()
 	// The flag default "fcfs" is indistinguishable from an explicit
 	// -discipline fcfs by value, but the precedence rule needs to know: an
 	// explicitly set flag overrides a -trace file's discipline.
@@ -105,7 +116,9 @@ func main() {
 		if discSet {
 			fatal(fmt.Errorf("-generate compares the -disciplines list; drop -discipline"))
 		}
-		os.Exit(st.run(cfg, *seeds, *asJSON))
+		code := st.run(cfg, *seeds, *asJSON)
+		stopProfile() // os.Exit skips the deferred call
+		os.Exit(code)
 	}
 
 	trace, err := buildTrace(cfg, *disc, discSet, *tracePath, jobs)

@@ -67,9 +67,19 @@ func main() {
 	traceOut := fs.String("trace-out", "", "write a Perfetto/Chrome trace JSON of sampled packets to this file")
 	traceSample := fs.Uint64("trace-sample", 1, "trace 1-in-N packets by packet ID (with -trace-out)")
 	attachProbes := cli.ProbeFlags(fs)
+	startProf := cli.ProfileFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
+	stopProf, err := startProf()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}()
 	patternSet := false
 	fs.Visit(func(f *flag.Flag) { patternSet = patternSet || f.Name == "pattern" })
 

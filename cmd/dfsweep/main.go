@@ -39,9 +39,19 @@ func main() {
 	csvPath := fs.String("csv", "", "also write the curves or breakdown as CSV to this file")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
+	startProf := cli.ProfileFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
+	stopProf, err := startProf()
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fatal(err)
+		}
+	}()
 	kind, err := experiments.ParseKind(*reportName)
 	if err != nil {
 		fatal(err)

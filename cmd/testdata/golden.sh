@@ -3,7 +3,8 @@
 # byte with the *.golden files beside this script (the multi-run tools'
 # recorded before they were moved onto one run description, one batch and
 # one lease runner; dfsim's before the dfworkload tool was folded into it),
-# plus input the tools must refuse. Run from anywhere; -update rewrites the
+# flags that must leave a run's output alone (-debug, -cpuprofile), plus
+# input the tools must refuse. Run from anywhere; -update rewrites the
 # golden files.
 set -eu
 cd "$(dirname "$0")/../.."
@@ -77,6 +78,16 @@ status=0
 "$tmp/bin/dfsim" $debug -trace-out "$tmp/trace.json" > /dev/null
 if ! cmp "$tmp/debug-trace.json" "$tmp/trace.json"; then
   echo "dfsim -debug -trace-out: the trace differs from the same run's without -debug"; status=1
+fi
+# -cpuprofile writes a profile and leaves the run alone: the same output.
+prof="$net -mechanism MIN -pattern ADVc -load 0.3 -json"
+"$tmp/bin/dfsim" $prof -cpuprofile "$tmp/cpu.prof" | grep -v wall_seconds > "$tmp/prof.json"
+"$tmp/bin/dfsim" $prof | grep -v wall_seconds > "$tmp/noprof.json"
+if [ ! -s "$tmp/cpu.prof" ]; then
+  echo "dfsim -cpuprofile: no profile written"; status=1
+fi
+if ! cmp "$tmp/prof.json" "$tmp/noprof.json"; then
+  echo "dfsim -cpuprofile: the output differs from the same run's without it"; status=1
 fi
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
 # budget that would wrap the departure cycle, generator parameters no clamp

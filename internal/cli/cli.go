@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dragonfly/internal/prof"
 	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
 	"dragonfly/internal/sim"
@@ -54,6 +55,16 @@ func ProbeFlags(fs *flag.FlagSet) func(cfg *sim.Config) (func() error, error) {
 		cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: *every, Out: w})
 		return closeFn, nil
 	}
+}
+
+// ProfileFlags registers the pprof flags shared by the simulating tools,
+// -cpuprofile and -memprofile, and returns a starter to call after flag
+// parsing: it begins profiling (see prof.Start) and returns the stop
+// function, which must run before the process exits.
+func ProfileFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file")
+	return func() (func() error, error) { return prof.Start(*cpu, *mem) }
 }
 
 // ArbitrationByName resolves an output-arbiter policy by the name its

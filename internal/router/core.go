@@ -89,27 +89,25 @@ func (d *dueQueue) pop() portDue {
 	return e
 }
 
-// pendRec is the crossbar transfer in progress at an input port (its
-// completion cycle lives in inPort.busy). Multi-field records read and
-// written together stay packed in one array element: the point of the flat
-// layout is cache-line economy, not arrays for their own sake.
-type pendRec struct {
-	vc      int32
-	outPort int32
-	outVC   int32
-	group   int32
-	kind    packet.ActionKind
-	active  bool
+// candRec is one allocator candidate: a routing request for the head
+// packet of one input VC. Port and VC indices are held to 16 and 8 bits
+// (NewTemplate refuses a radix past 1<<16, Config.Validate more than 256
+// VCs), so the record is 12 bytes.
+type candRec struct {
+	group     int32 // the routing action's group
+	outPort   uint16
+	vc, outVC uint8 // the input VC, and the output VC requested
+	kind      packet.ActionKind
 }
 
-// candRec is one allocator candidate: a routing request for the head
-// packet of one input VC.
-type candRec struct {
-	vc    int32
-	port  int32
-	outVC int32
-	group int32
-	kind  packet.ActionKind
+// pendRec is the crossbar transfer in progress at an input port: the
+// granted candidate (its completion cycle lives in inPort.busy).
+// Multi-field records read and written together stay packed in one array
+// element: the point of the flat layout is cache-line economy, not arrays
+// for their own sake.
+type pendRec struct {
+	candRec
+	active bool
 }
 
 // outCandRec is one submission at an output: the proposing input port
@@ -118,10 +116,12 @@ type outCandRec struct{ in, idx int32 }
 
 // allocScratch is the allocator's working memory for one router step, not
 // state: every entry is written before it is read within one StepRouter
-// call, and outCandN is left all-zero by it. The routers of a group step
-// one at a time, so a group needs one.
+// call, and outCandN is left all-zero by it. A stepper steps one router at
+// a time, so it needs one (see SizeScratch).
 type allocScratch struct {
-	cand       []candRec    // per (input port, slot), stride maxVC
+	cand       []candRec    // per (input port, slot): port p's from vcOff[p] on
+	candN      []int32      // per input port: candidates gathered this step
+	granted    []bool       // per input port: granted this step
 	candIn     []int32      // the inputs that gathered candidates, ascending
 	candInN    int32        // their number
 	outCand    []outCandRec // per (output port, slot), stride np
@@ -131,28 +131,27 @@ type allocScratch struct {
 
 // inPort packs one input port's mutable hot state: everything the
 // allocator, grant and transfer-completion stages read or write per
-// port sits in one array element.
+// port sits in one array element, 32 bytes (TestCoreRecordSizes).
 type inPort struct {
-	busy    int64   // crossbar transfer completes at
-	pend    pendRec // pending crossbar transfer (completion cycle in busy)
-	rrVC    int32   // VC round-robin pointer
-	qTotal  int32   // packets across the port's VC queues
-	candN   int32   // allocator scratch: candidates gathered this cycle
-	granted bool    // allocator scratch: input granted this cycle
+	busy   int64   // crossbar transfer completes at
+	pend   pendRec // pending crossbar transfer (completion cycle in busy)
+	qTotal int32   // packets across the port's VC queues
+	rrVC   uint8   // VC round-robin pointer
 }
 
-// outPort packs one output port's mutable hot state (see inPort).
+// outPort packs one output port's mutable hot state (see inPort), 40 bytes.
+// A sent packet's buffer space is released when its serialisation ends, at
+// linkBusy: there is no separate release cycle to keep.
 type outPort struct {
-	linkBusy int64 // serializer frees at
+	linkBusy int64 // serializer frees at, and the pending buffer release falls due
 	xbarBusy int64 // crossbar slot frees at
-	relAt    int64 // pending buffer release falls due at
 	relPhits int32
-	relVC    int32
-	occ      int32 // reserved phits across VCs
-	qTotal   int32 // packets across the port's VC queues
-	free     int32 // sum of credits across VCs
-	rr       int32 // allocation round-robin pointer (input index)
-	rrVC     int32 // link VC arbitration pointer
+	occ      int32  // reserved phits across VCs
+	qTotal   int32  // packets across the port's VC queues
+	free     int32  // sum of credits across VCs
+	rr       uint16 // allocation round-robin pointer (input index)
+	relVC    uint8
+	rrVC     uint8 // link VC arbitration pointer
 }
 
 // portWire is one port's read-only wiring: the latency of the link behind
@@ -261,9 +260,9 @@ type shape struct {
 	cfg  *Config
 	mech routing.Mechanism
 
-	nr    int // routers
-	np    int // ports per router
-	maxVC int // VC stride (max VCs of any port class)
+	nr  int // routers
+	np  int // ports per router
+	vcs int // VC records per router: the VCs of all its ports
 
 	// Derived cycle constants, hoisted out of the hot loops.
 	size      int   // packet size in phits
@@ -281,6 +280,7 @@ type shape struct {
 
 	// Per-port-class constants, indexed by port (identical across routers).
 	class     []topology.PortClass
+	vcOff     []int32 // the port's first VC record within its router's (see Core)
 	nInVC     []int32 // input VC count
 	inCapVC   []int32 // input buffer capacity per VC, phits
 	nOutVC    []int32 // output VC count
@@ -310,8 +310,10 @@ type shape struct {
 
 // Core holds the state of every router of one network.
 // Array indices: pi = router*NP + port for per-port state and
-// vi = pi*maxVC + vc for per-VC state, with NP the router radix and
-// maxVC the widest VC count of any port class. Packet queues — the VC
+// vi = router*VCS + vcOff[port] + vc for per-VC state (vcBase), with NP the
+// router radix, VCS the VCs of all a router's ports and vcOff[port] the VCs
+// of the ports before it — a port holds as many VC records as it has VCs,
+// and a port's input and output VCs are equally many. Packet queues — the VC
 // buffers and the packets in flight towards an input port — are intrusive
 // FIFOs (packet.Queue): a queue is two words, and a packet carries its own
 // link, so the Core's bytes do not grow with buffer depth. Each queue's
@@ -322,13 +324,14 @@ type shape struct {
 // the zero-allocation gate in internal/sim relies on this.
 //
 // Concurrency contract: StepRouter and Settle touch only state of the
-// router's index range and the allocator scratch of its group, so routers
-// of distinct groups may be stepped (or settled) concurrently. PushDue
+// router's index range, and StepRouter the allocator scratch it is handed,
+// so routers of distinct groups may be stepped (or settled) concurrently as
+// long as each concurrent stepper steps in a scratch of its own. PushDue
 // touches the destination router's queues and rings: it may run while other
 // routers step (a sender's sink parks its events at once), but never
 // concurrently with a step, a Settle or another PushDue of the destination.
-// Everything else (SetSink, SetPhases, Clone, Rebase) must happen with no
-// step in flight.
+// Everything else (SetSink, SetPhases, SizeScratch, Clone, Rebase) must
+// happen with no step in flight.
 type Core struct {
 	shape
 
@@ -400,7 +403,9 @@ type Core struct {
 	// cycle it is stepped at, wherever its group stands inside a window.
 	warmup, total int64
 
-	// Allocator scratch, one per group (see allocScratch).
+	// Allocator scratch, one per concurrent stepper (see SizeScratch). Not
+	// state: a clone neither copies nor resets it, and a retired Core's
+	// serves the network restored into it.
 	scratch []allocScratch
 }
 
@@ -418,7 +423,6 @@ func NewCore(w Wiring) (*Core, error) {
 	}
 	c.sizeState(false)
 	c.initEmpty() // while the state arrays are still in cache
-	c.sizeArenas()
 	c.bind(w.Binding)
 	return c, nil
 }
@@ -441,7 +445,7 @@ func NewTemplate(w Wiring) (*Core, error) {
 	}
 	c := &Core{shape: shape{
 		topo: topo, cfg: cfg, mech: w.Mech,
-		nr: topo.NumRouters(), np: topo.NumPorts(), maxVC: max(cfg.LocalVCs, cfg.GlobalVCs),
+		nr: topo.NumRouters(), np: topo.NumPorts(),
 
 		size:      cfg.PacketSize,
 		pipeline:  int64(cfg.PipelineCycles),
@@ -454,6 +458,9 @@ func NewTemplate(w Wiring) (*Core, error) {
 		arb:       cfg.Arbitration,
 		nJobs:     w.NumJobs,
 	}}
+	if c.np > math.MaxUint16+1 {
+		return nil, fmt.Errorf("router: %d ports per router; a port index must fit 16 bits", c.np)
+	}
 	c.maskWords = (c.np + 63) >> 6
 	c.initPortClasses()
 	if f != nil {
@@ -483,10 +490,10 @@ func (c *Core) initEmpty() {
 	for r := range c.bookAt {
 		c.bookAt[r], c.arrAt[r] = math.MaxInt64, math.MaxInt64
 	}
-	for base := 0; base < len(c.outP); base += c.np {
+	for r := 0; r < c.nr; r++ {
 		for p, total := range c.downTotal {
-			c.outP[base+p].free = total
-			vi := (base + p) * c.maxVC
+			c.outP[r*c.np+p].free = total
+			vi := c.vcBase(r, p)
 			for vc := range c.nOutVC[p] {
 				c.outQ[vi+int(vc)].credits = c.downCapVC[p]
 			}
@@ -499,6 +506,7 @@ func (c *Core) initPortClasses() {
 	cfg := c.cfg
 	np := c.np
 	c.class = make([]topology.PortClass, np)
+	c.vcOff = make([]int32, np)
 	c.nInVC = make([]int32, np)
 	c.inCapVC = make([]int32, np)
 	c.nOutVC = make([]int32, np)
@@ -527,6 +535,8 @@ func (c *Core) initPortClasses() {
 			c.inCapVC[p] = int32(cfg.InjectionQueuePackets * cfg.PacketSize)
 			c.nOutVC[p] = 1 // ejection: the node consumes unconditionally
 		}
+		c.vcOff[p] = int32(c.vcs)
+		c.vcs += int(c.nInVC[p])
 		c.downTotal[p] = c.nOutVC[p] * c.downCapVC[p]
 		c.threshVC[p] = int32(cfg.CongestionThreshold * float64(int32(cfg.OutputBufferPhits)+c.downCapVC[p]))
 		c.inQCap[p] = c.inCapVC[p] / int32(cfg.PacketSize)
@@ -594,7 +604,9 @@ func fit[T any](s []T, n int, zero bool) []T {
 // a retired one (see Clone) the arrays that fit are resliced and — unless
 // zero asks for the zeros of an empty network — hold stale values until the
 // caller overwrites them. Arrays that every caller overwrites in full
-// (bookAt, arrAt, rnd) and the per-router windows are never cleared.
+// (bookAt, arrAt, rnd) and the per-router windows are never cleared, and
+// neither is the credit-ring arena behind layoutCredits: a dead ring slot is
+// never read before it is written.
 func (c *Core) sizeState(zero bool) {
 	nr, np, nj := c.nr, c.np, c.nJobs
 	npp := nr * np
@@ -605,10 +617,11 @@ func (c *Core) sizeState(zero bool) {
 	c.starved = fit(c.starved, nr*c.maskWords, zero)
 	c.inP = fit(c.inP, npp, zero)
 	c.outP = fit(c.outP, npp, zero)
-	c.inQ = fit(c.inQ, npp*c.maxVC, zero)
-	c.outQ = fit(c.outQ, npp*c.maxVC, zero)
+	c.inQ = fit(c.inQ, nr*c.vcs, zero)
+	c.outQ = fit(c.outQ, nr*c.vcs, zero)
 	c.arrQ = fit(c.arrQ, npp, zero)
 	c.crdQ = fit(c.crdQ, npp, zero)
+	c.crdData = fit(c.crdData, c.crdTot, false)
 	c.bookAt = fit(c.bookAt, nr, false)
 	c.arrAt = fit(c.arrAt, nr, false)
 	c.rnd = fit(c.rnd, nr, false)
@@ -641,19 +654,23 @@ func (c *Core) sizeState(zero bool) {
 	}
 }
 
-// sizeArenas gives the Core what stepping needs beyond its state: the
-// credit-ring arena behind layoutCredits, and one allocator scratch per
-// group. Capacity is reused as in sizeState; neither a dead ring slot nor
-// scratch is ever read before it is written, so stale contents are harmless
-// — with the one exception of outCandN, which StepRouter expects all-zero
-// (and a run that died mid-allocation may have left submissions behind).
-func (c *Core) sizeArenas() {
+// SizeScratch gives the Core one allocator scratch per concurrent stepper:
+// StepRouter(r, now, w) works in scratch w, for w in [0, steppers). The
+// engine calls it before a run's steppers start. Capacity is reused as in
+// sizeState — the scratch outlives runs and, on a retired Core, restores —
+// so a run with as many steppers as an earlier one on the same Core
+// allocates nothing. Scratch is never read before it is written within one
+// step, so stale contents are harmless, with the one exception of outCandN,
+// which StepRouter expects all-zero (and a run that died mid-allocation may
+// have left submissions behind).
+func (c *Core) SizeScratch(steppers int) {
 	np := c.np
-	c.crdData = fit(c.crdData, c.crdTot, false)
-	c.scratch = fit(c.scratch, c.topo.NumGroups(), false)
-	for g := range c.scratch {
-		s := &c.scratch[g]
-		s.cand = fit(s.cand, np*c.maxVC, false)
+	c.scratch = fit(c.scratch, steppers, false)
+	for w := range c.scratch {
+		s := &c.scratch[w]
+		s.cand = fit(s.cand, c.vcs, false)
+		s.candN = fit(s.candN, np, false)
+		s.granted = fit(s.granted, np, false)
 		s.candIn = fit(s.candIn, np, false)
 		s.outCand = fit(s.outCand, np*np, false)
 		s.outCandN = fit(s.outCandN, np, true)
@@ -703,17 +720,17 @@ func (c *Core) bind(b Binding) {
 
 // Clone copies c's state into a Core bound to another network, every
 // buffered or in-flight packet deep-copied. The immutable shape is shared;
-// allocator scratch is not state and is not copied. into, when non-nil, is
-// a retired Core of any shape: it is overwritten and returned, each of its
-// arrays resliced where its capacity covers c's shape and reallocated where
-// not — so a Core retired from one mechanism's network serves a restore of
-// another's, and recycling within one shape allocates nothing beyond the
-// live packets; the packets the retired run left behind go back through
-// into's own Recycle hook, a queue at a time. The destination always gets
-// the credit arena and scratch. When c is a template (see NewTemplate)
-// there is no state to copy: the destination is reset to the empty network
-// instead — its reused state arrays cleared, fresh ones left as allocated,
-// then initEmpty and c's RNG streams. Both Cores must be between cycles.
+// allocator scratch is not state and is not copied (into keeps its own, see
+// SizeScratch). into, when non-nil, is a retired Core of any shape: it is
+// overwritten and returned, each of its arrays resliced where its capacity
+// covers c's shape and reallocated where not — so a Core retired from one
+// mechanism's network serves a restore of another's, and recycling within
+// one shape allocates nothing beyond the live packets; the packets the
+// retired run left behind go back through into's own Recycle hook, a queue
+// at a time. When c is a template (see NewTemplate) there is no state to
+// copy: the destination is reset to the empty network instead — its reused
+// state arrays cleared, fresh ones left as allocated, then initEmpty and
+// c's RNG streams. Both Cores must be between cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
 	if d == nil {
@@ -733,12 +750,10 @@ func (c *Core) Clone(into *Core, b Binding) *Core {
 		d.sizeState(true)
 		d.initEmpty()
 		copy(d.rnd, c.rnd)
-		d.sizeArenas()
 		d.bind(b)
 		return d
 	}
 	d.sizeState(false)
-	d.sizeArenas()
 	d.bind(b)
 
 	copy(d.inOccMask, c.inOccMask)
@@ -794,7 +809,6 @@ func (c *Core) Rebase(delta int64) {
 		o := &c.outP[i]
 		o.linkBusy -= delta
 		o.xbarBusy -= delta
-		o.relAt -= delta
 	}
 	for i := range c.crdData {
 		c.crdData[i] -= crdEvent(delta << 8)
@@ -818,6 +832,10 @@ func (c *Core) Rebase(delta int64) {
 	// In-flight packets carry their arrival cycle, so this shifts it too.
 	c.eachQueue(func(_, _ int, q *packet.Queue) { q.Each(func(p *packet.Packet) { p.Rebase(delta) }) })
 }
+
+// vcBase returns the index of VC 0 of port p at router r in the per-VC
+// arrays; the port's VCs follow it.
+func (c *Core) vcBase(r, p int) int { return r*c.vcs + int(c.vcOff[p]) }
 
 // Kinds of packet queue, as eachQueue and queue name them.
 const (
@@ -845,7 +863,8 @@ func (c *Core) queue(kind, i int) *packet.Queue {
 func (c *Core) eachQueue(fn func(kind, i int, q *packet.Queue)) {
 	vcs := func(kind int, nVC []int32) func(pi, p int) {
 		return func(pi, p int) {
-			for vi := pi * c.maxVC; vi < pi*c.maxVC+int(nVC[p]); vi++ {
+			vbase := c.vcBase(pi/c.np, p)
+			for vi := vbase; vi < vbase+int(nVC[p]); vi++ {
 				if q := c.queue(kind, vi); q.Front() != nil {
 					fn(kind, vi, q)
 				}
@@ -1007,7 +1026,7 @@ func (c *Core) InFlight() int {
 func (c *Core) InjectionBacklog(r, nodeIdx int) int {
 	p := c.topo.Params()
 	port := p.A - 1 + p.H + nodeIdx
-	return int(c.inQ[(r*c.np+port)*c.maxVC].qlen)
+	return int(c.inQ[c.vcBase(r, port)].qlen)
 }
 
 // NoteBacklogged records a generation attempt of cycle now by node src,
@@ -1032,11 +1051,10 @@ func (c *Core) EnqueueInjection(r int, now int64, p *packet.Packet) {
 	p.ReadyAt = now + c.pipeline
 	p.EnqueuedAt = now
 	port := c.topo.NodePort(int(p.Src))
-	pi := r*c.np + port
-	vi := pi * c.maxVC
+	vi := c.vcBase(r, port)
 	c.inQPush(vi, port, p)
 	c.inQ[vi].occ += int32(p.Size)
-	c.inP[pi].qTotal++
+	c.inP[r*c.np+port].qTotal++
 	c.inOccMask[r*c.maskWords+port>>6] |= 1 << (uint(port) & 63)
 	if c.measuring(now) {
 		c.stats[r].Generated++

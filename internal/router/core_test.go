@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/rng"
@@ -48,6 +49,7 @@ func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet),
 		t.Fatal(err)
 	}
 	c.SetAllSinks(func(ev LinkEvent) { c.PushDue(ev.Router, ev) })
+	c.SizeScratch(1)
 	p := topo.Params()
 	nodes := topo.NumNodes()
 	perGroup := nodes / topo.NumGroups()
@@ -64,10 +66,51 @@ func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet),
 				pkt.Size, pkt.GenTime = int16(cfg.PacketSize), now
 				c.EnqueueInjection(r, now, pkt)
 			}
-			c.StepRouter(r, now)
+			c.StepRouter(r, now, 0)
 		}
 	}
 	return c, wiring
+}
+
+// The per-port records are the Core's widest arrays after the VC records:
+// their small fields (VC indices, round-robin pointers, the action kind) are
+// 8- and 16-bit words, so an input port is 32 bytes and an output port 40.
+// And a port holds as many VC records as it has VCs: an h=2 MIN router's 3
+// local, 2 global and 2 injection ports hold 3·3 + 2·1 + 2 = 13, not the 21
+// a uniform 3-VC stride would.
+func TestCoreRecordSizes(t *testing.T) {
+	for _, rec := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"inPort", unsafe.Sizeof(inPort{}), 32},
+		{"outPort", unsafe.Sizeof(outPort{}), 40},
+	} {
+		if rec.size != rec.want {
+			t.Errorf("%s is %d bytes, want %d", rec.name, rec.size, rec.want)
+		}
+	}
+	c, _ := denseRun(t, 0, func(*packet.Packet) {})
+	if want := 13 * c.nr; len(c.inQ) != want || len(c.outQ) != want {
+		t.Errorf("an h=2 MIN Core holds %d input and %d output VC records, want %d of each", len(c.inQ), len(c.outQ), want)
+	}
+}
+
+// Port indices are 16-bit words in the port and candidate records, so a
+// router with more ports than that is refused rather than truncated: p =
+// 2^16 nodes on each of a topology's 6 routers is a valid topology.
+func TestNewTemplateRefusesRadixPast16Bits(t *testing.T) {
+	topo := topology.New(topology.Params{P: 1 << 16, A: 2, H: 1})
+	mech, err := routing.ByName("MIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.LocalVCs, cfg.GlobalVCs = mech.VCNeeds()
+	_, err = NewTemplate(Wiring{Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1)})
+	if err == nil || !strings.Contains(err.Error(), "must fit 16 bits") {
+		t.Fatalf("a %d-port router: got error %v, want one saying a port index must fit 16 bits", topo.NumPorts(), err)
+	}
 }
 
 // A restore that recycles a retired Core hands the packets that Core still
@@ -329,7 +372,7 @@ func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	pi := r*c.np + p
 	perVC := c.downCapVC[p] / int32(c.size)
 	for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-		c.outQ[pi*c.maxVC+vc].credits -= perVC * int32(c.size)
+		c.outQ[c.vcBase(r, p)+vc].credits -= perVC * int32(c.size)
 		c.outP[pi].free -= perVC * int32(c.size)
 	}
 	owed := int(perVC) * int(c.nOutVC[p])

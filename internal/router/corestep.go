@@ -65,22 +65,23 @@ func consider(nev *int64, t int64) {
 //   - a credit already in flight towards a starved output.
 //
 // The engine guarantees strictly increasing now values and at most one
-// call per cycle. Routers of distinct groups may be stepped concurrently
-// (the allocator scratch is per group).
-func (c *Core) StepRouter(r int, now int64) int64 {
+// call per cycle. The step works in allocator scratch w (see SizeScratch):
+// routers of distinct groups may be stepped concurrently, each concurrent
+// stepper in a scratch of its own.
+func (c *Core) StepRouter(r int, now int64, w int) int64 {
 	nev := int64(-1)
 	base := r * c.np
 	if c.bookAt[r] <= now {
 		c.settle(r, base, now, now-1)
 	}
 	c.completeTransfers(r, base, now)
-	sc := &c.scratch[c.topo.RouterGroup(r)]
+	sc := &c.scratch[w]
 	c.allocate(r, base, now, &nev, sc)
 	// Candidates left ungranted by the allocator (arbitration losses,
 	// busy or full outputs) are re-requested next cycle; granted inputs
 	// are accounted for inside grant() via busy.
 	for _, p := range sc.candIn[:sc.candInN] {
-		if c.inP[base+int(p)].candN > 0 {
+		if sc.candN[p] > 0 {
 			consider(&nev, now+1)
 			break
 		}
@@ -117,11 +118,11 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 	// output frees the space of a sent packet.
 	d := &c.relDue[r]
 	for d.head < len(d.q) && d.q[d.head].at <= upTo {
-		pi := base + int(d.pop().port)
-		if c.outP[pi].relPhits > 0 {
-			c.outP[pi].occ -= c.outP[pi].relPhits
-			c.outQ[pi*c.maxVC+int(c.outP[pi].relVC)].occVC -= c.outP[pi].relPhits
-			c.outP[pi].relPhits = 0
+		p := int(d.pop().port)
+		if o := &c.outP[base+p]; o.relPhits > 0 {
+			o.occ -= o.relPhits
+			c.outQ[c.vcBase(r, p)+int(o.relVC)].occVC -= o.relPhits
+			o.relPhits = 0
 		}
 	}
 	if d.head < len(d.q) {
@@ -151,7 +152,7 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 				if q.qlen--; q.qlen == 0 {
 					c.crdPendMask[r*mw+w] &^= 1 << (uint(p) & 63)
 				}
-				s := &c.outQ[pi*c.maxVC+ev.vc()]
+				s := &c.outQ[c.vcBase(r, p)+ev.vc()]
 				s.credits += int32(c.size)
 				c.outP[pi].free += int32(c.size)
 				if s.credits > c.downCapVC[p] {
@@ -187,11 +188,12 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 				}
 				routing.OnArrive(c.env, r, pkt, c.class[p] == topology.GlobalPort)
 				pkt.ReadyAt = at + c.pipeline
-				s := &c.inQ[pi*c.maxVC+int(pkt.VC)]
+				vi := c.vcBase(r, p) + int(pkt.VC)
+				s := &c.inQ[vi]
 				if s.occ+int32(pkt.Size) > c.inCapVC[p] {
 					panic(fmt.Sprintf("router %d: input buffer overflow port %d vc %d (credit protocol violated)", r, p, pkt.VC))
 				}
-				c.inQPush(pi*c.maxVC+int(pkt.VC), p, pkt)
+				c.inQPush(vi, p, pkt)
 				s.occ += int32(pkt.Size)
 				c.inP[pi].qTotal++
 				c.inOccMask[r*mw+p>>6] |= 1 << (uint(p) & 63)
@@ -213,7 +215,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		}
 		pd.active = false
 		vcIdx := int(pd.vc)
-		pkt := c.inQPop(pi*c.maxVC + vcIdx)
+		pkt := c.inQPop(c.vcBase(r, p) + vcIdx)
 		if c.inP[pi].qTotal--; c.inP[pi].qTotal == 0 {
 			c.inOccMask[r*c.maskWords+p>>6] &^= 1 << (uint(p) & 63)
 		}
@@ -246,7 +248,7 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		}
 		pkt.EnqueuedAt = now
 		opi := base + outPort
-		c.outQPush(opi*c.maxVC+int(pkt.VC), pkt)
+		c.outQPush(c.vcBase(r, outPort)+int(pkt.VC), pkt)
 		c.outP[opi].qTotal++
 		c.outOccMask[r*c.maskWords+outPort>>6] |= 1 << (uint(outPort) & 63)
 	}
@@ -260,12 +262,13 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 	}
 	size := int32(c.size)
 	np := c.np
-	maxVC := c.maxVC
+	rvc := r * c.vcs
+	vcOff := c.vcOff
 	mw := c.maskWords
 	view := &c.views[r]
 	rnd := &c.rnd[r]
 	inP := c.inP
-	cand := sc.cand
+	cand, candN, granted := sc.cand, sc.candN, sc.granted
 	// Gather per-input candidate requests: one NextHop per ready VC head,
 	// in round-robin VC order, ascending port order over occupied ports.
 	cin := sc.candIn
@@ -281,8 +284,8 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 				continue // frees when the transfer completes (calendar head above)
 			}
 			nvc := int(c.nInVC[p])
-			vbase := pi * maxVC
-			vc := int(c.inP[pi].rrVC)
+			vbase := rvc + int(vcOff[p])
+			vc := int(inP[pi].rrVC)
 			fresh := false
 			for i := 0; i < nvc; i++ {
 				v := vc
@@ -299,20 +302,20 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 				}
 				if !fresh {
 					fresh = true
-					inP[pi].candN = 0 // drop stale prior-cycle entries
-					c.inP[pi].granted = false
+					candN[p] = 0 // drop the entries of an earlier step
+					granted[p] = false
 					cin[cinN] = int32(p)
 					cinN++
 				}
 				req := c.mech.NextHop(c.env, view, pkt, c.class[p], rnd)
-				cand[p*maxVC+int(inP[pi].candN)] = candRec{
-					vc:    int32(v),
-					port:  int32(req.Port),
-					outVC: int32(req.VC),
-					kind:  req.Action.Kind,
-					group: int32(req.Action.Group),
+				cand[int(vcOff[p])+int(candN[p])] = candRec{
+					vc:      uint8(v),
+					outPort: uint16(req.Port),
+					outVC:   uint8(req.VC),
+					kind:    req.Action.Kind,
+					group:   int32(req.Action.Group),
 				}
-				inP[pi].candN++
+				candN[p]++
 			}
 		}
 	}
@@ -351,14 +354,13 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 				} else if pass == 1 {
 					break
 				}
-				if c.inP[pi].granted || inP[pi].busy > now || inP[pi].candN == 0 {
+				if granted[p] || inP[pi].busy > now || candN[p] == 0 {
 					continue
 				}
-				for ciIdx := 0; ciIdx < int(inP[pi].candN); ciIdx++ {
-					cd := &cand[p*maxVC+ciIdx]
-					outPort := int(cd.port)
-					opi := base + outPort
-					if c.outP[opi].xbarBusy > now || c.outQ[opi*maxVC+int(cd.outVC)].occVC+size > c.capVC {
+				for ciIdx := 0; ciIdx < int(candN[p]); ciIdx++ {
+					cd := &cand[int(vcOff[p])+ciIdx]
+					outPort := int(cd.outPort)
+					if c.outP[base+outPort].xbarBusy > now || c.outQ[rvc+int(vcOff[outPort])+int(cd.outVC)].occVC+size > c.capVC {
 						continue
 					}
 					if outCandN[outPort] == 0 {
@@ -382,7 +384,7 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 		// submission (ascending-port) order of outTouched.
 		for _, outPort := range touched[:touchedN] {
 			if n := int(outCandN[outPort]); n > 0 {
-				inP, ciIdx := c.arbitrate(sc, base, int(outPort), n)
+				inP, ciIdx := c.arbitrate(sc, r, int(outPort), n)
 				c.grant(r, base, now, sc, inP, ciIdx, nev)
 			}
 			outCandN[outPort] = 0
@@ -393,9 +395,9 @@ func (c *Core) allocate(r, base int, now int64, nev *int64, sc *allocScratch) {
 
 // arbitrate picks the winning request among the n requesters submitted
 // to output port outPort, according to the configured arbitration policy.
-func (c *Core) arbitrate(sc *allocScratch, base, outPort, n int) (inP, ciIdx int32) {
+func (c *Core) arbitrate(sc *allocScratch, r, outPort, n int) (inP, ciIdx int32) {
 	reqs := sc.outCand[outPort*c.np : outPort*c.np+n]
-	rr := int(c.outP[base+outPort].rr)
+	rr := int(c.outP[r*c.np+outPort].rr)
 	switch c.arb {
 	case TransitOverInjection:
 		// Transit first; round-robin within the preferred class.
@@ -414,9 +416,9 @@ func (c *Core) arbitrate(sc *allocScratch, base, outPort, n int) (inP, ciIdx int
 		return c.roundRobinPick(reqs, rr)
 	case AgeBased:
 		best, bestCi := reqs[0].in, reqs[0].idx
-		bestAge := c.headGen(sc, base, best, bestCi)
+		bestAge := c.headGen(sc, r, best, bestCi)
 		for _, req := range reqs[1:] {
-			if age := c.headGen(sc, base, req.in, req.idx); age < bestAge || (age == bestAge && req.in < best) {
+			if age := c.headGen(sc, r, req.in, req.idx); age < bestAge || (age == bestAge && req.in < best) {
 				best, bestCi, bestAge = req.in, req.idx, age
 			}
 		}
@@ -435,9 +437,9 @@ func rrBefore(a, b, ptr, n int) bool {
 }
 
 // headGen returns the generation time of the packet a request proposes.
-func (c *Core) headGen(sc *allocScratch, base int, inP, ciIdx int32) int64 {
-	vc := int(sc.cand[int(inP)*c.maxVC+int(ciIdx)].vc)
-	return c.inQFront((base+int(inP))*c.maxVC + vc).GenTime
+func (c *Core) headGen(sc *allocScratch, r int, inP, ciIdx int32) int64 {
+	vbase := c.vcBase(r, int(inP))
+	return c.inQFront(vbase + int(sc.cand[int(c.vcOff[inP])+int(ciIdx)].vc)).GenTime
 }
 
 // roundRobinPick picks the request whose input comes first from the
@@ -456,12 +458,12 @@ func (c *Core) roundRobinPick(reqs []outCandRec, rr int) (inP, ciIdx int32) {
 func (c *Core) grant(r, base int, now int64, sc *allocScratch, inP, ciIdx int32, nev *int64) {
 	p := int(inP)
 	pi := base + p
-	cd := sc.cand[p*c.maxVC+int(ciIdx)]
+	cd := sc.cand[int(c.vcOff[p])+int(ciIdx)]
 	vcIdx := int(cd.vc)
-	outPort := int(cd.port)
+	outPort := int(cd.outPort)
 	outVC := int(cd.outVC)
 	opi := base + outPort
-	pkt := c.inQFront(pi*c.maxVC + vcIdx)
+	pkt := c.inQFront(c.vcBase(r, p) + vcIdx)
 
 	// Wait accounting: time spent at the head of (or queued in) the
 	// input buffer beyond the pipeline latency.
@@ -478,29 +480,22 @@ func (c *Core) grant(r, base int, now int64, sc *allocScratch, inP, ciIdx int32,
 	c.inP[pi].busy = now + c.xbar
 	consider(nev, c.inP[pi].busy) // transfer completes, freeing the input
 	c.xferDue[r].insert(c.inP[pi].busy, int32(p), "transfer")
-	c.inP[pi].pend = pendRec{
-		active:  true,
-		vc:      cd.vc,
-		outPort: cd.port,
-		outVC:   cd.outVC,
-		kind:    cd.kind,
-		group:   cd.group,
-	}
-	rv := int32(vcIdx) + 1
-	if rv == c.nInVC[p] {
+	c.inP[pi].pend = pendRec{candRec: cd, active: true}
+	rv := vcIdx + 1
+	if rv == int(c.nInVC[p]) {
 		rv = 0
 	}
-	c.inP[pi].rrVC = rv
+	c.inP[pi].rrVC = uint8(rv)
 	c.outP[opi].xbarBusy = now + c.xbar
 	c.outP[opi].occ += int32(pkt.Size) // reserve output buffer space now (VCT)
-	c.outQ[opi*c.maxVC+outVC].occVC += int32(pkt.Size)
+	c.outQ[c.vcBase(r, outPort)+outVC].occVC += int32(pkt.Size)
 	rr := p + 1
 	if rr == c.np {
 		rr = 0
 	}
-	c.outP[opi].rr = int32(rr)
-	c.inP[pi].granted = true
-	c.inP[pi].candN = 0
+	c.outP[opi].rr = uint16(rr)
+	sc.granted[p] = true
+	sc.candN[p] = 0
 	c.stats[r].LastActivity = now
 	if c.trace[r] != nil {
 		c.trace[r](now, TraceGrant, pkt, r, outPort, outVC)
@@ -509,7 +504,7 @@ func (c *Core) grant(r, base int, now int64, sc *allocScratch, inP, ciIdx int32,
 
 func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 	size := int32(c.size)
-	maxVC := c.maxVC
+	rvc := r * c.vcs
 	mw := c.maskWords
 	outQ := c.outQ
 	for w := 0; w < mw; w++ {
@@ -531,7 +526,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			// has a full packet of downstream credit.
 			nvc := int(c.nOutVC[p])
 			transit := c.downCapVC[p] > 0 // false: ejection, the node consumes unconditionally
-			vbase := pi * maxVC
+			vbase := rvc + int(c.vcOff[p])
 			sendVC := -1
 			vc := int(c.outP[pi].rrVC)
 			for i := 0; i < nvc; i++ {
@@ -564,7 +559,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			if rv == nvc {
 				rv = 0
 			}
-			c.outP[pi].rrVC = int32(rv)
+			c.outP[pi].rrVC = uint8(rv)
 			if transit {
 				outQ[vbase+int(pkt.VC)].credits -= size
 				c.outP[pi].free -= size
@@ -577,12 +572,13 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 			default: // local and ejection queues are intra-group queues
 				pkt.WaitLocal += wait
 			}
+			// The serializer frees, and the packet's buffer space is released,
+			// when its last phit has left.
 			c.outP[pi].linkBusy = now + c.serial
-			c.outP[pi].relAt = now + c.serial
 			c.outP[pi].relPhits += size
-			c.outP[pi].relVC = int32(sendVC)
-			c.relDue[r].insert(c.outP[pi].relAt, int32(p), "release")
-			c.bookAt[r] = min(c.bookAt[r], c.outP[pi].relAt) // the release is Settle's
+			c.outP[pi].relVC = uint8(sendVC)
+			c.relDue[r].insert(c.outP[pi].linkBusy, int32(p), "release")
+			c.bookAt[r] = min(c.bookAt[r], c.outP[pi].linkBusy) // the release is Settle's
 			if c.outP[pi].qTotal > 0 {
 				consider(nev, c.outP[pi].linkBusy)
 			}

@@ -31,7 +31,7 @@ type LinkProbe struct {
 func (c *Core) ProbeQueues(r int) (inPhits, outPhits int64) {
 	base := r * c.np
 	for p := 0; p < c.np; p++ {
-		vbase := (base + p) * c.maxVC
+		vbase := c.vcBase(r, p)
 		for v := 0; v < int(c.nInVC[p]); v++ {
 			inPhits += int64(c.inQ[vbase+v].occ)
 		}
@@ -66,7 +66,7 @@ func (c *Core) ProbeLinks(r int, now int64) LinkProbe {
 		if c.outP[pi].qTotal == 0 {
 			continue
 		}
-		vbase := pi * c.maxVC
+		vbase := c.vcBase(r, p)
 		stalled := true
 		for v := 0; v < int(c.nOutVC[p]); v++ {
 			pkt := c.outQFront(vbase + v)

@@ -22,7 +22,7 @@ func (v *View) RouterID() int { return int(v.r) }
 // OutputCongested implements routing.RouterView.
 func (v *View) OutputCongested(port, vc int) bool {
 	c := v.c
-	s := &c.outQ[(int(v.r)*c.np+port)*c.maxVC+vc]
+	s := &c.outQ[c.vcBase(int(v.r), port)+vc]
 	used := s.occVC
 	if cap := c.downCapVC[port]; cap > 0 {
 		used += cap - s.credits
@@ -44,7 +44,7 @@ func (v *View) OutputLinkLatency(port int) int {
 // CanAbsorb implements routing.RouterView.
 func (v *View) CanAbsorb(port, vc int) bool {
 	c := v.c
-	s := &c.outQ[(int(v.r)*c.np+port)*c.maxVC+vc]
+	s := &c.outQ[c.vcBase(int(v.r), port)+vc]
 	if s.occVC+int32(c.size) > c.capVC {
 		return false
 	}
@@ -76,7 +76,7 @@ func (v *View) Snapshot() Occupancy {
 		pi := int(v.r)*c.np + p
 		occ := 0
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
-			occ += int(c.inQ[pi*c.maxVC+vc].occ)
+			occ += int(c.inQ[c.vcBase(int(v.r), p)+vc].occ)
 		}
 		out := int(c.outP[pi].occ)
 		inUse := int(c.downTotal[p] - c.outP[pi].free)
@@ -166,7 +166,7 @@ func (c *Core) walkState(r int, v []int64, at int) *stateWalk {
 			b2i(in.pend.active), in.busy, int64(in.pend.vc), int64(in.pend.outPort),
 			int64(in.pend.outVC), int64(in.pend.kind), int64(in.pend.group))
 		for vc := 0; vc < int(c.nInVC[p]); vc++ {
-			q := &c.inQ[(base+p)*c.maxVC+vc]
+			q := &c.inQ[c.vcBase(r, p)+vc]
 			w.where, w.vc = atVC, vc
 			w.put("occ qlen", int64(q.occ), int64(q.qlen))
 			queue(&q.q)
@@ -176,12 +176,14 @@ func (c *Core) walkState(r int, v []int64, at int) *stateWalk {
 	for p := 0; p < c.np; p++ {
 		o := &c.outP[base+p]
 		w.where, w.port = atPort, p
+		// relAt, the cycle the pending release falls due, is linkBusy: the
+		// oracle keeps it as a word of its own.
 		w.put("linkBusy xbarBusy relAt relPhits relVC occ qTotal free rr rrVC",
-			o.linkBusy, o.xbarBusy, o.relAt,
+			o.linkBusy, o.xbarBusy, o.linkBusy,
 			int64(o.relPhits), int64(o.relVC), int64(o.occ),
 			int64(o.qTotal), int64(o.free), int64(o.rr), int64(o.rrVC))
 		for vc := 0; vc < int(c.nOutVC[p]); vc++ {
-			q := &c.outQ[(base+p)*c.maxVC+vc]
+			q := &c.outQ[c.vcBase(r, p)+vc]
 			w.where, w.vc = atVC, vc
 			w.put("occ", int64(q.occVC))
 			if c.downCapVC[p] > 0 {

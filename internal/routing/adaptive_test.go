@@ -236,6 +236,31 @@ func TestInTransitLatencyGateClassConsistent(t *testing.T) {
 	}
 }
 
+// The gate's boundary: an alternative exactly factor × the minimal link
+// long is within budget. With every global cable 100 cycles and factor 1 —
+// same-class cables, equal latencies — the gate must let CRG escape the
+// congested minimal global port, as it would with the gate off.
+func TestInTransitLatencyGateBoundary(t *testing.T) {
+	topo := topology.New(topology.Balanced(2))
+	env := newEnv(topo)
+	env.Cfg.MisrouteLatencyFactor = 1
+	m := NewInTransit(CRG)
+	a := topo.Params().A
+	idx, minPort := topo.GlobalRouterFor(0, 1)
+	r := topo.RouterID(0, idx)
+	v := view(r)
+	v.congested[minPort] = true
+	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
+		v.linkLat[gp] = 100
+	}
+	dst := topo.NodeID(topo.RouterID(1, 0), 0)
+	p := mkPacket(topo.NodeID(r, 0), dst)
+	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
+	if topo.PortClass(req.Port) != topology.GlobalPort || req.Port == minPort || req.Action.Kind != packet.ActionMisrouteToGroup {
+		t.Fatalf("equal-latency alternatives at factor 1: CRG took port %d (action %v), want another own global", req.Port, req.Action.Kind)
+	}
+}
+
 // When the minimal port is congested at the source router, CRG diverts via
 // one of the router's own global ports.
 func TestInTransitCRGMisroutesOwnGlobals(t *testing.T) {

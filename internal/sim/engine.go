@@ -337,10 +337,10 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // runs the same body over it; there is one barrier per window, at which
 // the events that crossed a worker boundary are routed. Spans are re-cut
 // by recent group activity every rebalanceInterval cycles (partition.go).
-// A group's routers, allocator scratch, wake-ups and PiggyBack bits are
-// only ever touched by its owner, and events reach their ports in the
-// sender's order whatever the partition, so results are identical for any
-// worker count.
+// A group's routers, wake-ups and PiggyBack bits are only ever touched by
+// its owner, every worker steps in an allocator scratch of its own
+// (Core.SizeScratch), and events reach their ports in the sender's order
+// whatever the partition, so results are identical for any worker count.
 type engine struct {
 	net  *Network
 	core *router.Core
@@ -390,6 +390,7 @@ func newEngine(net *Network, workers int) *engine {
 		done:     make(chan struct{}, workers-1),
 	}
 	net.pb.allStale()
+	e.core.SizeScratch(workers)
 	e.partition(workers)
 	for g := range e.groups {
 		sink := e.sinkOf(g)
@@ -402,7 +403,7 @@ func newEngine(net *Network, workers int) *engine {
 		e.starts = append(e.starts, start)
 		go func(w int) {
 			for win := range start {
-				e.advanceSpan(e.spans[w], win[0], win[1])
+				e.advanceSpan(w, win[0], win[1])
 				e.done <- struct{}{}
 			}
 		}(w)
@@ -523,7 +524,7 @@ func (e *engine) Advance(from, to int64) {
 	for _, ch := range e.starts {
 		ch <- [2]int64{from, to}
 	}
-	e.advanceSpan(e.spans[0], from, to)
+	e.advanceSpan(0, from, to)
 	if len(e.starts) == 0 {
 		return
 	}
@@ -574,10 +575,11 @@ func (e *engine) refreshPB(g int, now int64) {
 	}
 }
 
-// advanceSpan steps the groups of one worker through cycles [from, to),
-// one group at a time.
-func (e *engine) advanceSpan(own span, from, to int64) {
+// advanceSpan steps the groups of worker w through cycles [from, to), one
+// group at a time, in the worker's allocator scratch.
+func (e *engine) advanceSpan(w int, from, to int64) {
 	net, core := e.net, e.core
+	own := e.spans[w]
 	for g := own.lo; g < own.hi; g++ {
 		lo := g * e.per
 		wakeAt := e.wakeAt[lo : lo+e.per]
@@ -596,7 +598,7 @@ func (e *engine) advanceSpan(own span, from, to int64) {
 			for i, at := range wakeAt {
 				if at <= now {
 					net.Generate(lo+i, now)
-					wakeAt[i] = e.settle(lo+i, now, core.StepRouter(lo+i, now))
+					wakeAt[i] = e.settle(lo+i, now, core.StepRouter(lo+i, now, w))
 					steps++
 				}
 			}

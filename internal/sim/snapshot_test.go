@@ -206,11 +206,12 @@ func TestRestoreIntoRecycled(t *testing.T) {
 
 // TestRestoreAcrossTemplates proves recycling by capacity: a network retired
 // from one template serves the restore of another whose mechanism — and so
-// its VC counts, VC stride and arena sizes — differs, in both directions
-// (growing into MIN's smaller network and out of it), from a retired
-// network that is clean (restored, never run) and one that is dirty
-// (retired at saturation, packets queued and in flight). The restored run
-// must be the cold run: state vectors and per-router statistics identical.
+// its VC counts, per-port VC offsets and arena sizes — differs. Three VC
+// layouts, MIN (3 local / 1 global VCs), In-Trns-MM (3/2) and Src-CRG
+// (4/2), are restored into each other in every ordered pair, there and
+// back, from a retired network that is clean (restored, never run) and one
+// that is dirty (retired at saturation, packets queued and in flight). The
+// restored run must be the cold run: fabricDiff finds nothing.
 // Templates that differ in a routing parameter only — PiggyBack's
 // saturation threshold — must not leak it into each other either.
 func TestRestoreAcrossTemplates(t *testing.T) {
@@ -222,7 +223,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 	base.MeasureCycles = 60
 	base.Seed = 41
 
-	mechs := []string{"MIN", "In-Trns-MM"}
+	mechs := []string{"MIN", "In-Trns-MM", "Src-CRG"}
 	snaps := make([]*Snapshot, len(mechs))
 	colds := make([]*Network, len(mechs))
 	for i, mech := range mechs {
@@ -238,44 +239,51 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 		}
 		colds[i] = driven(t, net, &cfg, core)
 	}
-	l0, g0 := colds[0].mech.VCNeeds()
-	l1, g1 := colds[1].mech.VCNeeds()
-	if l0 == l1 && g0 == g1 {
-		t.Fatalf("%s and %s networks have the same VC counts: the test needs differing VC counts", mechs[0], mechs[1])
+	layouts := map[[2]int]string{}
+	for i, net := range colds {
+		l, g := net.mech.VCNeeds()
+		if prev, ok := layouts[[2]int{l, g}]; ok {
+			t.Fatalf("%s and %s networks have the same VC counts: the test needs three VC layouts", prev, mechs[i])
+		}
+		layouts[[2]int{l, g}] = mechs[i]
 	}
 
 	for from := range mechs {
-		to := 1 - from
-		for _, dirty := range []bool{false, true} {
-			label := fmt.Sprintf("%s -> %s (dirty %v)", mechs[from], mechs[to], dirty)
-			fromCfg := base
-			fromCfg.Mechanism = mechs[from]
-			old, err := RestoreNetwork(snaps[from], &fromCfg)
-			if err != nil {
-				t.Fatal(err)
+		for to := range mechs {
+			if to == from {
+				continue
 			}
-			if dirty {
-				if err := RunNetwork(old, &fromCfg); err != nil {
-					t.Fatal(err)
-				}
-				if old.InFlight() == 0 {
-					t.Fatalf("%s: retired network drained — load %.2f should leave packets in flight", label, fromCfg.Load)
-				}
-			}
-			// There and back: the return hop reslices arrays up into capacity
-			// the first hop's run left stale.
-			for _, m := range []int{to, from} {
-				cfg := base
-				cfg.Mechanism = mechs[m]
-				net, err := RestoreNetworkInto(snaps[m], &cfg, old)
+			for _, dirty := range []bool{false, true} {
+				label := fmt.Sprintf("%s -> %s (dirty %v)", mechs[from], mechs[to], dirty)
+				fromCfg := base
+				fromCfg.Mechanism = mechs[from]
+				old, err := RestoreNetwork(snaps[from], &fromCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if net != old {
-					t.Fatalf("%s: retired network was not recycled in place", label)
+				if dirty {
+					if err := RunNetwork(old, &fromCfg); err != nil {
+						t.Fatal(err)
+					}
+					if old.InFlight() == 0 {
+						t.Fatalf("%s: retired network drained — load %.2f should leave packets in flight", label, fromCfg.Load)
+					}
 				}
-				if d := fabricDiff(driven(t, net, &cfg, core), colds[m]); d != "" {
-					t.Fatalf("%s as %s: against the cold run: %s", label, mechs[m], d)
+				// There and back: the return hop reslices arrays up into capacity
+				// the first hop's run left stale.
+				for _, m := range []int{to, from} {
+					cfg := base
+					cfg.Mechanism = mechs[m]
+					net, err := RestoreNetworkInto(snaps[m], &cfg, old)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if net != old {
+						t.Fatalf("%s: retired network was not recycled in place", label)
+					}
+					if d := fabricDiff(driven(t, net, &cfg, core), colds[m]); d != "" {
+						t.Fatalf("%s as %s: against the cold run: %s", label, mechs[m], d)
+					}
 				}
 			}
 		}
