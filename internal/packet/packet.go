@@ -10,7 +10,10 @@
 // statistics of the paper's Figure 3.
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Phase is the macroscopic routing state of a packet.
 type Phase uint8
@@ -161,15 +164,6 @@ func (q *Queue) Pop() *Packet {
 	return p
 }
 
-// Unchain cuts p off the packets linked after it — the rest of a queue that
-// was handed over whole, from its head — and returns the first of them, or
-// nil.
-func (p *Packet) Unchain() *Packet {
-	rest := p.next
-	p.next = nil
-	return rest
-}
-
 // Each calls fn for every packet, oldest first; fn must leave the queue
 // alone.
 func (q *Queue) Each(fn func(*Packet)) {
@@ -186,6 +180,64 @@ func (q *Queue) Clone() Queue {
 		d.Push(&cp)
 	}
 	return d
+}
+
+// Free is a network's packets that sit in no queue: a LIFO list linked
+// through the packets themselves, so it costs one word however many it
+// holds, and the most recently freed packet — still in cache — is the next
+// one handed out. Get allocates only when the list is empty, so a network
+// never holds more packets than it once had live at the same time. It is
+// safe for concurrent use: packets are taken and returned by whichever
+// goroutine generates or delivers them. The zero Free is empty.
+type Free struct {
+	mu   sync.Mutex
+	top  *Packet
+	made int // packets Get has allocated
+}
+
+// Get returns a packet off the list, or a new one when the list is empty.
+// Its contents are stale: the caller resets it.
+func (f *Free) Get() *Packet {
+	f.mu.Lock()
+	p := f.top
+	if p == nil {
+		f.made++
+		f.mu.Unlock()
+		return new(Packet)
+	}
+	f.top, p.next = p.next, nil
+	f.mu.Unlock()
+	return p
+}
+
+// Put returns p, which must not sit in any queue, to the list.
+func (f *Free) Put(p *Packet) {
+	f.mu.Lock()
+	p.next, f.top = f.top, p
+	f.mu.Unlock()
+}
+
+// PutQueue returns every packet of q to the list at once, still linked: O(1)
+// whatever q holds. The caller drops q.
+func (f *Free) PutQueue(q Queue) {
+	if q.head == nil {
+		return
+	}
+	f.mu.Lock()
+	q.tail.next, f.top = f.top, q.head
+	f.mu.Unlock()
+}
+
+// Counts returns the packets Get has allocated and the packets on the list
+// (O(list)). Every packet a network allocated is either live or free, so
+// the two tell a leak or a packet freed twice from the network's live count.
+func (f *Free) Counts() (made, free int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for p := f.top; p != nil; p = p.next {
+		free++
+	}
+	return f.made, free
 }
 
 // Reset clears a recycled packet for reuse.

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -151,8 +152,7 @@ func TestPacketFitsItsSizeClass(t *testing.T) {
 }
 
 // A Queue is FIFO, survives draining to empty and refilling, its Clone
-// holds copies in the same order, linked among themselves only, and a queue
-// handed over by its head comes apart packet by packet.
+// holds copies in the same order, linked among themselves only.
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
 	if q.Front() != nil {
@@ -186,20 +186,82 @@ func TestQueueFIFO(t *testing.T) {
 			t.Fatalf("round %d: drained queue not empty", round)
 		}
 	}
-	// A queue handed over whole is taken apart from its head.
+}
+
+// A Free list allocates only when it is empty, hands out the packet freed
+// last first, takes a whole queue back in one splice — its packets come
+// out again one by one, in queue order, unlinked — and counts what it
+// allocated and what it holds.
+func TestFree(t *testing.T) {
+	var f Free
+	a, b := f.Get(), f.Get()
+	if a == b {
+		t.Fatal("an empty list handed out one packet twice")
+	}
+	f.Put(a)
+	f.Put(b)
+	if made, free := f.Counts(); made != 2 || free != 2 {
+		t.Fatalf("counts %d made, %d free; want 2, 2", made, free)
+	}
+	if p := f.Get(); p != b {
+		t.Fatal("Get did not hand out the packet freed last")
+	}
+	var q Queue
 	for id := uint64(1); id <= 3; id++ {
 		q.Push(&Packet{ID: id})
 	}
+	f.PutQueue(q)
+	f.PutQueue(Queue{})
 	var got []uint64
-	for p := q.Front(); p != nil; {
-		got = append(got, p.ID)
-		rest := p.Unchain()
+	for range 3 {
+		p := f.Get()
 		if p.next != nil {
-			t.Fatal("Unchain left the packet linked")
+			t.Fatalf("packet %d handed out still linked", p.ID)
 		}
-		p = rest
+		got = append(got, p.ID)
 	}
 	if !slices.Equal(got, []uint64{1, 2, 3}) {
-		t.Fatalf("unchaining from the head yields %v", got)
+		t.Fatalf("a queue put back whole comes out as %v", got)
+	}
+	if p := f.Get(); p != a {
+		t.Fatal("the queue's packets did not sit on top of the list")
+	}
+	if made, free := f.Counts(); made != 2 || free != 0 {
+		t.Fatalf("counts %d made, %d free; want 2, 0 (the queue's packets were not the list's)", made, free)
+	}
+	f.Get()
+	if made, _ := f.Counts(); made != 3 {
+		t.Fatalf("Get on an empty list counts %d made, want 3", made)
+	}
+}
+
+// Generation and delivery run on every engine worker, so a Free is taken
+// from and returned to by several goroutines at once, a packet or a whole
+// queue at a time; when they are done every packet it made is back.
+func TestFreeConcurrent(t *testing.T) {
+	var f Free
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				var q Queue
+				for range 1 + (g+i)%4 {
+					q.Push(f.Get())
+				}
+				if i%2 == 0 {
+					f.PutQueue(q)
+					continue
+				}
+				for q.Front() != nil {
+					f.Put(q.Pop())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if made, free := f.Counts(); made != free || made > 4*4 {
+		t.Fatalf("%d packets made, %d free; want all back, and at most the 16 ever held at once", made, free)
 	}
 }

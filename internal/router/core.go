@@ -238,11 +238,12 @@ type Wiring struct {
 type Binding struct {
 	// Env is the network's routing environment.
 	Env *routing.Env
-	// Recycle returns packets to the network's pool: a delivered packet,
-	// or, when Clone overwrites a retired Core, the head of one of its
-	// queues with the rest of the queue still linked behind it (see
-	// packet.Packet.Unchain).
+	// Recycle returns a delivered packet to the network's free list.
 	Recycle func(*packet.Packet)
+	// RecycleQueue returns a whole queue of packets to the network's free
+	// list: Clone hands back what a retired Core still held this way, one
+	// queue at a time, without touching a packet.
+	RecycleQueue func(packet.Queue)
 	// Trace yields router r's trace hook (nil: tracing off).
 	Trace func(r int) TraceFn
 	// NodeJob is the network's live node→job map (nil without job
@@ -320,7 +321,7 @@ type shape struct {
 // length is held to the occupancy bound of the credit protocol (inQCap,
 // outQCap, arrCap). Credits in flight sit in fixed-capacity rings carved out
 // of one arena, the event calendars in fixed windows, and delivered packets
-// go back to the network's pool, so steady-state cycles never allocate —
+// go back to the network's free list, so steady-state cycles never allocate —
 // the zero-allocation gate in internal/sim relies on this.
 //
 // Concurrency contract: StepRouter and Settle touch only state of the
@@ -336,12 +337,13 @@ type Core struct {
 	shape
 
 	// Per-network bindings (see Binding) and per-router engine hooks.
-	env     *routing.Env
-	recycle func(*packet.Packet)
-	nodeJob []int32
-	trace   []TraceFn
-	notify  []func(LinkEvent)
-	views   []View
+	env      *routing.Env
+	recycle  func(*packet.Packet)
+	recycleQ func(packet.Queue)
+	nodeJob  []int32
+	trace    []TraceFn
+	notify   []func(LinkEvent)
+	views    []View
 
 	// Port bitmasks, maskWords words per router. inOcc/outOcc: bit p set iff
 	// the port has packets buffered; arrPend/crdPend: bit p set iff the
@@ -707,7 +709,7 @@ func (c *Core) layoutCredits(rings []evRing) int {
 // bind attaches the Core to its network's hooks and clears the engine's.
 func (c *Core) bind(b Binding) {
 	c.env = b.Env
-	c.recycle = b.Recycle
+	c.recycle, c.recycleQ = b.Recycle, b.RecycleQueue
 	c.nodeJob = b.NodeJob
 	for r := range c.trace {
 		c.trace[r] = nil
@@ -726,21 +728,22 @@ func (c *Core) bind(b Binding) {
 // covers c's shape and reallocated where not — so a Core retired from one
 // mechanism's network serves a restore of another's, and recycling within
 // one shape allocates nothing beyond the live packets; the packets the
-// retired run left behind go back through into's own Recycle hook, a queue
-// at a time. When c is a template (see NewTemplate) there is no state to
-// copy: the destination is reset to the empty network instead — its reused
-// state arrays cleared, fresh ones left as allocated, then initEmpty and
-// c's RNG streams. Both Cores must be between cycles.
+// retired run left behind go back through into's own RecycleQueue hook, a
+// whole queue at a time. When c is a template (see NewTemplate) there is no
+// state to copy: the destination is reset to the empty network instead — its
+// reused state arrays cleared, fresh ones left as allocated, then initEmpty
+// and c's RNG streams. Both Cores must be between cycles.
 func (c *Core) Clone(into *Core, b Binding) *Core {
 	d := into
 	if d == nil {
 		d = &Core{}
 	} else {
-		// Hand the retired run's packets back to its network's pool — the one
-		// the clone will generate from — while d's old shape still finds them:
-		// a queue at a time, still linked, so no packet is touched here.
+		// Hand the retired run's packets back to its network's free list —
+		// the one the clone will generate from — while d's old shape still
+		// finds them: a queue at a time, still linked, so no packet is
+		// touched here.
 		d.eachQueue(func(_, _ int, q *packet.Queue) {
-			d.recycle(q.Front())
+			d.recycleQ(*q)
 			*q = packet.Queue{}
 		})
 	}

@@ -15,17 +15,21 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// denseRun builds an h=2 MIN network and steps every router through `cycles`
-// cycles at full load — every node sends a packet every serialisation time
-// to a node of the next group — leaving it mid-flight. It returns the Core
-// and the wiring it was built from, re-bindable to another Recycle hook.
-func denseRun(t *testing.T, cycles int64, recycle func(*packet.Packet)) (*Core, func(func(*packet.Packet)) Wiring) {
-	return denseRunAt(t, 2, cycles, recycle, func(src, perGroup, nodes int, _ int64) int { return (src + perGroup + 1) % nodes })
+// drop is a binding whose recycle hooks let packets go to the collector.
+var drop = Binding{Recycle: func(*packet.Packet) {}, RecycleQueue: func(packet.Queue) {}}
+
+// denseRun builds an h=2 MIN network bound to b's recycle hooks and steps
+// every router through `cycles` cycles at full load — every node sends a
+// packet every serialisation time to a node of the next group — leaving it
+// mid-flight. It returns the Core and the wiring it was built from,
+// re-bindable to other recycle hooks (b's Env is ignored).
+func denseRun(t *testing.T, cycles int64, b Binding) (*Core, func(Binding) Wiring) {
+	return denseRunAt(t, 2, cycles, b, func(src, perGroup, nodes int, _ int64) int { return (src + perGroup + 1) % nodes })
 }
 
 // denseRunAt is denseRun on a balanced network of any h, with the
 // destination of the packet src generates at cycle now picked by dst.
-func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet), dst func(src, perGroup, nodes int, now int64) int) (*Core, func(func(*packet.Packet)) Wiring) {
+func denseRunAt(t *testing.T, h int, cycles int64, b Binding, dst func(src, perGroup, nodes int, now int64) int) (*Core, func(Binding) Wiring) {
 	t.Helper()
 	topo := topology.New(topology.Balanced(h))
 	mech, err := routing.ByName("MIN")
@@ -37,14 +41,15 @@ func denseRunAt(t *testing.T, h int, cycles int64, recycle func(*packet.Packet),
 	rcfg := routing.DefaultConfig()
 	rcfg.LocalVCs, rcfg.GlobalVCs, rcfg.PacketSize = cfg.LocalVCs, cfg.GlobalVCs, cfg.PacketSize
 	env := &routing.Env{Topo: topo, Cfg: rcfg}
-	wiring := func(recycle func(*packet.Packet)) Wiring {
+	wiring := func(b Binding) Wiring {
+		b.Env = env
 		return Wiring{
 			Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1),
 			Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
-			Binding: Binding{Env: env, Recycle: recycle},
+			Binding: b,
 		}
 	}
-	c, err := NewCore(wiring(recycle))
+	c, err := NewCore(wiring(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func TestCoreRecordSizes(t *testing.T) {
 			t.Errorf("%s is %d bytes, want %d", rec.name, rec.size, rec.want)
 		}
 	}
-	c, _ := denseRun(t, 0, func(*packet.Packet) {})
+	c, _ := denseRun(t, 0, drop)
 	if want := 13 * c.nr; len(c.inQ) != want || len(c.outQ) != want {
 		t.Errorf("an h=2 MIN Core holds %d input and %d output VC records, want %d of each", len(c.inQ), len(c.outQ), want)
 	}
@@ -115,20 +120,22 @@ func TestNewTemplateRefusesRadixPast16Bits(t *testing.T) {
 
 // A restore that recycles a retired Core hands the packets that Core still
 // held — the retired run's in-flight traffic — back through the RETIRED
-// binding's Recycle before it drops them: that network and its pool are the
-// ones the restored run generates from. Pinned by counting, not by
-// allocation metering (a sync.Pool gives no guarantees to meter): every
-// packet the retired Core holds, in each of the three kinds of packet queue,
-// is recycled exactly once, and the new binding sees none of them.
+// binding's RecycleQueue before it drops them: that network and its free
+// list are the ones the restored run generates from. A queue goes back
+// whole, still linked, and nothing goes back a packet at a time. Pinned by
+// counting: every packet the retired Core holds, in each of the three kinds
+// of packet queue, is recycled exactly once, and the new binding sees none
+// of them.
 func TestCloneRecyclesRetiredPackets(t *testing.T) {
 	recycled := map[*packet.Packet]int{}
+	delivered := 0
 	// A dense sequential run at full load, abandoned mid-flight.
-	retired, wiring := denseRun(t, 60, func(p *packet.Packet) {
-		for ; p != nil; p = p.Unchain() {
-			recycled[p]++
-		}
+	retired, wiring := denseRun(t, 60, Binding{
+		Recycle: func(*packet.Packet) { delivered++ },
+		RecycleQueue: func(q packet.Queue) {
+			q.Each(func(p *packet.Packet) { recycled[p]++ })
+		},
 	})
-	env := wiring(nil).Env
 	held := map[*packet.Packet]bool{}
 	var perKind [3]int
 	retired.eachQueue(func(kind, _ int, q *packet.Queue) {
@@ -145,17 +152,24 @@ func TestCloneRecyclesRetiredPackets(t *testing.T) {
 			t.Fatalf("the abandoned run holds no packet in queues of kind %d (input VCs, output VCs, arrivals): %v", kind, perKind)
 		}
 	}
-	clear(recycled) // deliveries of the abandoned run itself
+	if len(recycled) != 0 {
+		t.Fatalf("the run itself recycled %d packets as queues", len(recycled))
+	}
+	delivered = 0 // deliveries of the abandoned run itself
 
-	tmpl, err := NewTemplate(wiring(nil))
+	tmpl, err := NewTemplate(wiring(drop))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := tmpl.Clone(retired, Binding{Env: env, Recycle: func(p *packet.Packet) {
-		t.Errorf("packet %v recycled through the new binding", p)
-	}})
+	restored := tmpl.Clone(retired, wiring(Binding{
+		Recycle:      func(p *packet.Packet) { t.Errorf("packet %v recycled through the new binding", p) },
+		RecycleQueue: func(q packet.Queue) { t.Errorf("queue at %v recycled through the new binding", q.Front()) },
+	}).Binding)
 	if restored != retired {
 		t.Fatal("Clone did not reuse the retired Core")
+	}
+	if delivered != 0 {
+		t.Fatalf("Clone recycled %d packets one at a time, not a queue at a time", delivered)
 	}
 	if len(recycled) != len(held) {
 		t.Fatalf("%d packets recycled, the retired Core held %d (%v per kind)", len(recycled), len(held), perKind)
@@ -243,7 +257,6 @@ func wordDiff(a, b *Core, r int) string {
 // shape retired mid-flight (h=3 at full load, whose arrays the h=2 restore
 // reslices down over stale contents).
 func TestTemplateCloneIsNewCore(t *testing.T) {
-	drop := func(*packet.Packet) {}
 	_, wiring := denseRun(t, 0, drop)
 	tmpl, err := NewTemplate(wiring(drop))
 	if err != nil {
@@ -297,7 +310,7 @@ func TestTemplateCloneIsNewCore(t *testing.T) {
 // credit leave none. A second Settle of the same cycle finds nothing.
 func TestSettleIsIdempotentInTime(t *testing.T) {
 	const from, span = 60, 40
-	src, wiring := denseRun(t, from, func(*packet.Packet) {})
+	src, wiring := denseRun(t, from, drop)
 	variants := map[string]func(now int64) bool{
 		"every cycle":       func(int64) bool { return true },
 		"once, at the end":  func(now int64) bool { return now == from+span-1 },
@@ -318,7 +331,7 @@ func TestSettleIsIdempotentInTime(t *testing.T) {
 		}
 	}
 	for name, due := range variants {
-		c := src.Clone(nil, wiring(func(*packet.Packet) {}).Binding)
+		c := src.Clone(nil, wiring(drop).Binding)
 		applied := false
 		for now := int64(from); now < from+span; now++ {
 			if !due(now) {
@@ -367,7 +380,7 @@ func TestSettleIsIdempotentInTime(t *testing.T) {
 // used to wait. The port here has filled every downstream VC; all the
 // credits come back, latency-spaced, before the router is looked at again.
 func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
-	c, _ := denseRun(t, 0, func(*packet.Packet) {})
+	c, _ := denseRun(t, 0, drop)
 	const r, p = 3, 0 // a local port: the timing-derived ring used to be 6 slots
 	pi := r*c.np + p
 	perVC := c.downCapVC[p] / int32(c.size)
@@ -405,7 +418,7 @@ func TestCalendarsStayInTheirWindows(t *testing.T) {
 	uniform := func(src, _, nodes int, now int64) int {
 		return int((uint64(src)*2654435761 + uint64(now)*40503 + 1) % uint64(nodes))
 	}
-	c, _ := denseRunAt(t, 3, 600, func(*packet.Packet) {}, uniform)
+	c, _ := denseRunAt(t, 3, 600, drop, uniform)
 	for r := 0; r < c.nr; r++ {
 		for k, d := range []*dueQueue{&c.relDue[r], &c.xferDue[r]} {
 			pos := (2*r + k) * c.np
@@ -438,7 +451,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // its credits.
 func TestQueueBoundsStillHold(t *testing.T) {
 	fresh := func() *Core {
-		c, _ := denseRun(t, 0, func(*packet.Packet) {})
+		c, _ := denseRun(t, 0, drop)
 		return c
 	}
 	pkt := func(c *Core) *packet.Packet {

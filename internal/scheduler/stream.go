@@ -82,9 +82,10 @@ func (f *foldSink) departed(i, _ int, start, now int64) {
 	f.res.Completed++
 	f.res.LastDeparture = max(f.res.LastDeparture, now)
 	if f.measureRetained && f.res.Completed == f.gt.Len() {
-		// Two collections: the first only moves sync.Pool contents
-		// (engine scratch from earlier runs in this process) to the
-		// victim cache; the second reclaims them.
+		// Two collections: the first only moves what sits in the
+		// standard library's sync.Pools to their victim caches; the
+		// second reclaims it. The network's free packets are on its own
+		// list, not in a pool, and count as retained.
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats

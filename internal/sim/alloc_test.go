@@ -15,7 +15,8 @@ import (
 // fixed-capacity rings carved out of one arena sized at construction, the
 // event calendars live in fixed windows, the allocator scratch is sized per
 // worker when the run starts, the routing mechanisms' views are built once
-// per network, and delivered packets recycle through the pool. This is the
+// per network, and delivered packets go back to the network's free list,
+// which the next generated packet comes off. This is the
 // runtime companion of the construction-bytes gates (TestBuildFootprint
 // below and cmd/dfbench, all run in CI): those lock in the build-time
 // memory, this one locks the steady state at zero allocations per window —
@@ -55,7 +56,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				now = to
 			}
 			// Warm up past the measurement boundary so queues, calendars and the
-			// packet pool reach their steady-state capacities.
+			// free list of packets reach their steady-state capacities.
 			for now < 4000 {
 				step()
 			}
@@ -118,8 +119,9 @@ func TestBuildFootprint(t *testing.T) {
 // Past the build, what a run allocates is its live packets, at the 128 bytes
 // of a packet.Packet each: a saturated run's heap bytes, divided by the most
 // packets it held at once (source queues included), stay within a few bytes
-// of 128. The rest — pool refills after a collection empties the free list,
-// the probe summary — is noise on tens of thousands of packets.
+// of 128. A packet is allocated only when the network's free list is empty,
+// so the run allocates its peak of live packets once; the rest — the probe
+// summary, the engine's arrays — is noise on tens of thousands of packets.
 func TestRunAllocatesItsLivePackets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -153,7 +155,7 @@ func TestRunAllocatesItsLivePackets(t *testing.T) {
 // A construction template is what an empty network cannot compute, not an
 // empty network: the wiring and the RNG streams, no state array (a restore
 // writes the empty state itself). At h=6 that is at most 1.5 MiB, against
-// TestBuildFootprint's 15 MiB build.
+// TestBuildFootprint's 11.5 MiB build.
 func TestTemplateFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -213,10 +215,11 @@ func TestTemplateFamilyFootprint(t *testing.T) {
 
 // The sweep steady state — restore over a retired network, run, extract
 // the result — must not rebuild what the network already owns. The core
-// lives as long as its network, so a recycled point allocates scheduler
-// scratch, the result and little else: well under the bytes of one build.
-// (The parent of this layout rebuilt a whole core per RunNetwork and fails
-// this by an order of magnitude.)
+// lives as long as its network, so a recycled point allocates the result
+// and little else: well under the bytes of one build. (A layout that
+// rebuilt a whole core per RunNetwork failed this by an order of
+// magnitude.) TestRecycledPointAllocatesOnlyItsResult below holds the
+// "little else" to 1 KiB.
 func TestSweepPointAllocatesFarLessThanABuild(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -255,8 +258,52 @@ func TestSweepPointAllocatesFarLessThanABuild(t *testing.T) {
 			t.Fatal("point delivered nothing")
 		}
 	}
-	point() // first point on this network: calendars and pool reach capacity
+	point() // first point on this network: arrays, engine and free list reach capacity
 	if got := allocated(point); got > build/4 {
 		t.Fatalf("recycled sweep point allocates %d B; one build is %d B — the point is rebuilding state", got, build)
+	}
+}
+
+// A point of the sweep steady state allocates its Result and nothing else:
+// once a network has run a point, restoring a template over it and running
+// the next point finds every array, the engine's included, and every packet
+// it needs already there — packets come off the network's own free list,
+// which a restore refills with the packets the retired run left behind.
+// Metered on the third point of one h=6 network at the screening grid's
+// cycle counts; at most 1 KiB, where a network that drops its packets and
+// engine arrays at every run pays about 147 KB.
+func TestRecycledPointAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
+	}
+	cfg := PaperConfig()
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "In-Trns-MM", "UN", 0.3
+	cfg.WarmupCycles, cfg.MeasureCycles = 15, 30
+	cfg.Workers = 1
+	snap, err := NewSnapshot(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var net *Network
+	restoreAndRun := func() {
+		var err error
+		if net, err = RestoreNetworkInto(snap, &cfg, net); err != nil {
+			t.Fatal(err)
+		}
+		if err := RunNetwork(net, &cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		restoreAndRun()
+		NewResultFrom(net, &cfg, 0)
+	}
+	got := allocated(restoreAndRun)
+	t.Logf("h=6 recycled point: restore + run allocate %d B", got)
+	if NewResultFrom(net, &cfg, 0).Delivered() == 0 {
+		t.Fatal("the point delivered nothing")
+	}
+	if got > 1<<10 {
+		t.Errorf("a recycled h=6 point allocates %d B before its result, want at most 1 KiB", got)
 	}
 }

@@ -359,11 +359,14 @@ type engine struct {
 	nextWake []int64
 
 	groups []groupRun
-	weight []int64 // per group: router-steps, halved at each re-partition
-	spans  []span  // per worker: the groups it owns
+	weight []int64                  // per group: router-steps, halved at each re-partition
+	spans  []span                   // per worker: the groups it owns
+	sinks  []func(router.LinkEvent) // per group: its routers' event sink (sinkOf)
 	// Worker 0 is the caller of Advance; every other worker has a dedicated
 	// start channel so a fast worker can never steal another's window, and
-	// done is the converging barrier.
+	// done is the converging barrier. The start channels and their
+	// goroutines are the run's (Close ends them); everything else is the
+	// network's, kept in Network.eng for its next run.
 	starts []chan [2]int64
 	done   chan struct{}
 }
@@ -377,23 +380,14 @@ type groupRun struct {
 	out []router.LinkEvent
 }
 
+// newEngine readies the engine of one run of net on `workers` workers.
 func newEngine(net *Network, workers int) *engine {
-	groups := net.Topo.NumGroups()
-	workers = min(max(workers, 1), groups)
-	e := &engine{
-		net: net, core: net.core,
-		per:      net.Topo.NumRouters() / groups,
-		wakeAt:   make([]int64, net.Topo.NumRouters()),
-		nextWake: make([]int64, groups),
-		groups:   make([]groupRun, groups),
-		weight:   make([]int64, groups),
-		done:     make(chan struct{}, workers-1),
-	}
+	workers = min(max(workers, 1), net.Topo.NumGroups())
+	e := engineOf(net, workers)
 	net.pb.allStale()
 	e.core.SizeScratch(workers)
 	e.partition(workers)
-	for g := range e.groups {
-		sink := e.sinkOf(g)
+	for g, sink := range e.sinks {
 		for r := g * e.per; r < (g+1)*e.per; r++ {
 			e.core.SetSink(r, sink)
 		}
@@ -408,6 +402,39 @@ func newEngine(net *Network, workers int) *engine {
 			}
 		}(w)
 	}
+	return e
+}
+
+// engineOf returns net's engine arrays for a run on `workers` workers: those
+// of its last run, reset to what fresh ones hold, when that run had the same
+// shape and worker count, new ones otherwise. A network that runs again
+// therefore allocates only its workers' goroutines and start channels.
+func engineOf(net *Network, workers int) *engine {
+	groups := net.Topo.NumGroups()
+	if e := net.eng; e != nil && len(e.wakeAt) == net.Topo.NumRouters() && len(e.groups) == groups && len(e.spans) == workers {
+		clear(e.wakeAt)
+		clear(e.nextWake)
+		clear(e.weight)
+		for g := range e.groups {
+			e.groups[g].steps = 0
+		}
+		e.starts = e.starts[:0]
+		return e
+	}
+	e := &engine{
+		net: net, core: net.core,
+		per:      net.Topo.NumRouters() / groups,
+		wakeAt:   make([]int64, net.Topo.NumRouters()),
+		nextWake: make([]int64, groups),
+		groups:   make([]groupRun, groups),
+		weight:   make([]int64, groups),
+		sinks:    make([]func(router.LinkEvent), groups),
+		done:     make(chan struct{}, workers-1),
+	}
+	for g := range e.sinks {
+		e.sinks[g] = e.sinkOf(g)
+	}
+	net.eng = e
 	return e
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/rng"
@@ -80,8 +79,16 @@ type Network struct {
 	jobs    traffic.JobMapper
 	pb      *pbState
 	nodes   []nodeState
-	pool    sync.Pool
 	genProb float64 // packet generation probability per node per cycle
+
+	// free holds the network's packets that sit in no queue. Generate takes
+	// from it, delivery and a restore over this network give back, so a
+	// network that runs again reuses the packets of its earlier runs.
+	free packet.Free
+
+	// eng is the engine state of the network's last run, reused by the next
+	// run of the same shape and worker count (see engineOf).
+	eng *engine
 
 	// nodeJob is the pattern's live node→job map (JobMapper.NodeJobs),
 	// borrowed read-only and shared with the fabric (nil without job
@@ -202,8 +209,6 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 		mech:    mech,
 		genProb: cfg.Load / float64(rcfg.PacketSize),
 	}
-	net.pool.New = func() any { return new(packet.Packet) }
-
 	if pat == nil {
 		pat, err = traffic.ByName(topo, cfg.Pattern, root.Split())
 		if err != nil {
@@ -278,9 +283,10 @@ func (net *Network) sizeSources() {
 // binding returns the hooks the network's fabric reports to.
 func (net *Network) binding() router.Binding {
 	b := router.Binding{
-		Env:     &net.env,
-		Recycle: func(p *packet.Packet) { net.pool.Put(p) },
-		NodeJob: net.nodeJob,
+		Env:          &net.env,
+		Recycle:      net.free.Put,
+		RecycleQueue: net.free.PutQueue,
+		NodeJob:      net.nodeJob,
 	}
 	if t := net.cfg.Tracer; t != nil {
 		// Each router gets its own shard hook; the engines keep the
@@ -401,10 +407,7 @@ func (net *Network) Generate(r int, now int64) {
 					continue
 				}
 			}
-			pkt := net.pool.Get().(*packet.Packet)
-			if rest := pkt.Unchain(); rest != nil {
-				net.pool.Put(rest) // the rest of a queue a restore handed back whole
-			}
+			pkt := net.free.Get()
 			pkt.Reset()
 			ns.seq++
 			pkt.ID = uint64(src)<<32 | ns.seq

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dragonfly/internal/packet"
 	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
 )
@@ -219,7 +218,6 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	clone := into
 	if clone == nil {
 		clone = &Network{}
-		clone.pool.New = func() any { return new(packet.Packet) }
 	}
 	clone.Topo, clone.cfg, clone.mech = src.Topo, cfg, src.mech
 	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
