@@ -70,9 +70,10 @@ type scenario struct {
 }
 
 // construction is one network-construction memory point: bytes allocated
-// by sim.NewNetwork (the core's state arrays and credit rings; packet
-// queues are intrusive and reserve nothing, and the allocator scratch is
-// sized per worker when a run starts) beside the oracle's build of the
+// by sim.NewNetwork (the core's state arrays and credit rings, each ring
+// sized by what its link can have in flight; packet queues are intrusive
+// and reserve nothing, and the allocator scratch is sized per worker when
+// a run starts) beside the oracle's build of the
 // same network (per-router structs, ring links). Only the production
 // figure is gated; the two are not the same quantity and the oracle
 // figure is context.

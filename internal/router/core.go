@@ -202,10 +202,10 @@ func (q *evRing) put() int32 {
 }
 
 // crdEvent is a credit in flight, one word: the arrival cycle above the VC
-// (cycle<<8 | vc). Credit rings are sized by what a port can be owed, not by
-// how long a credit flies (see layoutCredits), and the packing keeps them at
-// one word per entry. A multiple of 256 added to the word shifts the cycle
-// and leaves the VC alone (Rebase).
+// (cycle<<8 | vc). Credit rings hold what their link can have in flight (see
+// layoutCredits), and the packing keeps them at one word per entry. A
+// multiple of 256 added to the word shifts the cycle and leaves the VC alone
+// (Rebase).
 type crdEvent int64
 
 func newCrdEvent(at int64, vc int32) crdEvent { return crdEvent(at<<8 | int64(vc)) }
@@ -292,7 +292,8 @@ type shape struct {
 	// inCapVC/size packets, the packets in flight towards an input port
 	// are at most what its VCs hold — a sender only sends into credited space
 	// — and the credits an output is owed at most what the downstream buffer
-	// holds (downTotal/size, its credit ring's capacity; see layoutCredits).
+	// holds (downTotal/size; a credit ring holds at most that many, fewer
+	// where its link has fewer in flight, see layoutCredits).
 	inQCap []int32
 	arrCap []int32
 	crdCap []int32
@@ -328,9 +329,11 @@ type shape struct {
 // router's index range, and StepRouter the allocator scratch it is handed,
 // so routers of distinct groups may be stepped (or settled) concurrently as
 // long as each concurrent stepper steps in a scratch of its own. PushDue
-// touches the destination router's queues and rings: it may run while other
-// routers step (a sender's sink parks its events at once), but never
-// concurrently with a step, a Settle or another PushDue of the destination.
+// touches the destination router's queues and rings — and, when a credit
+// finds its ring full, applies the due head to the destination's output
+// counters, as Settle would: it may run while other routers step (a
+// sender's sink parks its events at once), but never concurrently with a
+// step, a Settle or another PushDue of the destination.
 // Everything else (SetSink, SetPhases, SizeScratch, Clone, Rebase) must
 // happen with no step in flight.
 type Core struct {
@@ -681,22 +684,27 @@ func (c *Core) SizeScratch(steppers int) {
 }
 
 // layoutCredits carves the credit rings out of their arena: one ring per
-// wired output, with room for every credit the port can be owed (crdCap).
-// An entry is the credit for one packet the port has sent and not been
-// credited for, the port cannot have more of those than the downstream
-// buffer holds packets, and with credits settled lazily nothing else bounds
-// how long one waits in its ring (a sleeping router with nothing queued at
-// the port is never woken for it). With rings it writes each ring's place,
-// not its contents — an empty ring is the zero head and length the record
-// already holds; without, it only counts the arena's slots. It returns
-// their number.
+// wired output, with room for what the output's link can have in flight. An
+// entry is the credit for one packet the port has sent and not been credited
+// for, so no ring needs more than crdCap, what the downstream buffer holds.
+// Nor more than the credits that are not yet provably due: PushDue applies
+// the head of a full ring once it is (see creditSlack), so every entry it
+// keeps was sent less than lat + slack cycles before the newest, and the
+// downstream input port returns at most one credit per crossbar time —
+// ⌊(lat+slack)/xbar⌋ + 1 of them. A latency model may give every cable a
+// latency of its own, so the bound is per output, not per port class. With
+// rings it writes each ring's place, not its contents — an empty ring is the
+// zero head and length the record already holds; without, it only counts
+// the arena's slots. It returns their number.
 func (c *Core) layoutCredits(rings []evRing) int {
 	var off int32
 	for base := 0; base < len(c.outW); base += c.np {
-		for p, n := range c.crdCap {
-			if c.outW[base+p].peer < 0 {
+		for p, owed := range c.crdCap {
+			w := &c.outW[base+p]
+			if w.peer < 0 {
 				continue
 			}
+			n := int32(min(int64(owed), (int64(w.lat)+c.creditSlack(p))/c.xbar+1))
 			if rings != nil {
 				rings[base+p].off, rings[base+p].qcap = off, n
 			}
@@ -704,6 +712,23 @@ func (c *Core) layoutCredits(rings []evRing) int {
 		}
 	}
 	return int(off)
+}
+
+// creditSlack bounds how far the router of output p can lag behind the
+// sender of a credit pushed to it: a credit sent at cycle t is pushed while
+// the receiver may still be short of t, but every read of the receiver after
+// the push settles it to at least t − slack. A local link joins two routers
+// of one group, and a group's routers advance in lockstep: 1. A global link
+// joins two groups, and inside a time window — at most one lookahead long —
+// the receiver's group may not have started the window its sender is ending
+// (events that cross workers wait for the barrier, later still): the
+// lookahead. The slack comes from the port class, not from the peer's group,
+// which Unplug forgets.
+func (c *Core) creditSlack(p int) int64 {
+	if c.class[p] == topology.GlobalPort {
+		return c.lookahead
+	}
+	return 1
 }
 
 // bind attaches the Core to its network's hooks and clears the engine's.
@@ -943,12 +968,18 @@ func (c *Core) measuring(now int64) bool { return now >= c.warmup }
 // which r has to step because of it, or -1 when the event cannot make r act:
 // a packet can be allocated once it has crossed the input pipeline (ev.At +
 // pipeline); a credit lets a starved output send (ev.At), and on any other
-// output it only moves a counter. The event itself
-// is applied by Settle — at r's next step or the next time anyone reads r's
-// state, whichever comes first. The engine must call PushDue — between router
-// r's steps — for every LinkEvent whose Router field names r and wake r no
-// later than the cycle returned; settle panics on an event whose step was
-// slept through.
+// output it only moves a counter. The event itself is applied by Settle — at
+// r's next step or the next time anyone reads r's state, whichever comes
+// first. The one exception is a credit that finds its ring full: the ring's
+// head is then provably due — r's next read settles at least to the credit's
+// send cycle less creditSlack, and the head fell due by then — so PushDue
+// applies it at once, which no reader can tell from Settle applying it (the
+// settle gate bookAt stays at or below the head's cycle, so the next Settle
+// still reports a change). A full ring whose head is not due breaks the
+// bound layoutCredits sizes the rings by and panics. The engine must call
+// PushDue — between router r's steps — for every LinkEvent whose Router
+// field names r and wake r no later than the cycle returned; settle panics
+// on an event whose step was slept through.
 func (c *Core) PushDue(r int, ev LinkEvent) int64 {
 	pi := r*c.np + ev.Port
 	word, bit := r*c.maskWords+ev.Port>>6, uint64(1)<<(uint(ev.Port)&63)
@@ -956,7 +987,15 @@ func (c *Core) PushDue(r int, ev LinkEvent) int64 {
 		c.bookAt[r] = ev.At
 	}
 	if ev.Credit {
-		i := c.crdQ[pi].put()
+		q := &c.crdQ[pi]
+		if q.qlen == q.qcap && q.qlen > 0 {
+			// Due by the receiver's next read: at most the send cycle less the slack.
+			due := ev.At - int64(c.outW[pi].lat) - c.creditSlack(ev.Port)
+			if c.crdData[q.off+q.head].at() <= due {
+				c.popCredit(r, ev.Port, due-1)
+			}
+		}
+		i := q.put()
 		if i < 0 {
 			c.linkEventRingFull(r, ev)
 		}
@@ -982,7 +1021,9 @@ func (c *Core) PushDue(r int, ev LinkEvent) int64 {
 }
 
 // linkEventRingFull reports an event its port has no room for: more packets
-// or credits in flight towards it than the credit protocol allows.
+// in flight towards it than the credit protocol allows, or a credit ring
+// full of credits not yet due — more than its link can have in flight (see
+// layoutCredits).
 func (c *Core) linkEventRingFull(r int, ev LinkEvent) {
 	panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the credit protocol)", r, ev.Port, ev.Credit))
 }

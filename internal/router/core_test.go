@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -31,25 +32,10 @@ func denseRun(t *testing.T, cycles int64, b Binding) (*Core, func(Binding) Wirin
 // destination of the packet src generates at cycle now picked by dst.
 func denseRunAt(t *testing.T, h int, cycles int64, b Binding, dst func(src, perGroup, nodes int, now int64) int) (*Core, func(Binding) Wiring) {
 	t.Helper()
-	topo := topology.New(topology.Balanced(h))
-	mech, err := routing.ByName("MIN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.LocalVCs, cfg.GlobalVCs = mech.VCNeeds()
-	rcfg := routing.DefaultConfig()
-	rcfg.LocalVCs, rcfg.GlobalVCs, rcfg.PacketSize = cfg.LocalVCs, cfg.GlobalVCs, cfg.PacketSize
-	env := &routing.Env{Topo: topo, Cfg: rcfg}
-	wiring := func(b Binding) Wiring {
-		b.Env = env
-		return Wiring{
-			Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1),
-			Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
-			Binding: b,
-		}
-	}
-	c, err := NewCore(wiring(b))
+	wiring := wiringAt(t, h, nil)
+	w := wiring(b)
+	topo, cfg := w.Topo, w.Cfg
+	c, err := NewCore(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +61,30 @@ func denseRunAt(t *testing.T, h int, cycles int64, b Binding, dst func(src, perG
 		}
 	}
 	return c, wiring
+}
+
+// wiringAt returns the wiring of a balanced h network routed by MIN, with
+// links timed by model (nil: Table I's uniform latencies), re-bindable to
+// any recycle hooks (b's Env is ignored).
+func wiringAt(t *testing.T, h int, model topology.LatencyModel) func(Binding) Wiring {
+	t.Helper()
+	topo := topology.New(topology.Balanced(h))
+	mech, err := routing.ByName("MIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.LocalVCs, cfg.GlobalVCs = mech.VCNeeds()
+	if model == nil {
+		model = topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency}
+	}
+	rcfg := routing.DefaultConfig()
+	rcfg.LocalVCs, rcfg.GlobalVCs, rcfg.PacketSize = cfg.LocalVCs, cfg.GlobalVCs, cfg.PacketSize
+	env := &routing.Env{Topo: topo, Cfg: rcfg}
+	return func(b Binding) Wiring {
+		b.Env = env
+		return Wiring{Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1), Latency: model, Binding: b}
+	}
 }
 
 // The per-port records are the Core's widest arrays after the VC records:
@@ -372,16 +382,17 @@ func TestSettleIsIdempotentInTime(t *testing.T) {
 	}
 }
 
-// A credit ring has room for every credit its port can be owed. With lazy
-// settling a router that has nothing queued at a port is not woken for the
-// credits returning there, however long it sleeps and however many come: the
-// ring is bounded by counting — one entry per packet sent and not credited,
-// and the downstream buffer holds only so many — not by how long an entry
-// used to wait. The port here has filled every downstream VC; all the
-// credits come back, latency-spaced, before the router is looked at again.
+// A port gets back every credit it is owed, however long its router sleeps
+// through them. With lazy settling a router that has nothing queued at a
+// port is not woken for the credits returning there, so its ring fills; the
+// ring holds only what the link can have in flight, fewer slots than the
+// port is owed, and each credit that finds it full applies the head, which
+// is due by then. The port here has filled every downstream VC; all the
+// credits come back, one per crossbar time, before the router is looked at
+// again.
 func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	c, _ := denseRun(t, 0, drop)
-	const r, p = 3, 0 // a local port: the timing-derived ring used to be 6 slots
+	const r, p = 3, 0 // a local port
 	pi := r*c.np + p
 	perVC := c.downCapVC[p] / int32(c.size)
 	for vc := 0; vc < int(c.nOutVC[p]); vc++ {
@@ -391,6 +402,9 @@ func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	owed := int(perVC) * int(c.nOutVC[p])
 	if owed <= 6 {
 		t.Fatalf("port owes %d credits at most: the test needs more than the old ring held", owed)
+	}
+	if n := int(c.crdQ[pi].qcap); n >= owed {
+		t.Fatalf("the ring has %d slots for the %d credits owed: the push-time apply goes untested", n, owed)
 	}
 	at := int64(100)
 	for k := 0; k < owed; k++ {
@@ -404,6 +418,140 @@ func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	}
 	if got := c.outP[pi].free; got != c.downTotal[p] {
 		t.Fatalf("port holds %d phits of credit after all came back, want %d", got, c.downTotal[p])
+	}
+}
+
+// shortGlobal times an h=2 MIN network's global links at 40 cycles, so a
+// global ring (⌊(40+40)/4⌋+1 = 21 slots) is shorter than the 32 credits a
+// global port can be owed, as a local ring (⌊(10+1)/4⌋+1 = 3) is shorter
+// than its 12.
+var shortGlobal = topology.UniformLatency{Local: 10, Global: 40}
+
+// A credit ring holds what its link can have in flight: min(crdCap,
+// ⌊(lat+slack)/xbar⌋+1) slots, with slack 1 on a local port and the
+// lookahead on a global one. The size is per wired output: under groupskew
+// every global cable has a latency of its own — 40, 60, 80 or 100 cycles
+// at h=2, four group distances — and so a ring of its own size, the longest
+// cable's capped by the 32 credits the port can be owed. The arena holds
+// these rings and nothing else.
+func TestCreditRingCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		model         topology.LatencyModel
+		local, global []int32 // the ring sizes, ascending
+	}{
+		{"uniform", shortGlobal, []int32{3}, []int32{21}},
+		{"groupskew", topology.GroupSkewLatency{Local: 10, GlobalBase: 40, GlobalStep: 20}, []int32{3}, []int32{21, 26, 31, 32}},
+	} {
+		c, err := NewCore(wiringAt(t, 2, tc.model)(drop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		look := int64(math.MaxInt64)
+		for pi, w := range c.outW {
+			if w.peer >= 0 && c.class[pi%c.np] == topology.GlobalPort {
+				look = min(look, int64(w.lat))
+			}
+		}
+		sizes := map[topology.PortClass]map[int32]bool{topology.LocalPort: {}, topology.GlobalPort: {}}
+		slots := 0
+		for pi, w := range c.outW {
+			p, q := pi%c.np, c.crdQ[pi]
+			if w.peer < 0 {
+				if q.qcap != 0 {
+					t.Errorf("%s: unwired output %d of router %d has a %d-slot ring", tc.name, p, pi/c.np, q.qcap)
+				}
+				continue
+			}
+			slack := int64(1)
+			if c.class[p] == topology.GlobalPort {
+				slack = look
+			}
+			if want := min(int64(c.crdCap[p]), (int64(w.lat)+slack)/c.xbar+1); int64(q.qcap) != want {
+				t.Errorf("%s: router %d output %d (latency %d): a %d-slot ring, want %d", tc.name, pi/c.np, p, w.lat, q.qcap, want)
+			}
+			sizes[c.class[p]][q.qcap] = true
+			slots += int(q.qcap)
+		}
+		if slots != len(c.crdData) {
+			t.Errorf("%s: the rings hold %d slots, the arena %d", tc.name, slots, len(c.crdData))
+		}
+		for class, want := range map[topology.PortClass][]int32{topology.LocalPort: tc.local, topology.GlobalPort: tc.global} {
+			got := slices.Sorted(maps.Keys(sizes[class]))
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: port class %d rings of %v slots, want %v", tc.name, class, got, want)
+			}
+		}
+	}
+}
+
+// owingCore returns an h=2 MIN network (shortGlobal links) whose router r
+// has sent its downstream buffers full on every wired output and is owed
+// every credit back.
+func owingCore(t *testing.T, r int) *Core {
+	t.Helper()
+	c, err := NewCore(wiringAt(t, 2, shortGlobal)(drop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range c.np {
+		if c.outW[r*c.np+p].peer < 0 {
+			continue
+		}
+		for vc := range int(c.nOutVC[p]) {
+			c.outQ[c.vcBase(r, p)+vc].credits = 0
+		}
+		c.outP[r*c.np+p].free = 0
+	}
+	return c
+}
+
+// A full ring whose head is due applies the head at push time, and no reader
+// can tell: a router that settles nothing until every credit is back — its
+// rings fill, and each further credit finds the head due — ends in the state
+// of one settled every cycle, word for word. Every wired output, local and
+// global, gets all it is owed back, one credit per crossbar time, pushed in
+// the cycle its downstream router sends it.
+func TestFullRingAppliesItsDueHead(t *testing.T) {
+	const r = 3
+	lazy, eager := owingCore(t, r), owingCore(t, r)
+	const from = 100
+	end := from + int64(slices.Max(lazy.crdCap))*lazy.xbar // the last credit is sent before this
+	for now := int64(from); now < end; now++ {
+		eager.Settle(r, now-1) // the receiver is at most one cycle behind
+		if (now-from)%lazy.xbar != 0 {
+			continue
+		}
+		k := (now - from) / lazy.xbar
+		for p := range lazy.np {
+			if w := lazy.outW[r*lazy.np+p]; w.peer >= 0 && k < int64(lazy.crdCap[p]) {
+				ev := LinkEvent{Router: r, Port: p, At: now + int64(w.lat), Credit: true, PVC: int32(k % int64(lazy.nOutVC[p]))}
+				lazy.PushDue(r, ev)
+				eager.PushDue(r, ev)
+			}
+		}
+	}
+	for p := range lazy.np {
+		pi := r*lazy.np + p
+		if lazy.outW[pi].peer < 0 {
+			continue
+		}
+		q := lazy.crdQ[pi]
+		if q.qlen != q.qcap {
+			t.Fatalf("output %d: the ring holds %d of its %d slots after every credit came back unsettled", p, q.qlen, q.qcap)
+		}
+		if applied := lazy.outP[pi].free / int32(lazy.size); applied != lazy.crdCap[p]-q.qcap {
+			t.Fatalf("output %d: %d credits applied at push time, want the %d that overran the ring", p, applied, lazy.crdCap[p]-q.qcap)
+		}
+	}
+	final := end + lazy.maxLat
+	lazy.Settle(r, final)
+	eager.Settle(r, final)
+	if d := wordDiff(lazy, eager, r); d != "" {
+		t.Fatalf("applying due heads at push time leaves a different state than settling every cycle, %s", d)
+	}
+	if got := lazy.outP[r*lazy.np].free; got != lazy.downTotal[0] {
+		t.Fatalf("output 0 holds %d phits of credit after all came back, want %d", got, lazy.downTotal[0])
 	}
 }
 
@@ -443,12 +591,14 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 // Every queue is held to a capacity — an input VC to the packets its buffer
-// holds, an output VC to the output buffer's, the packets and credits in
-// flight towards a port to what the credit protocol lets a sender owe — and
-// overrunning one panics with the message it had as a ring. Each case
-// breaks the contract of its caller: a source that ignores the backlog
-// bound, a grant that ignores the output's occupancy, a sender that ignores
-// its credits.
+// holds, an output VC to the output buffer's, the packets in flight towards
+// a port to what the credit protocol lets a sender owe, the credits to what
+// their link can have in flight — and overrunning one panics with the
+// message it had as a ring. Each case breaks the contract of its caller: a
+// source that ignores the backlog bound, a grant that ignores the output's
+// occupancy, a sender that ignores its credits, and one that returns credits
+// a cycle apart, faster than its crossbar frees the buffer — the ring fills
+// with credits none of which is due yet, and none is applied early.
 func TestQueueBoundsStillHold(t *testing.T) {
 	fresh := func() *Core {
 		c, _ := denseRun(t, 0, drop)
@@ -492,11 +642,18 @@ func TestQueueBoundsStillHold(t *testing.T) {
 		}
 	})
 	t.Run("credits", func(t *testing.T) {
-		c := fresh()
-		mustPanic(t, "link event ring full", func() {
-			for k := 0; k <= int(c.downTotal[p])/c.size; k++ {
-				c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + int64(k), Credit: true})
+		for _, p := range []int{p, topology.New(topology.Balanced(2)).Params().A - 1} { // a local and a global output
+			c := owingCore(t, r)
+			pi := r*c.np + p
+			q := &c.crdQ[pi]
+			mustPanic(t, "link event ring full", func() {
+				for k := int64(0); k <= int64(q.qcap); k++ {
+					c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + k, Credit: true})
+				}
+			})
+			if q.qlen != q.qcap || c.outP[pi].free != 0 {
+				t.Fatalf("output %d: %d of %d slots held, %d phits of credit applied after the overrun", p, q.qlen, q.qcap, c.outP[pi].free)
 			}
-		})
+		}
 	})
 }

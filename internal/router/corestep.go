@@ -106,12 +106,13 @@ func (c *Core) Settle(r int, upTo int64) bool {
 	return true
 }
 
-// settle is the one pop path of the three state-only event kinds: everything
-// due by cycle upTo is applied. stepped is the last cycle whose steps have
-// all run (upTo for an observer, upTo-1 inside StepRouter(upTo)): an event
-// that called for a step at or before it was slept through, and settle
-// panics rather than let the run diverge — a packet is allocatable from
-// at + pipeline, a credit on a starved output (see linkStage) at once.
+// settle is the pop path of the three state-only event kinds: everything
+// due by cycle upTo is applied (PushDue pops the due head of a full credit
+// ring too, through the same popCredit). stepped is the last cycle whose
+// steps have all run (upTo for an observer, upTo-1 inside StepRouter(upTo)):
+// an event that called for a step at or before it was slept through, and
+// settle panics rather than let the run diverge — a packet is allocatable
+// from at + pipeline, a credit on a starved output (see linkStage) at once.
 func (c *Core) settle(r, base int, upTo, stepped int64) {
 	book := int64(math.MaxInt64)
 	// Buffer releases: the router-local calendar knows exactly when each
@@ -129,35 +130,19 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 		book = d.q[d.head].at
 	}
 	// Credits: only outputs with a credit in flight are touched; the rings
-	// carry (cycle, vc, phits) directly.
+	// carry (cycle, vc) directly.
 	mw := c.maskWords
 	for w := 0; w < mw; w++ {
 		pb := w << 6
 		for m := c.crdPendMask[r*mw+w]; m != 0; m &= m - 1 {
 			p := pb + bits.TrailingZeros64(m)
-			pi := base + p
-			q := &c.crdQ[pi]
+			q := &c.crdQ[base+p]
 			for q.qlen > 0 {
-				ev := c.crdData[q.off+q.head]
-				if ev.at() > upTo {
-					book = min(book, ev.at())
+				if at := c.crdData[q.off+q.head].at(); at > upTo {
+					book = min(book, at)
 					break
 				}
-				if ev.at() <= stepped && c.starved[r*mw+w]&(1<<(uint(p)&63)) != 0 {
-					panic(fmt.Sprintf("router %d: credit due at cycle %d on starved port %d still unapplied after cycle %d: scheduler failed to wake", r, ev.at(), p, stepped))
-				}
-				if q.head++; q.head == q.qcap {
-					q.head = 0
-				}
-				if q.qlen--; q.qlen == 0 {
-					c.crdPendMask[r*mw+w] &^= 1 << (uint(p) & 63)
-				}
-				s := &c.outQ[c.vcBase(r, p)+ev.vc()]
-				s.credits += int32(c.size)
-				c.outP[pi].free += int32(c.size)
-				if s.credits > c.downCapVC[p] {
-					panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, ev.vc()))
-				}
+				c.popCredit(r, p, stepped)
 			}
 		}
 	}
@@ -202,6 +187,32 @@ func (c *Core) settle(r, base int, upTo, stepped int64) {
 	}
 	c.arrAt[r] = arr
 	c.bookAt[r] = min(book, arr)
+}
+
+// popCredit applies the credit at the head of router r's output p ring —
+// the one credit pop, settle's and PushDue's (for a full ring) alike.
+// stepped is as in settle: a credit due at or before it on a starved output
+// was slept through.
+func (c *Core) popCredit(r, p int, stepped int64) {
+	pi := r*c.np + p
+	word, bit := r*c.maskWords+p>>6, uint64(1)<<(uint(p)&63)
+	q := &c.crdQ[pi]
+	ev := c.crdData[q.off+q.head]
+	if ev.at() <= stepped && c.starved[word]&bit != 0 {
+		panic(fmt.Sprintf("router %d: credit due at cycle %d on starved port %d still unapplied after cycle %d: scheduler failed to wake", r, ev.at(), p, stepped))
+	}
+	if q.head++; q.head == q.qcap {
+		q.head = 0
+	}
+	if q.qlen--; q.qlen == 0 {
+		c.crdPendMask[word] &^= bit
+	}
+	s := &c.outQ[c.vcBase(r, p)+ev.vc()]
+	s.credits += int32(c.size)
+	c.outP[pi].free += int32(c.size)
+	if s.credits > c.downCapVC[p] {
+		panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r, p, ev.vc()))
+	}
 }
 
 func (c *Core) completeTransfers(r, base int, now int64) {

@@ -83,9 +83,10 @@ func allocated(fn func()) uint64 {
 }
 
 // A network is its state, not reservations for the worst case: a paper-scale
-// (h=6, 5,256-node) build fits in 11.5 MiB — a port holds the VC records of
-// the VCs it has, not of the widest port class's, and the allocator scratch
-// is the engine's, per worker, not the build's — and its bytes do not depend
+// (h=6, 5,256-node) build fits in 10 MiB — a port holds the VC records of
+// the VCs it has, not of the widest port class's, a credit ring what its
+// link can have in flight, not what its port can be owed, and the allocator
+// scratch is the engine's, per worker, not the build's — and its bytes do not depend
 // on how deep the Table I source queue may grow: a packet queues on itself,
 // so a 16-packet and a 256-packet source queue cost the same.
 func TestBuildFootprint(t *testing.T) {
@@ -102,7 +103,7 @@ func TestBuildFootprint(t *testing.T) {
 			}
 		})
 	}
-	const limit = 23 << 19 // 11.5 MiB
+	const limit = 10 << 20 // 10 MiB
 	for _, mech := range []string{"In-Trns-MM", "Src-CRG"} {
 		deep, shallow := build(mech, 256), build(mech, 16)
 		t.Logf("%s: h=6 build %.2f MiB (source queue 256), %.2f MiB (16)", mech, float64(deep)/(1<<20), float64(shallow)/(1<<20))

@@ -208,10 +208,13 @@ func TestRestoreIntoRecycled(t *testing.T) {
 // from one template serves the restore of another whose mechanism — and so
 // its VC counts, per-port VC offsets and arena sizes — differs. Three VC
 // layouts, MIN (3 local / 1 global VCs), In-Trns-MM (3/2) and Src-CRG
-// (4/2), are restored into each other in every ordered pair, there and
-// back, from a retired network that is clean (restored, never run) and one
-// that is dirty (retired at saturation, packets queued and in flight). The
-// restored run must be the cold run: fabricDiff finds nothing.
+// (4/2), and a fourth template, In-Trns-MM on short groupskew cables, whose
+// credit rings are sized cable by cable (2 slots local, 6 to 8 global, where
+// the others have 3, and 32 or 51), are
+// restored into each other in every ordered pair, there and back, from a
+// retired network that is clean (restored, never run) and one that is dirty
+// (retired at saturation, packets queued and in flight). The restored run
+// must be the cold run: fabricDiff finds nothing.
 // Templates that differ in a routing parameter only — PiggyBack's
 // saturation threshold — must not leak it into each other either.
 func TestRestoreAcrossTemplates(t *testing.T) {
@@ -223,12 +226,23 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 	base.MeasureCycles = 60
 	base.Seed = 41
 
-	mechs := []string{"MIN", "In-Trns-MM", "Src-CRG"}
-	snaps := make([]*Snapshot, len(mechs))
-	colds := make([]*Network, len(mechs))
-	for i, mech := range mechs {
+	skew := topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
+	templates := []struct {
+		name, mech string
+		latency    topology.LatencyModel
+	}{
+		{"MIN", "MIN", nil}, {"In-Trns-MM", "In-Trns-MM", nil}, {"Src-CRG", "Src-CRG", nil},
+		{"In-Trns-MM/groupskew", "In-Trns-MM", skew},
+	}
+	cfgOf := func(i int) Config {
 		cfg := base
-		cfg.Mechanism = mech
+		cfg.Mechanism, cfg.LatencyModel = templates[i].mech, templates[i].latency
+		return cfg
+	}
+	snaps := make([]*Snapshot, len(templates))
+	colds := make([]*Network, len(templates))
+	for i := range templates {
+		cfg := cfgOf(i)
 		var err error
 		if snaps[i], err = NewSnapshot(cfg, 0); err != nil {
 			t.Fatal(err)
@@ -240,23 +254,22 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 		colds[i] = driven(t, net, &cfg, core)
 	}
 	layouts := map[[2]int]string{}
-	for i, net := range colds {
+	for i, net := range colds[:3] {
 		l, g := net.mech.VCNeeds()
 		if prev, ok := layouts[[2]int{l, g}]; ok {
-			t.Fatalf("%s and %s networks have the same VC counts: the test needs three VC layouts", prev, mechs[i])
+			t.Fatalf("%s and %s networks have the same VC counts: the test needs three VC layouts", prev, templates[i].name)
 		}
-		layouts[[2]int{l, g}] = mechs[i]
+		layouts[[2]int{l, g}] = templates[i].name
 	}
 
-	for from := range mechs {
-		for to := range mechs {
+	for from := range templates {
+		for to := range templates {
 			if to == from {
 				continue
 			}
 			for _, dirty := range []bool{false, true} {
-				label := fmt.Sprintf("%s -> %s (dirty %v)", mechs[from], mechs[to], dirty)
-				fromCfg := base
-				fromCfg.Mechanism = mechs[from]
+				label := fmt.Sprintf("%s -> %s (dirty %v)", templates[from].name, templates[to].name, dirty)
+				fromCfg := cfgOf(from)
 				old, err := RestoreNetwork(snaps[from], &fromCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -272,8 +285,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 				// There and back: the return hop reslices arrays up into capacity
 				// the first hop's run left stale.
 				for _, m := range []int{to, from} {
-					cfg := base
-					cfg.Mechanism = mechs[m]
+					cfg := cfgOf(m)
 					net, err := RestoreNetworkInto(snaps[m], &cfg, old)
 					if err != nil {
 						t.Fatal(err)
@@ -282,7 +294,7 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 						t.Fatalf("%s: retired network was not recycled in place", label)
 					}
 					if d := fabricDiff(driven(t, net, &cfg, core), colds[m]); d != "" {
-						t.Fatalf("%s as %s: against the cold run: %s", label, mechs[m], d)
+						t.Fatalf("%s as %s: against the cold run: %s", label, templates[m].name, d)
 					}
 				}
 			}

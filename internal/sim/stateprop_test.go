@@ -447,3 +447,50 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 	}
 	t.Logf("%d of %d source queues full, %d attempts refused", full, ref.Topo.NumNodes(), refRes.Backlogged())
 }
+
+// A global output's credit ring is drained with the lookahead as slack, not
+// the one cycle a local ring gets: a credit is pushed to its receiver the
+// moment it is sent, and the receiver's group — stepped later in the window,
+// or on another worker — may be up to a window behind the sender. Drained
+// with one cycle of slack, a full global ring would apply a credit its
+// router has not reached yet, and the router, or its group's PiggyBack
+// refresh, would act on it early. Src-CRG under ADV+1 at 0.7 on h=3 keeps
+// the bottleneck groups busy reading their own state while the downstream
+// input buffers drain their backlog at crossbar speed, two credits per
+// packet time; the rings fill a few hundred cycles in, at different places
+// under different seeds. For three seeds (one under -short) the core's state
+// vectors, packets in flight and statistics must equal the oracle's on one
+// and two workers. A difference is bisected to the first measured cycle that
+// shows it.
+func TestGlobalCreditSlackMatchesOracle(t *testing.T) {
+	seeds := uint64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		cfg := h3Cfg("Src-CRG", "ADV+1", 0.7)
+		cfg.WarmupCycles, cfg.MeasureCycles, cfg.Seed = 100, 600, seed
+		total := cfg.WarmupCycles + cfg.MeasureCycles
+		run := func(im impl, workers int, cycles int64) *Network {
+			cfg := cfg
+			cfg.Workers, cfg.MeasureCycles = workers, cycles-cfg.WarmupCycles
+			net, err := im.build(&cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := im.drive(net, &cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}
+		ref := run(oracle, 1, total)
+		for _, workers := range []int{1, 2} {
+			if d := fabricDiff(run(core, workers, total), ref); d != "" {
+				_, at := firstDivergence(cfg.WarmupCycles, total, d, func(k int64) (*Network, *Network) {
+					return run(core, workers, k), run(oracle, 1, k)
+				})
+				t.Errorf("seed %d workers=%d: %s", seed, workers, at)
+			}
+		}
+	}
+}
