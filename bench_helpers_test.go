@@ -12,7 +12,8 @@ func rngSource() *rng.Source { return rng.New(12345) }
 // newBenchPacket builds a representative ADVc packet for decision
 // benchmarks: injected at the bottleneck router, destined one group ahead.
 func newBenchPacket(topo *topology.Topology) *packet.Packet {
-	bneck := topo.RouterID(0, topo.BottleneckRouter())
+	idx, _ := topo.GlobalRouterFor(0, 1) // the router ADVc congests
+	bneck := topo.RouterID(0, idx)
 	src := topo.NodeID(bneck, 0)
 	dst := topo.NodeID(topo.RouterID(1, 0), 0)
 	p := &packet.Packet{}

@@ -115,7 +115,7 @@ func loadName(l float64) string {
 // the mean of its group peers (1.0 = perfectly fair, ~0 = starved).
 func bottleneckShare(res *Result, params TopologyParams) float64 {
 	topo := topology.New(params)
-	bneck := topo.BottleneckRouter()
+	bneck, _ := topo.GlobalRouterFor(0, 1) // the router ADVc congests
 	inj := res.GroupInjections(0)
 	var others int64
 	for i, v := range inj {
@@ -278,7 +278,10 @@ func BenchmarkNextHop(b *testing.B) {
 	topo := topology.New(Balanced(6))
 	env := &routing.Env{Topo: topo, Cfg: routing.DefaultConfig()}
 	cfg := router.DefaultConfig()
-	mech := routing.NewInTransit(routing.MM)
+	mech, err := routing.ByName("In-Trns-MM")
+	if err != nil {
+		b.Fatal(err)
+	}
 	lvc, gvc := mech.VCNeeds()
 	cfg.LocalVCs, cfg.GlobalVCs = lvc, gvc
 	envCopy := *env

@@ -168,27 +168,15 @@ func JobInterferenceFromSolo(full *Result, solo []float64) []float64 {
 	return out
 }
 
-// JobInterference quantifies inter-job interference: every job of the
-// compiled workload is re-run alone with its exact placement, and the
-// returned slice holds, per job, the ratio of its average latency in the
-// full workload to its solo-run latency (1 = no interference; 0 when a job
-// delivered nothing in either run). full must be the result of running wl
-// under the same cfg. Solo runs execute one at a time, as this API always
-// did — a concurrent pool would hold several full Network instances (each
-// with cfg.Workers engine goroutines) resident at once; callers that want
-// that trade explicitly use JobSoloLatencies + JobInterferenceFromSolo.
-func JobInterference(cfg Config, wl *workload.Workload, full *Result) ([]float64, error) {
-	solo, err := JobSoloLatencies(cfg, wl, 1)
-	if err != nil {
-		return nil, err
-	}
-	return JobInterferenceFromSolo(full, solo), nil
-}
-
-// JobInterferenceMatrixFromSolo computes the N×N solo-vs-paired matrix
-// from precomputed solo latencies (see JobSoloLatencies), running only the
-// N·(N-1)/2 paired simulations on the sweep worker pool — the entry point
-// for callers that already paid for the solo baselines.
+// JobInterferenceMatrixFromSolo quantifies pairwise inter-job interference
+// as the N×N solo-vs-paired matrix, from the solo latencies
+// JobSoloLatencies returns: entry [i][j] (i ≠ j) is job i's average
+// latency when i and j run paired — alone together on the machine, with
+// their exact workload placements — divided by job i's solo latency, so
+// row i reads "how much each other job hurts i" and column j reads "whom j
+// hurts". Diagonal entries are 1 by definition (0 when the job delivered
+// nothing solo). The N·(N-1)/2 paired simulations run on the sweep worker
+// pool (workers ≤ 0: NumCPU).
 func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []float64, workers int) ([][]float64, error) {
 	n := wl.NumJobs()
 	type task struct{ i, j int }
@@ -226,22 +214,6 @@ func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []flo
 		}
 	}
 	return m, nil
-}
-
-// JobInterferenceMatrix quantifies pairwise inter-job interference as the
-// N×N solo-vs-paired matrix: entry [i][j] (i ≠ j) is job i's average
-// latency when i and j run paired — alone together on the machine, with
-// their exact workload placements — divided by job i's solo latency, so
-// row i reads "how much each other job hurts i" and column j reads "whom j
-// hurts". Diagonal entries are 1 by definition (0 when the job delivered
-// nothing solo). The N solo and N·(N-1)/2 paired simulations run on the
-// sweep worker pool (workers ≤ 0: NumCPU).
-func JobInterferenceMatrix(cfg Config, wl *workload.Workload, workers int) ([][]float64, error) {
-	solo, err := JobSoloLatencies(cfg, wl, workers)
-	if err != nil {
-		return nil, err
-	}
-	return JobInterferenceMatrixFromSolo(cfg, wl, solo, workers)
 }
 
 // ScheduleTrace is a timed job trace for the dynamic scheduler: jobs with

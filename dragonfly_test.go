@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/topology"
+	"dragonfly/internal/workload"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -114,15 +115,25 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 	if again.Throughput() != res.Throughput() {
 		t.Error("RunWorkload diverges from CompileWorkload+RunCompiledWorkload")
 	}
-	ratios, err := JobInterference(cfg, wl, res)
+	solo, err := JobSoloLatencies(cfg, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, r := range ratios {
+	for j, r := range JobInterferenceFromSolo(res, solo) {
 		if r <= 0 {
 			t.Errorf("job %d interference ratio %v", j, r)
 		}
 	}
+}
+
+// interferenceMatrix prices the N×N solo-vs-paired matrix in two steps, as
+// dfsim -interference-matrix does: the solo baselines, then the pairs.
+func interferenceMatrix(cfg Config, wl *workload.Workload, workers int) ([][]float64, error) {
+	solo, err := JobSoloLatencies(cfg, wl, workers)
+	if err != nil {
+		return nil, err
+	}
+	return JobInterferenceMatrixFromSolo(cfg, wl, solo, workers)
 }
 
 // The N×N solo-vs-paired matrix: for a three-job workload the diagonal is
@@ -144,7 +155,7 @@ func TestJobInterferenceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := JobInterferenceMatrix(cfg, wl, 0)
+	m, err := interferenceMatrix(cfg, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +175,7 @@ func TestJobInterferenceMatrix(t *testing.T) {
 			}
 		}
 	}
-	serial, err := JobInterferenceMatrix(cfg, wl, 1)
+	serial, err := interferenceMatrix(cfg, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +239,11 @@ func TestInterferenceMatrixUnderGroupSkew(t *testing.T) {
 
 	// The full matrix under groupskew keeps its invariants: diagonal 1,
 	// positive ratios, deterministic across pool widths.
-	m, err := JobInterferenceMatrix(cfg, wl, 0)
+	m, err := interferenceMatrix(cfg, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := JobInterferenceMatrix(cfg, wl, 1)
+	serial, err := interferenceMatrix(cfg, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		interf, err := dragonfly.JobInterference(cfg, wl, res)
+		// Solo runs one at a time: each holds a full network.
+		solo, err := dragonfly.JobSoloLatencies(cfg, wl, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
+		interf := dragonfly.JobInterferenceFromSolo(res, solo)
 
 		fmt.Printf("aggressor placed %s:\n", aggAlloc)
 		for j := 0; j < res.NumJobs(); j++ {

@@ -35,7 +35,7 @@ type Base struct {
 	// bit-identical across it.
 	SimWorkers int `json:"sim_workers,omitempty"`
 
-	Arbitration   string  `json:"arbitration,omitempty"` // see ArbitrationByName
+	Arbitration   string  `json:"arbitration,omitempty"` // see arbitrationByName
 	InjQueue      int     `json:"inj_queue,omitempty"`
 	Threshold     float64 `json:"threshold,omitempty"`
 	LocalMisroute *bool   `json:"olm,omitempty"`
@@ -99,7 +99,7 @@ func (b *Base) Flags(fs *flag.FlagSet) func(mechanisms, patterns []string) (sim.
 			return cfg, err
 		}
 		cfg.Seed = *seed
-		return cfg, ValidateNames(cfg.Topology, mechanisms, patterns)
+		return cfg, validateNames(cfg.Topology, mechanisms, patterns)
 	}
 }
 
@@ -138,7 +138,7 @@ func (b *Base) Normalize(mechanisms, patterns []string) error {
 		return err
 	}
 	b.P, b.A = cfg.Topology.P, cfg.Topology.A
-	return ValidateNames(cfg.Topology, mechanisms, patterns)
+	return validateNames(cfg.Topology, mechanisms, patterns)
 }
 
 // Config assembles the description's sim.Config and validates it
@@ -167,7 +167,7 @@ func (b *Base) Config() (sim.Config, error) {
 	cfg.WarmupCycles = b.Warmup
 	cfg.MeasureCycles = b.Measure
 	cfg.Workers = b.SimWorkers
-	arb, err := ArbitrationByName(b.Arbitration)
+	arb, err := arbitrationByName(b.Arbitration)
 	if err != nil {
 		return cfg, err
 	}

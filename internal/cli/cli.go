@@ -67,10 +67,10 @@ func ProfileFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
 	return func() (func() error, error) { return prof.Start(*cpu, *mem) }
 }
 
-// ArbitrationByName resolves an output-arbiter policy by the name its
+// arbitrationByName resolves an output-arbiter policy by the name its
 // String method prints (Base.Arbitration; the -priority/-age flags fold into
 // the same names).
-func ArbitrationByName(name string) (router.Arbitration, error) {
+func arbitrationByName(name string) (router.Arbitration, error) {
 	switch strings.ToLower(name) {
 	case "round-robin", "rr":
 		return router.RoundRobin, nil
@@ -83,12 +83,12 @@ func ArbitrationByName(name string) (router.Arbitration, error) {
 	}
 }
 
-// ValidateNames checks mechanism and pattern names against their
+// validateNames checks mechanism and pattern names against their
 // registries — listing the registered names on a mismatch — so tools
 // reject typos at flag time instead of deep inside the first simulation.
 // Patterns are checked against the topology, catching out-of-range
 // parameters (e.g. an ADV offset beyond the group count) too.
-func ValidateNames(topo topology.Params, mechanisms, patterns []string) error {
+func validateNames(topo topology.Params, mechanisms, patterns []string) error {
 	for _, m := range mechanisms {
 		if _, err := routing.ByName(m); err != nil {
 			return err
@@ -109,17 +109,17 @@ func ValidateNames(topo topology.Params, mechanisms, patterns []string) error {
 	return nil
 }
 
-// MaxLoads bounds the loads a range spec expands to (0:1:1e-20 would never
-// finish), MaxSeeds a seed count (10¹² would be one huge allocation).
+// maxLoads bounds the loads a range spec expands to (0:1:1e-20 would never
+// finish), maxSeeds a seed count (10¹² would be one huge allocation).
 const (
-	MaxLoads = 1000
-	MaxSeeds = 1000
+	maxLoads = 1000
+	maxSeeds = 1000
 )
 
 // ParseLoads parses a comma-separated list of loads ("0.1,0.2") or a range
 // spec ("0.05:1.0:0.05" = from:to:step, expanded by repeated addition, so
 // spec fingerprints keep their bits). Loads are finite and ≥ 0, and a range
-// is non-empty and at most MaxLoads long.
+// is non-empty and at most maxLoads long.
 func ParseLoads(s string) ([]float64, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
@@ -134,8 +134,8 @@ func ParseLoads(s string) ([]float64, error) {
 		}
 		var loads []float64
 		for l := from; l <= to+1e-9; l += step {
-			if len(loads) == MaxLoads {
-				return nil, fmt.Errorf("range spec %q expands to more than %d loads", s, MaxLoads)
+			if len(loads) == maxLoads {
+				return nil, fmt.Errorf("range spec %q expands to more than %d loads", s, maxLoads)
 			}
 			loads = append(loads, l)
 		}
@@ -162,10 +162,10 @@ func ParseLoads(s string) ([]float64, error) {
 func isLoad(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // ParseSeeds expands a seed count into seeds base..base+n-1; the count must
-// lie in [1, MaxSeeds].
+// lie in [1, maxSeeds].
 func ParseSeeds(base uint64, n int) ([]uint64, error) {
-	if n < 1 || n > MaxSeeds {
-		return nil, fmt.Errorf("seed count %d outside [1, %d]", n, MaxSeeds)
+	if n < 1 || n > maxSeeds {
+		return nil, fmt.Errorf("seed count %d outside [1, %d]", n, maxSeeds)
 	}
 	seeds := make([]uint64, n)
 	for i := range seeds {

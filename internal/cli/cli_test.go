@@ -77,7 +77,7 @@ func TestParseLoadsErrors(t *testing.T) {
 			t.Fatalf("ParseLoads(%q) did not return", bad)
 		}
 	}
-	if loads, err := ParseLoads("0:999.5:1"); err != nil || len(loads) != MaxLoads {
+	if loads, err := ParseLoads("0:999.5:1"); err != nil || len(loads) != maxLoads {
 		t.Errorf("a range of exactly MaxLoads loads: %d loads, %v", len(loads), err)
 	}
 }
@@ -87,7 +87,7 @@ func TestParseSeeds(t *testing.T) {
 	if err != nil || len(seeds) != 3 || seeds[0] != 10 || seeds[2] != 12 {
 		t.Errorf("seeds = %v, %v", seeds, err)
 	}
-	for _, n := range []int{-1, 0, MaxSeeds + 1, 1e12} {
+	for _, n := range []int{-1, 0, maxSeeds + 1, 1e12} {
 		if seeds, err := ParseSeeds(1, n); err == nil {
 			t.Errorf("ParseSeeds(1, %d) accepted: %d seeds", n, len(seeds))
 		}
@@ -173,7 +173,7 @@ func TestValidateNames(t *testing.T) {
 		{{}, {}},
 	}
 	for _, c := range ok {
-		if err := ValidateNames(topo, c[0], c[1]); err != nil {
+		if err := validateNames(topo, c[0], c[1]); err != nil {
 			t.Errorf("ValidateNames(%v, %v) = %v", c[0], c[1], err)
 		}
 	}
@@ -181,22 +181,22 @@ func TestValidateNames(t *testing.T) {
 
 func TestValidateNamesRejectsTyposWithKnownList(t *testing.T) {
 	topo := topology.Balanced(2)
-	if err := ValidateNames(topo, []string{"In-Trans-MM"}, nil); err == nil {
+	if err := validateNames(topo, []string{"In-Trans-MM"}, nil); err == nil {
 		t.Error("typo mechanism accepted")
 	} else if !strings.Contains(err.Error(), "in-trns-mm") {
 		t.Errorf("mechanism error does not list registered names: %v", err)
 	}
-	if err := ValidateNames(topo, nil, []string{"UNFORM"}); err == nil {
+	if err := validateNames(topo, nil, []string{"UNFORM"}); err == nil {
 		t.Error("typo pattern accepted")
 	} else if !strings.Contains(err.Error(), "ADVc") {
 		t.Errorf("pattern error does not list known names: %v", err)
 	}
 	// Out-of-range parameters are caught against the topology, as errors
 	// rather than the constructors' panics.
-	if err := ValidateNames(topo, nil, []string{"ADV+40"}); err == nil {
+	if err := validateNames(topo, nil, []string{"ADV+40"}); err == nil {
 		t.Error("out-of-range ADV offset accepted for a 9-group network")
 	}
-	if err := ValidateNames(topo, nil, []string{"ADVc30"}); err == nil {
+	if err := validateNames(topo, nil, []string{"ADVc30"}); err == nil {
 		t.Error("out-of-range ADVc group count accepted")
 	}
 }

@@ -272,8 +272,8 @@ func (p *Packet) String() string {
 type ActionKind uint8
 
 const (
-	// ActionNone leaves the routing state unchanged.
-	ActionNone ActionKind = iota
+	// actionNone leaves the routing state unchanged.
+	actionNone ActionKind = iota
 	// ActionMisrouteToGroup commits an in-transit global misroute towards
 	// Action.Group.
 	ActionMisrouteToGroup
@@ -293,7 +293,7 @@ type Action struct {
 // router when the corresponding request wins allocation.
 func (a Action) Apply(p *Packet) {
 	switch a.Kind {
-	case ActionNone:
+	case actionNone:
 	case ActionMisrouteToGroup:
 		p.Phase = PhaseToGroup
 		p.IntGroup = int32(a.Group)

@@ -69,9 +69,9 @@ func TestPacketString(t *testing.T) {
 
 func TestActionNone(t *testing.T) {
 	p := &Packet{Phase: PhaseMinimal, IntGroup: -1}
-	Action{Kind: ActionNone}.Apply(p)
+	Action{Kind: actionNone}.Apply(p)
 	if p.Phase != PhaseMinimal || p.Misrouted || p.IntGroup != -1 {
-		t.Error("ActionNone mutated the packet")
+		t.Error("actionNone mutated the packet")
 	}
 }
 

@@ -328,9 +328,6 @@ func New(id int, topo *topology.Topology, cfg *router.Config, mech routing.Mecha
 	return r
 }
 
-// ID returns the router identifier.
-func (r *Router) ID() int { return r.id }
-
 // Stats returns the router's accumulator for merging by the engine.
 func (r *Router) Stats() *stats.Router { return &r.stats }
 

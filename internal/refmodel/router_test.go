@@ -20,8 +20,12 @@ type testNet struct {
 	env     routing.Env
 }
 
-func buildNet(t *testing.T, params topology.Params, mech routing.Mechanism, arb router.Arbitration) *testNet {
+func buildNet(t *testing.T, params topology.Params, mechanism string, arb router.Arbitration) *testNet {
 	t.Helper()
+	mech, err := routing.ByName(mechanism)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo := topology.New(params)
 	cfg := router.DefaultConfig()
 	cfg.Arbitration = arb
@@ -113,7 +117,7 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 	}
 	for i, c := range cases {
 		// A fresh network per case: the engine clock always starts at 0.
-		n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
+		n := buildNet(t, topology.Balanced(2), "MIN", router.RoundRobin)
 		delivered := collectDeliveries(n)
 		cfg := n.cfg
 		perRouter := int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles())
@@ -142,7 +146,7 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 // The latency identity: total = base + misroute + all waits, exactly, for
 // every delivered packet — even under heavy congestion and misrouting.
 func TestLatencyIdentity(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewInTransit(routing.MM), router.TransitOverInjection)
+	n := buildNet(t, topology.Balanced(2), "In-Trns-MM", router.TransitOverInjection)
 	delivered := collectDeliveries(n)
 	cfg := n.cfg
 	perRouter := int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles())
@@ -155,7 +159,7 @@ func TestLatencyIdentity(t *testing.T) {
 	id := uint64(0)
 	for now := int64(0); now < 600; now++ {
 		for src := 0; src < n.topo.NumNodes(); src++ {
-			if r.Bernoulli(0.05) {
+			if r.Float64() < 0.05 {
 				g := (n.topo.NodeGroup(src) + 1 + r.Intn(2)) % n.topo.NumGroups()
 				dst := g*8 + r.Intn(8)
 				id++
@@ -183,7 +187,7 @@ func TestLatencyIdentity(t *testing.T) {
 
 // Packet conservation: generated = delivered + in flight, at any cycle.
 func TestPacketConservation(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewOblivious(routing.RRG), router.RoundRobin)
+	n := buildNet(t, topology.Balanced(2), "Obl-RRG", router.RoundRobin)
 	deliveredCount := 0
 	for _, rt := range n.routers {
 		rt.SetDeliverHook(func(*packet.Packet) { deliveredCount++ })
@@ -194,7 +198,7 @@ func TestPacketConservation(t *testing.T) {
 	for now := int64(0); now < 3000; now++ {
 		if now < 1500 {
 			for src := 0; src < n.topo.NumNodes(); src += 3 {
-				if r.Bernoulli(0.03) {
+				if r.Float64() < 0.03 {
 					dst := r.Intn(n.topo.NumNodes())
 					if dst == src {
 						continue
@@ -233,13 +237,13 @@ func TestPacketConservation(t *testing.T) {
 // After a full drain every credit must be back at its initial value —
 // otherwise the credit protocol leaks.
 func TestCreditRestoration(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
+	n := buildNet(t, topology.Balanced(2), "MIN", router.RoundRobin)
 	r := rng.New(7)
 	var id uint64
 	for now := int64(0); now < 800; now++ {
 		if now < 400 {
 			for src := 0; src < n.topo.NumNodes(); src += 2 {
-				if r.Bernoulli(0.1) {
+				if r.Float64() < 0.1 {
 					dst := r.Intn(n.topo.NumNodes())
 					if dst == src {
 						continue
@@ -267,7 +271,7 @@ func TestCreditRestoration(t *testing.T) {
 
 // Injection backlog accounting and the source-queue bound.
 func TestInjectionBacklog(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
+	n := buildNet(t, topology.Balanced(2), "MIN", router.RoundRobin)
 	rt := n.routers[0]
 	if got := rt.InjectionBacklog(0); got != 0 {
 		t.Fatalf("fresh backlog = %d", got)
@@ -284,7 +288,7 @@ func TestInjectionBacklog(t *testing.T) {
 }
 
 func TestBackloggedStat(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
+	n := buildNet(t, topology.Balanced(2), "MIN", router.RoundRobin)
 	rt := n.routers[0]
 	rt.NoteBacklogged(0)
 	rt.NoteBacklogged(0)
@@ -309,7 +313,7 @@ func TestTransitPriorityStarvesInjection(t *testing.T) {
 		{router.TransitOverInjection, true},
 		{router.RoundRobin, false},
 	} {
-		n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), tc.arb)
+		n := buildNet(t, topology.Balanced(2), "MIN", tc.arb)
 		topo := n.topo
 		// Exit router of group 0 towards group 1.
 		exitIdx, _ := topo.GlobalRouterFor(0, 1)
@@ -349,7 +353,7 @@ func TestTransitPriorityStarvesInjection(t *testing.T) {
 // Age-based arbitration must also protect the bottleneck injection: old
 // packets win over young transit.
 func TestAgeArbitrationProtectsInjection(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.AgeBased)
+	n := buildNet(t, topology.Balanced(2), "MIN", router.AgeBased)
 	topo := n.topo
 	exitIdx, _ := topo.GlobalRouterFor(0, 1)
 	exit := topo.RouterID(0, exitIdx)
@@ -381,7 +385,7 @@ func TestAgeArbitrationProtectsInjection(t *testing.T) {
 
 // Stats gating: nothing is recorded while measuring is off.
 func TestMeasurementGating(t *testing.T) {
-	n := buildNet(t, topology.Balanced(2), routing.NewMinimal(), router.RoundRobin)
+	n := buildNet(t, topology.Balanced(2), "MIN", router.RoundRobin)
 	for _, rt := range n.routers {
 		rt.SetMeasuring(false)
 	}
@@ -400,10 +404,10 @@ func TestMeasurementGating(t *testing.T) {
 // occupancy, no overflow (the router panics internally on protocol
 // violations, so survival is the assertion).
 func TestRandomizedStress(t *testing.T) {
-	mechs := []routing.Mechanism{
-		routing.NewMinimal(),
-		routing.NewOblivious(routing.CRG),
-		routing.NewInTransit(routing.RRG),
+	mechs := []string{
+		"MIN",
+		"Obl-CRG",
+		"In-Trns-RRG",
 	}
 	for _, mech := range mechs {
 		for _, arb := range []router.Arbitration{router.RoundRobin, router.TransitOverInjection, router.AgeBased} {
@@ -412,7 +416,7 @@ func TestRandomizedStress(t *testing.T) {
 			var id uint64
 			for now := int64(0); now < 1500; now++ {
 				for src := 0; src < n.topo.NumNodes(); src += 1 {
-					if r.Bernoulli(0.06) {
+					if r.Float64() < 0.06 {
 						dst := r.Intn(n.topo.NumNodes())
 						if dst == src {
 							continue

@@ -32,7 +32,7 @@ type ResultJSON struct {
 	Injections     []int64   `json:"injections_per_router"`
 	WallSeconds    float64   `json:"wall_seconds"`
 	// Jobs is present for multi-job workload runs only.
-	Jobs []JobJSON `json:"jobs,omitempty"`
+	Jobs []jobJSON `json:"jobs,omitempty"`
 	// InterferenceMatrix is the N×N solo-vs-paired latency-ratio matrix
 	// (dfsim -interference-matrix); row = victim, column = paired
 	// job. Present only when the matrix was computed.
@@ -42,8 +42,8 @@ type ResultJSON struct {
 	Telemetry *telemetry.Summary `json:"telemetry,omitempty"`
 }
 
-// JobJSON is the machine-readable per-job record of a workload run.
-type JobJSON struct {
+// jobJSON is the machine-readable per-job record of a workload run.
+type jobJSON struct {
 	Name         string   `json:"name"`
 	Nodes        int      `json:"nodes"`
 	Generated    int64    `json:"generated_packets"`
@@ -75,8 +75,8 @@ type fairness struct {
 	Jain   float64 `json:"jain"`
 }
 
-// NewResultJSON converts a simulation result.
-func NewResultJSON(res *sim.Result) ResultJSON { return NewWorkloadJSON(res, nil) }
+// newResultJSON converts a simulation result.
+func newResultJSON(res *sim.Result) ResultJSON { return NewWorkloadJSON(res, nil) }
 
 // NewWorkloadJSON converts a simulation result, attaching per-job
 // interference ratios to the job records when available (pass nil
@@ -117,14 +117,14 @@ func NewWorkloadJSON(res *sim.Result, interference []float64) ResultJSON {
 
 // newJobsJSON builds the per-job records; interference may be nil or
 // shorter than the job count (missing entries are simply omitted).
-func newJobsJSON(res *sim.Result, interference []float64) []JobJSON {
+func newJobsJSON(res *sim.Result, interference []float64) []jobJSON {
 	if res.NumJobs() == 0 {
 		return nil
 	}
-	jobs := make([]JobJSON, res.NumJobs())
+	jobs := make([]jobJSON, res.NumJobs())
 	for j := range jobs {
 		jt := res.JobTotal(j)
-		jobs[j] = JobJSON{
+		jobs[j] = jobJSON{
 			Name:       res.JobNames[j],
 			Nodes:      res.JobNodes[j],
 			Generated:  jt.Generated,
@@ -162,5 +162,5 @@ func sanitize(v float64) float64 {
 func WriteResultJSON(w io.Writer, res *sim.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(NewResultJSON(res))
+	return enc.Encode(newResultJSON(res))
 }

@@ -63,7 +63,7 @@ func TestSanitizeInf(t *testing.T) {
 
 // Workload runs carry per-job records; single-workload runs omit them.
 func TestWorkloadJSONJobs(t *testing.T) {
-	if got := NewResultJSON(runSmall(t)); len(got.Jobs) != 0 {
+	if got := newResultJSON(runSmall(t)); len(got.Jobs) != 0 {
 		t.Fatalf("single-workload run emitted %d job records", len(got.Jobs))
 	}
 
@@ -114,7 +114,7 @@ func TestWorkloadJSONJobs(t *testing.T) {
 	}
 }
 
-// stopAt is a Finisher that ends the run after cycle at.
+// stopAt is a sim.finisher that ends the run after cycle at.
 type stopAt int64
 
 func (s stopAt) NextEvent(now int64) int64 {

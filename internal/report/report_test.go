@@ -16,7 +16,6 @@ func sampleSeries() []sweep.Series {
 			Breakdown:  stats.Breakdown{Base: 200, Misroute: 80, WaitLocal: 20, WaitGlobal: 15, WaitInj: 6.5},
 			Fairness:   stats.Fairness{MinInj: 4079, MaxInj: 4687, MaxMin: 1.149, CoV: 0.0175, Jain: 0.999},
 			Injections: []float64{100, 110, 120, 90},
-			Seeds:      3,
 		},
 		{
 			Mechanism: "In-Trns-MM", Pattern: "ADVc", Load: 0.4,
@@ -24,7 +23,6 @@ func sampleSeries() []sweep.Series {
 			Breakdown:  stats.Breakdown{Base: 210, Misroute: 150, WaitLocal: 60, WaitGlobal: 30, WaitInj: 50},
 			Fairness:   stats.Fairness{MinInj: 69.33, MaxInj: 5032, MaxMin: 72.576, CoV: 0.2858, Jain: 0.8},
 			Injections: []float64{100, 110, 120, 5},
-			Seeds:      3,
 		},
 	}
 }

@@ -63,6 +63,6 @@ func NewScheduleJSON(res *scheduler.Result) ScheduleJSON {
 		SlowdownP50: res.SlowdownQuantile(0.50),
 		SlowdownP99: res.SlowdownQuantile(0.99),
 		Jobs:        res.Jobs,
-		Sim:         NewResultJSON(res.Sim),
+		Sim:         newResultJSON(res.Sim),
 	}
 }

@@ -61,11 +61,11 @@ func (s *Source) Split() *Source {
 // Split would have returned, s advances the same way, nothing is allocated.
 // dst must not be s.
 func (s *Source) SplitTo(dst *Source) {
-	dst.seed(s.Uint64() ^ 0xd1b54a32d192ed03)
+	dst.seed(s.next() ^ 0xd1b54a32d192ed03)
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
-func (s *Source) Uint64() uint64 {
+// next returns the next 64 uniformly distributed bits.
+func (s *Source) next() uint64 {
 	result := bits.RotateLeft64(s.s1*5, 7) * 9
 	t := s.s1 << 17
 	s.s2 ^= s.s0
@@ -85,7 +85,7 @@ func (s *Source) Intn(n int) int {
 	// Lemire's multiply-shift rejection method: unbiased and branch-light.
 	bound := uint64(n)
 	for {
-		x := s.Uint64()
+		x := s.next()
 		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
@@ -95,19 +95,7 @@ func (s *Source) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Bernoulli returns true with probability p. Probabilities outside [0,1]
-// are clamped.
-func (s *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return s.Float64() < p
+	return float64(s.next()>>11) / (1 << 53)
 }
 
 // Perm fills dst with a uniform random permutation of 0..len(dst)-1.

@@ -9,7 +9,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("streams from identical seeds diverged at step %d", i)
 		}
 	}
@@ -19,7 +19,7 @@ func TestSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -33,7 +33,7 @@ func TestSplitIndependence(t *testing.T) {
 	c1 := parent.Split()
 	c2 := parent.Split()
 	for i := 0; i < 100; i++ {
-		if c1.Uint64() == c2.Uint64() {
+		if c1.next() == c2.next() {
 			t.Fatalf("split children emit identical values at step %d", i)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSplitDeterministic(t *testing.T) {
 	a := New(7).Split()
 	b := New(7).Split()
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatal("Split is not deterministic")
 		}
 	}
@@ -58,11 +58,11 @@ func TestSplitToMatchesSplit(t *testing.T) {
 		want := a.Split()
 		b.SplitTo(&child)
 		for i := 0; i < 100; i++ {
-			if want.Uint64() != child.Uint64() {
+			if want.next() != child.next() {
 				t.Fatalf("round %d: SplitTo's stream differs from Split's at step %d", round, i)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("round %d: parents diverge after SplitTo", round)
 		}
 	}
@@ -123,33 +123,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestBernoulli(t *testing.T) {
-	s := New(9)
-	if s.Bernoulli(0) {
-		t.Error("Bernoulli(0) returned true")
-	}
-	if !s.Bernoulli(1) {
-		t.Error("Bernoulli(1) returned false")
-	}
-	if s.Bernoulli(-0.5) {
-		t.Error("Bernoulli(-0.5) returned true")
-	}
-	if !s.Bernoulli(1.5) {
-		t.Error("Bernoulli(1.5) returned false")
-	}
-	const trials = 200000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		if s.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	rate := float64(hits) / trials
-	if math.Abs(rate-0.3) > 0.01 {
-		t.Errorf("Bernoulli(0.3) rate = %v", rate)
-	}
-}
-
 func TestPerm(t *testing.T) {
 	s := New(13)
 	for n := 1; n <= 20; n++ {
@@ -185,7 +158,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
-		s.Uint64()
+		s.next()
 	}
 }
 

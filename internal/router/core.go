@@ -39,11 +39,11 @@ import (
 // cycle — if any — at which the destination has to step because of it.
 type LinkEvent struct {
 	Router int            // destination router id
-	Port   int            // destination router's port the event lands on
-	At     int64          // arrival cycle
+	port   int            // destination router's port the event lands on
+	at     int64          // arrival cycle
 	Credit bool           // credit return rather than packet arrival
-	Pkt    *packet.Packet // the arriving packet (nil for credits)
-	PVC    int32          // credit VC
+	pkt    *packet.Packet // the arriving packet (nil for credits)
+	pvc    int32          // credit VC
 }
 
 // portDue is one entry of a router-local calendar: an event falling due at
@@ -981,43 +981,43 @@ func (c *Core) measuring(now int64) bool { return now >= c.warmup }
 // field names r and wake r no later than the cycle returned; settle panics
 // on an event whose step was slept through.
 func (c *Core) PushDue(r int, ev LinkEvent) int64 {
-	pi := r*c.np + ev.Port
-	word, bit := r*c.maskWords+ev.Port>>6, uint64(1)<<(uint(ev.Port)&63)
-	if ev.At < c.bookAt[r] {
-		c.bookAt[r] = ev.At
+	pi := r*c.np + ev.port
+	word, bit := r*c.maskWords+ev.port>>6, uint64(1)<<(uint(ev.port)&63)
+	if ev.at < c.bookAt[r] {
+		c.bookAt[r] = ev.at
 	}
 	if ev.Credit {
 		q := &c.crdQ[pi]
 		if q.qlen == q.qcap && q.qlen > 0 {
 			// Due by the receiver's next read: at most the send cycle less the slack.
-			due := ev.At - int64(c.outW[pi].lat) - c.creditSlack(ev.Port)
+			due := ev.at - int64(c.outW[pi].lat) - c.creditSlack(ev.port)
 			if c.crdData[q.off+q.head].at() <= due {
-				c.popCredit(r, ev.Port, due-1)
+				c.popCredit(r, ev.port, due-1)
 			}
 		}
 		i := q.put()
 		if i < 0 {
 			c.linkEventRingFull(r, ev)
 		}
-		c.crdData[i] = newCrdEvent(ev.At, ev.PVC)
+		c.crdData[i] = newCrdEvent(ev.at, ev.pvc)
 		c.crdPendMask[word] |= bit
 		if c.starved[word]&bit != 0 {
-			return ev.At
+			return ev.at
 		}
 		return -1
 	}
 	q := &c.arrQ[pi]
-	if q.n == c.arrCap[ev.Port] {
+	if q.n == c.arrCap[ev.port] {
 		c.linkEventRingFull(r, ev)
 	}
-	ev.Pkt.EnqueuedAt = ev.At
-	q.q.Push(ev.Pkt)
+	ev.pkt.EnqueuedAt = ev.at
+	q.q.Push(ev.pkt)
 	q.n++
 	c.arrPendMask[word] |= bit
-	if ev.At < c.arrAt[r] {
-		c.arrAt[r] = ev.At
+	if ev.at < c.arrAt[r] {
+		c.arrAt[r] = ev.at
 	}
-	return ev.At + c.pipeline
+	return ev.at + c.pipeline
 }
 
 // linkEventRingFull reports an event its port has no room for: more packets
@@ -1025,7 +1025,7 @@ func (c *Core) PushDue(r int, ev LinkEvent) int64 {
 // full of credits not yet due — more than its link can have in flight (see
 // layoutCredits).
 func (c *Core) linkEventRingFull(r int, ev LinkEvent) {
-	panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the credit protocol)", r, ev.Port, ev.Credit))
+	panic(fmt.Sprintf("router %d: link event ring full on port %d (credit %v; the sender broke the credit protocol)", r, ev.port, ev.Credit))
 }
 
 // EarliestExternal returns the earliest cycle at which a packet already

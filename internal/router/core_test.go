@@ -408,7 +408,7 @@ func TestCreditRingHoldsEveryOutstandingCredit(t *testing.T) {
 	}
 	at := int64(100)
 	for k := 0; k < owed; k++ {
-		if wake := c.PushDue(r, LinkEvent{Router: r, Port: p, At: at, Credit: true, PVC: int32(k % int(c.nOutVC[p]))}); wake >= 0 {
+		if wake := c.PushDue(r, LinkEvent{Router: r, port: p, at: at, Credit: true, pvc: int32(k % int(c.nOutVC[p]))}); wake >= 0 {
 			t.Fatalf("credit %d for an output with nothing queued asks for a step at %d", k, wake)
 		}
 		at += c.xbar
@@ -525,7 +525,7 @@ func TestFullRingAppliesItsDueHead(t *testing.T) {
 		k := (now - from) / lazy.xbar
 		for p := range lazy.np {
 			if w := lazy.outW[r*lazy.np+p]; w.peer >= 0 && k < int64(lazy.crdCap[p]) {
-				ev := LinkEvent{Router: r, Port: p, At: now + int64(w.lat), Credit: true, PVC: int32(k % int64(lazy.nOutVC[p]))}
+				ev := LinkEvent{Router: r, port: p, at: now + int64(w.lat), Credit: true, pvc: int32(k % int64(lazy.nOutVC[p]))}
 				lazy.PushDue(r, ev)
 				eager.PushDue(r, ev)
 			}
@@ -634,7 +634,7 @@ func TestQueueBoundsStillHold(t *testing.T) {
 		c := fresh()
 		mustPanic(t, "link event ring full", func() {
 			for k := int32(0); k <= c.arrCap[p]; k++ {
-				c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + int64(k), Pkt: pkt(c)})
+				c.PushDue(r, LinkEvent{Router: r, port: p, at: 100 + int64(k), pkt: pkt(c)})
 			}
 		})
 		if got := c.arrQ[r*c.np+p].n; got != c.arrCap[p] {
@@ -648,7 +648,7 @@ func TestQueueBoundsStillHold(t *testing.T) {
 			q := &c.crdQ[pi]
 			mustPanic(t, "link event ring full", func() {
 				for k := int64(0); k <= int64(q.qcap); k++ {
-					c.PushDue(r, LinkEvent{Router: r, Port: p, At: 100 + k, Credit: true})
+					c.PushDue(r, LinkEvent{Router: r, port: p, at: 100 + k, Credit: true})
 				}
 			})
 			if q.qlen != q.qcap || c.outP[pi].free != 0 {

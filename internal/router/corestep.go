@@ -234,8 +234,8 @@ func (c *Core) completeTransfers(r, base int, now int64) {
 		// wake event to the upstream output's credit ring.
 		if w := &c.inW[pi]; w.peer >= 0 {
 			c.notify[r](LinkEvent{
-				Router: int(w.peer), Port: int(w.peerPort), At: now + int64(w.lat),
-				Credit: true, PVC: int32(vcIdx),
+				Router: int(w.peer), port: int(w.peerPort), at: now + int64(w.lat),
+				Credit: true, pvc: int32(vcIdx),
 			})
 		}
 		if c.class[p] == topology.InjectionPort {
@@ -601,7 +601,7 @@ func (c *Core) linkStage(r, base int, now int64, nev *int64) {
 				pkt.LinkLat += int64(w.lat)
 				if w.peer >= 0 {
 					// The packet rides the wake event to the far input's arrival queue.
-					c.notify[r](LinkEvent{Router: int(w.peer), Port: int(w.peerPort), At: now + c.serial + int64(w.lat), Pkt: pkt})
+					c.notify[r](LinkEvent{Router: int(w.peer), port: int(w.peerPort), at: now + c.serial + int64(w.lat), pkt: pkt})
 				} else {
 					c.lost++ // unplugged (see Unplug)
 				}

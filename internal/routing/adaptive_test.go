@@ -21,7 +21,7 @@ func pbSetup() (*topology.Topology, *Env, *fakeGroup) {
 
 func TestPiggyBackMinimalWhenUnsaturated(t *testing.T) {
 	topo, env, _ := pbSetup()
-	pb := NewPiggyBack(RRG)
+	pb := newPiggyBack(rrg)
 	dst := topo.NodeID(topo.RouterID(3, 0), 0)
 	p := mkPacket(0, dst)
 	pb.NextHop(env, view(0), p, topology.InjectionPort, rng.New(1))
@@ -35,7 +35,7 @@ func TestPiggyBackMinimalWhenUnsaturated(t *testing.T) {
 
 func TestPiggyBackValiantWhenMinimalSaturated(t *testing.T) {
 	topo, env, fg := pbSetup()
-	pb := NewPiggyBack(RRG)
+	pb := newPiggyBack(rrg)
 	dstGroup := 3
 	exitIdx, exitPort := topo.GlobalRouterFor(0, dstGroup)
 	fg.sat[[2]int{exitIdx, exitPort - (topo.Params().A - 1)}] = true
@@ -55,7 +55,7 @@ func TestPiggyBackValiantWhenMinimalSaturated(t *testing.T) {
 // minimal.
 func TestPiggyBackAllSaturatedGoesMinimal(t *testing.T) {
 	topo, env, fg := pbSetup()
-	pb := NewPiggyBack(CRG)
+	pb := newPiggyBack(crg)
 	dstGroup := 3
 	exitIdx, exitPort := topo.GlobalRouterFor(0, dstGroup)
 	fg.sat[[2]int{exitIdx, exitPort - (topo.Params().A - 1)}] = true
@@ -74,7 +74,7 @@ func TestPiggyBackAllSaturatedGoesMinimal(t *testing.T) {
 
 func TestPiggyBackIntraGroupMinimal(t *testing.T) {
 	topo, env, _ := pbSetup()
-	pb := NewPiggyBack(RRG)
+	pb := newPiggyBack(rrg)
 	dst := topo.NodeID(topo.RouterID(0, 2), 0)
 	p := mkPacket(0, dst)
 	pb.NextHop(env, view(0), p, topology.InjectionPort, rng.New(1))
@@ -85,7 +85,7 @@ func TestPiggyBackIntraGroupMinimal(t *testing.T) {
 
 func TestPiggyBackDecidesOnlyOnce(t *testing.T) {
 	topo, env, fg := pbSetup()
-	pb := NewPiggyBack(RRG)
+	pb := newPiggyBack(rrg)
 	dstGroup := 3
 	dst := topo.NodeID(topo.RouterID(dstGroup, 0), 0)
 	p := mkPacket(0, dst)
@@ -101,7 +101,7 @@ func TestPiggyBackDecidesOnlyOnce(t *testing.T) {
 
 func TestPiggyBackLocalQueueTrigger(t *testing.T) {
 	topo, env, _ := pbSetup()
-	pb := NewPiggyBack(RRG)
+	pb := newPiggyBack(rrg)
 	dstGroup := 3
 	exitIdx, _ := topo.GlobalRouterFor(0, dstGroup)
 	srcIdx := (exitIdx + 1) % topo.Params().A
@@ -119,14 +119,14 @@ func TestPiggyBackLocalQueueTrigger(t *testing.T) {
 }
 
 func TestPiggyBackRejectsBadPolicies(t *testing.T) {
-	for _, policy := range []GlobalPolicy{NRG, MM} {
+	for _, policy := range []globalPolicy{nrg, mm} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("NewPiggyBack(%v) did not panic", policy)
 				}
 			}()
-			NewPiggyBack(policy)
+			newPiggyBack(policy)
 		}()
 	}
 }
@@ -137,16 +137,16 @@ func TestPiggyBackRejectsBadPolicies(t *testing.T) {
 func TestInTransitMinimalWhenUncongested(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	for _, policy := range []GlobalPolicy{RRG, CRG, MM} {
-		m := NewInTransit(policy)
+	for _, policy := range []globalPolicy{rrg, crg, mm} {
+		m := newInTransit(policy)
 		dst := topo.NodeID(topo.RouterID(3, 0), 0)
 		p := mkPacket(0, dst)
 		req := m.NextHop(env, view(0), p, topology.InjectionPort, rng.New(1))
-		min := NewMinimal().NextHop(env, view(0), p, topology.InjectionPort, rng.New(1))
+		min := newMinimal().NextHop(env, view(0), p, topology.InjectionPort, rng.New(1))
 		if req.Port != min.Port {
 			t.Errorf("%v requested %d, want minimal %d", policy, req.Port, min.Port)
 		}
-		if req.Action.Kind != packet.ActionNone {
+		if req.Action != (packet.Action{}) {
 			t.Errorf("%v attached an action on an uncongested network", policy)
 		}
 	}
@@ -160,7 +160,7 @@ func TestInTransitLatencyGate(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
 	env.Cfg.MisrouteLatencyFactor = 1.5
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
@@ -175,7 +175,7 @@ func TestInTransitLatencyGate(t *testing.T) {
 	dst := topo.NodeID(topo.RouterID(1, 0), 0)
 	p := mkPacket(topo.NodeID(r, 0), dst)
 	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if req.Port != minPort || req.Action.Kind != packet.ActionNone {
+	if req.Port != minPort || req.Action != (packet.Action{}) {
 		t.Fatalf("gate bypassed: diverted via port %d (action %v)", req.Port, req.Action.Kind)
 	}
 	// Cheap alternatives within the budget stay eligible.
@@ -207,7 +207,7 @@ func TestInTransitLatencyGateClassConsistent(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
 	env.Cfg.MisrouteLatencyFactor = 1
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	// Pick a source router that does NOT own the link towards the
 	// destination group: its minimal port is local.
@@ -244,7 +244,7 @@ func TestInTransitLatencyGateBoundary(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
 	env.Cfg.MisrouteLatencyFactor = 1
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
@@ -266,7 +266,7 @@ func TestInTransitLatencyGateBoundary(t *testing.T) {
 func TestInTransitCRGMisroutesOwnGlobals(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
@@ -281,7 +281,7 @@ func TestInTransitCRGMisroutesOwnGlobals(t *testing.T) {
 	if req.Action.Kind != packet.ActionMisrouteToGroup {
 		t.Fatal("CRG misroute has no commit action")
 	}
-	if off := topo.GroupOffset(0, req.Action.Group); off == 0 || req.Action.Group == 1 {
+	if g := req.Action.Group; g == 0 || g == 1 {
 		t.Fatalf("bad intermediate group %d", req.Action.Group)
 	}
 	_ = a
@@ -293,7 +293,7 @@ func TestInTransitCRGMisroutesOwnGlobals(t *testing.T) {
 func TestInTransitCRGBottleneckOverlap(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
@@ -304,7 +304,7 @@ func TestInTransitCRGBottleneckOverlap(t *testing.T) {
 	dst := topo.NodeID(topo.RouterID(1, 0), 0)
 	p := mkPacket(topo.NodeID(r, 0), dst)
 	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if req.Port != minPort || req.Action.Kind != packet.ActionNone {
+	if req.Port != minPort || req.Action != (packet.Action{}) {
 		t.Fatalf("bottleneck overlap: want minimal wait, got port %d action %v", req.Port, req.Action.Kind)
 	}
 }
@@ -313,7 +313,7 @@ func TestInTransitCRGBottleneckOverlap(t *testing.T) {
 func TestInTransitMMPolicySwitch(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(MM)
+	m := newInTransit(mm)
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
 	v := view(r)
@@ -332,7 +332,7 @@ func TestInTransitMMPolicySwitch(t *testing.T) {
 	p2 := mkPacket(topo.NodeID(topo.RouterID(0, (idx+1)%topo.Params().A), 0), dst)
 	p2.LocalHops = 1 // arrived at r after its source-group local hop
 	req2 := m.NextHop(env, v, p2, topology.LocalPort, rng.New(5))
-	if req2.Port != minPort || req2.Action.Kind != packet.ActionNone {
+	if req2.Port != minPort || req2.Action != (packet.Action{}) {
 		t.Errorf("MM in transit: NRG local detour is VC-inadmissible, want minimal wait; got port %d", req2.Port)
 	}
 }
@@ -341,7 +341,7 @@ func TestInTransitMMPolicySwitch(t *testing.T) {
 func TestInTransitRespectsAbsorption(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	a := topo.Params().A
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
@@ -362,7 +362,7 @@ func TestInTransitRespectsAbsorption(t *testing.T) {
 func TestInTransitMisroutesOnce(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(CRG)
+	m := newInTransit(crg)
 	idx, minPort := topo.GlobalRouterFor(0, 1)
 	r := topo.RouterID(0, idx)
 	v := view(r)
@@ -381,7 +381,7 @@ func TestInTransitMisroutesOnce(t *testing.T) {
 func TestInTransitLocalMisroute(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewInTransit(MM)
+	m := newInTransit(mm)
 	// Packet in its destination group (group 1), at the entry router,
 	// with the local port to the destination router congested.
 	entryIdx, _ := topo.GlobalRouterFor(1, 0)
@@ -412,7 +412,7 @@ func TestInTransitLocalMisrouteDisabled(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
 	env.Cfg.LocalMisroute = false
-	m := NewInTransit(MM)
+	m := newInTransit(mm)
 	entryIdx, _ := topo.GlobalRouterFor(1, 0)
 	r := topo.RouterID(1, entryIdx)
 	dstIdx := (entryIdx + 1) % topo.Params().A
@@ -434,8 +434,8 @@ func TestInTransitWalksReachDestination(t *testing.T) {
 	topo := topology.New(topology.Balanced(3))
 	env := newEnv(topo)
 	rnd := rng.New(13)
-	for _, policy := range []GlobalPolicy{RRG, CRG, MM, NRG} {
-		m := NewInTransit(policy)
+	for _, policy := range []globalPolicy{rrg, crg, mm, nrg} {
+		m := newInTransit(policy)
 		for i := 0; i < 200; i++ {
 			src := rnd.Intn(topo.NumNodes())
 			dst := rnd.Intn(topo.NumNodes())
@@ -494,7 +494,7 @@ func TestInTransitRejectsBadPolicy(t *testing.T) {
 			t.Error("NewInTransit(bad) did not panic")
 		}
 	}()
-	NewInTransit(GlobalPolicy(9))
+	newInTransit(globalPolicy(9))
 }
 
 func TestOnArriveResetsLocalMisroute(t *testing.T) {

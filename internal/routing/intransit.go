@@ -6,7 +6,7 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// InTransit is in-transit adaptive routing in the style of PAR/OLM
+// inTransit is in-transit adaptive routing in the style of PAR/OLM
 // (Jiang et al. 2009; García et al. 2012/2013): packets may switch between
 // the minimal path and a nonminimal path at injection and along the route,
 // based on the occupancy of the candidate output ports — no indirect
@@ -21,31 +21,31 @@ import (
 //     group) is opportunistic: it is only granted when the whole packet can
 //     be absorbed downstream immediately, the OLM condition that keeps the
 //     escape (minimal) route deadlock-free.
-type InTransit struct {
-	policy GlobalPolicy
+type inTransit struct {
+	policy globalPolicy
 }
 
-// NewInTransit returns in-transit adaptive routing under the given global
+// newInTransit returns in-transit adaptive routing under the given global
 // misrouting policy (RRG, CRG or MM).
-func NewInTransit(policy GlobalPolicy) *InTransit {
-	if policy != RRG && policy != CRG && policy != MM && policy != NRG {
+func newInTransit(policy globalPolicy) *inTransit {
+	if policy != rrg && policy != crg && policy != mm && policy != nrg {
 		panic("routing: unknown in-transit policy")
 	}
-	return &InTransit{policy: policy}
+	return &inTransit{policy: policy}
 }
 
 // Name implements Mechanism.
-func (it *InTransit) Name() string { return "In-Trns-" + it.policy.String() }
+func (it *inTransit) Name() string { return "In-Trns-" + it.policy.String() }
 
 // VCNeeds implements Mechanism: the segment scheme needs three local and
 // two global VCs (Table I).
-func (it *InTransit) VCNeeds() (int, int) { return 3, 2 }
+func (it *inTransit) VCNeeds() (int, int) { return 3, 2 }
 
 // OnGenerate implements Mechanism; all decisions are taken in transit.
-func (*InTransit) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
+func (*inTransit) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
 
 // NextHop implements Mechanism.
-func (it *InTransit) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass topology.PortClass, rnd *rng.Source) Request {
+func (it *inTransit) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass topology.PortClass, rnd *rng.Source) Request {
 	t := env.Topo
 	r := rv.RouterID()
 	minPort := minimalPort(env, r, p)
@@ -62,11 +62,11 @@ func (it *InTransit) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass 
 	dstGroup := t.NodeGroup(int(p.Dst))
 	if g := t.RouterGroup(r); g == srcGroup && !p.Misrouted && dstGroup != srcGroup {
 		policy := it.policy
-		if policy == MM {
+		if policy == mm {
 			if inClass == topology.InjectionPort {
-				policy = CRG
+				policy = crg
 			} else {
-				policy = NRG
+				policy = nrg
 			}
 		}
 		if req, ok := it.globalCandidate(env, rv, p, policy, minPort, dstGroup, rnd); ok {
@@ -87,7 +87,7 @@ func (it *InTransit) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass 
 
 // globalCandidate samples nonminimal first hops per the policy and returns
 // the first one that is uncongested and can absorb the packet.
-func (it *InTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, policy GlobalPolicy, minPort, dstGroup int, rnd *rng.Source) (Request, bool) {
+func (it *inTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, policy globalPolicy, minPort, dstGroup int, rnd *rng.Source) (Request, bool) {
 	t := env.Topo
 	r := rv.RouterID()
 	pp := t.Params()
@@ -95,7 +95,7 @@ func (it *InTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, 
 	for try := 0; try < env.Cfg.MisrouteTries; try++ {
 		var port, interm int
 		switch policy {
-		case CRG:
+		case crg:
 			// One of the current router's own global links.
 			k := rnd.Intn(pp.H)
 			port = pp.A - 1 + k
@@ -103,7 +103,7 @@ func (it *InTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, 
 			if interm == dstGroup { // that is the minimal link
 				continue
 			}
-		case NRG:
+		case nrg:
 			// A local hop to a neighbour router, whose global link
 			// then provides the intermediate group.
 			l := rnd.Intn(pp.A - 1)
@@ -165,7 +165,7 @@ func (it *InTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, 
 
 // localCandidate samples an alternative local port inside the current
 // (intermediate or destination) group.
-func (it *InTransit) localCandidate(env *Env, rv RouterView, p *packet.Packet, minPort int, rnd *rng.Source) (Request, bool) {
+func (it *inTransit) localCandidate(env *Env, rv RouterView, p *packet.Packet, minPort int, rnd *rng.Source) (Request, bool) {
 	t := env.Topo
 	r := rv.RouterID()
 	pp := t.Params()

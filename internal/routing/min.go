@@ -6,25 +6,25 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// Minimal is oblivious minimal (MIN) routing: every packet follows the
+// minimal is oblivious minimal (MIN) routing: every packet follows the
 // unique shortest path (at most local-global-local). It is the paper's
 // reference under uniform traffic.
-type Minimal struct{}
+type minimal struct{}
 
-// NewMinimal returns the MIN mechanism.
-func NewMinimal() *Minimal { return &Minimal{} }
+// newMinimal returns the MIN mechanism.
+func newMinimal() *minimal { return &minimal{} }
 
 // Name implements Mechanism.
-func (*Minimal) Name() string { return "MIN" }
+func (*minimal) Name() string { return "MIN" }
 
 // VCNeeds implements Mechanism: l g l needs the three segment VCs.
-func (*Minimal) VCNeeds() (int, int) { return 3, 1 }
+func (*minimal) VCNeeds() (int, int) { return 3, 1 }
 
 // OnGenerate implements Mechanism; MIN has no per-packet state.
-func (*Minimal) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
+func (*minimal) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
 
 // NextHop implements Mechanism.
-func (*Minimal) NextHop(env *Env, rv RouterView, p *packet.Packet, _ topology.PortClass, _ *rng.Source) Request {
+func (*minimal) NextHop(env *Env, rv RouterView, p *packet.Packet, _ topology.PortClass, _ *rng.Source) Request {
 	port := minimalPort(env, rv.RouterID(), p)
 	return Request{Port: port, VC: segmentVC(env, rv.RouterID(), port, p)}
 }

@@ -6,7 +6,7 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// Oblivious is nonminimal oblivious (Valiant) routing. Every packet is
+// oblivious is nonminimal oblivious (Valiant) routing. Every packet is
 // diverted through a random intermediate node chosen at generation time and
 // then routed minimally, regardless of network state.
 //
@@ -16,40 +16,40 @@ import (
 //     network.
 //   - CRG ("Obl-CRG"): a uniform node restricted to the h groups directly
 //     connected to the source router, saving the (frequent) first local hop.
-type Oblivious struct {
-	policy GlobalPolicy
+type oblivious struct {
+	policy globalPolicy
 }
 
-// NewOblivious returns Valiant routing with the given intermediate-group
+// newOblivious returns Valiant routing with the given intermediate-group
 // policy. Only RRG and CRG are defined for oblivious routing (Section II-C).
-func NewOblivious(policy GlobalPolicy) *Oblivious {
-	if policy != RRG && policy != CRG {
+func newOblivious(policy globalPolicy) *oblivious {
+	if policy != rrg && policy != crg {
 		panic("routing: oblivious routing supports RRG and CRG only")
 	}
-	return &Oblivious{policy: policy}
+	return &oblivious{policy: policy}
 }
 
 // Name implements Mechanism.
-func (o *Oblivious) Name() string { return "Obl-" + o.policy.String() }
+func (o *oblivious) Name() string { return "Obl-" + o.policy.String() }
 
 // VCNeeds implements Mechanism: the node-level Valiant path l g l l g l
 // needs four local and two global VCs.
-func (o *Oblivious) VCNeeds() (int, int) { return 4, 2 }
+func (o *oblivious) VCNeeds() (int, int) { return 4, 2 }
 
 // OnGenerate implements Mechanism: it fixes the Valiant intermediate node.
-func (o *Oblivious) OnGenerate(env *Env, p *packet.Packet, rnd *rng.Source) {
+func (o *oblivious) OnGenerate(env *Env, p *packet.Packet, rnd *rng.Source) {
 	chooseValiantNode(env, p, o.policy, rnd)
 }
 
 // chooseValiantNode sets p.IntNode per the policy and arms PhaseToNode.
 // Shared with the source-adaptive mechanism.
-func chooseValiantNode(env *Env, p *packet.Packet, policy GlobalPolicy, rnd *rng.Source) {
+func chooseValiantNode(env *Env, p *packet.Packet, policy globalPolicy, rnd *rng.Source) {
 	t := env.Topo
 	srcRouter := t.NodeRouter(int(p.Src))
 	srcGroup := t.RouterGroup(srcRouter)
 	var g int
 	switch policy {
-	case CRG:
+	case crg:
 		// A group over one of the source router's own global links.
 		k := rnd.Intn(t.Params().H)
 		g = t.DirectGroup(srcRouter, k)
@@ -69,7 +69,7 @@ func chooseValiantNode(env *Env, p *packet.Packet, policy GlobalPolicy, rnd *rng
 }
 
 // NextHop implements Mechanism.
-func (o *Oblivious) NextHop(env *Env, rv RouterView, p *packet.Packet, _ topology.PortClass, _ *rng.Source) Request {
+func (o *oblivious) NextHop(env *Env, rv RouterView, p *packet.Packet, _ topology.PortClass, _ *rng.Source) Request {
 	port := minimalPort(env, rv.RouterID(), p)
 	return Request{Port: port, VC: valiantVC(env, rv.RouterID(), port, p)}
 }

@@ -6,7 +6,7 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// PiggyBack is source-based adaptive routing (Jiang et al., ISCA 2009).
+// piggyBack is source-based adaptive routing (Jiang et al., ISCA 2009).
 // At injection — and only then — the source router chooses between the
 // minimal path and a Valiant path, using the per-group broadcast of global
 // link saturation bits (an explicit-congestion-notification style exchange).
@@ -23,32 +23,32 @@ import (
 //
 // The Valiant intermediate node is drawn per the RRG or CRG policy
 // ("Src-RRG" and "Src-CRG" in the figures).
-type PiggyBack struct {
-	policy GlobalPolicy
+type piggyBack struct {
+	policy globalPolicy
 }
 
-// NewPiggyBack returns PB source-adaptive routing with the given
+// newPiggyBack returns PB source-adaptive routing with the given
 // nonminimal-path policy (RRG or CRG).
-func NewPiggyBack(policy GlobalPolicy) *PiggyBack {
-	if policy != RRG && policy != CRG {
+func newPiggyBack(policy globalPolicy) *piggyBack {
+	if policy != rrg && policy != crg {
 		panic("routing: PiggyBack supports RRG and CRG only")
 	}
-	return &PiggyBack{policy: policy}
+	return &piggyBack{policy: policy}
 }
 
 // Name implements Mechanism.
-func (pb *PiggyBack) Name() string { return "Src-" + pb.policy.String() }
+func (pb *piggyBack) Name() string { return "Src-" + pb.policy.String() }
 
 // VCNeeds implements Mechanism: same node-level Valiant paths as oblivious
 // routing.
-func (pb *PiggyBack) VCNeeds() (int, int) { return 4, 2 }
+func (pb *piggyBack) VCNeeds() (int, int) { return 4, 2 }
 
 // OnGenerate implements Mechanism; the source decision is deferred to the
 // first NextHop at the injection router, where the congestion state lives.
-func (pb *PiggyBack) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
+func (pb *piggyBack) OnGenerate(*Env, *packet.Packet, *rng.Source) {}
 
 // NextHop implements Mechanism.
-func (pb *PiggyBack) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass topology.PortClass, rnd *rng.Source) Request {
+func (pb *piggyBack) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass topology.PortClass, rnd *rng.Source) Request {
 	if !p.SrcDecided && inClass == topology.InjectionPort {
 		pb.decide(env, rv, p, rnd)
 	}
@@ -57,7 +57,7 @@ func (pb *PiggyBack) NextHop(env *Env, rv RouterView, p *packet.Packet, inClass 
 }
 
 // decide performs the one-time source decision between MIN and VAL.
-func (pb *PiggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.Source) {
+func (pb *piggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.Source) {
 	p.SrcDecided = true
 	t := env.Topo
 	r := rv.RouterID()
@@ -86,7 +86,7 @@ func (pb *PiggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.
 	for try := 0; try < env.Cfg.MisrouteTries; try++ {
 		var g int
 		switch pb.policy {
-		case CRG:
+		case crg:
 			k := rnd.Intn(t.Params().H)
 			g = t.DirectGroup(r, k)
 			if g == dstGroup || g == srcGroup {

@@ -8,15 +8,15 @@ import (
 
 // factories maps lowercase mechanism names to constructors.
 var factories = map[string]func() Mechanism{
-	"min":         func() Mechanism { return NewMinimal() },
-	"obl-rrg":     func() Mechanism { return NewOblivious(RRG) },
-	"obl-crg":     func() Mechanism { return NewOblivious(CRG) },
-	"src-rrg":     func() Mechanism { return NewPiggyBack(RRG) },
-	"src-crg":     func() Mechanism { return NewPiggyBack(CRG) },
-	"in-trns-rrg": func() Mechanism { return NewInTransit(RRG) },
-	"in-trns-crg": func() Mechanism { return NewInTransit(CRG) },
-	"in-trns-mm":  func() Mechanism { return NewInTransit(MM) },
-	"in-trns-nrg": func() Mechanism { return NewInTransit(NRG) },
+	"min":         func() Mechanism { return newMinimal() },
+	"obl-rrg":     func() Mechanism { return newOblivious(rrg) },
+	"obl-crg":     func() Mechanism { return newOblivious(crg) },
+	"src-rrg":     func() Mechanism { return newPiggyBack(rrg) },
+	"src-crg":     func() Mechanism { return newPiggyBack(crg) },
+	"in-trns-rrg": func() Mechanism { return newInTransit(rrg) },
+	"in-trns-crg": func() Mechanism { return newInTransit(crg) },
+	"in-trns-mm":  func() Mechanism { return newInTransit(mm) },
+	"in-trns-nrg": func() Mechanism { return newInTransit(nrg) },
 }
 
 // ByName builds a routing mechanism from its paper label

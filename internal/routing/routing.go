@@ -25,35 +25,35 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// GlobalPolicy selects the intermediate group of nonminimal paths
+// globalPolicy selects the intermediate group of nonminimal paths
 // (Section II-B of the paper).
-type GlobalPolicy int
+type globalPolicy int
 
 const (
-	// RRG (random-router global): the intermediate group is drawn
+	// rrg (random-router global): the intermediate group is drawn
 	// uniformly from the whole network.
-	RRG GlobalPolicy = iota
-	// CRG (current-router global): only groups directly connected to the
+	rrg globalPolicy = iota
+	// crg (current-router global): only groups directly connected to the
 	// current router are eligible.
-	CRG
-	// NRG (neighbor-router global): the intermediate group is reached
+	crg
+	// nrg (neighbor-router global): the intermediate group is reached
 	// through a different router of the current group.
-	NRG
-	// MM (mixed mode): CRG when misrouting at the injection router, NRG
+	nrg
+	// mm (mixed mode): CRG when misrouting at the injection router, NRG
 	// for in-transit traffic.
-	MM
+	mm
 )
 
 // String returns the paper's abbreviation for the policy.
-func (p GlobalPolicy) String() string {
+func (p globalPolicy) String() string {
 	switch p {
-	case RRG:
+	case rrg:
 		return "RRG"
-	case CRG:
+	case crg:
 		return "CRG"
-	case NRG:
+	case nrg:
 		return "NRG"
-	case MM:
+	case mm:
 		return "MM"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))

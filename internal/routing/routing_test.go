@@ -54,12 +54,12 @@ func mkPacket(src, dst int) *packet.Packet {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	for p, want := range map[GlobalPolicy]string{RRG: "RRG", CRG: "CRG", NRG: "NRG", MM: "MM"} {
+	for p, want := range map[globalPolicy]string{rrg: "RRG", crg: "CRG", nrg: "NRG", mm: "MM"} {
 		if p.String() != want {
 			t.Errorf("%v.String() = %q", p, p.String())
 		}
 	}
-	if GlobalPolicy(9).String() == "" {
+	if globalPolicy(9).String() == "" {
 		t.Error("unknown policy String() empty")
 	}
 }
@@ -86,7 +86,7 @@ func TestRegistry(t *testing.T) {
 func TestMinimalEjectsAtDestination(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewMinimal()
+	m := newMinimal()
 	dst := 5
 	r := topo.NodeRouter(dst)
 	p := mkPacket(0, dst)
@@ -99,7 +99,7 @@ func TestMinimalEjectsAtDestination(t *testing.T) {
 func TestMinimalTakesGlobalWhenOwned(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewMinimal()
+	m := newMinimal()
 	// Source router owning the link to the destination group.
 	idx, port := topo.GlobalRouterFor(0, 3)
 	r := topo.RouterID(0, idx)
@@ -117,7 +117,7 @@ func TestMinimalTakesGlobalWhenOwned(t *testing.T) {
 func TestMinimalLocalTowardExit(t *testing.T) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	m := NewMinimal()
+	m := newMinimal()
 	idx, _ := topo.GlobalRouterFor(0, 3)
 	other := (idx + 1) % topo.Params().A
 	r := topo.RouterID(0, other)
@@ -172,7 +172,7 @@ func walk(t *testing.T, env *Env, m Mechanism, p *packet.Packet, maxHops int) []
 func TestMinimalWalksReachDestination(t *testing.T) {
 	topo := topology.New(topology.Balanced(3))
 	env := newEnv(topo)
-	m := NewMinimal()
+	m := newMinimal()
 	rnd := rng.New(7)
 	for i := 0; i < 300; i++ {
 		src := rnd.Intn(topo.NumNodes())
@@ -193,8 +193,8 @@ func TestObliviousWalksReachDestination(t *testing.T) {
 	env := newEnv(topo)
 	env.Cfg.LocalVCs, env.Cfg.GlobalVCs = 4, 2
 	rnd := rng.New(11)
-	for _, policy := range []GlobalPolicy{RRG, CRG} {
-		m := NewOblivious(policy)
+	for _, policy := range []globalPolicy{rrg, crg} {
+		m := newOblivious(policy)
 		for i := 0; i < 300; i++ {
 			src := rnd.Intn(topo.NumNodes())
 			dst := rnd.Intn(topo.NumNodes())
@@ -216,13 +216,13 @@ func TestObliviousWalksReachDestination(t *testing.T) {
 func TestObliviousCRGRestriction(t *testing.T) {
 	topo := topology.New(topology.Balanced(3))
 	env := newEnv(topo)
-	m := NewOblivious(CRG)
+	m := newOblivious(crg)
 	rnd := rng.New(13)
 	src := 0
 	srcRouter := topo.NodeRouter(src)
 	direct := map[int]bool{}
-	for _, g := range topo.DirectGroups(nil, srcRouter) {
-		direct[g] = true
+	for k := 0; k < topo.Params().H; k++ {
+		direct[topo.DirectGroup(srcRouter, k)] = true
 	}
 	for i := 0; i < 500; i++ {
 		p := mkPacket(src, topo.NumNodes()-1)
@@ -237,14 +237,14 @@ func TestObliviousCRGRestriction(t *testing.T) {
 }
 
 func TestObliviousRejectsBadPolicies(t *testing.T) {
-	for _, policy := range []GlobalPolicy{NRG, MM} {
+	for _, policy := range []globalPolicy{nrg, mm} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("NewOblivious(%v) did not panic", policy)
 				}
 			}()
-			NewOblivious(policy)
+			newOblivious(policy)
 		}()
 	}
 }
@@ -264,7 +264,7 @@ func TestValiantVCOrderingProperty(t *testing.T) {
 		return []int{0, 2, 3, 5}[vc]
 	}
 	rnd := rng.New(17)
-	m := NewOblivious(RRG)
+	m := newOblivious(rrg)
 	for i := 0; i < 500; i++ {
 		src := rnd.Intn(topo.NumNodes())
 		dst := rnd.Intn(topo.NumNodes())

@@ -149,20 +149,3 @@ func (gt *GenTrace) jobSpec(i int) workload.JobSpec {
 		Load:       gt.Spec.Load,
 	}
 }
-
-// Trace expands the generated trace to the detailed per-job form Run
-// replays. Intended for small traces (cross-checks, JSON export); it
-// materialises every job spec, which is exactly what streaming mode exists
-// to avoid.
-func (gt *GenTrace) Trace(disc string) Trace {
-	tr := Trace{Discipline: disc, Jobs: make([]TraceJob, gt.Len())}
-	for i := range tr.Jobs {
-		tr.Jobs[i] = TraceJob{
-			JobSpec:      gt.jobSpec(i),
-			Arrival:      gt.Arrival[i],
-			Duration:     gt.Duration[i],
-			DurationKind: DurationCycles,
-		}
-	}
-	return tr
-}

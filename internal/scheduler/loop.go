@@ -63,7 +63,7 @@ type runJob struct {
 	routers    []int // a packet-target job's allocation, for polling its counter
 }
 
-// controller is the sim.Controller (and sim.Finisher) that schedules a
+// controller is the sim.Controller (and sim.finisher) that schedules a
 // source's jobs under a discipline. It runs only between cycles, and all
 // its decisions are deterministic functions of the cycle and of per-job
 // delivered counters read at cycle boundaries, so a trace replays
@@ -121,7 +121,7 @@ func (c *controller) drained() bool {
 	return c.nextArr >= c.src.Len() && len(c.queue) == 0 && len(c.running) == 0
 }
 
-// Finished implements sim.Finisher for lazy sources, whose horizon is a cap
+// Finished implements sim.finisher for lazy sources, whose horizon is a cap
 // and not the run length. drained changes only inside Apply, so it can
 // first turn true only at a NextEvent cycle, as the contract requires. An
 // eager source's run is a measurement window and never finishes early.

@@ -116,7 +116,7 @@ func oracleSchedule(disc string, jobs []oracleJob, routers int) {
 			for len(queue) > 0 && jobs[queue[0]].need <= free {
 				begin(0)
 			}
-		case DisciplineBackfill:
+		case disciplineBackfill:
 			for qi := 0; qi < len(queue); {
 				if jobs[queue[qi]].need <= free {
 					begin(qi)
@@ -265,12 +265,12 @@ func TestEASYOracle(t *testing.T) {
 	topo := topology.New(cfg.Topology)
 	p := topo.Params()
 	machineNodes := topo.NumNodes()
-	counts := map[string]int{DisciplineEASY: 1100, DisciplineFCFS: 200, DisciplineBackfill: 200}
+	counts := map[string]int{DisciplineEASY: 1100, DisciplineFCFS: 200, disciplineBackfill: 200}
 	if testing.Short() {
-		counts = map[string]int{DisciplineEASY: 200, DisciplineFCFS: 50, DisciplineBackfill: 50}
+		counts = map[string]int{DisciplineEASY: 200, DisciplineFCFS: 50, disciplineBackfill: 50}
 	}
 	rnd := rng.New(0xea57_0ac1e)
-	for _, disc := range []string{DisciplineEASY, DisciplineFCFS, DisciplineBackfill} {
+	for _, disc := range []string{DisciplineEASY, DisciplineFCFS, disciplineBackfill} {
 		for trace := 0; trace < counts[disc]; trace++ {
 			jobs := randomOracleTrace(rnd, machineNodes)
 			for i := range jobs {
@@ -284,7 +284,7 @@ func TestEASYOracle(t *testing.T) {
 					JobSpec:      jobSpecN(jobs[i].nodes),
 					Arrival:      jobs[i].arrival,
 					Duration:     jobs[i].dur,
-					DurationKind: DurationCycles,
+					DurationKind: durationCycles,
 				}
 			}
 			for _, side := range []struct {
@@ -371,7 +371,7 @@ func TestPlanStartsEASY(t *testing.T) {
 		t.Fatalf("planStarts fcfs = %v, want none", got)
 	}
 	// Aggressive backfill: a (5≤7) then c (2≤2); b and d no longer fit.
-	if got, want := planStarts(DisciplineBackfill, 0, 7, queue, running), []int{1, 3}; fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := planStarts(disciplineBackfill, 0, 7, queue, running), []int{1, 3}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("planStarts backfill = %v, want %v", got, want)
 	}
 }

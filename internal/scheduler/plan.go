@@ -70,7 +70,7 @@ type planScratch struct {
 func (s *planScratch) planStarts(disc string, now int64, free int, queue []qJob, running []rJob) []int {
 	picks := s.picks[:0]
 	switch disc {
-	case DisciplineBackfill:
+	case disciplineBackfill:
 		for i, q := range queue {
 			if q.need <= free {
 				free -= q.need

@@ -41,7 +41,7 @@ type JobResult struct {
 type Result struct {
 	// Sim carries the usual per-router and per-job network metrics. For
 	// jobs that departed before the run ended, Sim's end-of-run node
-	// attribution (JobNodes, JobRouters) is empty — use the lifecycle
+	// attribution (JobNodes, jobRouters) is empty — use the lifecycle
 	// records here instead.
 	Sim        *sim.Result `json:"sim"`
 	Discipline string      `json:"discipline"`
@@ -145,7 +145,7 @@ func (s *replay) demand(i int) (need int, cycles, packets int64) {
 	j := s.order[i]
 	need, cycles = s.wl.RoutersFor(j), -1
 	switch tj := &s.trace.Jobs[j]; tj.DurationKind {
-	case DurationCycles:
+	case durationCycles:
 		cycles = tj.Duration
 	case DurationPackets:
 		packets = tj.Duration

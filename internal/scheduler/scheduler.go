@@ -41,10 +41,10 @@ const (
 	// DisciplineFCFS starts jobs strictly in arrival order: a job that does
 	// not fit blocks everything behind it.
 	DisciplineFCFS = "fcfs"
-	// DisciplineBackfill starts any queued job that fits when the head does
+	// disciplineBackfill starts any queued job that fits when the head does
 	// not (aggressive backfill: no reservation for the head job, so small
 	// late jobs may delay a large blocked one).
-	DisciplineBackfill = "backfill"
+	disciplineBackfill = "backfill"
 	// DisciplineEASY is reservation-based (EASY) backfill: a blocked head
 	// job gets a shadow-time reservation computed from the running jobs'
 	// remaining cycle budgets, and a queued job may only jump ahead if it
@@ -58,10 +58,10 @@ const (
 
 // Duration kind names.
 const (
-	// DurationNone: the job runs until the simulation ends.
-	DurationNone = "none"
-	// DurationCycles: the job departs Duration cycles after it starts.
-	DurationCycles = "cycles"
+	// durationNone: the job runs until the simulation ends.
+	durationNone = "none"
+	// durationCycles: the job departs Duration cycles after it starts.
+	durationCycles = "cycles"
 	// DurationPackets: the job departs once it has delivered Duration
 	// packets (counted from its start, warm-up included).
 	DurationPackets = "packets"
@@ -75,18 +75,18 @@ const maxCycle = 1 << 61
 // KnownDisciplines lists the queueing discipline names, for flag usage
 // strings and error messages.
 func KnownDisciplines() []string {
-	return []string{DisciplineFCFS, DisciplineBackfill, DisciplineEASY}
+	return []string{DisciplineFCFS, disciplineBackfill, DisciplineEASY}
 }
 
-// KnownDurationKinds lists the duration kind names.
-func KnownDurationKinds() []string { return []string{DurationNone, DurationCycles, DurationPackets} }
+// knownDurationKinds lists the duration kind names.
+func knownDurationKinds() []string { return []string{durationNone, durationCycles, DurationPackets} }
 
 // ValidateDiscipline checks a queueing discipline name, listing the known
 // names on a mismatch — the flag-time check of the df* convention ("" is
 // the FCFS default).
 func ValidateDiscipline(name string) error {
 	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", DisciplineFCFS, DisciplineBackfill, DisciplineEASY:
+	case "", DisciplineFCFS, disciplineBackfill, DisciplineEASY:
 		return nil
 	}
 	return fmt.Errorf("scheduler: unknown discipline %q (known: %s)",
@@ -144,26 +144,26 @@ func (tr Trace) normalized() (Trace, error) {
 		}
 		kind := strings.ToLower(strings.TrimSpace(tj.DurationKind))
 		if kind == "" {
-			kind = DurationNone
+			kind = durationNone
 			if tj.Duration > 0 {
-				kind = DurationCycles
+				kind = durationCycles
 			}
 		}
 		switch kind {
-		case DurationNone:
+		case durationNone:
 			if tj.Duration != 0 {
-				return out, fmt.Errorf("scheduler: job %d: duration %d with duration kind %q", i, tj.Duration, DurationNone)
+				return out, fmt.Errorf("scheduler: job %d: duration %d with duration kind %q", i, tj.Duration, durationNone)
 			}
-		case DurationCycles, DurationPackets:
+		case durationCycles, DurationPackets:
 			if tj.Duration < 1 {
 				return out, fmt.Errorf("scheduler: job %d: duration kind %q needs duration ≥ 1, got %d", i, kind, tj.Duration)
 			}
-			if kind == DurationCycles && tj.Duration > maxCycle {
+			if kind == durationCycles && tj.Duration > maxCycle {
 				return out, fmt.Errorf("scheduler: job %d: cycle budget %d exceeds 2^61", i, tj.Duration)
 			}
 		default:
 			return out, fmt.Errorf("scheduler: job %d: unknown duration kind %q (known: %s)",
-				i, tj.DurationKind, strings.Join(KnownDurationKinds(), ", "))
+				i, tj.DurationKind, strings.Join(knownDurationKinds(), ", "))
 		}
 		tj.DurationKind = kind
 	}

@@ -111,7 +111,7 @@ func TestScheduleDegenerateMatchesRunWorkload(t *testing.T) {
 	// later consecutive job that recycles the freed allocation.
 	dyn := Trace{Jobs: []TraceJob{
 		{JobSpec: workload.JobSpec{Name: "a", Nodes: 16, Alloc: workload.AllocConsecutive, Load: 0.4},
-			Arrival: 0, Duration: 600, DurationKind: DurationCycles},
+			Arrival: 0, Duration: 600, DurationKind: durationCycles},
 		{JobSpec: workload.JobSpec{Name: "b", Nodes: 24, Alloc: workload.AllocSpread, FirstGroup: 4, Load: 0.2},
 			Arrival: 150},
 		{JobSpec: workload.JobSpec{Name: "c", Nodes: 16, Alloc: workload.AllocConsecutive},
@@ -162,7 +162,7 @@ func TestRecycledNodesDoNotInheritInFlightPackets(t *testing.T) {
 	cfg.Load = 0 // jobs without their own load stay silent
 	tr := Trace{Jobs: []TraceJob{
 		{JobSpec: workload.JobSpec{Name: "a", Nodes: 16, Alloc: workload.AllocConsecutive, Load: 0.6},
-			Arrival: 0, Duration: 1000, DurationKind: DurationCycles},
+			Arrival: 0, Duration: 1000, DurationKind: durationCycles},
 		{JobSpec: workload.JobSpec{Name: "b", Nodes: 16, Alloc: workload.AllocConsecutive},
 			Arrival: 1000},
 	}}
@@ -201,7 +201,7 @@ func TestRandomTracesPartitionAndBitIdentical(t *testing.T) {
 		rnd := rng.New(seed * 977)
 		tr := Trace{}
 		if rnd.Intn(2) == 1 {
-			tr.Discipline = DisciplineBackfill
+			tr.Discipline = disciplineBackfill
 		}
 		jobs := 3 + rnd.Intn(3)
 		for i := 0; i < jobs; i++ {
@@ -216,7 +216,7 @@ func TestRandomTracesPartitionAndBitIdentical(t *testing.T) {
 			switch rnd.Intn(3) {
 			case 0: // runs forever
 			case 1:
-				tj.Duration, tj.DurationKind = int64(200+rnd.Intn(600)), DurationCycles
+				tj.Duration, tj.DurationKind = int64(200+rnd.Intn(600)), durationCycles
 			case 2:
 				tj.Duration, tj.DurationKind = int64(50+rnd.Intn(300)), DurationPackets
 			}
@@ -275,7 +275,7 @@ func TestDisciplines(t *testing.T) {
 		{JobSpec: workload.JobSpec{Name: "a", Nodes: 40, Alloc: workload.AllocConsecutive}, Arrival: 0},
 		{JobSpec: workload.JobSpec{Name: "b", Nodes: 40, Alloc: workload.AllocConsecutive}, Arrival: 100},
 		{JobSpec: workload.JobSpec{Name: "c", Nodes: 16, Alloc: workload.AllocSpread},
-			Arrival: 200, Duration: 500, DurationKind: DurationCycles},
+			Arrival: 200, Duration: 500, DurationKind: durationCycles},
 	}
 
 	fcfs, err := Run(cfg, Trace{Discipline: DisciplineFCFS, Jobs: jobs})
@@ -289,7 +289,7 @@ func TestDisciplines(t *testing.T) {
 		t.Errorf("FCFS aggregates: completed %d makespan %d", fcfs.Completed, fcfs.Makespan)
 	}
 
-	bf, err := Run(cfg, Trace{Discipline: DisciplineBackfill, Jobs: jobs})
+	bf, err := Run(cfg, Trace{Discipline: disciplineBackfill, Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +346,8 @@ func TestTraceValidation(t *testing.T) {
 		{Discipline: "sjf", Jobs: good.Jobs},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Arrival: -1}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Duration: 5, DurationKind: "phases"}}},
-		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, DurationKind: DurationCycles}}},
-		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Duration: 5, DurationKind: DurationNone}}},
+		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, DurationKind: durationCycles}}},
+		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8}, Duration: 5, DurationKind: durationNone}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8, Pattern: "NOPE"}}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Nodes: 8, Alloc: "hilbert"}}}},
 		{Jobs: []TraceJob{{JobSpec: workload.JobSpec{Name: "x", Nodes: 8}}, {JobSpec: workload.JobSpec{Name: "x", Nodes: 8}}}},
@@ -441,7 +441,7 @@ func FuzzParseTraceJob(f *testing.F) {
 			t.Fatalf("%q: a %d-node job validated on a %d-node machine", s, tj.Nodes, machine.Nodes())
 		}
 		norm, _ := (Trace{Jobs: []TraceJob{tj}}).normalized()
-		if j := norm.Jobs[0]; j.DurationKind == DurationCycles && j.Arrival+j.Duration < 0 {
+		if j := norm.Jobs[0]; j.DurationKind == durationCycles && j.Arrival+j.Duration < 0 {
 			t.Fatalf("%q: validated, but arrival %d + budget %d wraps to a negative departure cycle", s, j.Arrival, j.Duration)
 		}
 	})

@@ -117,7 +117,7 @@ type StreamResult struct {
 	// Wait, RunTime and Slowdown are the streaming quantile sketches the
 	// per-job records were folded into (wait observed at start, the others
 	// at completion). Excluded from JSON — serialize with
-	// stats.Sketch.AppendBinary where persistence is needed.
+	// stats.Sketch.MarshalBinary where persistence is needed.
 	Wait     stats.Sketch `json:"-"`
 	RunTime  stats.Sketch `json:"-"`
 	Slowdown stats.Sketch `json:"-"`

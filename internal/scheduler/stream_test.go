@@ -272,7 +272,7 @@ func TestStreamMatchesDetailed(t *testing.T) {
 
 		cfg2 := schedCfg()
 		cfg2.MeasureCycles = res.LastDeparture + 100 // full horizon: no censoring
-		det, err := Run(cfg2, gt.Trace(disc))
+		det, err := Run(cfg2, expand(gt, disc))
 		if err != nil {
 			t.Fatalf("Run(%s): %v", disc, err)
 		}
@@ -543,4 +543,19 @@ func TestReplayApplyAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("an event that places nothing allocates %v times", allocs)
 	}
+}
+
+// expand turns a generated trace into the detailed per-job form Run
+// replays, for cross-checking a streaming run against it.
+func expand(gt *GenTrace, disc string) Trace {
+	tr := Trace{Discipline: disc, Jobs: make([]TraceJob, gt.Len())}
+	for i := range tr.Jobs {
+		tr.Jobs[i] = TraceJob{
+			JobSpec:      gt.jobSpec(i),
+			Arrival:      gt.Arrival[i],
+			Duration:     gt.Duration[i],
+			DurationKind: durationCycles,
+		}
+	}
+	return tr
 }

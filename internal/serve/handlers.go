@@ -91,7 +91,7 @@ func (m *Manager) Handler() http.Handler {
 	mux.Handle("POST /api/worker/renew", renewHandler{m})
 	mux.Handle("POST /api/worker/complete", completeHandler{m})
 	mux.Handle("GET /api/stats", statsHandler{m})
-	LiveRoutes(mux, m.Live())
+	liveRoutes(mux, m.live)
 	return mux
 }
 
@@ -129,7 +129,7 @@ func (h submitHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	res, err := h.m.Submit(data)
+	res, err := h.m.submit(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -293,7 +293,7 @@ func (h cancelHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	if err := h.m.Cancel(j.ID()); err != nil {
+	if err := h.m.cancelJob(j.ID()); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -378,7 +378,7 @@ type statsHandler struct{ m *Manager }
 func (h statsHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	st := h.m.Store().Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds": h.m.Uptime().Seconds(),
+		"uptime_seconds": h.m.uptime().Seconds(),
 		"store":          st,
 	})
 }

@@ -16,9 +16,9 @@ import (
 // (ServeLive). telemetry.Live stays transport-free; these routes are the
 // only place its snapshots meet HTTP.
 
-// LiveRoutes mounts /api/progress, /api/tasks and /debug/vars on mux, all
+// liveRoutes mounts /api/progress, /api/tasks and /debug/vars on mux, all
 // reading from l.
-func LiveRoutes(mux *http.ServeMux, l *telemetry.Live) {
+func liveRoutes(mux *http.ServeMux, l *telemetry.Live) {
 	mux.HandleFunc("GET /api/progress", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, l.Progress())
 	})
@@ -60,6 +60,6 @@ func liveServer(l *telemetry.Live) *http.Server {
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "dragonfly live endpoint\n\n/api/progress\n/api/tasks\n/debug/vars\n")
 	})
-	LiveRoutes(mux, l)
+	liveRoutes(mux, l)
 	return NewServer(mux)
 }

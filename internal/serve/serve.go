@@ -14,7 +14,7 @@
 // handler struct per route (handlers.go), each a thin translation layer
 // over the Manager, which owns every piece of state. The live
 // introspection endpoints (/api/progress, /api/tasks, /debug/vars) are
-// defined once here (LiveRoutes) and mounted on the same mux, shared with
+// defined once here (liveRoutes) and mounted on the same mux, shared with
 // dfexperiments -listen.
 //
 // The daemon is deliberately auth-free and meant for localhost or a
@@ -44,8 +44,6 @@ type Options struct {
 	// StoreDir persists checkpoints and the submission journal ("" =
 	// memory only; finished work is forgotten on exit).
 	StoreDir string
-	// Live receives per-point progress (nil: a fresh accumulator).
-	Live *telemetry.Live
 	// LocalRunners is the number of in-process point runners (0:
 	// NumCPU; negative: none — a dispatch-only server that relies
 	// entirely on remote workers).
@@ -91,10 +89,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	live := opts.Live
-	if live == nil {
-		live = telemetry.NewLive()
-	}
+	live := telemetry.NewLive()
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = time.Minute
@@ -152,9 +147,6 @@ func (m *Manager) Close() error {
 // Store exposes the job store (handlers and tests read through it).
 func (m *Manager) Store() *sweep.Store { return m.store }
 
-// Live exposes the live accumulator.
-func (m *Manager) Live() *telemetry.Live { return m.live }
-
 // replayJournal rebuilds jobs from a previous daemon life and reopens
 // the journal for appending. A torn tail (crash mid-append) is skipped;
 // every complete line before it is replayed.
@@ -181,7 +173,7 @@ func (m *Manager) replayJournal(path string) error {
 		case jl.Cancel != "":
 			m.store.Cancel(jl.Cancel) //nolint:errcheck // job may predate a wiped store
 		case len(jl.Spec) > 0:
-			if _, err := m.submit(jl.Spec, false); err != nil {
+			if _, err := m.register(jl.Spec, false); err != nil {
 				m.logf("serve: journal replay: %v", err)
 			}
 		}
@@ -219,12 +211,12 @@ type SubmitResult struct {
 	Existing bool              `json:"existing"`
 }
 
-// Submit validates a raw spec, dedups it by fingerprint, and registers
+// submit validates a raw spec, dedups it by fingerprint, and registers
 // the job. An identical spec returns the existing job (Existing=true);
 // if that job already finished, the caller gets a pure cache hit —
 // records are served from the store without a single simulation.
-func (m *Manager) Submit(raw json.RawMessage) (SubmitResult, error) {
-	res, err := m.submit(raw, true)
+func (m *Manager) submit(raw json.RawMessage) (SubmitResult, error) {
+	res, err := m.register(raw, true)
 	if err == nil && !res.Existing {
 		m.logf("serve: job %s submitted (%d points, %d restored)",
 			res.Job.Name, res.Job.Total, res.Job.Restored)
@@ -232,7 +224,7 @@ func (m *Manager) Submit(raw json.RawMessage) (SubmitResult, error) {
 	return res, err
 }
 
-func (m *Manager) submit(raw json.RawMessage, journal bool) (SubmitResult, error) {
+func (m *Manager) register(raw json.RawMessage, journal bool) (SubmitResult, error) {
 	var spec experiments.Spec
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -276,8 +268,8 @@ func (m *Manager) submit(raw json.RawMessage, journal bool) (SubmitResult, error
 	return SubmitResult{Job: job.Snapshot(true), Existing: existed}, nil
 }
 
-// Cancel marks a job cancelled and journals the decision.
-func (m *Manager) Cancel(jobID string) error {
+// cancelJob marks a job cancelled and journals the decision.
+func (m *Manager) cancelJob(jobID string) error {
 	if err := m.store.Cancel(jobID); err != nil {
 		return err
 	}
@@ -341,5 +333,5 @@ func (m *Manager) grid(info sweep.LeaseInfo) (sweep.Grid, error) {
 	return m.store.Job(info.JobID).Grid(), nil
 }
 
-// Uptime reports how long the manager has been serving.
-func (m *Manager) Uptime() time.Duration { return time.Since(m.start) }
+// uptime reports how long the manager has been serving.
+func (m *Manager) uptime() time.Duration { return time.Since(m.start) }

@@ -572,7 +572,7 @@ func TestLocalRunnersCascadeAwake(t *testing.T) {
 	defer m.Close() //nolint:errcheck
 	const spec = `{"h":1,"warmup":100,"measure":400,"mechanisms":["MIN"],` +
 		`"load_spec":"0.05:0.5:0.05","seed_base":1,"seed_count":5}`
-	res, err := m.Submit(json.RawMessage(spec))
+	res, err := m.submit(json.RawMessage(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +638,7 @@ func TestServedJobsRecycleEarlierJobsNetworks(t *testing.T) {
 		out := make([][]sweep.Record, len(specs))
 		fresh := 0
 		for i, spec := range specs {
-			res, err := m.Submit(json.RawMessage(spec))
+			res, err := m.submit(json.RawMessage(spec))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,8 +30,6 @@ type Worker struct {
 	Poll time.Duration
 	// Jobs bounds concurrent simulations within a batch (0: pool width).
 	Jobs int
-	// Client is the HTTP client (nil: http.DefaultClient).
-	Client *http.Client
 	// Logf, when non-nil, receives one line per lease processed.
 	Logf func(format string, args ...any)
 }
@@ -40,13 +38,6 @@ func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
 		w.Logf(format, args...)
 	}
-}
-
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return http.DefaultClient
 }
 
 // post sends one JSON request and decodes the response into out (out
@@ -61,7 +52,7 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, err
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -19,7 +19,7 @@ type accumulators struct {
 
 // accumulatorsOf copies net's accumulators as they stand.
 func accumulatorsOf(net *Network) accumulators {
-	n := net.Topo.NumRouters()
+	n := net.topo.NumRouters()
 	a := accumulators{routers: make([]stats.Router, n)}
 	if net.jobs != nil {
 		a.jobs = make([][]stats.Job, n)

@@ -37,7 +37,7 @@ func RunWithPattern(cfg Config, pat traffic.Pattern) (*Result, error) {
 
 // clampWorkers resolves cfg.Workers against the network and machine size.
 func clampWorkers(net *Network, cfg *Config) int {
-	return min(max(cfg.Workers, 1), net.Topo.NumGroups(), runtime.NumCPU())
+	return min(max(cfg.Workers, 1), net.topo.NumGroups(), runtime.NumCPU())
 }
 
 // RunNetwork drives an already-built network through the configured warm-up
@@ -101,7 +101,7 @@ type Engine interface {
 	Close()
 }
 
-// Settler is an optional Engine extension for engines that apply state-only
+// settler is an optional Engine extension for engines that apply state-only
 // events lazily (router.Core.Settle): the routers they skip hold releases,
 // credits and arrivals that have fallen due but changed nothing the engine
 // acts on. Settle(upTo) applies everything due by the end of cycle upTo, on
@@ -111,7 +111,7 @@ type Engine interface {
 // group standing at cycle upTo+1: before a probe sample and when the run
 // ends. Engines that step every router have nothing to settle and do not
 // implement it.
-type Settler interface {
+type settler interface {
 	Settle(upTo int64)
 }
 
@@ -124,8 +124,8 @@ type driver struct {
 	wake     func(r int)
 	reconf   *reconfigRun
 	probes   *probeRun
-	fin      Finisher
-	settler  Settler
+	fin      finisher
+	settler  settler
 	total    int64
 	now      int64 // the cycle the next window starts at
 	windows  int64
@@ -144,8 +144,8 @@ func newDriver(net *Network, warmup, total int64, ctrl Controller, e Engine) *dr
 		probes: newProbeRun(net, warmup),
 		total:  total,
 	}
-	d.fin, _ = ctrl.(Finisher)
-	d.settler, _ = e.(Settler)
+	d.fin, _ = ctrl.(finisher)
+	d.settler, _ = e.(settler)
 	if d.probes != nil {
 		d.probes.settler = d.settler
 	}
@@ -175,7 +175,7 @@ func (d *driver) window(from int64) (to int64, done bool, err error) {
 	// Reconfiguration first: membership changes must be visible to this
 	// cycle's generation. Workers are quiescent between windows and every
 	// group stands at cycle from, so the controller and the probes see
-	// stable state (the probes after settling it, see Settler).
+	// stable state (the probes after settling it, see settler).
 	applied := d.reconf.step(from, d.wake)
 	d.probes.step(from)
 	to = d.horizon(from)
@@ -328,7 +328,7 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 // settle points: StepRouter, before its stages run (the router reading
 // itself); refreshPB, before a group's PiggyBack bits are recomputed (the
 // one reader of *other* routers' state inside a window); and Settle, which
-// the driver calls before a probe sample and when the run ends (Settler).
+// the driver calls before a probe sample and when the run ends (settler).
 // Settling applies each event with its own due cycle, so when it happens
 // leaves no trace, and results, probe streams and state vectors are
 // bit-identical to the dense engines that step every router every cycle.
@@ -382,7 +382,7 @@ type groupRun struct {
 
 // newEngine readies the engine of one run of net on `workers` workers.
 func newEngine(net *Network, workers int) *engine {
-	workers = min(max(workers, 1), net.Topo.NumGroups())
+	workers = min(max(workers, 1), net.topo.NumGroups())
 	e := engineOf(net, workers)
 	net.pb.allStale()
 	e.core.SizeScratch(workers)
@@ -410,8 +410,8 @@ func newEngine(net *Network, workers int) *engine {
 // shape and worker count, new ones otherwise. A network that runs again
 // therefore allocates only its workers' goroutines and start channels.
 func engineOf(net *Network, workers int) *engine {
-	groups := net.Topo.NumGroups()
-	if e := net.eng; e != nil && len(e.wakeAt) == net.Topo.NumRouters() && len(e.groups) == groups && len(e.spans) == workers {
+	groups := net.topo.NumGroups()
+	if e := net.eng; e != nil && len(e.wakeAt) == net.topo.NumRouters() && len(e.groups) == groups && len(e.spans) == workers {
 		clear(e.wakeAt)
 		clear(e.nextWake)
 		clear(e.weight)
@@ -423,8 +423,8 @@ func engineOf(net *Network, workers int) *engine {
 	}
 	e := &engine{
 		net: net, core: net.core,
-		per:      net.Topo.NumRouters() / groups,
-		wakeAt:   make([]int64, net.Topo.NumRouters()),
+		per:      net.topo.NumRouters() / groups,
+		wakeAt:   make([]int64, net.topo.NumRouters()),
 		nextWake: make([]int64, groups),
 		groups:   make([]groupRun, groups),
 		weight:   make([]int64, groups),
@@ -445,7 +445,7 @@ func engineOf(net *Network, workers int) *engine {
 func (e *engine) sinkOf(g int) func(router.LinkEvent) {
 	gr := &e.groups[g]
 	return func(ev router.LinkEvent) {
-		if dst := e.net.Topo.RouterGroup(ev.Router); dst < gr.own.lo || dst >= gr.own.hi {
+		if dst := e.net.topo.RouterGroup(ev.Router); dst < gr.own.lo || dst >= gr.own.hi {
 			gr.out = append(gr.out, ev)
 			return
 		}
@@ -500,7 +500,7 @@ func (e *engine) Settle(upTo int64) {
 func (e *engine) wake(r int, at int64) {
 	if at < e.wakeAt[r] {
 		e.wakeAt[r] = at
-		g := e.net.Topo.RouterGroup(r)
+		g := e.net.topo.RouterGroup(r)
 		e.nextWake[g] = min(e.nextWake[g], at)
 	}
 }

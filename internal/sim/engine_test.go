@@ -124,13 +124,13 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		net.core.Unplug(0, 0)
 
 		// Hand-inject one packet whose minimal route uses that port.
-		src := net.Topo.NodeID(0, 0)
-		dst := net.Topo.NodeID(net.Topo.LocalNeighbor(0, 0), 0)
+		src := net.topo.NodeID(0, 0)
+		dst := net.topo.NodeID(net.topo.LocalNeighbor(0, 0), 0)
 		pkt := &packet.Packet{}
 		pkt.Reset()
 		pkt.Src, pkt.Dst = int32(src), int32(dst)
 		pkt.Size = int16(cfg.Router.PacketSize)
-		min := net.Topo.MinimalPathLength(src, dst)
+		min := net.topo.MinimalPathLength(src, dst)
 		pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)
 		net.mech.OnGenerate(&net.env, pkt, &net.nodes[src].rnd)
 		net.core.EnqueueInjection(0, 0, pkt)

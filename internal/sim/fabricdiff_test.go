@@ -20,7 +20,7 @@ import (
 // core gives it (Core.StateWord), so got is core-built and want may be the
 // oracle: "router 8 (group 2) in[6].qTotal: 0 != 1".
 func fabricDiff(got, want *Network) string {
-	for r := range want.Topo.NumRouters() {
+	for r := range want.topo.NumRouters() {
 		g, w := got.fab.StateVector(r, nil), want.fab.StateVector(r, nil)
 		i := 0
 		for i < len(g) && i < len(w) && g[i] == w[i] {
@@ -35,7 +35,7 @@ func fabricDiff(got, want *Network) string {
 			}
 			return "end"
 		}
-		return fmt.Sprintf("router %d (group %d) %s: %s != %s", r, want.Topo.RouterGroup(r), got.core.StateWord(r, i), word(g), word(w))
+		return fmt.Sprintf("router %d (group %d) %s: %s != %s", r, want.topo.RouterGroup(r), got.core.StateWord(r, i), word(g), word(w))
 	}
 	if g, w := got.InFlight(), want.InFlight(); g != w {
 		return fmt.Sprintf("%d packets in flight, want %d", g, w)
@@ -152,7 +152,7 @@ func TestStateWordNamesEveryWord(t *testing.T) {
 				if err := RunNetwork(net, &cfg); err != nil {
 					t.Fatal(err)
 				}
-				for r := range net.Topo.NumRouters() {
+				for r := range net.topo.NumRouters() {
 					n := len(net.core.StateVector(r, nil))
 					seen := make(map[string]bool, n)
 					pkt, credits := false, false

@@ -59,7 +59,7 @@ type Fabric interface {
 
 // Network is a fully wired simulator instance.
 type Network struct {
-	Topo *topology.Topology
+	topo *topology.Topology
 	// Routers are the per-router views over the core, indexed by router id
 	// (nil on a network built over another Fabric).
 	Routers []router.View
@@ -189,7 +189,7 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 	}
 	var topo *topology.Topology
 	if fam != nil {
-		topo = fam.Topo
+		topo = fam.topo
 	} else {
 		topo = topology.New(cfg.Topology)
 	}
@@ -204,7 +204,7 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 
 	root := rng.New(cfg.Seed)
 	net := &Network{
-		Topo:    topo,
+		topo:    topo,
 		cfg:     cfg,
 		mech:    mech,
 		genProb: cfg.Load / float64(rcfg.PacketSize),
@@ -276,8 +276,8 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 // calendar to the topology, reusing the capacity the network already owns;
 // the contents are stale until aimSources writes every field.
 func (net *Network) sizeSources() {
-	net.nodes = slices.Grow(net.nodes[:0], net.Topo.NumNodes())[:net.Topo.NumNodes()]
-	net.genWake = slices.Grow(net.genWake[:0], net.Topo.NumRouters())[:net.Topo.NumRouters()]
+	net.nodes = slices.Grow(net.nodes[:0], net.topo.NumNodes())[:net.topo.NumNodes()]
+	net.genWake = slices.Grow(net.genWake[:0], net.topo.NumRouters())[:net.topo.NumRouters()]
 }
 
 // binding returns the hooks the network's fabric reports to.
@@ -349,7 +349,7 @@ func (ns *nodeState) nextArrival(t int64, q float64) int64 {
 
 // refreshGenWake recomputes the cached earliest arrival of router r.
 func (net *Network) refreshGenWake(r int) {
-	p := net.Topo.Params()
+	p := net.topo.Params()
 	base := r * p.P
 	wake := int64(-1)
 	for i := 0; i < p.P; i++ {
@@ -370,7 +370,7 @@ func (net *Network) Generate(r int, now int64) {
 	if w := net.genWake[r]; w < 0 || w > now {
 		return // no node of r has an arrival due
 	}
-	p := net.Topo.Params()
+	p := net.topo.Params()
 	fab := net.fab
 	backlogLimit := net.cfg.Router.InjectionQueuePackets
 	base := r * p.P
@@ -418,7 +418,7 @@ func (net *Network) Generate(r int, now int64) {
 			pkt.Dst = int32(dst)
 			pkt.Size = int16(net.cfg.Router.PacketSize)
 			pkt.GenTime = now
-			min := net.Topo.MinimalPathLength(src, dst)
+			min := net.topo.MinimalPathLength(src, dst)
 			pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)
 			pkt.MinLinkLat = net.minPathLinkLat(src, dst, min)
 			net.mech.OnGenerate(&net.env, pkt, &ns.rnd)
@@ -436,7 +436,7 @@ func (net *Network) minPathLinkLat(src, dst int, min topology.PathLength) int64 
 	if u := net.uniform; u != nil {
 		return int64(min.Local)*int64(u.Local) + int64(min.Global)*int64(u.Global)
 	}
-	t := net.Topo
+	t := net.topo
 	return topology.MinimalPathLinkLatency(t, net.latency, t.NodeRouter(src), t.NodeRouter(dst))
 }
 

@@ -43,7 +43,7 @@ func TestPacketsConserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.peak = max(l.peak, l.net.telemetry.PeakInFlight, l.net.InFlight())
-		l.nodes = max(l.nodes, l.net.Topo.NumNodes())
+		l.nodes = max(l.nodes, l.net.topo.NumNodes())
 	}
 	advc := h3Cfg("In-Trns-MM", "ADVc", 0.4)
 	advc.WarmupCycles, advc.MeasureCycles = 200, 400

@@ -230,7 +230,7 @@ func ratio(name string, f func(*Result) float64, a, b string) statistic {
 // bottleneckShare is what group 0's bottleneck router injects over the
 // mean of its peers — NaN when the peers inject nothing.
 var bottleneckShare = statistic{"bottleneck injections / peers' mean", func(rs []reading) (float64, string) {
-	bneck := topology.New(rs[0].cfg.Topology).BottleneckRouter()
+	bneck, _ := topology.New(rs[0].cfg.Topology).GlobalRouterFor(0, 1)
 	inj := rs[0].GroupInjections(0)
 	mean := float64(sum(inj)-inj[bneck]) / float64(len(inj)-1)
 	if mean == 0 {

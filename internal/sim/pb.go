@@ -55,7 +55,7 @@ func (s *pbState) totalUpdates() int64 {
 }
 
 func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
-	t := net.Topo
+	t := net.topo
 	p := t.Params()
 	s := &pbState{
 		topo: t, net: net, marginPhits: thresholdPkts * float64(packetSize),

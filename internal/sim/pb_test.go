@@ -44,11 +44,11 @@ func TestPBStateAbsentOtherwise(t *testing.T) {
 
 func TestPBIdleNetworkUnsaturated(t *testing.T) {
 	net := pbNetwork(t)
-	for g := 0; g < net.Topo.NumGroups(); g++ {
+	for g := 0; g < net.topo.NumGroups(); g++ {
 		net.pb.updateGroup(g)
 	}
-	p := net.Topo.Params()
-	for g := 0; g < net.Topo.NumGroups(); g++ {
+	p := net.topo.Params()
+	for g := 0; g < net.topo.NumGroups(); g++ {
 		v := net.pb.view(g)
 		for i := 0; i < p.A; i++ {
 			for k := 0; k < p.H; k++ {
@@ -79,11 +79,11 @@ func TestPBRelativeRule(t *testing.T) {
 	if err := RunNetwork(net, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < net.Topo.NumGroups(); g++ {
+	for g := 0; g < net.topo.NumGroups(); g++ {
 		net.pb.updateGroup(g)
 	}
-	exitIdx, exitPort := net.Topo.GlobalRouterFor(0, 1)
-	k := exitPort - (net.Topo.Params().A - 1)
+	exitIdx, exitPort := net.topo.GlobalRouterFor(0, 1)
+	k := exitPort - (net.topo.Params().A - 1)
 	if !net.pb.view(0).GlobalSaturated(exitIdx, k) {
 		t.Error("ADV+1 exit link not flagged saturated under sustained overload")
 	}
@@ -99,17 +99,17 @@ func TestPBRelativeRule(t *testing.T) {
 	if err := RunNetwork(netc, &cfgc); err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < netc.Topo.NumGroups(); g++ {
+	for g := 0; g < netc.topo.NumGroups(); g++ {
 		netc.pb.updateGroup(g)
 	}
-	bneck := netc.Topo.BottleneckRouter()
+	bneck, _ := netc.topo.GlobalRouterFor(0, 1) // the router ADVc congests
 	flagged := 0
-	for k := 0; k < netc.Topo.Params().H; k++ {
+	for k := 0; k < netc.topo.Params().H; k++ {
 		if netc.pb.view(0).GlobalSaturated(bneck, k) {
 			flagged++
 		}
 	}
-	if flagged == netc.Topo.Params().H {
+	if flagged == netc.topo.Params().H {
 		t.Error("ADVc: all bottleneck links flagged — the relative rule should mask equal overload")
 	}
 }

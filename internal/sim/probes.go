@@ -24,16 +24,16 @@ type probeSource struct {
 // Shape implements telemetry.Source.
 func (ps *probeSource) Shape() telemetry.Shape {
 	net := ps.net
-	p := net.Topo.Params()
+	p := net.topo.Params()
 	jobs := 0
 	if net.jobs != nil {
 		jobs = net.jobs.NumJobs()
 	}
-	nr := net.Topo.NumRouters()
+	nr := net.topo.NumRouters()
 	return telemetry.Shape{
-		Groups:        net.Topo.NumGroups(),
+		Groups:        net.topo.NumGroups(),
 		Routers:       nr,
-		Nodes:         net.Topo.NumNodes(),
+		Nodes:         net.topo.NumNodes(),
 		Jobs:          jobs,
 		NodesPerGroup: p.A * p.P,
 		PacketSize:    net.cfg.Router.PacketSize,
@@ -59,7 +59,7 @@ func (ps *probeSource) Collect(now int64, s *telemetry.Snapshot) {
 		s.GlobalBusy += lp.GlobalBusy
 		s.CreditStalls += lp.CreditStalled
 		inQ, outQ := fab.ProbeQueues(r)
-		gc := &s.Groups[net.Topo.RouterGroup(r)]
+		gc := &s.Groups[net.topo.RouterGroup(r)]
 		gc.InQPhits += inQ
 		gc.OutQPhits += outQ
 		st := fab.Stats(r)
@@ -99,7 +99,7 @@ type probeRun struct {
 	every  int64
 	// settler, when the engine applies state-only events lazily, brings every
 	// router's state to the end of the previous cycle before a sample.
-	settler Settler
+	settler settler
 }
 
 // newProbeRun wires cfg.Probes to the network for one engine run, or

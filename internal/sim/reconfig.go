@@ -52,11 +52,11 @@ type Controller interface {
 	// with all engine workers quiescent. It mutates membership only through
 	// the Reconfig handle, and what it may read of the network is what the
 	// handle offers (LiveJobDelivered): router state proper is not settled
-	// at this point (see Settler).
+	// at this point (see settler).
 	Apply(rc *Reconfig, now int64)
 }
 
-// Finisher is an optional Controller extension for runs whose length is a
+// finisher is an optional Controller extension for runs whose length is a
 // property of the workload rather than the Config: the run stops after the
 // first cycle for which Finished reports true. Finished may first turn true
 // only at a cycle the controller named through NextEvent: the driver asks
@@ -64,7 +64,7 @@ type Controller interface {
 // makes cycle now the run's last. A controller that finishes on anything
 // but its own events (a bare cycle number, a delivery count it does not
 // poll with NextEvent = now+1) is never asked at that cycle. In exchange a
-// Finisher costs no window: between its events the engine advances a
+// finisher costs no window: between its events the engine advances a
 // global-link latency at a time, as under any Controller (Network.
 // EngineWindows shows it). The question is put at the same point for every
 // engine — after Apply, workers quiescent — and the answer must be a
@@ -73,7 +73,7 @@ type Controller interface {
 // and worker counts. The Result of an early-stopped run reports the cycles
 // actually measured (see Result.MeasuredCycles), not the configured
 // horizon.
-type Finisher interface {
+type finisher interface {
 	// Finished reports, right after Apply(now), whether cycle now is the
 	// workload's last.
 	Finished(now int64) bool
@@ -88,9 +88,6 @@ type Reconfig struct {
 	touched []bool
 	list    []int
 }
-
-// Now returns the cycle the current Apply runs at.
-func (rc *Reconfig) Now() int64 { return rc.now }
 
 func (rc *Reconfig) touch(router int) {
 	if !rc.touched[router] {
@@ -113,7 +110,7 @@ func (rc *Reconfig) SetNodeActive(node int, load float64) {
 	}
 	ns.q = q
 	ns.active = q > 0
-	rc.touch(net.Topo.NodeRouter(node))
+	rc.touch(net.topo.NodeRouter(node))
 	if !ns.active {
 		return
 	}
@@ -128,7 +125,7 @@ func (rc *Reconfig) SetNodeActive(node int, load float64) {
 func (rc *Reconfig) SetNodeSilent(node int) {
 	net := rc.net
 	net.nodes[node].active = false
-	rc.touch(net.Topo.NodeRouter(node))
+	rc.touch(net.topo.NodeRouter(node))
 }
 
 // LiveJobDelivered exposes Network.LiveJobDelivered to the controller: job
@@ -154,7 +151,7 @@ func newReconfigRun(net *Network, ctrl Controller) *reconfigRun {
 	}
 	return &reconfigRun{
 		ctrl: ctrl,
-		rc:   Reconfig{net: net, touched: make([]bool, net.Topo.NumRouters())},
+		rc:   Reconfig{net: net, touched: make([]bool, net.topo.NumRouters())},
 		next: ctrl.NextEvent(-1),
 	}
 }

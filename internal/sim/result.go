@@ -27,22 +27,22 @@ type Result struct {
 	// Total is every router's accumulator merged: the network's counters,
 	// latency sums and histogram, and batch-means spans.
 	Total stats.Router
-	// RouterInjected and RouterDelivered are each router's Injected and
+	// RouterInjected and routerDelivered are each router's Injected and
 	// Delivered counters (index = router id).
 	RouterInjected  []int64
-	RouterDelivered []int64
-	// RoutersPerGroup lets callers slice the per-router counts by group.
-	RoutersPerGroup int
+	routerDelivered []int64
+	// routersPerGroup lets callers slice the per-router counts by group.
+	routersPerGroup int
 	// Multi-job workload attribution (empty for single-workload runs):
-	// JobNames and JobNodes describe the jobs, JobRouters lists the routers
-	// hosting at least one node of each job, JobTotals holds each job's
-	// accumulators merged over all routers, and JobRouterInjected each job's
-	// injected packets per hosting router, in JobRouters order.
+	// JobNames and JobNodes describe the jobs, jobRouters lists the routers
+	// hosting at least one node of each job, jobTotals holds each job's
+	// accumulators merged over all routers, and jobRouterInjected each job's
+	// injected packets per hosting router, in jobRouters order.
 	JobNames          []string
 	JobNodes          []int
-	JobRouters        [][]int
-	JobTotals         []stats.Job
-	JobRouterInjected [][]int64
+	jobRouters        [][]int
+	jobTotals         []stats.Job
+	jobRouterInjected [][]int64
 	// Wall is the wall-clock duration of the run.
 	Wall time.Duration
 	// Seed echoes the run's seed.
@@ -67,16 +67,16 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 			measured = 1
 		}
 	}
-	n := net.Topo.NumRouters()
+	n := net.topo.NumRouters()
 	res := &Result{
 		Mechanism:       net.mech.Name(),
 		Pattern:         net.pattern.Name(),
 		OfferedLoad:     cfg.Load,
-		Nodes:           net.Topo.NumNodes(),
+		Nodes:           net.topo.NumNodes(),
 		MeasuredCycles:  measured,
 		RouterInjected:  make([]int64, n),
-		RouterDelivered: make([]int64, n),
-		RoutersPerGroup: cfg.Topology.A,
+		routerDelivered: make([]int64, n),
+		routersPerGroup: cfg.Topology.A,
 		Wall:            wall,
 		Seed:            cfg.Seed,
 		Telemetry:       net.telemetry,
@@ -86,7 +86,7 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 		st := net.fab.Stats(r)
 		res.Total.Merge(st)
 		res.RouterInjected[r] = st.Injected
-		res.RouterDelivered[r] = st.Delivered
+		res.routerDelivered[r] = st.Delivered
 	}
 	if net.jobs != nil {
 		res.addJobs(net)
@@ -105,12 +105,12 @@ func (res *Result) addJobs(net *Network) {
 		res.JobNames[j] = jm.JobName(j)
 	}
 	res.JobNodes = make([]int, nj)
-	res.JobRouters = make([][]int, nj)
-	res.JobTotals = make([]stats.Job, nj)
-	res.JobRouterInjected = make([][]int64, nj)
-	p := net.Topo.Params().P
+	res.jobRouters = make([][]int, nj)
+	res.jobTotals = make([]stats.Job, nj)
+	res.jobRouterInjected = make([][]int64, nj)
+	p := net.topo.Params().P
 	hosted := make([]bool, nj)
-	for r := range net.Topo.NumRouters() {
+	for r := range net.topo.NumRouters() {
 		clear(hosted)
 		for _, j := range net.nodeJob[r*p : (r+1)*p] {
 			if j >= 0 {
@@ -120,10 +120,10 @@ func (res *Result) addJobs(net *Network) {
 		}
 		js := net.fab.JobStats(r)
 		for j, h := range hosted {
-			res.JobTotals[j].Merge(&js[j])
+			res.jobTotals[j].Merge(&js[j])
 			if h {
-				res.JobRouters[j] = append(res.JobRouters[j], r)
-				res.JobRouterInjected[j] = append(res.JobRouterInjected[j], js[j].Injected)
+				res.jobRouters[j] = append(res.jobRouters[j], r)
+				res.jobRouterInjected[j] = append(res.jobRouterInjected[j], js[j].Injected)
 			}
 		}
 	}
@@ -161,11 +161,11 @@ func (r *Result) LatencyQuantile(q float64) int64 {
 	return r.Total.Latencies.Quantile(q)
 }
 
-// ThroughputBatches returns the accepted load of each batch-means span of
+// throughputBatches returns the accepted load of each batch-means span of
 // the measurement window, in phits/(node·cycle). The spans divide the
 // configured window, so a Finisher-stopped run reports only the spans it
 // reached, each over the cycles of it that ran.
-func (r *Result) ThroughputBatches() []float64 {
+func (r *Result) throughputBatches() []float64 {
 	nodes := float64(r.Nodes)
 	if r.MeasuredCycles >= r.window {
 		out := make([]float64, stats.Batches)
@@ -200,18 +200,12 @@ func batchStart(i int, window int64) int64 {
 // window has not reached steady state. A run stopped inside its first span
 // has no interval: the half-width is +Inf.
 func (r *Result) ThroughputCI() stats.BatchMeans {
-	batches := r.ThroughputBatches()
+	batches := r.throughputBatches()
 	ci := stats.ComputeBatchMeans(batches)
 	if len(batches) < 2 {
 		ci.HalfCI95 = math.Inf(1)
 	}
 	return ci
-}
-
-// GroupDelivered returns the packets delivered to each router of a group —
-// the consumption-side counterpart of GroupInjections.
-func (r *Result) GroupDelivered(group int) []int64 {
-	return slices.Clone(r.groupSlice(r.RouterDelivered, group))
 }
 
 // Delivered returns the number of packets delivered in the window.
@@ -252,8 +246,8 @@ func (r *Result) GroupInjections(group int) []int64 {
 // groupSlice returns the entries of a per-router slice that belong to the
 // routers of one group.
 func (r *Result) groupSlice(perRouter []int64, group int) []int64 {
-	base := group * r.RoutersPerGroup
-	return perRouter[base : base+r.RoutersPerGroup]
+	base := group * r.routersPerGroup
+	return perRouter[base : base+r.routersPerGroup]
 }
 
 // Fairness returns the Section IV-B fairness metrics over all routers of
@@ -266,7 +260,7 @@ func (r *Result) Fairness() stats.Fairness {
 func (r *Result) NumJobs() int { return len(r.JobNames) }
 
 // JobTotal returns job j's counters merged over all routers.
-func (r *Result) JobTotal(j int) stats.Job { return r.JobTotals[j] }
+func (r *Result) JobTotal(j int) stats.Job { return r.jobTotals[j] }
 
 // JobThroughput returns job j's accepted load in phits/(node·cycle),
 // normalised by the job's own node count so jobs of different sizes are
@@ -275,33 +269,22 @@ func (r *Result) JobThroughput(j int) float64 {
 	if r.JobNodes[j] == 0 {
 		return 0
 	}
-	return float64(r.JobTotals[j].DeliveredPhits) / (float64(r.JobNodes[j]) * float64(r.MeasuredCycles))
+	return float64(r.jobTotals[j].DeliveredPhits) / (float64(r.JobNodes[j]) * float64(r.MeasuredCycles))
 }
 
 // JobAvgLatency returns the mean latency in cycles of job j's delivered
 // packets (0 when the job delivered nothing).
 func (r *Result) JobAvgLatency(j int) float64 {
-	t := &r.JobTotals[j]
+	t := &r.jobTotals[j]
 	if t.Delivered == 0 {
 		return 0
 	}
 	return float64(t.LatencySum) / float64(t.Delivered)
 }
 
-// JobLatencyQuantile returns an upper-bound estimate of the q-quantile
-// latency of job j's delivered packets (e.g. 0.99 for the job's p99), from
-// the per-job logarithmic latency histogram.
-func (r *Result) JobLatencyQuantile(j int, q float64) int64 {
-	return r.JobTotals[j].Latencies.Quantile(q)
-}
-
-// JobInjections returns job j's injected packet counts per hosting router,
-// in JobRouters[j] order — the per-job counterpart of Injections.
-func (r *Result) JobInjections(j int) []int64 { return slices.Clone(r.JobRouterInjected[j]) }
-
 // JobFairness returns the fairness metrics computed over job j's per-router
 // injections, restricted to the routers hosting the job — intra-job
 // throughput fairness, the per-job analogue of Tables II and III.
 func (r *Result) JobFairness(j int) stats.Fairness {
-	return stats.ComputeFairness(r.JobRouterInjected[j])
+	return stats.ComputeFairness(r.jobRouterInjected[j])
 }

@@ -43,9 +43,9 @@ func TestResultFootprint(t *testing.T) {
 	acc := accumulatorsOf(net)
 	for r := range acc.routers {
 		want.Merge(&acc.routers[r])
-		if res.RouterInjected[r] != acc.routers[r].Injected || res.RouterDelivered[r] != acc.routers[r].Delivered {
+		if res.RouterInjected[r] != acc.routers[r].Injected || res.routerDelivered[r] != acc.routers[r].Delivered {
 			t.Fatalf("router %d: result counts %d injected, %d delivered; the fabric %d, %d",
-				r, res.RouterInjected[r], res.RouterDelivered[r], acc.routers[r].Injected, acc.routers[r].Delivered)
+				r, res.RouterInjected[r], res.routerDelivered[r], acc.routers[r].Injected, acc.routers[r].Delivered)
 		}
 	}
 	if res.Total != want {
@@ -54,7 +54,7 @@ func TestResultFootprint(t *testing.T) {
 }
 
 // The per-job side of a Result: each job's accumulators merged over every
-// router, and its injections at the routers hosting it, in JobRouters order.
+// router, and its injections at the routers hosting it, in jobRouters order.
 func TestResultCondensesJobs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = topology.Balanced(2)
@@ -87,11 +87,11 @@ func TestResultCondensesJobs(t *testing.T) {
 			t.Errorf("job %d total differs from the merged accumulators:\n got %+v\nwant %+v", j, res.JobTotal(j), want)
 		}
 		// The result lists hosting routers by id, the workload in allocation order.
-		if placed := slices.Sorted(slices.Values(wl.JobRouters(j))); !slices.Equal(res.JobRouters[j], placed) {
-			t.Errorf("job %d hosted by %v, the workload placed it on %v", j, res.JobRouters[j], placed)
+		if placed := slices.Sorted(slices.Values(wl.JobRouters(j))); !slices.Equal(res.jobRouters[j], placed) {
+			t.Errorf("job %d hosted by %v, the workload placed it on %v", j, res.jobRouters[j], placed)
 		}
-		inj := res.JobInjections(j)
-		for i, r := range res.JobRouters[j] {
+		inj := res.jobRouterInjected[j]
+		for i, r := range res.jobRouters[j] {
 			if inj[i] != acc.jobs[r][j].Injected {
 				t.Errorf("job %d at router %d: %d injections, the fabric %d", j, r, inj[i], acc.jobs[r][j].Injected)
 			}
@@ -137,14 +137,14 @@ func TestStoppedRunThroughputBatches(t *testing.T) {
 		if res.MeasuredCycles != tc.measured {
 			t.Fatalf("%s: measured %d cycles, want %d", tc.name, res.MeasuredCycles, tc.measured)
 		}
-		batches, ci := res.ThroughputBatches(), res.ThroughputCI()
+		batches, ci := res.throughputBatches(), res.ThroughputCI()
 		if tc.spans == nil {
 			// The run went the full distance: it reports what a run without a
 			// Finisher does, eight spans of an eighth each.
 			plain := runOn(t, core, cfg)
-			if !slices.Equal(batches, plain.ThroughputBatches()) || ci != plain.ThroughputCI() || len(batches) != stats.Batches {
+			if !slices.Equal(batches, plain.throughputBatches()) || ci != plain.ThroughputCI() || len(batches) != stats.Batches {
 				t.Errorf("%s: batches %v, CI %+v; the unstopped run %v, %+v",
-					tc.name, batches, ci, plain.ThroughputBatches(), plain.ThroughputCI())
+					tc.name, batches, ci, plain.throughputBatches(), plain.ThroughputCI())
 			}
 			continue
 		}

@@ -71,7 +71,7 @@ func TestSplitRunMatchesUnsplit(t *testing.T) {
 			if err := run(split, 0, M, workers, silenceAt(M-quiet)); err != nil {
 				t.Fatal(err)
 			}
-			for r := range whole.Topo.NumRouters() {
+			for r := range whole.topo.NumRouters() {
 				for i := 0; i < cfg.Topology.P; i++ {
 					if whole.core.InjectionBacklog(r, i) != 0 {
 						t.Fatalf("%s: injection queue (%d,%d) did not drain in the quiet tail", name, r, i)

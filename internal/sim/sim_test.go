@@ -252,7 +252,7 @@ func TestConsecutiveArrangement(t *testing.T) {
 		t.Fatal("no traffic delivered under the consecutive arrangement")
 	}
 	topo := topology.New(cfg.Topology)
-	if topo.BottleneckRouter() != 0 {
+	if bneck, _ := topo.GlobalRouterFor(0, 1); bneck != 0 {
 		t.Fatal("consecutive arrangement bottleneck is not router 0")
 	}
 }
@@ -329,7 +329,7 @@ func TestGroupDelivered(t *testing.T) {
 	}
 	var sum int64
 	for g := 0; g < cfg.Topology.Groups(); g++ {
-		for _, d := range res.GroupDelivered(g) {
+		for _, d := range res.groupSlice(res.routerDelivered, g) {
 			sum += d
 		}
 	}

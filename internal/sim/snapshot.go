@@ -77,7 +77,7 @@ func NewSnapshot(cfg Config, warmCycles int64) (*Snapshot, error) {
 }
 
 // FamilyOf names the construction-snapshot family of cfg: its topology, its
-// latency model as CompatibleWith compares it, and its seed. The wiring,
+// latency model as compatibleWith compares it, and its seed. The wiring,
 // the arbitration streams and the node streams' pre-draw positions are a
 // function of these alone, so every construction snapshot of one family
 // may share them (Sibling), whatever its mechanism, pattern or router and
@@ -146,14 +146,14 @@ func latName(c *Config) string {
 	return fmt.Sprintf("%s:%v", m.Name(), m)
 }
 
-// CompatibleWith reports whether cfg may be restored from this snapshot.
+// compatibleWith reports whether cfg may be restored from this snapshot.
 // Everything that shapes the wired structure or the random streams must
 // match the capture configuration: topology, mechanism, pattern, seed,
 // router and routing parameters and the latency model — and, for a warm
 // snapshot, the load it was captured at.
 // Cycle counts, worker count, probes and tracer are free, and so is the
 // load of a construction snapshot.
-func (s *Snapshot) CompatibleWith(cfg *Config) error {
+func (s *Snapshot) compatibleWith(cfg *Config) error {
 	b := &s.cfg
 	switch {
 	case cfg.Topology != b.Topology:
@@ -197,7 +197,7 @@ func RestoreNetwork(snap *Snapshot, cfg *Config) (*Network, error) {
 // (results are safe: a Result aliases no network state); the returned
 // network is old whenever old is non-nil.
 func RestoreNetworkInto(snap *Snapshot, cfg *Config, old *Network) (*Network, error) {
-	if err := snap.CompatibleWith(cfg); err != nil {
+	if err := snap.compatibleWith(cfg); err != nil {
 		return nil, err
 	}
 	net := cloneNetwork(snap.tmpl, cfg, old)
@@ -219,7 +219,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	if clone == nil {
 		clone = &Network{}
 	}
-	clone.Topo, clone.cfg, clone.mech = src.Topo, cfg, src.mech
+	clone.topo, clone.cfg, clone.mech = src.topo, cfg, src.mech
 	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
 	clone.genProb = cfg.Load / float64(cfg.Router.PacketSize)
 	clone.latency, clone.uniform = src.latency, src.uniform

@@ -393,7 +393,7 @@ func TestTemplateRestoreResetsRetiredNetwork(t *testing.T) {
 		if d := fabricDiff(net, cold); d != "" {
 			t.Fatalf("%s: against the cold build: %s", when, d)
 		}
-		for r := range cold.Topo.NumRouters() {
+		for r := range cold.topo.NumRouters() {
 			for j := range 2 {
 				if got, want := net.fab.LiveJobDelivered(r, j), cold.fab.LiveJobDelivered(r, j); got != want {
 					t.Fatalf("%s: router %d delivered %d packets of job %d, the cold build %d", when, r, got, j, want)

@@ -422,8 +422,8 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 	if refRes.Backlogged() == 0 {
 		t.Fatal("no generation attempt was refused: the source queues never filled")
 	}
-	full, per := 0, ref.Topo.Params().P
-	for r := 0; r < ref.Topo.NumRouters(); r++ {
+	full, per := 0, ref.topo.Params().P
+	for r := 0; r < ref.topo.NumRouters(); r++ {
 		for i := 0; i < per; i++ {
 			if ref.fab.InjectionBacklog(r, i) == cfg.Router.InjectionQueuePackets {
 				full++
@@ -445,7 +445,7 @@ func TestDeepBacklogMatchesOracle(t *testing.T) {
 		}
 		requireIdentical(t, fmt.Sprintf("workers=%d", workers), refRes, res)
 	}
-	t.Logf("%d of %d source queues full, %d attempts refused", full, ref.Topo.NumNodes(), refRes.Backlogged())
+	t.Logf("%d of %d source queues full, %d attempts refused", full, ref.topo.NumNodes(), refRes.Backlogged())
 }
 
 // A global output's credit ring is drained with the lookahead as slack, not

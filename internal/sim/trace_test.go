@@ -42,7 +42,14 @@ func traceRun(t *testing.T, workers int) []telemetry.Event {
 // any worker count.
 func TestTraceReconstructsPaths(t *testing.T) {
 	events := traceRun(t, 1)
-	ids, byID := telemetry.PerPacket(events)
+	var ids []uint64
+	byID := map[uint64][]telemetry.Event{}
+	for _, e := range events {
+		if _, ok := byID[e.ID]; !ok {
+			ids = append(ids, e.ID)
+		}
+		byID[e.ID] = append(byID[e.ID], e)
+	}
 	checked := 0
 	for _, id := range ids {
 		evs := byID[id]

@@ -1,15 +1,15 @@
 package stats
 
-// HistBuckets is the number of logarithmic latency buckets. Bucket i counts
+// histBuckets is the number of logarithmic latency buckets. Bucket i counts
 // deliveries with latency in [2^i, 2^(i+1)) cycles (bucket 0 covers 0 and
 // 1). With 24 buckets the histogram spans latencies up to ~16.7M cycles,
 // far beyond any simulation length.
-const HistBuckets = 24
+const histBuckets = 24
 
 // Histogram is a fixed-size logarithmic latency histogram. Being a plain
 // array it keeps the containing accumulator comparable and mergeable with
 // integer arithmetic only.
-type Histogram [HistBuckets]int64
+type Histogram [histBuckets]int64
 
 // bucketOf returns the bucket index for a latency value.
 func bucketOf(lat int64) int {
@@ -17,7 +17,7 @@ func bucketOf(lat int64) int {
 		return 0
 	}
 	b := 0
-	for lat > 1 && b < HistBuckets-1 {
+	for lat > 1 && b < histBuckets-1 {
 		lat >>= 1
 		b++
 	}
@@ -27,15 +27,15 @@ func bucketOf(lat int64) int {
 // Observe records one latency sample.
 func (h *Histogram) Observe(lat int64) { h[bucketOf(lat)]++ }
 
-// Merge adds other's counts into h.
-func (h *Histogram) Merge(other *Histogram) {
+// merge adds other's counts into h.
+func (h *Histogram) merge(other *Histogram) {
 	for i := range h {
 		h[i] += other[i]
 	}
 }
 
-// Count returns the total number of samples.
-func (h *Histogram) Count() int64 {
+// count returns the total number of samples.
+func (h *Histogram) count() int64 {
 	var n int64
 	for _, c := range h {
 		n += c
@@ -47,7 +47,7 @@ func (h *Histogram) Count() int64 {
 // (0 < q <= 1): the upper edge of the bucket containing the quantile.
 // It returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Count()
+	total := h.count()
 	if total == 0 {
 		return 0
 	}
@@ -71,5 +71,5 @@ func (h *Histogram) Quantile(q float64) int64 {
 			return 1 << uint(i+1) // upper edge of [2^i, 2^(i+1))
 		}
 	}
-	return 1 << uint(HistBuckets)
+	return 1 << uint(histBuckets)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 {
+	if h.count() != 0 {
 		t.Error("empty count")
 	}
 	if h.Quantile(0.5) != 0 {
@@ -21,7 +21,7 @@ func TestHistogramBuckets(t *testing.T) {
 		bucket int
 	}{
 		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3},
-		{1023, 9}, {1024, 10}, {1 << 23, HistBuckets - 1}, {1 << 40, HistBuckets - 1},
+		{1023, 9}, {1024, 10}, {1 << 23, histBuckets - 1}, {1 << 40, histBuckets - 1},
 	}
 	for _, c := range cases {
 		if got := bucketOf(c.lat); got != c.bucket {
@@ -35,8 +35,8 @@ func TestHistogramObserveAndCount(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(i)
 	}
-	if h.Count() != 1000 {
-		t.Errorf("Count() = %d", h.Count())
+	if h.count() != 1000 {
+		t.Errorf("Count() = %d", h.count())
 	}
 }
 
@@ -74,9 +74,9 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(10)
 	b.Observe(10)
 	b.Observe(1000)
-	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Errorf("merged count = %d", a.Count())
+	a.merge(&b)
+	if a.count() != 3 {
+		t.Errorf("merged count = %d", a.count())
 	}
 }
 

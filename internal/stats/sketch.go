@@ -19,14 +19,9 @@ import (
 // Bucketing reads the IEEE-754 bit pattern directly — no logarithms — so
 // bucket assignment is exact and platform-independent.
 //
-// Determinism is structural, not procedural:
-//
-//   - Merge is an element-wise integer add, so it is commutative and
-//     associative; merging per-worker or per-seed sketches yields the same
-//     sketch whatever the merge tree, which is what keeps scheduler results
-//     bit-identical across Workers 1/2/N.
-//   - AppendBinary emits buckets in ascending index order with
-//     varint-encoded gaps, so equal sketches serialize to equal bytes.
+// Determinism is structural, not procedural: appendBinary emits buckets
+// in ascending index order with varint-encoded gaps, so equal sketches
+// serialize to equal bytes.
 //
 // The quantile guarantee (enforced by FuzzSketch): for any q, Quantile(q)
 // is the upper edge of the bucket containing the exact q-quantile of the
@@ -93,16 +88,10 @@ func (s *Sketch) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observed values.
-func (s *Sketch) Count() int64 { return s.n }
-
-// Max returns the largest observed value exactly (0 for an empty sketch).
-func (s *Sketch) Max() float64 { return s.max }
-
 // Quantile returns the upper edge of the bucket containing the q-quantile
 // (0 < q ≤ 1) of the observed values, or 0 for an empty sketch. The exact
 // q-quantile x satisfies x ≤ Quantile(q) ≤ x·(1+2^-4) for x ∈ [1, 2^48).
-// The topmost non-empty bucket reports min(edge, Max()) so the estimate
+// The topmost non-empty bucket reports min(edge, max) so the estimate
 // never exceeds the largest value actually seen.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
@@ -138,26 +127,14 @@ func (s *Sketch) Quantile(q float64) float64 {
 	return s.max // unreachable: seen == n > rank after the last bucket
 }
 
-// Merge adds other's observations into s. Element-wise integer addition:
-// commutative, associative, and therefore invariant to merge order.
-func (s *Sketch) Merge(other *Sketch) {
-	s.n += other.n
-	if other.max > s.max {
-		s.max = other.max
-	}
-	for i := range s.buckets {
-		s.buckets[i] += other.buckets[i]
-	}
-}
-
 // sketchMagic versions the serialized form.
 const sketchMagic = "dsk1"
 
-// AppendBinary appends a deterministic serialization of s to b: equal
+// appendBinary appends a deterministic serialization of s to b: equal
 // sketches always produce equal bytes (non-empty buckets in ascending index
 // order, gap/count varint pairs), so checkpointed sketch state can be
 // compared with cmp and resumed runs stay byte-identical.
-func (s *Sketch) AppendBinary(b []byte) []byte {
+func (s *Sketch) appendBinary(b []byte) []byte {
 	b = append(b, sketchMagic...)
 	b = binary.AppendUvarint(b, uint64(s.n))
 	b = binary.AppendUvarint(b, math.Float64bits(s.max))
@@ -181,10 +158,10 @@ func (s *Sketch) AppendBinary(b []byte) []byte {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil), nil }
+func (s *Sketch) MarshalBinary() ([]byte, error) { return s.appendBinary(nil), nil }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, inverting
-// AppendBinary.
+// appendBinary.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < len(sketchMagic) || string(data[:len(sketchMagic)]) != sketchMagic {
 		return fmt.Errorf("stats: not a sketch (bad magic)")

@@ -69,7 +69,7 @@ func (r *Router) Merge(other *Router) {
 	r.WaitInjSum += other.WaitInjSum
 	r.WaitLocalSum += other.WaitLocalSum
 	r.WaitGlobalSum += other.WaitGlobalSum
-	r.Latencies.Merge(&other.Latencies)
+	r.Latencies.merge(&other.Latencies)
 	for i := range r.BatchPhits {
 		r.BatchPhits[i] += other.BatchPhits[i]
 	}
@@ -110,7 +110,7 @@ func (j *Job) Merge(other *Job) {
 	if other.MaxLatency > j.MaxLatency {
 		j.MaxLatency = other.MaxLatency
 	}
-	j.Latencies.Merge(&other.Latencies)
+	j.Latencies.merge(&other.Latencies)
 }
 
 // Breakdown is the average per-packet latency decomposition of Figure 3,

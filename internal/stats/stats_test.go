@@ -47,7 +47,7 @@ func TestJobMergeFoldsHistogram(t *testing.T) {
 	a.Latencies.Observe(3000)
 	b.Latencies.Observe(100)
 	a.Merge(&b)
-	if got := a.Latencies.Count(); got != 3 {
+	if got := a.Latencies.count(); got != 3 {
 		t.Fatalf("merged histogram has %d samples, want 3", got)
 	}
 	if p50 := a.Latencies.Quantile(0.5); p50 < 100 || p50 > 256 {

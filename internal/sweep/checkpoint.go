@@ -23,18 +23,18 @@ import (
 // are bit-identical whether the run was interrupted zero or ten times, and
 // whatever the worker count.
 
-// SchemaVersion is the version of the Record / checkpoint JSONL schema.
+// schemaVersion is the version of the Record / checkpoint JSONL schema.
 // Records now travel between hosts (the serve job store exchanges them
 // with dfserved workers over HTTP), so every record and checkpoint meta
 // line carries the schema it was written under, and loads reject a
 // mismatch instead of silently misreading foreign fields. Bump this when
 // a Record field changes meaning. Version 2 introduced the field itself;
 // files from before it (schema 0) are rejected the same way.
-const SchemaVersion = 2
+const schemaVersion = 2
 
 // Record is the checkpointable outcome of one simulation point.
 type Record struct {
-	// Schema is the SchemaVersion the record was written under.
+	// Schema is the schemaVersion the record was written under.
 	Schema int `json:"schema,omitempty"`
 	// Task names the owning pipeline task (e.g. "fig2a"); part of the
 	// resume key so the same point may appear under two figures.
@@ -77,7 +77,7 @@ type Record struct {
 // becomes an error record, so salvaging partial sweep output through
 // Aggregate reports the gap instead of panicking on the missing result.
 func RecordOf(task string, s Sample) Record {
-	rec := Record{Schema: SchemaVersion, Task: task, Point: s.Point, Reuse: s.Reuse}
+	rec := Record{Schema: schemaVersion, Task: task, Point: s.Point, Reuse: s.Reuse}
 	if s.Err != nil {
 		rec.Err = s.Err.Error()
 		return rec
@@ -142,7 +142,7 @@ func AggregateRecords(records []Record) ([]Series, error) {
 			acc[k] = a
 			order = append(order, k)
 		}
-		a.Seeds++
+		a.seeds++
 		a.Throughput += rec.Throughput
 		a.AvgLatency += rec.AvgLatency
 		a.Breakdown.Base += rec.Breakdown.Base
@@ -157,7 +157,7 @@ func AggregateRecords(records []Record) ([]Series, error) {
 	series := make([]Series, 0, len(acc))
 	for _, k := range order {
 		a := acc[k]
-		n := float64(a.Seeds)
+		n := float64(a.seeds)
 		a.Throughput /= n
 		a.AvgLatency /= n
 		a.Breakdown.Base /= n
@@ -243,8 +243,8 @@ func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
 				if m.Meta != meta {
 					return nil, fmt.Errorf("sweep: checkpoint %s was produced by a different configuration (%s, want %s) — delete it to start over", path, m.Meta, meta)
 				}
-				if m.Schema != SchemaVersion {
-					return nil, fmt.Errorf("sweep: checkpoint %s uses record schema %d, this binary speaks %d — delete it to start over", path, m.Schema, SchemaVersion)
+				if m.Schema != schemaVersion {
+					return nil, fmt.Errorf("sweep: checkpoint %s uses record schema %d, this binary speaks %d — delete it to start over", path, m.Schema, schemaVersion)
 				}
 				off, valid = next, next
 				continue
@@ -253,10 +253,10 @@ func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
 			if err := json.Unmarshal(line, &rec); err != nil {
 				break // torn mid-line write; drop it and the rest
 			}
-			if rec.Schema != SchemaVersion {
+			if rec.Schema != schemaVersion {
 				// A well-formed record under the wrong schema is a real
 				// mismatch, not a torn tail: refuse the file.
-				return nil, fmt.Errorf("sweep: checkpoint %s holds a schema-%d record, this binary speaks %d — delete it to start over", path, rec.Schema, SchemaVersion)
+				return nil, fmt.Errorf("sweep: checkpoint %s holds a schema-%d record, this binary speaks %d — delete it to start over", path, rec.Schema, schemaVersion)
 			}
 			c.done[rec.Key()] = rec
 			off, valid = next, next
@@ -280,7 +280,7 @@ func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
 	c.w = bufio.NewWriter(f)
 	if len(c.done) == 0 {
 		if st, err := f.Stat(); err == nil && st.Size() == 0 {
-			if err := c.writeLine(ckptMeta{Meta: meta, Schema: SchemaVersion}); err != nil {
+			if err := c.writeLine(ckptMeta{Meta: meta, Schema: schemaVersion}); err != nil {
 				f.Close()
 				return nil, err
 			}
@@ -330,7 +330,7 @@ func (c *Checkpoint) Put(rec Record) error {
 	if c == nil {
 		return nil
 	}
-	rec.Schema = SchemaVersion
+	rec.Schema = schemaVersion
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.done[rec.Key()]; dup {

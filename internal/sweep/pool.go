@@ -37,7 +37,7 @@ import (
 // without torn state).
 
 // Pool is a persistent worker pool for whole simulation runs. The zero
-// value is not usable; construct with NewPool or use Shared.
+// value is not usable; construct with newPool or use Shared.
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -46,7 +46,7 @@ type Pool struct {
 }
 
 // Batch is a submitted group of tasks. It is created by Pool.Submit and
-// observed through Wait/CancelBatch.
+// observed through Wait/cancelBatch.
 type Batch struct {
 	fn       func(int)
 	total    int // original task count (for progress reporting)
@@ -67,19 +67,19 @@ type RunOpts struct {
 	// only limit). Sweeps over large networks use it to bound resident
 	// Network instances.
 	MaxParallel int
-	// Progress, when non-nil, is called after every completed task with
+	// progress, when non-nil, is called after every completed task with
 	// (done, total). It may be called concurrently from several workers
 	// and must not submit to the pool.
-	Progress func(done, total int)
+	progress func(done, total int)
 	// Context, when non-nil, cancels the batch: remaining tasks are
 	// dropped (running ones complete) and Run/Wait return ctx.Err().
 	Context context.Context
 }
 
-// NewPool starts a pool with the given number of worker goroutines
+// newPool starts a pool with the given number of worker goroutines
 // (negative: NumCPU). A zero-worker pool is legal: Run still completes
 // batches on the submitting goroutine (useful for strictly serial runs).
-func NewPool(workers int) *Pool {
+func newPool(workers int) *Pool {
 	if workers < 0 {
 		workers = runtime.NumCPU()
 	}
@@ -102,7 +102,7 @@ var (
 // so concurrent sweeps share one machine-wide scheduler instead of each
 // spawning its own goroutine army.
 func Shared() *Pool {
-	sharedOnce.Do(func() { sharedPool = NewPool(runtime.NumCPU()) })
+	sharedOnce.Do(func() { sharedPool = newPool(runtime.NumCPU()) })
 	return sharedPool
 }
 
@@ -163,7 +163,7 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		total:    n,
 		bound:    n,
 		max:      opts.MaxParallel,
-		progress: opts.Progress,
+		progress: opts.progress,
 		finished: make(chan struct{}),
 	}
 	if b.max <= 0 || b.max > n {
@@ -183,7 +183,7 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		go func() {
 			select {
 			case <-ctx.Done():
-				p.CancelBatch(b)
+				p.cancelBatch(b)
 			case <-b.finished:
 			}
 		}()
@@ -217,9 +217,9 @@ func (b *Batch) Wait(ctx context.Context) error {
 	return nil
 }
 
-// CancelBatch stops handing out the batch's remaining tasks. Running tasks
+// cancelBatch stops handing out the batch's remaining tasks. Running tasks
 // complete; Wait then returns.
-func (p *Pool) CancelBatch(b *Batch) {
+func (p *Pool) cancelBatch(b *Batch) {
 	p.mu.Lock()
 	b.bound = min(b.bound, b.next) // nothing beyond what is already claimed
 	fin := p.finishLocked(b)

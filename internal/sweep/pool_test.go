@@ -11,7 +11,7 @@ import (
 
 // A single-worker pool drains batches in submission order.
 func TestPoolSubmissionOrder(t *testing.T) {
-	p := NewPool(1)
+	p := newPool(1)
 	defer p.Close()
 
 	var mu sync.Mutex
@@ -59,7 +59,7 @@ func TestPoolSubmissionOrder(t *testing.T) {
 // Cancelling a batch mid-run stops the remaining tasks; Run reports the
 // context error and the completed count stays consistent.
 func TestPoolCancellation(t *testing.T) {
-	p := NewPool(2)
+	p := newPool(2)
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -83,7 +83,7 @@ func TestPoolCancellation(t *testing.T) {
 // nested batch finds every pool worker busy: the submitting goroutine
 // executes its own tasks.
 func TestPoolNestedRunNoDeadlock(t *testing.T) {
-	p := NewPool(1) // one worker: the nested Run can never get a worker
+	p := newPool(1) // one worker: the nested Run can never get a worker
 	defer p.Close()
 
 	var inner atomic.Int64
@@ -101,7 +101,7 @@ func TestPoolNestedRunNoDeadlock(t *testing.T) {
 // A zero-worker pool still completes Run batches on the caller, strictly
 // serially.
 func TestPoolZeroWorkersSerial(t *testing.T) {
-	p := NewPool(0)
+	p := newPool(0)
 	defer p.Close()
 
 	var cur, max, count int64
@@ -124,7 +124,7 @@ func TestPoolZeroWorkersSerial(t *testing.T) {
 // MaxParallel bounds in-flight tasks of a batch even when the pool has
 // idle workers.
 func TestPoolMaxParallel(t *testing.T) {
-	p := NewPool(8)
+	p := newPool(8)
 	defer p.Close()
 
 	var cur, max int64
@@ -149,11 +149,11 @@ func TestPoolMaxParallel(t *testing.T) {
 
 // Progress fires once per task with the batch total.
 func TestPoolProgress(t *testing.T) {
-	p := NewPool(2)
+	p := newPool(2)
 	defer p.Close()
 
 	var calls atomic.Int64
-	err := p.Run(25, RunOpts{Progress: func(done, total int) {
+	err := p.Run(25, RunOpts{progress: func(done, total int) {
 		calls.Add(1)
 		if total != 25 {
 			t.Errorf("progress total = %d, want 25", total)
@@ -170,7 +170,7 @@ func TestPoolProgress(t *testing.T) {
 // Tasks are handed out in index order, so slot-indexed writes are complete
 // and each index runs exactly once, for any worker/MaxParallel mix.
 func TestPoolCoversAllIndices(t *testing.T) {
-	p := NewPool(3)
+	p := newPool(3)
 	defer p.Close()
 	for _, par := range []int{0, 1, 5, 64} {
 		const n = 57
@@ -194,7 +194,7 @@ func TestPoolCoversAllIndices(t *testing.T) {
 // a figure pipeline, a whole snapshot cache) reachable in spare slice
 // capacity.
 func TestPoolReleasesFinishedBatch(t *testing.T) {
-	p := NewPool(2)
+	p := newPool(2)
 	defer p.Close()
 
 	// An earlier, still-open batch pins the slice so the finished one is

@@ -54,13 +54,13 @@ type SnapshotCache struct {
 type CacheStats struct {
 	Templates        int // snapshot templates built
 	FreshRestores    int // restores that allocated a new network
-	RecycledRestores int // restores that overwrote a retired network
+	recycledRestores int // restores that overwrote a retired network
 }
 
 // String renders the counters for a tool's closing summary line.
 func (s CacheStats) String() string {
 	return fmt.Sprintf("%d templates built, %d fresh + %d recycled restores",
-		s.Templates, s.FreshRestores, s.RecycledRestores)
+		s.Templates, s.FreshRestores, s.recycledRestores)
 }
 
 // Stats returns the cache's counters so far (zero for a nil cache).
@@ -110,13 +110,13 @@ func (c *SnapshotCache) takeFree() *sim.Network {
 	if net == nil {
 		c.stats.FreshRestores++
 	} else {
-		c.stats.RecycledRestores++
+		c.stats.recycledRestores++
 	}
 	c.mu.Unlock()
 	return net
 }
 
-// cacheKey identifies a construction template: everything CompatibleWith
+// cacheKey identifies a construction template: everything compatibleWith
 // pins, the load axis excluded.
 func cacheKey(cfg *sim.Config) string {
 	return fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|lat=%v",
@@ -150,9 +150,9 @@ func (c *SnapshotCache) snapshotFor(cfg *sim.Config) (*cacheEntry, error) {
 	return e, err
 }
 
-// Run executes one simulation through the cache: restore (building the
+// run executes one simulation through the cache: restore (building the
 // shared template on first use), run, package the result.
-func (c *SnapshotCache) Run(cfg sim.Config) (*sim.Result, error) {
+func (c *SnapshotCache) run(cfg sim.Config) (*sim.Result, error) {
 	start := time.Now()
 	e, err := c.snapshotFor(&cfg)
 	if err != nil {

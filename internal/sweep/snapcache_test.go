@@ -126,7 +126,7 @@ func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if d := fabricDiff(net.Fabric(), cold.Fabric(), cold.Topo.NumRouters()); d != "" {
+					if d := fabricDiff(net.Fabric(), cold.Fabric(), len(cold.Routers)); d != "" {
 						t.Fatalf("%s: the restore diverges from the cold build: %s", label, d)
 					}
 					if net.InFlight() == 0 {
@@ -219,8 +219,8 @@ func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 			if st.Templates != templates[gi] {
 				t.Fatalf("grid %d: a cache built %d templates, want %d", gi, st.Templates, templates[gi])
 			}
-			if st.FreshRestores+st.RecycledRestores != len(got) {
-				t.Fatalf("grid %d: %d fresh + %d recycled restores for %d points", gi, st.FreshRestores, st.RecycledRestores, len(got))
+			if st.FreshRestores+st.recycledRestores != len(got) {
+				t.Fatalf("grid %d: %d fresh + %d recycled restores for %d points", gi, st.FreshRestores, st.recycledRestores, len(got))
 			}
 			fresh += st.FreshRestores
 			if gi == 1 && st.FreshRestores != 0 {
@@ -264,8 +264,8 @@ func TestRetiredNetworksCrossCaches(t *testing.T) {
 		t.Fatal("the h=3 grid retired no network")
 	}
 	checkCold(t, second, second.Run(nil))
-	if st := second.Snapshots.Stats(); st.FreshRestores != 0 || st.RecycledRestores != 8 {
-		t.Fatalf("the second cache made %d fresh + %d recycled restores, want 0 + 8", st.FreshRestores, st.RecycledRestores)
+	if st := second.Snapshots.Stats(); st.FreshRestores != 0 || st.recycledRestores != 8 {
+		t.Fatalf("the second cache made %d fresh + %d recycled restores, want 0 + 8", st.FreshRestores, st.recycledRestores)
 	}
 }
 
@@ -345,7 +345,7 @@ func TestRestoreAfterAnotherCacheAllocatesNoCore(t *testing.T) {
 	cfg.WarmupCycles, cfg.MeasureCycles = 20, 60
 
 	emptyRetired()
-	if _, err := (&SnapshotCache{}).Run(cfg); err != nil {
+	if _, err := (&SnapshotCache{}).run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	build := allocated(func() {
@@ -358,7 +358,7 @@ func TestRestoreAfterAnotherCacheAllocatesNoCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := allocated(func() {
-		if _, err := second.Run(cfg); err != nil {
+		if _, err := second.run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -38,8 +38,8 @@ import (
 type JobStatus string
 
 const (
-	JobQueued    JobStatus = "queued"
-	JobRunning   JobStatus = "running"
+	jobQueued    JobStatus = "queued"
+	jobRunning   JobStatus = "running"
 	JobDone      JobStatus = "done"
 	JobCancelled JobStatus = "cancelled"
 )
@@ -408,9 +408,9 @@ func (s *Store) Complete(jobID, leaseID string, recs []Record) (int, error) {
 	applied := 0
 	var firstErr error
 	for _, rec := range recs {
-		if rec.Schema != SchemaVersion {
+		if rec.Schema != schemaVersion {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("sweep: record schema %d, this store speaks %d — mixed worker versions?", rec.Schema, SchemaVersion)
+				firstErr = fmt.Errorf("sweep: record schema %d, this store speaks %d — mixed worker versions?", rec.Schema, schemaVersion)
 			}
 			continue
 		}
@@ -498,9 +498,9 @@ func (j *Job) snapshotLocked(withSpec bool) JobSnapshot {
 	case j.cancelled:
 		snap.Status = JobCancelled
 	case j.done > 0 || j.leased > 0:
-		snap.Status = JobRunning
+		snap.Status = jobRunning
 	default:
-		snap.Status = JobQueued
+		snap.Status = jobQueued
 	}
 	if withSpec {
 		snap.Spec = j.spec

@@ -59,7 +59,7 @@ func TestStoreSubmitDedupsByID(t *testing.T) {
 		t.Fatalf("name %q", j1.Name())
 	}
 	snap := j1.Snapshot(false)
-	if snap.Status != JobQueued || snap.Total != 2 || snap.Done != 0 {
+	if snap.Status != jobQueued || snap.Total != 2 || snap.Done != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
@@ -258,7 +258,7 @@ func TestStoreCompleteRejectsSchemaMismatch(t *testing.T) {
 	recs := make([]Record, len(info.Points))
 	for i, pt := range info.Points {
 		recs[i] = RecordOf("", g.RunPoint(pt))
-		recs[i].Schema = SchemaVersion + 1
+		recs[i].Schema = schemaVersion + 1
 	}
 	applied, err := s.Complete(info.JobID, info.LeaseID, recs)
 	if err == nil || applied != 0 {

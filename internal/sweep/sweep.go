@@ -59,7 +59,7 @@ type Series struct {
 	Breakdown  stats.Breakdown
 	Fairness   stats.Fairness // computed on seed-averaged injections
 	Injections []float64      // seed-averaged per-router injections
-	Seeds      int
+	seeds      int
 }
 
 // Grid describes a sweep: the cross product of mechanisms, patterns and
@@ -111,7 +111,7 @@ func (g *Grid) RunPoint(pt Point) Sample {
 	if c == nil {
 		c = &SnapshotCache{}
 	}
-	res, err := c.Run(cfg)
+	res, err := c.run(cfg)
 	return Sample{Point: pt, Result: res, Reuse: "construct", Err: err}
 }
 
@@ -139,7 +139,7 @@ func (g *Grid) Run(progress func(done, total int)) []Sample {
 	}
 	pts := run.Points()
 	out := make([]Sample, len(pts))
-	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers, Progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
+	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers, progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
 		out[i] = run.RunPoint(pts[i])
 	})
 	return out

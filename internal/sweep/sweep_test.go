@@ -89,8 +89,8 @@ func TestRunAndAggregate(t *testing.T) {
 		t.Fatalf("%d series, want 4", len(series))
 	}
 	for _, s := range series {
-		if s.Seeds != 2 {
-			t.Errorf("%s@%v aggregated %d seeds, want 2", s.Mechanism, s.Load, s.Seeds)
+		if s.seeds != 2 {
+			t.Errorf("%s@%v aggregated %d seeds, want 2", s.Mechanism, s.Load, s.seeds)
 		}
 		if s.Throughput <= 0 || s.AvgLatency <= 0 {
 			t.Errorf("%s@%v has empty metrics", s.Mechanism, s.Load)
@@ -142,8 +142,8 @@ func TestAggregateReportsErrors(t *testing.T) {
 	}
 	// The failing sample is skipped, the rest aggregated.
 	for _, s := range series {
-		if s.Mechanism == "MIN" && s.Load == 0.1 && s.Seeds != 1 {
-			t.Errorf("failed seed not skipped: %d", s.Seeds)
+		if s.Mechanism == "MIN" && s.Load == 0.1 && s.seeds != 1 {
+			t.Errorf("failed seed not skipped: %d", s.seeds)
 		}
 	}
 }
@@ -218,7 +218,7 @@ func TestAggregateAveragesSurvivingSeeds(t *testing.T) {
 	if !strings.Contains(err.Error(), "seed 2") || !strings.Contains(err.Error(), "fake") {
 		t.Errorf("error lacks point context: %v", err)
 	}
-	if len(series) != 1 || series[0].Seeds != 1 {
+	if len(series) != 1 || series[0].seeds != 1 {
 		t.Fatalf("series %+v", series)
 	}
 

@@ -11,7 +11,7 @@ import (
 // feeds it — pipeline progress and per-task timings — and hands out
 // JSON-ready snapshots through exported accessors. The HTTP surface
 // itself is defined once, in internal/serve
-// (serve.LiveRoutes), and shared by dfserved and dfexperiments -listen;
+// (serve.liveRoutes), and shared by dfserved and dfexperiments -listen;
 // this type stays transport-free so the telemetry layer never grows a
 // second copy of the endpoints.
 //

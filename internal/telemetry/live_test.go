@@ -2,7 +2,7 @@ package telemetry
 
 import "testing"
 
-// The HTTP surface over Live lives in internal/serve (LiveRoutes) and is
+// The HTTP surface over Live lives in internal/serve (liveRoutes) and is
 // tested there; these tests cover the accumulator itself.
 
 func TestLiveAccumulates(t *testing.T) {

@@ -46,7 +46,7 @@ type perfettoFile struct {
 // one timeline row: a slice per router visit (grant → link send, labeled
 // "R<router>:p<port> vc<vc>") and an instant marker at delivery.
 func WritePerfetto(w io.Writer, events []Event) error {
-	ids, byID := PerPacket(events)
+	ids, byID := perPacket(events)
 	file := perfettoFile{DisplayTimeUnit: "ms", TraceEvents: make([]perfettoEvent, 0, 2*len(events))}
 	for tid, id := range ids {
 		evs := byID[id]

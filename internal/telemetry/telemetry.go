@@ -7,14 +7,13 @@
 // The package defines the data model (Shape, Snapshot, the Summary merged
 // into results) and the machinery that turns samples into bounded output;
 // it deliberately knows nothing about the simulator. internal/sim
-// implements Source on top of whichever router representation is live —
-// the flat SoA core during scheduler-engine runs, the classic per-router
-// structs otherwise — and calls Probes at the engines' between-cycles
+// implements Source on top of the network's one router state layout
+// (router.Core) and calls Probes at the engine's between-cycles
 // reconfiguration point, where every worker is quiescent. Probes are
 // read-only observers of state that is already bit-identical across
-// engines and worker counts at every cycle boundary, so enabling them
-// cannot perturb results, and the emitted time-series are themselves
-// bit-identical across engines and worker counts.
+// worker counts at every cycle boundary, so enabling them cannot perturb
+// results, and the emitted time-series are themselves bit-identical
+// across worker counts.
 //
 // Everything is zero-cost when disabled: a run without probes and tracer
 // costs one nil check per cycle and allocates nothing (the steady-state

@@ -65,9 +65,9 @@ func TestTracerMergeOrder(t *testing.T) {
 				i, evs[i].Now, evs[i].Router, w.now, w.rid)
 		}
 	}
-	ids, byID := PerPacket(evs)
+	ids, byID := perPacket(evs)
 	if len(ids) != 2 || ids[0] != 1 || len(byID[1]) != 3 {
-		t.Fatalf("PerPacket: ids=%v, |byID[1]|=%d", ids, len(byID[1]))
+		t.Fatalf("perPacket: ids=%v, |byID[1]|=%d", ids, len(byID[1]))
 	}
 }
 

@@ -132,9 +132,9 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// PerPacket groups an event stream by packet ID, each packet's events in
+// perPacket groups an event stream by packet ID, each packet's events in
 // stream order, with the packet IDs returned in first-appearance order.
-func PerPacket(events []Event) (ids []uint64, byID map[uint64][]Event) {
+func perPacket(events []Event) (ids []uint64, byID map[uint64][]Event) {
 	byID = make(map[uint64][]Event)
 	for _, e := range events {
 		if _, ok := byID[e.ID]; !ok {

@@ -65,7 +65,7 @@ func (m GroupSkewLatency) LocalLatency(*Topology, int, int) int { return m.Local
 // GlobalLatency implements LatencyModel.
 func (m GroupSkewLatency) GlobalLatency(t *Topology, src, dst int) int {
 	gs, gd := t.RouterGroup(src), t.RouterGroup(dst)
-	d := t.GroupOffset(gs, gd)
+	d := t.groupOffset(gs, gd)
 	if back := t.NumGroups() - d; back < d {
 		d = back
 	}

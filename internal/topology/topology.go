@@ -68,14 +68,14 @@ func Balanced(h int) Params {
 	return Params{P: h, A: 2 * h, H: h, Arrangement: Palmtree}
 }
 
-// MaxRouterBits bounds the size of a network: router ids must fit in this
+// maxRouterBits bounds the size of a network: router ids must fit in this
 // many bits. It is the admission bound against hostile specs — Validate
 // runs before anything is sized from parameters that arrive from outside
 // the program — and 2^20 routers is three orders of magnitude above the
 // paper-scale network.
 const (
-	MaxRouterBits = 20
-	MaxRouters    = 1 << MaxRouterBits
+	maxRouterBits = 20
+	maxRouters    = 1 << maxRouterBits
 )
 
 // Validate reports whether the parameters describe a legal canonical
@@ -93,9 +93,9 @@ func (p Params) Validate() error {
 	case p.Arrangement != Palmtree && p.Arrangement != Consecutive:
 		return fmt.Errorf("topology: unknown arrangement %v", p.Arrangement)
 	// a and h are bounded first so the product below cannot overflow.
-	case p.A > MaxRouters || p.H > MaxRouters || p.Routers() > MaxRouters:
+	case p.A > maxRouters || p.H > maxRouters || p.Routers() > maxRouters:
 		return fmt.Errorf("topology: a=%d, h=%d needs more than the supported %d (2^%d) routers",
-			p.A, p.H, MaxRouters, MaxRouterBits)
+			p.A, p.H, maxRouters, maxRouterBits)
 	// Node ids are 32-bit in a packet; the router count is bounded above.
 	case p.P > math.MaxInt32/p.Routers():
 		return fmt.Errorf("topology: p=%d on %d routers needs more than the supported %d nodes",
@@ -113,9 +113,9 @@ func (p Params) Routers() int { return p.Groups() * p.A }
 // Nodes returns the total number of compute nodes in the network.
 func (p Params) Nodes() int { return p.Routers() * p.P }
 
-// RouterRadix returns the number of ports per router:
+// routerRadix returns the number of ports per router:
 // (a-1) local + h global + p injection.
-func (p Params) RouterRadix() int { return p.A - 1 + p.H + p.P }
+func (p Params) routerRadix() int { return p.A - 1 + p.H + p.P }
 
 func (p Params) String() string {
 	return fmt.Sprintf("dragonfly(p=%d,a=%d,h=%d,%v: %d groups, %d routers, %d nodes)",
@@ -276,7 +276,7 @@ func (t *Topology) PortClass(port int) PortClass {
 }
 
 // NumPorts returns the router radix.
-func (t *Topology) NumPorts() int { return t.params.RouterRadix() }
+func (t *Topology) NumPorts() int { return t.params.routerRadix() }
 
 // LocalPortTo returns the local port of router r that connects to the
 // router with local index dstIdx in the same group. It panics if dstIdx is
@@ -320,9 +320,9 @@ func (t *Topology) GlobalNeighbor(r, gp int) (router, port int) {
 	return t.RouterID(dstGroup, dstIdx), dstPort
 }
 
-// GroupOffset returns the offset (0..G-1) of group dst relative to group
+// groupOffset returns the offset (0..G-1) of group dst relative to group
 // src: (dst-src) mod G, for two group ids.
-func (t *Topology) GroupOffset(src, dst int) int {
+func (t *Topology) groupOffset(src, dst int) int {
 	d := dst - src
 	if d < 0 {
 		d += t.groups
@@ -332,9 +332,11 @@ func (t *Topology) GroupOffset(src, dst int) int {
 
 // GlobalRouterFor returns the local index of the router in group src that
 // owns the global link towards group dst, and the global port number of
-// that link. src and dst must differ.
+// that link. src and dst must differ. GlobalRouterFor(0, 1) is the router
+// the ADVc pattern congests: router a-1 under the palmtree arrangement,
+// router 0 under the consecutive one.
 func (t *Topology) GlobalRouterFor(src, dst int) (localIdx, port int) {
-	d := t.GroupOffset(src, dst)
+	d := t.groupOffset(src, dst)
 	if d == 0 {
 		panic("topology: GlobalRouterFor within one group")
 	}
@@ -355,34 +357,13 @@ func (t *Topology) GlobalPortTo(r, dst int) int {
 	return port
 }
 
-// DirectGroup returns the group reached over router r's k-th global port:
-// element k of DirectGroups without materialising the slice, for the
-// routing hot path (the engines' zero-allocation gate covers it).
+// DirectGroup returns the group reached over router r's k-th global port,
+// without allocating: it is on the routing hot path (the engines'
+// zero-allocation gate covers it).
 func (t *Topology) DirectGroup(r, k int) int {
 	g := t.RouterGroup(r)
 	i := t.RouterLocalIndex(r)
 	return t.wrap(g + t.portOffset[i*t.params.H+k])
-}
-
-// DirectGroups appends to dst the h groups directly connected to router r,
-// in global-port order, and returns the extended slice.
-func (t *Topology) DirectGroups(dst []int, r int) []int {
-	g := t.RouterGroup(r)
-	i := t.RouterLocalIndex(r)
-	for k := 0; k < t.params.H; k++ {
-		d := t.portOffset[i*t.params.H+k]
-		dst = append(dst, t.wrap(g+d))
-	}
-	return dst
-}
-
-// BottleneckRouter returns the local index of the router that owns the
-// global links towards the h consecutive groups +1..+h — the router the
-// ADVc traffic pattern congests. For the palmtree arrangement this is
-// router a-1; for the consecutive arrangement it is router 0.
-func (t *Topology) BottleneckRouter() int {
-	idx, _ := t.GlobalRouterFor(0, 1)
-	return idx
 }
 
 // PathLength holds the hop composition of a path.

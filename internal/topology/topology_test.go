@@ -20,7 +20,7 @@ func TestBalancedParams(t *testing.T) {
 	if got := p.Nodes(); got != 5256 {
 		t.Errorf("Nodes() = %d, want 5256", got)
 	}
-	if got := p.RouterRadix(); got != 23 {
+	if got := p.routerRadix(); got != 23 {
 		t.Errorf("RouterRadix() = %d, want 23 as in Table I", got)
 	}
 }
@@ -155,8 +155,8 @@ func TestPalmtreeBottleneckStructure(t *testing.T) {
 	for _, h := range []int{2, 3, 6} {
 		tp := New(Balanced(h))
 		a := tp.Params().A
-		if got := tp.BottleneckRouter(); got != a-1 {
-			t.Fatalf("h=%d: BottleneckRouter() = %d, want %d", h, got, a-1)
+		if got, _ := tp.GlobalRouterFor(0, 1); got != a-1 {
+			t.Fatalf("h=%d: GlobalRouterFor(0, 1) = %d, want %d", h, got, a-1)
 		}
 		for d := 1; d <= h; d++ {
 			idx, _ := tp.GlobalRouterFor(0, d)
@@ -174,8 +174,8 @@ func TestPalmtreeBottleneckStructure(t *testing.T) {
 
 func TestConsecutiveBottleneckStructure(t *testing.T) {
 	tp := New(Params{P: 2, A: 4, H: 2, Arrangement: Consecutive})
-	if got := tp.BottleneckRouter(); got != 0 {
-		t.Fatalf("consecutive: BottleneckRouter() = %d, want 0", got)
+	if got, _ := tp.GlobalRouterFor(0, 1); got != 0 {
+		t.Fatalf("consecutive: GlobalRouterFor(0, 1) = %d, want 0", got)
 	}
 }
 
@@ -325,7 +325,7 @@ func TestGroupOffsetProperty(t *testing.T) {
 	g := tp.NumGroups()
 	f := func(a, b uint32) bool {
 		src, dst := int(a)%g, int(b)%g
-		d := tp.GroupOffset(src, dst)
+		d := tp.groupOffset(src, dst)
 		return (src+d)%g == dst && d >= 0 && d < g
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -350,11 +350,10 @@ func TestTablesMatchArithmetic(t *testing.T) {
 				if got, want := tp.RouterLocalIndex(r), r%a; got != want {
 					t.Fatalf("%v: RouterLocalIndex(%d) = %d, want %d", params, r, got, want)
 				}
-				direct := tp.DirectGroups(nil, r)
 				for k := 0; k < h; k++ {
 					want := (r/a + tp.portOffset[(r%a)*h+k]) % g
-					if got := tp.DirectGroup(r, k); got != want || direct[k] != want {
-						t.Fatalf("%v: DirectGroup(%d, %d) = %d, DirectGroups[%d] = %d, want %d", params, r, k, got, k, direct[k], want)
+					if got := tp.DirectGroup(r, k); got != want {
+						t.Fatalf("%v: DirectGroup(%d, %d) = %d, want %d", params, r, k, got, want)
 					}
 					if nb, _ := tp.GlobalNeighbor(r, a-1+k); nb/a != want {
 						t.Fatalf("%v: GlobalNeighbor(%d, %d) lands in group %d, want %d", params, r, a-1+k, nb/a, want)
@@ -371,7 +370,7 @@ func TestTablesMatchArithmetic(t *testing.T) {
 			}
 			for src := 0; src < g; src++ {
 				for dst := 0; dst < g; dst++ {
-					if got, want := tp.GroupOffset(src, dst), ((dst-src)%g+g)%g; got != want {
+					if got, want := tp.groupOffset(src, dst), ((dst-src)%g+g)%g; got != want {
 						t.Fatalf("%v: GroupOffset(%d, %d) = %d, want %d", params, src, dst, got, want)
 					}
 				}
@@ -385,13 +384,10 @@ func TestDirectGroups(t *testing.T) {
 		p := tp.Params()
 		for i := 0; i < p.A; i++ {
 			r := tp.RouterID(0, i)
-			groups := tp.DirectGroups(nil, r)
-			if len(groups) != p.H {
-				t.Fatalf("DirectGroups returned %d groups, want %d", len(groups), p.H)
-			}
-			for k, g := range groups {
+			for k := 0; k < p.H; k++ {
+				g := tp.DirectGroup(r, k)
 				if port := tp.GlobalPortTo(r, g); port != p.A-1+k {
-					t.Fatalf("DirectGroups[%d]=%d but GlobalPortTo gives port %d", k, g, port)
+					t.Fatalf("DirectGroup(%d, %d)=%d but GlobalPortTo gives port %d", r, k, g, port)
 				}
 			}
 		}

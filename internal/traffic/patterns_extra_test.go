@@ -8,11 +8,11 @@ import (
 
 func TestTornadoOffset(t *testing.T) {
 	tp := newTopo() // 9 groups
-	tor := NewTornado(tp)
+	tor := newTornado(tp)
 	r := rng.New(21)
 	for src := 0; src < tp.NumNodes(); src += 9 {
 		d := tor.Dest(src, r)
-		if off := tp.GroupOffset(tp.NodeGroup(src), tp.NodeGroup(d)); off != 4 {
+		if off := groupOffset(tp, src, d); off != 4 {
 			t.Fatalf("tornado offset %d, want G/2 = 4", off)
 		}
 	}
@@ -20,7 +20,7 @@ func TestTornadoOffset(t *testing.T) {
 
 func TestBitReverse(t *testing.T) {
 	tp := newTopo()
-	br := NewBitReverse(tp)
+	br := newBitReverse(tp)
 	r := rng.New(22)
 	for src := 0; src < tp.NumNodes(); src++ {
 		d := br.Dest(src, r)
@@ -42,7 +42,7 @@ func TestBitReverse(t *testing.T) {
 
 func TestGroupShuffle(t *testing.T) {
 	tp := newTopo()
-	s := NewGroupShuffle(tp)
+	s := newGroupShuffle(tp)
 	r := rng.New(23)
 	for src := 0; src < tp.NumNodes(); src += 5 {
 		d := s.Dest(src, r)

@@ -65,20 +65,20 @@ type JobMapper interface {
 	NodeJobs() []int32
 }
 
-// Uniform is the UN pattern: every packet targets a uniform random node of
+// uniform is the UN pattern: every packet targets a uniform random node of
 // the whole network (excluding the source node itself).
-type Uniform struct {
+type uniform struct {
 	topo *topology.Topology
 }
 
-// NewUniform returns the UN pattern.
-func NewUniform(t *topology.Topology) *Uniform { return &Uniform{topo: t} }
+// newUniform returns the UN pattern.
+func newUniform(t *topology.Topology) *uniform { return &uniform{topo: t} }
 
 // Name implements Pattern.
-func (*Uniform) Name() string { return "UN" }
+func (*uniform) Name() string { return "UN" }
 
 // Dest implements Pattern.
-func (u *Uniform) Dest(src int, rnd *rng.Source) int {
+func (u *uniform) Dest(src int, rnd *rng.Source) int {
 	n := u.topo.NumNodes()
 	d := rnd.Intn(n - 1)
 	if d >= src {
@@ -87,58 +87,58 @@ func (u *Uniform) Dest(src int, rnd *rng.Source) int {
 	return d
 }
 
-// Adversarial is the ADV+i pattern: every node of group g sends all its
+// adversarial is the ADV+i pattern: every node of group g sends all its
 // traffic to uniform nodes of group g+offset. With offset 1 this is the
 // paper's ADV+1.
-type Adversarial struct {
+type adversarial struct {
 	topo   *topology.Topology
 	offset int
 }
 
-// NewAdversarial returns the ADV+offset pattern. offset must be in
+// newAdversarial returns the ADV+offset pattern. offset must be in
 // [1, groups).
-func NewAdversarial(t *topology.Topology, offset int) *Adversarial {
+func newAdversarial(t *topology.Topology, offset int) *adversarial {
 	if offset <= 0 || offset >= t.NumGroups() {
 		panic(fmt.Sprintf("traffic: ADV offset %d out of range [1,%d)", offset, t.NumGroups()))
 	}
-	return &Adversarial{topo: t, offset: offset}
+	return &adversarial{topo: t, offset: offset}
 }
 
 // Name implements Pattern.
-func (a *Adversarial) Name() string { return "ADV+" + strconv.Itoa(a.offset) }
+func (a *adversarial) Name() string { return "ADV+" + strconv.Itoa(a.offset) }
 
 // Dest implements Pattern.
-func (a *Adversarial) Dest(src int, rnd *rng.Source) int {
+func (a *adversarial) Dest(src int, rnd *rng.Source) int {
 	g := (a.topo.NodeGroup(src) + a.offset) % a.topo.NumGroups()
 	return randomNode(a.topo, g, rnd)
 }
 
-// Consecutive is the ADVc pattern of Section III generalised to k
+// consecutive is the ADVc pattern of Section III generalised to k
 // destination groups: every node sends each packet to a uniform node in one
 // of the k consecutive groups (+1..+k) after its own. With k = h (the
-// default, NewADVc) all minimal paths of a group meet in the single
+// default, newADVc) all minimal paths of a group meet in the single
 // bottleneck router that owns the +1..+h global links under the palmtree
 // arrangement.
-type Consecutive struct {
+type consecutive struct {
 	topo *topology.Topology
 	k    int
 }
 
-// NewADVc returns the paper's ADVc pattern (k = h).
-func NewADVc(t *topology.Topology) *Consecutive {
-	return NewConsecutive(t, t.Params().H)
+// newADVc returns the paper's ADVc pattern (k = h).
+func newADVc(t *topology.Topology) *consecutive {
+	return newConsecutive(t, t.Params().H)
 }
 
-// NewConsecutive returns the ADVc-style pattern with k destination groups.
-func NewConsecutive(t *topology.Topology, k int) *Consecutive {
+// newConsecutive returns the ADVc-style pattern with k destination groups.
+func newConsecutive(t *topology.Topology, k int) *consecutive {
 	if k <= 0 || k >= t.NumGroups() {
 		panic(fmt.Sprintf("traffic: ADVc group count %d out of range [1,%d)", k, t.NumGroups()))
 	}
-	return &Consecutive{topo: t, k: k}
+	return &consecutive{topo: t, k: k}
 }
 
 // Name implements Pattern.
-func (c *Consecutive) Name() string {
+func (c *consecutive) Name() string {
 	if c.k == c.topo.Params().H {
 		return "ADVc"
 	}
@@ -146,25 +146,25 @@ func (c *Consecutive) Name() string {
 }
 
 // Dest implements Pattern.
-func (c *Consecutive) Dest(src int, rnd *rng.Source) int {
+func (c *consecutive) Dest(src int, rnd *rng.Source) int {
 	g := (c.topo.NodeGroup(src) + 1 + rnd.Intn(c.k)) % c.topo.NumGroups()
 	return randomNode(c.topo, g, rnd)
 }
 
-// Permutation is a fixed random node permutation: every source always sends
+// permutation is a fixed random node permutation: every source always sends
 // to the same uniformly drawn partner. Included as an extra pattern for the
 // examples and ablations.
-type Permutation struct {
+type permutation struct {
 	dest []int
 }
 
-// NewPermutation draws a random fixed-pairing permutation without fixed
+// newPermutation draws a random fixed-pairing permutation without fixed
 // points (a derangement in expectation; self-mappings are re-drawn).
-func NewPermutation(t *topology.Topology, rnd *rng.Source) *Permutation {
+func newPermutation(t *topology.Topology, rnd *rng.Source) *permutation {
 	perm := make([]int, t.NumNodes())
 	rnd.Perm(perm)
 	Derange(perm)
-	return &Permutation{dest: perm}
+	return &permutation{dest: perm}
 }
 
 // Derange removes the fixed points of a permutation in place by swapping
@@ -181,10 +181,10 @@ func Derange(perm []int) {
 }
 
 // Name implements Pattern.
-func (*Permutation) Name() string { return "PERM" }
+func (*permutation) Name() string { return "PERM" }
 
 // Dest implements Pattern.
-func (p *Permutation) Dest(src int, _ *rng.Source) int { return p.dest[src] }
+func (p *permutation) Dest(src int, _ *rng.Source) int { return p.dest[src] }
 
 func randomNode(t *topology.Topology, group int, rnd *rng.Source) int {
 	p := t.Params()
@@ -198,17 +198,17 @@ func ByName(t *topology.Topology, name string, rnd *rng.Source) (Pattern, error)
 	u := strings.ToUpper(strings.TrimSpace(name))
 	switch {
 	case u == "UN" || u == "UNIFORM":
-		return NewUniform(t), nil
+		return newUniform(t), nil
 	case u == "PERM" || u == "PERMUTATION":
-		return NewPermutation(t, rnd), nil
+		return newPermutation(t, rnd), nil
 	case u == "TORNADO":
-		return NewTornado(t), nil
+		return newTornado(t), nil
 	case u == "BITREV":
-		return NewBitReverse(t), nil
+		return newBitReverse(t), nil
 	case u == "SHUFFLE":
-		return NewGroupShuffle(t), nil
+		return newGroupShuffle(t), nil
 	case u == "ADVC":
-		return NewADVc(t), nil
+		return newADVc(t), nil
 	case strings.HasPrefix(u, "ADVC"):
 		k, err := strconv.Atoi(u[len("ADVC"):])
 		if err != nil {
@@ -217,7 +217,7 @@ func ByName(t *topology.Topology, name string, rnd *rng.Source) (Pattern, error)
 		if k <= 0 || k >= t.NumGroups() {
 			return nil, fmt.Errorf("traffic: ADVc group count %d out of range [1,%d)", k, t.NumGroups())
 		}
-		return NewConsecutive(t, k), nil
+		return newConsecutive(t, k), nil
 	case strings.HasPrefix(u, "ADV"):
 		s := strings.TrimPrefix(u[len("ADV"):], "+")
 		if s == "" {
@@ -230,15 +230,15 @@ func ByName(t *topology.Topology, name string, rnd *rng.Source) (Pattern, error)
 		if off <= 0 || off >= t.NumGroups() {
 			return nil, fmt.Errorf("traffic: ADV offset %d out of range [1,%d)", off, t.NumGroups())
 		}
-		return NewAdversarial(t, off), nil
+		return newAdversarial(t, off), nil
 	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q (known: %s)", name, strings.Join(KnownNames(), ", "))
+		return nil, fmt.Errorf("traffic: unknown pattern %q (known: %s)", name, strings.Join(knownNames(), ", "))
 	}
 }
 
-// KnownNames lists the pattern name forms ByName accepts, for error
+// knownNames lists the pattern name forms ByName accepts, for error
 // messages and flag usage strings.
-func KnownNames() []string {
+func knownNames() []string {
 	return []string{"UN", "ADV+<i>", "ADVc", "ADVc<k>", "PERM", "TORNADO", "BITREV", "SHUFFLE"}
 }
 

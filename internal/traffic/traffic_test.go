@@ -12,7 +12,7 @@ func newTopo() *topology.Topology { return topology.New(topology.Balanced(2)) }
 
 func TestUniformNeverSelf(t *testing.T) {
 	tp := newTopo()
-	u := NewUniform(tp)
+	u := newUniform(tp)
 	r := rng.New(1)
 	for src := 0; src < tp.NumNodes(); src += 7 {
 		for i := 0; i < 50; i++ {
@@ -29,7 +29,7 @@ func TestUniformNeverSelf(t *testing.T) {
 
 func TestUniformCoversAllNodes(t *testing.T) {
 	tp := newTopo()
-	u := NewUniform(tp)
+	u := newUniform(tp)
 	r := rng.New(2)
 	seen := make(map[int]bool)
 	for i := 0; i < 20000; i++ {
@@ -44,7 +44,7 @@ func TestAdversarialTargetsOffsetGroup(t *testing.T) {
 	tp := newTopo()
 	r := rng.New(3)
 	for _, off := range []int{1, 2, 5} {
-		a := NewAdversarial(tp, off)
+		a := newAdversarial(tp, off)
 		for src := 0; src < tp.NumNodes(); src += 11 {
 			d := a.Dest(src, r)
 			want := (tp.NodeGroup(src) + off) % tp.NumGroups()
@@ -58,7 +58,7 @@ func TestAdversarialTargetsOffsetGroup(t *testing.T) {
 
 func TestAdversarialName(t *testing.T) {
 	tp := newTopo()
-	if got := NewAdversarial(tp, 1).Name(); got != "ADV+1" {
+	if got := newAdversarial(tp, 1).Name(); got != "ADV+1" {
 		t.Errorf("Name() = %q", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestAdversarialPanicsOnBadOffset(t *testing.T) {
 					t.Errorf("ADV offset %d did not panic", off)
 				}
 			}()
-			NewAdversarial(tp, off)
+			newAdversarial(tp, off)
 		}()
 	}
 }
@@ -80,13 +80,13 @@ func TestAdversarialPanicsOnBadOffset(t *testing.T) {
 func TestADVcTargetsConsecutiveGroups(t *testing.T) {
 	tp := newTopo()
 	h := tp.Params().H
-	c := NewADVc(tp)
+	c := newADVc(tp)
 	r := rng.New(4)
 	counts := make(map[int]int)
 	src := 0
 	for i := 0; i < 10000; i++ {
 		d := c.Dest(src, r)
-		off := tp.GroupOffset(tp.NodeGroup(src), tp.NodeGroup(d))
+		off := groupOffset(tp, src, d)
 		if off < 1 || off > h {
 			t.Fatalf("ADVc offset %d outside [1,%d]", off, h)
 		}
@@ -105,9 +105,9 @@ func TestADVcTargetsConsecutiveGroups(t *testing.T) {
 // router (the bottleneck owning the +1..+h links).
 func TestADVcBottleneckProperty(t *testing.T) {
 	tp := newTopo()
-	c := NewADVc(tp)
+	c := newADVc(tp)
 	r := rng.New(5)
-	bneck := tp.BottleneckRouter()
+	bneck, _ := tp.GlobalRouterFor(0, 1) // the router ADVc congests
 	for i := 0; i < 2000; i++ {
 		d := c.Dest(0, r)
 		idx, _ := tp.GlobalRouterFor(tp.NodeGroup(0), tp.NodeGroup(d))
@@ -120,17 +120,17 @@ func TestADVcBottleneckProperty(t *testing.T) {
 
 func TestConsecutiveNames(t *testing.T) {
 	tp := newTopo()
-	if got := NewADVc(tp).Name(); got != "ADVc" {
+	if got := newADVc(tp).Name(); got != "ADVc" {
 		t.Errorf("ADVc Name() = %q", got)
 	}
-	if got := NewConsecutive(tp, 3).Name(); got != "ADVc(3)" {
+	if got := newConsecutive(tp, 3).Name(); got != "ADVc(3)" {
 		t.Errorf("Consecutive Name() = %q", got)
 	}
 }
 
 func TestPermutationFixedAndTotal(t *testing.T) {
 	tp := newTopo()
-	p := NewPermutation(tp, rng.New(8))
+	p := newPermutation(tp, rng.New(8))
 	r := rng.New(9)
 	seen := make(map[int]bool)
 	for src := 0; src < tp.NumNodes(); src++ {
@@ -192,7 +192,12 @@ func TestConsecutivePanicsOnBadK(t *testing.T) {
 					t.Errorf("Consecutive k=%d did not panic", k)
 				}
 			}()
-			NewConsecutive(tp, k)
+			newConsecutive(tp, k)
 		}()
 	}
+}
+
+// groupOffset is how many groups ahead of node src's group node dst's is.
+func groupOffset(tp *topology.Topology, src, dst int) int {
+	return (tp.NodeGroup(dst) - tp.NodeGroup(src) + tp.NumGroups()) % tp.NumGroups()
 }

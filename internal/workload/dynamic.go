@@ -130,7 +130,7 @@ func (w *Workload) dropRetiredPrefix() {
 // patternNames returns the pattern names a job compiles (the switch-phase
 // list, or the single job pattern).
 func patternNames(js *JobSpec) []string {
-	if js.Phase.Kind == PhaseSwitch {
+	if js.Phase.Kind == phaseSwitch {
 		return js.Phase.Patterns
 	}
 	return []string{js.Pattern}
@@ -201,7 +201,7 @@ func (w *Workload) Place(j int) error {
 		jb.patterns = append(jb.patterns, rp)
 	}
 	switch js.Phase.Kind {
-	case PhaseBursty:
+	case phaseBursty:
 		jb.period = js.Phase.Period
 		jb.onCycles = int64(js.Phase.Duty*float64(js.Phase.Period) + 0.5)
 		if jb.onCycles < 1 {
@@ -210,7 +210,7 @@ func (w *Workload) Place(j int) error {
 		if jb.onCycles >= jb.period {
 			jb.onCycles = 0 // full duty degenerates to steady
 		}
-	case PhaseSwitch:
+	case phaseSwitch:
 		jb.period = js.Phase.Period
 	}
 	return nil

@@ -76,9 +76,9 @@ const (
 
 // Phase kind names.
 const (
-	PhaseSteady = "steady"
-	PhaseBursty = "bursty"
-	PhaseSwitch = "switch"
+	phaseSteady = "steady"
+	phaseBursty = "bursty"
+	phaseSwitch = "switch"
 )
 
 // AppSpec returns the one-job workload equivalent of the Section III
@@ -121,18 +121,18 @@ func (js *JobSpec) normalize(idx int) error {
 	}
 	ph := &js.Phase
 	if ph.Kind == "" {
-		ph.Kind = PhaseSteady
+		ph.Kind = phaseSteady
 	}
 	// Phase fields the kind does not read are rejected rather than silently
 	// dropped — a period without phase=bursty would otherwise run steady
 	// and measure the wrong workload.
 	switch ph.Kind {
-	case PhaseSteady:
+	case phaseSteady:
 		if ph.Period != 0 || ph.Duty != 0 || len(ph.Patterns) != 0 {
 			return fmt.Errorf("workload: job %q: period/duty/patterns set without a phase kind (use phase=%s or phase=%s)",
-				js.Name, PhaseBursty, PhaseSwitch)
+				js.Name, phaseBursty, phaseSwitch)
 		}
-	case PhaseBursty:
+	case phaseBursty:
 		if ph.Period < 2 {
 			return fmt.Errorf("workload: job %q: bursty phase needs period ≥ 2, got %d", js.Name, ph.Period)
 		}
@@ -141,9 +141,9 @@ func (js *JobSpec) normalize(idx int) error {
 		}
 		if len(ph.Patterns) != 0 {
 			return fmt.Errorf("workload: job %q: patterns are only read by phase=%s (bursty uses the job pattern)",
-				js.Name, PhaseSwitch)
+				js.Name, phaseSwitch)
 		}
-	case PhaseSwitch:
+	case phaseSwitch:
 		if ph.Period < 1 {
 			return fmt.Errorf("workload: job %q: switch phase needs period ≥ 1, got %d", js.Name, ph.Period)
 		}
@@ -151,11 +151,11 @@ func (js *JobSpec) normalize(idx int) error {
 			return fmt.Errorf("workload: job %q: switch phase needs patterns", js.Name)
 		}
 		if ph.Duty != 0 {
-			return fmt.Errorf("workload: job %q: duty is only read by phase=%s", js.Name, PhaseBursty)
+			return fmt.Errorf("workload: job %q: duty is only read by phase=%s", js.Name, phaseBursty)
 		}
 	default:
 		return fmt.Errorf("workload: job %q: unknown phase kind %q (known: %s, %s, %s)",
-			js.Name, ph.Kind, PhaseSteady, PhaseBursty, PhaseSwitch)
+			js.Name, ph.Kind, phaseSteady, phaseBursty, phaseSwitch)
 	}
 	return nil
 }
