@@ -179,7 +179,6 @@ func BenchmarkAblationThreshold(b *testing.B) {
 		b.Run(loadName(th), func(b *testing.B) {
 			cfg := benchCfg("In-Trns-MM", "ADVc", 0.4, TransitOverInjection)
 			cfg.Router.CongestionThreshold = th
-			cfg.Routing.CongestionThreshold = th
 			res := runBench(b, cfg)
 			b.ReportMetric(res.Throughput(), "thr")
 			b.ReportMetric(res.Fairness().CoV, "cov")
@@ -276,20 +275,18 @@ func BenchmarkRouterStep(b *testing.B) {
 // Routing decision cost (NextHop on a congested view).
 func BenchmarkNextHop(b *testing.B) {
 	topo := topology.New(Balanced(6))
-	env := &routing.Env{Topo: topo, Cfg: routing.DefaultConfig()}
 	cfg := router.DefaultConfig()
 	mech, err := routing.ByName("In-Trns-MM")
 	if err != nil {
 		b.Fatal(err)
 	}
-	lvc, gvc := mech.VCNeeds()
-	cfg.LocalVCs, cfg.GlobalVCs = lvc, gvc
-	envCopy := *env
-	envCopy.Cfg.LocalVCs, envCopy.Cfg.GlobalVCs = lvc, gvc
+	cfg.LocalVCs, cfg.GlobalVCs = mech.VCNeeds()
+	env := &routing.Env{Topo: topo, Cfg: routing.DefaultConfig(),
+		PacketSize: cfg.PacketSize, LocalVCs: cfg.LocalVCs, GlobalVCs: cfg.GlobalVCs}
 	core, err := router.NewCore(router.Wiring{
 		Topo: topo, Cfg: &cfg, Mech: mech, Rng: rngSource(),
 		Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
-		Binding: router.Binding{Env: &envCopy},
+		Binding: router.Binding{Env: env},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -299,7 +296,7 @@ func BenchmarkNextHop(b *testing.B) {
 	rnd := rngSource()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mech.NextHop(&envCopy, r, p, topology.InjectionPort, rnd)
+		mech.NextHop(env, r, p, topology.InjectionPort, rnd)
 	}
 }
 

@@ -174,7 +174,6 @@ func (b *Base) Config() (sim.Config, error) {
 	cfg.Router.Arbitration = arb
 	cfg.Router.InjectionQueuePackets = b.InjQueue
 	cfg.Router.CongestionThreshold = b.Threshold
-	cfg.Routing.CongestionThreshold = b.Threshold
 	cfg.Routing.LocalMisroute = b.LocalMisroute == nil || *b.LocalMisroute
 	cfg.Router.LocalLatency = b.LocalLat
 	cfg.Router.GlobalLatency = b.GlobalLat

@@ -160,7 +160,7 @@ func TestBaseFlagsOverrides(t *testing.T) {
 	if cfg.Router.Arbitration != router.AgeBased {
 		t.Error("-age ignored")
 	}
-	if cfg.Routing.CongestionThreshold != 0.5 || cfg.Routing.LocalMisroute {
+	if cfg.Router.CongestionThreshold != 0.5 || cfg.Routing.LocalMisroute {
 		t.Error("threshold/olm flags ignored")
 	}
 }

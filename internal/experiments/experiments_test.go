@@ -332,13 +332,10 @@ func TestPipelineCheckpointConfigGuard(t *testing.T) {
 func TestPipelineFingerprintPinned(t *testing.T) {
 	base := sim.DefaultConfig()
 	got := Build(base, Options{Loads: []float64{0.1}, Seeds: []uint64{1}, FairLoad: 0.4}).Fingerprint()
-	const want = "topo=dragonfly(p=2,a=4,h=2,palmtree: 9 groups, 36 routers, 72 nodes) " +
-		"router={PacketSize:8 PipelineCycles:5 Speedup:2 OutputBufferPhits:32 LocalVCPhits:32 GlobalVCPhits:256 " +
-		"LocalVCs:3 GlobalVCs:2 LocalLatency:10 GlobalLatency:100 InjectionQueuePackets:256 Arbitration:round-robin " +
-		"AllocIterations:2 CongestionThreshold:0.43} " +
-		"routing={PacketSize:8 LocalVCs:3 GlobalVCs:2 CongestionThreshold:0.43 PBGlobalRel:3 PBLocalPkts:5 " +
-		"LocalMisroute:true MisrouteTries:4 MisrouteLatencyFactor:0} " +
-		"warm=2000 meas=5000 lat=default-uniform"
+	const want = "p=2 a=4 h=2 arrangement=palmtree latency_model=uniform(local=10,global=100) " +
+		"warmup=2000 measure=5000 packet_size=8 pipeline=5 speedup=2 out_buf=32 local_vc_buf=32 global_vc_buf=256 " +
+		"local_lat=10 global_lat=100 inj_queue=256 arbitration=round-robin alloc_iters=2 threshold=0.43 " +
+		"pb_global_rel=3 pb_local_pkts=5 olm=true"
 	if got != want {
 		t.Fatalf("fingerprint of the default base changed:\n got %s\nwant %s", got, want)
 	}

@@ -415,17 +415,6 @@ func (r *Router) OutputCongested(port, vc int) bool {
 // LinkLoad implements routing.RouterView.
 func (r *Router) LinkLoad(port int) int { return r.outputs[port].used() }
 
-// OutputLinkLatency implements routing.RouterView: the propagation latency
-// of the link behind an output port (0 for ejection ports). With a
-// heterogeneous latency model this is how adaptive mechanisms see real
-// per-cable costs.
-func (r *Router) OutputLinkLatency(port int) int {
-	if l := r.outputs[port].link; l != nil {
-		return l.Latency()
-	}
-	return 0
-}
-
 // CanAbsorb implements routing.RouterView.
 func (r *Router) CanAbsorb(port, vc int) bool {
 	o := &r.outputs[port]

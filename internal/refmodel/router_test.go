@@ -31,10 +31,8 @@ func buildNet(t *testing.T, params topology.Params, mechanism string, arb router
 	cfg.Arbitration = arb
 	lvc, gvc := mech.VCNeeds()
 	cfg.LocalVCs, cfg.GlobalVCs = lvc, gvc
-	rcfg := routing.DefaultConfig()
-	rcfg.LocalVCs, rcfg.GlobalVCs = lvc, gvc
 	n := &testNet{topo: topo, cfg: cfg}
-	n.env = routing.Env{Topo: topo, Cfg: rcfg}
+	n.env = routing.Env{Topo: topo, Cfg: routing.DefaultConfig(), PacketSize: cfg.PacketSize, LocalVCs: lvc, GlobalVCs: gvc}
 	root := rng.New(99)
 	n.routers = make([]*Router, topo.NumRouters())
 	for r := range n.routers {

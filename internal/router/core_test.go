@@ -78,9 +78,8 @@ func wiringAt(t *testing.T, h int, model topology.LatencyModel) func(Binding) Wi
 	if model == nil {
 		model = topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency}
 	}
-	rcfg := routing.DefaultConfig()
-	rcfg.LocalVCs, rcfg.GlobalVCs, rcfg.PacketSize = cfg.LocalVCs, cfg.GlobalVCs, cfg.PacketSize
-	env := &routing.Env{Topo: topo, Cfg: rcfg}
+	env := &routing.Env{Topo: topo, Cfg: routing.DefaultConfig(),
+		PacketSize: cfg.PacketSize, LocalVCs: cfg.LocalVCs, GlobalVCs: cfg.GlobalVCs}
 	return func(b Binding) Wiring {
 		b.Env = env
 		return Wiring{Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1), Latency: model, Binding: b}

@@ -33,14 +33,6 @@ func (v *View) OutputCongested(port, vc int) bool {
 // LinkLoad implements routing.RouterView.
 func (v *View) LinkLoad(port int) int { return v.c.OutputUsed(int(v.r), port) }
 
-// OutputLinkLatency implements routing.RouterView: the propagation latency
-// of the link behind an output port (0 for ejection ports). With a
-// heterogeneous latency model this is how adaptive mechanisms see real
-// per-cable costs.
-func (v *View) OutputLinkLatency(port int) int {
-	return int(v.c.outW[int(v.r)*v.c.np+port].lat)
-}
-
 // CanAbsorb implements routing.RouterView.
 func (v *View) CanAbsorb(port, vc int) bool {
 	c := v.c

@@ -13,7 +13,7 @@ import (
 func pbSetup() (*topology.Topology, *Env, *fakeGroup) {
 	topo := topology.New(topology.Balanced(2))
 	env := newEnv(topo)
-	env.Cfg.LocalVCs, env.Cfg.GlobalVCs = 4, 2
+	env.LocalVCs, env.GlobalVCs = 4, 2
 	fg := &fakeGroup{sat: map[[2]int]bool{}}
 	env.Group = func(g int) GroupView { return fg }
 	return topo, env, fg
@@ -109,7 +109,7 @@ func TestPiggyBackLocalQueueTrigger(t *testing.T) {
 	v := view(r)
 	// Local queue beyond T=5 packets triggers the Valiant consideration
 	// even without the global saturation bit.
-	v.loads[topo.LocalPortTo(r, exitIdx)] = env.Cfg.PBLocalPkts*env.Cfg.PacketSize + 1
+	v.loads[topo.LocalPortTo(r, exitIdx)] = env.Cfg.PBLocalPkts*env.PacketSize + 1
 	dst := topo.NodeID(topo.RouterID(dstGroup, 0), 0)
 	p := mkPacket(topo.NodeID(r, 0), dst)
 	pb.NextHop(env, v, p, topology.InjectionPort, rng.New(1))
@@ -149,115 +149,6 @@ func TestInTransitMinimalWhenUncongested(t *testing.T) {
 		if req.Action != (packet.Action{}) {
 			t.Errorf("%v attached an action on an uncongested network", policy)
 		}
-	}
-}
-
-// The latency gate: with MisrouteLatencyFactor set, a congested minimal
-// port is not escaped onto cables longer than factor × the minimal link —
-// under heterogeneous latencies the only uncongested alternatives may all
-// be too expensive, and the packet must stay minimal.
-func TestInTransitLatencyGate(t *testing.T) {
-	topo := topology.New(topology.Balanced(2))
-	env := newEnv(topo)
-	env.Cfg.MisrouteLatencyFactor = 1.5
-	m := newInTransit(crg)
-	a := topo.Params().A
-	idx, minPort := topo.GlobalRouterFor(0, 1)
-	r := topo.RouterID(0, idx)
-	v := view(r)
-	v.congested[minPort] = true
-	// Every global cable of this router: minimal link 100 cycles, all
-	// alternatives 300 — beyond the 1.5× budget.
-	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
-		v.linkLat[gp] = 300
-	}
-	v.linkLat[minPort] = 100
-	dst := topo.NodeID(topo.RouterID(1, 0), 0)
-	p := mkPacket(topo.NodeID(r, 0), dst)
-	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if req.Port != minPort || req.Action != (packet.Action{}) {
-		t.Fatalf("gate bypassed: diverted via port %d (action %v)", req.Port, req.Action.Kind)
-	}
-	// Cheap alternatives within the budget stay eligible.
-	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
-		v.linkLat[gp] = 120
-	}
-	v.linkLat[minPort] = 100
-	req = m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if req.Port == minPort {
-		t.Fatal("within-budget alternative not taken")
-	}
-	// Factor 0 (the default) disables the gate entirely.
-	env.Cfg.MisrouteLatencyFactor = 0
-	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
-		v.linkLat[gp] = 10000
-	}
-	req = m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if req.Port == minPort {
-		t.Fatal("disabled gate still filtered candidates")
-	}
-}
-
-// The gate compares same-class cables only: at a router whose minimal hop
-// is a *local* port (the exit router lives elsewhere in the group), global
-// candidates are not measured against the short local cable — with
-// uniform latencies and any factor ≥ 1 the gate must be a no-op, so CRG
-// still escapes congestion through its own globals.
-func TestInTransitLatencyGateClassConsistent(t *testing.T) {
-	topo := topology.New(topology.Balanced(2))
-	env := newEnv(topo)
-	env.Cfg.MisrouteLatencyFactor = 1
-	m := newInTransit(crg)
-	a := topo.Params().A
-	// Pick a source router that does NOT own the link towards the
-	// destination group: its minimal port is local.
-	dstGroup := 1
-	ownerIdx, _ := topo.GlobalRouterFor(0, dstGroup)
-	srcIdx := (ownerIdx + 1) % a
-	r := topo.RouterID(0, srcIdx)
-	v := view(r)
-	// Uniform latencies: locals 10, globals 100.
-	for port := 0; port < a-1; port++ {
-		v.linkLat[port] = 10
-	}
-	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
-		v.linkLat[gp] = 100
-	}
-	dst := topo.NodeID(topo.RouterID(dstGroup, 0), 0)
-	p := mkPacket(topo.NodeID(r, 0), dst)
-	minPort := minimalPort(env, r, p)
-	if topo.PortClass(minPort) != topology.LocalPort {
-		t.Fatal("test setup: minimal port should be local")
-	}
-	v.congested[minPort] = true
-	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if topo.PortClass(req.Port) != topology.GlobalPort {
-		t.Fatalf("uniform latencies + factor 1: CRG blocked from its own globals (took port %d)", req.Port)
-	}
-}
-
-// The gate's boundary: an alternative exactly factor × the minimal link
-// long is within budget. With every global cable 100 cycles and factor 1 —
-// same-class cables, equal latencies — the gate must let CRG escape the
-// congested minimal global port, as it would with the gate off.
-func TestInTransitLatencyGateBoundary(t *testing.T) {
-	topo := topology.New(topology.Balanced(2))
-	env := newEnv(topo)
-	env.Cfg.MisrouteLatencyFactor = 1
-	m := newInTransit(crg)
-	a := topo.Params().A
-	idx, minPort := topo.GlobalRouterFor(0, 1)
-	r := topo.RouterID(0, idx)
-	v := view(r)
-	v.congested[minPort] = true
-	for gp := a - 1; gp < a-1+topo.Params().H; gp++ {
-		v.linkLat[gp] = 100
-	}
-	dst := topo.NodeID(topo.RouterID(1, 0), 0)
-	p := mkPacket(topo.NodeID(r, 0), dst)
-	req := m.NextHop(env, v, p, topology.InjectionPort, rng.New(3))
-	if topo.PortClass(req.Port) != topology.GlobalPort || req.Port == minPort || req.Action.Kind != packet.ActionMisrouteToGroup {
-		t.Fatalf("equal-latency alternatives at factor 1: CRG took port %d (action %v), want another own global", req.Port, req.Action.Kind)
 	}
 }
 

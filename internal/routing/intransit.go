@@ -92,7 +92,7 @@ func (it *inTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, 
 	r := rv.RouterID()
 	pp := t.Params()
 	srcGroup := t.RouterGroup(r)
-	for try := 0; try < env.Cfg.MisrouteTries; try++ {
+	for try := 0; try < misrouteTries; try++ {
 		var port, interm int
 		switch policy {
 		case crg:
@@ -137,19 +137,6 @@ func (it *inTransit) globalCandidate(env *Env, rv RouterView, p *packet.Packet, 
 		if t.PortClass(port) == topology.LocalPort && p.LocalHops > 0 {
 			continue
 		}
-		// Latency gate (heterogeneous topologies): never trade a congested
-		// minimal link for a same-class cable whose extra flight time
-		// dwarfs it. Only cables of the minimal hop's own class are
-		// compared — the router can observe its local ports' latencies but
-		// not a remote router's, and a local-vs-global comparison would
-		// filter on class constants rather than cable length (with
-		// uniform latencies, same-class cables are equal, so any factor
-		// ≥ 1 is a no-op as documented).
-		if f := env.Cfg.MisrouteLatencyFactor; f > 0 &&
-			t.PortClass(port) == t.PortClass(minPort) &&
-			float64(rv.OutputLinkLatency(port)) > f*float64(rv.OutputLinkLatency(minPort)) {
-			continue
-		}
 		vc := segmentVC(env, r, port, p)
 		if rv.OutputCongested(port, vc) || !rv.CanAbsorb(port, vc) {
 			continue
@@ -172,7 +159,7 @@ func (it *inTransit) localCandidate(env *Env, rv RouterView, p *packet.Packet, m
 	if pp.A <= 2 {
 		return Request{}, false // no alternative local port exists
 	}
-	for try := 0; try < env.Cfg.MisrouteTries; try++ {
+	for try := 0; try < misrouteTries; try++ {
 		l := rnd.Intn(pp.A - 1)
 		if l == minPort {
 			continue

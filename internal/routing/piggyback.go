@@ -75,7 +75,7 @@ func (pb *piggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.
 	minSat := group.GlobalSaturated(exitIdx, exitPort-(t.Params().A-1))
 	if !minSat && exitIdx != t.RouterLocalIndex(r) {
 		localPort := t.LocalPortTo(r, exitIdx)
-		minSat = rv.LinkLoad(localPort) > env.Cfg.PBLocalPkts*env.Cfg.PacketSize
+		minSat = rv.LinkLoad(localPort) > env.Cfg.PBLocalPkts*env.PacketSize
 	}
 	if !minSat {
 		return // minimal path looks fine: route MIN
@@ -83,7 +83,7 @@ func (pb *piggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.
 
 	// Try a few Valiant candidates whose first global link is not
 	// saturated; if none is found the packet goes minimally after all.
-	for try := 0; try < env.Cfg.MisrouteTries; try++ {
+	for try := 0; try < misrouteTries; try++ {
 		var g int
 		switch pb.policy {
 		case crg:

@@ -60,18 +60,9 @@ func (p globalPolicy) String() string {
 	}
 }
 
-// Config carries the routing-relevant parameters of Table I.
+// Config carries the routing parameters of Table I a run chooses; the packet
+// size and VC counts are derived at build time (Env).
 type Config struct {
-	// PacketSize is the packet length in phits (Table I: 8).
-	PacketSize int
-	// LocalVCs and GlobalVCs are the virtual channel counts per port
-	// class the mechanism may use.
-	LocalVCs  int
-	GlobalVCs int
-	// CongestionThreshold is the output occupancy fraction above which
-	// the in-transit adaptive mechanism considers a port congested
-	// (Table I: 43%).
-	CongestionThreshold float64
 	// PBGlobalRel is PiggyBack's relative saturation threshold for
 	// global links in packets (Table I: T=3): a link is saturated when
 	// its queued phits exceed the mean load of the same router's global
@@ -84,39 +75,20 @@ type Config struct {
 	// intermediate and destination groups (OLM-style) for the in-transit
 	// mechanism.
 	LocalMisroute bool
-	// MisrouteTries bounds how many nonminimal candidates an adaptive
-	// mechanism samples per decision before falling back to minimal.
-	MisrouteTries int
-	// MisrouteLatencyFactor, when positive, makes the in-transit
-	// mechanism latency-aware under heterogeneous link latencies: a
-	// nonminimal first hop of the same port class as the minimal hop is
-	// only eligible while its link latency is at most factor × the
-	// minimal hop's, so congestion is not escaped onto cables so long
-	// that the detour costs more than the queueing it avoids. The gate
-	// prices only cables the deciding router can observe (its own output
-	// links) and only like against like — the CRG/MM own-global case,
-	// exactly where group-skewed cable lengths differ. Diversions whose
-	// first hop is a local port (NRG, RRG via a neighbour) are not
-	// priced: the expensive cable sits at a remote router the deciding
-	// hardware cannot see. 0 disables the gate (the seed behaviour; with
-	// uniform latencies same-class cables are equal, so any factor ≥ 1
-	// is equivalent to disabled).
-	MisrouteLatencyFactor float64
 }
 
 // DefaultConfig returns the Table I routing parameters.
 func DefaultConfig() Config {
 	return Config{
-		PacketSize:          8,
-		LocalVCs:            3,
-		GlobalVCs:           2,
-		CongestionThreshold: 0.43,
-		PBGlobalRel:         3,
-		PBLocalPkts:         5,
-		LocalMisroute:       true,
-		MisrouteTries:       4,
+		PBGlobalRel:   3,
+		PBLocalPkts:   5,
+		LocalMisroute: true,
 	}
 }
+
+// misrouteTries bounds how many nonminimal candidates an adaptive mechanism
+// samples per decision before falling back to minimal.
+const misrouteTries = 4
 
 // RouterView is the local state an adaptive mechanism may observe at the
 // router where the decision is taken — matching what the hardware can see.
@@ -135,12 +107,6 @@ type RouterView interface {
 	// by the output buffer and the downstream virtual channel — the
 	// opportunistic condition for misrouting grants.
 	CanAbsorb(port, vc int) bool
-	// OutputLinkLatency returns the propagation latency in cycles of the
-	// link behind an output port (0 for ejection ports). Link latency is
-	// a per-link runtime parameter, so heterogeneous topologies expose
-	// real per-cable costs to adaptive decisions — hardware knows its own
-	// cable lengths.
-	OutputLinkLatency(port int) int
 }
 
 // GroupView exposes the group-shared global-link saturation bits that
@@ -155,6 +121,12 @@ type GroupView interface {
 type Env struct {
 	Topo *topology.Topology
 	Cfg  Config
+	// PacketSize is the packet length in phits (the router's, Table I: 8).
+	PacketSize int
+	// LocalVCs and GlobalVCs are the virtual channel counts per port
+	// class: the mechanism's VCNeeds.
+	LocalVCs  int
+	GlobalVCs int
 	// Group returns the PiggyBack view for a group, or nil when the
 	// engine does not maintain PB state.
 	Group func(groupID int) GroupView
@@ -277,8 +249,8 @@ func valiantVC(env *Env, r, port int, p *packet.Packet) int {
 			return 2 // leaving the intermediate group
 		}
 		vc := 3
-		if vc > env.Cfg.LocalVCs-1 {
-			vc = env.Cfg.LocalVCs - 1
+		if vc > env.LocalVCs-1 {
+			vc = env.LocalVCs - 1
 		}
 		return vc
 	default:
@@ -303,8 +275,8 @@ func segmentVC(env *Env, r, port int, p *packet.Packet) int {
 			return 0
 		case g == t.NodeGroup(int(p.Dst)):
 			vc := 2
-			if vc > env.Cfg.LocalVCs-1 {
-				vc = env.Cfg.LocalVCs - 1
+			if vc > env.LocalVCs-1 {
+				vc = env.LocalVCs - 1
 			}
 			return vc
 		default:

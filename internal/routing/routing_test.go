@@ -14,7 +14,6 @@ type fakeView struct {
 	congested map[int]bool // per port (any VC)
 	noAbsorb  map[int]bool // per port
 	loads     map[int]int
-	linkLat   map[int]int // per port; 0 entries report latency 1
 }
 
 func (v *fakeView) RouterID() int { return v.id }
@@ -25,12 +24,6 @@ func (v *fakeView) LinkLoad(port int) int { return v.loads[port] }
 func (v *fakeView) CanAbsorb(port, _ int) bool {
 	return !v.noAbsorb[port]
 }
-func (v *fakeView) OutputLinkLatency(port int) int {
-	if l, ok := v.linkLat[port]; ok {
-		return l
-	}
-	return 1
-}
 
 // fakeGroup marks a settable set of saturated global links.
 type fakeGroup struct {
@@ -40,12 +33,11 @@ type fakeGroup struct {
 func (g *fakeGroup) GlobalSaturated(localIdx, k int) bool { return g.sat[[2]int{localIdx, k}] }
 
 func newEnv(t *topology.Topology) *Env {
-	cfg := DefaultConfig()
-	return &Env{Topo: t, Cfg: cfg}
+	return &Env{Topo: t, Cfg: DefaultConfig(), PacketSize: 8, LocalVCs: 3, GlobalVCs: 2}
 }
 
 func view(id int) *fakeView {
-	return &fakeView{id: id, congested: map[int]bool{}, noAbsorb: map[int]bool{}, loads: map[int]int{}, linkLat: map[int]int{}}
+	return &fakeView{id: id, congested: map[int]bool{}, noAbsorb: map[int]bool{}, loads: map[int]int{}}
 }
 
 func mkPacket(src, dst int) *packet.Packet {
@@ -191,7 +183,7 @@ func TestMinimalWalksReachDestination(t *testing.T) {
 func TestObliviousWalksReachDestination(t *testing.T) {
 	topo := topology.New(topology.Balanced(3))
 	env := newEnv(topo)
-	env.Cfg.LocalVCs, env.Cfg.GlobalVCs = 4, 2
+	env.LocalVCs, env.GlobalVCs = 4, 2
 	rnd := rng.New(11)
 	for _, policy := range []globalPolicy{rrg, crg} {
 		m := newOblivious(policy)
@@ -255,7 +247,7 @@ func TestObliviousRejectsBadPolicies(t *testing.T) {
 func TestValiantVCOrderingProperty(t *testing.T) {
 	topo := topology.New(topology.Balanced(3))
 	env := newEnv(topo)
-	env.Cfg.LocalVCs, env.Cfg.GlobalVCs = 4, 2
+	env.LocalVCs, env.GlobalVCs = 4, 2
 	rank := func(class topology.PortClass, vc int) int {
 		// l0=0 g0=1 l1=2 l2=3 g1=4 l3=5
 		if class == topology.GlobalPort {
@@ -282,10 +274,10 @@ func TestValiantVCOrderingProperty(t *testing.T) {
 			if class == topology.InjectionPort {
 				break
 			}
-			if class == topology.LocalPort && req.VC >= env.Cfg.LocalVCs {
+			if class == topology.LocalPort && req.VC >= env.LocalVCs {
 				t.Fatalf("local VC %d out of budget", req.VC)
 			}
-			if class == topology.GlobalPort && req.VC >= env.Cfg.GlobalVCs {
+			if class == topology.GlobalPort && req.VC >= env.GlobalVCs {
 				t.Fatalf("global VC %d out of budget", req.VC)
 			}
 			rk := rank(class, req.VC)

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"dragonfly/internal/router"
 	"dragonfly/internal/routing"
@@ -44,8 +45,9 @@ type Config struct {
 	LatencyModel topology.LatencyModel
 
 	// Router and Routing carry the microarchitectural and routing
-	// parameters (defaults are Table I). The virtual channel counts are
-	// overridden by the mechanism's requirements at build time.
+	// parameters (defaults are Table I); the in-transit congestion
+	// threshold is Router's. Router's VC counts are not inputs: the build
+	// overwrites them with the mechanism's VCNeeds (routing.Env).
 	Router  router.Config
 	Routing routing.Config
 
@@ -92,20 +94,88 @@ func PaperConfig() Config {
 	return c
 }
 
+// idPart is a part of a configuration's identity: the fields that decide
+// what a run computes, which identity writes once, each under a wire name of
+// its own. Every key selects parts (DESIGN.md, "Configuration identity").
+// Workers, Probes, Tracer and Router.LocalVCs/GlobalVCs are in no part.
+type idPart uint8
+
+const (
+	idTopology idPart = 1 << iota // the topology and the latency model
+	idSeed
+	idPoint // the mechanism and the pattern
+	idLoad
+	idParams // the router and routing parameters
+	idCycles // the warm-up and measured cycle counts
+)
+
 // Fingerprint names everything of the configuration that changes a run's
 // outcome, but the point coordinates a checkpoint keys its records by
-// (mechanism, pattern, load, seed) and the worker count results are
-// bit-identical across: the topology, the router and routing parameters
-// (the uniform link latencies included), the cycle counts and the latency
-// model's registry name (its parameters are the router latencies, already
-// covered). A checkpoint resumes only under an equal fingerprint.
-func (c *Config) Fingerprint() string {
-	lat := "default-uniform"
-	if c.LatencyModel != nil {
-		lat = c.LatencyModel.Name()
+// (mechanism, pattern, load, seed). A checkpoint resumes only under an
+// equal fingerprint.
+func (c *Config) Fingerprint() string { return c.identity(idTopology | idParams | idCycles) }
+
+// TemplateKey names the construction template of cfg: everything a restore
+// from it pins (Snapshot.compatibleWith), the load excluded.
+func TemplateKey(cfg *Config) string { return cfg.identity(idTopology | idSeed | idPoint | idParams) }
+
+// identity writes the fields of the selected parts as space-separated
+// key=value pairs in a fixed order: numbers in decimal (%g is the shortest
+// form, strconv's 'g', -1), arbitration and arrangement by name.
+func (c *Config) identity(parts idPart) string {
+	b := make([]byte, 0, 512)
+	t, r, rt := &c.Topology, &c.Router, &c.Routing
+	if parts&idTopology != 0 {
+		b = fmt.Appendf(b, " p=%d a=%d h=%d arrangement=%s latency_model=", t.P, t.A, t.H, t.Arrangement)
+		b = appendLatency(b, c)
 	}
-	return fmt.Sprintf("topo=%+v router=%+v routing=%+v warm=%d meas=%d lat=%s",
-		c.Topology, c.Router, c.Routing, c.WarmupCycles, c.MeasureCycles, lat)
+	if parts&idPoint != 0 {
+		b = fmt.Appendf(b, " mechanism=%s pattern=%s", c.Mechanism, c.Pattern)
+	}
+	if parts&idLoad != 0 {
+		b = fmt.Appendf(b, " load=%g", c.Load)
+	}
+	if parts&idSeed != 0 {
+		b = fmt.Appendf(b, " seed=%d", c.Seed)
+	}
+	if parts&idCycles != 0 {
+		b = fmt.Appendf(b, " warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
+	}
+	if parts&idParams != 0 {
+		b = fmt.Appendf(b, " packet_size=%d pipeline=%d speedup=%d", r.PacketSize, r.PipelineCycles, r.Speedup)
+		b = fmt.Appendf(b, " out_buf=%d local_vc_buf=%d global_vc_buf=%d", r.OutputBufferPhits, r.LocalVCPhits, r.GlobalVCPhits)
+		b = fmt.Appendf(b, " local_lat=%d global_lat=%d inj_queue=%d", r.LocalLatency, r.GlobalLatency, r.InjectionQueuePackets)
+		b = fmt.Appendf(b, " arbitration=%s alloc_iters=%d threshold=%g", r.Arbitration, r.AllocIterations, r.CongestionThreshold)
+		b = fmt.Appendf(b, " pb_global_rel=%g pb_local_pkts=%d olm=%t", rt.PBGlobalRel, rt.PBLocalPkts, rt.LocalMisroute)
+	}
+	return string(b[1:])
+}
+
+// appendLatency appends the latency-model identity of a configuration: the
+// registry name plus the parameters, so two models of one name with
+// different constants do not alias. A nil model is the uniform model at the
+// Router-config latencies, the NewNetwork default, so it is one identity
+// with its explicit spelling. A model from outside the registry prints its
+// value positionally.
+func appendLatency(b []byte, c *Config) []byte {
+	switch m := c.LatencyModel.(type) {
+	case nil:
+		return appendUniform(b, c.Router.LocalLatency, c.Router.GlobalLatency)
+	case topology.UniformLatency:
+		return appendUniform(b, m.Local, m.Global)
+	case topology.GroupSkewLatency:
+		b = strconv.AppendInt(append(b, "groupskew(local="...), int64(m.Local), 10)
+		b = strconv.AppendInt(append(b, ",global_base="...), int64(m.GlobalBase), 10)
+		b = strconv.AppendInt(append(b, ",global_step="...), int64(m.GlobalStep), 10)
+		return append(b, ')')
+	}
+	return fmt.Appendf(b, "%s:%v", c.LatencyModel.Name(), c.LatencyModel)
+}
+
+func appendUniform(b []byte, local, global int) []byte {
+	b = strconv.AppendInt(append(b, "uniform(local="...), int64(local), 10)
+	b = strconv.AppendInt(append(b, ",global="...), int64(global), 10)
+	return append(b, ')')
 }
 
 // Validate reports configuration errors.

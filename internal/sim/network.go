@@ -198,9 +198,6 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 	rcfg := cfg.Router
 	lvc, gvc := mech.VCNeeds()
 	rcfg.LocalVCs, rcfg.GlobalVCs = lvc, gvc
-	routCfg := cfg.Routing
-	routCfg.LocalVCs, routCfg.GlobalVCs = lvc, gvc
-	routCfg.PacketSize = rcfg.PacketSize
 
 	root := rng.New(cfg.Seed)
 	net := &Network{
@@ -217,9 +214,9 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 	}
 	net.pattern = pat
 
-	net.env = routing.Env{Topo: topo, Cfg: routCfg}
+	net.env = routing.Env{Topo: topo, Cfg: cfg.Routing, PacketSize: rcfg.PacketSize, LocalVCs: lvc, GlobalVCs: gvc}
 	if strings.HasPrefix(mech.Name(), "Src-") {
-		net.pb = newPBState(net, routCfg.PBGlobalRel, routCfg.PacketSize)
+		net.pb = newPBState(net, net.env.Cfg.PBGlobalRel, net.env.PacketSize)
 		net.env.Group = net.pb.view
 	}
 

@@ -74,7 +74,7 @@ func TestPaperConfigMatchesTableI(t *testing.T) {
 		r.LocalLatency != 10 || r.GlobalLatency != 100 {
 		t.Errorf("router parameters deviate from Table I: %+v", r)
 	}
-	if cfg.Routing.CongestionThreshold != 0.43 ||
+	if cfg.Router.CongestionThreshold != 0.43 ||
 		cfg.Routing.PBGlobalRel != 3 || cfg.Routing.PBLocalPkts != 5 {
 		t.Errorf("routing thresholds deviate from Table I: %+v", cfg.Routing)
 	}

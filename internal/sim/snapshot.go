@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dragonfly/internal/router"
-	"dragonfly/internal/topology"
 )
 
 // Snapshot is a frozen image of a network: the traffic sources and
@@ -82,9 +81,7 @@ func NewSnapshot(cfg Config, warmCycles int64) (*Snapshot, error) {
 // function of these alone, so every construction snapshot of one family
 // may share them (Sibling), whatever its mechanism, pattern or router and
 // routing parameters.
-func FamilyOf(cfg *Config) string {
-	return fmt.Sprintf("%+v|%s|%d", cfg.Topology, latName(cfg), cfg.Seed)
-}
+func FamilyOf(cfg *Config) string { return cfg.identity(idTopology | idSeed) }
 
 // Sibling is NewSnapshot(cfg, 0) for a cfg of s's family, borrowing what
 // the family shares from s instead of computing it again: the topology,
@@ -133,28 +130,17 @@ func newSnapshot(cfg Config, warmCycles int64, fam *Snapshot) (*Snapshot, error)
 	return snap, nil
 }
 
-// latName resolves the latency-model identity of a configuration: the
-// registry name plus the model value's parameters (both provided models are
-// plain parameter structs), so two uniform models with different constants
-// do not alias. A nil model is the uniform model at the Router-config
-// latencies, matching the NewNetwork default.
-func latName(c *Config) string {
-	m := c.LatencyModel
-	if m == nil {
-		m = topology.UniformLatency{Local: c.Router.LocalLatency, Global: c.Router.GlobalLatency}
-	}
-	return fmt.Sprintf("%s:%v", m.Name(), m)
-}
-
 // compatibleWith reports whether cfg may be restored from this snapshot.
 // Everything that shapes the wired structure or the random streams must
 // match the capture configuration: topology, mechanism, pattern, seed,
 // router and routing parameters and the latency model — and, for a warm
 // snapshot, the load it was captured at.
-// Cycle counts, worker count, probes and tracer are free, and so is the
-// load of a construction snapshot.
+// Cycle counts, worker count, probes and tracer are free, and so are the
+// load of a construction snapshot and the router's VC counts, which the
+// build overwrites: it pins what TemplateKey names.
 func (s *Snapshot) compatibleWith(cfg *Config) error {
 	b := &s.cfg
+	var lat, blat [64]byte
 	switch {
 	case cfg.Topology != b.Topology:
 		return fmt.Errorf("sim: snapshot topology %+v does not match %+v", b.Topology, cfg.Topology)
@@ -164,16 +150,22 @@ func (s *Snapshot) compatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: snapshot pattern %q does not match %q", b.Pattern, cfg.Pattern)
 	case cfg.Seed != b.Seed:
 		return fmt.Errorf("sim: snapshot seed %d does not match %d", b.Seed, cfg.Seed)
-	case cfg.Router != b.Router:
+	case routerInputs(cfg.Router) != routerInputs(b.Router):
 		return fmt.Errorf("sim: snapshot router config does not match")
 	case cfg.Routing != b.Routing:
 		return fmt.Errorf("sim: snapshot routing config does not match")
-	case latName(cfg) != latName(b):
-		return fmt.Errorf("sim: snapshot latency model %q does not match %q", latName(b), latName(cfg))
+	case string(appendLatency(lat[:0], cfg)) != string(appendLatency(blat[:0], b)):
+		return fmt.Errorf("sim: snapshot latency model %q does not match %q", appendLatency(nil, b), appendLatency(nil, cfg))
 	case s.warm != 0 && cfg.Load != b.Load:
 		return fmt.Errorf("sim: a warm snapshot restores only at its capture load %v, not %v", b.Load, cfg.Load)
 	}
 	return nil
+}
+
+// routerInputs is r without the VC counts, which the build overwrites.
+func routerInputs(r router.Config) router.Config {
+	r.LocalVCs, r.GlobalVCs = 0, 0
+	return r
 }
 
 // RestoreNetwork materialises a fresh, fully independent network from the
@@ -234,7 +226,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 		// topology itself are set on every clone, since a retired network may
 		// come from a template of another routing configuration.
 		if clone.pb == nil || clone.pb.topo.Params() != src.pb.topo.Params() {
-			clone.pb = newPBState(clone, src.env.Cfg.PBGlobalRel, src.env.Cfg.PacketSize)
+			clone.pb = newPBState(clone, src.env.Cfg.PBGlobalRel, src.env.PacketSize)
 		}
 		clone.pb.topo, clone.pb.marginPhits = src.pb.topo, src.pb.marginPhits
 		copy(clone.pb.bits, src.pb.bits)

@@ -88,7 +88,7 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 		tr := randomSnapTrial(rnd, uint64(7+trial))
 		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v, %d cycles",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			latName(&tr.cfg), tr.probes,
+			appendLatency(nil, &tr.cfg), tr.probes,
 			tr.cfg.WarmupCycles+tr.cfg.MeasureCycles)
 
 		snapCfg := tr.cfg
@@ -141,7 +141,7 @@ func TestRestoreIntoRecycled(t *testing.T) {
 		tr := randomSnapTrial(rnd, uint64(31+trial))
 		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v",
 			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			latName(&tr.cfg), tr.probes)
+			appendLatency(nil, &tr.cfg), tr.probes)
 		snapCfg := tr.cfg
 		snapCfg.Load = tr.snapLoad
 		snap, err := NewSnapshot(snapCfg, 0)

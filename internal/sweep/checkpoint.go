@@ -27,9 +27,12 @@ import (
 // Records now travel between hosts (the serve job store exchanges them
 // with dfserved workers over HTTP), so every record and checkpoint meta
 // line carries the schema it was written under, and loads reject a
-// mismatch instead of silently misreading foreign fields. Bump this when
-// a Record field changes meaning. Version 2 introduced the field itself;
-// files from before it (schema 0) are rejected the same way.
+// mismatch instead of silently misreading foreign fields. Version 2
+// introduced the field itself; files from before it (schema 0) are
+// rejected the same way. An added optional omitempty field whose absence
+// means "not computed" needs no bump (an older reader ignores it, an older
+// record reads as not computed); a field that changes meaning, is removed
+// or becomes required needs one.
 const schemaVersion = 2
 
 // Record is the checkpointable outcome of one simulation point.

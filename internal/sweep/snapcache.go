@@ -21,7 +21,7 @@ const ReuseConstruct ReuseMode = 0
 
 // SnapshotCache shares construction templates between the points of one or
 // more sweeps: every point restores its network from the template of its
-// (mechanism, pattern, seed, topology, …) combination instead of re-building
+// sim.TemplateKey (mechanism, pattern, seed, topology, …) instead of re-building
 // the same topology, and a restore is bit-identical to a cold build at any
 // load (sim.Snapshot), so a template is built at the load of the first
 // point that asks for it. Template construction is single-flight per key:
@@ -116,18 +116,10 @@ func (c *SnapshotCache) takeFree() *sim.Network {
 	return net
 }
 
-// cacheKey identifies a construction template: everything compatibleWith
-// pins, the load axis excluded.
-func cacheKey(cfg *sim.Config) string {
-	return fmt.Sprintf("%s|%s|%d|%+v|%+v|%+v|lat=%v",
-		cfg.Mechanism, cfg.Pattern, cfg.Seed, cfg.Topology, cfg.Router, cfg.Routing,
-		cfg.LatencyModel)
-}
-
 // snapshotFor returns (building its template exactly once) the cache entry
 // for cfg.
 func (c *SnapshotCache) snapshotFor(cfg *sim.Config) (*cacheEntry, error) {
-	key := cacheKey(cfg)
+	key := sim.TemplateKey(cfg)
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
