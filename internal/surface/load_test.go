@@ -6,7 +6,10 @@
 // and a wall-clock read or goroutine in a simulation package each fail
 // the test unless a line of the allowlist names it with a reason. A
 // listed entry that no longer occurs fails it too, so the list can only
-// shrink as the code does.
+// shrink as the code does. Over the same loaded module, TestLayout holds
+// the repository's layout gates: one row per invariant (a deleted second
+// path stays deleted, one site of a kind, a frozen package's line cap),
+// each checked on parsed or type-checked code.
 package surface
 
 import (
@@ -31,6 +34,11 @@ type pkg struct {
 	files      []*ast.File // non-test files
 	tests      []*ast.File // _test.go files of the same package
 	xtests     []*ast.File // _test.go files of package name_test
+
+	// The files build constraints exclude here (a //go:build line or a
+	// _GOOS/_GOARCH name), non-test and test: parsed for the layout rules,
+	// which read every Go file, but never type-checked.
+	ignored, ignoredTests []*ast.File
 
 	checked bool
 	types   *types.Package // files alone: what other packages import
@@ -143,15 +151,20 @@ func (m *module) parseDir(dir string) (*pkg, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
+		match, err := build.Default.MatchFile(dir, name)
+		f, perr := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if perr != nil {
+			return nil, perr
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
 		switch {
+		case err != nil || !match:
+			if isTest {
+				p.ignoredTests = append(p.ignoredTests, f)
+			} else {
+				p.ignored = append(p.ignored, f)
+			}
+			continue
 		case !isTest:
 			p.files = append(p.files, f)
 			p.name = f.Name.Name
@@ -169,7 +182,7 @@ func (m *module) parseDir(dir string) (*pkg, error) {
 			}
 		}
 	}
-	if len(p.files) == 0 && len(p.tests) == 0 && len(p.xtests) == 0 {
+	if len(p.files) == 0 && len(p.tests) == 0 && len(p.xtests) == 0 && len(p.ignored) == 0 && len(p.ignoredTests) == 0 {
 		return nil, nil
 	}
 	if p.name == "" && len(p.tests) > 0 {
@@ -228,6 +241,9 @@ func (m *module) check(p *pkg) error {
 // checkTests checks a package's test files once every production package
 // is checked, since a test may import a package that imports its own.
 func (m *module) checkTests(p *pkg) {
+	if len(p.files) == 0 && len(p.tests) == 0 && len(p.xtests) == 0 {
+		return
+	}
 	tolerant := types.Config{Importer: m.importer(p), Error: func(error) {}}
 	if len(p.tests) > 0 || p.types == nil {
 		p.tTypes, _ = tolerant.Check(p.path, fset, append(append([]*ast.File(nil), p.files...), p.tests...), m.tinfo)

@@ -1,9 +1,10 @@
 // Package toy is a module small enough to list every finding the census
-// must make in it.
+// and the layout rules must make in it.
 package toy
 
 import (
 	"toy/internal/lib"
+	"toy/internal/oracle"
 	"toy/internal/sim"
 )
 
@@ -14,5 +15,5 @@ type Stepper interface{ Step() }
 func Main() int64 {
 	var s Stepper = lib.T{}
 	s.Step()
-	return int64(lib.Used()) + sim.Stamp()
+	return int64(lib.Used()) + sim.Stamp() + oracle.Step()
 }
