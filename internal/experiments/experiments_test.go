@@ -333,9 +333,8 @@ func TestPipelineFingerprintPinned(t *testing.T) {
 	base := sim.DefaultConfig()
 	got := Build(base, Options{Loads: []float64{0.1}, Seeds: []uint64{1}, FairLoad: 0.4}).Fingerprint()
 	const want = "p=2 a=4 h=2 arrangement=palmtree latency_model=uniform(local=10,global=100) " +
-		"warmup=2000 measure=5000 packet_size=8 pipeline=5 speedup=2 out_buf=32 local_vc_buf=32 global_vc_buf=256 " +
-		"local_lat=10 global_lat=100 inj_queue=256 arbitration=round-robin alloc_iters=2 threshold=0.43 " +
-		"pb_global_rel=3 pb_local_pkts=5 olm=true"
+		"warmup=2000 measure=5000 local_lat=10 global_lat=100 inj_queue=256 " +
+		"arbitration=round-robin threshold=0.43 olm=true"
 	if got != want {
 		t.Fatalf("fingerprint of the default base changed:\n got %s\nwant %s", got, want)
 	}

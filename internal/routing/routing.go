@@ -60,31 +60,26 @@ func (p globalPolicy) String() string {
 	}
 }
 
-// Config carries the routing parameters of Table I a run chooses; the packet
-// size and VC counts are derived at build time (Env).
+// Config carries the routing parameter a run chooses; the packet size and
+// VC counts are derived at build time (Env).
 type Config struct {
-	// PBGlobalRel is PiggyBack's relative saturation threshold for
-	// global links in packets (Table I: T=3): a link is saturated when
-	// its queued phits exceed the mean load of the same router's global
-	// links by T packets.
-	PBGlobalRel float64
-	// PBLocalPkts is PiggyBack's absolute local-queue threshold in
-	// packets (Table I: T=5).
-	PBLocalPkts int
 	// LocalMisroute enables opportunistic local misrouting in
 	// intermediate and destination groups (OLM-style) for the in-transit
 	// mechanism.
 	LocalMisroute bool
 }
 
-// DefaultConfig returns the Table I routing parameters.
-func DefaultConfig() Config {
-	return Config{
-		PBGlobalRel:   3,
-		PBLocalPkts:   5,
-		LocalMisroute: true,
-	}
-}
+// DefaultConfig returns the Table I routing parameter.
+func DefaultConfig() Config { return Config{LocalMisroute: true} }
+
+// PiggyBack's saturation thresholds (Table I). PBGlobalRel: a global link
+// is saturated when its queued phits exceed the mean load of the same
+// router's global links by T=3 packets. pbLocalPkts: a local queue is
+// saturated when it holds more than T=5 packets.
+const (
+	PBGlobalRel = 3
+	pbLocalPkts = 5
+)
 
 // misrouteTries bounds how many nonminimal candidates an adaptive mechanism
 // samples per decision before falling back to minimal.

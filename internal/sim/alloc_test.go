@@ -88,7 +88,9 @@ func allocated(fn func()) uint64 {
 // link can have in flight, not what its port can be owed, and the allocator
 // scratch is the engine's, per worker, not the build's — and its bytes do not depend
 // on how deep the Table I source queue may grow: a packet queues on itself,
-// so a 16-packet and a 256-packet source queue cost the same.
+// so a 16-packet and a 256-packet source queue cost the same. A fresh
+// restore — from a construction template, into no retired network — builds
+// the same state, and is held to the same bytes.
 func TestBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -113,6 +115,21 @@ func TestBuildFootprint(t *testing.T) {
 		if diff := math.Abs(float64(deep)-float64(shallow)) / float64(shallow); diff > 0.01 {
 			t.Errorf("%s: a 256-packet source queue builds %d B, a 16-packet one %d B (%.1f%% apart): the build reserves queue depth",
 				mech, deep, shallow, 100*diff)
+		}
+		cfg := PaperConfig()
+		cfg.Mechanism = mech
+		snap, err := NewSnapshot(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := allocated(func() {
+			if _, err := RestoreNetwork(snap, &cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: h=6 fresh restore %.2f MiB", mech, float64(restored)/(1<<20))
+		if restored > limit {
+			t.Errorf("%s: a fresh h=6 restore allocates %.2f MiB, want at most %.1f MiB", mech, float64(restored)/(1<<20), float64(limit)/(1<<20))
 		}
 	}
 }

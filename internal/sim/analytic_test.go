@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/analytic"
+	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
 )
 
@@ -25,12 +26,12 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := cfg.Router
+	r := router.DefaultConfig() // Table I's router
 	local, global := analytic.MeanMinimalHops(cfg.Topology)
 	// E[latency] over the hop distribution: per-router and per-link costs
 	// are linear in the hop counts, so the mean hop counts suffice.
 	perRouter := float64(r.PipelineCycles + r.CrossbarCycles() + r.SerialCycles())
-	want := (local+global+1)*perRouter + local*float64(r.LocalLatency) + global*float64(r.GlobalLatency)
+	want := (local+global+1)*perRouter + local*float64(cfg.Router.LocalLatency) + global*float64(cfg.Router.GlobalLatency)
 	got := res.AvgLatency()
 	if math.Abs(got-want)/want > 0.05 {
 		t.Errorf("low-load latency %.1f, analytic %.1f (>5%% apart)", got, want)

@@ -44,11 +44,11 @@ type Config struct {
 	// Router.LocalLatency/GlobalLatency (the seed behaviour, bit-for-bit).
 	LatencyModel topology.LatencyModel
 
-	// Router and Routing carry the microarchitectural and routing
-	// parameters (defaults are Table I); the in-transit congestion
-	// threshold is Router's. Router's VC counts are not inputs: the build
-	// overwrites them with the mechanism's VCNeeds (routing.Env).
-	Router  router.Config
+	// Router and Routing carry the router and routing values a run chooses
+	// (defaults are Table I); the in-transit congestion threshold is
+	// Router's. The build runs them on Table I's router (router.Config),
+	// with the mechanism's VCNeeds.
+	Router  router.Params
 	Routing routing.Config
 
 	// Probes, when non-nil, samples the network at the probe cadence from
@@ -79,7 +79,7 @@ func DefaultConfig() Config {
 		MeasureCycles: 5000,
 		Seed:          1,
 		Workers:       1,
-		Router:        router.DefaultConfig(),
+		Router:        router.DefaultConfig().Params,
 		Routing:       routing.DefaultConfig(),
 	}
 }
@@ -97,7 +97,7 @@ func PaperConfig() Config {
 // idPart is a part of a configuration's identity: the fields that decide
 // what a run computes, which identity writes once, each under a wire name of
 // its own. Every key selects parts (DESIGN.md, "Configuration identity").
-// Workers, Probes, Tracer and Router.LocalVCs/GlobalVCs are in no part.
+// Workers, Probes and Tracer are in no part.
 type idPart uint8
 
 const (
@@ -142,11 +142,8 @@ func (c *Config) identity(parts idPart) string {
 		b = fmt.Appendf(b, " warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
 	if parts&idParams != 0 {
-		b = fmt.Appendf(b, " packet_size=%d pipeline=%d speedup=%d", r.PacketSize, r.PipelineCycles, r.Speedup)
-		b = fmt.Appendf(b, " out_buf=%d local_vc_buf=%d global_vc_buf=%d", r.OutputBufferPhits, r.LocalVCPhits, r.GlobalVCPhits)
 		b = fmt.Appendf(b, " local_lat=%d global_lat=%d inj_queue=%d", r.LocalLatency, r.GlobalLatency, r.InjectionQueuePackets)
-		b = fmt.Appendf(b, " arbitration=%s alloc_iters=%d threshold=%g", r.Arbitration, r.AllocIterations, r.CongestionThreshold)
-		b = fmt.Appendf(b, " pb_global_rel=%g pb_local_pkts=%d olm=%t", rt.PBGlobalRel, rt.PBLocalPkts, rt.LocalMisroute)
+		b = fmt.Appendf(b, " arbitration=%s threshold=%g olm=%t", r.Arbitration, r.CongestionThreshold, rt.LocalMisroute)
 	}
 	return string(b[1:])
 }
@@ -183,7 +180,11 @@ func (c *Config) Validate() error {
 	if err := c.Topology.Validate(); err != nil {
 		return err
 	}
-	if err := c.Router.Validate(); err != nil {
+	mech, err := routing.ByName(c.Mechanism)
+	if err != nil {
+		return err
+	}
+	if err := c.routerConfig(mech).Validate(); err != nil {
 		return err
 	}
 	if c.Load < 0 || math.IsNaN(c.Load) || math.IsInf(c.Load, 0) {
@@ -200,8 +201,14 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: negative worker count %d", c.Workers)
 	}
-	if _, err := routing.ByName(c.Mechanism); err != nil {
-		return err
-	}
 	return nil
+}
+
+// routerConfig is the router a network of c is built with: Table I's,
+// running c.Router, with the VC counts mech's paths need.
+func (c *Config) routerConfig(mech routing.Mechanism) router.Config {
+	r := router.DefaultConfig()
+	r.Params = c.Router
+	r.LocalVCs, r.GlobalVCs = mech.VCNeeds()
+	return r
 }

@@ -129,7 +129,7 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 		pkt := &packet.Packet{}
 		pkt.Reset()
 		pkt.Src, pkt.Dst = int32(src), int32(dst)
-		pkt.Size = int16(cfg.Router.PacketSize)
+		pkt.Size = int16(net.rcfg.PacketSize)
 		min := net.topo.MinimalPathLength(src, dst)
 		pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)
 		net.mech.OnGenerate(&net.env, pkt, &net.nodes[src].rnd)

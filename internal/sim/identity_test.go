@@ -35,33 +35,22 @@ var identityFields = map[string]keySet{
 	"Seed":                 template | family,
 	"LatencyModel":         fingerprint | template | family,
 
-	"Router.PacketSize":            fingerprint | template,
-	"Router.PipelineCycles":        fingerprint | template,
-	"Router.Speedup":               fingerprint | template,
-	"Router.OutputBufferPhits":     fingerprint | template,
-	"Router.LocalVCPhits":          fingerprint | template,
-	"Router.GlobalVCPhits":         fingerprint | template,
 	"Router.InjectionQueuePackets": fingerprint | template,
 	"Router.Arbitration":           fingerprint | template,
-	"Router.AllocIterations":       fingerprint | template,
 	"Router.CongestionThreshold":   fingerprint | template,
 	// With no latency model, the router latencies are the uniform model's
 	// parameters, so they name the family as well.
 	"Router.LocalLatency":  fingerprint | template | family,
 	"Router.GlobalLatency": fingerprint | template | family,
 
-	"Routing.PBGlobalRel":   fingerprint | template,
-	"Routing.PBLocalPkts":   fingerprint | template,
 	"Routing.LocalMisroute": fingerprint | template,
 }
 
 // notIdentity lists the leaf fields no key may read, each with its reason.
 var notIdentity = map[string]string{
-	"Workers":          "results are bit-identical across the worker count",
-	"Probes":           "an observer: results are bit-identical with probes on or off",
-	"Tracer":           "an observer: results are bit-identical with a tracer on or off",
-	"Router.LocalVCs":  "the build overwrites it with the mechanism's VCNeeds",
-	"Router.GlobalVCs": "the build overwrites it with the mechanism's VCNeeds",
+	"Workers": "results are bit-identical across the worker count",
+	"Probes":  "an observer: results are bit-identical with probes on or off",
+	"Tracer":  "an observer: results are bit-identical with a tracer on or off",
 }
 
 // Every leaf field of sim.Config (the nested topology, router and routing

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragonfly/internal/analytic"
+	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
 )
 
@@ -82,7 +83,7 @@ func TestZeroLoadLatencyNonDefaultUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := cfg.Router
+	r := router.DefaultConfig() // Table I's router
 	topo := topology.New(cfg.Topology)
 	want := analytic.MeanZeroLoadLatency(topo, cfg.LatencyModel,
 		r.PipelineCycles, r.CrossbarCycles(), r.SerialCycles())
@@ -107,7 +108,7 @@ func TestZeroLoadLatencyHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := cfg.Router
+	r := router.DefaultConfig() // Table I's router
 	topo := topology.New(cfg.Topology)
 	want := analytic.MeanZeroLoadLatency(topo, cfg.LatencyModel,
 		r.PipelineCycles, r.CrossbarCycles(), r.SerialCycles())

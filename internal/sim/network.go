@@ -71,7 +71,10 @@ type Network struct {
 	fab  Fabric
 	core *router.Core
 
-	cfg     *Config
+	cfg *Config
+	// rcfg is the router the network is built with (Config.routerConfig);
+	// the fabric reads it through Wiring.Cfg.
+	rcfg    router.Config
 	mech    routing.Mechanism
 	env     routing.Env
 	pattern traffic.Pattern
@@ -194,18 +197,15 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 		topo = topology.New(cfg.Topology)
 	}
 
-	// Harmonise VC counts with the mechanism's path requirements.
-	rcfg := cfg.Router
-	lvc, gvc := mech.VCNeeds()
-	rcfg.LocalVCs, rcfg.GlobalVCs = lvc, gvc
-
 	root := rng.New(cfg.Seed)
 	net := &Network{
-		topo:    topo,
-		cfg:     cfg,
-		mech:    mech,
-		genProb: cfg.Load / float64(rcfg.PacketSize),
+		topo: topo,
+		cfg:  cfg,
+		rcfg: cfg.routerConfig(mech),
+		mech: mech,
 	}
+	rcfg := &net.rcfg
+	net.genProb = cfg.Load / float64(rcfg.PacketSize)
 	if pat == nil {
 		pat, err = traffic.ByName(topo, cfg.Pattern, root.Split())
 		if err != nil {
@@ -214,9 +214,9 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 	}
 	net.pattern = pat
 
-	net.env = routing.Env{Topo: topo, Cfg: cfg.Routing, PacketSize: rcfg.PacketSize, LocalVCs: lvc, GlobalVCs: gvc}
+	net.env = routing.Env{Topo: topo, Cfg: cfg.Routing, PacketSize: rcfg.PacketSize, LocalVCs: rcfg.LocalVCs, GlobalVCs: rcfg.GlobalVCs}
 	if strings.HasPrefix(mech.Name(), "Src-") {
-		net.pb = newPBState(net, net.env.Cfg.PBGlobalRel, net.env.PacketSize)
+		net.pb = newPBState(net)
 		net.env.Group = net.pb.view
 	}
 
@@ -239,7 +239,7 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 		net.uniform = &u
 	}
 	w := router.Wiring{
-		Topo: topo, Cfg: &rcfg, Mech: mech, Rng: root.Split(), Latency: net.latency,
+		Topo: topo, Cfg: rcfg, Mech: mech, Rng: root.Split(), Latency: net.latency,
 		Binding: net.binding(), NumJobs: numJobs,
 	}
 	if fam != nil {
@@ -303,7 +303,7 @@ func (net *Network) binding() router.Binding {
 func (net *Network) aimSources() {
 	loads, _ := net.pattern.(traffic.NodeLoads)
 	member, _ := net.pattern.(traffic.Memberer)
-	packetSize := float64(net.cfg.Router.PacketSize)
+	packetSize := float64(net.rcfg.PacketSize)
 	for n := range net.nodes {
 		ns := &net.nodes[n]
 		ns.rnd = net.nodeRnd0[n]
@@ -413,7 +413,7 @@ func (net *Network) Generate(r int, now int64) {
 				pkt.Job = net.nodeJob[src]
 			}
 			pkt.Dst = int32(dst)
-			pkt.Size = int16(net.cfg.Router.PacketSize)
+			pkt.Size = int16(net.rcfg.PacketSize)
 			pkt.GenTime = now
 			min := net.topo.MinimalPathLength(src, dst)
 			pkt.MinLocal, pkt.MinGlobal = uint8(min.Local), uint8(min.Global)

@@ -54,11 +54,11 @@ func (s *pbState) totalUpdates() int64 {
 	return n
 }
 
-func newPBState(net *Network, thresholdPkts float64, packetSize int) *pbState {
+func newPBState(net *Network) *pbState {
 	t := net.topo
 	p := t.Params()
 	s := &pbState{
-		topo: t, net: net, marginPhits: thresholdPkts * float64(packetSize),
+		topo: t, net: net, marginPhits: float64(routing.PBGlobalRel * net.rcfg.PacketSize),
 		bits: make([]bool, t.NumGroups()*p.A*p.H), per: p.A * p.H,
 		loads:   make([]int, t.NumGroups()*p.A*p.H),
 		updates: make([]int64, t.NumGroups()),

@@ -36,7 +36,7 @@ func (ps *probeSource) Shape() telemetry.Shape {
 		Nodes:         net.topo.NumNodes(),
 		Jobs:          jobs,
 		NodesPerGroup: p.A * p.P,
-		PacketSize:    net.cfg.Router.PacketSize,
+		PacketSize:    net.rcfg.PacketSize,
 		LocalLinks:    nr * (p.A - 1),
 		GlobalLinks:   nr * p.H,
 		MeasureFrom:   ps.warmup,

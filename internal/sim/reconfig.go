@@ -106,7 +106,7 @@ func (rc *Reconfig) SetNodeActive(node int, load float64) {
 	ns := &net.nodes[node]
 	q := net.genProb
 	if load > 0 {
-		q = load / float64(net.cfg.Router.PacketSize)
+		q = load / float64(net.rcfg.PacketSize)
 	}
 	ns.q = q
 	ns.active = q > 0

@@ -29,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WarmupCycles = -1 },
 		func(c *Config) { c.Workers = -2 },
 		func(c *Config) { c.Mechanism = "bogus" },
-		func(c *Config) { c.Router.PacketSize = 0 },
 		// The run ends at cycle warmup+measure, which must be an int64.
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 },
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 },
@@ -37,7 +36,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Router.GlobalLatency = 1 << 31 },
 		func(c *Config) { c.Router.LocalLatency = 1 << 31 },
 		func(c *Config) { c.Router.InjectionQueuePackets = 1 << 31 },
-		func(c *Config) { c.Router.GlobalVCPhits = 1 << 31 },
 		func(c *Config) { c.Topology.P = 1 << 30 },
 	}
 	for i, mut := range bad {
@@ -68,15 +66,24 @@ func TestPaperConfigMatchesTableI(t *testing.T) {
 	if cfg.MeasureCycles != 15000 {
 		t.Errorf("measured cycles %d, want 15000", cfg.MeasureCycles)
 	}
-	r := cfg.Router
-	if r.PacketSize != 8 || r.PipelineCycles != 5 || r.Speedup != 2 ||
+	// The router and PiggyBack state a PaperConfig network is built with.
+	cfg.Mechanism = "Src-CRG"
+	net, err := newCoreNetwork(&cfg, nil, router.NewTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := net.rcfg
+	if r.PacketSize != 8 || r.PipelineCycles != 5 || r.CrossbarCycles() != 4 || // 8 phits at 2×
 		r.OutputBufferPhits != 32 || r.LocalVCPhits != 32 || r.GlobalVCPhits != 256 ||
-		r.LocalLatency != 10 || r.GlobalLatency != 100 {
+		r.AllocIterations != 2 || r.LocalLatency != 10 || r.GlobalLatency != 100 {
 		t.Errorf("router parameters deviate from Table I: %+v", r)
 	}
-	if cfg.Router.CongestionThreshold != 0.43 ||
-		cfg.Routing.PBGlobalRel != 3 || cfg.Routing.PBLocalPkts != 5 {
-		t.Errorf("routing thresholds deviate from Table I: %+v", cfg.Routing)
+	if lvc, gvc := net.mech.VCNeeds(); r.LocalVCs != lvc || r.GlobalVCs != gvc {
+		t.Errorf("VCs %d/%d, want the mechanism's %d/%d", r.LocalVCs, r.GlobalVCs, lvc, gvc)
+	}
+	if r.CongestionThreshold != 0.43 || net.pb.marginPhits != 3*8 {
+		t.Errorf("thresholds deviate from Table I: congestion %v, PiggyBack margin %v phits",
+			r.CongestionThreshold, net.pb.marginPhits)
 	}
 }
 

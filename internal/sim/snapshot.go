@@ -135,9 +135,8 @@ func newSnapshot(cfg Config, warmCycles int64, fam *Snapshot) (*Snapshot, error)
 // match the capture configuration: topology, mechanism, pattern, seed,
 // router and routing parameters and the latency model — and, for a warm
 // snapshot, the load it was captured at.
-// Cycle counts, worker count, probes and tracer are free, and so are the
-// load of a construction snapshot and the router's VC counts, which the
-// build overwrites: it pins what TemplateKey names.
+// Cycle counts, worker count, probes and tracer are free, and so is the
+// load of a construction snapshot: it pins what TemplateKey names.
 func (s *Snapshot) compatibleWith(cfg *Config) error {
 	b := &s.cfg
 	var lat, blat [64]byte
@@ -150,7 +149,7 @@ func (s *Snapshot) compatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: snapshot pattern %q does not match %q", b.Pattern, cfg.Pattern)
 	case cfg.Seed != b.Seed:
 		return fmt.Errorf("sim: snapshot seed %d does not match %d", b.Seed, cfg.Seed)
-	case routerInputs(cfg.Router) != routerInputs(b.Router):
+	case cfg.Router != b.Router:
 		return fmt.Errorf("sim: snapshot router config does not match")
 	case cfg.Routing != b.Routing:
 		return fmt.Errorf("sim: snapshot routing config does not match")
@@ -160,12 +159,6 @@ func (s *Snapshot) compatibleWith(cfg *Config) error {
 		return fmt.Errorf("sim: a warm snapshot restores only at its capture load %v, not %v", b.Load, cfg.Load)
 	}
 	return nil
-}
-
-// routerInputs is r without the VC counts, which the build overwrites.
-func routerInputs(r router.Config) router.Config {
-	r.LocalVCs, r.GlobalVCs = 0, 0
-	return r
 }
 
 // RestoreNetwork materialises a fresh, fully independent network from the
@@ -211,9 +204,9 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	if clone == nil {
 		clone = &Network{}
 	}
-	clone.topo, clone.cfg, clone.mech = src.topo, cfg, src.mech
+	clone.topo, clone.cfg, clone.rcfg, clone.mech = src.topo, cfg, src.rcfg, src.mech
 	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
-	clone.genProb = cfg.Load / float64(cfg.Router.PacketSize)
+	clone.genProb = cfg.Load / float64(src.rcfg.PacketSize)
 	clone.latency, clone.uniform = src.latency, src.uniform
 	clone.nodeRnd0 = src.nodeRnd0
 	clone.ranCycles = src.ranCycles
@@ -222,13 +215,13 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 	if src.pb == nil {
 		clone.pb = nil
 	} else {
-		// The arrays are sized by the topology's dimensions; the margin and the
-		// topology itself are set on every clone, since a retired network may
-		// come from a template of another routing configuration.
+		// The arrays are sized by the topology's dimensions; the topology
+		// itself is set on every clone, since a retired network may come from
+		// a template of another family.
 		if clone.pb == nil || clone.pb.topo.Params() != src.pb.topo.Params() {
-			clone.pb = newPBState(clone, src.env.Cfg.PBGlobalRel, src.env.PacketSize)
+			clone.pb = newPBState(clone)
 		}
-		clone.pb.topo, clone.pb.marginPhits = src.pb.topo, src.pb.marginPhits
+		clone.pb.topo = src.pb.topo
 		copy(clone.pb.bits, src.pb.bits)
 		copy(clone.pb.updates, src.pb.updates)
 		clone.env.Group = clone.pb.view

@@ -215,8 +215,6 @@ func TestRestoreIntoRecycled(t *testing.T) {
 // retired network that is clean (restored, never run) and one that is dirty
 // (retired at saturation, packets queued and in flight). The restored run
 // must be the cold run: fabricDiff finds nothing.
-// Templates that differ in a routing parameter only — PiggyBack's
-// saturation threshold — must not leak it into each other either.
 func TestRestoreAcrossTemplates(t *testing.T) {
 	base := DefaultConfig()
 	base.Topology = topology.Balanced(2)
@@ -299,44 +297,6 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// The PiggyBack margin is configuration, not shape: a network retired
-	// from a template with a 0.25-packet threshold, restored from one with
-	// the default 3 packets, must flag links by 3.
-	pbCfg := func(rel float64) Config {
-		cfg := base
-		cfg.Mechanism, cfg.Pattern, cfg.Load = "Src-CRG", "ADV+1", 0.6
-		cfg.Routing.PBGlobalRel = rel
-		return cfg
-	}
-	loose, strict := pbCfg(0.25), pbCfg(3)
-	looseSnap, err := NewSnapshot(loose, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strictSnap, err := NewSnapshot(strict, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := RestoreNetwork(looseSnap, &loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunNetwork(old, &loose); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewNetwork(&strict, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driven(t, cold, &strict, core)
-	net, err := RestoreNetworkInto(strictSnap, &strict, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := fabricDiff(driven(t, net, &strict, core), cold); d != "" {
-		t.Fatalf("PBGlobalRel 0.25 -> 3: against the cold run: %s", d)
 	}
 }
 

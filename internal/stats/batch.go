@@ -64,7 +64,7 @@ func ComputeBatchMeans(batches []float64) BatchMeans {
 	var ss float64
 	for _, v := range batches {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d) // rounded: never fused
 	}
 	stderr := math.Sqrt(ss/(n-1)) / math.Sqrt(n)
 	return BatchMeans{Mean: mean, HalfCI95: tCritical95(len(batches)-1) * stderr}

@@ -169,7 +169,7 @@ func ComputeFairness(counts []int64) Fairness {
 		f.MaxMin = 1 // nothing injected anywhere: degenerate but fair
 	}
 	if mean > 0 {
-		variance := sumSq/n - mean*mean
+		variance := sumSq/n - float64(mean*mean) // rounded: never fused
 		if variance < 0 {
 			variance = 0 // numeric guard
 		}

@@ -165,7 +165,7 @@ func fairnessOfMeans(inj []float64) stats.Fairness {
 	// while reusing the integer implementation at high resolution.
 	counts := make([]int64, len(inj))
 	for i, v := range inj {
-		counts[i] = int64(v*1000 + 0.5)
+		counts[i] = int64(float64(v*1000) + 0.5) // rounded: never fused
 	}
 	f := stats.ComputeFairness(counts)
 	f.MinInj /= 1000

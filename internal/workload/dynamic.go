@@ -203,7 +203,7 @@ func (w *Workload) Place(j int) error {
 	switch js.Phase.Kind {
 	case phaseBursty:
 		jb.period = js.Phase.Period
-		jb.onCycles = int64(js.Phase.Duty*float64(js.Phase.Period) + 0.5)
+		jb.onCycles = int64(float64(js.Phase.Duty*float64(js.Phase.Period)) + 0.5) // rounded: never fused
 		if jb.onCycles < 1 {
 			jb.onCycles = 1
 		}

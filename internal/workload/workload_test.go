@@ -432,8 +432,8 @@ func TestPerJobAttributionPartitionsTotals(t *testing.T) {
 func TestBurstyOffPhaseNotCountedAsBacklog(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Mechanism = "MIN"
-	cfg.Load = float64(cfg.Router.PacketSize) // q = 1: an arrival every cycle
-	cfg.Router.InjectionQueuePackets = 4      // saturate the source queues fast
+	cfg.Load = float64(router.DefaultConfig().PacketSize) // q = 1: an arrival every cycle
+	cfg.Router.InjectionQueuePackets = 4                  // saturate the source queues fast
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 2000
 	duty := 0.5
