@@ -285,7 +285,7 @@ func BenchmarkNextHop(b *testing.B) {
 		PacketSize: cfg.PacketSize, LocalVCs: cfg.LocalVCs, GlobalVCs: cfg.GlobalVCs}
 	core, err := router.NewCore(router.Wiring{
 		Topo: topo, Cfg: &cfg, Mech: mech, Rng: rngSource(),
-		Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
+		Latency: sim.DefaultConfig().LatencyModel,
 		Binding: router.Binding{Env: env},
 	})
 	if err != nil {

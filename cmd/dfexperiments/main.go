@@ -54,7 +54,8 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("dfexperiments", flag.ExitOnError)
-	build := new(cli.Base).Flags(fs)
+	var flags cli.Base
+	build := flags.Flags(fs)
 	out := fs.String("out", "", "directory for CSV outputs (empty: text only)")
 	seeds := fs.Int("seeds", 3, "seed replicas per point (paper: 3)")
 	loads := fs.String("loads", "0.05:0.6:0.05", "load range for the figure sweeps")
@@ -102,7 +103,10 @@ func main() {
 	// from the same class latencies the single -latency-model flag uses.
 	var models []topology.LatencyModel
 	for _, name := range cli.SplitList(*latModels) {
-		m, err := topology.LatencyModelByName(name, base.Router.LocalLatency, base.Router.GlobalLatency)
+		m, err := topology.LatencyModelByName(name, flags.LocalLat, flags.GlobalLat)
+		if err == nil {
+			err = topology.ValidateLatency(m, base.Topology)
+		}
 		if err != nil {
 			fatal(err)
 		}

@@ -141,7 +141,7 @@ func main() {
 	if *seeds == 1 {
 		results[0], errs[0] = dragonfly.RunSchedule(cfg, trace)
 	} else {
-		sweep.RunTasks(*seeds, *seedJobs, func(i int) {
+		sweep.Shared().Run(*seeds, sweep.RunOpts{MaxParallel: *seedJobs}, func(i int) {
 			c := cfg
 			c.Seed = cfg.Seed + uint64(i)
 			if i != 0 {

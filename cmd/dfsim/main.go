@@ -37,7 +37,6 @@ import (
 	"dragonfly/internal/sim"
 	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -109,11 +108,6 @@ func main() {
 	case wl == nil && (*interf || *matrix):
 		fatal(fmt.Errorf("-interference and -interference-matrix need a -job or -spec workload"))
 	}
-	var pat traffic.Pattern // nil: NewNetwork builds cfg.Pattern
-	if wl != nil {
-		pat = wl
-	}
-
 	if *traceNode >= 0 || *traceOut != "" {
 		sample := *traceSample
 		if *traceNode >= 0 {
@@ -128,7 +122,7 @@ func main() {
 		fatal(err)
 	}
 
-	net, err := sim.NewNetwork(&cfg, pat)
+	net, err := sim.NewNetwork(&cfg, wl)
 	if err != nil {
 		fatal(err)
 	}

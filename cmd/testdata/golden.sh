@@ -94,8 +94,9 @@ fi
 # can repair, and a -generate checkpoint resumed under another network.
 # dfsweep and dfexperiments: the deleted reuse flags. dfsweep: run
 # descriptions no point can run (checked once, by sim.Config.Validate) —
-# with dfsim, values the core would truncate to 32 bits — load and seed
-# axes that would never finish expanding or that run nothing, and reports
+# with dfsim, values the core would truncate to 32 bits, a groupskew
+# model's far links among them (dfexperiments refuses them on its
+# -latency-models axis too) — load and seed axes that would never finish expanding or that run nothing, and reports
 # over a grid their tables have no column for. dfsim: a -trace node outside
 # the machine, and flags that contradict each other or would be ignored
 # (-spec with -job, -pattern with a workload, interference without one,
@@ -130,6 +131,8 @@ if [ "${1:-}" != -update ]; then
   refused dfsim '-interference and -interference-matrix need a -job or -spec workload' $net -pattern ADVc -interference-matrix
   refused dfsim '-debug prints buffer snapshots, not JSON' $net -debug -json
   refused dfsweep 'link latencies must be at most 2147483647 cycles' $net $point -local-lat 2147483648
+  refused dfsweep 'link latencies must be at most 2147483647 cycles' $net $point -latency-model groupskew -global-lat 2147483000
+  refused dfexperiments 'link latencies must be at most 2147483647 cycles' $net $point -latency-models groupskew -global-lat 2147483000
   refused dfsweep 'injection queue of 2147483648 packets exceeds 2147483647 phits' $net $point -inj-queue 2147483648
   point="-mechanisms MIN -quiet"
   refused dfsweep 'bad range spec "0:inf:0.1"' $net $point -loads 0:inf:0.1

@@ -116,7 +116,7 @@ func CompileWorkload(cfg Config, spec WorkloadSpec) (*workload.Workload, error) 
 // next to the global metrics (Result.JobNames, JobThroughput,
 // JobAvgLatency, JobFairness).
 func RunCompiledWorkload(cfg Config, wl *workload.Workload) (*Result, error) {
-	return sim.RunWithPattern(cfg, wl)
+	return sim.RunWorkload(cfg, wl)
 }
 
 // RunWorkload is CompileWorkload followed by RunCompiledWorkload — the
@@ -138,8 +138,8 @@ func JobSoloLatencies(cfg Config, wl *workload.Workload, workers int) ([]float64
 	n := wl.NumJobs()
 	solo := make([]float64, n)
 	errs := make([]error, n)
-	sweep.RunTasks(n, workers, func(j int) {
-		res, err := sim.RunWithPattern(cfg, wl.Solo(j))
+	sweep.Shared().Run(n, sweep.RunOpts{MaxParallel: workers}, func(j int) {
+		res, err := sim.RunWorkload(cfg, wl.Solo(j))
 		if err != nil {
 			errs[j] = err
 			return
@@ -188,8 +188,8 @@ func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []flo
 	}
 	results := make([]*Result, len(tasks))
 	errs := make([]error, len(tasks))
-	sweep.RunTasks(len(tasks), workers, func(k int) {
-		results[k], errs[k] = sim.RunWithPattern(cfg, wl.Subset(tasks[k].i, tasks[k].j))
+	sweep.Shared().Run(len(tasks), sweep.RunOpts{MaxParallel: workers}, func(k int) {
+		results[k], errs[k] = sim.RunWorkload(cfg, wl.Subset(tasks[k].i, tasks[k].j))
 	})
 	for _, err := range errs {
 		if err != nil {

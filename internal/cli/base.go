@@ -175,8 +175,6 @@ func (b *Base) Config() (sim.Config, error) {
 	cfg.Router.InjectionQueuePackets = b.InjQueue
 	cfg.Router.CongestionThreshold = b.Threshold
 	cfg.Routing.LocalMisroute = b.LocalMisroute == nil || *b.LocalMisroute
-	cfg.Router.LocalLatency = b.LocalLat
-	cfg.Router.GlobalLatency = b.GlobalLat
 	model, err := topology.LatencyModelByName(b.LatencyModel, b.LocalLat, b.GlobalLat)
 	if err != nil {
 		return cfg, err

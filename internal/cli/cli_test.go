@@ -211,9 +211,6 @@ func TestBaseFlagsLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Router.LocalLatency != 7 || cfg.Router.GlobalLatency != 210 {
-		t.Errorf("latency flags ignored: %d/%d", cfg.Router.LocalLatency, cfg.Router.GlobalLatency)
-	}
 	m, ok := cfg.LatencyModel.(topology.GroupSkewLatency)
 	if !ok {
 		t.Fatalf("latency model %#v, want groupskew", cfg.LatencyModel)

@@ -333,8 +333,7 @@ func TestPipelineFingerprintPinned(t *testing.T) {
 	base := sim.DefaultConfig()
 	got := Build(base, Options{Loads: []float64{0.1}, Seeds: []uint64{1}, FairLoad: 0.4}).Fingerprint()
 	const want = "p=2 a=4 h=2 arrangement=palmtree latency_model=uniform(local=10,global=100) " +
-		"warmup=2000 measure=5000 local_lat=10 global_lat=100 inj_queue=256 " +
-		"arbitration=round-robin threshold=0.43 olm=true"
+		"warmup=2000 measure=5000 inj_queue=256 arbitration=round-robin threshold=0.43 olm=true"
 	if got != want {
 		t.Fatalf("fingerprint of the default base changed:\n got %s\nwant %s", got, want)
 	}
@@ -457,7 +456,7 @@ func TestPipelineWorkersBoundAcrossTasks(t *testing.T) {
 	p := Build(base, opt)
 	log := &flightLog{seen: map[*topology.Topology]bool{}, starts: map[string]int{}, holdTask: "fig2a", holdAt: len(p.Tasks[0].Points()), overlap: make(chan struct{})}
 	for _, task := range p.Tasks {
-		u := topology.UniformLatency{Local: base.Router.LocalLatency, Global: base.Router.GlobalLatency}
+		u := base.LatencyModel.(topology.UniformLatency)
 		task.Grid.Base.LatencyModel = buildSpy{u, task.Name, log}
 		task.Grid.Snapshots = nil // no shared templates: the spy sees every point start
 	}

@@ -9,7 +9,6 @@ import (
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -36,9 +35,9 @@ func pinnedCfg(mech, pattern string, load float64) sim.Config {
 
 // pinnedDigest runs cfg on the oracle and folds every router's StateVector
 // and the Result counters into one FNV-1a hash.
-func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
+func pinnedDigest(t *testing.T, cfg sim.Config, wl *workload.Workload) (uint64, *sim.Result) {
 	t.Helper()
-	net, err := refmodel.NewNetwork(&cfg, pat)
+	net, err := refmodel.NewNetwork(&cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func pinnedDigest(t *testing.T, cfg sim.Config, pat traffic.Pattern) uint64 {
 		jt := res.JobTotal(j)
 		put(jt.Delivered, jt.LatencySum)
 	}
-	return h.Sum64()
+	return h.Sum64(), res
 }
 
 func TestOraclePinned(t *testing.T) {
@@ -91,19 +90,37 @@ func TestOraclePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One job past saturation with a short source queue: a workload draws
+	// its destination before the backlog check, so backlogged attempts
+	// still consume the node streams.
+	hot := pinnedCfg("MIN", "UN", 0.9)
+	hot.Router.InjectionQueuePackets = 8
+	hotWL, err := workload.Compile(topology.New(hot.Topology), workload.Spec{Jobs: []workload.JobSpec{
+		{Name: "hot", Nodes: 24, Alloc: workload.AllocConsecutive, Pattern: "UN"},
+	}}, hot.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		name string
 		cfg  sim.Config
-		pat  traffic.Pattern
+		wl   *workload.Workload
 		want uint64
 	}{
 		{"MIN/UN@0.2", pinnedCfg("MIN", "UN", 0.2), nil, 0xbd52818e405cb530},
 		{"In-Trns-MM/ADVc@0.4/transit", transit, nil, 0x8a3ae7bd378231fd},
 		{"Src-CRG/ADV+1/groupskew", skewPB, nil, 0xdbcc132f5a2ddf83},
 		{"two-jobs/workers=2", jobs, wl, 0xd56f409a44985640},
+		{"workload/backlogged", hot, hotWL, 0x331c8116042626a6},
 	} {
-		if got := pinnedDigest(t, tc.cfg, tc.pat); got != tc.want {
+		got, res := pinnedDigest(t, tc.cfg, tc.wl)
+		if got != tc.want {
 			t.Errorf("%s: oracle digest %#016x, pinned %#016x", tc.name, got, tc.want)
+		}
+		// The short-queue rows are there for the backlog path: hold them to it.
+		if tc.cfg.Router.InjectionQueuePackets == 8 && res.Backlogged() == 0 {
+			t.Errorf("%s: no generation attempt was backlogged", tc.name)
 		}
 	}
 }

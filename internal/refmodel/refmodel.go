@@ -29,7 +29,7 @@ import (
 	"dragonfly/internal/router"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
-	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
 )
 
 // Fabric is the oracle's router state behind sim's seam: the dense routers
@@ -43,8 +43,8 @@ type Fabric struct {
 
 // NewNetwork builds a network whose routers and links are the oracle's.
 // Drive it with Run or RunWithController.
-func NewNetwork(cfg *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
-	return sim.NewNetworkOn(cfg, pat, func(w router.Wiring) (sim.Fabric, error) {
+func NewNetwork(cfg *sim.Config, wl *workload.Workload) (*sim.Network, error) {
+	return sim.NewNetworkOn(cfg, wl, func(w router.Wiring) (sim.Fabric, error) {
 		return newFabric(w)
 	})
 }

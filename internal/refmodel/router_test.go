@@ -20,6 +20,9 @@ type testNet struct {
 	env     routing.Env
 }
 
+// tableI is Table I's link latencies, 10 local and 100 global cycles.
+var tableI = topology.UniformLatency{Local: 10, Global: 100}
+
 func buildNet(t *testing.T, params topology.Params, mechanism string, arb router.Arbitration) *testNet {
 	t.Helper()
 	mech, err := routing.ByName(mechanism)
@@ -42,13 +45,13 @@ func buildNet(t *testing.T, params topology.Params, mechanism string, arb router
 	p := params
 	for r := 0; r < topo.NumRouters(); r++ {
 		for l := 0; l < p.A-1; l++ {
-			link := NewLink(cfg.LocalLatency, cfg.SerialCycles())
+			link := NewLink(tableI.Local, cfg.SerialCycles())
 			nb := topo.LocalNeighbor(r, l)
 			n.routers[r].ConnectOut(l, link)
 			n.routers[nb].ConnectIn(topo.LocalPortTo(nb, topo.RouterLocalIndex(r)), link)
 		}
 		for gp := p.A - 1; gp < p.A-1+p.H; gp++ {
-			link := NewLink(cfg.GlobalLatency, cfg.SerialCycles())
+			link := NewLink(tableI.Global, cfg.SerialCycles())
 			nb, inPort := topo.GlobalNeighbor(r, gp)
 			n.routers[r].ConnectOut(gp, link)
 			n.routers[nb].ConnectIn(inPort, link)
@@ -74,7 +77,7 @@ func (n *testNet) inject(now int64, id uint64, src, dst int) *packet.Packet {
 	p.GenTime = now
 	min := n.topo.MinimalPathLength(src, dst)
 	p.MinLocal, p.MinGlobal = uint8(min.Local), uint8(min.Global)
-	p.MinLinkLat = int64(min.Local)*int64(n.cfg.LocalLatency) + int64(min.Global)*int64(n.cfg.GlobalLatency)
+	p.MinLinkLat = int64(min.Local)*int64(tableI.Local) + int64(min.Global)*int64(tableI.Global)
 	n.routers[n.topo.NodeRouter(src)].EnqueueInjection(now, p)
 	return p
 }
@@ -127,8 +130,8 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 		}
 		min := n.topo.MinimalPathLength(c.src, c.dst)
 		want := int64(min.Hops()+1)*perRouter +
-			int64(min.Local)*int64(cfg.LocalLatency) +
-			int64(min.Global)*int64(cfg.GlobalLatency)
+			int64(min.Local)*int64(tableI.Local) +
+			int64(min.Global)*int64(tableI.Global)
 		// The first injection faces no contention, so the latency must
 		// be exactly the zero-load path cost.
 		if got.TotalLatency() != want {
@@ -149,7 +152,7 @@ func TestLatencyIdentity(t *testing.T) {
 	cfg := n.cfg
 	perRouter := int64(cfg.PipelineCycles + cfg.CrossbarCycles() + cfg.SerialCycles())
 	cost := func(l, g int) int64 {
-		return int64(l+g+1)*perRouter + int64(l)*int64(cfg.LocalLatency) + int64(g)*int64(cfg.GlobalLatency)
+		return int64(l+g+1)*perRouter + int64(l)*int64(tableI.Local) + int64(g)*int64(tableI.Global)
 	}
 
 	// Saturating burst: every node sends to the consecutive groups.

@@ -77,7 +77,7 @@ func TestWorkloadJSONJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunWithPattern(cfg, wl)
+	res, err := sim.RunWorkload(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

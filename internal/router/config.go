@@ -50,10 +50,6 @@ type Params struct {
 	// CongestionThreshold is the occupancy fraction above which an
 	// output port reports congested to adaptive routing (Table I: 43%).
 	CongestionThreshold float64
-	// LocalLatency / GlobalLatency are link latencies in cycles
-	// (Table I: 10 and 100).
-	LocalLatency  int
-	GlobalLatency int
 }
 
 // Config is the router a network is built with: the Params its run chose,
@@ -93,8 +89,6 @@ func DefaultConfig() Config {
 			Arbitration:           RoundRobin,
 			InjectionQueuePackets: 256,
 			CongestionThreshold:   0.43,
-			LocalLatency:          10,
-			GlobalLatency:         100,
 		},
 		PacketSize:        8,
 		PipelineCycles:    5,
@@ -118,18 +112,15 @@ func (c Config) SerialCycles() int { return c.PacketSize }
 
 // Validate reports the values of c the core cannot run, including those
 // that do not fit where it stores them: a credit in flight carries its VC in
-// one byte, and the core keeps link latencies and a source queue's phits in
-// 32 bits. Table I's fixed values fit by construction.
+// one byte, and the core keeps a source queue's phits in 32 bits. Table I's
+// fixed values fit by construction. Link latencies are the latency model's
+// (topology.ValidateLatency).
 func (c Config) Validate() error {
 	switch {
 	case c.LocalVCs <= 0 || c.GlobalVCs <= 0:
 		return fmt.Errorf("router: VC counts must be positive")
 	case c.LocalVCs > 256 || c.GlobalVCs > 256:
 		return fmt.Errorf("router: at most 256 VCs per port (a credit in flight carries its VC in one byte)")
-	case c.LocalLatency <= 0 || c.GlobalLatency <= 0:
-		return fmt.Errorf("router: link latencies must be positive")
-	case c.LocalLatency > math.MaxInt32 || c.GlobalLatency > math.MaxInt32:
-		return fmt.Errorf("router: link latencies must be at most %d cycles", math.MaxInt32)
 	case c.InjectionQueuePackets <= 0:
 		return fmt.Errorf("router: injection queue must hold at least one packet")
 	case c.InjectionQueuePackets > math.MaxInt32/c.PacketSize:

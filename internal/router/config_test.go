@@ -14,14 +14,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LocalVCs = 0 },
 		func(c *Config) { c.GlobalVCs = 257 },
 		func(c *Config) { c.GlobalVCs = 0 },
-		func(c *Config) { c.LocalLatency = 0 },
-		func(c *Config) { c.GlobalLatency = 0 },
 		func(c *Config) { c.InjectionQueuePackets = 0 },
 		func(c *Config) { c.CongestionThreshold = 0 },
 		func(c *Config) { c.CongestionThreshold = 1 },
 		// Values past what the core stores them in.
-		func(c *Config) { c.LocalLatency = 1 << 31 },
-		func(c *Config) { c.GlobalLatency = 1 << 31 },
 		func(c *Config) { c.InjectionQueuePackets = 1 << 31 },
 		func(c *Config) { c.InjectionQueuePackets = 1 << 28 }, // × 8 phits
 	}
@@ -34,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// The largest values that do fit are accepted.
 	edges := []func(*Config){
-		func(c *Config) { c.LocalLatency, c.GlobalLatency = math.MaxInt32, math.MaxInt32 },
 		func(c *Config) { c.InjectionQueuePackets = math.MaxInt32 / c.PacketSize },
 	}
 	for i, edge := range edges {

@@ -63,6 +63,9 @@ func denseRunAt(t *testing.T, h int, cycles int64, b Binding, dst func(src, perG
 	return c, wiring
 }
 
+// tableI is Table I's link latencies, 10 local and 100 global cycles.
+var tableI = topology.UniformLatency{Local: 10, Global: 100}
+
 // wiringAt returns the wiring of a balanced h network routed by MIN, with
 // links timed by model (nil: Table I's uniform latencies), re-bindable to
 // any recycle hooks (b's Env is ignored).
@@ -76,7 +79,7 @@ func wiringAt(t *testing.T, h int, model topology.LatencyModel) func(Binding) Wi
 	cfg := DefaultConfig()
 	cfg.LocalVCs, cfg.GlobalVCs = mech.VCNeeds()
 	if model == nil {
-		model = topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency}
+		model = tableI
 	}
 	env := &routing.Env{Topo: topo, Cfg: routing.DefaultConfig(),
 		PacketSize: cfg.PacketSize, LocalVCs: cfg.LocalVCs, GlobalVCs: cfg.GlobalVCs}

@@ -27,7 +27,7 @@ func TestOutputCongestedBoundary(t *testing.T) {
 	cfg.CongestionThreshold = 0.5
 	c, err := NewCore(Wiring{
 		Topo: topo, Cfg: &cfg, Mech: mech, Rng: rng.New(1),
-		Latency: topology.UniformLatency{Local: cfg.LocalLatency, Global: cfg.GlobalLatency},
+		Latency: tableI,
 		Binding: drop,
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dragonfly/internal/sim"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -228,7 +227,7 @@ func (c *controller) depart(rc reconfigurator, r *runJob, now int64) {
 // coreImpl; the equivalence tests substitute the dense oracle's pair, and
 // tests that probe a run wrap drive to reach its controller.
 type simImpl struct {
-	build func(*sim.Config, traffic.Pattern) (*sim.Network, error)
+	build func(*sim.Config, *workload.Workload) (*sim.Network, error)
 	drive func(*sim.Network, *sim.Config, sim.Controller) error
 }
 

@@ -23,7 +23,7 @@
 //
 // A degenerate trace — every job arrives at cycle 0, none departs —
 // executes the exact static-workload run (workload.Compile +
-// sim.RunWithPattern) down to the RNG streams; the equivalence is enforced
+// sim.RunWorkload) down to the RNG streams; the equivalence is enforced
 // by TestScheduleDegenerateMatchesRunWorkload.
 package scheduler
 

@@ -11,7 +11,6 @@ import (
 	"dragonfly/internal/rng"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -35,9 +34,7 @@ type engineCase struct {
 
 // oracleImpl is internal/refmodel's (build, drive) pair on ring links.
 var oracleImpl = simImpl{
-	build: func(cfg *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
-		return refmodel.NewNetwork(cfg, pat)
-	},
+	build: refmodel.NewNetwork,
 	drive: refmodel.RunWithController,
 }
 
@@ -76,7 +73,7 @@ func TestScheduleDegenerateMatchesRunWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunWithPattern(cfg, wl)
+	want, err := sim.RunWorkload(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

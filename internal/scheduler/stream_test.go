@@ -13,7 +13,6 @@ import (
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -310,8 +309,8 @@ func TestStreamAdvancesInWindows(t *testing.T) {
 	}
 	var net *sim.Network
 	im := tapped(nil, func(_ int, now int64) { events[now] = true })
-	im.build = func(c *sim.Config, pat traffic.Pattern) (*sim.Network, error) {
-		n, err := coreImpl.build(c, pat)
+	im.build = func(c *sim.Config, wl *workload.Workload) (*sim.Network, error) {
+		n, err := coreImpl.build(c, wl)
 		net = n
 		return n, err
 	}
@@ -322,7 +321,7 @@ func TestStreamAdvancesInWindows(t *testing.T) {
 	if res.Completed != gt.Len() || res.RanCycles != res.LastDeparture+1 {
 		t.Fatalf("completed %d/%d jobs, ran %d cycles, last departure at %d", res.Completed, gt.Len(), res.RanCycles, res.LastDeparture)
 	}
-	lookahead := int64(cfg.Router.GlobalLatency)
+	lookahead := int64(cfg.LatencyModel.(topology.UniformLatency).Global)
 	windows, most := net.EngineWindows(), int64(len(events))+res.RanCycles/lookahead+res.RanCycles/1024+1
 	if windows > most || windows*4 > res.RanCycles {
 		t.Errorf("%d windows for %d cycles with %d event cycles (at most %d expected, and far fewer than cycles)",

@@ -21,7 +21,7 @@ type accumulators struct {
 func accumulatorsOf(net *Network) accumulators {
 	n := net.topo.NumRouters()
 	a := accumulators{routers: make([]stats.Router, n)}
-	if net.jobs != nil {
+	if net.numJobs() > 0 {
 		a.jobs = make([][]stats.Job, n)
 	}
 	for r := range n {

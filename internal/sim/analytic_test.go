@@ -31,7 +31,8 @@ func TestZeroLoadLatencyMatchesAnalytic(t *testing.T) {
 	// E[latency] over the hop distribution: per-router and per-link costs
 	// are linear in the hop counts, so the mean hop counts suffice.
 	perRouter := float64(r.PipelineCycles + r.CrossbarCycles() + r.SerialCycles())
-	want := (local+global+1)*perRouter + local*float64(cfg.Router.LocalLatency) + global*float64(cfg.Router.GlobalLatency)
+	lat := cfg.LatencyModel.(topology.UniformLatency)
+	want := (local+global+1)*perRouter + local*float64(lat.Local) + global*float64(lat.Global)
 	got := res.AvgLatency()
 	if math.Abs(got-want)/want > 0.05 {
 		t.Errorf("low-load latency %.1f, analytic %.1f (>5%% apart)", got, want)

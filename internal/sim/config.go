@@ -24,7 +24,7 @@ type Config struct {
 	// "MIN", "Obl-CRG", "Src-RRG", "In-Trns-MM".
 	Mechanism string
 	// Pattern is the traffic pattern name (see traffic.ByName), e.g.
-	// "UN", "ADV+1", "ADVc".
+	// "UN", "ADV+1", "ADVc"; a network built over a workload ignores it.
 	Pattern string
 	// Load is the offered load in phits/(node·cycle); packets are
 	// generated by a Bernoulli process of rate Load/PacketSize.
@@ -40,8 +40,7 @@ type Config struct {
 	Workers int
 
 	// LatencyModel assigns per-link propagation latencies at network build
-	// time. nil uses the uniform Table I model built from
-	// Router.LocalLatency/GlobalLatency (the seed behaviour, bit-for-bit).
+	// time (Table I: uniform, 10 local and 100 global cycles).
 	LatencyModel topology.LatencyModel
 
 	// Router and Routing carry the router and routing values a run chooses
@@ -79,6 +78,7 @@ func DefaultConfig() Config {
 		MeasureCycles: 5000,
 		Seed:          1,
 		Workers:       1,
+		LatencyModel:  topology.UniformLatency{Local: 10, Global: 100},
 		Router:        router.DefaultConfig().Params,
 		Routing:       routing.DefaultConfig(),
 	}
@@ -142,24 +142,25 @@ func (c *Config) identity(parts idPart) string {
 		b = fmt.Appendf(b, " warmup=%d measure=%d", c.WarmupCycles, c.MeasureCycles)
 	}
 	if parts&idParams != 0 {
-		b = fmt.Appendf(b, " local_lat=%d global_lat=%d inj_queue=%d", r.LocalLatency, r.GlobalLatency, r.InjectionQueuePackets)
-		b = fmt.Appendf(b, " arbitration=%s threshold=%g olm=%t", r.Arbitration, r.CongestionThreshold, rt.LocalMisroute)
+		b = fmt.Appendf(b, " inj_queue=%d arbitration=%s threshold=%g olm=%t",
+			r.InjectionQueuePackets, r.Arbitration, r.CongestionThreshold, rt.LocalMisroute)
 	}
 	return string(b[1:])
 }
 
 // appendLatency appends the latency-model identity of a configuration: the
 // registry name plus the parameters, so two models of one name with
-// different constants do not alias. A nil model is the uniform model at the
-// Router-config latencies, the NewNetwork default, so it is one identity
-// with its explicit spelling. A model from outside the registry prints its
-// value positionally.
+// different constants do not alias. A model from outside the registry
+// prints its value positionally; no model (which Validate refuses) prints
+// "none".
 func appendLatency(b []byte, c *Config) []byte {
 	switch m := c.LatencyModel.(type) {
 	case nil:
-		return appendUniform(b, c.Router.LocalLatency, c.Router.GlobalLatency)
+		return append(b, "none"...)
 	case topology.UniformLatency:
-		return appendUniform(b, m.Local, m.Global)
+		b = strconv.AppendInt(append(b, "uniform(local="...), int64(m.Local), 10)
+		b = strconv.AppendInt(append(b, ",global="...), int64(m.Global), 10)
+		return append(b, ')')
 	case topology.GroupSkewLatency:
 		b = strconv.AppendInt(append(b, "groupskew(local="...), int64(m.Local), 10)
 		b = strconv.AppendInt(append(b, ",global_base="...), int64(m.GlobalBase), 10)
@@ -167,12 +168,6 @@ func appendLatency(b []byte, c *Config) []byte {
 		return append(b, ')')
 	}
 	return fmt.Appendf(b, "%s:%v", c.LatencyModel.Name(), c.LatencyModel)
-}
-
-func appendUniform(b []byte, local, global int) []byte {
-	b = strconv.AppendInt(append(b, "uniform(local="...), int64(local), 10)
-	b = strconv.AppendInt(append(b, ",global="...), int64(global), 10)
-	return append(b, ')')
 }
 
 // Validate reports configuration errors.
@@ -185,6 +180,12 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if err := c.routerConfig(mech).Validate(); err != nil {
+		return err
+	}
+	if c.LatencyModel == nil {
+		return fmt.Errorf("sim: no latency model (Table I's is uniform, 10 and 100 cycles)")
+	}
+	if err := topology.ValidateLatency(c.LatencyModel, c.Topology); err != nil {
 		return err
 	}
 	if c.Load < 0 || math.IsNaN(c.Load) || math.IsInf(c.Load, 0) {

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"dragonfly/internal/router"
-	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
 )
 
 // watchdogInterval is how often the driver checks for global inactivity.
@@ -18,13 +18,13 @@ const watchdogInterval = 1024
 // bit-identical for any Workers value (workers only exchange state through
 // link events routed at the barrier between two windows).
 func Run(cfg Config) (*Result, error) {
-	return RunWithPattern(cfg, nil)
+	return RunWorkload(cfg, nil)
 }
 
-// RunWithPattern is Run with an explicit traffic pattern instance,
-// overriding cfg.Pattern (used by the application-allocation examples).
-func RunWithPattern(cfg Config, pat traffic.Pattern) (*Result, error) {
-	net, err := NewNetwork(&cfg, pat)
+// RunWorkload is Run with the workload wl as the traffic in place of
+// cfg.Pattern (nil: cfg.Pattern); the result reports wl's jobs.
+func RunWorkload(cfg Config, wl *workload.Workload) (*Result, error) {
+	net, err := NewNetwork(&cfg, wl)
 	if err != nil {
 		return nil, err
 	}

@@ -38,10 +38,6 @@ var identityFields = map[string]keySet{
 	"Router.InjectionQueuePackets": fingerprint | template,
 	"Router.Arbitration":           fingerprint | template,
 	"Router.CongestionThreshold":   fingerprint | template,
-	// With no latency model, the router latencies are the uniform model's
-	// parameters, so they name the family as well.
-	"Router.LocalLatency":  fingerprint | template | family,
-	"Router.GlobalLatency": fingerprint | template | family,
 
 	"Routing.LocalMisroute": fingerprint | template,
 }
@@ -155,65 +151,42 @@ var nonScalar = map[reflect.Type]any{
 	reflect.TypeFor[*telemetry.Tracer]():     telemetry.NewTracer(sim.DefaultConfig().Topology.Routers(), 1, 8),
 }
 
-// One latency-model rule for every key: a nil model is the uniform model at
-// the router latencies, so it and its explicit spelling are one
-// configuration — one fingerprint, one family, one template, one result —
-// while two models of one name that differ in a parameter are two.
+// One latency-model rule for every key: two models of one name that differ
+// in a parameter are two configurations — two fingerprints, two families,
+// two templates.
 func TestLatencyModelIdentity(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Mechanism, base.Pattern, base.Load = "In-Trns-MM", "ADVc", 0.4
 	base.WarmupCycles, base.MeasureCycles = 100, 300
-	skew := base
-	skew.LatencyModel = topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 10}
-	for _, tc := range []struct {
-		name string
-		a, b topology.LatencyModel
-		same bool
-	}{
-		{"nil and explicit uniform", nil, topology.UniformLatency{Local: 10, Global: 100}, true},
-		{"groupskew steps",
-			topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 10},
-			topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 20}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := base, base
-			a.LatencyModel, b.LatencyModel = tc.a, tc.b
-			for _, k := range []struct {
-				name string
-				key  func(*sim.Config) string
-			}{
-				{"Fingerprint", (*sim.Config).Fingerprint},
-				{"TemplateKey", sim.TemplateKey},
-				{"FamilyOf", sim.FamilyOf},
-			} {
-				if ka, kb := k.key(&a), k.key(&b); (ka == kb) != tc.same {
-					t.Errorf("%s equal = %v, want %v:\n%s\n%s", k.name, ka == kb, tc.same, ka, kb)
-				}
+	t.Run("groupskew steps", func(t *testing.T) {
+		a, b := base, base
+		a.LatencyModel = topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 10}
+		b.LatencyModel = topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 20}
+		for _, k := range []struct {
+			name string
+			key  func(*sim.Config) string
+		}{
+			{"Fingerprint", (*sim.Config).Fingerprint},
+			{"TemplateKey", sim.TemplateKey},
+			{"FamilyOf", sim.FamilyOf},
+		} {
+			if ka, kb := k.key(&a), k.key(&b); ka == kb {
+				t.Errorf("%s equal:\n%s\n%s", k.name, ka, kb)
 			}
-			cache := &sweep.SnapshotCache{}
-			var res [2]*sim.Result
-			for i, cfg := range []sim.Config{a, b} {
-				g := sweep.Grid{Base: cfg, Snapshots: cache}
-				s := g.RunPoint(sweep.Point{Mechanism: cfg.Mechanism, Pattern: cfg.Pattern, Load: cfg.Load, Seed: cfg.Seed})
-				if s.Err != nil {
-					t.Fatal(s.Err)
-				}
-				if s.Result.Delivered() == 0 {
-					t.Fatal("the point delivered nothing")
-				}
-				res[i] = s.Result
-				res[i].Wall = 0
+		}
+		cache := &sweep.SnapshotCache{}
+		for _, cfg := range []sim.Config{a, b} {
+			g := sweep.Grid{Base: cfg, Snapshots: cache}
+			s := g.RunPoint(sweep.Point{Mechanism: cfg.Mechanism, Pattern: cfg.Pattern, Load: cfg.Load, Seed: cfg.Seed})
+			if s.Err != nil {
+				t.Fatal(s.Err)
 			}
-			want := 2
-			if tc.same {
-				want = 1
+			if s.Result.Delivered() == 0 {
+				t.Fatal("the point delivered nothing")
 			}
-			if got := cache.Stats().Templates; got != want {
-				t.Errorf("the cache built %d templates, want %d", got, want)
-			}
-			if tc.same && !reflect.DeepEqual(res[0], res[1]) {
-				t.Error("the two spellings of one latency model gave different results")
-			}
-		})
-	}
+		}
+		if got := cache.Stats().Templates; got != 2 {
+			t.Errorf("the cache built %d templates, want 2", got)
+		}
+	})
 }

@@ -1,6 +1,6 @@
 package sim
 
-import "dragonfly/internal/traffic"
+import "dragonfly/internal/workload"
 
 // impl is one implementation of the simulator as the cross-implementation
 // tests see it: how to build a network and how to drive it. Tests pick a
@@ -8,7 +8,7 @@ import "dragonfly/internal/traffic"
 // and oracle networks are different objects now.
 type impl struct {
 	name  string
-	build func(cfg *Config, pat traffic.Pattern) (*Network, error)
+	build func(cfg *Config, wl *workload.Workload) (*Network, error)
 	drive func(net *Network, cfg *Config, ctrl Controller) error
 }
 
@@ -21,12 +21,12 @@ var core = impl{"core", NewNetwork, RunNetworkWithController}
 // import it back: refmodel_test.go (package sim_test, same test binary)
 // fills these in from its init.
 var (
-	OracleBuild func(cfg *Config, pat traffic.Pattern) (*Network, error)
+	OracleBuild func(cfg *Config, wl *workload.Workload) (*Network, error)
 	OracleDrive func(net *Network, cfg *Config, ctrl Controller) error
 )
 
 // oracle is the dense seed model (closures, because refmodel_test.go's init
 // fills the two variables in after this initializer has run).
 var oracle = impl{"oracle",
-	func(cfg *Config, pat traffic.Pattern) (*Network, error) { return OracleBuild(cfg, pat) },
+	func(cfg *Config, wl *workload.Workload) (*Network, error) { return OracleBuild(cfg, wl) },
 	func(net *Network, cfg *Config, ctrl Controller) error { return OracleDrive(net, cfg, ctrl) }}

@@ -30,8 +30,6 @@ func latencySettings() []struct {
 
 func applyLatency(t *testing.T, cfg *Config, local, global int, model string) {
 	t.Helper()
-	cfg.Router.LocalLatency = local
-	cfg.Router.GlobalLatency = global
 	m, err := topology.LatencyModelByName(model, local, global)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"dragonfly/internal/telemetry"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/traffic"
+	"dragonfly/internal/workload"
 )
 
 // nodeState is the per-node traffic source.
@@ -74,12 +75,13 @@ type Network struct {
 	cfg *Config
 	// rcfg is the router the network is built with (Config.routerConfig);
 	// the fabric reads it through Wiring.Cfg.
-	rcfg    router.Config
-	mech    routing.Mechanism
-	env     routing.Env
+	rcfg router.Config
+	mech routing.Mechanism
+	env  routing.Env
+	// Traffic is either the named pattern cfg.Pattern or a workload, wl:
+	// exactly one of the two is non-nil.
 	pattern traffic.Pattern
-	timed   traffic.Timed // non-nil when pattern draws depend on the cycle
-	jobs    traffic.JobMapper
+	wl      *workload.Workload
 	pb      *pbState
 	nodes   []nodeState
 	genProb float64 // packet generation probability per node per cycle
@@ -93,7 +95,7 @@ type Network struct {
 	// run of the same shape and worker count (see engineOf).
 	eng *engine
 
-	// nodeJob is the pattern's live node→job map (JobMapper.NodeJobs),
+	// nodeJob is the workload's live node→job map (Workload.NodeJobs),
 	// borrowed read-only and shared with the fabric (nil without job
 	// attribution). Packets are stamped with it at generation, so a
 	// scheduled workload's Place/Release between cycles retargets
@@ -147,26 +149,26 @@ type Network struct {
 	telemetry *telemetry.Summary
 }
 
-// NewNetwork builds and wires a network from the configuration. The traffic
-// pattern may be overridden by pat (pass nil to build it from cfg.Pattern).
-func NewNetwork(cfg *Config, pat traffic.Pattern) (*Network, error) {
-	return newCoreNetwork(cfg, pat, router.NewCore)
+// NewNetwork builds and wires a network from the configuration. Its traffic
+// is the workload wl, or the pattern cfg.Pattern names when wl is nil.
+func NewNetwork(cfg *Config, wl *workload.Workload) (*Network, error) {
+	return newCoreNetwork(cfg, wl, router.NewCore)
 }
 
 // newCoreNetwork is NewNetwork over either constructor of the core: the
 // full one, or the stateless template NewSnapshot freezes.
-func newCoreNetwork(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (*router.Core, error)) (*Network, error) {
-	return NewNetworkOn(cfg, pat, func(w router.Wiring) (Fabric, error) { return build(w) })
+func newCoreNetwork(cfg *Config, wl *workload.Workload, build func(router.Wiring) (*router.Core, error)) (*Network, error) {
+	return NewNetworkOn(cfg, wl, func(w router.Wiring) (Fabric, error) { return build(w) })
 }
 
 // NewNetworkOn is NewNetwork over a caller-built Fabric: everything around
-// the routers — pattern, routing environment, PiggyBack state, traffic
-// sources, job attribution — is set up here, and build is handed the
-// wiring to construct the routers from. It exists for internal/refmodel;
+// the routers — pattern or workload, routing environment, PiggyBack state,
+// traffic sources, job attribution — is set up here, and build is handed
+// the wiring to construct the routers from. It exists for internal/refmodel;
 // networks built this way are driven through Drive with the builder's own
 // Engine, not RunNetwork.
-func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (Fabric, error)) (*Network, error) {
-	net, err := newNetworkOn(cfg, pat, nil, build)
+func NewNetworkOn(cfg *Config, wl *workload.Workload, build func(router.Wiring) (Fabric, error)) (*Network, error) {
+	net, err := newNetworkOn(cfg, wl, nil, build)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +184,7 @@ func NewNetworkOn(cfg *Config, pat traffic.Pattern, build func(router.Wiring) (F
 // FamilyOf): the network borrows its topology and the node streams'
 // pre-draw positions, and build its core's wiring and arbitration streams
 // (router.Wiring.Family), instead of computing them again.
-func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(router.Wiring) (Fabric, error)) (*Network, error) {
+func newNetworkOn(cfg *Config, wl *workload.Workload, fam *Network, build func(router.Wiring) (Fabric, error)) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,13 +208,12 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 	}
 	rcfg := &net.rcfg
 	net.genProb = cfg.Load / float64(rcfg.PacketSize)
-	if pat == nil {
-		pat, err = traffic.ByName(topo, cfg.Pattern, root.Split())
-		if err != nil {
+	if wl == nil {
+		if net.pattern, err = traffic.ByName(topo, cfg.Pattern, root.Split()); err != nil {
 			return nil, err
 		}
 	}
-	net.pattern = pat
+	net.wl = wl
 
 	net.env = routing.Env{Topo: topo, Cfg: cfg.Routing, PacketSize: rcfg.PacketSize, LocalVCs: rcfg.LocalVCs, GlobalVCs: rcfg.GlobalVCs}
 	if strings.HasPrefix(mech.Name(), "Src-") {
@@ -220,21 +221,16 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 		net.env.Group = net.pb.view
 	}
 
-	// Per-job attribution: when the pattern maps nodes to jobs, every
-	// router accumulates per-job counters attributed by packet source.
-	numJobs := 0
-	if jm, ok := pat.(traffic.JobMapper); ok && jm.NumJobs() > 0 {
-		net.jobs = jm
-		numJobs = jm.NumJobs()
-		net.nodeJob = jm.NodeJobs()
+	// Per-job attribution: when the workload has jobs, every router
+	// accumulates per-job counters attributed by packet source.
+	numJobs := net.numJobs()
+	if numJobs > 0 {
+		net.nodeJob = wl.NodeJobs()
 	}
 
 	// Routers and links. Latencies come from the run's latency model, per
 	// link.
 	net.latency = cfg.LatencyModel
-	if net.latency == nil {
-		net.latency = topology.UniformLatency{Local: rcfg.LocalLatency, Global: rcfg.GlobalLatency}
-	}
 	if u, ok := net.latency.(topology.UniformLatency); ok {
 		net.uniform = &u
 	}
@@ -252,11 +248,6 @@ func newNetworkOn(cfg *Config, pat traffic.Pattern, fam *Network, build func(rou
 		net.core, net.Routers = core, core.Views()
 	}
 
-	// Traffic sources. Patterns may silence nodes (Memberer), override
-	// per-node loads (NodeLoads), or draw cycle-dependent destinations
-	// (Timed) — all optional interfaces that leave the plain paths
-	// bit-identical to the seed.
-	net.timed, _ = pat.(traffic.Timed)
 	if fam != nil {
 		net.nodeRnd0 = fam.nodeRnd0
 		return net, nil
@@ -297,27 +288,27 @@ func (net *Network) binding() router.Binding {
 // aimSources aims every node's generation process at the network's
 // configuration: every node stream returns to its pre-draw position
 // (nodeRnd0), the packet sequence restarts, and rate, membership and the
-// next arrival are computed from the pattern and the configured load. That
+// next arrival are computed from the workload and the configured load. That
 // reproduces the node-source set-up of a cold build bit for bit — for
 // construction and for construction-snapshot restores at any load.
 func (net *Network) aimSources() {
-	loads, _ := net.pattern.(traffic.NodeLoads)
-	member, _ := net.pattern.(traffic.Memberer)
+	wl := net.wl
 	packetSize := float64(net.rcfg.PacketSize)
 	for n := range net.nodes {
 		ns := &net.nodes[n]
 		ns.rnd = net.nodeRnd0[n]
 		ns.seq = 0
 		ns.q = net.genProb
-		if loads != nil {
-			if l := loads.NodeLoad(n); l > 0 {
+		member := true
+		if wl != nil {
+			// A workload's unallocated nodes are silent, and a job may
+			// run at a load of its own.
+			if l := wl.NodeLoad(n); l > 0 {
 				ns.q = l / packetSize
 			}
+			member = wl.Member(n)
 		}
-		ns.active = ns.q > 0
-		if member != nil && !member.Member(n) {
-			ns.active = false
-		}
+		ns.active = member && ns.q > 0
 		ns.logOneMinusQ, ns.nextGen = 0, 0
 		if ns.active {
 			if ns.q < 1 {
@@ -380,29 +371,21 @@ func (net *Network) Generate(r int, now int64) {
 			ns.nextGen = ns.nextArrival(ns.nextGen, ns.q)
 			src := base + i
 			var dst int
-			if net.timed != nil {
-				// Timed patterns decline draws in off phases; those are
-				// not generation attempts, so the off-phase decision comes
-				// before the backlog count. (The plain path below keeps
-				// the seed's order — backlog check first, no dest draw —
-				// bit-for-bit.)
-				dst = net.timed.DestAt(src, now, &ns.rnd)
-				if dst < 0 {
+			if net.wl != nil {
+				// A workload declines draws in off phases; those are not
+				// generation attempts, so it draws before the backlog
+				// check. A named pattern keeps the seed's order: backlog
+				// check first, no draw for a backlogged node.
+				if dst = net.wl.DestAt(src, now, &ns.rnd); dst < 0 {
 					continue
 				}
-				if fab.InjectionBacklog(r, i) >= backlogLimit {
-					fab.NoteBacklogged(r, now, src)
-					continue
-				}
-			} else {
-				if fab.InjectionBacklog(r, i) >= backlogLimit {
-					fab.NoteBacklogged(r, now, src)
-					continue
-				}
+			}
+			if fab.InjectionBacklog(r, i) >= backlogLimit {
+				fab.NoteBacklogged(r, now, src)
+				continue
+			}
+			if net.wl == nil {
 				dst = net.pattern.Dest(src, &ns.rnd)
-				if dst < 0 {
-					continue
-				}
 			}
 			pkt := net.free.Get()
 			pkt.Reset()
@@ -423,6 +406,25 @@ func (net *Network) Generate(r int, now int64) {
 		}
 	}
 	net.refreshGenWake(r)
+}
+
+// numJobs is the number of jobs the network attributes packets to: the
+// workload's, 0 without one (and for a streaming workload, which reports
+// none).
+func (net *Network) numJobs() int {
+	if net.wl == nil {
+		return 0
+	}
+	return net.wl.NumJobs()
+}
+
+// patternName labels the network's traffic: the named pattern's label or
+// the workload's.
+func (net *Network) patternName() string {
+	if net.wl != nil {
+		return net.wl.Name()
+	}
+	return net.pattern.Name()
 }
 
 // minPathLinkLat prices the links of the unique minimal path from src to

@@ -8,7 +8,6 @@ import (
 	"dragonfly/internal/analytic"
 	"dragonfly/internal/router"
 	"dragonfly/internal/topology"
-	"dragonfly/internal/traffic"
 	"dragonfly/internal/workload"
 )
 
@@ -45,15 +44,14 @@ func (s runSet) get(t *testing.T, k runKey) reading {
 	if res, ok := s[k]; ok {
 		return reading{k, res}
 	}
-	var pat traffic.Pattern
+	var wl *workload.Workload
 	if k.apps > 0 {
-		wl, err := workload.Compile(topology.New(k.cfg.Topology), workload.AppSpec(k.cfg.Topology, 0, k.apps), k.cfg.Seed)
-		if err != nil {
+		var err error
+		if wl, err = workload.Compile(topology.New(k.cfg.Topology), workload.AppSpec(k.cfg.Topology, 0, k.apps), k.cfg.Seed); err != nil {
 			t.Fatal(err)
 		}
-		pat = wl
 	}
-	res, err := RunWithPattern(k.cfg, pat)
+	res, err := RunWorkload(k.cfg, wl)
 	if err != nil {
 		t.Fatalf("%v: %v", k, err)
 	}

@@ -25,16 +25,12 @@ type probeSource struct {
 func (ps *probeSource) Shape() telemetry.Shape {
 	net := ps.net
 	p := net.topo.Params()
-	jobs := 0
-	if net.jobs != nil {
-		jobs = net.jobs.NumJobs()
-	}
 	nr := net.topo.NumRouters()
 	return telemetry.Shape{
 		Groups:        net.topo.NumGroups(),
 		Routers:       nr,
 		Nodes:         net.topo.NumNodes(),
-		Jobs:          jobs,
+		Jobs:          net.numJobs(),
 		NodesPerGroup: p.A * p.P,
 		PacketSize:    net.rcfg.PacketSize,
 		LocalLinks:    nr * (p.A - 1),

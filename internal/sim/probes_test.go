@@ -117,7 +117,7 @@ func TestProbeJobSeries(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: 500, Out: &buf})
-	res, err := RunWithPattern(cfg, wl)
+	res, err := RunWorkload(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "math"
 // traffic while a simulation runs, which is what a dynamic job scheduler
 // needs: jobs arrive, depart, and freed allocations are recycled mid-run.
 // Which job a node belongs to is not the controller's to set here: the
-// network borrows the pattern's node→job map (traffic.JobMapper.NodeJobs),
+// network borrows the workload's node→job map (workload.Workload.NodeJobs),
 // so a workload that places or releases a job during Apply has already
 // retargeted attribution. Only packets generated after the change carry the
 // new job — in-flight packets keep the job stamped at their generation, so a

@@ -70,7 +70,7 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 	n := net.topo.NumRouters()
 	res := &Result{
 		Mechanism:       net.mech.Name(),
-		Pattern:         net.pattern.Name(),
+		Pattern:         net.patternName(),
 		OfferedLoad:     cfg.Load,
 		Nodes:           net.topo.NumNodes(),
 		MeasuredCycles:  measured,
@@ -88,7 +88,7 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 		res.RouterInjected[r] = st.Injected
 		res.routerDelivered[r] = st.Delivered
 	}
-	if net.jobs != nil {
+	if net.numJobs() > 0 {
 		res.addJobs(net)
 	}
 	return res
@@ -98,11 +98,10 @@ func newResult(net *Network, cfg *Config, wall time.Duration) *Result {
 // which routers host each job at the end of the run, and each job's
 // accumulators merged over every router.
 func (res *Result) addJobs(net *Network) {
-	jm := net.jobs
-	nj := jm.NumJobs()
+	nj := net.numJobs()
 	res.JobNames = make([]string, nj)
 	for j := range res.JobNames {
-		res.JobNames[j] = jm.JobName(j)
+		res.JobNames[j] = net.wl.JobName(j)
 	}
 	res.JobNodes = make([]int, nj)
 	res.jobRouters = make([][]int, nj)

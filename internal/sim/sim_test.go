@@ -33,8 +33,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 },
 		func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 },
 		// Values the core or a packet would truncate.
-		func(c *Config) { c.Router.GlobalLatency = 1 << 31 },
-		func(c *Config) { c.Router.LocalLatency = 1 << 31 },
+		func(c *Config) { c.LatencyModel = topology.UniformLatency{Local: 10, Global: 1 << 31} },
+		func(c *Config) { c.LatencyModel = topology.UniformLatency{Local: 1 << 31, Global: 100} },
+		// No latency model, and groupskew's far links past 32 bits while
+		// its adjacent-group links fit.
+		func(c *Config) { c.LatencyModel = nil },
+		func(c *Config) {
+			c.LatencyModel = topology.GroupSkewLatency{Local: 10, GlobalBase: 2147483000, GlobalStep: 214748300}
+		},
 		func(c *Config) { c.Router.InjectionQueuePackets = 1 << 31 },
 		func(c *Config) { c.Topology.P = 1 << 30 },
 	}
@@ -75,7 +81,7 @@ func TestPaperConfigMatchesTableI(t *testing.T) {
 	r := net.rcfg
 	if r.PacketSize != 8 || r.PipelineCycles != 5 || r.CrossbarCycles() != 4 || // 8 phits at 2×
 		r.OutputBufferPhits != 32 || r.LocalVCPhits != 32 || r.GlobalVCPhits != 256 ||
-		r.AllocIterations != 2 || r.LocalLatency != 10 || r.GlobalLatency != 100 {
+		r.AllocIterations != 2 || net.latency != (topology.UniformLatency{Local: 10, Global: 100}) {
 		t.Errorf("router parameters deviate from Table I: %+v", r)
 	}
 	if lvc, gvc := net.mech.VCNeeds(); r.LocalVCs != lvc || r.GlobalVCs != gvc {
@@ -286,7 +292,7 @@ func TestAppTrafficMembersOnly(t *testing.T) {
 	cfg.Load = 0.3
 	topo := topology.New(cfg.Topology)
 	_ = topo
-	res, err := RunWithPattern(cfg, nil) // sanity: nil falls back to cfg.Pattern
+	res, err := RunWorkload(cfg, nil) // sanity: nil falls back to cfg.Pattern
 	if err != nil {
 		t.Fatal(err)
 	}

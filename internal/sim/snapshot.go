@@ -205,7 +205,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 		clone = &Network{}
 	}
 	clone.topo, clone.cfg, clone.rcfg, clone.mech = src.topo, cfg, src.rcfg, src.mech
-	clone.pattern, clone.timed, clone.jobs = src.pattern, src.timed, src.jobs
+	clone.pattern, clone.wl = src.pattern, src.wl
 	clone.genProb = cfg.Load / float64(src.rcfg.PacketSize)
 	clone.latency, clone.uniform = src.latency, src.uniform
 	clone.nodeRnd0 = src.nodeRnd0

@@ -225,11 +225,12 @@ func TestRestoreAcrossTemplates(t *testing.T) {
 	base.Seed = 41
 
 	skew := topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
+	tableI := base.LatencyModel
 	templates := []struct {
 		name, mech string
 		latency    topology.LatencyModel
 	}{
-		{"MIN", "MIN", nil}, {"In-Trns-MM", "In-Trns-MM", nil}, {"Src-CRG", "Src-CRG", nil},
+		{"MIN", "MIN", tableI}, {"In-Trns-MM", "In-Trns-MM", tableI}, {"Src-CRG", "Src-CRG", tableI},
 		{"In-Trns-MM/groupskew", "In-Trns-MM", skew},
 	}
 	cfgOf := func(i int) Config {

@@ -325,7 +325,9 @@ func TestWindowEdgesMatchOracle(t *testing.T) {
 			cfg.Mechanism, cfg.Pattern, cfg.Load = tc.mech, tc.pat, tc.load
 			cfg.WarmupCycles, cfg.MeasureCycles = warmup, cycles-warmup
 			cfg.Seed, cfg.Workers = 31, workers
-			cfg.LatencyModel = tc.latency
+			if tc.latency != nil {
+				cfg.LatencyModel = tc.latency
+			}
 			var stream bytes.Buffer
 			if tc.probeEvery > 0 {
 				cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: tc.probeEvery, Out: &stream})

@@ -90,7 +90,7 @@ var layout = []rule{
 	{"state-readers", "one fabric comparison: no internal/sim test but fabricdiff_test.go reads a state vector",
 		forbid(scope{in: []string{"internal/sim"}, out: []string{"internal/sim/fabricdiff_test.go"}, of: testFiles}, ident(`StateVector$`))},
 	{"claims-runs", "one claims table: paper_test.go simulates only inside the memo",
-		callsOnlyInside("internal/sim/paper_test.go", "internal/sim", `^Run(WithPattern)?$`, "runSet", "get")},
+		callsOnlyInside("internal/sim/paper_test.go", "internal/sim", `^Run(Workload)?$`, "runSet", "get")},
 	{"claims-tests", "one claims table: the per-claim test functions TestPaperClaims replaced stay deleted",
 		forbid(scope{in: []string{"internal/sim"}, of: prodFiles | testFiles},
 			ident(`Test(MINThroughputBoundADVc?|ValiantLiftsAdversarialThroughput|UNLatencyOrdering|ADVcUnfairnessWithPriority|ADVcFairnessWithoutPriority|PriorityDegradesFairness|AgeArbitrationRestoresFairness|ObliviousInsensitiveToPriority|BreakdownShape|PriorityBenignUnderUN|AppAllocationCreatesADVc|SimulatorMatchesAnalyticCeilings)\b`))},

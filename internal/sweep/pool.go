@@ -326,17 +326,3 @@ func (p *Pool) taskDone(b *Batch) {
 		close(b.finished)
 	}
 }
-
-// RunTasks executes fn(i) for every i in [0,n) on the shared pool with at
-// most `workers` tasks in flight (0 or negative: no batch-level bound) and
-// blocks until all calls return. Tasks are handed out dynamically in index
-// order, so uneven task costs (saturated simulations next to idle ones)
-// keep every worker busy. It is the wrapper over Shared().Run for callers
-// without progress or cancellation: seed replicas and the interference
-// matrix ride on it.
-func RunTasks(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	Shared().Run(n, RunOpts{MaxParallel: workers}, fn)
-}

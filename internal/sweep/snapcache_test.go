@@ -23,7 +23,6 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Topology = topology.Balanced(2)
 	base.WarmupCycles, base.MeasureCycles = 200, 400
-	base.Router.LocalLatency, base.Router.GlobalLatency = 5, 25
 	lat, err := topology.LatencyModelByName("groupskew", 5, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestSnapshotCacheFamiliesBitIdentical(t *testing.T) {
 	cache := &SnapshotCache{}
 	var old *sim.Network
 	restores := 0
-	for _, lat := range []topology.LatencyModel{nil, skew} {
+	for _, lat := range []topology.LatencyModel{base.LatencyModel, skew} {
 		for _, mech := range []string{"MIN", "In-Trns-MM", "Src-CRG"} {
 			for _, pat := range []string{"UN", "ADVc"} {
 				for _, seed := range []uint64{1, 2} {

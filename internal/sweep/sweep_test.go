@@ -23,20 +23,21 @@ func testGrid() Grid {
 	}
 }
 
-// RunTasks must call fn exactly once per index, for any worker count —
-// including workers exceeding the task count and the NumCPU default.
-func TestRunTasksCoversAllIndices(t *testing.T) {
+// Shared().Run must call fn exactly once per index, for any batch bound —
+// including bounds exceeding the task count and none at all — and never
+// for an empty batch.
+func TestSharedRunCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		const n = 37
 		var hits [n]atomic.Int64
-		RunTasks(n, workers, func(i int) { hits[i].Add(1) })
+		Shared().Run(n, RunOpts{MaxParallel: workers}, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, got)
 			}
 		}
 	}
-	RunTasks(0, 4, func(int) { t.Fatal("fn called for empty task set") })
+	Shared().Run(0, RunOpts{MaxParallel: 4}, func(int) { t.Fatal("fn called for empty task set") })
 }
 
 func TestPointsExpansion(t *testing.T) {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -70,6 +71,38 @@ func (m GroupSkewLatency) GlobalLatency(t *Topology, src, dst int) int {
 		d = back
 	}
 	return m.GlobalBase + (d-1)*m.GlobalStep
+}
+
+// ValidateLatency reports, by arithmetic only, a link latency m assigns on a
+// topology of p outside [1, math.MaxInt32] cycles, the range the router
+// core stores a latency in: UniformLatency's two constants, and
+// GroupSkewLatency's local links, adjacent-group links and far links, which
+// span ⌊groups/2⌋ groups. A model of another type is checked link by link
+// when a network is wired.
+func ValidateLatency(m LatencyModel, p Params) error {
+	var lo, hi int64
+	switch m := m.(type) {
+	case UniformLatency:
+		lo, hi = int64(min(m.Local, m.Global)), int64(max(m.Local, m.Global))
+	case GroupSkewLatency:
+		// A base or step outside the int32 range puts the far links
+		// outside it too, so clamping both keeps the sum in int64 and
+		// the verdict.
+		base := min(max(int64(m.GlobalBase), math.MinInt32), math.MaxInt32+1)
+		step := min(max(int64(m.GlobalStep), math.MinInt32), math.MaxInt32+1)
+		far := base + int64(p.Groups()/2-1)*step
+		lo = min(int64(m.Local), int64(m.GlobalBase), far)
+		hi = max(int64(m.Local), int64(m.GlobalBase), far)
+	default:
+		return nil
+	}
+	switch {
+	case lo <= 0:
+		return fmt.Errorf("topology: link latencies must be positive")
+	case hi > math.MaxInt32:
+		return fmt.Errorf("topology: link latencies must be at most %d cycles", math.MaxInt32)
+	}
+	return nil
 }
 
 // MinimalPathLinkLatency prices the links of the unique minimal path

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,44 @@ func TestLatencyModelByName(t *testing.T) {
 		t.Error("unknown model accepted")
 	} else if !strings.Contains(err.Error(), "groupskew") {
 		t.Errorf("error does not list known models: %v", err)
+	}
+}
+
+// ValidateLatency refuses, by arithmetic, every model that assigns some link
+// a latency outside [1, MaxInt32] cycles on the topology, and accepts the
+// largest that fit. At h=2 the farthest groups are ⌊9/2⌋ = 4 apart, so
+// groupskew's far links cost GlobalBase + 3·GlobalStep.
+func TestValidateLatency(t *testing.T) {
+	const max = math.MaxInt32
+	for _, tc := range []struct {
+		name string
+		m    LatencyModel
+		want string // "" accepts
+	}{
+		{"table I", UniformLatency{Local: 10, Global: 100}, ""},
+		{"uniform largest", UniformLatency{Local: max, Global: max}, ""},
+		{"uniform local 0", UniformLatency{Local: 0, Global: 100}, "must be positive"},
+		{"uniform global 0", UniformLatency{Local: 10, Global: 0}, "must be positive"},
+		{"uniform local 2^31", UniformLatency{Local: 1 << 31, Global: 100}, "at most 2147483647 cycles"},
+		{"uniform global 2^31", UniformLatency{Local: 10, Global: 1 << 31}, "at most 2147483647 cycles"},
+		{"groupskew far link largest", GroupSkewLatency{Local: 10, GlobalBase: max - 3*7, GlobalStep: 7}, ""},
+		{"groupskew far link 2^31", GroupSkewLatency{Local: 10, GlobalBase: max - 3*7 + 1, GlobalStep: 7}, "at most 2147483647 cycles"},
+		// The -latency-model groupskew -global-lat 2147483000 preset.
+		{"groupskew preset", GroupSkewLatency{Local: 10, GlobalBase: 2147483000, GlobalStep: 214748300}, "at most 2147483647 cycles"},
+		{"groupskew step past int64", GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: math.MaxInt64}, "at most 2147483647 cycles"},
+		{"groupskew base past int64", GroupSkewLatency{Local: 10, GlobalBase: math.MaxInt64, GlobalStep: 1 << 31}, "at most 2147483647 cycles"},
+		{"groupskew base below int64", GroupSkewLatency{Local: 10, GlobalBase: math.MinInt64, GlobalStep: -(1 << 31)}, "must be positive"},
+		{"groupskew far link 0", GroupSkewLatency{Local: 10, GlobalBase: 30, GlobalStep: -10}, "must be positive"},
+		{"groupskew step below int64", GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: math.MinInt64}, "must be positive"},
+		{"groupskew local 2^31", GroupSkewLatency{Local: 1 << 31, GlobalBase: 100, GlobalStep: 10}, "at most 2147483647 cycles"},
+	} {
+		err := ValidateLatency(tc.m, Balanced(2))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

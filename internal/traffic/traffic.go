@@ -2,12 +2,14 @@
 // evaluation (Section IV-A): uniform random (UN), adversarial (ADV+i) and
 // the new adversarial-consecutive (ADVc) pattern of Section III, plus a
 // generalisation used by the examples — a consecutive pattern with an
-// arbitrary group count — and the interfaces a pattern may add. The
-// job-scheduler use case motivating ADVc is a workload
-// (workload.AppSpec), not a pattern of this package.
+// arbitrary group count — and a few classic extras, each built by name
+// (ByName). The job-scheduler use case motivating ADVc is a workload
+// (workload.AppSpec), the simulator's other kind of traffic, not a pattern
+// of this package.
 //
-// A Pattern maps a source node to a destination node, one draw per packet.
-// Patterns never return the source itself.
+// A Pattern maps a source node to a destination node, one draw per packet,
+// at every node and every cycle alike. Patterns never return the source
+// itself.
 package traffic
 
 import (
@@ -25,44 +27,6 @@ type Pattern interface {
 	Name() string
 	// Dest returns the destination node for a packet injected by src.
 	Dest(src int, rnd *rng.Source) int
-}
-
-// Timed is implemented by patterns whose destination draw depends on the
-// simulation cycle (phased workloads). The engine calls DestAt with the
-// arrival cycle of the packet; both engines process every arrival at its
-// exact cycle, so DestAt sees identical times regardless of engine or
-// worker count. A negative return means the source stays silent this draw.
-type Timed interface {
-	Pattern
-	DestAt(src int, now int64, rnd *rng.Source) int
-}
-
-// Memberer is implemented by patterns under which some sources never
-// generate traffic at all; the simulator leaves non-members out of the
-// generation calendar entirely.
-type Memberer interface {
-	Member(node int) bool
-}
-
-// NodeLoads is implemented by patterns that override the offered load of
-// individual nodes (multi-job workloads with per-job loads). NodeLoad
-// returns the offered load in phits/(node·cycle) for the node, or 0 to use
-// the run's configured load.
-type NodeLoads interface {
-	NodeLoad(node int) float64
-}
-
-// JobMapper attributes nodes to jobs for per-job accounting. Implemented by
-// workload patterns; the simulator then reports throughput, latency and
-// fairness per job as well as globally.
-type JobMapper interface {
-	NumJobs() int
-	JobName(j int) string
-	// NodeJobs returns the live node→job map (-1: unallocated), lent
-	// read-only: the simulator stamps packets from it at generation, so a
-	// pattern whose tenancy changes mid-run (a scheduled workload's
-	// Place/Release) is followed without any copy to keep in step.
-	NodeJobs() []int32
 }
 
 // uniform is the UN pattern: every packet targets a uniform random node of

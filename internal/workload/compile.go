@@ -16,10 +16,9 @@ import (
 const compileSalt = 0x5e6d4f3a7b909a1c
 
 // Workload is a compiled workload: a node-level traffic pattern plus the
-// node→job attribution map. It implements traffic.Pattern, traffic.Timed,
-// traffic.Memberer, traffic.NodeLoads and traffic.JobMapper, so it plugs
-// straight into sim.RunWithPattern and the simulator reports per-job
-// metrics.
+// node→job attribution map. A network built over it (sim.NewNetwork,
+// sim.RunWorkload) generates at its members only, at their jobs' loads,
+// draws destinations with DestAt, and reports per-job metrics.
 type Workload struct {
 	topo *topology.Topology
 	// jobs holds the jobs from index base on, by index − base (see job).
@@ -261,8 +260,9 @@ func allocSpread(t *topology.Topology, free []bool, firstGroup, need int, out []
 	return out
 }
 
-// Name implements traffic.Pattern. Compiled (and derived) workloads carry
-// an explicit name; dynamic ones label themselves by their admitted jobs.
+// Name labels the workload's traffic in a result. Compiled (and derived)
+// workloads carry an explicit name; dynamic ones label themselves by their
+// admitted jobs.
 func (w *Workload) Name() string {
 	if w.name != "" {
 		return w.name
@@ -277,13 +277,11 @@ func (w *Workload) Name() string {
 	return "SCHED(" + strings.Join(labels, "+") + ")"
 }
 
-// Dest implements traffic.Pattern as the cycle-0 draw; the simulator uses
-// DestAt whenever the pattern is wired into a run.
-func (w *Workload) Dest(src int, rnd *rng.Source) int { return w.DestAt(src, 0, rnd) }
-
-// DestAt implements traffic.Timed: the destination draw for a packet
-// generated by src at the given cycle, honouring the job's phase schedule.
-// It returns -1 when src is unallocated or its job is in an off phase.
+// DestAt is the destination draw for a packet generated by src at the given
+// cycle, honouring the job's phase schedule. It returns -1 when src is
+// unallocated or its job is in an off phase: that draw is no generation
+// attempt. The simulator calls it at the packet's exact arrival cycle, so
+// every engine and worker count sees the same cycles.
 func (w *Workload) DestAt(src int, now int64, rnd *rng.Source) int {
 	ji := w.nodeJob[src]
 	if ji < 0 {
@@ -304,12 +302,12 @@ func (w *Workload) DestAt(src int, now int64, rnd *rng.Source) int {
 	return jb.nodes[d]
 }
 
-// Member implements traffic.Memberer: only allocated (and, after Solo,
-// selected) nodes generate traffic.
+// Member reports whether node generates traffic: only allocated (and, after
+// Solo, selected) nodes do.
 func (w *Workload) Member(node int) bool { return w.nodeJob[node] >= 0 }
 
-// NodeLoad implements traffic.NodeLoads: a job's configured load, or 0 to
-// inherit the run default.
+// NodeLoad is the offered load of node in phits/(node·cycle): its job's
+// configured load, or 0 to inherit the run's.
 func (w *Workload) NodeLoad(node int) float64 {
 	if j := w.nodeJob[node]; j >= 0 {
 		return w.job(int(j)).spec.Load
@@ -317,7 +315,8 @@ func (w *Workload) NodeLoad(node int) float64 {
 	return 0
 }
 
-// NumJobs implements traffic.JobMapper. A streaming workload reports 0:
+// NumJobs is the number of jobs the network attributes packets to. A
+// streaming workload reports 0:
 // the network sizes its per-job attribution arrays (O(jobs × routers))
 // from this at construction, and a cluster-lifetime trace must not pay
 // that footprint — per-job accounting lives in the scheduler's bounded
@@ -329,11 +328,13 @@ func (w *Workload) NumJobs() int {
 	return len(w.jobs)
 }
 
-// JobName implements traffic.JobMapper.
+// JobName is job j's name.
 func (w *Workload) JobName(j int) string { return w.job(j).spec.Name }
 
-// NodeJobs implements traffic.JobMapper: the workload's own node→job map,
-// lent read-only. Place and Release write it in place.
+// NodeJobs is the workload's own node→job map (-1: unallocated), lent
+// read-only: the simulator stamps packets from it at generation, and Place
+// and Release write it in place, so a tenancy that changes mid-run is
+// followed without a copy to keep in step.
 func (w *Workload) NodeJobs() []int32 { return w.nodeJob }
 
 // JobSpecOf returns the normalised spec of job j.

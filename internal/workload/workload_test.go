@@ -198,7 +198,7 @@ func TestAllocationPolicies(t *testing.T) {
 			continue
 		}
 		for i := 0; i < 20; i++ {
-			d := app.Dest(n, r)
+			d := app.DestAt(n, 0, r)
 			if dg := topo.NodeGroup(d); d == n || (dg != 8 && dg != 0) {
 				t.Fatalf("node %d sent to node %d of group %d, outside the wrapped allocation", n, d, dg)
 			}
@@ -378,7 +378,7 @@ func TestPerJobAttributionPartitionsTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunWithPattern(cfg, wl)
+	res, err := sim.RunWorkload(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestBurstyOffPhaseNotCountedAsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunWithPattern(cfg, wl)
+	res, err := sim.RunWorkload(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestConsecutiveAllocationCreatesADVcSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.RunWithPattern(cfg, wl)
+		res, err := sim.RunWorkload(cfg, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
