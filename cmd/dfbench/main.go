@@ -520,14 +520,11 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+	data, err := json.MarshalIndent(result, "", "  ")
+	if err == nil {
+		err = os.WriteFile(*out, append(data, '\n'), 0o644)
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(result); err != nil {
+	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)

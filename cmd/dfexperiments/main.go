@@ -80,11 +80,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
 
 	mechList := cli.SplitList(*mechs)
 	base, err := build(mechList, []string{"UN", "ADV+1", "ADVc"})
@@ -186,12 +181,14 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 
+	failed := false // some task lost a point
 	for _, r := range results {
 		if r.Series == nil {
 			continue // interrupted before this task completed
 		}
 		if r.Err != nil {
-			fmt.Fprintln(os.Stderr, "dfexperiments: warning:", r.Err)
+			fmt.Fprintf(os.Stderr, "dfexperiments: %s: %v\n", r.Task.Name, r.Err)
+			failed = true
 		}
 		render(r, *out, base.Topology.A)
 	}
@@ -212,6 +209,13 @@ func main() {
 	}
 	fmt.Printf("\ndfexperiments: completed in %v (snapshot cache: %v)\n",
 		time.Since(start).Round(time.Second), cache.Stats())
+	if err := stopProf(); err != nil {
+		fatal(err)
+	}
+	// What survived is rendered; a failed point still fails the run.
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // printSlowest renders the per-task cost table, slowest first. Restored
@@ -239,16 +243,16 @@ func printSlowest(timings []telemetry.TaskTiming, max int) {
 // fairness tasks) and writes its CSV into outDir, if set.
 func render(r experiments.TaskResult, outDir string, routersPerGroup int) {
 	fmt.Printf("\n== %s ==\n\n", r.Task.Title)
-	var csv io.Writer
-	if outDir != "" && r.Task.CSV != "" {
-		f, err := os.Create(filepath.Join(outDir, r.Task.CSV))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		csv = f
+	render := func(csv io.Writer) error {
+		return experiments.Render(os.Stdout, csv, r.Task.Kind, r.Series, 0, routersPerGroup)
 	}
-	if err := experiments.Render(os.Stdout, csv, r.Task.Kind, r.Series, 0, routersPerGroup); err != nil {
+	var err error
+	if outDir == "" || r.Task.CSV == "" {
+		err = render(nil)
+	} else {
+		err = cli.WriteFile(filepath.Join(outDir, r.Task.CSV), render)
+	}
+	if err != nil {
 		fatal(err)
 	}
 }

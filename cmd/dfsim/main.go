@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -232,18 +233,10 @@ func printTrace(tr *telemetry.Tracer, node, max int) {
 
 // writeTrace exports the sampled packet trace as Perfetto/Chrome trace JSON.
 func writeTrace(tr *telemetry.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePerfetto(f, tr.Events()); err != nil {
-		f.Close()
-		return err
-	}
 	if dropped := tr.Dropped(); dropped > 0 {
 		fmt.Fprintf(os.Stderr, "dfsim: trace buffers full, dropped %d events\n", dropped)
 	}
-	return f.Close()
+	return cli.WriteFile(path, func(w io.Writer) error { return telemetry.WritePerfetto(w, tr.Events()) })
 }
 
 func printResult(cfg sim.Config, res *sim.Result, group int) {

@@ -47,11 +47,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
 	kind, err := experiments.ParseKind(*reportName)
 	if err != nil {
 		fatal(err)
@@ -100,10 +95,7 @@ func main() {
 			}
 		}
 	}
-	series, err := sweep.Aggregate(grid.Run(progress))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfsweep: warning:", err)
-	}
+	series, aggErr := sweep.AggregateRecords(grid.Run(progress))
 	fmt.Fprintf(os.Stderr, "dfsweep: snapshot cache: %v\n", grid.Snapshots.Stats())
 
 	switch kind {
@@ -113,20 +105,23 @@ func main() {
 	case experiments.Breakdown:
 		fmt.Printf("Latency breakdown for %s under %s:\n\n", mechList[0], patterns[0])
 	}
-	var csv io.Writer
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		csv = f
+	render := func(csv io.Writer) error {
+		return experiments.Render(os.Stdout, csv, kind, series, *group, cfg.Topology.A)
 	}
-	if err := experiments.Render(os.Stdout, csv, kind, series, *group, cfg.Topology.A); err != nil {
+	if *csvPath == "" {
+		err = render(nil)
+	} else if err = cli.WriteFile(*csvPath, render); err == nil {
+		fmt.Fprintf(os.Stderr, "dfsweep: wrote %s\n", *csvPath)
+	}
+	if err != nil {
 		fatal(err)
 	}
-	if csv != nil {
-		fmt.Fprintf(os.Stderr, "dfsweep: wrote %s\n", *csvPath)
+	if err := stopProf(); err != nil {
+		fatal(err)
+	}
+	// What survived is rendered; a failed point still fails the run.
+	if aggErr != nil {
+		fatal(aggErr)
 	}
 }
 

@@ -60,7 +60,7 @@ func main() {
 			Loads:      []float64{0.4},
 			Seeds:      seedList,
 		}
-		series, err := sweep.Aggregate(grid.Run(nil))
+		series, err := sweep.AggregateRecords(grid.Run(nil))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func main() {
 		Seeds:      seedList,
 	}
 	fmt.Println("sweeping", len(grid.Points()), "simulations (ADVc, transit priority)...")
-	series, err := sweep.Aggregate(grid.Run(nil))
+	series, err := sweep.AggregateRecords(grid.Run(nil))
 	if err != nil {
 		log.Fatal(err)
 	}

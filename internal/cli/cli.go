@@ -57,6 +57,20 @@ func ProbeFlags(fs *flag.FlagSet) func(cfg *sim.Config) (func() error, error) {
 	}
 }
 
+// WriteFile creates path, hands it to write and closes it. It returns the
+// first error of the three: a file that fails to close is not written.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // ProfileFlags registers the pprof flags shared by the simulating tools,
 // -cpuprofile and -memprofile, and returns a starter to call after flag
 // parsing: it begins profiling (see prof.Start) and returns the stop

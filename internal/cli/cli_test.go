@@ -2,8 +2,12 @@ package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -415,5 +419,24 @@ func TestBaseRejectsUnrunnableConfig(t *testing.T) {
 		if flagErr.Error() != jsonErr.Error() || !strings.Contains(flagErr.Error(), c.want) {
 			t.Errorf("%s: flags say %q, JSON says %q, want %q", c.json, flagErr, jsonErr, c.want)
 		}
+	}
+}
+
+// WriteFile writes what write produces, returns write's error over a
+// successful close, and reports a file it cannot create.
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "a,b\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "a,b\n" {
+		t.Fatalf("file holds %q (%v)", data, err)
+	}
+	failed := errors.New("render failed")
+	if err := WriteFile(path, func(io.Writer) error { return failed }); err != failed {
+		t.Fatalf("WriteFile returned %v, want the write's error", err)
+	}
+	if err := WriteFile(filepath.Join(path, "sub"), func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("WriteFile under a regular file succeeded")
 	}
 }

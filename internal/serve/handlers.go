@@ -186,8 +186,8 @@ func (h recordsHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // jobSeries aggregates a finished job's records (the shared body of the
 // series and csv routes). series stays nil for an unfinished job; warn
-// carries the first per-point failure (the series then cover the
-// surviving points — the same salvage behaviour as dfsweep).
+// counts the failed points and names the first (the series then cover the
+// surviving points, as dfsweep renders them before it fails).
 func jobSeries(m *Manager, r *http.Request) (j *sweep.Job, series []sweep.Series, warn string, err error) {
 	j = jobOf(m, r)
 	if j == nil {

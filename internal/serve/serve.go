@@ -23,7 +23,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -186,7 +185,8 @@ func (m *Manager) replayJournal(path string) error {
 	return nil
 }
 
-// appendJournal persists one journal line (no-op without a store dir).
+// appendJournal persists one journal line and syncs it to disk, as every
+// checkpoint write is (no-op without a store dir).
 func (m *Manager) appendJournal(jl journalLine) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -195,9 +195,10 @@ func (m *Manager) appendJournal(jl journalLine) {
 	}
 	data, err := json.Marshal(jl)
 	if err == nil {
-		w := bufio.NewWriter(m.journal)
-		w.Write(append(data, '\n')) //nolint:errcheck
-		err = w.Flush()
+		_, err = m.journal.Write(append(data, '\n'))
+	}
+	if err == nil {
+		err = m.journal.Sync()
 	}
 	if err != nil {
 		m.logf("serve: journal write failed: %v", err)

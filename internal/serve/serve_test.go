@@ -25,7 +25,7 @@ const testSpec = `{"h":1,"warmup":100,"measure":200,"mechanisms":["MIN"],"loads"
 
 const testSpecPoints = 4
 
-// wantCSV runs the same spec locally — the dfsweep path: grid.Run,
+// wantCSV runs the same spec locally — the dfsweep path: Grid.Run's
 // point-order records, AggregateRecords, CurveCSV — and returns the CSV
 // bytes every server-side execution must reproduce exactly.
 func wantCSV(t *testing.T, rawSpec string) []byte {
@@ -41,12 +41,7 @@ func wantCSV(t *testing.T, rawSpec string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := grid.Run(nil)
-	recs := make([]sweep.Record, len(samples))
-	for i, smp := range samples {
-		recs[i] = sweep.RecordOf("", smp)
-	}
-	series, err := sweep.AggregateRecords(recs)
+	series, err := sweep.AggregateRecords(grid.Run(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ type Record struct {
 	Injections  []float64       `json:"injections,omitempty"`
 	WallSeconds float64         `json:"wall_seconds,omitempty"`
 	// CPUSeconds is the process CPU consumed while this point ran (filled
-	// by the experiment pipeline; an upper bound under concurrent workers).
+	// by Grid.RunRecord; an upper bound under concurrent workers).
 	CPUSeconds float64 `json:"cpu_seconds,omitempty"`
 	// Reuse is the Sample's tag: "construct" for a grid point (empty for
 	// records no grid point wrote, e.g. a scheduler study's).
@@ -76,9 +76,9 @@ type Record struct {
 }
 
 // RecordOf condenses a completed sample into its checkpoint record. A
-// sample that never ran (a zero Sample from a cancelled sweep slot)
-// becomes an error record, so salvaging partial sweep output through
-// Aggregate reports the gap instead of panicking on the missing result.
+// sample that never ran (neither a result nor an error) becomes an error
+// record, so aggregation reports the gap instead of panicking on the
+// missing result.
 func RecordOf(task string, s Sample) Record {
 	rec := Record{Schema: schemaVersion, Task: task, Point: s.Point, Reuse: s.Reuse}
 	if s.Err != nil {
@@ -111,12 +111,12 @@ func recordKey(task string, pt Point) string {
 }
 
 // AggregateRecords folds records into seed-averaged series, sorted by
-// (mechanism, pattern, load) — the Record counterpart of Aggregate, and
-// the implementation both share. Records are folded in slice order, so a
+// (mechanism, pattern, load) — the one aggregation every tool's tables
+// and CSVs come from. Records are folded in slice order, so a
 // caller holding them in point-index order gets bit-identical series
 // regardless of which records came from a checkpoint and which were run
-// fresh. Failed records are skipped; the returned error reports the first
-// failure encountered, if any.
+// fresh. Failed records are skipped; the returned error, if any, counts
+// them and names the first.
 func AggregateRecords(records []Record) ([]Series, error) {
 	type key struct {
 		mech, pat string
@@ -125,10 +125,12 @@ func AggregateRecords(records []Record) ([]Series, error) {
 	acc := make(map[key]*Series)
 	var order []key
 	var firstErr error
+	failed := 0
 	for _, rec := range records {
 		if rec.Err != "" {
+			failed++
 			if firstErr == nil {
-				firstErr = fmt.Errorf("sweep: %s/%s@%.3g seed %d: %s",
+				firstErr = fmt.Errorf("%s/%s@%.3g seed %d: %s",
 					rec.Point.Mechanism, rec.Point.Pattern, rec.Point.Load, rec.Point.Seed, rec.Err)
 			}
 			continue
@@ -184,6 +186,9 @@ func AggregateRecords(records []Record) ([]Series, error) {
 		}
 		return a.Load < b.Load
 	})
+	if firstErr != nil {
+		firstErr = fmt.Errorf("sweep: %d of %d points failed, the first: %w", failed, len(records), firstErr)
+	}
 	return series, firstErr
 }
 

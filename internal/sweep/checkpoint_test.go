@@ -8,20 +8,20 @@ import (
 	"testing"
 )
 
-// AggregateRecords over condensed samples must equal Aggregate over the
-// samples themselves — Record loses nothing aggregation reads.
+// Grid.Run's records aggregate exactly as its points' whole samples,
+// condensed by RecordOf, do — a Record loses nothing aggregation reads.
 func TestRecordAggregationMatchesSamples(t *testing.T) {
 	g := testGrid()
-	samples := g.Run(nil)
-	want, werr := Aggregate(samples)
+	samples := runSamples(g, nil)
+	records := make([]Record, len(samples))
+	for i, s := range samples {
+		records[i] = RecordOf("", s)
+	}
+	want, werr := AggregateRecords(records)
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	records := make([]Record, len(samples))
-	for i, s := range samples {
-		records[i] = RecordOf("fig", s)
-	}
-	got, gerr := AggregateRecords(records)
+	got, gerr := AggregateRecords(g.Run(nil))
 	if gerr != nil {
 		t.Fatal(gerr)
 	}
@@ -39,14 +39,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	g := testGrid()
 	g.Loads = []float64{0.1}
 	g.Mechanisms = []string{"MIN"}
-	samples := g.Run(nil)
-	for _, s := range samples {
-		if err := ck.Put(RecordOf("fig", s)); err != nil {
+	records := g.Run(nil)
+	for i := range records {
+		records[i].Task = "fig"
+		if err := ck.Put(records[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ck.Len() != len(samples) {
-		t.Fatalf("Len %d, want %d", ck.Len(), len(samples))
+	if ck.Len() != len(records) {
+		t.Fatalf("Len %d, want %d", ck.Len(), len(records))
 	}
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
@@ -57,20 +58,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != len(samples) {
-		t.Fatalf("reloaded %d records, want %d", re.Len(), len(samples))
+	if re.Len() != len(records) {
+		t.Fatalf("reloaded %d records, want %d", re.Len(), len(records))
 	}
-	for _, s := range samples {
-		rec, ok := re.Lookup("fig", s.Point)
+	for _, want := range records {
+		rec, ok := re.Lookup("fig", want.Point)
 		if !ok {
-			t.Fatalf("point %+v missing after reload", s.Point)
+			t.Fatalf("point %+v missing after reload", want.Point)
 		}
-		want := RecordOf("fig", s)
 		if !reflect.DeepEqual(rec, want) {
 			t.Fatalf("record round-trip differs:\ngot  %+v\nwant %+v", rec, want)
 		}
 	}
-	if _, ok := re.Lookup("otherfig", samples[0].Point); ok {
+	if _, ok := re.Lookup("otherfig", records[0].Point); ok {
 		t.Fatal("Lookup ignored the task name")
 	}
 }
@@ -234,16 +234,16 @@ func TestCheckpointForeignFileRefused(t *testing.T) {
 	}
 }
 
-// Aggregating samples with never-run slots (a sweep slot that was never run)
+// Aggregating the record of a sample that never ran (no result, no error)
 // must report the gap, not panic on the nil Result.
 func TestAggregateCancelledSlots(t *testing.T) {
 	g := testGrid()
 	g.Mechanisms = []string{"MIN"}
 	g.Loads = []float64{0.1}
 	g.Seeds = []uint64{1}
-	samples := g.Run(nil)
-	samples = append(samples, Sample{Point: Point{Mechanism: "MIN", Pattern: "UN", Load: 0.2, Seed: 1}})
-	series, err := Aggregate(samples)
+	records := g.Run(nil)
+	records = append(records, RecordOf("", Sample{Point: Point{Mechanism: "MIN", Pattern: "UN", Load: 0.2, Seed: 1}}))
+	series, err := AggregateRecords(records)
 	if err == nil {
 		t.Fatal("unfinished slot not reported")
 	}

@@ -49,13 +49,12 @@ type Pool struct {
 // observed through Wait/cancelBatch.
 type Batch struct {
 	fn       func(int)
-	total    int // original task count (for progress reporting)
+	total    int // original task count
 	bound    int // claim bound: == total, shrunk to next by Cancel
 	next     int // next index to hand out
 	inflight int // claimed and currently executing
 	done     int // completed
 	max      int // max concurrently executing tasks of this batch
-	progress func(done, total int)
 	finished chan struct{}
 	finSent  bool
 }
@@ -67,10 +66,6 @@ type RunOpts struct {
 	// only limit). Sweeps over large networks use it to bound resident
 	// Network instances.
 	MaxParallel int
-	// progress, when non-nil, is called after every completed task with
-	// (done, total). It may be called concurrently from several workers
-	// and must not submit to the pool.
-	progress func(done, total int)
 	// Context, when non-nil, cancels the batch: remaining tasks are
 	// dropped (running ones complete) and Run/Wait return ctx.Err().
 	Context context.Context
@@ -163,7 +158,6 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		total:    n,
 		bound:    n,
 		max:      opts.MaxParallel,
-		progress: opts.progress,
 		finished: make(chan struct{}),
 	}
 	if b.max <= 0 || b.max > n {
@@ -310,18 +304,14 @@ func (p *Pool) help(b *Batch) {
 	p.mu.Unlock()
 }
 
-// taskDone records one completed task and fires completion/progress.
+// taskDone records one completed task and fires completion.
 func (p *Pool) taskDone(b *Batch) {
 	p.mu.Lock()
 	b.inflight--
 	b.done++
-	d := b.done
 	fin := p.finishLocked(b)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	if b.progress != nil {
-		b.progress(d, b.total)
-	}
 	if fin {
 		close(b.finished)
 	}

@@ -147,26 +147,6 @@ func TestPoolMaxParallel(t *testing.T) {
 	}
 }
 
-// Progress fires once per task with the batch total.
-func TestPoolProgress(t *testing.T) {
-	p := newPool(2)
-	defer p.Close()
-
-	var calls atomic.Int64
-	err := p.Run(25, RunOpts{progress: func(done, total int) {
-		calls.Add(1)
-		if total != 25 {
-			t.Errorf("progress total = %d, want 25", total)
-		}
-	}}, func(int) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 25 {
-		t.Fatalf("progress called %d times, want 25", calls.Load())
-	}
-}
-
 // Tasks are handed out in index order, so slot-indexed writes are complete
 // and each index runs exactly once, for any worker/MaxParallel mix.
 func TestPoolCoversAllIndices(t *testing.T) {

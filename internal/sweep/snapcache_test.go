@@ -17,8 +17,8 @@ import (
 // A grid point has one body — restore from the construction template, run,
 // condense — and it is the cold run: a grid without a cache, a grid sharing
 // one and sim.Run per point give the same Records, apart from the reuse tag
-// and the wall time, at any worker count, under a per-link latency model and
-// past saturation.
+// and the wall and CPU times, at any worker count, under a per-link latency
+// model and past saturation.
 func TestGridRunMatchesColdRuns(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Topology = topology.Balanced(2)
@@ -32,9 +32,8 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 		Loads: []float64{0.1, 0.4, 0.9}, Seeds: []uint64{1, 2}}
 
 	// exact drops what two runs of one point may differ in.
-	exact := func(s Sample) Record {
-		rec := RecordOf("", s)
-		rec.Reuse, rec.WallSeconds = "", 0
+	exact := func(rec Record) Record {
+		rec.Reuse, rec.WallSeconds, rec.CPUSeconds = "", 0, 0
 		return rec
 	}
 	pts := g.Points()
@@ -44,7 +43,7 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 		cfg := g.Base
 		cfg.Mechanism, cfg.Pattern, cfg.Load, cfg.Seed = pt.Mechanism, pt.Pattern, pt.Load, pt.Seed
 		res, err := sim.Run(cfg)
-		want[i] = exact(Sample{Point: pt, Result: res, Err: err})
+		want[i] = exact(RecordOf("", Sample{Point: pt, Result: res, Err: err}))
 		if want[i].Err != "" {
 			t.Fatalf("%+v: %s", pt, want[i].Err)
 		}
@@ -62,14 +61,14 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 		}
 		shared := g
 		shared.Snapshots = &SnapshotCache{}
-		for name, samples := range map[string][]Sample{"cache-less": cacheless, "shared cache": shared.Run(nil)} {
-			for i, s := range samples {
-				if s.Reuse != "construct" {
-					t.Fatalf("workers %d, %s: sample %d ran with reuse %q", workers, name, i, s.Reuse)
+		for name, records := range map[string][]Record{"cache-less": cacheless, "shared cache": shared.Run(nil)} {
+			for i, rec := range records {
+				if rec.Reuse != "construct" {
+					t.Fatalf("workers %d, %s: record %d ran with reuse %q", workers, name, i, rec.Reuse)
 				}
-				if got := exact(s); !reflect.DeepEqual(got, want[i]) {
+				if got := exact(rec); !reflect.DeepEqual(got, want[i]) {
 					t.Fatalf("workers %d, %s: %+v differs from sim.Run:\n got %+v\nwant %+v",
-						workers, name, s.Point, got, want[i])
+						workers, name, rec.Point, got, want[i])
 				}
 			}
 		}
@@ -198,10 +197,10 @@ func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 	for gi, g := range grids {
 		cold := g
 		cold.Workers, cold.Snapshots = workers, &SnapshotCache{}
-		want := cold.Run(nil)
+		want := runSamples(cold, nil)
 
 		g.Workers, g.Snapshots = workers, &SnapshotCache{}
-		got := g.Run(nil)
+		got := runSamples(g, nil)
 		for i := range want {
 			if got[i].Err != nil || want[i].Err != nil {
 				t.Fatalf("grid %d, sample %d: errors %v / %v", gi, i, got[i].Err, want[i].Err)
@@ -254,15 +253,15 @@ func TestRetiredNetworksCrossCaches(t *testing.T) {
 	second.Base.Topology = topology.Balanced(2)
 
 	emptyRetired()
-	for _, s := range first.Run(nil) {
-		if s.Err != nil {
-			t.Fatalf("h=3 %+v: %v", s.Point, s.Err)
+	for _, rec := range first.Run(nil) {
+		if rec.Err != "" {
+			t.Fatalf("h=3 %+v: %s", rec.Point, rec.Err)
 		}
 	}
 	if retiredLen() == 0 {
 		t.Fatal("the h=3 grid retired no network")
 	}
-	checkCold(t, second, second.Run(nil))
+	checkCold(t, second, runSamples(second, nil))
 	if st := second.Snapshots.Stats(); st.FreshRestores != 0 || st.recycledRestores != 8 {
 		t.Fatalf("the second cache made %d fresh + %d recycled restores, want 0 + 8", st.FreshRestores, st.recycledRestores)
 	}
@@ -278,7 +277,7 @@ func TestRetiredNetworksCrossCachesConcurrent(t *testing.T) {
 	mechs := []string{"MIN", "In-Trns-MM", "Src-CRG", "Obl-CRG"}
 	limit := runtime.GOMAXPROCS(0)
 	var over atomic.Int64
-	watch := func(int, int) {
+	watch := func() {
 		if n := retiredLen(); n > limit {
 			over.Store(int64(n))
 		}
@@ -296,7 +295,7 @@ func TestRetiredNetworksCrossCachesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			samples[i] = grids[i].Run(watch)
+			samples[i] = runSamples(grids[i], watch)
 		}()
 	}
 	close(start)

@@ -87,12 +87,7 @@ func TestStoreDispatchMatchesLocalRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := g.Run(nil)
-	localRecs := make([]Record, len(samples))
-	for i, smp := range samples {
-		localRecs[i] = RecordOf("", smp)
-	}
-	want, err := AggregateRecords(localRecs)
+	want, err := AggregateRecords(g.Run(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

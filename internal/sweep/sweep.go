@@ -3,13 +3,13 @@
 //
 //   - Pool (pool.go): the persistent, process-wide worker pool every
 //     multi-run entry point shares — whole simulation runs as tasks of
-//     index-ordered batches, with per-batch parallelism bounds, progress
-//     callbacks and cooperative cancellation.
+//     index-ordered batches, with per-batch parallelism bounds and
+//     cooperative cancellation.
 //   - Grid: load sweeps over mechanism × pattern × load × seed grids,
 //     aggregated into seed-averaged Series the way the paper does
 //     ("curves present the average of 3 different simulations",
-//     Section IV-A). Grid.RunRecord is the one body of a point that
-//     leaves a Record.
+//     Section IV-A). Grid.Run runs every point through Grid.RunRecord,
+//     the one body of a point that leaves a Record.
 //   - Record/Checkpoint (checkpoint.go): portable per-run outcomes
 //     persisted as append-only JSONL, and RestoreOrRun (resume.go), the
 //     one loop that restores the points a checkpoint holds and runs and
@@ -25,6 +25,8 @@
 package sweep
 
 import (
+	"sync/atomic"
+
 	"dragonfly/internal/prof"
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
@@ -38,7 +40,8 @@ type Point struct {
 	Seed      uint64
 }
 
-// Sample is the outcome of one simulation.
+// Sample is the outcome of one simulation as Grid.RunPoint leaves it;
+// RecordOf condenses it into the Record every tool keeps and aggregates.
 type Sample struct {
 	Point  Point
 	Result *sim.Result
@@ -126,36 +129,28 @@ func (g *Grid) RunRecord(task string, pt Point) Record {
 	return rec
 }
 
-// Run executes every point of the grid on the shared sweep pool and
-// returns the samples in the same deterministic order as Points. A
-// per-point error (e.g. a routing deadlock detected by the watchdog) is
-// recorded in the sample, not fatal to the sweep. The optional progress
-// callback is invoked after each completed simulation with (done, total).
-// A grid without a cache shares one across the call, leaving g as it is.
-func (g *Grid) Run(progress func(done, total int)) []Sample {
+// Run executes every point of the grid on the shared sweep pool, each
+// through RunRecord, and returns the records in the same deterministic
+// order as Points. A per-point error (e.g. a routing deadlock detected by
+// the watchdog) is recorded in its record, not fatal to the sweep. The
+// optional progress callback is invoked after each completed simulation
+// with (done, total), concurrently from several workers. A grid without a
+// cache shares one across the call, leaving g as it is.
+func (g *Grid) Run(progress func(done, total int)) []Record {
 	run := *g
 	if run.Snapshots == nil {
 		run.Snapshots = &SnapshotCache{}
 	}
 	pts := run.Points()
-	out := make([]Sample, len(pts))
-	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers, progress: progress}, func(i int) { //nolint:errcheck // no context to cancel it
-		out[i] = run.RunPoint(pts[i])
+	out := make([]Record, len(pts))
+	var done atomic.Int64
+	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers}, func(i int) { //nolint:errcheck // no context to cancel it
+		out[i] = run.RunRecord("", pts[i])
+		if progress != nil {
+			progress(int(done.Add(1)), len(pts))
+		}
 	})
 	return out
-}
-
-// Aggregate folds samples into seed-averaged series, sorted by
-// (mechanism, pattern, load). Samples with errors are skipped; the returned
-// error reports the first failure encountered, if any. It is the Sample
-// form of AggregateRecords, and bit-identical to it: condensing a sample
-// to its Record loses nothing aggregation reads.
-func Aggregate(samples []Sample) ([]Series, error) {
-	records := make([]Record, len(samples))
-	for i, s := range samples {
-		records[i] = RecordOf("", s)
-	}
-	return AggregateRecords(records)
 }
 
 // fairnessOfMeans computes the fairness metrics on seed-averaged,

@@ -58,31 +58,41 @@ func TestPointsExpansion(t *testing.T) {
 	}
 }
 
+// Grid.Run fires progress once per point with the grid's size, returns the
+// records in Points order, and AggregateRecords folds the seeds.
 func TestRunAndAggregate(t *testing.T) {
 	g := testGrid()
 	var calls atomic.Int64
-	samples := g.Run(func(done, total int) {
+	var seen [9]atomic.Bool // done counts 1..8, each once
+	records := g.Run(func(done, total int) {
 		calls.Add(1)
 		if total != 8 {
 			t.Errorf("progress total = %d", total)
 		}
+		if done < 1 || done > 8 || seen[done].Swap(true) {
+			t.Errorf("progress done = %d out of range or repeated", done)
+		}
 	})
-	if len(samples) != 8 {
-		t.Fatalf("%d samples", len(samples))
+	if len(records) != 8 {
+		t.Fatalf("%d records", len(records))
 	}
 	if calls.Load() != 8 {
 		t.Errorf("progress called %d times", calls.Load())
 	}
-	for _, s := range samples {
-		if s.Err != nil {
-			t.Fatalf("%+v: %v", s.Point, s.Err)
+	for i, pt := range g.Points() {
+		rec := records[i]
+		if rec.Point != pt {
+			t.Fatalf("record %d is %+v, want %+v: not in Points order", i, rec.Point, pt)
 		}
-		if s.Result == nil {
-			t.Fatalf("%+v: nil result", s.Point)
+		if rec.Err != "" {
+			t.Fatalf("%+v: %s", rec.Point, rec.Err)
+		}
+		if rec.Throughput <= 0 || len(rec.Injections) == 0 {
+			t.Fatalf("%+v: empty record", rec.Point)
 		}
 	}
 
-	series, err := Aggregate(samples)
+	series, err := AggregateRecords(records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +117,33 @@ func TestRunAndAggregate(t *testing.T) {
 			t.Errorf("series not sorted: %s@%v after %s@%v", b.Mechanism, b.Load, a.Mechanism, a.Load)
 		}
 	}
+
+	// Points does not validate names, so a grid naming an unknown mechanism
+	// runs: its points fail in their own slots, every other slot is filled,
+	// and aggregation counts the failed points and names the first.
+	bad := testGrid()
+	bad.Mechanisms = []string{"MIN", "No-Such-Mech", "Obl-RRG"}
+	bad.Loads = []float64{0.1}
+	records = bad.Run(nil)
+	for i, pt := range bad.Points() {
+		rec := records[i]
+		if rec.Point != pt {
+			t.Fatalf("record %d is %+v, want %+v: not in Points order", i, rec.Point, pt)
+		}
+		if unknown := pt.Mechanism == "No-Such-Mech"; unknown != (rec.Err != "") {
+			t.Fatalf("%+v: error %q", pt, rec.Err)
+		}
+		if rec.Err == "" && rec.Throughput <= 0 {
+			t.Fatalf("%+v: slot not filled", pt)
+		}
+	}
+	series, err = AggregateRecords(records)
+	if err == nil || !strings.Contains(err.Error(), "2 of 6 points failed, the first: No-Such-Mech/UN@0.1 seed 1: ") {
+		t.Fatalf("aggregation error %v does not count the failed points and name the first", err)
+	}
+	if len(series) != 2 || series[0].Mechanism != "MIN" || series[1].Mechanism != "Obl-RRG" {
+		t.Fatalf("series %+v, want MIN and Obl-RRG", series)
+	}
 }
 
 // Aggregation must average, not sum: one seed vs two identical-seed runs
@@ -116,12 +153,12 @@ func TestAggregateAverages(t *testing.T) {
 	g.Mechanisms = []string{"MIN"}
 	g.Loads = []float64{0.1}
 	g.Seeds = []uint64{5}
-	one, err := Aggregate(g.Run(nil))
+	one, err := AggregateRecords(g.Run(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Seeds = []uint64{5, 5}
-	two, err := Aggregate(g.Run(nil))
+	two, err := AggregateRecords(g.Run(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,16 +169,16 @@ func TestAggregateAverages(t *testing.T) {
 
 func TestAggregateReportsErrors(t *testing.T) {
 	g := testGrid()
-	samples := g.Run(nil)
-	samples[0].Err = errFake{}
-	series, err := Aggregate(samples)
+	records := g.Run(nil)
+	records[0].Err = "fake"
+	series, err := AggregateRecords(records)
 	if err == nil {
-		t.Fatal("error sample not reported")
+		t.Fatal("error record not reported")
 	}
 	if !strings.Contains(err.Error(), "MIN") {
 		t.Errorf("error lacks context: %v", err)
 	}
-	// The failing sample is skipped, the rest aggregated.
+	// The failing record is skipped, the rest aggregated.
 	for _, s := range series {
 		if s.Mechanism == "MIN" && s.Load == 0.1 && s.seeds != 1 {
 			t.Errorf("failed seed not skipped: %d", s.seeds)
@@ -156,10 +193,9 @@ func (errFake) Error() string { return "fake" }
 func TestWorkersBound(t *testing.T) {
 	g := testGrid()
 	g.Workers = 3
-	samples := g.Run(nil)
-	for _, s := range samples {
-		if s.Err != nil {
-			t.Fatal(s.Err)
+	for _, rec := range g.Run(nil) {
+		if rec.Err != "" {
+			t.Fatal(rec.Err)
 		}
 	}
 }
@@ -170,11 +206,11 @@ func TestWorkersBound(t *testing.T) {
 func TestRunSamplesIdenticalAcrossWorkers(t *testing.T) {
 	ref := testGrid()
 	ref.Workers = 1
-	want := ref.Run(nil)
+	want := runSamples(ref, nil)
 	for _, workers := range []int{2, runtime.NumCPU()} {
 		g := testGrid()
 		g.Workers = workers
-		got := g.Run(nil)
+		got := runSamples(g, nil)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got), len(want))
 		}
@@ -193,6 +229,24 @@ func TestRunSamplesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// runSamples runs every point of g on the shared pool as Grid.Run does, but
+// keeps each point's whole sim.Result, for the tests that compare results
+// bit for bit. after (nil ok) is called after every point.
+func runSamples(g Grid, after func()) []Sample {
+	if g.Snapshots == nil {
+		g.Snapshots = &SnapshotCache{}
+	}
+	pts := g.Points()
+	out := make([]Sample, len(pts))
+	Shared().Run(len(pts), RunOpts{MaxParallel: g.Workers}, func(i int) { //nolint:errcheck // no context to cancel it
+		out[i] = g.RunPoint(pts[i])
+		if after != nil {
+			after()
+		}
+	})
+	return out
+}
+
 // sameResult reports whether two results are one measurement: every field
 // but the host time.
 func sameResult(a, b *sim.Result) bool {
@@ -201,7 +255,7 @@ func sameResult(a, b *sim.Result) bool {
 	return reflect.DeepEqual(x, y)
 }
 
-// When a seed fails, Aggregate must report it but still average the
+// When a seed fails, AggregateRecords must report it but still average the
 // surviving seeds — the series values must equal a run over the surviving
 // seeds alone.
 func TestAggregateAveragesSurvivingSeeds(t *testing.T) {
@@ -209,10 +263,10 @@ func TestAggregateAveragesSurvivingSeeds(t *testing.T) {
 	g.Mechanisms = []string{"MIN"}
 	g.Loads = []float64{0.1}
 	g.Seeds = []uint64{1, 2}
-	samples := g.Run(nil)
-	// Fail seed 2 (samples are in Points order: seed 1 then seed 2).
-	samples[1].Err = errFake{}
-	series, err := Aggregate(samples)
+	records := g.Run(nil)
+	// Fail seed 2 (records are in Points order: seed 1 then seed 2).
+	records[1].Err = "fake"
+	series, err := AggregateRecords(records)
 	if err == nil {
 		t.Fatal("failed seed not reported")
 	}
@@ -224,7 +278,7 @@ func TestAggregateAveragesSurvivingSeeds(t *testing.T) {
 	}
 
 	g.Seeds = []uint64{1}
-	want, werr := Aggregate(g.Run(nil))
+	want, werr := AggregateRecords(g.Run(nil))
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -245,8 +299,8 @@ func TestSweepDeterministic(t *testing.T) {
 	g1.Workers = 1
 	g2 := testGrid()
 	g2.Workers = 4
-	s1, _ := Aggregate(g1.Run(nil))
-	s2, _ := Aggregate(g2.Run(nil))
+	s1, _ := AggregateRecords(g1.Run(nil))
+	s2, _ := AggregateRecords(g2.Run(nil))
 	if len(s1) != len(s2) {
 		t.Fatal("series count differs")
 	}
