@@ -258,7 +258,7 @@ func BenchmarkRouterStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the network into steady state.
-	if err := refmodel.Run(net, &cfg); err != nil {
+	if err := refmodel.RunWithController(net, &cfg, nil); err != nil {
 		b.Fatal(err)
 	}
 	routers := refmodel.Of(net).Routers

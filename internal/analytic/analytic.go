@@ -54,24 +54,15 @@ func ValiantThroughputADV(p topology.Params) float64 {
 	return math.Min(1, float64(p.H)/(2*float64(p.P)))
 }
 
-// ZeroLoadLatency returns the contention-free latency in cycles of a path
-// with the given hop shape under the router model of DESIGN.md: every
-// router adds pipeline + crossbar + serialisation, every link its
-// propagation latency.
-func ZeroLoadLatency(local, global int, pipeline, crossbar, serial, localLat, globalLat int) int64 {
-	perRouter := int64(pipeline + crossbar + serial)
-	return int64(local+global+1)*perRouter +
-		int64(local)*int64(localLat) + int64(global)*int64(globalLat)
-}
-
 // MeanZeroLoadLatency returns the exact expected zero-load latency, in
 // cycles, of minimal paths under uniform traffic over distinct nodes, with
 // per-link propagation latencies priced by the latency model. It
 // enumerates router pairs (minimal paths and link latencies depend only on
 // the routers, and every router hosts p nodes), so it is O(routers²) —
-// exact where the ZeroLoadLatency/MeanMinimalHops pair can only price
-// uniform class latencies. The reference line for heterogeneous-latency
-// simulations.
+// exact where pricing MeanMinimalHops' hop counts can only handle uniform
+// class latencies. Every router on the path adds pipeline + crossbar +
+// serialisation, every link its propagation latency. The reference line
+// for heterogeneous-latency simulations.
 func MeanZeroLoadLatency(t *topology.Topology, m topology.LatencyModel, pipeline, crossbar, serial int) float64 {
 	perRouter := float64(pipeline + crossbar + serial)
 	pp := float64(t.Params().P)

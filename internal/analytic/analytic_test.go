@@ -65,19 +65,6 @@ func TestMeanZeroLoadLatencyGroupSkewAboveUniform(t *testing.T) {
 	}
 }
 
-func TestZeroLoadLatency(t *testing.T) {
-	// The Table I parameters: pipeline 5, crossbar 4, serial 8,
-	// links 10/100.
-	got := ZeroLoadLatency(2, 1, 5, 4, 8, 10, 100)
-	want := int64(4*17 + 2*10 + 100)
-	if got != want {
-		t.Errorf("lgl zero-load latency = %d, want %d", got, want)
-	}
-	if ZeroLoadLatency(0, 0, 5, 4, 8, 10, 100) != 17 {
-		t.Error("same-router latency wrong")
-	}
-}
-
 func TestMeanMinimalHops(t *testing.T) {
 	p := topology.Balanced(3)
 	local, global := MeanMinimalHops(p)

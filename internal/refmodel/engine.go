@@ -6,15 +6,12 @@ import (
 	"dragonfly/internal/sim"
 )
 
-// Run drives an oracle network through cfg's warm-up and measurement
-// phases with the dense seed engines: every router is generated for and
-// stepped every cycle, every PiggyBack group refreshed every cycle. It is
-// the baseline the scheduler engines are proven bit-identical against and
-// the "before" side of the cmd/dfbench regression harness.
-func Run(net *sim.Network, cfg *sim.Config) error { return RunWithController(net, cfg, nil) }
-
-// RunWithController is Run with a reconfiguration Controller invoked
-// between cycles (nil: none).
+// RunWithController drives an oracle network through cfg's warm-up and
+// measurement phases with the dense seed engines: every router is
+// generated for and stepped every cycle, every PiggyBack group refreshed
+// every cycle, and ctrl (nil: none) invoked between cycles. It is the
+// baseline the scheduler engines are proven bit-identical against, and
+// the "before" side of TestEngineSpeedupOverOracle.
 func RunWithController(net *sim.Network, cfg *sim.Config, ctrl sim.Controller) error {
 	routers := Of(net).Routers
 	workers := min(max(cfg.Workers, 1), len(routers), runtime.NumCPU())

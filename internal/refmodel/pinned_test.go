@@ -41,7 +41,7 @@ func pinnedDigest(t *testing.T, cfg sim.Config, wl *workload.Workload) (uint64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := refmodel.Run(net, &cfg); err != nil {
+	if err := refmodel.RunWithController(net, &cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()

@@ -11,8 +11,8 @@
 // the core; an oracle that drifts with the implementation proves nothing.
 // pinned_test.go holds the oracle to digests recorded on the seed model,
 // TestLayout's oracle-frozen row caps the package's line count (it may only
-// shrink) and its refmodel-imports row lets only _test.go files and
-// cmd/dfbench import it, so no shipped tool depends on it. The one exception
+// shrink) and its refmodel-imports row lets only _test.go files import
+// it, so no shipped tool depends on it. The one exception
 // to "never changed" is a PR that means to change the simulated behaviour.
 //
 // It shares everything around the routers with production through

@@ -18,7 +18,7 @@ import (
 // per network, and delivered packets go back to the network's free list,
 // which the next generated packet comes off. This is the
 // runtime companion of the construction-bytes gates (TestBuildFootprint
-// below and cmd/dfbench, all run in CI): those lock in the build-time
+// and TestTemplateFootprint below, run in CI): those lock in the build-time
 // memory, this one locks the steady state at zero allocations per window —
 // any regression (a calendar falling back to append, a scratch slice growing
 // per cycle, a view boxed per routing decision, a per-window event buffer on
@@ -90,7 +90,9 @@ func allocated(fn func()) uint64 {
 // on how deep the Table I source queue may grow: a packet queues on itself,
 // so a 16-packet and a 256-packet source queue cost the same. A fresh
 // restore — from a construction template, into no retired network — builds
-// the same state, and is held to the same bytes.
+// the same state, and is held to the same bytes. The engine benchmark's
+// smaller points, an h=4 build and a fresh h=3 restore, may not grow more
+// than 20 % past their bytes when their bounds were set.
 func TestBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
@@ -130,6 +132,33 @@ func TestBuildFootprint(t *testing.T) {
 		t.Logf("%s: h=6 fresh restore %.2f MiB", mech, float64(restored)/(1<<20))
 		if restored > limit {
 			t.Errorf("%s: a fresh h=6 restore allocates %.2f MiB, want at most %.1f MiB", mech, float64(restored)/(1<<20), float64(limit)/(1<<20))
+		}
+	}
+
+	// Their first baselines, 2,625,624 B and 839,832 B, were a quarter
+	// above these bytes: a doubled credit arena fit under them.
+	h4, h3 := engineCfg(4, 0.1, 1, 100), engineCfg(3, 0.1, 1, 100)
+	snap, err := NewSnapshot(h3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		baseline uint64
+		build    func() (*Network, error)
+	}{
+		{"an h=4 build", 1_972_552, func() (*Network, error) { return NewNetwork(&h4, nil) }},
+		{"a fresh h=3 restore", 620_928, func() (*Network, error) { return RestoreNetwork(snap, &h3) }},
+	} {
+		got := allocated(func() {
+			if _, err := tc.build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		limit := tc.baseline * 6 / 5
+		t.Logf("%s: %d B (limit %d)", tc.name, got, limit)
+		if got > limit {
+			t.Errorf("%s allocates %d B, want at most %d (%d B + 20 %%)", tc.name, got, limit, tc.baseline)
 		}
 	}
 }
@@ -173,23 +202,34 @@ func TestRunAllocatesItsLivePackets(t *testing.T) {
 // A construction template is what an empty network cannot compute, not an
 // empty network: the wiring and the RNG streams, no state array (a restore
 // writes the empty state itself). At h=6 that is at most 1.5 MiB, against
-// TestBuildFootprint's 11.5 MiB build.
+// TestBuildFootprint's 10 MiB build; the engine benchmark's h=3 template
+// may not grow more than 20 % past its 54,840 B.
 func TestTemplateFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; the gate runs in the non-race CI job")
 	}
-	const limit = 3 << 19
-	for _, mech := range []string{"In-Trns-MM", "Src-CRG"} {
+	paper := func(mech string) Config {
 		cfg := PaperConfig()
 		cfg.Mechanism = mech
+		return cfg
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		limit uint64
+	}{
+		{"In-Trns-MM h=6", paper("In-Trns-MM"), 3 << 19},
+		{"Src-CRG h=6", paper("Src-CRG"), 3 << 19},
+		{"In-Trns-MM h=3", engineCfg(3, 0.1, 1, 100), 54_840 * 6 / 5},
+	} {
 		got := allocated(func() {
-			if _, err := NewSnapshot(cfg, 0); err != nil {
+			if _, err := NewSnapshot(tc.cfg, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: h=6 construction template %.2f MiB", mech, float64(got)/(1<<20))
-		if got > limit {
-			t.Errorf("%s: an h=6 construction template allocates %.2f MiB, want at most 1.5 MiB", mech, float64(got)/(1<<20))
+		t.Logf("%s: construction template %d B (limit %d)", tc.name, got, tc.limit)
+		if got > tc.limit {
+			t.Errorf("%s: a construction template allocates %d B, want at most %d", tc.name, got, tc.limit)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/router"
@@ -83,8 +85,8 @@ func TestSchedulerMatchesReferenceEngine(t *testing.T) {
 }
 
 // At low load the scheduler must actually skip work: well under half of the
-// dense engine's router-steps (the perf win the BENCH_engine.json harness
-// tracks), without giving up bit-identity (checked above).
+// dense engine's router-steps (the perf win TestEngineSpeedupOverOracle
+// times), without giving up bit-identity (checked above).
 func TestSchedulerSkipsQuiescentRouters(t *testing.T) {
 	cfg := equivCfg("In-Trns-MM", "UN", 0.1)
 	dense := int64(cfg.Topology.Routers()) * (cfg.WarmupCycles + cfg.MeasureCycles)
@@ -153,6 +155,20 @@ func h3Cfg(mech, pat string, load float64) Config {
 	return cfg
 }
 
+// engineCfg is the engine benchmark's operating point: In-Trns-MM under UN
+// on the balanced h network, a fifth of the cycles warm-up.
+func engineCfg(h int, load float64, workers int, cycles int64) Config {
+	cfg := DefaultConfig()
+	cfg.Topology = topology.Balanced(h)
+	cfg.Mechanism = "In-Trns-MM"
+	cfg.Pattern = "UN"
+	cfg.Load = load
+	cfg.WarmupCycles = cycles / 5
+	cfg.MeasureCycles = cycles - cfg.WarmupCycles
+	cfg.Workers = workers
+	return cfg
+}
+
 // jobTrace scripts a small job trace for churnController: every job
 // {arrival, departure, first node, nodes} switches a block of consecutive
 // nodes on at its arrival and off at its departure. No jobs, no controller.
@@ -172,45 +188,68 @@ func jobTrace(jobs [][4]int64) Controller {
 	return c
 }
 
-// Which router-steps execute is a contract, not an implementation detail:
-// the step count is the work counter every perf record of the repository is
-// normalised by (router.steps, ns/step), so an engine change that moves it
-// — waking differently, stepping a router that has nothing to do — must show
-// up here, not as an unexplained shift in a benchmark. Five h=3 cases:
+// Which router-steps execute is a contract, not an implementation detail: the
+// step count is the work counter every perf record of the repository is
+// normalised by (router.steps, ns/step), so an engine change that moves it —
+// waking differently, stepping a router that has nothing to do — must show up
+// here, not as an unexplained shift in a benchmark. Five h=3 cases:
 // saturation, a mostly sleeping PiggyBack network, a controller switching
 // jobs on and off mid-run, a heterogeneous latency model, and one-node jobs
 // whose router sleeps on nothing but the node's next arrival when the job
-// departs. The numbers may only ever fall. History, oldest first: the
-// cycle-major heap-calendar engine stepped 210941 / 58707 / 102960 / 157104 /
-// 3285 times; the wake array dropped the fifth to 3281 (a cancelled arrival
-// left no heap entry behind to pay a no-op step for); waking routers for
-// work only — releases, credits and arrivals settled lazily, a controller-
-// touched router woken at its next arrival instead of at the event — brought
-// all five to the values below. A wake-up is a function of the event alone,
-// not of when the event is announced, so the numbers hold at any worker
-// count; the results are compared with the oracle's.
+// departs. Then, outside the race detector, the engine benchmark's nine
+// operating points (engineCfg; TestEngineSpeedupOverOracle times the h=3
+// ones): five at h=3 over 1,000 cycles, the oracle on one worker, and four at
+// h=4 over 500 cycles, the oracle's barrier-parallel engine on two. Every row
+// also pins the windows the run was cut into. The step counts may only ever
+// fall. History, oldest first: the cycle-major heap-calendar engine stepped
+// 210941 / 58707 / 102960 / 157104 / 3285 times; the wake array dropped the
+// fifth to 3281 (a cancelled arrival left no heap entry behind to pay a no-op
+// step for); waking routers for work only — releases, credits and arrivals
+// settled lazily, a controller-touched router woken at its next arrival
+// instead of at the event — brought all five to the values below. The engine
+// rows stepped 50791 / 78336 / 92981 / 108817 / 111178 (10 windows) and
+// 65203 / 110814 / 125509 / 128036 (9 windows) when the engine's first speed-up
+// baseline was recorded. A wake-up is a function of the event alone, not of
+// when the event is announced, so the numbers hold at any worker count; the
+// results are compared with the oracle's.
 func TestEngineStepsPinned(t *testing.T) {
 	sat := h3Cfg("In-Trns-MM", "ADVc", 0.4)
 	sat.Router.Arbitration = router.TransitOverInjection
 	skew := h3Cfg("In-Trns-MM", "UN", 0.2)
 	applyLatency(t, &skew, 10, 100, "groupskew")
-	cases := []struct {
-		name  string
-		cfg   Config
-		trace [][4]int64
-		steps int64
-	}{
-		{"In-Trns-MM/ADVc@0.4/transit-priority", sat, nil, 190178},
-		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil, 31777},
+	type row struct {
+		name           string
+		cfg            Config
+		trace          [][4]int64
+		steps, windows int64
+	}
+	cases := []row{
+		{"In-Trns-MM/ADVc@0.4/transit-priority", sat, nil, 190178, 21},
+		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil, 31777, 21},
 		{"job trace", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
 			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {100, 1101, 200, 36},
 			{350, 1999, 48, 40}, {777, 1300, 240, 72}, {1200, 1700, 160, 40}, {1301, 1302, 0, 12},
-		}, 66736},
-		{"groupskew", skew, nil, 108077},
+		}, 66736, 27},
+		{"groupskew", skew, nil, 108077, 21},
 		{"cancelled generation", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
 			{0, 300, 0, 1}, {0, 450, 30, 1}, {0, 610, 60, 1}, {0, 777, 90, 1},
 			{100, 900, 120, 1}, {200, 1000, 150, 1}, {300, 1200, 180, 1}, {400, 1500, 210, 1},
-		}, 1683},
+		}, 1683, 23},
+	}
+	// Instrumented, the nine engine points would add a minute of dense
+	// oracle runs to the race job and no concurrency the rows above lack.
+	if !raceEnabled {
+		cases = append(cases, []row{
+			{"engine h=3 UN@0.1", engineCfg(3, 0.1, 1, 1000), nil, 30639, 10},
+			{"engine h=3 UN@0.2", engineCfg(3, 0.2, 1, 1000), nil, 54518, 10},
+			{"engine h=3 UN@0.3", engineCfg(3, 0.3, 1, 1000), nil, 72372, 10},
+			{"engine h=3 UN@0.6", engineCfg(3, 0.6, 1, 1000), nil, 102473, 10},
+			{"engine h=3 UN@0.8", engineCfg(3, 0.8, 1, 1000), nil, 109135, 10},
+			{"engine h=4 UN@0.1", engineCfg(4, 0.1, 2, 500), nil, 41389, 5},
+			{"engine h=4 UN@0.3", engineCfg(4, 0.3, 2, 500), nil, 91421, 5},
+			{"engine h=4 UN@0.6", engineCfg(4, 0.6, 2, 500), nil, 119850, 5},
+			{"engine h=4 UN@0.8", engineCfg(4, 0.8, 2, 500), nil, 125760, 5},
+		}...)
 	}
 	for _, tc := range cases {
 		ref, err := oracle.build(&tc.cfg, nil)
@@ -236,7 +275,61 @@ func TestEngineStepsPinned(t *testing.T) {
 			if got := net.EngineSteps(); got != tc.steps {
 				t.Errorf("%s workers=%d: %d router-steps, pinned %d", tc.name, workers, got, tc.steps)
 			}
+			if got := net.EngineWindows(); got != tc.windows {
+				t.Errorf("%s workers=%d: %d windows, pinned %d", tc.name, workers, got, tc.windows)
+			}
 		}
+	}
+}
+
+// The core must stay faster than the dense oracle by about as much as when
+// its speed-up baseline was recorded. Both run the five h=3 rows of
+// TestEngineStepsPinned, each timed best of 3 in this process, so a slow or
+// noisy machine slows both sides alike; the speed-up is oracle time over
+// core time. The geometric mean of speed-up / baseline over the five may
+// not fall below 0.80. No point is gated alone: one measurement can land
+// in a throttled window, while a real regression slows every point.
+// Wall-clock readings mean nothing under the race detector, and -short
+// runs skip the few seconds this takes.
+func TestEngineSpeedupOverOracle(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock gate: runs without -short and -race")
+	}
+	const reps, floor = 3, 0.80
+	points := []struct {
+		load     float64
+		baseline float64 // the speed-up when the baseline was recorded
+	}{{0.1, 2.3299}, {0.2, 1.9020}, {0.3, 1.7626}, {0.6, 1.3555}, {0.8, 1.4474}}
+	best := func(im impl, cfg Config) time.Duration {
+		var fastest time.Duration
+		for range reps {
+			net, err := im.build(&cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if err := im.drive(net, &cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); fastest == 0 || d < fastest {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+	logSum := 0.0
+	for _, p := range points {
+		cfg := engineCfg(3, p.load, 1, 1000)
+		ref, got := best(oracle, cfg), best(core, cfg)
+		speedup := float64(ref) / float64(got)
+		t.Logf("UN@%.1f: oracle %v, core %v: speed-up %.2f, baseline %.2f (ratio %.2f)",
+			p.load, ref, got, speedup, p.baseline, speedup/p.baseline)
+		logSum += math.Log(speedup / p.baseline)
+	}
+	geomean := math.Exp(logSum / float64(len(points)))
+	t.Logf("geometric-mean speed-up ratio %.2f (floor %.2f)", geomean, floor)
+	if geomean < floor {
+		t.Errorf("the core's speed-up over the oracle fell to %.2f of its baseline (geometric mean), want at least %.2f", geomean, floor)
 	}
 }
 

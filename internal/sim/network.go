@@ -117,9 +117,9 @@ type Network struct {
 
 	// engineSteps is the number of router-steps the last engine run
 	// executed, engineWindows the number of time windows it was cut into;
-	// the scheduler tests and cmd/dfbench read them to quantify how many
-	// quiescent router-cycles were skipped and how long the engine ran
-	// between looks at the whole network.
+	// the scheduler tests read them to quantify how many quiescent
+	// router-cycles were skipped and how long the engine ran between looks
+	// at the whole network.
 	engineSteps, engineWindows int64
 
 	// nodeRnd0 holds every node RNG's stream position from just before its
@@ -460,8 +460,8 @@ func (net *Network) LiveJobDelivered(job int, routers []int) int64 {
 }
 
 // EngineSteps returns the number of router-steps the last engine run
-// executed — the denominator of the scheduler's skip ratio (cmd/dfbench
-// records it per release).
+// executed — the denominator of the scheduler's skip ratio
+// (TestEngineStepsPinned pins it per scenario).
 func (net *Network) EngineSteps() int64 { return net.engineSteps }
 
 // EngineWindows returns the number of time windows the last engine run

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -64,6 +66,33 @@ func TestProbeCadenceInvariance(t *testing.T) {
 		if n := strings.Count(stream, "\n"); n != want {
 			t.Fatalf("every=%d: %d JSONL lines, want %d", every, n, want)
 		}
+	}
+}
+
+// What probes cost: the engine benchmark's h=3 point at UN 0.2 over 2,000
+// cycles with probes off (every0) and sampling every 256 cycles
+// (every256). Advisory: the two should stay within about 5 % of each
+// other, a bound inside a shared machine's noise, so no test gates it;
+// TestProbeCadenceInvariance holds the probed run to the unprobed one.
+func BenchmarkProbes(b *testing.B) {
+	for _, every := range []int64{0, 256} {
+		b.Run(fmt.Sprintf("every%d", every), func(b *testing.B) {
+			cfg := engineCfg(3, 0.2, 1, 2000)
+			for range b.N {
+				b.StopTimer()
+				if every > 0 {
+					cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: every, Out: io.Discard})
+				}
+				net, err := NewNetwork(&cfg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := RunNetwork(net, &cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,27 +1,17 @@
 package sim
 
-import (
-	"testing"
-
-	"dragonfly/internal/topology"
-)
+import "testing"
 
 // Benchmarks of the snapshot economics at the paper's h=6 scale (73
 // groups, 876 routers): cold construction vs a fresh restore vs the sweep
-// steady state of restoring over a recycled network. cmd/dfbench gates the
-// build-to-restore ratio; these isolate the three costs for profiling.
-
-func benchCfgH6() Config {
-	cfg := DefaultConfig()
-	cfg.Topology = topology.Balanced(6)
-	cfg.Mechanism = "In-Trns-MM"
-	cfg.Pattern = "UN"
-	cfg.Load = 0.1
-	return cfg
-}
+// steady state of restoring over a recycled network. They isolate the
+// three costs for profiling and are advisory: a restore over a recycled
+// network should beat a cold build about fivefold, but the ratio of two
+// millisecond-scale readings on a shared machine misses any such floor
+// now and then with nothing wrong, so no test gates it.
 
 func BenchmarkBuildH6(b *testing.B) {
-	cfg := benchCfgH6()
+	cfg := engineCfg(6, 0.1, 1, 100)
 	for i := 0; i < b.N; i++ {
 		if _, err := NewNetwork(&cfg, nil); err != nil {
 			b.Fatal(err)
@@ -30,7 +20,7 @@ func BenchmarkBuildH6(b *testing.B) {
 }
 
 func BenchmarkRestoreH6(b *testing.B) {
-	cfg := benchCfgH6()
+	cfg := engineCfg(6, 0.1, 1, 100)
 	snap, err := NewSnapshot(cfg, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -44,7 +34,7 @@ func BenchmarkRestoreH6(b *testing.B) {
 }
 
 func BenchmarkRestoreIntoH6(b *testing.B) {
-	cfg := benchCfgH6()
+	cfg := engineCfg(6, 0.1, 1, 100)
 	snap, err := NewSnapshot(cfg, 0)
 	if err != nil {
 		b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -18,7 +19,7 @@ import (
 const (
 	catUnused      = "unused"      // no other package refers to it
 	catTestOnly    = "testonly"    // other packages refer to it only from tests
-	catDoc         = "doc"         // a backticked name in the docs resolves to nothing
+	catDoc         = "doc"         // a backticked name or path in the docs resolves to nothing
 	catDeterminism = "determinism" // wall-clock read or goroutine in a simulation package
 )
 
@@ -317,11 +318,16 @@ var (
 	dotted     = regexp.MustCompile(`^[*&]?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?$`)
 	testName   = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark|Example)\w*$`)
 	fileExt    = regexp.MustCompile(`^(?:md|json|jsonl|go|mod|sum|yml|yaml|txt|csv|golden|sh|out|prof|html|log|svg|png|pb|gz)$`)
+	modulePath = regexp.MustCompile(`^(?:(?:cmd|internal|examples)(?:/[\w.*-]+)*/?|[\w.-]+\.json)$`)
+	goFile     = regexp.MustCompile(`^(?:[\w.-]+/)*[A-Za-z0-9][\w.-]*\.go$`)
 )
 
 // unresolvedDocNames lists the backticked pkg.Ident, Type.Method and
-// TestXxx names of docFiles that resolve to nothing in the module.
-// Fenced code blocks are skipped.
+// TestXxx names of docFiles that resolve to nothing in the module, and
+// the backticked paths that name nothing: a path under cmd/, internal/ or
+// examples/ or a *.json file (from the module root, globs allowed) that
+// does not exist, or a *.go file name that ends no Go file's path in the
+// module. Fenced code blocks are skipped.
 func (m *module) unresolvedDocNames() ([]finding, error) {
 	byName := map[string][]*pkg{}
 	typeNames := map[string][]*types.TypeName{}
@@ -341,6 +347,14 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 	for _, names := range m.testFuncs {
 		for _, n := range names {
 			tests[n] = true
+		}
+	}
+	var goFiles []string
+	for _, p := range m.pkgs {
+		for _, fs := range [][]*ast.File{p.files, p.tests, p.xtests, p.ignored, p.ignoredTests} {
+			for _, f := range fs {
+				goFiles = append(goFiles, "/"+m.position(f.Pos()).Filename)
+			}
 		}
 	}
 
@@ -368,6 +382,11 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 				span := strings.TrimSpace(sm[1])
 				ok := true
 				switch {
+				case modulePath.MatchString(span):
+					matches, err := filepath.Glob(filepath.Join(m.root, span))
+					ok = err == nil && len(matches) > 0
+				case goFile.MatchString(span):
+					ok = slices.ContainsFunc(goFiles, func(f string) bool { return strings.HasSuffix(f, "/"+span) })
 				case testName.MatchString(span):
 					ok = tests[span]
 				case dotted.MatchString(span):

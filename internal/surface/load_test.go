@@ -2,8 +2,8 @@
 // surface of the module's internal packages and check the census against
 // an exact allowlist (testdata/allowlist.txt): an exported name that no
 // other package calls, a name other packages call only from their tests,
-// a backticked name in README.md or DESIGN.md that resolves to nothing,
-// and a wall-clock read or goroutine in a simulation package each fail
+// a backticked name or path in README.md or DESIGN.md that resolves to
+// nothing, and a wall-clock read or goroutine in a simulation package each fail
 // the test unless a line of the allowlist names it with a reason. A
 // listed entry that no longer occurs fails it too, so the list can only
 // shrink as the code does. Over the same loaded module, TestLayout holds

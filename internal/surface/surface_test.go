@@ -114,9 +114,10 @@ func TestCISteps(t *testing.T) {
 
 // TestCensusToyModule runs the census and the CI check on a module small
 // enough to list everything they must find: one unused export, one export
-// only another package's tests call, one unresolved doc name, one
-// time.Now in a simulation package and one CI pattern that runs nothing.
-// The interface method (T.Step) and the names that resolve are not found.
+// only another package's tests call, one unresolved doc name, one doc path
+// that does not exist, one time.Now in a simulation package and one CI
+// pattern that runs nothing. The interface method (T.Step) and the names
+// and paths that resolve are not found.
 func TestCensusToyModule(t *testing.T) {
 	m, err := toy()
 	if err != nil {
@@ -132,6 +133,7 @@ func TestCensusToyModule(t *testing.T) {
 	}
 	want := []string{
 		"internal/sim/sim.go:6: determinism sim.Stamp:time.Now",
+		"README.md:7: doc cmd/toy",
 		"README.md:4: doc lib.Missing",
 		"internal/lib/lib.go:9: testonly lib.TestOnly",
 		"internal/lib/lib.go:7: unused lib.Unused",

@@ -345,7 +345,7 @@ func TestWorkloadBitIdenticalAcrossEngines(t *testing.T) {
 		var err error
 		if ref {
 			if net, err = refmodel.NewNetwork(&c, wl); err == nil {
-				err = refmodel.Run(net, &c)
+				err = refmodel.RunWithController(net, &c, nil)
 			}
 		} else if net, err = sim.NewNetwork(&c, wl); err == nil {
 			err = sim.RunNetwork(net, &c)
