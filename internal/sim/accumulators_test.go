@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"testing"
 
 	"dragonfly/internal/stats"
 )
@@ -62,19 +61,4 @@ type outcome struct {
 // outcomeOf reads the outcome of the run net just finished.
 func outcomeOf(net *Network, cfg *Config) outcome {
 	return outcome{newResult(net, cfg, 0), accumulatorsOf(net)}
-}
-
-// requireIdentical fails unless every per-router and per-job accumulator —
-// and hence every derived metric (throughput, latency, fairness CoV,
-// batches, breakdowns) — is bit-identical.
-func requireIdentical(t *testing.T, label string, want, got outcome) {
-	t.Helper()
-	if d := got.acc.diff(want.acc); d != "" {
-		t.Fatalf("%s: %s", label, d)
-	}
-	if want.Throughput() != got.Throughput() ||
-		want.AvgLatency() != got.AvgLatency() ||
-		want.Fairness().CoV != got.Fairness().CoV {
-		t.Fatalf("%s: derived metrics diverge", label)
-	}
 }

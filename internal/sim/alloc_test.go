@@ -137,7 +137,7 @@ func TestBuildFootprint(t *testing.T) {
 
 	// Their first baselines, 2,625,624 B and 839,832 B, were a quarter
 	// above these bytes: a doubled credit arena fit under them.
-	h4, h3 := engineCfg(4, 0.1, 1, 100), engineCfg(3, 0.1, 1, 100)
+	h4, h3 := engineAt(4, 0.1, 1, 100).full(), engineAt(3, 0.1, 1, 100).full()
 	snap, err := NewSnapshot(h3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestTemplateFootprint(t *testing.T) {
 	}{
 		{"In-Trns-MM h=6", paper("In-Trns-MM"), 3 << 19},
 		{"Src-CRG h=6", paper("Src-CRG"), 3 << 19},
-		{"In-Trns-MM h=3", engineCfg(3, 0.1, 1, 100), 54_840 * 6 / 5},
+		{"In-Trns-MM h=3", engineAt(3, 0.1, 1, 100).full(), 54_840 * 6 / 5},
 	} {
 		got := allocated(func() {
 			if _, err := NewSnapshot(tc.cfg, 0); err != nil {

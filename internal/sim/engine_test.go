@@ -3,28 +3,13 @@ package sim
 import (
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/router"
-	"dragonfly/internal/topology"
 )
-
-// equivCfg is the cross-engine equivalence configuration: long enough for
-// steady state and a couple of batch boundaries, small enough to run the
-// full engine × mechanism × pattern × load matrix in seconds.
-func equivCfg(mech, pattern string, load float64) Config {
-	cfg := DefaultConfig()
-	cfg.Mechanism = mech
-	cfg.Pattern = pattern
-	cfg.Load = load
-	cfg.WarmupCycles = 500
-	cfg.MeasureCycles = 1500
-	return cfg
-}
 
 // runOn builds a fresh network with im and drives it with im's engine.
 func runOn(t *testing.T, im impl, cfg Config) outcome {
@@ -38,9 +23,6 @@ func runOn(t *testing.T, im impl, cfg Config) outcome {
 	}
 	return outcomeOf(net, &cfg)
 }
-
-// runRef runs the dense oracle (ring links, the seed configuration).
-func runRef(t *testing.T, cfg Config) outcome { return runOn(t, oracle, cfg) }
 
 // runSched runs the active-router scheduler engine, bypassing the NumCPU
 // clamp so the parallel path is exercised even on small CI machines. It
@@ -57,38 +39,11 @@ func runSched(t *testing.T, cfg Config, workers int) (outcome, int64) {
 	return outcomeOf(net, &cfg), net.engineSteps
 }
 
-// The tentpole guarantee: the active-router scheduler produces bit-identical
-// results to the dense seed engine for every worker count, across mechanism
-// classes (Src- exercises the PB barrier phase), traffic patterns and loads
-// from near-idle to saturation.
-func TestSchedulerMatchesReferenceEngine(t *testing.T) {
-	mechs := []string{"MIN", "Src-CRG", "In-Trns-MM"}
-	patterns := []string{"UN", "ADVc"}
-	loads := []float64{0.05, 0.35, 0.8}
-	workerCounts := []int{1, 2, 4}
-	if testing.Short() {
-		mechs = []string{"MIN", "Src-CRG"}
-		loads = []float64{0.05, 0.35}
-	}
-	for _, mech := range mechs {
-		for _, pat := range patterns {
-			for _, load := range loads {
-				cfg := equivCfg(mech, pat, load)
-				ref := runRef(t, cfg)
-				for _, workers := range workerCounts {
-					res, _ := runSched(t, cfg, workers)
-					requireIdentical(t, cfg.Mechanism+"/"+cfg.Pattern, ref, res)
-				}
-			}
-		}
-	}
-}
-
 // At low load the scheduler must actually skip work: well under half of the
 // dense engine's router-steps (the perf win TestEngineSpeedupOverOracle
-// times), without giving up bit-identity (checked above).
+// times), without giving up bit-identity (TestSchedulerMatchesReferenceEngine).
 func TestSchedulerSkipsQuiescentRouters(t *testing.T) {
-	cfg := equivCfg("In-Trns-MM", "UN", 0.1)
+	cfg := equiv("In-Trns-MM", "UN", 0.1).full()
 	dense := int64(cfg.Topology.Routers()) * (cfg.WarmupCycles + cfg.MeasureCycles)
 	for _, workers := range []int{1, 2} {
 		_, steps := runSched(t, cfg, workers)
@@ -147,144 +102,9 @@ func TestWatchdogFiresWithSleepingRouters(t *testing.T) {
 	}
 }
 
-// h3Cfg is equivCfg on the balanced h=3 network (114 routers, 342 nodes).
-func h3Cfg(mech, pat string, load float64) Config {
-	cfg := equivCfg(mech, pat, load)
-	cfg.Topology = topology.Balanced(3)
-	cfg.Seed = 7
-	return cfg
-}
-
-// engineCfg is the engine benchmark's operating point: In-Trns-MM under UN
-// on the balanced h network, a fifth of the cycles warm-up.
-func engineCfg(h int, load float64, workers int, cycles int64) Config {
-	cfg := DefaultConfig()
-	cfg.Topology = topology.Balanced(h)
-	cfg.Mechanism = "In-Trns-MM"
-	cfg.Pattern = "UN"
-	cfg.Load = load
-	cfg.WarmupCycles = cycles / 5
-	cfg.MeasureCycles = cycles - cfg.WarmupCycles
-	cfg.Workers = workers
-	return cfg
-}
-
-// jobTrace scripts a small job trace for churnController: every job
-// {arrival, departure, first node, nodes} switches a block of consecutive
-// nodes on at its arrival and off at its departure. No jobs, no controller.
-func jobTrace(jobs [][4]int64) Controller {
-	if jobs == nil {
-		return nil
-	}
-	c := &churnController{}
-	for _, j := range jobs {
-		for k := 0; k < int(j[3]); k++ {
-			c.events = append(c.events,
-				churnEvent{cycle: j[0], node: int(j[2]) + k, on: true, load: 0.3},
-				churnEvent{cycle: j[1], node: int(j[2]) + k})
-		}
-	}
-	sort.SliceStable(c.events, func(a, b int) bool { return c.events[a].cycle < c.events[b].cycle })
-	return c
-}
-
-// Which router-steps execute is a contract, not an implementation detail: the
-// step count is the work counter every perf record of the repository is
-// normalised by (router.steps, ns/step), so an engine change that moves it —
-// waking differently, stepping a router that has nothing to do — must show up
-// here, not as an unexplained shift in a benchmark. Five h=3 cases:
-// saturation, a mostly sleeping PiggyBack network, a controller switching
-// jobs on and off mid-run, a heterogeneous latency model, and one-node jobs
-// whose router sleeps on nothing but the node's next arrival when the job
-// departs. Then, outside the race detector, the engine benchmark's nine
-// operating points (engineCfg; TestEngineSpeedupOverOracle times the h=3
-// ones): five at h=3 over 1,000 cycles, the oracle on one worker, and four at
-// h=4 over 500 cycles, the oracle's barrier-parallel engine on two. Every row
-// also pins the windows the run was cut into. The step counts may only ever
-// fall. History, oldest first: the cycle-major heap-calendar engine stepped
-// 210941 / 58707 / 102960 / 157104 / 3285 times; the wake array dropped the
-// fifth to 3281 (a cancelled arrival left no heap entry behind to pay a no-op
-// step for); waking routers for work only — releases, credits and arrivals
-// settled lazily, a controller-touched router woken at its next arrival
-// instead of at the event — brought all five to the values below. The engine
-// rows stepped 50791 / 78336 / 92981 / 108817 / 111178 (10 windows) and
-// 65203 / 110814 / 125509 / 128036 (9 windows) when the engine's first speed-up
-// baseline was recorded. A wake-up is a function of the event alone, not of
-// when the event is announced, so the numbers hold at any worker count; the
-// results are compared with the oracle's.
-func TestEngineStepsPinned(t *testing.T) {
-	sat := h3Cfg("In-Trns-MM", "ADVc", 0.4)
-	sat.Router.Arbitration = router.TransitOverInjection
-	skew := h3Cfg("In-Trns-MM", "UN", 0.2)
-	applyLatency(t, &skew, 10, 100, "groupskew")
-	type row struct {
-		name           string
-		cfg            Config
-		trace          [][4]int64
-		steps, windows int64
-	}
-	cases := []row{
-		{"In-Trns-MM/ADVc@0.4/transit-priority", sat, nil, 190178, 21},
-		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil, 31777, 21},
-		{"job trace", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
-			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {100, 1101, 200, 36},
-			{350, 1999, 48, 40}, {777, 1300, 240, 72}, {1200, 1700, 160, 40}, {1301, 1302, 0, 12},
-		}, 66736, 27},
-		{"groupskew", skew, nil, 108077, 21},
-		{"cancelled generation", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
-			{0, 300, 0, 1}, {0, 450, 30, 1}, {0, 610, 60, 1}, {0, 777, 90, 1},
-			{100, 900, 120, 1}, {200, 1000, 150, 1}, {300, 1200, 180, 1}, {400, 1500, 210, 1},
-		}, 1683, 23},
-	}
-	// Instrumented, the nine engine points would add a minute of dense
-	// oracle runs to the race job and no concurrency the rows above lack.
-	if !raceEnabled {
-		cases = append(cases, []row{
-			{"engine h=3 UN@0.1", engineCfg(3, 0.1, 1, 1000), nil, 30639, 10},
-			{"engine h=3 UN@0.2", engineCfg(3, 0.2, 1, 1000), nil, 54518, 10},
-			{"engine h=3 UN@0.3", engineCfg(3, 0.3, 1, 1000), nil, 72372, 10},
-			{"engine h=3 UN@0.6", engineCfg(3, 0.6, 1, 1000), nil, 102473, 10},
-			{"engine h=3 UN@0.8", engineCfg(3, 0.8, 1, 1000), nil, 109135, 10},
-			{"engine h=4 UN@0.1", engineCfg(4, 0.1, 2, 500), nil, 41389, 5},
-			{"engine h=4 UN@0.3", engineCfg(4, 0.3, 2, 500), nil, 91421, 5},
-			{"engine h=4 UN@0.6", engineCfg(4, 0.6, 2, 500), nil, 119850, 5},
-			{"engine h=4 UN@0.8", engineCfg(4, 0.8, 2, 500), nil, 125760, 5},
-		}...)
-	}
-	for _, tc := range cases {
-		ref, err := oracle.build(&tc.cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.drive(ref, &tc.cfg, jobTrace(tc.trace)); err != nil {
-			t.Fatal(err)
-		}
-		want := outcomeOf(ref, &tc.cfg)
-		if want.Delivered() == 0 {
-			t.Fatalf("%s: nothing delivered", tc.name)
-		}
-		for _, workers := range []int{1, 2} {
-			net, err := NewNetwork(&tc.cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := run(net, tc.cfg.WarmupCycles, tc.cfg.WarmupCycles+tc.cfg.MeasureCycles, workers, jobTrace(tc.trace)); err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, tc.name, want, outcomeOf(net, &tc.cfg))
-			if got := net.EngineSteps(); got != tc.steps {
-				t.Errorf("%s workers=%d: %d router-steps, pinned %d", tc.name, workers, got, tc.steps)
-			}
-			if got := net.EngineWindows(); got != tc.windows {
-				t.Errorf("%s workers=%d: %d windows, pinned %d", tc.name, workers, got, tc.windows)
-			}
-		}
-	}
-}
-
 // The core must stay faster than the dense oracle by about as much as when
-// its speed-up baseline was recorded. Both run the five h=3 rows of
-// TestEngineStepsPinned, each timed best of 3 in this process, so a slow or
+// its speed-up baseline was recorded. Both run the five h=3 steps/engine
+// rows of the oracle table, each timed best of 3 in this process, so a slow or
 // noisy machine slows both sides alike; the speed-up is oracle time over
 // core time. The geometric mean of speed-up / baseline over the five may
 // not fall below 0.80. No point is gated alone: one measurement can land
@@ -319,7 +139,7 @@ func TestEngineSpeedupOverOracle(t *testing.T) {
 	}
 	logSum := 0.0
 	for _, p := range points {
-		cfg := engineCfg(3, p.load, 1, 1000)
+		cfg := engineAt(3, p.load, 1, 1000).full()
 		ref, got := best(oracle, cfg), best(core, cfg)
 		speedup := float64(ref) / float64(got)
 		t.Logf("UN@%.1f: oracle %v, core %v: speed-up %.2f, baseline %.2f (ratio %.2f)",
@@ -342,26 +162,26 @@ func TestEngineSpeedupOverOracle(t *testing.T) {
 // not the cached minima); and every group's nextWake is exactly the minimum
 // of its routers' wake-ups.
 func TestWakeCoversPendingEvents(t *testing.T) {
+	jobs := h3At("In-Trns-MM", "UN", 0)
+	jobs.script = jobTrace([4]int64{0, 700, 0, 48}, [4]int64{1, 350, 48, 24}, [4]int64{99, 1200, 100, 60}, [4]int64{0, 450, 300, 1}, [4]int64{350, 1999, 48, 40})
 	cases := []struct {
-		name  string
-		cfg   Config
-		trace [][4]int64
+		name string
+		sc   scenario
 	}{
-		{"In-Trns-MM/ADVc@0.4", h3Cfg("In-Trns-MM", "ADVc", 0.4), nil},
-		{"Src-CRG/UN@0.05", h3Cfg("Src-CRG", "UN", 0.05), nil},
-		{"job trace", h3Cfg("In-Trns-MM", "UN", 0), [][4]int64{
-			{0, 700, 0, 48}, {1, 350, 48, 24}, {99, 1200, 100, 60}, {0, 450, 300, 1}, {350, 1999, 48, 40},
-		}},
+		{"In-Trns-MM/ADVc@0.4", h3At("In-Trns-MM", "ADVc", 0.4)},
+		{"Src-CRG/UN@0.05", h3At("Src-CRG", "UN", 0.05)},
+		{"job trace", jobs},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
-			net, err := NewNetwork(&tc.cfg, nil)
+			cfg := tc.sc.full()
+			net, err := NewNetwork(&cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			e := newEngine(net, workers)
-			total := tc.cfg.WarmupCycles + tc.cfg.MeasureCycles
-			d := newDriver(net, tc.cfg.WarmupCycles, total, jobTrace(tc.trace), e)
+			total := tc.sc.total
+			d := newDriver(net, tc.sc.warmup, total, tc.sc.controller(), e)
 			for now := int64(0); now < total; {
 				to, _, err := d.window(now)
 				if err != nil {
@@ -398,7 +218,7 @@ func TestWakeCoversPendingEvents(t *testing.T) {
 // to do — at saturation proper a starved router is awake anyway, retrying its
 // blocked inputs, and the sink's wake-up is never the one that counts.)
 func TestUnwokenStarvedPortPanics(t *testing.T) {
-	cfg := h3Cfg("MIN", "ADV+1", 0.1)
+	cfg := h3At("MIN", "ADV+1", 0.1).full()
 	net, err := NewNetwork(&cfg, nil)
 	if err != nil {
 		t.Fatal(err)

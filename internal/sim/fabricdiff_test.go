@@ -20,8 +20,9 @@ import (
 // core gives it (Core.StateWord), so got is core-built and want may be the
 // oracle: "router 8 (group 2) in[6].qTotal: 0 != 1".
 func fabricDiff(got, want *Network) string {
+	var g, w []int64
 	for r := range want.topo.NumRouters() {
-		g, w := got.fab.StateVector(r, nil), want.fab.StateVector(r, nil)
+		g, w = got.fab.StateVector(r, g[:0]), want.fab.StateVector(r, w[:0])
 		i := 0
 		for i < len(g) && i < len(w) && g[i] == w[i] {
 			i++
@@ -44,20 +45,21 @@ func fabricDiff(got, want *Network) string {
 }
 
 // firstDivergence locates where two runs started to differ, once their
-// end-of-run fabricDiff has found diff after total cycles. run(k) repeats
-// the test's own two runs for k cycles, warm-up included, and the result is
-// the first k whose runs differ (the state after cycle k, counting from 1),
-// with a report naming it. The search is over the measured cycles
+// end-of-run comparison has found diff after total cycles. diffAt(k) repeats
+// the test's own two runs for k cycles, warm-up included, and compares them
+// as the end of the run was ("" when equal); the result is the first k whose
+// runs differ (the state after cycle k, counting from 1), with a report
+// naming it. The search is over the measured cycles
 // (warmup, total] — Validate wants MeasureCycles > 0 — and keeps "equal at
 // lo, different at hi" until the two are adjacent, which needs no
 // monotonicity: both sides run the same configuration at every probe. It
 // costs ⌈log₂(total−warmup)⌉ runs, and only ever runs after a failure.
-func firstDivergence(warmup, total int64, diff string, run func(k int64) (got, want *Network)) (int64, string) {
+func firstDivergence(warmup, total int64, diff string, diffAt func(k int64) string) (int64, string) {
 	lo, hi, runs := warmup, total, 0
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		runs++
-		if d := fabricDiff(run(mid)); d != "" {
+		if d := diffAt(mid); d != "" {
 			hi, diff = mid, d
 		} else {
 			lo = mid
@@ -104,7 +106,7 @@ func TestFirstDivergenceNamesCycleAndWord(t *testing.T) {
 	if d == "" {
 		t.Fatal("silencing a node left the run unchanged")
 	}
-	cycle, report := firstDivergence(warmup, total, d, run)
+	cycle, report := firstDivergence(warmup, total, d, func(k int64) string { return fabricDiff(run(k)) })
 	if bound := int(math.Ceil(math.Log2(total-warmup))) + 2; runs > bound {
 		t.Errorf("%d runs, want at most %d", runs, bound)
 	}

@@ -9,63 +9,6 @@ import (
 	"dragonfly/internal/topology"
 )
 
-// latencySettings are the latency configurations the link-layer refactor
-// is verified under: the Table I defaults, a non-default uniform pair, and
-// the heterogeneous group-skew preset.
-func latencySettings() []struct {
-	name          string
-	local, global int
-	model         string
-} {
-	return []struct {
-		name          string
-		local, global int
-		model         string
-	}{
-		{"default", 10, 100, "uniform"},
-		{"nondefault", 3, 17, "uniform"},
-		{"groupskew", 10, 100, "groupskew"},
-	}
-}
-
-func applyLatency(t *testing.T, cfg *Config, local, global int, model string) {
-	t.Helper()
-	m, err := topology.LatencyModelByName(model, local, global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LatencyModel = m
-}
-
-// The core's in-ring link transport driven by the scheduler engines is
-// bit-identical to the seed ring links driven by the dense oracle, across
-// worker counts and latency settings (defaults, non-default uniform,
-// heterogeneous).
-func TestCoreLinksMatchRingLinkReference(t *testing.T) {
-	mechs := []string{"MIN", "In-Trns-MM"}
-	loads := []float64{0.05, 0.4}
-	workerCounts := []int{1, 2, 4}
-	if testing.Short() {
-		mechs = []string{"In-Trns-MM"}
-		loads = []float64{0.4}
-	}
-	for _, ls := range latencySettings() {
-		for _, mech := range mechs {
-			for _, load := range loads {
-				cfg := equivCfg(mech, "UN", load)
-				applyLatency(t, &cfg, ls.local, ls.global, ls.model)
-
-				ref := runRef(t, cfg)
-
-				for _, workers := range workerCounts {
-					res, _ := runSched(t, cfg, workers)
-					requireIdentical(t, ls.name+"/"+mech, ref, res)
-				}
-			}
-		}
-	}
-}
-
 // At very low load under non-default uniform latencies, measured latency
 // must match the closed-form zero-load model — the pathCost layers all
 // price the runtime latencies, not the Table I constants.
@@ -76,7 +19,7 @@ func TestZeroLoadLatencyNonDefaultUniform(t *testing.T) {
 	cfg.Load = 0.01
 	cfg.WarmupCycles = 2000
 	cfg.MeasureCycles = 6000
-	applyLatency(t, &cfg, 25, 250, "uniform")
+	cfg.LatencyModel = topology.UniformLatency{Local: 25, Global: 250}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +44,7 @@ func TestZeroLoadLatencyHeterogeneous(t *testing.T) {
 	cfg.Load = 0.01
 	cfg.WarmupCycles = 2000
 	cfg.MeasureCycles = 8000
-	applyLatency(t, &cfg, 10, 100, "groupskew")
+	cfg.LatencyModel = topology.GroupSkewLatency{Local: 10, GlobalBase: 100, GlobalStep: 10}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,15 +95,16 @@ func TestBadLatencyModelRejected(t *testing.T) {
 // it). ADVc far past saturation keeps the bottleneck group's global links
 // busy every cycle of every window; if the rings were a slot short the
 // "link event ring full" panic would fire inside the first window. No
-// sizing switch: this is the production geometry, run hard.
+// sizing switch: this is the production geometry, run hard, under the
+// Table I latencies, a non-default uniform pair and group skew.
 func TestGlobalRingsHoldAWindowOfLookahead(t *testing.T) {
 	for _, mech := range []string{"MIN", "In-Trns-MM"} {
-		for _, ls := range latencySettings() {
+		for _, lat := range []wiring{{"uniform", 10, 100, 0}, {"uniform", 3, 17, 0}, {"groupskew", 10, 100, 10}} {
 			cfg := DefaultConfig()
 			cfg.Topology = topology.Balanced(3)
 			cfg.Mechanism, cfg.Pattern, cfg.Load = mech, "ADVc", 1.0
 			cfg.WarmupCycles, cfg.MeasureCycles = 100, 700
-			applyLatency(t, &cfg, ls.local, ls.global, ls.model)
+			cfg.LatencyModel = lat.latency()
 			net, err := NewNetwork(&cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -170,10 +114,10 @@ func TestGlobalRingsHoldAWindowOfLookahead(t *testing.T) {
 			}
 			look := net.core.Lookahead()
 			if windows := net.EngineWindows(); windows < 5 || windows > 2*(800/look+9) {
-				t.Errorf("%s/%s: %d windows over 800 cycles at lookahead %d", mech, ls.name, windows, look)
+				t.Errorf("%s/%v: %d windows over 800 cycles at lookahead %d", mech, lat, windows, look)
 			}
 			if thr := newResult(net, &cfg, 0).Throughput(); thr <= 0 || thr > cfg.Load/2 {
-				t.Errorf("%s/%s: accepted %.3f of an offered %.1f — not past saturation", mech, ls.name, thr, cfg.Load)
+				t.Errorf("%s/%v: accepted %.3f of an offered %.1f — not past saturation", mech, lat, thr, cfg.Load)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func TestPacketsConserved(t *testing.T) {
 		l.peak = max(l.peak, l.net.telemetry.PeakInFlight, l.net.InFlight())
 		l.nodes = max(l.nodes, l.net.topo.NumNodes())
 	}
-	advc := h3Cfg("In-Trns-MM", "ADVc", 0.4)
+	advc := h3At("In-Trns-MM", "ADVc", 0.4).full()
 	advc.WarmupCycles, advc.MeasureCycles = 200, 400
 
 	for _, tc := range []struct {
@@ -77,7 +77,7 @@ func TestPacketsConserved(t *testing.T) {
 	}
 
 	t.Run("restore over another h and mechanism", func(t *testing.T) {
-		retiredCfg := h3Cfg("Src-CRG", "UN", 0.6)
+		retiredCfg := h3At("Src-CRG", "UN", 0.6).full()
 		retiredCfg.WarmupCycles, retiredCfg.MeasureCycles = 200, 300
 		retiredCfg.Workers = 2
 		net, err := NewNetwork(&retiredCfg, nil)
@@ -88,7 +88,7 @@ func TestPacketsConserved(t *testing.T) {
 		drive(t, core, l, &retiredCfg)
 		check(t, "after the h=3 Src-CRG run", l)
 
-		cfg := equivCfg("In-Trns-MM", "ADVc", 0.4)
+		cfg := equiv("In-Trns-MM", "ADVc", 0.4).full()
 		cfg.Topology = topology.Balanced(2)
 		cfg.WarmupCycles, cfg.MeasureCycles = 200, 400
 		cfg.Workers = 1

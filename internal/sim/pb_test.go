@@ -113,48 +113,3 @@ func TestPBRelativeRule(t *testing.T) {
 		t.Error("ADVc: all bottleneck links flagged — the relative rule should mask equal overload")
 	}
 }
-
-// The scheduler-aware PB refresh: the scheduler engines refresh a group's
-// bits only when one of its routers stepped in the previous cycle. The
-// results must stay bit-identical to the dense reference engine (which
-// refreshes every group every cycle) for every worker count, and at a load
-// that leaves routers sleeping the refresh count must actually drop.
-func TestPBRefreshSchedulerBitIdentical(t *testing.T) {
-	for _, pattern := range []string{"ADV+1", "ADVc", "UN"} {
-		cfg := DefaultConfig()
-		cfg.Mechanism = "Src-RRG"
-		cfg.Pattern = pattern
-		cfg.Load = 0.15 // low enough that parts of the network sleep
-		cfg.WarmupCycles = 500
-		cfg.MeasureCycles = 1500
-
-		run := func(workers int, im impl) (accumulators, int64) {
-			c := cfg
-			c.Workers = workers
-			net, err := im.build(&c, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := im.drive(net, &c, nil); err != nil {
-				t.Fatal(err)
-			}
-			return accumulatorsOf(net), net.pb.totalUpdates()
-		}
-
-		ref, refUpdates := run(1, oracle)
-		dense := int64(cfg.Topology.Groups()) * (cfg.WarmupCycles + cfg.MeasureCycles)
-		if refUpdates != dense {
-			t.Fatalf("%s: reference engine refreshed %d group-cycles, want dense %d", pattern, refUpdates, dense)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			sched, schedUpdates := run(workers, core)
-			if d := sched.diff(ref); d != "" {
-				t.Fatalf("%s workers=%d: under lazy PB refresh: %s", pattern, workers, d)
-			}
-			if schedUpdates >= refUpdates {
-				t.Errorf("%s workers=%d: scheduler refreshed %d group-cycles, reference %d — nothing skipped",
-					pattern, workers, schedUpdates, refUpdates)
-			}
-		}
-	}
-}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -15,43 +13,31 @@ import (
 	"dragonfly/internal/workload"
 )
 
-// probedCfg is the shared scenario of the probe tests: Src-CRG exercises
-// the PiggyBack state, ADVc the congestion the probes are for.
-func probedCfg() Config {
-	cfg := small()
-	cfg.Mechanism = "Src-CRG"
-	cfg.Pattern = "ADVc"
-	cfg.Load = 0.35
-	return cfg
-}
-
-// runProbed runs one simulation with a fresh probe recorder and returns
-// the outcome, the JSONL stream, and the summary. reference selects the
-// dense oracle instead of the core.
-func runProbed(t *testing.T, cfg Config, every int64, reference bool) (outcome, string, *telemetry.Summary) {
+// runProbed runs one simulation on the core with a fresh probe recorder and
+// returns the outcome, the JSONL stream, and the summary.
+func runProbed(t *testing.T, cfg Config, every int64) (outcome, string, *telemetry.Summary) {
 	t.Helper()
 	var buf bytes.Buffer
 	if every > 0 {
 		cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: every, Out: &buf})
 	}
-	im := core
-	if reference {
-		im = oracle
-	}
-	res := runOn(t, im, cfg)
+	res := runOn(t, core, cfg)
 	return res, buf.String(), res.Telemetry
 }
 
 // Probes are pure reads: the result must be bit-identical with probes off,
 // and at any cadence (cadences with different phase alignment included).
+// Src-CRG exercises the PiggyBack state, ADVc the congestion the probes are
+// for.
 func TestProbeCadenceInvariance(t *testing.T) {
-	cfg := probedCfg()
-	base, stream, tm := runProbed(t, cfg, 0, false)
+	cfg := small()
+	cfg.Mechanism, cfg.Pattern, cfg.Load = "Src-CRG", "ADVc", 0.35
+	base, stream, tm := runProbed(t, cfg, 0)
 	if stream != "" || tm != nil {
 		t.Fatal("probes off must produce no stream and no summary")
 	}
 	for _, every := range []int64{64, 193} {
-		res, stream, tm := runProbed(t, cfg, every, false)
+		res, stream, tm := runProbed(t, cfg, every)
 		if d := res.acc.diff(base.acc); d != "" {
 			t.Fatalf("every=%d: probes on: %s", every, d)
 		}
@@ -77,7 +63,7 @@ func TestProbeCadenceInvariance(t *testing.T) {
 func BenchmarkProbes(b *testing.B) {
 	for _, every := range []int64{0, 256} {
 		b.Run(fmt.Sprintf("every%d", every), func(b *testing.B) {
-			cfg := engineCfg(3, 0.2, 1, 2000)
+			cfg := engineAt(3, 0.2, 1, 2000).full()
 			for range b.N {
 				b.StopTimer()
 				if every > 0 {
@@ -93,40 +79,6 @@ func BenchmarkProbes(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// The probe stream itself is engine- and worker-invariant: samples read
-// only state proven bit-identical at every cycle boundary, at the same
-// point of the cycle in all four engines.
-func TestProbeStreamEngineInvariance(t *testing.T) {
-	cfg := probedCfg()
-	const every = 128
-	cfg.Workers = 1
-	_, refStream, refSum := runProbed(t, cfg, every, false)
-	if refStream == "" {
-		t.Fatal("no probe stream")
-	}
-	runs := []struct {
-		name      string
-		workers   int
-		reference bool
-	}{
-		{"sched-w2", 2, false},
-		{"sched-wN", runtime.NumCPU(), false},
-		{"ref-seq", 1, true},
-		{"ref-par", 2, true},
-	}
-	for _, r := range runs {
-		c := cfg
-		c.Workers = r.workers
-		_, stream, sum := runProbed(t, c, every, r.reference)
-		if stream != refStream {
-			t.Fatalf("%s: probe stream differs from sched-w1", r.name)
-		}
-		if !reflect.DeepEqual(sum, refSum) {
-			t.Fatalf("%s: summary differs: %+v vs %+v", r.name, sum, refSum)
-		}
 	}
 }
 

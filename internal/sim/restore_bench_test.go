@@ -11,7 +11,7 @@ import "testing"
 // now and then with nothing wrong, so no test gates it.
 
 func BenchmarkBuildH6(b *testing.B) {
-	cfg := engineCfg(6, 0.1, 1, 100)
+	cfg := engineAt(6, 0.1, 1, 100).full()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewNetwork(&cfg, nil); err != nil {
 			b.Fatal(err)
@@ -20,7 +20,7 @@ func BenchmarkBuildH6(b *testing.B) {
 }
 
 func BenchmarkRestoreH6(b *testing.B) {
-	cfg := engineCfg(6, 0.1, 1, 100)
+	cfg := engineAt(6, 0.1, 1, 100).full()
 	snap, err := NewSnapshot(cfg, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -34,7 +34,7 @@ func BenchmarkRestoreH6(b *testing.B) {
 }
 
 func BenchmarkRestoreIntoH6(b *testing.B) {
-	cfg := engineCfg(6, 0.1, 1, 100)
+	cfg := engineAt(6, 0.1, 1, 100).full()
 	snap, err := NewSnapshot(cfg, 0)
 	if err != nil {
 		b.Fatal(err)

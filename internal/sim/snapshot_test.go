@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,58 +11,6 @@ import (
 	"dragonfly/internal/topology"
 	"dragonfly/internal/workload"
 )
-
-// Randomized snapshot/restore equivalence. A run restored from a
-// construction snapshot must be bit-identical to a cold run of the same
-// configuration on the dense oracle — full microarchitectural state (see
-// Core.StateVector) and per-router statistics, after every prefix of the
-// run, across several worker counts, with the snapshot deliberately
-// captured at a different load than the restore target (construction
-// snapshots are load-agnostic).
-
-// snapTrial is one randomized snapshot scenario.
-type snapTrial struct {
-	cfg      Config
-	snapLoad float64 // capture load, usually != cfg.Load
-	probes   bool
-}
-
-func randomSnapTrial(rnd *rand.Rand, seed uint64) snapTrial {
-	mechs := []string{"MIN", "Obl-CRG", "Src-CRG", "In-Trns-MM"}
-	pats := []string{"UN", "ADV+1", "ADVc"}
-	loads := []float64{0.2, 0.5, 0.85}
-	cfg := DefaultConfig()
-	cfg.Topology = topology.Balanced(2)
-	cfg.Mechanism = mechs[rnd.Intn(len(mechs))]
-	cfg.Pattern = pats[rnd.Intn(len(pats))]
-	cfg.Load = loads[rnd.Intn(len(loads))]
-	cfg.WarmupCycles = 5
-	cfg.MeasureCycles = int64(35 + rnd.Intn(41))
-	cfg.Seed = seed
-	// Drawn and discarded: this used to pick between two oracle transports,
-	// and consuming it keeps every seeded trial's later draws what they were.
-	rnd.Intn(2)
-	if rnd.Intn(2) == 0 {
-		cfg.LatencyModel = topology.GroupSkewLatency{Local: 3, GlobalBase: 11, GlobalStep: 2}
-	}
-	return snapTrial{
-		cfg:      cfg,
-		snapLoad: loads[rnd.Intn(len(loads))],
-		probes:   rnd.Intn(2) == 0,
-	}
-}
-
-// prefixConfig is the trial configuration truncated to a k-cycle run, with
-// a fresh probe instance when the trial samples probes (probes are
-// read-only; results must be bit-identical with them on).
-func (tr snapTrial) prefixConfig(k int64) Config {
-	cfg := tr.cfg
-	cfg.MeasureCycles = k - cfg.WarmupCycles
-	if tr.probes {
-		cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: 16})
-	}
-	return cfg
-}
 
 // driven runs net through the run cfg describes on im's engine and returns
 // it.
@@ -76,55 +22,6 @@ func driven(t *testing.T, net *Network, cfg *Config, im impl) *Network {
 	return net
 }
 
-func TestConstructionSnapshotBitIdentical(t *testing.T) {
-	trials, stride := 3, 1
-	if testing.Short() {
-		trials, stride = 2, 7
-	}
-	rnd := rand.New(rand.NewSource(20260807))
-	workerCounts := []int{1, 2, runtime.NumCPU()}
-
-	for trial := 0; trial < trials; trial++ {
-		tr := randomSnapTrial(rnd, uint64(7+trial))
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v, %d cycles",
-			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			appendLatency(nil, &tr.cfg), tr.probes,
-			tr.cfg.WarmupCycles+tr.cfg.MeasureCycles)
-
-		snapCfg := tr.cfg
-		snapCfg.Load = tr.snapLoad
-		snap, err := NewSnapshot(snapCfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		total := tr.cfg.WarmupCycles + tr.cfg.MeasureCycles
-		for k := tr.cfg.WarmupCycles + 1; k <= total; k += int64(stride) {
-			// Cold baseline: the dense oracle on a fresh build.
-			coldCfg := tr.prefixConfig(k)
-			coldNet, err := oracle.build(&coldCfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			driven(t, coldNet, &coldCfg, oracle)
-
-			// Restored runs at several worker counts, all from the same
-			// snapshot.
-			for _, w := range workerCounts {
-				cfg := tr.prefixConfig(k)
-				cfg.Workers = w
-				net, err := RestoreNetwork(snap, &cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := fabricDiff(driven(t, net, &cfg, core), coldNet); d != "" {
-					t.Fatalf("trial %d cycle %d w%d: %s", trial, k, w, d)
-				}
-			}
-		}
-	}
-}
-
 // TestRestoreIntoRecycled proves the in-place restore path: overwriting a
 // retired network (RestoreNetworkInto) must produce runs bit-identical to
 // cold builds — across generations at different loads, where any state
@@ -132,28 +29,35 @@ func TestConstructionSnapshotBitIdentical(t *testing.T) {
 // ring events, calendars, counters, allocator scratch) would surface as a
 // state or statistics divergence.
 func TestRestoreIntoRecycled(t *testing.T) {
-	trials := 3
-	if testing.Short() {
-		trials = 1
+	trials := []scenario{
+		{h: 2, mech: "Src-CRG", pat: "ADV+1", load: 0.2, seed: 31, warmup: 5, total: 52, probeEvery: 16, captureLoad: 0.5},
+		{h: 2, mech: "In-Trns-MM", pat: "ADV+1", load: 0.85, seed: 32, warmup: 5, total: 50, probeEvery: 16, captureLoad: 0.5},
+		{h: 2, mech: "Obl-CRG", pat: "UN", load: 0.85, seed: 33, warmup: 5, total: 71, captureLoad: 0.85},
 	}
-	rnd := rand.New(rand.NewSource(20260808))
-	for trial := 0; trial < trials; trial++ {
-		tr := randomSnapTrial(rnd, uint64(31+trial))
-		t.Logf("trial %d: %s/%s load %.2f (snap at %.2f) lat=%q probes=%v",
-			trial, tr.cfg.Mechanism, tr.cfg.Pattern, tr.cfg.Load, tr.snapLoad,
-			appendLatency(nil, &tr.cfg), tr.probes)
-		snapCfg := tr.cfg
-		snapCfg.Load = tr.snapLoad
+	if testing.Short() {
+		trials = trials[:1]
+	}
+	for trial, tr := range trials {
+		// A run's configuration samples probes when the trial does (probes are
+		// read-only; results must be bit-identical with them on).
+		trialConfig := func() Config {
+			cfg := tr.config(tr.total, 1)
+			if tr.probeEvery > 0 {
+				cfg.Probes = telemetry.NewProbes(telemetry.ProbeConfig{Every: tr.probeEvery})
+			}
+			return cfg
+		}
+		snapCfg := tr.config(tr.total, 1)
+		snapCfg.Load = tr.captureLoad
 		snap, err := NewSnapshot(snapCfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		total := tr.cfg.WarmupCycles + tr.cfg.MeasureCycles
-		loads := []float64{tr.cfg.Load, 0.85, 0.2, tr.snapLoad}
+		loads := []float64{tr.load, 0.85, 0.2, tr.captureLoad}
 		var recycled *Network
 		for gen, load := range loads {
-			cfg := tr.prefixConfig(total)
+			cfg := trialConfig()
 			cfg.Load = load
 			coldCfg := cfg
 			coldNet, err := NewNetwork(&coldCfg, nil)
@@ -179,14 +83,14 @@ func TestRestoreIntoRecycled(t *testing.T) {
 
 		// A retired network of a different shape is still recycled: what
 		// does not fit is reallocated, and the run is the cold run.
-		cfg := tr.prefixConfig(total)
+		cfg := trialConfig()
 		cfg.Topology = topology.Balanced(1)
 		other, err := NewSnapshot(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cold := runOn(t, core, cfg)
-		cfg = tr.prefixConfig(total)
+		cfg = trialConfig()
 		cfg.Topology = topology.Balanced(1)
 		net, err := RestoreNetworkInto(other, &cfg, recycled)
 		if err != nil {
@@ -475,7 +379,7 @@ func TestWarmSnapshotSameLoadExact(t *testing.T) {
 	if snap.warm != W {
 		t.Fatalf("snapshot warm = %d, want %d", snap.warm, W)
 	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	for _, workers := range workerCounts(1, numCPU) {
 		warmCfg := cfg
 		warmCfg.WarmupCycles = 0
 		warmCfg.Workers = workers

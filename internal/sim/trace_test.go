@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 
 	"dragonfly/internal/router"
@@ -92,7 +91,7 @@ func TestTraceReconstructsPaths(t *testing.T) {
 // deterministic sort.
 func TestTraceWorkerInvariance(t *testing.T) {
 	ref := traceRun(t, 1)
-	for _, workers := range []int{2, runtime.NumCPU()} {
+	for _, workers := range workerCounts(2, numCPU) {
 		got := traceRun(t, workers)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d events, want %d", workers, len(got), len(ref))

@@ -94,6 +94,9 @@ var layout = []rule{
 	{"claims-tests", "one claims table: the per-claim test functions TestPaperClaims replaced stay deleted",
 		forbid(scope{in: []string{"internal/sim"}, of: prodFiles | testFiles},
 			ident(`Test(MINThroughputBoundADVc?|ValiantLiftsAdversarialThroughput|UNLatencyOrdering|ADVcUnfairnessWithPriority|ADVcFairnessWithoutPriority|PriorityDegradesFairness|AgeArbitrationRestoresFairness|ObliviousInsensitiveToPriority|BreakdownShape|PriorityBenignUnderUN|AppAllocationCreatesADVc|SimulatorMatchesAnalyticCeilings)\b`))},
+	{"oracle-scenarios", "one engine-vs-oracle runner: the per-test scenario types and drivers stay deleted",
+		forbid(scope{in: []string{"internal/sim"}, of: prodFiles | testFiles},
+			ident(`^(statePropTrial|randomTrial|runPrefix|snapTrial|randomSnapTrial|prefixConfig|runRef|probedCfg)$`))},
 	{"readme", "the documentation contract: README.md exists and is not empty",
 		nonEmpty("README.md")},
 	{"package-docs", "go doc is the system map: every internal/* package has a // Package comment",
@@ -102,10 +105,7 @@ var layout = []rule{
 
 // TestLayout holds the module to the layout table.
 func TestLayout(t *testing.T) {
-	m, err := repo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := load(t, repo)
 	for _, r := range layout {
 		t.Run(r.name, func(t *testing.T) {
 			for _, p := range r.check(m) {
@@ -124,10 +124,7 @@ func TestLayout(t *testing.T) {
 // constraints exclude (legacy_ignored.go, stamp_ignored_test.go) are read
 // like any other: an identifier, the line cap and a call find them.
 func TestLayoutToyModule(t *testing.T) {
-	m, err := toy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := load(t, toy)
 	rules := []rule{
 		{"import", "", noImport("internal/oracle")},
 		{"ident", "", forbid(scope{}, ident(`writeBack`))},

@@ -18,6 +18,21 @@ var (
 	toy  = sync.OnceValues(func() (*module, error) { return loadModule(filepath.Join("testdata", "toymod")) })
 )
 
+// load returns the module that loader loads, or skips under the race detector:
+// the package starts no goroutine, and type-checking the module and the
+// standard library from source takes several times as long instrumented.
+func load(t *testing.T, loader func() (*module, error)) *module {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("a census starts no goroutine: runs without -race")
+	}
+	m, err := loader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // An entry is one line of the allowlist: category, name, reason.
 type entry struct {
 	cat, name, reason string
@@ -77,10 +92,7 @@ func compare(findings []finding, allow []entry, allowPath string) []string {
 
 // TestSurface holds the census of the module to the allowlist, exactly.
 func TestSurface(t *testing.T) {
-	m, err := repo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := load(t, repo)
 	findings, err := m.census()
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +111,7 @@ func TestSurface(t *testing.T) {
 // least one test, so a renamed test cannot turn its step into "no tests
 // to run".
 func TestCISteps(t *testing.T) {
-	m, err := repo()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := load(t, repo)
 	problems, err := m.checkCI(filepath.Join(m.root, ".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +128,7 @@ func TestCISteps(t *testing.T) {
 // pattern that runs nothing. The interface method (T.Step) and the names
 // and paths that resolve are not found.
 func TestCensusToyModule(t *testing.T) {
-	m, err := toy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := load(t, toy)
 	findings, err := m.census()
 	if err != nil {
 		t.Fatal(err)
