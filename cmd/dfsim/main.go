@@ -295,6 +295,10 @@ func printDebug(net *sim.Network, cfg sim.Config, group int) {
 	steps, windows := net.EngineSteps(), net.EngineWindows()
 	fmt.Printf("engine: %d router-steps (%.1f%% of dense), %d windows, mean %.1f cycles\n",
 		steps, 100*float64(steps)/float64(int64(len(net.Routers))*cycles), windows, float64(cycles)/float64(max(windows, 1)))
+	if net.PBGroups() > 0 {
+		rows := net.PBRows()
+		fmt.Printf("piggyback: %d rows recomputed (%.1f%% of dense)\n", rows, 100*float64(rows)/float64(int64(len(net.Routers))*cycles))
+	}
 	a := cfg.Topology.A
 	for i := 0; i < a; i++ {
 		r := net.Routers[group*a+i]

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"dragonfly/internal/packet"
 	"dragonfly/internal/rng"
@@ -117,7 +118,8 @@ type outCandRec struct{ in, idx int32 }
 // allocScratch is the allocator's working memory for one router step, not
 // state: every entry is written before it is read within one StepRouter
 // call, and outCandN is left all-zero by it. A stepper steps one router at
-// a time, so it needs one (see SizeScratch).
+// a time, so it needs one (see SizeScratch); the tail pad keeps one
+// stepper's candInN off the lines of the next stepper's record.
 type allocScratch struct {
 	cand       []candRec    // per (input port, slot): port p's from vcOff[p] on
 	candN      []int32      // per input port: candidates gathered this step
@@ -127,7 +129,14 @@ type allocScratch struct {
 	outCand    []outCandRec // per (output port, slot), stride np
 	outCandN   []int32      // submissions per output port
 	outTouched []int32      // the outputs with submissions, in submission order
+	_          [scratchPad]byte
 }
+
+// scratchPad is the unused slack, in bytes, around every array of the
+// allocator scratch and after every stepper's record: adjacent-line
+// prefetch pairs 64-byte lines, so two steppers that write within one
+// 128-byte block would keep taking the block from each other.
+const scratchPad = 128
 
 // inPort packs one input port's mutable hot state: everything the
 // allocator, grant and transfer-completion stages read or write per
@@ -670,17 +679,30 @@ func (c *Core) sizeState(zero bool) {
 // have left submissions behind).
 func (c *Core) SizeScratch(steppers int) {
 	np := c.np
-	c.scratch = fit(c.scratch, steppers, false)
+	c.scratch = padded(c.scratch, steppers, false)
 	for w := range c.scratch {
 		s := &c.scratch[w]
-		s.cand = fit(s.cand, c.vcs, false)
-		s.candN = fit(s.candN, np, false)
-		s.granted = fit(s.granted, np, false)
-		s.candIn = fit(s.candIn, np, false)
-		s.outCand = fit(s.outCand, np*np, false)
-		s.outCandN = fit(s.outCandN, np, true)
-		s.outTouched = fit(s.outTouched, np, false)
+		s.cand = padded(s.cand, c.vcs, false)
+		s.candN = padded(s.candN, np, false)
+		s.granted = padded(s.granted, np, false)
+		s.candIn = padded(s.candIn, np, false)
+		s.outCand = padded(s.outCand, np*np, false)
+		s.outCandN = padded(s.outCandN, np, true)
+		s.outTouched = padded(s.outTouched, np, false)
 	}
+}
+
+// padded is fit for the allocator scratch: an array it allocates has
+// scratchPad bytes of unused slack on both sides (its capacity ends where
+// the trailing slack starts, so a reuse never reaches into it), and no
+// other stepper's scratch shares a 128-byte block with it.
+func padded[T any](s []T, n int, zero bool) []T {
+	if cap(s) < n {
+		var t T
+		k := (scratchPad + int(unsafe.Sizeof(t)) - 1) / int(unsafe.Sizeof(t))
+		return make([]T, n+2*k)[k : k+n : k+n]
+	}
+	return fit(s, n, zero)
 }
 
 // layoutCredits carves the credit rings out of their arena: one ring per

@@ -113,6 +113,44 @@ func TestCoreRecordSizes(t *testing.T) {
 	}
 }
 
+// No two steppers write one 128-byte block — the pair of 64-byte lines
+// adjacent-line prefetch moves together — so parallel workers do not take
+// each other's scratch lines. What a step writes is every array of its
+// scratch and its candidate count; the blocks are read off the addresses
+// SizeScratch left, at h=6, where the radix-sized arrays fall in one size
+// class.
+func TestScratchSharesNoBlock(t *testing.T) {
+	c, err := NewCore(wiringAt(t, 6, nil)(drop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, steppers := range []int{2, 3, 4} {
+		c.SizeScratch(steppers)
+		owner := map[uintptr]int{}
+		for w := range c.scratch {
+			s := &c.scratch[w]
+			for _, r := range [][2]uintptr{
+				{uintptr(unsafe.Pointer(&s.candInN)), unsafe.Sizeof(s.candInN)},
+				region(s.cand), region(s.candN), region(s.granted), region(s.candIn),
+				region(s.outCand), region(s.outCandN), region(s.outTouched),
+			} {
+				for b := r[0] / 128; b <= (r[0]+r[1]-1)/128; b++ {
+					if o, ok := owner[b]; ok && o != w {
+						t.Errorf("%d steppers: steppers %d and %d both write the 128-byte block at %#x", steppers, o, w, b*128)
+					}
+					owner[b] = w
+				}
+			}
+		}
+	}
+}
+
+// region is the address and length in bytes of s's elements.
+func region[T any](s []T) [2]uintptr {
+	var t T
+	return [2]uintptr{uintptr(unsafe.Pointer(unsafe.SliceData(s))), uintptr(len(s)) * unsafe.Sizeof(t)}
+}
+
 // Port indices are 16-bit words in the port and candidate records, so a
 // router with more ports than that is refused rather than truncated: p =
 // 2^16 nodes on each of a topology's 6 routers is a valid topology.

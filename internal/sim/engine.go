@@ -92,8 +92,8 @@ type Engine interface {
 	// cycles it may advance one part of the network without looking at the
 	// rest. Engines that step cycle by cycle return 1.
 	Lookahead() int64
-	// Advance refreshes PiggyBack state, generates for and steps the routers
-	// that have work through cycles [from, to), to-from <= Lookahead.
+	// Advance keeps PiggyBack state current, generates for and steps the
+	// routers that have work through cycles [from, to), to-from <= Lookahead.
 	Advance(from, to int64)
 	// Steps returns the router-steps executed so far.
 	Steps() int64
@@ -326,8 +326,9 @@ func watchdog(net *Network, now, lastSeen int64) (int64, error) {
 //
 // And everyone who reads a router's state settles it first. There are three
 // settle points: StepRouter, before its stages run (the router reading
-// itself); refreshPB, before a group's PiggyBack bits are recomputed (the
-// one reader of *other* routers' state inside a window); and Settle, which
+// itself); the PiggyBack capture, before a router's row of its group's
+// bits is recomputed (pbState.capture, the one reader of *other* routers'
+// state inside a window); and Settle, which
 // the driver calls before a probe sample and when the run ends (settler).
 // Settling applies each event with its own due cycle, so when it happens
 // leaves no trace, and results, probe streams and state vectors are
@@ -354,8 +355,7 @@ type engine struct {
 	wakeAt []int64
 	// nextWake is, per group, the minimum of its routers' wakeAt: one array
 	// read skips an idle group or jumps it to its next event. It is exact,
-	// not a lower bound — a pass that stepped nobody would still settle the
-	// group for a PiggyBack refresh nobody reads.
+	// not a lower bound, so no pass over a group steps nobody.
 	nextWake []int64
 
 	groups []groupRun
@@ -384,7 +384,7 @@ type groupRun struct {
 func newEngine(net *Network, workers int) *engine {
 	workers = min(max(workers, 1), net.topo.NumGroups())
 	e := engineOf(net, workers)
-	net.pb.allStale()
+	net.pb.begin(e.core)
 	e.core.SizeScratch(workers)
 	e.partition(workers)
 	for g, sink := range e.sinks {
@@ -544,6 +544,7 @@ func (e *engine) Close() {
 		close(ch)
 	}
 	e.core.SetAllSinks(nil)
+	e.net.pb.end()
 }
 
 // Advance implements Engine. Workers are quiescent on entry and on return.
@@ -573,39 +574,10 @@ func (e *engine) Advance(from, to int64) {
 	}
 }
 
-// refreshPB brings group g's PiggyBack bits to the end of cycle now-1, at the
-// top of cycle now: every router of the group is settled that far — the bits
-// are a function of *other* routers' link loads, which releases and credits
-// move while their router sleeps — and the rows of those whose loads moved
-// since their last refresh are recomputed: routers that settled something,
-// here or under the driver's Settle, and routers that stepped. It runs at
-// the top of every cycle in which the group steps, so a stepping router
-// reads what the dense engines' every-cycle refresh would show it, and at
-// the top of each window's last cycle, so a probe between windows finds the
-// bits one cycle behind the state, exactly as the dense engines leave them.
-func (e *engine) refreshPB(g int, now int64) {
-	pb := e.net.pb
-	if pb == nil {
-		return
-	}
-	refreshed := false
-	for r := g * e.per; r < (g+1)*e.per; r++ {
-		if e.core.Settle(r, now-1) || pb.stale[r] {
-			pb.updateRow(r)
-			refreshed = true
-		}
-		// A router that steps in this cycle moves its loads after this look.
-		pb.stale[r] = e.wakeAt[r] <= now
-	}
-	if refreshed {
-		pb.updates[g]++
-	}
-}
-
 // advanceSpan steps the groups of worker w through cycles [from, to), one
 // group at a time, in the worker's allocator scratch.
 func (e *engine) advanceSpan(w int, from, to int64) {
-	net, core := e.net, e.core
+	net, core, pb := e.net, e.core, e.net.pb
 	own := e.spans[w]
 	for g := own.lo; g < own.hi; g++ {
 		lo := g * e.per
@@ -618,12 +590,15 @@ func (e *engine) advanceSpan(w int, from, to int64) {
 				// last cycle when that comes first.
 				now = min(next, to-1)
 			}
-			e.refreshPB(g, now)
+			if now == to-1 {
+				pb.captureGroup(g, now)
+			}
 			if next > now {
 				break // the window's last cycle, and nothing due in it
 			}
 			for i, at := range wakeAt {
 				if at <= now {
+					pb.stepping(g, lo+i, now)
 					net.Generate(lo+i, now)
 					wakeAt[i] = e.settle(lo+i, now, core.StepRouter(lo+i, now, w))
 					steps++

@@ -305,7 +305,7 @@ type checks struct {
 	releases    bool     // the core runs through releaseSpy, which must count a release
 	busyBatches bool     // each of the eight batch-means spans sees a delivery
 	backlog     bool     // generation was refused and a source queue ends at its bound
-	pbSkips     bool     // the oracle refreshes PiggyBack state every group-cycle, the core less
+	pbRows      int64    // > 0: the oracle recomputes every PiggyBack row every cycle, every core run exactly this many rows
 }
 
 func pinned(steps, windows int64) checks {
@@ -339,13 +339,13 @@ func (c checks) verify(t *testing.T, sc *scenario, want, got side, w int) {
 			t.Fatalf("%d generation attempts refused, %d source queues at their %d-packet bound", want.res.Backlogged(), full, bound)
 		}
 	}
-	if c.pbSkips {
-		dense := int64(want.net.topo.NumGroups()) * sc.total
+	if c.pbRows > 0 {
+		dense := int64(want.net.topo.NumRouters()) * sc.total
 		if u := want.net.pb.totalUpdates(); u != dense {
-			t.Fatalf("the oracle refreshed %d group-cycles, want every one (%d)", u, dense)
+			t.Fatalf("the oracle recomputed %d PiggyBack rows, want every router's every cycle (%d)", u, dense)
 		}
-		if u := got.net.pb.totalUpdates(); u >= dense {
-			t.Errorf("workers=%d: the core refreshed %d of %d group-cycles: nothing skipped", w, u, dense)
+		if u := got.net.pb.totalUpdates(); u >= dense || u != c.pbRows {
+			t.Errorf("workers=%d: the core recomputed %d of %d PiggyBack rows, pinned %d", w, u, dense, c.pbRows)
 		}
 	}
 	if got := got.net.EngineSteps(); c.steps > 0 && got != c.steps {
@@ -614,11 +614,15 @@ func oracleRows() []oracleRow {
 		{"global-slack/seed-2", longOnly, slack(2), checks{}},
 		{"global-slack/seed-3", longOnly, slack(3), checks{}},
 
-		// The core refreshes a group's PiggyBack bits only when the group
-		// stepped; at a load that leaves routers asleep that skips refreshes.
-		{"pb-refresh/ADV+1", always, equiv("Src-RRG", "ADV+1", 0.15), checks{pbSkips: true}},
-		{"pb-refresh/ADVc", always, equiv("Src-RRG", "ADVc", 0.15), checks{pbSkips: true}},
-		{"pb-refresh/UN", always, equiv("Src-RRG", "UN", 0.15), checks{pbSkips: true}},
+		// The core recomputes a PiggyBack row only when it is read — before its
+		// router steps, when a source decision reads it, at a window's last
+		// cycle — and its router's loads moved. Like the steps, the count is
+		// exact at any worker count and may only ever fall. Src-CRG at h=3
+		// also reads the deciding router's own row.
+		{"pb-refresh/ADV+1", always, equiv("Src-RRG", "ADV+1", 0.15), checks{pbRows: 28154}},
+		{"pb-refresh/ADVc", always, equiv("Src-RRG", "ADVc", 0.15), checks{pbRows: 21964}},
+		{"pb-refresh/UN", always, equiv("Src-RRG", "UN", 0.15), checks{pbRows: 20148}},
+		{"pb-refresh/Src-CRG/UN@0.05", always, h3At("Src-CRG", "UN", 0.05), checks{pbRows: 34670}},
 
 		// The probe stream and summary on every worker count of either engine.
 		{"probes", always, probed(1, 1, 2, numCPU), checks{}},
@@ -671,7 +675,7 @@ func TestGlobalCreditSlackMatchesOracle(t *testing.T) { runOracleFamily(t, "glob
 // The link latency models and wirings.
 func TestCoreLinksMatchRingLinkReference(t *testing.T) { runOracleFamily(t, "links/") }
 
-// PiggyBack refreshes skipped for groups that did not step.
+// PiggyBack rows recomputed only when read, and only when they moved.
 func TestPBRefreshSchedulerBitIdentical(t *testing.T) { runOracleFamily(t, "pb-refresh/") }
 
 // The probe stream on every worker count of either engine.

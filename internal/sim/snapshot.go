@@ -223,7 +223,7 @@ func cloneNetwork(src *Network, cfg *Config, into *Network) *Network {
 		}
 		clone.pb.topo = src.pb.topo
 		copy(clone.pb.bits, src.pb.bits)
-		copy(clone.pb.updates, src.pb.updates)
+		clear(clone.pb.updates)
 		clone.env.Group = clone.pb.view
 	}
 	clone.nodeJob = src.nodeJob // the shared pattern's map

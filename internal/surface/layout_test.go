@@ -97,6 +97,9 @@ var layout = []rule{
 	{"oracle-scenarios", "one engine-vs-oracle runner: the per-test scenario types and drivers stay deleted",
 		forbid(scope{in: []string{"internal/sim"}, of: prodFiles | testFiles},
 			ident(`^(statePropTrial|randomTrial|runPrefix|snapTrial|randomSnapTrial|prefixConfig|runRef|probedCfg)$`))},
+	{"pb-readers", "PB bits are read through their capture",
+		forbid(scope{in: []string{"internal/sim"}, out: []string{"internal/sim/pb.go", "internal/sim/probes.go", "internal/sim/snapshot.go"}, of: prodFiles | testFiles},
+			expr[*ast.SelectorExpr](`\.bits$`))},
 	{"readme", "the documentation contract: README.md exists and is not empty",
 		nonEmpty("README.md")},
 	{"package-docs", "go doc is the system map: every internal/* package has a // Package comment",
