@@ -94,7 +94,7 @@ func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 func Mechanisms() []string { return routing.Names() }
 
 // NewNetwork exposes network construction for advanced callers that drive
-// cycles manually (see examples/quickstart for the ordinary entry point).
+// cycles manually (Run is the ordinary entry point).
 func NewNetwork(cfg *Config) (*sim.Network, error) { return sim.NewNetwork(cfg, nil) }
 
 // WorkloadSpec describes a multi-job workload: jobs with sizes, allocation

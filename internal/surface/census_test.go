@@ -2,6 +2,7 @@ package surface
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -27,10 +28,11 @@ const (
 // clock or on goroutine scheduling (DESIGN.md, "Determinism").
 var simPackages = []string{"sim", "router", "routing", "topology", "traffic", "workload", "scheduler", "packet", "rng", "stats"}
 
-// docFiles are the documents whose backticked names must resolve.
-// EXPERIMENTS.md is a historical log and ROADMAP.md names planned tests,
-// so neither is checked.
-var docFiles = []string{"README.md", "DESIGN.md"}
+// docFiles are the documents whose backticked names must resolve: every
+// committed document outside benchmark/ but ROADMAP.md, which names
+// planned tests, CHANGES.md, the diary of deleted things, and the paper
+// notes.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // stdMethods are the methods of the stdlib interfaces a value meets
 // without naming them; a method with one of these names is used.
@@ -358,6 +360,24 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 		}
 	}
 
+	// A benchmark metric's name (layer.metric) resolves when
+	// BENCHMARK.json declares it.
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	data, err := os.ReadFile(filepath.Join(m.root, "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &bench)
+	}
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("reading BENCHMARK.json's metrics: %w", err)
+	}
+	metrics := map[string]bool{}
+	for _, mt := range append(bench.EndToEnd, bench.PerLayer...) {
+		metrics[mt.Name] = true
+	}
+
 	var out []finding
 	for _, doc := range docFiles {
 		f, err := os.Open(filepath.Join(m.root, doc))
@@ -390,7 +410,7 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 				case testName.MatchString(span):
 					ok = tests[span]
 				case dotted.MatchString(span):
-					ok = m.resolves(strings.Split(dotted.FindStringSubmatch(span)[1], "."), byName, typeNames)
+					ok = metrics[span] || m.resolves(strings.Split(dotted.FindStringSubmatch(span)[1], "."), byName, typeNames)
 				}
 				if !ok {
 					out = append(out, finding{catDoc, span, token.Position{Filename: doc, Line: line}})

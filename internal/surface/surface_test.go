@@ -109,7 +109,7 @@ func TestSurface(t *testing.T) {
 
 // TestCISteps checks that every test selection in the CI workflow runs at
 // least one test, so a renamed test cannot turn its step into "no tests
-// to run".
+// to run", and that every package a step names exists.
 func TestCISteps(t *testing.T) {
 	m := load(t, repo)
 	problems, err := m.checkCI(filepath.Join(m.root, ".github", "workflows", "ci.yml"))
@@ -123,10 +123,12 @@ func TestCISteps(t *testing.T) {
 
 // TestCensusToyModule runs the census and the CI check on a module small
 // enough to list everything they must find: one unused export, one export
-// only another package's tests call, one unresolved doc name, one doc path
-// that does not exist, one time.Now in a simulation package and one CI
-// pattern that runs nothing. The interface method (T.Step) and the names
-// and paths that resolve are not found.
+// only another package's tests call, two unresolved doc names (one dotted
+// like a benchmark metric that BENCHMARK.json does not list), one doc
+// path that does not exist, one time.Now in a simulation package, one CI
+// pattern that runs nothing and one CI package path that names no
+// package. The interface method (T.Step) and the names, metrics and paths
+// that resolve are not found.
 func TestCensusToyModule(t *testing.T) {
 	m := load(t, toy)
 	findings, err := m.census()
@@ -141,6 +143,7 @@ func TestCensusToyModule(t *testing.T) {
 		"internal/sim/sim.go:6: determinism sim.Stamp:time.Now",
 		"README.md:7: doc cmd/toy",
 		"README.md:4: doc lib.Missing",
+		"README.md:9: doc sim.stalls",
 		"internal/lib/lib.go:9: testonly lib.TestOnly",
 		"internal/lib/lib.go:7: unused lib.Unused",
 	}
@@ -152,16 +155,21 @@ func TestCensusToyModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = []string{`ci.yml:5: -run "TestGone" matches no test in ./internal/sim/`}
+	want = []string{
+		`ci.yml:5: -run "TestGone" matches no test in ./internal/sim/`,
+		`ci.yml:10: go run ./cmd/toy: no package of the module is there`,
+	}
 	if !slices.Equal(problems, want) {
 		t.Errorf("CI check:\n got %q\nwant %q", problems, want)
 	}
 }
 
-// checkCI reads a workflow file and returns, for each go test -run or
-// -fuzz pattern, every |-alternative that matches no Test, Fuzz or
-// Example function (Fuzz alone for -fuzz) of the packages its command
-// line names. "-run '^$'", which runs nothing on purpose, is skipped.
+// checkCI reads a workflow file and returns every ./path argument of a go
+// run, build, vet or test line that names no package directory (a ./...
+// pattern is not checked) and, for each go test -run or -fuzz pattern,
+// every |-alternative that matches no Test, Fuzz or Example function
+// (Fuzz alone for -fuzz) of the packages its command line names.
+// "-run '^$'", which runs nothing on purpose, is skipped.
 func (m *module) checkCI(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -176,13 +184,16 @@ func (m *module) checkCI(path string) ([]string, error) {
 			i++
 			cmd = strings.TrimSuffix(strings.TrimSpace(cmd), `\`) + " " + lines[i]
 		}
-		if !strings.Contains(cmd, "go test") {
+		loc := goCommand.FindStringSubmatchIndex(cmd)
+		if loc == nil {
 			continue
 		}
-		args := shellWords(cmd[strings.Index(cmd, "go test")+len("go test"):])
+		verb := cmd[loc[2]:loc[3]]
+		args := shellWords(cmd[loc[1]:])
 		var pkgs []string
 		selections := map[string]string{} // flag → pattern
-		for j := 0; j < len(args); j++ {
+		// go run takes one package; the words after it are the program's.
+		for j := 0; j < len(args) && (verb != "run" || len(pkgs) == 0); j++ {
 			a := args[j]
 			switch {
 			case a == "-run" || a == "-fuzz":
@@ -196,6 +207,15 @@ func (m *module) checkCI(path string) ([]string, error) {
 			case a == "." || strings.HasPrefix(a, "./"):
 				pkgs = append(pkgs, a)
 			}
+		}
+		for _, p := range pkgs {
+			dir := strings.TrimSuffix(m.path+"/"+strings.Trim(strings.TrimPrefix(p, "."), "/"), "/")
+			if !strings.Contains(p, "...") && m.byPath[dir] == nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: go %s %s: no package of the module is there", name, start, verb, p))
+			}
+		}
+		if verb != "test" {
+			continue
 		}
 		if len(pkgs) == 0 {
 			pkgs = []string{"."}
@@ -249,6 +269,9 @@ func (m *module) funcsIn(args []string) []string {
 	}
 	return out
 }
+
+// goCommand finds a go command that takes packages.
+var goCommand = regexp.MustCompile(`\bgo (run|build|vet|test)\b`)
 
 // alternatives splits a pattern at its top-level | (outside parentheses
 // and brackets).
