@@ -1,7 +1,6 @@
 package surface
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -20,7 +19,7 @@ import (
 const (
 	catUnused      = "unused"      // no other package refers to it
 	catTestOnly    = "testonly"    // other packages refer to it only from tests
-	catDoc         = "doc"         // a backticked name or path in the docs resolves to nothing
+	catDoc         = "doc"         // a backticked name or path, or a section reference, in the docs resolves to nothing
 	catDeterminism = "determinism" // wall-clock read or goroutine in a simulation package
 )
 
@@ -329,7 +328,8 @@ var (
 // the backticked paths that name nothing: a path under cmd/, internal/ or
 // examples/ or a *.json file (from the module root, globs allowed) that
 // does not exist, or a *.go file name that ends no Go file's path in the
-// module. Fenced code blocks are skipped.
+// module, and every section reference that names no section
+// (unresolvedSections). Fenced code blocks are skipped.
 func (m *module) unresolvedDocNames() ([]finding, error) {
 	byName := map[string][]*pkg{}
 	typeNames := map[string][]*types.TypeName{}
@@ -379,25 +379,16 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 	}
 
 	var out []finding
+	sections := map[string][]title{}
 	for _, doc := range docFiles {
-		f, err := os.Open(filepath.Join(m.root, doc))
+		lines, err := readProse(filepath.Join(m.root, doc))
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		sc := bufio.NewScanner(f)
-		fenced := false
-		for line := 1; sc.Scan(); line++ {
-			text := sc.Text()
-			if strings.HasPrefix(strings.TrimSpace(text), "```") {
-				fenced = !fenced
-				continue
-			}
-			if fenced {
-				continue
-			}
+		for i, text := range lines {
 			for _, sm := range backticked.FindAllStringSubmatch(text, -1) {
 				span := strings.TrimSpace(sm[1])
 				ok := true
@@ -413,15 +404,15 @@ func (m *module) unresolvedDocNames() ([]finding, error) {
 					ok = metrics[span] || m.resolves(strings.Split(dotted.FindStringSubmatch(span)[1], "."), byName, typeNames)
 				}
 				if !ok {
-					out = append(out, finding{catDoc, span, token.Position{Filename: doc, Line: line}})
+					out = append(out, finding{catDoc, span, token.Position{Filename: doc, Line: i + 1}})
 				}
 			}
 		}
-		err = sc.Err()
-		f.Close()
+		refs, err := m.unresolvedSections(doc, lines, sections)
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, refs...)
 	}
 	return out, nil
 }

@@ -26,10 +26,10 @@ const (
 )
 
 // layout is the repository's layout gates, one rule per invariant. Each
-// keeps a deleted second path deleted, counts the one site of a kind, or
-// caps a frozen package; every check reads parsed or type-checked code, so
-// a name in a comment does not trip it and a name in code does not escape
-// it.
+// keeps a deleted second path deleted, counts the one site of a kind, caps
+// a frozen package or reads a document's titles; every check of Go reads
+// parsed or type-checked code, so a name in a comment does not trip it and
+// a name in code does not escape it.
 var layout = []rule{
 	{"refmodel-imports", "one router state layout: the dense oracle is test support, so nothing that ships may link it",
 		noImport("internal/refmodel")},
@@ -102,6 +102,8 @@ var layout = []rule{
 			expr[*ast.SelectorExpr](`\.bits$`))},
 	{"examples", "an example is an Example that tier-1 compares",
 		absent("examples")},
+	{"diary-headings", "the documents describe the tree as it is: no heading or bold lead of EXPERIMENTS.md or DESIGN.md names a PR, whose CHANGES.md entry is its record",
+		noTitle(`\bPR \d+`, "EXPERIMENTS.md", "DESIGN.md")},
 	{"readme", "the documentation contract: README.md exists and is not empty",
 		nonEmpty("README.md")},
 	{"package-docs", "go doc is the system map: every internal/* package has a // Package comment",
@@ -125,7 +127,8 @@ func TestLayout(t *testing.T) {
 // forbidden identifier (declared and used), a forbidden selector, a
 // forbidden literal key, a forbidden allocation, a second Apply, a present
 // file, a missing file, a package over its line cap, a package without a
-// package comment and a call outside the memo. Two files the build
+// package comment, a call outside the memo, and a heading and a bold lead
+// that match (running text that does is not found). Two files the build
 // constraints exclude (legacy_ignored.go, stamp_ignored_test.go) are read
 // like any other: an identifier, the line cap and a call find them.
 func TestLayoutToyModule(t *testing.T) {
@@ -142,6 +145,7 @@ func TestLayoutToyModule(t *testing.T) {
 		{"maxLines", "", maxLines("internal/legacy", 10)},
 		{"packageDocs", "", packageDocs("internal")},
 		{"callsOnlyInside", "", callsOnlyInside("internal/sim", "internal/sim", `^Stamp$`, "memo", "get")},
+		{"noTitle", "", noTitle(`\bdraft \d+`, "DESIGN.md")},
 	}
 	var got []string
 	for _, r := range rules {
@@ -164,6 +168,8 @@ func TestLayoutToyModule(t *testing.T) {
 		"packageDocs: internal/legacy has no // Package legacy comment",
 		"callsOnlyInside: internal/sim/sim_test.go:10: Stamp() outside (memo).get",
 		"callsOnlyInside: internal/sim/stamp_ignored_test.go:5: Stamp() outside (memo).get",
+		`noTitle: DESIGN.md:3: "Time windows (draft 7)"`,
+		`noTitle: DESIGN.md:7: "Recycling is by capacity (draft 9)."`,
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("layout:\n got %q\nwant %q", got, want)

@@ -2,14 +2,16 @@
 // surface of the module's internal packages and check the census against
 // an exact allowlist (testdata/allowlist.txt): an exported name that no
 // other package calls, a name other packages call only from their tests,
-// a backticked name or path in README.md or DESIGN.md that resolves to
-// nothing, and a wall-clock read or goroutine in a simulation package each fail
-// the test unless a line of the allowlist names it with a reason. A
+// a backticked name or path or a quoted section reference in the
+// documents (docFiles) that resolves to nothing, and a wall-clock read or
+// goroutine in a simulation package each fail the test unless a line of
+// the allowlist names it with a reason. A
 // listed entry that no longer occurs fails it too, so the list can only
 // shrink as the code does. Over the same loaded module, TestLayout holds
 // the repository's layout gates: one row per invariant (a deleted second
-// path stays deleted, one site of a kind, a frozen package's line cap),
-// each checked on parsed or type-checked code.
+// path stays deleted, one site of a kind, a frozen package's line cap, a
+// document's headings), each checked on parsed or type-checked code or
+// on Markdown prose.
 package surface
 
 import (

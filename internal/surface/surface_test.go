@@ -125,10 +125,13 @@ func TestCISteps(t *testing.T) {
 // enough to list everything they must find: one unused export, one export
 // only another package's tests call, two unresolved doc names (one dotted
 // like a benchmark metric that BENCHMARK.json does not list), one doc
-// path that does not exist, one time.Now in a simulation package, one CI
-// pattern that runs nothing and one CI package path that names no
-// package. The interface method (T.Step) and the names, metrics and paths
-// that resolve are not found.
+// path that does not exist, two section references that name no section
+// (one in a file that does not exist), one time.Now in a simulation
+// package, one CI pattern that runs nothing and two CI package paths that
+// name no package (one in the second go command of a chained line). The
+// interface method (T.Step) and the names, metrics, paths and section
+// references (a wrapped one, one in another case) that resolve are not
+// found.
 func TestCensusToyModule(t *testing.T) {
 	m := load(t, toy)
 	findings, err := m.census()
@@ -141,6 +144,8 @@ func TestCensusToyModule(t *testing.T) {
 	}
 	want := []string{
 		"internal/sim/sim.go:6: determinism sim.Stamp:time.Now",
+		`README.md:13: doc DESIGN.md, "Step anatomy"`,
+		`README.md:13: doc GONE.md, "Anything"`,
 		"README.md:7: doc cmd/toy",
 		"README.md:4: doc lib.Missing",
 		"README.md:9: doc sim.stalls",
@@ -158,6 +163,7 @@ func TestCensusToyModule(t *testing.T) {
 	want = []string{
 		`ci.yml:5: -run "TestGone" matches no test in ./internal/sim/`,
 		`ci.yml:10: go run ./cmd/toy: no package of the module is there`,
+		`ci.yml:11: go run ./cmd/gone: no package of the module is there`,
 	}
 	if !slices.Equal(problems, want) {
 		t.Errorf("CI check:\n got %q\nwant %q", problems, want)
@@ -165,11 +171,12 @@ func TestCensusToyModule(t *testing.T) {
 }
 
 // checkCI reads a workflow file and returns every ./path argument of a go
-// run, build, vet or test line that names no package directory (a ./...
+// run, build, vet or test command that names no package directory (a ./...
 // pattern is not checked) and, for each go test -run or -fuzz pattern,
 // every |-alternative that matches no Test, Fuzz or Example function
-// (Fuzz alone for -fuzz) of the packages its command line names.
-// "-run '^$'", which runs nothing on purpose, is skipped.
+// (Fuzz alone for -fuzz) of the packages its command names. Every go
+// command of a line is read, also after &&, ; or |. "-run '^$'", which
+// runs nothing on purpose, is skipped.
 func (m *module) checkCI(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -184,69 +191,75 @@ func (m *module) checkCI(path string) ([]string, error) {
 			i++
 			cmd = strings.TrimSuffix(strings.TrimSpace(cmd), `\`) + " " + lines[i]
 		}
-		loc := goCommand.FindStringSubmatchIndex(cmd)
-		if loc == nil {
-			continue
-		}
-		verb := cmd[loc[2]:loc[3]]
-		args := shellWords(cmd[loc[1]:])
-		var pkgs []string
-		selections := map[string]string{} // flag → pattern
-		// go run takes one package; the words after it are the program's.
-		for j := 0; j < len(args) && (verb != "run" || len(pkgs) == 0); j++ {
-			a := args[j]
-			switch {
-			case a == "-run" || a == "-fuzz":
-				if j+1 < len(args) {
-					selections[a] = args[j+1]
-					j++
-				}
-			case strings.HasPrefix(a, "-run=") || strings.HasPrefix(a, "-fuzz="):
-				f, v, _ := strings.Cut(a, "=")
-				selections[f] = v
-			case a == "." || strings.HasPrefix(a, "./"):
-				pkgs = append(pkgs, a)
-			}
-		}
-		for _, p := range pkgs {
-			dir := strings.TrimSuffix(m.path+"/"+strings.Trim(strings.TrimPrefix(p, "."), "/"), "/")
-			if !strings.Contains(p, "...") && m.byPath[dir] == nil {
-				problems = append(problems, fmt.Sprintf("%s:%d: go %s %s: no package of the module is there", name, start, verb, p))
-			}
-		}
-		if verb != "test" {
-			continue
-		}
-		if len(pkgs) == 0 {
-			pkgs = []string{"."}
-		}
-		funcs := m.funcsIn(pkgs)
-		for _, flag := range []string{"-run", "-fuzz"} {
-			pat, ok := selections[flag]
-			if !ok || flag == "-run" && pat == "^$" {
-				continue
-			}
-			top, _, _ := strings.Cut(pat, "/") // subtest levels past the first are not checked
-			for _, alt := range alternatives(top) {
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					problems = append(problems, fmt.Sprintf("%s:%d: %s %q: %v", name, start, flag, alt, err))
-					continue
-				}
-				hit := false
-				for _, fn := range funcs {
-					if re.MatchString(fn) && (flag == "-run" && !strings.HasPrefix(fn, "Benchmark") || strings.HasPrefix(fn, "Fuzz")) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					problems = append(problems, fmt.Sprintf("%s:%d: %s %q matches no test in %s", name, start, flag, alt, strings.Join(pkgs, " ")))
-				}
-			}
+		// Each go command of a chained line (&&, ;, |) is read on its own.
+		for _, loc := range goCommand.FindAllStringSubmatchIndex(cmd, -1) {
+			problems = append(problems, m.checkGoCommand(name, start, cmd[loc[2]:loc[3]], shellWords(cmd[loc[1]:]))...)
 		}
 	}
 	return problems, nil
+}
+
+// checkGoCommand checks one go command of a workflow line: verb is run,
+// build, vet or test, and args are the words after it up to the next
+// shell operator.
+func (m *module) checkGoCommand(name string, start int, verb string, args []string) []string {
+	var problems []string
+	var pkgs []string
+	selections := map[string]string{} // flag → pattern
+	// go run takes one package; the words after it are the program's.
+	for j := 0; j < len(args) && (verb != "run" || len(pkgs) == 0); j++ {
+		a := args[j]
+		switch {
+		case a == "-run" || a == "-fuzz":
+			if j+1 < len(args) {
+				selections[a] = args[j+1]
+				j++
+			}
+		case strings.HasPrefix(a, "-run=") || strings.HasPrefix(a, "-fuzz="):
+			f, v, _ := strings.Cut(a, "=")
+			selections[f] = v
+		case a == "." || strings.HasPrefix(a, "./"):
+			pkgs = append(pkgs, a)
+		}
+	}
+	for _, p := range pkgs {
+		dir := strings.TrimSuffix(m.path+"/"+strings.Trim(strings.TrimPrefix(p, "."), "/"), "/")
+		if !strings.Contains(p, "...") && m.byPath[dir] == nil {
+			problems = append(problems, fmt.Sprintf("%s:%d: go %s %s: no package of the module is there", name, start, verb, p))
+		}
+	}
+	if verb != "test" {
+		return problems
+	}
+	if len(pkgs) == 0 {
+		pkgs = []string{"."}
+	}
+	funcs := m.funcsIn(pkgs)
+	for _, flag := range []string{"-run", "-fuzz"} {
+		pat, ok := selections[flag]
+		if !ok || flag == "-run" && pat == "^$" {
+			continue
+		}
+		top, _, _ := strings.Cut(pat, "/") // subtest levels past the first are not checked
+		for _, alt := range alternatives(top) {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s %q: %v", name, start, flag, alt, err))
+				continue
+			}
+			hit := false
+			for _, fn := range funcs {
+				if re.MatchString(fn) && (flag == "-run" && !strings.HasPrefix(fn, "Benchmark") || strings.HasPrefix(fn, "Fuzz")) {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s %q matches no test in %s", name, start, flag, alt, strings.Join(pkgs, " ")))
+			}
+		}
+	}
+	return problems
 }
 
 // funcsIn lists the test functions of the packages that go test package

@@ -1,7 +1,7 @@
 // Package traffic provides the synthetic traffic patterns of the paper's
 // evaluation (Section IV-A): uniform random (UN), adversarial (ADV+i) and
 // the new adversarial-consecutive (ADVc) pattern of Section III, plus a
-// generalisation used by the examples — a consecutive pattern with an
+// generalisation selectable as ADVc<k> — a consecutive pattern with an
 // arbitrary group count — and a few classic extras, each built by name
 // (ByName). The job-scheduler use case motivating ADVc is a workload
 // (workload.AppSpec), the simulator's other kind of traffic, not a pattern
@@ -117,7 +117,7 @@ func (c *consecutive) Dest(src int, rnd *rng.Source) int {
 
 // permutation is a fixed random node permutation: every source always sends
 // to the same uniformly drawn partner. Included as an extra pattern for the
-// examples and ablations.
+// workloads' jobs and dfsim, selectable by name (PERM) through ByName.
 type permutation struct {
 	dest []int
 }
