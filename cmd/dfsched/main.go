@@ -9,8 +9,11 @@
 // With -generate N it synthesizes a seeded N-job trace (Poisson arrivals ×
 // lognormal size/duration) instead and runs it on the streaming scheduler
 // core — memory bounded by the jobs concurrently in the system, the run
-// ending at the last departure — comparing every requested discipline ×
-// allocation policy × seed, with optional checkpoint/resume.
+// ending at the last departure, which an explicitly set -measure caps —
+// comparing every requested discipline × allocation policy × seed, with
+// optional checkpoint/resume. The study flags (-disciplines, -allocs,
+// -checkpoint, -out, -gen-*) apply only to -generate, the probe flags and
+// -seed-jobs only to a replay; a flag the run would ignore is refused.
 //
 // Usage:
 //
@@ -79,6 +82,21 @@ func main() {
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
+	// Which flags were set, not just their values: the flag default "fcfs"
+	// is indistinguishable from an explicit -discipline fcfs by value, but
+	// an explicitly set flag overrides a -trace file's discipline, and a
+	// set -measure caps a generated run. A flag the chosen path would
+	// ignore is refused here.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		switch generate := st.spec.Jobs > 0; {
+		case generate && (f.Name == "probe-every" || f.Name == "probe-out" || f.Name == "seed-jobs"):
+			fatal(fmt.Errorf("-%s does not apply to -generate", f.Name))
+		case !generate && studyFlag(f.Name):
+			fatal(fmt.Errorf("-%s applies only to -generate", f.Name))
+		}
+	})
 	stopProf, err := startProf()
 	if err != nil {
 		fatal(err)
@@ -89,15 +107,6 @@ func main() {
 		}
 	}
 	defer stopProfile()
-	// The flag default "fcfs" is indistinguishable from an explicit
-	// -discipline fcfs by value, but the precedence rule needs to know: an
-	// explicitly set flag overrides a -trace file's discipline.
-	discSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "discipline" {
-			discSet = true
-		}
-	})
 
 	cfg, err := build([]string{*mech}, nil)
 	if err != nil {
@@ -113,15 +122,15 @@ func main() {
 		if *tracePath != "" || len(jobs) > 0 {
 			fatal(fmt.Errorf("-generate synthesizes its own trace; drop -trace/-job"))
 		}
-		if discSet {
+		if set["discipline"] {
 			fatal(fmt.Errorf("-generate compares the -disciplines list; drop -discipline"))
 		}
-		code := st.run(cfg, *seeds, *asJSON)
+		code := st.run(cfg, *seeds, *asJSON, set["measure"])
 		stopProfile() // os.Exit skips the deferred call
 		os.Exit(code)
 	}
 
-	trace, err := buildTrace(cfg, *disc, discSet, *tracePath, jobs)
+	trace, err := buildTrace(cfg, *disc, set["discipline"], *tracePath, jobs)
 	if err != nil {
 		fatal(err)
 	}

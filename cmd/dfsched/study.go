@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -21,21 +22,20 @@ import (
 
 // The -generate study: synthesize one seeded trace per (allocation, seed)
 // and run it under every requested discipline on the streaming scheduler
-// core. Each (discipline, alloc, seed) point condenses into a
-// scheduler.StreamSummary, checkpointed through sweep.Checkpoint: a run
-// killed mid-study resumes from the completed points, and because the
-// summaries are deterministic the final output is byte-identical whether
-// the study was interrupted zero or ten times.
+// core. Each (discipline, alloc, seed) point is the network's record of the
+// run, under the task "discipline/alloc", with the scheduler.StreamSummary
+// in its Extra, checkpointed through sweep.Checkpoint: a run killed
+// mid-study resumes from the completed points, and because the summaries
+// are deterministic the final output is byte-identical whether the study
+// was interrupted zero or ten times.
 
 // study is the -generate study's description; flags fills it.
 type study struct {
-	spec      scheduler.GenSpec
-	discs     string // comma-separated; empty: every discipline
-	allocs    string // comma-separated
-	ckptPath  string
-	outPath   string
-	memProbe  bool
-	maxCycles int64
+	spec     scheduler.GenSpec
+	discs    string // comma-separated; empty: every discipline
+	allocs   string // comma-separated
+	ckptPath string
+	outPath  string
 }
 
 // flags registers the -generate flags onto the study's own fields. The
@@ -52,22 +52,30 @@ func (st *study) flags(fs *flag.FlagSet) {
 	fs.StringVar(&st.allocs, "allocs", "consecutive", "comma-separated allocation policies to compare")
 	fs.StringVar(&st.ckptPath, "checkpoint", "", "checkpoint completed study points to this JSONL file and resume from it")
 	fs.StringVar(&st.outPath, "out", "", "write the study summaries as JSON to this file")
-	fs.BoolVar(&st.memProbe, "gen-mem", false, "measure retained memory at each run's last departure (costs a GC per run)")
-	fs.Int64Var(&st.maxCycles, "gen-max-cycles", 0, "cycle cap per generated run (0 = 2^40; the run normally ends at the last departure)")
 }
 
-// meta fingerprints the study configuration for the checkpoint — the
-// network (sim.Config.Fingerprint, whose cycle cap is -gen-max-cycles),
-// the mechanism, the load and the trace generator: resuming under different
-// parameters must fail loudly, not mix incompatible points.
+// studyFlag reports whether the named flag is one only the study reads.
+func studyFlag(name string) bool {
+	switch name {
+	case "disciplines", "allocs", "checkpoint", "out":
+		return true
+	}
+	return strings.HasPrefix(name, "gen-")
+}
+
+// meta fingerprints the study for the checkpoint — the network
+// (sim.Config.Fingerprint, whose cycle cap is -measure's) and the trace
+// generator; the mechanism, load and seed are each record's point. Resuming
+// under different parameters must fail loudly, not mix incompatible points.
 func (st *study) meta(cfg sim.Config) string {
 	specJSON, _ := json.Marshal(st.spec)
-	return fmt.Sprintf("dfsched-gen|%s|%s|load=%.9g|%s", cfg.Fingerprint(), cfg.Mechanism, cfg.Load, specJSON)
+	return fmt.Sprintf("dfsched-study|%s|%s", cfg.Fingerprint(), specJSON)
 }
 
-// run executes the study. Returns the process exit code: 130 when
-// interrupted (the checkpoint holds every completed point), 0 on success.
-func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
+// run executes the study. An explicitly set -measure caps every generated
+// run (measureSet). Returns the process exit code: 130 when interrupted
+// (the checkpoint holds every completed point), 0 on success.
+func (st *study) run(cfg sim.Config, seeds int, asJSON, measureSet bool) int {
 	if st.spec.MaxNodes == 0 {
 		st.spec.MaxNodes = topology.New(cfg.Topology).NumNodes()
 	}
@@ -85,10 +93,10 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
 	}
 	// The generated run ends at its last departure; the configured cycle
 	// counts only cap it. Leave warm-up untouched (it offsets arrivals the
-	// same way for every discipline) and raise the cap out of the way.
-	cfg.MeasureCycles = 1 << 40
-	if st.maxCycles > 0 {
-		cfg.MeasureCycles = st.maxCycles
+	// same way for every discipline) and, unless -measure sets the cap,
+	// raise it out of the way.
+	if !measureSet {
+		cfg.MeasureCycles = 1 << 40
 	}
 
 	var ck *sweep.Checkpoint
@@ -110,30 +118,21 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
 	for _, disc := range discs {
 		for _, alloc := range allocs {
 			for s := 0; s < seeds; s++ {
-				slots = append(slots, sweep.Slot{Task: "sched",
-					Point: sweep.Point{Mechanism: disc, Pattern: alloc, Load: cfg.Load, Seed: cfg.Seed + uint64(s)}})
+				slots = append(slots, sweep.Slot{Task: disc + "/" + alloc,
+					Point: sweep.Point{Mechanism: cfg.Mechanism, Pattern: cfg.Pattern, Load: cfg.Load, Seed: cfg.Seed + uint64(s)}})
 			}
 		}
 	}
 	restored := 0
 	start := time.Now()
-	// One point at a time: -gen-mem measures the process heap.
+	// One point at a time: every point holds a network of its own, and
+	// nothing bounds how many the study would hold at once.
 	recs, filled, err := sweep.RestoreOrRun(ctx, ck, slots, 1, func(i int) sweep.Record {
-		pt := slots[i].Point
-		sum, err := st.runPoint(cfg, pt.Mechanism, pt.Pattern, pt.Seed)
+		rec, err := st.runPoint(cfg, slots[i])
 		if err != nil {
 			fatal(err)
 		}
-		extra, err := json.Marshal(sum)
-		if err != nil {
-			fatal(err)
-		}
-		return sweep.Record{
-			Task: "sched", Point: pt,
-			Mechanism: pt.Mechanism, Pattern: pt.Pattern,
-			Throughput: sum.Utilization, AvgLatency: sum.WaitMean,
-			Extra: extra,
-		}
+		return rec
 	}, func(_ int, _ *sweep.Record, wasRestored bool) {
 		if wasRestored { // restored slots are noted before any point runs: no race
 			restored++
@@ -158,8 +157,7 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
 	summaries := make([]scheduler.StreamSummary, len(recs))
 	for i, rec := range recs {
 		if err := json.Unmarshal(rec.Extra, &summaries[i]); err != nil {
-			pt := rec.Point
-			fatal(fmt.Errorf("checkpoint point %s/%s seed %d: %w", pt.Mechanism, pt.Pattern, pt.Seed, err))
+			fatal(fmt.Errorf("checkpoint point %s seed %d: %w", rec.Task, rec.Point.Seed, err))
 		}
 	}
 
@@ -180,24 +178,28 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON bool) int {
 	return 0
 }
 
-// runPoint generates the (alloc, seed) trace and runs it under disc.
-func (st *study) runPoint(cfg sim.Config, disc, alloc string, seed uint64) (scheduler.StreamSummary, error) {
+// runPoint generates the slot's (alloc, seed) trace and runs it under the
+// slot's discipline into the network's record, the summary in its Extra.
+func (st *study) runPoint(cfg sim.Config, sl sweep.Slot) (sweep.Record, error) {
+	disc, alloc, _ := strings.Cut(sl.Task, "/")
 	spec := st.spec
 	spec.Alloc = alloc
-	gt, err := scheduler.Generate(spec, seed)
+	gt, err := scheduler.Generate(spec, sl.Point.Seed)
 	if err != nil {
-		return scheduler.StreamSummary{}, err
+		return sweep.Record{}, err
 	}
-	cfg.Seed = seed
-	res, err := scheduler.RunGeneratedOpts(cfg, gt, disc, scheduler.StreamOptions{MeasureRetained: st.memProbe})
+	cfg.Seed = sl.Point.Seed
+	res, err := scheduler.RunGenerated(cfg, gt, disc)
 	if err != nil {
-		return scheduler.StreamSummary{}, fmt.Errorf("%s/%s seed %d: %w", disc, alloc, seed, err)
+		return sweep.Record{}, fmt.Errorf("%s seed %d: %w", sl.Task, sl.Point.Seed, err)
 	}
-	if st.memProbe {
-		fmt.Fprintf(os.Stderr, "dfsched: %s/%s seed %d: retained %.1f MB at last departure (peak %d running, %d queued)\n",
-			disc, alloc, seed, float64(res.RetainedBytes)/(1<<20), res.PeakRunning, res.PeakQueue)
+	sum, err := res.Summary(alloc, sl.Point.Seed)
+	if err != nil {
+		return sweep.Record{}, err
 	}
-	return res.Summary(alloc, seed)
+	rec := sweep.RecordOf(sl.Task, sweep.Sample{Point: sl.Point, Result: res.Sim})
+	rec.Extra, err = json.Marshal(sum)
+	return rec, err
 }
 
 // render prints the study table: one row per point, grouped the way the

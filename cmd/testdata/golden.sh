@@ -91,7 +91,9 @@ if ! cmp "$tmp/prof.json" "$tmp/noprof.json"; then
 fi
 # Input a tool must refuse, and say why on stderr. The scheduler: a cycle
 # budget that would wrap the departure cycle, generator parameters no clamp
-# can repair, and a -generate checkpoint resumed under another network.
+# can repair, a -generate checkpoint resumed under another network, and
+# flags its path would ignore (the replay's probe flags and -seed-jobs
+# under -generate, the study's flags without it).
 # dfsweep and dfexperiments: the deleted reuse flags. dfsweep: run
 # descriptions no point can run (checked once, by sim.Config.Validate) —
 # with dfsim, values the core would truncate to 32 bits, a groupskew
@@ -102,8 +104,12 @@ fi
 # (-spec with -job, -pattern with a workload, interference without one,
 # -debug with -json).
 # Input the scheduler must survive: a size median far past the cap (every
-# job is the cap, so the machine holds one job at a time), and a trace that
-# drains inside the warm-up (its length is the last departure + 1).
+# job is the cap, so the machine holds one job at a time), a trace that
+# drains inside the warm-up (its length is the last departure + 1), and a
+# trace that -measure cuts off (its length is warm-up + measure). A study
+# record is its network point's: the run's mechanism, pattern, load and
+# seed, the discipline and allocation in its task, the network's throughput
+# and latency in its own fields.
 refused() {
   tool=$1; want=$2; shift 2
   if "$tmp/bin/$tool" "$@" > /dev/null 2> "$tmp/stderr" || ! grep -qF -e "$want" "$tmp/stderr"; then
@@ -117,7 +123,24 @@ if [ "${1:-}" != -update ]; then
   refused dfsched 'sigmas must be ≥ 0 and finite' -h 2 -warmup 100 -generate 50 -gen-dur-sigma NaN -disciplines fcfs
   gen="-h 2 -warmup 100 -generate 20 -gen-arrival 25 -gen-dur-median 200 -disciplines fcfs -checkpoint $tmp/s.ckpt"
   "$tmp/bin/dfsched" $gen > /dev/null
+  rec=$(sed -n 2p "$tmp/s.ckpt")
+  field() { printf '%s\n' "$rec" | sed -n "s/.*\"$1\":\([^,}]*\).*/\1/p"; }
+  want='"task":"fcfs/consecutive","point":{"Mechanism":"In-Trns-MM","Pattern":"UN","Load":0.3,"Seed":1},"mechanism":"In-Trns-MM"'
+  if ! printf '%s\n' "$rec" | grep -qF -e "$want" || [ -z "$(field throughput)" ] ||
+    [ "$(field throughput)" != "$(field net_throughput)" ] || [ "$(field avg_latency)" != "$(field pkt_lat_mean)" ]; then
+    echo "dfsched -checkpoint: the study record is not its network point's record:"; echo "$rec"; status=1
+  fi
   refused dfsched 'produced by a different configuration' $gen -global-lat 400
+  study="-h 2 -warmup 100 -generate 20 -disciplines fcfs"
+  refused dfsched '-probe-every does not apply to -generate' $study -probe-every 10
+  refused dfsched '-probe-out does not apply to -generate' $study -probe-out "$tmp/p.jsonl"
+  refused dfsched '-seed-jobs does not apply to -generate' $study -seeds 2 -seed-jobs 1
+  demo="-h 2 -warmup 100 -measure 400"
+  refused dfsched '-checkpoint applies only to -generate' $demo -checkpoint "$tmp/r.ckpt" -out "$tmp/r.json"
+  refused dfsched '-out applies only to -generate' $demo -out "$tmp/r.json"
+  refused dfsched '-disciplines applies only to -generate' $demo -disciplines fcfs
+  refused dfsched '-allocs applies only to -generate' $demo -allocs spread
+  refused dfsched '-gen-arrival applies only to -generate' $demo -gen-arrival 25
   point="-mechanisms MIN -loads 0.1 -seeds 1 -quiet"
   refused dfsweep 'flag provided but not defined: -reuse' $net $point -reuse warm
   refused dfexperiments 'flag provided but not defined: -rewarm' $net $point -rewarm 0
@@ -155,6 +178,11 @@ if [ "${1:-}" != -update ]; then
     > "$tmp/drain.json"
   if ! grep -q '"ran_cycles": 25,' "$tmp/drain.json"; then
     echo "dfsched: a trace that drains at cycle 24 does not report 25 cycles run:"; cat "$tmp/drain.json"; status=1
+  fi
+  "$tmp/bin/dfsched" -h 2 -warmup 100 -measure 300 -generate 50 -gen-arrival 25 -gen-dur-median 200 -disciplines fcfs -json \
+    > "$tmp/capped.json"
+  if ! grep -q '"ran_cycles": 400,' "$tmp/capped.json"; then
+    echo "dfsched -measure 300: a run capped at warm-up + measure does not report 400 cycles run:"; cat "$tmp/capped.json"; status=1
   fi
 fi
 for f in dfsweep.txt dfsweep.csv dffair.txt dfbreakdown.txt dfbreakdown.csv dfexperiments.csvs dfsched.json dfsched-replay.txt \

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"runtime"
 
 	"dragonfly/internal/sim"
 	"dragonfly/internal/stats"
@@ -61,7 +60,6 @@ type foldSink struct {
 	res                      *StreamResult
 	waitSum, runSum, slowSum float64
 	busy                     int64 // completed jobs' node-cycles
-	measureRetained          bool
 }
 
 func (f *foldSink) started(i, _ int, now int64) {
@@ -81,17 +79,6 @@ func (f *foldSink) departed(i, _ int, start, now int64) {
 	f.busy += int64(f.gt.Nodes[i]) * (now - start)
 	f.res.Completed++
 	f.res.LastDeparture = max(f.res.LastDeparture, now)
-	if f.measureRetained && f.res.Completed == f.gt.Len() {
-		// Two collections: the first only moves what sits in the
-		// standard library's sync.Pools to their victim caches; the
-		// second reclaims it. The network's free packets are on its own
-		// list, not in a pool, and count as retained.
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		f.res.RetainedBytes = ms.HeapAlloc
-	}
 }
 
 // StreamResult is the bounded-memory outcome of a generated-trace run: the
@@ -127,18 +114,6 @@ type StreamResult struct {
 	// PeakRunning and PeakQueue bound the scheduler's retained state.
 	PeakRunning int `json:"peak_running"`
 	PeakQueue   int `json:"peak_queue"`
-	// RetainedBytes is the live heap at the last departure, when the whole
-	// run — trace, controller, workload, network, accumulators — is still
-	// reachable. Only measured when StreamOptions.MeasureRetained is set;
-	// machine-dependent, so never part of a deterministic summary.
-	RetainedBytes uint64 `json:"retained_bytes,omitempty"`
-}
-
-// StreamOptions tunes a generated-trace run.
-type StreamOptions struct {
-	// MeasureRetained fills StreamResult.RetainedBytes, at the cost of a
-	// garbage collection at the last departure.
-	MeasureRetained bool
 }
 
 // RunGenerated schedules a generated trace under the discipline on one
@@ -146,17 +121,12 @@ type StreamOptions struct {
 // sim.Finisher); cfg's warm-up + measure cycles only cap it. Deterministic
 // in (gt, disc, cfg.Seed) and bit-identical for any cfg.Workers.
 func RunGenerated(cfg sim.Config, gt *GenTrace, disc string) (*StreamResult, error) {
-	return RunGeneratedOpts(cfg, gt, disc, StreamOptions{})
-}
-
-// RunGeneratedOpts is RunGenerated with explicit options.
-func RunGeneratedOpts(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions) (*StreamResult, error) {
-	return runGenerated(cfg, gt, disc, opts, coreImpl)
+	return runGenerated(cfg, gt, disc, coreImpl)
 }
 
 // runGenerated is RunGenerated on an explicit implementation, so the
 // equivalence tests can run one trace on every engine.
-func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions, im simImpl) (*StreamResult, error) {
+func runGenerated(cfg sim.Config, gt *GenTrace, disc string, im simImpl) (*StreamResult, error) {
 	disc, err := normDiscipline(disc)
 	if err != nil {
 		return nil, err
@@ -182,7 +152,7 @@ func runGenerated(cfg sim.Config, gt *GenTrace, disc string, opts StreamOptions,
 	}
 	wl := workload.NewDynamicStream(t, cfg.Seed)
 	res := &StreamResult{Discipline: disc, Jobs: gt.Len(), LastDeparture: -1}
-	f := &foldSink{gt: gt, res: res, measureRetained: opts.MeasureRetained}
+	f := &foldSink{gt: gt, res: res}
 	c := &controller{wl: wl, src: &genSource{gt, wl, p.P}, out: f, disc: disc, lazy: true}
 	if _, res.Sim, err = c.simulate(&cfg, im); err != nil {
 		return nil, err

@@ -239,7 +239,7 @@ func lifecycles(t *testing.T, cfg sim.Config, gt *GenTrace, disc string) (starts
 	im := tapped(
 		func(idx int, now int64) { starts[idx] = now },
 		func(idx int, now int64) { comps[idx] = now })
-	res, err := runGenerated(cfg, gt, disc, StreamOptions{}, im)
+	res, err := runGenerated(cfg, gt, disc, im)
 	if err != nil {
 		t.Fatalf("RunGenerated(%s): %v", disc, err)
 	}
@@ -314,7 +314,7 @@ func TestStreamAdvancesInWindows(t *testing.T) {
 		net = n
 		return n, err
 	}
-	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, im)
+	res, err := runGenerated(cfg, gt, DisciplineEASY, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +326,58 @@ func TestStreamAdvancesInWindows(t *testing.T) {
 	if windows > most || windows*4 > res.RanCycles {
 		t.Errorf("%d windows for %d cycles with %d event cycles (at most %d expected, and far fewer than cycles)",
 			windows, res.RanCycles, len(events), most)
+	}
+}
+
+// The benchmark's streamed trace (sched_h6_stream at -seconds 1: h=6
+// In-Trns-MM @ 0.3 under EASY, 12,500 jobs of median 8 nodes and 15 cycles
+// arriving every 3 cycles, seed 1) executes exactly these router-steps in
+// exactly these windows, at one worker and at two. Like the steps/* rows of
+// the oracle table, a change may only lower them.
+func TestStreamStepsPinned(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("an h=6 trace of 12,500 jobs; the pins run in the full non-race suite")
+	}
+	const wantSteps, wantWindows = 260_616, 18_280
+	cfg := sim.DefaultConfig()
+	cfg.Topology = topology.Balanced(6)
+	cfg.Mechanism = "In-Trns-MM"
+	cfg.Load = 0.3
+	cfg.Seed = 1
+	cfg.MeasureCycles = 1 << 40
+	gt, err := Generate(GenSpec{
+		Jobs:         12_500,
+		InterArrival: 3,
+		NodesMedian:  8,
+		NodesSigma:   0.5,
+		MaxNodes:     topology.New(cfg.Topology).NumNodes(),
+		DurMedian:    15,
+		DurSigma:     0.5,
+	}, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var steps, windows int64
+		im := coreImpl
+		im.drive = func(net *sim.Network, cfg *sim.Config, ctrl sim.Controller) error {
+			err := coreImpl.drive(net, cfg, ctrl)
+			steps, windows = net.EngineSteps(), net.EngineWindows()
+			return err
+		}
+		cfg.Workers = workers
+		res, err := runGenerated(cfg, gt, DisciplineEASY, im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != gt.Len() {
+			t.Fatalf("workers %d: completed %d/%d jobs", workers, res.Completed, gt.Len())
+		}
+		t.Logf("workers %d: %d router-steps in %d windows over %d cycles", workers, steps, windows, res.RanCycles)
+		if steps != wantSteps || windows != wantWindows {
+			t.Errorf("workers %d: %d router-steps in %d windows, pinned at %d in %d",
+				workers, steps, windows, wantSteps, wantWindows)
+		}
 	}
 }
 
@@ -343,7 +395,7 @@ func TestStreamEngineIdentity(t *testing.T) {
 		cfg := schedCfg()
 		cfg.Workers = ec.workers
 		cfg.MeasureCycles = 1 << 20
-		res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, ec.im)
+		res, err := runGenerated(cfg, gt, DisciplineEASY, ec.im)
 		if err != nil {
 			t.Fatalf("%s: %v", ec.name, err)
 		}
@@ -407,7 +459,7 @@ func retainedAtDrain(t *testing.T, jobs int, seed uint64) uint64 {
 	})
 	cfg := schedCfg()
 	cfg.MeasureCycles = 1 << 22
-	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, im)
+	res, err := runGenerated(cfg, gt, DisciplineEASY, im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +536,7 @@ func TestStreamJobsAllocateNothing(t *testing.T) {
 	cfg := schedCfg()
 	cfg.Workers = 1
 	cfg.MeasureCycles = 1 << 22
-	res, err := runGenerated(cfg, gt, DisciplineEASY, StreamOptions{}, metered)
+	res, err := runGenerated(cfg, gt, DisciplineEASY, metered)
 	if err != nil {
 		t.Fatal(err)
 	}

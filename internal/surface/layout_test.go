@@ -64,6 +64,9 @@ var layout = []rule{
 		forbid(scope{in: []string{"internal/scheduler"}}, ident(`genController`), funcDecl(`^func (planStarts|shadowTime)$`))},
 	{"scheduler-fork-file", "one scheduler event loop: the controller fork's file stays deleted",
 		absent("internal/scheduler/controller.go")},
+	{"study-knobs", "one heap measure, one cycle cap: the study's retained-heap option and its -gen-mem and -gen-max-cycles flags stay deleted (TestStreamMemoryFlat measures the heap; -measure caps a generated run)",
+		forbid(scope{in: []string{"cmd", "internal"}, of: prodFiles | testFiles},
+			ident(`StreamOptions|RunGeneratedOpts|RetainedBytes|MeasureRetained`), expr[*ast.BasicLit]("^[\"`]gen-(mem|max-cycles)[\"`]$"))},
 	{"oracle-frozen", "the oracle is delete-only: its non-test lines never exceed oracleMax",
 		maxLines("internal/refmodel", oracleMax)},
 	{"allowlist-shrinks", "the surface of internal/ only shrinks: the allowlist never exceeds allowlistMax",
