@@ -90,6 +90,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if !cli.IsLoad(*fairLoad) {
+		fatal(fmt.Errorf("bad -fair-load %v: want a finite load ≥ 0", *fairLoad))
+	}
 	seedList, err := cli.ParseSeeds(base.Seed, *seeds)
 	if err != nil {
 		fatal(err)
@@ -122,6 +125,9 @@ func main() {
 		Workers:       *jobs,
 		LatencyModels: models,
 	})
+	if pipe.TotalPoints() == 0 {
+		fatal(fmt.Errorf("no task has a point to run: the fairness tasks leave MIN out, so -skip-sweeps needs another mechanism"))
+	}
 
 	var ck *sweep.Checkpoint
 	path := *ckPath

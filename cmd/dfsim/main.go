@@ -80,8 +80,19 @@ func main() {
 			fatal(err)
 		}
 	}()
-	patternSet := false
-	fs.Visit(func(f *flag.Flag) { patternSet = patternSet || f.Name == "pattern" })
+	// A flag the run would ignore is refused.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["trace-sample"] && *traceNode >= 0:
+		fatal(fmt.Errorf("-trace-sample does not apply to -trace: node filtering traces every packet"))
+	case set["trace-sample"] && *traceOut == "":
+		fatal(fmt.Errorf("-trace-sample applies only to -trace-out"))
+	case set["trace-max"] && *traceNode < 0:
+		fatal(fmt.Errorf("-trace-max applies only to -trace"))
+	case set["interference-jobs"] && !*interf && !*matrix:
+		fatal(fmt.Errorf("-interference-jobs applies only to -interference or -interference-matrix"))
+	}
 
 	cfg, err := build([]string{*mech}, []string{*pattern})
 	if err != nil {
@@ -104,19 +115,15 @@ func main() {
 	switch {
 	case err != nil:
 		fatal(err)
-	case wl != nil && patternSet:
+	case wl != nil && set["pattern"]:
 		fatal(fmt.Errorf("-pattern does not apply to a -job/-spec workload: each job names its own pattern"))
 	case wl == nil && (*interf || *matrix):
 		fatal(fmt.Errorf("-interference and -interference-matrix need a -job or -spec workload"))
 	}
 	if *traceNode >= 0 || *traceOut != "" {
-		sample := *traceSample
-		if *traceNode >= 0 {
-			// Node filtering needs every packet's events, so ignore
-			// the ID sampling in that mode.
-			sample = 1
-		}
-		cfg.Tracer = telemetry.NewTracer(cfg.Topology.Routers(), sample, 1<<20)
+		// Node filtering needs every packet's events: -trace-sample is
+		// refused with -trace, so the sampling is its default, 1.
+		cfg.Tracer = telemetry.NewTracer(cfg.Topology.Routers(), *traceSample, 1<<20)
 	}
 	probeClose, err := attachProbes(&cfg)
 	if err != nil {

@@ -31,7 +31,8 @@ import (
 
 // ProbeFlags registers the telemetry probe flags shared by the df* tools
 // and returns an attacher that, after flag parsing, wires a probe recorder
-// into the config when -probe-every is set. The returned close function
+// into the config when -probe-every is set, and refuses a -probe-out file
+// without it (the run would write none). The returned close function
 // (never nil on success) releases the probe output file; call it after the
 // run, before reading the result.
 func ProbeFlags(fs *flag.FlagSet) func(cfg *sim.Config) (func() error, error) {
@@ -39,12 +40,16 @@ func ProbeFlags(fs *flag.FlagSet) func(cfg *sim.Config) (func() error, error) {
 	out := fs.String("probe-out", "-", "probe time-series JSONL destination ('-' = stdout)")
 	return func(cfg *sim.Config) (func() error, error) {
 		noop := func() error { return nil }
+		toFile := *out != "-" && *out != ""
 		if *every <= 0 {
+			if toFile {
+				return nil, fmt.Errorf("-probe-out applies only to -probe-every")
+			}
 			return noop, nil
 		}
 		w := io.Writer(os.Stdout)
 		closeFn := noop
-		if *out != "-" && *out != "" {
+		if toFile {
 			f, err := os.Create(*out)
 			if err != nil {
 				return nil, err
@@ -143,7 +148,7 @@ func ParseLoads(s string) ([]float64, error) {
 		from, err1 := strconv.ParseFloat(parts[0], 64)
 		to, err2 := strconv.ParseFloat(parts[1], 64)
 		step, err3 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil || !isLoad(from) || !isLoad(to) || !isLoad(step) || step == 0 {
+		if err1 != nil || err2 != nil || err3 != nil || !IsLoad(from) || !IsLoad(to) || !IsLoad(step) || step == 0 {
 			return nil, fmt.Errorf("bad range spec %q (want finite values, from ≥ 0 and step > 0)", s)
 		}
 		var loads []float64
@@ -164,7 +169,7 @@ func ParseLoads(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad load %q: %w", f, err)
 		}
-		if !isLoad(v) {
+		if !IsLoad(v) {
 			return nil, fmt.Errorf("bad load %q: want a finite load ≥ 0", f)
 		}
 		loads = append(loads, v)
@@ -172,8 +177,9 @@ func ParseLoads(s string) ([]float64, error) {
 	return loads, nil
 }
 
-// isLoad reports whether v is finite and ≥ 0 (NaN is not).
-func isLoad(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+// IsLoad reports whether v is finite and ≥ 0 (NaN is not): the loads
+// ParseLoads accepts.
+func IsLoad(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // ParseSeeds expands a seed count into seeds base..base+n-1; the count must
 // lie in [1, maxSeeds].

@@ -105,6 +105,8 @@ var layout = []rule{
 			expr[*ast.SelectorExpr](`\.bits$`))},
 	{"examples", "an example is an Example that tier-1 compares",
 		absent("examples")},
+	{"tool-checks", "the tools are checked by go test: cmd/tools_test.go holds their golden outputs, refusals and smokes, so the shell script it replaced stays deleted",
+		absent("cmd/testdata/golden.sh")},
 	{"diary-headings", "the documents describe the tree as it is: no heading or bold lead of EXPERIMENTS.md or DESIGN.md names a PR, whose CHANGES.md entry is its record",
 		noTitle(`\bPR \d+`, "EXPERIMENTS.md", "DESIGN.md")},
 	{"readme", "the documentation contract: README.md exists and is not empty",
