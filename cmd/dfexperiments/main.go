@@ -66,7 +66,6 @@ func main() {
 	latModels := fs.String("latency-models", "",
 		"comma-separated latency models to sweep as an extra axis ("+strings.Join(topology.KnownLatencyModels(), ", ")+
 			"); overrides -latency-model, non-uniform tasks are suffixed @<model> and compose with -checkpoint resume")
-	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 	ckPath := fs.String("checkpoint", "",
 		"checkpoint file for interrupt/resume (default <out>/checkpoint.jsonl when -out is set; \"off\" disables)")
 	quiet := fs.Bool("quiet", false, "suppress the live progress line")
@@ -122,7 +121,6 @@ func main() {
 		FairLoad:      *fairLoad,
 		SkipSweeps:    *skipSweeps,
 		Mechanisms:    mechList,
-		Workers:       *jobs,
 		LatencyModels: models,
 	})
 	if pipe.TotalPoints() == 0 {

@@ -12,8 +12,8 @@
 // ending at the last departure, which an explicitly set -measure caps —
 // comparing every requested discipline × allocation policy × seed, with
 // optional checkpoint/resume. The study flags (-disciplines, -allocs,
-// -checkpoint, -out, -gen-*) apply only to -generate, the probe flags and
-// -seed-jobs only to a replay; a flag the run would ignore is refused.
+// -checkpoint, -out, -gen-*) apply only to -generate, the probe flags only
+// to a replay; a flag the run would ignore is refused.
 //
 // Usage:
 //
@@ -73,7 +73,6 @@ func main() {
 	var jobs jobFlags
 	fs.Var(&jobs, "job", "add one trace job (repeatable): nodes=18,alloc=spread,arrival=500,duration=1000,dkind=packets,...")
 	seeds := fs.Int("seeds", 1, "replicate the trace over this many seeds (base -seed upward) on the sweep pool")
-	seedJobs := fs.Int("seed-jobs", 0, "concurrent per-seed simulations when -seeds > 1 (0 = NumCPU)")
 	asJSON := fs.Bool("json", false, "emit the result(s) as JSON")
 	var st study
 	st.flags(fs)
@@ -91,7 +90,7 @@ func main() {
 	fs.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
 		switch generate := st.spec.Jobs > 0; {
-		case generate && (f.Name == "probe-every" || f.Name == "probe-out" || f.Name == "seed-jobs"):
+		case generate && (f.Name == "probe-every" || f.Name == "probe-out"):
 			fatal(fmt.Errorf("-%s does not apply to -generate", f.Name))
 		case !generate && studyFlag(f.Name):
 			fatal(fmt.Errorf("-%s applies only to -generate", f.Name))
@@ -150,7 +149,7 @@ func main() {
 	if *seeds == 1 {
 		results[0], errs[0] = dragonfly.RunSchedule(cfg, trace)
 	} else {
-		sweep.Shared().Run(*seeds, sweep.RunOpts{MaxParallel: *seedJobs}, func(i int) {
+		sweep.Shared().Run(*seeds, sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(i int) {
 			c := cfg
 			c.Seed = cfg.Seed + uint64(i)
 			if i != 0 {

@@ -36,7 +36,7 @@ func main() {
 	fs := flag.NewFlagSet("dfserved", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "server bind address (the daemon is auth-free: keep it on localhost or a trusted network)")
 	store := fs.String("store", "", "job store directory for checkpoints and the submission journal (empty: memory only)")
-	local := fs.Int("local", 0, "in-process point runners (0: NumCPU, -1: none — dispatch to remote workers only)")
+	local := fs.Int("local", 0, "in-process point runners (0: GOMAXPROCS, -1: none — dispatch to remote workers only)")
 	leaseTTL := fs.Duration("lease-ttl", time.Minute, "lease lifetime before a silent worker's points are re-leased")
 	worker := fs.String("worker", "", "run as a pull worker against this server URL instead of serving")
 	name := fs.String("name", "", "worker name (default: hostname-pid)")

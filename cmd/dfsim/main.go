@@ -57,8 +57,6 @@ func main() {
 	interf := fs.Bool("interference", false, "also run every workload job solo and report mixed/solo latency ratios")
 	matrix := fs.Bool("interference-matrix", false,
 		"also run the N×N solo-vs-paired interference matrix (N+N·(N-1)/2 extra runs on a worker pool)")
-	interfJobs := fs.Int("interference-jobs", 0,
-		"concurrent interference simulations — solo baselines and matrix pairs (0 = NumCPU)")
 	group := fs.Int("group", 0, "group whose per-router injections to print")
 	debug := fs.Bool("debug", false, "print per-router buffer snapshots of the chosen group")
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
@@ -90,8 +88,6 @@ func main() {
 		fatal(fmt.Errorf("-trace-sample applies only to -trace-out"))
 	case set["trace-max"] && *traceNode < 0:
 		fatal(fmt.Errorf("-trace-max applies only to -trace"))
-	case set["interference-jobs"] && !*interf && !*matrix:
-		fatal(fmt.Errorf("-interference-jobs applies only to -interference or -interference-matrix"))
 	}
 
 	cfg, err := build([]string{*mech}, []string{*pattern})
@@ -170,7 +166,7 @@ func main() {
 	var ratios []float64
 	var interfMatrix [][]float64
 	if *interf || *matrix {
-		solo, err := dragonfly.JobSoloLatencies(cfg, wl, *interfJobs)
+		solo, err := dragonfly.JobSoloLatencies(cfg, wl)
 		if err != nil {
 			fatal(err)
 		}
@@ -178,7 +174,7 @@ func main() {
 			ratios = dragonfly.JobInterferenceFromSolo(res, solo)
 		}
 		if *matrix {
-			if interfMatrix, err = dragonfly.JobInterferenceMatrixFromSolo(cfg, wl, solo, *interfJobs); err != nil {
+			if interfMatrix, err = dragonfly.JobInterferenceMatrixFromSolo(cfg, wl, solo); err != nil {
 				fatal(err)
 			}
 		}

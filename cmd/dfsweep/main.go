@@ -38,7 +38,6 @@ func main() {
 	group := fs.Int("group", 0, "group whose routers -report fair lists")
 	csvPath := fs.String("csv", "", "also write the curves or breakdown as CSV to this file")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
-	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = NumCPU)")
 	startProf := cli.ProfileFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -65,6 +64,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	groupSet := false
+	fs.Visit(func(f *flag.Flag) { groupSet = groupSet || f.Name == "group" })
 	// The fairness and breakdown tables have no column for the axes they
 	// fix, so a grid that varies one is refused rather than mixed.
 	switch {
@@ -74,6 +75,8 @@ func main() {
 		fatal(fmt.Errorf("-report fair has no CSV"))
 	case kind == experiments.Breakdown && (len(mechList) != 1 || len(patterns) != 1):
 		fatal(fmt.Errorf("-report breakdown renders one mechanism under one pattern, got %d mechanisms and %d patterns", len(mechList), len(patterns)))
+	case groupSet && kind != experiments.FairnessTables:
+		fatal(fmt.Errorf("-group applies only to -report fair"))
 	case *group < 0 || *group >= cfg.Topology.Groups():
 		fatal(fmt.Errorf("-group %d outside [0, %d)", *group, cfg.Topology.Groups()))
 	}
@@ -84,7 +87,7 @@ func main() {
 		Patterns:   patterns,
 		Loads:      loadList,
 		Seeds:      seedList,
-		Workers:    *jobs,
+		Workers:    sweep.Concurrent(cfg.Workers),
 		Snapshots:  &sweep.SnapshotCache{},
 	}
 	progress := func(done, total int) {

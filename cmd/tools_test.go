@@ -41,15 +41,17 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// A row runs its commands ("tool args", $T its own directory; "== title"
-// prints itself), which must succeed but for a refusal row's last: that one
-// must fail with refuse on stderr. A golden row's output is the file or
-// directory (its CSVs, each under "== name") of the golden's name in $T,
-// else the stdout, wall_seconds lines dropped; check gets each stdout.
+// A row runs its commands ("[VAR=value ...] tool args", $T its own
+// directory; "== title" prints itself), which must succeed but for a
+// refusal row's last: that one must fail with refuse on stderr. The last
+// command's stderr must also hold the row's stderr text. A golden row's
+// output is the file or directory (its CSVs, each under "== name") of the
+// golden's name in $T, else the stdout, wall_seconds lines dropped; check
+// gets each stdout.
 type row struct {
-	name, golden, refuse string
-	cmds                 []string
-	check                func(t *testing.T, dir string, outs [][]byte)
+	name, golden, refuse, stderr string
+	cmds                         []string
+	check                        func(t *testing.T, dir string, outs [][]byte)
 }
 
 const (
@@ -68,6 +70,7 @@ const (
 	point  = net + " -mechanisms MIN -loads 0.1 -seeds 1 -quiet"
 	grid   = "dfsweep " + net + " -mechanisms MIN -quiet"
 	fair   = grid + " -loads 0.4 -report fair"
+	budget = "dfsweep -h 2 -warmup 100 -measure 300 -mechanisms MIN,In-Trns-MM -pattern UN -loads 0.1,0.2,0.3,0.4 -seeds 2 -quiet"
 )
 
 var rows = []row{
@@ -95,7 +98,7 @@ var rows = []row{
 	refused("produced by a different configuration", gen, gen+" -global-lat 400"),
 	refused("-probe-every does not apply to -generate", study+" -probe-every 10"),
 	refused("-probe-out does not apply to -generate", study+" -probe-out $T/p.jsonl"),
-	refused("-seed-jobs does not apply to -generate", study+" -seeds 2 -seed-jobs 1"),
+	refused("flag provided but not defined: -seed-jobs", study+" -seeds 2 -seed-jobs 1"),
 	refused("-checkpoint applies only to -generate", demo+" -checkpoint $T/r.ckpt -out $T/r.json"),
 	refused("-out applies only to -generate", demo+" -out $T/r.json"),
 	refused("-disciplines applies only to -generate", demo+" -disciplines fcfs"),
@@ -124,6 +127,8 @@ var rows = []row{
 	refused("one mechanism under one pattern, got 1 mechanisms and 2 patterns", grid+" -pattern UN,ADVc -loads 0.4 -report breakdown"),
 	refused("-group 9 outside [0, 9)", fair+" -group 9"),
 	refused("-group -1 outside", fair+" -group -1"),
+	refused("-group applies only to -report fair", "dfsweep "+point+" -group 3"),
+	refused("-group applies only to -report fair", grid+" -loads 0.4 -report breakdown -group 3"),
 	refused(`bad -fair-load NaN`, "dfexperiments "+point+" -fair-load NaN"),
 	refused(`bad -fair-load -0.5`, "dfexperiments "+point+" -fair-load -0.5"),
 	refused("no task has a point to run", "dfexperiments "+point+" -skip-sweeps"),
@@ -140,7 +145,12 @@ var rows = []row{
 	refused("-trace-sample applies only to -trace-out", "dfsim "+net+" -trace-sample 4"),
 	refused("-trace-sample does not apply to -trace", "dfsim "+net+" -trace 5 -trace-out $T/t.json -trace-sample 4"),
 	refused("-trace-max applies only to -trace", "dfsim "+net+" -trace-max 10"),
-	refused("-interference-jobs applies only to -interference", "dfsim "+net+" -job nodes=8 -interference-jobs 2"),
+	refused("flag provided but not defined: -interference-jobs", "dfsim "+net+" -job nodes=8 -interference-jobs 2"),
+	// One parallelism budget: GOMAXPROCS ÷ -workers runs at once, so a
+	// grid whose runs never overlap restores every point but the first over
+	// the network the one before it retired.
+	{name: "one-budget-serial", stderr: "1 fresh + 15 recycled restores", cmds: []string{"GOMAXPROCS=1 " + budget}},
+	{name: "one-budget-split", stderr: "1 fresh + 15 recycled restores", cmds: []string{"GOMAXPROCS=2 " + budget + " -workers 2"}},
 	// Flags that must leave a run alone, and what a run must write.
 	{name: "debug-same-trace", cmds: []string{debug + " -debug -trace-out $T/a.json", debug + " -trace-out $T/b.json"}, check: func(t *testing.T, dir string, _ [][]byte) {
 		if !bytes.Equal(read(t, dir, "a.json"), read(t, dir, "b.json")) {
@@ -217,8 +227,12 @@ func TestTools(t *testing.T) {
 					continue
 				}
 				stdout, stderr, err := runTool(dir, line)
-				if refusal := r.refuse != "" && i == len(r.cmds)-1; refusal != (err != nil) || refusal && !bytes.Contains(stderr, []byte(r.refuse)) {
+				last := i == len(r.cmds)-1
+				if refusal := r.refuse != "" && last; refusal != (err != nil) || refusal && !bytes.Contains(stderr, []byte(r.refuse)) {
 					t.Fatalf("%s: exit %v, stderr:\n%s\nwant a refusal: %v %q", line, err, stderr, refusal, r.refuse)
+				}
+				if last && !bytes.Contains(stderr, []byte(r.stderr)) {
+					t.Fatalf("%s: stderr:\n%s\nwant %q", line, stderr, r.stderr)
 				}
 				outs = append(outs, wallSeconds.ReplaceAll(stdout, nil))
 			}
@@ -307,10 +321,19 @@ func TestInterruptedStudy(t *testing.T) {
 	}
 }
 
-// command is a tool command line with $T expanded to dir.
+// command is a tool command line with $T expanded to dir, its leading
+// VAR=value fields added to the tool's environment.
 func command(dir, line string) *exec.Cmd {
 	args := strings.Fields(strings.ReplaceAll(line, "$T", dir))
-	return exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+	var env []string
+	for strings.Contains(args[0], "=") {
+		env, args = append(env, args[0]), args[1:]
+	}
+	cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+	if env != nil {
+		cmd.Env = append(os.Environ(), env...)
+	}
+	return cmd
 }
 
 func runTool(dir, line string) (stdout, stderr []byte, err error) {

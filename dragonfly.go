@@ -131,14 +131,14 @@ func RunWorkload(cfg Config, spec WorkloadSpec) (*Result, error) {
 
 // JobSoloLatencies runs every job of the compiled workload alone — exact
 // placement and job index preserved (Workload.Solo) — on the sweep worker
-// pool (workers ≤ 0: NumCPU) and returns each job's solo average latency:
-// the baseline both interference metrics divide by. Callers combining
-// several metrics should compute it once and reuse it.
-func JobSoloLatencies(cfg Config, wl *workload.Workload, workers int) ([]float64, error) {
+// pool, GOMAXPROCS ÷ cfg.Workers runs at once, and returns each job's solo
+// average latency: the baseline both interference metrics divide by.
+// Callers combining several metrics should compute it once and reuse it.
+func JobSoloLatencies(cfg Config, wl *workload.Workload) ([]float64, error) {
 	n := wl.NumJobs()
 	solo := make([]float64, n)
 	errs := make([]error, n)
-	sweep.Shared().Run(n, sweep.RunOpts{MaxParallel: workers}, func(j int) {
+	sweep.Shared().Run(n, sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(j int) {
 		res, err := sim.RunWorkload(cfg, wl.Solo(j))
 		if err != nil {
 			errs[j] = err
@@ -176,8 +176,8 @@ func JobInterferenceFromSolo(full *Result, solo []float64) []float64 {
 // row i reads "how much each other job hurts i" and column j reads "whom j
 // hurts". Diagonal entries are 1 by definition (0 when the job delivered
 // nothing solo). The N·(N-1)/2 paired simulations run on the sweep worker
-// pool (workers ≤ 0: NumCPU).
-func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []float64, workers int) ([][]float64, error) {
+// pool, GOMAXPROCS ÷ cfg.Workers at once.
+func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []float64) ([][]float64, error) {
 	n := wl.NumJobs()
 	type task struct{ i, j int }
 	tasks := make([]task, 0, n*(n-1)/2)
@@ -188,7 +188,7 @@ func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []flo
 	}
 	results := make([]*Result, len(tasks))
 	errs := make([]error, len(tasks))
-	sweep.Shared().Run(len(tasks), sweep.RunOpts{MaxParallel: workers}, func(k int) {
+	sweep.Shared().Run(len(tasks), sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(k int) {
 		results[k], errs[k] = sim.RunWorkload(cfg, wl.Subset(tasks[k].i, tasks[k].j))
 	})
 	for _, err := range errs {

@@ -115,7 +115,7 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 	if again.Throughput() != res.Throughput() {
 		t.Error("RunWorkload diverges from CompileWorkload+RunCompiledWorkload")
 	}
-	solo, err := JobSoloLatencies(cfg, wl, 1)
+	solo, err := JobSoloLatencies(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,16 @@ func TestRunWorkloadPublicAPI(t *testing.T) {
 }
 
 // interferenceMatrix prices the N×N solo-vs-paired matrix in two steps, as
-// dfsim -interference-matrix does: the solo baselines, then the pairs.
+// dfsim -interference-matrix does: the solo baselines, then the pairs. The
+// engine worker count sets how many runs share the pool at once
+// (GOMAXPROCS ÷ workers).
 func interferenceMatrix(cfg Config, wl *workload.Workload, workers int) ([][]float64, error) {
-	solo, err := JobSoloLatencies(cfg, wl, workers)
+	cfg.Workers = workers
+	solo, err := JobSoloLatencies(cfg, wl)
 	if err != nil {
 		return nil, err
 	}
-	return JobInterferenceMatrixFromSolo(cfg, wl, solo, workers)
+	return JobInterferenceMatrixFromSolo(cfg, wl, solo)
 }
 
 // The N×N solo-vs-paired matrix: for a three-job workload the diagonal is
@@ -155,7 +158,7 @@ func TestJobInterferenceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := interferenceMatrix(cfg, wl, 0)
+	m, err := interferenceMatrix(cfg, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestJobInterferenceMatrix(t *testing.T) {
 			}
 		}
 	}
-	serial, err := interferenceMatrix(cfg, wl, 1)
+	serial, err := interferenceMatrix(cfg, wl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +242,11 @@ func TestInterferenceMatrixUnderGroupSkew(t *testing.T) {
 
 	// The full matrix under groupskew keeps its invariants: diagonal 1,
 	// positive ratios, deterministic across pool widths.
-	m, err := interferenceMatrix(cfg, wl, 0)
+	m, err := interferenceMatrix(cfg, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := interferenceMatrix(cfg, wl, 1)
+	serial, err := interferenceMatrix(cfg, wl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

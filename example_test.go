@@ -125,7 +125,7 @@ func ExampleJobInterferenceFromSolo() {
 			{Name: "aggressor", Nodes: nodes, Alloc: aggAlloc, FirstGroup: cfg.Topology.H + 1},
 		}}))
 		res := must(dragonfly.RunCompiledWorkload(cfg, wl))
-		solo := must(dragonfly.JobSoloLatencies(cfg, wl, 1)) // one at a time: each holds a network
+		solo := must(dragonfly.JobSoloLatencies(cfg, wl)) // GOMAXPROCS ÷ cfg.Workers at once: each holds a network
 		interf := dragonfly.JobInterferenceFromSolo(res, solo)
 		fmt.Printf("aggressor placed %s:\n", aggAlloc)
 		for j := range res.NumJobs() {

@@ -67,7 +67,7 @@ func (b *Base) Flags(fs *flag.FlagSet) func(mechanisms, patterns []string) (sim.
 	fs.Int64Var(&b.Warmup, "warmup", d.Warmup, "warm-up cycles before measurement")
 	fs.Int64Var(&b.Measure, "measure", d.Measure, "measured cycles")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	fs.IntVar(&b.SimWorkers, "workers", d.SimWorkers, "parallel engine workers per simulation (1 = sequential)")
+	fs.IntVar(&b.SimWorkers, "workers", d.SimWorkers, "parallel engine workers per simulation (1 = sequential); a multi-run tool runs GOMAXPROCS ÷ workers simulations at once")
 	priority := fs.Bool("priority", true, "prioritize transit over injection at the allocator")
 	age := fs.Bool("age", false, "use age-based arbitration (overrides -priority)")
 	fs.IntVar(&b.InjQueue, "inj-queue", d.InjQueue, "injection source queue depth in packets")

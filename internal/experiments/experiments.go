@@ -24,6 +24,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -133,7 +134,7 @@ type Options struct {
 	// it). Fairness tasks use the non-MIN subset, as in the paper.
 	Mechanisms []string
 	// Workers bounds concurrently running simulations across the whole
-	// pipeline (0: pool width) — the resident-Network/memory bound.
+	// pipeline (0: sweep.Concurrent of the base's engine workers).
 	Workers int
 	// LatencyModels, when non-empty, adds a per-link latency model sweep
 	// axis: the whole task set is replicated once per model, producing the
@@ -154,7 +155,7 @@ type Options struct {
 type Pipeline struct {
 	Tasks   []*Task
 	base    sim.Config
-	workers int // pipeline-wide concurrent-simulation bound (0: pool width)
+	workers int // pipeline-wide concurrent-simulation bound
 }
 
 // Build assembles the figure/table tasks for a base configuration. The
@@ -172,7 +173,7 @@ func Build(base sim.Config, opt Options) *Pipeline {
 		}
 	}
 
-	p := &Pipeline{base: base, workers: opt.Workers}
+	p := &Pipeline{base: base, workers: cmp.Or(opt.Workers, sweep.Concurrent(base.Workers))}
 	models := opt.LatencyModels
 	if len(models) == 0 {
 		models = []topology.LatencyModel{nil} // nil: keep base.LatencyModel
@@ -206,8 +207,7 @@ func Build(base sim.Config, opt Options) *Pipeline {
 func (p *Pipeline) buildModelTasks(base sim.Config, suffix string, opt Options, mechs, fairMechs []string) {
 	add := func(t Task) {
 		// base.Workers is honoured per simulation (engine-level
-		// parallelism); Options.Workers bounds how many such simulations
-		// run at once. The product is the caller's choice.
+		// parallelism); Build splits GOMAXPROCS between such simulations.
 		t.Grid.Seeds = opt.Seeds
 		p.Tasks = append(p.Tasks, &t)
 	}

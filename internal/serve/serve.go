@@ -24,6 +24,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -44,7 +45,7 @@ type Options struct {
 	// memory only; finished work is forgotten on exit).
 	StoreDir string
 	// LocalRunners is the number of in-process point runners (0:
-	// NumCPU; negative: none — a dispatch-only server that relies
+	// GOMAXPROCS; negative: none — a dispatch-only server that relies
 	// entirely on remote workers).
 	LocalRunners int
 	// LeaseTTL is the default lease lifetime local runners use and the
@@ -115,11 +116,7 @@ func NewManager(opts Options) (*Manager, error) {
 			return nil, err
 		}
 	}
-	runners := opts.LocalRunners
-	if runners == 0 {
-		runners = runtime.NumCPU()
-	}
-	for i := 0; i < runners; i++ {
+	for range cmp.Or(opts.LocalRunners, runtime.GOMAXPROCS(0)) {
 		r := &runner{src: m, name: "local", batch: 1, ttl: ttl, jobs: 1, poll: 250 * time.Millisecond, wake: m.kick, logf: logf}
 		m.wg.Add(1)
 		go func() {

@@ -35,8 +35,8 @@ type Config struct {
 	MeasureCycles int64
 	// Seed drives every random stream of the run.
 	Seed uint64
-	// Workers is how many workers share the groups of the network (clamped
-	// to the group and CPU counts). Results are bit-identical for any value.
+	// Workers is how many workers share the groups of the network, at most
+	// the group count and GOMAXPROCS. Results are bit-identical for any value.
 	Workers int
 
 	// LatencyModel assigns per-link propagation latencies at network build

@@ -35,9 +35,9 @@ func RunWorkload(cfg Config, wl *workload.Workload) (*Result, error) {
 	return newResult(net, &cfg, time.Since(start)), nil
 }
 
-// clampWorkers resolves cfg.Workers against the network and machine size.
+// clampWorkers resolves cfg.Workers against the group count and GOMAXPROCS.
 func clampWorkers(net *Network, cfg *Config) int {
-	return min(max(cfg.Workers, 1), net.topo.NumGroups(), runtime.NumCPU())
+	return min(max(cfg.Workers, 1), net.topo.NumGroups(), runtime.GOMAXPROCS(0))
 }
 
 // RunNetwork drives an already-built network through the configured warm-up

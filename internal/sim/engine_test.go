@@ -24,7 +24,7 @@ func runOn(t *testing.T, im impl, cfg Config) outcome {
 	return outcomeOf(net, &cfg)
 }
 
-// runSched runs the active-router scheduler engine, bypassing the NumCPU
+// runSched runs the active-router scheduler engine, bypassing the GOMAXPROCS
 // clamp so the parallel path is exercised even on small CI machines. It
 // returns the outcome and the number of router-steps executed.
 func runSched(t *testing.T, cfg Config, workers int) (outcome, int64) {

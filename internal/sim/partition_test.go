@@ -117,7 +117,7 @@ func TestBalancedSpansMoreWorkersThanRouters(t *testing.T) {
 // The re-partitioning engine must remain bit-identical to the single-worker
 // one under the pattern that skews the workers' loads the most — ADVc
 // concentrates activity in the bottleneck group — across enough cycles for
-// several re-partitions to fire. runSched bypasses the NumCPU clamp, so the
+// several re-partitions to fire. runSched bypasses the GOMAXPROCS clamp, so the
 // three- and four-worker partitions run on any machine.
 func TestRebalancedParallelBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()

@@ -39,6 +39,9 @@ var layout = []rule{
 	{"multi-run-forks", "one run description, one batch per pipeline, one lease runner: the second flags-to-config assembly, the pool's priorities and cross-batch limit and the daemon's private lease loop stay deleted",
 		forbid(scope{in: []string{"cmd", "internal", "dragonfly.go"}},
 			ident(`CommonFlags|NewLimit|^Priority$|RunCtx|runLocal`), keyed(`\bRunOpts$`, `Priority`))},
+	{"one-budget", "parallelism has one budget, GOMAXPROCS: nothing that ships outside the frozen oracle reads the CPU count, and no tool but dfserved's worker registers a flag that bounds concurrent simulations",
+		all(forbid(scope{in: []string{"cmd", "internal", "dragonfly.go"}, out: []string{"internal/refmodel"}}, expr[*ast.SelectorExpr](`^runtime\.NumCPU$`)),
+			forbid(scope{in: []string{"cmd"}, out: []string{"cmd/dfserved"}}, expr[*ast.BasicLit](`^"(jobs|seed-jobs|interference-jobs)"$`)))},
 	{"renew-ticker", "one lease runner: serve/runner.go owns the only lease renew ticker",
 		all(forbid(scope{in: []string{"cmd", "internal"}, out: []string{"internal/serve/runner.go"}}, expr[*ast.BinaryExpr](`ttl ?/ ?3`)),
 			exactly(1, scope{in: []string{"internal/serve/runner.go"}}, expr[*ast.BinaryExpr](`ttl ?/ ?3`)))},

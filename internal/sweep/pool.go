@@ -71,13 +71,10 @@ type RunOpts struct {
 	Context context.Context
 }
 
-// newPool starts a pool with the given number of worker goroutines
-// (negative: NumCPU). A zero-worker pool is legal: Run still completes
-// batches on the submitting goroutine (useful for strictly serial runs).
+// newPool starts a pool with the given number of worker goroutines. A
+// zero-worker pool is legal: Run still completes batches on the submitting
+// goroutine (useful for strictly serial runs).
 func newPool(workers int) *Pool {
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
 	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
@@ -91,14 +88,20 @@ var (
 	sharedPool *Pool
 )
 
-// Shared returns the process-wide pool (NumCPU workers). Every multi-run
-// entry point of the module — Grid.Run, RestoreOrRun, the lease runners and
-// the interference APIs — schedules through it,
-// so concurrent sweeps share one machine-wide scheduler instead of each
-// spawning its own goroutine army.
+// Shared returns the process-wide pool, GOMAXPROCS workers wide when it is
+// first called. Every multi-run entry point of the module — Grid.Run,
+// RestoreOrRun, the lease runners and the interference APIs — schedules
+// through it, so concurrent sweeps share one machine-wide scheduler instead
+// of each spawning its own goroutine army.
 func Shared() *Pool {
-	sharedOnce.Do(func() { sharedPool = newPool(runtime.NumCPU()) })
+	sharedOnce.Do(func() { sharedPool = newPool(runtime.GOMAXPROCS(0)) })
 	return sharedPool
+}
+
+// Concurrent is how many runs of engineWorkers engine workers each share
+// GOMAXPROCS, the one parallelism budget: at least one.
+func Concurrent(engineWorkers int) int {
+	return max(1, runtime.GOMAXPROCS(0)/max(engineWorkers, 1))
 }
 
 // retired is the process's one free list of networks whose runs have

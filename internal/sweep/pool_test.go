@@ -147,6 +147,17 @@ func TestPoolMaxParallel(t *testing.T) {
 	}
 }
 
+// Concurrent splits GOMAXPROCS between runs of that many engine workers
+// each, and allows at least one: Workers 4 on 8 procs runs two at once.
+func TestConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for workers, want := range map[int]int{0: 8, 1: 8, 3: 2, 4: 2, 8: 1, 16: 1} {
+		if got := Concurrent(workers); got != want {
+			t.Errorf("Concurrent(%d) at GOMAXPROCS 8 = %d, want %d", workers, got, want)
+		}
+	}
+}
+
 // Tasks are handed out in index order, so slot-indexed writes are complete
 // and each index runs exactly once, for any worker/MaxParallel mix.
 func TestPoolCoversAllIndices(t *testing.T) {

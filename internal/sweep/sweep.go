@@ -73,7 +73,7 @@ type Grid struct {
 	Patterns   []string
 	Loads      []float64
 	Seeds      []uint64
-	// Workers bounds concurrent simulations (default: NumCPU).
+	// Workers bounds concurrent simulations (0: pool width).
 	Workers int
 
 	// Snapshots shares prepared network state between the grid's points:
