@@ -144,29 +144,21 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	results := make([]*scheduler.Result, *seeds)
-	errs := make([]error, *seeds)
-	if *seeds == 1 {
-		results[0], errs[0] = dragonfly.RunSchedule(cfg, trace)
-	} else {
-		sweep.Shared().Run(*seeds, sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(i int) {
-			c := cfg
-			c.Seed = cfg.Seed + uint64(i)
-			if i != 0 {
-				// A probe recorder belongs to exactly one run: probe
-				// the base seed's replica only.
-				c.Probes = nil
-			}
-			results[i], errs[i] = dragonfly.RunSchedule(c, trace)
-		})
-	}
+	results, runErr := sweep.Map(*seeds, cfg.Workers, func(i int) (*scheduler.Result, error) {
+		c := cfg
+		c.Seed = cfg.Seed + uint64(i)
+		if i != 0 {
+			// A probe recorder belongs to exactly one run: probe the
+			// base seed's replica only.
+			c.Probes = nil
+		}
+		return dragonfly.RunSchedule(c, trace)
+	})
 	if err := probeClose(); err != nil {
 		fatal(err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			fatal(err)
-		}
+	if runErr != nil {
+		fatal(runErr)
 	}
 
 	if *asJSON {

@@ -108,8 +108,8 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON, measureSet bool) int {
 		defer ck.Close()
 	}
 
-	// First Ctrl-C stops the study between points (the checkpoint stays
-	// consistent and a rerun resumes); a second kills the process.
+	// First Ctrl-C starts no further point (the running ones finish into the
+	// checkpoint, and a rerun resumes); a second kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
@@ -125,9 +125,7 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON, measureSet bool) int {
 	}
 	restored := 0
 	start := time.Now()
-	// One point at a time: every point holds a network of its own, and
-	// nothing bounds how many the study would hold at once.
-	recs, filled, err := sweep.RestoreOrRun(ctx, ck, slots, 1, func(i int) sweep.Record {
+	recs, filled, err := sweep.RestoreOrRun(ctx, ck, slots, sweep.Concurrent(cfg.Workers), func(i int) sweep.Record {
 		rec, err := st.runPoint(cfg, slots[i])
 		if err != nil {
 			fatal(err)
@@ -138,7 +136,9 @@ func (st *study) run(cfg sim.Config, seeds int, asJSON, measureSet bool) int {
 			restored++
 		}
 	})
-	if errors.Is(err, context.Canceled) {
+	// A Ctrl-C during the last points leaves nothing to drop, so the batch
+	// completes; the run was still interrupted, whatever the core count.
+	if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 		n := 0
 		for _, ok := range filled {
 			if ok {

@@ -88,6 +88,8 @@ func main() {
 		fatal(fmt.Errorf("-trace-sample applies only to -trace-out"))
 	case set["trace-max"] && *traceNode < 0:
 		fatal(fmt.Errorf("-trace-max applies only to -trace"))
+	case set["group"] && *asJSON:
+		fatal(fmt.Errorf("-group applies only to the text report and -debug"))
 	}
 
 	cfg, err := build([]string{*mech}, []string{*pattern})

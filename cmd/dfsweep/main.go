@@ -87,7 +87,6 @@ func main() {
 		Patterns:   patterns,
 		Loads:      loadList,
 		Seeds:      seedList,
-		Workers:    sweep.Concurrent(cfg.Workers),
 		Snapshots:  &sweep.SnapshotCache{},
 	}
 	progress := func(done, total int) {

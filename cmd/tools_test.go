@@ -146,6 +146,14 @@ var rows = []row{
 	refused("-trace-sample does not apply to -trace", "dfsim "+net+" -trace 5 -trace-out $T/t.json -trace-sample 4"),
 	refused("-trace-max applies only to -trace", "dfsim "+net+" -trace-max 10"),
 	refused("flag provided but not defined: -interference-jobs", "dfsim "+net+" -job nodes=8 -interference-jobs 2"),
+	refused("-group applies only to the text report and -debug", "dfsim "+net+" -json -group 3"),
+	// -full sets the paper's network and cycle counts, in every tool.
+	refused("-h does not apply to -full", "dfsim -full -h 2 -mechanism MIN -load 0.001"),
+	refused("-p does not apply to -full", "dfsim -full -p 2 -mechanism MIN -load 0.001"),
+	refused("-a does not apply to -full", "dfsim -full -a 4 -mechanism MIN -load 0.001"),
+	refused("-warmup does not apply to -full", "dfsim -full -warmup 10 -mechanism MIN -load 0.001"),
+	refused("-measure does not apply to -full", "dfsim -full -measure 10 -mechanism MIN -load 0.001"),
+	refused("-measure does not apply to -full", "dfsched -generate 20 -gen-arrival 25 -gen-dur-median 200 -disciplines fcfs -full -measure 500"),
 	// One parallelism budget: GOMAXPROCS ÷ -workers runs at once, so a
 	// grid whose runs never overlap restores every point but the first over
 	// the network the one before it retired.

@@ -130,28 +130,18 @@ func RunWorkload(cfg Config, spec WorkloadSpec) (*Result, error) {
 }
 
 // JobSoloLatencies runs every job of the compiled workload alone — exact
-// placement and job index preserved (Workload.Solo) — on the sweep worker
-// pool, GOMAXPROCS ÷ cfg.Workers runs at once, and returns each job's solo
-// average latency: the baseline both interference metrics divide by.
+// placement and job index preserved (Workload.Solo) — as one sweep.Map
+// fan-out (GOMAXPROCS ÷ cfg.Workers runs at once), and returns each job's
+// solo average latency: the baseline both interference metrics divide by.
 // Callers combining several metrics should compute it once and reuse it.
 func JobSoloLatencies(cfg Config, wl *workload.Workload) ([]float64, error) {
-	n := wl.NumJobs()
-	solo := make([]float64, n)
-	errs := make([]error, n)
-	sweep.Shared().Run(n, sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(j int) {
+	return sweep.Map(wl.NumJobs(), cfg.Workers, func(j int) (float64, error) {
 		res, err := sim.RunWorkload(cfg, wl.Solo(j))
 		if err != nil {
-			errs[j] = err
-			return
+			return 0, err
 		}
-		solo[j] = res.JobAvgLatency(j)
+		return res.JobAvgLatency(j), nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return solo, nil
 }
 
 // JobInterferenceFromSolo derives the per-job interference ratios from an
@@ -175,8 +165,8 @@ func JobInterferenceFromSolo(full *Result, solo []float64) []float64 {
 // their exact workload placements — divided by job i's solo latency, so
 // row i reads "how much each other job hurts i" and column j reads "whom j
 // hurts". Diagonal entries are 1 by definition (0 when the job delivered
-// nothing solo). The N·(N-1)/2 paired simulations run on the sweep worker
-// pool, GOMAXPROCS ÷ cfg.Workers at once.
+// nothing solo). The N·(N-1)/2 paired simulations are one sweep.Map
+// fan-out too.
 func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []float64) ([][]float64, error) {
 	n := wl.NumJobs()
 	type task struct{ i, j int }
@@ -186,15 +176,11 @@ func JobInterferenceMatrixFromSolo(cfg Config, wl *workload.Workload, solo []flo
 			tasks = append(tasks, task{i: i, j: j})
 		}
 	}
-	results := make([]*Result, len(tasks))
-	errs := make([]error, len(tasks))
-	sweep.Shared().Run(len(tasks), sweep.RunOpts{MaxParallel: sweep.Concurrent(cfg.Workers)}, func(k int) {
-		results[k], errs[k] = sim.RunWorkload(cfg, wl.Subset(tasks[k].i, tasks[k].j))
+	results, err := sweep.Map(len(tasks), cfg.Workers, func(k int) (*Result, error) {
+		return sim.RunWorkload(cfg, wl.Subset(tasks[k].i, tasks[k].j))
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	m := make([][]float64, n)
 	for i := range m {

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dragonfly/internal/router"
@@ -81,6 +82,15 @@ func (b *Base) Flags(fs *flag.FlagSet) func(mechanisms, patterns []string) (sim.
 			" (groupskew grows global latency with group distance)")
 	return func(mechanisms, patterns []string) (sim.Config, error) {
 		if *full {
+			var ignored []string // flags -full would override
+			fs.Visit(func(f *flag.Flag) {
+				if slices.Contains([]string{"h", "p", "a", "warmup", "measure"}, f.Name) {
+					ignored = append(ignored, f.Name)
+				}
+			})
+			if len(ignored) > 0 {
+				return sim.Config{}, fmt.Errorf("-%s does not apply to -full: it sets the paper's network and cycle counts", ignored[0])
+			}
 			paper := sim.PaperConfig()
 			b.H, b.P, b.A = paper.Topology.H, 0, 0
 			b.Warmup, b.Measure = paper.WarmupCycles, paper.MeasureCycles

@@ -301,16 +301,22 @@ func TestBaseFlagsFolding(t *testing.T) {
 		t.Errorf("-warmup 0 gave warmup %d, measure %d; want 0, 6000", cfg.WarmupCycles, cfg.MeasureCycles)
 	}
 
-	cfg, err = flagConfig(t, "-full", "-h", "2", "-p", "1", "-warmup", "7", "-measure", "9", "-seed", "5")
+	cfg, err = flagConfig(t, "-full", "-seed", "5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	paper := sim.PaperConfig()
 	if cfg.Topology != paper.Topology || cfg.WarmupCycles != paper.WarmupCycles || cfg.MeasureCycles != paper.MeasureCycles {
-		t.Errorf("-full did not override -h/-p/-warmup/-measure: %v, %d+%d cycles", cfg.Topology, cfg.WarmupCycles, cfg.MeasureCycles)
+		t.Errorf("-full gave %v, %d+%d cycles; want the paper's", cfg.Topology, cfg.WarmupCycles, cfg.MeasureCycles)
 	}
 	if cfg.Seed != 5 {
 		t.Errorf("-seed 5 gave seed %d", cfg.Seed)
+	}
+	// -full would override these, so setting one is refused.
+	for _, name := range []string{"h", "p", "a", "warmup", "measure"} {
+		if _, err := flagConfig(t, "-full", "-"+name, "2"); err == nil || !strings.Contains(err.Error(), "-"+name+" does not apply to -full") {
+			t.Errorf("-full -%s 2: err %v, want a refusal", name, err)
+		}
 	}
 
 	cfg, err = flagConfig(t, "-age", "-priority=false")

@@ -42,6 +42,8 @@ var layout = []rule{
 	{"one-budget", "parallelism has one budget, GOMAXPROCS: nothing that ships outside the frozen oracle reads the CPU count, and no tool but dfserved's worker registers a flag that bounds concurrent simulations",
 		all(forbid(scope{in: []string{"cmd", "internal", "dragonfly.go"}, out: []string{"internal/refmodel"}}, expr[*ast.SelectorExpr](`^runtime\.NumCPU$`)),
 			forbid(scope{in: []string{"cmd"}, out: []string{"cmd/dfserved"}}, expr[*ast.BasicLit](`^"(jobs|seed-jobs|interference-jobs)"$`)))},
+	{"one-fan-out", "a fan-out is one call: outside internal/sweep, independent runs go through sweep.Map, Grid.Run or RestoreOrRun, which derive the bound, and no caller hand-writes a pool loop (internal/serve keeps its lease runner's until the service is retired)",
+		forbid(scope{in: []string{"cmd", "internal", "dragonfly.go"}, out: []string{"internal/sweep", "internal/serve"}}, expr[*ast.SelectorExpr](`^sweep\.Shared$`))},
 	{"renew-ticker", "one lease runner: serve/runner.go owns the only lease renew ticker",
 		all(forbid(scope{in: []string{"cmd", "internal"}, out: []string{"internal/serve/runner.go"}}, expr[*ast.BinaryExpr](`ttl ?/ ?3`)),
 			exactly(1, scope{in: []string{"internal/serve/runner.go"}}, expr[*ast.BinaryExpr](`ttl ?/ ?3`)))},

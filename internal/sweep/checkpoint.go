@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -208,7 +207,6 @@ type ckptMeta struct {
 type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
-	w    *bufio.Writer
 	done map[string]Record
 }
 
@@ -285,7 +283,6 @@ func OpenCheckpoint(path, meta string) (*Checkpoint, error) {
 		return nil, err
 	}
 	c.f = f
-	c.w = bufio.NewWriter(f)
 	if len(c.done) == 0 {
 		if st, err := f.Stat(); err == nil && st.Size() == 0 {
 			if err := c.writeLine(ckptMeta{Meta: meta, Schema: schemaVersion}); err != nil {
@@ -302,13 +299,10 @@ func (c *Checkpoint) writeLine(v any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.w.Write(append(data, '\n')); err != nil {
+	if _, err := c.f.Write(append(data, '\n')); err != nil {
 		return err
 	}
-	// Flush per record: a checkpoint only helps if it survives a kill.
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
+	// Sync per record: a checkpoint only helps if it survives a kill.
 	return c.f.Sync()
 }
 
@@ -333,7 +327,7 @@ func (c *Checkpoint) Lookup(task string, pt Point) (Record, bool) {
 }
 
 // Put persists one completed record. Concurrency-safe; each record is
-// flushed to disk before Put returns.
+// written and synced to disk before Put returns.
 func (c *Checkpoint) Put(rec Record) error {
 	if c == nil {
 		return nil
@@ -358,16 +352,12 @@ func (c *Checkpoint) Len() int {
 	return len(c.done)
 }
 
-// Close flushes and closes the backing file.
+// Close closes the backing file; every record is already on it.
 func (c *Checkpoint) Close() error {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.w.Flush(); err != nil {
-		c.f.Close()
-		return err
-	}
 	return c.f.Close()
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"slices"
@@ -10,11 +11,11 @@ import (
 )
 
 // The sweep worker pool. One persistent, process-wide pool executes every
-// multi-run entry point of the simulator — load sweeps (Grid.Run), seed
-// replicas, solo/paired interference runs, the dfexperiments figure
-// pipeline and the points of a dfserved lease all submit whole simulation
-// runs here, so the machine is never oversubscribed by independent sweeps
-// racing each other.
+// multi-run entry point of the simulator — load sweeps (Grid.Run), Map's
+// seed replicas and interference runs, RestoreOrRun's figure pipeline and
+// scheduler study and the points of a dfserved lease all submit whole
+// simulation runs here, so the machine is never oversubscribed by
+// independent sweeps racing each other.
 //
 // Invariants:
 //
@@ -41,6 +42,7 @@ import (
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
+	width   int      // worker goroutines, at least 1: an unbounded batch's bound
 	batches []*Batch // open batches in submission order
 	closed  bool
 }
@@ -62,8 +64,8 @@ type Batch struct {
 // RunOpts configures one batch submission.
 type RunOpts struct {
 	// MaxParallel bounds how many tasks of this batch execute
-	// concurrently (<= 0: no batch-level bound — the pool width is the
-	// only limit). Sweeps over large networks use it to bound resident
+	// concurrently (<= 0: the pool width, counting the submitting
+	// goroutine). Sweeps over large networks use it to bound resident
 	// Network instances.
 	MaxParallel int
 	// Context, when non-nil, cancels the batch: remaining tasks are
@@ -73,9 +75,9 @@ type RunOpts struct {
 
 // newPool starts a pool with the given number of worker goroutines. A
 // zero-worker pool is legal: Run still completes batches on the submitting
-// goroutine (useful for strictly serial runs).
+// goroutine, one task at a time (useful for strictly serial runs).
 func newPool(workers int) *Pool {
-	p := &Pool{}
+	p := &Pool{width: max(workers, 1)}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		go p.worker()
@@ -89,10 +91,10 @@ var (
 )
 
 // Shared returns the process-wide pool, GOMAXPROCS workers wide when it is
-// first called. Every multi-run entry point of the module — Grid.Run,
-// RestoreOrRun, the lease runners and the interference APIs — schedules
-// through it, so concurrent sweeps share one machine-wide scheduler instead
-// of each spawning its own goroutine army.
+// first called. Every multi-run entry point of the module — Grid.Run, Map,
+// RestoreOrRun and the lease runners — schedules through it, so concurrent
+// sweeps share one machine-wide scheduler instead of each spawning its own
+// goroutine army.
 func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = newPool(runtime.GOMAXPROCS(0)) })
 	return sharedPool
@@ -102,6 +104,22 @@ func Shared() *Pool {
 // GOMAXPROCS, the one parallelism budget: at least one.
 func Concurrent(engineWorkers int) int {
 	return max(1, runtime.GOMAXPROCS(0)/max(engineWorkers, 1))
+}
+
+// Map runs fn(0..n-1) on the shared pool, Concurrent(engineWorkers) at a
+// time, and returns the outcomes in index order, or the error of the
+// lowest index that failed. It is the one fan-out of independent runs that
+// keep no checkpoint: seed replicas and interference runs.
+func Map[T any](n, engineWorkers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	Shared().Run(n, RunOpts{MaxParallel: Concurrent(engineWorkers)}, func(i int) { //nolint:errcheck // no context to cancel it
+		out[i], errs[i] = fn(i)
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // retired is the process's one free list of networks whose runs have
@@ -163,8 +181,8 @@ func (p *Pool) Submit(n int, opts RunOpts, fn func(i int)) *Batch {
 		max:      opts.MaxParallel,
 		finished: make(chan struct{}),
 	}
-	if b.max <= 0 || b.max > n {
-		b.max = n
+	if b.max <= 0 {
+		b.max = p.width
 	}
 	p.mu.Lock()
 	if n == 0 {

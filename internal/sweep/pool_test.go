@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -127,23 +128,89 @@ func TestPoolMaxParallel(t *testing.T) {
 	p := newPool(8)
 	defer p.Close()
 
-	var cur, max int64
-	err := p.Run(64, RunOpts{MaxParallel: 2}, func(int) {
-		c := atomic.AddInt64(&cur, 1)
-		for {
-			m := atomic.LoadInt64(&max)
-			if c <= m || atomic.CompareAndSwapInt64(&max, m, c) {
-				break
-			}
-		}
-		time.Sleep(200 * time.Microsecond)
-		atomic.AddInt64(&cur, -1)
-	})
+	var pk peak
+	if err := p.Run(64, RunOpts{MaxParallel: 2}, func(int) { pk.run(200 * time.Microsecond) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := pk.max.Load(); got > 2 {
+		t.Fatalf("observed %d concurrent tasks, MaxParallel was 2", got)
+	}
+}
+
+// peak tracks how many tasks run at once.
+type peak struct{ cur, max atomic.Int64 }
+
+// run counts one task in for d, then out.
+func (p *peak) run(d time.Duration) {
+	c := p.cur.Add(1)
+	for m := p.max.Load(); c > m && !p.max.CompareAndSwap(m, c); m = p.max.Load() {
+	}
+	time.Sleep(d)
+	p.cur.Add(-1)
+}
+
+// A batch without MaxParallel runs the pool width at once, counting the
+// submitting goroutine that helps it: two on a two-worker pool, not three.
+func TestPoolUnboundedBatchRunsPoolWidth(t *testing.T) {
+	p := newPool(2)
+	defer p.Close()
+
+	var pk peak
+	if err := p.Run(8, RunOpts{}, func(int) { pk.run(5 * time.Millisecond) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := pk.max.Load(); got > 2 {
+		t.Fatalf("an 8-task batch on a 2-worker pool peaked at %d tasks at once, want at most 2", got)
+	}
+}
+
+// Map returns the outcomes in index order, or the lowest failing index's
+// error even when a higher index fails first, and runs at most
+// Concurrent(engineWorkers) tasks at once.
+func TestMap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	got, err := Map(20, 1, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&max); got > 2 {
-		t.Fatalf("observed %d concurrent tasks, MaxParallel was 2", got)
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("Map outcome %d is %d, want %d", i, v, i*i)
+		}
+	}
+
+	// Index 1 fails only after index 5 has failed.
+	fifth := make(chan struct{})
+	_, err = Map(8, 1, func(i int) (int, error) {
+		switch i {
+		case 1:
+			select {
+			case <-fifth:
+			case <-time.After(5 * time.Second):
+			}
+			return 0, errors.New("index 1")
+		case 5:
+			defer close(fifth)
+			return 0, errors.New("index 5")
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "index 1" {
+		t.Fatalf("Map returned %v, want the error of index 1", err)
+	}
+
+	for engineWorkers, want := range map[int]int64{1: 2, 2: 1} {
+		var pk peak
+		if _, err := Map(16, engineWorkers, func(int) (struct{}, error) {
+			pk.run(2 * time.Millisecond)
+			return struct{}{}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := pk.max.Load(); got > want {
+			t.Errorf("Map with %d engine workers at GOMAXPROCS 2 ran %d tasks at once, want at most %d", engineWorkers, got, want)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func TestGridRunMatchesColdRuns(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2} {
-		g.Workers = workers
+		g.workers = workers
 		cacheless := g.Run(nil)
 		if g.Snapshots != nil {
 			t.Fatal("Grid.Run wrote its cache into the caller's grid")
@@ -196,10 +196,10 @@ func TestSnapshotCacheKeepsOneNetworkPerWorker(t *testing.T) {
 	fresh := 0
 	for gi, g := range grids {
 		cold := g
-		cold.Workers, cold.Snapshots = workers, &SnapshotCache{}
+		cold.workers, cold.Snapshots = workers, &SnapshotCache{}
 		want := runSamples(cold, nil)
 
-		g.Workers, g.Snapshots = workers, &SnapshotCache{}
+		g.workers, g.Snapshots = workers, &SnapshotCache{}
 		got := runSamples(g, nil)
 		for i := range want {
 			if got[i].Err != nil || want[i].Err != nil {
@@ -246,10 +246,10 @@ func TestRetiredNetworksCrossCaches(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.WarmupCycles, base.MeasureCycles = 20, 60
 	first := Grid{Base: base, Mechanisms: []string{"MIN"}, Patterns: []string{"UN"},
-		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, Workers: 2, Snapshots: &SnapshotCache{}}
+		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, workers: 2, Snapshots: &SnapshotCache{}}
 	first.Base.Topology = topology.Balanced(3)
 	second := Grid{Base: base, Mechanisms: []string{"In-Trns-MM", "Src-CRG"}, Patterns: []string{"ADVc"},
-		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1, 2}, Workers: 1, Snapshots: &SnapshotCache{}}
+		Loads: []float64{0.2, 0.6}, Seeds: []uint64{1, 2}, workers: 1, Snapshots: &SnapshotCache{}}
 	second.Base.Topology = topology.Balanced(2)
 
 	emptyRetired()
@@ -290,7 +290,7 @@ func TestRetiredNetworksCrossCachesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, mech := range mechs {
 		grids[i] = Grid{Base: base, Mechanisms: []string{mech}, Patterns: []string{"UN", "ADVc"},
-			Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, Workers: 2, Snapshots: &SnapshotCache{}}
+			Loads: []float64{0.2, 0.6}, Seeds: []uint64{1}, workers: 2, Snapshots: &SnapshotCache{}}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -4,7 +4,7 @@
 //   - Pool (pool.go): the persistent, process-wide worker pool every
 //     multi-run entry point shares — whole simulation runs as tasks of
 //     index-ordered batches, with per-batch parallelism bounds and
-//     cooperative cancellation.
+//     cooperative cancellation. Map is the one uncheckpointed fan-out.
 //   - Grid: load sweeps over mechanism × pattern × load × seed grids,
 //     aggregated into seed-averaged Series the way the paper does
 //     ("curves present the average of 3 different simulations",
@@ -25,6 +25,7 @@
 package sweep
 
 import (
+	"cmp"
 	"sync/atomic"
 
 	"dragonfly/internal/prof"
@@ -73,8 +74,9 @@ type Grid struct {
 	Patterns   []string
 	Loads      []float64
 	Seeds      []uint64
-	// Workers bounds concurrent simulations (0: pool width).
-	Workers int
+	// workers bounds concurrent simulations (0: Concurrent(Base.Workers));
+	// tests set it to show that results do not depend on it.
+	workers int
 
 	// Snapshots shares prepared network state between the grid's points:
 	// one construction snapshot per mechanism/pattern/seed combination,
@@ -144,7 +146,7 @@ func (g *Grid) Run(progress func(done, total int)) []Record {
 	pts := run.Points()
 	out := make([]Record, len(pts))
 	var done atomic.Int64
-	Shared().Run(len(pts), RunOpts{MaxParallel: run.Workers}, func(i int) { //nolint:errcheck // no context to cancel it
+	Shared().Run(len(pts), RunOpts{MaxParallel: cmp.Or(run.workers, Concurrent(run.Base.Workers))}, func(i int) { //nolint:errcheck // no context to cancel it
 		out[i] = run.RunRecord("", pts[i])
 		if progress != nil {
 			progress(int(done.Add(1)), len(pts))

@@ -192,7 +192,7 @@ func (errFake) Error() string { return "fake" }
 
 func TestWorkersBound(t *testing.T) {
 	g := testGrid()
-	g.Workers = 3
+	g.workers = 3
 	for _, rec := range g.Run(nil) {
 		if rec.Err != "" {
 			t.Fatal(rec.Err)
@@ -201,15 +201,15 @@ func TestWorkersBound(t *testing.T) {
 }
 
 // The raw samples — not just the aggregated series — must be bit-identical
-// for any Workers value: each simulation is self-contained and the pool
+// for any workers value: each simulation is self-contained and the pool
 // only changes scheduling order, never results.
 func TestRunSamplesIdenticalAcrossWorkers(t *testing.T) {
 	ref := testGrid()
-	ref.Workers = 1
+	ref.workers = 1
 	want := runSamples(ref, nil)
 	for _, workers := range []int{2, runtime.NumCPU()} {
 		g := testGrid()
-		g.Workers = workers
+		g.workers = workers
 		got := runSamples(g, nil)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d samples, want %d", workers, len(got), len(want))
@@ -238,7 +238,7 @@ func runSamples(g Grid, after func()) []Sample {
 	}
 	pts := g.Points()
 	out := make([]Sample, len(pts))
-	Shared().Run(len(pts), RunOpts{MaxParallel: g.Workers}, func(i int) { //nolint:errcheck // no context to cancel it
+	Shared().Run(len(pts), RunOpts{MaxParallel: g.workers}, func(i int) { //nolint:errcheck // no context to cancel it
 		out[i] = g.RunPoint(pts[i])
 		if after != nil {
 			after()
@@ -296,9 +296,9 @@ func TestAggregateAveragesSurvivingSeeds(t *testing.T) {
 // Sweep results must not depend on the worker count.
 func TestSweepDeterministic(t *testing.T) {
 	g1 := testGrid()
-	g1.Workers = 1
+	g1.workers = 1
 	g2 := testGrid()
-	g2.Workers = 4
+	g2.workers = 4
 	s1, _ := AggregateRecords(g1.Run(nil))
 	s2, _ := AggregateRecords(g2.Run(nil))
 	if len(s1) != len(s2) {
